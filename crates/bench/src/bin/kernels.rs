@@ -13,16 +13,30 @@
 //! interleaved over the same buffers), so a regression in one tier is
 //! visible against the other.
 //!
+//! A second table holds the **bit-exact variants inside the scalar
+//! tier** — pairs that return identical bits, so the only question is
+//! which is faster: `quantize_slice` (the `round()` definition of
+//! Q-format rounding, per element, vs the libm-free slice kernel over
+//! 4 096 elements) and `matmul_nt_masked_lanes` (the row kernel vs the
+//! lane-packed kernel behind `Backend::Scalar`, at 1, 2, 3, 4 and 8
+//! active lanes of a `B = 8` grid). The lane-count threshold for packing
+//! (`lane_pack::MIN_ACTIVE`) is read off those rows: the dispatch must
+//! never pick the packed kernel at a count where it loses, so the
+//! `active = 1` row — where both sides run the row kernel — is the
+//! control and must read ≈ 1.0×.
+//!
 //! Flags:
 //!
 //! * `--json` — additionally write `BENCH_kernels.json`:
-//!   `{ bench: "kernels", schema_version: 1, params: {memory_size,
+//!   `{ bench: "kernels", schema_version: 2, params: {memory_size,
 //!   word_size, hidden_size}, kernels: [{kernel, batch,
-//!   scalar_ns_per_call, blocked_ns_per_call, speedup}] }`
+//!   scalar_ns_per_call, blocked_ns_per_call, speedup}],
+//!   scalar_variants: [{kernel, batch, active, reference, variant,
+//!   reference_ns_per_call, variant_ns_per_call, speedup}] }`
 //!   (`batch` is 0 for kernels without a batch axis),
 //! * `--smoke` — short measurement windows for CI.
 
-use hima::tensor::{Backend, LaneMask, Matrix};
+use hima::tensor::{Backend, LaneMask, Matrix, QFormat};
 use std::time::{Duration, Instant};
 
 const N: usize = 128;
@@ -38,6 +52,37 @@ struct Row {
     batch: usize,
     scalar_ns: f64,
     blocked_ns: f64,
+}
+
+/// One measured pairing of two bit-identical forms of a scalar-tier kernel.
+struct VariantRow {
+    kernel: &'static str,
+    batch: usize,
+    active: usize,
+    reference: &'static str,
+    variant: &'static str,
+    reference_ns: f64,
+    variant_ns: f64,
+}
+
+/// Elements per `quantize_slice` call (one 64 × 64 linkage tile).
+const QUANTIZE_ELEMS: usize = 4096;
+/// Active-lane counts of the `matmul_nt_masked_lanes` rows, out of
+/// [`LANE_GRID`] lanes.
+const ACTIVE_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
+const LANE_GRID: usize = 8;
+
+/// Q-format rounding as defined — `(x·2^frac).round().clamp()` through
+/// libm `round`, one element at a time: what the slice kernel replaced
+/// and what `hima-tensor`'s tests keep as their oracle.
+fn quantize_round_definition(q: QFormat, xs: &mut [f32]) {
+    let scale = (1u64 << q.frac_bits) as f64;
+    let max_raw = ((1u64 << (q.total_bits() - 1)) - 1) as f64;
+    let min_raw = -((1u64 << (q.total_bits() - 1)) as f64);
+    for x in xs {
+        let raw = (*x as f64 * scale).round().clamp(min_raw, max_raw) as i64;
+        *x = raw as f32 / scale as f32;
+    }
 }
 
 /// Nanoseconds per call of `f`, measured over a fixed wall-clock window.
@@ -185,9 +230,91 @@ fn main() {
          backend conformance suite."
     );
 
+    println!(
+        "\n{:<26} {:>6} {:>6} {:>14} {:>14} {:>9}",
+        "scalar-tier variant", "batch", "active", "reference ns", "variant ns", "speedup"
+    );
+    let mut variants: Vec<VariantRow> = Vec::new();
+    let mut report_variant = |row: VariantRow| {
+        println!(
+            "{:<26} {:>6} {:>6} {:>14.0} {:>14.0} {:>8}",
+            row.kernel,
+            row.batch,
+            row.active,
+            row.reference_ns,
+            row.variant_ns,
+            hima_bench::times(row.reference_ns / row.variant_ns)
+        );
+        variants.push(row);
+    };
+
+    // Q16.16 rounding pass over one linkage tile. Fresh values per call:
+    // rounding is idempotent, and a buffer of already-representable
+    // values would be a different (easier) input.
+    let q = QFormat::q16_16();
+    let state: Vec<f32> =
+        (0..QUANTIZE_ELEMS).map(|i| ((i * 7) as f32 * 0.013).sin() * 3.0).collect();
+    let mut buf_r = state.clone();
+    let mut buf_v = state.clone();
+    let (r, v) = best_of_paired(
+        reps,
+        measure,
+        || {
+            buf_r.copy_from_slice(&state);
+            quantize_round_definition(q, &mut buf_r);
+        },
+        || {
+            buf_v.copy_from_slice(&state);
+            q.quantize_slice_inplace(&mut buf_v);
+        },
+    );
+    assert_eq!(buf_r, buf_v, "slice kernel must equal the round() definition");
+    report_variant(VariantRow {
+        kernel: "quantize_slice",
+        batch: 0,
+        active: 0,
+        reference: "round() definition, per element",
+        variant: "QFormat::quantize_slice_inplace",
+        reference_ns: r,
+        variant_ns: v,
+    });
+
+    // The LSTM gate projection again, scalar tier only: the row kernel
+    // (`Matrix::matmul_nt_masked_into`) against what `Backend::Scalar`
+    // dispatches to at each active-lane count.
+    let x = test_matrix(LANE_GRID, X_WIDTH + HIDDEN, 1);
+    let w = test_matrix(4 * HIDDEN, X_WIDTH + HIDDEN, 2);
+    let mut out_r = Matrix::zeros(LANE_GRID, 4 * HIDDEN);
+    let mut out_v = Matrix::zeros(LANE_GRID, 4 * HIDDEN);
+    for &active in &ACTIVE_COUNTS {
+        // Spread the active lanes over the grid, as a ragged tick does.
+        let mask = LaneMask::from_fn(LANE_GRID, |b| (b * active) % LANE_GRID < active);
+        assert_eq!(mask.active_count(), active);
+        let (r, v) = best_of_paired(
+            reps,
+            measure,
+            || x.matmul_nt_masked_into(&w, &mask, &mut out_r),
+            || Backend::Scalar.matmul_nt_masked_into(&x, &w, &mask, &mut out_v),
+        );
+        assert_eq!(out_r, out_v, "lane-packed kernel must equal the row kernel");
+        report_variant(VariantRow {
+            kernel: "matmul_nt_masked_lanes",
+            batch: LANE_GRID,
+            active,
+            reference: "row kernel (Matrix::matmul_nt_masked_into)",
+            variant: "Backend::Scalar dispatch (lane-packed from 2 active)",
+            reference_ns: r,
+            variant_ns: v,
+        });
+    }
+    println!(
+        "\nBoth sides of every row above return identical bits (asserted on\n\
+         the spot); the rows only say which form is faster."
+    );
+
     if json {
         let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 1,\n");
+        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 2,\n");
         s.push_str(&format!(
             "  \"params\": {{\"memory_size\": {N}, \"word_size\": {W}, \"hidden_size\": {HIDDEN}}},\n"
         ));
@@ -201,6 +328,21 @@ fn main() {
                 r.blocked_ns,
                 r.scalar_ns / r.blocked_ns,
                 if i + 1 < rows.len() { "," } else { "" }
+            ));
+        }
+        s.push_str("  ],\n  \"scalar_variants\": [\n");
+        for (i, r) in variants.iter().enumerate() {
+            s.push_str(&format!(
+                "    {{\"kernel\": \"{}\", \"batch\": {}, \"active\": {}, \"reference\": \"{}\", \"variant\": \"{}\", \"reference_ns_per_call\": {:.1}, \"variant_ns_per_call\": {:.1}, \"speedup\": {:.3}}}{}\n",
+                r.kernel,
+                r.batch,
+                r.active,
+                r.reference,
+                r.variant,
+                r.reference_ns,
+                r.variant_ns,
+                r.reference_ns / r.variant_ns,
+                if i + 1 < variants.len() { "," } else { "" }
             ));
         }
         s.push_str("  ]\n}\n");

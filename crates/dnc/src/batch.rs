@@ -1198,6 +1198,57 @@ mod tests {
         }
     }
 
+    /// Grids of 1..=9 lanes under random ragged masks against one
+    /// single-lane engine per lane. A single-lane engine always runs the
+    /// row kernel; the grid runs the lane-packed shared-weight product
+    /// whenever two or more lanes are active — for the LSTM gates
+    /// (`4H` columns), the interface projections (33 columns, so the
+    /// `n % 4` remainder) and the output projection (6 columns).
+    #[test]
+    fn lane_packed_grid_steps_match_single_lane_engines_at_every_width() {
+        use crate::builder::EngineBuilder;
+        use hima_tensor::QFormat;
+
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for (tiles, quantized) in [(None, false), (Some(4), true)] {
+            for b in 1..=9usize {
+                let build = |lanes: usize| {
+                    let mut e = EngineBuilder::new(params()).lanes(lanes).seed(19);
+                    if let Some(nt) = tiles {
+                        e = e.sharded(nt);
+                    }
+                    if quantized {
+                        e = e.quantized(QFormat::q16_16());
+                    }
+                    e.build()
+                };
+                let mut grid = build(b);
+                let mut solo: Vec<_> = (0..b).map(|_| build(1)).collect();
+                let inputs = lane_inputs(b, 6, 5);
+                for t in 0..6 {
+                    let bits = next();
+                    let mask = LaneMask::from_fn(b, |i| bits >> i & 1 == 1);
+                    let y = grid.step_batch_masked(&step_block(&inputs, t), &mask);
+                    for (i, engine) in solo.iter_mut().enumerate() {
+                        if mask.is_active(i) {
+                            let want = engine.step_batch(&Matrix::from_rows(&[&inputs[i][t]]));
+                            assert_eq!(y.row(i), want.row(0), "{tiles:?} B={b} lane {i} t {t}");
+                        } else {
+                            assert!(y.row(i).iter().all(|&x| x == 0.0), "frozen lane {i} t {t}");
+                        }
+                        assert_eq!(grid.last_read_row(i), engine.last_read_row(0));
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn full_mask_is_bit_identical_to_step_batch() {
         let lanes = lane_inputs(3, 2, 5);

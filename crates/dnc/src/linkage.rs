@@ -14,7 +14,7 @@
 //! Forward/backward read weightings are `f^r = L w_r` and `b^r = Lᵀ w_r`.
 //! Invariants: zero diagonal and every row/column sum ≤ 1.
 
-use hima_tensor::{Backend, F32x8, Matrix};
+use hima_tensor::{Backend, F32x8, Matrix, QFormat};
 use serde::{Deserialize, Serialize};
 
 /// Temporal linkage state: the `N × N` linkage matrix and the precedence
@@ -224,13 +224,11 @@ impl TemporalLinkage {
         self.precedence.fill(0.0);
     }
 
-    /// Applies `f` to every linkage entry and precedence element in place
-    /// (used to inject datapath quantization between time steps).
-    pub fn map_state(&mut self, mut f: impl FnMut(f32) -> f32) {
-        self.linkage.map_inplace(&mut f);
-        for p in &mut self.precedence {
-            *p = f(*p);
-        }
+    /// Rounds every linkage entry and precedence element to `format` in
+    /// place (the quantized datapath's rounding pass between time steps).
+    pub fn quantize_state(&mut self, format: QFormat) {
+        format.quantize_slice_inplace(self.linkage.as_mut_slice());
+        format.quantize_slice_inplace(&mut self.precedence);
     }
 
     /// Checks the structural invariants: zero diagonal, entries in `[0,1]`,

@@ -14,7 +14,7 @@ use crate::linkage::{merge_read_weighting_into, TemporalLinkage};
 use crate::profile::{KernelId, KernelProfile};
 use hima_sort::{CentralizedMergeSorter, SortEngine, TwoStageSorter};
 use hima_tensor::softmax::PlaSoftmax;
-use hima_tensor::{Backend, Matrix};
+use hima_tensor::{Backend, Matrix, QFormat};
 use serde::{Deserialize, Serialize};
 
 /// Which usage sorter the memory unit models.
@@ -266,26 +266,21 @@ impl MemoryUnit {
         self.profile.reset();
     }
 
-    /// Applies `f` to every stored state value — external memory, usage,
-    /// linkage, precedence and the carried read/write weightings — in
-    /// place. Used by the quantized datapath model to round state to the
-    /// hardware number format between time steps.
-    pub fn map_state(&mut self, mut f: impl FnMut(f32) -> f32) {
-        self.memory.map_inplace(&mut f);
-        for u in &mut self.usage {
-            *u = f(*u);
-        }
-        self.linkage.map_state(&mut f);
-        for w in &mut self.write_weighting {
-            *w = f(*w);
-        }
+    /// Rounds every stored state value — external memory, usage, linkage,
+    /// precedence and the carried read/write weightings — to `format` in
+    /// place: the quantized datapath's rounding pass between time steps.
+    /// Each state memory is one contiguous buffer handed whole to
+    /// [`QFormat::quantize_slice_inplace`].
+    pub fn quantize_state(&mut self, format: QFormat) {
+        format.quantize_slice_inplace(self.memory.as_mut_slice());
+        format.quantize_slice_inplace(&mut self.usage);
+        self.linkage.quantize_state(format);
+        format.quantize_slice_inplace(&mut self.write_weighting);
         for head in &mut self.read_weightings {
-            for w in head {
-                *w = f(*w);
-            }
+            format.quantize_slice_inplace(head);
         }
-        // Memory contents changed (e.g. datapath rounding): the cached row
-        // norms no longer describe them.
+        // Memory contents changed: the cached row norms no longer
+        // describe them.
         self.norms_valid = false;
     }
 
@@ -764,9 +759,9 @@ mod tests {
 
     #[test]
     fn row_norm_cache_tracks_memory_mutations() {
-        // After a step the cache holds the post-write norms; map_state
-        // (datapath rounding) and reset must invalidate it so the next
-        // content lookup sees fresh values.
+        // After a step the cache holds the post-write norms;
+        // quantize_state (datapath rounding) and reset must invalidate it
+        // so the next content lookup sees fresh values.
         let mut mu = unit(8, 4, 1);
         let write = write_iface(&[3.0, -2.0, 1.0, 0.5]);
         mu.step(&write);
@@ -774,8 +769,8 @@ mod tests {
         assert_eq!(mu.row_norms, direct, "cache equals a fresh norm pass");
         assert!(mu.norms_valid);
 
-        mu.map_state(|x| x * 0.5);
-        assert!(!mu.norms_valid, "map_state must invalidate the cache");
+        mu.quantize_state(QFormat::new(4, 4));
+        assert!(!mu.norms_valid, "quantize_state must invalidate the cache");
         mu.reset();
         assert!(!mu.norms_valid, "reset must invalidate the cache");
         // Any step's read phase leaves a valid post-write cache behind.

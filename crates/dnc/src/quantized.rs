@@ -9,6 +9,19 @@
 //! fixed-point accelerator. [`DatapathStudy`] runs the quantized unit in
 //! lock-step against the `f32` reference and reports how the divergence
 //! grows — the datapath-precision ablation.
+//!
+//! The model is **`f32` compute plus a Q-format rounding pass**, not
+//! integer arithmetic: the wrapped [`MemoryUnit`] steps in `f32` and
+//! [`MemoryUnit::quantize_state`] then rounds each contiguous state
+//! buffer through [`QFormat::quantize_slice_inplace`]. At the paper's
+//! size that pass touches ~9 400 values per tile per step and used to be
+//! the largest single cost of a quantized step (one libm `round` call
+//! per value). The rule is round-to-nearest, ties away from zero,
+//! saturating, NaN → 0, computed as *clamp, add ±½, truncate* in `f64`:
+//! exact because `x · 2^frac` carries at most the 24 significant bits of
+//! the `f32`, so adding ½ never rounds across an integer. The argument
+//! in full, and the tests that pin it against the `round()` definition,
+//! are in [`hima_tensor::fixed`].
 
 use crate::interface::InterfaceVector;
 use crate::memory::{MemoryConfig, MemoryUnit, ReadResult};
@@ -91,7 +104,7 @@ impl QuantizedMemoryUnit {
         let fmt = self.format;
         quantize_interface_into(iv, fmt, &mut self.q_iv);
         self.inner.step_into(&self.q_iv, out);
-        self.inner.map_state(|x| fmt.quantize(x));
+        self.inner.quantize_state(fmt);
         fmt.quantize_slice_inplace(out);
     }
 
@@ -122,9 +135,8 @@ pub fn quantize_interface_into(iv: &InterfaceVector, format: QFormat, out: &mut 
     }
     let q = |x: f32| format.quantize(x);
     let qv = |dst: &mut [f32], src: &[f32]| {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = q(s);
-        }
+        dst.copy_from_slice(src);
+        format.quantize_slice_inplace(dst);
     };
     for (dst, src) in out.read_keys.iter_mut().zip(&iv.read_keys) {
         qv(dst, src);

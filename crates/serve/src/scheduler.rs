@@ -679,10 +679,12 @@ impl Group {
             sess.queue.truncate(sess.replay_left);
             sess.deadline = None;
             let (reply, _outputs, _) = sess.reply.take().unwrap();
-            let _ = reply.send(Response::Error(ServeError::DeadlineExceeded { session: id }));
+            // Account and trace before replying: the client may read the
+            // counters the moment its error arrives.
             self.shared.queue_sub(shed as i64);
             self.metrics.overload_deadline_expired.inc();
             self.metrics.trace(TraceKind::Shed, id, shed as u64);
+            let _ = reply.send(Response::Error(ServeError::DeadlineExceeded { session: id }));
         }
     }
 
@@ -770,12 +772,14 @@ impl Group {
                     let dropped = sess.queue.len();
                     sess.queue.clear();
                     sess.deadline = None;
+                    // Queue accounting before the reply, as in
+                    // `shed_expired`.
+                    self.shared.queue_sub(dropped as i64);
                     if let Some((reply, _, _)) = sess.reply.take() {
                         let _ = reply.send(Response::Error(ServeError::Store(format!(
                             "session {id}: delta-log append failed; step not applied"
                         ))));
                     }
-                    self.shared.queue_sub(dropped as i64);
                     continue;
                 }
                 self.metrics.store_log_appends.inc();

@@ -5,10 +5,18 @@
 //! `row_norms_into`, the softmaxes) exists in two implementations behind one
 //! dispatching method.
 //!
-//! * [`Backend::Scalar`] — the original kernels on [`Matrix`] and
-//!   [`mod@crate::softmax`], unchanged. This tier is the **bit-exact
-//!   reference**: all bit-equality conformance suites (batched ≡ solo,
-//!   masked ≡ unmasked, `_into` ≡ allocating) are stated against it.
+//! * [`Backend::Scalar`] — the kernels on [`Matrix`] and
+//!   [`mod@crate::softmax`]. This tier is the **bit-exact reference**:
+//!   all bit-equality conformance suites (batched ≡ solo, masked ≡
+//!   unmasked, `_into` ≡ allocating) are stated against it. Its contract
+//!   is bit-identity with the `k`-ordered reference (one rounded
+//!   multiply then one rounded add per `k`, ascending — what
+//!   [`Matrix::matvec`] computes), not "no SIMD": on `x86_64`, with two
+//!   or more lanes active, `matmul_nt_masked_into` runs the lane-packed
+//!   kernel of the crate-private `lane_pack` module (one batch lane per
+//!   SSE register element, so no element's operation order changes)
+//!   instead of one row-kernel pass per lane. The two return the same
+//!   bits; which one runs depends only on `mask.active_count()`.
 //! * [`Backend::Blocked`] — cache-blocked loops over [`F32x8`] lanes with
 //!   multiple independent accumulators. Reductions (dot products, row
 //!   norms, softmax normalization) **re-associate** floating-point sums, so
@@ -35,7 +43,8 @@ use serde::{Deserialize, Serialize};
 /// written before this axis existed deserialize to the bit-exact tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Backend {
-    /// The original scalar kernels — the bit-exact reference tier.
+    /// The bit-exact reference tier: every kernel keeps the reference's
+    /// per-element operation order (see the [module docs](self)).
     #[default]
     Scalar,
     /// Cache-blocked, 8-lane vectorized kernels with unrolled independent
@@ -133,6 +142,10 @@ impl Backend {
     /// `mask.is_active(i)`, inactive rows are zeroed — the ragged-batch
     /// contract of [`Matrix::matmul_nt_masked_into`], on this tier.
     ///
+    /// On [`Backend::Scalar`] the result is bit-identical to
+    /// [`Matrix::matmul_nt_masked_into`] whichever of its two kernels
+    /// runs (row kernel for a lone active lane, lane-packed from two).
+    ///
     /// # Panics
     ///
     /// Panics on shape mismatch or if `mask.lanes() != lhs.rows()`.
@@ -144,6 +157,12 @@ impl Backend {
         out: &mut Matrix,
     ) {
         match self {
+            // With several lanes active the weights are walked once per
+            // four lanes instead of once per lane; same bits either way.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Scalar if mask.active_count() >= crate::lane_pack::MIN_ACTIVE => {
+                crate::lane_pack::matmul_nt_masked_into(lhs, other, mask, out)
+            }
             Backend::Scalar => lhs.matmul_nt_masked_into(other, mask, out),
             Backend::Blocked => {
                 lhs.assert_nt_shapes(other, out);

@@ -6,6 +6,54 @@
 //! the usual hardware behaviour for an accelerator datapath. It is used by
 //! the quantization-error experiments and by tests that check the functional
 //! model is robust to datapath rounding.
+//!
+//! # The rounding rule
+//!
+//! Both [`Fixed::from_f32`] and [`QFormat::quantize`] round an `f32` to the
+//! nearest raw integer of the format, ties away from zero, saturating at the
+//! two's-complement range, with NaN mapping to raw 0 — mathematically
+//! `(x · 2^frac).round().clamp(min_raw, max_raw)`. They compute it as
+//! *clamp, add ±½, truncate*:
+//!
+//! ```text
+//! v   = (x as f64 · 2^frac).clamp(min_raw, max_raw)
+//! raw = (v + copysign(0.5, v)) as i32          // truncates toward zero
+//! ```
+//!
+//! which is **bit-identical** to the `round()` form for every `f32` input,
+//! and needs no libm call, so it vectorizes. The argument:
+//!
+//! * `x as f64 · 2^frac` is exact (a power-of-two scale only moves the
+//!   exponent), so `v` carries at most the 24 significant bits of `x`.
+//! * Clamping first is the same as clamping last: both edges are integers,
+//!   and round-half-away is monotone and fixes integers.
+//! * `v + copysign(0.5, v)` is exact whenever it matters. With `v` in
+//!   `[2^k, 2^(k+1))` its lowest set bit is at least `2^(k-23)`, so for
+//!   `-30 ≤ k ≤ 31` (the clamp caps `k`) the sum's bits lie between
+//!   `2^(k+1)` and `min(2^(k-23), 2^-1)` — at most 53 positions — and
+//!   the `f64` add does not round; truncation then yields exactly
+//!   round-half-away-from-zero. The classic failure of this trick
+//!   (`0.49999999999999994 + 0.5 == 1.0`) needs 53 significant bits and
+//!   an `f32` has 24. For smaller `|v|` the sum may round, but stays
+//!   strictly inside `(-1, 1)` and truncates to 0, which is the right
+//!   answer.
+//! * NaN survives the clamp and the add, and `NaN as i32` is 0.
+//! * The raw value converts back with one multiply by `2^-frac` — exact for
+//!   the same power-of-two reason, so it equals the division it replaces.
+//!
+//! [`QFormat::quantize_slice_inplace`] is the slice kernel of that rule: on
+//! `x86_64` four elements per pass in baseline SSE2 (`cvtps2pd`, `mulpd`,
+//! `max/minpd`, add the signed half, `cvttpd2dq`, zero the NaN lanes,
+//! `cvtdq2ps`, `mulps`), elsewhere and for the tail the scalar form. The
+//! equality against the `round()` definition is pinned by this module's
+//! tests over a strided sweep of all `f32` bit patterns plus the tie and
+//! saturation boundaries, for Q16.16, Q8.8, Q1.31, Q31.1 and Q4.12. The
+//! exhaustive form (all 2³² patterns × those formats, slice kernel and
+//! scalar) is `#[ignore]`d because it takes minutes; run it with
+//!
+//! ```text
+//! cargo test --release -p hima-tensor --lib fixed::tests::exhaustive -- --ignored
+//! ```
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -85,22 +133,32 @@ impl QFormat {
         1.0 / (1u64 << self.frac_bits) as f32
     }
 
-    /// Rounds `x` to the nearest representable value, saturating at the
-    /// format's range (round-to-nearest, two's-complement saturation —
-    /// the usual hardware datapath behaviour).
-    pub fn quantize(&self, x: f32) -> f32 {
-        let scale = (1u64 << self.frac_bits) as f64;
-        let max_raw = ((1u64 << (self.total_bits() - 1)) - 1) as f64;
-        let min_raw = -((1u64 << (self.total_bits() - 1)) as f64);
-        // NaN clamps to NaN and casts to raw 0, matching `Fixed::from_f32`.
-        let raw = (x as f64 * scale).round().clamp(min_raw, max_raw) as i64;
-        raw as f32 / scale as f32
+    /// The format's rounding parameters: scale `2^frac_bits` and the
+    /// two's-complement raw range.
+    fn rounding(&self) -> Rounding {
+        let edge = (1u64 << (self.total_bits() - 1)) as f64;
+        Rounding { scale: (1u64 << self.frac_bits) as f64, min_raw: -edge, max_raw: edge - 1.0 }
     }
 
-    /// Quantizes a whole slice in place.
+    /// Rounds `x` to the nearest representable value (ties away from
+    /// zero), saturating at the format's range — the usual hardware
+    /// datapath behaviour. NaN maps to 0. See the [module docs](self) for
+    /// the rule and why its libm-free form is exact.
+    pub fn quantize(&self, x: f32) -> f32 {
+        let r = self.rounding();
+        r.to_raw(x) as f32 * r.inv_scale()
+    }
+
+    /// Quantizes a whole slice in place — the datapath's rounding pass
+    /// over a contiguous state buffer, bit-identical per element to
+    /// [`QFormat::quantize`].
     pub fn quantize_slice_inplace(&self, xs: &mut [f32]) {
+        let r = self.rounding();
+        #[cfg(target_arch = "x86_64")]
+        let xs = r.quantize_quads(xs);
+        let inv = r.inv_scale();
         for x in xs {
-            *x = self.quantize(*x);
+            *x = r.to_raw(*x) as f32 * inv;
         }
     }
 
@@ -118,6 +176,73 @@ impl QFormat {
 impl fmt::Display for QFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Q{}.{}", self.int_bits, self.frac_bits)
+    }
+}
+
+/// The shared rounding rule of [`QFormat`] and [`Fixed`] for one format:
+/// scale by `2^frac`, clamp to the raw range, add the signed half,
+/// truncate (see the [module docs](self)).
+#[derive(Clone, Copy)]
+struct Rounding {
+    scale: f64,
+    min_raw: f64,
+    max_raw: f64,
+}
+
+impl Rounding {
+    /// Nearest raw integer to `x · scale`, ties away from zero, saturated;
+    /// NaN gives 0.
+    #[inline(always)]
+    fn to_raw(self, x: f32) -> i32 {
+        let v = (x as f64 * self.scale).clamp(self.min_raw, self.max_raw);
+        (v + 0.5f64.copysign(v)) as i32
+    }
+
+    /// `2^-frac` as an `f32` (exact: the smallest is `2^-31`).
+    #[inline(always)]
+    fn inv_scale(self) -> f32 {
+        (1.0 / self.scale) as f32
+    }
+
+    /// SSE2 body of [`QFormat::quantize_slice_inplace`]: rounds every
+    /// whole group of four elements in place and returns the tail (fewer
+    /// than four) for the scalar form. Each lane performs exactly the
+    /// operations of [`Rounding::to_raw`], in `f64`, so the two agree bit
+    /// for bit.
+    #[cfg(target_arch = "x86_64")]
+    fn quantize_quads(self, xs: &mut [f32]) -> &mut [f32] {
+        use core::arch::x86_64::{
+            __m128d, __m128i, _mm_add_pd, _mm_and_pd, _mm_and_si128, _mm_castps_si128,
+            _mm_cmpord_ps, _mm_cvtepi32_ps, _mm_cvtps_pd, _mm_cvttpd_epi32, _mm_loadu_ps,
+            _mm_max_pd, _mm_min_pd, _mm_movehl_ps, _mm_mul_pd, _mm_mul_ps, _mm_or_pd, _mm_set1_pd,
+            _mm_set1_ps, _mm_storeu_ps, _mm_unpacklo_epi64,
+        };
+        let mut quads = xs.chunks_exact_mut(4);
+        // SAFETY: SSE2 is part of the x86_64 baseline ABI, and the one
+        // unaligned load and one unaligned store per pass touch exactly
+        // the four f32s of `quad`.
+        unsafe {
+            let scale = _mm_set1_pd(self.scale);
+            let (min_raw, max_raw) = (_mm_set1_pd(self.min_raw), _mm_set1_pd(self.max_raw));
+            let (sign_bit, half) = (_mm_set1_pd(-0.0), _mm_set1_pd(0.5));
+            let inv = _mm_set1_ps(self.inv_scale());
+            // Two f64 lanes to two raw i32s (in the low half). A NaN lane
+            // leaves `max_pd` as `min_raw`; it is zeroed by the caller.
+            let to_raw = |x: __m128d| -> __m128i {
+                let v = _mm_min_pd(_mm_max_pd(_mm_mul_pd(x, scale), min_raw), max_raw);
+                let signed_half = _mm_or_pd(_mm_and_pd(v, sign_bit), half);
+                _mm_cvttpd_epi32(_mm_add_pd(v, signed_half))
+            };
+            for quad in &mut quads {
+                let x = _mm_loadu_ps(quad.as_ptr());
+                let lo = to_raw(_mm_cvtps_pd(x));
+                let hi = to_raw(_mm_cvtps_pd(_mm_movehl_ps(x, x)));
+                let ordered = _mm_castps_si128(_mm_cmpord_ps(x, x));
+                let raw = _mm_and_si128(_mm_unpacklo_epi64(lo, hi), ordered);
+                _mm_storeu_ps(quad.as_mut_ptr(), _mm_mul_ps(_mm_cvtepi32_ps(raw), inv));
+            }
+        }
+        quads.into_remainder()
     }
 }
 
@@ -145,16 +270,12 @@ impl Fixed {
     /// Smallest representable value (≈ −32768).
     pub const MIN: Fixed = Fixed(i32::MIN);
 
-    /// Converts from `f32`, saturating at the representable range.
+    /// Converts from `f32`, rounding to nearest (ties away from zero) and
+    /// saturating at the representable range; NaN converts to zero.
     pub fn from_f32(x: f32) -> Self {
-        let scaled = (x as f64 * ONE_RAW as f64).round();
-        if scaled >= i32::MAX as f64 {
-            Self::MAX
-        } else if scaled <= i32::MIN as f64 {
-            Self::MIN
-        } else {
-            Fixed(scaled as i32)
-        }
+        let q16_16 =
+            Rounding { scale: ONE_RAW as f64, min_raw: i32::MIN as f64, max_raw: i32::MAX as f64 };
+        Fixed(q16_16.to_raw(x))
     }
 
     /// Converts back to `f32`.
@@ -394,5 +515,150 @@ mod tests {
     #[should_panic(expected = "datapath width capped at 32 bits")]
     fn qformat_rejects_overwide() {
         QFormat::new(20, 20);
+    }
+
+    /// The definition of the rounding rule, kept as the test oracle: the
+    /// expression `QFormat::quantize` used before it became libm-free.
+    fn quantize_oracle(q: QFormat, x: f32) -> f32 {
+        let scale = (1u64 << q.frac_bits) as f64;
+        let max_raw = ((1u64 << (q.total_bits() - 1)) - 1) as f64;
+        let min_raw = -((1u64 << (q.total_bits() - 1)) as f64);
+        let raw = (x as f64 * scale).round().clamp(min_raw, max_raw) as i64;
+        raw as f32 / scale as f32
+    }
+
+    /// The widest, the paper's, a narrow one, and the two extreme splits.
+    fn swept_formats() -> [QFormat; 5] {
+        [
+            QFormat::q16_16(),
+            QFormat::q8_8(),
+            QFormat::new(1, 31),
+            QFormat::new(31, 1),
+            QFormat::new(4, 12),
+        ]
+    }
+
+    fn assert_matches_oracle(q: QFormat, x: f32) {
+        let (got, want) = (q.quantize(x), quantize_oracle(q, x));
+        assert_eq!(got.to_bits(), want.to_bits(), "{q} x={x:e} ({:#010x})", x.to_bits());
+    }
+
+    #[test]
+    fn quantize_equals_round_definition_on_a_strided_sweep_of_all_bit_patterns() {
+        // A prime stride visits ~2.1M patterns spread over every exponent
+        // and both signs, NaNs and infinities included.
+        for q in swept_formats() {
+            for bits in (0..=u32::MAX).step_by(2039) {
+                assert_matches_oracle(q, f32::from_bits(bits));
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_equals_round_definition_on_ties_and_saturation_edges() {
+        for q in swept_formats() {
+            let scale = (1u64 << q.frac_bits) as f64;
+            let edge = (1i64 << (q.total_bits() - 1)) as f64;
+            let mut xs = vec![
+                0.0f32,
+                -0.0,
+                f32::MIN_POSITIVE,
+                -f32::MIN_POSITIVE,
+                f32::from_bits(1),
+                f32::from_bits(0x8000_0001),
+                f32::from_bits(0x007f_ffff),
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::MAX,
+                f32::MIN,
+                f32::NAN,
+                f32::from_bits(0x7f80_0001),
+                f32::from_bits(0xffc0_1234),
+                f32::from_bits(0xff80_0001),
+            ];
+            // Every (k ± 0.5)/scale tie near 0 and near both edges, plus
+            // the f32 neighbours on each side (the nearest f32 to a tie
+            // is often not the tie itself).
+            for centre in [0.0, edge - 1.0, -edge] {
+                for k in -40..=40 {
+                    for half in [-0.5, 0.0, 0.5] {
+                        let x = ((centre + k as f64 + half) / scale) as f32;
+                        for step in -2i32..=2 {
+                            xs.push(f32::from_bits(x.to_bits().wrapping_add_signed(step)));
+                        }
+                    }
+                }
+            }
+            for &x in &xs {
+                assert_matches_oracle(q, x);
+            }
+            // The slice kernel over the same set, shifted so every value
+            // lands in every SIMD lane.
+            for shift in 0..4 {
+                let mut got = xs[shift..].to_vec();
+                q.quantize_slice_inplace(&mut got);
+                for (g, &x) in got.iter().zip(&xs[shift..]) {
+                    assert_eq!(g.to_bits(), quantize_oracle(q, x).to_bits(), "{q} x={x:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_kernel_equals_scalar_for_short_lengths_and_unaligned_starts() {
+        let src: Vec<f32> = (0..16)
+            .map(|i| match i % 5 {
+                0 => f32::NAN,
+                1 => (i as f32 * 0.7311).sin() * 40_000.0,
+                2 => -(i as f32) * 1e-6,
+                3 => (i as f32 + 0.5) / 65_536.0,
+                _ => f32::NEG_INFINITY,
+            })
+            .collect();
+        for q in swept_formats() {
+            for start in 0..4 {
+                for len in 0..=9 {
+                    let mut buf = src.clone();
+                    q.quantize_slice_inplace(&mut buf[start..start + len]);
+                    for (i, (&b, &s)) in buf.iter().zip(&src).enumerate() {
+                        let inside = (start..start + len).contains(&i);
+                        let want = if inside { q.quantize(s) } else { s };
+                        assert_eq!(b.to_bits(), want.to_bits(), "{q} [{start}+{len}] i={i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_from_f32_shares_the_rule() {
+        for x in [f32::NAN, 0.5 / 65_536.0, -0.5 / 65_536.0, 32_767.999, -32_768.0, f32::INFINITY] {
+            let want = (x as f64 * 65_536.0).round().clamp(i32::MIN as f64, i32::MAX as f64) as i32;
+            assert_eq!(Fixed::from_f32(x).raw(), want, "x={x}");
+        }
+    }
+
+    /// All 2³² `f32` bit patterns × the swept formats, scalar form and
+    /// slice kernel, against the `round()` definition. Minutes in release
+    /// mode; see the module docs for the command.
+    #[test]
+    #[ignore = "exhaustive over all f32 bit patterns: minutes in --release"]
+    fn exhaustive_quantize_equals_round_definition() {
+        const BLOCK: usize = 1 << 12;
+        let mut buf = vec![0.0f32; BLOCK];
+        for q in swept_formats() {
+            for base in (0..=u32::MAX).step_by(BLOCK) {
+                for (i, x) in buf.iter_mut().enumerate() {
+                    *x = f32::from_bits(base + i as u32);
+                }
+                q.quantize_slice_inplace(&mut buf);
+                for (i, got) in buf.iter().enumerate() {
+                    let x = f32::from_bits(base + i as u32);
+                    let want = quantize_oracle(q, x).to_bits();
+                    assert_eq!(got.to_bits(), want, "slice {q} {:#010x}", x.to_bits());
+                    assert_eq!(q.quantize(x).to_bits(), want, "scalar {q} {:#010x}", x.to_bits());
+                }
+            }
+        }
     }
 }

@@ -18,9 +18,10 @@
 //!   the `*_block_masked` activations, [`softmax_rows_masked`]) that let
 //!   ragged batches skip — not zero-and-recompute — the rows of lanes
 //!   whose sequences have ended,
-//! * [`Backend`] — the kernel execution tier: the scalar reference
-//!   kernels or the cache-blocked [`F32x8`]-vectorized fast tier in
-//!   [`mod@backend`], dispatching the hot kernels behind one axis.
+//! * [`Backend`] — the kernel execution tier: the bit-exact reference
+//!   tier (`k`-ordered kernels, lane-packed across batch lanes where that
+//!   keeps the bits) or the cache-blocked [`F32x8`]-vectorized fast tier
+//!   in [`mod@backend`], dispatching the hot kernels behind one axis.
 //!
 //! # Example
 //!
@@ -39,6 +40,8 @@ pub mod activation;
 pub mod backend;
 pub mod fixed;
 pub mod lane_mask;
+#[cfg(target_arch = "x86_64")]
+mod lane_pack;
 pub mod linalg;
 pub mod matrix;
 pub mod simd;

@@ -535,7 +535,7 @@ impl Matrix {
 /// column's dot product keeps the exact `k`-order accumulation of
 /// [`Matrix::matvec`], so the kernel stays bit-compatible with per-lane
 /// stepping.
-fn nt_row_into(lhs: &[f32], other: &Matrix, dst: &mut [f32]) {
+pub(crate) fn nt_row_into(lhs: &[f32], other: &Matrix, dst: &mut [f32]) {
     let n = other.rows;
     let mut j = 0;
     while j + 4 <= n {

@@ -174,6 +174,11 @@ fn steady_state_stepping_performs_zero_heap_allocations() {
                 check_variant(spec, label, batch);
             }
         }
+        // The paper's regime in miniature — 16 tiles, Q16.16, four lanes:
+        // two (partial mask) and four (full) active lanes both take the
+        // lane-packed shared-weight product, whose tile is on the stack.
+        let q16 = Datapath::Quantized(QFormat::q16_16());
+        check_variant(EngineSpec::sharded(16).with_datapath(q16), "sharded(16)/Q16.16", 4);
     });
     workspace_and_allocating_paths_are_bit_identical();
 }
