@@ -8,7 +8,7 @@
 //! percent, and `K = 50%` degrades clearly.
 //!
 //! Every model is named by an `EngineSpec` and driven through the unified
-//! `MemoryEngine` harness, so the same binary also sweeps the fixed-point
+//! `GridEngine` harness, so the same binary also sweeps the fixed-point
 //! datapath axis (last section) — no per-variant code paths.
 
 use hima::prelude::*;

@@ -12,9 +12,8 @@ use hima::tensor::Matrix;
 use hima_bench::header;
 use std::time::Instant;
 
-/// Wall-clock µs per lane-step of a functional engine, driven through the
-/// unified `MemoryEngine` API.
-fn measured_step_us(engine: &mut dyn MemoryEngine, steps: usize) -> f64 {
+/// Wall-clock µs per lane-step of a functional engine.
+fn measured_step_us(engine: &mut GridEngine, steps: usize) -> f64 {
     let (b, width) = (engine.batch(), engine.params().input_size);
     let x = Matrix::from_fn(b, width, |lane, i| ((lane * 7 + i) as f32 * 0.3).sin());
     engine.step_batch(&x); // warm-up
@@ -116,7 +115,7 @@ fn main() {
         manna_us / dncd_us
     );
 
-    header("Functional cross-check: measured software step time (one MemoryEngine path)");
+    header("Functional cross-check: measured software step time (one GridEngine path)");
     // The cycle model above predicts DNC-D beats DNC because sharding
     // removes the global sort/linkage; the *functional* models, driven
     // through the same unified engine API the harnesses use, should show
@@ -125,8 +124,8 @@ fn main() {
     let fp = DncParams::new(1024, 32, 2).with_hidden(64).with_io(16, 16);
     let mut mono = EngineBuilder::new(fp).lanes(4).seed(7).build();
     let mut shard = EngineBuilder::new(fp).sharded(16).lanes(4).seed(7).build();
-    let mono_us = measured_step_us(&mut *mono, 20);
-    let shard_us = measured_step_us(&mut *shard, 20);
+    let mono_us = measured_step_us(&mut mono, 20);
+    let shard_us = measured_step_us(&mut shard, 20);
     println!("{:<22} {:>14} ", "functional engine", "us/lane-step");
     println!("{:<22} {:>14.1}", "monolithic", mono_us);
     println!("{:<22} {:>14.1}", "sharded N_t=16", shard_us);

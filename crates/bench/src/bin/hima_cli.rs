@@ -67,7 +67,7 @@ fn usage() {
     eprintln!("  hima-cli engine [--tiles N] [--level L]   query the cycle/area/power models");
     eprintln!("                  levels: baseline|sort|noc|submat|dncd|approx");
     eprintln!("  hima-cli step [--tiles N] [--lanes B] [--steps T] [--quantized] [--skim K]");
-    eprintln!("                  run the functional model via EngineBuilder/MemoryEngine");
+    eprintln!("                  run the functional model via EngineBuilder/GridEngine");
     eprintln!("                  (--tiles 1 = monolithic DNC, N > 1 = sharded DNC-D)");
     eprintln!("  hima-cli pipeline [--tiles N] [--episodes E] [--batch B] [--gen-workers G]");
     eprintln!("                  [--engine-workers W] [--depth D] [--no-verify]");
@@ -191,7 +191,7 @@ fn engine(args: &[String]) {
 
 /// Builds a functional engine from command-line axes and reports measured
 /// throughput plus the per-kernel profile — a direct window onto the
-/// unified `EngineBuilder`/`MemoryEngine` path the harnesses use.
+/// unified `EngineBuilder`/`GridEngine` path the harnesses use.
 fn step(args: &[String]) {
     let mut tiles = 1usize;
     let mut lanes = 8usize;

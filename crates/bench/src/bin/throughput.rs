@@ -1,4 +1,4 @@
-//! Batched-path throughput through the unified `MemoryEngine` API:
+//! Batched-path throughput through the one `GridEngine` API:
 //! lane-steps/sec at batch sizes {1, 8, 32, 128}, at 1 thread and at all
 //! machine threads, against the sequential single-lane loop — plus a
 //! topology × datapath sweep and a pipelined-vs-synchronous harness
@@ -704,7 +704,7 @@ fn main() {
     );
 
     hima_bench::header(&format!(
-        "Topology × datapath sweep at B = {SWEEP_BATCH} — one MemoryEngine code path"
+        "Topology × datapath sweep at B = {SWEEP_BATCH} — one GridEngine code path"
     ));
     let q = QFormat::q16_16();
     let sweep: [(&str, EngineBuilder); 4] = [

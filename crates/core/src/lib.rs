@@ -28,8 +28,8 @@
 //! # Quickstart
 //!
 //! Functional models are built through the
-//! [`EngineBuilder`](hima_dnc::EngineBuilder) and stepped through the
-//! unified [`MemoryEngine`](hima_dnc::MemoryEngine) trait — one API over
+//! [`EngineBuilder`](hima_dnc::EngineBuilder), which sizes the one
+//! [`GridEngine`](hima_dnc::GridEngine) — one type and one API over
 //! monolithic / sharded topology × batch lanes × f32 / fixed-point
 //! datapath:
 //!
@@ -68,8 +68,8 @@ pub mod prelude {
     pub use hima_dnc::allocation::SkimRate;
     pub use hima_dnc::Topology as EngineTopology;
     pub use hima_dnc::{
-        BatchDnc, BatchDncD, BoxedEngine, Datapath, Dnc, DncD, DncParams, EngineBuilder,
-        EngineSpec, InterfaceVector, MemoryConfig, MemoryEngine, MemoryUnit,
+        BoxedEngine, Datapath, Dnc, DncD, DncParams, EngineBuilder, EngineSpec, GridEngine,
+        InterfaceVector, MemoryConfig, MemoryUnit,
     };
     pub use hima_engine::{Engine, EngineConfig, FeatureLevel};
     pub use hima_mem::{Partition, TileMemoryMap};

@@ -1,63 +1,58 @@
-//! Batched, data-parallel execution of the DNC and DNC-D models.
+//! [`GridEngine`]: the one batched, data-parallel execution engine.
 //!
-//! The single-example [`Dnc::step`](crate::Dnc::step) path processes one
-//! token through one set of state memories. Serving-style workloads run
-//! *many independent sequences* through the **same weights**, which admits
-//! two structural speedups:
+//! HiMA is one tiled engine sized by its configuration, and so is this
+//! model of it: `B` independent lanes (sequences) run through the **same
+//! weights**, each lane's memory split row-wise over `N_t` shards. The
+//! centralized DNC is the `N_t = 1` corner of the distributed DNC-D
+//! (paper §5.1), so one engine serves both topologies. Two structural
+//! speedups over stepping `B` sequential models:
 //!
 //! 1. **Shared-weight batching** — the controller, interface and output
 //!    projections become one `B × K` by `N × K`ᵀ product per step
 //!    ([`hima_tensor::Matrix::matmul_nt`]) instead of `B` mat-vecs, and
 //!    the LSTM gates are activated as whole `B × H` row-blocks
 //!    ([`crate::lstm::Lstm::step_batch`]).
-//! 2. **Lane × shard data-parallelism** — each lane's memory units are
-//!    independent of every other lane's, and within a DNC-D lane the
-//!    `N_t` shards are independent of each other too. [`BatchDncD`]
-//!    flattens the whole `B × N_t` grid into **one** rayon task list per
-//!    step (the 2-D decomposition mirroring the hardware tiling), so a
-//!    single sharded lane still fans out across threads.
+//! 2. **Lane × shard data-parallelism** — every shard of every lane is
+//!    independent of every other, so the whole `B × N_t` grid is **one**
+//!    rayon task list per step (the 2-D decomposition mirroring the
+//!    hardware tiling): a single sharded lane still fans out across
+//!    threads.
 //!
-//! Both engines support the fixed-point [`Datapath`] axis: with
-//! [`Datapath::Quantized`] every lane's memory unit is a
+//! The fixed-point [`Datapath`] axis swaps every shard's memory unit for a
 //! [`QuantizedMemoryUnit`] that rounds its inputs and stored state to the
 //! Q-format each step (the controller and projections stay f32 — HiMA is
 //! the *memory-access* engine; the controller lives outside it).
 //!
-//! Both engines also run **ragged** batches: `step_batch_masked` takes a
-//! [`LaneMask`] naming the lanes still inside their episodes, advances
-//! only those (masked rows of every kernel are skipped, not
-//! zeroed-and-recomputed) and freezes the rest — so unequal-length
-//! episodes share one lane grid, each lane dropping out as its episode
-//! ends. The uniform `step_batch` is the fully-active special case of
-//! the same kernel.
+//! **Ragged** batches step through a [`LaneMask`] naming the lanes still
+//! inside their episodes: only those advance (masked rows of every kernel
+//! are skipped, not zeroed-and-recomputed) and the rest stay frozen — so
+//! unequal-length episodes share one lane grid, each lane dropping out as
+//! its episode ends. The uniform `step_batch` is the fully-active special
+//! case of the same kernel.
 //!
-//! Both [`BatchDnc`] and [`BatchDncD`] are **bit-compatible** with running
-//! their `B` lanes through the sequential models: the batched kernels use
-//! the same per-row accumulation order as `matvec`, and the per-lane
-//! memory step is the very same [`MemoryUnit`] code. The equivalence is
-//! asserted across every topology × lanes × datapath combination by the
-//! trait-level conformance suite in `crates/dnc/tests/conformance.rs`
-//! (uniform) and the workspace-level `tests/ragged_conformance.rs`
-//! (masked).
+//! The engine is **bit-compatible** with running its `B` lanes through
+//! the sequential [`Dnc`](crate::Dnc) / [`DncD`](crate::DncD) oracles: the
+//! batched kernels use the same per-row accumulation order as `matvec`,
+//! and the per-shard memory step is the very same [`MemoryUnit`] code.
+//! The equivalence is asserted across every topology × lanes × datapath
+//! combination by `crates/dnc/tests/conformance.rs` (uniform) and the
+//! workspace-level `tests/ragged_conformance.rs` (masked).
 //!
-//! Construct these engines through
-//! [`EngineBuilder`](crate::EngineBuilder); the type-specific
-//! constructors are deprecated shims.
+//! Construct engines through [`EngineBuilder`](crate::EngineBuilder).
 
 use crate::builder::Datapath;
-use crate::distributed::{DncD, ReadMerge};
-use crate::dnc::Dnc;
+use crate::distributed::ReadMerge;
+use crate::dnc::ModelInit;
 use crate::interface::InterfaceVector;
-use crate::lstm::{Lstm, LstmState};
+use crate::lstm::{Lstm, LstmScratch, LstmState};
 use crate::memory::{MemoryConfig, MemoryUnit};
 use crate::profile::KernelProfile;
 use crate::quantized::QuantizedMemoryUnit;
-use crate::workspace::StepWorkspace;
 use crate::DncParams;
 use hima_tensor::{Backend, LaneMask, Matrix};
 use rayon::prelude::*;
 
-/// A lane's memory unit on either datapath.
+/// A shard's memory unit on either datapath.
 #[derive(Debug, Clone)]
 pub(crate) enum LaneMemory {
     /// Exact f32 unit.
@@ -127,14 +122,15 @@ impl LaneMemory {
 /// hidden rows the next step's controller consumes.
 ///
 /// This is the **state-splice** currency of the serving layer:
-/// [`BatchDnc::export_lane`] detaches a session's state from a lane grid,
-/// [`BatchDnc::import_lane`] re-attaches it to any lane of any engine
-/// built from the *same* spec and hyper-parameters (weights are a
+/// [`GridEngine::export_lane`] detaches a session's state from a lane
+/// grid, [`GridEngine::import_lane`] re-attaches it to any lane of any
+/// engine built from the *same* spec and hyper-parameters (weights are a
 /// function of the seed alone, so lane slots are interchangeable), and
 /// the round trip is bit-exact — a session swapped out of a grid and
 /// back in continues precisely where it left off. The snapshot also
-/// carries the unit's accumulated kernel profile, so per-session
-/// profiling travels with the session.
+/// carries the units' accumulated kernel profiles, so per-session
+/// profile counts travel with the session (whether the importing engine
+/// keeps sampling is its own setting, not the snapshot's).
 ///
 /// The fields are intentionally private: a `LaneState` is an opaque
 /// value that only the engine that understands its geometry can consume.
@@ -185,28 +181,87 @@ impl LaneState {
     }
 }
 
-/// One batch lane of a centralized DNC: the lane-private memory unit, the
-/// lane's last flattened read vector, and the lane's reusable
-/// interface-parse scratch (lanes step in parallel, so per-lane scratch
-/// cannot live in the shared [`StepWorkspace`]).
+/// One shard of one lane: the shard's memory unit, its last flattened
+/// read vector and its reusable interface-parse scratch — the unit of
+/// work of the 2-D (lane × shard) parallel decomposition. Shards step in
+/// parallel, so per-shard scratch cannot live in the shared
+/// [`StepWorkspace`].
 #[derive(Debug, Clone)]
-struct Lane {
+struct Shard {
     memory: LaneMemory,
     read: Vec<f32>,
     iv: InterfaceVector,
 }
 
-/// `B` independent DNC lanes sharing one set of weights.
+/// The shared per-step scratch that makes steady-state stepping
+/// **zero-heap-allocation**: the `hcat` feature blocks, the shared-weight
+/// projection outputs and the LSTM gate blocks, sized once at
+/// construction (an engine's geometry never changes) and reused across
+/// steps and episodes — [`GridEngine::reset`] never drops it. The
+/// `_into` entry points allocate nothing; the allocating ones allocate
+/// only the returned output block (pinned by the counting-allocator
+/// suite in `tests/zero_alloc.rs`).
+#[derive(Debug, Clone)]
+struct StepWorkspace {
+    /// Controller input `[x_t ; v_r^{t-1}]`, `B × (I + R·W)`.
+    ctrl_in: Matrix,
+    /// Interface-projection input `[h_t ; x_t]`, `B × (H + I)`.
+    iface_in: Matrix,
+    /// Output-projection input `[h_t ; v_r]`, `B × (H + R·W)`.
+    out_in: Matrix,
+    /// Hidden-state block of the current step, `B × H`.
+    hidden: Matrix,
+    /// Raw interface emissions, one `B × interface_size` block per shard.
+    raw_shards: Vec<Matrix>,
+    /// Controller scratch (`[X ; H]` concatenation + pre-activations).
+    lstm: LstmScratch,
+    /// Cached fully-active mask so the uniform `step_batch` path does not
+    /// rebuild one per step (taken and restored around the masked call).
+    full_mask: LaneMask,
+}
+
+impl StepWorkspace {
+    fn new(params: &DncParams, batch: usize, tiles: usize) -> Self {
+        let read_width = params.read_heads * params.word_size;
+        Self {
+            ctrl_in: Matrix::zeros(batch, params.input_size + read_width),
+            iface_in: Matrix::zeros(batch, params.hidden_size + params.input_size),
+            out_in: Matrix::zeros(batch, params.hidden_size + read_width),
+            hidden: Matrix::zeros(batch, params.hidden_size),
+            raw_shards: vec![Matrix::zeros(batch, params.interface_size()); tiles],
+            lstm: LstmScratch::sized(batch, params.input_size + read_width, params.hidden_size),
+            full_mask: LaneMask::full(batch),
+        }
+    }
+}
+
+/// A lane's global read vector from its shard reads. A sharded lane
+/// merges them by the weighted sum of Eq. 4; a monolithic lane's single
+/// shard read *is* the global read and is copied verbatim — never
+/// multiplied by `α = 1`, which would turn `-0.0` into `+0.0`.
+fn gather_reads(merge: Option<&ReadMerge>, lane_shards: &[Shard], out: &mut [f32]) {
+    match merge {
+        Some(merge) => merge.merge_iter_into(lane_shards.iter().map(|s| s.read.as_slice()), out),
+        None => out.copy_from_slice(&lane_shards[0].read),
+    }
+}
+
+/// `B` independent lanes × `N_t` memory shards sharing one set of weights
+/// (controller, per-shard interface projections, output projection and —
+/// when sharded — the read-merge `α`).
 ///
-/// Lanes start from blank (reset) state; the weights are identical to a
-/// [`Dnc`] constructed with the same parameters and seed, so lane `b` of
-/// [`BatchDnc::step_batch`] reproduces `Dnc::step` on lane `b`'s input
-/// stream exactly.
+/// [`Topology::Monolithic`](crate::Topology::Monolithic) is the `N_t = 1`
+/// grid without a merge; lane `b` then reproduces [`Dnc::step`](crate::Dnc::step)
+/// on lane `b`'s input stream exactly, and a
+/// [`Topology::Sharded`](crate::Topology::Sharded) lane reproduces
+/// [`DncD::step`](crate::DncD::step). Lanes start from blank (reset)
+/// state. Every method takes and returns `B`-row blocks; [`GridEngine::step`]
+/// is the `B = 1` convenience on top.
 ///
 /// # Example
 ///
 /// ```
-/// use hima_dnc::{Dnc, DncParams, EngineBuilder, MemoryEngine};
+/// use hima_dnc::{Dnc, DncParams, EngineBuilder};
 /// use hima_tensor::Matrix;
 ///
 /// let params = DncParams::new(16, 4, 1).with_io(3, 3);
@@ -221,97 +276,91 @@ struct Lane {
 /// hima_tensor::assert_close(y.row(0), &y0, 1e-6);
 /// ```
 #[derive(Debug, Clone)]
-pub struct BatchDnc {
+pub struct GridEngine {
     params: DncParams,
     controller: Lstm,
-    interface_proj: Matrix,
+    /// One interface projection per shard, shared across lanes.
+    interface_projs: Vec<Matrix>,
     output_proj: Matrix,
+    /// The read-merge of a sharded topology; `None` on the monolithic one
+    /// (see [`gather_reads`]).
+    merge: Option<ReadMerge>,
     datapath: Datapath,
     /// Kernel tier of the shared-weight projections and the controller
-    /// product — the same tier the lane memory units read from their
+    /// product — the same tier the shard memory units read from their
     /// [`MemoryConfig`], so one engine runs one tier end to end.
     backend: Backend,
+    /// Whether the memory units sample wall-clock kernel times; re-applied
+    /// to every unit an import brings in.
+    profiling: bool,
     lstm_states: Vec<LstmState>,
-    lanes: Vec<Lane>,
+    /// The flat `B × N_t` shard grid, lane-major: lane `b`'s shards are
+    /// `shards[b·N_t .. (b+1)·N_t]`. Flat storage *is* the 2-D parallel
+    /// decomposition — one `par_iter_mut` over this slice is the per-step
+    /// task list, with no per-step collection of task references.
+    shards: Vec<Shard>,
     last_read: Matrix,
     last_hidden: Matrix,
     ws: StepWorkspace,
 }
 
-impl BatchDnc {
-    /// Creates `batch` blank lanes with weights identical to
-    /// `Dnc::new(params, seed)` and an exact memory unit per lane.
+impl GridEngine {
+    /// `batch` blank lanes over `init`'s weights and shard layout.
+    /// `merge` is `None` for the monolithic topology.
     ///
     /// # Panics
     ///
-    /// Panics if `batch == 0`.
-    #[deprecated(note = "compose with `EngineBuilder::new(params).lanes(batch).seed(seed).build()`")]
-    pub fn new(params: DncParams, batch: usize, seed: u64) -> Self {
-        let mem_cfg = MemoryConfig::new(params.memory_size, params.word_size, params.read_heads);
-        Dnc::with_memory_config(params, mem_cfg, seed).batched_with(batch, Datapath::F32)
-    }
-
-    /// Creates `batch` blank lanes with weights identical to
-    /// `Dnc::with_memory_config(params, mem_cfg, seed)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or the memory geometry disagrees with
-    /// `params`.
-    #[deprecated(
-        note = "compose with `EngineBuilder` (`.skim()`, `.sorter()`, `.approx_softmax()` cover the MemoryConfig features)"
-    )]
-    pub fn with_memory_config(
-        params: DncParams,
-        mem_cfg: MemoryConfig,
-        batch: usize,
-        seed: u64,
-    ) -> Self {
-        // Reuse the sequential constructor so weight init stays defined in
-        // exactly one place.
-        Dnc::with_memory_config(params, mem_cfg, seed).batched_with(batch, Datapath::F32)
-    }
-
-    /// Internal constructor used by [`Dnc::batched`] and the builder:
-    /// shares weights with an existing model and starts every lane blank.
-    pub(crate) fn from_parts(
-        params: DncParams,
-        controller: Lstm,
-        interface_proj: Matrix,
-        output_proj: Matrix,
-        mem_cfg: MemoryConfig,
+    /// Panics if `batch == 0`, or if `merge` is absent over several
+    /// shards or disagrees with their count.
+    pub(crate) fn new(
+        init: ModelInit,
+        merge: Option<ReadMerge>,
         batch: usize,
         datapath: Datapath,
+        profiling: bool,
     ) -> Self {
+        let ModelInit { params, controller, interface_projs, output_proj, shard_cfgs } = init;
         assert!(batch > 0, "need at least one batch lane");
+        let tiles = shard_cfgs.len();
+        assert_eq!(merge.as_ref().map_or(1, ReadMerge::shards), tiles, "merge shard count mismatch");
         let read_width = params.read_heads * params.word_size;
-        let lanes = (0..batch)
-            .map(|_| Lane {
-                memory: LaneMemory::new(mem_cfg, datapath),
-                read: vec![0.0; read_width],
-                iv: InterfaceVector::zeroed(params.word_size, params.read_heads),
+        let shards = (0..batch)
+            .flat_map(|_| &shard_cfgs)
+            .map(|cfg| {
+                let mut memory = LaneMemory::new(*cfg, datapath);
+                memory.set_profiling(profiling);
+                Shard {
+                    memory,
+                    read: vec![0.0; read_width],
+                    iv: InterfaceVector::zeroed(params.word_size, params.read_heads),
+                }
             })
             .collect();
-        let mut ws = StepWorkspace::new();
-        ws.ensure(&params, batch, 1);
         Self {
             params,
             controller,
-            interface_proj,
+            interface_projs,
             output_proj,
+            merge,
             datapath,
-            backend: mem_cfg.backend,
+            backend: shard_cfgs[0].backend,
+            profiling,
             lstm_states: vec![LstmState::zeros(params.hidden_size); batch],
-            lanes,
+            shards,
             last_read: Matrix::zeros(batch, read_width),
             last_hidden: Matrix::zeros(batch, params.hidden_size),
-            ws,
+            ws: StepWorkspace::new(&params, batch, tiles),
         }
     }
 
     /// Number of batch lanes `B`.
     pub fn batch(&self) -> usize {
-        self.lanes.len()
+        self.lstm_states.len()
+    }
+
+    /// Number of memory shards `N_t` per lane (1 when monolithic).
+    pub fn tiles(&self) -> usize {
+        self.interface_projs.len()
     }
 
     /// The model hyper-parameters.
@@ -319,88 +368,100 @@ impl BatchDnc {
         &self.params
     }
 
-    /// The numeric datapath of the lane memory units.
+    /// The numeric datapath of the shard memory units.
     pub fn datapath(&self) -> Datapath {
         self.datapath
     }
 
-    /// The kernel execution tier this engine runs on.
-    pub fn backend(&self) -> Backend {
-        self.backend
+    /// Shard `shard` of lane `lane`'s memory unit (for state inspection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= batch()` or `shard >= tiles()`.
+    pub fn unit(&self, lane: usize, shard: usize) -> &MemoryUnit {
+        self.lane_shards(lane)[shard].memory.unit()
     }
 
-    /// Lane `b`'s memory unit (for state inspection).
+    /// The `B × R·W` block of read vectors fed to the controller at the
+    /// next step (row `b` is lane `b`'s flattened — for DNC-D, merged —
+    /// read vectors).
+    pub fn last_read_rows(&self) -> Matrix {
+        self.last_read.clone()
+    }
+
+    /// Lane `lane`'s last read vector, borrowed — the allocation-free
+    /// accessor the per-step harness loops use (where
+    /// [`GridEngine::last_read_rows`] would clone the whole block).
     ///
     /// # Panics
     ///
     /// Panics if `lane >= batch()`.
-    pub fn memory(&self, lane: usize) -> &MemoryUnit {
-        self.lanes[lane].memory.unit()
+    pub fn last_read_row(&self, lane: usize) -> &[f32] {
+        self.last_read.row(lane)
     }
 
-    /// The `B × R·W` block of read vectors fed to the controller at the
-    /// next step (row `b` is lane `b`'s flattened read vectors).
-    pub fn last_read(&self) -> &Matrix {
-        &self.last_read
-    }
-
-    /// The `B × (H + R·W)` feature block `[h_t ; v_r]` per lane — the
-    /// batched analogue of [`Dnc::last_features`].
-    pub fn last_features(&self) -> Matrix {
+    /// The `B × (H + R·W)` feature block `[h_t ; v_r]` per lane — what
+    /// the output projection consumes, and what a trained readout
+    /// regresses on.
+    pub fn last_features_rows(&self) -> Matrix {
         Matrix::hcat(&self.last_hidden, &self.last_read)
     }
 
-    /// Kernel profile aggregated across every lane's memory unit.
+    /// Kernel profile aggregated across every lane's shard memory units.
     pub fn profile(&self) -> KernelProfile {
         let mut p = KernelProfile::new();
-        for lane in &self.lanes {
-            p.merge(lane.memory.unit().profile());
+        for shard in &self.shards {
+            p.merge(shard.memory.unit().profile());
         }
         p
     }
 
-    /// Switches wall-clock kernel sampling on or off for every lane.
+    /// Switches wall-clock kernel sampling on or off for every shard of
+    /// every lane (see [`KernelProfile::set_enabled`]). Engines from
+    /// [`EngineBuilder`](crate::EngineBuilder) default to **off** — steady
+    /// state steps then never read the clock; opt in with
+    /// [`EngineBuilder::profiling`](crate::EngineBuilder::profiling) or
+    /// this method.
     pub fn set_profiling(&mut self, on: bool) {
-        for lane in &mut self.lanes {
-            lane.memory.set_profiling(on);
+        self.profiling = on;
+        for shard in &mut self.shards {
+            shard.memory.set_profiling(on);
         }
     }
 
-    /// Resets every lane's memory and recurrent state (weights unchanged)
-    /// **in place** — no buffer is reallocated, so reuse across episodes
-    /// (harnesses, pipeline engine workers) stays allocation-free.
+    /// Resets every lane's shard memories and recurrent state (weights
+    /// and merge unchanged) **in place** — no buffer is reallocated, so
+    /// reuse across episodes (harnesses, pipeline engine workers) stays
+    /// allocation-free.
     pub fn reset(&mut self) {
-        for lane in &mut self.lanes {
-            lane.memory.reset();
-            lane.read.fill(0.0);
+        for lane in 0..self.batch() {
+            self.reset_lane(lane);
         }
-        for state in &mut self.lstm_states {
-            state.clear();
-        }
-        self.last_read.as_mut_slice().fill(0.0);
-        self.last_hidden.as_mut_slice().fill(0.0);
     }
 
     /// Runs one time step for every lane: `inputs` is `B × input_size`
     /// (row `b` is lane `b`'s token) and the result is `B × output_size`.
     ///
-    /// The controller and both projections run as single shared-weight
-    /// batched products; the per-lane memory units step in parallel across
-    /// rayon worker threads.
+    /// The controller and every shard's interface projection run as
+    /// shared-weight products batched over all lanes; the `B × N_t` grid
+    /// of shard memory units is then **one** parallel task list (each
+    /// task is one shard of one lane), which keeps every worker busy even
+    /// when `B < threads`; the per-lane shard reads are gathered (Eq. 4)
+    /// deterministically afterwards.
     ///
-    /// Allocating convenience over [`BatchDnc::step_batch_into`] (the one
-    /// allocation is the returned output block).
+    /// Allocating convenience over [`GridEngine::step_batch_into`] (the
+    /// one allocation is the returned output block).
     ///
     /// # Panics
     ///
     /// Panics if `inputs` is not `B × input_size`.
     pub fn step_batch(&mut self, inputs: &Matrix) -> Matrix {
-        let mut y = Matrix::zeros(self.lanes.len(), self.params.output_size);
+        let mut y = Matrix::zeros(self.batch(), self.params.output_size);
         self.step_batch_into(inputs, &mut y);
         y
     }
 
-    /// Output-buffer form of [`BatchDnc::step_batch`]: the uniform
+    /// Output-buffer form of [`GridEngine::step_batch`]: the uniform
     /// (fully-active) step writing into `y` — **zero heap allocations**
     /// in the steady state, using the engine's cached full mask.
     ///
@@ -411,9 +472,8 @@ impl BatchDnc {
         // Validate caller input *before* taking the cached mask, so a
         // caller-triggered panic cannot strand the workspace with the
         // 0-lane placeholder.
-        assert_eq!(inputs.rows(), self.lanes.len(), "batch size mismatch");
+        assert_eq!(inputs.rows(), self.batch(), "batch size mismatch");
         assert_eq!(inputs.cols(), self.params.input_size, "input width mismatch");
-        self.ws.ensure(&self.params, self.lanes.len(), 1);
         // Borrow dance: the cached full mask cannot be borrowed while
         // `self` is, so take it (a move — no allocation) and put it back.
         let mask = std::mem::take(&mut self.ws.full_mask);
@@ -421,48 +481,48 @@ impl BatchDnc {
         self.ws.full_mask = mask;
     }
 
-    /// Masked form of [`BatchDnc::step_batch`] for ragged batches: only
+    /// Masked form of [`GridEngine::step_batch`] for ragged batches: only
     /// the lanes `mask` marks active advance — their controller rows,
-    /// interface/output projection rows and memory units run exactly as
-    /// in the uniform path — while an inactive lane's entire state
-    /// (LSTM, memory, last read vector) stays **frozen** and its kernel
-    /// rows are skipped, not zeroed-and-recomputed. The input rows of
-    /// inactive lanes are padding and never read.
+    /// interface/output projection rows and shard memory units run
+    /// exactly as in the uniform path — while an inactive lane's entire
+    /// state (LSTM, shard memories, last read vector) stays **frozen**
+    /// and its kernel rows are skipped, not zeroed-and-recomputed, so a
+    /// lane whose episode has ended costs (almost) nothing. The input
+    /// rows of inactive lanes are padding and never read.
     ///
     /// Active lanes are bit-identical to stepping each lane's episode
     /// alone through a single-lane engine (the ragged conformance
-    /// property); a fully-active mask *is* [`BatchDnc::step_batch`].
+    /// property); a fully-active mask *is* [`GridEngine::step_batch`].
     /// Inactive rows of the returned output block are zero.
     ///
-    /// Allocating convenience over [`BatchDnc::step_batch_masked_into`].
+    /// Allocating convenience over [`GridEngine::step_batch_masked_into`].
     ///
     /// # Panics
     ///
     /// Panics if `inputs` is not `B × input_size` or
     /// `mask.lanes() != B`.
     pub fn step_batch_masked(&mut self, inputs: &Matrix, mask: &LaneMask) -> Matrix {
-        let mut y = Matrix::zeros(self.lanes.len(), self.params.output_size);
+        let mut y = Matrix::zeros(self.batch(), self.params.output_size);
         self.step_batch_masked_into(inputs, mask, &mut y);
         y
     }
 
-    /// Output-buffer form of [`BatchDnc::step_batch_masked`]: writes the
-    /// `B × output_size` block into `y` (resized in place if its shape
-    /// differs). Every transient comes from the engine's
-    /// [`StepWorkspace`] or the per-lane scratch, so the steady state
-    /// performs **zero heap allocations** — and the result is bit-for-bit
-    /// what the allocating form returns.
+    /// Output-buffer form of [`GridEngine::step_batch_masked`]: writes
+    /// the `B × output_size` block into `y` (resized in place if its
+    /// shape differs). Every transient comes from the engine's step
+    /// workspace or the per-shard scratch, so the steady state performs
+    /// **zero heap allocations** — and the result is bit-for-bit what the
+    /// allocating form returns.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` is not `B × input_size` or
     /// `mask.lanes() != B`.
     pub fn step_batch_masked_into(&mut self, inputs: &Matrix, mask: &LaneMask, y: &mut Matrix) {
-        let b = self.lanes.len();
+        let (b, nt) = (self.batch(), self.tiles());
         assert_eq!(inputs.rows(), b, "batch size mismatch");
         assert_eq!(inputs.cols(), self.params.input_size, "input width mismatch");
         assert_eq!(mask.lanes(), b, "lane mask size mismatch");
-        self.ws.ensure(&self.params, b, 1);
         if y.shape() != (b, self.params.output_size) {
             *y = Matrix::zeros(b, self.params.output_size);
         }
@@ -480,33 +540,39 @@ impl BatchDnc {
             self.backend,
         );
 
-        // Interface projection + parse (input skip connection), batched
-        // over the active rows.
+        // Interface projection (input skip connection): one batched
+        // product per shard — each shard has its own interface weights
+        // but shares them across lanes — over the active rows only.
         Matrix::hcat_into(&ws.hidden, inputs, &mut ws.iface_in);
-        self.backend.matmul_nt_masked_into(
-            &ws.iface_in,
-            &self.interface_proj,
-            mask,
-            &mut ws.raw_shards[0],
-        );
+        for (proj, raw) in self.interface_projs.iter().zip(ws.raw_shards.iter_mut()) {
+            self.backend.matmul_nt_masked_into(&ws.iface_in, proj, mask, raw);
+        }
 
-        // Memory unit step: active lanes are independent — fan out
-        // across threads; frozen lanes hold their memory state. Each
-        // lane parses into and steps through its own scratch, so the
-        // loop is allocation-free on every worker.
+        // 2-D decomposition: the flat lane-major shard grid is the task
+        // list; each task recovers its (b, s) coordinates from its index
+        // and inactive lanes' shards return immediately. Each shard
+        // parses into and steps through its own scratch, so the loop is
+        // allocation-free on every worker.
         let (w, r) = (self.params.word_size, self.params.read_heads);
-        let raw = &ws.raw_shards[0];
-        self.lanes.par_iter_mut().enumerate().for_each(|(b, lane)| {
-            if !mask.is_active(b) {
+        let raws = &ws.raw_shards;
+        self.shards.par_iter_mut().enumerate().for_each(|(i, shard)| {
+            let (bi, s) = (i / nt, i % nt);
+            if !mask.is_active(bi) {
                 return;
             }
-            lane.iv.parse_into(raw.row(b), w, r);
-            lane.memory.step_into(&lane.iv, &mut lane.read);
+            shard.iv.parse_into(raws[s].row(bi), w, r);
+            shard.memory.step_into(&shard.iv, &mut shard.read);
         });
-        for (b, lane) in self.lanes.iter().enumerate() {
-            if mask.is_active(b) {
-                self.last_read.row_mut(b).copy_from_slice(&lane.read);
-            }
+
+        // Gather shard reads per active lane straight into the lane's
+        // last-read row — sequential and deterministic regardless of
+        // task scheduling above.
+        for bi in mask.active_lanes() {
+            gather_reads(
+                self.merge.as_ref(),
+                &self.shards[bi * nt..(bi + 1) * nt],
+                self.last_read.row_mut(bi),
+            );
         }
 
         // Output projection over [h ; v_r], batched over the active rows
@@ -523,418 +589,62 @@ impl BatchDnc {
         steps.iter().map(|x| self.step_batch(x)).collect()
     }
 
-    /// Detaches a snapshot of lane `lane`'s complete session state (LSTM
-    /// state, memory unit, carried read vector and hidden row). The lane
-    /// itself is untouched; re-attaching the snapshot with
-    /// [`BatchDnc::import_lane`] — to any lane of any engine built from
+    /// `B = 1` convenience: steps the single lane on `input` and returns
+    /// its output vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine has more than one lane or `input` has the
+    /// wrong width.
+    pub fn step(&mut self, input: &[f32]) -> Vec<f32> {
+        assert_eq!(self.batch(), 1, "step() is the B=1 convenience; use step_batch()");
+        let y = self.step_batch(&Matrix::from_rows(&[input]));
+        y.row(0).to_vec()
+    }
+
+    fn lane_shards(&self, lane: usize) -> &[Shard] {
+        assert!(lane < self.batch(), "lane index out of range");
+        let nt = self.tiles();
+        &self.shards[lane * nt..(lane + 1) * nt]
+    }
+
+    fn lane_shards_mut(&mut self, lane: usize) -> &mut [Shard] {
+        assert!(lane < self.batch(), "lane index out of range");
+        let nt = self.tiles();
+        &mut self.shards[lane * nt..(lane + 1) * nt]
+    }
+
+    /// Detaches a snapshot of lane `lane`'s complete session state: LSTM
+    /// state, every shard memory unit with its shard read vector, and the
+    /// carried read/hidden rows — the state-splice primitive a serving
+    /// grid uses to park a session off the grid. The lane itself is
+    /// untouched; re-attaching the snapshot with
+    /// [`GridEngine::import_lane`] — to any lane of any engine built from
     /// the same spec/params/seed — is a bit-exact round trip.
     ///
     /// # Panics
     ///
     /// Panics if `lane >= batch()`.
     pub fn export_lane(&self, lane: usize) -> LaneState {
-        let l = &self.lanes[lane];
         LaneState {
+            shards: self
+                .lane_shards(lane)
+                .iter()
+                .map(|s| (s.memory.clone(), s.read.clone()))
+                .collect(),
             lstm: self.lstm_states[lane].clone(),
-            shards: vec![(l.memory.clone(), l.read.clone())],
             read: self.last_read.row(lane).to_vec(),
             hidden: self.last_hidden.row(lane).to_vec(),
         }
     }
 
     /// Replaces lane `lane`'s session state with a snapshot previously
-    /// detached by [`BatchDnc::export_lane`] (possibly from a different
+    /// detached by [`GridEngine::export_lane`] (possibly from a different
     /// lane or a different engine of the same configuration). After the
     /// splice the lane steps bit-identically to the engine the snapshot
-    /// was exported from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= batch()` or the snapshot's geometry/datapath
-    /// disagrees with this engine (shard count, memory config, Q-format,
-    /// read/hidden widths).
-    pub fn import_lane(&mut self, lane: usize, state: &LaneState) {
-        assert_eq!(state.shards.len(), 1, "lane state shard count mismatch");
-        let l = &mut self.lanes[lane];
-        let (mem, shard_read) = &state.shards[0];
-        assert!(mem.matches_datapath(self.datapath), "lane state datapath mismatch");
-        assert_eq!(mem.unit().config(), l.memory.unit().config(), "memory config mismatch");
-        assert_eq!(shard_read.len(), l.read.len(), "read width mismatch");
-        assert_eq!(state.read.len(), self.last_read.cols(), "read width mismatch");
-        assert_eq!(state.hidden.len(), self.params.hidden_size, "hidden width mismatch");
-        assert_eq!(state.lstm.hidden.len(), self.params.hidden_size, "hidden width mismatch");
-        self.lstm_states[lane] = state.lstm.clone();
-        l.memory = mem.clone();
-        l.read.copy_from_slice(shard_read);
-        self.last_read.row_mut(lane).copy_from_slice(&state.read);
-        self.last_hidden.row_mut(lane).copy_from_slice(&state.hidden);
-    }
-
-    /// Resets a *single* lane to blank state (memory, recurrent state and
-    /// carried rows), leaving every other lane untouched — how a serving
-    /// grid recycles a freed lane slot for a fresh session. A reset lane
-    /// steps bit-identically to a lane of a freshly built engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= batch()`.
-    pub fn reset_lane(&mut self, lane: usize) {
-        let l = &mut self.lanes[lane];
-        l.memory.reset();
-        l.read.fill(0.0);
-        self.lstm_states[lane].clear();
-        self.last_read.row_mut(lane).fill(0.0);
-        self.last_hidden.row_mut(lane).fill(0.0);
-    }
-}
-
-/// One shard of one DNC-D batch lane: the shard's memory unit, its last
-/// flattened read vector and its reusable interface-parse scratch — the
-/// unit of work of the 2-D (lane × shard) parallel decomposition.
-#[derive(Debug, Clone)]
-struct ShardLane {
-    memory: LaneMemory,
-    read: Vec<f32>,
-    iv: InterfaceVector,
-}
-
-/// `B` independent DNC-D lanes sharing one set of weights (controller,
-/// per-shard interface projections, output projection and the read-merge
-/// `α`).
-///
-/// Lanes start from blank state; lane `b` of
-/// [`BatchDncD::step_batch`] reproduces [`DncD::step`] on lane `b`'s
-/// input stream exactly. Each step fans the flattened `B × N_t` grid of
-/// shard memory units out across rayon worker threads — the ROADMAP's
-/// 2-D lane × shard decomposition — so even a single sharded lane
-/// (`lanes(1)`) parallelizes across its shards.
-#[derive(Debug, Clone)]
-pub struct BatchDncD {
-    params: DncParams,
-    controller: Lstm,
-    interface_projs: Vec<Matrix>,
-    output_proj: Matrix,
-    merge: ReadMerge,
-    datapath: Datapath,
-    /// Kernel tier of the shared-weight products (see [`BatchDnc`]);
-    /// derived from the shard memory configs.
-    backend: Backend,
-    lstm_states: Vec<LstmState>,
-    batch: usize,
-    /// The flat `B × N_t` shard grid, lane-major: lane `b`'s shards are
-    /// `shards[b·N_t .. (b+1)·N_t]`. Flat storage *is* the 2-D parallel
-    /// decomposition — one `par_iter_mut` over this slice is the per-step
-    /// task list, with no per-step collection of task references.
-    shards: Vec<ShardLane>,
-    last_read: Matrix,
-    last_hidden: Matrix,
-    ws: StepWorkspace,
-}
-
-impl BatchDncD {
-    /// Creates `batch` blank lanes with weights identical to
-    /// `DncD::new(params, tiles, seed)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`, `tiles == 0` or `tiles >
-    /// params.memory_size`.
-    #[deprecated(
-        note = "compose with `EngineBuilder::new(params).sharded(tiles).lanes(batch).seed(seed).build()`"
-    )]
-    pub fn new(params: DncParams, tiles: usize, batch: usize, seed: u64) -> Self {
-        DncD::new(params, tiles, seed).batched_with(batch, Datapath::F32)
-    }
-
-    /// Internal constructor used by [`DncD::batched`] and the builder.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        params: DncParams,
-        controller: Lstm,
-        interface_projs: Vec<Matrix>,
-        output_proj: Matrix,
-        merge: ReadMerge,
-        shard_cfgs: Vec<MemoryConfig>,
-        batch: usize,
-        datapath: Datapath,
-    ) -> Self {
-        assert!(batch > 0, "need at least one batch lane");
-        let read_width = params.read_heads * params.word_size;
-        let tiles = interface_projs.len();
-        let backend = shard_cfgs.first().map_or(Backend::Scalar, |cfg| cfg.backend);
-        let shards = (0..batch)
-            .flat_map(|_| {
-                shard_cfgs.iter().map(|cfg| ShardLane {
-                    memory: LaneMemory::new(*cfg, datapath),
-                    read: vec![0.0; read_width],
-                    iv: InterfaceVector::zeroed(params.word_size, params.read_heads),
-                })
-            })
-            .collect();
-        let mut ws = StepWorkspace::new();
-        ws.ensure(&params, batch, tiles);
-        Self {
-            params,
-            controller,
-            interface_projs,
-            output_proj,
-            merge,
-            datapath,
-            backend,
-            lstm_states: vec![LstmState::zeros(params.hidden_size); batch],
-            batch,
-            shards,
-            last_read: Matrix::zeros(batch, read_width),
-            last_hidden: Matrix::zeros(batch, params.hidden_size),
-            ws,
-        }
-    }
-
-    /// Number of batch lanes `B`.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Number of distributed shards `N_t` per lane.
-    pub fn tiles(&self) -> usize {
-        self.interface_projs.len()
-    }
-
-    /// The model hyper-parameters.
-    pub fn params(&self) -> &DncParams {
-        &self.params
-    }
-
-    /// The numeric datapath of the shard memory units.
-    pub fn datapath(&self) -> Datapath {
-        self.datapath
-    }
-
-    /// The kernel execution tier this engine runs on.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// The `B × R·W` block of merged read vectors (row `b` is lane `b`).
-    pub fn last_read(&self) -> &Matrix {
-        &self.last_read
-    }
-
-    /// The `B × (H + R·W)` feature block `[h_t ; v_r]` per lane — the
-    /// batched analogue of [`DncD::last_features`].
-    pub fn last_features(&self) -> Matrix {
-        Matrix::hcat(&self.last_hidden, &self.last_read)
-    }
-
-    /// Kernel profile aggregated across every lane's shard memory units.
-    pub fn profile(&self) -> KernelProfile {
-        let mut p = KernelProfile::new();
-        for shard in &self.shards {
-            p.merge(shard.memory.unit().profile());
-        }
-        p
-    }
-
-    /// Switches wall-clock kernel sampling on or off for every shard of
-    /// every lane.
-    pub fn set_profiling(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.memory.set_profiling(on);
-        }
-    }
-
-    /// Replaces the read-merge weights used by every lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard count disagrees.
-    pub fn set_merge(&mut self, merge: ReadMerge) {
-        assert_eq!(merge.shards(), self.tiles(), "merge shard count mismatch");
-        self.merge = merge;
-    }
-
-    /// Resets every lane's shard memories and recurrent state **in
-    /// place** (no reallocation; weights and merge unchanged).
-    pub fn reset(&mut self) {
-        for shard in &mut self.shards {
-            shard.memory.reset();
-            shard.read.fill(0.0);
-        }
-        for state in &mut self.lstm_states {
-            state.clear();
-        }
-        self.last_read.as_mut_slice().fill(0.0);
-        self.last_hidden.as_mut_slice().fill(0.0);
-    }
-
-    /// Runs one time step for every lane (`inputs` is `B × input_size`),
-    /// returning the `B × output_size` block of outputs.
-    ///
-    /// The controller and every shard's interface projection run batched
-    /// over all lanes; the `B × N_t` grid of shard memory units is then
-    /// flattened into **one** parallel task list (each task is one
-    /// shard of one lane), and the per-lane shard reads are merged
-    /// (Eq. 4) deterministically afterwards. The flat grid keeps every
-    /// worker busy even when `B < threads` — the case the sequential
-    /// shard loop used to leave on the table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not `B × input_size`.
-    pub fn step_batch(&mut self, inputs: &Matrix) -> Matrix {
-        let mut y = Matrix::zeros(self.batch, self.params.output_size);
-        self.step_batch_into(inputs, &mut y);
-        y
-    }
-
-    /// Output-buffer form of [`BatchDncD::step_batch`]: the uniform
-    /// (fully-active) step writing into `y` — **zero heap allocations**
-    /// in the steady state, using the engine's cached full mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not `B × input_size`.
-    pub fn step_batch_into(&mut self, inputs: &Matrix, y: &mut Matrix) {
-        // Validate caller input before taking the cached mask (see
-        // [`BatchDnc::step_batch_into`]).
-        assert_eq!(inputs.rows(), self.batch, "batch size mismatch");
-        assert_eq!(inputs.cols(), self.params.input_size, "input width mismatch");
-        self.ws.ensure(&self.params, self.batch, self.interface_projs.len());
-        let mask = std::mem::take(&mut self.ws.full_mask);
-        self.step_batch_masked_into(inputs, &mask, y);
-        self.ws.full_mask = mask;
-    }
-
-    /// Masked form of [`BatchDncD::step_batch`] for ragged batches: the
-    /// flat parallel shard grid advances only the shards of **active**
-    /// lanes, so a lane whose episode has ended costs (almost) nothing —
-    /// its shard memories, merged read vector and recurrent state stay
-    /// frozen while live lanes advance.
-    ///
-    /// Active lanes are bit-identical to stepping each lane's episode
-    /// alone (ragged conformance suite); a fully-active mask *is*
-    /// [`BatchDncD::step_batch`]. Inactive rows of the returned output
-    /// block are zero.
-    ///
-    /// Allocating convenience over
-    /// [`BatchDncD::step_batch_masked_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not `B × input_size` or
-    /// `mask.lanes() != B`.
-    pub fn step_batch_masked(&mut self, inputs: &Matrix, mask: &LaneMask) -> Matrix {
-        let mut y = Matrix::zeros(self.batch, self.params.output_size);
-        self.step_batch_masked_into(inputs, mask, &mut y);
-        y
-    }
-
-    /// Output-buffer form of [`BatchDncD::step_batch_masked`]: writes the
-    /// `B × output_size` block into `y` (resized in place if its shape
-    /// differs). Transients come from the engine's [`StepWorkspace`]
-    /// (one raw-interface block per shard) and the per-shard scratch, so
-    /// the steady state performs **zero heap allocations**, bit-identical
-    /// to the allocating form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not `B × input_size` or
-    /// `mask.lanes() != B`.
-    pub fn step_batch_masked_into(&mut self, inputs: &Matrix, mask: &LaneMask, y: &mut Matrix) {
-        let (b, nt) = (self.batch, self.interface_projs.len());
-        assert_eq!(inputs.rows(), b, "batch size mismatch");
-        assert_eq!(inputs.cols(), self.params.input_size, "input width mismatch");
-        assert_eq!(mask.lanes(), b, "lane mask size mismatch");
-        self.ws.ensure(&self.params, b, nt);
-        if y.shape() != (b, self.params.output_size) {
-            *y = Matrix::zeros(b, self.params.output_size);
-        }
-        let ws = &mut self.ws;
-
-        Matrix::hcat_into(inputs, &self.last_read, &mut ws.ctrl_in);
-        self.controller.step_batch_masked_into_with(
-            &mut self.lstm_states,
-            &ws.ctrl_in,
-            mask,
-            &mut ws.lstm,
-            &mut ws.hidden,
-            self.backend,
-        );
-
-        // One batched projection per shard (each shard has its own
-        // interface weights but shares them across lanes), over the
-        // active rows only.
-        Matrix::hcat_into(&ws.hidden, inputs, &mut ws.iface_in);
-        for (proj, raw) in self.interface_projs.iter().zip(ws.raw_shards.iter_mut()) {
-            self.backend.matmul_nt_masked_into(&ws.iface_in, proj, mask, raw);
-        }
-
-        // 2-D decomposition: the flat lane-major shard grid is the task
-        // list; each task recovers its (b, s) coordinates from its index
-        // and inactive lanes' shards return immediately.
-        let (w, r) = (self.params.word_size, self.params.read_heads);
-        let raws = &ws.raw_shards;
-        self.shards.par_iter_mut().enumerate().for_each(|(i, shard)| {
-            let (bi, s) = (i / nt, i % nt);
-            if !mask.is_active(bi) {
-                return;
-            }
-            shard.iv.parse_into(raws[s].row(bi), w, r);
-            shard.memory.step_into(&shard.iv, &mut shard.read);
-        });
-
-        // Merge shard reads per active lane (Eq. 4), straight into the
-        // lane's last-read row — sequential and deterministic regardless
-        // of task scheduling above.
-        for bi in 0..b {
-            if !mask.is_active(bi) {
-                continue;
-            }
-            let lane_shards = &self.shards[bi * nt..(bi + 1) * nt];
-            self.merge.merge_iter_into(
-                lane_shards.iter().map(|s| s.read.as_slice()),
-                self.last_read.row_mut(bi),
-            );
-        }
-
-        Matrix::hcat_into(&ws.hidden, &self.last_read, &mut ws.out_in);
-        self.backend.matmul_nt_masked_into(&ws.out_in, &self.output_proj, mask, y);
-        self.last_hidden.as_mut_slice().copy_from_slice(ws.hidden.as_slice());
-    }
-
-    /// Runs a whole synchronized sequence (`steps[t]` is `B ×
-    /// input_size`), returning one `B × output_size` block per step.
-    pub fn run_sequence_batch(&mut self, steps: &[Matrix]) -> Vec<Matrix> {
-        steps.iter().map(|x| self.step_batch(x)).collect()
-    }
-
-    /// Detaches a snapshot of lane `lane`'s complete session state: LSTM
-    /// state, all `N_t` shard memory units with their per-shard read
-    /// vectors, and the carried merged-read/hidden rows. See
-    /// [`BatchDnc::export_lane`]; the round trip through
-    /// [`BatchDncD::import_lane`] is bit-exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= batch()`.
-    pub fn export_lane(&self, lane: usize) -> LaneState {
-        let nt = self.tiles();
-        assert!(lane < self.batch, "lane index out of range");
-        let shards = self.shards[lane * nt..(lane + 1) * nt]
-            .iter()
-            .map(|s| (s.memory.clone(), s.read.clone()))
-            .collect();
-        LaneState {
-            lstm: self.lstm_states[lane].clone(),
-            shards,
-            read: self.last_read.row(lane).to_vec(),
-            hidden: self.last_hidden.row(lane).to_vec(),
-        }
-    }
-
-    /// Replaces lane `lane`'s session state with a snapshot detached by
-    /// [`BatchDncD::export_lane`] from any engine of the same
-    /// configuration. See [`BatchDnc::import_lane`].
+    /// was exported from. Whether the lane's units sample kernel times
+    /// stays this engine's setting ([`GridEngine::set_profiling`]),
+    /// whatever the snapshot's source had on.
     ///
     /// # Panics
     ///
@@ -942,38 +652,37 @@ impl BatchDncD {
     /// disagrees with this engine (shard count, per-shard memory config,
     /// Q-format, read/hidden widths).
     pub fn import_lane(&mut self, lane: usize, state: &LaneState) {
-        let nt = self.tiles();
-        assert!(lane < self.batch, "lane index out of range");
-        assert_eq!(state.shards.len(), nt, "lane state shard count mismatch");
+        let (datapath, profiling) = (self.datapath, self.profiling);
+        assert_eq!(state.shards.len(), self.tiles(), "lane state shard count mismatch");
         assert_eq!(state.read.len(), self.last_read.cols(), "read width mismatch");
         assert_eq!(state.hidden.len(), self.params.hidden_size, "hidden width mismatch");
         assert_eq!(state.lstm.hidden.len(), self.params.hidden_size, "hidden width mismatch");
-        let lane_shards = &mut self.shards[lane * nt..(lane + 1) * nt];
-        for (dst, (mem, shard_read)) in lane_shards.iter_mut().zip(&state.shards) {
-            assert!(mem.matches_datapath(self.datapath), "lane state datapath mismatch");
+        for (dst, (mem, shard_read)) in self.lane_shards(lane).iter().zip(&state.shards) {
+            assert!(mem.matches_datapath(datapath), "lane state datapath mismatch");
             assert_eq!(mem.unit().config(), dst.memory.unit().config(), "memory config mismatch");
             assert_eq!(shard_read.len(), dst.read.len(), "read width mismatch");
         }
-        self.lstm_states[lane] = state.lstm.clone();
-        for (dst, (mem, shard_read)) in lane_shards.iter_mut().zip(&state.shards) {
+        for (dst, (mem, shard_read)) in self.lane_shards_mut(lane).iter_mut().zip(&state.shards) {
             dst.memory = mem.clone();
+            dst.memory.set_profiling(profiling);
             dst.read.copy_from_slice(shard_read);
         }
+        self.lstm_states[lane] = state.lstm.clone();
         self.last_read.row_mut(lane).copy_from_slice(&state.read);
         self.last_hidden.row_mut(lane).copy_from_slice(&state.hidden);
     }
 
     /// Resets a *single* lane (all its shards, recurrent state and
-    /// carried rows) to blank state, leaving every other lane untouched.
-    /// See [`BatchDnc::reset_lane`].
+    /// carried rows) to blank state, leaving every other lane untouched —
+    /// how a serving grid recycles a freed lane slot for a fresh session.
+    /// A reset lane steps bit-identically to a lane of a freshly built
+    /// engine.
     ///
     /// # Panics
     ///
     /// Panics if `lane >= batch()`.
     pub fn reset_lane(&mut self, lane: usize) {
-        let nt = self.tiles();
-        assert!(lane < self.batch, "lane index out of range");
-        for shard in &mut self.shards[lane * nt..(lane + 1) * nt] {
+        for shard in self.lane_shards_mut(lane) {
             shard.memory.reset();
             shard.read.fill(0.0);
         }
@@ -986,10 +695,22 @@ impl BatchDncD {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::EngineBuilder;
+    use crate::builder::{BoxedEngine, EngineBuilder};
+    use crate::{Dnc, DncD};
+    use hima_tensor::QFormat;
 
     fn params() -> DncParams {
         DncParams::new(16, 4, 2).with_hidden(24).with_io(5, 6)
+    }
+
+    /// A monolithic f32 grid: the batched twin of `Dnc::new(params(), seed)`.
+    fn mono(batch: usize, seed: u64) -> BoxedEngine {
+        EngineBuilder::new(params()).lanes(batch).seed(seed).build()
+    }
+
+    /// A sharded f32 grid: the batched twin of `DncD::new(params(), tiles, seed)`.
+    fn sharded(tiles: usize, batch: usize, seed: u64) -> BoxedEngine {
+        EngineBuilder::new(params()).sharded(tiles).lanes(batch).seed(seed).build()
     }
 
     /// Stacks per-lane inputs for one time step into a `B × I` block.
@@ -1016,7 +737,7 @@ mod tests {
     fn batch_dnc_matches_sequential_lanes_exactly() {
         let (batch, steps) = (4, 6);
         let lanes = lane_inputs(batch, steps, 5);
-        let mut batched = Dnc::new(params(), 11).batched_with(batch, Datapath::F32);
+        let mut batched = mono(batch, 11);
         let mut sequential: Vec<_> = (0..batch).map(|_| Dnc::new(params(), 11)).collect();
         for t in 0..steps {
             let y = batched.step_batch(&step_block(&lanes, t));
@@ -1031,7 +752,7 @@ mod tests {
     fn batch_dncd_matches_sequential_lanes_exactly() {
         let (batch, steps) = (3, 5);
         let lanes = lane_inputs(batch, steps, 5);
-        let mut batched = DncD::new(params(), 4, 23).batched_with(batch, Datapath::F32);
+        let mut batched = sharded(4, batch, 23);
         let mut sequential: Vec<_> = (0..batch).map(|_| DncD::new(params(), 4, 23)).collect();
         for t in 0..steps {
             let y = batched.step_batch(&step_block(&lanes, t));
@@ -1045,7 +766,7 @@ mod tests {
     #[test]
     fn reset_restores_blank_lanes() {
         let lanes = lane_inputs(2, 3, 5);
-        let mut batched = Dnc::new(params(), 9).batched_with(2, Datapath::F32);
+        let mut batched = mono(2, 9);
         let first = batched.step_batch(&step_block(&lanes, 0));
         for t in 1..3 {
             batched.step_batch(&step_block(&lanes, t));
@@ -1057,23 +778,27 @@ mod tests {
 
     #[test]
     fn builder_matches_direct_batched_construction() {
-        // `EngineBuilder::build` and the internal `batched_with` plumbing
-        // are the same construction path; pin that they stay bit-equal so
-        // the builder remains the canonical constructor.
+        // `EngineBuilder::build` is a mapping from the spec axes onto the
+        // one constructor; pin that it stays bit-equal to calling that
+        // constructor by hand, so the builder remains canonical.
         let x = Matrix::filled(2, 5, 0.25);
-        let mut direct = Dnc::new(params(), 31).batched_with(2, Datapath::F32);
-        let mut built = EngineBuilder::new(params()).lanes(2).seed(31).build();
+        let p = params();
+        let cfg = MemoryConfig::new(p.memory_size, p.word_size, p.read_heads);
+        let mut direct =
+            GridEngine::new(ModelInit::new(p, cfg, 1, 31), None, 2, Datapath::F32, false);
+        let mut built = mono(2, 31);
         assert_eq!(direct.step_batch(&x), built.step_batch(&x));
 
-        let mut direct_d = DncD::new(params(), 4, 31).batched_with(2, Datapath::F32);
-        let mut built_d = EngineBuilder::new(params()).sharded(4).lanes(2).seed(31).build();
+        let merge = Some(ReadMerge::uniform(4));
+        let mut direct_d =
+            GridEngine::new(ModelInit::new(p, cfg, 4, 31), merge, 2, Datapath::F32, false);
+        let mut built_d = sharded(4, 2, 31);
         assert_eq!(direct_d.step_batch(&x), built_d.step_batch(&x));
     }
 
     #[test]
     fn batched_from_existing_model_shares_weights() {
-        let dnc = Dnc::new(params(), 31);
-        let mut batched = dnc.batched_with(2, Datapath::F32);
+        let mut batched = mono(2, 31);
         let mut fresh = Dnc::new(params(), 31);
         let x = vec![0.25f32; 5];
         let block = Matrix::from_rows(&[x.as_slice(), x.as_slice()]);
@@ -1085,7 +810,8 @@ mod tests {
 
     #[test]
     fn profile_aggregates_all_lanes() {
-        let mut batched = Dnc::new(params(), 1).batched_with(3, Datapath::F32);
+        let mut batched = mono(3, 1);
+        batched.set_profiling(true);
         let x = Matrix::zeros(3, 5);
         batched.step_batch(&x);
         let p = batched.profile();
@@ -1094,7 +820,8 @@ mod tests {
 
     #[test]
     fn dncd_profile_aggregates_lanes_and_shards() {
-        let mut batched = DncD::new(params(), 4, 1).batched_with(2, Datapath::F32);
+        let mut batched = sharded(4, 2, 1);
+        batched.set_profiling(true);
         batched.step_batch(&Matrix::zeros(2, 5));
         let p = batched.profile();
         assert_eq!(
@@ -1106,15 +833,15 @@ mod tests {
 
     #[test]
     fn quantized_datapath_lanes_hold_representable_state() {
-        let q = hima_tensor::QFormat::q16_16();
-        let mut batched = Dnc::new(params(), 3).batched_with(2, Datapath::Quantized(q));
+        let q = QFormat::q16_16();
+        let mut batched = EngineBuilder::new(params()).lanes(2).quantized(q).seed(3).build();
         assert_eq!(batched.datapath(), Datapath::Quantized(q));
         let lanes = lane_inputs(2, 3, 5);
         for t in 0..3 {
             batched.step_batch(&step_block(&lanes, t));
         }
         for lane in 0..2 {
-            for &x in batched.memory(lane).memory().as_slice() {
+            for &x in batched.unit(lane, 0).memory().as_slice() {
                 assert!(q.is_representable(x), "lane {lane} holds non-Q16.16 value {x}");
             }
         }
@@ -1152,7 +879,7 @@ mod tests {
     fn masked_batch_dnc_matches_sequential_ragged_lanes_exactly() {
         let lens = [5usize, 2, 4];
         let lanes = ragged_lane_inputs(&lens, 5);
-        let mut batched = Dnc::new(params(), 11).batched_with(3, Datapath::F32);
+        let mut batched = mono(3, 11);
         let mut sequential: Vec<_> = (0..3).map(|_| Dnc::new(params(), 11)).collect();
         for t in 0..5 {
             let (block, mask) = masked_block(&lanes, t, 5);
@@ -1161,11 +888,11 @@ mod tests {
                 if t < lens[b] {
                     let want = dnc.step(&lanes[b][t]);
                     assert_eq!(y.row(b), &want[..], "lane {b} t {t}");
-                    assert_eq!(batched.last_read().row(b), dnc.last_read(), "lane {b} t {t}");
+                    assert_eq!(batched.last_read_row(b), dnc.last_read(), "lane {b} t {t}");
                 } else {
                     assert!(y.row(b).iter().all(|&x| x == 0.0), "ended lane {b} outputs zero");
                     assert_eq!(
-                        batched.last_read().row(b),
+                        batched.last_read_row(b),
                         dnc.last_read(),
                         "ended lane {b} read vector frozen at t {t}"
                     );
@@ -1178,7 +905,7 @@ mod tests {
     fn masked_batch_dncd_matches_sequential_ragged_lanes_exactly() {
         let lens = [1usize, 4, 3];
         let lanes = ragged_lane_inputs(&lens, 5);
-        let mut batched = DncD::new(params(), 4, 23).batched_with(3, Datapath::F32);
+        let mut batched = sharded(4, 3, 23);
         let mut sequential: Vec<_> = (0..3).map(|_| DncD::new(params(), 4, 23)).collect();
         for t in 0..4 {
             let (block, mask) = masked_block(&lanes, t, 5);
@@ -1189,7 +916,7 @@ mod tests {
                     assert_eq!(y.row(b), &want[..], "lane {b} t {t}");
                 } else {
                     assert_eq!(
-                        batched.last_read().row(b),
+                        batched.last_read_row(b),
                         dncd.last_read(),
                         "ended lane {b} read vector frozen at t {t}"
                     );
@@ -1206,9 +933,6 @@ mod tests {
     /// `n % 4` remainder) and the output projection (6 columns).
     #[test]
     fn lane_packed_grid_steps_match_single_lane_engines_at_every_width() {
-        use crate::builder::EngineBuilder;
-        use hima_tensor::QFormat;
-
         let mut seed = 0x2545_f491_4f6c_dd1du64;
         let mut next = || {
             seed ^= seed << 13;
@@ -1252,8 +976,8 @@ mod tests {
     #[test]
     fn full_mask_is_bit_identical_to_step_batch() {
         let lanes = lane_inputs(3, 2, 5);
-        let mut a = Dnc::new(params(), 7).batched_with(3, Datapath::F32);
-        let mut b = Dnc::new(params(), 7).batched_with(3, Datapath::F32);
+        let mut a = mono(3, 7);
+        let mut b = mono(3, 7);
         for t in 0..2 {
             let block = step_block(&lanes, t);
             assert_eq!(a.step_batch(&block), b.step_batch_masked(&block, &LaneMask::full(3)));
@@ -1263,15 +987,15 @@ mod tests {
     #[test]
     fn fully_inactive_mask_is_a_frozen_no_op() {
         let lanes = lane_inputs(2, 2, 5);
-        let mut batched = Dnc::new(params(), 9).batched_with(2, Datapath::F32);
+        let mut batched = mono(2, 9);
         batched.step_batch(&step_block(&lanes, 0));
-        let read_before = batched.last_read().clone();
+        let read_before = batched.last_read_rows();
         let y = batched
             .step_batch_masked(&step_block(&lanes, 1), &LaneMask::from(vec![false, false]));
         assert!(y.as_slice().iter().all(|&x| x == 0.0), "no lane advanced");
-        assert_eq!(batched.last_read(), &read_before, "state untouched");
+        assert_eq!(batched.last_read_rows(), read_before, "state untouched");
         // The next real step behaves as if the no-op never happened.
-        let mut control = Dnc::new(params(), 9).batched_with(2, Datapath::F32);
+        let mut control = mono(2, 9);
         control.step_batch(&step_block(&lanes, 0));
         assert_eq!(
             batched.step_batch(&step_block(&lanes, 1)),
@@ -1282,21 +1006,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "lane mask size mismatch")]
     fn masked_step_rejects_wrong_mask_length() {
-        Dnc::new(params(), 1)
-            .batched_with(2, Datapath::F32)
+        mono(2, 1)
             .step_batch_masked(&Matrix::zeros(2, 5), &LaneMask::full(3));
     }
 
     #[test]
     #[should_panic(expected = "need at least one batch lane")]
     fn rejects_zero_batch() {
-        Dnc::new(params(), 1).batched_with(0, Datapath::F32);
+        EngineBuilder::new(params()).with_lanes_unchecked(0).build();
     }
 
     #[test]
     #[should_panic(expected = "batch size mismatch")]
     fn rejects_wrong_batch_rows() {
-        Dnc::new(params(), 1).batched_with(2, Datapath::F32).step_batch(&Matrix::zeros(3, 5));
+        mono(2, 1).step_batch(&Matrix::zeros(3, 5));
     }
 
     /// Engines warmed differently per lane, then lane states swapped
@@ -1306,9 +1029,6 @@ mod tests {
     /// grid's session swaps rest on.
     #[test]
     fn export_import_swap_is_bit_exact() {
-        use crate::builder::EngineBuilder;
-        use hima_tensor::QFormat;
-
         let build = |sharded: bool, quantized: bool| {
             let mut b = EngineBuilder::new(params()).lanes(2).seed(33);
             if sharded {
@@ -1358,7 +1078,6 @@ mod tests {
     /// neighbour's in-flight state is untouched.
     #[test]
     fn reset_lane_is_a_fresh_lane_and_leaves_neighbours_alone() {
-        use crate::builder::EngineBuilder;
         for tiles in [None, Some(4)] {
             let lanes = lane_inputs(2, 4, 5);
             let mut b = EngineBuilder::new(params()).lanes(2).seed(5);
@@ -1387,7 +1106,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "shard count mismatch")]
     fn import_rejects_wrong_shard_count() {
-        use crate::builder::EngineBuilder;
         let mono = EngineBuilder::new(params()).lanes(1).seed(1).build();
         let mut sharded = EngineBuilder::new(params()).sharded(4).lanes(1).seed(1).build();
         let state = mono.export_lane(0);
@@ -1397,8 +1115,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "datapath mismatch")]
     fn import_rejects_wrong_datapath() {
-        use crate::builder::EngineBuilder;
-        use hima_tensor::QFormat;
         let f32e = EngineBuilder::new(params()).lanes(1).seed(1).build();
         let mut quant =
             EngineBuilder::new(params()).lanes(1).quantized(QFormat::new(16, 16)).seed(1).build();
@@ -1408,10 +1124,108 @@ mod tests {
 
     #[test]
     fn lane_state_reports_geometry() {
-        use crate::builder::EngineBuilder;
         let e = EngineBuilder::new(params()).sharded(4).lanes(1).seed(1).build();
         let state = e.export_lane(0);
         assert_eq!(state.shard_count(), 4);
         assert!(state.state_elems() > 0);
+    }
+
+    /// Lane 1 inactive: its read row and output stay put while lane 0
+    /// advances.
+    #[test]
+    fn masked_step_freezes_inactive_lanes() {
+        let mut engine = mono(2, 4);
+        let x = Matrix::filled(2, 5, 0.1);
+        engine.step_batch(&x);
+        let frozen = engine.last_read_rows();
+        let y = engine.step_batch_masked(&x, &LaneMask::from(vec![true, false]));
+        assert!(y.row(1).iter().all(|&v| v == 0.0), "inactive output row is zero");
+        assert_eq!(engine.last_read_rows().row(1), frozen.row(1), "lane 1 frozen");
+        assert_ne!(engine.last_read_rows().row(0), frozen.row(0), "lane 0 advanced");
+    }
+
+    /// The monolithic topology is the one-shard grid: it steps lane for
+    /// lane like `Sharded { tiles: 1 }` with `α = 1`, under ragged masks,
+    /// on both datapaths.
+    #[test]
+    fn monolithic_is_the_one_shard_grid_with_unit_merge() {
+        let lens = [5usize, 2, 4, 3];
+        let lanes = ragged_lane_inputs(&lens, 5);
+        for quantized in [false, true] {
+            let build = |b: EngineBuilder| {
+                let b = b.lanes(lens.len()).seed(41);
+                if quantized { b.quantized(QFormat::q16_16()) } else { b }.build()
+            };
+            let mut mono = build(EngineBuilder::new(params()));
+            let mut one_shard = build(
+                EngineBuilder::new(params())
+                    .sharded(1)
+                    .merge(ReadMerge::from_weights(vec![1.0])),
+            );
+            assert_eq!((mono.tiles(), one_shard.tiles()), (1, 1));
+            for t in 0..5 {
+                let (block, mask) = masked_block(&lanes, t, 5);
+                let ym = mono.step_batch_masked(&block, &mask);
+                let ys = one_shard.step_batch_masked(&block, &mask);
+                assert_eq!(ym, ys, "quantized={quantized} t={t}");
+                assert_eq!(mono.last_read_rows(), one_shard.last_read_rows(), "t={t}");
+            }
+        }
+    }
+
+    /// A monolithic lane's read row is its shard read bit for bit — a
+    /// copy, where the `α = 1` merge of a one-shard DNC-D loses `-0.0`.
+    #[test]
+    fn monolithic_read_row_is_the_shard_read_bit_for_bit() {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut engine = mono(2, 13);
+        let lanes = lane_inputs(2, 3, 5);
+        for t in 0..3 {
+            engine.step_batch(&step_block(&lanes, t));
+            for lane in 0..2 {
+                let state = engine.export_lane(lane);
+                assert_eq!(bits(engine.last_read_row(lane)), bits(&state.shards[0].1));
+            }
+        }
+        engine.shards[0].read[0] = -0.0;
+        gather_reads(engine.merge.as_ref(), &engine.shards[..1], engine.last_read.row_mut(0));
+        assert_eq!(engine.last_read_row(0)[0].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(bits(engine.last_read_row(0)), bits(&engine.shards[0].read));
+        // The merge this replaces: 0.0 + 1.0 · -0.0 is +0.0.
+        let unit = ReadMerge::from_weights(vec![1.0]);
+        gather_reads(Some(&unit), &engine.shards[..1], engine.last_read.row_mut(0));
+        assert_eq!(engine.last_read_row(0)[0].to_bits(), 0.0f32.to_bits());
+    }
+
+    /// A rehydrated session keeps the *engine's* profiling gate: a decoded
+    /// unit is built sampling-on, and must not switch a profiling-off
+    /// server's lane back to reading the clock.
+    #[test]
+    fn import_keeps_the_engines_profiling_gate() {
+        for tiles in [None, Some(4)] {
+            let build = || match tiles {
+                None => mono(2, 5),
+                Some(nt) => sharded(nt, 2, 5),
+            };
+            let lanes = lane_inputs(2, 4, 5);
+            let mut source = build();
+            source.step_batch(&step_block(&lanes, 0));
+            let decoded = LaneState::decode(&source.export_lane(1).encode()).unwrap();
+
+            let mut engine = build();
+            engine.import_lane(0, &decoded);
+            for t in 1..4 {
+                engine.step_batch(&step_block(&lanes, t));
+            }
+            assert_eq!(engine.profile(), KernelProfile::new(), "tiles={tiles:?}");
+
+            // And the other way: a profiling engine keeps sampling the
+            // lanes it imports from a profiling-off one.
+            engine.set_profiling(true);
+            engine.import_lane(1, &source.export_lane(0));
+            engine.step_batch(&step_block(&lanes, 1));
+            let reads = engine.profile().calls(crate::profile::KernelId::MemoryRead);
+            assert_eq!(reads, (2 * engine.tiles() * 2) as u64, "2 lanes × shards × 2 heads");
+        }
     }
 }

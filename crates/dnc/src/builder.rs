@@ -1,11 +1,7 @@
 //! [`EngineBuilder`]: one constructor over every engine variant.
 //!
-//! The repo used to expose five parallel model types with near-duplicate
-//! but incompatible constructors (`Dnc::new`, `DncD::new`, `BatchDnc::new`,
-//! `BatchDncD::new`, `QuantizedMemoryUnit::new`), hard-wiring every harness
-//! to one variant. The builder instead composes **orthogonal axes** —
-//! mirroring how the HiMA hardware itself is one engine with configuration
-//! knobs:
+//! The builder composes **orthogonal axes** — mirroring how the HiMA
+//! hardware itself is one engine with configuration knobs:
 //!
 //! * **topology** — [`Topology::Monolithic`] (centralized DNC) or
 //!   [`Topology::Sharded`] (`N_t`-tile DNC-D with a [`ReadMerge`] policy),
@@ -16,13 +12,13 @@
 //! * plus the memory-unit feature knobs (skimming, PLA softmax, sorter)
 //!   and the weight seed.
 //!
-//! [`EngineBuilder::build`] returns a boxed [`MemoryEngine`], so harnesses
-//! sweep every axis from one code path.
+//! Every combination builds the same concrete type, a [`GridEngine`], so
+//! harnesses sweep every axis from one code path.
 //!
 //! # Example
 //!
 //! ```
-//! use hima_dnc::{DncParams, EngineBuilder, MemoryEngine};
+//! use hima_dnc::{DncParams, EngineBuilder};
 //! use hima_tensor::{Matrix, QFormat};
 //!
 //! let params = DncParams::new(64, 8, 2).with_io(4, 4);
@@ -37,16 +33,16 @@
 //! ```
 
 use crate::allocation::SkimRate;
+use crate::batch::GridEngine;
 use crate::distributed::{DncD, ReadMerge};
-use crate::dnc::Dnc;
-use crate::engine::MemoryEngine;
+use crate::dnc::{Dnc, ModelInit};
 use crate::memory::{MemoryConfig, SorterKind};
 use crate::DncParams;
 use hima_tensor::{Backend, QFormat};
 use serde::{Deserialize, Serialize};
 
-/// A built engine, stepped through the [`MemoryEngine`] trait.
-pub type BoxedEngine = Box<dyn MemoryEngine + Send>;
+/// A built engine, as [`EngineBuilder::build`] hands it out.
+pub type BoxedEngine = Box<GridEngine>;
 
 /// Typed validation error for engine geometry and spec axes.
 ///
@@ -269,7 +265,7 @@ impl EngineSpec {
     }
 }
 
-/// Composable constructor for every [`MemoryEngine`] variant.
+/// Composable constructor for every [`GridEngine`] configuration.
 ///
 /// See the [module docs](self) for the axis overview and an example.
 #[derive(Debug, Clone)]
@@ -382,9 +378,8 @@ impl EngineBuilder {
     /// sampling on for the built engine. Defaults to **off**: an
     /// unprofiled engine's steps never call `Instant::now()`, so the
     /// serving hot path pays nothing for instrumentation it isn't using.
-    /// (The legacy direct constructors — [`Dnc::new`], [`DncD::new`] —
-    /// keep sampling on, preserving the offline figure-reproduction
-    /// workflow.)
+    /// (The sequential models — [`Dnc::new`], [`DncD::new`] — keep
+    /// sampling on, preserving the offline figure-reproduction workflow.)
     pub fn profiling(mut self, on: bool) -> Self {
         self.profiling = on;
         self
@@ -445,8 +440,8 @@ impl EngineBuilder {
 
     /// Builds the engine.
     ///
-    /// Weights are derived from the seed exactly as the legacy
-    /// constructors derived them, so a monolithic f32 build is
+    /// Weights and shard layout come from the one initializer the
+    /// sequential models use too, so a monolithic f32 build is
     /// bit-compatible with [`Dnc::new`] and a sharded build with
     /// [`DncD::new`] (conformance-tested in
     /// `crates/dnc/tests/conformance.rs`).
@@ -456,37 +451,33 @@ impl EngineBuilder {
     /// Panics if the merge weights' shard count disagrees with the
     /// topology.
     pub fn build(&self) -> BoxedEngine {
-        let mut engine: BoxedEngine = match self.spec.topology {
-            Topology::Monolithic => {
-                let mem_cfg = MemoryConfig::new(
-                    self.params.memory_size,
-                    self.params.word_size,
-                    self.params.read_heads,
-                )
-                .with_sorter(self.sorter)
-                .with_skim(self.spec.skim)
-                .with_approx_softmax(self.spec.approx_softmax)
-                .with_backend(self.spec.backend);
-                let model = Dnc::with_memory_config(self.params, mem_cfg, self.seed);
-                Box::new(model.batched_with(self.lanes, self.spec.datapath))
-            }
-            Topology::Sharded { tiles } => {
-                let mut model = DncD::with_features_backend(
-                    self.params,
-                    tiles,
-                    self.seed,
-                    self.spec.skim,
-                    self.spec.approx_softmax,
-                    self.spec.backend,
-                );
-                if let Some(merge) = &self.merge {
-                    model.set_merge(merge.clone());
-                }
-                Box::new(model.batched_with(self.lanes, self.spec.datapath))
-            }
+        // The monolithic topology is the one-shard grid with no merge; a
+        // sharded one sorts locally (see [`EngineBuilder::sorter`]) and
+        // merges uniformly unless told otherwise.
+        let (tiles, sorter, merge) = match self.spec.topology {
+            Topology::Monolithic => (1, self.sorter, None),
+            Topology::Sharded { tiles } => (
+                tiles,
+                SorterKind::Centralized,
+                Some(self.merge.clone().unwrap_or_else(|| ReadMerge::uniform(tiles))),
+            ),
         };
-        engine.set_profiling(self.profiling);
-        engine
+        let mem_cfg = MemoryConfig::new(
+            self.params.memory_size,
+            self.params.word_size,
+            self.params.read_heads,
+        )
+        .with_sorter(sorter)
+        .with_skim(self.spec.skim)
+        .with_approx_softmax(self.spec.approx_softmax)
+        .with_backend(self.spec.backend);
+        Box::new(GridEngine::new(
+            ModelInit::new(self.params, mem_cfg, tiles, self.seed),
+            merge,
+            self.lanes,
+            self.spec.datapath,
+            self.profiling,
+        ))
     }
 
     /// Non-panicking form of [`EngineBuilder::build`] for untrusted
@@ -518,7 +509,6 @@ impl EngineBuilder {
         self.lanes = batch;
         self
     }
-
 }
 
 #[cfg(test)]
@@ -688,6 +678,26 @@ mod tests {
             .try_build()
             .expect("valid spec");
         assert_eq!(engine.step_batch(&Matrix::zeros(2, 4)).shape(), (2, 4));
+    }
+
+    /// Every shard count a spec check admits builds, and splits the rows
+    /// as evenly as they go: no empty shard, no row lost or invented.
+    #[test]
+    fn every_admitted_shard_count_splits_the_rows_evenly() {
+        for n in 1..=33usize {
+            let p = DncParams::new(n, 2, 1).with_hidden(4).with_io(2, 2);
+            for tiles in 1..=n {
+                let engine = EngineBuilder::new(p)
+                    .with_spec(EngineSpec::sharded(tiles))
+                    .try_build()
+                    .unwrap_or_else(|e| panic!("N={n} tiles={tiles}: {e}"));
+                let rows: Vec<usize> =
+                    (0..tiles).map(|s| engine.unit(0, s).config().memory_size).collect();
+                assert_eq!(rows.iter().sum::<usize>(), n, "N={n} tiles={tiles}: {rows:?}");
+                let (min, max) = (rows.iter().min().unwrap(), rows.iter().max().unwrap());
+                assert!(*min >= 1 && max - min <= 1, "N={n} tiles={tiles}: {rows:?}");
+            }
+        }
     }
 
     #[test]

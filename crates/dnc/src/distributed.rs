@@ -14,13 +14,13 @@
 //! the paper's "trainable weights determined by the LSTM".
 
 use crate::allocation::SkimRate;
-use crate::dnc::{projection, SEED_INTERFACE, SEED_LSTM, SEED_OUTPUT};
+use crate::dnc::ModelInit;
 use crate::interface::InterfaceVector;
 use crate::lstm::Lstm;
-use crate::memory::{MemoryConfig, MemoryUnit, SorterKind};
+use crate::memory::{MemoryConfig, MemoryUnit};
 use crate::profile::{KernelId, KernelProfile};
 use crate::DncParams;
-use hima_tensor::{Backend, Matrix};
+use hima_tensor::Matrix;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -72,8 +72,8 @@ impl ReadMerge {
         self.merge_slices(&slices)
     }
 
-    /// Borrowing variant of [`ReadMerge::merge`], used by the batched
-    /// engines to merge in-place shard read buffers without cloning.
+    /// Borrowing variant of [`ReadMerge::merge`]: merges in-place shard
+    /// read buffers without cloning.
     ///
     /// # Panics
     ///
@@ -88,10 +88,11 @@ impl ReadMerge {
 
     /// Output-buffer form of [`ReadMerge::merge_slices`] over any slice
     /// iterator: accumulates `Σ_i α_i v_r,i` into `out` (zeroed first)
-    /// without allocating — the steady-state merge of the batched DNC-D,
-    /// which merges each lane's contiguous shard reads straight into the
-    /// lane's last-read row. Same shard-order accumulation as
-    /// [`ReadMerge::merge`], so results are bit-identical.
+    /// without allocating — the steady-state merge of a sharded
+    /// [`GridEngine`](crate::GridEngine), which merges each lane's
+    /// contiguous shard reads straight into the lane's last-read row.
+    /// Same shard-order accumulation as [`ReadMerge::merge`], so results
+    /// are bit-identical.
     ///
     /// # Panics
     ///
@@ -239,64 +240,19 @@ impl DncD {
         skim: SkimRate,
         approx_softmax: bool,
     ) -> Self {
-        Self::with_features_backend(params, tiles, seed, skim, approx_softmax, Backend::Scalar)
-    }
-
-    /// [`DncD::with_features`] plus the kernel execution tier: every
-    /// shard's memory config carries `backend`, so both the sequential
-    /// stepping here and the batched engines derived from it
-    /// ([`DncD::batched`]) run their hot kernels on the selected tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiles == 0` or `tiles > params.memory_size`.
-    pub fn with_features_backend(
-        params: DncParams,
-        tiles: usize,
-        seed: u64,
-        skim: SkimRate,
-        approx_softmax: bool,
-        backend: Backend,
-    ) -> Self {
-        assert!(tiles > 0, "need at least one tile");
-        assert!(tiles <= params.memory_size, "more tiles than memory rows");
-
-        let read_width = params.read_heads * params.word_size;
-        let controller = Lstm::new(params.input_size + read_width, params.hidden_size, seed ^ SEED_LSTM);
-        let shard_rows = params.memory_size.div_ceil(tiles);
-
-        let mut shards = Vec::with_capacity(tiles);
-        let mut interface_projs = Vec::with_capacity(tiles);
-        for t in 0..tiles {
-            let rows = shard_rows.min(params.memory_size - t * shard_rows.min(params.memory_size));
-            let rows = rows.max(1);
-            let cfg = MemoryConfig::new(rows, params.word_size, params.read_heads)
-                .with_skim(skim)
-                .with_approx_softmax(approx_softmax)
-                .with_sorter(SorterKind::Centralized)
-                .with_backend(backend);
-            shards.push(MemoryUnit::new(cfg));
-            // Shard 0 draws the same stream as the centralized model. The
-            // interface projects from [h ; x] (input skip connection),
-            // matching `Dnc`.
-            let shard_seed = (seed ^ SEED_INTERFACE).wrapping_add(t as u64 * 7919);
-            interface_projs.push(projection(
-                params.interface_size(),
-                params.hidden_size + params.input_size,
-                shard_seed,
-            ));
-        }
-        let output_proj =
-            projection(params.output_size, params.hidden_size + read_width, seed ^ SEED_OUTPUT);
-
+        let mem_cfg = MemoryConfig::new(params.memory_size, params.word_size, params.read_heads)
+            .with_skim(skim)
+            .with_approx_softmax(approx_softmax);
+        let ModelInit { controller, interface_projs, output_proj, shard_cfgs, .. } =
+            ModelInit::new(params, mem_cfg, tiles, seed);
         Self {
             params,
-            shards,
+            shards: shard_cfgs.into_iter().map(MemoryUnit::new).collect(),
             controller,
             interface_projs,
             output_proj,
             merge: ReadMerge::uniform(tiles),
-            last_read: vec![0.0; read_width],
+            last_read: vec![0.0; params.read_heads * params.word_size],
             last_hidden: vec![0.0; params.hidden_size],
             profile: KernelProfile::new(),
         }
@@ -365,14 +321,15 @@ impl DncD {
         p
     }
 
-    /// Resets memory and recurrent state (weights and merge unchanged).
+    /// Resets memory and recurrent state in place (weights and merge
+    /// unchanged).
     pub fn reset(&mut self) {
         self.controller.reset();
         for s in &mut self.shards {
             s.reset();
         }
-        self.last_read = vec![0.0; self.params.read_heads * self.params.word_size];
-        self.last_hidden = vec![0.0; self.params.hidden_size];
+        self.last_read.fill(0.0);
+        self.last_hidden.fill(0.0);
     }
 
     /// Runs one time step and returns the output vector.
@@ -446,35 +403,6 @@ impl DncD {
     /// Runs a whole input sequence, returning one output per step.
     pub fn run_sequence(&mut self, inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
         inputs.iter().map(|x| self.step(x)).collect()
-    }
-
-    /// Creates a [`crate::BatchDncD`] of `batch` blank lanes sharing this
-    /// model's weights, shard layout and read-merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    #[deprecated(
-        note = "compose with `EngineBuilder::new(params).sharded(tiles).lanes(batch).merge(..).build()`"
-    )]
-    pub fn batched(&self, batch: usize) -> crate::BatchDncD {
-        self.batched_with(batch, crate::Datapath::F32)
-    }
-
-    /// Builder plumbing: `batch` blank lanes sharing this model's weights,
-    /// shard layout and read-merge, with shard memory units on the given
-    /// datapath.
-    pub(crate) fn batched_with(&self, batch: usize, datapath: crate::Datapath) -> crate::BatchDncD {
-        crate::BatchDncD::from_parts(
-            self.params,
-            self.controller.clone(),
-            self.interface_projs.clone(),
-            self.output_proj.clone(),
-            self.merge.clone(),
-            self.shards.iter().map(|s| *s.config()).collect(),
-            batch,
-            datapath,
-        )
     }
 
     /// Calibrates the merge weights against a reference DNC on a

@@ -14,18 +14,82 @@ use hima_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Builds a scaled-uniform projection matrix; shared with the distributed
-/// model so `DncD` with one shard is weight-identical to `Dnc`.
-pub(crate) fn projection(rows: usize, cols: usize, seed: u64) -> Matrix {
+/// Builds a scaled-uniform projection matrix.
+fn projection(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     let scale = 1.0 / (cols as f32).sqrt();
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-scale..scale))
 }
 
 /// Seed offsets so each weight block draws an independent stream.
-pub(crate) const SEED_LSTM: u64 = 0x11;
-pub(crate) const SEED_INTERFACE: u64 = 0x22;
-pub(crate) const SEED_OUTPUT: u64 = 0x33;
+const SEED_LSTM: u64 = 0x11;
+const SEED_INTERFACE: u64 = 0x22;
+const SEED_OUTPUT: u64 = 0x33;
+
+/// The seed-derived weights and the row-wise shard layout of a model —
+/// what [`Dnc`], [`DncD`](crate::DncD) and
+/// [`GridEngine`](crate::GridEngine) are all constructed from, so the
+/// three stay weight-identical by construction (shard 0 of any layout
+/// draws the centralized model's interface stream).
+pub(crate) struct ModelInit {
+    pub(crate) params: DncParams,
+    pub(crate) controller: Lstm,
+    /// One interface projection per shard, from `[h_t ; x_t]`: the input
+    /// skip connection keeps write/read keys directly conditioned on the
+    /// current token (Graves et al.'s controller emits the interface
+    /// from all layer outputs, input included).
+    pub(crate) interface_projs: Vec<Matrix>,
+    pub(crate) output_proj: Matrix,
+    /// One memory configuration per shard: `mem_cfg` over the shard's
+    /// rows.
+    pub(crate) shard_cfgs: Vec<MemoryConfig>,
+}
+
+impl ModelInit {
+    /// Initializes the weights from `seed` and splits `mem_cfg`'s rows
+    /// over `tiles` shards as evenly as they go: every shard gets
+    /// `N / tiles` rows and the first `N % tiles` one more.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tiles == 0`, `tiles > params.memory_size` or `mem_cfg`
+    /// geometry disagrees with `params`.
+    pub(crate) fn new(params: DncParams, mem_cfg: MemoryConfig, tiles: usize, seed: u64) -> Self {
+        assert!(tiles > 0, "need at least one tile");
+        assert!(tiles <= params.memory_size, "more tiles than memory rows");
+        assert_eq!(mem_cfg.memory_size, params.memory_size, "memory geometry mismatch");
+        assert_eq!(mem_cfg.word_size, params.word_size, "word size mismatch");
+        assert_eq!(mem_cfg.read_heads, params.read_heads, "read head mismatch");
+
+        let read_width = params.read_heads * params.word_size;
+        let (rows, extra) = (params.memory_size / tiles, params.memory_size % tiles);
+        Self {
+            params,
+            controller: Lstm::new(
+                params.input_size + read_width,
+                params.hidden_size,
+                seed ^ SEED_LSTM,
+            ),
+            interface_projs: (0..tiles)
+                .map(|t| {
+                    projection(
+                        params.interface_size(),
+                        params.hidden_size + params.input_size,
+                        (seed ^ SEED_INTERFACE).wrapping_add(t as u64 * 7919),
+                    )
+                })
+                .collect(),
+            output_proj: projection(
+                params.output_size,
+                params.hidden_size + read_width,
+                seed ^ SEED_OUTPUT,
+            ),
+            shard_cfgs: (0..tiles)
+                .map(|t| MemoryConfig { memory_size: rows + usize::from(t < extra), ..mem_cfg })
+                .collect(),
+        }
+    }
+}
 
 /// A complete Differentiable Neural Computer.
 ///
@@ -67,30 +131,15 @@ impl Dnc {
     ///
     /// Panics if `mem_cfg` geometry disagrees with `params`.
     pub fn with_memory_config(params: DncParams, mem_cfg: MemoryConfig, seed: u64) -> Self {
-        assert_eq!(mem_cfg.memory_size, params.memory_size, "memory geometry mismatch");
-        assert_eq!(mem_cfg.word_size, params.word_size, "word size mismatch");
-        assert_eq!(mem_cfg.read_heads, params.read_heads, "read head mismatch");
-
-        let read_width = params.read_heads * params.word_size;
-        let controller = Lstm::new(params.input_size + read_width, params.hidden_size, seed ^ SEED_LSTM);
-        // The interface vector projects from [h_t ; x_t]: the input skip
-        // connection keeps write/read keys directly conditioned on the
-        // current token (Graves et al.'s controller emits the interface
-        // from all layer outputs, input included).
-        let interface_proj = projection(
-            params.interface_size(),
-            params.hidden_size + params.input_size,
-            seed ^ SEED_INTERFACE,
-        );
-        let output_proj =
-            projection(params.output_size, params.hidden_size + read_width, seed ^ SEED_OUTPUT);
+        let ModelInit { controller, mut interface_projs, output_proj, .. } =
+            ModelInit::new(params, mem_cfg, 1, seed);
         Self {
             params,
             controller,
-            interface_proj,
+            interface_proj: interface_projs.remove(0),
             output_proj,
             memory: MemoryUnit::new(mem_cfg),
-            last_read: vec![0.0; read_width],
+            last_read: vec![0.0; params.read_heads * params.word_size],
             last_hidden: vec![0.0; params.hidden_size],
             profile: KernelProfile::new(),
         }
@@ -140,12 +189,12 @@ impl Dnc {
         self.memory.set_profiling(on);
     }
 
-    /// Resets memory and recurrent state (weights unchanged).
+    /// Resets memory and recurrent state in place (weights unchanged).
     pub fn reset(&mut self) {
         self.controller.reset();
         self.memory.reset();
-        self.last_read = vec![0.0; self.params.read_heads * self.params.word_size];
-        self.last_hidden = vec![0.0; self.params.hidden_size];
+        self.last_read.fill(0.0);
+        self.last_hidden.fill(0.0);
     }
 
     /// Runs one time step and returns the output vector.
@@ -193,31 +242,6 @@ impl Dnc {
     /// Runs a whole input sequence, returning one output per step.
     pub fn run_sequence(&mut self, inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
         inputs.iter().map(|x| self.step(x)).collect()
-    }
-
-    /// Creates a [`crate::BatchDnc`] of `batch` blank lanes sharing this
-    /// model's weights and memory configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    #[deprecated(note = "compose with `EngineBuilder::new(params).lanes(batch).seed(seed).build()`")]
-    pub fn batched(&self, batch: usize) -> crate::BatchDnc {
-        self.batched_with(batch, crate::Datapath::F32)
-    }
-
-    /// Builder plumbing: `batch` blank lanes sharing this model's weights,
-    /// with the lane memory units on the given datapath.
-    pub(crate) fn batched_with(&self, batch: usize, datapath: crate::Datapath) -> crate::BatchDnc {
-        crate::BatchDnc::from_parts(
-            self.params,
-            self.controller.clone(),
-            self.interface_proj.clone(),
-            self.output_proj.clone(),
-            *self.memory.config(),
-            batch,
-            datapath,
-        )
     }
 }
 

@@ -17,13 +17,12 @@
 //! * the LSTM controller and interface vector ([`lstm`], [`interface`]),
 //! * the complete model ([`dnc`]) and the distributed variant
 //!   ([`distributed`]),
-//! * the unified stepping API ([`engine`]) and the composable constructor
-//!   ([`builder`]) that together expose every variant — monolithic or
-//!   sharded topology × batch lanes × f32 or fixed-point datapath —
-//!   behind one [`MemoryEngine`] trait,
-//! * the per-engine [`StepWorkspace`] ([`workspace`]) of pre-sized scratch
-//!   buffers that makes steady-state stepping zero-heap-allocation (the
-//!   `_into` entry points; the allocating ones are thin wrappers),
+//! * the one batched lane × shard engine ([`batch`], [`GridEngine`]) and
+//!   the composable constructor ([`builder`]) that sizes it — monolithic
+//!   or sharded topology × batch lanes × f32 or fixed-point datapath —
+//!   with pre-sized scratch that makes steady-state stepping
+//!   zero-heap-allocation (the `_into` entry points; the allocating ones
+//!   are thin wrappers),
 //! * per-kernel instrumentation ([`profile`]) used to regenerate the
 //!   paper's runtime-breakdown figures.
 //!
@@ -33,7 +32,7 @@
 //! constructors:
 //!
 //! ```
-//! use hima_dnc::{DncParams, EngineBuilder, MemoryEngine};
+//! use hima_dnc::{DncParams, EngineBuilder};
 //! use hima_tensor::Matrix;
 //!
 //! let params = DncParams::new(32, 8, 2).with_io(4, 4);
@@ -44,7 +43,8 @@
 //! ```
 //!
 //! The sequential single-example models remain first-class for
-//! state-inspection workflows and implement the same trait:
+//! state-inspection workflows, and as the independent oracles the
+//! conformance suites check the engine against:
 //!
 //! ```
 //! use hima_dnc::{Dnc, DncParams};
@@ -61,7 +61,6 @@ pub mod builder;
 pub mod content;
 pub mod dnc;
 pub mod distributed;
-pub mod engine;
 pub mod interface;
 pub mod linkage;
 pub mod lstm;
@@ -70,22 +69,18 @@ pub mod persist;
 pub mod profile;
 pub mod quantized;
 pub mod usage;
-pub mod workspace;
 
 pub use crate::dnc::Dnc;
-pub use batch::{BatchDnc, BatchDncD};
-pub use batch::LaneState;
+pub use batch::{GridEngine, LaneState};
 pub use builder::{BoxedEngine, Datapath, EngineBuilder, EngineSpec, SpecError, Topology};
 pub use distributed::{DncD, ReadMerge};
-pub use engine::MemoryEngine;
 pub use interface::InterfaceVector;
 pub use lstm::LstmScratch;
 pub use memory::{MemoryConfig, MemoryUnit};
 pub use persist::StateCodecError;
 pub use profile::{KernelCategory, KernelId, KernelProfile};
 pub use quantized::{DatapathStudy, QuantizedMemoryUnit};
-pub use workspace::StepWorkspace;
-// The lane-activity mask consumed by `MemoryEngine::step_batch_masked`,
+// The lane-activity mask consumed by `GridEngine::step_batch_masked`,
 // re-exported so engine users need not depend on hima-tensor directly.
 pub use hima_tensor::LaneMask;
 

@@ -39,7 +39,7 @@ impl LstmState {
 /// Reusable scratch of the batched controller step: the `[X ; H]`
 /// concatenation block and the pre-activation block, pre-sized so
 /// [`Lstm::step_batch_masked_into`] allocates nothing. Owned by the
-/// engine's [`StepWorkspace`](crate::StepWorkspace).
+/// engine's step workspace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LstmScratch {
     /// `[X ; H^{t-1}]`, `B × (I + H)`.
@@ -126,7 +126,7 @@ impl Lstm {
 
     /// Resets the recurrent state to zeros.
     pub fn reset(&mut self) {
-        self.state = LstmState::zeros(self.hidden_size);
+        self.state.clear();
     }
 
     /// Runs one time step on the cell's own recurrent state, returning the

@@ -14,7 +14,7 @@
 //! protocol (the vendored `serde` is a no-op stand-in, so derived
 //! serialization cannot cross a process boundary): fixed-width
 //! little-endian integers, `f32` as its IEEE-754 bit pattern — so
-//! encode → decode → [`import_lane`](crate::BatchDnc::import_lane) is a
+//! encode → decode → [`import_lane`](crate::GridEngine::import_lane) is a
 //! **bit-exact** round trip on every topology × datapath × backend
 //! combination — and `u32`-counted vectors. Every length is
 //! bounds-checked against the remaining payload with division (never a
@@ -338,7 +338,7 @@ impl LaneState {
     /// Decoding validates internal consistency (geometry, datapath tags,
     /// vector widths) but not engine compatibility: importing the result
     /// into a mismatched engine still panics in
-    /// [`import_lane`](crate::BatchDnc::import_lane). Callers splicing
+    /// [`import_lane`](crate::GridEngine::import_lane). Callers splicing
     /// untrusted snapshots should gate on [`LaneState::same_geometry`]
     /// against a template exported from the target engine.
     pub fn decode(bytes: &[u8]) -> Result<LaneState, StateCodecError> {
@@ -391,7 +391,7 @@ impl LaneState {
     /// same shard count and, shard by shard, equal memory configuration
     /// and datapath (Q-format included), plus equal read/hidden widths.
     /// This is the non-panicking form of the compatibility asserts in
-    /// [`import_lane`](crate::BatchDnc::import_lane) — a session store
+    /// [`import_lane`](crate::GridEngine::import_lane) — a session store
     /// checks a decoded snapshot against a template exported from the
     /// target engine before splicing it in.
     pub fn same_geometry(&self, other: &LaneState) -> bool {

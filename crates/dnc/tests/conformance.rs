@@ -1,22 +1,20 @@
-//! Trait-level conformance + equivalence suite for [`MemoryEngine`].
+//! Conformance + equivalence suite for [`hima_dnc::GridEngine`].
 //!
 //! Every configuration the [`EngineBuilder`] can produce — topology
 //! (monolithic | sharded) × lanes (B ∈ {1, 3, 8}) × datapath (f32 |
-//! Q16.16) — must behave identically through the trait:
+//! Q16.16) — must behave identically through the one engine API:
 //!
 //! * **batched ≡ sequential**: a `lanes(B)` engine reproduces `B`
 //!   independent `lanes(1)` engines bit-for-bit,
-//! * **legacy anchoring**: the builder's monolithic/sharded f32 builds are
-//!   bit-identical to `Dnc::new` / `DncD::new` with the same seed,
+//! * **oracle anchoring**: the builder's monolithic/sharded f32 builds are
+//!   bit-identical to the sequential `Dnc::new` / `DncD::new` models with
+//!   the same seed,
 //! * **determinism across thread counts**: lane/shard fan-out never
 //!   perturbs results,
 //! * **reset** restores blank-lane behaviour,
-//! * the shared trait surface (`batch`, `params`, `last_read_rows`,
+//! * the engine surface (`batch`, `params`, `last_read_rows`,
 //!   `last_features_rows`, `profile`, `step`, `run_sequence_batch`) is
 //!   consistent for every variant.
-//!
-//! This suite replaces the per-type batched property tests that predated
-//! the unified API.
 
 use hima_dnc::{Datapath, Dnc, DncD, DncParams, EngineBuilder, EngineSpec};
 use hima_tensor::{Matrix, QFormat};
@@ -27,7 +25,7 @@ fn params() -> DncParams {
 
 /// Every topology × datapath combination the suite enumerates, plus the
 /// §5.2 approximation features (skimming, PLA+LUT softmax) that the
-/// pre-trait property tests covered per-type.
+/// earlier per-type property tests covered.
 fn specs() -> Vec<EngineSpec> {
     let q = Datapath::Quantized(QFormat::q16_16());
     vec![
@@ -288,7 +286,7 @@ fn step_convenience_rejects_multi_lane_engines() {
 // Masked (ragged) stepping conformance at the engine level, reusing the
 // shared ragged-episode strategies from hima-tasks. The workspace-level
 // `tests/ragged_conformance.rs` extends this across the full topology ×
-// datapath × B grid; here we pin the trait contract per spec on
+// datapath × B grid; here we pin the masking contract per spec on
 // property-generated ragged lane sets.
 // ---------------------------------------------------------------------
 

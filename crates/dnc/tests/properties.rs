@@ -145,7 +145,7 @@ proptest! {
 // Kernel-level properties of the batched building blocks (row-block LSTM,
 // row-wise interface parse). Whole-model equivalence of the batched vs
 // sequential paths is covered across *every* topology × lanes × datapath
-// combination by the trait-level conformance suite in
+// combination by the engine conformance suite in
 // `crates/dnc/tests/conformance.rs`.
 
 /// Per-lane input streams with lane-, time- and element-dependent values.

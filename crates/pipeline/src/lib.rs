@@ -2,8 +2,8 @@
 //!
 //! HiMA's throughput story is about keeping the memory-access engine
 //! saturated. After the batched execution path (PR 1) and the unified
-//! [`MemoryEngine`](hima_dnc::MemoryEngine) API (PR 2), the engine's
-//! step rate far exceeds what the strictly sequential harnesses feed it:
+//! engine API (PR 2, today's [`GridEngine`](hima_dnc::GridEngine)), the
+//! engine's step rate far exceeds what the strictly sequential harnesses feed it:
 //! they generate episodes, step the model, and reduce metrics one phase
 //! after another. This crate overlaps those phases in a staged
 //! producer/consumer pipeline:

@@ -126,11 +126,11 @@ struct BatchUnit {
 ///    per-length puddles,
 /// 3. **engine** — `spec.engine_workers` threads step each unit through
 ///    one engine per job builder (engines are cached per
-///    `(job, builder, lanes)` and [`reset`](hima_dnc::MemoryEngine::reset)
+///    `(job, builder, lanes)` and [`reset`](hima_dnc::GridEngine::reset)
 ///    between units — no per-batch rebuild) as a padded lane grid with a
 ///    per-step [`LaneMask`](hima_dnc::LaneMask) (shorter episodes drop
 ///    out as they end;
-///    [`step_batch_masked`](hima_dnc::MemoryEngine::step_batch_masked)
+///    [`step_batch_masked`](hima_dnc::GridEngine::step_batch_masked)
 ///    freezes their lanes), collecting per-step read vectors, then apply
 ///    `map` to every episode,
 /// 4. **reduction** — the calling thread collects `(job, index, P)`

@@ -1,9 +1,8 @@
 //! **hima-serve**: a session server with continuous batching over masked
 //! lane grids.
 //!
-//! The batched engines ([`BatchDnc`](hima_dnc::BatchDnc) /
-//! [`BatchDncD`](hima_dnc::BatchDncD)) step `B` independent sequences
-//! through shared weights, and the [`LaneMask`](hima_dnc::LaneMask) tier
+//! The batched engine ([`GridEngine`](hima_dnc::GridEngine)) steps `B`
+//! independent sequences through shared weights, and the [`LaneMask`](hima_dnc::LaneMask) tier
 //! freezes individual lanes bit-exactly. This crate turns that substrate
 //! into a long-lived serving system:
 //!

@@ -12,7 +12,7 @@
 //! approximates (the output projection is dominated by the shared
 //! controller state and would mask the divergence).
 //!
-//! Both models run through the unified [`hima_dnc::MemoryEngine`]
+//! Both models run through the one [`hima_dnc::GridEngine`]
 //! stepping API, one batch lane per episode.
 
 use crate::episode::Episode;
@@ -283,8 +283,8 @@ fn normalized_l2(a: &[f32], b: &[f32]) -> f64 {
     diff / (norm + 1e-9)
 }
 
-/// Builds one engine and drives it over every episode through the unified
-/// [`hima_dnc::MemoryEngine`] API, collecting the *read vectors* (the
+/// Builds one engine and drives it over every episode through the
+/// [`hima_dnc::GridEngine`] API, collecting the *read vectors* (the
 /// retrieved memory content) at every step of every episode:
 /// `result[episode][step]`. One shared implementation with the trained
 /// harness: [`crate::train::episode_features`] — batched one lane per
@@ -441,7 +441,7 @@ mod tests {
         for builder in [cfg.reference_builder(), cfg.engine_builder()] {
             let batched = crate::train::episode_features(&builder, &eval);
             let mut single = builder.clone().lanes(1).build();
-            let sequential = crate::train::sequential_episode_features(&mut *single, &eval);
+            let sequential = crate::train::sequential_episode_features(&mut single, &eval);
             assert_eq!(batched, sequential);
         }
         let ref_reads = crate::train::episode_features(&cfg.reference_builder(), &eval);

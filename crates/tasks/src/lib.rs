@@ -16,8 +16,8 @@
 //! fitting the DNC-D read-merge weights `α` on a calibration split — the
 //! inference-time analogue of the paper's trainable merge.
 //!
-//! Both harnesses drive models exclusively through the unified
-//! [`hima_dnc::MemoryEngine`] API: an [`eval::EvalConfig`] names the
+//! Both harnesses drive models exclusively through the
+//! [`hima_dnc::GridEngine`] API: an [`eval::EvalConfig`] names the
 //! variant under test with a full [`hima_dnc::EngineSpec`] (topology ×
 //! datapath × approximations), and [`train`] takes an
 //! [`hima_dnc::EngineBuilder`], so every sweep — shards, lanes,

@@ -7,17 +7,17 @@
 //! recurrent reservoir and fit a linear map from its feature vector
 //! `[h_t ; v_r]` to one-hot answer targets by ridge regression, exactly as
 //! in echo-state networks. The readout sees the *read vectors* only — see
-//! [`FeatureModel`] for why — yielding absolute retrieval accuracy for any
-//! engine variant: if a sharded or quantized engine retrieves worse
-//! content, its trained readout answers fewer queries correctly.
+//! [`sequential_episode_features`] for why — yielding absolute retrieval
+//! accuracy for any engine variant: if a sharded or quantized engine
+//! retrieves worse content, its trained readout answers fewer queries
+//! correctly.
 //!
-//! The harness is generic over the unified [`MemoryEngine`] API: callers
-//! pass an [`EngineBuilder`] naming the variant, and the episode runner
-//! builds one batch lane per episode.
+//! Callers pass an [`EngineBuilder`] naming the variant, and the episode
+//! runner builds one batch lane per episode.
 
 use crate::episode::{masked_step_block, max_len, Episode};
 use crate::tasks::{TaskSpec, TASKS, VOCAB};
-use hima_dnc::{DncParams, EngineBuilder, MemoryEngine};
+use hima_dnc::{DncParams, EngineBuilder, GridEngine};
 use hima_tensor::linalg::ridge_regression;
 use hima_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -67,7 +67,11 @@ impl TrainedReadout {
     }
 }
 
-/// A model that can provide query-step features.
+/// The one-episode-at-a-time feature runner: resets the single-lane
+/// `model` before each episode and collects the feature vector at every
+/// step. This is the sequential *reference* the batched
+/// [`episode_features`] is conformance-tested against (workspace
+/// `tests/ragged_conformance.rs`).
 ///
 /// The features are the **read vectors only** (not the controller hidden
 /// state): at a query step the controller trivially echoes the probed
@@ -76,42 +80,24 @@ impl TrainedReadout {
 /// variants. Restricting the readout to `v_r` makes the trained accuracy
 /// measure exactly what the memory returned.
 ///
-/// Every single-lane [`MemoryEngine`] implements this via the blanket
-/// impl, so the sequential feature path works for any variant the
-/// [`EngineBuilder`] can produce; [`episode_features`] adds the batched
-/// fast path on top.
-pub trait FeatureModel {
-    /// Resets recurrent and memory state.
-    fn reset_state(&mut self);
-    /// Steps on one input and returns the memory-read feature vector.
-    fn step_features(&mut self, input: &[f32]) -> Vec<f32>;
-}
-
-impl<E: MemoryEngine + ?Sized> FeatureModel for E {
-    fn reset_state(&mut self) {
-        self.reset();
-    }
-
-    fn step_features(&mut self, input: &[f32]) -> Vec<f32> {
-        self.step(input);
-        self.last_read_row(0).to_vec()
-    }
-}
-
-/// The one-episode-at-a-time feature runner: resets the model before each
-/// episode and collects the feature vector at every step. This is the
-/// sequential *reference* the batched [`episode_features`] is
-/// conformance-tested against (workspace `tests/ragged_conformance.rs`),
-/// and is available for any custom [`FeatureModel`].
-pub fn sequential_episode_features<M: FeatureModel + ?Sized>(
-    model: &mut M,
+/// # Panics
+///
+/// Panics if `model` has more than one lane.
+pub fn sequential_episode_features(
+    model: &mut GridEngine,
     episodes: &[Episode],
 ) -> Vec<Vec<Vec<f32>>> {
     episodes
         .iter()
         .map(|ep| {
-            model.reset_state();
-            ep.inputs.iter().map(|x| model.step_features(x)).collect()
+            model.reset();
+            ep.inputs
+                .iter()
+                .map(|x| {
+                    model.step(x);
+                    model.last_read_row(0).to_vec()
+                })
+                .collect()
         })
         .collect()
 }
@@ -126,7 +112,7 @@ pub fn sequential_episode_features<M: FeatureModel + ?Sized>(
 /// longest episode, shorter lanes dropping out of the per-step
 /// [`LaneMask`](hima_dnc::LaneMask) as their episodes end
 /// ([`masked_step_block`]), their state frozen by
-/// [`step_batch_masked`](MemoryEngine::step_batch_masked). Bit-identical
+/// [`step_batch_masked`](GridEngine::step_batch_masked). Bit-identical
 /// to [`sequential_episode_features`] on a single-lane engine
 /// (workspace ragged conformance suite); a uniform list degenerates to
 /// fully-active masks, i.e. exactly the old lock-step fast path. The
@@ -353,7 +339,7 @@ mod tests {
     #[test]
     fn batched_features_match_sequential_featuremodel_path() {
         // The batched fast path of `episode_features` must agree with the
-        // generic single-lane FeatureModel loop for any engine spec.
+        // single-lane sequential loop for any engine spec.
         let task = &TASKS[2];
         let episodes = task.generate(3, 7).episodes;
         for builder in [
@@ -362,7 +348,7 @@ mod tests {
         ] {
             let batched = episode_features(&builder, &episodes);
             let mut single = builder.clone().lanes(1).build();
-            let sequential = sequential_episode_features(&mut *single, &episodes);
+            let sequential = sequential_episode_features(&mut single, &episodes);
             assert_eq!(batched, sequential);
         }
     }
@@ -384,7 +370,7 @@ mod tests {
                 assert_eq!(batched[b].len(), e.len(), "one feature row per real step");
             }
             let mut single = builder.clone().lanes(1).build();
-            let sequential = sequential_episode_features(&mut *single, &episodes);
+            let sequential = sequential_episode_features(&mut single, &episodes);
             assert_eq!(batched, sequential);
         }
     }
@@ -400,7 +386,7 @@ mod tests {
         let builder = EngineBuilder::new(params()).seed(17);
         let (x, y) = collect_query_samples(&builder, &train);
         let mut single = builder.clone().lanes(1).build();
-        let seq_features = sequential_episode_features(&mut *single, &train);
+        let seq_features = sequential_episode_features(&mut single, &train);
         let (mut xs, mut ys) = (Vec::new(), Vec::new());
         for (e, f) in train.iter().zip(&seq_features) {
             let (fr, yr) = episode_query_rows(e, f);
@@ -413,7 +399,7 @@ mod tests {
         let readout = TrainedReadout::fit(&x, &y, 1e-2);
         let batched_acc = readout_accuracy(&builder, &readout, &eval);
         let mut single = builder.clone().lanes(1).build();
-        let eval_features = sequential_episode_features(&mut *single, &eval);
+        let eval_features = sequential_episode_features(&mut single, &eval);
         let (mut correct, mut total) = (0usize, 0usize);
         for (e, f) in eval.iter().zip(&eval_features) {
             let (c, n) = episode_readout_counts(&readout, e, f);

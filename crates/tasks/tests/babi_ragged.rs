@@ -113,7 +113,7 @@ fn ragged_babi_episodes_run_masked_batched_bit_identically_to_sequential() {
     ] {
         let batched = episode_features(&builder, &episodes);
         let mut single = builder.clone().lanes(1).build();
-        let sequential = sequential_episode_features(&mut *single, &episodes);
+        let sequential = sequential_episode_features(&mut single, &episodes);
         assert_eq!(batched, sequential, "masked batched ≡ sequential on bAbI episodes");
     }
 }

@@ -21,7 +21,7 @@ fn main() {
 
     // ---------------------------------------------------------------
     // 2. One engine API: EngineBuilder composes topology × lanes ×
-    //    datapath, and every variant steps through MemoryEngine.
+    //    datapath, and every variant is one GridEngine.
     // ---------------------------------------------------------------
     println!("\n== EngineBuilder sweep (one stepping code path) ==");
     let calib: Vec<Vec<f32>> = (0..16)

@@ -14,7 +14,7 @@
 //! * **harness routing** — `episode_features` / `collect_query_samples`
 //!   / `readout_accuracy` drive ragged lists through the masked batched
 //!   grid (no single-lane fallback) and equal the sequential
-//!   `FeatureModel` reference,
+//!   reference,
 //! * **pipeline** — length-bucketed, padded-and-masked pipeline units
 //!   reproduce the synchronous harness for ragged generated workloads,
 //! * **determinism** — masked lane/shard fan-out never perturbs results
@@ -136,7 +136,7 @@ proptest! {
                 prop_assert_eq!(batched[lane].len(), e.len(), "one row per real step");
             }
             let mut single = b.clone().lanes(1).build();
-            let sequential = sequential_episode_features(&mut *single, &episodes);
+            let sequential = sequential_episode_features(&mut single, &episodes);
             prop_assert_eq!(&batched, &sequential, "{}", spec.label());
         }
     }

@@ -1,8 +1,8 @@
 //! Steady-state **zero-allocation** gate for the batched stepping paths.
 //!
-//! The perf claim of the `StepWorkspace` work is structural, not
-//! wall-clock (CI boxes are noisy): after the first step has sized every
-//! scratch buffer, `step_batch_into` / `step_batch_masked_into` must
+//! The perf claim of the engine's pre-sized step workspace is structural,
+//! not wall-clock (CI boxes are noisy): after the first step has sized
+//! every remaining scratch buffer, `step_batch_into` / `step_batch_masked_into` must
 //! perform **zero heap allocations**, for every engine variant — topology
 //! × datapath × masked/uniform × batch size. The allocating entry points
 //! (`step_batch`, `step_batch_masked`) are thin wrappers whose only
