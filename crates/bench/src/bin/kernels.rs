@@ -25,17 +25,30 @@
 //! `active = 1` row — where both sides run the row kernel — is the
 //! control and must read ≈ 1.0×.
 //!
+//! The same table holds the memory unit's read-phase kernels at one
+//! paper tile (`N = 64, W = 64`) and the served shape (`N = 128, W = 16`):
+//! `linkage_update_branch_free` (the reference's `if i == j` loop vs the
+//! branch-free row body), and `forward_heads` / `content_dots_heads` at
+//! `R = 1, 2, 4` read heads — `R` one-head passes (`matvec_into` over `L`;
+//! `N` one-chain dots over `M`) vs the one `Backend::Scalar.matmul_nt_into`
+//! product that carries a head per SSE lane (`R = 1` runs the row kernel:
+//! four output columns, so four independent add chains, per pass).
+//!
 //! Flags:
 //!
 //! * `--json` — additionally write `BENCH_kernels.json`:
-//!   `{ bench: "kernels", schema_version: 2, params: {memory_size,
+//!   `{ bench: "kernels", schema_version: 3, params: {memory_size,
 //!   word_size, hidden_size}, kernels: [{kernel, batch,
 //!   scalar_ns_per_call, blocked_ns_per_call, speedup}],
-//!   scalar_variants: [{kernel, batch, active, reference, variant,
+//!   scalar_variants: [{kernel, shape, batch, active, reference, variant,
 //!   reference_ns_per_call, variant_ns_per_call, speedup}] }`
-//!   (`batch` is 0 for kernels without a batch axis),
+//!   (`batch` is 0 for kernels without a batch axis; `active` counts
+//!   live rows of the left factor — active lanes, or read heads; `shape`
+//!   names the memory geometry of a read-phase row and is empty
+//!   otherwise),
 //! * `--smoke` — short measurement windows for CI.
 
+use hima::dnc::linkage::TemporalLinkage;
 use hima::tensor::{Backend, LaneMask, Matrix, QFormat};
 use std::time::{Duration, Instant};
 
@@ -57,6 +70,7 @@ struct Row {
 /// One measured pairing of two bit-identical forms of a scalar-tier kernel.
 struct VariantRow {
     kernel: &'static str,
+    shape: String,
     batch: usize,
     active: usize,
     reference: &'static str,
@@ -71,6 +85,10 @@ const QUANTIZE_ELEMS: usize = 4096;
 /// [`LANE_GRID`] lanes.
 const ACTIVE_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 const LANE_GRID: usize = 8;
+/// `(N, W)` of the read-phase rows: one paper tile and the served shape.
+const UNIT_SHAPES: [(usize, usize); 2] = [(64, 64), (128, 16)];
+/// Read-head counts of the `forward_heads` / `content_dots_heads` rows.
+const HEAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Q-format rounding as defined — `(x·2^frac).round().clamp()` through
 /// libm `round`, one element at a time: what the slice kernel replaced
@@ -231,14 +249,15 @@ fn main() {
     );
 
     println!(
-        "\n{:<26} {:>6} {:>6} {:>14} {:>14} {:>9}",
-        "scalar-tier variant", "batch", "active", "reference ns", "variant ns", "speedup"
+        "\n{:<27} {:>11} {:>6} {:>6} {:>14} {:>14} {:>9}",
+        "scalar-tier variant", "shape", "batch", "active", "reference ns", "variant ns", "speedup"
     );
     let mut variants: Vec<VariantRow> = Vec::new();
     let mut report_variant = |row: VariantRow| {
         println!(
-            "{:<26} {:>6} {:>6} {:>14.0} {:>14.0} {:>8}",
+            "{:<27} {:>11} {:>6} {:>6} {:>14.0} {:>14.0} {:>8}",
             row.kernel,
+            row.shape,
             row.batch,
             row.active,
             row.reference_ns,
@@ -271,6 +290,7 @@ fn main() {
     assert_eq!(buf_r, buf_v, "slice kernel must equal the round() definition");
     report_variant(VariantRow {
         kernel: "quantize_slice",
+        shape: String::new(),
         batch: 0,
         active: 0,
         reference: "round() definition, per element",
@@ -299,6 +319,7 @@ fn main() {
         assert_eq!(out_r, out_v, "lane-packed kernel must equal the row kernel");
         report_variant(VariantRow {
             kernel: "matmul_nt_masked_lanes",
+            shape: String::new(),
             batch: LANE_GRID,
             active,
             reference: "row kernel (Matrix::matmul_nt_masked_into)",
@@ -307,6 +328,92 @@ fn main() {
             variant_ns: v,
         });
     }
+    // The memory unit's read phase, scalar tier only.
+    for &(n, w) in &UNIT_SHAPES {
+        let shape = format!("N={n} W={w}");
+        let write: Vec<f32> = (0..n).map(|i| ((i * 13) as f32 * 0.21).sin().abs() / n as f32).collect();
+        let mut warmed = TemporalLinkage::new(n);
+        for _ in 0..4 {
+            warmed.update(&write);
+        }
+        // One checked update each, then the timed ones (the linkage keeps
+        // decaying under them, so the two sides' states drift apart).
+        let (mut link_r, mut link_v) = (warmed.clone(), warmed.clone());
+        link_r.update_linkage(&write);
+        link_v.update_linkage_with(&write, Backend::Scalar);
+        assert_eq!(link_r, link_v, "branch-free update must equal the reference");
+        let (r, v) = best_of_paired(
+            reps,
+            measure,
+            || link_r.update_linkage(&write),
+            || link_v.update_linkage_with(&write, Backend::Scalar),
+        );
+        report_variant(VariantRow {
+            kernel: "linkage_update_branch_free",
+            shape: shape.clone(),
+            batch: 0,
+            active: 0,
+            reference: "TemporalLinkage::update_linkage (if i == j per element)",
+            variant: "TemporalLinkage::update_linkage_with (row, then zero the diagonal)",
+            reference_ns: r,
+            variant_ns: v,
+        });
+
+        let linkage = warmed.matrix();
+        let memory = test_matrix(n, w, 4);
+        for &heads in &HEAD_COUNTS {
+            let reads =
+                Matrix::from_fn(heads, n, |h, i| ((h * 29 + i * 13) as f32 * 0.21).sin().abs() / n as f32);
+            let mut out_r = Matrix::zeros(heads, n);
+            let mut out_v = Matrix::zeros(heads, n);
+            let (r, v) = best_of_paired(
+                reps,
+                measure,
+                || {
+                    for h in 0..heads {
+                        linkage.matvec_into(reads.row(h), out_r.row_mut(h));
+                    }
+                },
+                || Backend::Scalar.matmul_nt_into(&reads, linkage, &mut out_v),
+            );
+            assert_eq!(out_r, out_v, "head-packed forward must equal the per-head mat-vecs");
+            report_variant(VariantRow {
+                kernel: "forward_heads",
+                shape: shape.clone(),
+                batch: 0,
+                active: heads,
+                reference: "Matrix::matvec_into over L, once per head",
+                variant: "Backend::Scalar.matmul_nt_into(reads, L) (lane-packed from 2 heads)",
+                reference_ns: r,
+                variant_ns: v,
+            });
+
+            let keys = test_matrix(heads, w, 5);
+            let (r, v) = best_of_paired(
+                reps,
+                measure,
+                || {
+                    for h in 0..heads {
+                        for (i, o) in out_r.row_mut(h).iter_mut().enumerate() {
+                            *o = Backend::Scalar.dot(memory.row(i), keys.row(h));
+                        }
+                    }
+                },
+                || Backend::Scalar.matmul_nt_into(&keys, &memory, &mut out_v),
+            );
+            assert_eq!(out_r, out_v, "head-packed content dots must equal the per-pair dots");
+            report_variant(VariantRow {
+                kernel: "content_dots_heads",
+                shape: shape.clone(),
+                batch: 0,
+                active: heads,
+                reference: "Backend::Scalar.dot per (head, memory row)",
+                variant: "Backend::Scalar.matmul_nt_into(keys, M) (lane-packed from 2 heads)",
+                reference_ns: r,
+                variant_ns: v,
+            });
+        }
+    }
     println!(
         "\nBoth sides of every row above return identical bits (asserted on\n\
          the spot); the rows only say which form is faster."
@@ -314,7 +421,7 @@ fn main() {
 
     if json {
         let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 2,\n");
+        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 3,\n");
         s.push_str(&format!(
             "  \"params\": {{\"memory_size\": {N}, \"word_size\": {W}, \"hidden_size\": {HIDDEN}}},\n"
         ));
@@ -333,8 +440,9 @@ fn main() {
         s.push_str("  ],\n  \"scalar_variants\": [\n");
         for (i, r) in variants.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"batch\": {}, \"active\": {}, \"reference\": \"{}\", \"variant\": \"{}\", \"reference_ns_per_call\": {:.1}, \"variant_ns_per_call\": {:.1}, \"speedup\": {:.3}}}{}\n",
+                "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"batch\": {}, \"active\": {}, \"reference\": \"{}\", \"variant\": \"{}\", \"reference_ns_per_call\": {:.1}, \"variant_ns_per_call\": {:.1}, \"speedup\": {:.3}}}{}\n",
                 r.kernel,
+                r.shape,
                 r.batch,
                 r.active,
                 r.reference,

@@ -53,6 +53,11 @@ use hima_tensor::{Backend, LaneMask, Matrix};
 use rayon::prelude::*;
 
 /// A shard's memory unit on either datapath.
+// Both variants are a `MemoryUnit`; the quantized one carries its
+// interface-rounding scratch inline as well (~200 bytes). Shards sit in
+// one flat `Vec` and are stepped in place, so boxing the larger variant
+// would only add a pointer chase to every quantized step.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub(crate) enum LaneMemory {
     /// Exact f32 unit.
@@ -173,7 +178,7 @@ impl LaneState {
                 let n = u.memory().rows();
                 u.memory().rows() * u.memory().cols()
                     + n * (2 + n) // usage + precedence + linkage
-                    + n * (1 + u.read_weightings().len()) // write + read weightings
+                    + n * (1 + u.read_weightings().rows()) // write + read weightings
                     + read.len()
             })
             .sum();
@@ -555,14 +560,25 @@ impl GridEngine {
         // allocation-free on every worker.
         let (w, r) = (self.params.word_size, self.params.read_heads);
         let raws = &ws.raw_shards;
-        self.shards.par_iter_mut().enumerate().for_each(|(i, shard)| {
+        let step_shard = |(i, shard): (usize, &mut Shard)| {
             let (bi, s) = (i / nt, i % nt);
             if !mask.is_active(bi) {
                 return;
             }
             shard.iv.parse_into(raws[s].row(bi), w, r);
             shard.memory.step_into(&shard.iv, &mut shard.read);
-        });
+        };
+        if mask.active_count() * nt <= 1 {
+            // At most one shard has work (one active lane of a one-shard
+            // grid — a lone served session): run it here. Fanning `B`
+            // tasks out to workers for a single 20–35 µs unit step costs
+            // more than the step. Same task body, so the same bits.
+            if let Some(bi) = mask.active_lanes().next() {
+                step_shard((bi, &mut self.shards[bi]));
+            }
+        } else {
+            self.shards.par_iter_mut().enumerate().for_each(step_shard);
+        }
 
         // Gather shard reads per active lane straight into the lane's
         // last-read row — sequential and deterministic regardless of
@@ -1195,6 +1211,40 @@ mod tests {
         let unit = ReadMerge::from_weights(vec![1.0]);
         gather_reads(Some(&unit), &engine.shards[..1], engine.last_read.row_mut(0));
         assert_eq!(engine.last_read_row(0)[0].to_bits(), 0.0f32.to_bits());
+    }
+
+    /// One active lane of a one-shard grid runs its shard inline instead
+    /// of through the worker fan-out; the lane must step exactly as a
+    /// single-lane engine does whatever the pool size, and a one-lane
+    /// mask over a *sharded* grid (several tasks) must still fan out right.
+    #[test]
+    fn a_lone_active_lane_steps_like_a_single_lane_engine_at_any_pool_size() {
+        let (batch, steps) = (4, 8);
+        let lanes = lane_inputs(batch, steps, 5);
+        for tiles in [None, Some(4)] {
+            let build = |b| match tiles {
+                None => mono(b, 31),
+                Some(nt) => sharded(nt, b, 31),
+            };
+            for threads in [1, 3] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let mut grid = build(batch);
+                let mut solos: Vec<_> = (0..batch).map(|_| build(1)).collect();
+                pool.install(|| {
+                    for t in 0..steps {
+                        let lane = (t * 3) % batch;
+                        let mask = LaneMask::from_fn(batch, |b| b == lane);
+                        let frozen = grid.last_read_rows();
+                        let y = grid.step_batch_masked(&step_block(&lanes, t), &mask);
+                        let want = solos[lane].step(&lanes[lane][t]);
+                        assert_eq!(y.row(lane), &want[..], "tiles={tiles:?} threads={threads} t={t}");
+                        for b in (0..batch).filter(|&b| b != lane) {
+                            assert_eq!(grid.last_read_row(b), frozen.row(b), "lane {b} must stay frozen");
+                        }
+                    }
+                });
+            }
+        }
     }
 
     /// A rehydrated session keeps the *engine's* profiling gate: a decoded

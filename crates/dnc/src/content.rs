@@ -4,6 +4,12 @@
 //! are L2-normalized, their inner products scaled by the strength `β`, and a
 //! softmax turns the similarities into a weighting over slots. The softmax
 //! can optionally run through the PLA+LUT hardware approximation (§5.2).
+//!
+//! [`content_weighting_into`] is the plain one-key definition (and the
+//! write head's lookup). The memory unit's `R` read lookups go through
+//! [`content_weightings_heads_into`], which takes the keys as the rows of
+//! one `R × W` matrix so the `row · key` dots of all heads are one product
+//! over `M`; everything after the dots is the one-key code, per head.
 
 use hima_tensor::softmax::PlaSoftmax;
 use hima_tensor::vector::norm;
@@ -91,13 +97,7 @@ pub fn content_weighting_into_with(
     backend: Backend,
 ) {
     similarities_into_with(memory, key, row_norms, out, backend);
-    for s in out.iter_mut() {
-        *s *= beta;
-    }
-    match approx {
-        Some(p) => p.softmax_inplace(out),
-        None => backend.softmax_inplace(out),
-    }
+    sharpen(out, beta, approx, backend);
 }
 
 /// Cosine similarities between each memory row and `key` (the normalize +
@@ -143,10 +143,82 @@ pub fn similarities_into_with(
     assert_eq!(key.len(), memory.cols(), "key width must match memory word size");
     assert_eq!(row_norms.len(), memory.rows(), "row norm cache length mismatch");
     assert_eq!(out.len(), memory.rows(), "similarity output length mismatch");
-    let key_norm = norm(key);
+    dots_into(memory, key, out, backend);
+    cosines_from_dots(out, key, row_norms);
+}
+
+/// `out[i] = memory.row(i) · key`, each dot on the selected kernel tier.
+fn dots_into(memory: &Matrix, key: &[f32], out: &mut [f32], backend: Backend) {
     for (i, o) in out.iter_mut().enumerate() {
-        let row = memory.row(i);
-        *o = backend.dot(row, key) / (row_norms[i] * key_norm + NORM_EPSILON);
+        *o = backend.dot(memory.row(i), key);
+    }
+}
+
+/// Turns raw `row · key` dots into cosine similarities in place.
+fn cosines_from_dots(dots: &mut [f32], key: &[f32], row_norms: &[f32]) {
+    let key_norm = norm(key);
+    for (d, &row_norm) in dots.iter_mut().zip(row_norms) {
+        *d /= row_norm * key_norm + NORM_EPSILON;
+    }
+}
+
+/// Scales similarities by the strength `beta` and normalizes them into a
+/// weighting in place (exact softmax on `backend`, or the PLA unit).
+fn sharpen(sims: &mut [f32], beta: f32, approx: Option<&PlaSoftmax>, backend: Backend) {
+    for s in sims.iter_mut() {
+        *s *= beta;
+    }
+    match approx {
+        Some(p) => p.softmax_inplace(sims),
+        None => backend.softmax_inplace(sims),
+    }
+}
+
+/// Content weightings of all `R` read heads at once: row `h` of `out` is
+/// `C(M, keys.row(h), betas[h])` — what [`content_weighting_into_with`]
+/// yields for that key, computed with one pass over `memory` for the dots
+/// of every head.
+///
+/// On the scalar tier the dots are one [`Backend::matmul_nt_into`]
+/// (`keys · Mᵀ`): one head per SSE lane, each dot still one rounded
+/// multiply then one rounded add per ascending `k`, so every row of `out`
+/// is bit-identical to the one-key form. (A dot whose products are all
+/// `-0.0` comes out `+0.0` here and `-0.0` from [`hima_tensor::vector::dot`],
+/// whose sum starts from `-0.0`; the max-shifted softmax maps both to the
+/// same weighting, and the head-batching tests pin `-0.0` keys.) The
+/// blocked tier keeps its per-pair [`Backend::dot`] — the reduction shape
+/// its results have always had — rather than the `matmul_nt` one.
+///
+/// # Panics
+///
+/// Panics if `keys` is not `R × memory.cols()`, `out` is not
+/// `R × memory.rows()`, or `betas`/`row_norms` lengths differ from `R` /
+/// `memory.rows()`.
+pub fn content_weightings_heads_into(
+    memory: &Matrix,
+    keys: &Matrix,
+    betas: &[f32],
+    approx: Option<&PlaSoftmax>,
+    row_norms: &[f32],
+    out: &mut Matrix,
+    backend: Backend,
+) {
+    assert_eq!(keys.cols(), memory.cols(), "key width must match memory word size");
+    assert_eq!(betas.len(), keys.rows(), "one strength per read key");
+    assert_eq!(row_norms.len(), memory.rows(), "row norm cache length mismatch");
+    assert_eq!(out.shape(), (keys.rows(), memory.rows()), "similarity output shape mismatch");
+    match backend {
+        Backend::Scalar => backend.matmul_nt_into(keys, memory, out),
+        Backend::Blocked => {
+            for head in 0..keys.rows() {
+                dots_into(memory, keys.row(head), out.row_mut(head), backend);
+            }
+        }
+    }
+    for (head, &beta) in betas.iter().enumerate() {
+        let sims = out.row_mut(head);
+        cosines_from_dots(sims, keys.row(head), row_norms);
+        sharpen(sims, beta, approx, backend);
     }
 }
 
@@ -244,6 +316,43 @@ mod tests {
         let pla = PlaSoftmax::default();
         content_weighting_into(&m, &key, 2.5, Some(&pla), &norms, &mut out);
         assert_eq!(out, content_weighting(&m, &key, 2.5, Some(&pla)));
+    }
+
+    #[test]
+    fn head_batched_weightings_equal_the_one_key_form_bit_for_bit() {
+        // One head takes the row kernel, two or more the lane-packed one;
+        // N covers every `n % 4` and W is odd.
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let pla = PlaSoftmax::default();
+        for (n, w) in [(1usize, 3usize), (3, 5), (7, 5), (64, 17), (130, 9)] {
+            let m = Matrix::from_fn(n, w, |i, j| ((i * w + j) as f32 * 0.27).sin());
+            let norms = m.row_norms();
+            for r in 1..=5usize {
+                let mut keys = Matrix::from_fn(r, w, |h, j| ((h * 7 + j) as f32 * 0.41).cos());
+                keys.row_mut(r - 1).fill(-0.0);
+                let betas: Vec<f32> = (0..r).map(|h| 1.0 + h as f32 * 2.5).collect();
+                for approx in [None, Some(&pla)] {
+                    for backend in [Backend::Scalar, Backend::Blocked] {
+                        let mut got = Matrix::filled(r, n, f32::NAN);
+                        content_weightings_heads_into(
+                            &m, &keys, &betas, approx, &norms, &mut got, backend,
+                        );
+                        let mut want = vec![f32::NAN; n];
+                        for (h, &beta) in betas.iter().enumerate() {
+                            let key = keys.row(h);
+                            content_weighting_into_with(
+                                &m, key, beta, approx, &norms, &mut want, backend,
+                            );
+                            assert_eq!(
+                                bits(got.row(h)),
+                                bits(&want),
+                                "n={n} w={w} r={r} h={h} {backend:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

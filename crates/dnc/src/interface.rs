@@ -7,13 +7,15 @@
 //! per-head `softmax` for the three read modes (backward, content, forward).
 
 use hima_tensor::activation::{oneplus, sigmoid};
+use hima_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// Parsed, activation-constrained interface vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InterfaceVector {
-    /// Read keys `k_r^i ∈ R^W`, one per head.
-    pub read_keys: Vec<Vec<f32>>,
+    /// Read keys `k_r^i ∈ R^W`, one row per head (`R × W`) — the left
+    /// factor of the memory unit's one content-dot product for all heads.
+    pub read_keys: Matrix,
     /// Read strengths `β_r^i ≥ 1`.
     pub read_strengths: Vec<f32>,
     /// Write key `k_w ∈ R^W`.
@@ -39,7 +41,7 @@ impl InterfaceVector {
     /// reusable parse target of [`InterfaceVector::parse_into`].
     pub fn zeroed(word_size: usize, read_heads: usize) -> Self {
         Self {
-            read_keys: vec![vec![0.0; word_size]; read_heads],
+            read_keys: Matrix::zeros(read_heads, word_size),
             read_strengths: vec![0.0; read_heads],
             write_key: vec![0.0; word_size],
             write_strength: 0.0,
@@ -95,9 +97,9 @@ impl InterfaceVector {
             s
         };
 
-        for key in &mut self.read_keys {
-            key.copy_from_slice(take(w));
-        }
+        // The emission lists the keys head-major: already the row-major
+        // `R × W` block.
+        self.read_keys.as_mut_slice().copy_from_slice(take(w * r));
         for (s, &x) in self.read_strengths.iter_mut().zip(take(r)) {
             *s = oneplus(x);
         }
@@ -133,7 +135,7 @@ impl InterfaceVector {
     /// # Panics
     ///
     /// Panics if the row width does not match the `W`/`R` layout.
-    pub fn parse_rows(raw: &hima_tensor::Matrix, word_size: usize, read_heads: usize) -> Vec<Self> {
+    pub fn parse_rows(raw: &Matrix, word_size: usize, read_heads: usize) -> Vec<Self> {
         (0..raw.rows())
             .map(|b| Self::parse(raw.row(b), word_size, read_heads))
             .collect()
@@ -141,7 +143,7 @@ impl InterfaceVector {
 
     /// Number of read heads this interface drives.
     pub fn read_heads(&self) -> usize {
-        self.read_keys.len()
+        self.read_keys.rows()
     }
 
     /// Word width `W`.
@@ -183,8 +185,8 @@ mod tests {
         let iv = InterfaceVector::parse(&raw, w, r);
         assert_eq!(iv.read_heads(), r);
         assert_eq!(iv.word_size(), w);
-        assert_eq!(iv.read_keys.len(), r);
-        assert_eq!(iv.read_keys[0].len(), w);
+        assert_eq!(iv.read_keys.shape(), (r, w));
+        assert_eq!(iv.read_keys.row(1), &raw[w..2 * w], "head 1's key is the second W-block");
         assert_eq!(iv.erase.len(), w);
         assert_eq!(iv.write.len(), w);
         assert!(iv.is_well_formed());
@@ -197,7 +199,7 @@ mod tests {
         raw[0] = 2.5; // first element of first read key
         raw[w * r + r] = -3.5; // first element of the write key
         let iv = InterfaceVector::parse(&raw, w, r);
-        assert_eq!(iv.read_keys[0][0], 2.5);
+        assert_eq!(iv.read_keys[(0, 0)], 2.5);
         assert_eq!(iv.write_key[0], -3.5);
     }
 

@@ -13,6 +13,20 @@
 //!
 //! Forward/backward read weightings are `f^r = L w_r` and `b^r = Lᵀ w_r`.
 //! Invariants: zero diagonal and every row/column sum ≤ 1.
+//!
+//! Two forms of each kernel live here. [`TemporalLinkage::update_linkage`],
+//! [`TemporalLinkage::forward_into`] and [`TemporalLinkage::backward_into`]
+//! are the plain one-head-at-a-time definitions — the reference the tests
+//! compare against. The memory unit steps through
+//! [`TemporalLinkage::update_linkage_with`] (one branch-free row body) and
+//! the head-batched [`TemporalLinkage::forward_heads_into`] /
+//! [`TemporalLinkage::backward_heads_into`], which take all `R` previous
+//! read weightings as the rows of one `R × N` matrix so `L` is walked once
+//! for all heads, as HiMA's tiles do. `F = W_r · Lᵀ` is then one
+//! [`Backend::matmul_nt_into`]: on the scalar tier one head per SSE lane,
+//! every `F[h, i]` still one rounded multiply then one rounded add per
+//! ascending `k` — reordering *which head* a lane holds never touches the
+//! order *within* a head's sum, so the bits are those of `forward_into`.
 
 use hima_tensor::{Backend, F32x8, Matrix, QFormat};
 use serde::{Deserialize, Serialize};
@@ -99,46 +113,42 @@ impl TemporalLinkage {
         }
     }
 
-    /// Backend-dispatching form of [`TemporalLinkage::update_linkage`].
-    ///
-    /// The blocked tier computes each row branch-free over [`F32x8`] lanes
-    /// and zeroes the diagonal afterwards. The per-element expression
-    /// `(1 − w_w[i] − w_w[j]) · L[i,j] + w_w[i] · p[j]` is element-wise
-    /// (no reduction), so both tiers produce bit-identical matrices.
+    /// The memory unit's form of [`TemporalLinkage::update_linkage`]: each
+    /// row is computed branch-free over [`F32x8`] lanes and its diagonal
+    /// entry zeroed afterwards, instead of testing `i == j` per element.
+    /// The per-element expression
+    /// `(1 − w_w[i] − w_w[j]) · L[i,j] + w_w[i] · p[j]` is element-wise (no
+    /// reduction) and keeps the reference's operation order, so the
+    /// matrix is bit-identical to `update_linkage`'s — on either tier,
+    /// which is why one body serves both and `_backend` selects nothing.
     ///
     /// # Panics
     ///
     /// Panics if `write_weighting.len() != len()`.
-    pub fn update_linkage_with(&mut self, write_weighting: &[f32], backend: Backend) {
-        match backend {
-            Backend::Scalar => self.update_linkage(write_weighting),
-            Backend::Blocked => {
-                let n = self.len();
-                assert_eq!(write_weighting.len(), n, "write weighting length mismatch");
-                let precedence = &self.precedence;
-                let n8 = n - n % 8;
-                for i in 0..n {
-                    let wi = write_weighting[i];
-                    let wiv = F32x8::splat(wi);
-                    let one_minus_wi = F32x8::splat(1.0 - wi);
-                    let row = self.linkage.row_mut(i);
-                    let mut j = 0;
-                    while j < n8 {
-                        let wv = F32x8::load(&write_weighting[j..j + 8]);
-                        let pv = F32x8::load(&precedence[j..j + 8]);
-                        let lv = F32x8::load(&row[j..j + 8]);
-                        // (1 − wi − w[j]) · l + wi · p[j], same operation
-                        // order as the scalar loop's left-associated
-                        // expression.
-                        one_minus_wi.sub(wv).mul(lv).add(wiv.mul(pv)).store(&mut row[j..j + 8]);
-                        j += 8;
-                    }
-                    for j in n8..n {
-                        row[j] = (1.0 - wi - write_weighting[j]) * row[j] + wi * precedence[j];
-                    }
-                    row[i] = 0.0;
-                }
+    pub fn update_linkage_with(&mut self, write_weighting: &[f32], _backend: Backend) {
+        let n = self.len();
+        assert_eq!(write_weighting.len(), n, "write weighting length mismatch");
+        let precedence = &self.precedence;
+        let n8 = n - n % 8;
+        for i in 0..n {
+            let wi = write_weighting[i];
+            let wiv = F32x8::splat(wi);
+            let one_minus_wi = F32x8::splat(1.0 - wi);
+            let row = self.linkage.row_mut(i);
+            let mut j = 0;
+            while j < n8 {
+                let wv = F32x8::load(&write_weighting[j..j + 8]);
+                let pv = F32x8::load(&precedence[j..j + 8]);
+                let lv = F32x8::load(&row[j..j + 8]);
+                // (1 − wi − w[j]) · l + wi · p[j], same operation order
+                // as the reference loop's left-associated expression.
+                one_minus_wi.sub(wv).mul(lv).add(wiv.mul(pv)).store(&mut row[j..j + 8]);
+                j += 8;
             }
+            for j in n8..n {
+                row[j] = (1.0 - wi - write_weighting[j]) * row[j] + wi * precedence[j];
+            }
+            row[i] = 0.0;
         }
     }
 
@@ -175,15 +185,17 @@ impl TemporalLinkage {
         self.linkage.matvec_into(read_weighting, out);
     }
 
-    /// Backend-dispatching form of [`TemporalLinkage::forward_into`] — the
-    /// `N × N` mat-vec that dominates the history-read stage at engine
-    /// sizes runs on the selected kernel tier.
+    /// Forward weightings of all heads at once: row `h` of `out` is
+    /// `L · read_weightings.row(h)` — one `W_r · Lᵀ` product on the
+    /// selected kernel tier, so `L` is walked once for all `R` heads. On
+    /// the scalar tier each row carries the bits of
+    /// [`TemporalLinkage::forward_into`] (see the [module docs](self)).
     ///
     /// # Panics
     ///
-    /// Panics if `read_weighting.len() != len()` or `out.len() != len()`.
-    pub fn forward_into_with(&self, read_weighting: &[f32], out: &mut [f32], backend: Backend) {
-        backend.matvec_into(&self.linkage, read_weighting, out);
+    /// Panics if `read_weightings` or `out` is not `R × len()`.
+    pub fn forward_heads_into(&self, read_weightings: &Matrix, out: &mut Matrix, backend: Backend) {
+        backend.matmul_nt_into(read_weightings, &self.linkage, out);
     }
 
     /// Backward weighting `b = Lᵀ · w_r`.
@@ -205,15 +217,20 @@ impl TemporalLinkage {
         self.linkage.matvec_t_into(read_weighting, out);
     }
 
-    /// Backend-dispatching form of [`TemporalLinkage::backward_into`].
-    /// Both tiers are bit-identical here (the transposed mat-vec keeps
-    /// scalar's accumulation order on the blocked tier).
+    /// Backward weightings of all heads: row `h` of `out` is
+    /// `Lᵀ · read_weightings.row(h)`, on the selected kernel tier. Both
+    /// tiers are bit-identical to [`TemporalLinkage::backward_into`] per
+    /// row (the transposed mat-vec keeps the reference's accumulation
+    /// order, and its skip of `w == 0.0` slots, on the blocked tier).
     ///
     /// # Panics
     ///
-    /// Panics if `read_weighting.len() != len()` or `out.len() != len()`.
-    pub fn backward_into_with(&self, read_weighting: &[f32], out: &mut [f32], backend: Backend) {
-        backend.matvec_t_into(&self.linkage, read_weighting, out);
+    /// Panics if `read_weightings` or `out` is not `R × len()`.
+    pub fn backward_heads_into(&self, read_weightings: &Matrix, out: &mut Matrix, backend: Backend) {
+        assert_eq!(out.shape(), read_weightings.shape(), "backward output shape mismatch");
+        for head in 0..read_weightings.rows() {
+            backend.matvec_t_into(&self.linkage, read_weightings.row(head), out.row_mut(head));
+        }
     }
 
     /// Resets linkage and precedence to zero **in place** — the
@@ -440,12 +457,41 @@ mod tests {
         assert_eq!(merged, merge_read_weighting(&b, &c, &f, [0.25, 0.25, 0.5]));
     }
 
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Deterministic pseudo-random values in `[0, 1)`.
+    fn xorshift(seed: u64) -> impl FnMut() -> f32 {
+        let mut s = seed | 1;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 40) as f32 / (1u64 << 24) as f32
+        }
+    }
+
+    /// A random sub-normalized write weighting.
+    fn soft_write(n: usize, next: &mut impl FnMut() -> f32) -> Vec<f32> {
+        let mut w: Vec<f32> = (0..n).map(|_| next()).collect();
+        let s: f32 = w.iter().sum();
+        if s > 1.0 {
+            for x in &mut w {
+                *x /= s;
+            }
+        }
+        w
+    }
+
     #[test]
     fn blocked_linkage_update_is_bit_identical_to_scalar() {
-        // Element-wise kernel, no reductions: the branch-free blocked row
-        // update must reproduce the scalar branchy loop bit for bit,
-        // including at non-multiple-of-8 sizes and for forward/backward.
+        // Element-wise kernel, no reductions: the branch-free row update
+        // must reproduce the reference's branchy loop bit for bit on
+        // either tier, including at non-multiple-of-8 sizes, and so must
+        // the transposed mat-vec behind the backward weightings.
         for n in [1usize, 7, 8, 9, 16, 23, 128] {
+            let mut reference = TemporalLinkage::new(n);
             let mut a = TemporalLinkage::new(n);
             let mut b = TemporalLinkage::new(n);
             for t in 0..6 {
@@ -457,18 +503,89 @@ mod tests {
                         *x /= s;
                     }
                 }
+                reference.update(&w);
                 a.update_linkage_with(&w, Backend::Scalar);
                 a.update_precedence(&w);
                 b.update_linkage_with(&w, Backend::Blocked);
                 b.update_precedence(&w);
                 assert_eq!(a, b, "n={n} t={t}");
+                assert_eq!(
+                    bits(a.matrix().as_slice()),
+                    bits(reference.matrix().as_slice()),
+                    "vs update_linkage, n={n} t={t}"
+                );
 
-                let r: Vec<f32> = (0..n).map(|i| ((i + t) as f32 * 0.11).sin().abs() / n as f32).collect();
-                let mut fa = vec![f32::NAN; n];
-                let mut fb = vec![f32::NAN; n];
-                a.backward_into_with(&r, &mut fa, Backend::Scalar);
-                b.backward_into_with(&r, &mut fb, Backend::Blocked);
-                assert_eq!(fa, fb, "backward n={n} t={t}");
+                let r = Matrix::from_fn(1, n, |_, i| ((i + t) as f32 * 0.11).sin().abs() / n as f32);
+                let mut want = vec![f32::NAN; n];
+                reference.backward_into(r.row(0), &mut want);
+                for backend in [Backend::Scalar, Backend::Blocked] {
+                    let mut got = Matrix::filled(1, n, f32::NAN);
+                    a.backward_heads_into(&r, &mut got, backend);
+                    assert_eq!(bits(got.row(0)), bits(&want), "backward n={n} t={t} {backend:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn branch_free_update_equals_the_reference_over_random_and_one_hot_writes() {
+        for n in [1usize, 3, 4, 7, 64, 130] {
+            let mut next = xorshift(0x5eed + n as u64);
+            let mut reference = TemporalLinkage::new(n);
+            let mut fast = TemporalLinkage::new(n);
+            for t in 0..12 {
+                // Soft writes interleaved with hard ones: a one-hot write
+                // makes `1 − w[i] − w[j]` exactly 0 along its row and
+                // column, the case the diagonal branch used to share.
+                let w = if t % 3 == 2 { one_hot(n, (t * 5) % n) } else { soft_write(n, &mut next) };
+                reference.update_linkage(&w);
+                fast.update_linkage_with(&w, Backend::Scalar);
+                assert_eq!(
+                    bits(fast.matrix().as_slice()),
+                    bits(reference.matrix().as_slice()),
+                    "n={n} t={t}"
+                );
+                reference.update_precedence(&w);
+                fast.update_precedence(&w);
+            }
+            assert!(fast.check_invariants(1e-4), "n={n}");
+        }
+    }
+
+    #[test]
+    fn head_batched_forward_backward_equal_the_per_head_reference() {
+        for n in [1usize, 3, 4, 7, 64, 130] {
+            let mut next = xorshift(0xf00d + n as u64);
+            let mut l = TemporalLinkage::new(n);
+            for _ in 0..5 {
+                l.update(&soft_write(n, &mut next));
+            }
+            for r in 1..=5usize {
+                // Head 0 reads nothing at all (every slot takes backward's
+                // `w == 0.0` skip); the others are soft weightings with a
+                // few exact zeros.
+                let reads = Matrix::from_fn(r, n, |h, _| {
+                    let x = next();
+                    if h == 0 || x < 0.2 { 0.0 } else { x / n as f32 }
+                });
+                let (mut f_want, mut b_want) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+                for backend in [Backend::Scalar, Backend::Blocked] {
+                    let mut fwd = Matrix::filled(r, n, f32::NAN);
+                    let mut bwd = Matrix::filled(r, n, f32::NAN);
+                    l.forward_heads_into(&reads, &mut fwd, backend);
+                    l.backward_heads_into(&reads, &mut bwd, backend);
+                    for h in 0..r {
+                        l.forward_into(reads.row(h), &mut f_want);
+                        l.backward_into(reads.row(h), &mut b_want);
+                        assert_eq!(bits(bwd.row(h)), bits(&b_want), "backward n={n} r={r} h={h}");
+                        if backend == Backend::Scalar {
+                            assert_eq!(bits(fwd.row(h)), bits(&f_want), "forward n={n} r={r} h={h}");
+                        } else {
+                            // Blocked re-associates the row dots.
+                            hima_tensor::assert_close(fwd.row(h), &f_want, 1e-5);
+                        }
+                    }
+                }
             }
         }
     }

@@ -6,9 +6,29 @@
 //! → write merge → memory write → linkage + precedence → forward/backward →
 //! content read weighting → read merge → memory read. Every stage is timed
 //! into a [`KernelProfile`] so runtime-breakdown figures can be regenerated.
+//!
+//! The read phase treats the `R` heads as the rows of one product, as
+//! HiMA's tiles walk their local `L` and `M` blocks once for all heads:
+//! the previous read weightings are one `R × N` matrix `W_r` and the read
+//! keys one `R × W` matrix `K`, so the forward weightings of every head
+//! are the single product `W_r · Lᵀ` and the content dots of every head
+//! the single product `K · Mᵀ` (the **fused head products**). Only then
+//! does a per-head loop finish the work that has no shared operand:
+//! merge the three weightings through the head's read modes (straight
+//! into the head's row of `W_r` — every head's inputs were taken from the
+//! previous `W_r` above, so nothing still reads it) and read memory,
+//! `v_r = Mᵀ w_r`.
+//!
+//! Head packing changes which *head* an SSE lane carries, never the order
+//! of operations inside one head's sum: on [`Backend::Scalar`] each
+//! element of both products is still one rounded multiply then one
+//! rounded add per ascending `k`, so the step is bit-identical to the
+//! one-head-at-a-time definition ([`TemporalLinkage::forward_into`],
+//! [`content_weighting_into`](crate::content::content_weighting_into)) —
+//! pinned `to_bits` by `crates/dnc/tests/head_batching.rs`.
 
 use crate::allocation::{merge_write_weighting_into, SkimRate};
-use crate::content::content_weighting_into_with;
+use crate::content::{content_weighting_into_with, content_weightings_heads_into};
 use crate::interface::InterfaceVector;
 use crate::linkage::{merge_read_weighting_into, TemporalLinkage};
 use crate::profile::{KernelId, KernelProfile};
@@ -107,11 +127,11 @@ impl ReadResult {
 }
 
 /// Per-step scratch buffers of one memory unit — every transient `N`-sized
-/// vector [`MemoryUnit::step_into`] needs, pre-sized at construction and
-/// reused across steps so the steady state performs **zero** heap
-/// allocations. Each unit owns its scratch (lanes and shards step in
-/// parallel on worker threads, so the scratch cannot be shared).
-#[derive(Debug, Clone, Default)]
+/// vector and `R × N` head block [`MemoryUnit::step_into`] needs, pre-sized
+/// at construction and reused across steps so the steady state performs
+/// **zero** heap allocations. Each unit owns its scratch (lanes and shards
+/// step in parallel on worker threads, so the scratch cannot be shared).
+#[derive(Debug, Clone)]
 struct StepScratch {
     /// Content write weighting (CW output for the write head).
     content_w: Vec<f32>,
@@ -123,28 +143,25 @@ struct StepScratch {
     w_a: Vec<f32>,
     /// Merged write weighting `w_w`.
     w_w: Vec<f32>,
-    /// Forward weighting `f` of the current read head.
-    fwd: Vec<f32>,
-    /// Backward weighting `b` of the current read head.
-    bwd: Vec<f32>,
-    /// Content read weighting `c` of the current read head.
-    content_r: Vec<f32>,
-    /// Merged read weighting `w_r` of the current read head.
-    w_r: Vec<f32>,
+    /// Forward weightings `f` of all read heads, `R × N`.
+    fwd: Matrix,
+    /// Backward weightings `b` of all read heads, `R × N`.
+    bwd: Matrix,
+    /// Content read weightings `c` of all read heads, `R × N`.
+    content_r: Matrix,
 }
 
 impl StepScratch {
-    fn sized(n: usize) -> Self {
+    fn sized(n: usize, heads: usize) -> Self {
         Self {
             content_w: vec![0.0; n],
             psi: vec![0.0; n],
             free_list: Vec::with_capacity(n),
             w_a: vec![0.0; n],
             w_w: vec![0.0; n],
-            fwd: vec![0.0; n],
-            bwd: vec![0.0; n],
-            content_r: vec![0.0; n],
-            w_r: vec![0.0; n],
+            fwd: Matrix::zeros(heads, n),
+            bwd: Matrix::zeros(heads, n),
+            content_r: Matrix::zeros(heads, n),
         }
     }
 }
@@ -174,7 +191,9 @@ pub struct MemoryUnit {
     usage: Vec<f32>,
     linkage: TemporalLinkage,
     write_weighting: Vec<f32>,
-    read_weightings: Vec<Vec<f32>>,
+    /// Last read weightings, one row per head (`R × N`): the left factor
+    /// of the next step's forward product.
+    read_weightings: Matrix,
     sorter: UsageSorter,
     pla: PlaSoftmax,
     profile: KernelProfile,
@@ -210,13 +229,13 @@ impl MemoryUnit {
             usage: vec![0.0; config.memory_size],
             linkage: TemporalLinkage::new(config.memory_size),
             write_weighting: vec![0.0; config.memory_size],
-            read_weightings: vec![vec![0.0; config.memory_size]; config.read_heads],
+            read_weightings: Matrix::zeros(config.read_heads, config.memory_size),
             sorter,
             pla: PlaSoftmax::default(),
             profile: KernelProfile::new(),
             row_norms: vec![0.0; config.memory_size],
             norms_valid: false,
-            scratch: StepScratch::sized(config.memory_size),
+            scratch: StepScratch::sized(config.memory_size, config.read_heads),
         }
     }
 
@@ -245,8 +264,8 @@ impl MemoryUnit {
         &self.write_weighting
     }
 
-    /// Last read weightings (one per head).
-    pub fn read_weightings(&self) -> &[Vec<f32>] {
+    /// Last read weightings, one row per head (`R × N`).
+    pub fn read_weightings(&self) -> &Matrix {
         &self.read_weightings
     }
 
@@ -276,9 +295,7 @@ impl MemoryUnit {
         format.quantize_slice_inplace(&mut self.usage);
         self.linkage.quantize_state(format);
         format.quantize_slice_inplace(&mut self.write_weighting);
-        for head in &mut self.read_weightings {
-            format.quantize_slice_inplace(head);
-        }
+        format.quantize_slice_inplace(self.read_weightings.as_mut_slice());
         // Memory contents changed: the cached row norms no longer
         // describe them.
         self.norms_valid = false;
@@ -302,15 +319,14 @@ impl MemoryUnit {
         linkage: Matrix,
         precedence: Vec<f32>,
         write_weighting: Vec<f32>,
-        read_weightings: Vec<Vec<f32>>,
+        read_weightings: Matrix,
     ) {
         let n = self.config.memory_size;
         assert_eq!((memory.rows(), memory.cols()), (n, self.config.word_size), "memory shape");
         assert_eq!(usage.len(), n, "usage length");
         assert_eq!(precedence.len(), n, "precedence length");
         assert_eq!(write_weighting.len(), n, "write weighting length");
-        assert_eq!(read_weightings.len(), self.config.read_heads, "read head count");
-        assert!(read_weightings.iter().all(|w| w.len() == n), "read weighting length");
+        assert_eq!(read_weightings.shape(), (self.config.read_heads, n), "read weightings shape");
         self.memory = memory;
         self.usage = usage;
         self.linkage.restore(linkage, precedence);
@@ -327,9 +343,7 @@ impl MemoryUnit {
         self.usage.fill(0.0);
         self.linkage.clear();
         self.write_weighting.fill(0.0);
-        for head in &mut self.read_weightings {
-            head.fill(0.0);
-        }
+        self.read_weightings.as_mut_slice().fill(0.0);
         self.norms_valid = false;
     }
 
@@ -476,47 +490,50 @@ impl MemoryUnit {
         self.write_weighting.copy_from_slice(&self.scratch.w_w);
 
         // --- Soft read ---------------------------------------------------
+        // Fused head products first: everything that reads the previous
+        // read weightings or the keys runs for all R heads at once.
+        // HR.(3): forward/backward through the linkage.
+        {
+            let (linkage, prev_w) = (&self.linkage, &self.read_weightings);
+            let (fwd, bwd) = (&mut self.scratch.fwd, &mut self.scratch.bwd);
+            self.profile.time(KernelId::ForwardBackward, || {
+                linkage.forward_heads_into(prev_w, fwd, be);
+                linkage.backward_heads_into(prev_w, bwd, be);
+            });
+        }
+
+        // CR.(1)+(2): content-based read weightings, sharing the
+        // post-write norm pass.
+        {
+            let (memory, pla) = (&self.memory, &self.pla);
+            let (norms, valid) = (&mut self.row_norms, &mut self.norms_valid);
+            let content_r = &mut self.scratch.content_r;
+            self.profile.time(KernelId::Normalize, || {
+                if !*valid {
+                    be.row_norms_into(memory, norms);
+                    *valid = true;
+                }
+                content_weightings_heads_into(
+                    memory,
+                    &iv.read_keys,
+                    &iv.read_strengths,
+                    if pla_on { Some(pla) } else { None },
+                    norms,
+                    content_r,
+                    be,
+                );
+            });
+        }
+
+        // Then per head: merge, and read memory with the merged weighting.
         let word = self.config.word_size;
         for head in 0..self.config.read_heads {
-            // HR.(3): forward/backward through the linkage.
+            // RM: read weight merge, into the head's carried weighting.
             {
-                let (linkage, prev_w) = (&self.linkage, &self.read_weightings[head]);
-                let (fwd, bwd) = (&mut self.scratch.fwd, &mut self.scratch.bwd);
-                self.profile.time(KernelId::ForwardBackward, || {
-                    linkage.forward_into_with(prev_w, fwd, be);
-                    linkage.backward_into_with(prev_w, bwd, be);
-                });
-            }
-
-            // CR.(1)+(2): content-based read weighting — all R heads share
-            // the post-write norm pass.
-            {
-                let (memory, key, beta, pla) =
-                    (&self.memory, &iv.read_keys[head], iv.read_strengths[head], &self.pla);
-                let (norms, valid) = (&mut self.row_norms, &mut self.norms_valid);
-                let content_r = &mut self.scratch.content_r;
-                self.profile.time(KernelId::Normalize, || {
-                    if !*valid {
-                        be.row_norms_into(memory, norms);
-                        *valid = true;
-                    }
-                    content_weighting_into_with(
-                        memory,
-                        key,
-                        beta,
-                        if pla_on { Some(pla) } else { None },
-                        norms,
-                        content_r,
-                        be,
-                    );
-                });
-            }
-
-            // RM: read weight merge.
-            {
+                let scratch = &self.scratch;
                 let (bwd, content_r, fwd) =
-                    (&self.scratch.bwd, &self.scratch.content_r, &self.scratch.fwd);
-                let w_r = &mut self.scratch.w_r;
+                    (scratch.bwd.row(head), scratch.content_r.row(head), scratch.fwd.row(head));
+                let w_r = self.read_weightings.row_mut(head);
                 let modes = iv.read_modes[head];
                 self.profile.time(KernelId::ReadMerge, || {
                     merge_read_weighting_into(bwd, content_r, fwd, modes, w_r)
@@ -525,11 +542,10 @@ impl MemoryUnit {
 
             // MR: memory read  v_r = Mᵀ w_r.
             {
-                let (memory, w_r) = (&self.memory, &self.scratch.w_r);
+                let (memory, w_r) = (&self.memory, self.read_weightings.row(head));
                 let v_r = &mut out[head * word..(head + 1) * word];
                 self.profile.time(KernelId::MemoryRead, || be.matvec_t_into(memory, w_r, v_r));
             }
-            self.read_weightings[head].copy_from_slice(&self.scratch.w_r);
         }
     }
 
@@ -538,10 +554,8 @@ impl MemoryUnit {
     pub fn check_invariants(&self, tol: f32) -> bool {
         let usage_ok = self.usage.iter().all(|&u| u >= -tol && u <= 1.0 + tol);
         let ww_ok = hima_tensor::vector::is_weighting(&self.write_weighting, tol);
-        let wr_ok = self
-            .read_weightings
-            .iter()
-            .all(|w| hima_tensor::vector::is_weighting(w, tol));
+        let wr_ok = (0..self.read_weightings.rows())
+            .all(|h| hima_tensor::vector::is_weighting(self.read_weightings.row(h), tol));
         usage_ok && ww_ok && wr_ok && self.linkage.check_invariants(tol)
     }
 }

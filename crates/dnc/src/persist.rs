@@ -229,9 +229,8 @@ fn encode_unit(u: &MemoryUnit, out: &mut Vec<u8>) {
     put_f32s(out, u.linkage().matrix().as_slice());
     put_f32s(out, u.linkage().precedence());
     put_f32s(out, u.write_weighting());
-    for head in u.read_weightings() {
-        put_f32s(out, head);
-    }
+    // Head-major rows back to back: the bytes the per-head vectors had.
+    put_f32s(out, u.read_weightings().as_slice());
 }
 
 /// Reads the state memories for `cfg` and writes them into a freshly
@@ -255,9 +254,11 @@ fn decode_unit_state(r: &mut Cursor<'_>, u: &mut MemoryUnit) -> Result<(), State
     let linkage = Matrix::from_vec(n, n, r.f32_slice(n * n)?);
     let precedence = r.f32_slice(n)?;
     let write_weighting = r.f32_slice(n)?;
-    let read_weightings = (0..cfg.read_heads)
-        .map(|_| r.f32_slice(n))
-        .collect::<Result<Vec<_>, StateCodecError>>()?;
+    let heads = cfg.read_heads;
+    if (heads as u64) * (n as u64) > (r.remaining() as u64) / 4 {
+        return Err(StateCodecError::BadLength((heads as u64) * (n as u64)));
+    }
+    let read_weightings = Matrix::from_vec(heads, n, r.f32_slice(heads * n)?);
     u.restore_state(memory, usage, linkage, precedence, write_weighting, read_weightings);
     Ok(())
 }
@@ -483,6 +484,41 @@ mod tests {
             }
             for (va, vb) in a.last_read_row(0).iter().zip(b.last_read_row(0)) {
                 assert_eq!(va.to_bits(), vb.to_bits(), "read row diverged for {spec:?}");
+            }
+        }
+    }
+
+    /// The read weightings are stored as one `R × N` matrix but encoded as
+    /// the head-major rows the per-head vectors were: the `HLSS` bytes,
+    /// and so the sizes `e2e_bench` reports as `dnc.state_bytes` for its
+    /// served and paper shapes, are those of the per-head layout, and the
+    /// rows come back bit for bit.
+    #[test]
+    fn matrix_read_weightings_keep_the_encoded_layout_and_size() {
+        let small = DncParams::new(128, 16, 2).with_hidden(64).with_io(16, 16);
+        let paper = DncParams::new(1024, 64, 4).with_hidden(256).with_io(14, 14);
+        let mut q16 = EngineSpec::monolithic();
+        q16.topology = Topology::Sharded { tiles: 16 };
+        q16.datapath = Datapath::Quantized(QFormat::q16_16());
+        for (p, spec, want_bytes) in
+            [(small, EngineSpec::monolithic(), 77_362), (paper, q16, 573_978)]
+        {
+            let mut engine = EngineBuilder::new(p).with_spec(spec).lanes(1).seed(3).build();
+            let x = M::from_fn(1, p.input_size, |_, i| (i as f32 * 0.37).sin());
+            for _ in 0..3 {
+                engine.step_batch(&x);
+            }
+            let state = engine.export_lane(0);
+            let bytes = state.encode();
+            assert_eq!(bytes.len(), want_bytes, "{spec:?}");
+            let decoded = LaneState::decode(&bytes).unwrap();
+            assert_eq!(decoded.encode(), bytes, "re-encoding must reproduce the bytes");
+            for ((src, _), (dst, _)) in state.shards.iter().zip(&decoded.shards) {
+                let (a, b) = (src.unit().read_weightings(), dst.unit().read_weightings());
+                assert_eq!(a.shape(), (p.read_heads, src.unit().config().memory_size));
+                assert!(a.as_slice().iter().any(|&w| w != 0.0), "vacuous: nothing was read");
+                let bits = |m: &M| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b));
             }
         }
     }

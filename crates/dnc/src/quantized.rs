@@ -138,9 +138,7 @@ pub fn quantize_interface_into(iv: &InterfaceVector, format: QFormat, out: &mut 
         dst.copy_from_slice(src);
         format.quantize_slice_inplace(dst);
     };
-    for (dst, src) in out.read_keys.iter_mut().zip(&iv.read_keys) {
-        qv(dst, src);
-    }
+    qv(out.read_keys.as_mut_slice(), iv.read_keys.as_slice());
     qv(&mut out.read_strengths, &iv.read_strengths);
     qv(&mut out.write_key, &iv.write_key);
     out.write_strength = q(iv.write_strength);

@@ -7,16 +7,16 @@
 //! Both stay inside `[0, 1]` by construction — a property the tests and the
 //! crate's proptests pin down.
 
+use hima_tensor::Matrix;
+
 /// Retention vector `ψ` from the free gates and the previous read
-/// weightings (`read_weights[r][i]` = head `r`, slot `i`).
+/// weightings (`R × N`: `read_weights[(r, i)]` = head `r`, slot `i`).
 ///
 /// # Panics
 ///
-/// Panics if `free_gates.len() != read_weights.len()` or heads disagree on
-/// slot count.
-pub fn retention(free_gates: &[f32], read_weights: &[Vec<f32>]) -> Vec<f32> {
-    let n = read_weights.first().map_or(0, Vec::len);
-    let mut psi = vec![0.0f32; n];
+/// Panics if `free_gates.len() != read_weights.rows()`.
+pub fn retention(free_gates: &[f32], read_weights: &Matrix) -> Vec<f32> {
+    let mut psi = vec![0.0f32; read_weights.cols()];
     retention_into(free_gates, read_weights, &mut psi);
     psi
 }
@@ -26,16 +26,14 @@ pub fn retention(free_gates: &[f32], read_weights: &[Vec<f32>]) -> Vec<f32> {
 ///
 /// # Panics
 ///
-/// Panics if `free_gates.len() != read_weights.len()`, heads disagree on
-/// slot count, or `psi.len()` differs from the slot count.
-pub fn retention_into(free_gates: &[f32], read_weights: &[Vec<f32>], psi: &mut [f32]) {
-    assert_eq!(free_gates.len(), read_weights.len(), "one free gate per read head");
-    let n = read_weights.first().map_or(0, Vec::len);
-    assert_eq!(psi.len(), n, "retention output length mismatch");
+/// Panics if `free_gates.len() != read_weights.rows()` or `psi.len()`
+/// differs from the slot count.
+pub fn retention_into(free_gates: &[f32], read_weights: &Matrix, psi: &mut [f32]) {
+    assert_eq!(free_gates.len(), read_weights.rows(), "one free gate per read head");
+    assert_eq!(psi.len(), read_weights.cols(), "retention output length mismatch");
     psi.fill(1.0);
-    for (gate, w_r) in free_gates.iter().zip(read_weights) {
-        assert_eq!(w_r.len(), n, "read heads must agree on slot count");
-        for (p, &w) in psi.iter_mut().zip(w_r) {
+    for (head, gate) in free_gates.iter().enumerate() {
+        for (p, &w) in psi.iter_mut().zip(read_weights.row(head)) {
             *p *= 1.0 - gate * w;
         }
     }
@@ -73,25 +71,25 @@ mod tests {
 
     #[test]
     fn retention_all_gates_closed_is_ones() {
-        let psi = retention(&[0.0, 0.0], &[vec![0.5, 0.5], vec![0.9, 0.1]]);
+        let psi = retention(&[0.0, 0.0], &Matrix::from_rows(&[[0.5, 0.5], [0.9, 0.1]]));
         assert_eq!(psi, vec![1.0, 1.0]);
     }
 
     #[test]
     fn retention_open_gate_frees_read_slots() {
-        let psi = retention(&[1.0], &[vec![1.0, 0.0, 0.5]]);
+        let psi = retention(&[1.0], &Matrix::from_rows(&[[1.0, 0.0, 0.5]]));
         assert_eq!(psi, vec![0.0, 1.0, 0.5]);
     }
 
     #[test]
     fn retention_multiplies_across_heads() {
-        let psi = retention(&[1.0, 1.0], &[vec![0.5], vec![0.5]]);
+        let psi = retention(&[1.0, 1.0], &Matrix::from_rows(&[[0.5], [0.5]]));
         assert!((psi[0] - 0.25).abs() < 1e-6);
     }
 
     #[test]
     fn retention_stays_in_unit_interval() {
-        let heads = vec![vec![0.3, 0.9, 0.0], vec![0.7, 0.1, 1.0]];
+        let heads = Matrix::from_rows(&[[0.3, 0.9, 0.0], [0.7, 0.1, 1.0]]);
         let psi = retention(&[0.8, 0.6], &heads);
         assert!(psi.iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
@@ -125,7 +123,7 @@ mod tests {
 
     #[test]
     fn into_forms_match_allocating_forms() {
-        let heads = vec![vec![0.3, 0.9, 0.0], vec![0.7, 0.1, 1.0]];
+        let heads = Matrix::from_rows(&[[0.3, 0.9, 0.0], [0.7, 0.1, 1.0]]);
         let gates = [0.8, 0.6];
         let mut psi = vec![f32::NAN; 3];
         retention_into(&gates, &heads, &mut psi);
@@ -140,7 +138,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one free gate per read head")]
     fn retention_validates_heads() {
-        retention(&[0.5], &[vec![0.1], vec![0.2]]);
+        retention(&[0.5], &Matrix::from_rows(&[[0.1], [0.2]]));
     }
 
     #[test]

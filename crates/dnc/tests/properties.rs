@@ -36,7 +36,7 @@ proptest! {
                 w
             })
             .collect();
-        let psi = retention(&gates, &heads);
+        let psi = retention(&gates, &hima_tensor::Matrix::from_rows(&heads));
         prop_assert!(psi.iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
 

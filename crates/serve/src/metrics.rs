@@ -20,7 +20,7 @@
 //! | `serve.scheduler.steps` | counter | total lane-steps served |
 //! | `serve.scheduler.parks` / `.splices` / `.lane_resets` | counter | lane swap-outs / swap-ins / blank recycles |
 //! | `serve.scheduler.queue_depth` | gauge | queued-but-unserved step inputs |
-//! | `serve.scheduler.active_lanes` | gauge | lanes stepped by the latest tick |
+//! | `serve.scheduler.active_lanes` | gauge | lanes stepped by the latest tick (0 once the group ticks idle) |
 //! | `serve.scheduler.tick_ns` | histogram | masked-batch step wall time per tick |
 //! | `serve.scheduler.batch_size` | histogram | coalesced batch size per tick |
 //! | `serve.scheduler.occupancy_pct` | histogram | stepped lanes as % of grid per tick |

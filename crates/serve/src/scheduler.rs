@@ -698,6 +698,10 @@ impl Group {
         let mut pending: Vec<u64> =
             self.sessions.iter().filter(|(_, s)| !s.queue.is_empty()).map(|(&id, _)| id).collect();
         if pending.is_empty() {
+            // The gauge is "lanes stepped by the latest tick": an idle tick
+            // stepped none. Without this it holds the last batch size for
+            // as long as the group stays idle.
+            self.metrics.active_lanes.set(0);
             return;
         }
         pending.sort_unstable();
@@ -792,6 +796,7 @@ impl Group {
             stepping.push((id, lane, enqueued, is_replay));
         }
         if stepping.is_empty() {
+            self.metrics.active_lanes.set(0);
             return;
         }
 

@@ -300,6 +300,36 @@ fn parked_close_and_reap_keep_gauges_and_lanes_consistent() {
     }
 }
 
+/// `serve.scheduler.active_lanes` is "lanes stepped by the latest tick":
+/// once every session has closed the group ticks idle and the gauge must
+/// read 0 beside `serve.sessions.live`, not the last batch size forever.
+#[test]
+fn active_lanes_gauge_returns_to_zero_once_all_sessions_close() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig { grid_lanes: 4, ..quick_cfg() }).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let sessions: Vec<u64> =
+        (0..3).map(|_| client.open(&RawSessionSpec::demo()).unwrap()).collect();
+    for t in 0..4 {
+        for &s in &sessions {
+            client.step(s, &demo_input(t)).unwrap();
+        }
+    }
+    let metrics = server.hub().metrics();
+    assert_eq!(metrics.snapshot().counter("serve.scheduler.steps"), Some(12), "ticks did step lanes");
+    for &s in &sessions {
+        client.close_session(s).unwrap();
+    }
+    assert_eq!(server.hub().live_sessions(), 0);
+    // The close reply is sent from inside the tick loop; the idle tick
+    // that resets the gauge follows it, so wait for that tick.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while metrics.snapshot().gauge("serve.scheduler.active_lanes") != Some(0) {
+        assert!(std::time::Instant::now() < deadline, "active_lanes stuck at the last batch size");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(metrics.snapshot().gauge("serve.sessions.live"), Some(0));
+}
+
 /// The load generator end-to-end: mixed arrival patterns against a small
 /// grid, all sessions completing with sane latency accounting.
 #[test]

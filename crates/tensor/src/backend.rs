@@ -12,11 +12,13 @@
 //!   is bit-identity with the `k`-ordered reference (one rounded
 //!   multiply then one rounded add per `k`, ascending — what
 //!   [`Matrix::matvec`] computes), not "no SIMD": on `x86_64`, with two
-//!   or more lanes active, `matmul_nt_masked_into` runs the lane-packed
-//!   kernel of the crate-private `lane_pack` module (one batch lane per
-//!   SSE register element, so no element's operation order changes)
-//!   instead of one row-kernel pass per lane. The two return the same
-//!   bits; which one runs depends only on `mask.active_count()`.
+//!   or more live rows in `lhs`, `matmul_nt_into` and
+//!   `matmul_nt_masked_into` run the lane-packed kernel of the
+//!   crate-private `lane_pack` module (one row of `lhs` — a batch lane,
+//!   or a read head of the memory unit — per SSE register element, so no
+//!   element's operation order changes) instead of one row-kernel pass
+//!   per row. The two return the same bits; which one runs depends only
+//!   on the number of live rows (`lhs.rows()`, or `mask.active_count()`).
 //! * [`Backend::Blocked`] — cache-blocked loops over [`F32x8`] lanes with
 //!   multiple independent accumulators. Reductions (dot products, row
 //!   norms, softmax normalization) **re-associate** floating-point sums, so
@@ -122,13 +124,17 @@ impl Backend {
 
     /// Batched projection `lhs · otherᵀ` into `out` on this tier.
     ///
+    /// On [`Backend::Scalar`] the result is bit-identical to
+    /// [`Matrix::matmul_nt_into`] whichever of its two kernels runs (row
+    /// kernel for a one-row `lhs`, lane-packed from two rows).
+    ///
     /// # Panics
     ///
     /// Panics if `lhs.cols() != other.cols()` or `out` is not
     /// `lhs.rows() × other.rows()`.
     pub fn matmul_nt_into(&self, lhs: &Matrix, other: &Matrix, out: &mut Matrix) {
         match self {
-            Backend::Scalar => lhs.matmul_nt_into(other, out),
+            Backend::Scalar => scalar_matmul_nt_into(lhs, other, None, out),
             Backend::Blocked => {
                 lhs.assert_nt_shapes(other, out);
                 for i in 0..lhs.rows() {
@@ -157,13 +163,7 @@ impl Backend {
         out: &mut Matrix,
     ) {
         match self {
-            // With several lanes active the weights are walked once per
-            // four lanes instead of once per lane; same bits either way.
-            #[cfg(target_arch = "x86_64")]
-            Backend::Scalar if mask.active_count() >= crate::lane_pack::MIN_ACTIVE => {
-                crate::lane_pack::matmul_nt_masked_into(lhs, other, mask, out)
-            }
-            Backend::Scalar => lhs.matmul_nt_masked_into(other, mask, out),
+            Backend::Scalar => scalar_matmul_nt_into(lhs, other, Some(mask), out),
             Backend::Blocked => {
                 lhs.assert_nt_shapes(other, out);
                 assert_eq!(mask.lanes(), lhs.rows(), "lane mask size mismatch");
@@ -226,6 +226,21 @@ impl Backend {
                 }
             }
         }
+    }
+}
+
+/// The `Scalar` tier's `lhs · otherᵀ`, over every row of `lhs` when `mask`
+/// is `None`: the one place that picks between the row kernel and the
+/// lane-packed one. With several rows live `other` is walked once per
+/// four rows instead of once per row; same bits either way.
+fn scalar_matmul_nt_into(lhs: &Matrix, other: &Matrix, mask: Option<&LaneMask>, out: &mut Matrix) {
+    #[cfg(target_arch = "x86_64")]
+    if mask.map_or(lhs.rows(), LaneMask::active_count) >= crate::lane_pack::MIN_ACTIVE {
+        return crate::lane_pack::matmul_nt_into(lhs, other, mask, out);
+    }
+    match mask {
+        Some(mask) => lhs.matmul_nt_masked_into(other, mask, out),
+        None => lhs.matmul_nt_into(other, out),
     }
 }
 
@@ -555,6 +570,23 @@ mod tests {
         m.matvec_into(&v, &mut b);
         assert_eq!(a, b);
         assert_eq!(Backend::Scalar.dot(&v, &v), crate::vector::dot(&v, &v));
+    }
+
+    #[test]
+    fn scalar_unmasked_matmul_nt_is_matvec_per_row_bitwise() {
+        // One row takes the row kernel, two or more the lane-packed one
+        // (on x86_64): either way each row is `other.matvec(row)`.
+        for (b, n, k) in [(1, 64, 64), (2, 128, 16), (4, 64, 64), (5, 7, 3)] {
+            let lhs = mat(b, k, 0.2);
+            let other = mat(n, k, 1.1);
+            let mut out = Matrix::filled(b, n, f32::NAN);
+            Backend::Scalar.matmul_nt_into(&lhs, &other, &mut out);
+            for i in 0..b {
+                let want: Vec<u32> = other.matvec(lhs.row(i)).iter().map(|x| x.to_bits()).collect();
+                let got: Vec<u32> = out.row(i).iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "row {i} of {b}x{k} · {n}x{k}ᵀ");
+            }
+        }
     }
 
     #[test]

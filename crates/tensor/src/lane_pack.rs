@@ -1,5 +1,8 @@
 //! Lane-packed shared-weight product: the [`Backend::Scalar`] kernel for
-//! `lhs · otherᵀ` when several batch lanes are active.
+//! `lhs · otherᵀ` when several rows of `lhs` are live — batch lanes
+//! sharing the controller and projection weights, or the `R` read heads
+//! of one memory unit sharing its linkage and memory (there the "lane"
+//! is a head).
 //!
 //! The row kernel ([`Matrix::matmul_nt_masked_into`]) walks the whole
 //! weight matrix once per active lane with four scalar accumulators, so a
@@ -55,26 +58,29 @@ const TILE_K: usize = 512;
 /// at two and a lone lane always takes the row kernel.
 pub(crate) const MIN_ACTIVE: usize = 2;
 
-/// Masked `lhs · otherᵀ` into `out` with the active rows lane-packed four
-/// at a time — same contract and same bits as
-/// [`Matrix::matmul_nt_masked_into`]. A trailing group of fewer than
+/// `lhs · otherᵀ` into `out` with the active rows lane-packed four at a
+/// time; every row is active when `mask` is `None`. Same contract and
+/// same bits as [`Matrix::matmul_nt_masked_into`] (or, unmasked,
+/// [`Matrix::matmul_nt_into`]). A trailing group of fewer than
 /// [`MIN_ACTIVE`] lanes takes the row kernel.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatch or if `mask.lanes() != lhs.rows()`.
-pub(crate) fn matmul_nt_masked_into(
+pub(crate) fn matmul_nt_into(
     lhs: &Matrix,
     other: &Matrix,
-    mask: &LaneMask,
+    mask: Option<&LaneMask>,
     out: &mut Matrix,
 ) {
     lhs.assert_nt_shapes(other, out);
-    assert_eq!(mask.lanes(), lhs.rows(), "lane mask size mismatch");
+    if let Some(mask) = mask {
+        assert_eq!(mask.lanes(), lhs.rows(), "lane mask size mismatch");
+    }
     let mut group = [0usize; GROUP];
     let mut len = 0;
     for i in 0..lhs.rows() {
-        if !mask.is_active(i) {
+        if mask.is_some_and(|m| !m.is_active(i)) {
             // Inactive rows are zero (stale scratch must not leak through).
             out.row_mut(i).fill(0.0);
             continue;
@@ -214,7 +220,7 @@ mod tests {
     /// Packed output vs per-row `matvec`, bit for bit, with stale `out`.
     fn assert_packed_matches_matvec(lhs: &Matrix, w: &Matrix, mask: &LaneMask) {
         let mut out = Matrix::filled(lhs.rows(), w.rows(), f32::NAN);
-        matmul_nt_masked_into(lhs, w, mask, &mut out);
+        matmul_nt_into(lhs, w, Some(mask), &mut out);
         for i in 0..lhs.rows() {
             let want =
                 if mask.is_active(i) { w.matvec(lhs.row(i)) } else { vec![0.0; w.rows()] };
@@ -267,6 +273,22 @@ mod tests {
     }
 
     #[test]
+    fn unmasked_product_is_the_full_mask_product() {
+        // One to nine rows: a lone row (row kernel), one partial group,
+        // full groups, and a full group plus a one-row tail.
+        for b in 1..=9usize {
+            let (lhs, w) = (mat(b, 37, 0.7), mat(11, 37, 1.9));
+            let mut got = Matrix::filled(b, 11, f32::NAN);
+            matmul_nt_into(&lhs, &w, None, &mut got);
+            let mut want = Matrix::filled(b, 11, f32::NAN);
+            matmul_nt_into(&lhs, &w, Some(&LaneMask::full(b)), &mut want);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "b={b}");
+            assert_eq!(bits(&got), bits(&lhs.matmul_nt(&w)), "b={b} vs the row kernel");
+        }
+    }
+
+    #[test]
     fn rows_longer_than_one_tile_carry_their_partial_sums_exactly() {
         for k in [TILE_K - 1, TILE_K, TILE_K + 1, 2 * TILE_K + 35] {
             let lhs = mat(6, k, 0.4);
@@ -280,7 +302,7 @@ mod tests {
     fn zero_width_product_matches_the_row_kernel() {
         let (lhs, w, mask) = (Matrix::zeros(3, 0), Matrix::zeros(5, 0), LaneMask::full(3));
         let mut out = Matrix::filled(3, 5, f32::NAN);
-        matmul_nt_masked_into(&lhs, &w, &mask, &mut out);
+        matmul_nt_into(&lhs, &w, Some(&mask), &mut out);
         let mut want = Matrix::filled(3, 5, f32::NAN);
         lhs.matmul_nt_masked_into(&w, &mask, &mut want);
         let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -291,6 +313,6 @@ mod tests {
     #[should_panic(expected = "lane mask size mismatch")]
     fn rejects_wrong_mask_length() {
         let (lhs, w) = (Matrix::zeros(2, 3), Matrix::zeros(4, 3));
-        matmul_nt_masked_into(&lhs, &w, &LaneMask::full(3), &mut Matrix::zeros(2, 4));
+        matmul_nt_into(&lhs, &w, Some(&LaneMask::full(3)), &mut Matrix::zeros(2, 4));
     }
 }
