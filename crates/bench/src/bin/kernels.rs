@@ -6,12 +6,13 @@
 //! Where the engine-level `throughput` bench answers "how much faster is
 //! a blocked *engine*", this bench answers "which *kernel* moved": the
 //! LSTM gate projection (`matmul_nt_masked_into` at `B × 112 · 256 ×
-//! 112ᵀ`), the temporal-link mat-vecs over the `N × N` linkage
-//! (`matvec_into` / `matvec_t_into`), the content-lookup row norms
-//! (`row_norms_into` over `N × W`) and the `N`-slot `softmax_inplace`.
-//! Each row is a paired best-of measurement (scalar and blocked
-//! interleaved over the same buffers), so a regression in one tier is
-//! visible against the other.
+//! 112ᵀ`), the temporal-link mat-vec over the `N × N` linkage
+//! (`matvec_into`) and the content-lookup row norms (`row_norms_into`
+//! over `N × W`). Each row is a paired best-of measurement (scalar and
+//! blocked interleaved over the same buffers), so a regression in one
+//! tier is visible against the other. `matvec_t_into` and
+//! `softmax_inplace` have no row: both tiers run the one scalar kernel
+//! (their blocked bodies read 0.96× and 1.08× here and were deleted).
 //!
 //! A second table holds the **bit-exact variants inside the scalar
 //! tier** — pairs that return identical bits, so the only question is
@@ -34,22 +35,33 @@
 //! product that carries a head per SSE lane (`R = 1` runs the row kernel:
 //! four output columns, so four independent add chains, per pass).
 //!
+//! `packed_weights` rows are the engine's shared-weight products — the
+//! interface projection, LSTM gates and output projection at the paper's
+//! and the served shapes (`shape` is `N×K`), at 1, 2, 3, 4, 8 and 32
+//! active lanes: `Backend::Scalar.matmul_nt_masked_into` over the
+//! row-major matrix (today's exact tier) against
+//! `PackedWeights::matmul_masked_into` over the same weights packed once.
+//! These rows also carry `Backend::Blocked`'s time for the same call
+//! (`blocked_ns_per_call`, `speedup_vs_blocked`) — a different numerics
+//! contract, so it sits beside the bit-identical pair, not in it.
+//!
 //! Flags:
 //!
 //! * `--json` — additionally write `BENCH_kernels.json`:
-//!   `{ bench: "kernels", schema_version: 3, params: {memory_size,
+//!   `{ bench: "kernels", schema_version: 4, params: {memory_size,
 //!   word_size, hidden_size}, kernels: [{kernel, batch,
 //!   scalar_ns_per_call, blocked_ns_per_call, speedup}],
 //!   scalar_variants: [{kernel, shape, batch, active, reference, variant,
-//!   reference_ns_per_call, variant_ns_per_call, speedup}] }`
+//!   reference_ns_per_call, variant_ns_per_call, speedup
+//!   [, blocked_ns_per_call, speedup_vs_blocked]}] }`
 //!   (`batch` is 0 for kernels without a batch axis; `active` counts
 //!   live rows of the left factor — active lanes, or read heads; `shape`
-//!   names the memory geometry of a read-phase row and is empty
-//!   otherwise),
+//!   names the memory geometry of a read-phase row or the `N×K` of a
+//!   `packed_weights` row and is empty otherwise),
 //! * `--smoke` — short measurement windows for CI.
 
 use hima::dnc::linkage::TemporalLinkage;
-use hima::tensor::{Backend, LaneMask, Matrix, QFormat};
+use hima::tensor::{Backend, LaneMask, Matrix, PackedWeights, QFormat};
 use std::time::{Duration, Instant};
 
 const N: usize = 128;
@@ -77,6 +89,9 @@ struct VariantRow {
     variant: &'static str,
     reference_ns: f64,
     variant_ns: f64,
+    /// The `Backend::Blocked` form of the same call, where the row has
+    /// one (it is *not* bit-identical to the other two).
+    blocked_ns: Option<f64>,
 }
 
 /// Elements per `quantize_slice` call (one 64 × 64 linkage tile).
@@ -89,6 +104,12 @@ const LANE_GRID: usize = 8;
 const UNIT_SHAPES: [(usize, usize); 2] = [(64, 64), (128, 16)];
 /// Read-head counts of the `forward_heads` / `content_dots_heads` rows.
 const HEAD_COUNTS: [usize; 3] = [1, 2, 4];
+/// `N × K` of the `packed_weights` rows: the paper regime's per-shard
+/// interface projection and LSTM gates, then the served shapes' interface
+/// projection, LSTM gates and output projection.
+const PACKED_SHAPES: [(usize, usize); 5] = [(471, 270), (1024, 526), (93, 78), (256, 110), (14, 96)];
+/// Active-lane counts of the `packed_weights` rows (every lane active).
+const PACKED_LANES: [usize; 6] = [1, 2, 3, 4, 8, 32];
 
 /// Q-format rounding as defined — `(x·2^frac).round().clamp()` through
 /// libm `round`, one element at a time: what the slice kernel replaced
@@ -202,13 +223,6 @@ fn main() {
         || Backend::Blocked.matvec_into(&linkage, &wv, &mut out_nb),
     );
     report("matvec_into (NxN)", 0, s, v);
-    let (s, v) = best_of_paired(
-        reps,
-        measure,
-        || Backend::Scalar.matvec_t_into(&linkage, &wv, &mut out_ns),
-        || Backend::Blocked.matvec_t_into(&linkage, &wv, &mut out_nb),
-    );
-    report("matvec_t_into (NxN)", 0, s, v);
 
     // Content-lookup row norms over the N × W memory block.
     let memory = test_matrix(N, W, 4);
@@ -222,25 +236,6 @@ fn main() {
     );
     report("row_norms_into (NxW)", 0, s, v);
 
-    // N-slot content softmax (fresh logits per call so the in-place
-    // kernel sees realistic, non-saturated inputs).
-    let logits: Vec<f32> = (0..N).map(|i| ((i * 7) as f32 * 0.17).sin() * 4.0).collect();
-    let mut buf_s = logits.clone();
-    let mut buf_b = logits.clone();
-    let (s, v) = best_of_paired(
-        reps,
-        measure,
-        || {
-            buf_s.copy_from_slice(&logits);
-            Backend::Scalar.softmax_inplace(&mut buf_s);
-        },
-        || {
-            buf_b.copy_from_slice(&logits);
-            Backend::Blocked.softmax_inplace(&mut buf_b);
-        },
-    );
-    report("softmax_inplace (N)", 0, s, v);
-
     println!(
         "\nPer-call wall time, best of {reps} interleaved reps per tier. The\n\
          engine-level consequence of these kernels is the `backend` section\n\
@@ -249,20 +244,28 @@ fn main() {
     );
 
     println!(
-        "\n{:<27} {:>11} {:>6} {:>6} {:>14} {:>14} {:>9}",
-        "scalar-tier variant", "shape", "batch", "active", "reference ns", "variant ns", "speedup"
+        "\n{:<27} {:>11} {:>6} {:>6} {:>14} {:>14} {:>9} {:>12}",
+        "scalar-tier variant",
+        "shape",
+        "batch",
+        "active",
+        "reference ns",
+        "variant ns",
+        "speedup",
+        "blocked ns"
     );
     let mut variants: Vec<VariantRow> = Vec::new();
     let mut report_variant = |row: VariantRow| {
         println!(
-            "{:<27} {:>11} {:>6} {:>6} {:>14.0} {:>14.0} {:>8}",
+            "{:<27} {:>11} {:>6} {:>6} {:>14.0} {:>14.0} {:>8} {:>12}",
             row.kernel,
             row.shape,
             row.batch,
             row.active,
             row.reference_ns,
             row.variant_ns,
-            hima_bench::times(row.reference_ns / row.variant_ns)
+            hima_bench::times(row.reference_ns / row.variant_ns),
+            row.blocked_ns.map_or(String::new(), |b| format!("{b:.0}"))
         );
         variants.push(row);
     };
@@ -297,6 +300,7 @@ fn main() {
         variant: "QFormat::quantize_slice_inplace",
         reference_ns: r,
         variant_ns: v,
+        blocked_ns: None,
     });
 
     // The LSTM gate projection again, scalar tier only: the row kernel
@@ -326,7 +330,47 @@ fn main() {
             variant: "Backend::Scalar dispatch (lane-packed from 2 active)",
             reference_ns: r,
             variant_ns: v,
+            blocked_ns: None,
         });
+    }
+    // The engine's shared-weight products: what `Backend::Scalar` (and
+    // `Backend::Blocked`) compute from the row-major matrix on every call
+    // against the product over the weights packed once.
+    for &(n, k) in &PACKED_SHAPES {
+        let w = test_matrix(n, k, 2);
+        let packed = PackedWeights::pack(&w);
+        for &lanes in &PACKED_LANES {
+            let x = test_matrix(lanes, k, 1);
+            let mask = LaneMask::full(lanes);
+            let mut out_r = Matrix::zeros(lanes, n);
+            let mut out_v = Matrix::zeros(lanes, n);
+            let mut out_b = Matrix::zeros(lanes, n);
+            let (r, v) = best_of_paired(
+                reps,
+                measure,
+                || Backend::Scalar.matmul_nt_masked_into(&x, &w, &mask, &mut out_r),
+                || packed.matmul_masked_into(&x, &mask, &mut out_v),
+            );
+            assert_eq!(out_r, out_v, "packed product must equal the scalar tier's");
+            let blocked = (0..reps)
+                .map(|_| {
+                    ns_per_call(measure, || {
+                        Backend::Blocked.matmul_nt_masked_into(&x, &w, &mask, &mut out_b)
+                    })
+                })
+                .fold(f64::MAX, f64::min);
+            report_variant(VariantRow {
+                kernel: "packed_weights",
+                shape: format!("{n}x{k}"),
+                batch: lanes,
+                active: lanes,
+                reference: "Backend::Scalar.matmul_nt_masked_into (row-major weights)",
+                variant: "PackedWeights::matmul_masked_into (panels of 16 outputs, k-major)",
+                reference_ns: r,
+                variant_ns: v,
+                blocked_ns: Some(blocked),
+            });
+        }
     }
     // The memory unit's read phase, scalar tier only.
     for &(n, w) in &UNIT_SHAPES {
@@ -357,6 +401,7 @@ fn main() {
             variant: "TemporalLinkage::update_linkage_with (row, then zero the diagonal)",
             reference_ns: r,
             variant_ns: v,
+            blocked_ns: None,
         });
 
         let linkage = warmed.matrix();
@@ -386,6 +431,7 @@ fn main() {
                 variant: "Backend::Scalar.matmul_nt_into(reads, L) (lane-packed from 2 heads)",
                 reference_ns: r,
                 variant_ns: v,
+                blocked_ns: None,
             });
 
             let keys = test_matrix(heads, w, 5);
@@ -411,17 +457,19 @@ fn main() {
                 variant: "Backend::Scalar.matmul_nt_into(keys, M) (lane-packed from 2 heads)",
                 reference_ns: r,
                 variant_ns: v,
+                blocked_ns: None,
             });
         }
     }
     println!(
-        "\nBoth sides of every row above return identical bits (asserted on\n\
-         the spot); the rows only say which form is faster."
+        "\nThe reference and the variant of every row above return identical\n\
+         bits (asserted on the spot); the rows only say which form is faster.\n\
+         `blocked ns` is the tolerance tier's time for a packed_weights call."
     );
 
     if json {
         let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 3,\n");
+        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 4,\n");
         s.push_str(&format!(
             "  \"params\": {{\"memory_size\": {N}, \"word_size\": {W}, \"hidden_size\": {HIDDEN}}},\n"
         ));
@@ -440,7 +488,7 @@ fn main() {
         s.push_str("  ],\n  \"scalar_variants\": [\n");
         for (i, r) in variants.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"batch\": {}, \"active\": {}, \"reference\": \"{}\", \"variant\": \"{}\", \"reference_ns_per_call\": {:.1}, \"variant_ns_per_call\": {:.1}, \"speedup\": {:.3}}}{}\n",
+                "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"batch\": {}, \"active\": {}, \"reference\": \"{}\", \"variant\": \"{}\", \"reference_ns_per_call\": {:.1}, \"variant_ns_per_call\": {:.1}, \"speedup\": {:.3}{}}}{}\n",
                 r.kernel,
                 r.shape,
                 r.batch,
@@ -450,6 +498,10 @@ fn main() {
                 r.reference_ns,
                 r.variant_ns,
                 r.reference_ns / r.variant_ns,
+                r.blocked_ns.map_or(String::new(), |b| format!(
+                    ", \"blocked_ns_per_call\": {b:.1}, \"speedup_vs_blocked\": {:.3}",
+                    b / r.variant_ns
+                )),
                 if i + 1 < variants.len() { "," } else { "" }
             ));
         }

@@ -7,7 +7,11 @@
 //! operation's index through a splitmix-style mixer. Re-running the same
 //! workload against the same plan therefore injects the same faults at
 //! the same operations, which is what makes chaos tests reproducible
-//! instead of flaky.
+//! instead of flaky. The index a rule sees counts from the moment the
+//! plan was last [armed](FaultPlan::arm) (from zero for a plan never
+//! re-armed), so a plan held disarmed through a warm-up injects at the
+//! same operations of the armed phase however many socket reads and
+//! writes the warm-up happened to take.
 //!
 //! Two ways to schedule a fault compose freely:
 //!
@@ -22,7 +26,8 @@
 //! on an option — no counters, no hashing, no atomics. Plans can also be
 //! [cleared](FaultPlan::clear) at runtime ("once faults clear, surviving
 //! sessions continue bit-identical"), which disables all future
-//! injection while keeping the injection counters readable.
+//! injection while keeping the injection counters readable, and
+//! re-armed, which starts the rules' operation indices over.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -126,6 +131,7 @@ pub struct FaultRule {
     /// Operation indices that always fire (in addition to `per_mille`).
     pub at_ops: Vec<u64>,
     /// First operation index (inclusive) the rule is eligible for.
+    /// Indices count a site's operations since the plan was last armed.
     pub from_op: u64,
     /// Operation index (exclusive) the rule stops applying at.
     pub until_op: u64,
@@ -180,8 +186,13 @@ fn mix(mut z: u64) -> u64 {
 pub struct FaultPlan {
     seed: u64,
     rules: Vec<FaultRule>,
+    /// Publishes `base`: stored with `Release` after it, loaded with
+    /// `Acquire` before it.
     armed: AtomicBool,
     ops: [AtomicU64; FaultSite::COUNT],
+    /// Each site's operation count when the plan was last armed; rules
+    /// see `op − base`.
+    base: [AtomicU64; FaultSite::COUNT],
     injected: [AtomicU64; FaultSite::COUNT],
 }
 
@@ -193,6 +204,7 @@ impl FaultPlan {
             rules: Vec::new(),
             armed: AtomicBool::new(true),
             ops: Default::default(),
+            base: Default::default(),
             injected: Default::default(),
         }
     }
@@ -210,14 +222,18 @@ impl FaultPlan {
 
     /// Consults the plan for one operation at `site`.
     ///
-    /// Always advances the site's operation counter (so indices stay
-    /// aligned with the workload even while disarmed), then evaluates
-    /// rules in insertion order — the first that fires wins.
+    /// Always advances the site's operation counter (so
+    /// [`ops`](Self::ops) counts the whole workload), then — while armed —
+    /// evaluates rules in insertion order on the operation's index since
+    /// arming; the first that fires wins.
     pub fn check(&self, site: FaultSite) -> Option<FaultKind> {
         let op = self.ops[site.index()].fetch_add(1, Ordering::Relaxed);
-        if !self.armed.load(Ordering::Relaxed) {
+        if !self.armed.load(Ordering::Acquire) {
             return None;
         }
+        // An operation counted before a concurrent `arm()` took its base
+        // belongs to the disarmed phase.
+        let op = op.checked_sub(self.base[site.index()].load(Ordering::Relaxed))?;
         let kind = self
             .rules
             .iter()
@@ -233,9 +249,15 @@ impl FaultPlan {
         self.armed.store(false, Ordering::SeqCst);
     }
 
-    /// Re-arms a cleared plan.
+    /// Re-arms a cleared plan and re-bases every site: the next operation
+    /// at a site is index 0 to the rules, whatever ran while the plan
+    /// was disarmed. [`ops`](Self::ops) and [`injected`](Self::injected)
+    /// stay absolute.
     pub fn arm(&self) {
-        self.armed.store(true, Ordering::SeqCst);
+        for (base, ops) in self.base.iter().zip(&self.ops) {
+            base.store(ops.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.armed.store(true, Ordering::Release);
     }
 
     /// Whether the plan is currently armed.
@@ -243,7 +265,7 @@ impl FaultPlan {
         self.armed.load(Ordering::Relaxed)
     }
 
-    /// Operations observed at `site` so far.
+    /// Operations observed at `site` so far, armed or not.
     pub fn ops(&self, site: FaultSite) -> u64 {
         self.ops[site.index()].load(Ordering::Relaxed)
     }
@@ -347,21 +369,27 @@ mod tests {
 
     #[test]
     fn clear_disarms_but_counters_advance() {
-        let plan = FaultPlan::new(9).with_rule(FaultRule::probabilistic(
-            FaultSite::StoreWrite,
-            FaultKind::IoError,
-            1000,
-        ));
-        assert!(plan.check(FaultSite::StoreWrite).is_some());
+        let plan = FaultPlan::new(9)
+            .with_rule(FaultRule::at(FaultSite::StoreWrite, FaultKind::IoError, vec![1]));
+        let fired = |n: usize| -> Vec<bool> {
+            (0..n).map(|_| plan.check(FaultSite::StoreWrite).is_some()).collect()
+        };
+        assert_eq!(fired(2), vec![false, true]);
         plan.clear();
         assert!(!plan.armed());
-        for _ in 0..4 {
-            assert!(plan.check(FaultSite::StoreWrite).is_none());
+        // However many operations run disarmed — four here, three below —
+        // the armed phase fires at its own second operation.
+        for disarmed in [4, 3] {
+            assert_eq!(fired(disarmed), vec![false; disarmed]);
+            plan.arm();
+            // Other sites are re-based too, from their own counts.
+            assert!(plan.check(FaultSite::NetRead).is_none());
+            assert_eq!(fired(3), vec![false, true, false], "after {disarmed} disarmed ops");
+            plan.clear();
         }
-        assert_eq!(plan.ops(FaultSite::StoreWrite), 5);
-        assert_eq!(plan.injected(FaultSite::StoreWrite), 1);
-        plan.arm();
-        assert!(plan.check(FaultSite::StoreWrite).is_some());
+        // The counters stay absolute.
+        assert_eq!(plan.ops(FaultSite::StoreWrite), 2 + 4 + 3 + 3 + 3);
+        assert_eq!(plan.injected(FaultSite::StoreWrite), 3);
     }
 
     #[test]

@@ -9,9 +9,15 @@
 //!
 //! 1. **Shared-weight batching** — the controller, interface and output
 //!    projections become one `B × K` by `N × K`ᵀ product per step
-//!    ([`hima_tensor::Matrix::matmul_nt`]) instead of `B` mat-vecs, and
-//!    the LSTM gates are activated as whole `B × H` row-blocks
-//!    ([`crate::lstm::Lstm::step_batch`]).
+//!    instead of `B` mat-vecs, over weights the engine holds **only**
+//!    panel-packed ([`hima_tensor::PackedWeights`]: drawn straight into
+//!    panels at build, never row-major, so that a panel row is loaded
+//!    once for every lane of a group); the LSTM gates are then
+//!    activated one fused pass per active lane
+//!    ([`crate::lstm::PackedLstm::step_masked_into`]). The packed product
+//!    keeps every output's `matvec` operation order, so it serves both
+//!    kernel tiers — [`Backend`](hima_tensor::Backend) selects only the
+//!    memory units' kernels.
 //! 2. **Lane × shard data-parallelism** — every shard of every lane is
 //!    independent of every other, so the whole `B × N_t` grid is **one**
 //!    rayon task list per step (the 2-D decomposition mirroring the
@@ -31,25 +37,33 @@
 //! case of the same kernel.
 //!
 //! The engine is **bit-compatible** with running its `B` lanes through
-//! the sequential [`Dnc`](crate::Dnc) / [`DncD`](crate::DncD) oracles: the
-//! batched kernels use the same per-row accumulation order as `matvec`,
-//! and the per-shard memory step is the very same [`MemoryUnit`] code.
+//! the sequential [`Dnc`](crate::Dnc) / [`DncD`](crate::DncD) oracles
+//! (which multiply the row-major weights by plain `matvec`): the packed
+//! products use the same per-row accumulation order as `matvec`, and the
+//! per-shard memory step is the very same [`MemoryUnit`] code.
 //! The equivalence is asserted across every topology × lanes × datapath
 //! combination by `crates/dnc/tests/conformance.rs` (uniform) and the
 //! workspace-level `tests/ragged_conformance.rs` (masked).
+//!
+//! With profiling on, the grid stamps its own two costs next to the
+//! memory units' kernel times — the controller step as
+//! [`KernelId::Lstm`], the interface and output projections as
+//! [`KernelId::Projection`] — so [`GridEngine::profile`] covers the
+//! controller category too; with it off (the default) a step reads no
+//! clock.
 //!
 //! Construct engines through [`EngineBuilder`](crate::EngineBuilder).
 
 use crate::builder::Datapath;
 use crate::distributed::ReadMerge;
-use crate::dnc::ModelInit;
+use crate::dnc::{ModelInit, WeightBlock};
 use crate::interface::InterfaceVector;
-use crate::lstm::{Lstm, LstmScratch, LstmState};
+use crate::lstm::{LstmScratch, LstmState, PackedLstm};
 use crate::memory::{MemoryConfig, MemoryUnit};
-use crate::profile::KernelProfile;
+use crate::profile::{KernelId, KernelProfile};
 use crate::quantized::QuantizedMemoryUnit;
 use crate::DncParams;
-use hima_tensor::{Backend, LaneMask, Matrix};
+use hima_tensor::{LaneMask, Matrix, PackedWeights};
 use rayon::prelude::*;
 
 /// A shard's memory unit on either datapath.
@@ -283,21 +297,24 @@ fn gather_reads(merge: Option<&ReadMerge>, lane_shards: &[Shard], out: &mut [f32
 #[derive(Debug, Clone)]
 pub struct GridEngine {
     params: DncParams,
-    controller: Lstm,
+    /// The shared weights, held only in panel-packed form (drawn straight
+    /// into it; a row-major copy never exists). Their products are
+    /// bit-exact, so both kernel tiers run them; the tier axis lives in
+    /// the shard memory units' [`MemoryConfig`] alone.
+    controller: PackedLstm,
     /// One interface projection per shard, shared across lanes.
-    interface_projs: Vec<Matrix>,
-    output_proj: Matrix,
+    interface_projs: Vec<PackedWeights>,
+    output_proj: PackedWeights,
     /// The read-merge of a sharded topology; `None` on the monolithic one
     /// (see [`gather_reads`]).
     merge: Option<ReadMerge>,
     datapath: Datapath,
-    /// Kernel tier of the shared-weight projections and the controller
-    /// product — the same tier the shard memory units read from their
-    /// [`MemoryConfig`], so one engine runs one tier end to end.
-    backend: Backend,
-    /// Whether the memory units sample wall-clock kernel times; re-applied
-    /// to every unit an import brings in.
-    profiling: bool,
+    /// What the grid itself times when profiling is on: the controller
+    /// step ([`KernelId::Lstm`]) and the interface and output projections
+    /// ([`KernelId::Projection`]); the memory units keep their own. Its
+    /// gate is the engine's profiling setting, re-applied to every unit
+    /// an import brings in.
+    profile: KernelProfile,
     lstm_states: Vec<LstmState>,
     /// The flat `B × N_t` shard grid, lane-major: lane `b`'s shards are
     /// `shards[b·N_t .. (b+1)·N_t]`. Flat storage *is* the 2-D parallel
@@ -324,13 +341,13 @@ impl GridEngine {
         datapath: Datapath,
         profiling: bool,
     ) -> Self {
-        let ModelInit { params, controller, interface_projs, output_proj, shard_cfgs } = init;
+        let (params, shard_cfgs) = (init.params, &init.shard_cfgs);
         assert!(batch > 0, "need at least one batch lane");
         let tiles = shard_cfgs.len();
         assert_eq!(merge.as_ref().map_or(1, ReadMerge::shards), tiles, "merge shard count mismatch");
         let read_width = params.read_heads * params.word_size;
         let shards = (0..batch)
-            .flat_map(|_| &shard_cfgs)
+            .flat_map(|_| shard_cfgs)
             .map(|cfg| {
                 let mut memory = LaneMemory::new(*cfg, datapath);
                 memory.set_profiling(profiling);
@@ -341,15 +358,19 @@ impl GridEngine {
                 }
             })
             .collect();
+        let mut profile = KernelProfile::new();
+        profile.set_enabled(profiling);
+        let (input, hidden, lstm_seed) = init.controller();
         Self {
             params,
-            controller,
-            interface_projs,
-            output_proj,
+            // Drawn straight into panels: no row-major copy of any
+            // weight matrix ever exists.
+            controller: PackedLstm::new(input, hidden, lstm_seed),
+            interface_projs: init.interface_projs().map(WeightBlock::packed).collect(),
+            output_proj: init.output_proj().packed(),
             merge,
             datapath,
-            backend: shard_cfgs[0].backend,
-            profiling,
+            profile,
             lstm_states: vec![LstmState::zeros(params.hidden_size); batch],
             shards,
             last_read: Matrix::zeros(batch, read_width),
@@ -412,23 +433,25 @@ impl GridEngine {
         Matrix::hcat(&self.last_hidden, &self.last_read)
     }
 
-    /// Kernel profile aggregated across every lane's shard memory units.
+    /// Kernel profile of the grid's own controller and projection stamps
+    /// plus every lane's shard memory units.
     pub fn profile(&self) -> KernelProfile {
-        let mut p = KernelProfile::new();
+        let mut p = self.profile.clone();
         for shard in &self.shards {
             p.merge(shard.memory.unit().profile());
         }
         p
     }
 
-    /// Switches wall-clock kernel sampling on or off for every shard of
-    /// every lane (see [`KernelProfile::set_enabled`]). Engines from
+    /// Switches wall-clock kernel sampling on or off for the grid's own
+    /// stamps and every shard of every lane (see
+    /// [`KernelProfile::set_enabled`]). Engines from
     /// [`EngineBuilder`](crate::EngineBuilder) default to **off** — steady
     /// state steps then never read the clock; opt in with
     /// [`EngineBuilder::profiling`](crate::EngineBuilder::profiling) or
     /// this method.
     pub fn set_profiling(&mut self, on: bool) {
-        self.profiling = on;
+        self.profile.set_enabled(on);
         for shard in &mut self.shards {
             shard.memory.set_profiling(on);
         }
@@ -536,22 +559,21 @@ impl GridEngine {
         // Controller on [x_t ; v_r^{t-1}], all active lanes at once
         // (frozen lanes surface their held hidden state).
         Matrix::hcat_into(inputs, &self.last_read, &mut ws.ctrl_in);
-        self.controller.step_batch_masked_into_with(
-            &mut self.lstm_states,
-            &ws.ctrl_in,
-            mask,
-            &mut ws.lstm,
-            &mut ws.hidden,
-            self.backend,
-        );
+        let (controller, states) = (&self.controller, &mut self.lstm_states);
+        self.profile.time(KernelId::Lstm, || {
+            controller.step_masked_into(states, &ws.ctrl_in, mask, &mut ws.lstm, &mut ws.hidden)
+        });
 
         // Interface projection (input skip connection): one batched
         // product per shard — each shard has its own interface weights
         // but shares them across lanes — over the active rows only.
         Matrix::hcat_into(&ws.hidden, inputs, &mut ws.iface_in);
-        for (proj, raw) in self.interface_projs.iter().zip(ws.raw_shards.iter_mut()) {
-            self.backend.matmul_nt_masked_into(&ws.iface_in, proj, mask, raw);
-        }
+        let projs = &self.interface_projs;
+        self.profile.time(KernelId::Projection, || {
+            for (proj, raw) in projs.iter().zip(ws.raw_shards.iter_mut()) {
+                proj.matmul_masked_into(&ws.iface_in, mask, raw);
+            }
+        });
 
         // 2-D decomposition: the flat lane-major shard grid is the task
         // list; each task recovers its (b, s) coordinates from its index
@@ -594,7 +616,8 @@ impl GridEngine {
         // Output projection over [h ; v_r], batched over the active rows
         // (inactive output rows stay zero).
         Matrix::hcat_into(&ws.hidden, &self.last_read, &mut ws.out_in);
-        self.backend.matmul_nt_masked_into(&ws.out_in, &self.output_proj, mask, y);
+        let output_proj = &self.output_proj;
+        self.profile.time(KernelId::Projection, || output_proj.matmul_masked_into(&ws.out_in, mask, y));
         self.last_hidden.as_mut_slice().copy_from_slice(ws.hidden.as_slice());
     }
 
@@ -668,7 +691,7 @@ impl GridEngine {
     /// disagrees with this engine (shard count, per-shard memory config,
     /// Q-format, read/hidden widths).
     pub fn import_lane(&mut self, lane: usize, state: &LaneState) {
-        let (datapath, profiling) = (self.datapath, self.profiling);
+        let (datapath, profiling) = (self.datapath, self.profile.is_enabled());
         assert_eq!(state.shards.len(), self.tiles(), "lane state shard count mismatch");
         assert_eq!(state.read.len(), self.last_read.cols(), "read width mismatch");
         assert_eq!(state.hidden.len(), self.params.hidden_size, "hidden width mismatch");
@@ -847,6 +870,31 @@ mod tests {
         );
     }
 
+    /// The grid's own stamps: one controller step and two projection
+    /// blocks (interface, output) per grid step whatever the lane, shard
+    /// or active count — and only while profiling is on.
+    #[test]
+    fn grid_profile_stamps_the_controller_and_projections_per_step() {
+        use crate::profile::{KernelCategory, KernelId};
+        for mut engine in [mono(3, 1), sharded(4, 3, 1)] {
+            let x = Matrix::filled(3, 5, 0.2);
+            engine.step_batch(&x);
+            assert_eq!(engine.profile(), KernelProfile::new(), "off: no clock read, no stamp");
+            engine.set_profiling(true);
+            engine.step_batch(&x);
+            engine.step_batch_masked(&x, &LaneMask::from(vec![false, true, false]));
+            let p = engine.profile();
+            assert_eq!(p.calls(KernelId::Lstm), 2, "tiles={}", engine.tiles());
+            assert_eq!(p.calls(KernelId::Projection), 2 * 2, "tiles={}", engine.tiles());
+            assert!(p.category_nanos(KernelCategory::Controller) > 0);
+            let reads = (3 + 1) * engine.tiles() * 2;
+            assert_eq!(p.calls(KernelId::MemoryRead), reads as u64, "active lanes × shards × heads");
+            engine.set_profiling(false);
+            engine.step_batch(&x);
+            assert_eq!(engine.profile(), p, "off again: the counts stand still");
+        }
+    }
+
     #[test]
     fn quantized_datapath_lanes_hold_representable_state() {
         let q = QFormat::q16_16();
@@ -985,6 +1033,34 @@ mod tests {
                         assert_eq!(grid.last_read_row(i), engine.last_read_row(0));
                     }
                 }
+            }
+        }
+    }
+
+    /// Packed weights at widths the panels do not divide — 40 gate
+    /// columns (two panels and a half), a 38-column interface (two
+    /// panels, a quarter, two remainder columns) and 3 outputs (no panel
+    /// at all) — against the sequential oracles, which multiply the
+    /// row-major matrices by plain `matvec`: five lanes (a group of four
+    /// and a lone lane) under ragged masks, on both topologies.
+    #[test]
+    fn packed_weights_match_the_matvec_oracles_at_awkward_widths() {
+        let p = DncParams::new(12, 5, 2).with_hidden(10).with_io(7, 3);
+        let lens = [6usize, 2, 5, 3, 6];
+        let lanes = ragged_lane_inputs(&lens, 7);
+        let mut mono = EngineBuilder::new(p).lanes(5).seed(3).build();
+        let mut sharded = EngineBuilder::new(p).sharded(3).lanes(5).seed(3).build();
+        let mut dncs: Vec<_> = (0..5).map(|_| Dnc::new(p, 3)).collect();
+        let mut dncds: Vec<_> = (0..5).map(|_| DncD::new(p, 3, 3)).collect();
+        for t in 0..6 {
+            let (block, mask) = masked_block(&lanes, t, 7);
+            let (ym, ys) =
+                (mono.step_batch_masked(&block, &mask), sharded.step_batch_masked(&block, &mask));
+            for b in mask.active_lanes() {
+                assert_eq!(ym.row(b), &dncs[b].step(&lanes[b][t])[..], "Dnc lane {b} t {t}");
+                assert_eq!(ys.row(b), &dncds[b].step(&lanes[b][t])[..], "DncD lane {b} t {t}");
+                assert_eq!(mono.last_read_row(b), dncs[b].last_read());
+                assert_eq!(sharded.last_read_row(b), dncds[b].last_read());
             }
         }
     }

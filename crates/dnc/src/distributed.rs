@@ -14,7 +14,7 @@
 //! the paper's "trainable weights determined by the LSTM".
 
 use crate::allocation::SkimRate;
-use crate::dnc::ModelInit;
+use crate::dnc::{ModelInit, WeightBlock};
 use crate::interface::InterfaceVector;
 use crate::lstm::Lstm;
 use crate::memory::{MemoryConfig, MemoryUnit};
@@ -243,14 +243,14 @@ impl DncD {
         let mem_cfg = MemoryConfig::new(params.memory_size, params.word_size, params.read_heads)
             .with_skim(skim)
             .with_approx_softmax(approx_softmax);
-        let ModelInit { controller, interface_projs, output_proj, shard_cfgs, .. } =
-            ModelInit::new(params, mem_cfg, tiles, seed);
+        let init = ModelInit::new(params, mem_cfg, tiles, seed);
+        let (input, hidden, lstm_seed) = init.controller();
         Self {
             params,
-            shards: shard_cfgs.into_iter().map(MemoryUnit::new).collect(),
-            controller,
-            interface_projs,
-            output_proj,
+            controller: Lstm::new(input, hidden, lstm_seed),
+            interface_projs: init.interface_projs().map(WeightBlock::matrix).collect(),
+            output_proj: init.output_proj().matrix(),
+            shards: init.shard_cfgs.into_iter().map(MemoryUnit::new).collect(),
             merge: ReadMerge::uniform(tiles),
             last_read: vec![0.0; params.read_heads * params.word_size],
             last_hidden: vec![0.0; params.hidden_size],

@@ -10,15 +10,38 @@ use crate::lstm::Lstm;
 use crate::memory::{MemoryConfig, MemoryUnit, ReadResult};
 use crate::profile::{KernelId, KernelProfile};
 use crate::DncParams;
-use hima_tensor::Matrix;
+use hima_tensor::{Matrix, PackedWeights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Builds a scaled-uniform projection matrix.
-fn projection(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let scale = 1.0 / (cols as f32).sqrt();
-    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-scale..scale))
+/// A `rows × cols` block of scaled-uniform weights (`±1/√cols`, one
+/// stream per seed) that has not been drawn yet. The sequential models
+/// draw it [row-major](WeightBlock::matrix), the grid engine straight
+/// into [panels](WeightBlock::packed) — the same values in the same
+/// order, so the two hold the same weights and no engine ever holds both
+/// layouts of one block (at the paper's shapes the sixteen interface
+/// projections alone are 8 MB).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WeightBlock {
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) seed: u64,
+}
+
+impl WeightBlock {
+    fn values(self) -> impl FnMut(usize, usize) -> f32 {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let scale = 1.0 / (self.cols as f32).sqrt();
+        move |_, _| rng.gen_range(-scale..scale)
+    }
+
+    pub(crate) fn matrix(self) -> Matrix {
+        Matrix::from_fn(self.rows, self.cols, self.values())
+    }
+
+    pub(crate) fn packed(self) -> PackedWeights {
+        PackedWeights::from_fn(self.rows, self.cols, self.values())
+    }
 }
 
 /// Seed offsets so each weight block draws an independent stream.
@@ -30,25 +53,21 @@ const SEED_OUTPUT: u64 = 0x33;
 /// what [`Dnc`], [`DncD`](crate::DncD) and
 /// [`GridEngine`](crate::GridEngine) are all constructed from, so the
 /// three stay weight-identical by construction (shard 0 of any layout
-/// draws the centralized model's interface stream).
+/// draws the centralized model's interface stream). It hands the weights
+/// out as undrawn [`WeightBlock`]s: each consumer draws the one layout it
+/// multiplies.
 pub(crate) struct ModelInit {
     pub(crate) params: DncParams,
-    pub(crate) controller: Lstm,
-    /// One interface projection per shard, from `[h_t ; x_t]`: the input
-    /// skip connection keeps write/read keys directly conditioned on the
-    /// current token (Graves et al.'s controller emits the interface
-    /// from all layer outputs, input included).
-    pub(crate) interface_projs: Vec<Matrix>,
-    pub(crate) output_proj: Matrix,
     /// One memory configuration per shard: `mem_cfg` over the shard's
     /// rows.
     pub(crate) shard_cfgs: Vec<MemoryConfig>,
+    seed: u64,
 }
 
 impl ModelInit {
-    /// Initializes the weights from `seed` and splits `mem_cfg`'s rows
-    /// over `tiles` shards as evenly as they go: every shard gets
-    /// `N / tiles` rows and the first `N % tiles` one more.
+    /// Splits `mem_cfg`'s rows over `tiles` shards as evenly as they go:
+    /// every shard gets `N / tiles` rows and the first `N % tiles` one
+    /// more.
     ///
     /// # Panics
     ///
@@ -61,32 +80,45 @@ impl ModelInit {
         assert_eq!(mem_cfg.word_size, params.word_size, "word size mismatch");
         assert_eq!(mem_cfg.read_heads, params.read_heads, "read head mismatch");
 
-        let read_width = params.read_heads * params.word_size;
         let (rows, extra) = (params.memory_size / tiles, params.memory_size % tiles);
         Self {
             params,
-            controller: Lstm::new(
-                params.input_size + read_width,
-                params.hidden_size,
-                seed ^ SEED_LSTM,
-            ),
-            interface_projs: (0..tiles)
-                .map(|t| {
-                    projection(
-                        params.interface_size(),
-                        params.hidden_size + params.input_size,
-                        (seed ^ SEED_INTERFACE).wrapping_add(t as u64 * 7919),
-                    )
-                })
-                .collect(),
-            output_proj: projection(
-                params.output_size,
-                params.hidden_size + read_width,
-                seed ^ SEED_OUTPUT,
-            ),
             shard_cfgs: (0..tiles)
                 .map(|t| MemoryConfig { memory_size: rows + usize::from(t < extra), ..mem_cfg })
                 .collect(),
+            seed,
+        }
+    }
+
+    fn read_width(&self) -> usize {
+        self.params.read_heads * self.params.word_size
+    }
+
+    /// The controller's `(input, hidden, seed)`, on `[x_t ; v_r^{t-1}]` —
+    /// the arguments of [`Lstm::new`] and
+    /// [`PackedLstm::new`](crate::lstm::PackedLstm::new).
+    pub(crate) fn controller(&self) -> (usize, usize, u64) {
+        (self.params.input_size + self.read_width(), self.params.hidden_size, self.seed ^ SEED_LSTM)
+    }
+
+    /// One interface projection per shard, from `[h_t ; x_t]`: the input
+    /// skip connection keeps write/read keys directly conditioned on the
+    /// current token (Graves et al.'s controller emits the interface
+    /// from all layer outputs, input included).
+    pub(crate) fn interface_projs(&self) -> impl Iterator<Item = WeightBlock> + '_ {
+        (0..self.shard_cfgs.len()).map(|t| WeightBlock {
+            rows: self.params.interface_size(),
+            cols: self.params.hidden_size + self.params.input_size,
+            seed: (self.seed ^ SEED_INTERFACE).wrapping_add(t as u64 * 7919),
+        })
+    }
+
+    /// The output projection, from `[h_t ; v_r]`.
+    pub(crate) fn output_proj(&self) -> WeightBlock {
+        WeightBlock {
+            rows: self.params.output_size,
+            cols: self.params.hidden_size + self.read_width(),
+            seed: self.seed ^ SEED_OUTPUT,
         }
     }
 }
@@ -131,13 +163,14 @@ impl Dnc {
     ///
     /// Panics if `mem_cfg` geometry disagrees with `params`.
     pub fn with_memory_config(params: DncParams, mem_cfg: MemoryConfig, seed: u64) -> Self {
-        let ModelInit { controller, mut interface_projs, output_proj, .. } =
-            ModelInit::new(params, mem_cfg, 1, seed);
+        let init = ModelInit::new(params, mem_cfg, 1, seed);
+        let (input, hidden, lstm_seed) = init.controller();
+        let interface_proj = init.interface_projs().next().expect("one shard").matrix();
         Self {
             params,
-            controller,
-            interface_proj: interface_projs.remove(0),
-            output_proj,
+            controller: Lstm::new(input, hidden, lstm_seed),
+            interface_proj,
+            output_proj: init.output_proj().matrix(),
             memory: MemoryUnit::new(mem_cfg),
             last_read: vec![0.0; params.read_heads * params.word_size],
             last_hidden: vec![0.0; params.hidden_size],
@@ -222,7 +255,8 @@ impl Dnc {
         let mut iface_in = Vec::with_capacity(hidden.len() + input.len());
         iface_in.extend_from_slice(&hidden);
         iface_in.extend_from_slice(input);
-        let raw_iface = self.interface_proj.matvec(&iface_in);
+        let interface_proj = &self.interface_proj;
+        let raw_iface = self.profile.time(KernelId::Projection, || interface_proj.matvec(&iface_in));
         let iv = InterfaceVector::parse(&raw_iface, self.params.word_size, self.params.read_heads);
 
         // Memory unit step.
@@ -233,7 +267,8 @@ impl Dnc {
         let mut out_in = Vec::with_capacity(hidden.len() + self.last_read.len());
         out_in.extend_from_slice(&hidden);
         out_in.extend_from_slice(&self.last_read);
-        let y = self.output_proj.matvec(&out_in);
+        let output_proj = &self.output_proj;
+        let y = self.profile.time(KernelId::Projection, || output_proj.matvec(&out_in));
         self.last_hidden = hidden;
 
         (read, y)
@@ -314,6 +349,7 @@ mod tests {
         dnc.step(&[0.2; 5]);
         let p = dnc.profile();
         assert_eq!(p.calls(KernelId::Lstm), 1);
+        assert_eq!(p.calls(KernelId::Projection), 2, "interface + output");
         assert!(p.calls(KernelId::MemoryRead) > 0);
     }
 

@@ -75,7 +75,7 @@ pub use batch::{GridEngine, LaneState};
 pub use builder::{BoxedEngine, Datapath, EngineBuilder, EngineSpec, SpecError, Topology};
 pub use distributed::{DncD, ReadMerge};
 pub use interface::InterfaceVector;
-pub use lstm::LstmScratch;
+pub use lstm::{LstmScratch, PackedLstm};
 pub use memory::{MemoryConfig, MemoryUnit};
 pub use persist::StateCodecError;
 pub use profile::{KernelCategory, KernelId, KernelProfile};

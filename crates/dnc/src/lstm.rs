@@ -6,11 +6,20 @@
 //! procedurally initialized (scaled uniform) from a seed; the reproduction
 //! does not train the controller — see DESIGN.md for why relative
 //! DNC-vs-DNC-D accuracy does not require trained weights.
+//!
+//! Two forms of one cell. [`Lstm`] owns row-major gate weights and steps
+//! a single sequence by plain `matvec` ([`Lstm::step`],
+//! [`Lstm::step_with_state`]) — the sequential models' controller and the
+//! oracle of every batched test. [`PackedLstm`] is what the grid engine
+//! holds: the weights of the same `(input, hidden, seed)` panel-packed
+//! ([`hima_tensor::PackedWeights`]) and the **one** batched step,
+//! [`PackedLstm::step_masked_into`], bit-identical to `B` scalar steps.
+//! The batched step lives with the packed weights because that is the
+//! only layout it multiplies.
 
+use crate::dnc::WeightBlock;
 use hima_tensor::activation::{sigmoid, tanh};
-use hima_tensor::{Backend, LaneMask, Matrix};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use hima_tensor::{LaneMask, Matrix, PackedWeights};
 use serde::{Deserialize, Serialize};
 
 /// LSTM cell state carried across time steps.
@@ -38,7 +47,7 @@ impl LstmState {
 
 /// Reusable scratch of the batched controller step: the `[X ; H]`
 /// concatenation block and the pre-activation block, pre-sized so
-/// [`Lstm::step_batch_masked_into`] allocates nothing. Owned by the
+/// [`PackedLstm::step_masked_into`] allocates nothing. Owned by the
 /// engine's step workspace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LstmScratch {
@@ -65,6 +74,22 @@ impl LstmScratch {
     }
 }
 
+/// The undrawn gate weights (rows `i, f, g, o`; scaled-uniform in
+/// `±1/√(input+hidden)`) and the gate bias (forget gate +1, the standard
+/// trick that keeps memory cells alive early on) of an `input → hidden`
+/// cell — shared by [`Lstm::new`] and [`PackedLstm::new`], so the two
+/// layouts hold the same weights.
+///
+/// # Panics
+///
+/// Panics if `input == 0` or `hidden == 0`.
+fn gate_init(input: usize, hidden: usize, seed: u64) -> (WeightBlock, Vec<f32>) {
+    assert!(input > 0 && hidden > 0, "LSTM dimensions must be positive");
+    let mut bias = vec![0.0; 4 * hidden];
+    bias[hidden..2 * hidden].fill(1.0);
+    (WeightBlock { rows: 4 * hidden, cols: input + hidden, seed }, bias)
+}
+
 /// A single-layer LSTM with input width `input` and hidden width `hidden`.
 ///
 /// # Example
@@ -87,26 +112,21 @@ pub struct Lstm {
 }
 
 impl Lstm {
-    /// Creates an LSTM with procedurally initialized weights.
-    ///
-    /// Initialization is scaled-uniform in `±1/√(input+hidden)` with the
-    /// forget-gate bias set to +1 (the standard trick that keeps memory
-    /// cells alive early on).
+    /// Creates an LSTM with procedurally initialized weights:
+    /// scaled-uniform in `±1/√(input+hidden)`, forget-gate bias +1.
     ///
     /// # Panics
     ///
     /// Panics if `input == 0` or `hidden == 0`.
     pub fn new(input: usize, hidden: usize, seed: u64) -> Self {
-        assert!(input > 0 && hidden > 0, "LSTM dimensions must be positive");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let cols = input + hidden;
-        let scale = 1.0 / (cols as f32).sqrt();
-        let weights = Matrix::from_fn(4 * hidden, cols, |_, _| rng.gen_range(-scale..scale));
-        let mut bias = vec![0.0; 4 * hidden];
-        for b in bias.iter_mut().take(2 * hidden).skip(hidden) {
-            *b = 1.0; // forget gate bias
+        let (gates, bias) = gate_init(input, hidden, seed);
+        Self {
+            input_size: input,
+            hidden_size: hidden,
+            weights: gates.matrix(),
+            bias,
+            state: LstmState::zeros(hidden),
         }
-        Self { input_size: input, hidden_size: hidden, weights, bias, state: LstmState::zeros(hidden) }
     }
 
     /// Input width.
@@ -146,8 +166,9 @@ impl Lstm {
     }
 
     /// Runs one time step on caller-owned recurrent state — the lane
-    /// kernel behind both [`Lstm::step`] (one internal lane) and the
-    /// batched path (one external state per batch lane, shared weights).
+    /// kernel behind [`Lstm::step`] (one internal lane), and the oracle
+    /// the batched step ([`PackedLstm::step_masked_into`]: one external
+    /// state per batch lane, shared weights) is checked against.
     ///
     /// # Panics
     ///
@@ -176,107 +197,70 @@ impl Lstm {
         new_h
     }
 
-    /// Runs one time step for `B` independent lanes through the shared
-    /// weights: `inputs` is `B × input_size` (one lane per row), `states`
-    /// holds one recurrent state per lane, and the returned matrix is the
-    /// `B × hidden_size` block of new hidden states.
-    ///
-    /// The pre-activations for all lanes are produced by a single batched
-    /// `[X ; H] · Wᵀ` product and the gate nonlinearities are applied to
-    /// whole `B × H` row-blocks, so one call replaces `B` scalar
-    /// [`Lstm::step_with_state`] calls while staying bit-compatible with
-    /// them (same per-row accumulation order, same elementwise ops).
+    /// Approximate multiply-accumulate count of one step (used by runtime
+    /// models): `4·H·(I+H)`.
+    pub fn macs_per_step(&self) -> u64 {
+        4 * self.hidden_size as u64 * (self.input_size + self.hidden_size) as u64
+    }
+}
+
+/// The batched controller: an [`Lstm`]'s gate weights panel-packed
+/// ([`PackedWeights`]) and its one step over `B` lanes. It holds no
+/// recurrent state — each lane's [`LstmState`] is the caller's.
+#[derive(Debug, Clone)]
+pub struct PackedLstm {
+    input_size: usize,
+    hidden_size: usize,
+    /// Gate weights, `4·hidden × (input + hidden)` before packing.
+    weights: PackedWeights,
+    bias: Vec<f32>,
+}
+
+impl PackedLstm {
+    /// The packed form of `Lstm::new(input, hidden, seed)`: the same
+    /// weights, drawn straight into panels.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.rows() != states.len()`, the input width is wrong,
-    /// or any state width disagrees with `hidden_size`.
-    pub fn step_batch(&self, states: &mut [LstmState], inputs: &Matrix) -> Matrix {
-        self.step_batch_masked(states, inputs, &LaneMask::full(states.len()))
+    /// Panics if `input == 0` or `hidden == 0`.
+    pub fn new(input: usize, hidden: usize, seed: u64) -> Self {
+        let (gates, bias) = gate_init(input, hidden, seed);
+        Self { input_size: input, hidden_size: hidden, weights: gates.packed(), bias }
     }
 
-    /// Masked form of [`Lstm::step_batch`] for ragged batches: only the
-    /// lanes `mask` marks active advance. An inactive lane's recurrent
-    /// state is **frozen** — its row of the shared-weight product, the
-    /// gate activations and the state update are all skipped (not
-    /// zeroed and recomputed) — and its row of the returned hidden block
-    /// holds the frozen hidden state, so downstream feature consumers
-    /// keep seeing the lane's last real activation.
+    /// Runs one time step for the lanes `mask` marks active through the
+    /// shared weights: `inputs` is `B × input_size` (one lane per row),
+    /// `states` holds one recurrent state per lane, and `hidden_out`
+    /// receives the `B × hidden_size` block of hidden states.
     ///
-    /// Active lanes are bit-identical to [`Lstm::step_batch`] (and hence
-    /// to `B` scalar [`Lstm::step_with_state`] calls); a fully-active
-    /// mask reproduces the unmasked step exactly — `step_batch` is this
-    /// kernel with [`LaneMask::full`].
+    /// The pre-activations of all active lanes are one `[X ; H] · Wᵀ`
+    /// packed product, and the gate math is one fused pass per active
+    /// lane over its pre-activation row — the per-element expressions of
+    /// [`Lstm::step_with_state`] (`σ`/`tanh` of `pre + bias`,
+    /// `c' = f·c + i·g`, `h' = o·tanh c'`), so active lanes are
+    /// bit-identical to `B` scalar steps. An inactive lane's recurrent
+    /// state is **frozen** — its row of the product, the gate
+    /// activations and the state update are all skipped (not zeroed and
+    /// recomputed) — and its row of `hidden_out` holds the frozen hidden
+    /// state, so downstream feature consumers keep seeing the lane's
+    /// last real activation.
+    ///
+    /// The `[X ; H]` and pre-activation blocks come from `scratch`: zero
+    /// heap allocations once it and `hidden_out` match the geometry (they
+    /// are resized in place when not).
     ///
     /// # Panics
     ///
     /// Panics if `inputs.rows() != states.len()`,
     /// `mask.lanes() != states.len()`, the input width is wrong, or any
     /// state width disagrees with `hidden_size`.
-    pub fn step_batch_masked(
-        &self,
-        states: &mut [LstmState],
-        inputs: &Matrix,
-        mask: &LaneMask,
-    ) -> Matrix {
-        let (b, h) = (states.len(), self.hidden_size);
-        let mut scratch = LstmScratch::sized(b, self.input_size, h);
-        let mut hidden = Matrix::zeros(b, h);
-        self.step_batch_masked_into(states, inputs, mask, &mut scratch, &mut hidden);
-        hidden
-    }
-
-    /// Workspace form of [`Lstm::step_batch_masked`]: the `[X ; H]`
-    /// concatenation and pre-activation blocks come from `scratch` and
-    /// the new hidden block lands in `hidden_out` — zero heap allocations
-    /// once both match the geometry (they are resized in place when not).
-    ///
-    /// The gate math runs as one fused pass per active lane over the
-    /// pre-activation row — the same per-element expressions
-    /// (`σ`/`tanh` of `pre + bias`, `c' = f·c + i·g`, `h' = o·tanh c'`)
-    /// the row-block kernels apply, so the result is bit-identical to
-    /// [`Lstm::step_batch_masked`] and to `B` scalar
-    /// [`Lstm::step_with_state`] calls. Frozen lanes surface their held
-    /// hidden state in `hidden_out` exactly as before.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.rows() != states.len()`,
-    /// `mask.lanes() != states.len()`, the input width is wrong, or any
-    /// state width disagrees with `hidden_size`.
-    pub fn step_batch_masked_into(
+    pub fn step_masked_into(
         &self,
         states: &mut [LstmState],
         inputs: &Matrix,
         mask: &LaneMask,
         scratch: &mut LstmScratch,
         hidden_out: &mut Matrix,
-    ) {
-        self.step_batch_masked_into_with(states, inputs, mask, scratch, hidden_out, Backend::Scalar);
-    }
-
-    /// Backend-dispatching form of [`Lstm::step_batch_masked_into`]: the
-    /// shared-weight `[X ; H] · Wᵀ` product runs on the selected kernel
-    /// tier while the fused gate arithmetic keeps the exact per-element
-    /// expressions on both tiers. On [`Backend::Scalar`] this is
-    /// bit-identical to [`Lstm::step_batch_masked_into`]; on
-    /// [`Backend::Blocked`] the pre-activations carry the documented
-    /// re-association tolerance and everything downstream of them is the
-    /// same arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.rows() != states.len()`,
-    /// `mask.lanes() != states.len()`, the input width is wrong, or any
-    /// state width disagrees with `hidden_size`.
-    pub fn step_batch_masked_into_with(
-        &self,
-        states: &mut [LstmState],
-        inputs: &Matrix,
-        mask: &LaneMask,
-        scratch: &mut LstmScratch,
-        hidden_out: &mut Matrix,
-        backend: Backend,
     ) {
         assert_eq!(inputs.rows(), states.len(), "LSTM batch size mismatch");
         assert_eq!(inputs.cols(), self.input_size, "LSTM input width mismatch");
@@ -302,7 +286,7 @@ impl Lstm {
 
         // One shared-weight product for the active lanes, plus the bias
         // broadcast.
-        backend.matmul_nt_masked_into(&scratch.x_cat, &self.weights, mask, &mut scratch.pre);
+        self.weights.matmul_masked_into(&scratch.x_cat, mask, &mut scratch.pre);
         scratch.pre.add_row_inplace_masked(&self.bias, mask);
 
         // Gates, cell and hidden update fused per active lane.
@@ -326,12 +310,6 @@ impl Lstm {
             }
             state.hidden.copy_from_slice(out_row);
         }
-    }
-
-    /// Approximate multiply-accumulate count of one step (used by runtime
-    /// models): `4·H·(I+H)`.
-    pub fn macs_per_step(&self) -> u64 {
-        4 * self.hidden_size as u64 * (self.input_size + self.hidden_size) as u64
     }
 }
 
@@ -384,16 +362,21 @@ mod tests {
 
     #[test]
     fn masked_step_freezes_inactive_lanes_and_matches_scalar_stepping() {
-        let lstm = Lstm::new(3, 5, 11);
+        let (lstm, packed) = (Lstm::new(3, 5, 11), PackedLstm::new(3, 5, 11));
         let lens = [3usize, 1, 2];
         let mut states = vec![LstmState::zeros(5); 3];
+        // One scratch and output block across steps, lanes freezing as
+        // their sequences end: stale rows must never leak into active
+        // results.
+        let mut scratch = LstmScratch::sized(3, 3, 5);
+        let mut h = Matrix::zeros(3, 5);
         // Scalar reference: each lane steps alone, only while its
         // sequence lasts.
         let mut reference = vec![LstmState::zeros(5); 3];
         for t in 0..3 {
             let mask = LaneMask::for_step(&lens, t);
             let inputs = Matrix::from_fn(3, 3, |b, i| ((b * 7 + t * 3 + i) as f32 * 0.31).sin());
-            let h = lstm.step_batch_masked(&mut states, &inputs, &mask);
+            packed.step_masked_into(&mut states, &inputs, &mask, &mut scratch, &mut h);
             for b in 0..3 {
                 if t < lens[b] {
                     let want = lstm.step_with_state(&mut reference[b], inputs.row(b));
@@ -407,39 +390,30 @@ mod tests {
     }
 
     #[test]
-    fn full_mask_is_bit_identical_to_step_batch() {
-        let lstm = Lstm::new(4, 6, 5);
-        let inputs = Matrix::from_fn(2, 4, |b, i| (b as f32 - 0.5) * 0.3 + i as f32 * 0.1);
-        let mut a = vec![LstmState::zeros(6); 2];
-        let mut b = vec![LstmState::zeros(6); 2];
-        let ha = lstm.step_batch(&mut a, &inputs);
-        let hb = lstm.step_batch_masked(&mut b, &inputs, &LaneMask::full(2));
-        assert_eq!(ha, hb);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     #[should_panic(expected = "lane mask size mismatch")]
     fn masked_step_rejects_wrong_mask_length() {
-        let lstm = Lstm::new(2, 3, 0);
+        let packed = PackedLstm::new(2, 3, 0);
         let mut states = vec![LstmState::zeros(3); 2];
-        lstm.step_batch_masked(&mut states, &Matrix::zeros(2, 2), &LaneMask::full(3));
+        let (mut scratch, mut h) = (LstmScratch::sized(2, 2, 3), Matrix::zeros(2, 3));
+        let mask = LaneMask::full(3);
+        packed.step_masked_into(&mut states, &Matrix::zeros(2, 2), &mask, &mut scratch, &mut h);
     }
 
     #[test]
     fn reused_scratch_stays_bit_identical_across_steps() {
-        let lstm = Lstm::new(3, 5, 21);
-        let mut scratch = LstmScratch::sized(2, 3, 5);
-        let mut hidden = Matrix::zeros(2, 5);
+        // Scratch and output block of the wrong geometry are resized in
+        // place, then reused; a fresh pair per step must agree with them.
+        let packed = PackedLstm::new(3, 5, 21);
+        let mut scratch = LstmScratch::sized(1, 1, 1);
+        let mut hidden = Matrix::zeros(1, 1);
         let mut states = vec![LstmState::zeros(5); 2];
         let mut reference = vec![LstmState::zeros(5); 2];
         for t in 0..4 {
-            // Lane 1 freezes on odd steps: stale scratch rows must never
-            // leak into active results.
             let mask = LaneMask::from(vec![true, t % 2 == 0]);
             let inputs = Matrix::from_fn(2, 3, |b, i| ((b * 5 + t * 3 + i) as f32 * 0.27).sin());
-            lstm.step_batch_masked_into(&mut states, &inputs, &mask, &mut scratch, &mut hidden);
-            let want = lstm.step_batch_masked(&mut reference, &inputs, &mask);
+            packed.step_masked_into(&mut states, &inputs, &mask, &mut scratch, &mut hidden);
+            let (mut fresh, mut want) = (LstmScratch::sized(2, 3, 5), Matrix::zeros(2, 5));
+            packed.step_masked_into(&mut reference, &inputs, &mask, &mut fresh, &mut want);
             assert_eq!(hidden, want, "t={t}");
             assert_eq!(states, reference, "t={t}");
         }

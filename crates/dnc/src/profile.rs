@@ -12,8 +12,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
 
-/// Fine-grained DNC kernels — one per row of the paper's Table 1 (plus the
-/// LSTM controller).
+/// Fine-grained DNC kernels — one per row of the paper's Table 1, plus the
+/// two halves of the controller that sits outside the memory unit (the
+/// LSTM and the projections from its hidden state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum KernelId {
     /// Row/key L2 normalization (content weighting step 1).
@@ -44,12 +45,16 @@ pub enum KernelId {
     MemoryRead,
     /// LSTM controller inference.
     Lstm,
+    /// The dense projections around the memory unit: hidden state (and
+    /// input) to interface vector, `[h ; v_r]` to output.
+    Projection,
 }
 
 impl KernelId {
     /// All kernels in dataflow order.
-    pub const ALL: [KernelId; 14] = [
+    pub const ALL: [KernelId; 15] = [
         KernelId::Lstm,
+        KernelId::Projection,
         KernelId::Normalize,
         KernelId::Similarity,
         KernelId::Retention,
@@ -79,7 +84,7 @@ impl KernelId {
             | KernelId::ForwardBackward
             | KernelId::ReadMerge => KernelCategory::HistoryReadWeighting,
             KernelId::MemoryWrite | KernelId::MemoryRead => KernelCategory::MemoryAccess,
-            KernelId::Lstm => KernelCategory::Controller,
+            KernelId::Lstm | KernelId::Projection => KernelCategory::Controller,
         }
     }
 }
@@ -101,7 +106,7 @@ pub enum KernelCategory {
     HistoryReadWeighting,
     /// External-memory write and read.
     MemoryAccess,
-    /// The NN (LSTM) controller.
+    /// The NN controller: LSTM and its interface/output projections.
     Controller,
 }
 

@@ -180,11 +180,15 @@ proptest! {
         seed in 0u64..100,
     ) {
         let lstm = hima_dnc::lstm::Lstm::new(5, 12, seed);
+        let packed = hima_dnc::PackedLstm::new(5, 12, seed);
         let streams = lane_streams(batch, 5, 5, seed);
         let mut batch_states = vec![hima_dnc::lstm::LstmState::zeros(12); batch];
         let mut lane_states = vec![hima_dnc::lstm::LstmState::zeros(12); batch];
+        let mask = hima_dnc::LaneMask::full(batch);
+        let mut scratch = hima_dnc::LstmScratch::sized(batch, 5, 12);
+        let mut h = hima_tensor::Matrix::zeros(batch, 12);
         for t in 0..5 {
-            let h = lstm.step_batch(&mut batch_states, &block_at(&streams, t));
+            packed.step_masked_into(&mut batch_states, &block_at(&streams, t), &mask, &mut scratch, &mut h);
             for (b, state) in lane_states.iter_mut().enumerate() {
                 let want = lstm.step_with_state(state, &streams[b][t]);
                 prop_assert!(

@@ -18,6 +18,10 @@
 //!   the `*_block_masked` activations, [`softmax_rows_masked`]) that let
 //!   ragged batches skip — not zero-and-recompute — the rows of lanes
 //!   whose sequences have ended,
+//! * [`PackedWeights`] — a fixed weight matrix stored once in panels of
+//!   16 outputs and its bit-exact, output-packed AVX/SSE2 product: what
+//!   the engine's controller, interface and output projections run on
+//!   both tiers ([`mod@packed`]),
 //! * [`Backend`] — the kernel execution tier: the bit-exact reference
 //!   tier (`k`-ordered kernels, lane-packed across batch lanes where that
 //!   keeps the bits) or the cache-blocked [`F32x8`]-vectorized fast tier
@@ -44,6 +48,7 @@ pub mod lane_mask;
 mod lane_pack;
 pub mod linalg;
 pub mod matrix;
+pub mod packed;
 pub mod simd;
 pub mod softmax;
 pub mod vector;
@@ -52,6 +57,7 @@ pub use backend::Backend;
 pub use fixed::{Fixed, QFormat};
 pub use lane_mask::LaneMask;
 pub use matrix::Matrix;
+pub use packed::PackedWeights;
 pub use simd::F32x8;
 pub use softmax::{softmax, softmax_approx, softmax_rows, softmax_rows_masked, PlaSoftmax};
 

@@ -24,7 +24,7 @@
 //! targets.
 
 #[cfg(target_arch = "x86_64")]
-use core::arch::x86_64::{__m128, _mm_add_ps, _mm_loadu_ps, _mm_max_ps, _mm_mul_ps, _mm_storeu_ps, _mm_sub_ps};
+use core::arch::x86_64::{__m128, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_storeu_ps, _mm_sub_ps};
 
 /// Eight f32 lanes with unrolled element-wise arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -205,37 +205,6 @@ impl F32x8 {
         }
     }
 
-    /// Lane-wise maximum. For finite inputs this is `f32::max` per lane;
-    /// on `x86_64` the `_mm_max_ps` convention applies to the exotic
-    /// cases (a NaN lane or a `±0.0` tie yields the `o` operand), which
-    /// is indistinguishable everywhere the backend uses it (softmax max
-    /// scans over finite logits).
-    #[inline(always)]
-    pub fn max(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (alo, ahi) = self.halves();
-            let (blo, bhi) = o.halves();
-            // SAFETY: SSE2 is statically enabled on every x86_64 target.
-            let (lo, hi) = unsafe { (_mm_max_ps(alo, blo), _mm_max_ps(ahi, bhi)) };
-            Self::from_halves(lo, hi)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let (a, b) = (self.0, o.0);
-            Self([
-                a[0].max(b[0]),
-                a[1].max(b[1]),
-                a[2].max(b[2]),
-                a[3].max(b[3]),
-                a[4].max(b[4]),
-                a[5].max(b[5]),
-                a[6].max(b[6]),
-                a[7].max(b[7]),
-            ])
-        }
-    }
-
     /// Pairwise-tree sum of the eight lanes:
     /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`.
     #[inline(always)]
@@ -246,17 +215,6 @@ impl F32x8 {
         let s26 = a[2] + a[6];
         let s37 = a[3] + a[7];
         (s04 + s26) + (s15 + s37)
-    }
-
-    /// Maximum over the eight lanes.
-    #[inline(always)]
-    pub fn horizontal_max(self) -> f32 {
-        let a = self.0;
-        let m04 = a[0].max(a[4]);
-        let m15 = a[1].max(a[5]);
-        let m26 = a[2].max(a[6]);
-        let m37 = a[3].max(a[7]);
-        (m04.max(m26)).max(m15.max(m37))
     }
 }
 
@@ -281,14 +239,12 @@ mod tests {
         assert_eq!(a.sub(b).0[0], -1.0);
         assert_eq!(a.mul(b).0[3], 8.0);
         assert_eq!(a.mul_add(b, F32x8::splat(1.0)).0[1], 5.0);
-        assert_eq!(a.max(F32x8::splat(4.5)).0, [4.5, 4.5, 4.5, 4.5, 5.0, 6.0, 7.0, 8.0]);
     }
 
     #[test]
     fn horizontal_reductions() {
         let v = F32x8::load(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, -9.0]);
         assert_eq!(v.horizontal_sum(), 19.0);
-        assert_eq!(v.horizontal_max(), 7.0);
     }
 
     #[test]
