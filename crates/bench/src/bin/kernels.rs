@@ -16,24 +16,28 @@
 //!
 //! A second table holds the **bit-exact variants inside the scalar
 //! tier** — pairs that return identical bits, so the only question is
-//! which is faster: `quantize_slice` (the `round()` definition of
-//! Q-format rounding, per element, vs the libm-free slice kernel over
-//! 4 096 elements) and `matmul_nt_masked_lanes` (the row kernel vs the
-//! lane-packed kernel behind `Backend::Scalar`, at 1, 2, 3, 4 and 8
-//! active lanes of a `B = 8` grid). The lane-count threshold for packing
-//! (`lane_pack::MIN_ACTIVE`) is read off those rows: the dispatch must
-//! never pick the packed kernel at a count where it loses, so the
-//! `active = 1` row — where both sides run the row kernel — is the
-//! control and must read ≈ 1.0×.
+//! which is faster. `quantize_slice` has two rows over 4 096 elements:
+//! the `f32`-only Q-format rounding body (`QFormat::quantize_slice_inplace`,
+//! AVX where the CPU has it) against the `round()` definition, per
+//! element, and against the SSE2-via-`f64` body it replaced (a copy kept
+//! in this file). `matmul_nt_masked_lanes` is the row kernel
+//! (`Matrix::matmul_nt_masked_into`, one pass over the weights per active
+//! lane) against what `Backend::Scalar` dispatches to — the transposing
+//! row-dot kernel of `hima_tensor::fused`, one pass per four active lanes
+//! — at 1, 2, 3, 4 and 8 active lanes of a `B = 8` grid.
 //!
-//! The same table holds the memory unit's read-phase kernels at one
-//! paper tile (`N = 64, W = 64`) and the served shape (`N = 128, W = 16`):
+//! The same table holds the memory unit's kernels at one paper tile
+//! (`N = 64, W = 64`) and the served shape (`N = 128, W = 16`):
 //! `linkage_update_branch_free` (the reference's `if i == j` loop vs the
-//! branch-free row body), and `forward_heads` / `content_dots_heads` at
+//! branch-free row body); `forward_heads` / `content_dots_heads` at
 //! `R = 1, 2, 4` read heads — `R` one-head passes (`matvec_into` over `L`;
 //! `N` one-chain dots over `M`) vs the one `Backend::Scalar.matmul_nt_into`
-//! product that carries a head per SSE lane (`R = 1` runs the row kernel:
-//! four output columns, so four independent add chains, per pass).
+//! product (eight rows of `L` or `M` transposed in registers, one
+//! accumulator per head); `matvec_t_heads` at the same head counts — `R`
+//! `matvec_t_into` passes vs one `fused::matvec_t_heads_into`, over `L`
+//! (the backward weightings) and over `M` (the memory read); and
+//! `row_norms_fused` at `R = 1` and `4` keys — `row_norms_into` followed
+//! by the dots-only kernel vs the one pass that returns both.
 //!
 //! `packed_weights` rows are the engine's shared-weight products — the
 //! interface projection, LSTM gates and output projection at the paper's
@@ -48,7 +52,7 @@
 //! Flags:
 //!
 //! * `--json` — additionally write `BENCH_kernels.json`:
-//!   `{ bench: "kernels", schema_version: 4, params: {memory_size,
+//!   `{ bench: "kernels", schema_version: 5, params: {memory_size,
 //!   word_size, hidden_size}, kernels: [{kernel, batch,
 //!   scalar_ns_per_call, blocked_ns_per_call, speedup}],
 //!   scalar_variants: [{kernel, shape, batch, active, reference, variant,
@@ -61,7 +65,7 @@
 //! * `--smoke` — short measurement windows for CI.
 
 use hima::dnc::linkage::TemporalLinkage;
-use hima::tensor::{Backend, LaneMask, Matrix, PackedWeights, QFormat};
+use hima::tensor::{fused, Backend, LaneMask, Matrix, PackedWeights, QFormat};
 use std::time::{Duration, Instant};
 
 const N: usize = 128;
@@ -121,6 +125,48 @@ fn quantize_round_definition(q: QFormat, xs: &mut [f32]) {
     for x in xs {
         let raw = (*x as f64 * scale).round().clamp(min_raw, max_raw) as i64;
         *x = raw as f32 / scale as f32;
+    }
+}
+
+/// The rounding body `QFormat::quantize_slice_inplace` ran before the
+/// `f32`-only one: clamp, add ±½, truncate in `f64`, four elements per pass
+/// in baseline SSE2 (the tail in scalar code). Kept here, as the
+/// definition above is, to say what the replacement bought.
+#[cfg(target_arch = "x86_64")]
+fn quantize_sse2_f64(q: QFormat, xs: &mut [f32]) {
+    use core::arch::x86_64::{
+        __m128d, __m128i, _mm_add_pd, _mm_and_pd, _mm_and_si128, _mm_castps_si128, _mm_cmpord_ps,
+        _mm_cvtepi32_ps, _mm_cvtps_pd, _mm_cvttpd_epi32, _mm_loadu_ps, _mm_max_pd, _mm_min_pd,
+        _mm_movehl_ps, _mm_mul_pd, _mm_mul_ps, _mm_or_pd, _mm_set1_pd, _mm_set1_ps, _mm_storeu_ps,
+        _mm_unpacklo_epi64,
+    };
+    let edge = (1u64 << (q.total_bits() - 1)) as f64;
+    let (scale, min_raw, max_raw) = ((1u64 << q.frac_bits) as f64, -edge, edge - 1.0);
+    let inv_scale = (1.0 / scale) as f32;
+    let mut quads = xs.chunks_exact_mut(4);
+    // SAFETY: SSE2 is part of the x86_64 baseline ABI, and the one
+    // unaligned load and one unaligned store per pass touch exactly the
+    // four f32s of `quad`.
+    unsafe {
+        let (scale_pd, inv) = (_mm_set1_pd(scale), _mm_set1_ps(inv_scale));
+        let (lo_edge, hi_edge) = (_mm_set1_pd(min_raw), _mm_set1_pd(max_raw));
+        let (sign_bit, half) = (_mm_set1_pd(-0.0), _mm_set1_pd(0.5));
+        let to_raw = |x: __m128d| -> __m128i {
+            let v = _mm_min_pd(_mm_max_pd(_mm_mul_pd(x, scale_pd), lo_edge), hi_edge);
+            _mm_cvttpd_epi32(_mm_add_pd(v, _mm_or_pd(_mm_and_pd(v, sign_bit), half)))
+        };
+        for quad in &mut quads {
+            let x = _mm_loadu_ps(quad.as_ptr());
+            let lo = to_raw(_mm_cvtps_pd(x));
+            let hi = to_raw(_mm_cvtps_pd(_mm_movehl_ps(x, x)));
+            let ordered = _mm_castps_si128(_mm_cmpord_ps(x, x));
+            let raw = _mm_and_si128(_mm_unpacklo_epi64(lo, hi), ordered);
+            _mm_storeu_ps(quad.as_mut_ptr(), _mm_mul_ps(_mm_cvtepi32_ps(raw), inv));
+        }
+    }
+    for x in quads.into_remainder() {
+        let v = (*x as f64 * scale).clamp(min_raw, max_raw);
+        *x = ((v + 0.5f64.copysign(v)) as i32) as f32 * inv_scale;
     }
 }
 
@@ -297,11 +343,38 @@ fn main() {
         batch: 0,
         active: 0,
         reference: "round() definition, per element",
-        variant: "QFormat::quantize_slice_inplace",
+        variant: "QFormat::quantize_slice_inplace (f32-only rule over Lanes)",
         reference_ns: r,
         variant_ns: v,
         blocked_ns: None,
     });
+    #[cfg(target_arch = "x86_64")]
+    {
+        let (r, v) = best_of_paired(
+            reps,
+            measure,
+            || {
+                buf_r.copy_from_slice(&state);
+                quantize_sse2_f64(q, &mut buf_r);
+            },
+            || {
+                buf_v.copy_from_slice(&state);
+                q.quantize_slice_inplace(&mut buf_v);
+            },
+        );
+        assert_eq!(buf_r, buf_v, "slice kernel must equal the body it replaced");
+        report_variant(VariantRow {
+            kernel: "quantize_slice",
+            shape: String::new(),
+            batch: 0,
+            active: 0,
+            reference: "SSE2 body through f64, four per pass (replaced)",
+            variant: "QFormat::quantize_slice_inplace (f32-only rule over Lanes)",
+            reference_ns: r,
+            variant_ns: v,
+            blocked_ns: None,
+        });
+    }
 
     // The LSTM gate projection again, scalar tier only: the row kernel
     // (`Matrix::matmul_nt_masked_into`) against what `Backend::Scalar`
@@ -320,14 +393,14 @@ fn main() {
             || x.matmul_nt_masked_into(&w, &mask, &mut out_r),
             || Backend::Scalar.matmul_nt_masked_into(&x, &w, &mask, &mut out_v),
         );
-        assert_eq!(out_r, out_v, "lane-packed kernel must equal the row kernel");
+        assert_eq!(out_r, out_v, "row-dot kernel must equal the row kernel");
         report_variant(VariantRow {
             kernel: "matmul_nt_masked_lanes",
             shape: String::new(),
             batch: LANE_GRID,
             active,
             reference: "row kernel (Matrix::matmul_nt_masked_into)",
-            variant: "Backend::Scalar dispatch (lane-packed from 2 active)",
+            variant: "Backend::Scalar dispatch (transposing row-dot kernel, 4 lanes per pass)",
             reference_ns: r,
             variant_ns: v,
             blocked_ns: None,
@@ -421,14 +494,14 @@ fn main() {
                 },
                 || Backend::Scalar.matmul_nt_into(&reads, linkage, &mut out_v),
             );
-            assert_eq!(out_r, out_v, "head-packed forward must equal the per-head mat-vecs");
+            assert_eq!(out_r, out_v, "head-fused forward must equal the per-head mat-vecs");
             report_variant(VariantRow {
                 kernel: "forward_heads",
                 shape: shape.clone(),
                 batch: 0,
                 active: heads,
                 reference: "Matrix::matvec_into over L, once per head",
-                variant: "Backend::Scalar.matmul_nt_into(reads, L) (lane-packed from 2 heads)",
+                variant: "Backend::Scalar.matmul_nt_into(reads, L) (transposing row-dot kernel)",
                 reference_ns: r,
                 variant_ns: v,
                 blocked_ns: None,
@@ -447,18 +520,89 @@ fn main() {
                 },
                 || Backend::Scalar.matmul_nt_into(&keys, &memory, &mut out_v),
             );
-            assert_eq!(out_r, out_v, "head-packed content dots must equal the per-pair dots");
+            assert_eq!(out_r, out_v, "head-fused content dots must equal the per-pair dots");
             report_variant(VariantRow {
                 kernel: "content_dots_heads",
                 shape: shape.clone(),
                 batch: 0,
                 active: heads,
                 reference: "Backend::Scalar.dot per (head, memory row)",
-                variant: "Backend::Scalar.matmul_nt_into(keys, M) (lane-packed from 2 heads)",
+                variant: "Backend::Scalar.matmul_nt_into(keys, M) (transposing row-dot kernel)",
                 reference_ns: r,
                 variant_ns: v,
                 blocked_ns: None,
             });
+
+            // The transposed products: backward weightings over L, then
+            // the memory read over M, `R` passes vs one.
+            for (m, what_r, what_v) in [
+                (
+                    linkage,
+                    "Matrix::matvec_t_into over L, once per head (backward)",
+                    "fused::matvec_t_heads_into(L, reads) (backward)",
+                ),
+                (
+                    &memory,
+                    "Matrix::matvec_t_into over M, once per head (memory read)",
+                    "fused::matvec_t_heads_into(M, reads) (memory read)",
+                ),
+            ] {
+                let mut out_r = vec![0.0f32; heads * m.cols()];
+                let mut out_v = vec![0.0f32; heads * m.cols()];
+                let (r, v) = best_of_paired(
+                    reps,
+                    measure,
+                    || {
+                        for (h, out) in out_r.chunks_exact_mut(m.cols()).enumerate() {
+                            m.matvec_t_into(reads.row(h), out);
+                        }
+                    },
+                    || fused::matvec_t_heads_into(m, &reads, &mut out_v),
+                );
+                assert_eq!(out_r, out_v, "head-fused transposed product must equal the per-head one");
+                report_variant(VariantRow {
+                    kernel: "matvec_t_heads",
+                    shape: shape.clone(),
+                    batch: 0,
+                    active: heads,
+                    reference: what_r,
+                    variant: what_v,
+                    reference_ns: r,
+                    variant_ns: v,
+                    blocked_ns: None,
+                });
+            }
+
+            // Row norms riding along with the key dots (a quantized step
+            // needs them twice, and can never cache them).
+            if heads != 2 {
+                let (mut norms_r, mut norms_v) = (vec![0.0f32; n], vec![0.0f32; n]);
+                let (r, v) = best_of_paired(
+                    reps,
+                    measure,
+                    || {
+                        memory.row_norms_into(&mut norms_r);
+                        fused::row_dots_into(keys.as_slice(), &memory, out_r.as_mut_slice(), None);
+                    },
+                    || {
+                        let norms = Some(&mut norms_v[..]);
+                        fused::row_dots_into(keys.as_slice(), &memory, out_v.as_mut_slice(), norms);
+                    },
+                );
+                assert_eq!(norms_r, norms_v, "fused norms must equal the norm pass");
+                assert_eq!(out_r, out_v, "dots must not change with the norms riding along");
+                report_variant(VariantRow {
+                    kernel: "row_norms_fused",
+                    shape: shape.clone(),
+                    batch: 0,
+                    active: heads,
+                    reference: "Matrix::row_norms_into, then fused::row_dots_into(keys, M) without norms",
+                    variant: "fused::row_dots_into(keys, M) with norms, one pass",
+                    reference_ns: r,
+                    variant_ns: v,
+                    blocked_ns: None,
+                });
+            }
         }
     }
     println!(
@@ -469,7 +613,7 @@ fn main() {
 
     if json {
         let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 4,\n");
+        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 5,\n");
         s.push_str(&format!(
             "  \"params\": {{\"memory_size\": {N}, \"word_size\": {W}, \"hidden_size\": {HIDDEN}}},\n"
         ));

@@ -990,13 +990,13 @@ mod tests {
     }
 
     /// Grids of 1..=9 lanes under random ragged masks against one
-    /// single-lane engine per lane. A single-lane engine always runs the
-    /// row kernel; the grid runs the lane-packed shared-weight product
-    /// whenever two or more lanes are active — for the LSTM gates
+    /// single-lane engine per lane. A single-lane engine is one lane
+    /// group of one; the grid runs the panel-packed shared-weight product
+    /// over every group shape of two or more active lanes — for the LSTM gates
     /// (`4H` columns), the interface projections (33 columns, so the
     /// `n % 4` remainder) and the output projection (6 columns).
     #[test]
-    fn lane_packed_grid_steps_match_single_lane_engines_at_every_width() {
+    fn packed_grid_steps_match_single_lane_engines_at_every_width() {
         let mut seed = 0x2545_f491_4f6c_dd1du64;
         let mut next = || {
             seed ^= seed << 13;

@@ -5,11 +5,25 @@
 //! softmax turns the similarities into a weighting over slots. The softmax
 //! can optionally run through the PLA+LUT hardware approximation (§5.2).
 //!
-//! [`content_weighting_into`] is the plain one-key definition (and the
-//! write head's lookup). The memory unit's `R` read lookups go through
+//! [`content_weighting_into`] is the plain one-key definition, the
+//! reference the tests compare against. The memory unit's lookups — the
+//! write key before the write, the `R` read keys after it — go through
 //! [`content_weightings_heads_into`], which takes the keys as the rows of
-//! one `R × W` matrix so the `row · key` dots of all heads are one product
-//! over `M`; everything after the dots is the one-key code, per head.
+//! one block and makes **one pass over `M` per phase**: on the scalar tier
+//! the `row · key` dots of every key *and*, whenever the [`NormCache`] is
+//! stale, the row norms come out of a single
+//! [`hima_tensor::fused::row_dots_into`]. Everything after the dots is the
+//! one-key code, per key.
+//!
+//! That kernel is pinned to [`Matrix::matmul_nt_into`] (the dots) and
+//! [`Matrix::row_norms_into`] (the norms). Its dots start from `+0.0`
+//! where [`hima_tensor::vector::dot`] — the one-key definition's — starts
+//! from `-0.0`, so a dot whose products are all `-0.0` (a `-0.0` key over
+//! non-negative rows) reads `+0.0` here and `-0.0` there. Nothing
+//! downstream can tell: the cosine is `±0 / ε`, the strength keeps the
+//! zero, and the max-shifted softmax (exact or PLA) maps both to the same
+//! weighting — the head-batching tests inject `-0.0` read *and* write
+//! keys and compare `to_bits`.
 
 use hima_tensor::softmax::PlaSoftmax;
 use hima_tensor::vector::norm;
@@ -174,50 +188,88 @@ fn sharpen(sims: &mut [f32], beta: f32, approx: Option<&PlaSoftmax>, backend: Ba
     }
 }
 
-/// Content weightings of all `R` read heads at once: row `h` of `out` is
-/// `C(M, keys.row(h), betas[h])` — what [`content_weighting_into_with`]
-/// yields for that key, computed with one pass over `memory` for the dots
-/// of every head.
+/// The per-row L2 norms of a memory as content addressing caches them:
+/// the values, and whether they still describe the memory. Memory changes
+/// only at the write (and when a datapath rounds it), so on the `f32`
+/// datapath the `R + 1` lookups of a step — and of later steps that write
+/// nothing — share one norm pass; whoever mutates the memory calls
+/// [`NormCache::invalidate`], and the next lookup refreshes the norms in
+/// the pass it makes over the memory anyway.
+#[derive(Debug, Clone)]
+pub struct NormCache {
+    norms: Vec<f32>,
+    valid: bool,
+}
+
+impl NormCache {
+    /// A stale cache for a memory of `rows` rows.
+    pub fn new(rows: usize) -> Self {
+        Self { norms: vec![0.0; rows], valid: false }
+    }
+
+    /// Marks the norms stale: the memory they describe has changed.
+    pub fn invalidate(&mut self) {
+        self.valid = false;
+    }
+
+    /// Whether the norms describe the memory as it is.
+    pub fn is_valid(&self) -> bool {
+        self.valid
+    }
+
+    /// The cached norms (meaningful only while [`NormCache::is_valid`]).
+    pub fn norms(&self) -> &[f32] {
+        &self.norms
+    }
+}
+
+/// Content weightings of all the keys of one phase at once: `keys` holds
+/// `R = betas.len()` keys of `memory.cols()` values, row-major, and row
+/// `h` of `out` (`R × memory.rows()`, row-major) is
+/// `C(M, key_h, betas[h])` — what [`content_weighting_into_with`] yields
+/// for that key — from one pass over `memory`. A stale `norms` is
+/// refreshed on the way (and marked valid): in that same pass on the
+/// scalar tier, by the blocked tier's own norm kernel on that tier.
 ///
-/// On the scalar tier the dots are one [`Backend::matmul_nt_into`]
-/// (`keys · Mᵀ`): one head per SSE lane, each dot still one rounded
-/// multiply then one rounded add per ascending `k`, so every row of `out`
-/// is bit-identical to the one-key form. (A dot whose products are all
-/// `-0.0` comes out `+0.0` here and `-0.0` from [`hima_tensor::vector::dot`],
-/// whose sum starts from `-0.0`; the max-shifted softmax maps both to the
-/// same weighting, and the head-batching tests pin `-0.0` keys.) The
-/// blocked tier keeps its per-pair [`Backend::dot`] — the reduction shape
-/// its results have always had — rather than the `matmul_nt` one.
+/// On the scalar tier every row of `out` is bit-identical to the one-key
+/// form (see the [module docs](self) for the kernel and its one `-0.0`
+/// caveat). The blocked tier keeps its per-pair [`Backend::dot`] — the
+/// reduction shape its results have always had.
 ///
 /// # Panics
 ///
 /// Panics if `keys` is not `R × memory.cols()`, `out` is not
-/// `R × memory.rows()`, or `betas`/`row_norms` lengths differ from `R` /
-/// `memory.rows()`.
+/// `R × memory.rows()` or `norms` was sized for another memory.
 pub fn content_weightings_heads_into(
     memory: &Matrix,
-    keys: &Matrix,
+    keys: &[f32],
     betas: &[f32],
     approx: Option<&PlaSoftmax>,
-    row_norms: &[f32],
-    out: &mut Matrix,
+    norms: &mut NormCache,
+    out: &mut [f32],
     backend: Backend,
 ) {
-    assert_eq!(keys.cols(), memory.cols(), "key width must match memory word size");
-    assert_eq!(betas.len(), keys.rows(), "one strength per read key");
-    assert_eq!(row_norms.len(), memory.rows(), "row norm cache length mismatch");
-    assert_eq!(out.shape(), (keys.rows(), memory.rows()), "similarity output shape mismatch");
+    let (n, w) = memory.shape();
+    assert_eq!(keys.len(), betas.len() * w, "key width must match memory word size");
+    assert_eq!(norms.norms.len(), n, "row norm cache length mismatch");
+    assert_eq!(out.len(), betas.len() * n, "similarity output shape mismatch");
     match backend {
-        Backend::Scalar => backend.matmul_nt_into(keys, memory, out),
+        Backend::Scalar => {
+            let stale = (!norms.valid).then_some(&mut norms.norms[..]);
+            hima_tensor::fused::row_dots_into(keys, memory, out, stale);
+        }
         Backend::Blocked => {
-            for head in 0..keys.rows() {
-                dots_into(memory, keys.row(head), out.row_mut(head), backend);
+            if !norms.valid {
+                backend.row_norms_into(memory, &mut norms.norms);
+            }
+            for (key, dots) in keys.chunks_exact(w).zip(out.chunks_exact_mut(n)) {
+                dots_into(memory, key, dots, backend);
             }
         }
     }
-    for (head, &beta) in betas.iter().enumerate() {
-        let sims = out.row_mut(head);
-        cosines_from_dots(sims, keys.row(head), row_norms);
+    norms.valid = true;
+    for ((key, sims), &beta) in keys.chunks_exact(w).zip(out.chunks_exact_mut(n)).zip(betas) {
+        cosines_from_dots(sims, key, &norms.norms);
         sharpen(sims, beta, approx, backend);
     }
 }
@@ -320,8 +372,8 @@ mod tests {
 
     #[test]
     fn head_batched_weightings_equal_the_one_key_form_bit_for_bit() {
-        // One head takes the row kernel, two or more the lane-packed one;
-        // N covers every `n % 4` and W is odd.
+        // N covers a lone row, every `n % 4`, whole blocks of eight and a
+        // block plus remainder; W is odd.
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let pla = PlaSoftmax::default();
         for (n, w) in [(1usize, 3usize), (3, 5), (7, 5), (64, 17), (130, 9)] {
@@ -332,16 +384,38 @@ mod tests {
                 keys.row_mut(r - 1).fill(-0.0);
                 let betas: Vec<f32> = (0..r).map(|h| 1.0 + h as f32 * 2.5).collect();
                 for approx in [None, Some(&pla)] {
-                    for backend in [Backend::Scalar, Backend::Blocked] {
+                    for (backend, stale) in
+                        [Backend::Scalar, Backend::Blocked].into_iter().zip([false, true]).chain([
+                            (Backend::Scalar, true),
+                            (Backend::Blocked, false),
+                        ])
+                    {
+                        // A stale cache is refilled by the same call; a
+                        // valid one is read as it is.
+                        let mut cache = NormCache::new(n);
+                        if !stale {
+                            backend.row_norms_into(&m, &mut cache.norms);
+                            cache.valid = true;
+                        }
                         let mut got = Matrix::filled(r, n, f32::NAN);
                         content_weightings_heads_into(
-                            &m, &keys, &betas, approx, &norms, &mut got, backend,
+                            &m,
+                            keys.as_slice(),
+                            &betas,
+                            approx,
+                            &mut cache,
+                            got.as_mut_slice(),
+                            backend,
                         );
+                        assert!(cache.is_valid());
+                        if backend == Backend::Scalar {
+                            assert_eq!(bits(cache.norms()), bits(&norms), "n={n} w={w} r={r}");
+                        }
                         let mut want = vec![f32::NAN; n];
                         for (h, &beta) in betas.iter().enumerate() {
                             let key = keys.row(h);
                             content_weighting_into_with(
-                                &m, key, beta, approx, &norms, &mut want, backend,
+                                &m, key, beta, approx, cache.norms(), &mut want, backend,
                             );
                             assert_eq!(
                                 bits(got.row(h)),

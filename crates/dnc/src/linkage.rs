@@ -19,15 +19,28 @@
 //! are the plain one-head-at-a-time definitions — the reference the tests
 //! compare against. The memory unit steps through
 //! [`TemporalLinkage::update_linkage_with`] (one branch-free row body) and
-//! the head-batched [`TemporalLinkage::forward_heads_into`] /
+//! the head-fused [`TemporalLinkage::forward_heads_into`] /
 //! [`TemporalLinkage::backward_heads_into`], which take all `R` previous
-//! read weightings as the rows of one `R × N` matrix so `L` is walked once
-//! for all heads, as HiMA's tiles do. `F = W_r · Lᵀ` is then one
-//! [`Backend::matmul_nt_into`]: on the scalar tier one head per SSE lane,
-//! every `F[h, i]` still one rounded multiply then one rounded add per
-//! ascending `k` — reordering *which head* a lane holds never touches the
-//! order *within* a head's sum, so the bits are those of `forward_into`.
+//! read weightings as the rows of one `R × N` matrix so `L` is walked
+//! **once per product for all heads**, as HiMA's tiles do:
+//!
+//! * `F = W_r · Lᵀ` is one [`Backend::matmul_nt_into`]: on the scalar tier
+//!   the transposing row-dot kernel ([`hima_tensor::fused`]) — eight rows
+//!   of `L` per register, one accumulator per head — every `F[h, i]` still
+//!   one rounded multiply then one rounded add per ascending `k`, so the
+//!   bits are [`Matrix::matmul_nt_into`]'s, which are `forward_into`'s
+//!   (`matvec`'s sum starts from `-0.0` and the kernel's from `+0.0`; they
+//!   part only on a dot whose products are all `-0.0`, which weightings
+//!   and a non-negative `L` cannot produce short of a `-0.0` weighting,
+//!   and the read merge erases the difference then).
+//! * `B = W_r · L` is one [`hima_tensor::fused::matvec_t_heads_into`] on
+//!   both tiers, pinned to [`Matrix::matvec_t_into`] — `backward_into` —
+//!   per head: ascending rows of `L`, and the reference's skip of slots
+//!   with `w_r[i] == 0.0` kept as a mask on the product (an accumulator
+//!   that starts at `+0.0` never holds `-0.0`, so adding the masked `+0.0`
+//!   is the skip, bit for bit).
 
+use crate::profile::{KernelId, KernelProfile, Laps};
 use hima_tensor::{Backend, F32x8, Matrix, QFormat};
 use serde::{Deserialize, Serialize};
 
@@ -187,8 +200,8 @@ impl TemporalLinkage {
 
     /// Forward weightings of all heads at once: row `h` of `out` is
     /// `L · read_weightings.row(h)` — one `W_r · Lᵀ` product on the
-    /// selected kernel tier, so `L` is walked once for all `R` heads. On
-    /// the scalar tier each row carries the bits of
+    /// selected kernel tier, so `L` is walked once for every four heads.
+    /// On the scalar tier each row carries the bits of
     /// [`TemporalLinkage::forward_into`] (see the [module docs](self)).
     ///
     /// # Panics
@@ -218,19 +231,18 @@ impl TemporalLinkage {
     }
 
     /// Backward weightings of all heads: row `h` of `out` is
-    /// `Lᵀ · read_weightings.row(h)`, on the selected kernel tier. Both
-    /// tiers are bit-identical to [`TemporalLinkage::backward_into`] per
-    /// row (the transposed mat-vec keeps the reference's accumulation
-    /// order, and its skip of `w == 0.0` slots, on the blocked tier).
+    /// `Lᵀ · read_weightings.row(h)`, from one pass over `L`
+    /// ([`hima_tensor::fused::matvec_t_heads_into`]). One kernel serves
+    /// both tiers — `_backend` selects nothing — and each row carries the
+    /// bits of [`TemporalLinkage::backward_into`], its skip of
+    /// `w == 0.0` slots included (see the [module docs](self)).
     ///
     /// # Panics
     ///
     /// Panics if `read_weightings` or `out` is not `R × len()`.
-    pub fn backward_heads_into(&self, read_weightings: &Matrix, out: &mut Matrix, backend: Backend) {
+    pub fn backward_heads_into(&self, read_weightings: &Matrix, out: &mut Matrix, _backend: Backend) {
         assert_eq!(out.shape(), read_weightings.shape(), "backward output shape mismatch");
-        for head in 0..read_weightings.rows() {
-            backend.matvec_t_into(&self.linkage, read_weightings.row(head), out.row_mut(head));
-        }
+        hima_tensor::fused::matvec_t_heads_into(&self.linkage, read_weightings, out.as_mut_slice());
     }
 
     /// Resets linkage and precedence to zero **in place** — the
@@ -244,8 +256,17 @@ impl TemporalLinkage {
     /// Rounds every linkage entry and precedence element to `format` in
     /// place (the quantized datapath's rounding pass between time steps).
     pub fn quantize_state(&mut self, format: QFormat) {
+        self.quantize_state_laps(format, &mut KernelProfile::disabled().laps());
+    }
+
+    /// [`TemporalLinkage::quantize_state`] inside a lap split: each
+    /// rounding pass is charged — as time, not as a call — to the kernel
+    /// that stores that state.
+    pub(crate) fn quantize_state_laps(&mut self, format: QFormat, laps: &mut Laps<'_>) {
         format.quantize_slice_inplace(self.linkage.as_mut_slice());
+        laps.lap(KernelId::Linkage, 0);
         format.quantize_slice_inplace(&mut self.precedence);
+        laps.lap(KernelId::Precedence, 0);
     }
 
     /// Checks the structural invariants: zero diagonal, entries in `[0,1]`,

@@ -7,28 +7,43 @@
 //! content read weighting → read merge → memory read. Every stage is timed
 //! into a [`KernelProfile`] so runtime-breakdown figures can be regenerated.
 //!
-//! The read phase treats the `R` heads as the rows of one product, as
-//! HiMA's tiles walk their local `L` and `M` blocks once for all heads:
-//! the previous read weightings are one `R × N` matrix `W_r` and the read
-//! keys one `R × W` matrix `K`, so the forward weightings of every head
-//! are the single product `W_r · Lᵀ` and the content dots of every head
-//! the single product `K · Mᵀ` (the **fused head products**). Only then
-//! does a per-head loop finish the work that has no shared operand:
-//! merge the three weightings through the head's read modes (straight
-//! into the head's row of `W_r` — every head's inputs were taken from the
-//! previous `W_r` above, so nothing still reads it) and read memory,
-//! `v_r = Mᵀ w_r`.
+//! Each phase walks its matrix **once for all heads**, as HiMA's tiles
+//! walk their local `M` and `L` blocks. The previous read weightings are
+//! one `R × N` matrix `W_r` and the read keys one `R × W` matrix `K`, and
+//! a step makes five passes over `M` and `L` where a head-at-a-time step
+//! makes `4R + 3`:
 //!
-//! Head packing changes which *head* an SSE lane carries, never the order
-//! of operations inside one head's sum: on [`Backend::Scalar`] each
-//! element of both products is still one rounded multiply then one
-//! rounded add per ascending `k`, so the step is bit-identical to the
-//! one-head-at-a-time definition ([`TemporalLinkage::forward_into`],
-//! [`content_weighting_into`](crate::content::content_weighting_into)) —
+//! | pass | kernel | pinned to |
+//! |------|--------|-----------|
+//! | write key · `Mᵀ`, + pre-write row norms if the cache is stale | [`row_dots_into`] | [`Matrix::matmul_nt_into`], [`Matrix::row_norms_into`] |
+//! | `F = W_r · Lᵀ` (forward) | [`row_dots_into`] behind [`Backend::Scalar`] | [`TemporalLinkage::forward_into`] |
+//! | `B = W_r · L` (backward) | [`matvec_t_heads_into`] | [`TemporalLinkage::backward_into`] |
+//! | `K · Mᵀ`, + post-write row norms if the write touched `M` | [`row_dots_into`] | [`content_weighting_into`](crate::content::content_weighting_into) |
+//! | `V = W_r' · M` (memory read) | [`matvec_t_heads_into`] | [`Matrix::matvec_t_into`] |
+//!
+//! Only the read merge between the last two has no shared operand and runs
+//! per head — all `R` merges first (straight into the head's row of `W_r`:
+//! every head's inputs were taken from the previous `W_r` above, so
+//! nothing still reads it), then the one read. On the `f32` datapath the
+//! norms are cached across steps and recomputed only after a write that
+//! touched `M`; the quantized datapath rounds `M` every step, so there
+//! both norm passes ride along with the dots they would otherwise follow.
+//!
+//! Fusing changes which *head* (or which row of `M`) a vector lane
+//! carries, never the order of operations inside one output's sum: on
+//! [`Backend::Scalar`] every element of every pass is still one rounded
+//! multiply then one rounded add per ascending `k`, the transposed passes
+//! keep [`Matrix::matvec_t_into`]'s skip of exact-zero weights as a mask
+//! (see [`hima_tensor::fused`] for both arguments, and
+//! [`content`](crate::content) for the one `-0.0` caveat of the dots), so
+//! the step is bit-identical to the one-head-at-a-time definition —
 //! pinned `to_bits` by `crates/dnc/tests/head_batching.rs`.
+//!
+//! [`row_dots_into`]: hima_tensor::fused::row_dots_into
+//! [`matvec_t_heads_into`]: hima_tensor::fused::matvec_t_heads_into
 
 use crate::allocation::{merge_write_weighting_into, SkimRate};
-use crate::content::{content_weighting_into_with, content_weightings_heads_into};
+use crate::content::{content_weightings_heads_into, NormCache};
 use crate::interface::InterfaceVector;
 use crate::linkage::{merge_read_weighting_into, TemporalLinkage};
 use crate::profile::{KernelId, KernelProfile};
@@ -197,12 +212,10 @@ pub struct MemoryUnit {
     sorter: UsageSorter,
     pla: PlaSoftmax,
     profile: KernelProfile,
-    /// Per-row L2 norms of `memory`, cached once per step: memory changes
-    /// only at the MW stage, so the `R + 1` content lookups share one
-    /// norm pass each side of the write instead of recomputing `N · W`
-    /// norms per lookup. Invalidated whenever memory mutates.
-    row_norms: Vec<f32>,
-    norms_valid: bool,
+    /// Per-row L2 norms of `memory`: memory changes only at the MW stage,
+    /// so the `R + 1` content lookups share one norm pass each side of
+    /// the write. Invalidated whenever memory mutates.
+    norms: NormCache,
     scratch: StepScratch,
 }
 
@@ -233,8 +246,7 @@ impl MemoryUnit {
             sorter,
             pla: PlaSoftmax::default(),
             profile: KernelProfile::new(),
-            row_norms: vec![0.0; config.memory_size],
-            norms_valid: false,
+            norms: NormCache::new(config.memory_size),
             scratch: StepScratch::sized(config.memory_size, config.read_heads),
         }
     }
@@ -291,14 +303,29 @@ impl MemoryUnit {
     /// Each state memory is one contiguous buffer handed whole to
     /// [`QFormat::quantize_slice_inplace`].
     pub fn quantize_state(&mut self, format: QFormat) {
-        format.quantize_slice_inplace(self.memory.as_mut_slice());
-        format.quantize_slice_inplace(&mut self.usage);
-        self.linkage.quantize_state(format);
-        format.quantize_slice_inplace(&mut self.write_weighting);
-        format.quantize_slice_inplace(self.read_weightings.as_mut_slice());
+        self.quantize_step(format, &mut []);
+    }
+
+    /// [`MemoryUnit::quantize_state`] plus the step's read vectors. HiMA's
+    /// write-back *is* fixed-point, so with profiling on each buffer's
+    /// rounding time is charged — as time, not as a call — to the kernel
+    /// that stores it (the read vectors are the memory read's store).
+    pub(crate) fn quantize_step(&mut self, format: QFormat, reads: &mut [f32]) {
+        let mut laps = self.profile.laps();
+        for (kernel, state) in [
+            (KernelId::MemoryWrite, self.memory.as_mut_slice()),
+            (KernelId::Usage, &mut self.usage[..]),
+            (KernelId::WriteMerge, &mut self.write_weighting[..]),
+            (KernelId::ReadMerge, self.read_weightings.as_mut_slice()),
+            (KernelId::MemoryRead, reads),
+        ] {
+            format.quantize_slice_inplace(state);
+            laps.lap(kernel, 0);
+        }
+        self.linkage.quantize_state_laps(format, &mut laps);
         // Memory contents changed: the cached row norms no longer
         // describe them.
-        self.norms_valid = false;
+        self.norms.invalidate();
     }
 
     /// Overwrites every persistent state memory from a decoded snapshot
@@ -332,7 +359,7 @@ impl MemoryUnit {
         self.linkage.restore(linkage, precedence);
         self.write_weighting = write_weighting;
         self.read_weightings = read_weightings;
-        self.norms_valid = false;
+        self.norms.invalidate();
     }
 
     /// Resets all memory and state (weights/config unchanged) in place —
@@ -344,7 +371,7 @@ impl MemoryUnit {
         self.linkage.clear();
         self.write_weighting.fill(0.0);
         self.read_weightings.as_mut_slice().fill(0.0);
-        self.norms_valid = false;
+        self.norms.invalidate();
     }
 
     /// Runs one full soft-write + soft-read step.
@@ -387,166 +414,118 @@ impl MemoryUnit {
             "read output length mismatch"
         );
 
-        // --- Soft write -------------------------------------------------
-        // CW.(1)+(2): content-based write weighting (norms cached from the
-        // previous step's read phase when memory is unchanged).
-        let pla_on = self.config.approx_softmax;
+        // One lap per kernel: with profiling on the clock is read once
+        // between consecutive stages, so the laps add up to the step.
+        let mut laps = self.profile.laps();
         let be = self.config.backend;
-        {
-            let (memory, pla) = (&self.memory, &self.pla);
-            let (norms, valid) = (&mut self.row_norms, &mut self.norms_valid);
-            let content_w = &mut self.scratch.content_w;
-            self.profile.time(KernelId::Similarity, || {
-                if !*valid {
-                    be.row_norms_into(memory, norms);
-                    *valid = true;
-                }
-                content_weighting_into_with(
-                    memory,
-                    &iv.write_key,
-                    iv.write_strength,
-                    if pla_on { Some(pla) } else { None },
-                    norms,
-                    content_w,
-                    be,
-                );
-            });
-        }
+        let approx = if self.config.approx_softmax { Some(&self.pla) } else { None };
+        let scratch = &mut self.scratch;
+
+        // --- Soft write -------------------------------------------------
+        // CW.(1)+(2): content-based write weighting; the pre-write norms
+        // come out of the same pass unless the cache still holds them
+        // (the previous step's read phase, memory unchanged since).
+        content_weightings_heads_into(
+            &self.memory,
+            &iv.write_key,
+            &[iv.write_strength],
+            approx,
+            &mut self.norms,
+            &mut scratch.content_w,
+            be,
+        );
+        laps.lap(KernelId::Similarity, 1);
 
         // HW.(1): retention.
-        {
-            let (free_gates, read_ws) = (&iv.free_gates, &self.read_weightings);
-            let psi = &mut self.scratch.psi;
-            self.profile
-                .time(KernelId::Retention, || crate::usage::retention_into(free_gates, read_ws, psi));
-        }
+        crate::usage::retention_into(&iv.free_gates, &self.read_weightings, &mut scratch.psi);
+        laps.lap(KernelId::Retention, 1);
 
         // HW.(2): usage update (each slot reads only itself: in place).
-        {
-            let (usage, write_w, psi) = (&mut self.usage, &self.write_weighting, &self.scratch.psi);
-            self.profile
-                .time(KernelId::Usage, || crate::usage::update_usage_inplace(usage, write_w, psi));
-        }
+        crate::usage::update_usage_inplace(&mut self.usage, &self.write_weighting, &scratch.psi);
+        laps.lap(KernelId::Usage, 1);
 
         // HW.(2b): usage sort (free-list construction, reused buffer).
-        {
-            let (usage, sorter) = (&self.usage, self.sorter.as_engine());
-            let free_list = &mut self.scratch.free_list;
-            self.profile.time(KernelId::UsageSort, || sorter.argsort_into(usage, free_list));
-        }
+        self.sorter.as_engine().argsort_into(&self.usage, &mut scratch.free_list);
+        laps.lap(KernelId::UsageSort, 1);
 
         // HW.(3): allocation from the sorted free list.
-        {
-            let (usage, skim) = (&self.usage, self.config.skim);
-            let (free_list, w_a) = (&self.scratch.free_list, &mut self.scratch.w_a);
-            self.profile.time(KernelId::Allocation, || {
-                crate::allocation::allocation_from_free_list_into(usage, free_list, skim, w_a)
-            });
-        }
+        crate::allocation::allocation_from_free_list_into(
+            &self.usage,
+            &scratch.free_list,
+            self.config.skim,
+            &mut scratch.w_a,
+        );
+        laps.lap(KernelId::Allocation, 1);
 
         // WM: write weight merge.
-        {
-            let (w_a, content_w, w_w) =
-                (&self.scratch.w_a, &self.scratch.content_w, &mut self.scratch.w_w);
-            self.profile.time(KernelId::WriteMerge, || {
-                merge_write_weighting_into(w_a, content_w, iv.write_gate, iv.allocation_gate, w_w)
-            });
-        }
+        merge_write_weighting_into(
+            &scratch.w_a,
+            &scratch.content_w,
+            iv.write_gate,
+            iv.allocation_gate,
+            &mut scratch.w_w,
+        );
+        laps.lap(KernelId::WriteMerge, 1);
 
         // MW: memory write  M ← M ∘ (E − w_w eᵀ) + w_w vᵀ.
-        {
-            let memory = &mut self.memory;
-            let w_w = &self.scratch.w_w;
-            let (erase, write) = (&iv.erase, &iv.write);
-            let wrote = self.profile.time(KernelId::MemoryWrite, || {
-                let mut wrote = false;
-                for (i, &w) in w_w.iter().enumerate() {
-                    if w == 0.0 {
-                        continue;
-                    }
-                    wrote = true;
-                    let row = memory.row_mut(i);
-                    for ((m, &e), &v) in row.iter_mut().zip(erase).zip(write) {
-                        *m = *m * (1.0 - w * e) + w * v;
-                    }
-                }
-                wrote
-            });
-            if wrote {
-                self.norms_valid = false;
+        for (i, &w) in scratch.w_w.iter().enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            self.norms.invalidate();
+            for ((m, &e), &v) in self.memory.row_mut(i).iter_mut().zip(&iv.erase).zip(&iv.write) {
+                *m = *m * (1.0 - w * e) + w * v;
             }
         }
+        laps.lap(KernelId::MemoryWrite, 1);
 
         // HR.(1): linkage (uses the previous precedence).
-        {
-            let (linkage, w_w) = (&mut self.linkage, &self.scratch.w_w);
-            self.profile.time(KernelId::Linkage, || linkage.update_linkage_with(w_w, be));
-        }
+        self.linkage.update_linkage_with(&scratch.w_w, be);
+        laps.lap(KernelId::Linkage, 1);
         // HR.(2): precedence.
-        {
-            let (linkage, w_w) = (&mut self.linkage, &self.scratch.w_w);
-            self.profile.time(KernelId::Precedence, || linkage.update_precedence(w_w));
-        }
-        self.write_weighting.copy_from_slice(&self.scratch.w_w);
+        self.linkage.update_precedence(&scratch.w_w);
+        self.write_weighting.copy_from_slice(&scratch.w_w);
+        laps.lap(KernelId::Precedence, 1);
 
         // --- Soft read ---------------------------------------------------
         // Fused head products first: everything that reads the previous
         // read weightings or the keys runs for all R heads at once.
         // HR.(3): forward/backward through the linkage.
-        {
-            let (linkage, prev_w) = (&self.linkage, &self.read_weightings);
-            let (fwd, bwd) = (&mut self.scratch.fwd, &mut self.scratch.bwd);
-            self.profile.time(KernelId::ForwardBackward, || {
-                linkage.forward_heads_into(prev_w, fwd, be);
-                linkage.backward_heads_into(prev_w, bwd, be);
-            });
-        }
+        self.linkage.forward_heads_into(&self.read_weightings, &mut scratch.fwd, be);
+        self.linkage.backward_heads_into(&self.read_weightings, &mut scratch.bwd, be);
+        laps.lap(KernelId::ForwardBackward, 1);
 
-        // CR.(1)+(2): content-based read weightings, sharing the
-        // post-write norm pass.
-        {
-            let (memory, pla) = (&self.memory, &self.pla);
-            let (norms, valid) = (&mut self.row_norms, &mut self.norms_valid);
-            let content_r = &mut self.scratch.content_r;
-            self.profile.time(KernelId::Normalize, || {
-                if !*valid {
-                    be.row_norms_into(memory, norms);
-                    *valid = true;
-                }
-                content_weightings_heads_into(
-                    memory,
-                    &iv.read_keys,
-                    &iv.read_strengths,
-                    if pla_on { Some(pla) } else { None },
-                    norms,
-                    content_r,
-                    be,
-                );
-            });
-        }
+        // CR.(1)+(2): content-based read weightings; the post-write norms
+        // come out of the same pass if the write touched memory.
+        content_weightings_heads_into(
+            &self.memory,
+            iv.read_keys.as_slice(),
+            &iv.read_strengths,
+            approx,
+            &mut self.norms,
+            scratch.content_r.as_mut_slice(),
+            be,
+        );
+        laps.lap(KernelId::Normalize, 1);
 
-        // Then per head: merge, and read memory with the merged weighting.
-        let word = self.config.word_size;
-        for head in 0..self.config.read_heads {
-            // RM: read weight merge, into the head's carried weighting.
-            {
-                let scratch = &self.scratch;
-                let (bwd, content_r, fwd) =
-                    (scratch.bwd.row(head), scratch.content_r.row(head), scratch.fwd.row(head));
-                let w_r = self.read_weightings.row_mut(head);
-                let modes = iv.read_modes[head];
-                self.profile.time(KernelId::ReadMerge, || {
-                    merge_read_weighting_into(bwd, content_r, fwd, modes, w_r)
-                });
-            }
-
-            // MR: memory read  v_r = Mᵀ w_r.
-            {
-                let (memory, w_r) = (&self.memory, self.read_weightings.row(head));
-                let v_r = &mut out[head * word..(head + 1) * word];
-                self.profile.time(KernelId::MemoryRead, || be.matvec_t_into(memory, w_r, v_r));
-            }
+        // Then per head — RM: read weight merge, into the head's carried
+        // weighting.
+        let heads = self.config.read_heads;
+        for head in 0..heads {
+            merge_read_weighting_into(
+                scratch.bwd.row(head),
+                scratch.content_r.row(head),
+                scratch.fwd.row(head),
+                iv.read_modes[head],
+                self.read_weightings.row_mut(head),
+            );
         }
+        laps.lap(KernelId::ReadMerge, heads as u64);
+
+        // MR: memory read  v_r = Mᵀ w_r, every head in one pass over M —
+        // one lap counted as the R reads it performs.
+        hima_tensor::fused::matvec_t_heads_into(&self.memory, &self.read_weightings, out);
+        laps.lap(KernelId::MemoryRead, heads as u64);
     }
 
     /// Checks all state invariants: usage in `[0,1]`, weightings
@@ -780,17 +759,17 @@ mod tests {
         let write = write_iface(&[3.0, -2.0, 1.0, 0.5]);
         mu.step(&write);
         let direct = mu.memory().row_norms();
-        assert_eq!(mu.row_norms, direct, "cache equals a fresh norm pass");
-        assert!(mu.norms_valid);
+        assert_eq!(mu.norms.norms(), direct, "cache equals a fresh norm pass");
+        assert!(mu.norms.is_valid());
 
         mu.quantize_state(QFormat::new(4, 4));
-        assert!(!mu.norms_valid, "quantize_state must invalidate the cache");
+        assert!(!mu.norms.is_valid(), "quantize_state must invalidate the cache");
         mu.reset();
-        assert!(!mu.norms_valid, "reset must invalidate the cache");
+        assert!(!mu.norms.is_valid(), "reset must invalidate the cache");
         // Any step's read phase leaves a valid post-write cache behind.
         mu.step(&read_iface(&[1.0, 0.0, 0.0, 0.0]));
-        assert!(mu.norms_valid);
-        assert_eq!(mu.row_norms, mu.memory().row_norms());
+        assert!(mu.norms.is_valid());
+        assert_eq!(mu.norms.norms(), mu.memory().row_norms());
     }
 
     #[test]

@@ -166,6 +166,30 @@ impl PartialEq for KernelProfile {
     }
 }
 
+/// A running lap split (see [`KernelProfile::laps`]).
+#[derive(Debug)]
+pub struct Laps<'a> {
+    profile: &'a mut KernelProfile,
+    /// When the previous lap ended; `None` while sampling is off.
+    last: Option<Instant>,
+}
+
+impl Laps<'_> {
+    /// Charges the time since the previous lap (or the start) to `kernel`
+    /// and counts it as `calls` invocations: one for a kernel, `R` for a
+    /// fused pass doing the work of `R` of them (the memory read of all
+    /// heads), none for time that belongs to an invocation already
+    /// counted (the quantized datapath charges the rounding of each state
+    /// memory to the kernel that stores it).
+    pub fn lap(&mut self, kernel: KernelId, calls: u64) {
+        if let Some(last) = &mut self.last {
+            let now = Instant::now();
+            self.profile.record(kernel, now.duration_since(*last).as_nanos() as u64, calls);
+            *last = now;
+        }
+    }
+}
+
 impl KernelProfile {
     /// Creates an empty profile with sampling enabled.
     pub fn new() -> Self {
@@ -198,10 +222,19 @@ impl KernelProfile {
         }
         let start = Instant::now();
         let out = f();
-        let ns = start.elapsed().as_nanos() as u64;
-        *self.nanos.entry(kernel).or_insert(0) += ns;
-        *self.calls.entry(kernel).or_insert(0) += 1;
+        self.record(kernel, start.elapsed().as_nanos() as u64, 1);
         out
+    }
+
+    /// Starts a lap split of one pass through consecutive kernels (a
+    /// memory-unit step): [`Laps::lap`] after each kernel charges it the
+    /// time since the previous lap, so a pass of `n` kernels reads the
+    /// clock `n + 1` times rather than `2n` — and, the laps being
+    /// contiguous, their times add up to the pass. Disabled, no lap reads
+    /// the clock or touches the maps.
+    pub fn laps(&mut self) -> Laps<'_> {
+        let last = self.enabled.then(Instant::now);
+        Laps { profile: self, last }
     }
 
     /// Adds externally measured time (e.g. from a merged profile).
@@ -285,6 +318,21 @@ mod tests {
         p.time(KernelId::Usage, || ());
         assert_eq!(p.calls(KernelId::Usage), 2);
         assert!(p.total_nanos() >= p.nanos(KernelId::Usage));
+    }
+
+    #[test]
+    fn laps_count_a_fused_pass_as_many_calls_or_none_and_read_no_clock_when_off() {
+        let mut p = KernelProfile::new();
+        let mut laps = p.laps();
+        laps.lap(KernelId::ReadMerge, 1);
+        std::hint::black_box(vec![0u8; 64]);
+        laps.lap(KernelId::MemoryRead, 4);
+        laps.lap(KernelId::MemoryRead, 0);
+        assert_eq!(p.calls(KernelId::ReadMerge), 1);
+        assert_eq!(p.calls(KernelId::MemoryRead), 4);
+        let mut off = KernelProfile::disabled();
+        off.laps().lap(KernelId::MemoryRead, 4);
+        assert_eq!(off, KernelProfile::new(), "off: no clock read, no stamp");
     }
 
     #[test]

@@ -14,14 +14,18 @@
 //! integer arithmetic: the wrapped [`MemoryUnit`] steps in `f32` and
 //! [`MemoryUnit::quantize_state`] then rounds each contiguous state
 //! buffer through [`QFormat::quantize_slice_inplace`]. At the paper's
-//! size that pass touches ~9 400 values per tile per step and used to be
-//! the largest single cost of a quantized step (one libm `round` call
-//! per value). The rule is round-to-nearest, ties away from zero,
-//! saturating, NaN → 0, computed as *clamp, add ±½, truncate* in `f64`:
-//! exact because `x · 2^frac` carries at most the 24 significant bits of
-//! the `f32`, so adding ½ never rounds across an integer. The argument
-//! in full, and the tests that pin it against the `round()` definition,
-//! are in [`hima_tensor::fixed`].
+//! size that pass touches ~8 600 values per tile per step — after the
+//! memory unit's own kernels the largest single cost of a quantized
+//! step. The rule is round-to-nearest, ties away from zero, saturating,
+//! NaN → 0, computed in `f32` only, eight values per vector: *clamp,
+//! truncate, add the truncated doubled fraction* — every step exact, no
+//! conversion and no libm call. The argument in full, and the tests that
+//! pin it against the `round()` definition, are in [`hima_tensor::fixed`].
+//!
+//! A fixed-point accelerator's write-back *is* the rounding, so with
+//! profiling on the time of each buffer's pass is charged to the kernel
+//! that stores that state (`M` → `MemoryWrite`, `L` → `Linkage`, the read
+//! vectors → `MemoryRead`, …) rather than to an id of its own.
 
 use crate::interface::InterfaceVector;
 use crate::memory::{MemoryConfig, MemoryUnit, ReadResult};
@@ -104,8 +108,7 @@ impl QuantizedMemoryUnit {
         let fmt = self.format;
         quantize_interface_into(iv, fmt, &mut self.q_iv);
         self.inner.step_into(&self.q_iv, out);
-        self.inner.quantize_state(fmt);
-        fmt.quantize_slice_inplace(out);
+        self.inner.quantize_step(fmt, out);
     }
 
     /// Resets all state (in place — no reallocation).

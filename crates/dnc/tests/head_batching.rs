@@ -1,18 +1,21 @@
 //! The memory unit's head-batched read phase against the one-head-at-a-time
 //! definition it replaced.
 //!
-//! [`MemoryUnit::step_into`] computes the forward weightings and content
-//! dots of all `R` read heads as two products (`W_r · Lᵀ`, `K · Mᵀ`) and
-//! updates the linkage through one branch-free row body. [`Reference`]
-//! below is the step written out with the plain per-head kernels the
-//! crate keeps for exactly this purpose — `TemporalLinkage::{update_linkage,
-//! forward_into, backward_into}`, `content_weighting_into`, `Matrix::matvec_t`
-//! — one head after another. The contract:
+//! [`MemoryUnit::step_into`] makes one pass over `M` or `L` per phase for
+//! all `R` read heads — forward `W_r · Lᵀ`, backward `W_r · L`, the content
+//! dots `K · Mᵀ` (and the write key's) with the row norms riding along,
+//! the memory read `W_r · M` — and updates the linkage through one
+//! branch-free row body. [`Reference`] below is the step written out with
+//! the plain per-head kernels the crate keeps for exactly this purpose —
+//! `TemporalLinkage::{update_linkage, forward_into, backward_into}`,
+//! `content_weighting_into`, `Matrix::{row_norms_into, matvec_t}` — one
+//! head after another. The contract:
 //!
 //! * `Backend::Scalar`: outputs and **every** state memory are equal
 //!   `to_bits`, on the f32 and the Q16.16 datapath, with the exact and the
-//!   PLA softmax, for `R ∈ 1..=5` (a lone head takes the row kernel, two
-//!   or more the lane-packed one), `N ∈ {1, 3, 4, 7, 64, 130}` and odd `W`;
+//!   PLA softmax, for `R ∈ 1..=5` (one group of the fused kernels, then a
+//!   full group plus a lone head), `N ∈ {1, 3, 4, 7, 64, 130}` (below one
+//!   block of eight rows, whole blocks, blocks plus remainder) and odd `W`;
 //! * `Backend::Blocked`: equal `to_bits` to the same head-by-head step
 //!   over the blocked tier's own one-head kernels (head batching moves no
 //!   blocked bit either), and within the `backend_conformance` tolerance
@@ -254,14 +257,26 @@ fn same_tier(cfg: &MemoryConfig) -> Against {
 /// the read vectors and every state memory after each step.
 fn check(cfg: MemoryConfig, format: Option<QFormat>, seed: u64, against: Against) {
     let (w, r) = (cfg.word_size, cfg.read_heads);
+    let mut next = xorshift(seed);
+    check_stream(cfg, format, against, &format!("seed={seed}"), |t| {
+        InterfaceVector::parse(&raw_interface(w, r, t, against.amplitude, &mut next), w, r)
+    });
+}
+
+/// [`check`] over a caller-made stream of interface vectors.
+fn check_stream(
+    cfg: MemoryConfig,
+    format: Option<QFormat>,
+    against: Against,
+    what: &str,
+    mut interface: impl FnMut(usize) -> InterfaceVector,
+) {
     let exact = against.exact;
     let mut unit = Unit::new(cfg, format);
     let mut reference = Reference::new(cfg, against.tier, format);
-    let mut next = xorshift(seed);
     for t in 0..against.steps {
-        let ctx = format!("{cfg:?} format={format:?} seed={seed} t={t}");
-        let raw = raw_interface(w, r, t, against.amplitude, &mut next);
-        let iv = InterfaceVector::parse(&raw, w, r);
+        let ctx = format!("{cfg:?} format={format:?} {what} t={t}");
+        let iv = interface(t);
         let got = unit.step(&iv);
         let want = reference.step(&iv);
         let u = unit.inner();
@@ -326,6 +341,68 @@ fn blocked_step_tracks_the_scalar_reference_within_conformance_tolerance() {
         for format in [None, Some(QFormat::q16_16())] {
             let cfg = config(n, w, r, Backend::Blocked, false);
             check(cfg, format, (r * 13 + n) as u64, against);
+        }
+    }
+}
+
+#[test]
+fn negative_zero_write_key_over_non_negative_memory_keeps_the_reference_bits() {
+    // The one place the fused dots and the one-key definition differ: a
+    // dot whose products are all `-0.0` — a `-0.0` key over rows that hold
+    // nothing negative — is `+0.0` from the kernel (it starts from `+0.0`)
+    // and `-0.0` from `vector::dot`. Fresh memory is all `+0.0`, and the
+    // writes below only ever add non-negative words, so every write-key
+    // dot of every step is such a dot (and on odd steps every read-key
+    // dot too); the weightings, and everything downstream, must still be
+    // the reference's bits, under the exact and the PLA softmax.
+    let (key, rows) = ([-0.0f32; 5], Matrix::zeros(8, 5));
+    let mut fused = [f32::NAN; 8];
+    hima_tensor::fused::row_dots_into(&key, &rows, &mut fused, None);
+    assert_eq!(fused[0].to_bits(), 0.0f32.to_bits(), "the kernel's dot");
+    let one_key = hima_tensor::vector::dot(rows.row(0), &key);
+    assert_eq!(one_key.to_bits(), (-0.0f32).to_bits(), "the definition's dot");
+
+    for (n, w, r) in [(7usize, 5usize, 2usize), (64, 17, 4), (130, 9, 1)] {
+        for format in [None, Some(QFormat::q16_16())] {
+            for pla in [false, true] {
+                let cfg = config(n, w, r, Backend::Scalar, pla);
+                let mut next = xorshift((n + w) as u64);
+                check_stream(cfg, format, same_tier(&cfg), "-0.0 write key", |t| {
+                    let raw = raw_interface(w, r, 0, 2.5, &mut next);
+                    let mut iv = InterfaceVector::parse(&raw, w, r);
+                    iv.write_key.fill(-0.0);
+                    iv.write.iter_mut().for_each(|v| *v = v.abs());
+                    if t % 2 == 1 {
+                        iv.read_keys.as_mut_slice().fill(-0.0);
+                    }
+                    iv
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn steps_that_write_nothing_read_through_the_cached_norms() {
+    // A write gate of exactly zero leaves `M` untouched: on the f32
+    // datapath the norm cache then stays valid *across* steps (the write
+    // key's lookup and the read keys' are dots-only passes), and on the
+    // quantized one — which rounds `M`, and so drops the cache, every
+    // step — the read phase reuses the norms the write key's pass just
+    // took. Steps 0–1 and 5 write; 2–4 do not.
+    for (n, w, r) in [(7usize, 5usize, 2usize), (64, 17, 4), (130, 9, 5)] {
+        for format in [None, Some(QFormat::q16_16())] {
+            let cfg = config(n, w, r, Backend::Scalar, false);
+            let against = Against { steps: 7, ..same_tier(&cfg) };
+            let mut next = xorshift((3 * n + w) as u64);
+            check_stream(cfg, format, against, "closed write gate", |t| {
+                let raw = raw_interface(w, r, 0, 2.5, &mut next);
+                let mut iv = InterfaceVector::parse(&raw, w, r);
+                if (2..5).contains(&t) {
+                    iv.write_gate = 0.0;
+                }
+                iv
+            });
         }
     }
 }

@@ -499,6 +499,15 @@ impl Group {
                     ))));
                     return;
                 }
+                // A NaN or an infinity would poison the session's lane
+                // state for good, inside a grid it shares with co-tenants:
+                // stop it here, typed, before anything is admitted.
+                if let Some(t) = inputs.iter().position(|row| row.iter().any(|v| !v.is_finite())) {
+                    let _ = reply.send(Response::Error(ServeError::BadInput(format!(
+                        "input rows must hold finite values, row {t} does not"
+                    ))));
+                    return;
+                }
                 // Admission control: bounded queues, typed rejection.
                 let over_session =
                     sess.queue.len() + inputs.len() > self.cfg.session_queue_limit.max(1);

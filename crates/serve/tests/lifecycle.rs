@@ -72,6 +72,50 @@ fn bad_specs_are_structured_errors_not_hangs() {
     client.close_session(session).unwrap();
 }
 
+/// Hostile numerics stop at the hub: a NaN row and an infinite row are
+/// each answered `BadInput` and never reach the grid — nothing is queued,
+/// no step runs, and both the sender's own session and a co-tenant on the
+/// same grid carry on bit-identically to a server that never saw them.
+#[test]
+fn non_finite_inputs_are_bad_input_and_touch_neither_queue_nor_cotenants() {
+    let steps: Vec<Vec<f32>> = (0..8).map(demo_input).collect();
+    let run = |hostile: bool| {
+        let server = Server::bind("127.0.0.1:0", quick_cfg()).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let tenant = client.open(&RawSessionSpec::demo()).unwrap();
+        let sender = client.open(&RawSessionSpec::demo()).unwrap();
+        let mut outputs = Vec::new();
+        for (t, input) in steps.iter().enumerate() {
+            outputs.push(client.step(tenant, input).unwrap());
+            outputs.push(client.step(sender, input).unwrap());
+            if !hostile || t != 3 {
+                continue;
+            }
+            let stepped = client.metrics().unwrap().counter("serve.scheduler.steps");
+            for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut row = input.clone();
+                *row.last_mut().unwrap() = poison;
+                // Alone, and behind a clean row of the same request.
+                for rows in [vec![row.clone()], vec![input.clone(), row.clone()]] {
+                    match client.step_stream(sender, &rows) {
+                        Err(ClientError::Server(ServeError::BadInput(m))) => {
+                            assert!(m.contains("finite"), "{m}")
+                        }
+                        other => panic!("{poison} input: {other:?}"),
+                    }
+                }
+            }
+            let snap = client.metrics().unwrap();
+            assert_eq!(snap.gauge("serve.scheduler.queue_depth"), Some(0), "nothing queued");
+            assert_eq!(snap.counter("serve.scheduler.steps"), stepped, "nothing stepped");
+        }
+        outputs
+    };
+    let (clean, poisoned) = (run(false), run(true));
+    assert!(clean.iter().flatten().all(|v| v.is_finite()));
+    assert_eq!(clean, poisoned, "a rejected row changed a later output");
+}
+
 /// Sessions joining mid-stream and leaving mid-stream must not perturb a
 /// co-tenant: the co-tenant's outputs are pinned bit-exactly by replaying
 /// the identical stream on an otherwise idle server.

@@ -14,14 +14,14 @@
 //!   unmasked, `_into` ≡ allocating) are stated against it. Its contract
 //!   is bit-identity with the `k`-ordered reference (one rounded
 //!   multiply then one rounded add per `k`, ascending — what
-//!   [`Matrix::matvec`] computes), not "no SIMD": on `x86_64`, with two
-//!   or more live rows in `lhs`, `matmul_nt_into` and
-//!   `matmul_nt_masked_into` run the lane-packed kernel of the
-//!   crate-private `lane_pack` module (one row of `lhs` — a batch lane,
-//!   or a read head of the memory unit — per SSE register element, so no
-//!   element's operation order changes) instead of one row-kernel pass
-//!   per row. The two return the same bits; which one runs depends only
-//!   on the number of live rows (`lhs.rows()`, or `mask.active_count()`).
+//!   [`Matrix::matvec`] computes), not "no SIMD": `matmul_nt_into` and
+//!   `matmul_nt_masked_into` run the transposing row-dot kernel of
+//!   [`mod@crate::fused`] — eight rows of the right factor transposed in
+//!   registers so vector lanes hold eight independent output sums, the
+//!   right factor walked once per four live rows of `lhs` (batch lanes,
+//!   or the read heads of the memory unit) — which returns the bits of
+//!   the row kernels on [`Matrix`], kept as the reference it is tested
+//!   against.
 //! * [`Backend::Blocked`] — cache-blocked loops over [`F32x8`] lanes with
 //!   multiple independent accumulators. Reductions (dot products, row
 //!   norms, softmax normalization) **re-associate** floating-point sums, so
@@ -113,9 +113,9 @@ impl Backend {
 
     /// Batched projection `lhs · otherᵀ` into `out` on this tier.
     ///
-    /// On [`Backend::Scalar`] the result is bit-identical to
-    /// [`Matrix::matmul_nt_into`] whichever of its two kernels runs (row
-    /// kernel for a one-row `lhs`, lane-packed from two rows).
+    /// On [`Backend::Scalar`] the transposing row-dot kernel
+    /// ([`mod@crate::fused`]) computes it, bit-identical to
+    /// [`Matrix::matmul_nt_into`].
     ///
     /// # Panics
     ///
@@ -123,7 +123,7 @@ impl Backend {
     /// `lhs.rows() × other.rows()`.
     pub fn matmul_nt_into(&self, lhs: &Matrix, other: &Matrix, out: &mut Matrix) {
         match self {
-            Backend::Scalar => scalar_matmul_nt_into(lhs, other, None, out),
+            Backend::Scalar => crate::fused::matmul_nt_into(lhs, other, None, out),
             Backend::Blocked => {
                 lhs.assert_nt_shapes(other, out);
                 for i in 0..lhs.rows() {
@@ -137,9 +137,9 @@ impl Backend {
     /// `mask.is_active(i)`, inactive rows are zeroed — the ragged-batch
     /// contract of [`Matrix::matmul_nt_masked_into`], on this tier.
     ///
-    /// On [`Backend::Scalar`] the result is bit-identical to
-    /// [`Matrix::matmul_nt_masked_into`] whichever of its two kernels
-    /// runs (row kernel for a lone active lane, lane-packed from two).
+    /// On [`Backend::Scalar`] the transposing row-dot kernel
+    /// ([`mod@crate::fused`]) computes it, bit-identical to
+    /// [`Matrix::matmul_nt_masked_into`].
     ///
     /// # Panics
     ///
@@ -152,7 +152,7 @@ impl Backend {
         out: &mut Matrix,
     ) {
         match self {
-            Backend::Scalar => scalar_matmul_nt_into(lhs, other, Some(mask), out),
+            Backend::Scalar => crate::fused::matmul_nt_into(lhs, other, Some(mask), out),
             Backend::Blocked => {
                 lhs.assert_nt_shapes(other, out);
                 assert_eq!(mask.lanes(), lhs.rows(), "lane mask size mismatch");
@@ -203,21 +203,6 @@ impl Backend {
     /// Panics if `mask.lanes() != m.rows()`.
     pub fn softmax_rows_masked(&self, m: &mut Matrix, mask: &LaneMask) {
         crate::softmax::softmax_rows_masked(m, mask);
-    }
-}
-
-/// The `Scalar` tier's `lhs · otherᵀ`, over every row of `lhs` when `mask`
-/// is `None`: the one place that picks between the row kernel and the
-/// lane-packed one. With several rows live `other` is walked once per
-/// four rows instead of once per row; same bits either way.
-fn scalar_matmul_nt_into(lhs: &Matrix, other: &Matrix, mask: Option<&LaneMask>, out: &mut Matrix) {
-    #[cfg(target_arch = "x86_64")]
-    if mask.map_or(lhs.rows(), LaneMask::active_count) >= crate::lane_pack::MIN_ACTIVE {
-        return crate::lane_pack::matmul_nt_into(lhs, other, mask, out);
-    }
-    match mask {
-        Some(mask) => lhs.matmul_nt_masked_into(other, mask, out),
-        None => lhs.matmul_nt_into(other, out),
     }
 }
 
@@ -500,8 +485,8 @@ mod tests {
 
     #[test]
     fn scalar_unmasked_matmul_nt_is_matvec_per_row_bitwise() {
-        // One row takes the row kernel, two or more the lane-packed one
-        // (on x86_64): either way each row is `other.matvec(row)`.
+        // One group of the row-dot kernel, or a full group plus a lone
+        // row: either way each row is `other.matvec(row)`.
         for (b, n, k) in [(1, 64, 64), (2, 128, 16), (4, 64, 64), (5, 7, 3)] {
             let lhs = mat(b, k, 0.2);
             let other = mat(n, k, 1.1);

@@ -9,52 +9,69 @@
 //!
 //! # The rounding rule
 //!
-//! Both [`Fixed::from_f32`] and [`QFormat::quantize`] round an `f32` to the
-//! nearest raw integer of the format, ties away from zero, saturating at the
-//! two's-complement range, with NaN mapping to raw 0 — mathematically
-//! `(x · 2^frac).round().clamp(min_raw, max_raw)`. They compute it as
-//! *clamp, add ±½, truncate*:
+//! [`QFormat::quantize`], [`QFormat::quantize_slice_inplace`] and
+//! [`Fixed::from_f32`] round an `f32` to the nearest raw integer of the
+//! format, ties away from zero, saturating at the two's-complement range,
+//! with NaN mapping to raw 0 — mathematically
+//! `(x · 2^frac).round().clamp(min_raw, max_raw) · 2^-frac`. All three run
+//! **one** body, in `f32` only, eight values per pass:
 //!
 //! ```text
-//! v   = (x as f64 · 2^frac).clamp(min_raw, max_raw)
-//! raw = (v + copysign(0.5, v)) as i32          // truncates toward zero
+//! v = clamp(x · 2^frac, min_raw, f32(max_raw))
+//! t = trunc(v)
+//! r = t + trunc((v − t) + (v − t))
+//! y = ((r + 0.0) & ordered(x)) · 2^-frac
 //! ```
 //!
-//! which is **bit-identical** to the `round()` form for every `f32` input,
-//! and needs no libm call, so it vectorizes. The argument:
+//! No conversion to `f64` or to an integer, no libm call — six arithmetic
+//! operations, two truncations and a mask per vector — and
+//! **bit-identical** to the `round()` form for every `f32` input. Why
+//! each step is exact:
 //!
-//! * `x as f64 · 2^frac` is exact (a power-of-two scale only moves the
-//!   exponent), so `v` carries at most the 24 significant bits of `x`.
-//! * Clamping first is the same as clamping last: both edges are integers,
-//!   and round-half-away is monotone and fixes integers.
-//! * `v + copysign(0.5, v)` is exact whenever it matters. With `v` in
-//!   `[2^k, 2^(k+1))` its lowest set bit is at least `2^(k-23)`, so for
-//!   `-30 ≤ k ≤ 31` (the clamp caps `k`) the sum's bits lie between
-//!   `2^(k+1)` and `min(2^(k-23), 2^-1)` — at most 53 positions — and
-//!   the `f64` add does not round; truncation then yields exactly
-//!   round-half-away-from-zero. The classic failure of this trick
-//!   (`0.49999999999999994 + 0.5 == 1.0`) needs 53 significant bits and
-//!   an `f32` has 24. For smaller `|v|` the sum may round, but stays
-//!   strictly inside `(-1, 1)` and truncates to 0, which is the right
-//!   answer.
-//! * NaN survives the clamp and the add, and `NaN as i32` is 0.
-//! * The raw value converts back with one multiply by `2^-frac` — exact for
-//!   the same power-of-two reason, so it equals the division it replaces.
+//! * `x · 2^frac` only moves the exponent (a power-of-two scale, and it
+//!   scales *up*, so nothing underflows); a product beyond the `f32`
+//!   range becomes ±∞, which the clamp then treats like any other
+//!   out-of-range value.
+//! * Clamping first is the same as clamping last: round-half-away is
+//!   monotone and fixes integers, and both clamp edges are integers. The
+//!   upper edge is `f32(max_raw)`, the saturated raw value *as the oracle
+//!   converts it back* (`max_raw as f32`): up to 25 bits `2^(t−1) − 1` is
+//!   an `f32`; from 26 bits it is not and rounds to `2^(t−1)` — and no
+//!   `f32` lies strictly between the two, so `v` saturates to `2^(t−1)`
+//!   exactly when the oracle's `raw as f32` does.
+//! * `v − t` is exact: `t` is `v` with its fraction bits cleared, so the
+//!   difference is those bits — fewer significant bits than `v` has —
+//!   and from 2²³ up there is no fraction and `t = v`. Doubling is exact,
+//!   and `trunc(2f)` for `f = v − t ∈ (−1, 1)` is `±1` exactly when
+//!   `|f| ≥ ½` — the away-from-zero tie rule, with no "add 0.5" that
+//!   could itself round.
+//! * `t ± 1` is exact: it is needed only while `|t| < 2²³`.
+//! * `r + 0.0`: for `v ∈ (−½, −0.0]` both truncations yield `-0.0` and so
+//!   does their sum; the oracle passes through an integer, which has one
+//!   zero. Adding `+0.0` maps `-0.0` to `+0.0` and changes nothing else.
+//! * A NaN `x` leaves the clamp as some number; the ordered-compare mask
+//!   `x == x` zeroes those lanes (`+0.0`), the oracle's `NaN as i64`.
+//! * `· 2^-frac` is exact for the reason the first step is (`|r| ≥ 1` or
+//!   `r = 0`, and `frac ≤ 31`), so it equals the division it replaces.
 //!
-//! [`QFormat::quantize_slice_inplace`] is the slice kernel of that rule: on
-//! `x86_64` four elements per pass in baseline SSE2 (`cvtps2pd`, `mulpd`,
-//! `max/minpd`, add the signed half, `cvttpd2dq`, zero the NaN lanes,
-//! `cvtdq2ps`, `mulps`), elsewhere and for the tail the scalar form. The
-//! equality against the `round()` definition is pinned by this module's
-//! tests over a strided sweep of all `f32` bit patterns plus the tie and
-//! saturation boundaries, for Q16.16, Q8.8, Q1.31, Q31.1 and Q4.12. The
-//! exhaustive form (all 2³² patterns × those formats, slice kernel and
-//! scalar) is `#[ignore]`d because it takes minutes; run it with
+//! The body is generic over the crate's lane-width type
+//! ([`mod@crate::simd`]): AVX where the CPU has it, [`F32x8`]
+//! (SSE2 halves on `x86_64`) otherwise — the same operations lane for
+//! lane, so the two agree bit for bit. A slice's last `len % 8` values,
+//! and the single value of [`QFormat::quantize`], pass through the same
+//! body in a padded vector. The equality against the `round()` definition
+//! is pinned by this module's tests over a strided sweep of all `f32` bit
+//! patterns plus the tie and saturation boundaries, for Q16.16, Q8.8,
+//! Q1.31, Q31.1, Q4.12 and the two widths either side of the `f32(max_raw)`
+//! edge, Q13.12 and Q13.13. The exhaustive form (all 2³² patterns × those
+//! formats, slice body and single value) is `#[ignore]`d because it takes
+//! minutes; CI runs it with
 //!
 //! ```text
 //! cargo test --release -p hima-tensor --lib fixed::tests::exhaustive -- --ignored
 //! ```
 
+use crate::simd::{avx_detected, F32x8, Lanes};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -134,32 +151,35 @@ impl QFormat {
     }
 
     /// The format's rounding parameters: scale `2^frac_bits` and the
-    /// two's-complement raw range.
+    /// two's-complement raw range, as the `f32`s the rule computes with.
     fn rounding(&self) -> Rounding {
-        let edge = (1u64 << (self.total_bits() - 1)) as f64;
-        Rounding { scale: (1u64 << self.frac_bits) as f64, min_raw: -edge, max_raw: edge - 1.0 }
+        let edge = 1u64 << (self.total_bits() - 1);
+        let scale = (1u64 << self.frac_bits) as f32;
+        Rounding { scale, inv_scale: 1.0 / scale, min_raw: -(edge as f32), max_raw: (edge - 1) as f32 }
     }
 
     /// Rounds `x` to the nearest representable value (ties away from
     /// zero), saturating at the format's range — the usual hardware
     /// datapath behaviour. NaN maps to 0. See the [module docs](self) for
-    /// the rule and why its libm-free form is exact.
+    /// the rule and why its `f32`-only form is exact.
     pub fn quantize(&self, x: f32) -> f32 {
-        let r = self.rounding();
-        r.to_raw(x) as f32 * r.inv_scale()
+        let mut one = [x];
+        self.quantize_slice_inplace(&mut one);
+        one[0]
     }
 
     /// Quantizes a whole slice in place — the datapath's rounding pass
     /// over a contiguous state buffer, bit-identical per element to
-    /// [`QFormat::quantize`].
+    /// [`QFormat::quantize`] (which is this, over a slice of one).
     pub fn quantize_slice_inplace(&self, xs: &mut [f32]) {
         let r = self.rounding();
         #[cfg(target_arch = "x86_64")]
-        let xs = r.quantize_quads(xs);
-        let inv = r.inv_scale();
-        for x in xs {
-            *x = r.to_raw(*x) as f32 * inv;
+        if avx_detected() {
+            // SAFETY: this CPU runs AVX.
+            return unsafe { round_slice_avx(r, xs) };
         }
+        // SAFETY: `F32x8` is baseline code on every target.
+        unsafe { round_slice::<F32x8>(r, xs) }
     }
 
     /// Whether `x` is exactly representable in this format.
@@ -179,71 +199,70 @@ impl fmt::Display for QFormat {
     }
 }
 
-/// The shared rounding rule of [`QFormat`] and [`Fixed`] for one format:
-/// scale by `2^frac`, clamp to the raw range, add the signed half,
-/// truncate (see the [module docs](self)).
+/// One format's parameters of the rounding rule (see the
+/// [module docs](self)): `2^frac`, its reciprocal, and the clamp edges
+/// `min_raw` and `f32(max_raw)` — all exact `f32`s except the upper edge of
+/// a format wider than 25 bits, which is `max_raw` rounded as the
+/// `round()` definition rounds it.
 #[derive(Clone, Copy)]
 struct Rounding {
-    scale: f64,
-    min_raw: f64,
-    max_raw: f64,
+    scale: f32,
+    inv_scale: f32,
+    min_raw: f32,
+    max_raw: f32,
 }
 
-impl Rounding {
-    /// Nearest raw integer to `x · scale`, ties away from zero, saturated;
-    /// NaN gives 0.
-    #[inline(always)]
-    fn to_raw(self, x: f32) -> i32 {
-        let v = (x as f64 * self.scale).clamp(self.min_raw, self.max_raw);
-        (v + 0.5f64.copysign(v)) as i32
+/// The rounding rule on one vector (see the [module docs](self)).
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set (see [`Lanes`]).
+#[inline(always)]
+unsafe fn round_lanes<V: Lanes>(r: Rounding, x: V) -> V {
+    // SAFETY (every vector op): forwarded from the caller.
+    unsafe {
+        let v = x.mul(V::splat(r.scale)).max(V::splat(r.min_raw)).min(V::splat(r.max_raw));
+        let t = v.trunc();
+        let f = v.sub(t);
+        let raw = t.add(f.add(f).trunc()).add(V::zero());
+        raw.and(x.eq_mask(x)).mul(V::splat(r.inv_scale))
     }
+}
 
-    /// `2^-frac` as an `f32` (exact: the smallest is `2^-31`).
-    #[inline(always)]
-    fn inv_scale(self) -> f32 {
-        (1.0 / self.scale) as f32
+/// The rounding rule over a slice: whole vectors in place, then the last
+/// `len % 8` values through a zero-padded one. (No closure here: a
+/// closure would not inherit the AVX entry's target feature, and every
+/// intrinsic in it would stay a call.)
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set (see [`Lanes`]).
+#[inline(always)]
+unsafe fn round_slice<V: Lanes>(r: Rounding, xs: &mut [f32]) {
+    let mut chunks = xs.chunks_exact_mut(8);
+    // SAFETY (every vector op below): forwarded from the caller.
+    for chunk in &mut chunks {
+        unsafe { round_lanes(r, V::load(chunk)).store(chunk) };
     }
+    let tail = chunks.into_remainder();
+    if !tail.is_empty() {
+        let mut padded = [0.0f32; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        unsafe { round_lanes(r, V::load(&padded)).store(&mut padded) };
+        tail.copy_from_slice(&padded[..tail.len()]);
+    }
+}
 
-    /// SSE2 body of [`QFormat::quantize_slice_inplace`]: rounds every
-    /// whole group of four elements in place and returns the tail (fewer
-    /// than four) for the scalar form. Each lane performs exactly the
-    /// operations of [`Rounding::to_raw`], in `f64`, so the two agree bit
-    /// for bit.
-    #[cfg(target_arch = "x86_64")]
-    fn quantize_quads(self, xs: &mut [f32]) -> &mut [f32] {
-        use core::arch::x86_64::{
-            __m128d, __m128i, _mm_add_pd, _mm_and_pd, _mm_and_si128, _mm_castps_si128,
-            _mm_cmpord_ps, _mm_cvtepi32_ps, _mm_cvtps_pd, _mm_cvttpd_epi32, _mm_loadu_ps,
-            _mm_max_pd, _mm_min_pd, _mm_movehl_ps, _mm_mul_pd, _mm_mul_ps, _mm_or_pd, _mm_set1_pd,
-            _mm_set1_ps, _mm_storeu_ps, _mm_unpacklo_epi64,
-        };
-        let mut quads = xs.chunks_exact_mut(4);
-        // SAFETY: SSE2 is part of the x86_64 baseline ABI, and the one
-        // unaligned load and one unaligned store per pass touch exactly
-        // the four f32s of `quad`.
-        unsafe {
-            let scale = _mm_set1_pd(self.scale);
-            let (min_raw, max_raw) = (_mm_set1_pd(self.min_raw), _mm_set1_pd(self.max_raw));
-            let (sign_bit, half) = (_mm_set1_pd(-0.0), _mm_set1_pd(0.5));
-            let inv = _mm_set1_ps(self.inv_scale());
-            // Two f64 lanes to two raw i32s (in the low half). A NaN lane
-            // leaves `max_pd` as `min_raw`; it is zeroed by the caller.
-            let to_raw = |x: __m128d| -> __m128i {
-                let v = _mm_min_pd(_mm_max_pd(_mm_mul_pd(x, scale), min_raw), max_raw);
-                let signed_half = _mm_or_pd(_mm_and_pd(v, sign_bit), half);
-                _mm_cvttpd_epi32(_mm_add_pd(v, signed_half))
-            };
-            for quad in &mut quads {
-                let x = _mm_loadu_ps(quad.as_ptr());
-                let lo = to_raw(_mm_cvtps_pd(x));
-                let hi = to_raw(_mm_cvtps_pd(_mm_movehl_ps(x, x)));
-                let ordered = _mm_castps_si128(_mm_cmpord_ps(x, x));
-                let raw = _mm_and_si128(_mm_unpacklo_epi64(lo, hi), ordered);
-                _mm_storeu_ps(quad.as_mut_ptr(), _mm_mul_ps(_mm_cvtepi32_ps(raw), inv));
-            }
-        }
-        quads.into_remainder()
-    }
+/// [`round_slice`] over AVX vectors.
+///
+/// # Safety
+///
+/// The CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn round_slice_avx(r: Rounding, xs: &mut [f32]) {
+    // SAFETY: the caller guarantees AVX, which is all `Avx` needs.
+    unsafe { round_slice::<crate::simd::Avx>(r, xs) }
 }
 
 /// A signed Q16.16 fixed-point number with saturating arithmetic.
@@ -273,9 +292,10 @@ impl Fixed {
     /// Converts from `f32`, rounding to nearest (ties away from zero) and
     /// saturating at the representable range; NaN converts to zero.
     pub fn from_f32(x: f32) -> Self {
-        let q16_16 =
-            Rounding { scale: ONE_RAW as f64, min_raw: i32::MIN as f64, max_raw: i32::MAX as f64 };
-        Fixed(q16_16.to_raw(x))
+        // The shared rule yields `raw · 2^-16`; scaling back is exact, and
+        // the saturated `i32::MAX as f32 = 2³¹` casts (saturating) to
+        // `i32::MAX`.
+        Fixed((QFormat::q16_16().quantize(x) * ONE_RAW as f32) as i32)
     }
 
     /// Converts back to `f32`.
@@ -527,15 +547,28 @@ mod tests {
         raw as f32 / scale as f32
     }
 
-    /// The widest, the paper's, a narrow one, and the two extreme splits.
-    fn swept_formats() -> [QFormat; 5] {
+    /// The widest, the paper's, a narrow one, the two extreme splits, and
+    /// the widths either side of the `f32(max_raw)` edge: 25 bits, the last
+    /// whose `max_raw` is an `f32`, and 26, the first whose `max_raw`
+    /// (2²⁵ − 1) rounds up to `2^(t−1)`.
+    fn swept_formats() -> [QFormat; 7] {
         [
             QFormat::q16_16(),
             QFormat::q8_8(),
             QFormat::new(1, 31),
             QFormat::new(31, 1),
             QFormat::new(4, 12),
+            QFormat::new(13, 12),
+            QFormat::new(13, 13),
         ]
+    }
+
+    /// `xs` rounded by the portable body, whatever the dispatch picks.
+    fn quantized_by_f32x8(q: QFormat, xs: &[f32]) -> Vec<f32> {
+        let mut out = xs.to_vec();
+        // SAFETY: `F32x8` is baseline code on every target.
+        unsafe { round_slice::<F32x8>(q.rounding(), &mut out) };
+        out
     }
 
     fn assert_matches_oracle(q: QFormat, x: f32) {
@@ -593,12 +626,56 @@ mod tests {
                 assert_matches_oracle(q, x);
             }
             // The slice kernel over the same set, shifted so every value
-            // lands in every SIMD lane.
-            for shift in 0..4 {
+            // lands in every SIMD lane — the dispatched body (AVX where
+            // the CPU has it) and the portable one.
+            for shift in 0..8 {
                 let mut got = xs[shift..].to_vec();
                 q.quantize_slice_inplace(&mut got);
-                for (g, &x) in got.iter().zip(&xs[shift..]) {
-                    assert_eq!(g.to_bits(), quantize_oracle(q, x).to_bits(), "{q} x={x:e}");
+                let portable = quantized_by_f32x8(q, &xs[shift..]);
+                for ((g, p), &x) in got.iter().zip(&portable).zip(&xs[shift..]) {
+                    let want = quantize_oracle(q, x).to_bits();
+                    assert_eq!(g.to_bits(), want, "{q} x={x:e} shift={shift}");
+                    assert_eq!(p.to_bits(), want, "F32x8 body, {q} x={x:e} shift={shift}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn avx_body_f32x8_body_and_single_value_form_agree_in_every_lane_position() {
+        // One awkward value per lane position in turn, the other seven
+        // lanes holding a value whose rounding differs from it: a lane
+        // that leaked into its neighbour would show.
+        let awkward = [
+            f32::NAN,
+            -0.0,
+            -0.3 / 65_536.0,
+            0.5 / 65_536.0,
+            -1.5 / 4_096.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            8_388_607.5,
+            -8_388_608.5,
+            3.0e38,
+            f32::from_bits(1),
+            16_777_215.0,
+            33_554_430.0,
+            -33_554_432.0,
+        ];
+        for q in swept_formats() {
+            for &x in &awkward {
+                for lane in 0..8 {
+                    let mut xs = [0.7f32; 8];
+                    xs[lane] = x;
+                    let mut dispatched = xs;
+                    q.quantize_slice_inplace(&mut dispatched);
+                    let portable = quantized_by_f32x8(q, &xs);
+                    for i in 0..8 {
+                        let want = quantize_oracle(q, xs[i]).to_bits();
+                        assert_eq!(dispatched[i].to_bits(), want, "{q} x={x:e} lane={lane} i={i}");
+                        assert_eq!(portable[i].to_bits(), want, "F32x8, {q} x={x:e} lane={lane} i={i}");
+                        assert_eq!(q.quantize(xs[i]).to_bits(), want, "single, {q} x={x:e}");
+                    }
                 }
             }
         }
@@ -606,7 +683,7 @@ mod tests {
 
     #[test]
     fn slice_kernel_equals_scalar_for_short_lengths_and_unaligned_starts() {
-        let src: Vec<f32> = (0..16)
+        let src: Vec<f32> = (0..25)
             .map(|i| match i % 5 {
                 0 => f32::NAN,
                 1 => (i as f32 * 0.7311).sin() * 40_000.0,
@@ -616,8 +693,8 @@ mod tests {
             })
             .collect();
         for q in swept_formats() {
-            for start in 0..4 {
-                for len in 0..=9 {
+            for start in 0..8 {
+                for len in 0..=17 {
                     let mut buf = src.clone();
                     q.quantize_slice_inplace(&mut buf[start..start + len]);
                     for (i, (&b, &s)) in buf.iter().zip(&src).enumerate() {
@@ -638,25 +715,28 @@ mod tests {
         }
     }
 
-    /// All 2³² `f32` bit patterns × the swept formats, scalar form and
-    /// slice kernel, against the `round()` definition. Minutes in release
-    /// mode; see the module docs for the command.
+    /// All 2³² `f32` bit patterns × the swept formats, through the
+    /// dispatched slice body (AVX where the CPU has it) and the portable
+    /// one, against the `round()` definition; the single-value form is
+    /// the slice body over one element and rides the strided sweep.
+    /// Minutes in release mode; see the module docs for the command.
     #[test]
     #[ignore = "exhaustive over all f32 bit patterns: minutes in --release"]
     fn exhaustive_quantize_equals_round_definition() {
         const BLOCK: usize = 1 << 12;
-        let mut buf = vec![0.0f32; BLOCK];
+        let mut src = vec![0.0f32; BLOCK];
         for q in swept_formats() {
             for base in (0..=u32::MAX).step_by(BLOCK) {
-                for (i, x) in buf.iter_mut().enumerate() {
+                for (i, x) in src.iter_mut().enumerate() {
                     *x = f32::from_bits(base + i as u32);
                 }
-                q.quantize_slice_inplace(&mut buf);
-                for (i, got) in buf.iter().enumerate() {
-                    let x = f32::from_bits(base + i as u32);
+                let mut dispatched = src.clone();
+                q.quantize_slice_inplace(&mut dispatched);
+                let portable = quantized_by_f32x8(q, &src);
+                for ((got, p), &x) in dispatched.iter().zip(&portable).zip(&src) {
                     let want = quantize_oracle(q, x).to_bits();
                     assert_eq!(got.to_bits(), want, "slice {q} {:#010x}", x.to_bits());
-                    assert_eq!(q.quantize(x).to_bits(), want, "scalar {q} {:#010x}", x.to_bits());
+                    assert_eq!(p.to_bits(), want, "F32x8 {q} {:#010x}", x.to_bits());
                 }
             }
         }

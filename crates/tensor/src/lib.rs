@@ -22,10 +22,16 @@
 //!   16 outputs and its bit-exact, output-packed AVX/SSE2 product: what
 //!   the engine's controller, interface and output projections run on
 //!   both tiers ([`mod@packed`]),
+//! * the head-fused products of [`mod@fused`] — the exact tier's kernels
+//!   for the memory unit's `M` and `L`, which change every step: a
+//!   transposing row-dot kernel (with the row norms riding along) and
+//!   `mᵀ · w_h` for all heads, each one pass over the matrix at AVX/SSE2
+//!   width with the reference's bits,
 //! * [`Backend`] — the kernel execution tier: the bit-exact reference
-//!   tier (`k`-ordered kernels, lane-packed across batch lanes where that
-//!   keeps the bits) or the cache-blocked [`F32x8`]-vectorized fast tier
-//!   in [`mod@backend`], dispatching the hot kernels behind one axis.
+//!   tier (`k`-ordered kernels, vectorized across independent outputs
+//!   where that keeps the bits) or the cache-blocked [`F32x8`]-vectorized
+//!   tolerance tier in [`mod@backend`], dispatching the hot kernels
+//!   behind one axis.
 //!
 //! # Example
 //!
@@ -43,9 +49,8 @@
 pub mod activation;
 pub mod backend;
 pub mod fixed;
+pub mod fused;
 pub mod lane_mask;
-#[cfg(target_arch = "x86_64")]
-mod lane_pack;
 pub mod linalg;
 pub mod matrix;
 pub mod packed;

@@ -536,8 +536,13 @@ impl Matrix {
 /// [`Matrix::matvec`], so the kernel stays bit-compatible with per-lane
 /// stepping.
 pub(crate) fn nt_row_into(lhs: &[f32], other: &Matrix, dst: &mut [f32]) {
+    nt_cols_into(lhs, other, 0, dst);
+}
+
+/// Columns `j..` of [`nt_row_into`]'s output row (`j` a multiple of four,
+/// so the four-column passes fall where the whole row's do).
+pub(crate) fn nt_cols_into(lhs: &[f32], other: &Matrix, mut j: usize, dst: &mut [f32]) {
     let n = other.rows;
-    let mut j = 0;
     while j + 4 <= n {
         let r0 = other.row(j);
         let r1 = other.row(j + 1);

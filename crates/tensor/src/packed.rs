@@ -4,9 +4,9 @@
 //! The controller gates, the per-shard interface projections and the output
 //! projection are *fixed* matrices multiplied every step against a handful
 //! of live lane rows. The row-major kernels ([`Matrix::matmul_nt_masked_into`]
-//! and the lane-packed one behind [`Backend::Scalar`](crate::Backend::Scalar))
-//! must splat each weight out of a row-major matrix before they can use it;
-//! [`PackedWeights`] pays that shuffle once, at engine build — or never,
+//! and the transposing one behind [`Backend::Scalar`](crate::Backend::Scalar))
+//! must shuffle each weight out of a row-major matrix before they can use
+//! it; [`PackedWeights`] pays that shuffle once, at engine build — or never,
 //! when the weights are drawn straight into it ([`PackedWeights::from_fn`]).
 //!
 //! # Layout
@@ -63,7 +63,7 @@
 
 use crate::lane_mask::LaneMask;
 use crate::matrix::Matrix;
-use crate::simd::F32x8;
+use crate::simd::{avx_detected, F32x8, Lanes};
 use std::fmt;
 
 /// Outputs per panel: two 8-wide vectors, one cache line per panel row.
@@ -163,121 +163,23 @@ impl PackedWeights {
         if self.avx {
             // SAFETY: `avx` is only ever set from
             // `is_x86_feature_detected!("avx")`, so this CPU runs AVX.
-            return unsafe { avx::product_avx(self, lhs, mask, out) };
+            return unsafe { product_avx(self, lhs, mask, out) };
         }
         // SAFETY: `F32x8` is baseline code on every target.
         unsafe { product::<F32x8>(self, lhs, mask, out) }
     }
 }
 
-fn avx_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Eight `f32` lanes with the operations the panel walk needs.
+/// The panel walk over AVX vectors.
 ///
 /// # Safety
 ///
-/// Every method may execute instructions of the implementor's instruction
-/// set: callers must know the CPU supports it ([`F32x8`]: always).
-trait Lanes: Copy {
-    unsafe fn zero() -> Self;
-    unsafe fn splat(v: f32) -> Self;
-    /// The first eight elements of `s` (panics if shorter).
-    unsafe fn load(s: &[f32]) -> Self;
-    /// `acc + x * w` per lane: a rounded multiply, then a rounded add.
-    unsafe fn mul_acc(acc: Self, x: Self, w: Self) -> Self;
-    unsafe fn to_array(self) -> [f32; 8];
-}
-
-impl Lanes for F32x8 {
-    #[inline(always)]
-    unsafe fn zero() -> Self {
-        F32x8::ZERO
-    }
-    #[inline(always)]
-    unsafe fn splat(v: f32) -> Self {
-        F32x8::splat(v)
-    }
-    #[inline(always)]
-    unsafe fn load(s: &[f32]) -> Self {
-        F32x8::load(s)
-    }
-    #[inline(always)]
-    unsafe fn mul_acc(acc: Self, x: Self, w: Self) -> Self {
-        acc.add(x.mul(w))
-    }
-    #[inline(always)]
-    unsafe fn to_array(self) -> [f32; 8] {
-        self.0
-    }
-}
-
+/// The CPU must support AVX.
 #[cfg(target_arch = "x86_64")]
-mod avx {
-    use super::{product, Lanes, PackedWeights};
-    use crate::lane_mask::LaneMask;
-    use crate::matrix::Matrix;
-    use core::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_storeu_ps,
-    };
-
-    /// The panel walk over AVX vectors.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX.
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn product_avx(
-        weights: &PackedWeights,
-        lhs: &Matrix,
-        mask: &LaneMask,
-        out: &mut Matrix,
-    ) {
-        // SAFETY: the caller guarantees AVX, which is all `Avx` needs.
-        unsafe { product::<Avx>(weights, lhs, mask, out) }
-    }
-
-    #[derive(Clone, Copy)]
-    pub(super) struct Avx(__m256);
-
-    // SAFETY (every method): the trait's contract — the caller knows the
-    // CPU supports AVX — is the intrinsics' only requirement; `load`
-    // additionally slices eight elements first, so the unaligned load
-    // reads in-bounds.
-    impl Lanes for Avx {
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            Avx(unsafe { _mm256_setzero_ps() })
-        }
-        #[inline(always)]
-        unsafe fn splat(v: f32) -> Self {
-            Avx(unsafe { _mm256_set1_ps(v) })
-        }
-        #[inline(always)]
-        unsafe fn load(s: &[f32]) -> Self {
-            let s = &s[..8];
-            Avx(unsafe { _mm256_loadu_ps(s.as_ptr()) })
-        }
-        #[inline(always)]
-        unsafe fn mul_acc(acc: Self, x: Self, w: Self) -> Self {
-            Avx(unsafe { _mm256_add_ps(acc.0, _mm256_mul_ps(x.0, w.0)) })
-        }
-        #[inline(always)]
-        unsafe fn to_array(self) -> [f32; 8] {
-            let mut a = [0.0f32; 8];
-            unsafe { _mm256_storeu_ps(a.as_mut_ptr(), self.0) };
-            a
-        }
-    }
+#[target_feature(enable = "avx")]
+unsafe fn product_avx(weights: &PackedWeights, lhs: &Matrix, mask: &LaneMask, out: &mut Matrix) {
+    // SAFETY: the caller guarantees AVX, which is all `Avx` needs.
+    unsafe { product::<crate::simd::Avx>(weights, lhs, mask, out) }
 }
 
 /// The product over vector type `V`: zero the inactive rows, then walk the

@@ -1,4 +1,6 @@
-//! A tiny fixed-width f32 SIMD vector for the blocked kernel backend.
+//! Fixed-width `f32` SIMD vectors: [`F32x8`], the portable eight-lane
+//! value behind the blocked backend, and the crate's `Lanes` trait,
+//! the lane-width type the bit-exact kernels are written over.
 //!
 //! [`F32x8`] is eight `f32` lanes with unrolled lane arithmetic. There is
 //! no crates.io dependency and no `std::simd` here. The portable bodies
@@ -22,9 +24,36 @@
 //! multiply then an add (two roundings), never `f32::mul_add`, so debug
 //! and release agree and no libm `fmaf` call sneaks onto FMA-less
 //! targets.
+//!
+//! # `Lanes`: one kernel body, two instruction sets
+//!
+//! The exact tier's vector kernels — the panel-packed product
+//! ([`mod@crate::packed`]), the Q-format rounding pass
+//! ([`mod@crate::fixed`]) and the head-fused products
+//! ([`mod@crate::fused`]) — are each **one** generic function over the
+//! crate-private `Lanes` trait: eight `f32` lanes with exactly the
+//! operations those bodies need, every one a single correctly rounded
+//! IEEE operation (or a bit operation) per lane, never an FMA. It has two
+//! implementations: `Avx` (`__m256`; every kernel's AVX entry is a
+//! `#[target_feature(enable = "avx")]` function the generic body inlines
+//! into, chosen by `is_x86_feature_detected!("avx")`, so LLVM emits VEX
+//! code and places the `vzeroupper`s) and [`F32x8`] (SSE2 halves on
+//! `x86_64`, scalar lanes elsewhere). Because both run the same body, and
+//! each op rounds each lane exactly as its scalar counterpart does, the
+//! two cannot drift apart — and neither can drift from the scalar
+//! reference the body was transcribed from.
 
 #[cfg(target_arch = "x86_64")]
-use core::arch::x86_64::{__m128, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_storeu_ps, _mm_sub_ps};
+use core::arch::x86_64::{
+    __m128, __m256, _mm256_add_ps, _mm256_and_ps, _mm256_castps128_ps256, _mm256_cmp_ps,
+    _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
+    _mm256_round_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_sqrt_ps,
+    _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_add_ps,
+    _mm_and_ps, _mm_andnot_ps, _mm_cmpeq_ps, _mm_cmplt_ps, _mm_cmpneq_ps, _mm_cvtepi32_ps,
+    _mm_cvttps_epi32, _mm_loadu_ps, _mm_max_ps, _mm_min_ps, _mm_mul_ps, _mm_or_ps, _mm_set1_ps,
+    _mm_sqrt_ps, _mm_storeu_ps, _mm_sub_ps, _CMP_EQ_OQ, _CMP_NEQ_UQ, _MM_FROUND_NO_EXC,
+    _MM_FROUND_TO_ZERO, _MM_TRANSPOSE4_PS,
+};
 
 /// Eight f32 lanes with unrolled element-wise arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -218,6 +247,356 @@ impl F32x8 {
     }
 }
 
+/// Eight `f32` lanes with the operations the exact tier's kernel bodies
+/// need (see the [module docs](self)). Every arithmetic op is one rounded
+/// IEEE operation per lane — what the scalar `+`, `-`, `*`, `sqrt` and
+/// `trunc` compute — so a body written over `Lanes` keeps the bits of the
+/// scalar code it transcribes.
+///
+/// # Safety
+///
+/// Every method may execute instructions of the implementor's instruction
+/// set: callers must know the CPU supports it ([`F32x8`]: always; `Avx`:
+/// when [`avx_detected`]).
+pub(crate) trait Lanes: Copy {
+    unsafe fn zero() -> Self;
+    unsafe fn splat(v: f32) -> Self;
+    /// The first eight elements of `s` (panics if shorter).
+    unsafe fn load(s: &[f32]) -> Self;
+    /// Writes the lanes to the first eight elements of `d` (panics if
+    /// shorter).
+    unsafe fn store(self, d: &mut [f32]);
+    unsafe fn add(self, o: Self) -> Self;
+    unsafe fn sub(self, o: Self) -> Self;
+    unsafe fn mul(self, o: Self) -> Self;
+    /// `self < o ? self : o` per lane — `o` wherever either is NaN.
+    unsafe fn min(self, o: Self) -> Self;
+    /// `self > o ? self : o` per lane — `o` wherever either is NaN.
+    unsafe fn max(self, o: Self) -> Self;
+    /// Bitwise and.
+    unsafe fn and(self, o: Self) -> Self;
+    /// All ones where `self == o` (false on NaN), all zeros elsewhere.
+    unsafe fn eq_mask(self, o: Self) -> Self;
+    /// All ones where `self != o` (true on NaN), all zeros elsewhere.
+    unsafe fn ne_mask(self, o: Self) -> Self;
+    /// Rounds toward zero, keeping the sign of a zero result.
+    unsafe fn trunc(self) -> Self;
+    unsafe fn sqrt(self) -> Self;
+    /// An 8 × 8 block of a row-major buffer, transposed: `rows` holds rows
+    /// of `stride` values, and element `c` of the result is
+    /// `rows[0·stride + col + c], …, rows[7·stride + col + c]` (panics if
+    /// the block's last element lies outside `rows`).
+    unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> [Self; 8];
+
+    /// `acc + x * w` per lane: a rounded multiply, then a rounded add.
+    #[inline(always)]
+    unsafe fn mul_acc(acc: Self, x: Self, w: Self) -> Self {
+        // SAFETY: forwarded from the caller.
+        unsafe { acc.add(x.mul(w)) }
+    }
+
+    #[inline(always)]
+    unsafe fn to_array(self) -> [f32; 8] {
+        let mut a = [0.0f32; 8];
+        // SAFETY: forwarded from the caller.
+        unsafe { self.store(&mut a) };
+        a
+    }
+}
+
+/// Whether this CPU runs the `Avx` lanes (always `false` off `x86_64`).
+#[inline]
+pub(crate) fn avx_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+impl F32x8 {
+    /// `f` over both SSE halves.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn map_halves(self, f: impl Fn(__m128) -> __m128) -> Self {
+        let (lo, hi) = self.halves();
+        Self::from_halves(f(lo), f(hi))
+    }
+
+    /// `f` over both pairs of SSE halves.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn zip_halves(self, o: Self, f: impl Fn(__m128, __m128) -> __m128) -> Self {
+        let ((alo, ahi), (blo, bhi)) = (self.halves(), o.halves());
+        Self::from_halves(f(alo, blo), f(ahi, bhi))
+    }
+
+    /// `f` over the lanes.
+    #[cfg(not(target_arch = "x86_64"))]
+    #[inline(always)]
+    fn zip(self, o: Self, f: impl Fn(f32, f32) -> f32) -> Self {
+        Self(std::array::from_fn(|i| f(self.0[i], o.0[i])))
+    }
+}
+
+// SAFETY (every `unsafe` block of the x86_64 arms): SSE2 is part of the
+// x86_64 baseline ABI, and the intrinsics used are register-only.
+impl Lanes for F32x8 {
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        F32x8::ZERO
+    }
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        F32x8::splat(v)
+    }
+    #[inline(always)]
+    unsafe fn load(s: &[f32]) -> Self {
+        F32x8::load(s)
+    }
+    #[inline(always)]
+    unsafe fn store(self, d: &mut [f32]) {
+        F32x8::store(self, d)
+    }
+    #[inline(always)]
+    unsafe fn add(self, o: Self) -> Self {
+        F32x8::add(self, o)
+    }
+    #[inline(always)]
+    unsafe fn sub(self, o: Self) -> Self {
+        F32x8::sub(self, o)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, o: Self) -> Self {
+        F32x8::mul(self, o)
+    }
+    #[inline(always)]
+    unsafe fn min(self, o: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.zip_halves(o, |a, b| unsafe { _mm_min_ps(a, b) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self.zip(o, |a, b| if a < b { a } else { b })
+        }
+    }
+    #[inline(always)]
+    unsafe fn max(self, o: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.zip_halves(o, |a, b| unsafe { _mm_max_ps(a, b) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self.zip(o, |a, b| if a > b { a } else { b })
+        }
+    }
+    #[inline(always)]
+    unsafe fn and(self, o: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.zip_halves(o, |a, b| unsafe { _mm_and_ps(a, b) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self.zip(o, |a, b| f32::from_bits(a.to_bits() & b.to_bits()))
+        }
+    }
+    #[inline(always)]
+    unsafe fn eq_mask(self, o: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.zip_halves(o, |a, b| unsafe { _mm_cmpeq_ps(a, b) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self.zip(o, |a, b| f32::from_bits(if a == b { u32::MAX } else { 0 }))
+        }
+    }
+    #[inline(always)]
+    unsafe fn ne_mask(self, o: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.zip_halves(o, |a, b| unsafe { _mm_cmpneq_ps(a, b) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self.zip(o, |a, b| f32::from_bits(if a != b { u32::MAX } else { 0 }))
+        }
+    }
+    #[inline(always)]
+    unsafe fn trunc(self) -> Self {
+        // SSE2 has no rounding instruction: below 2²³ (where a fraction
+        // can exist) the round trip through `i32` truncates exactly and
+        // the sign bit is put back for `-0.0`; from 2²³ up, and for NaN,
+        // the value is already its own truncation.
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.map_halves(|v| unsafe {
+                let sign = _mm_and_ps(v, _mm_set1_ps(-0.0));
+                let small = _mm_cmplt_ps(_mm_andnot_ps(sign, v), _mm_set1_ps(8_388_608.0));
+                let whole = _mm_or_ps(_mm_cvtepi32_ps(_mm_cvttps_epi32(v)), sign);
+                _mm_or_ps(_mm_and_ps(small, whole), _mm_andnot_ps(small, v))
+            })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            Self(self.0.map(f32::trunc))
+        }
+    }
+    #[inline(always)]
+    unsafe fn sqrt(self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.map_halves(|v| unsafe { _mm_sqrt_ps(v) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            Self(self.0.map(f32::sqrt))
+        }
+    }
+    #[inline(always)]
+    unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
+        assert!(7 * stride + col + 8 <= rows.len(), "8 x 8 block out of bounds");
+        #[cfg(target_arch = "x86_64")]
+        {
+            // Four 4 × 4 transposes: quadrant (rows `4h..`, columns `4q..`)
+            // becomes half `h` of outputs `4q..4q + 4`.
+            let mut t = [Self::ZERO; 8];
+            for h in 0..2 {
+                for q in 0..2 {
+                    let mut m = [unsafe { _mm_set1_ps(0.0) }; 4];
+                    for (r, m) in m.iter_mut().enumerate() {
+                        // SAFETY: row `4h + r ≤ 7`, columns up to
+                        // `col + 8`: inside `rows` by the assert above.
+                        *m = unsafe {
+                            _mm_loadu_ps(rows.as_ptr().add((4 * h + r) * stride + col + 4 * q))
+                        };
+                    }
+                    let [a, b, c, d] = &mut m;
+                    unsafe { _MM_TRANSPOSE4_PS(a, b, c, d) };
+                    for (c, v) in m.into_iter().enumerate() {
+                        let half = &mut t[4 * q + c].0[4 * h..4 * h + 4];
+                        // SAFETY: `half` is four contiguous f32s.
+                        unsafe { _mm_storeu_ps(half.as_mut_ptr(), v) };
+                    }
+                }
+            }
+            t
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            std::array::from_fn(|c| Self(std::array::from_fn(|r| rows[r * stride + col + c])))
+        }
+    }
+}
+
+/// Eight lanes in one AVX register.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct Avx(__m256);
+
+// SAFETY (every method): the trait's contract — the caller knows the CPU
+// supports AVX — is the intrinsics' only requirement; the loads and the
+// store additionally slice their eight (or four) elements first, so the
+// unaligned accesses stay in-bounds.
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx {
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        Avx(unsafe { _mm256_setzero_ps() })
+    }
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        Avx(unsafe { _mm256_set1_ps(v) })
+    }
+    #[inline(always)]
+    unsafe fn load(s: &[f32]) -> Self {
+        let s = &s[..8];
+        Avx(unsafe { _mm256_loadu_ps(s.as_ptr()) })
+    }
+    #[inline(always)]
+    unsafe fn store(self, d: &mut [f32]) {
+        let d = &mut d[..8];
+        unsafe { _mm256_storeu_ps(d.as_mut_ptr(), self.0) }
+    }
+    #[inline(always)]
+    unsafe fn add(self, o: Self) -> Self {
+        Avx(unsafe { _mm256_add_ps(self.0, o.0) })
+    }
+    #[inline(always)]
+    unsafe fn sub(self, o: Self) -> Self {
+        Avx(unsafe { _mm256_sub_ps(self.0, o.0) })
+    }
+    #[inline(always)]
+    unsafe fn mul(self, o: Self) -> Self {
+        Avx(unsafe { _mm256_mul_ps(self.0, o.0) })
+    }
+    #[inline(always)]
+    unsafe fn min(self, o: Self) -> Self {
+        Avx(unsafe { _mm256_min_ps(self.0, o.0) })
+    }
+    #[inline(always)]
+    unsafe fn max(self, o: Self) -> Self {
+        Avx(unsafe { _mm256_max_ps(self.0, o.0) })
+    }
+    #[inline(always)]
+    unsafe fn and(self, o: Self) -> Self {
+        Avx(unsafe { _mm256_and_ps(self.0, o.0) })
+    }
+    #[inline(always)]
+    unsafe fn eq_mask(self, o: Self) -> Self {
+        Avx(unsafe { _mm256_cmp_ps::<_CMP_EQ_OQ>(self.0, o.0) })
+    }
+    #[inline(always)]
+    unsafe fn ne_mask(self, o: Self) -> Self {
+        Avx(unsafe { _mm256_cmp_ps::<_CMP_NEQ_UQ>(self.0, o.0) })
+    }
+    #[inline(always)]
+    unsafe fn trunc(self) -> Self {
+        Avx(unsafe { _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(self.0) })
+    }
+    #[inline(always)]
+    unsafe fn sqrt(self) -> Self {
+        Avx(unsafe { _mm256_sqrt_ps(self.0) })
+    }
+    #[inline(always)]
+    unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
+        assert!(7 * stride + col + 8 <= rows.len(), "8 x 8 block out of bounds");
+        // Rows `r` and `r + 4` share a register, one per 128-bit half, so
+        // a 4 × 4 transpose inside each half (`unpck`, then `shufps`) is
+        // the whole 8 × 8 transpose — no cross-half shuffle. (Plain loops,
+        // no closures: a closure would not inherit the kernel entry's
+        // target feature, and its intrinsics would stay calls.)
+        let mut out = [unsafe { Self::zero() }; 8];
+        for q in 0..2 {
+            let mut m = [unsafe { _mm256_setzero_ps() }; 4];
+            for (r, m) in m.iter_mut().enumerate() {
+                // SAFETY: rows `r` and `r + 4 ≤ 7`, columns up to `col + 8`:
+                // inside `rows` by the assert above.
+                *m = unsafe {
+                    let at = rows.as_ptr().add(r * stride + col + 4 * q);
+                    let lo = _mm256_castps128_ps256(_mm_loadu_ps(at));
+                    _mm256_insertf128_ps::<1>(lo, _mm_loadu_ps(at.add(4 * stride)))
+                };
+            }
+            unsafe {
+                let (t0, t1) = (_mm256_unpacklo_ps(m[0], m[1]), _mm256_unpackhi_ps(m[0], m[1]));
+                let (t2, t3) = (_mm256_unpacklo_ps(m[2], m[3]), _mm256_unpackhi_ps(m[2], m[3]));
+                out[4 * q] = Avx(_mm256_shuffle_ps::<0x44>(t0, t2));
+                out[4 * q + 1] = Avx(_mm256_shuffle_ps::<0xEE>(t0, t2));
+                out[4 * q + 2] = Avx(_mm256_shuffle_ps::<0x44>(t1, t3));
+                out[4 * q + 3] = Avx(_mm256_shuffle_ps::<0xEE>(t1, t3));
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,5 +630,113 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn load_rejects_short_slices() {
         F32x8::load(&[1.0; 7]);
+    }
+
+    /// Values every op must get right in any lane: both zeros, fractions
+    /// either side of ±½, the 2²³ edge where fractions stop, values past
+    /// the `i32` range, the infinities and a NaN.
+    const AWKWARD: [f32; 16] = [
+        0.0,
+        -0.0,
+        0.3,
+        -0.3,
+        0.5,
+        -1.5,
+        8_388_607.5,
+        -8_388_607.5,
+        8_388_608.0,
+        -16_777_216.0,
+        3.0e9,
+        -3.0e38,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::MIN_POSITIVE,
+    ];
+
+    fn mask(on: bool) -> u32 {
+        if on { u32::MAX } else { 0 }
+    }
+
+    /// Every `Lanes` op of `V` against the scalar operation it stands
+    /// for, each awkward value against each, rotated through the lanes.
+    /// NaN results compare as "is NaN" (payloads are not part of any
+    /// kernel's contract); everything else compares `to_bits`.
+    fn check_ops<V: Lanes>(name: &str) {
+        let same = |got: [f32; 8], want: [f32; 8], op: &str| {
+            for (g, w) in got.iter().zip(want) {
+                let equal = if w.is_nan() { g.is_nan() } else { g.to_bits() == w.to_bits() };
+                assert!(equal, "{name} {op}: {got:?} vs {want:?}");
+            }
+        };
+        for shift in 0..AWKWARD.len() {
+            let a: [f32; 8] = std::array::from_fn(|i| AWKWARD[(i + shift) % 16]);
+            for other in 0..AWKWARD.len() {
+                let b: [f32; 8] = std::array::from_fn(|i| AWKWARD[(i * 3 + other) % 16]);
+                // SAFETY: the caller checked the CPU runs `V`.
+                unsafe {
+                    let (va, vb) = (V::load(&a), V::load(&b));
+                    let zip = |f: fn(f32, f32) -> f32| std::array::from_fn(|i| f(a[i], b[i]));
+                    same(va.add(vb).to_array(), zip(|x, y| x + y), "add");
+                    same(va.sub(vb).to_array(), zip(|x, y| x - y), "sub");
+                    same(va.mul(vb).to_array(), zip(|x, y| x * y), "mul");
+                    same(V::mul_acc(vb, va, va).to_array(), zip(|x, y| y + x * x), "mul_acc");
+                    same(va.min(vb).to_array(), zip(|x, y| if x < y { x } else { y }), "min");
+                    same(va.max(vb).to_array(), zip(|x, y| if x > y { x } else { y }), "max");
+                    let bit = |f: fn(f32, f32) -> u32| -> [u32; 8] {
+                        std::array::from_fn(|i| f(a[i], b[i]))
+                    };
+                    let bits = |v: V| v.to_array().map(f32::to_bits);
+                    assert_eq!(bits(va.and(vb)), bit(|x, y| x.to_bits() & y.to_bits()), "{name} and");
+                    assert_eq!(bits(va.eq_mask(vb)), bit(|x, y| mask(x == y)), "{name} eq_mask");
+                    assert_eq!(bits(va.ne_mask(vb)), bit(|x, y| mask(x != y)), "{name} ne_mask");
+                }
+            }
+            // SAFETY: as above.
+            unsafe {
+                let va = V::load(&a);
+                same(va.trunc().to_array(), a.map(f32::trunc), "trunc");
+                same(va.sqrt().to_array(), a.map(f32::sqrt), "sqrt");
+                same(V::splat(a[0]).to_array(), [a[0]; 8], "splat");
+                assert_eq!(V::zero().to_array().map(f32::to_bits), [0; 8], "{name} zero");
+            }
+        }
+    }
+
+    /// `load_transposed` of `V` over every 8 × 8 block of a strided buffer.
+    fn check_transpose<V: Lanes>(name: &str) {
+        let stride = 19;
+        let rows: Vec<f32> = (0..9 * stride).map(|i| i as f32).collect();
+        for first in 0..2 {
+            for col in 0..=stride - 8 {
+                // SAFETY: the caller checked the CPU runs `V`.
+                let t = unsafe { V::load_transposed(&rows[first * stride..], stride, col) };
+                for (c, v) in t.into_iter().enumerate() {
+                    let want: [f32; 8] =
+                        std::array::from_fn(|r| ((first + r) * stride + col + c) as f32);
+                    assert_eq!(unsafe { v.to_array() }, want, "{name} first={first} col={col} c={c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_ops_are_the_scalar_operations_on_both_instruction_sets() {
+        check_ops::<F32x8>("F32x8");
+        check_transpose::<F32x8>("F32x8");
+        #[cfg(target_arch = "x86_64")]
+        if avx_detected() {
+            check_ops::<Avx>("Avx");
+            check_transpose::<Avx>("Avx");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "8 x 8 block out of bounds")]
+    fn load_transposed_rejects_a_block_past_the_buffer() {
+        // Seven full rows and seven values of the eighth.
+        let rows = [0.0f32; 7 * 10 + 7];
+        // SAFETY: `F32x8` is baseline code on every target.
+        unsafe { F32x8::load_transposed(&rows, 10, 0) };
     }
 }
