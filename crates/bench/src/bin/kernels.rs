@@ -1,71 +1,64 @@
-//! Kernel-level backend microbenchmark: per-call time of each hot kernel
-//! on the scalar reference tier vs the blocked + vectorized tier, at the
-//! engine shapes the throughput bench runs (N = 128, W = 16, H = 64,
-//! B ∈ {1, 8, 32}).
+//! Kernel microbenchmark: per-call time of the engine's vector kernels
+//! against the plain scalar loops they are pinned to, at the engine
+//! shapes the throughput bench runs (N = 128, W = 16, H = 64) and the
+//! paper's tile (N = 64, W = 64).
 //!
-//! Where the engine-level `throughput` bench answers "how much faster is
-//! a blocked *engine*", this bench answers "which *kernel* moved": the
-//! LSTM gate projection (`matmul_nt_masked_into` at `B × 112 · 256 ×
-//! 112ᵀ`), the temporal-link mat-vec over the `N × N` linkage
-//! (`matvec_into`) and the content-lookup row norms (`row_norms_into`
-//! over `N × W`). Each row is a paired best-of measurement (scalar and
-//! blocked interleaved over the same buffers), so a regression in one
-//! tier is visible against the other. `matvec_t_into` and
-//! `softmax_inplace` have no row: both tiers run the one scalar kernel
-//! (their blocked bodies read 0.96× and 1.08× here and were deleted).
+//! There is one kernel tier, so every row pairs two forms that return
+//! **identical bits** (asserted on the spot) — the only question a row
+//! answers is which is faster, and by the repository's rule a variant
+//! has to read ≥ 1.2× to be worth a second implementation of its
+//! reference. Each row is a paired best-of measurement (reference and
+//! variant interleaved over the same buffers).
 //!
-//! A second table holds the **bit-exact variants inside the scalar
-//! tier** — pairs that return identical bits, so the only question is
-//! which is faster. `quantize_slice` has two rows over 4 096 elements:
-//! the `f32`-only Q-format rounding body (`QFormat::quantize_slice_inplace`,
-//! AVX where the CPU has it) against the `round()` definition, per
-//! element, and against the SSE2-via-`f64` body it replaced (a copy kept
-//! in this file). `matmul_nt_masked_lanes` is the row kernel
+//! `quantize_slice` has two rows over 4 096 elements: the `f32`-only
+//! Q-format rounding body (`QFormat::quantize_slice_inplace`, AVX where
+//! the CPU has it) against the `round()` definition, per element, and
+//! against the SSE2-via-`f64` body it replaced (a copy kept in this
+//! file). `matmul_nt_masked_lanes` is the row kernel
 //! (`Matrix::matmul_nt_masked_into`, one pass over the weights per active
-//! lane) against what `Backend::Scalar` dispatches to — the transposing
-//! row-dot kernel of `hima_tensor::fused`, one pass per four active lanes
-//! — at 1, 2, 3, 4 and 8 active lanes of a `B = 8` grid.
+//! lane) against the transposing row-dot kernel
+//! (`fused::matmul_nt_into`, one pass per four active lanes) at 1, 2, 3, 4
+//! and 8 active lanes of a `B = 8` grid. `matvec_row_dot` is a plain
+//! mat-vec (`Matrix::matvec_into`) against the same kernel run as a
+//! one-row product — what `Backend::matvec_into` forwards to — over the
+//! `128 × 128` and `64 × 64` linkage.
 //!
-//! The same table holds the memory unit's kernels at one paper tile
-//! (`N = 64, W = 64`) and the served shape (`N = 128, W = 16`):
-//! `linkage_update_branch_free` (the reference's `if i == j` loop vs the
-//! branch-free row body); `forward_heads` / `content_dots_heads` at
-//! `R = 1, 2, 4` read heads — `R` one-head passes (`matvec_into` over `L`;
-//! `N` one-chain dots over `M`) vs the one `Backend::Scalar.matmul_nt_into`
-//! product (eight rows of `L` or `M` transposed in registers, one
-//! accumulator per head); `matvec_t_heads` at the same head counts — `R`
-//! `matvec_t_into` passes vs one `fused::matvec_t_heads_into`, over `L`
-//! (the backward weightings) and over `M` (the memory read); and
-//! `row_norms_fused` at `R = 1` and `4` keys — `row_norms_into` followed
-//! by the dots-only kernel vs the one pass that returns both.
+//! The memory unit's kernels run at one paper tile (`N = 64, W = 64`) and
+//! the served shape (`N = 128, W = 16`): `linkage_update_branch_free` (the
+//! reference's `if i == j` loop vs the branch-free row body);
+//! `forward_heads` / `content_dots_heads` at `R = 1, 2, 4` read heads — `R`
+//! one-head passes (`matvec_into` over `L`; `N` one-chain dots over `M`)
+//! vs the one `fused::matmul_nt_into` product (eight rows of `L` or `M`
+//! transposed in registers, one accumulator per head); `matvec_t_heads`
+//! at the same head counts — `R` `matvec_t_into` passes vs one
+//! `fused::matvec_t_heads_into`, over `L` (the backward weightings) and
+//! over `M` (the memory read); and `row_norms_fused` at `R = 1` and `4`
+//! keys — `row_norms_into` followed by the dots-only kernel vs the one
+//! pass that returns both.
 //!
 //! `packed_weights` rows are the engine's shared-weight products — the
 //! interface projection, LSTM gates and output projection at the paper's
 //! and the served shapes (`shape` is `N×K`), at 1, 2, 3, 4, 8 and 32
-//! active lanes: `Backend::Scalar.matmul_nt_masked_into` over the
-//! row-major matrix (today's exact tier) against
-//! `PackedWeights::matmul_masked_into` over the same weights packed once.
-//! These rows also carry `Backend::Blocked`'s time for the same call
-//! (`blocked_ns_per_call`, `speedup_vs_blocked`) — a different numerics
-//! contract, so it sits beside the bit-identical pair, not in it.
+//! active lanes: `fused::matmul_nt_into` over the row-major matrix
+//! against `PackedWeights::matmul_masked_into` over the same weights
+//! packed once.
 //!
 //! Flags:
 //!
 //! * `--json` — additionally write `BENCH_kernels.json`:
-//!   `{ bench: "kernels", schema_version: 5, params: {memory_size,
-//!   word_size, hidden_size}, kernels: [{kernel, batch,
-//!   scalar_ns_per_call, blocked_ns_per_call, speedup}],
-//!   scalar_variants: [{kernel, shape, batch, active, reference, variant,
-//!   reference_ns_per_call, variant_ns_per_call, speedup
-//!   [, blocked_ns_per_call, speedup_vs_blocked]}] }`
+//!   `{ bench: "kernels", schema_version: 6, params: {memory_size,
+//!   word_size, hidden_size}, scalar_variants: [{kernel, shape, batch,
+//!   active, reference, variant, reference_ns_per_call,
+//!   variant_ns_per_call, speedup}] }`
 //!   (`batch` is 0 for kernels without a batch axis; `active` counts
 //!   live rows of the left factor — active lanes, or read heads; `shape`
-//!   names the memory geometry of a read-phase row or the `N×K` of a
-//!   `packed_weights` row and is empty otherwise),
+//!   names the memory geometry of a read-phase row, the matrix of a
+//!   `matvec_row_dot` row or the `N×K` of a `packed_weights` row and is
+//!   empty otherwise),
 //! * `--smoke` — short measurement windows for CI.
 
 use hima::dnc::linkage::TemporalLinkage;
-use hima::tensor::{fused, Backend, LaneMask, Matrix, PackedWeights, QFormat};
+use hima::tensor::{fused, vector, Backend, LaneMask, Matrix, PackedWeights, QFormat};
 use std::time::{Duration, Instant};
 
 const N: usize = 128;
@@ -73,17 +66,8 @@ const W: usize = 16;
 const HIDDEN: usize = 64;
 /// Controller input width: tokens (16) + R·W read vectors (32).
 const X_WIDTH: usize = 16 + 2 * W;
-const BATCHES: [usize; 3] = [1, 8, 32];
 
-/// One measured kernel pairing.
-struct Row {
-    kernel: &'static str,
-    batch: usize,
-    scalar_ns: f64,
-    blocked_ns: f64,
-}
-
-/// One measured pairing of two bit-identical forms of a scalar-tier kernel.
+/// One measured pairing of two bit-identical forms of a kernel.
 struct VariantRow {
     kernel: &'static str,
     shape: String,
@@ -93,9 +77,6 @@ struct VariantRow {
     variant: &'static str,
     reference_ns: f64,
     variant_ns: f64,
-    /// The `Backend::Blocked` form of the same call, where the row has
-    /// one (it is *not* bit-identical to the other two).
-    blocked_ns: Option<f64>,
 }
 
 /// Elements per `quantize_slice` call (one 64 × 64 linkage tile).
@@ -104,6 +85,9 @@ const QUANTIZE_ELEMS: usize = 4096;
 /// [`LANE_GRID`] lanes.
 const ACTIVE_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 const LANE_GRID: usize = 8;
+/// Side of the square linkage of the `matvec_row_dot` rows: the served
+/// shape and one paper tile.
+const MATVEC_SIDES: [usize; 2] = [128, 64];
 /// `(N, W)` of the read-phase rows: one paper tile and the served shape.
 const UNIT_SHAPES: [(usize, usize); 2] = [(64, 64), (128, 16)];
 /// Read-head counts of the `forward_heads` / `content_dots_heads` rows.
@@ -182,18 +166,18 @@ fn ns_per_call(measure: Duration, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / calls as f64
 }
 
-/// Paired best-of: interleaved reps, each tier keeping its best (lowest)
+/// Paired best-of: interleaved reps, each side keeping its best (lowest)
 /// per-call time.
 fn best_of_paired(
     reps: usize,
     measure: Duration,
-    mut scalar: impl FnMut(),
-    mut blocked: impl FnMut(),
+    mut reference: impl FnMut(),
+    mut variant: impl FnMut(),
 ) -> (f64, f64) {
     let mut best = (f64::MAX, f64::MAX);
     for _ in 0..reps {
-        best.0 = best.0.min(ns_per_call(measure, &mut scalar));
-        best.1 = best.1.min(ns_per_call(measure, &mut blocked));
+        best.0 = best.0.min(ns_per_call(measure, &mut reference));
+        best.1 = best.1.min(ns_per_call(measure, &mut variant));
     }
     best
 }
@@ -219,99 +203,24 @@ fn main() {
     let reps = if smoke { 1 } else { 5 };
 
     hima_bench::header(&format!(
-        "Backend kernel microbench — N={N} W={W} H={HIDDEN}, engine shapes, per-call ns{}",
+        "Kernel microbench — N={N} W={W} H={HIDDEN}, engine shapes, per-call ns{}",
         if smoke { " (smoke mode)" } else { "" }
     ));
     println!(
-        "{:<26} {:>6} {:>14} {:>14} {:>9}",
-        "kernel", "batch", "scalar ns", "blocked ns", "speedup"
-    );
-
-    let mut rows: Vec<Row> = Vec::new();
-    let mut report = |kernel: &'static str, batch: usize, scalar_ns: f64, blocked_ns: f64| {
-        println!(
-            "{:<26} {:>6} {:>14.0} {:>14.0} {:>8}",
-            kernel,
-            batch,
-            scalar_ns,
-            blocked_ns,
-            hima_bench::times(scalar_ns / blocked_ns)
-        );
-        rows.push(Row { kernel, batch, scalar_ns, blocked_ns });
-    };
-
-    // LSTM gate projection shape: [X ; H] (B × 112) · weights (4H × 112)ᵀ.
-    for &b in &BATCHES {
-        let x = test_matrix(b, X_WIDTH + HIDDEN, 1);
-        let w = test_matrix(4 * HIDDEN, X_WIDTH + HIDDEN, 2);
-        let mask = LaneMask::full(b);
-        let mut out_s = Matrix::zeros(b, 4 * HIDDEN);
-        let mut out_b = Matrix::zeros(b, 4 * HIDDEN);
-        let (s, v) = best_of_paired(
-            reps,
-            measure,
-            || Backend::Scalar.matmul_nt_masked_into(&x, &w, &mask, &mut out_s),
-            || Backend::Blocked.matmul_nt_masked_into(&x, &w, &mask, &mut out_b),
-        );
-        report("matmul_nt_masked_into", b, s, v);
-    }
-
-    // Temporal-link kernels: forward/backward weighting over the N × N
-    // linkage — the per-lane hot spot of the memory unit.
-    let linkage = test_matrix(N, N, 3);
-    let wv: Vec<f32> = (0..N).map(|i| ((i * 13) as f32 * 0.21).sin().abs() / N as f32).collect();
-    let mut out_ns = vec![0.0f32; N];
-    let mut out_nb = vec![0.0f32; N];
-    let (s, v) = best_of_paired(
-        reps,
-        measure,
-        || Backend::Scalar.matvec_into(&linkage, &wv, &mut out_ns),
-        || Backend::Blocked.matvec_into(&linkage, &wv, &mut out_nb),
-    );
-    report("matvec_into (NxN)", 0, s, v);
-
-    // Content-lookup row norms over the N × W memory block.
-    let memory = test_matrix(N, W, 4);
-    let mut norms_s = vec![0.0f32; N];
-    let mut norms_b = vec![0.0f32; N];
-    let (s, v) = best_of_paired(
-        reps,
-        measure,
-        || Backend::Scalar.row_norms_into(&memory, &mut norms_s),
-        || Backend::Blocked.row_norms_into(&memory, &mut norms_b),
-    );
-    report("row_norms_into (NxW)", 0, s, v);
-
-    println!(
-        "\nPer-call wall time, best of {reps} interleaved reps per tier. The\n\
-         engine-level consequence of these kernels is the `backend` section\n\
-         of the throughput bench; numerical agreement is pinned by the\n\
-         backend conformance suite."
-    );
-
-    println!(
-        "\n{:<27} {:>11} {:>6} {:>6} {:>14} {:>14} {:>9} {:>12}",
-        "scalar-tier variant",
-        "shape",
-        "batch",
-        "active",
-        "reference ns",
-        "variant ns",
-        "speedup",
-        "blocked ns"
+        "{:<27} {:>11} {:>6} {:>6} {:>14} {:>14} {:>9}",
+        "kernel", "shape", "batch", "active", "reference ns", "variant ns", "speedup"
     );
     let mut variants: Vec<VariantRow> = Vec::new();
     let mut report_variant = |row: VariantRow| {
         println!(
-            "{:<27} {:>11} {:>6} {:>6} {:>14.0} {:>14.0} {:>8} {:>12}",
+            "{:<27} {:>11} {:>6} {:>6} {:>14.0} {:>14.0} {:>8}",
             row.kernel,
             row.shape,
             row.batch,
             row.active,
             row.reference_ns,
             row.variant_ns,
-            hima_bench::times(row.reference_ns / row.variant_ns),
-            row.blocked_ns.map_or(String::new(), |b| format!("{b:.0}"))
+            hima_bench::times(row.reference_ns / row.variant_ns)
         );
         variants.push(row);
     };
@@ -346,7 +255,6 @@ fn main() {
         variant: "QFormat::quantize_slice_inplace (f32-only rule over Lanes)",
         reference_ns: r,
         variant_ns: v,
-        blocked_ns: None,
     });
     #[cfg(target_arch = "x86_64")]
     {
@@ -372,13 +280,12 @@ fn main() {
             variant: "QFormat::quantize_slice_inplace (f32-only rule over Lanes)",
             reference_ns: r,
             variant_ns: v,
-            blocked_ns: None,
         });
     }
 
-    // The LSTM gate projection again, scalar tier only: the row kernel
-    // (`Matrix::matmul_nt_masked_into`) against what `Backend::Scalar`
-    // dispatches to at each active-lane count.
+    // The LSTM gate projection, [X ; H] (B × 112) · weights (4H × 112)ᵀ:
+    // the row kernel (`Matrix::matmul_nt_masked_into`) against the
+    // transposing row-dot kernel at each active-lane count.
     let x = test_matrix(LANE_GRID, X_WIDTH + HIDDEN, 1);
     let w = test_matrix(4 * HIDDEN, X_WIDTH + HIDDEN, 2);
     let mut out_r = Matrix::zeros(LANE_GRID, 4 * HIDDEN);
@@ -391,7 +298,7 @@ fn main() {
             reps,
             measure,
             || x.matmul_nt_masked_into(&w, &mask, &mut out_r),
-            || Backend::Scalar.matmul_nt_masked_into(&x, &w, &mask, &mut out_v),
+            || fused::matmul_nt_into(&x, &w, Some(&mask), &mut out_v),
         );
         assert_eq!(out_r, out_v, "row-dot kernel must equal the row kernel");
         report_variant(VariantRow {
@@ -400,15 +307,39 @@ fn main() {
             batch: LANE_GRID,
             active,
             reference: "row kernel (Matrix::matmul_nt_masked_into)",
-            variant: "Backend::Scalar dispatch (transposing row-dot kernel, 4 lanes per pass)",
+            variant: "fused::matmul_nt_into (transposing row-dot kernel, 4 lanes per pass)",
             reference_ns: r,
             variant_ns: v,
-            blocked_ns: None,
         });
     }
-    // The engine's shared-weight products: what `Backend::Scalar` (and
-    // `Backend::Blocked`) compute from the row-major matrix on every call
-    // against the product over the weights packed once.
+    // A plain mat-vec over the square linkage against the same product as
+    // one row of the row-dot kernel, through the entry point that forwards
+    // to it (`Backend::matvec_into`: its two shape checks are in the time).
+    for &n in &MATVEC_SIDES {
+        let linkage = test_matrix(n, n, 3);
+        let wv: Vec<f32> = (0..n).map(|i| ((i * 13) as f32 * 0.21).sin().abs() / n as f32).collect();
+        let (mut out_r, mut out_v) = (vec![0.0f32; n], vec![0.0f32; n]);
+        let (r, v) = best_of_paired(
+            reps,
+            measure,
+            || linkage.matvec_into(&wv, &mut out_r),
+            || Backend::Scalar.matvec_into(&linkage, &wv, &mut out_v),
+        );
+        assert_eq!(out_r, out_v, "one-row row-dot product must equal the mat-vec");
+        report_variant(VariantRow {
+            kernel: "matvec_row_dot",
+            shape: format!("{n}x{n}"),
+            batch: 0,
+            active: 1,
+            reference: "Matrix::matvec_into",
+            variant: "Backend::matvec_into (one-row fused::row_dots_into)",
+            reference_ns: r,
+            variant_ns: v,
+        });
+    }
+    // The engine's shared-weight products: the row-dot kernel over the
+    // row-major matrix on every call against the product over the weights
+    // packed once.
     for &(n, k) in &PACKED_SHAPES {
         let w = test_matrix(n, k, 2);
         let packed = PackedWeights::pack(&w);
@@ -417,35 +348,26 @@ fn main() {
             let mask = LaneMask::full(lanes);
             let mut out_r = Matrix::zeros(lanes, n);
             let mut out_v = Matrix::zeros(lanes, n);
-            let mut out_b = Matrix::zeros(lanes, n);
             let (r, v) = best_of_paired(
                 reps,
                 measure,
-                || Backend::Scalar.matmul_nt_masked_into(&x, &w, &mask, &mut out_r),
+                || fused::matmul_nt_into(&x, &w, Some(&mask), &mut out_r),
                 || packed.matmul_masked_into(&x, &mask, &mut out_v),
             );
-            assert_eq!(out_r, out_v, "packed product must equal the scalar tier's");
-            let blocked = (0..reps)
-                .map(|_| {
-                    ns_per_call(measure, || {
-                        Backend::Blocked.matmul_nt_masked_into(&x, &w, &mask, &mut out_b)
-                    })
-                })
-                .fold(f64::MAX, f64::min);
+            assert_eq!(out_r, out_v, "packed product must equal the row-major one");
             report_variant(VariantRow {
                 kernel: "packed_weights",
                 shape: format!("{n}x{k}"),
                 batch: lanes,
                 active: lanes,
-                reference: "Backend::Scalar.matmul_nt_masked_into (row-major weights)",
+                reference: "fused::matmul_nt_into (row-major weights)",
                 variant: "PackedWeights::matmul_masked_into (panels of 16 outputs, k-major)",
                 reference_ns: r,
                 variant_ns: v,
-                blocked_ns: Some(blocked),
             });
         }
     }
-    // The memory unit's read phase, scalar tier only.
+    // The memory unit's kernels.
     for &(n, w) in &UNIT_SHAPES {
         let shape = format!("N={n} W={w}");
         let write: Vec<f32> = (0..n).map(|i| ((i * 13) as f32 * 0.21).sin().abs() / n as f32).collect();
@@ -457,13 +379,13 @@ fn main() {
         // decaying under them, so the two sides' states drift apart).
         let (mut link_r, mut link_v) = (warmed.clone(), warmed.clone());
         link_r.update_linkage(&write);
-        link_v.update_linkage_with(&write, Backend::Scalar);
+        link_v.update_linkage_with(&write);
         assert_eq!(link_r, link_v, "branch-free update must equal the reference");
         let (r, v) = best_of_paired(
             reps,
             measure,
             || link_r.update_linkage(&write),
-            || link_v.update_linkage_with(&write, Backend::Scalar),
+            || link_v.update_linkage_with(&write),
         );
         report_variant(VariantRow {
             kernel: "linkage_update_branch_free",
@@ -474,7 +396,6 @@ fn main() {
             variant: "TemporalLinkage::update_linkage_with (row, then zero the diagonal)",
             reference_ns: r,
             variant_ns: v,
-            blocked_ns: None,
         });
 
         let linkage = warmed.matrix();
@@ -492,7 +413,7 @@ fn main() {
                         linkage.matvec_into(reads.row(h), out_r.row_mut(h));
                     }
                 },
-                || Backend::Scalar.matmul_nt_into(&reads, linkage, &mut out_v),
+                || fused::matmul_nt_into(&reads, linkage, None, &mut out_v),
             );
             assert_eq!(out_r, out_v, "head-fused forward must equal the per-head mat-vecs");
             report_variant(VariantRow {
@@ -501,10 +422,9 @@ fn main() {
                 batch: 0,
                 active: heads,
                 reference: "Matrix::matvec_into over L, once per head",
-                variant: "Backend::Scalar.matmul_nt_into(reads, L) (transposing row-dot kernel)",
+                variant: "fused::matmul_nt_into(reads, L) (transposing row-dot kernel)",
                 reference_ns: r,
                 variant_ns: v,
-                blocked_ns: None,
             });
 
             let keys = test_matrix(heads, w, 5);
@@ -514,11 +434,11 @@ fn main() {
                 || {
                     for h in 0..heads {
                         for (i, o) in out_r.row_mut(h).iter_mut().enumerate() {
-                            *o = Backend::Scalar.dot(memory.row(i), keys.row(h));
+                            *o = vector::dot(memory.row(i), keys.row(h));
                         }
                     }
                 },
-                || Backend::Scalar.matmul_nt_into(&keys, &memory, &mut out_v),
+                || fused::matmul_nt_into(&keys, &memory, None, &mut out_v),
             );
             assert_eq!(out_r, out_v, "head-fused content dots must equal the per-pair dots");
             report_variant(VariantRow {
@@ -526,11 +446,10 @@ fn main() {
                 shape: shape.clone(),
                 batch: 0,
                 active: heads,
-                reference: "Backend::Scalar.dot per (head, memory row)",
-                variant: "Backend::Scalar.matmul_nt_into(keys, M) (transposing row-dot kernel)",
+                reference: "vector::dot per (head, memory row)",
+                variant: "fused::matmul_nt_into(keys, M) (transposing row-dot kernel)",
                 reference_ns: r,
                 variant_ns: v,
-                blocked_ns: None,
             });
 
             // The transposed products: backward weightings over L, then
@@ -569,7 +488,6 @@ fn main() {
                     variant: what_v,
                     reference_ns: r,
                     variant_ns: v,
-                    blocked_ns: None,
                 });
             }
 
@@ -600,39 +518,26 @@ fn main() {
                     variant: "fused::row_dots_into(keys, M) with norms, one pass",
                     reference_ns: r,
                     variant_ns: v,
-                    blocked_ns: None,
                 });
             }
         }
     }
     println!(
-        "\nThe reference and the variant of every row above return identical\n\
-         bits (asserted on the spot); the rows only say which form is faster.\n\
-         `blocked ns` is the tolerance tier's time for a packed_weights call."
+        "\nPer-call wall time, best of {reps} interleaved reps per side. The\n\
+         reference and the variant of every row return identical bits\n\
+         (asserted on the spot); the rows only say which form is faster."
     );
 
     if json {
         let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 5,\n");
+        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 6,\n");
         s.push_str(&format!(
             "  \"params\": {{\"memory_size\": {N}, \"word_size\": {W}, \"hidden_size\": {HIDDEN}}},\n"
         ));
-        s.push_str("  \"kernels\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"batch\": {}, \"scalar_ns_per_call\": {:.1}, \"blocked_ns_per_call\": {:.1}, \"speedup\": {:.3}}}{}\n",
-                r.kernel,
-                r.batch,
-                r.scalar_ns,
-                r.blocked_ns,
-                r.scalar_ns / r.blocked_ns,
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n  \"scalar_variants\": [\n");
+        s.push_str("  \"scalar_variants\": [\n");
         for (i, r) in variants.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"batch\": {}, \"active\": {}, \"reference\": \"{}\", \"variant\": \"{}\", \"reference_ns_per_call\": {:.1}, \"variant_ns_per_call\": {:.1}, \"speedup\": {:.3}{}}}{}\n",
+                "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"batch\": {}, \"active\": {}, \"reference\": \"{}\", \"variant\": \"{}\", \"reference_ns_per_call\": {:.1}, \"variant_ns_per_call\": {:.1}, \"speedup\": {:.3}}}{}\n",
                 r.kernel,
                 r.shape,
                 r.batch,
@@ -642,10 +547,6 @@ fn main() {
                 r.reference_ns,
                 r.variant_ns,
                 r.reference_ns / r.variant_ns,
-                r.blocked_ns.map_or(String::new(), |b| format!(
-                    ", \"blocked_ns_per_call\": {b:.1}, \"speedup_vs_blocked\": {:.3}",
-                    b / r.variant_ns
-                )),
                 if i + 1 < variants.len() { "," } else { "" }
             ));
         }

@@ -53,14 +53,7 @@
 //! (0 heap allocations per steady-state step) is enforced by the
 //! `zero_alloc` test target, not by a wall-clock gate here.
 //!
-//! A seventh section covers the **kernel backend tier**: the scalar
-//! reference kernels against the blocked + vectorized [`Backend`] tier
-//! on the dense-f32 monolithic engine at one worker thread, paired
-//! best-of per batch size — the single-thread lane-steps/sec headline
-//! of the blocked backend. `--backend blocked` additionally runs every
-//! *other* section on the blocked tier (recorded in `engine_backend`).
-//!
-//! An eighth section covers the **session server**: `hima-serve`'s
+//! A seventh section covers the **session server**: `hima-serve`'s
 //! continuous-batching grid under synthetic open-loop load on a
 //! loopback TCP socket. For each arrival pattern (a uniform trickle and
 //! clustered bursts — the worst case for lane churn) the load generator
@@ -74,7 +67,7 @@
 //! [`ServeMetrics`] snapshot after both load runs is embedded in the
 //! JSON as the `metrics` section.
 //!
-//! A ninth section prices that telemetry: a **fixed-work paired**
+//! An eighth section prices that telemetry: a **fixed-work paired**
 //! measurement (same shape as the `output_alloc` pair) where both sides
 //! step the same-geometry engine the same number of grid ticks and the
 //! instrumented side additionally performs the serve scheduler's full
@@ -84,8 +77,8 @@
 //! worst case (recording cost is per tick + per active lane); the
 //! `overhead_pct` it reports backs the <2% hot-path claim.
 //!
-//! JSON schema (`schema_version` 6): `{ bench, schema_version,
-//! machine_threads, smoke, engine_backend, params: {memory_size,
+//! JSON schema (`schema_version` 7): `{ bench, schema_version,
+//! machine_threads, smoke, params: {memory_size,
 //! word_size, read_heads, hidden_size}, batched: [{batch,
 //! seq_steps_per_sec, batched_1t, batched_nt}], sweep: [{engine,
 //! one_thread, all_threads}],
@@ -96,8 +89,6 @@
 //! output_alloc: [{batch, alloc_steps_per_sec, workspace_steps_per_sec,
 //! overhead_pct}] (the section named `workspace` in schema 3, renamed
 //! because both sides share the workspace stepping kernel),
-//! backend: [{batch, scalar_lane_steps_per_sec,
-//! blocked_lane_steps_per_sec, speedup}],
 //! serve: [{pattern, sessions, steps_per_session, completed, failed,
 //! grid_lanes, sessions_per_sec, steps_per_sec, p50_step_us,
 //! p90_step_us, p99_step_us, max_step_us}],
@@ -114,7 +105,7 @@ use hima::serve::ServeMetrics;
 use hima::tasks::episode::{masked_step_block, max_len};
 use hima::tasks::tasks::TOKEN_WIDTH;
 use hima::tasks::{episode_features, episode_query_rows, Episode};
-use hima::tensor::{Backend, Matrix, QFormat};
+use hima::tensor::{Matrix, QFormat};
 use rayon::ThreadPoolBuilder;
 use std::time::{Duration, Instant};
 
@@ -130,8 +121,6 @@ const PIPELINE_SEED: u64 = 2021;
 const RAGGED_BATCHES: [usize; 2] = [8, 32];
 /// Batch sizes of the workspace-vs-allocating stepping comparison.
 const WORKSPACE_BATCHES: [usize; 2] = [8, 32];
-/// Batch sizes of the scalar-vs-blocked backend comparison.
-const BACKEND_BATCHES: [usize; 2] = [1, 32];
 /// Length jitter of the ragged workload (episode lengths spread over
 /// `episode_len ..= episode_len + RAGGED_JITTER`).
 const RAGGED_JITTER: usize = 8;
@@ -439,13 +428,6 @@ struct WorkspaceRow {
     workspace: f64,
 }
 
-/// One row of the scalar-vs-blocked backend comparison.
-struct BackendRow {
-    batch: usize,
-    scalar: f64,
-    blocked: f64,
-}
-
 /// One row of the session-server load section.
 struct ServeRow {
     pattern: &'static str,
@@ -509,13 +491,11 @@ fn json_escape_free(label: &str) -> String {
 fn render_json(
     machine_threads: usize,
     smoke: bool,
-    engine_backend: Backend,
     batched: &[(usize, f64, f64, f64)],
     sweep: &[(String, f64, f64)],
     pipeline: &[PipelineRow],
     ragged: &[RaggedRow],
     workspace: &[WorkspaceRow],
-    backend: &[BackendRow],
     serve: &[ServeRow],
     serve_metrics_json: &str,
     telemetry: (usize, usize, f64, f64),
@@ -523,10 +503,9 @@ fn render_json(
     let p = params();
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"bench\": \"throughput\",\n  \"schema_version\": 6,\n");
+    s.push_str("  \"bench\": \"throughput\",\n  \"schema_version\": 7,\n");
     s.push_str(&format!("  \"machine_threads\": {machine_threads},\n"));
     s.push_str(&format!("  \"smoke\": {smoke},\n"));
-    s.push_str(&format!("  \"engine_backend\": \"{}\",\n", engine_backend.label()));
     s.push_str(&format!(
         "  \"params\": {{\"memory_size\": {}, \"word_size\": {}, \"read_heads\": {}, \"hidden_size\": {}}},\n",
         p.memory_size, p.word_size, p.read_heads, p.hidden_size
@@ -584,17 +563,6 @@ fn render_json(
             if i + 1 < workspace.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ],\n  \"backend\": [\n");
-    for (i, row) in backend.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"batch\": {}, \"scalar_lane_steps_per_sec\": {:.1}, \"blocked_lane_steps_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            row.batch,
-            row.scalar,
-            row.blocked,
-            row.blocked / row.scalar,
-            if i + 1 < backend.len() { "," } else { "" }
-        ));
-    }
     s.push_str("  ],\n  \"serve\": [\n");
     for (i, row) in serve.iter().enumerate() {
         s.push_str(&format!(
@@ -632,26 +600,12 @@ fn render_json(
 fn main() {
     let mut json = false;
     let mut smoke = false;
-    let mut engine_backend = Backend::Scalar;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
             "--smoke" => smoke = true,
-            "--backend" => match args.next().as_deref() {
-                Some("scalar") => engine_backend = Backend::Scalar,
-                Some("blocked") => engine_backend = Backend::Blocked,
-                other => {
-                    eprintln!(
-                        "error: --backend expects 'scalar' or 'blocked', got {other:?}"
-                    );
-                    std::process::exit(2);
-                }
-            },
             other => {
-                eprintln!(
-                    "error: unknown flag {other:?} (expected --json, --smoke and/or --backend <tier>)"
-                );
+                eprintln!("error: unknown flag {other:?} (expected --json and/or --smoke)");
                 std::process::exit(2);
             }
         }
@@ -663,13 +617,12 @@ fn main() {
     let machine_threads = std::thread::available_parallelism().map_or(1, usize::from);
     let p = params();
     hima_bench::header(&format!(
-        "Batched DNC throughput — N={} W={} R={} H={}, {} machine threads, {} backend{}",
+        "Batched DNC throughput — N={} W={} R={} H={}, {} machine threads{}",
         p.memory_size,
         p.word_size,
         p.read_heads,
         p.hidden_size,
         machine_threads,
-        engine_backend.label(),
         if smoke { " (smoke mode)" } else { "" }
     ));
 
@@ -677,7 +630,7 @@ fn main() {
         "{:>6} {:>16} {:>16} {:>16} {:>10} {:>10}",
         "batch", "seq steps/s", "batch@1T", &format!("batch@{machine_threads}T"), "x @1T", "x @NT"
     );
-    let mono = builder().backend(engine_backend);
+    let mono = builder();
     let mut batched_rows: Vec<(usize, f64, f64, f64)> = Vec::new();
     for &batch in &BATCH_SIZES {
         let seq = sequential_rate(&mono, batch, measure);
@@ -708,10 +661,10 @@ fn main() {
     ));
     let q = QFormat::q16_16();
     let sweep: [(&str, EngineBuilder); 4] = [
-        ("monolithic / f32", builder().backend(engine_backend)),
-        ("sharded(4) / f32", builder().sharded(4).backend(engine_backend)),
-        ("monolithic / Q16.16", builder().quantized(q).backend(engine_backend)),
-        ("sharded(4) / Q16.16", builder().sharded(4).quantized(q).backend(engine_backend)),
+        ("monolithic / f32", builder()),
+        ("sharded(4) / f32", builder().sharded(4)),
+        ("monolithic / Q16.16", builder().quantized(q)),
+        ("sharded(4) / Q16.16", builder().sharded(4).quantized(q)),
     ];
     println!(
         "{:<22} {:>16} {:>16} {:>10}",
@@ -751,7 +704,7 @@ fn main() {
         "{:>6} {:>18} {:>18} {:>10}",
         "batch", "sync lane-steps/s", "pipelined", "speedup"
     );
-    let harness = harness_builder().backend(engine_backend);
+    let harness = harness_builder();
     let mut pipeline_rows: Vec<PipelineRow> = Vec::new();
     for &batch in &PIPELINE_BATCHES {
         let (sync, pipelined) = best_of_paired(
@@ -870,41 +823,6 @@ fn main() {
          wall-clock ratio."
     );
 
-    hima_bench::header(&format!(
-        "Kernel backend tier — scalar reference vs blocked+vectorized, \
-         monolithic f32, 1 thread, B ∈ {BACKEND_BATCHES:?}"
-    ));
-    println!(
-        "{:>6} {:>20} {:>20} {:>10}",
-        "batch", "scalar lane-steps/s", "blocked", "speedup"
-    );
-    let scalar_b = builder().backend(Backend::Scalar);
-    let blocked_b = builder().backend(Backend::Blocked);
-    let mut backend_rows: Vec<BackendRow> = Vec::new();
-    for &batch in &BACKEND_BATCHES {
-        let (scalar, blocked) = best_of_paired(
-            reps,
-            || batched_rate(&scalar_b, batch, 1, measure),
-            || batched_rate(&blocked_b, batch, 1, measure),
-        );
-        println!(
-            "{:>6} {:>20.0} {:>20.0} {:>10}",
-            batch,
-            scalar,
-            blocked,
-            hima_bench::times(blocked / scalar)
-        );
-        backend_rows.push(BackendRow { batch, scalar, blocked });
-    }
-    println!(
-        "\nSame engine, same inputs, both tiers stepped as a paired best-of:\n\
-         the blocked tier runs the hot kernels (content dots, row norms,\n\
-         projections, LSTM gate product, softmax) cache-blocked over an\n\
-         8-wide lane struct (SSE2-specialized on x86_64); results stay\n\
-         within the backend\n\
-         conformance suite's per-step tolerance of the scalar reference."
-    );
-
     let serve_sessions = if smoke { 8 } else { 32 };
     let serve_steps = if smoke { 10 } else { 48 };
     let serve_cfg = ServeConfig {
@@ -922,11 +840,7 @@ fn main() {
         "{:>8} {:>10} {:>7} {:>12} {:>11} {:>10} {:>10} {:>10} {:>10}",
         "pattern", "completed", "failed", "sessions/s", "steps/s", "p50 step", "p90 step", "p99 step", "max step"
     );
-    let serve_spec = RawSessionSpec::from_parts(
-        &params(),
-        &EngineSpec::monolithic().with_backend(engine_backend),
-        7,
-    );
+    let serve_spec = RawSessionSpec::from_parts(&params(), &EngineSpec::monolithic(), 7);
     let server = Server::bind("127.0.0.1:0", serve_cfg.clone()).expect("bind loopback server");
     let mut serve_rows: Vec<ServeRow> = Vec::new();
     for pattern in [
@@ -1026,13 +940,11 @@ fn main() {
         let doc = render_json(
             machine_threads,
             smoke,
-            engine_backend,
             &batched_rows,
             &sweep_rows,
             &pipeline_rows,
             &ragged_rows,
             &workspace_rows,
-            &backend_rows,
             &serve_rows,
             &hub_snapshot.to_json(),
             (telemetry_batch, telemetry_steps, bare, instrumented),

@@ -15,9 +15,7 @@
 //!    once for every lane of a group); the LSTM gates are then
 //!    activated one fused pass per active lane
 //!    ([`crate::lstm::PackedLstm::step_masked_into`]). The packed product
-//!    keeps every output's `matvec` operation order, so it serves both
-//!    kernel tiers — [`Backend`](hima_tensor::Backend) selects only the
-//!    memory units' kernels.
+//!    keeps every output's `matvec` operation order, bit for bit.
 //! 2. **Lane × shard data-parallelism** — every shard of every lane is
 //!    independent of every other, so the whole `B × N_t` grid is **one**
 //!    rayon task list per step (the 2-D decomposition mirroring the
@@ -298,9 +296,7 @@ fn gather_reads(merge: Option<&ReadMerge>, lane_shards: &[Shard], out: &mut [f32
 pub struct GridEngine {
     params: DncParams,
     /// The shared weights, held only in panel-packed form (drawn straight
-    /// into it; a row-major copy never exists). Their products are
-    /// bit-exact, so both kernel tiers run them; the tier axis lives in
-    /// the shard memory units' [`MemoryConfig`] alone.
+    /// into it; a row-major copy never exists).
     controller: PackedLstm,
     /// One interface projection per shard, shared across lanes.
     interface_projs: Vec<PackedWeights>,

@@ -9,11 +9,10 @@
 //! reference the tests compare against. The memory unit's lookups — the
 //! write key before the write, the `R` read keys after it — go through
 //! [`content_weightings_heads_into`], which takes the keys as the rows of
-//! one block and makes **one pass over `M` per phase**: on the scalar tier
-//! the `row · key` dots of every key *and*, whenever the [`NormCache`] is
-//! stale, the row norms come out of a single
-//! [`hima_tensor::fused::row_dots_into`]. Everything after the dots is the
-//! one-key code, per key.
+//! one block and makes **one pass over `M` per phase**: the `row · key`
+//! dots of every key *and*, whenever the [`NormCache`] is stale, the row
+//! norms come out of a single [`hima_tensor::fused::row_dots_into`].
+//! Everything after the dots is the one-key code, per key.
 //!
 //! That kernel is pinned to [`Matrix::matmul_nt_into`] (the dots) and
 //! [`Matrix::row_norms_into`] (the norms). Its dots start from `+0.0`
@@ -26,8 +25,8 @@
 //! keys and compare `to_bits`.
 
 use hima_tensor::softmax::PlaSoftmax;
-use hima_tensor::vector::norm;
-use hima_tensor::{Backend, Matrix};
+use hima_tensor::vector::{dot, norm};
+use hima_tensor::Matrix;
 
 /// Guard added to norms so zero rows/keys produce zero similarity instead of
 /// NaN (same role as the ε in Graves et al.'s cosine distance).
@@ -87,31 +86,8 @@ pub fn content_weighting_into(
     row_norms: &[f32],
     out: &mut [f32],
 ) {
-    content_weighting_into_with(memory, key, beta, approx, row_norms, out, Backend::Scalar);
-}
-
-/// Backend-dispatching form of [`content_weighting_into`]: the similarity
-/// dots and the exact softmax run on the selected kernel tier. The scalar
-/// tier is bit-identical to [`content_weighting_into`]; the blocked tier
-/// re-associates the dot products within the documented tolerance. The
-/// PLA softmax approximation (when selected) models a fixed hardware unit
-/// and runs the same on either tier.
-///
-/// # Panics
-///
-/// Panics if `key.len() != memory.cols()` or `row_norms`/`out` lengths
-/// differ from `memory.rows()`.
-pub fn content_weighting_into_with(
-    memory: &Matrix,
-    key: &[f32],
-    beta: f32,
-    approx: Option<&PlaSoftmax>,
-    row_norms: &[f32],
-    out: &mut [f32],
-    backend: Backend,
-) {
-    similarities_into_with(memory, key, row_norms, out, backend);
-    sharpen(out, beta, approx, backend);
+    similarities_into(memory, key, row_norms, out);
+    sharpen(out, beta, approx);
 }
 
 /// Cosine similarities between each memory row and `key` (the normalize +
@@ -136,36 +112,13 @@ pub fn similarities(memory: &Matrix, key: &[f32]) -> Vec<f32> {
 /// Panics if `key.len() != memory.cols()` or `row_norms`/`out` lengths
 /// differ from `memory.rows()`.
 pub fn similarities_into(memory: &Matrix, key: &[f32], row_norms: &[f32], out: &mut [f32]) {
-    similarities_into_with(memory, key, row_norms, out, Backend::Scalar);
-}
-
-/// Backend-dispatching form of [`similarities_into`]: the row · key dot
-/// products run on the selected kernel tier (scalar keeps the reference
-/// bit pattern, blocked re-associates the sums).
-///
-/// # Panics
-///
-/// Panics if `key.len() != memory.cols()` or `row_norms`/`out` lengths
-/// differ from `memory.rows()`.
-pub fn similarities_into_with(
-    memory: &Matrix,
-    key: &[f32],
-    row_norms: &[f32],
-    out: &mut [f32],
-    backend: Backend,
-) {
     assert_eq!(key.len(), memory.cols(), "key width must match memory word size");
     assert_eq!(row_norms.len(), memory.rows(), "row norm cache length mismatch");
     assert_eq!(out.len(), memory.rows(), "similarity output length mismatch");
-    dots_into(memory, key, out, backend);
-    cosines_from_dots(out, key, row_norms);
-}
-
-/// `out[i] = memory.row(i) · key`, each dot on the selected kernel tier.
-fn dots_into(memory: &Matrix, key: &[f32], out: &mut [f32], backend: Backend) {
     for (i, o) in out.iter_mut().enumerate() {
-        *o = backend.dot(memory.row(i), key);
+        *o = dot(memory.row(i), key);
     }
+    cosines_from_dots(out, key, row_norms);
 }
 
 /// Turns raw `row · key` dots into cosine similarities in place.
@@ -177,14 +130,14 @@ fn cosines_from_dots(dots: &mut [f32], key: &[f32], row_norms: &[f32]) {
 }
 
 /// Scales similarities by the strength `beta` and normalizes them into a
-/// weighting in place (exact softmax on `backend`, or the PLA unit).
-fn sharpen(sims: &mut [f32], beta: f32, approx: Option<&PlaSoftmax>, backend: Backend) {
+/// weighting in place (the exact softmax, or the PLA unit).
+fn sharpen(sims: &mut [f32], beta: f32, approx: Option<&PlaSoftmax>) {
     for s in sims.iter_mut() {
         *s *= beta;
     }
     match approx {
         Some(p) => p.softmax_inplace(sims),
-        None => backend.softmax_inplace(sims),
+        None => hima_tensor::softmax::softmax_inplace(sims),
     }
 }
 
@@ -226,15 +179,10 @@ impl NormCache {
 /// Content weightings of all the keys of one phase at once: `keys` holds
 /// `R = betas.len()` keys of `memory.cols()` values, row-major, and row
 /// `h` of `out` (`R × memory.rows()`, row-major) is
-/// `C(M, key_h, betas[h])` — what [`content_weighting_into_with`] yields
-/// for that key — from one pass over `memory`. A stale `norms` is
-/// refreshed on the way (and marked valid): in that same pass on the
-/// scalar tier, by the blocked tier's own norm kernel on that tier.
-///
-/// On the scalar tier every row of `out` is bit-identical to the one-key
-/// form (see the [module docs](self) for the kernel and its one `-0.0`
-/// caveat). The blocked tier keeps its per-pair [`Backend::dot`] — the
-/// reduction shape its results have always had.
+/// `C(M, key_h, betas[h])` — what [`content_weighting_into`] yields for
+/// that key, bit for bit (see the [module docs](self) for the kernel and
+/// its one `-0.0` caveat) — from one pass over `memory`. A stale `norms`
+/// is refreshed in that same pass (and marked valid).
 ///
 /// # Panics
 ///
@@ -247,30 +195,17 @@ pub fn content_weightings_heads_into(
     approx: Option<&PlaSoftmax>,
     norms: &mut NormCache,
     out: &mut [f32],
-    backend: Backend,
 ) {
     let (n, w) = memory.shape();
     assert_eq!(keys.len(), betas.len() * w, "key width must match memory word size");
     assert_eq!(norms.norms.len(), n, "row norm cache length mismatch");
     assert_eq!(out.len(), betas.len() * n, "similarity output shape mismatch");
-    match backend {
-        Backend::Scalar => {
-            let stale = (!norms.valid).then_some(&mut norms.norms[..]);
-            hima_tensor::fused::row_dots_into(keys, memory, out, stale);
-        }
-        Backend::Blocked => {
-            if !norms.valid {
-                backend.row_norms_into(memory, &mut norms.norms);
-            }
-            for (key, dots) in keys.chunks_exact(w).zip(out.chunks_exact_mut(n)) {
-                dots_into(memory, key, dots, backend);
-            }
-        }
-    }
+    let stale = (!norms.valid).then_some(&mut norms.norms[..]);
+    hima_tensor::fused::row_dots_into(keys, memory, out, stale);
     norms.valid = true;
     for ((key, sims), &beta) in keys.chunks_exact(w).zip(out.chunks_exact_mut(n)).zip(betas) {
         cosines_from_dots(sims, key, &norms.norms);
-        sharpen(sims, beta, approx, backend);
+        sharpen(sims, beta, approx);
     }
 }
 
@@ -384,17 +319,12 @@ mod tests {
                 keys.row_mut(r - 1).fill(-0.0);
                 let betas: Vec<f32> = (0..r).map(|h| 1.0 + h as f32 * 2.5).collect();
                 for approx in [None, Some(&pla)] {
-                    for (backend, stale) in
-                        [Backend::Scalar, Backend::Blocked].into_iter().zip([false, true]).chain([
-                            (Backend::Scalar, true),
-                            (Backend::Blocked, false),
-                        ])
-                    {
+                    for stale in [false, true] {
                         // A stale cache is refilled by the same call; a
                         // valid one is read as it is.
                         let mut cache = NormCache::new(n);
                         if !stale {
-                            backend.row_norms_into(&m, &mut cache.norms);
+                            m.row_norms_into(&mut cache.norms);
                             cache.valid = true;
                         }
                         let mut got = Matrix::filled(r, n, f32::NAN);
@@ -405,23 +335,14 @@ mod tests {
                             approx,
                             &mut cache,
                             got.as_mut_slice(),
-                            backend,
                         );
                         assert!(cache.is_valid());
-                        if backend == Backend::Scalar {
-                            assert_eq!(bits(cache.norms()), bits(&norms), "n={n} w={w} r={r}");
-                        }
+                        assert_eq!(bits(cache.norms()), bits(&norms), "n={n} w={w} r={r}");
                         let mut want = vec![f32::NAN; n];
                         for (h, &beta) in betas.iter().enumerate() {
                             let key = keys.row(h);
-                            content_weighting_into_with(
-                                &m, key, beta, approx, cache.norms(), &mut want, backend,
-                            );
-                            assert_eq!(
-                                bits(got.row(h)),
-                                bits(&want),
-                                "n={n} w={w} r={r} h={h} {backend:?}"
-                            );
+                            content_weighting_into(&m, key, beta, approx, cache.norms(), &mut want);
+                            assert_eq!(bits(got.row(h)), bits(&want), "n={n} w={w} r={r} h={h}");
                         }
                     }
                 }

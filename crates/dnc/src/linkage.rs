@@ -24,24 +24,24 @@
 //! read weightings as the rows of one `R × N` matrix so `L` is walked
 //! **once per product for all heads**, as HiMA's tiles do:
 //!
-//! * `F = W_r · Lᵀ` is one [`Backend::matmul_nt_into`]: on the scalar tier
-//!   the transposing row-dot kernel ([`hima_tensor::fused`]) — eight rows
-//!   of `L` per register, one accumulator per head — every `F[h, i]` still
+//! * `F = W_r · Lᵀ` is one [`hima_tensor::fused::matmul_nt_into`], the
+//!   transposing row-dot kernel — eight rows of `L` per register,
+//!   one accumulator per head — every `F[h, i]` still
 //!   one rounded multiply then one rounded add per ascending `k`, so the
 //!   bits are [`Matrix::matmul_nt_into`]'s, which are `forward_into`'s
 //!   (`matvec`'s sum starts from `-0.0` and the kernel's from `+0.0`; they
 //!   part only on a dot whose products are all `-0.0`, which weightings
 //!   and a non-negative `L` cannot produce short of a `-0.0` weighting,
 //!   and the read merge erases the difference then).
-//! * `B = W_r · L` is one [`hima_tensor::fused::matvec_t_heads_into`] on
-//!   both tiers, pinned to [`Matrix::matvec_t_into`] — `backward_into` —
+//! * `B = W_r · L` is one [`hima_tensor::fused::matvec_t_heads_into`],
+//!   pinned to [`Matrix::matvec_t_into`] — `backward_into` —
 //!   per head: ascending rows of `L`, and the reference's skip of slots
 //!   with `w_r[i] == 0.0` kept as a mask on the product (an accumulator
 //!   that starts at `+0.0` never holds `-0.0`, so adding the masked `+0.0`
 //!   is the skip, bit for bit).
 
 use crate::profile::{KernelId, KernelProfile, Laps};
-use hima_tensor::{Backend, F32x8, Matrix, QFormat};
+use hima_tensor::{fused, F32x8, Matrix, QFormat};
 use serde::{Deserialize, Serialize};
 
 /// Temporal linkage state: the `N × N` linkage matrix and the precedence
@@ -132,13 +132,12 @@ impl TemporalLinkage {
     /// The per-element expression
     /// `(1 − w_w[i] − w_w[j]) · L[i,j] + w_w[i] · p[j]` is element-wise (no
     /// reduction) and keeps the reference's operation order, so the
-    /// matrix is bit-identical to `update_linkage`'s — on either tier,
-    /// which is why one body serves both and `_backend` selects nothing.
+    /// matrix is bit-identical to `update_linkage`'s.
     ///
     /// # Panics
     ///
     /// Panics if `write_weighting.len() != len()`.
-    pub fn update_linkage_with(&mut self, write_weighting: &[f32], _backend: Backend) {
+    pub fn update_linkage_with(&mut self, write_weighting: &[f32]) {
         let n = self.len();
         assert_eq!(write_weighting.len(), n, "write weighting length mismatch");
         let precedence = &self.precedence;
@@ -199,16 +198,15 @@ impl TemporalLinkage {
     }
 
     /// Forward weightings of all heads at once: row `h` of `out` is
-    /// `L · read_weightings.row(h)` — one `W_r · Lᵀ` product on the
-    /// selected kernel tier, so `L` is walked once for every four heads.
-    /// On the scalar tier each row carries the bits of
+    /// `L · read_weightings.row(h)` — one `W_r · Lᵀ` product, so `L` is
+    /// walked once for every four heads. Each row carries the bits of
     /// [`TemporalLinkage::forward_into`] (see the [module docs](self)).
     ///
     /// # Panics
     ///
     /// Panics if `read_weightings` or `out` is not `R × len()`.
-    pub fn forward_heads_into(&self, read_weightings: &Matrix, out: &mut Matrix, backend: Backend) {
-        backend.matmul_nt_into(read_weightings, &self.linkage, out);
+    pub fn forward_heads_into(&self, read_weightings: &Matrix, out: &mut Matrix) {
+        fused::matmul_nt_into(read_weightings, &self.linkage, None, out);
     }
 
     /// Backward weighting `b = Lᵀ · w_r`.
@@ -232,17 +230,16 @@ impl TemporalLinkage {
 
     /// Backward weightings of all heads: row `h` of `out` is
     /// `Lᵀ · read_weightings.row(h)`, from one pass over `L`
-    /// ([`hima_tensor::fused::matvec_t_heads_into`]). One kernel serves
-    /// both tiers — `_backend` selects nothing — and each row carries the
+    /// ([`hima_tensor::fused::matvec_t_heads_into`]). Each row carries the
     /// bits of [`TemporalLinkage::backward_into`], its skip of
     /// `w == 0.0` slots included (see the [module docs](self)).
     ///
     /// # Panics
     ///
     /// Panics if `read_weightings` or `out` is not `R × len()`.
-    pub fn backward_heads_into(&self, read_weightings: &Matrix, out: &mut Matrix, _backend: Backend) {
+    pub fn backward_heads_into(&self, read_weightings: &Matrix, out: &mut Matrix) {
         assert_eq!(out.shape(), read_weightings.shape(), "backward output shape mismatch");
-        hima_tensor::fused::matvec_t_heads_into(&self.linkage, read_weightings, out.as_mut_slice());
+        fused::matvec_t_heads_into(&self.linkage, read_weightings, out.as_mut_slice());
     }
 
     /// Resets linkage and precedence to zero **in place** — the
@@ -508,13 +505,13 @@ mod tests {
     #[test]
     fn blocked_linkage_update_is_bit_identical_to_scalar() {
         // Element-wise kernel, no reductions: the branch-free row update
-        // must reproduce the reference's branchy loop bit for bit on
-        // either tier, including at non-multiple-of-8 sizes, and so must
-        // the transposed mat-vec behind the backward weightings.
+        // over blocks of eight must reproduce the reference's branchy
+        // scalar loop bit for bit, including at non-multiple-of-8 sizes,
+        // and so must the transposed mat-vec behind the backward
+        // weightings.
         for n in [1usize, 7, 8, 9, 16, 23, 128] {
             let mut reference = TemporalLinkage::new(n);
             let mut a = TemporalLinkage::new(n);
-            let mut b = TemporalLinkage::new(n);
             for t in 0..6 {
                 let mut w: Vec<f32> =
                     (0..n).map(|i| (((t * 13 + i * 7) % 17) as f32) / (20.0 * n as f32)).collect();
@@ -525,11 +522,8 @@ mod tests {
                     }
                 }
                 reference.update(&w);
-                a.update_linkage_with(&w, Backend::Scalar);
+                a.update_linkage_with(&w);
                 a.update_precedence(&w);
-                b.update_linkage_with(&w, Backend::Blocked);
-                b.update_precedence(&w);
-                assert_eq!(a, b, "n={n} t={t}");
                 assert_eq!(
                     bits(a.matrix().as_slice()),
                     bits(reference.matrix().as_slice()),
@@ -539,11 +533,9 @@ mod tests {
                 let r = Matrix::from_fn(1, n, |_, i| ((i + t) as f32 * 0.11).sin().abs() / n as f32);
                 let mut want = vec![f32::NAN; n];
                 reference.backward_into(r.row(0), &mut want);
-                for backend in [Backend::Scalar, Backend::Blocked] {
-                    let mut got = Matrix::filled(1, n, f32::NAN);
-                    a.backward_heads_into(&r, &mut got, backend);
-                    assert_eq!(bits(got.row(0)), bits(&want), "backward n={n} t={t} {backend:?}");
-                }
+                let mut got = Matrix::filled(1, n, f32::NAN);
+                a.backward_heads_into(&r, &mut got);
+                assert_eq!(bits(got.row(0)), bits(&want), "backward n={n} t={t}");
             }
         }
     }
@@ -560,7 +552,7 @@ mod tests {
                 // column, the case the diagonal branch used to share.
                 let w = if t % 3 == 2 { one_hot(n, (t * 5) % n) } else { soft_write(n, &mut next) };
                 reference.update_linkage(&w);
-                fast.update_linkage_with(&w, Backend::Scalar);
+                fast.update_linkage_with(&w);
                 assert_eq!(
                     bits(fast.matrix().as_slice()),
                     bits(reference.matrix().as_slice()),
@@ -590,22 +582,15 @@ mod tests {
                     if h == 0 || x < 0.2 { 0.0 } else { x / n as f32 }
                 });
                 let (mut f_want, mut b_want) = (vec![f32::NAN; n], vec![f32::NAN; n]);
-                for backend in [Backend::Scalar, Backend::Blocked] {
-                    let mut fwd = Matrix::filled(r, n, f32::NAN);
-                    let mut bwd = Matrix::filled(r, n, f32::NAN);
-                    l.forward_heads_into(&reads, &mut fwd, backend);
-                    l.backward_heads_into(&reads, &mut bwd, backend);
-                    for h in 0..r {
-                        l.forward_into(reads.row(h), &mut f_want);
-                        l.backward_into(reads.row(h), &mut b_want);
-                        assert_eq!(bits(bwd.row(h)), bits(&b_want), "backward n={n} r={r} h={h}");
-                        if backend == Backend::Scalar {
-                            assert_eq!(bits(fwd.row(h)), bits(&f_want), "forward n={n} r={r} h={h}");
-                        } else {
-                            // Blocked re-associates the row dots.
-                            hima_tensor::assert_close(fwd.row(h), &f_want, 1e-5);
-                        }
-                    }
+                let mut fwd = Matrix::filled(r, n, f32::NAN);
+                let mut bwd = Matrix::filled(r, n, f32::NAN);
+                l.forward_heads_into(&reads, &mut fwd);
+                l.backward_heads_into(&reads, &mut bwd);
+                for h in 0..r {
+                    l.forward_into(reads.row(h), &mut f_want);
+                    l.backward_into(reads.row(h), &mut b_want);
+                    assert_eq!(bits(bwd.row(h)), bits(&b_want), "backward n={n} r={r} h={h}");
+                    assert_eq!(bits(fwd.row(h)), bits(&f_want), "forward n={n} r={r} h={h}");
                 }
             }
         }

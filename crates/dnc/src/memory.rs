@@ -16,7 +16,7 @@
 //! | pass | kernel | pinned to |
 //! |------|--------|-----------|
 //! | write key · `Mᵀ`, + pre-write row norms if the cache is stale | [`row_dots_into`] | [`Matrix::matmul_nt_into`], [`Matrix::row_norms_into`] |
-//! | `F = W_r · Lᵀ` (forward) | [`row_dots_into`] behind [`Backend::Scalar`] | [`TemporalLinkage::forward_into`] |
+//! | `F = W_r · Lᵀ` (forward) | [`row_dots_into`] | [`TemporalLinkage::forward_into`] |
 //! | `B = W_r · L` (backward) | [`matvec_t_heads_into`] | [`TemporalLinkage::backward_into`] |
 //! | `K · Mᵀ`, + post-write row norms if the write touched `M` | [`row_dots_into`] | [`content_weighting_into`](crate::content::content_weighting_into) |
 //! | `V = W_r' · M` (memory read) | [`matvec_t_heads_into`] | [`Matrix::matvec_t_into`] |
@@ -30,8 +30,8 @@
 //! both norm passes ride along with the dots they would otherwise follow.
 //!
 //! Fusing changes which *head* (or which row of `M`) a vector lane
-//! carries, never the order of operations inside one output's sum: on
-//! [`Backend::Scalar`] every element of every pass is still one rounded
+//! carries, never the order of operations inside one output's sum:
+//! every element of every pass is still one rounded
 //! multiply then one rounded add per ascending `k`, the transposed passes
 //! keep [`Matrix::matvec_t_into`]'s skip of exact-zero weights as a mask
 //! (see [`hima_tensor::fused`] for both arguments, and
@@ -80,9 +80,9 @@ pub struct MemoryConfig {
     pub skim: SkimRate,
     /// Whether to use the PLA+LUT softmax approximation.
     pub approx_softmax: bool,
-    /// Kernel execution tier (scalar reference or blocked SIMD). Defaults
-    /// to [`Backend::Scalar`], so configs serialized before this axis
-    /// existed deserialize to the bit-exact tier.
+    /// An inert label, stored and read back (the `HLSS` config byte
+    /// carries it): it selects nothing — see [`Backend`]. Defaults to
+    /// [`Backend::Scalar`].
     #[serde(default)]
     pub backend: Backend,
 }
@@ -119,7 +119,7 @@ impl MemoryConfig {
         self
     }
 
-    /// Selects the kernel execution tier.
+    /// Stores the [`Backend`] label (which selects nothing).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -417,7 +417,6 @@ impl MemoryUnit {
         // One lap per kernel: with profiling on the clock is read once
         // between consecutive stages, so the laps add up to the step.
         let mut laps = self.profile.laps();
-        let be = self.config.backend;
         let approx = if self.config.approx_softmax { Some(&self.pla) } else { None };
         let scratch = &mut self.scratch;
 
@@ -432,7 +431,6 @@ impl MemoryUnit {
             approx,
             &mut self.norms,
             &mut scratch.content_w,
-            be,
         );
         laps.lap(KernelId::Similarity, 1);
 
@@ -480,7 +478,7 @@ impl MemoryUnit {
         laps.lap(KernelId::MemoryWrite, 1);
 
         // HR.(1): linkage (uses the previous precedence).
-        self.linkage.update_linkage_with(&scratch.w_w, be);
+        self.linkage.update_linkage_with(&scratch.w_w);
         laps.lap(KernelId::Linkage, 1);
         // HR.(2): precedence.
         self.linkage.update_precedence(&scratch.w_w);
@@ -491,8 +489,8 @@ impl MemoryUnit {
         // Fused head products first: everything that reads the previous
         // read weightings or the keys runs for all R heads at once.
         // HR.(3): forward/backward through the linkage.
-        self.linkage.forward_heads_into(&self.read_weightings, &mut scratch.fwd, be);
-        self.linkage.backward_heads_into(&self.read_weightings, &mut scratch.bwd, be);
+        self.linkage.forward_heads_into(&self.read_weightings, &mut scratch.fwd);
+        self.linkage.backward_heads_into(&self.read_weightings, &mut scratch.bwd);
         laps.lap(KernelId::ForwardBackward, 1);
 
         // CR.(1)+(2): content-based read weightings; the post-write norms
@@ -504,7 +502,6 @@ impl MemoryUnit {
             approx,
             &mut self.norms,
             scratch.content_r.as_mut_slice(),
-            be,
         );
         laps.lap(KernelId::Normalize, 1);
 

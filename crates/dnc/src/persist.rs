@@ -15,8 +15,9 @@
 //! serialization cannot cross a process boundary): fixed-width
 //! little-endian integers, `f32` as its IEEE-754 bit pattern — so
 //! encode → decode → [`import_lane`](crate::GridEngine::import_lane) is a
-//! **bit-exact** round trip on every topology × datapath × backend
-//! combination — and `u32`-counted vectors. Every length is
+//! **bit-exact** round trip on every topology × datapath combination
+//! (the inert [`Backend`] label's config byte included) — and
+//! `u32`-counted vectors. Every length is
 //! bounds-checked against the remaining payload with division (never a
 //! multiplication that could overflow on 32-bit targets) before any
 //! allocation, and every decoder is total: malformed bytes come back as

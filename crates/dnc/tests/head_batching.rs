@@ -9,17 +9,12 @@
 //! the plain per-head kernels the crate keeps for exactly this purpose —
 //! `TemporalLinkage::{update_linkage, forward_into, backward_into}`,
 //! `content_weighting_into`, `Matrix::{row_norms_into, matvec_t}` — one
-//! head after another. The contract:
-//!
-//! * `Backend::Scalar`: outputs and **every** state memory are equal
-//!   `to_bits`, on the f32 and the Q16.16 datapath, with the exact and the
-//!   PLA softmax, for `R ∈ 1..=5` (one group of the fused kernels, then a
-//!   full group plus a lone head), `N ∈ {1, 3, 4, 7, 64, 130}` (below one
-//!   block of eight rows, whole blocks, blocks plus remainder) and odd `W`;
-//! * `Backend::Blocked`: equal `to_bits` to the same head-by-head step
-//!   over the blocked tier's own one-head kernels (head batching moves no
-//!   blocked bit either), and within the `backend_conformance` tolerance
-//!   of the scalar reference, whose row dots it re-associates.
+//! head after another. The contract: outputs and **every** state memory
+//! are equal `to_bits`, on the f32 and the Q16.16 datapath, with the exact
+//! and the PLA softmax, for `R ∈ 1..=5` (one group of the fused kernels,
+//! then a full group plus a lone head), `N ∈ {1, 3, 4, 7, 64, 130}` (below
+//! one block of eight rows, whole blocks, blocks plus remainder) and odd
+//! `W`.
 //!
 //! Every run starts from the all-zero read weightings of a fresh unit (all
 //! of backward's `w == 0.0` skips) and injects `-0.0` read and write keys.
@@ -27,7 +22,7 @@
 use hima_dnc::allocation::{
     allocation_from_free_list_into, merge_write_weighting_into, SkimRate,
 };
-use hima_dnc::content::{content_weighting_into, content_weighting_into_with};
+use hima_dnc::content::content_weighting_into;
 use hima_dnc::interface::InterfaceVector;
 use hima_dnc::linkage::{merge_read_weighting_into, TemporalLinkage};
 use hima_dnc::memory::{MemoryConfig, MemoryUnit};
@@ -35,23 +30,17 @@ use hima_dnc::quantized::{quantize_interface_with, QuantizedMemoryUnit};
 use hima_dnc::usage::{retention_into, update_usage_inplace};
 use hima_sort::{CentralizedMergeSorter, SortEngine};
 use hima_tensor::softmax::PlaSoftmax;
-use hima_tensor::{Backend, Matrix, QFormat};
+use hima_tensor::{Matrix, QFormat};
 use proptest::prelude::*;
-
-/// `backend_conformance`'s per-element bound for blocked vs scalar state.
-const TOL: f32 = 1e-3;
 
 const HEADS: std::ops::RangeInclusive<usize> = 1..=5;
 const SLOTS: [usize; 6] = [1, 3, 4, 7, 64, 130];
 const STEPS: usize = 6;
 
-/// The memory-unit step, one head at a time. On `Backend::Scalar` every
-/// kernel is the plain definition; on `Backend::Blocked` the reductions
-/// are that tier's own one-head kernels, so the comparison isolates what
-/// head batching changed from what the tier changes.
+/// The memory-unit step, one head at a time: every kernel is the plain
+/// definition.
 struct Reference {
     cfg: MemoryConfig,
-    tier: Backend,
     format: Option<QFormat>,
     pla: PlaSoftmax,
     memory: Matrix,
@@ -62,11 +51,10 @@ struct Reference {
 }
 
 impl Reference {
-    fn new(cfg: MemoryConfig, tier: Backend, format: Option<QFormat>) -> Self {
+    fn new(cfg: MemoryConfig, format: Option<QFormat>) -> Self {
         let (n, w, r) = (cfg.memory_size, cfg.word_size, cfg.read_heads);
         Self {
             cfg,
-            tier,
             format,
             pla: PlaSoftmax::default(),
             memory: Matrix::zeros(n, w),
@@ -79,19 +67,13 @@ impl Reference {
 
     fn row_norms(&self) -> Vec<f32> {
         let mut norms = vec![0.0; self.memory.rows()];
-        match self.tier {
-            Backend::Scalar => self.memory.row_norms_into(&mut norms),
-            tier => tier.row_norms_into(&self.memory, &mut norms),
-        }
+        self.memory.row_norms_into(&mut norms);
         norms
     }
 
     fn content(&self, key: &[f32], beta: f32, norms: &[f32], out: &mut [f32]) {
         let approx = self.cfg.approx_softmax.then_some(&self.pla);
-        match self.tier {
-            Backend::Scalar => content_weighting_into(&self.memory, key, beta, approx, norms, out),
-            tier => content_weighting_into_with(&self.memory, key, beta, approx, norms, out, tier),
-        }
+        content_weighting_into(&self.memory, key, beta, approx, norms, out);
     }
 
     fn step(&mut self, iv: &InterfaceVector) -> Vec<f32> {
@@ -131,12 +113,7 @@ impl Reference {
             (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
         for head in 0..r {
             let prev = self.read_weightings.row(head);
-            match self.tier {
-                Backend::Scalar => self.linkage.forward_into(prev, &mut fwd),
-                tier => tier.matvec_into(self.linkage.matrix(), prev, &mut fwd),
-            }
-            // The transposed mat-vecs (backward, memory read) are
-            // bit-identical across tiers: the plain ones serve both.
+            self.linkage.forward_into(prev, &mut fwd);
             self.linkage.backward_into(prev, &mut bwd);
             self.content(iv.read_keys.row(head), iv.read_strengths[head], &norms, &mut content_r);
             merge_read_weighting_into(&bwd, &content_r, &fwd, iv.read_modes[head], &mut w_r);
@@ -222,73 +199,49 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Asserts `got` equals `want`: `to_bits` when `exact`, else within [`TOL`].
-fn assert_same(exact: bool, got: &[f32], want: &[f32], what: &str, ctx: &str) {
-    assert_eq!(got.len(), want.len(), "{ctx}: {what} length");
-    if exact {
-        assert_eq!(bits(got), bits(want), "{ctx}: {what} differs in bits");
-        return;
-    }
-    for (i, (a, b)) in got.iter().zip(want).enumerate() {
-        let bound = TOL * (1.0 + a.abs().max(b.abs()));
-        assert!((a - b).abs() <= bound, "{ctx}: {what}[{i}] {a} vs {b} (bound {bound})");
-    }
+/// Asserts `got` equals `want`, `to_bits`.
+fn assert_same(got: &[f32], want: &[f32], what: &str, ctx: &str) {
+    assert_eq!(bits(got), bits(want), "{ctx}: {what} differs in bits");
 }
 
-/// How a unit is held against a [`Reference`].
-#[derive(Clone, Copy)]
-struct Against {
-    /// Kernel tier of the reference's one-head kernels.
-    tier: Backend,
-    /// `to_bits` equality, or [`TOL`].
-    exact: bool,
-    /// Scale of the raw interface emissions.
-    amplitude: f32,
-    steps: usize,
-}
-
-/// Equal in bits to the head-by-head step on the unit's own tier, under
-/// emissions strong enough to saturate gates and sharpen every softmax.
-fn same_tier(cfg: &MemoryConfig) -> Against {
-    Against { tier: cfg.backend, exact: true, amplitude: 2.5, steps: STEPS }
-}
+/// Scale of the raw interface emissions: strong enough to saturate gates
+/// and sharpen every softmax.
+const AMPLITUDE: f32 = 2.5;
 
 /// Steps a unit and the reference through the same emissions, comparing
 /// the read vectors and every state memory after each step.
-fn check(cfg: MemoryConfig, format: Option<QFormat>, seed: u64, against: Against) {
+fn check(cfg: MemoryConfig, format: Option<QFormat>, seed: u64) {
     let (w, r) = (cfg.word_size, cfg.read_heads);
     let mut next = xorshift(seed);
-    check_stream(cfg, format, against, &format!("seed={seed}"), |t| {
-        InterfaceVector::parse(&raw_interface(w, r, t, against.amplitude, &mut next), w, r)
+    check_stream(cfg, format, STEPS, &format!("seed={seed}"), |t| {
+        InterfaceVector::parse(&raw_interface(w, r, t, AMPLITUDE, &mut next), w, r)
     });
 }
 
-/// [`check`] over a caller-made stream of interface vectors.
+/// [`check`] over a caller-made stream of `steps` interface vectors.
 fn check_stream(
     cfg: MemoryConfig,
     format: Option<QFormat>,
-    against: Against,
+    steps: usize,
     what: &str,
     mut interface: impl FnMut(usize) -> InterfaceVector,
 ) {
-    let exact = against.exact;
     let mut unit = Unit::new(cfg, format);
-    let mut reference = Reference::new(cfg, against.tier, format);
-    for t in 0..against.steps {
+    let mut reference = Reference::new(cfg, format);
+    for t in 0..steps {
         let ctx = format!("{cfg:?} format={format:?} {what} t={t}");
         let iv = interface(t);
         let got = unit.step(&iv);
         let want = reference.step(&iv);
         let u = unit.inner();
-        assert_same(exact, &got, &want, "read vectors", &ctx);
-        assert_same(exact, u.memory().as_slice(), reference.memory.as_slice(), "memory", &ctx);
-        assert_same(exact, u.usage(), &reference.usage, "usage", &ctx);
+        assert_same(&got, &want, "read vectors", &ctx);
+        assert_same(u.memory().as_slice(), reference.memory.as_slice(), "memory", &ctx);
+        assert_same(u.usage(), &reference.usage, "usage", &ctx);
         let (l, lr) = (u.linkage(), &reference.linkage);
-        assert_same(exact, l.matrix().as_slice(), lr.matrix().as_slice(), "linkage", &ctx);
-        assert_same(exact, l.precedence(), lr.precedence(), "precedence", &ctx);
-        assert_same(exact, u.write_weighting(), &reference.write_weighting, "write weighting", &ctx);
+        assert_same(l.matrix().as_slice(), lr.matrix().as_slice(), "linkage", &ctx);
+        assert_same(l.precedence(), lr.precedence(), "precedence", &ctx);
+        assert_same(u.write_weighting(), &reference.write_weighting, "write weighting", &ctx);
         assert_same(
-            exact,
             u.read_weightings().as_slice(),
             reference.read_weightings.as_slice(),
             "read weightings",
@@ -297,8 +250,8 @@ fn check_stream(
     }
 }
 
-fn config(n: usize, w: usize, r: usize, backend: Backend, pla: bool) -> MemoryConfig {
-    MemoryConfig::new(n, w, r).with_backend(backend).with_approx_softmax(pla)
+fn config(n: usize, w: usize, r: usize, pla: bool) -> MemoryConfig {
+    MemoryConfig::new(n, w, r).with_approx_softmax(pla)
 }
 
 /// Every `(R, N)` pair, with an odd word width that varies along both.
@@ -313,34 +266,8 @@ fn scalar_step_equals_the_per_head_reference_bit_for_bit_on_every_shape() {
     for (n, w, r) in shapes() {
         for format in [None, Some(QFormat::q16_16())] {
             for pla in [false, true] {
-                let cfg = config(n, w, r, Backend::Scalar, pla);
-                check(cfg, format, (r * 31 + n) as u64, same_tier(&cfg));
+                check(config(n, w, r, pla), format, (r * 31 + n) as u64);
             }
-        }
-    }
-}
-
-#[test]
-fn blocked_step_equals_the_per_head_blocked_step_bit_for_bit_on_every_shape() {
-    for (n, w, r) in shapes() {
-        for format in [None, Some(QFormat::q16_16())] {
-            let cfg = config(n, w, r, Backend::Blocked, false);
-            check(cfg, format, (r * 17 + n) as u64, same_tier(&cfg));
-        }
-    }
-}
-
-#[test]
-fn blocked_step_tracks_the_scalar_reference_within_conformance_tolerance() {
-    // Against the *scalar* definition the blocked tier is only close, and
-    // only while no ulp-level difference has flipped a usage-sort tie (from
-    // there the two trajectories write different slots): gentle emissions,
-    // a short horizon — `backend_conformance` owns the long-run contract.
-    let against = Against { tier: Backend::Scalar, exact: false, amplitude: 0.5, steps: 3 };
-    for (n, w, r) in shapes() {
-        for format in [None, Some(QFormat::q16_16())] {
-            let cfg = config(n, w, r, Backend::Blocked, false);
-            check(cfg, format, (r * 13 + n) as u64, against);
         }
     }
 }
@@ -365,10 +292,10 @@ fn negative_zero_write_key_over_non_negative_memory_keeps_the_reference_bits() {
     for (n, w, r) in [(7usize, 5usize, 2usize), (64, 17, 4), (130, 9, 1)] {
         for format in [None, Some(QFormat::q16_16())] {
             for pla in [false, true] {
-                let cfg = config(n, w, r, Backend::Scalar, pla);
+                let cfg = config(n, w, r, pla);
                 let mut next = xorshift((n + w) as u64);
-                check_stream(cfg, format, same_tier(&cfg), "-0.0 write key", |t| {
-                    let raw = raw_interface(w, r, 0, 2.5, &mut next);
+                check_stream(cfg, format, STEPS, "-0.0 write key", |t| {
+                    let raw = raw_interface(w, r, 0, AMPLITUDE, &mut next);
                     let mut iv = InterfaceVector::parse(&raw, w, r);
                     iv.write_key.fill(-0.0);
                     iv.write.iter_mut().for_each(|v| *v = v.abs());
@@ -392,11 +319,10 @@ fn steps_that_write_nothing_read_through_the_cached_norms() {
     // took. Steps 0–1 and 5 write; 2–4 do not.
     for (n, w, r) in [(7usize, 5usize, 2usize), (64, 17, 4), (130, 9, 5)] {
         for format in [None, Some(QFormat::q16_16())] {
-            let cfg = config(n, w, r, Backend::Scalar, false);
-            let against = Against { steps: 7, ..same_tier(&cfg) };
+            let cfg = config(n, w, r, false);
             let mut next = xorshift((3 * n + w) as u64);
-            check_stream(cfg, format, against, "closed write gate", |t| {
-                let raw = raw_interface(w, r, 0, 2.5, &mut next);
+            check_stream(cfg, format, 7, "closed write gate", |t| {
+                let raw = raw_interface(w, r, 0, AMPLITUDE, &mut next);
                 let mut iv = InterfaceVector::parse(&raw, w, r);
                 if (2..5).contains(&t) {
                     iv.write_gate = 0.0;
@@ -409,9 +335,9 @@ fn steps_that_write_nothing_read_through_the_cached_norms() {
 
 #[test]
 fn skimmed_allocation_does_not_disturb_the_equality() {
-    let cfg = config(64, 9, 4, Backend::Scalar, false).with_skim(SkimRate::new(0.25));
-    check(cfg, None, 5, same_tier(&cfg));
-    check(cfg, Some(QFormat::q16_16()), 6, same_tier(&cfg));
+    let cfg = config(64, 9, 4, false).with_skim(SkimRate::new(0.25));
+    check(cfg, None, 5);
+    check(cfg, Some(QFormat::q16_16()), 6);
 }
 
 proptest! {
@@ -426,7 +352,6 @@ proptest! {
         quantized in prop::sample::select(vec![false, true]),
         pla in prop::sample::select(vec![false, true]),
     ) {
-        let cfg = config(n, w, r, Backend::Scalar, pla);
-        check(cfg, quantized.then(QFormat::q16_16), seed, same_tier(&cfg));
+        check(config(n, w, r, pla), quantized.then(QFormat::q16_16), seed);
     }
 }

@@ -48,8 +48,8 @@
 //!
 //! # Correctness contract
 //!
-//! A session stepped through the server is **bit-identical** (on the
-//! scalar backend; any topology or datapath) to a solo single-lane engine
+//! A session stepped through the server is **bit-identical** (any
+//! topology or datapath) to a solo single-lane engine
 //! stepped with the same inputs — regardless of which sessions share the
 //! grid, when they join or leave, or how often the session is swapped
 //! out and back in. The chain: weights depend only on the seed (not the

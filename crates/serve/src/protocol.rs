@@ -16,7 +16,8 @@ use hima_tensor::{Backend, QFormat};
 use std::io::{Read, Write};
 
 /// Upper bound on a frame payload (64 MiB): a malicious or corrupt length
-/// prefix must not drive an allocation.
+/// prefix must not drive an allocation (and below the bound the buffer
+/// grows with the bytes received, see [`read_frame`]).
 pub const MAX_FRAME: u32 = 64 << 20;
 
 /// Decoding error: the payload did not parse as a protocol message.
@@ -215,16 +216,34 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
             n => filled += n,
         }
     }
-    let len = u32::from_le_bytes(len);
+    read_payload(r, u32::from_le_bytes(len)).map(Some)
+}
+
+/// What a frame's payload buffer reserves before any payload byte has
+/// arrived: a step frame fits, so it is still read into one exact
+/// allocation, while a larger frame grows with the bytes received — a
+/// header alone never reserves what it claims.
+const PAYLOAD_PREALLOC: usize = 64 << 10;
+
+/// Reads the `len`-byte payload a frame header announced: `InvalidData`
+/// if `len` exceeds [`MAX_FRAME`], `UnexpectedEof` if the stream ends
+/// first. Shared by [`read_frame`] and the server's idle-aware reader.
+pub(crate) fn read_payload(r: &mut impl Read, len: u32) -> std::io::Result<Vec<u8>> {
     if len > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    let mut payload = Vec::with_capacity((len as usize).min(PAYLOAD_PREALLOC));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "EOF inside frame payload",
+        ));
+    }
+    Ok(payload)
 }
 
 /// A client-supplied engine configuration in raw numbers, exactly as
@@ -260,7 +279,8 @@ pub struct RawSessionSpec {
     pub skim: f32,
     /// Whether the PLA+LUT softmax approximation is enabled.
     pub approx_softmax: bool,
-    /// `false` = scalar kernel tier; `true` = blocked + vectorized tier.
+    /// The [`Backend`] label (`true` = `Blocked`): stored, part of the
+    /// engine-group key and round-tripped on the wire, read by no kernel.
     pub blocked: bool,
     /// Weight seed; sessions with equal specs and seeds share an engine.
     pub seed: u64,
@@ -271,7 +291,8 @@ pub struct RawSessionSpec {
 pub struct SessionSpec {
     /// Model hyper-parameters.
     pub params: DncParams,
-    /// Engine axes (topology × datapath × skim × softmax × backend).
+    /// Engine axes (topology × datapath × skim × softmax) and the inert
+    /// [`Backend`] label.
     pub spec: EngineSpec,
     /// Weight seed.
     pub seed: u64,

@@ -25,7 +25,7 @@
 //! hub (group threads drain their queues, answer, exit) → join groups.
 
 use crate::chaos_net::ChaosStream;
-use crate::protocol::{write_frame, Request, Response, ServeError, MAX_FRAME};
+use crate::protocol::{read_payload, write_frame, Request, Response, ServeError};
 use crate::session::{SessionHub, StoreConfig};
 use hima_chaos::FaultPlan;
 use std::collections::HashMap;
@@ -271,23 +271,12 @@ fn read_frame_idle_aware(r: &mut impl Read) -> FrameRead {
             Err(_) => return FrameRead::Closed,
         }
     }
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME {
-        return FrameRead::Closed;
+    // An oversized length, EOF or a timeout mid-frame (the peer stalled
+    // inside a frame — drop it rather than pin this thread forever).
+    match read_payload(r, u32::from_le_bytes(len)) {
+        Ok(payload) => FrameRead::Frame(payload),
+        Err(_) => FrameRead::Closed,
     }
-    let mut payload = vec![0u8; len as usize];
-    let mut got = 0;
-    while got < payload.len() {
-        match r.read(&mut payload[got..]) {
-            Ok(0) => return FrameRead::Closed,
-            Ok(n) => got += n,
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // Mid-frame timeout: the peer stalled inside a frame — drop
-            // it rather than pin this thread forever.
-            Err(_) => return FrameRead::Closed,
-        }
-    }
-    FrameRead::Frame(payload)
 }
 
 /// One connection's request/reply loop.

@@ -1,4 +1,4 @@
-//! Head-fused products: the exact tier's kernels for a product whose
+//! Head-fused products: the kernels for a product whose
 //! right factor changes every step — the memory unit's `M` and `L` — and
 //! is multiplied against a handful of rows at once (the `R` read heads, a
 //! write key, or batch lanes). Each walks the right factor **once** for
@@ -13,10 +13,10 @@
 //! # [`row_dots_into`]: a transposing row-dot kernel
 //!
 //! `out[r][i] = other.row(i) · lhs.row(r)` — the shape of
-//! [`Matrix::matmul_nt_into`], and what [`Backend::Scalar`] runs for it.
-//! A row-major `other` has each dot's operands contiguous, which suits a
-//! kernel that splits the dot across lanes (what `Backend::Blocked` does,
-//! re-associating it) and not one that must keep its order. So eight rows
+//! [`Matrix::matmul_nt_into`], which [`matmul_nt_into`] here computes for
+//! any number of live rows. A row-major `other` has each dot's operands
+//! contiguous, which suits a kernel that splits the dot across lanes
+//! (re-associating it) and not one that must keep its order. So eight rows
 //! of `other` are **transposed 8 × 8 in registers** (`Lanes::load_transposed`):
 //! lane `l` of transposed vector `k` is `other[i + l][k]`, the accumulator
 //! of `lhs` row `r` holds the eight row sums `out[r][i..i + 8]`, and step
@@ -48,8 +48,6 @@
 //! terms are), so adding `+0.0` leaves it unchanged and the result equals
 //! the reference's `continue` bit for bit — even when the skipped row
 //! holds ±∞ or NaN, whose product with zero the mask discards.
-//!
-//! [`Backend::Scalar`]: crate::Backend::Scalar
 
 use crate::lane_mask::LaneMask;
 use crate::matrix::{nt_cols_into, Matrix};
@@ -88,7 +86,7 @@ pub fn row_dots_into(lhs: &[f32], other: &Matrix, out: &mut [f32], norms: Option
 /// # Panics
 ///
 /// Panics on shape mismatch or if `mask.lanes() != lhs.rows()`.
-pub(crate) fn matmul_nt_into(
+pub fn matmul_nt_into(
     lhs: &Matrix,
     other: &Matrix,
     mask: Option<&LaneMask>,
@@ -328,7 +326,7 @@ unsafe fn blocks_into<V: Lanes, const G: usize, const B: usize, const NORMS: boo
 /// `w_h` of `weights` (`R × m.rows()`) in one pass over `m`; `out` is
 /// `R × m.cols()`, row-major. Same bits as [`Matrix::matvec_t_into`] per
 /// head, its skip of `w == 0.0` rows included (see the
-/// [module docs](self)); like it, the one kernel of both tiers.
+/// [module docs](self)).
 ///
 /// # Panics
 ///

@@ -20,18 +20,23 @@
 //!   whose sequences have ended,
 //! * [`PackedWeights`] — a fixed weight matrix stored once in panels of
 //!   16 outputs and its bit-exact, output-packed AVX/SSE2 product: what
-//!   the engine's controller, interface and output projections run on
-//!   both tiers ([`mod@packed`]),
-//! * the head-fused products of [`mod@fused`] — the exact tier's kernels
-//!   for the memory unit's `M` and `L`, which change every step: a
+//!   the engine's controller, interface and output projections run
+//!   ([`mod@packed`]),
+//! * the head-fused products of [`mod@fused`] — the kernels for the
+//!   memory unit's `M` and `L`, which change every step: a
 //!   transposing row-dot kernel (with the row norms riding along) and
 //!   `mᵀ · w_h` for all heads, each one pass over the matrix at AVX/SSE2
-//!   width with the reference's bits,
-//! * [`Backend`] — the kernel execution tier: the bit-exact reference
-//!   tier (`k`-ordered kernels, vectorized across independent outputs
-//!   where that keeps the bits) or the cache-blocked [`F32x8`]-vectorized
-//!   tolerance tier in [`mod@backend`], dispatching the hot kernels
-//!   behind one axis.
+//!   width with the reference's bits.
+//!
+//! There is **one kernel tier** and one numerics contract: every vector
+//! kernel packs *independent outputs* into register lanes and walks `k` in
+//! ascending order — one rounded multiply, then one rounded add, never an
+//! FMA, nothing re-associated — so it returns the bits of the plain scalar
+//! loop it is pinned to ([`Matrix::matvec_into`], [`Matrix::matmul_nt_into`],
+//! [`Matrix::row_norms_into`], [`Matrix::matvec_t_into`], [`vector::dot`]),
+//! which stay as the oracles the tests compare against. [`Backend`] is a
+//! label left over from a second, re-associating tier; it selects nothing
+//! (see [`mod@backend`]).
 //!
 //! # Example
 //!

@@ -279,8 +279,8 @@ impl Matrix {
         }
     }
 
-    /// Shape checks shared by the `matmul_nt*_into` kernels (both the
-    /// scalar ones here and the blocked ones in [`crate::backend`]).
+    /// Shape checks shared by the `matmul_nt*_into` kernels (the row
+    /// kernels here and the transposing one in [`mod@crate::fused`]).
     pub(crate) fn assert_nt_shapes(&self, other: &Matrix, out: &Matrix) {
         assert_eq!(
             self.cols, other.cols,

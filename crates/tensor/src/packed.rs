@@ -4,7 +4,7 @@
 //! The controller gates, the per-shard interface projections and the output
 //! projection are *fixed* matrices multiplied every step against a handful
 //! of live lane rows. The row-major kernels ([`Matrix::matmul_nt_masked_into`]
-//! and the transposing one behind [`Backend::Scalar`](crate::Backend::Scalar))
+//! and the transposing one of [`mod@crate::fused`])
 //! must shuffle each weight out of a row-major matrix before they can use
 //! it; [`PackedWeights`] pays that shuffle once, at engine build — or never,
 //! when the weights are drawn straight into it ([`PackedWeights::from_fn`]).

@@ -1,6 +1,6 @@
 //! Fixed-width `f32` SIMD vectors: [`F32x8`], the portable eight-lane
-//! value behind the blocked backend, and the crate's `Lanes` trait,
-//! the lane-width type the bit-exact kernels are written over.
+//! value, and the crate's `Lanes` trait, the lane-width type the
+//! bit-exact kernels are written over.
 //!
 //! [`F32x8`] is eight `f32` lanes with unrolled lane arithmetic. There is
 //! no crates.io dependency and no `std::simd` here. The portable bodies
@@ -20,14 +20,13 @@
 //! result per lane for finite inputs: `_mm_add_ps`/`_mm_mul_ps` are the
 //! same rounded operations as the scalar `+`/`*`.
 //!
-//! Semantics are plain IEEE f32 per lane — `mul_add` is written as a
-//! multiply then an add (two roundings), never `f32::mul_add`, so debug
-//! and release agree and no libm `fmaf` call sneaks onto FMA-less
-//! targets.
+//! Semantics are plain IEEE f32 per lane: one rounding per operation,
+//! never a fused multiply-add, and no reduction across lanes — a lane
+//! only ever holds an independent output.
 //!
 //! # `Lanes`: one kernel body, two instruction sets
 //!
-//! The exact tier's vector kernels — the panel-packed product
+//! The crate's vector kernels — the panel-packed product
 //! ([`mod@crate::packed`]), the Q-format rounding pass
 //! ([`mod@crate::fixed`]) and the head-fused products
 //! ([`mod@crate::fused`]) — are each **one** generic function over the
@@ -199,55 +198,9 @@ impl F32x8 {
             ])
         }
     }
-
-    /// Lane-wise `self * o + acc` as two rounded ops (`mul` then `add`),
-    /// not a fused multiply-add — bit-stable across targets.
-    #[inline(always)]
-    pub fn mul_add(self, o: Self, acc: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (alo, ahi) = self.halves();
-            let (blo, bhi) = o.halves();
-            let (clo, chi) = acc.halves();
-            // SAFETY: SSE2 is statically enabled on every x86_64 target.
-            let (lo, hi) = unsafe {
-                (
-                    _mm_add_ps(_mm_mul_ps(alo, blo), clo),
-                    _mm_add_ps(_mm_mul_ps(ahi, bhi), chi),
-                )
-            };
-            Self::from_halves(lo, hi)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let (a, b, c) = (self.0, o.0, acc.0);
-            Self([
-                a[0] * b[0] + c[0],
-                a[1] * b[1] + c[1],
-                a[2] * b[2] + c[2],
-                a[3] * b[3] + c[3],
-                a[4] * b[4] + c[4],
-                a[5] * b[5] + c[5],
-                a[6] * b[6] + c[6],
-                a[7] * b[7] + c[7],
-            ])
-        }
-    }
-
-    /// Pairwise-tree sum of the eight lanes:
-    /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`.
-    #[inline(always)]
-    pub fn horizontal_sum(self) -> f32 {
-        let a = self.0;
-        let s04 = a[0] + a[4];
-        let s15 = a[1] + a[5];
-        let s26 = a[2] + a[6];
-        let s37 = a[3] + a[7];
-        (s04 + s26) + (s15 + s37)
-    }
 }
 
-/// Eight `f32` lanes with the operations the exact tier's kernel bodies
+/// Eight `f32` lanes with the operations the crate's kernel bodies
 /// need (see the [module docs](self)). Every arithmetic op is one rounded
 /// IEEE operation per lane — what the scalar `+`, `-`, `*`, `sqrt` and
 /// `trunc` compute — so a body written over `Lanes` keeps the bits of the
@@ -617,13 +570,6 @@ mod tests {
         assert_eq!(a.add(b).0[0], 3.0);
         assert_eq!(a.sub(b).0[0], -1.0);
         assert_eq!(a.mul(b).0[3], 8.0);
-        assert_eq!(a.mul_add(b, F32x8::splat(1.0)).0[1], 5.0);
-    }
-
-    #[test]
-    fn horizontal_reductions() {
-        let v = F32x8::load(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, -9.0]);
-        assert_eq!(v.horizontal_sum(), 19.0);
     }
 
     #[test]

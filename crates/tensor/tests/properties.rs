@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
-use hima_tensor::{fixed::Fixed, matrix::Matrix, softmax::PlaSoftmax, vector, softmax, Backend, LaneMask};
+use hima_tensor::{fixed::Fixed, matrix::Matrix, softmax::PlaSoftmax, vector, softmax};
 use proptest::prelude::*;
 
 fn small_f32() -> impl Strategy<Value = f32> {
@@ -202,86 +202,5 @@ proptest! {
                 prop_assert_eq!(m[(i, j)], before[(i, j)] + bias[j]);
             }
         }
-    }
-}
-
-// --- Blocked backend vs scalar reference ---------------------------------
-//
-// The blocked tier re-associates reductions, so equality is a *relative*
-// error bound scaled by the sum of absolute summands (the standard
-// O(n·ε·Σ|xᵢ|) recursive-summation bound, with generous slack). Random
-// shapes deliberately straddle the 8-lane and 32-element block widths so
-// every tail path is exercised.
-
-/// Relative bound for one re-associated reduction over summands whose
-/// absolute sum is `abs_scale`.
-fn reduction_tol(abs_scale: f32) -> f32 {
-    1e-4 * (1.0 + abs_scale)
-}
-
-proptest! {
-    #[test]
-    fn blocked_matmul_nt_masked_tracks_scalar(
-        b in 1usize..12,
-        n in 1usize..20,
-        k in 1usize..70,
-        seed in 0u64..200,
-    ) {
-        let x = Matrix::from_fn(b, k, |i, j| ((i * 31 + j * 7 + seed as usize) % 23) as f32 * 0.25 - 2.0);
-        let w = Matrix::from_fn(n, k, |i, j| ((i * 13 + j * 11 + seed as usize) % 19) as f32 * 0.125 - 1.0);
-        let mask =
-            LaneMask::from((0..b).map(|i| !(i + seed as usize).is_multiple_of(3)).collect::<Vec<_>>());
-        let mut scalar = Matrix::filled(b, n, f32::NAN);
-        let mut blocked = Matrix::filled(b, n, f32::NAN);
-        Backend::Scalar.matmul_nt_masked_into(&x, &w, &mask, &mut scalar);
-        Backend::Blocked.matmul_nt_masked_into(&x, &w, &mask, &mut blocked);
-        for i in 0..b {
-            for j in 0..n {
-                let scale: f32 = x.row(i).iter().zip(w.row(j)).map(|(a, b)| (a * b).abs()).sum();
-                let tol = reduction_tol(scale);
-                prop_assert!(
-                    (scalar[(i, j)] - blocked[(i, j)]).abs() <= tol,
-                    "({}, {}): {} vs {} (tol {})", i, j, scalar[(i, j)], blocked[(i, j)], tol
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_row_norms_track_scalar(rows in 1usize..16, cols in 1usize..70, seed in 0u64..200) {
-        let m = Matrix::from_fn(rows, cols, |i, j| ((i * 7 + j * 3 + seed as usize) % 19) as f32 * 0.5 - 4.5);
-        let mut scalar = vec![f32::NAN; rows];
-        let mut blocked = vec![f32::NAN; rows];
-        Backend::Scalar.row_norms_into(&m, &mut scalar);
-        Backend::Blocked.row_norms_into(&m, &mut blocked);
-        for i in 0..rows {
-            let scale: f32 = m.row(i).iter().map(|x| x * x).sum();
-            let tol = reduction_tol(scale);
-            prop_assert!((scalar[i] - blocked[i]).abs() <= tol, "row {}: {} vs {}", i, scalar[i], blocked[i]);
-        }
-    }
-
-    #[test]
-    fn blocked_softmax_tracks_scalar(xs in prop::collection::vec(-8.0f32..8.0, 1..70)) {
-        let mut scalar = xs.clone();
-        let mut blocked = xs.clone();
-        Backend::Scalar.softmax_inplace(&mut scalar);
-        Backend::Blocked.softmax_inplace(&mut blocked);
-        // Probabilities are ≤ 1, so an absolute bound is also relative.
-        prop_assert!(hima_tensor::all_close(&scalar, &blocked, 1e-5));
-        prop_assert!((blocked.iter().sum::<f32>() - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn blocked_matvec_t_is_bit_identical(rows in 1usize..16, cols in 1usize..70, seed in 0u64..100) {
-        // The transpose mat-vec is an elementwise axpy sweep on both
-        // tiers — same per-element expression, so exactly equal.
-        let m = Matrix::from_fn(rows, cols, |i, j| ((i * 11 + j * 5 + seed as usize) % 17) as f32 * 0.25 - 2.0);
-        let v: Vec<f32> = (0..rows).map(|i| ((i * 3 + seed as usize) % 7) as f32 * 0.5 - 1.5).collect();
-        let mut scalar = vec![f32::NAN; cols];
-        let mut blocked = vec![f32::NAN; cols];
-        Backend::Scalar.matvec_t_into(&m, &v, &mut scalar);
-        Backend::Blocked.matvec_t_into(&m, &v, &mut blocked);
-        prop_assert_eq!(scalar, blocked);
     }
 }

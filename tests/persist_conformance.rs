@@ -4,7 +4,8 @@
 //! A session that is evicted to the store and rehydrated — or whose
 //! process dies and is recovered from snapshot + delta-log replay on the
 //! next boot — must be **bit-identical** to a session that was never
-//! persisted at all, across topology × datapath × backend. The suite
+//! persisted at all, across topology × datapath (and under the inert
+//! `Backend` label, which the store manifests round-trip). The suite
 //! drives real loopback servers with a real store directory, asserts the
 //! evictions/recoveries actually happened (via the `store.*` metric
 //! catalog, so no test passes vacuously), and compares every output and
@@ -79,7 +80,7 @@ fn counter(server: &Server, name: &str) -> u64 {
 }
 
 /// Evict → rehydrate → continue ≡ never evicted, bit for bit, for every
-/// topology × datapath × backend: the idle sweep spills the session to
+/// topology × datapath (× label): the idle sweep spills the session to
 /// disk (asserted via `store.evictions`), and its next command pulls it
 /// back through snapshot decode + log replay without perturbing a
 /// single bit of the stream.

@@ -133,10 +133,10 @@ fn server_reset_matches_fresh_engine_bit_exactly() {
     client.close_session(session).unwrap();
 }
 
-/// The blocked kernel tier serves and stays in lockstep with *its own*
-/// solo replay (the serve layer adds no numeric differences on any
-/// backend; scalar-vs-blocked deltas are the backend conformance suite's
-/// business, not this one's).
+/// Sessions opened with the `Blocked` label — the wire spec's `blocked`
+/// bit, which the server stores and no kernel reads — are served in
+/// lockstep with the solo replay of a **`Scalar`** engine: the one
+/// numerics contract holds whatever the label says.
 #[test]
 fn blocked_backend_sessions_match_blocked_solo_replay() {
     let p = params();
@@ -160,7 +160,7 @@ fn blocked_backend_sessions_match_blocked_solo_replay() {
         .collect();
     for handle in handles {
         let (i, got) = handle.join().unwrap();
-        let want = solo_outputs(&spec, i, 10);
+        let want = solo_outputs(&EngineSpec::monolithic(), i, 10);
         for (t, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g, w, "blocked session {i} step {t}");
         }
