@@ -36,6 +36,14 @@
 //! keys — `row_norms_into` followed by the dots-only kernel vs the one
 //! pass that returns both.
 //!
+//! `crc32` rows are the durable tier's checksum at a delta-log record body
+//! (76 B: `seq | n | 16 × f32`) and a served-shape snapshot body (77 362 B;
+//! `shape` carries the byte count): the bit-at-a-time definition against
+//! the dispatched `hima::store::crc32` (a PCLMULQDQ fold where the CPU has
+//! one) and against the portable slice-by-8 walk alone, then the
+//! single-table byte loop that walk replaced (a copy kept in this file)
+//! against it — the row the ≥ 1.2× rule reads for the portable body.
+//!
 //! `packed_weights` rows are the engine's shared-weight products — the
 //! interface projection, LSTM gates and output projection at the paper's
 //! and the served shapes (`shape` is `N×K`), at 1, 2, 3, 4, 8 and 32
@@ -59,6 +67,8 @@
 
 use hima::dnc::linkage::TemporalLinkage;
 use hima::tensor::{fused, vector, Backend, LaneMask, Matrix, PackedWeights, QFormat};
+use std::hint::black_box;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 const N: usize = 128;
@@ -98,6 +108,46 @@ const HEAD_COUNTS: [usize; 3] = [1, 2, 4];
 const PACKED_SHAPES: [(usize, usize); 5] = [(471, 270), (1024, 526), (93, 78), (256, 110), (14, 96)];
 /// Active-lane counts of the `packed_weights` rows (every lane active).
 const PACKED_LANES: [usize; 6] = [1, 2, 3, 4, 8, 32];
+
+/// Byte counts of the `crc32` rows: one delta-log record body and one
+/// snapshot body of the served shape.
+const CRC_SIZES: [usize; 2] = [76, 77_362];
+
+/// CRC-32 as defined — the reflected IEEE polynomial, one bit at a time:
+/// what `hima-store`'s tests keep as their oracle.
+fn crc32_definition(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
+/// The body `Crc32::update` ran before the slice-by-8 walk: one 256-entry
+/// table computed at first use, one lookup per byte, each waiting on the
+/// last. Kept here to say what the portable replacement bought.
+fn crc32_single_table(bytes: &[u8]) -> u32 {
+    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut table = [0u32; 256];
+        for (i, entry) in table.iter_mut().enumerate() {
+            let mut crc = i as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            }
+            *entry = crc;
+        }
+        table
+    });
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc ^ 0xFFFF_FFFF
+}
 
 /// Q-format rounding as defined — `(x·2^frac).round().clamp()` through
 /// libm `round`, one element at a time: what the slice kernel replaced
@@ -281,6 +331,45 @@ fn main() {
             reference_ns: r,
             variant_ns: v,
         });
+    }
+
+    // The durable tier's checksum: both bodies against the definition,
+    // then the portable body against the loop it replaced.
+    type Crc = fn(&[u8]) -> u32;
+    let dispatched = "hima::store::crc32 (dispatched: PCLMULQDQ fold where the CPU has it)";
+    let portable = "hima::store::crc::crc32_portable (slice-by-8 table walk)";
+    let pairings: [(&str, Crc, &str, Crc); 3] = [
+        ("bit-at-a-time definition", crc32_definition, dispatched, hima::store::crc32),
+        ("bit-at-a-time definition", crc32_definition, portable, hima::store::crc::crc32_portable),
+        (
+            "single-table byte loop (replaced)",
+            crc32_single_table,
+            portable,
+            hima::store::crc::crc32_portable,
+        ),
+    ];
+    for &len in &CRC_SIZES {
+        let bytes: Vec<u8> = (0..len).map(|i| ((31 * i + 7) % 256) as u8).collect();
+        for (reference, reference_fn, variant, variant_fn) in pairings {
+            let (mut got_r, mut got_v) = (0u32, 0u32);
+            let (r, v) = best_of_paired(
+                reps,
+                measure,
+                || got_r = reference_fn(black_box(&bytes)),
+                || got_v = variant_fn(black_box(&bytes)),
+            );
+            assert_eq!(got_r, got_v, "{variant} must equal the {reference} at {len} B");
+            report_variant(VariantRow {
+                kernel: "crc32",
+                shape: format!("{len} B"),
+                batch: 0,
+                active: 0,
+                reference,
+                variant,
+                reference_ns: r,
+                variant_ns: v,
+            });
+        }
     }
 
     // The LSTM gate projection, [X ; H] (B × 112) · weights (4H × 112)ᵀ:

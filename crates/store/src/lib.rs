@@ -19,6 +19,16 @@
 //! replays only records with `seq > snapshot.step_seq`, so a log that
 //! survives a crashed compaction replays to nothing.
 //!
+//! Both files are guarded by one checksum, [`crc32`] — zlib's CRC-32, so
+//! the bytes on disk do not depend on how it was computed: a
+//! carry-less-multiply fold on `x86_64` CPUs that report `pclmulqdq`
+//! (for `update`s of 64 bytes or more), a slice-by-8 table walk
+//! everywhere else and for every tail. A served-shape snapshot is 77 KB
+//! of state checksummed on every eviction and every rehydration, so this
+//! runs at the speed the bytes are copied; the bit-at-a-time definition
+//! survives as the test oracle both bodies are held to ([`crc`] has the
+//! dispatch rule and where the fold constants come from).
+//!
 //! The crate is deliberately ignorant of what the state bytes *mean* —
 //! sessions are keyed by an opaque canonical spec key and store opaque
 //! state payloads, so the dependency points from the serve stack to

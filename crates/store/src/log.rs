@@ -80,6 +80,9 @@ pub struct LogWriter {
     /// Set when a failed append could not be rolled back; every
     /// subsequent append fails fast rather than corrupting the log.
     poisoned: bool,
+    /// The framed record under construction, kept between appends so a
+    /// step allocates nothing here.
+    frame: Vec<u8>,
     faults: Option<Arc<FaultPlan>>,
 }
 
@@ -99,15 +102,16 @@ impl LogWriter {
         faults: Option<Arc<FaultPlan>>,
     ) -> std::io::Result<Self> {
         let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        if file.metadata()?.len() == 0 {
-            let mut header = Vec::with_capacity(12 + spec_key.len());
-            header.extend_from_slice(&LOG_MAGIC);
-            header.extend_from_slice(&(spec_key.len() as u32).to_le_bytes());
-            header.extend_from_slice(spec_key);
-            file.write_all(&header)?;
+        let mut len = file.metadata()?.len();
+        let mut frame = Vec::new();
+        if len == 0 {
+            frame.extend_from_slice(&LOG_MAGIC);
+            frame.extend_from_slice(&(spec_key.len() as u32).to_le_bytes());
+            frame.extend_from_slice(spec_key);
+            file.write_all(&frame)?;
+            len = frame.len() as u64;
         }
-        let len = file.metadata()?.len();
-        Ok(Self { file, len, poisoned: false, faults })
+        Ok(Self { file, len, poisoned: false, frame, faults })
     }
 
     /// Appends one step record as a single write.
@@ -123,7 +127,8 @@ impl LogWriter {
             ));
         }
         let body_len = 12 + input.len() * 4;
-        let mut frame = Vec::with_capacity(8 + body_len);
+        let frame = &mut self.frame;
+        frame.clear();
         frame.extend_from_slice(&(body_len as u32).to_le_bytes());
         frame.extend_from_slice(&seq.to_le_bytes());
         frame.extend_from_slice(&(input.len() as u32).to_le_bytes());
@@ -144,7 +149,7 @@ impl LogWriter {
                     "injected partial log append",
                 ))
             }
-            Ok(None) => self.file.write_all(&frame),
+            Ok(None) => self.file.write_all(frame),
         };
         match result {
             Ok(()) => {

@@ -67,29 +67,33 @@ pub fn write_snapshot_with(
     state: &[u8],
     faults: Option<&FaultPlan>,
 ) -> std::io::Result<()> {
-    let mut body = Vec::with_capacity(20 + spec_key.len() + state.len());
-    body.extend_from_slice(&(spec_key.len() as u32).to_le_bytes());
-    body.extend_from_slice(spec_key);
-    body.extend_from_slice(&step_seq.to_le_bytes());
-    body.extend_from_slice(&(state.len() as u32).to_le_bytes());
-    body.extend_from_slice(state);
-    let crc = crc32(&body);
+    // The whole file in one buffer — magic, body, CRC of the body — so it
+    // reaches the OS as one write.
+    let mut frame = Vec::with_capacity(28 + spec_key.len() + state.len());
+    frame.extend_from_slice(&SNAPSHOT_MAGIC);
+    frame.extend_from_slice(&(spec_key.len() as u32).to_le_bytes());
+    frame.extend_from_slice(spec_key);
+    frame.extend_from_slice(&step_seq.to_le_bytes());
+    frame.extend_from_slice(&(state.len() as u32).to_le_bytes());
+    frame.extend_from_slice(state);
+    let body_end = frame.len();
+    let crc = crc32(&frame[SNAPSHOT_MAGIC.len()..]);
+    frame.extend_from_slice(&crc.to_le_bytes());
 
     let tmp = path.with_extension("snap.tmp");
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(&SNAPSHOT_MAGIC)?;
         if let Some(keep) = consult_faults(faults, FaultSite::StoreWrite)? {
-            // Injected partial write: a torn tmp file that is never
-            // renamed over the real snapshot.
-            f.write_all(&body[..keep.min(body.len())])?;
+            // Injected partial write: a torn tmp file (the magic and
+            // `keep` body bytes) that is never renamed over the real
+            // snapshot.
+            f.write_all(&frame[..(SNAPSHOT_MAGIC.len() + keep).min(body_end)])?;
             return Err(std::io::Error::new(
                 std::io::ErrorKind::WriteZero,
                 "injected partial snapshot write",
             ));
         }
-        f.write_all(&body)?;
-        f.write_all(&crc.to_le_bytes())?;
+        f.write_all(&frame)?;
         consult_faults(faults, FaultSite::StoreFsync)?;
         f.sync_all()?;
     }

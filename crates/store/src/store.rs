@@ -74,6 +74,17 @@ pub(crate) fn corrupt(path: &Path, what: &'static str) -> StoreError {
     StoreError::Corrupt { file: path.to_path_buf(), what }
 }
 
+/// Maps "no file at that path" to `Ok(None)`: the readers open without
+/// probing first, so an absent file — including one that disappears
+/// between a directory scan and the open — is an answer, not an error.
+fn absent_ok<T>(read: Result<T, StoreError>) -> Result<Option<T>, StoreError> {
+    match read {
+        Ok(value) => Ok(Some(value)),
+        Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
 /// Everything recoverable for one session: the latest snapshot (if any),
 /// the valid delta-log prefix, and whether the log tail was torn.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,15 +188,10 @@ impl SessionStore {
     /// The spec key a stored session belongs to, or `None` when no store
     /// files exist for `id`. Reads only as much as routing needs.
     pub fn spec_key(&self, id: u64) -> Result<Option<Vec<u8>>, StoreError> {
-        let snap = self.snapshot_path(id);
-        if snap.exists() {
-            return read_snapshot_key(&snap).map(Some);
+        if let Some(key) = absent_ok(read_snapshot_key(&self.snapshot_path(id)))? {
+            return Ok(Some(key));
         }
-        let log = self.log_path(id);
-        if log.exists() {
-            return read_log(&log).map(|l| Some(l.spec_key));
-        }
-        Ok(None)
+        Ok(absent_ok(read_log(&self.log_path(id)))?.map(|log| log.spec_key))
     }
 
     /// Loads everything recoverable for `id`, or `None` when the session
@@ -194,12 +200,8 @@ impl SessionStore {
     pub fn load(&self, id: u64) -> Result<Option<SessionRecord>, StoreError> {
         let snap_path = self.snapshot_path(id);
         let log_path = self.log_path(id);
-        let snap = if snap_path.exists() {
-            Some(read_snapshot(&snap_path)?)
-        } else {
-            None
-        };
-        let log = if log_path.exists() { Some(read_log(&log_path)?) } else { None };
+        let snap = absent_ok(read_snapshot(&snap_path))?;
+        let log = absent_ok(read_log(&log_path))?;
         match (snap, log) {
             (None, None) => Ok(None),
             (Some((key, snapshot)), None) => Ok(Some(SessionRecord {
@@ -322,6 +324,7 @@ mod tests {
         let rec = store.load(5).unwrap().unwrap();
         assert_eq!(rec.snapshot.as_ref().unwrap().step_seq, 4);
         assert!(rec.steps.is_empty(), "compaction left log records behind");
+        assert_eq!(store.spec_key(5).unwrap().unwrap(), b"k", "snapshot alone routes");
 
         // Steps after the snapshot replay; a stale pre-snapshot log
         // (crash between rename and remove) replays to nothing.
@@ -333,6 +336,7 @@ mod tests {
         let replay: Vec<u64> = rec.replay_steps().map(|s| s.seq).collect();
         assert_eq!(replay, vec![5, 6]);
         assert_eq!(rec.last_seq(), 6);
+        assert_eq!(store.spec_key(5).unwrap().unwrap(), b"k", "snapshot + log routes");
     }
 
     #[test]
@@ -394,6 +398,10 @@ mod tests {
             assert_eq!(snap.state, b"good-state");
         }
         assert_eq!(plan.injected(FaultSite::StoreWrite), 3);
+        // The partial write tore the tmp sibling, not the snapshot: the
+        // magic and `keep` = 3 body bytes (the low bytes of `key_len`).
+        let torn = fs::read(store.root().join("sess-1.snap.tmp")).unwrap();
+        assert_eq!(torn, [&b"HIMASNP1"[..], &[1, 0, 0]].concat());
         // Past the scheduled faults, writes succeed again.
         store.save_snapshot(1, b"k", 12, b"final").unwrap();
         assert_eq!(store.load(1).unwrap().unwrap().snapshot.unwrap().step_seq, 12);
