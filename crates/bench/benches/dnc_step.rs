@@ -3,7 +3,6 @@
 //! geometries, plus the approximation variants.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hima::dnc::memory::SorterKind;
 use hima::prelude::*;
 
 fn bench_dnc_step(c: &mut Criterion) {
@@ -43,7 +42,6 @@ fn bench_memory_unit_variants(c: &mut Criterion) {
 
     let variants: Vec<(&str, MemoryConfig)> = vec![
         ("exact", MemoryConfig::new(n, w, r)),
-        ("two_stage_sort", MemoryConfig::new(n, w, r).with_sorter(SorterKind::TwoStage { tiles: 4 })),
         ("skim20", MemoryConfig::new(n, w, r).with_skim(SkimRate::new(0.2))),
         ("approx_softmax", MemoryConfig::new(n, w, r).with_approx_softmax(true)),
     ];

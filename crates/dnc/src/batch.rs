@@ -22,10 +22,10 @@
 //!    hardware tiling): a single sharded lane still fans out across
 //!    threads.
 //!
-//! The fixed-point [`Datapath`] axis swaps every shard's memory unit for a
-//! [`QuantizedMemoryUnit`] that rounds its inputs and stored state to the
-//! Q-format each step (the controller and projections stay f32 — HiMA is
-//! the *memory-access* engine; the controller lives outside it).
+//! On the fixed-point [`Datapath`] every shard's [`MemoryUnit`] rounds its
+//! inputs and stored state to the Q-format each step (the controller and
+//! projections stay f32 — HiMA is the *memory-access* engine; the
+//! controller lives outside it).
 //!
 //! **Ragged** batches step through a [`LaneMask`] naming the lanes still
 //! inside their episodes: only those advance (masked rows of every kernel
@@ -57,109 +57,48 @@ use crate::distributed::ReadMerge;
 use crate::dnc::{ModelInit, WeightBlock};
 use crate::interface::InterfaceVector;
 use crate::lstm::{LstmScratch, LstmState, PackedLstm};
-use crate::memory::{MemoryConfig, MemoryUnit};
+use crate::memory::{MemoryConfig, MemoryUnit, UnitState};
 use crate::profile::{KernelId, KernelProfile};
-use crate::quantized::QuantizedMemoryUnit;
 use crate::DncParams;
 use hima_tensor::{LaneMask, Matrix, PackedWeights};
 use rayon::prelude::*;
 
-/// A shard's memory unit on either datapath.
-// Both variants are a `MemoryUnit`; the quantized one carries its
-// interface-rounding scratch inline as well (~200 bytes). Shards sit in
-// one flat `Vec` and are stepped in place, so boxing the larger variant
-// would only add a pointer chase to every quantized step.
-#[allow(clippy::large_enum_variant)]
+/// One memory shard of a detached lane: which unit the state memories fit
+/// (configuration and datapath) and the memories themselves.
 #[derive(Debug, Clone)]
-pub(crate) enum LaneMemory {
-    /// Exact f32 unit.
-    F32(MemoryUnit),
-    /// Fixed-point unit (state rounded to the Q-format every step).
-    Quantized(QuantizedMemoryUnit),
-}
-
-impl LaneMemory {
-    pub(crate) fn new(cfg: MemoryConfig, datapath: Datapath) -> Self {
-        match datapath {
-            Datapath::F32 => LaneMemory::F32(MemoryUnit::new(cfg)),
-            Datapath::Quantized(q) => {
-                LaneMemory::Quantized(QuantizedMemoryUnit::with_format(cfg, q))
-            }
-        }
-    }
-
-    /// Steps the unit, writing the flattened read vectors into `out` —
-    /// allocation-free on either datapath.
-    fn step_into(&mut self, iv: &InterfaceVector, out: &mut [f32]) {
-        match self {
-            LaneMemory::F32(u) => u.step_into(iv, out),
-            LaneMemory::Quantized(q) => q.step_into(iv, out),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            LaneMemory::F32(u) => u.reset(),
-            LaneMemory::Quantized(q) => q.reset(),
-        }
-    }
-
-    /// The wrapped unit, for state inspection and profiling.
-    pub(crate) fn unit(&self) -> &MemoryUnit {
-        match self {
-            LaneMemory::F32(u) => u,
-            LaneMemory::Quantized(q) => q.inner(),
-        }
-    }
-
-    /// Switches wall-clock kernel sampling on or off in the wrapped unit.
-    fn set_profiling(&mut self, on: bool) {
-        match self {
-            LaneMemory::F32(u) => u.set_profiling(on),
-            LaneMemory::Quantized(q) => q.set_profiling(on),
-        }
-    }
-
-    /// Whether this unit runs the given datapath (same variant, and for
-    /// fixed point the same Q-format) — the splice-compatibility check of
-    /// [`LaneState`].
-    fn matches_datapath(&self, datapath: Datapath) -> bool {
-        match (self, datapath) {
-            (LaneMemory::F32(_), Datapath::F32) => true,
-            (LaneMemory::Quantized(q), Datapath::Quantized(fmt)) => q.format() == fmt,
-            _ => false,
-        }
-    }
+pub(crate) struct ShardState {
+    pub(crate) config: MemoryConfig,
+    pub(crate) datapath: Datapath,
+    pub(crate) state: UnitState,
+    /// The shard's flattened `R·W` read vector.
+    pub(crate) read: Vec<f32>,
 }
 
 /// A detached snapshot of one batch lane's complete session state: the
-/// lane's recurrent LSTM state, its per-shard memory units (external
-/// memory, usage, linkage, read/write weightings — one shard for
+/// lane's recurrent LSTM state, the state memories of each of its shards
+/// (external memory, usage, linkage, read/write weightings — one shard for
 /// monolithic engines, `N_t` for DNC-D) and the carried read-vector and
-/// hidden rows the next step's controller consumes.
+/// hidden rows the next step's controller consumes. It is **state only**:
+/// no memory unit, scratch buffer, PLA table or kernel profile travels
+/// with a session — those belong to the lane it is stepped on.
 ///
 /// This is the **state-splice** currency of the serving layer:
 /// [`GridEngine::export_lane`] detaches a session's state from a lane
-/// grid, [`GridEngine::import_lane`] re-attaches it to any lane of any
+/// grid, [`GridEngine::import_lane`] copies it into any lane of any
 /// engine built from the *same* spec and hyper-parameters (weights are a
 /// function of the seed alone, so lane slots are interchangeable), and
 /// the round trip is bit-exact — a session swapped out of a grid and
-/// back in continues precisely where it left off. The snapshot also
-/// carries the units' accumulated kernel profiles, so per-session
-/// profile counts travel with the session (whether the importing engine
-/// keeps sampling is its own setting, not the snapshot's).
+/// back in continues precisely where it left off.
 ///
-/// The fields are intentionally private: a `LaneState` is an opaque
-/// value that only the engine that understands its geometry can consume.
-/// For durability the opaque value still crosses a process boundary —
-/// [`LaneState::encode`]/[`LaneState::decode`] (in [`crate::persist`])
-/// are the versioned binary codec the session store persists, and the
-/// round trip is bit-exact on every topology × datapath combination.
+/// The fields are private: a `LaneState` is an opaque value that only an
+/// engine of its geometry can consume. For durability it still crosses a
+/// process boundary — [`LaneState::encode`]/[`LaneState::decode`] (in
+/// [`crate::persist`]) are the versioned binary codec the session store
+/// persists, bit-exact on every topology × datapath combination.
 #[derive(Debug, Clone)]
 pub struct LaneState {
     pub(crate) lstm: LstmState,
-    /// One `(memory unit, flattened shard read vector)` per shard.
-    pub(crate) shards: Vec<(LaneMemory, Vec<f32>)>,
+    pub(crate) shards: Vec<ShardState>,
     /// The lane's merged `R·W` read-vector row (`last_read`).
     pub(crate) read: Vec<f32>,
     /// The lane's held `H` hidden row (`last_hidden`).
@@ -179,22 +118,15 @@ impl LaneState {
         &self.read
     }
 
-    /// Approximate heap footprint of the snapshot in `f32` elements —
-    /// what a session cache pays to hold a detached session.
+    /// Heap footprint of the snapshot in `f32` elements — what a session
+    /// cache pays to hold a detached session.
     pub fn state_elems(&self) -> usize {
-        let mem: usize = self
-            .shards
-            .iter()
-            .map(|(m, read)| {
-                let u = m.unit();
-                let n = u.memory().rows();
-                u.memory().rows() * u.memory().cols()
-                    + n * (2 + n) // usage + precedence + linkage
-                    + n * (1 + u.read_weightings().rows()) // write + read weightings
-                    + read.len()
-            })
-            .sum();
-        mem + 2 * self.lstm.hidden.len() + self.read.len() + self.hidden.len()
+        let shards =
+            self.shards.iter().flat_map(|s| s.state.buffers().into_iter().chain([&s.read[..]]));
+        shards.map(<[f32]>::len).sum::<usize>()
+            + 2 * self.lstm.hidden.len()
+            + self.read.len()
+            + self.hidden.len()
     }
 }
 
@@ -205,7 +137,7 @@ impl LaneState {
 /// [`StepWorkspace`].
 #[derive(Debug, Clone)]
 struct Shard {
-    memory: LaneMemory,
+    memory: MemoryUnit,
     read: Vec<f32>,
     iv: InterfaceVector,
 }
@@ -304,12 +236,9 @@ pub struct GridEngine {
     /// The read-merge of a sharded topology; `None` on the monolithic one
     /// (see [`gather_reads`]).
     merge: Option<ReadMerge>,
-    datapath: Datapath,
     /// What the grid itself times when profiling is on: the controller
     /// step ([`KernelId::Lstm`]) and the interface and output projections
-    /// ([`KernelId::Projection`]); the memory units keep their own. Its
-    /// gate is the engine's profiling setting, re-applied to every unit
-    /// an import brings in.
+    /// ([`KernelId::Projection`]); the memory units keep their own.
     profile: KernelProfile,
     lstm_states: Vec<LstmState>,
     /// The flat `B × N_t` shard grid, lane-major: lane `b`'s shards are
@@ -345,7 +274,7 @@ impl GridEngine {
         let shards = (0..batch)
             .flat_map(|_| shard_cfgs)
             .map(|cfg| {
-                let mut memory = LaneMemory::new(*cfg, datapath);
+                let mut memory = MemoryUnit::with_datapath(*cfg, datapath);
                 memory.set_profiling(profiling);
                 Shard {
                     memory,
@@ -365,7 +294,6 @@ impl GridEngine {
             interface_projs: init.interface_projs().map(WeightBlock::packed).collect(),
             output_proj: init.output_proj().packed(),
             merge,
-            datapath,
             profile,
             lstm_states: vec![LstmState::zeros(params.hidden_size); batch],
             shards,
@@ -392,7 +320,7 @@ impl GridEngine {
 
     /// The numeric datapath of the shard memory units.
     pub fn datapath(&self) -> Datapath {
-        self.datapath
+        self.shards[0].memory.datapath()
     }
 
     /// Shard `shard` of lane `lane`'s memory unit (for state inspection).
@@ -401,7 +329,7 @@ impl GridEngine {
     ///
     /// Panics if `lane >= batch()` or `shard >= tiles()`.
     pub fn unit(&self, lane: usize, shard: usize) -> &MemoryUnit {
-        self.lane_shards(lane)[shard].memory.unit()
+        &self.lane_shards(lane)[shard].memory
     }
 
     /// The `B × R·W` block of read vectors fed to the controller at the
@@ -434,7 +362,7 @@ impl GridEngine {
     pub fn profile(&self) -> KernelProfile {
         let mut p = self.profile.clone();
         for shard in &self.shards {
-            p.merge(shard.memory.unit().profile());
+            p.merge(shard.memory.profile());
         }
         p
     }
@@ -650,12 +578,13 @@ impl GridEngine {
     }
 
     /// Detaches a snapshot of lane `lane`'s complete session state: LSTM
-    /// state, every shard memory unit with its shard read vector, and the
-    /// carried read/hidden rows — the state-splice primitive a serving
+    /// state, every shard's state memories with its shard read vector, and
+    /// the carried read/hidden rows — the state-splice primitive a serving
     /// grid uses to park a session off the grid. The lane itself is
     /// untouched; re-attaching the snapshot with
     /// [`GridEngine::import_lane`] — to any lane of any engine built from
-    /// the same spec/params/seed — is a bit-exact round trip.
+    /// the same spec/params/seed — is a bit-exact round trip. The snapshot
+    /// is the only thing the call allocates.
     ///
     /// # Panics
     ///
@@ -665,7 +594,12 @@ impl GridEngine {
             shards: self
                 .lane_shards(lane)
                 .iter()
-                .map(|s| (s.memory.clone(), s.read.clone()))
+                .map(|s| ShardState {
+                    config: *s.memory.config(),
+                    datapath: s.memory.datapath(),
+                    state: s.memory.state().clone(),
+                    read: s.read.clone(),
+                })
                 .collect(),
             lstm: self.lstm_states[lane].clone(),
             read: self.last_read.row(lane).to_vec(),
@@ -673,13 +607,14 @@ impl GridEngine {
         }
     }
 
-    /// Replaces lane `lane`'s session state with a snapshot previously
+    /// Overwrites lane `lane`'s session state with a snapshot previously
     /// detached by [`GridEngine::export_lane`] (possibly from a different
-    /// lane or a different engine of the same configuration). After the
+    /// lane or a different engine of the same configuration), copying
+    /// into the lane's existing buffers — no heap allocation. After the
     /// splice the lane steps bit-identically to the engine the snapshot
-    /// was exported from. Whether the lane's units sample kernel times
-    /// stays this engine's setting ([`GridEngine::set_profiling`]),
-    /// whatever the snapshot's source had on.
+    /// was exported from. The lane's units keep their own scratch, kernel
+    /// profile and profiling gate ([`GridEngine::set_profiling`]): a
+    /// splice moves state memories, never machinery.
     ///
     /// # Panics
     ///
@@ -687,22 +622,22 @@ impl GridEngine {
     /// disagrees with this engine (shard count, per-shard memory config,
     /// Q-format, read/hidden widths).
     pub fn import_lane(&mut self, lane: usize, state: &LaneState) {
-        let (datapath, profiling) = (self.datapath, self.profile.is_enabled());
         assert_eq!(state.shards.len(), self.tiles(), "lane state shard count mismatch");
         assert_eq!(state.read.len(), self.last_read.cols(), "read width mismatch");
         assert_eq!(state.hidden.len(), self.params.hidden_size, "hidden width mismatch");
         assert_eq!(state.lstm.hidden.len(), self.params.hidden_size, "hidden width mismatch");
-        for (dst, (mem, shard_read)) in self.lane_shards(lane).iter().zip(&state.shards) {
-            assert!(mem.matches_datapath(datapath), "lane state datapath mismatch");
-            assert_eq!(mem.unit().config(), dst.memory.unit().config(), "memory config mismatch");
-            assert_eq!(shard_read.len(), dst.read.len(), "read width mismatch");
+        for (dst, src) in self.lane_shards(lane).iter().zip(&state.shards) {
+            assert_eq!(src.datapath, dst.memory.datapath(), "lane state datapath mismatch");
+            assert_eq!(&src.config, dst.memory.config(), "memory config mismatch");
+            assert_eq!(src.read.len(), dst.read.len(), "read width mismatch");
         }
-        for (dst, (mem, shard_read)) in self.lane_shards_mut(lane).iter_mut().zip(&state.shards) {
-            dst.memory = mem.clone();
-            dst.memory.set_profiling(profiling);
-            dst.read.copy_from_slice(shard_read);
+        for (dst, src) in self.lane_shards_mut(lane).iter_mut().zip(&state.shards) {
+            dst.memory.load_state(&src.state);
+            dst.read.copy_from_slice(&src.read);
         }
-        self.lstm_states[lane] = state.lstm.clone();
+        let lstm = &mut self.lstm_states[lane];
+        lstm.hidden.copy_from_slice(&state.lstm.hidden);
+        lstm.cell.copy_from_slice(&state.lstm.cell);
         self.last_read.row_mut(lane).copy_from_slice(&state.read);
         self.last_hidden.row_mut(lane).copy_from_slice(&state.hidden);
     }
@@ -1272,7 +1207,7 @@ mod tests {
             engine.step_batch(&step_block(&lanes, t));
             for lane in 0..2 {
                 let state = engine.export_lane(lane);
-                assert_eq!(bits(engine.last_read_row(lane)), bits(&state.shards[0].1));
+                assert_eq!(bits(engine.last_read_row(lane)), bits(&state.shards[0].read));
             }
         }
         engine.shards[0].read[0] = -0.0;
@@ -1319,9 +1254,30 @@ mod tests {
         }
     }
 
-    /// A rehydrated session keeps the *engine's* profiling gate: a decoded
-    /// unit is built sampling-on, and must not switch a profiling-off
-    /// server's lane back to reading the clock.
+    /// The kernel profile belongs to the lane, not the session: a splice
+    /// with no step in between leaves `engine.profile()` where it was,
+    /// whether a warmed lane's state lands on a blank lane or the blank
+    /// one's on the warmed.
+    #[test]
+    fn a_splice_leaves_the_engines_profile_where_it_was() {
+        let lanes = lane_inputs(2, 10, 5);
+        for (from, to) in [(0, 1), (1, 0)] {
+            let mut engine = mono(2, 5);
+            engine.set_profiling(true);
+            for t in 0..10 {
+                engine.step_batch_masked(&step_block(&lanes, t), &LaneMask::from(vec![true, false]));
+            }
+            let before = engine.profile();
+            assert_eq!(before.calls(KernelId::MemoryRead), 20, "10 steps of lane 0 × 2 heads");
+            let state = engine.export_lane(from);
+            engine.import_lane(to, &state);
+            assert_eq!(engine.profile(), before, "lane {from} spliced over lane {to}");
+        }
+    }
+
+    /// A rehydrated session keeps the *engine's* profiling gate: whatever
+    /// the snapshot's source had on, a splice must not switch a
+    /// profiling-off server's lane to reading the clock.
     #[test]
     fn import_keeps_the_engines_profiling_gate() {
         for tiles in [None, Some(4)] {

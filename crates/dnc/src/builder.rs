@@ -8,9 +8,10 @@
 //! * **lanes** — how many independent sequences run through the shared
 //!   weights ([`EngineBuilder::lanes`]),
 //! * **datapath** — [`Datapath::F32`] or a fixed-point
-//!   [`Datapath::Quantized`] format,
-//! * plus the memory-unit feature knobs (skimming, PLA softmax, sorter)
-//!   and the weight seed.
+//!   [`Datapath::Quantized`] format: a rounding policy of the one
+//!   [`MemoryUnit`](crate::MemoryUnit), not a second unit type,
+//! * plus the memory-unit feature knobs (skimming, PLA softmax) and the
+//!   weight seed.
 //!
 //! Every combination builds the same concrete type, a [`GridEngine`], so
 //! harnesses sweep every axis from one code path.
@@ -36,7 +37,7 @@ use crate::allocation::SkimRate;
 use crate::batch::GridEngine;
 use crate::distributed::{DncD, ReadMerge};
 use crate::dnc::{Dnc, ModelInit};
-use crate::memory::{MemoryConfig, SorterKind};
+use crate::memory::MemoryConfig;
 use crate::DncParams;
 use hima_tensor::{Backend, QFormat};
 use serde::{Deserialize, Serialize};
@@ -268,7 +269,6 @@ impl EngineSpec {
 pub struct EngineBuilder {
     params: DncParams,
     spec: EngineSpec,
-    sorter: SorterKind,
     lanes: usize,
     merge: Option<ReadMerge>,
     seed: u64,
@@ -277,12 +277,11 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// Starts from the exact centralized configuration: monolithic
-    /// topology, one lane, f32 datapath, centralized sorter, seed 0.
+    /// topology, one lane, f32 datapath, seed 0.
     pub fn new(params: DncParams) -> Self {
         Self {
             params,
             spec: EngineSpec::monolithic(),
-            sorter: SorterKind::Centralized,
             lanes: 1,
             merge: None,
             seed: 0,
@@ -348,14 +347,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects the usage-sorter model (monolithic topology only; DNC-D
-    /// shards always sort locally — the sharding *is* the hardware's
-    /// distributed sort).
-    pub fn sorter(mut self, sorter: SorterKind) -> Self {
-        self.sorter = sorter;
-        self
-    }
-
     /// Sets the read-merge weights for a sharded engine (defaults to the
     /// uniform merge). Ignored by monolithic topologies.
     pub fn merge(mut self, merge: ReadMerge) -> Self {
@@ -381,7 +372,7 @@ impl EngineBuilder {
     }
 
     /// Applies a serialized [`EngineSpec`] (topology, datapath, skim,
-    /// approximation), keeping the params, lanes, sorter and seed.
+    /// approximation), keeping the params, lanes and seed.
     pub fn with_spec(mut self, spec: EngineSpec) -> Self {
         self.spec = spec;
         self
@@ -447,22 +438,18 @@ impl EngineBuilder {
     /// topology.
     pub fn build(&self) -> BoxedEngine {
         // The monolithic topology is the one-shard grid with no merge; a
-        // sharded one sorts locally (see [`EngineBuilder::sorter`]) and
-        // merges uniformly unless told otherwise.
-        let (tiles, sorter, merge) = match self.spec.topology {
-            Topology::Monolithic => (1, self.sorter, None),
-            Topology::Sharded { tiles } => (
-                tiles,
-                SorterKind::Centralized,
-                Some(self.merge.clone().unwrap_or_else(|| ReadMerge::uniform(tiles))),
-            ),
+        // sharded one merges uniformly unless told otherwise.
+        let (tiles, merge) = match self.spec.topology {
+            Topology::Monolithic => (1, None),
+            Topology::Sharded { tiles } => {
+                (tiles, Some(self.merge.clone().unwrap_or_else(|| ReadMerge::uniform(tiles))))
+            }
         };
         let mem_cfg = MemoryConfig::new(
             self.params.memory_size,
             self.params.word_size,
             self.params.read_heads,
         )
-        .with_sorter(sorter)
         .with_skim(self.spec.skim)
         .with_approx_softmax(self.spec.approx_softmax)
         .with_backend(self.spec.backend);

@@ -150,14 +150,14 @@ pub struct Dnc {
 
 impl Dnc {
     /// Creates a DNC with procedurally initialized weights and an exact
-    /// (centralized-sorter, exact-softmax) memory unit.
+    /// (no skimming, exact-softmax) memory unit.
     pub fn new(params: DncParams, seed: u64) -> Self {
         let mem_cfg = MemoryConfig::new(params.memory_size, params.word_size, params.read_heads);
         Self::with_memory_config(params, mem_cfg, seed)
     }
 
-    /// Creates a DNC with a custom memory-unit configuration (sorter model,
-    /// skimming, softmax approximation).
+    /// Creates a DNC with a custom memory-unit configuration (skimming,
+    /// softmax approximation).
     ///
     /// # Panics
     ///
@@ -284,7 +284,6 @@ impl Dnc {
 mod tests {
     use super::*;
     use crate::allocation::SkimRate;
-    use crate::memory::SorterKind;
 
     fn params() -> DncParams {
         DncParams::new(16, 4, 2).with_hidden(24).with_io(5, 6)
@@ -369,7 +368,6 @@ mod tests {
         let exact_params = params();
         let mut exact = Dnc::new(exact_params, 17);
         let cfg = MemoryConfig::new(16, 4, 2)
-            .with_sorter(SorterKind::TwoStage { tiles: 4 })
             .with_skim(SkimRate::new(0.2))
             .with_approx_softmax(true);
         let mut hw = Dnc::with_memory_config(exact_params, cfg, 17);

@@ -13,7 +13,8 @@
 //!   usage update, usage sort, allocation,
 //! * history-based read weighting ([`linkage`]) — temporal linkage matrix,
 //!   precedence, forward/backward,
-//! * the memory unit gluing them together ([`memory`]),
+//! * the one memory unit gluing them together ([`memory`]) — `f32`, or
+//!   fixed-point as a rounding policy of the same unit ([`quantized`]),
 //! * the LSTM controller and interface vector ([`lstm`], [`interface`]),
 //! * the complete model ([`dnc`]) and the distributed variant
 //!   ([`distributed`]),
@@ -22,7 +23,8 @@
 //!   or sharded topology × batch lanes × f32 or fixed-point datapath —
 //!   with pre-sized scratch that makes steady-state stepping
 //!   zero-heap-allocation (the `_into` entry points; the allocating ones
-//!   are thin wrappers),
+//!   are thin wrappers); a session detached from a lane ([`LaneState`]) is
+//!   its state memories only, and [`persist`] is their byte format,
 //! * per-kernel instrumentation ([`profile`]) used to regenerate the
 //!   paper's runtime-breakdown figures.
 //!

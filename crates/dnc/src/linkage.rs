@@ -78,17 +78,21 @@ impl TemporalLinkage {
         &self.precedence
     }
 
-    /// Overwrites the linkage state from a decoded snapshot (the
-    /// [`LaneState`](crate::LaneState) codec's restore path).
+    /// Linkage state from decoded buffers (the
+    /// [`LaneState`](crate::LaneState) codec).
     ///
     /// # Panics
     ///
     /// Panics if `linkage` is not `n × n` for `n = precedence.len()`.
-    pub(crate) fn restore(&mut self, linkage: Matrix, precedence: Vec<f32>) {
-        assert_eq!(linkage.rows(), precedence.len(), "linkage rows mismatch");
-        assert_eq!(linkage.cols(), precedence.len(), "linkage cols mismatch");
-        self.linkage = linkage;
-        self.precedence = precedence;
+    pub(crate) fn from_parts(linkage: Matrix, precedence: Vec<f32>) -> Self {
+        assert_eq!(linkage.shape(), (precedence.len(), precedence.len()), "linkage shape mismatch");
+        Self { linkage, precedence }
+    }
+
+    /// The linkage matrix and the precedence vector as writable buffers
+    /// (a lane splice copies into them).
+    pub(crate) fn buffers_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (self.linkage.as_mut_slice(), &mut self.precedence)
     }
 
     /// Applies one write weighting: updates `L` from the *previous*

@@ -7,6 +7,14 @@
 //! content read weighting → read merge → memory read. Every stage is timed
 //! into a [`KernelProfile`] so runtime-breakdown figures can be regenerated.
 //!
+//! There is one unit, and its [`Datapath`] is fixed at construction:
+//! [`MemoryUnit::new`] computes in exact `f32`, [`MemoryUnit::with_format`]
+//! runs the same `f32` step between two rounding passes (the interface on
+//! arrival; state memories and read vectors at write-back — see
+//! [`quantized`](crate::quantized)). A session carries the unit's state
+//! memories from step to step and nothing else: scratch, PLA tables, norm
+//! cache and kernel profile belong to whichever unit it is stepped on.
+//!
 //! Each phase walks its matrix **once for all heads**, as HiMA's tiles
 //! walk their local `M` and `L` blocks. The previous read weightings are
 //! one `R × N` matrix `W_r` and the read keys one `R × W` matrix `K`, and
@@ -43,26 +51,16 @@
 //! [`matvec_t_heads_into`]: hima_tensor::fused::matvec_t_heads_into
 
 use crate::allocation::{merge_write_weighting_into, SkimRate};
+use crate::builder::Datapath;
 use crate::content::{content_weightings_heads_into, NormCache};
 use crate::interface::InterfaceVector;
 use crate::linkage::{merge_read_weighting_into, TemporalLinkage};
-use crate::profile::{KernelId, KernelProfile};
-use hima_sort::{CentralizedMergeSorter, SortEngine, TwoStageSorter};
+use crate::profile::{KernelId, KernelProfile, Laps};
+use crate::quantized::quantize_interface_into;
+use hima_sort::{CentralizedMergeSorter, SortEngine};
 use hima_tensor::softmax::PlaSoftmax;
 use hima_tensor::{Backend, Matrix, QFormat};
 use serde::{Deserialize, Serialize};
-
-/// Which usage sorter the memory unit models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SorterKind {
-    /// Centralized merge sort (Farm-style baseline).
-    Centralized,
-    /// HiMA's local-global two-stage sort over `N_t` tiles.
-    TwoStage {
-        /// Number of processing tiles.
-        tiles: usize,
-    },
-}
 
 /// Memory-unit configuration: geometry plus the approximation features of
 /// §5.2.
@@ -74,8 +72,6 @@ pub struct MemoryConfig {
     pub word_size: usize,
     /// Read heads `R`.
     pub read_heads: usize,
-    /// Usage sorter model.
-    pub sorter: SorterKind,
     /// Usage skimming rate `K`.
     pub skim: SkimRate,
     /// Whether to use the PLA+LUT softmax approximation.
@@ -88,23 +84,16 @@ pub struct MemoryConfig {
 }
 
 impl MemoryConfig {
-    /// Exact DNC memory unit with a centralized sorter.
+    /// Exact DNC memory unit: no skimming, exact softmax.
     pub fn new(memory_size: usize, word_size: usize, read_heads: usize) -> Self {
         Self {
             memory_size,
             word_size,
             read_heads,
-            sorter: SorterKind::Centralized,
             skim: SkimRate::NONE,
             approx_softmax: false,
             backend: Backend::Scalar,
         }
-    }
-
-    /// Selects the usage sorter.
-    pub fn with_sorter(mut self, sorter: SorterKind) -> Self {
-        self.sorter = sorter;
-        self
     }
 
     /// Enables usage skimming at rate `k`.
@@ -148,6 +137,9 @@ impl ReadResult {
 /// step in parallel on worker threads, so the scratch cannot be shared).
 #[derive(Debug, Clone)]
 struct StepScratch {
+    /// The interface as the fixed-point datapath sees it: every field
+    /// rounded on arrival (untouched on the `f32` datapath).
+    rounded_iv: InterfaceVector,
     /// Content write weighting (CW output for the write head).
     content_w: Vec<f32>,
     /// Retention vector `ψ`.
@@ -167,8 +159,10 @@ struct StepScratch {
 }
 
 impl StepScratch {
-    fn sized(n: usize, heads: usize) -> Self {
+    fn sized(config: &MemoryConfig) -> Self {
+        let (n, heads) = (config.memory_size, config.read_heads);
         Self {
+            rounded_iv: InterfaceVector::zeroed(config.word_size, heads),
             content_w: vec![0.0; n],
             psi: vec![0.0; n],
             free_list: Vec::with_capacity(n),
@@ -181,73 +175,126 @@ impl StepScratch {
     }
 }
 
-/// Concrete usage-sorter dispatcher (keeps [`MemoryUnit`] `Clone`/`Debug`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-enum UsageSorter {
-    Centralized(CentralizedMergeSorter),
-    TwoStage(TwoStageSorter),
+/// The state memories of one memory unit — all a session carries from one
+/// step to the next: what a [`LaneState`](crate::LaneState) snapshots, the
+/// `HLSS` codec writes and a splice copies. The buffer shapes are fixed by
+/// the [`MemoryConfig`] they were sized from.
+#[derive(Debug, Clone)]
+pub(crate) struct UnitState {
+    /// External memory `M`, `N × W`.
+    pub(crate) memory: Matrix,
+    pub(crate) usage: Vec<f32>,
+    /// The `N × N` linkage and the precedence vector.
+    pub(crate) linkage: TemporalLinkage,
+    pub(crate) write_weighting: Vec<f32>,
+    /// Last read weightings, one row per head (`R × N`): the left factor
+    /// of the next step's forward product.
+    pub(crate) read_weightings: Matrix,
 }
 
-impl UsageSorter {
-    fn as_engine(&self) -> &dyn SortEngine {
-        match self {
-            UsageSorter::Centralized(s) => s,
-            UsageSorter::TwoStage(s) => s,
+impl UnitState {
+    fn zeros(config: &MemoryConfig) -> Self {
+        let (n, heads) = (config.memory_size, config.read_heads);
+        Self {
+            memory: Matrix::zeros(n, config.word_size),
+            usage: vec![0.0; n],
+            linkage: TemporalLinkage::new(n),
+            write_weighting: vec![0.0; n],
+            read_weightings: Matrix::zeros(heads, n),
         }
+    }
+
+    /// The six state buffers, in the order the `HLSS` codec writes them.
+    pub(crate) fn buffers(&self) -> [&[f32]; 6] {
+        [
+            self.memory.as_slice(),
+            &self.usage,
+            self.linkage.matrix().as_slice(),
+            self.linkage.precedence(),
+            &self.write_weighting,
+            self.read_weightings.as_slice(),
+        ]
+    }
+
+    fn buffers_mut(&mut self) -> [&mut [f32]; 6] {
+        let (linkage, precedence) = self.linkage.buffers_mut();
+        [
+            self.memory.as_mut_slice(),
+            &mut self.usage,
+            linkage,
+            precedence,
+            &mut self.write_weighting,
+            self.read_weightings.as_mut_slice(),
+        ]
+    }
+
+    /// The fixed-point datapath's rounding pass: every state memory, then
+    /// the step's read vectors, each one contiguous buffer handed whole to
+    /// [`QFormat::quantize_slice_inplace`]. HiMA's write-back *is*
+    /// fixed-point, so each buffer's rounding time is charged — as time,
+    /// not as a call — to the kernel that stores it (the read vectors are
+    /// the memory read's store).
+    fn quantize(&mut self, format: QFormat, reads: &mut [f32], laps: &mut Laps<'_>) {
+        for (kernel, state) in [
+            (KernelId::MemoryWrite, self.memory.as_mut_slice()),
+            (KernelId::Usage, &mut self.usage[..]),
+            (KernelId::WriteMerge, &mut self.write_weighting[..]),
+            (KernelId::ReadMerge, self.read_weightings.as_mut_slice()),
+            (KernelId::MemoryRead, reads),
+        ] {
+            format.quantize_slice_inplace(state);
+            laps.lap(kernel, 0);
+        }
+        self.linkage.quantize_state_laps(format, laps);
     }
 }
 
 /// The DNC external memory plus all state memories (usage, precedence,
-/// linkage, read/write weightings).
+/// linkage, read/write weightings) and the machinery that steps them, on
+/// either [`Datapath`].
 #[derive(Debug, Clone)]
 pub struct MemoryUnit {
     config: MemoryConfig,
-    memory: Matrix,
-    usage: Vec<f32>,
-    linkage: TemporalLinkage,
-    write_weighting: Vec<f32>,
-    /// Last read weightings, one row per head (`R × N`): the left factor
-    /// of the next step's forward product.
-    read_weightings: Matrix,
-    sorter: UsageSorter,
+    /// Fixed at construction: exact `f32`, or rounding to a Q-format.
+    datapath: Datapath,
+    state: UnitState,
     pla: PlaSoftmax,
     profile: KernelProfile,
-    /// Per-row L2 norms of `memory`: memory changes only at the MW stage,
-    /// so the `R + 1` content lookups share one norm pass each side of
-    /// the write. Invalidated whenever memory mutates.
+    /// Per-row L2 norms of the memory: memory changes only at the MW
+    /// stage, so the `R + 1` content lookups share one norm pass each side
+    /// of the write. Invalidated whenever memory mutates.
     norms: NormCache,
     scratch: StepScratch,
 }
 
 impl MemoryUnit {
-    /// Creates a zero-initialized memory unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any geometry parameter is zero or the two-stage sorter has
-    /// zero tiles.
+    /// Creates a zero-initialized memory unit on the exact `f32` datapath.
+    /// Panics if any geometry parameter is zero.
     pub fn new(config: MemoryConfig) -> Self {
+        Self::with_datapath(config, Datapath::F32)
+    }
+
+    /// Creates a zero-initialized memory unit on the fixed-point datapath:
+    /// every interface field is rounded to `format` on arrival and every
+    /// state memory and read vector after each step (see
+    /// [`quantized`](crate::quantized)). Panics if any geometry parameter
+    /// is zero.
+    pub fn with_format(config: MemoryConfig, format: QFormat) -> Self {
+        Self::with_datapath(config, Datapath::Quantized(format))
+    }
+
+    pub(crate) fn with_datapath(config: MemoryConfig, datapath: Datapath) -> Self {
         assert!(config.memory_size > 0, "memory_size must be positive");
         assert!(config.word_size > 0, "word_size must be positive");
         assert!(config.read_heads > 0, "read_heads must be positive");
-        let sorter = match config.sorter {
-            SorterKind::Centralized => UsageSorter::Centralized(CentralizedMergeSorter),
-            SorterKind::TwoStage { tiles } => {
-                UsageSorter::TwoStage(TwoStageSorter::new(tiles, config.memory_size))
-            }
-        };
         Self {
             config,
-            memory: Matrix::zeros(config.memory_size, config.word_size),
-            usage: vec![0.0; config.memory_size],
-            linkage: TemporalLinkage::new(config.memory_size),
-            write_weighting: vec![0.0; config.memory_size],
-            read_weightings: Matrix::zeros(config.read_heads, config.memory_size),
-            sorter,
+            datapath,
+            state: UnitState::zeros(&config),
             pla: PlaSoftmax::default(),
             profile: KernelProfile::new(),
             norms: NormCache::new(config.memory_size),
-            scratch: StepScratch::sized(config.memory_size, config.read_heads),
+            scratch: StepScratch::sized(&config),
         }
     }
 
@@ -256,29 +303,34 @@ impl MemoryUnit {
         &self.config
     }
 
+    /// The numeric datapath this unit was built on.
+    pub fn datapath(&self) -> Datapath {
+        self.datapath
+    }
+
     /// The external memory matrix `M`.
     pub fn memory(&self) -> &Matrix {
-        &self.memory
+        &self.state.memory
     }
 
     /// Current usage vector.
     pub fn usage(&self) -> &[f32] {
-        &self.usage
+        &self.state.usage
     }
 
     /// Current linkage state.
     pub fn linkage(&self) -> &TemporalLinkage {
-        &self.linkage
+        &self.state.linkage
     }
 
     /// Last write weighting.
     pub fn write_weighting(&self) -> &[f32] {
-        &self.write_weighting
+        &self.state.write_weighting
     }
 
     /// Last read weightings, one row per head (`R × N`).
     pub fn read_weightings(&self) -> &Matrix {
-        &self.read_weightings
+        &self.state.read_weightings
     }
 
     /// Accumulated kernel profile.
@@ -299,66 +351,29 @@ impl MemoryUnit {
 
     /// Rounds every stored state value — external memory, usage, linkage,
     /// precedence and the carried read/write weightings — to `format` in
-    /// place: the quantized datapath's rounding pass between time steps.
-    /// Each state memory is one contiguous buffer handed whole to
-    /// [`QFormat::quantize_slice_inplace`].
+    /// place: the rounding pass a unit built
+    /// [`with_format`](MemoryUnit::with_format) runs after every step.
     pub fn quantize_state(&mut self, format: QFormat) {
-        self.quantize_step(format, &mut []);
-    }
-
-    /// [`MemoryUnit::quantize_state`] plus the step's read vectors. HiMA's
-    /// write-back *is* fixed-point, so with profiling on each buffer's
-    /// rounding time is charged — as time, not as a call — to the kernel
-    /// that stores it (the read vectors are the memory read's store).
-    pub(crate) fn quantize_step(&mut self, format: QFormat, reads: &mut [f32]) {
-        let mut laps = self.profile.laps();
-        for (kernel, state) in [
-            (KernelId::MemoryWrite, self.memory.as_mut_slice()),
-            (KernelId::Usage, &mut self.usage[..]),
-            (KernelId::WriteMerge, &mut self.write_weighting[..]),
-            (KernelId::ReadMerge, self.read_weightings.as_mut_slice()),
-            (KernelId::MemoryRead, reads),
-        ] {
-            format.quantize_slice_inplace(state);
-            laps.lap(kernel, 0);
-        }
-        self.linkage.quantize_state_laps(format, &mut laps);
+        self.state.quantize(format, &mut [], &mut self.profile.laps());
         // Memory contents changed: the cached row norms no longer
         // describe them.
         self.norms.invalidate();
     }
 
-    /// Overwrites every persistent state memory from a decoded snapshot
-    /// (the [`LaneState`](crate::LaneState) codec's restore path). The
-    /// transient machinery — sorter, PLA tables, scratch, kernel profile
-    /// and the row-norm cache — is reconstructible from the configuration
-    /// and is left alone, except that the norm cache is invalidated
-    /// because the memory contents just changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any buffer disagrees with the configured geometry (the
-    /// codec validates shapes before calling this).
-    pub(crate) fn restore_state(
-        &mut self,
-        memory: Matrix,
-        usage: Vec<f32>,
-        linkage: Matrix,
-        precedence: Vec<f32>,
-        write_weighting: Vec<f32>,
-        read_weightings: Matrix,
-    ) {
-        let n = self.config.memory_size;
-        assert_eq!((memory.rows(), memory.cols()), (n, self.config.word_size), "memory shape");
-        assert_eq!(usage.len(), n, "usage length");
-        assert_eq!(precedence.len(), n, "precedence length");
-        assert_eq!(write_weighting.len(), n, "write weighting length");
-        assert_eq!(read_weightings.shape(), (self.config.read_heads, n), "read weightings shape");
-        self.memory = memory;
-        self.usage = usage;
-        self.linkage.restore(linkage, precedence);
-        self.write_weighting = write_weighting;
-        self.read_weightings = read_weightings;
+    /// The state memories, for a [`LaneState`](crate::LaneState) snapshot.
+    pub(crate) fn state(&self) -> &UnitState {
+        &self.state
+    }
+
+    /// Overwrites the state memories with a snapshot's, in place — the
+    /// splice. Scratch, PLA tables, kernel profile and its gate stay this
+    /// unit's own; the row-norm cache is invalidated because the memory
+    /// contents just changed. Panics if `state` was sized from a different
+    /// geometry.
+    pub(crate) fn load_state(&mut self, state: &UnitState) {
+        for (dst, src) in self.state.buffers_mut().into_iter().zip(state.buffers()) {
+            dst.copy_from_slice(src);
+        }
         self.norms.invalidate();
     }
 
@@ -366,11 +381,7 @@ impl MemoryUnit {
     /// no buffer is reallocated, so engine reuse across episodes stays
     /// allocation-free.
     pub fn reset(&mut self) {
-        self.memory.as_mut_slice().fill(0.0);
-        self.usage.fill(0.0);
-        self.linkage.clear();
-        self.write_weighting.fill(0.0);
-        self.read_weightings.as_mut_slice().fill(0.0);
+        self.state.buffers_mut().into_iter().for_each(|b| b.fill(0.0));
         self.norms.invalidate();
     }
 
@@ -395,9 +406,10 @@ impl MemoryUnit {
     /// read vectors (head-major, `R·W` wide — the layout
     /// [`ReadResult::flattened`] produces) into `out`.
     ///
-    /// This is the allocation-free steady-state kernel: every transient
-    /// lives in the unit's pre-sized step scratch, the usage argsort
-    /// reuses its index buffer, and content addressing reads the
+    /// This is the allocation-free steady-state kernel on either datapath:
+    /// every transient lives in the unit's pre-sized step scratch (the
+    /// fixed-point datapath's rounded interface included), the usage
+    /// argsort reuses its index buffer, and content addressing reads the
     /// once-per-step row-norm cache — after the first step the call
     /// performs **zero** heap allocations.
     ///
@@ -414,18 +426,28 @@ impl MemoryUnit {
             "read output length mismatch"
         );
 
+        let (state, scratch) = (&mut self.state, &mut self.scratch);
+        // Fixed point rounds the interface on arrival; the step below is
+        // the same `f32` arithmetic on either datapath.
+        let iv = match self.datapath {
+            Datapath::F32 => iv,
+            Datapath::Quantized(format) => {
+                quantize_interface_into(iv, format, &mut scratch.rounded_iv);
+                &scratch.rounded_iv
+            }
+        };
+
         // One lap per kernel: with profiling on the clock is read once
         // between consecutive stages, so the laps add up to the step.
         let mut laps = self.profile.laps();
         let approx = if self.config.approx_softmax { Some(&self.pla) } else { None };
-        let scratch = &mut self.scratch;
 
         // --- Soft write -------------------------------------------------
         // CW.(1)+(2): content-based write weighting; the pre-write norms
         // come out of the same pass unless the cache still holds them
         // (the previous step's read phase, memory unchanged since).
         content_weightings_heads_into(
-            &self.memory,
+            &state.memory,
             &iv.write_key,
             &[iv.write_strength],
             approx,
@@ -435,20 +457,21 @@ impl MemoryUnit {
         laps.lap(KernelId::Similarity, 1);
 
         // HW.(1): retention.
-        crate::usage::retention_into(&iv.free_gates, &self.read_weightings, &mut scratch.psi);
+        crate::usage::retention_into(&iv.free_gates, &state.read_weightings, &mut scratch.psi);
         laps.lap(KernelId::Retention, 1);
 
         // HW.(2): usage update (each slot reads only itself: in place).
-        crate::usage::update_usage_inplace(&mut self.usage, &self.write_weighting, &scratch.psi);
+        crate::usage::update_usage_inplace(&mut state.usage, &state.write_weighting, &scratch.psi);
         laps.lap(KernelId::Usage, 1);
 
-        // HW.(2b): usage sort (free-list construction, reused buffer).
-        self.sorter.as_engine().argsort_into(&self.usage, &mut scratch.free_list);
+        // HW.(2b): usage sort (free-list construction, reused buffer) —
+        // the functional argsort every `hima-sort` model is pinned to.
+        CentralizedMergeSorter.argsort_into(&state.usage, &mut scratch.free_list);
         laps.lap(KernelId::UsageSort, 1);
 
         // HW.(3): allocation from the sorted free list.
         crate::allocation::allocation_from_free_list_into(
-            &self.usage,
+            &state.usage,
             &scratch.free_list,
             self.config.skim,
             &mut scratch.w_a,
@@ -471,32 +494,32 @@ impl MemoryUnit {
                 continue;
             }
             self.norms.invalidate();
-            for ((m, &e), &v) in self.memory.row_mut(i).iter_mut().zip(&iv.erase).zip(&iv.write) {
+            for ((m, &e), &v) in state.memory.row_mut(i).iter_mut().zip(&iv.erase).zip(&iv.write) {
                 *m = *m * (1.0 - w * e) + w * v;
             }
         }
         laps.lap(KernelId::MemoryWrite, 1);
 
         // HR.(1): linkage (uses the previous precedence).
-        self.linkage.update_linkage_with(&scratch.w_w);
+        state.linkage.update_linkage_with(&scratch.w_w);
         laps.lap(KernelId::Linkage, 1);
         // HR.(2): precedence.
-        self.linkage.update_precedence(&scratch.w_w);
-        self.write_weighting.copy_from_slice(&scratch.w_w);
+        state.linkage.update_precedence(&scratch.w_w);
+        state.write_weighting.copy_from_slice(&scratch.w_w);
         laps.lap(KernelId::Precedence, 1);
 
         // --- Soft read ---------------------------------------------------
         // Fused head products first: everything that reads the previous
         // read weightings or the keys runs for all R heads at once.
         // HR.(3): forward/backward through the linkage.
-        self.linkage.forward_heads_into(&self.read_weightings, &mut scratch.fwd);
-        self.linkage.backward_heads_into(&self.read_weightings, &mut scratch.bwd);
+        state.linkage.forward_heads_into(&state.read_weightings, &mut scratch.fwd);
+        state.linkage.backward_heads_into(&state.read_weightings, &mut scratch.bwd);
         laps.lap(KernelId::ForwardBackward, 1);
 
         // CR.(1)+(2): content-based read weightings; the post-write norms
         // come out of the same pass if the write touched memory.
         content_weightings_heads_into(
-            &self.memory,
+            &state.memory,
             iv.read_keys.as_slice(),
             &iv.read_strengths,
             approx,
@@ -514,25 +537,32 @@ impl MemoryUnit {
                 scratch.content_r.row(head),
                 scratch.fwd.row(head),
                 iv.read_modes[head],
-                self.read_weightings.row_mut(head),
+                state.read_weightings.row_mut(head),
             );
         }
         laps.lap(KernelId::ReadMerge, heads as u64);
 
         // MR: memory read  v_r = Mᵀ w_r, every head in one pass over M —
         // one lap counted as the R reads it performs.
-        hima_tensor::fused::matvec_t_heads_into(&self.memory, &self.read_weightings, out);
+        hima_tensor::fused::matvec_t_heads_into(&state.memory, &state.read_weightings, out);
         laps.lap(KernelId::MemoryRead, heads as u64);
+
+        // Fixed-point write-back: round what the step stored.
+        if let Datapath::Quantized(format) = self.datapath {
+            state.quantize(format, out, &mut laps);
+            self.norms.invalidate();
+        }
     }
 
     /// Checks all state invariants: usage in `[0,1]`, weightings
     /// sub-normalized, linkage invariants.
     pub fn check_invariants(&self, tol: f32) -> bool {
-        let usage_ok = self.usage.iter().all(|&u| u >= -tol && u <= 1.0 + tol);
-        let ww_ok = hima_tensor::vector::is_weighting(&self.write_weighting, tol);
-        let wr_ok = (0..self.read_weightings.rows())
-            .all(|h| hima_tensor::vector::is_weighting(self.read_weightings.row(h), tol));
-        usage_ok && ww_ok && wr_ok && self.linkage.check_invariants(tol)
+        let s = &self.state;
+        let usage_ok = s.usage.iter().all(|&u| u >= -tol && u <= 1.0 + tol);
+        let ww_ok = hima_tensor::vector::is_weighting(&s.write_weighting, tol);
+        let wr_ok = (0..s.read_weightings.rows())
+            .all(|h| hima_tensor::vector::is_weighting(s.read_weightings.row(h), tol));
+        usage_ok && ww_ok && wr_ok && s.linkage.check_invariants(tol)
     }
 }
 
@@ -662,24 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn two_stage_sorter_gives_same_results_as_centralized() {
-        let mk = |sorter| {
-            let mut mu = MemoryUnit::new(MemoryConfig::new(16, 4, 1).with_sorter(sorter));
-            let mut outs = Vec::new();
-            for t in 0..10 {
-                let iv = iface(4, 1, |i| ((t * 7 + i * 3) as f32 * 0.29).sin());
-                outs.push(mu.step(&iv).flattened());
-            }
-            outs
-        };
-        let a = mk(SorterKind::Centralized);
-        let b = mk(SorterKind::TwoStage { tiles: 4 });
-        for (x, y) in a.iter().zip(&b) {
-            hima_tensor::assert_close(x, y, 1e-5);
-        }
-    }
-
-    #[test]
     fn skimming_changes_results_only_slightly() {
         let run = |skim| {
             let mut mu = MemoryUnit::new(MemoryConfig::new(32, 4, 1).with_skim(skim));
@@ -729,7 +741,6 @@ mod tests {
             MemoryConfig::new(16, 4, 2),
             MemoryConfig::new(16, 4, 2).with_skim(SkimRate::new(0.25)),
             MemoryConfig::new(16, 4, 2).with_approx_softmax(true),
-            MemoryConfig::new(16, 4, 2).with_sorter(SorterKind::TwoStage { tiles: 4 }),
         ];
         for cfg in configs {
             let mut a = MemoryUnit::new(cfg);

@@ -1,14 +1,13 @@
 //! Versioned binary (de)serialization of [`LaneState`] — the durability
 //! surface of the state-splice machinery.
 //!
-//! A serialized lane state is the *complete* session: the recurrent LSTM
-//! state, every memory shard's persistent state memories (external memory
-//! `M`, usage, temporal linkage + precedence, read/write weightings) with
-//! the shard's configuration and datapath, and the carried read-vector
-//! and hidden rows the next step's controller consumes. Transient
-//! machinery — sorters, PLA tables, scratch buffers, kernel profiles and
-//! the row-norm cache — is a pure function of the configuration and is
-//! rebuilt on decode (the norm cache is re-primed by the next step).
+//! A serialized lane state is the *complete* session, and a session is
+//! state only: the recurrent LSTM state, every memory shard's state
+//! memories (external memory `M`, usage, temporal linkage + precedence,
+//! read/write weightings) with the shard's configuration and datapath,
+//! and the carried read-vector and hidden rows the next step's controller
+//! consumes. The codec encodes from and decodes into exactly those
+//! buffers; it never builds a memory unit.
 //!
 //! The format is deliberately boring, in the style of the serve wire
 //! protocol (the vendored `serde` is a no-op stand-in, so derived
@@ -17,11 +16,20 @@
 //! encode → decode → [`import_lane`](crate::GridEngine::import_lane) is a
 //! **bit-exact** round trip on every topology × datapath combination
 //! (the inert [`Backend`] label's config byte included) — and
-//! `u32`-counted vectors. Every length is
-//! bounds-checked against the remaining payload with division (never a
-//! multiplication that could overflow on 32-bit targets) before any
-//! allocation, and every decoder is total: malformed bytes come back as
-//! a typed [`StateCodecError`], never a panic.
+//! `u32`-counted vectors. Version 1 gave the configuration a usage-sorter
+//! record — tag `0`, or tag `1` and a `u32` tile count — for an axis that
+//! selected nothing and is gone: the encoder writes tag `0` (what every
+//! served session always wrote), the decoder reads past either.
+//!
+//! Every decoder is total — malformed bytes come back as a typed
+//! [`StateCodecError`], never a panic — and a decoded count or geometry
+//! field becomes an allocation size in one place only,
+//! `Cursor::f32_slice`, behind a check that the remaining payload holds
+//! that many values. `crates/dnc/tests/state_hostile.rs` holds
+//! [`LaneState::decode`] to it under a counting allocator (truncation at
+//! every offset, every byte replaced, forged shard counts and
+//! geometries): a typed error or an `Ok` that re-encodes to the same
+//! bytes, at most twice the payload length plus 512 bytes requested.
 //!
 //! The codec is self-describing (geometry and datapath travel in the
 //! bytes), but a decoded snapshot still only *rehydrates* into an engine
@@ -30,10 +38,11 @@
 //! non-panicking compatibility check, and `import_lane`'s asserts
 //! backstop both.
 
-use crate::batch::{LaneMemory, LaneState};
+use crate::batch::{LaneState, ShardState};
 use crate::builder::Datapath;
+use crate::linkage::TemporalLinkage;
 use crate::lstm::LstmState;
-use crate::memory::{MemoryConfig, MemoryUnit, SorterKind};
+use crate::memory::{MemoryConfig, UnitState};
 use hima_tensor::{Backend, Matrix, QFormat};
 
 /// Leading magic of a serialized [`LaneState`].
@@ -126,19 +135,26 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    /// Reads exactly `n` f32 bit patterns, bounds-checked by division so
-    /// the guard cannot overflow however large `n` is.
-    fn f32_slice(&mut self, n: usize) -> Result<Vec<f32>, StateCodecError> {
-        if n > self.remaining() / 4 {
-            return Err(StateCodecError::BadLength(n as u64));
+    /// Reads exactly `n` f32 bit patterns — the one place a decoded count
+    /// or geometry becomes an allocation size. `n` is a `u32` field or the
+    /// `u64` product of two (which cannot overflow), checked against the
+    /// remaining payload before it is a `usize`.
+    fn f32_slice(&mut self, n: u64) -> Result<Vec<f32>, StateCodecError> {
+        if n > (self.remaining() / 4) as u64 {
+            return Err(StateCodecError::BadLength(n));
         }
-        Ok((0..n).map(|_| f32::from_bits(self.u32().unwrap())).collect())
+        Ok((0..n as usize).map(|_| f32::from_bits(self.u32().unwrap())).collect())
+    }
+
+    /// Reads a `rows × cols` matrix of f32 bit patterns.
+    fn f32_matrix(&mut self, rows: usize, cols: usize) -> Result<Matrix, StateCodecError> {
+        Ok(Matrix::from_vec(rows, cols, self.f32_slice(rows as u64 * cols as u64)?))
     }
 
     /// Reads a `u32`-counted f32 vector.
     fn vec_f32(&mut self) -> Result<Vec<f32>, StateCodecError> {
-        let n = self.u32()? as usize;
-        self.f32_slice(n)
+        let n = self.u32()?;
+        self.f32_slice(n.into())
     }
 
     fn finish(self) -> Result<(), StateCodecError> {
@@ -175,13 +191,7 @@ fn encode_config(cfg: &MemoryConfig, out: &mut Vec<u8>) {
     put_u32(out, cfg.memory_size as u32);
     put_u32(out, cfg.word_size as u32);
     put_u32(out, cfg.read_heads as u32);
-    match cfg.sorter {
-        SorterKind::Centralized => out.push(0),
-        SorterKind::TwoStage { tiles } => {
-            out.push(1);
-            put_u32(out, tiles as u32);
-        }
-    }
+    out.push(0); // version 1's usage-sorter tag
     put_u32(out, cfg.skim.fraction().to_bits());
     out.push(cfg.approx_softmax as u8);
     out.push(match cfg.backend {
@@ -197,17 +207,14 @@ fn decode_config(r: &mut Cursor<'_>) -> Result<MemoryConfig, StateCodecError> {
     if memory_size == 0 || word_size == 0 || read_heads == 0 {
         return Err(StateCodecError::Invalid("zero memory geometry"));
     }
-    let sorter = match r.u8()? {
-        0 => SorterKind::Centralized,
-        1 => {
-            let tiles = r.u32()? as usize;
-            if tiles == 0 {
-                return Err(StateCodecError::Invalid("two-stage sorter with zero tiles"));
-            }
-            SorterKind::TwoStage { tiles }
-        }
+    // Version 1's usage-sorter record: read past, rejecting what version
+    // 1 rejected.
+    match r.u8()? {
+        0 => {}
+        1 if r.u32()? != 0 => {}
+        1 => return Err(StateCodecError::Invalid("two-stage sorter with zero tiles")),
         t => return Err(StateCodecError::BadTag(t)),
-    };
+    }
     let skim = crate::allocation::SkimRate::checked(f32::from_bits(r.u32()?))
         .ok_or(StateCodecError::Invalid("skim rate outside [0, 1)"))?;
     let approx_softmax = r.bool()?;
@@ -217,70 +224,41 @@ fn decode_config(r: &mut Cursor<'_>) -> Result<MemoryConfig, StateCodecError> {
         t => return Err(StateCodecError::BadTag(t)),
     };
     Ok(MemoryConfig::new(memory_size, word_size, read_heads)
-        .with_sorter(sorter)
         .with_skim(skim)
         .with_approx_softmax(approx_softmax)
         .with_backend(backend))
 }
 
-fn encode_unit(u: &MemoryUnit, out: &mut Vec<u8>) {
-    encode_config(u.config(), out);
-    put_f32s(out, u.memory().as_slice());
-    put_f32s(out, u.usage());
-    put_f32s(out, u.linkage().matrix().as_slice());
-    put_f32s(out, u.linkage().precedence());
-    put_f32s(out, u.write_weighting());
-    // Head-major rows back to back: the bytes the per-head vectors had.
-    put_f32s(out, u.read_weightings().as_slice());
+/// Reads the state memories `cfg` implies. Element counts come from the
+/// configuration, not from the payload, and every read checks them
+/// against the remaining payload before allocating.
+fn decode_unit_state(r: &mut Cursor<'_>, cfg: &MemoryConfig) -> Result<UnitState, StateCodecError> {
+    let (n, heads) = (cfg.memory_size, cfg.read_heads);
+    let memory = r.f32_matrix(n, cfg.word_size)?;
+    let usage = r.f32_slice(n as u64)?;
+    let linkage = TemporalLinkage::from_parts(r.f32_matrix(n, n)?, r.f32_slice(n as u64)?);
+    let write_weighting = r.f32_slice(n as u64)?;
+    let read_weightings = r.f32_matrix(heads, n)?;
+    Ok(UnitState { memory, usage, linkage, write_weighting, read_weightings })
 }
 
-/// Reads the state memories for `cfg` and writes them into a freshly
-/// constructed unit. Element counts are implied by the configuration, so
-/// a corrupt count cannot drive an oversized allocation: every read is
-/// bounds-checked against the remaining payload first.
-fn decode_unit_state(r: &mut Cursor<'_>, u: &mut MemoryUnit) -> Result<(), StateCodecError> {
-    let cfg = *u.config();
-    let n = cfg.memory_size;
-    // Reject implausible geometry before the big reads: the full shard
-    // needs n·w + n·(n + 3 + r) elements; if even the memory matrix
-    // cannot fit the remaining bytes the payload is corrupt.
-    if (n as u64) * (cfg.word_size as u64) > (r.remaining() as u64) / 4 {
-        return Err(StateCodecError::BadLength((n * cfg.word_size) as u64));
-    }
-    let memory = Matrix::from_vec(n, cfg.word_size, r.f32_slice(n * cfg.word_size)?);
-    let usage = r.f32_slice(n)?;
-    if (n as u64) * (n as u64) > (r.remaining() as u64) / 4 {
-        return Err(StateCodecError::BadLength((n as u64) * (n as u64)));
-    }
-    let linkage = Matrix::from_vec(n, n, r.f32_slice(n * n)?);
-    let precedence = r.f32_slice(n)?;
-    let write_weighting = r.f32_slice(n)?;
-    let heads = cfg.read_heads;
-    if (heads as u64) * (n as u64) > (r.remaining() as u64) / 4 {
-        return Err(StateCodecError::BadLength((heads as u64) * (n as u64)));
-    }
-    let read_weightings = Matrix::from_vec(heads, n, r.f32_slice(heads * n)?);
-    u.restore_state(memory, usage, linkage, precedence, write_weighting, read_weightings);
-    Ok(())
-}
-
-fn encode_shard(mem: &LaneMemory, shard_read: &[f32], out: &mut Vec<u8>) {
-    match mem {
-        LaneMemory::F32(u) => {
-            out.push(0);
-            encode_unit(u, out);
-        }
-        LaneMemory::Quantized(q) => {
+fn encode_shard(shard: &ShardState, out: &mut Vec<u8>) {
+    match shard.datapath {
+        Datapath::F32 => out.push(0),
+        Datapath::Quantized(q) => {
             out.push(1);
-            put_u32(out, q.format().int_bits);
-            put_u32(out, q.format().frac_bits);
-            encode_unit(q.inner(), out);
+            put_u32(out, q.int_bits);
+            put_u32(out, q.frac_bits);
         }
     }
-    put_vec_f32(out, shard_read);
+    encode_config(&shard.config, out);
+    // The read weightings' head-major rows go back to back: the bytes the
+    // per-head vectors had.
+    shard.state.buffers().into_iter().for_each(|b| put_f32s(out, b));
+    put_vec_f32(out, &shard.read);
 }
 
-fn decode_shard(r: &mut Cursor<'_>) -> Result<(LaneMemory, Vec<f32>), StateCodecError> {
+fn decode_shard(r: &mut Cursor<'_>) -> Result<ShardState, StateCodecError> {
     let datapath = match r.u8()? {
         0 => Datapath::F32,
         1 => {
@@ -292,17 +270,13 @@ fn decode_shard(r: &mut Cursor<'_>) -> Result<(LaneMemory, Vec<f32>), StateCodec
         }
         t => return Err(StateCodecError::BadTag(t)),
     };
-    let cfg = decode_config(r)?;
-    let mut mem = LaneMemory::new(cfg, datapath);
-    match &mut mem {
-        LaneMemory::F32(u) => decode_unit_state(r, u)?,
-        LaneMemory::Quantized(q) => decode_unit_state(r, q.inner_mut())?,
-    }
-    let shard_read = r.vec_f32()?;
-    if shard_read.len() != cfg.read_heads * cfg.word_size {
+    let config = decode_config(r)?;
+    let state = decode_unit_state(r, &config)?;
+    let read = r.vec_f32()?;
+    if read.len() as u64 != config.read_heads as u64 * config.word_size as u64 {
         return Err(StateCodecError::Invalid("shard read-vector width"));
     }
-    Ok((mem, shard_read))
+    Ok(ShardState { config, datapath, state, read })
 }
 
 // --------------------------------------------------------- LaneState API
@@ -317,8 +291,8 @@ impl LaneState {
         put_vec_f32(out, &self.lstm.hidden);
         put_vec_f32(out, &self.lstm.cell);
         put_u32(out, self.shards.len() as u32);
-        for (mem, shard_read) in &self.shards {
-            encode_shard(mem, shard_read, out);
+        for shard in &self.shards {
+            encode_shard(shard, out);
         }
         put_vec_f32(out, &self.read);
         put_vec_f32(out, &self.hidden);
@@ -334,8 +308,8 @@ impl LaneState {
 
     /// Decodes a serialized lane state. Total: malformed or truncated
     /// bytes come back as a typed [`StateCodecError`], never a panic —
-    /// and no count field can drive an allocation beyond the payload
-    /// itself.
+    /// and no count or geometry field can drive an allocation beyond the
+    /// payload itself (see the [module docs](self)).
     ///
     /// Decoding validates internal consistency (geometry, datapath tags,
     /// vector widths) but not engine compatibility: importing the result
@@ -362,14 +336,22 @@ impl LaneState {
         if shard_count == 0 || shard_count > r.remaining() / 20 {
             return Err(StateCodecError::BadLength(shard_count as u64));
         }
-        let shards = (0..shard_count)
-            .map(|_| decode_shard(&mut r))
-            .collect::<Result<Vec<_>, StateCodecError>>()?;
+        // The shard table grows as shards decode, never by the count's
+        // say-so — doubling from one entry, not from `Vec`'s four-entry
+        // floor, which would outweigh a small payload.
+        let mut shards: Vec<ShardState> = Vec::new();
+        for _ in 0..shard_count {
+            let shard = decode_shard(&mut r)?;
+            if shards.len() == shards.capacity() {
+                shards.reserve_exact(shards.len().max(1));
+            }
+            shards.push(shard);
+        }
         // Monolithic lanes carry one shard whose read vector *is* the
         // merged row; DNC-D merges equal-width shard reads element-wise —
         // either way every shard read and the merged row share one width.
-        let read_width = shards[0].1.len();
-        if shards.iter().any(|(_, sr)| sr.len() != read_width) {
+        let read_width = shards[0].read.len();
+        if shards.iter().any(|s| s.read.len() != read_width) {
             return Err(StateCodecError::Invalid("unequal shard read-vector widths"));
         }
         let read = r.vec_f32()?;
@@ -402,16 +384,8 @@ impl LaneState {
             && self.hidden.len() == other.hidden.len()
             && self.lstm.hidden.len() == other.lstm.hidden.len()
             && self.lstm.cell.len() == other.lstm.cell.len()
-            && self.shards.iter().zip(&other.shards).all(|((a, ra), (b, rb))| {
-                ra.len() == rb.len()
-                    && a.unit().config() == b.unit().config()
-                    && match (a, b) {
-                        (LaneMemory::F32(_), LaneMemory::F32(_)) => true,
-                        (LaneMemory::Quantized(qa), LaneMemory::Quantized(qb)) => {
-                            qa.format() == qb.format()
-                        }
-                        _ => false,
-                    }
+            && self.shards.iter().zip(&other.shards).all(|(a, b)| {
+                a.read.len() == b.read.len() && a.config == b.config && a.datapath == b.datapath
             })
     }
 }
@@ -514,14 +488,92 @@ mod tests {
             assert_eq!(bytes.len(), want_bytes, "{spec:?}");
             let decoded = LaneState::decode(&bytes).unwrap();
             assert_eq!(decoded.encode(), bytes, "re-encoding must reproduce the bytes");
-            for ((src, _), (dst, _)) in state.shards.iter().zip(&decoded.shards) {
-                let (a, b) = (src.unit().read_weightings(), dst.unit().read_weightings());
-                assert_eq!(a.shape(), (p.read_heads, src.unit().config().memory_size));
+            for (src, dst) in state.shards.iter().zip(&decoded.shards) {
+                let (a, b) = (&src.state.read_weightings, &dst.state.read_weightings);
+                assert_eq!(a.shape(), (p.read_heads, src.config.memory_size));
                 assert!(a.as_slice().iter().any(|&w| w != 0.0), "vacuous: nothing was read");
                 let bits = |m: &M| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(a), bits(b));
             }
         }
+    }
+
+    /// `HLSS` bytes written by the commit before the memory unit absorbed
+    /// the quantized wrapper and the usage-sorter axis — generated there
+    /// and committed as literals, so the check is this decoder against
+    /// those bytes on any machine. A `sharded(2)`/Q16.16 lane of
+    /// [`fixture_params`] (seed 5) after one step.
+    const PARENT_SHARDED2_Q16: [u8; 266] = [
+        0x48, 0x4c, 0x53, 0x53, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x5f, 0xfc, 0xc7, 0x3c, 0xb8, 0x85,
+        0x9b, 0x3c, 0x02, 0x00, 0x00, 0x00, 0x27, 0x0e, 0x46, 0x3d, 0x16, 0x8b, 0x1d, 0x3d, 0x02, 0x00,
+        0x00, 0x00, 0x01, 0x10, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02,
+        0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x0c, 0xba, 0x00, 0x68, 0xb4, 0x3d, 0x00, 0x00, 0x20, 0xb9, 0x00, 0xc0, 0xd8, 0x3c, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xce, 0xd0, 0x3e, 0x00, 0xc8, 0xfa, 0x3d, 0x00, 0xce,
+        0xd0, 0x3e, 0x00, 0xc8, 0xfa, 0x3d, 0x00, 0x60, 0x23, 0x3e, 0x00, 0x3c, 0x23, 0x3e, 0x02, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0xe0, 0xb8, 0x00, 0xa0, 0x95, 0x3c, 0x01, 0x10, 0x00, 0x00, 0x00, 0x10,
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x77, 0xbb, 0x00, 0xe0, 0xcc, 0xbd, 0x00, 0x00,
+        0xbe, 0xba, 0x00, 0xb0, 0x1d, 0xbd, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x6a,
+        0xb9, 0x3e, 0x00, 0xbc, 0x0e, 0x3e, 0x00, 0x6a, 0xb9, 0x3e, 0x00, 0xbc, 0x0e, 0x3e, 0x00, 0x18,
+        0x47, 0x3e, 0x00, 0x14, 0x47, 0x3e, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x84, 0xba, 0x00, 0xa0,
+        0xdc, 0xbc, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x12, 0xba, 0x00, 0x00, 0x8e, 0xbb, 0x02, 0x00,
+        0x00, 0x00, 0x5f, 0xfc, 0xc7, 0x3c, 0xb8, 0x85, 0x9b, 0x3c,
+    ];
+
+    /// The same, for a monolithic f32 lane whose builder had selected
+    /// version 1's two-stage usage sorter over 2 tiles: the shard's
+    /// configuration carries sorter tag `1` and the tile count, bytes
+    /// `47..52`.
+    const PARENT_MONO_SORTER_TAG_1: [u8; 254] = [
+        0x48, 0x4c, 0x53, 0x53, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x5f, 0xfc, 0xc7, 0x3c, 0xb8, 0x85,
+        0x9b, 0x3c, 0x02, 0x00, 0x00, 0x00, 0x27, 0x0e, 0x46, 0x3d, 0x16, 0x8b, 0x1d, 0x3d, 0x01, 0x00,
+        0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01,
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x39, 0x47, 0xec, 0xb9, 0xe3, 0x52,
+        0x99, 0x3d, 0x89, 0xf8, 0xa6, 0xb8, 0xe3, 0xb2, 0x58, 0x3c, 0x89, 0xf8, 0xa6, 0xb8, 0xe3, 0xb2,
+        0x58, 0x3c, 0x89, 0xf8, 0xa6, 0xb8, 0xe3, 0xb2, 0x58, 0x3c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x32, 0x73, 0xb1, 0x3e, 0x1e, 0xcc,
+        0x7a, 0x3d, 0x1e, 0xcc, 0x7a, 0x3d, 0x1e, 0xcc, 0x7a, 0x3d, 0x32, 0x73, 0xb1, 0x3e, 0x1e, 0xcc,
+        0x7a, 0x3d, 0x1e, 0xcc, 0x7a, 0x3d, 0x1e, 0xcc, 0x7a, 0x3d, 0x14, 0x8d, 0xa3, 0x3d, 0xe6, 0x39,
+        0xa3, 0x3d, 0xe6, 0x39, 0xa3, 0x3d, 0xe6, 0x39, 0xa3, 0x3d, 0x02, 0x00, 0x00, 0x00, 0x12, 0xcc,
+        0x66, 0xb8, 0x5c, 0xc4, 0x15, 0x3c, 0x02, 0x00, 0x00, 0x00, 0x12, 0xcc, 0x66, 0xb8, 0x5c, 0xc4,
+        0x15, 0x3c, 0x02, 0x00, 0x00, 0x00, 0x5f, 0xfc, 0xc7, 0x3c, 0xb8, 0x85, 0x9b, 0x3c,
+    ];
+
+    fn fixture_params() -> DncParams {
+        DncParams::new(4, 2, 1).with_hidden(2).with_io(2, 2)
+    }
+
+    #[test]
+    fn bytes_written_before_the_units_were_folded_still_decode_and_reencode() {
+        let q16 = LaneState::decode(&PARENT_SHARDED2_Q16).expect("parent-written Q16.16 lane");
+        assert_eq!(q16.encode(), PARENT_SHARDED2_Q16, "re-encodes to itself");
+        let mut engine = EngineBuilder::new(fixture_params())
+            .sharded(2)
+            .quantized(QFormat::q16_16())
+            .seed(5)
+            .build();
+        engine.import_lane(0, &q16);
+        assert_eq!(engine.export_lane(0).encode(), PARENT_SHARDED2_Q16);
+
+        // The tag-1 record (5 bytes) comes back as tag 0 (1 byte); every
+        // other byte stands, and the state belongs to a plain monolithic
+        // engine.
+        let tagged = LaneState::decode(&PARENT_MONO_SORTER_TAG_1).expect("parent-written tag 1");
+        assert_eq!(PARENT_MONO_SORTER_TAG_1[47..52], [1, 2, 0, 0, 0]);
+        let mut want = PARENT_MONO_SORTER_TAG_1.to_vec();
+        want.splice(47..52, [0]);
+        assert_eq!(tagged.encode(), want);
+        let mut engine = EngineBuilder::new(fixture_params()).seed(5).build();
+        assert!(engine.export_lane(0).same_geometry(&tagged));
+        engine.import_lane(0, &tagged);
+        assert_eq!(engine.export_lane(0).encode(), want);
     }
 
     /// Every prefix truncation decodes to a typed error, never a panic.

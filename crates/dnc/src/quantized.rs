@@ -1,19 +1,22 @@
 //! Fixed-point (Q16.16) datapath model.
 //!
 //! The paper's prototypes run a 32-bit datapath "for a fair comparison
-//! with state-of-the-art MANN accelerators". This module models that
-//! hardware: a [`QuantizedMemoryUnit`] rounds every interface-vector field
-//! on arrival and every piece of stored state (external memory, usage,
-//! linkage, precedence, weightings) to Q16.16 after each step, so
+//! with state-of-the-art MANN accelerators". This module holds that
+//! datapath's rounding rule and its precision study; the datapath itself
+//! is a property of the one [`MemoryUnit`]: built
+//! [`with_format`](MemoryUnit::with_format), a unit rounds every
+//! interface-vector field on arrival ([`quantize_interface_into`]) and
+//! every piece of stored state (external memory, usage, linkage,
+//! precedence, weightings) plus the read vectors after each step, so
 //! quantization error propagates through time exactly as it would in a
-//! fixed-point accelerator. [`DatapathStudy`] runs the quantized unit in
+//! fixed-point accelerator. [`DatapathStudy`] runs such a unit in
 //! lock-step against the `f32` reference and reports how the divergence
 //! grows — the datapath-precision ablation.
 //!
 //! The model is **`f32` compute plus a Q-format rounding pass**, not
-//! integer arithmetic: the wrapped [`MemoryUnit`] steps in `f32` and
-//! [`MemoryUnit::quantize_state`] then rounds each contiguous state
-//! buffer through [`QFormat::quantize_slice_inplace`]. At the paper's
+//! integer arithmetic: the step between the two passes is the `f32` one,
+//! and each contiguous state buffer goes through
+//! [`QFormat::quantize_slice_inplace`]. At the paper's
 //! size that pass touches ~8 600 values per tile per step — after the
 //! memory unit's own kernels the largest single cost of a quantized
 //! step. The rule is round-to-nearest, ties away from zero, saturating,
@@ -28,110 +31,19 @@
 //! vectors → `MemoryRead`, …) rather than to an id of its own.
 
 use crate::interface::InterfaceVector;
-use crate::memory::{MemoryConfig, MemoryUnit, ReadResult};
+use crate::memory::{MemoryConfig, MemoryUnit};
 use hima_tensor::QFormat;
 use serde::{Deserialize, Serialize};
 
-/// A memory unit whose inputs and stored state are rounded to a fixed
-/// Q-format (Q16.16 by default, matching the paper's 32-bit datapath).
-#[derive(Debug, Clone)]
-pub struct QuantizedMemoryUnit {
-    inner: MemoryUnit,
-    format: QFormat,
-    /// Reused quantized-interface scratch: re-rounding into it each step
-    /// keeps the quantized datapath allocation-free in the steady state.
-    q_iv: InterfaceVector,
-}
+/// The name the frozen `e2e_bench/` builds its fixed-point unit under,
+/// through `with_format`. Through this alias `new` is [`MemoryUnit::new`]
+/// — an **`f32`** unit.
+#[doc(hidden)]
+pub type QuantizedMemoryUnit = MemoryUnit;
 
-impl QuantizedMemoryUnit {
-    /// Creates a Q16.16 quantized unit with the given configuration.
-    pub fn new(config: MemoryConfig) -> Self {
-        Self::with_format(config, QFormat::q16_16())
-    }
-
-    /// Creates a quantized unit rounding to an arbitrary [`QFormat`] —
-    /// the datapath axis of
-    /// [`EngineBuilder::quantized`](crate::EngineBuilder::quantized).
-    pub fn with_format(config: MemoryConfig, format: QFormat) -> Self {
-        Self {
-            inner: MemoryUnit::new(config),
-            format,
-            q_iv: InterfaceVector::zeroed(config.word_size, config.read_heads),
-        }
-    }
-
-    /// The wrapped (quantized-state) memory unit.
-    pub fn inner(&self) -> &MemoryUnit {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped unit — the
-    /// [`LaneState`](crate::LaneState) codec's restore path (state bytes
-    /// were rounded to the Q-format before they were snapshotted, so
-    /// writing them back verbatim preserves the datapath invariant).
-    pub(crate) fn inner_mut(&mut self) -> &mut MemoryUnit {
-        &mut self.inner
-    }
-
-    /// The number format state is rounded to.
-    pub fn format(&self) -> QFormat {
-        self.format
-    }
-
-    /// Switches wall-clock kernel sampling on or off in the wrapped unit.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.inner.set_profiling(on);
-    }
-
-    /// Runs one step: quantizes the interface vector, steps the unit,
-    /// quantizes all state and the read vectors.
-    ///
-    /// Allocating convenience over [`QuantizedMemoryUnit::step_into`].
-    pub fn step(&mut self, iv: &InterfaceVector) -> ReadResult {
-        let cfg = *self.inner.config();
-        let mut flat = vec![0.0; cfg.read_heads * cfg.word_size];
-        self.step_into(iv, &mut flat);
-        ReadResult { read_vectors: flat.chunks(cfg.word_size).map(<[f32]>::to_vec).collect() }
-    }
-
-    /// Output-buffer form of [`QuantizedMemoryUnit::step`]: rounds the
-    /// interface into the unit's reused scratch, steps the inner unit
-    /// allocation-free, rounds all state and the flattened read vectors
-    /// in place — zero heap allocations in the steady state, bit-identical
-    /// to the allocating form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interface geometry disagrees with the configuration
-    /// or `out.len() != R·W`.
-    pub fn step_into(&mut self, iv: &InterfaceVector, out: &mut [f32]) {
-        let fmt = self.format;
-        quantize_interface_into(iv, fmt, &mut self.q_iv);
-        self.inner.step_into(&self.q_iv, out);
-        self.inner.quantize_step(fmt, out);
-    }
-
-    /// Resets all state (in place — no reallocation).
-    pub fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
-/// Rounds every interface-vector field to Q16.16.
-pub fn quantize_interface(iv: &InterfaceVector) -> InterfaceVector {
-    quantize_interface_with(iv, QFormat::q16_16())
-}
-
-/// Rounds every interface-vector field to the given format.
-pub fn quantize_interface_with(iv: &InterfaceVector, format: QFormat) -> InterfaceVector {
-    let mut out = InterfaceVector::zeroed(iv.word_size(), iv.read_heads());
-    quantize_interface_into(iv, format, &mut out);
-    out
-}
-
-/// Output-buffer form of [`quantize_interface_with`]: rounds every field
-/// of `iv` into `out` without allocating (after `out` first matches the
-/// `W`/`R` geometry — it is resized once if not).
+/// Rounds every field of `iv` to `format` into `out` without allocating
+/// (after `out` first matches the `W`/`R` geometry — it is resized once
+/// if not).
 pub fn quantize_interface_into(iv: &InterfaceVector, format: QFormat, out: &mut InterfaceVector) {
     if out.word_size() != iv.word_size() || out.read_heads() != iv.read_heads() {
         *out = InterfaceVector::zeroed(iv.word_size(), iv.read_heads());
@@ -174,7 +86,7 @@ impl DatapathStudy {
     pub fn run(config: MemoryConfig, steps: usize, seed: u64) -> Self {
         assert!(steps > 0, "need at least one step");
         let mut float_unit = MemoryUnit::new(config);
-        let mut quant_unit = QuantizedMemoryUnit::new(config);
+        let mut quant_unit = MemoryUnit::with_format(config, QFormat::q16_16());
         let (w, r) = (config.word_size, config.read_heads);
         let len = w * r + 3 * w + 5 * r + 3;
 
@@ -206,7 +118,7 @@ impl DatapathStudy {
                 .memory()
                 .as_slice()
                 .iter()
-                .zip(quant_unit.inner().memory().as_slice())
+                .zip(quant_unit.memory().as_slice())
                 .map(|(x, y)| (x - y).abs())
                 .fold(0.0f32, f32::max);
             memory_error.push(me);
@@ -228,32 +140,36 @@ impl DatapathStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Datapath;
     use hima_tensor::Fixed;
 
     fn config() -> MemoryConfig {
         MemoryConfig::new(32, 8, 2)
     }
 
+    fn q16_unit() -> MemoryUnit {
+        MemoryUnit::with_format(config(), QFormat::q16_16())
+    }
+
     #[test]
     fn custom_format_rounds_more_coarsely() {
-        let mut wide = QuantizedMemoryUnit::new(config());
-        let mut narrow = QuantizedMemoryUnit::with_format(config(), QFormat::q8_8());
-        assert_eq!(narrow.format(), QFormat::q8_8());
+        let mut wide = q16_unit();
+        let mut narrow = MemoryUnit::with_format(config(), QFormat::q8_8());
+        assert_eq!(narrow.datapath(), Datapath::Quantized(QFormat::q8_8()));
         let len = 8 * 2 + 3 * 8 + 5 * 2 + 3;
         let raw: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
         let iv = InterfaceVector::parse(&raw, 8, 2);
         wide.step(&iv);
         narrow.step(&iv);
-        for &x in narrow.inner().memory().as_slice() {
+        for &x in narrow.memory().as_slice() {
             assert!(QFormat::q8_8().is_representable(x), "{x} not Q8.8");
         }
         // The narrow datapath diverges from the wide one.
         let diff: f32 = wide
-            .inner()
             .memory()
             .as_slice()
             .iter()
-            .zip(narrow.inner().memory().as_slice())
+            .zip(narrow.memory().as_slice())
             .map(|(a, b)| (a - b).abs())
             .sum();
         assert!(diff > 0.0, "Q8.8 should measurably differ from Q16.16");
@@ -265,7 +181,8 @@ mod tests {
             .map(|i| (i as f32 * 0.377).sin() * 3.0)
             .collect();
         let iv = InterfaceVector::parse(&raw, 8, 2);
-        let q = quantize_interface(&iv);
+        let mut q = InterfaceVector::zeroed(8, 2);
+        quantize_interface_into(&iv, QFormat::q16_16(), &mut q);
         for (a, b) in iv.write_key.iter().zip(&q.write_key) {
             assert!((a - b).abs() <= Fixed::resolution());
             assert_eq!(Fixed::from_f32(*b).to_f32(), *b, "must be exactly representable");
@@ -291,26 +208,26 @@ mod tests {
 
     #[test]
     fn quantized_unit_preserves_invariants() {
-        let mut q = QuantizedMemoryUnit::new(config());
+        let mut q = q16_unit();
         let len = 8 * 2 + 3 * 8 + 5 * 2 + 3;
         for t in 0..20 {
             let raw: Vec<f32> =
                 (0..len).map(|i| ((t * 17 + i * 5) as f32 * 0.13).sin() * 2.0).collect();
             q.step(&InterfaceVector::parse(&raw, 8, 2));
-            assert!(q.inner().check_invariants(1e-3), "t={t}");
+            assert!(q.check_invariants(1e-3), "t={t}");
         }
     }
 
     #[test]
     fn state_is_exactly_representable_after_step() {
-        let mut q = QuantizedMemoryUnit::new(config());
+        let mut q = q16_unit();
         let len = 8 * 2 + 3 * 8 + 5 * 2 + 3;
         let raw: Vec<f32> = (0..len).map(|i| (i as f32 * 0.71).cos()).collect();
         q.step(&InterfaceVector::parse(&raw, 8, 2));
-        for &x in q.inner().memory().as_slice() {
+        for &x in q.memory().as_slice() {
             assert_eq!(Fixed::from_f32(x).to_f32(), x, "memory holds a non-Q16.16 value");
         }
-        for &u in q.inner().usage() {
+        for &u in q.usage() {
             assert_eq!(Fixed::from_f32(u).to_f32(), u);
         }
     }
@@ -326,12 +243,12 @@ mod tests {
 
     #[test]
     fn reset_clears_quantized_state() {
-        let mut q = QuantizedMemoryUnit::new(config());
+        let mut q = q16_unit();
         let len = 8 * 2 + 3 * 8 + 5 * 2 + 3;
         let raw: Vec<f32> = (0..len).map(|i| i as f32 * 0.1).collect();
         q.step(&InterfaceVector::parse(&raw, 8, 2));
         q.reset();
-        assert_eq!(q.inner().memory().max_abs(), 0.0);
+        assert_eq!(q.memory().max_abs(), 0.0);
     }
 
     #[test]

@@ -42,6 +42,11 @@ fn specs() -> Vec<EngineSpec> {
             ..EngineSpec::monolithic().with_datapath(q)
         },
         EngineSpec { approx_softmax: true, ..EngineSpec::sharded(4) },
+        // Skimming *and* the PLA softmax on one monolithic engine.
+        EngineSpec {
+            approx_softmax: true,
+            ..EngineSpec::monolithic().with_skim(hima_dnc::allocation::SkimRate::new(0.2))
+        },
     ]
 }
 
@@ -245,33 +250,6 @@ fn seed_determinism_and_divergence_through_the_builder() {
         assert_eq!(y, b.step_batch(&x), "{}", spec.label());
         let mut c = EngineBuilder::new(params()).with_spec(spec).seed(SEED + 1).build();
         assert_ne!(y, c.step_batch(&x), "{}", spec.label());
-    }
-}
-
-#[test]
-fn two_stage_sorter_axis_batches_identically() {
-    // The sorter knob lives on the builder (not the serializable spec):
-    // a monolithic engine with the two-stage hardware sort — combined
-    // with skimming and the PLA softmax, the deleted per-type property —
-    // must still batch bit-identically to its sequential lanes.
-    let hw = |lanes: usize| {
-        EngineBuilder::new(params())
-            .sorter(hima_dnc::memory::SorterKind::TwoStage { tiles: 4 })
-            .skim(hima_dnc::allocation::SkimRate::new(0.2))
-            .approx_softmax(true)
-            .seed(SEED)
-            .lanes(lanes)
-            .build()
-    };
-    let batch = 3;
-    let streams = lane_streams(batch, STEPS, 5);
-    let mut batched = hw(batch);
-    let mut sequential: Vec<_> = (0..batch).map(|_| hw(1)).collect();
-    for t in 0..STEPS {
-        let y = batched.step_batch(&block_at(&streams, t));
-        for (b, lane) in sequential.iter_mut().enumerate() {
-            assert_eq!(y.row(b), &lane.step(&streams[b][t])[..], "lane {b} t {t}");
-        }
     }
 }
 

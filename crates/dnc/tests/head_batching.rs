@@ -26,7 +26,7 @@ use hima_dnc::content::content_weighting_into;
 use hima_dnc::interface::InterfaceVector;
 use hima_dnc::linkage::{merge_read_weighting_into, TemporalLinkage};
 use hima_dnc::memory::{MemoryConfig, MemoryUnit};
-use hima_dnc::quantized::{quantize_interface_with, QuantizedMemoryUnit};
+use hima_dnc::quantized::quantize_interface_into;
 use hima_dnc::usage::{retention_into, update_usage_inplace};
 use hima_sort::{CentralizedMergeSorter, SortEngine};
 use hima_tensor::softmax::PlaSoftmax;
@@ -78,10 +78,11 @@ impl Reference {
 
     fn step(&mut self, iv: &InterfaceVector) -> Vec<f32> {
         let (n, w, r) = (self.cfg.memory_size, self.cfg.word_size, self.cfg.read_heads);
-        let iv = match self.format {
-            Some(q) => quantize_interface_with(iv, q),
-            None => iv.clone(),
-        };
+        let mut rounded = iv.clone();
+        if let Some(q) = self.format {
+            quantize_interface_into(iv, q, &mut rounded);
+        }
+        let iv = &rounded;
 
         // Soft write.
         let mut content_w = vec![0.0; n];
@@ -134,31 +135,10 @@ impl Reference {
 }
 
 /// The unit under test on either datapath.
-enum Unit {
-    F32(Box<MemoryUnit>),
-    Quantized(Box<QuantizedMemoryUnit>),
-}
-
-impl Unit {
-    fn new(cfg: MemoryConfig, format: Option<QFormat>) -> Self {
-        match format {
-            None => Unit::F32(Box::new(MemoryUnit::new(cfg))),
-            Some(q) => Unit::Quantized(Box::new(QuantizedMemoryUnit::with_format(cfg, q))),
-        }
-    }
-
-    fn step(&mut self, iv: &InterfaceVector) -> Vec<f32> {
-        match self {
-            Unit::F32(u) => u.step(iv).flattened(),
-            Unit::Quantized(u) => u.step(iv).flattened(),
-        }
-    }
-
-    fn inner(&self) -> &MemoryUnit {
-        match self {
-            Unit::F32(u) => u,
-            Unit::Quantized(u) => u.inner(),
-        }
+fn unit(cfg: MemoryConfig, format: Option<QFormat>) -> MemoryUnit {
+    match format {
+        None => MemoryUnit::new(cfg),
+        Some(q) => MemoryUnit::with_format(cfg, q),
     }
 }
 
@@ -226,14 +206,13 @@ fn check_stream(
     what: &str,
     mut interface: impl FnMut(usize) -> InterfaceVector,
 ) {
-    let mut unit = Unit::new(cfg, format);
+    let mut u = unit(cfg, format);
     let mut reference = Reference::new(cfg, format);
     for t in 0..steps {
         let ctx = format!("{cfg:?} format={format:?} {what} t={t}");
         let iv = interface(t);
-        let got = unit.step(&iv);
+        let got = u.step(&iv).flattened();
         let want = reference.step(&iv);
-        let u = unit.inner();
         assert_same(&got, &want, "read vectors", &ctx);
         assert_same(u.memory().as_slice(), reference.memory.as_slice(), "memory", &ctx);
         assert_same(u.usage(), &reference.usage, "usage", &ctx);

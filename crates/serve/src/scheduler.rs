@@ -879,12 +879,10 @@ impl Group {
         }
         let cur = self.engine.profile();
         let mut delta = KernelProfile::new();
+        // The engine's totals are monotone — a splice moves state, never a
+        // unit's profile — so a negative delta is a bug to see.
         for k in KernelId::ALL {
-            delta.record(
-                k,
-                cur.nanos(k).saturating_sub(base.nanos(k)),
-                cur.calls(k).saturating_sub(base.calls(k)),
-            );
+            delta.record(k, cur.nanos(k) - base.nanos(k), cur.calls(k) - base.calls(k));
         }
         self.metrics.record_profile_delta(&delta);
         self.profile_base = Some(cur);

@@ -33,22 +33,20 @@ fn table1_state_kernels_are_new_and_traffic_heavy() {
 #[test]
 fn fig4_memory_unit_dominates_controller() {
     // ">95% of the runtime is the memory unit, <5% the LSTM" on
-    // general-purpose platforms. Our instrumented functional model plays
-    // the platform role.
-    let params = DncParams::new(256, 32, 4).with_hidden(64).with_io(16, 16);
-    let mut dnc = Dnc::new(params, 3);
-    for t in 0..30 {
-        let x: Vec<f32> = (0..16).map(|i| ((t + i) as f32 * 0.17).sin()).collect();
-        dnc.step(&x);
-    }
-    let profile = dnc.profile();
-    let lstm = profile.category_nanos(hima::dnc::KernelCategory::Controller);
-    let total = profile.total_nanos();
-    assert!(
-        (lstm as f64) < 0.25 * total as f64,
-        "controller at {}% of runtime",
-        lstm * 100 / total.max(1)
-    );
+    // general-purpose platforms (3 % GPU, 4 % CPU). Read from the cycle
+    // model of the centralized one-tile baseline at the paper's geometry,
+    // where the controller is 3.4 % of a step — a quantity no build
+    // profile moves. This test used to assert the wall-clock split of
+    // `Dnc::profile()` (controller < 25 %), which read 9 % in the debug
+    // profile and 35 % under `--release`: the memory unit's kernels got
+    // ≈ 3× faster over PRs 13–17 and the oracle's `matvec` controller did
+    // not, so that ratio tracked this repository's optimisation history,
+    // not the platform claim.
+    let report = Engine::new(EngineConfig::baseline(1)).step_report();
+    let controller = report.category_cycles(hima::dnc::KernelCategory::Controller);
+    let share = controller as f64 / report.total_cycles() as f64;
+    assert!(share < 0.05, "controller at {:.1}% of the modeled step", share * 100.0);
+    assert!(share > 0.0, "the model must cost the controller at all");
 }
 
 #[test]

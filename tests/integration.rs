@@ -1,8 +1,6 @@
 //! Cross-crate integration tests: the functional model, the hardware
 //! models and the cost models must agree where their domains overlap.
 
-use hima::dnc::interface::InterfaceVector;
-use hima::dnc::memory::SorterKind;
 use hima::prelude::*;
 
 #[test]
@@ -19,31 +17,6 @@ fn dncd_with_one_shard_is_the_centralized_dnc() {
         let a = dnc.step(&x);
         let b = dncd.step(&x);
         hima::tensor::assert_close(&a, &b, 1e-5);
-    }
-}
-
-#[test]
-fn memory_unit_agrees_across_all_sorter_models() {
-    // The two-stage hardware sort must be functionally invisible: same
-    // permutation, same DNC outputs.
-    let run = |sorter: SorterKind| {
-        let cfg = MemoryConfig::new(64, 8, 2).with_sorter(sorter);
-        let mut mu = MemoryUnit::new(cfg);
-        let len = 8 * 2 + 3 * 8 + 5 * 2 + 3;
-        let mut outs = Vec::new();
-        for t in 0..12 {
-            let raw: Vec<f32> =
-                (0..len).map(|i| ((t * 31 + i * 7) as f32 * 0.11).sin()).collect();
-            outs.push(mu.step(&InterfaceVector::parse(&raw, 8, 2)).flattened());
-        }
-        outs
-    };
-    let central = run(SorterKind::Centralized);
-    for tiles in [2usize, 4, 8] {
-        let two_stage = run(SorterKind::TwoStage { tiles });
-        for (a, b) in central.iter().zip(&two_stage) {
-            hima::tensor::assert_close(a, b, 1e-5);
-        }
     }
 }
 

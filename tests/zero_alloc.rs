@@ -7,7 +7,10 @@
 //! × datapath × masked/uniform × batch size. The allocating entry points
 //! (`step_batch`, `step_batch_masked`) are thin wrappers whose only
 //! allocation is the returned output block, which is pinned here too
-//! (exactly one allocation per step).
+//! (exactly one allocation per step). The lane splice is held to the same
+//! standard: `import_lane` and `reset_lane` copy into the lane's existing
+//! buffers (zero allocations), and `export_lane` allocates the snapshot it
+//! returns and nothing else.
 //!
 //! The gate is enforced with a counting global allocator (the
 //! `counting_alloc` module below). Rayon is pinned to one worker thread:
@@ -21,7 +24,8 @@ use hima::tensor::{LaneMask, Matrix, QFormat};
 use hima_dnc::Datapath;
 
 /// A global allocator that counts every allocation (alloc, zeroed alloc
-/// and realloc) **per thread** before delegating to the system allocator
+/// and realloc) and its requested bytes **per thread** before delegating
+/// to the system allocator
 /// — the tiny test-support "counting-alloc" harness.
 ///
 /// The counter is thread-local (const-initialized native TLS, so the
@@ -39,6 +43,7 @@ mod counting_alloc {
 
     thread_local! {
         static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+        static BYTES: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Number of heap allocations made by the calling thread.
@@ -46,23 +51,29 @@ mod counting_alloc {
         ALLOCATIONS.with(Cell::get)
     }
 
-    fn count() {
+    /// Bytes requested by the calling thread so far.
+    pub fn requested() -> u64 {
+        BYTES.with(Cell::get)
+    }
+
+    fn count(bytes: usize) {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|b| b.set(b.get() + bytes as u64));
     }
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            count();
+            count(layout.size());
             unsafe { System.alloc(layout) }
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            count();
+            count(layout.size());
             unsafe { System.alloc_zeroed(layout) }
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            count();
+            count(new_size);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
 
@@ -157,6 +168,26 @@ fn check_variant(spec: EngineSpec, label: &str, batch: usize) {
             let out = engine.step_batch(block);
             std::hint::black_box(&out);
         }
+    });
+
+    // The splice. An export allocates the snapshot it returns — the state
+    // memories (4 bytes an element) and one table entry per shard — and
+    // nothing else.
+    let before = counting_alloc::requested();
+    let state = engine.export_lane(0);
+    let requested = counting_alloc::requested() - before;
+    let allowed = 4 * state.state_elems() + 512 * spec.tiles();
+    assert!(
+        requested <= allowed as u64,
+        "{label} B={batch} export_lane: requested {requested} bytes for a {allowed}-byte snapshot"
+    );
+    // An import and a lane reset copy into the lane's own buffers, and
+    // the lane steps on from either without re-sizing anything.
+    assert_allocs(&format!("{label} B={batch} import_lane + reset_lane + step"), 0, || {
+        engine.import_lane(batch - 1, &state);
+        engine.step_batch_masked_into(&blocks[4], &full, &mut y);
+        engine.reset_lane(0);
+        engine.step_batch_masked_into(&blocks[5], &mask, &mut y);
     });
 }
 
