@@ -51,11 +51,8 @@ fn main() {
 
     header("Functional check: hardware sorters vs reference sort");
     let usage: Vec<f32> = (0..1024).map(|i| ((i * 193 + 71) % 1024) as f32 / 1024.0).collect();
-    let reference: Vec<usize> = {
-        let mut idx: Vec<usize> = (0..usage.len()).collect();
-        idx.sort_by(|&a, &b| usage[a].total_cmp(&usage[b]).then(a.cmp(&b)));
-        idx
-    };
+    let mut reference = Vec::new();
+    hima::sort::argsort_by_comparator(&usage, &mut reference);
     for nt in [2usize, 4, 16] {
         let got = TwoStageSorter::new(nt, 1024).argsort(&usage);
         assert_eq!(got, reference, "two-stage sort with {nt} tiles disagrees");

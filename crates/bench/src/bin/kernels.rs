@@ -44,6 +44,15 @@
 //! single-table byte loop that walk replaced (a copy kept in this file)
 //! against it — the row the ≥ 1.2× rule reads for the portable body.
 //!
+//! `usage_sort` rows are the memory unit's free-list argsort at one paper
+//! tile, the served shape and the paper's whole memory (`N = 64, 128,
+//! 1024`), on random keys and on tie-heavy ones (half the slots blank at
+//! `0.0`, the rest on seven levels — what a usage vector looks like):
+//! the `total_cmp`-through-an-index comparator
+//! (`hima::sort::argsort_by_comparator`, the replaced body) against
+//! `SortEngine::argsort_into`, which sorts `ordered_bits(key) << 32 |
+//! index` words as integers.
+//!
 //! `packed_weights` rows are the engine's shared-weight products — the
 //! interface projection, LSTM gates and output projection at the paper's
 //! and the served shapes (`shape` is `N×K`), at 1, 2, 3, 4, 8 and 32
@@ -54,18 +63,20 @@
 //! Flags:
 //!
 //! * `--json` — additionally write `BENCH_kernels.json`:
-//!   `{ bench: "kernels", schema_version: 6, params: {memory_size,
+//!   `{ bench: "kernels", schema_version: 7, params: {memory_size,
 //!   word_size, hidden_size}, scalar_variants: [{kernel, shape, batch,
 //!   active, reference, variant, reference_ns_per_call,
 //!   variant_ns_per_call, speedup}] }`
 //!   (`batch` is 0 for kernels without a batch axis; `active` counts
 //!   live rows of the left factor — active lanes, or read heads; `shape`
 //!   names the memory geometry of a read-phase row, the matrix of a
-//!   `matvec_row_dot` row or the `N×K` of a `packed_weights` row and is
-//!   empty otherwise),
+//!   `matvec_row_dot` row, the `N×K` of a `packed_weights` row or the
+//!   length and key distribution of a `usage_sort` row and is empty
+//!   otherwise),
 //! * `--smoke` — short measurement windows for CI.
 
 use hima::dnc::linkage::TemporalLinkage;
+use hima::sort::{argsort_by_comparator, CentralizedMergeSorter, SortEngine};
 use hima::tensor::{fused, vector, Backend, LaneMask, Matrix, PackedWeights, QFormat};
 use std::hint::black_box;
 use std::sync::OnceLock;
@@ -108,6 +119,12 @@ const HEAD_COUNTS: [usize; 3] = [1, 2, 4];
 const PACKED_SHAPES: [(usize, usize); 5] = [(471, 270), (1024, 526), (93, 78), (256, 110), (14, 96)];
 /// Active-lane counts of the `packed_weights` rows (every lane active).
 const PACKED_LANES: [usize; 6] = [1, 2, 3, 4, 8, 32];
+
+/// Key counts of the `usage_sort` rows: one paper tile, the served shape
+/// and the paper's whole memory.
+const SORT_SIZES: [usize; 3] = [64, 128, 1024];
+/// Distinct key vectors one `usage_sort` call cycles through.
+const SORT_SETS: usize = 16;
 
 /// Byte counts of the `crc32` rows: one delta-log record body and one
 /// snapshot body of the served shape.
@@ -372,6 +389,62 @@ fn main() {
         }
     }
 
+    // The usage sort: the comparator body against the packed-key one, on
+    // keys that are all distinct and on keys that are mostly ties. A call
+    // sorts `SORT_SETS` different key vectors in turn and a row reports
+    // the time per sort: one vector sorted over and over teaches the
+    // branch predictor its comparison outcomes, which a step's fresh
+    // usage vector never does.
+    let mut seed = 0x2545_f491_4f6c_dd1du64;
+    let mut next = || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed >> 40
+    };
+    for &n in &SORT_SIZES {
+        // The top 24 bits of an xorshift64 word: a uniform key in [0, 1).
+        let random: Vec<Vec<f32>> = (0..SORT_SETS)
+            .map(|_| (0..n).map(|_| next() as f32 / (1u64 << 24) as f32).collect())
+            .collect();
+        // Sixteen residues: eight are blank slots, eight are usage levels.
+        let tied: Vec<Vec<f32>> = (0..SORT_SETS)
+            .map(|_| (0..n).map(|_| next() % 16).map(|l| if l < 8 { l as f32 / 8.0 } else { 0.0 }).collect())
+            .collect();
+        for (sets, what) in [(&random, "random"), (&tied, "tied")] {
+            let (mut out_r, mut out_v) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            for keys in sets {
+                argsort_by_comparator(keys, &mut out_r);
+                CentralizedMergeSorter.argsort_into(keys, &mut out_v);
+                assert_eq!(out_r, out_v, "packed-key argsort must equal the comparator's permutation");
+            }
+            let (r, v) = best_of_paired(
+                reps,
+                measure,
+                || {
+                    for keys in sets {
+                        argsort_by_comparator(black_box(keys), &mut out_r);
+                    }
+                },
+                || {
+                    for keys in sets {
+                        CentralizedMergeSorter.argsort_into(black_box(keys), &mut out_v);
+                    }
+                },
+            );
+            report_variant(VariantRow {
+                kernel: "usage_sort",
+                shape: format!("N={n} {what}"),
+                batch: 0,
+                active: 0,
+                reference: "hima::sort::argsort_by_comparator (total_cmp through the index, replaced)",
+                variant: "SortEngine::argsort_into (ordered_bits(key) << 32 | index, sorted as integers)",
+                reference_ns: r / SORT_SETS as f64,
+                variant_ns: v / SORT_SETS as f64,
+            });
+        }
+    }
+
     // The LSTM gate projection, [X ; H] (B × 112) · weights (4H × 112)ᵀ:
     // the row kernel (`Matrix::matmul_nt_masked_into`) against the
     // transposing row-dot kernel at each active-lane count.
@@ -619,7 +692,7 @@ fn main() {
 
     if json {
         let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 6,\n");
+        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 7,\n");
         s.push_str(&format!(
             "  \"params\": {{\"memory_size\": {N}, \"word_size\": {W}, \"hidden_size\": {HIDDEN}}},\n"
         ));

@@ -622,15 +622,7 @@ impl GridEngine {
     /// disagrees with this engine (shard count, per-shard memory config,
     /// Q-format, read/hidden widths).
     pub fn import_lane(&mut self, lane: usize, state: &LaneState) {
-        assert_eq!(state.shards.len(), self.tiles(), "lane state shard count mismatch");
-        assert_eq!(state.read.len(), self.last_read.cols(), "read width mismatch");
-        assert_eq!(state.hidden.len(), self.params.hidden_size, "hidden width mismatch");
-        assert_eq!(state.lstm.hidden.len(), self.params.hidden_size, "hidden width mismatch");
-        for (dst, src) in self.lane_shards(lane).iter().zip(&state.shards) {
-            assert_eq!(src.datapath, dst.memory.datapath(), "lane state datapath mismatch");
-            assert_eq!(&src.config, dst.memory.config(), "memory config mismatch");
-            assert_eq!(src.read.len(), dst.read.len(), "read width mismatch");
-        }
+        self.assert_lane_fits(lane, state);
         for (dst, src) in self.lane_shards_mut(lane).iter_mut().zip(&state.shards) {
             dst.memory.load_state(&src.state);
             dst.read.copy_from_slice(&src.read);
@@ -640,6 +632,45 @@ impl GridEngine {
         lstm.cell.copy_from_slice(&state.lstm.cell);
         self.last_read.row_mut(lane).copy_from_slice(&state.read);
         self.last_hidden.row_mut(lane).copy_from_slice(&state.hidden);
+    }
+
+    /// Exchanges lane `lane`'s session state with `state`: afterwards the
+    /// lane holds the snapshot's session — exactly as after
+    /// [`GridEngine::import_lane`] — and `state` holds the session the lane
+    /// held — exactly what [`GridEngine::export_lane`] would have returned.
+    /// A serving grid's park-and-splice in one call, **zero-copy**: every
+    /// shard's state memories and read vector and the lane's LSTM state
+    /// trade buffer headers; only the two carried rows (`R·W + H` floats,
+    /// which live inside the engine's `B`-row blocks) are swapped element
+    /// by element. No heap allocation. As with an import, scratch, kernel
+    /// profile and profiling gate stay the lane's own.
+    ///
+    /// # Panics
+    ///
+    /// Panics, with `state` and the lane untouched, wherever
+    /// [`GridEngine::import_lane`] would.
+    pub fn swap_lane(&mut self, lane: usize, state: &mut LaneState) {
+        self.assert_lane_fits(lane, state);
+        for (dst, src) in self.lane_shards_mut(lane).iter_mut().zip(&mut state.shards) {
+            dst.memory.swap_state(&mut src.state);
+            std::mem::swap(&mut dst.read, &mut src.read);
+        }
+        std::mem::swap(&mut self.lstm_states[lane], &mut state.lstm);
+        self.last_read.row_mut(lane).swap_with_slice(&mut state.read);
+        self.last_hidden.row_mut(lane).swap_with_slice(&mut state.hidden);
+    }
+
+    /// The geometry and datapath checks of a splice into lane `lane`.
+    fn assert_lane_fits(&self, lane: usize, state: &LaneState) {
+        assert_eq!(state.shards.len(), self.tiles(), "lane state shard count mismatch");
+        assert_eq!(state.read.len(), self.last_read.cols(), "read width mismatch");
+        assert_eq!(state.hidden.len(), self.params.hidden_size, "hidden width mismatch");
+        assert_eq!(state.lstm.hidden.len(), self.params.hidden_size, "hidden width mismatch");
+        for (dst, src) in self.lane_shards(lane).iter().zip(&state.shards) {
+            assert_eq!(src.datapath, dst.memory.datapath(), "lane state datapath mismatch");
+            assert_eq!(&src.config, dst.memory.config(), "memory config mismatch");
+            assert_eq!(src.read.len(), dst.read.len(), "read width mismatch");
+        }
     }
 
     /// Resets a *single* lane (all its shards, recurrent state and
@@ -1273,6 +1304,144 @@ mod tests {
             engine.import_lane(to, &state);
             assert_eq!(engine.profile(), before, "lane {from} spliced over lane {to}");
         }
+    }
+
+    /// Two lanes of `spec` warmed for `steps` steps on input streams
+    /// `first_stream` and the one after it.
+    fn warmed(spec: crate::EngineSpec, first_stream: usize, steps: usize) -> BoxedEngine {
+        let mut engine = EngineBuilder::new(params()).with_spec(spec).lanes(2).seed(33).build();
+        let lanes = lane_inputs(first_stream + 2, steps, 5);
+        for t in 0..steps {
+            engine.step_batch(&step_block(&lanes[first_stream..], t));
+        }
+        engine
+    }
+
+    /// The exchange against the copying pair it stands in for, across the
+    /// codec's topology × datapath grid: the lane steps on, and the
+    /// session handed back encodes, bit for bit as after `export_lane` +
+    /// `import_lane` — for the session swapped in, the one swapped out,
+    /// and again once the parked one returns to another lane. Two swaps
+    /// with the same state are the identity.
+    #[test]
+    fn swap_lane_is_export_plus_import_bit_for_bit() {
+        for spec in crate::persist::tests::spec_grid() {
+            let incoming = warmed(spec, 2, 3).export_lane(1);
+            let mut swapped = warmed(spec, 0, 4);
+            let mut copied = swapped.clone();
+            let lanes = lane_inputs(2, 8, 5);
+
+            let mut parked = incoming.clone();
+            swapped.swap_lane(0, &mut parked);
+            let exported = copied.export_lane(0);
+            copied.import_lane(0, &incoming);
+            assert_eq!(parked.encode(), exported.encode(), "parked session, {spec:?}");
+            for t in 4..6 {
+                let block = step_block(&lanes, t);
+                assert_eq!(swapped.step_batch(&block), copied.step_batch(&block), "{spec:?} t={t}");
+            }
+
+            // The parked session comes back on the other lane; what it
+            // displaces is again what an export returns.
+            let displaced = copied.export_lane(1);
+            copied.import_lane(1, &exported);
+            swapped.swap_lane(1, &mut parked);
+            assert_eq!(parked.encode(), displaced.encode(), "displaced session, {spec:?}");
+            for t in 6..8 {
+                let block = step_block(&lanes, t);
+                assert_eq!(swapped.step_batch(&block), copied.step_batch(&block), "{spec:?} t={t}");
+                assert_eq!(swapped.last_read_rows(), copied.last_read_rows());
+            }
+
+            let (lane_before, state_before) = (swapped.export_lane(0).encode(), parked.encode());
+            swapped.swap_lane(0, &mut parked);
+            swapped.swap_lane(0, &mut parked);
+            assert_eq!(swapped.export_lane(0).encode(), lane_before, "two swaps, {spec:?}");
+            assert_eq!(parked.encode(), state_before, "two swaps, {spec:?}");
+        }
+    }
+
+    /// A swap is refused wherever an import is, in the same words, and a
+    /// refused swap has moved nothing.
+    #[test]
+    fn swap_lane_panics_where_import_lane_does_with_its_messages() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let build = |p: DncParams, tiles: usize, quantized: bool| {
+            let mut b = EngineBuilder::new(p).lanes(1).seed(1);
+            if tiles > 1 {
+                b = b.sharded(tiles);
+            }
+            if quantized {
+                b = b.quantized(QFormat::new(16, 16));
+            }
+            b.build()
+        };
+        let message = |r: std::thread::Result<()>| {
+            let payload = r.expect_err("a mismatched splice must panic");
+            payload.downcast_ref::<String>().cloned().expect("assert_eq! panics with a String")
+        };
+        let p = params();
+        for (source, target, want) in [
+            (build(p, 1, false), build(p, 4, false), "lane state shard count mismatch"),
+            (build(p, 1, false), build(p, 1, true), "lane state datapath mismatch"),
+            (
+                build(DncParams::new(32, 4, 2).with_hidden(24).with_io(5, 6), 1, false),
+                build(p, 1, false),
+                "memory config mismatch",
+            ),
+            (
+                build(DncParams::new(16, 6, 2).with_hidden(24).with_io(5, 6), 1, false),
+                build(p, 1, false),
+                "read width mismatch",
+            ),
+            (
+                build(DncParams::new(16, 4, 2).with_hidden(20).with_io(5, 6), 1, false),
+                build(p, 1, false),
+                "hidden width mismatch",
+            ),
+        ] {
+            let mut target = target;
+            let mut state = source.export_lane(0);
+            let (lane_before, state_before) = (target.export_lane(0).encode(), state.encode());
+            let imported = message(catch_unwind(AssertUnwindSafe(|| target.import_lane(0, &state))));
+            let swapped = message(catch_unwind(AssertUnwindSafe(|| target.swap_lane(0, &mut state))));
+            assert!(imported.contains(want), "{imported}");
+            assert_eq!(swapped, imported);
+            assert_eq!(target.export_lane(0).encode(), lane_before, "{want}: lane untouched");
+            assert_eq!(state.encode(), state_before, "{want}: state untouched");
+        }
+    }
+
+    /// The kernel profile and its gate belong to the lane: a swap with no
+    /// step in between leaves `engine.profile()` where it was, and the
+    /// totals only grow from there — the scheduler's profile sampler
+    /// subtracts consecutive readings.
+    #[test]
+    fn a_swap_leaves_the_profile_monotone_and_the_gate_alone() {
+        let lanes = lane_inputs(2, 12, 5);
+        let mut engine = mono(2, 5);
+        engine.set_profiling(true);
+        for t in 0..10 {
+            engine.step_batch_masked(&step_block(&lanes, t), &LaneMask::from(vec![true, false]));
+        }
+        let before = engine.profile();
+        // A warmed session onto the blank lane, a blank one onto the warmed.
+        let mut state = engine.export_lane(0);
+        engine.swap_lane(1, &mut state);
+        engine.swap_lane(0, &mut state);
+        assert_eq!(engine.profile(), before, "a swap moves no profile");
+        engine.step_batch(&step_block(&lanes, 10));
+        let after = engine.profile();
+        for k in KernelId::ALL {
+            assert!(after.nanos(k) >= before.nanos(k) && after.calls(k) >= before.calls(k), "{k:?}");
+        }
+        assert_eq!(after.calls(KernelId::MemoryRead), before.calls(KernelId::MemoryRead) + 2 * 2);
+
+        // A state from a profiling engine does not switch a quiet lane on.
+        let mut quiet = mono(2, 5);
+        quiet.swap_lane(0, &mut state);
+        quiet.step_batch(&step_block(&lanes, 11));
+        assert_eq!(quiet.profile(), KernelProfile::new());
     }
 
     /// A rehydrated session keeps the *engine's* profiling gate: whatever

@@ -177,7 +177,7 @@ impl StepScratch {
 
 /// The state memories of one memory unit — all a session carries from one
 /// step to the next: what a [`LaneState`](crate::LaneState) snapshots, the
-/// `HLSS` codec writes and a splice copies. The buffer shapes are fixed by
+/// `HLSS` codec writes and a splice copies or exchanges. The buffer shapes are fixed by
 /// the [`MemoryConfig`] they were sized from.
 #[derive(Debug, Clone)]
 pub(crate) struct UnitState {
@@ -374,6 +374,17 @@ impl MemoryUnit {
         for (dst, src) in self.state.buffers_mut().into_iter().zip(state.buffers()) {
             dst.copy_from_slice(src);
         }
+        self.norms.invalidate();
+    }
+
+    /// Exchanges the state memories with a snapshot's by buffer header — the
+    /// splice and the park in one, nothing copied or allocated: afterwards
+    /// this unit holds `state`'s memories and `state` holds what the unit
+    /// held. What stays the unit's own, and why the norm cache goes, is as
+    /// for [`MemoryUnit::load_state`]. The caller has checked that `state`
+    /// was sized from this unit's configuration.
+    pub(crate) fn swap_state(&mut self, state: &mut UnitState) {
+        std::mem::swap(&mut self.state, state);
         self.norms.invalidate();
     }
 

@@ -143,7 +143,10 @@ impl<'a> Cursor<'a> {
         if n > (self.remaining() / 4) as u64 {
             return Err(StateCodecError::BadLength(n));
         }
-        Ok((0..n as usize).map(|_| f32::from_bits(self.u32().unwrap())).collect())
+        // One bounds check and one exactly-sized allocation for the whole
+        // run, so the conversion is a copy loop the compiler vectorises.
+        let words = self.take(n as usize * 4)?.chunks_exact(4);
+        Ok(words.map(|w| f32::from_bits(u32::from_le_bytes(w.try_into().unwrap()))).collect())
     }
 
     /// Reads a `rows × cols` matrix of f32 bit patterns.
@@ -174,9 +177,12 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 }
 
 fn put_f32s(out: &mut Vec<u8>, v: &[f32]) {
-    out.reserve(v.len() * 4);
-    for &x in v {
-        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    // Sized once, then filled four bytes an element with no per-element
+    // capacity check: a copy loop the compiler vectorises.
+    let start = out.len();
+    out.resize(start + v.len() * 4, 0);
+    for (word, x) in out[start..].chunks_exact_mut(4).zip(v) {
+        word.copy_from_slice(&x.to_bits().to_le_bytes());
     }
 }
 
@@ -391,7 +397,7 @@ impl LaneState {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::{EngineBuilder, EngineSpec, Topology};
     use crate::DncParams;
@@ -401,7 +407,7 @@ mod tests {
         DncParams::new(16, 6, 2).with_hidden(12).with_io(5, 5)
     }
 
-    fn spec_grid() -> Vec<EngineSpec> {
+    pub(crate) fn spec_grid() -> Vec<EngineSpec> {
         let mut specs = vec![EngineSpec::monolithic()];
         let mut sharded = EngineSpec::monolithic();
         sharded.topology = Topology::Sharded { tiles: 4 };

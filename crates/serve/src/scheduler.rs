@@ -8,14 +8,15 @@
 //!
 //! * sessions **join** a lane when they have queued steps (fresh lanes
 //!   are recycled with `reset_lane`, swapped-in sessions re-attached with
-//!   `import_lane`),
+//!   `swap_lane`),
 //! * sessions with no work are **frozen** in place by the
 //!   [`LaneMask`] — a parked resident costs (almost) nothing and its
 //!   state stays bit-identical while co-tenants advance,
 //! * when the grid is full, the least-recently-active idle resident is
-//!   **swapped out** through `export_lane` to a detached
-//!   [`LaneState`](hima_dnc::LaneState) and its lane slot returns to the
-//!   free list.
+//!   **swapped out** to a detached [`LaneState`](hima_dnc::LaneState) — by
+//!   the same `swap_lane` that seats a session carrying one (the two
+//!   trade buffers; nothing is copied), by `export_lane` when the joining
+//!   session is blank.
 //!
 //! Because weights are a function of the seed alone and masked stepping
 //! of an active lane is bit-identical to stepping that lane solo (the
@@ -259,7 +260,7 @@ struct Group {
     /// from). Their next command answers `GroupFailed` exactly once.
     failed: HashSet<u64>,
     /// A blank lane's state, for non-panicking geometry checks against
-    /// decoded snapshots before `import_lane` (which asserts), and as
+    /// decoded snapshots before the splice (which asserts), and as
     /// the canonical state of a blank session being evicted.
     template: Option<LaneState>,
 }
@@ -279,37 +280,7 @@ pub(crate) fn run_group(
     store: Option<GroupStore>,
     resume: bool,
 ) {
-    let lanes = cfg.grid_lanes.max(1);
-    let metrics = Arc::clone(&shared.metrics);
-    let profiling = metrics.engine_profiling();
-    let spec_key = spec.group_key();
-    let engine = EngineBuilder::new(spec.params)
-        .with_spec(spec.spec)
-        .lanes(lanes)
-        .seed(spec.seed)
-        .profiling(profiling)
-        .build();
-    let read_width = spec.params.read_heads * spec.params.word_size;
-    let template = store.as_ref().map(|_| engine.export_lane(0));
-    let mut group = Group {
-        cfg,
-        engine,
-        lanes: vec![None; lanes],
-        free: (0..lanes).rev().collect(),
-        sessions: HashMap::new(),
-        shared,
-        x: Matrix::zeros(lanes, spec.params.input_size),
-        y: Matrix::zeros(lanes, spec.params.output_size),
-        read_width,
-        metrics,
-        profile_base: profiling.then(KernelProfile::new),
-        ticks_since_sample: 0,
-        store,
-        spec_key,
-        spilled: HashSet::new(),
-        failed: HashSet::new(),
-        template,
-    };
+    let mut group = Group::new(cfg, &spec, shared, store);
     if resume {
         group.resurrect();
     }
@@ -355,6 +326,40 @@ pub(crate) fn run_group(
 }
 
 impl Group {
+    /// An empty group over a freshly built `grid_lanes`-lane engine of
+    /// `spec`.
+    fn new(cfg: ServeConfig, spec: &SessionSpec, shared: GroupShared, store: Option<GroupStore>) -> Self {
+        let lanes = cfg.grid_lanes.max(1);
+        let metrics = Arc::clone(&shared.metrics);
+        let profiling = metrics.engine_profiling();
+        let engine = EngineBuilder::new(spec.params)
+            .with_spec(spec.spec)
+            .lanes(lanes)
+            .seed(spec.seed)
+            .profiling(profiling)
+            .build();
+        let template = store.as_ref().map(|_| engine.export_lane(0));
+        Group {
+            cfg,
+            engine,
+            lanes: vec![None; lanes],
+            free: (0..lanes).rev().collect(),
+            sessions: HashMap::new(),
+            shared,
+            x: Matrix::zeros(lanes, spec.params.input_size),
+            y: Matrix::zeros(lanes, spec.params.output_size),
+            read_width: spec.params.read_heads * spec.params.word_size,
+            metrics,
+            profile_base: profiling.then(KernelProfile::new),
+            ticks_since_sample: 0,
+            store,
+            spec_key: spec.group_key(),
+            spilled: HashSet::new(),
+            failed: HashSet::new(),
+            template,
+        }
+    }
+
     /// A fresh blank session record (open, or reset-from-spilled).
     fn blank_sess(&self, session: u64) -> Sess {
         Sess {
@@ -637,27 +642,55 @@ impl Group {
         }
     }
 
-    /// Grants a lane slot: from the free list, else by swapping out the
-    /// least-recently-active idle resident. `None` if every resident is
-    /// mid-request this tick (the requester stays queued and retries next
-    /// tick — by then at least one resident has drained or parked).
-    fn alloc_lane(&mut self) -> Option<usize> {
-        if let Some(lane) = self.free.pop() {
-            return Some(lane);
+    /// Seats non-resident session `id` on a lane: one from the free list,
+    /// else the lane of the least-recently-active idle resident, which is
+    /// parked. `None` if every resident is mid-request this tick (the
+    /// requester stays queued and retries next tick — by then at least one
+    /// resident has drained or parked).
+    ///
+    /// A session that carries a detached state takes the lane by
+    /// **exchange** (`swap_lane`): park and splice are one trade of buffer
+    /// headers, no state byte copied, nothing allocated. Only a blank
+    /// session's victim is copied out (`export_lane`) — there is nothing
+    /// to trade it for — before the lane is recycled with `reset_lane`.
+    fn seat(&mut self, id: u64) -> Option<usize> {
+        let (lane, victim) = match self.free.pop() {
+            Some(lane) => (lane, None),
+            None => {
+                let victim = self
+                    .lanes
+                    .iter()
+                    .filter_map(|&slot| slot)
+                    .filter(|id| self.sessions[id].idle())
+                    .min_by_key(|id| self.sessions[id].last_activity)?;
+                (self.sessions.get_mut(&victim).unwrap().lane.take().unwrap(), Some(victim))
+            }
+        };
+        let sess = self.sessions.get_mut(&id).unwrap();
+        sess.lane = Some(lane);
+        self.lanes[lane] = Some(id);
+        // After the exchange `detached` holds whatever the lane held: the
+        // victim's session, or a free lane's leftovers (dropped below).
+        let mut detached = sess.parked.take();
+        let splice = detached.is_some();
+        if let Some(state) = &mut detached {
+            self.engine.swap_lane(lane, state);
         }
-        let victim = self
-            .lanes
-            .iter()
-            .filter_map(|&slot| slot)
-            .filter(|id| self.sessions[id].idle())
-            .min_by_key(|id| self.sessions[id].last_activity)?;
-        let sess = self.sessions.get_mut(&victim).unwrap();
-        let lane = sess.lane.take().unwrap();
-        sess.parked = Some(self.engine.export_lane(lane));
-        self.lanes[lane] = None;
-        self.metrics.parks.inc();
-        self.shared.park_add(1);
-        self.metrics.trace(TraceKind::Park, victim, lane as u64);
+        if let Some(victim) = victim {
+            let state = detached.unwrap_or_else(|| self.engine.export_lane(lane));
+            self.sessions.get_mut(&victim).unwrap().parked = Some(state);
+            self.metrics.parks.inc();
+            self.shared.park_add(1);
+            self.metrics.trace(TraceKind::Park, victim, lane as u64);
+        }
+        if splice {
+            self.metrics.splices.inc();
+            self.shared.park_sub(1);
+            self.metrics.trace(TraceKind::Splice, id, lane as u64);
+        } else {
+            self.engine.reset_lane(lane);
+            self.metrics.lane_resets.inc();
+        }
         Some(lane)
     }
 
@@ -735,25 +768,8 @@ impl Group {
         for id in pending {
             let lane = match self.sessions[&id].lane {
                 Some(lane) => lane,
-                None => match self.alloc_lane() {
-                    Some(lane) => {
-                        let sess = self.sessions.get_mut(&id).unwrap();
-                        sess.lane = Some(lane);
-                        self.lanes[lane] = Some(id);
-                        match sess.parked.take() {
-                            Some(state) => {
-                                self.engine.import_lane(lane, &state);
-                                self.metrics.splices.inc();
-                                self.shared.park_sub(1);
-                                self.metrics.trace(TraceKind::Splice, id, lane as u64);
-                            }
-                            None => {
-                                self.engine.reset_lane(lane);
-                                self.metrics.lane_resets.inc();
-                            }
-                        }
-                        lane
-                    }
+                None => match self.seat(id) {
+                    Some(lane) => lane,
                     // Grid saturated by mid-request residents: wait a
                     // tick.
                     None => continue,
@@ -1138,6 +1154,142 @@ impl Group {
             self.metrics.sessions_live.sub(1);
             self.metrics.drop_session_histogram(id);
             self.metrics.trace(TraceKind::Reap, id, 0);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::RawSessionSpec;
+    use std::sync::mpsc::channel;
+
+    /// Counts the calling thread's heap allocations (the `zero_alloc`
+    /// pattern: const-initialized native TLS, so counting never allocates
+    /// and parallel test threads do not see each other).
+    mod counting_alloc {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        pub struct CountingAlloc;
+
+        thread_local! {
+            static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+        }
+
+        pub fn allocations() -> u64 {
+            ALLOCATIONS.with(Cell::get)
+        }
+
+        fn count() {
+            ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        }
+
+        unsafe impl GlobalAlloc for CountingAlloc {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                count();
+                // SAFETY: forwarded with the caller's layout.
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                count();
+                // SAFETY: forwarded with the caller's layout.
+                unsafe { System.alloc_zeroed(layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                count();
+                // SAFETY: forwarded with the caller's pointer and layout.
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: forwarded with the caller's pointer and layout.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTER: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
+
+    fn group(grid_lanes: usize) -> Group {
+        let cfg = ServeConfig { grid_lanes, idle_timeout: None, ..ServeConfig::default() };
+        let shared = GroupShared {
+            index: Arc::default(),
+            metrics: Arc::new(ServeMetrics::new()),
+            global_queued: Arc::default(),
+            roster: Arc::default(),
+            queued: Arc::default(),
+            parked: Arc::default(),
+        };
+        Group::new(cfg, &RawSessionSpec::demo().validate().unwrap(), shared, None)
+    }
+
+    /// Queues one step for `session` and ticks until it is answered.
+    fn step(group: &mut Group, session: u64, t: usize) -> Vec<f32> {
+        let input = crate::loadgen::synth_input(session as usize, t, group.engine.params().input_size);
+        let (reply, answered) = channel();
+        group.handle(GroupCmd::Step { session, inputs: vec![input], deadline: None, reply });
+        group.step_tick();
+        match answered.try_recv().expect("one tick serves an idle grid's only request") {
+            Response::Stepped { mut outputs } => outputs.pop().unwrap(),
+            other => panic!("step answered {other:?}"),
+        }
+    }
+
+    /// A churned tick's lane miss — park the victim, splice the incoming
+    /// session — is one exchange: no heap allocation, the least-recently
+    /// -active idle resident parked, Park traced before Splice, the
+    /// counters and the gauge as the copying pair left them, and the
+    /// sessions bit-equal to solo replay afterwards.
+    #[test]
+    fn a_lane_miss_is_one_exchange_with_no_allocation() {
+        let mut group = group(2);
+        for session in 0..4u64 {
+            let (reply, _opened) = channel();
+            group.handle(GroupCmd::Open { session, reply });
+        }
+        // Round-robin over four sessions on two lanes: from the third on,
+        // every step misses. Sessions 0 and 1 come back with state.
+        let mut got: Vec<Vec<Vec<f32>>> = vec![Vec::new(); 4];
+        for t in 0..2 {
+            for session in 0..4u64 {
+                got[session as usize].push(step(&mut group, session, t));
+            }
+        }
+        let metrics = Arc::clone(&group.metrics);
+        let count = |name: &str| metrics.snapshot().counter(name).unwrap_or(0);
+        assert_eq!((count("serve.scheduler.parks"), count("serve.scheduler.splices")), (6, 4));
+        assert_eq!(group.shared.parked.load(Ordering::Relaxed), 2);
+
+        // Sessions 2 and 3 hold the lanes, 2 the longer idle: seating 0
+        // parks it.
+        let lane = group.sessions[&2].lane.unwrap();
+        let before = counting_alloc::allocations();
+        let seated = group.seat(0);
+        let allocated = counting_alloc::allocations() - before;
+        assert_eq!(seated, Some(lane));
+        assert_eq!(allocated, 0, "park + splice allocated");
+        assert_eq!((count("serve.scheduler.parks"), count("serve.scheduler.splices")), (7, 5));
+        assert_eq!(group.shared.parked.load(Ordering::Relaxed), 2);
+        assert!(group.sessions[&2].parked.is_some() && group.sessions[&2].lane.is_none());
+        assert!(group.sessions[&0].parked.is_none());
+        let kinds: Vec<_> = metrics.trace_dump().iter().rev().take(2).map(|e| (e.kind, e.session)).collect();
+        assert_eq!(kinds, [(TraceKind::Splice, 0), (TraceKind::Park, 2)]);
+
+        for session in [0u64, 2, 1, 3] {
+            got[session as usize].push(step(&mut group, session, 2));
+        }
+        let spec = RawSessionSpec::demo().validate().unwrap();
+        for (session, got) in got.iter().enumerate() {
+            let mut solo =
+                EngineBuilder::new(spec.params).with_spec(spec.spec).seed(spec.seed).build();
+            for (t, row) in got.iter().enumerate() {
+                let input = crate::loadgen::synth_input(session, t, spec.params.input_size);
+                assert_eq!(row, &solo.step(&input), "session {session} step {t}");
+            }
         }
     }
 }

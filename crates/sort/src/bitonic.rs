@@ -29,9 +29,9 @@ impl Direction {
 
 /// A fully combinational bitonic sorting network for power-of-two widths.
 ///
-/// Widths that are not powers of two are handled by padding with `+∞` keys
-/// that are stripped from the output, which matches how a hardware network
-/// with tied-off lanes behaves.
+/// Widths that are not powers of two are handled by padding with keys above
+/// every input, stripped from the output, which matches how a hardware
+/// network with tied-off lanes behaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BitonicNetwork {
     width: usize,
@@ -79,9 +79,9 @@ impl BitonicNetwork {
         assert_eq!(input.len(), self.width, "input width mismatch");
         let n = self.padded_width();
         let mut data: Vec<Keyed> = input.to_vec();
-        // Pad with +inf sentinels; they sink to the tail (ascending) or the
-        // head (descending) and are stripped afterwards.
-        data.resize(n, (f32::INFINITY, usize::MAX));
+        // Pad with top-of-order sentinels; they sink to the tail (ascending)
+        // or the head (descending) and are stripped afterwards.
+        data.resize(n, crate::PAD);
         let mut ops = 0u64;
 
         // Standard iterative bitonic sort.

@@ -51,6 +51,11 @@ pub use two_stage::TwoStageSorter;
 /// the sorted values).
 pub type Keyed = (f32, usize);
 
+/// What the hardware models tie an unused lane off with: the greatest pair
+/// of the keyed order (the top NaN of `total_cmp`, the top index), so
+/// padding sinks below every real element — `+∞` would sink above a NaN.
+pub(crate) const PAD: Keyed = (f32::from_bits(0x7fff_ffff), usize::MAX);
+
 /// Common interface of all hardware sorter models.
 ///
 /// Implementations sort ascending by key with ties broken by original index,
@@ -76,17 +81,56 @@ pub trait SortEngine {
     ///
     /// Every `SortEngine` sorts ascending by key with ties broken by
     /// original index, a *strict* total order with exactly one sorted
-    /// permutation — so this default, which sorts the index buffer
-    /// in place (no hardware dataflow modeled), returns bit-for-bit the
-    /// permutation [`SortEngine::argsort`] produces through
-    /// [`SortEngine::sort_pairs`]. `out` is cleared and refilled; after
-    /// its capacity first reaches `keys.len()` the call performs no heap
-    /// allocation (`sort_unstable_by` is in-place).
+    /// permutation — so this default, which models no hardware dataflow,
+    /// returns bit-for-bit the permutation [`SortEngine::argsort`]
+    /// produces through [`SortEngine::sort_pairs`]. It sorts **integers**:
+    /// each key is packed with its index into one word, `ordered_bits(key)
+    /// << 32 | index`, whose unsigned order *is* the keyed order
+    /// (`total_cmp`, so `-0.0 < +0.0` and NaNs sort by sign and payload;
+    /// then the index). Every packed word is distinct, so any correct sort
+    /// of them yields the pinned permutation, and the comparison is one
+    /// integer compare with no indirection — [`argsort_by_comparator`] is
+    /// the definition it is held to. The words live in `out` itself, which
+    /// is cleared and refilled; after its capacity first reaches
+    /// `keys.len()` the call performs no heap allocation (`sort_unstable`
+    /// is in-place).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` holds more than `u32::MAX` elements.
     fn argsort_into(&self, keys: &[f32], out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(0..keys.len());
-        out.sort_unstable_by(|&i, &j| keys[i].total_cmp(&keys[j]).then(i.cmp(&j)));
+        #[cfg(target_pointer_width = "64")]
+        {
+            assert!(keys.len() <= u32::MAX as usize, "argsort index must fit 32 bits");
+            out.clear();
+            out.extend(keys.iter().zip(0usize..).map(|(k, i)| (ordered_bits(*k) as usize) << 32 | i));
+            out.sort_unstable();
+            out.iter_mut().for_each(|word| *word &= u32::MAX as usize);
+        }
+        // A narrower `usize` cannot hold a packed word.
+        #[cfg(not(target_pointer_width = "64"))]
+        argsort_by_comparator(keys, out);
     }
+}
+
+/// The bits of `key` as an unsigned integer whose order is
+/// [`f32::total_cmp`]'s: a set sign bit flips every bit (more negative
+/// sorts lower), a clear one sets it (every positive above every
+/// negative).
+pub fn ordered_bits(key: f32) -> u32 {
+    let bits = key.to_bits();
+    bits ^ (((bits as i32 >> 31) as u32) | 0x8000_0000)
+}
+
+/// The argsort as defined — the index buffer sorted in place by
+/// `total_cmp` on the keys, ties by index: the body
+/// [`SortEngine::argsort_into`] ran before it packed its keys, kept as the
+/// reference its tests and the `usage_sort` rows of the `kernels` bench
+/// hold it to.
+pub fn argsort_by_comparator(keys: &[f32], out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(0..keys.len());
+    out.sort_unstable_by(|&i, &j| keys[i].total_cmp(&keys[j]).then(i.cmp(&j)));
 }
 
 /// Total-order comparison for keyed pairs (ascending key, then index).
@@ -120,23 +164,66 @@ mod tests {
 
     #[test]
     fn argsort_into_matches_argsort_for_every_engine() {
-        // The total order is strict (index tiebreak), so the in-place
+        // The total order is strict (index tiebreak), so the packed-key
         // fast path must reproduce the hardware-modeled permutation
-        // exactly — ties, duplicates and all.
-        let keys: Vec<f32> = (0..97).map(|i| ((i * 37) % 13) as f32 / 13.0).collect();
-        let engines: [&dyn SortEngine; 2] =
-            [&CentralizedMergeSorter, &TwoStageSorter::new(4, keys.len())];
-        for engine in engines {
-            let mut out = Vec::new();
-            engine.argsort_into(&keys, &mut out);
-            assert_eq!(out, engine.argsort(&keys), "{}", engine.name());
-            // Reuse clears and refills.
-            let shifted: Vec<f32> = keys.iter().map(|k| 1.0 - k).collect();
-            engine.argsort_into(&shifted, &mut out);
-            assert_eq!(out, engine.argsort(&shifted), "{}", engine.name());
+        // exactly — ties, duplicates, signed zeros, infinities and NaNs
+        // (which `total_cmp` orders by sign and payload) and all.
+        let specials = [
+            0.0f32,
+            -0.0,
+            -1.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fff_ffff),
+            f32::MIN_POSITIVE,
+            -2.5e-41,
+        ];
+        for n in [0usize, 1, 63, 64, 65, 97, 1024] {
+            let duplicated: Vec<f32> = (0..n).map(|i| ((i * 37) % 13) as f32 / 13.0).collect();
+            let mixed: Vec<f32> = (0..n)
+                .map(|i| match i % 3 {
+                    0 => specials[(i / 3) % specials.len()],
+                    _ => ((i * 193 + 71) % 509) as f32 / 254.0 - 1.0,
+                })
+                .collect();
+            let check = |engine: &dyn SortEngine| {
+                // Reuse clears and refills.
+                let mut out = vec![7usize];
+                for keys in [&duplicated, &mixed] {
+                    engine.argsort_into(keys, &mut out);
+                    assert_eq!(out, engine.argsort(keys), "{} n={n}", engine.name());
+                }
+            };
+            check(&CentralizedMergeSorter);
+            // A two-stage sorter is sized for its (non-empty) input.
+            if n > 0 {
+                check(&TwoStageSorter::new(4.min(n), n));
+            }
         }
-        let mut empty = vec![7usize];
-        CentralizedMergeSorter.argsort_into(&[], &mut empty);
-        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn ordered_bits_order_is_total_cmp() {
+        let keys = [
+            -f32::NAN,
+            f32::NEG_INFINITY,
+            -1.0,
+            -2.5e-41,
+            -0.0,
+            0.0,
+            2.5e-41,
+            1.0,
+            f32::INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7fff_ffff),
+        ];
+        for a in keys {
+            for b in keys {
+                assert_eq!(ordered_bits(a).cmp(&ordered_bits(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
+        assert_eq!(ordered_bits(PAD.0), u32::MAX, "padding is the top of the order");
     }
 }

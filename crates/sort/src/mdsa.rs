@@ -87,11 +87,11 @@ impl MdsaSorter {
         }
         let dpbs = self.dpbs();
 
-        // Load into the register file, padding with +inf sentinels.
+        // Load into the register file, padding with top-of-order sentinels.
         let mut grid: Vec<Vec<Keyed>> = (0..p)
             .map(|r| {
                 (0..p)
-                    .map(|c| *input.get(r * p + c).unwrap_or(&(f32::INFINITY, usize::MAX)))
+                    .map(|c| *input.get(r * p + c).unwrap_or(&crate::PAD))
                     .collect()
             })
             .collect();

@@ -2,8 +2,8 @@
 //! independently written reference sort on arbitrary inputs.
 
 use hima_sort::{
-    BitonicNetwork, CentralizedMergeSorter, Keyed, MdsaSorter, ParallelMergeSorter, SortEngine,
-    TwoStageSorter,
+    argsort_by_comparator, BitonicNetwork, CentralizedMergeSorter, Keyed, MdsaSorter,
+    ParallelMergeSorter, SortEngine, TwoStageSorter,
 };
 use proptest::prelude::*;
 
@@ -19,6 +19,24 @@ fn keyed_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Keyed>> {
 }
 
 proptest! {
+    // The packed-key argsort against the comparator it replaced: random
+    // keys of either sign, then keys drawn from a handful of levels (a
+    // usage vector is mostly ties: blank slots, saturated slots).
+    #[test]
+    fn argsort_into_matches_the_comparator_reference(
+        random in prop::collection::vec(-1000.0f32..1000.0, 0..300),
+        levels in prop::collection::vec(0usize..8, 0..300),
+    ) {
+        const LEVELS: [f32; 8] = [0.0, -0.0, 0.25, 0.5, 1.0, -1.0, f32::INFINITY, f32::NAN];
+        let tied: Vec<f32> = levels.into_iter().map(|l| LEVELS[l]).collect();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for keys in [random, tied] {
+            CentralizedMergeSorter.argsort_into(&keys, &mut got);
+            argsort_by_comparator(&keys, &mut want);
+            prop_assert_eq!(&got, &want);
+        }
+    }
+
     #[test]
     fn centralized_merge_matches_reference(input in keyed_vec(0..200)) {
         prop_assert_eq!(CentralizedMergeSorter.sort_pairs(&input), reference_sort(&input));

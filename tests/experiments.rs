@@ -52,19 +52,19 @@ fn fig4_memory_unit_dominates_controller() {
 #[test]
 fn fig4_history_write_weighting_is_the_largest_memory_category() {
     // On the GPU the paper attributes 72% to history-based write weighting
-    // (sort-bound). Our software reference must at least rank the history
-    // categories above content weighting.
-    let params = DncParams::new(512, 32, 4).with_hidden(64).with_io(16, 16);
-    let mut dnc = Dnc::new(params, 9);
-    for t in 0..20 {
-        let x: Vec<f32> = (0..16).map(|i| ((t * 3 + i) as f32 * 0.23).cos()).collect();
-        dnc.step(&x);
-    }
-    let p = dnc.profile();
-    let hw = p.category_nanos(hima::dnc::KernelCategory::HistoryWriteWeighting);
-    let hr = p.category_nanos(hima::dnc::KernelCategory::HistoryReadWeighting);
-    let cw = p.category_nanos(hima::dnc::KernelCategory::ContentWeighting);
-    assert!(hw + hr > cw, "history kernels must outweigh content weighting");
+    // (sort-bound); the reference must at least rank the history
+    // categories above content weighting. Read, as above, from the cycle
+    // model of the centralized one-tile baseline: this test used to rank
+    // `Dnc::profile()` nanoseconds, and history-based write weighting is
+    // the category whose wall clock the packed-key usage sort shrinks — a
+    // ranking of this host's kernel times follows the repository's
+    // optimisations, the modeled one follows the platform.
+    use hima::dnc::KernelCategory::{ContentWeighting, HistoryReadWeighting, HistoryWriteWeighting};
+    let report = Engine::new(EngineConfig::baseline(1)).step_report();
+    let [hw, hr, cw] =
+        [HistoryWriteWeighting, HistoryReadWeighting, ContentWeighting].map(|c| report.category_cycles(c));
+    assert!(cw > 0, "the model must cost content weighting at all");
+    assert!(hw + hr > cw, "history kernels must outweigh content weighting: {hw} + {hr} vs {cw}");
 }
 
 // ---------------------------------------------------------------------

@@ -111,6 +111,50 @@ fn grid_sessions_match_solo_replay_bit_exactly() {
     }
 }
 
+/// Worst-case churn: four times as many sessions as lanes, stepped
+/// round-robin by one client, so after the first round **every** step
+/// misses the grid and the least-recently-active resident — always the
+/// session stepped `lanes` steps ago — trades places with the one coming
+/// back. Every output is bit-equal to solo replay, and the ledger closes:
+/// the sessions are drained so that each one is resident when it closes
+/// (the last `lanes` at once, the rest after one more step onto a freed
+/// lane), which makes every park a later splice — `parks == splices`,
+/// both the exact count the schedule implies.
+#[test]
+fn round_robin_churn_matches_solo_replay_with_every_park_spliced() {
+    let p = params();
+    let (lanes, sessions, rounds) = (2usize, 8usize, 5usize);
+    for (label, spec) in spec_grid() {
+        let server = Server::bind("127.0.0.1:0", serve_cfg(lanes)).expect("bind");
+        let mut client = Client::connect(server.addr()).unwrap();
+        let raw = RawSessionSpec::from_parts(&p, &spec, 42);
+        let ids: Vec<u64> = (0..sessions).map(|_| client.open(&raw).unwrap()).collect();
+        let want: Vec<_> = (0..sessions).map(|i| solo_outputs(&spec, i, rounds + 1)).collect();
+        let step = |client: &mut Client, i: usize, t: usize| {
+            let y = client.step(ids[i], &synth_input(i, t, p.input_size)).unwrap();
+            assert_eq!(y, want[i][t], "{label}: session {i} step {t} diverged from solo replay");
+        };
+        for t in 0..rounds {
+            (0..sessions).for_each(|i| step(&mut client, i, t));
+        }
+        let snapshot = server.hub().metrics().snapshot();
+        let parked = sessions - lanes;
+        assert_eq!(snapshot.gauge("serve.sessions.parked"), Some(parked as i64), "{label}");
+        for &id in &ids[parked..] {
+            client.close_session(id).unwrap();
+        }
+        for (i, &id) in ids[..parked].iter().enumerate() {
+            step(&mut client, i, rounds);
+            client.close_session(id).unwrap();
+        }
+        let snapshot = server.hub().metrics().snapshot();
+        let churned = (parked + (rounds - 1) * sessions) as u64;
+        assert_eq!(snapshot.counter("serve.scheduler.parks"), Some(churned), "{label}");
+        assert_eq!(snapshot.counter("serve.scheduler.splices"), Some(churned), "{label}");
+        assert_eq!(snapshot.gauge("serve.sessions.parked"), Some(0), "{label}");
+    }
+}
+
 /// Reset through the server equals a fresh solo engine: the session's
 /// post-reset stream replays the solo outputs from scratch.
 #[test]

@@ -9,8 +9,11 @@
 //! allocation is the returned output block, which is pinned here too
 //! (exactly one allocation per step). The lane splice is held to the same
 //! standard: `import_lane` and `reset_lane` copy into the lane's existing
-//! buffers (zero allocations), and `export_lane` allocates the snapshot it
-//! returns and nothing else.
+//! buffers (zero allocations), `export_lane` allocates the snapshot it
+//! returns and nothing else, and `swap_lane` — the served grid's park and
+//! splice in one — trades buffers with a detached state without
+//! allocating at all (the scheduler's own lane miss is held to zero by a
+//! unit test beside it, `crates/serve/src/scheduler.rs`).
 //!
 //! The gate is enforced with a counting global allocator (the
 //! `counting_alloc` module below). Rayon is pinned to one worker thread:
@@ -188,6 +191,16 @@ fn check_variant(spec: EngineSpec, label: &str, batch: usize) {
         engine.step_batch_masked_into(&blocks[4], &full, &mut y);
         engine.reset_lane(0);
         engine.step_batch_masked_into(&blocks[5], &mask, &mut y);
+    });
+    // The exchange parks one session and splices another by trading
+    // buffers: nothing to allocate in either direction, and the lane
+    // steps on with the buffers it was handed.
+    let mut state = state;
+    assert_allocs(&format!("{label} B={batch} swap_lane + step"), 0, || {
+        engine.swap_lane(0, &mut state);
+        engine.step_batch_masked_into(&blocks[4], &mask, &mut y);
+        engine.swap_lane(batch - 1, &mut state);
+        engine.step_batch_masked_into(&blocks[5], &full, &mut y);
     });
 }
 
