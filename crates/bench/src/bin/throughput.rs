@@ -53,31 +53,7 @@
 //! (0 heap allocations per steady-state step) is enforced by the
 //! `zero_alloc` test target, not by a wall-clock gate here.
 //!
-//! A seventh section covers the **session server**: `hima-serve`'s
-//! continuous-batching grid under synthetic open-loop load on a
-//! loopback TCP socket. For each arrival pattern (a uniform trickle and
-//! clustered bursts — the worst case for lane churn) the load generator
-//! opens more concurrent sessions than the grid has lanes, drives each
-//! through single-step requests, and reports completed sessions/sec,
-//! served steps/sec, and p50/p90/p99/max per-step request latency plus
-//! the failed-session count (queueing included — arrivals are
-//! wall-clock-scheduled, not closed-loop). The correctness side of the
-//! serving story (grid sessions bit-identical to solo replay) is the
-//! `serve_conformance` suite's business. The hub's full
-//! [`ServeMetrics`] snapshot after both load runs is embedded in the
-//! JSON as the `metrics` section.
-//!
-//! An eighth section prices that telemetry: a **fixed-work paired**
-//! measurement (same shape as the `output_alloc` pair) where both sides
-//! step the same-geometry engine the same number of grid ticks and the
-//! instrumented side additionally performs the serve scheduler's full
-//! per-tick recording — timestamps, tick/step counters, tick-duration /
-//! batch-size / occupancy histogram observations, lane gauges, and a
-//! per-lane step-latency observation. 100% occupancy makes it the
-//! worst case (recording cost is per tick + per active lane); the
-//! `overhead_pct` it reports backs the <2% hot-path claim.
-//!
-//! JSON schema (`schema_version` 7): `{ bench, schema_version,
+//! JSON schema (`schema_version` 8): `{ bench, schema_version,
 //! machine_threads, smoke, params: {memory_size,
 //! word_size, read_heads, hidden_size}, batched: [{batch,
 //! seq_steps_per_sec, batched_1t, batched_nt}], sweep: [{engine,
@@ -88,20 +64,12 @@
 //! seq_lane_steps_per_sec, masked_lane_steps_per_sec, speedup}],
 //! output_alloc: [{batch, alloc_steps_per_sec, workspace_steps_per_sec,
 //! overhead_pct}] (the section named `workspace` in schema 3, renamed
-//! because both sides share the workspace stepping kernel),
-//! serve: [{pattern, sessions, steps_per_session, completed, failed,
-//! grid_lanes, sessions_per_sec, steps_per_sec, p50_step_us,
-//! p90_step_us, p99_step_us, max_step_us}],
-//! metrics: {counters, gauges, histograms} (the hub's `ServeMetrics`
-//! snapshot after the load runs, histograms summarized as
-//! count/sum/mean/p50/p90/p99/max plus sparse `[bucket, count]` pairs),
-//! telemetry_overhead: {batch, steps, bare_lane_steps_per_sec,
-//! instrumented_lane_steps_per_sec, overhead_pct} }`.
+//! because both sides share the workspace stepping kernel) }`. Served
+//! latency and telemetry overhead are `e2e_bench`'s to measure, not this
+//! binary's.
 
 use hima::pipeline::{run_pipeline, EpisodeJob, PipelineSpec};
 use hima::prelude::*;
-use hima::serve::loadgen::{run_load, ArrivalPattern, LoadConfig};
-use hima::serve::ServeMetrics;
 use hima::tasks::episode::{masked_step_block, max_len};
 use hima::tasks::tasks::TOKEN_WIDTH;
 use hima::tasks::{episode_features, episode_query_rows, Episode};
@@ -336,112 +304,11 @@ fn output_alloc_pair(
     )
 }
 
-/// Paired **fixed-work** measurement of the serve scheduler's per-tick
-/// telemetry cost at one worker thread: alternating passes step **one**
-/// engine exactly `steps` full-grid ticks over the same pre-built input
-/// blocks; the instrumented passes additionally perform the scheduler's
-/// complete per-tick recording — two timestamps, tick/step counters,
-/// tick-duration / batch-size / occupancy histogram observations, lane
-/// gauges, and a per-lane step-latency observation into both the pooled
-/// and the per-session histogram. Full occupancy is the worst case
-/// (recording cost is per tick + per active lane). Two artifacts on a
-/// noisy 1-core box would otherwise swamp the sub-percent quantity
-/// under measurement, so the harness neutralizes both: the sides share
-/// **one** engine instance (two separately built engines differ by a
-/// few percent from allocation placement alone), and each rep
-/// interleaves the sides in small chunks with the lead side swapping
-/// per chunk (monotone machine drift and cache-warmth ordering hit
-/// both sides equally). Returns `(bare, instrumented)` lane-steps/sec,
-/// each the best of `reps` reps after one untimed warm-up rep.
-fn telemetry_overhead_pair(
-    base: &EngineBuilder,
-    batch: usize,
-    steps: usize,
-    reps: usize,
-) -> (f64, f64) {
-    let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    let p = params();
-    let mut model = base.clone().lanes(batch).build();
-    let mut y = Matrix::zeros(batch, p.output_size);
-    let xs: Vec<Matrix> = (0..steps).map(|t| input_block(batch, p.input_size, t)).collect();
-    let metrics = ServeMetrics::new();
-    let session_latency = metrics.session_histogram(1);
-    let work = (steps * batch) as f64;
-    const CHUNK: usize = 25;
-    let mut best = (f64::MIN, f64::MIN);
-    for rep in 0..=reps {
-        let (bare_ns, inst_ns) = pool.install(|| {
-            let mut bare_ns = 0u128;
-            let mut inst_ns = 0u128;
-            for (c, chunk) in xs.chunks(CHUNK).enumerate() {
-                // Both sides run once per chunk; `c` parity decides
-                // which leads.
-                let order = if c % 2 == 0 { [false, true] } else { [true, false] };
-                for instrumented in order {
-                    let start = Instant::now();
-                    if instrumented {
-                        for x in chunk {
-                            let t0 = Instant::now();
-                            model.step_batch_into(x, &mut y);
-                            let now = Instant::now();
-                            metrics.ticks.inc();
-                            metrics.steps.add(batch as u64);
-                            metrics.tick_ns.observe(now.duration_since(t0).as_nanos() as u64);
-                            metrics.batch_size.observe(batch as u64);
-                            metrics.occupancy_pct.observe(100);
-                            metrics.active_lanes.set(batch as i64);
-                            metrics.queue_depth.sub(batch as i64);
-                            let us = now.duration_since(t0).as_micros() as u64;
-                            for _ in 0..batch {
-                                session_latency.observe(us);
-                                metrics.step_latency_us.observe(us);
-                            }
-                        }
-                    } else {
-                        for x in chunk {
-                            model.step_batch_into(x, &mut y);
-                        }
-                    }
-                    let ns = start.elapsed().as_nanos();
-                    if instrumented {
-                        inst_ns += ns;
-                    } else {
-                        bare_ns += ns;
-                    }
-                }
-            }
-            (bare_ns, inst_ns)
-        });
-        // Rep 0 is the untimed warm-up of both sides.
-        if rep > 0 {
-            best.0 = best.0.max(work / (bare_ns as f64 / 1e9));
-            best.1 = best.1.max(work / (inst_ns as f64 / 1e9));
-        }
-    }
-    best
-}
-
 /// One row of the output-allocation-overhead comparison.
 struct WorkspaceRow {
     batch: usize,
     alloc: f64,
     workspace: f64,
-}
-
-/// One row of the session-server load section.
-struct ServeRow {
-    pattern: &'static str,
-    sessions: usize,
-    steps_per_session: usize,
-    completed: usize,
-    grid_lanes: usize,
-    sessions_per_sec: f64,
-    steps_per_sec: f64,
-    p50: Duration,
-    p90: Duration,
-    p99: Duration,
-    max: Duration,
-    failed: usize,
 }
 
 /// One row of the ragged-workload section.
@@ -487,7 +354,6 @@ fn json_escape_free(label: &str) -> String {
 }
 
 /// Renders the measurements as the `BENCH_throughput.json` document.
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     machine_threads: usize,
     smoke: bool,
@@ -496,14 +362,11 @@ fn render_json(
     pipeline: &[PipelineRow],
     ragged: &[RaggedRow],
     workspace: &[WorkspaceRow],
-    serve: &[ServeRow],
-    serve_metrics_json: &str,
-    telemetry: (usize, usize, f64, f64),
 ) -> String {
     let p = params();
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"bench\": \"throughput\",\n  \"schema_version\": 7,\n");
+    s.push_str("  \"bench\": \"throughput\",\n  \"schema_version\": 8,\n");
     s.push_str(&format!("  \"machine_threads\": {machine_threads},\n"));
     s.push_str(&format!("  \"smoke\": {smoke},\n"));
     s.push_str(&format!(
@@ -563,36 +426,7 @@ fn render_json(
             if i + 1 < workspace.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ],\n  \"serve\": [\n");
-    for (i, row) in serve.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"pattern\": \"{}\", \"sessions\": {}, \"steps_per_session\": {}, \"completed\": {}, \"failed\": {}, \"grid_lanes\": {}, \"sessions_per_sec\": {:.2}, \"steps_per_sec\": {:.1}, \"p50_step_us\": {:.1}, \"p90_step_us\": {:.1}, \"p99_step_us\": {:.1}, \"max_step_us\": {:.1}}}{}\n",
-            row.pattern,
-            row.sessions,
-            row.steps_per_session,
-            row.completed,
-            row.failed,
-            row.grid_lanes,
-            row.sessions_per_sec,
-            row.steps_per_sec,
-            row.p50.as_secs_f64() * 1e6,
-            row.p90.as_secs_f64() * 1e6,
-            row.p99.as_secs_f64() * 1e6,
-            row.max.as_secs_f64() * 1e6,
-            if i + 1 < serve.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"metrics\": {serve_metrics_json},\n"));
-    let (t_batch, t_steps, bare, instrumented) = telemetry;
-    s.push_str(&format!(
-        "  \"telemetry_overhead\": {{\"batch\": {}, \"steps\": {}, \"bare_lane_steps_per_sec\": {:.1}, \"instrumented_lane_steps_per_sec\": {:.1}, \"overhead_pct\": {:.2}}}\n",
-        t_batch,
-        t_steps,
-        bare,
-        instrumented,
-        (bare - instrumented) / bare * 100.0,
-    ));
+    s.push_str("  ]\n");
     s.push_str("}\n");
     s
 }
@@ -823,119 +657,6 @@ fn main() {
          wall-clock ratio."
     );
 
-    let serve_sessions = if smoke { 8 } else { 32 };
-    let serve_steps = if smoke { 10 } else { 48 };
-    let serve_cfg = ServeConfig {
-        grid_lanes: 8,
-        tick: Duration::from_micros(200),
-        idle_timeout: None,
-        ..ServeConfig::default()
-    };
-    hima_bench::header(&format!(
-        "Session server — open-loop load over loopback TCP, {} sessions x {} steps \
-         on an {}-lane grid",
-        serve_sessions, serve_steps, serve_cfg.grid_lanes
-    ));
-    println!(
-        "{:>8} {:>10} {:>7} {:>12} {:>11} {:>10} {:>10} {:>10} {:>10}",
-        "pattern", "completed", "failed", "sessions/s", "steps/s", "p50 step", "p90 step", "p99 step", "max step"
-    );
-    let serve_spec = RawSessionSpec::from_parts(&params(), &EngineSpec::monolithic(), 7);
-    let server = Server::bind("127.0.0.1:0", serve_cfg.clone()).expect("bind loopback server");
-    let mut serve_rows: Vec<ServeRow> = Vec::new();
-    for pattern in [
-        ArrivalPattern::Uniform { interval: Duration::from_millis(1) },
-        ArrivalPattern::Burst { size: 8, gap: Duration::from_millis(5) },
-    ] {
-        let report = run_load(
-            server.addr(),
-            &LoadConfig {
-                spec: serve_spec.clone(),
-                sessions: serve_sessions,
-                steps: serve_steps,
-                pattern,
-                client: Default::default(),
-            },
-        );
-        assert_eq!(
-            report.completed, serve_sessions,
-            "{} load run dropped sessions",
-            pattern.label()
-        );
-        println!(
-            "{:>8} {:>10} {:>7} {:>12.2} {:>11.0} {:>9.0}µ {:>9.0}µ {:>9.0}µ {:>9.0}µ",
-            pattern.label(),
-            report.completed,
-            report.failed,
-            report.sessions_per_sec,
-            report.steps_per_sec,
-            report.p50_step.as_secs_f64() * 1e6,
-            report.p90_step.as_secs_f64() * 1e6,
-            report.p99_step.as_secs_f64() * 1e6,
-            report.max_step.as_secs_f64() * 1e6,
-        );
-        serve_rows.push(ServeRow {
-            pattern: pattern.label(),
-            sessions: serve_sessions,
-            steps_per_session: serve_steps,
-            completed: report.completed,
-            grid_lanes: serve_cfg.grid_lanes,
-            sessions_per_sec: report.sessions_per_sec,
-            steps_per_sec: report.steps_per_sec,
-            p50: report.p50_step,
-            p90: report.p90_step,
-            p99: report.p99_step,
-            max: report.max_step,
-            failed: report.failed,
-        });
-    }
-    let hub_snapshot = server.hub().metrics().snapshot();
-    println!(
-        "\nhub telemetry after both runs: {} ticks / {} steps, {} parks, {} splices, \
-         batch-size p50 {} of {} lanes",
-        hub_snapshot.counter("serve.scheduler.ticks").unwrap_or(0),
-        hub_snapshot.counter("serve.scheduler.steps").unwrap_or(0),
-        hub_snapshot.counter("serve.scheduler.parks").unwrap_or(0),
-        hub_snapshot.counter("serve.scheduler.splices").unwrap_or(0),
-        hub_snapshot
-            .histogram("serve.scheduler.batch_size")
-            .map_or(0, |h| h.quantile(0.50)),
-        serve_cfg.grid_lanes,
-    );
-    drop(server);
-    println!(
-        "\nOpen-loop arrivals (wall-clock schedule, not closed-loop), more\n\
-         concurrent sessions than grid lanes, so the scheduler coalesces,\n\
-         parks and swaps lane states under load; latency percentiles are\n\
-         per-step request round trips including queueing. Bit-identity of\n\
-         served sessions vs solo replay is pinned by serve_conformance."
-    );
-
-    let telemetry_batch = 8;
-    let telemetry_steps = if smoke { 200 } else { 2000 };
-    hima_bench::header(&format!(
-        "Telemetry overhead — fixed-work pair, {telemetry_steps} full-grid ticks at \
-         B = {telemetry_batch}, bare vs scheduler-instrumented"
-    ));
-    let (bare, instrumented) = telemetry_overhead_pair(&mono, telemetry_batch, telemetry_steps, reps);
-    let telemetry_overhead_pct = (bare - instrumented) / bare * 100.0;
-    println!(
-        "{:>20} {:>20} {:>10}",
-        "bare lane-steps/s", "instrumented", "overhead"
-    );
-    println!(
-        "{:>20.0} {:>20.0} {:>9.2}%",
-        bare, instrumented, telemetry_overhead_pct
-    );
-    println!(
-        "\nBoth sides step the same engine geometry the same number of grid\n\
-         ticks; the instrumented side additionally performs the serve\n\
-         scheduler's complete per-tick recording (timestamps, counters,\n\
-         three tick histograms, lane gauges, per-lane step-latency into two\n\
-         histograms) at 100% occupancy — the worst case. The overhead\n\
-         column is the hot-path cost of telemetry; the contract is <2%."
-    );
-
     if json {
         let doc = render_json(
             machine_threads,
@@ -945,9 +666,6 @@ fn main() {
             &pipeline_rows,
             &ragged_rows,
             &workspace_rows,
-            &serve_rows,
-            &hub_snapshot.to_json(),
-            (telemetry_batch, telemetry_steps, bare, instrumented),
         );
         let path = "BENCH_throughput.json";
         match std::fs::write(path, &doc) {

@@ -76,18 +76,6 @@ impl FaultSite {
             FaultSite::SchedTick => 5,
         }
     }
-
-    /// Human-readable site name (metrics/log friendly).
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultSite::StoreWrite => "store.write",
-            FaultSite::StoreFsync => "store.fsync",
-            FaultSite::StoreRename => "store.rename",
-            FaultSite::NetRead => "net.read",
-            FaultSite::NetWrite => "net.write",
-            FaultSite::SchedTick => "sched.tick",
-        }
-    }
 }
 
 /// What to inject when a rule fires.
@@ -215,11 +203,6 @@ impl FaultPlan {
         self
     }
 
-    /// The seed the plan was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Consults the plan for one operation at `site`.
     ///
     /// Always advances the site's operation counter (so
@@ -273,11 +256,6 @@ impl FaultPlan {
     /// Faults injected at `site` so far.
     pub fn injected(&self, site: FaultSite) -> u64 {
         self.injected[site.index()].load(Ordering::Relaxed)
-    }
-
-    /// Total faults injected across all sites.
-    pub fn injected_total(&self) -> u64 {
-        self.injected.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     /// Total faults injected across the store sites (write/fsync/rename).

@@ -19,7 +19,7 @@
 //! how the model reproduces, rather than hard-codes, the paper's findings
 //! (DNC-D cutting router power by ~98% and total power by ~39%).
 
-use hima_dnc::profile::{KernelCategory, KernelId};
+use hima_dnc::profile::KernelCategory;
 use hima_engine::{ActivityCounters, Engine, EngineConfig, StepReport};
 use serde::{Deserialize, Serialize};
 
@@ -96,7 +96,7 @@ impl EnergyCoefficients {
     /// `simple_router` applies the DNC-D CT-PT-only router: flit energy
     /// drops by [`SIMPLE_ROUTER_FACTOR`] (no multi-mode crossbar, no route
     /// LUTs — §7.3 reports the router power cut at 98.4%).
-    pub fn module_energy_uj(
+    pub(crate) fn module_energy_uj(
         &self,
         act: &ActivityCounters,
         step_cycles: u64,
@@ -163,11 +163,6 @@ impl PowerModel {
         Self { coeffs: EnergyCoefficients::calibrated() }
     }
 
-    /// The coefficients in use.
-    pub fn coefficients(&self) -> &EnergyCoefficients {
-        &self.coeffs
-    }
-
     /// Predicts module powers for a configuration.
     pub fn estimate(&self, cfg: &EngineConfig) -> PowerReport {
         let report = Engine::new(*cfg).step_report();
@@ -175,7 +170,7 @@ impl PowerModel {
     }
 
     /// Predicts module powers from a precomputed step report.
-    pub fn estimate_from_report(&self, cfg: &EngineConfig, report: &StepReport) -> PowerReport {
+    pub(crate) fn estimate_from_report(&self, cfg: &EngineConfig, report: &StepReport) -> PowerReport {
         let cycles = report.total_cycles();
         let t_us = cfg.cycles_to_us(cycles);
         let (mm, mem, router, other, ct) =
@@ -224,12 +219,6 @@ impl Default for PowerModel {
     fn default() -> Self {
         Self::calibrated()
     }
-}
-
-/// Convenience: does the LSTM kernel belong to the controller category?
-/// (Used by the experiment binaries for labeling.)
-pub fn is_controller_kernel(k: KernelId) -> bool {
-    k.category() == KernelCategory::Controller
 }
 
 #[cfg(test)]

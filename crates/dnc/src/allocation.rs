@@ -86,13 +86,13 @@ pub fn allocation_weighting(usage: &[f32], sorter: &dyn SortEngine, skim: SkimRa
 ///
 /// Panics if `free_list` is not a permutation of the usage indices (debug
 /// builds).
-pub fn allocation_from_free_list(usage: &[f32], free_list: &[usize], skim: SkimRate) -> Vec<f32> {
+pub(crate) fn allocation_from_free_list(usage: &[f32], free_list: &[usize], skim: SkimRate) -> Vec<f32> {
     let mut w_a = vec![0.0; usage.len()];
     allocation_from_free_list_into(usage, free_list, skim, &mut w_a);
     w_a
 }
 
-/// Output-buffer form of [`allocation_from_free_list`]: writes the
+/// Output-buffer form of `allocation_from_free_list`: writes the
 /// allocation weighting into `w_a` without allocating. The accumulated
 /// product streams left-to-right over the kept free list — the same
 /// multiplication order as

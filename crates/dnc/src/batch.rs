@@ -106,12 +106,6 @@ pub struct LaneState {
 }
 
 impl LaneState {
-    /// Number of memory shards the snapshot carries (1 for monolithic
-    /// engines, `N_t` for sharded ones).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The lane's merged `R·W` read-vector row — what `ReadRows` reports
     /// for the session while its state is detached from any grid.
     pub fn read_row(&self) -> &[f32] {
@@ -369,7 +363,7 @@ impl GridEngine {
 
     /// Switches wall-clock kernel sampling on or off for the grid's own
     /// stamps and every shard of every lane (see
-    /// [`KernelProfile::set_enabled`]). Engines from
+    /// `KernelProfile::set_enabled`). Engines from
     /// [`EngineBuilder`](crate::EngineBuilder) default to **off** — steady
     /// state steps then never read the clock; opt in with
     /// [`EngineBuilder::profiling`](crate::EngineBuilder::profiling) or
@@ -1180,7 +1174,7 @@ mod tests {
     fn lane_state_reports_geometry() {
         let e = EngineBuilder::new(params()).sharded(4).lanes(1).seed(1).build();
         let state = e.export_lane(0);
-        assert_eq!(state.shard_count(), 4);
+        assert_eq!(state.shards.len(), 4);
         assert!(state.state_elems() > 0);
     }
 

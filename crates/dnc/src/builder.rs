@@ -289,12 +289,6 @@ impl EngineBuilder {
         }
     }
 
-    /// Selects the centralized (single-memory) topology.
-    pub fn monolithic(mut self) -> Self {
-        self.spec.topology = Topology::Monolithic;
-        self
-    }
-
     /// Selects the `tiles`-shard DNC-D topology.
     ///
     /// # Panics
@@ -396,7 +390,7 @@ impl EngineBuilder {
     /// Calibration always runs on the f32 reference pair — it determines
     /// the merge *weights*, which a quantized engine then rounds through
     /// its own datapath at inference.
-    pub fn calibrate_merge(&self, inputs: &[Vec<f32>]) -> Option<ReadMerge> {
+    pub(crate) fn calibrate_merge(&self, inputs: &[Vec<f32>]) -> Option<ReadMerge> {
         let Topology::Sharded { tiles } = self.spec.topology else {
             return None;
         };
@@ -557,7 +551,7 @@ mod tests {
             (0..24).map(|t| (0..4).map(|i| ((t * 3 + i) as f32 * 0.21).sin()).collect()).collect();
         let sharded = EngineBuilder::new(params()).sharded(1).seed(9);
         let merge = sharded.calibrate_merge(&inputs).expect("sharded + inputs");
-        assert!((merge.alphas()[0] - 1.0).abs() < 1e-3, "{:?}", merge.alphas());
+        assert!((merge.alphas[0] - 1.0).abs() < 1e-3, "{:?}", merge.alphas);
         assert!(EngineBuilder::new(params()).seed(9).calibrate_merge(&inputs).is_none());
         assert!(sharded.calibrate_merge(&[]).is_none());
     }

@@ -8,7 +8,7 @@
 //! [`content_weighting_into`] is the plain one-key definition, the
 //! reference the tests compare against. The memory unit's lookups — the
 //! write key before the write, the `R` read keys after it — go through
-//! [`content_weightings_heads_into`], which takes the keys as the rows of
+//! `content_weightings_heads_into`, which takes the keys as the rows of
 //! one block and makes **one pass over `M` per phase**: the `row · key`
 //! dots of every key *and*, whenever the [`NormCache`] is stale, the row
 //! norms come out of a single [`hima_tensor::fused::row_dots_into`].
@@ -111,7 +111,7 @@ pub fn similarities(memory: &Matrix, key: &[f32]) -> Vec<f32> {
 ///
 /// Panics if `key.len() != memory.cols()` or `row_norms`/`out` lengths
 /// differ from `memory.rows()`.
-pub fn similarities_into(memory: &Matrix, key: &[f32], row_norms: &[f32], out: &mut [f32]) {
+pub(crate) fn similarities_into(memory: &Matrix, key: &[f32], row_norms: &[f32], out: &mut [f32]) {
     assert_eq!(key.len(), memory.cols(), "key width must match memory word size");
     assert_eq!(row_norms.len(), memory.rows(), "row norm cache length mismatch");
     assert_eq!(out.len(), memory.rows(), "similarity output length mismatch");
@@ -146,12 +146,12 @@ fn sharpen(sims: &mut [f32], beta: f32, approx: Option<&PlaSoftmax>) {
 /// only at the write (and when a datapath rounds it), so on the `f32`
 /// datapath the `R + 1` lookups of a step — and of later steps that write
 /// nothing — share one norm pass; whoever mutates the memory calls
-/// [`NormCache::invalidate`], and the next lookup refreshes the norms in
+/// `NormCache::invalidate`, and the next lookup refreshes the norms in
 /// the pass it makes over the memory anyway.
 #[derive(Debug, Clone)]
 pub struct NormCache {
     norms: Vec<f32>,
-    valid: bool,
+    pub(crate) valid: bool,
 }
 
 impl NormCache {
@@ -161,16 +161,11 @@ impl NormCache {
     }
 
     /// Marks the norms stale: the memory they describe has changed.
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.valid = false;
     }
 
-    /// Whether the norms describe the memory as it is.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
-    /// The cached norms (meaningful only while [`NormCache::is_valid`]).
+    /// The cached norms (meaningful only until the memory next changes).
     pub fn norms(&self) -> &[f32] {
         &self.norms
     }
@@ -188,7 +183,7 @@ impl NormCache {
 ///
 /// Panics if `keys` is not `R × memory.cols()`, `out` is not
 /// `R × memory.rows()` or `norms` was sized for another memory.
-pub fn content_weightings_heads_into(
+pub(crate) fn content_weightings_heads_into(
     memory: &Matrix,
     keys: &[f32],
     betas: &[f32],
@@ -336,7 +331,7 @@ mod tests {
                             &mut cache,
                             got.as_mut_slice(),
                         );
-                        assert!(cache.is_valid());
+                        assert!(cache.valid);
                         assert_eq!(bits(cache.norms()), bits(&norms), "n={n} w={w} r={r}");
                         let mut want = vec![f32::NAN; n];
                         for (h, &beta) in betas.iter().enumerate() {

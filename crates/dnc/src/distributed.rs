@@ -32,7 +32,7 @@ const SHARD_PAR_MIN_ELEMS: usize = 16 * 1024;
 /// Trainable read-vector merge weights `α` (Eq. 4).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReadMerge {
-    alphas: Vec<f32>,
+    pub(crate) alphas: Vec<f32>,
 }
 
 impl ReadMerge {
@@ -50,11 +50,6 @@ impl ReadMerge {
     pub fn from_weights(alphas: Vec<f32>) -> Self {
         assert!(!alphas.is_empty(), "need at least one shard weight");
         Self { alphas: alphas.into_iter().map(|a| a.clamp(0.0, 1.0)).collect() }
-    }
-
-    /// The merge weights.
-    pub fn alphas(&self) -> &[f32] {
-        &self.alphas
     }
 
     /// Number of shards merged.
@@ -78,7 +73,7 @@ impl ReadMerge {
     /// # Panics
     ///
     /// Panics if `shard_reads.len() != shards()` or widths differ.
-    pub fn merge_slices(&self, shard_reads: &[&[f32]]) -> Vec<f32> {
+    pub(crate) fn merge_slices(&self, shard_reads: &[&[f32]]) -> Vec<f32> {
         assert_eq!(shard_reads.len(), self.alphas.len(), "shard count mismatch");
         let width = shard_reads.first().map_or(0, |r| r.len());
         let mut out = vec![0.0; width];
@@ -98,7 +93,7 @@ impl ReadMerge {
     ///
     /// Panics if the iterator yields fewer than `shards()` reads or any
     /// read's width differs from `out.len()`.
-    pub fn merge_iter_into<'a>(
+    pub(crate) fn merge_iter_into<'a>(
         &self,
         shard_reads: impl Iterator<Item = &'a [f32]>,
         out: &mut [f32],
@@ -233,7 +228,7 @@ impl DncD {
     /// # Panics
     ///
     /// Panics if `tiles == 0` or `tiles > params.memory_size`.
-    pub fn with_features(
+    pub(crate) fn with_features(
         params: DncParams,
         tiles: usize,
         seed: u64,
@@ -258,11 +253,6 @@ impl DncD {
         }
     }
 
-    /// The model hyper-parameters.
-    pub fn params(&self) -> &DncParams {
-        &self.params
-    }
-
     /// Number of distributed shards `N_t`.
     pub fn tiles(&self) -> usize {
         self.shards.len()
@@ -274,7 +264,7 @@ impl DncD {
     }
 
     /// The read-merge weights in use.
-    pub fn merge_weights(&self) -> &ReadMerge {
+    pub(crate) fn merge_weights(&self) -> &ReadMerge {
         &self.merge
     }
 
@@ -282,34 +272,6 @@ impl DncD {
     /// step (Eq. 4's `v_r`).
     pub fn last_read(&self) -> &[f32] {
         &self.last_read
-    }
-
-    /// The feature vector `[h_t ; v_r]` the output projection consumes —
-    /// also the features a trained readout regresses on.
-    pub fn last_features(&self) -> Vec<f32> {
-        let mut f = Vec::with_capacity(self.last_hidden.len() + self.last_read.len());
-        f.extend_from_slice(&self.last_hidden);
-        f.extend_from_slice(&self.last_read);
-        f
-    }
-
-    /// Replaces the read-merge weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard count disagrees.
-    pub fn set_merge(&mut self, merge: ReadMerge) {
-        assert_eq!(merge.shards(), self.shards.len(), "merge shard count mismatch");
-        self.merge = merge;
-    }
-
-    /// Switches wall-clock kernel sampling on or off for controller and
-    /// all shards alike.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.profile.set_enabled(on);
-        for s in &mut self.shards {
-            s.set_profiling(on);
-        }
     }
 
     /// Merged kernel profile across controller and all shards.
@@ -344,7 +306,7 @@ impl DncD {
 
     /// Runs one time step, returning the per-shard read vectors (flattened
     /// per shard) and the output.
-    pub fn step_detailed(&mut self, input: &[f32]) -> (Vec<Vec<f32>>, Vec<f32>) {
+    pub(crate) fn step_detailed(&mut self, input: &[f32]) -> (Vec<Vec<f32>>, Vec<f32>) {
         assert_eq!(input.len(), self.params.input_size, "input width mismatch");
 
         let mut ctrl_in = Vec::with_capacity(input.len() + self.last_read.len());
@@ -409,7 +371,7 @@ impl DncD {
     /// calibration sequence: both models are reset, run over `inputs`, and
     /// `α` is fit to the reference's read vectors, then both are reset
     /// again.
-    pub fn calibrate_against(&mut self, reference: &mut crate::Dnc, inputs: &[Vec<f32>]) {
+    pub(crate) fn calibrate_against(&mut self, reference: &mut crate::Dnc, inputs: &[Vec<f32>]) {
         reference.reset();
         self.reset();
         let mut samples = Vec::with_capacity(inputs.len());
@@ -438,7 +400,7 @@ mod tests {
     fn single_shard_matches_centralized_dnc() {
         let mut dnc = Dnc::new(params(), 99);
         let mut dncd = DncD::new(params(), 1, 99);
-        dncd.set_merge(ReadMerge::from_weights(vec![1.0]));
+        dncd.merge = ReadMerge::from_weights(vec![1.0]);
         for t in 0..10 {
             let x: Vec<f32> = (0..4).map(|i| ((t * 5 + i) as f32 * 0.21).sin()).collect();
             let a = dnc.step(&x);
@@ -491,7 +453,7 @@ mod tests {
         for tiles in [1usize, 4, 8] {
             let mut dncd = DncD::new(params(), tiles, 7);
             if tiles == 1 {
-                dncd.set_merge(ReadMerge::from_weights(vec![1.0]));
+                dncd.merge = ReadMerge::from_weights(vec![1.0]);
             }
             let out = dncd.run_sequence(&inputs);
             let e: f32 = ref_out
@@ -515,7 +477,7 @@ mod tests {
     #[test]
     fn read_merge_clamps_weights() {
         let m = ReadMerge::from_weights(vec![-0.5, 1.5]);
-        assert_eq!(m.alphas(), &[0.0, 1.0]);
+        assert_eq!(m.alphas, [0.0, 1.0]);
     }
 
     #[test]
@@ -531,15 +493,15 @@ mod tests {
             })
             .collect();
         let m = ReadMerge::calibrate(&samples, 2);
-        assert!((m.alphas()[0] - 0.7).abs() < 1e-3, "{:?}", m.alphas());
-        assert!((m.alphas()[1] - 0.3).abs() < 1e-3, "{:?}", m.alphas());
+        assert!((m.alphas[0] - 0.7).abs() < 1e-3, "{:?}", m.alphas);
+        assert!((m.alphas[1] - 0.3).abs() < 1e-3, "{:?}", m.alphas);
     }
 
     #[test]
     fn calibration_singular_falls_back_to_uniform() {
         let samples = vec![(vec![vec![0.0; 4], vec![0.0; 4]], vec![0.0; 4])];
         let m = ReadMerge::calibrate(&samples, 2);
-        assert_eq!(m.alphas(), ReadMerge::uniform(2).alphas());
+        assert_eq!(m, ReadMerge::uniform(2));
     }
 
     #[test]

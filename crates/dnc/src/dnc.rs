@@ -162,7 +162,7 @@ impl Dnc {
     /// # Panics
     ///
     /// Panics if `mem_cfg` geometry disagrees with `params`.
-    pub fn with_memory_config(params: DncParams, mem_cfg: MemoryConfig, seed: u64) -> Self {
+    pub(crate) fn with_memory_config(params: DncParams, mem_cfg: MemoryConfig, seed: u64) -> Self {
         let init = ModelInit::new(params, mem_cfg, 1, seed);
         let (input, hidden, lstm_seed) = init.controller();
         let interface_proj = init.interface_projs().next().expect("one shard").matrix();
@@ -178,11 +178,6 @@ impl Dnc {
         }
     }
 
-    /// The model hyper-parameters.
-    pub fn params(&self) -> &DncParams {
-        &self.params
-    }
-
     /// The memory unit (for state inspection).
     pub fn memory(&self) -> &MemoryUnit {
         &self.memory
@@ -193,33 +188,11 @@ impl Dnc {
         &self.last_read
     }
 
-    /// The feature vector `[h_t ; v_r]` the output projection consumes —
-    /// also the features a trained readout regresses on.
-    pub fn last_features(&self) -> Vec<f32> {
-        let mut f = Vec::with_capacity(self.last_hidden.len() + self.last_read.len());
-        f.extend_from_slice(&self.last_hidden);
-        f.extend_from_slice(&self.last_read);
-        f
-    }
-
     /// Merged kernel profile (controller + memory unit).
     pub fn profile(&self) -> KernelProfile {
         let mut p = self.profile.clone();
         p.merge(self.memory.profile());
         p
-    }
-
-    /// Clears all profiling counters.
-    pub fn reset_profile(&mut self) {
-        self.profile.reset();
-        self.memory.reset_profile();
-    }
-
-    /// Switches wall-clock kernel sampling on or off for controller and
-    /// memory unit alike.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.profile.set_enabled(on);
-        self.memory.set_profiling(on);
     }
 
     /// Resets memory and recurrent state in place (weights unchanged).
@@ -241,7 +214,7 @@ impl Dnc {
     }
 
     /// Runs one time step, returning the memory read result and the output.
-    pub fn step_detailed(&mut self, input: &[f32]) -> (ReadResult, Vec<f32>) {
+    pub(crate) fn step_detailed(&mut self, input: &[f32]) -> (ReadResult, Vec<f32>) {
         assert_eq!(input.len(), self.params.input_size, "input width mismatch");
 
         // Controller on [x_t ; v_r^{t-1}].

@@ -38,7 +38,7 @@ pub struct InterfaceVector {
 
 impl InterfaceVector {
     /// A zero-filled interface vector with the `W`/`R` field shapes — the
-    /// reusable parse target of [`InterfaceVector::parse_into`].
+    /// reusable parse target of `InterfaceVector::parse_into`.
     pub fn zeroed(word_size: usize, read_heads: usize) -> Self {
         Self {
             read_keys: Matrix::zeros(read_heads, word_size),
@@ -77,7 +77,7 @@ impl InterfaceVector {
     /// # Panics
     ///
     /// Panics if `raw.len() != W·R + 3W + 5R + 3`.
-    pub fn parse_into(&mut self, raw: &[f32], word_size: usize, read_heads: usize) {
+    pub(crate) fn parse_into(&mut self, raw: &[f32], word_size: usize, read_heads: usize) {
         let (w, r) = (word_size, read_heads);
         let expected = w * r + 3 * w + 5 * r + 3;
         assert_eq!(

@@ -19,8 +19,8 @@
 //! are the plain one-head-at-a-time definitions — the reference the tests
 //! compare against. The memory unit steps through
 //! [`TemporalLinkage::update_linkage_with`] (one branch-free row body) and
-//! the head-fused [`TemporalLinkage::forward_heads_into`] /
-//! [`TemporalLinkage::backward_heads_into`], which take all `R` previous
+//! the head-fused `TemporalLinkage::forward_heads_into` /
+//! `TemporalLinkage::backward_heads_into`, which take all `R` previous
 //! read weightings as the rows of one `R × N` matrix so `L` is walked
 //! **once per product for all heads**, as HiMA's tiles do:
 //!
@@ -209,7 +209,7 @@ impl TemporalLinkage {
     /// # Panics
     ///
     /// Panics if `read_weightings` or `out` is not `R × len()`.
-    pub fn forward_heads_into(&self, read_weightings: &Matrix, out: &mut Matrix) {
+    pub(crate) fn forward_heads_into(&self, read_weightings: &Matrix, out: &mut Matrix) {
         fused::matmul_nt_into(read_weightings, &self.linkage, None, out);
     }
 
@@ -241,7 +241,7 @@ impl TemporalLinkage {
     /// # Panics
     ///
     /// Panics if `read_weightings` or `out` is not `R × len()`.
-    pub fn backward_heads_into(&self, read_weightings: &Matrix, out: &mut Matrix) {
+    pub(crate) fn backward_heads_into(&self, read_weightings: &Matrix, out: &mut Matrix) {
         assert_eq!(out.shape(), read_weightings.shape(), "backward output shape mismatch");
         fused::matvec_t_heads_into(&self.linkage, read_weightings, out.as_mut_slice());
     }
@@ -304,24 +304,7 @@ impl TemporalLinkage {
 }
 
 /// Merges backward/content/forward weightings through a head's read modes —
-/// the RM kernel: `w_r = π_1 b + π_2 c + π_3 f`.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn merge_read_weighting(
-    backward: &[f32],
-    content: &[f32],
-    forward: &[f32],
-    modes: [f32; 3],
-) -> Vec<f32> {
-    let mut out = vec![0.0; backward.len()];
-    merge_read_weighting_into(backward, content, forward, modes, &mut out);
-    out
-}
-
-/// Output-buffer form of [`merge_read_weighting`]: writes the merged
-/// weighting into `out` without allocating.
+/// the RM kernel: `w_r = π_1 b + π_2 c + π_3 f`, written into `out`.
 ///
 /// # Panics
 ///
@@ -445,11 +428,15 @@ mod tests {
         let b = [1.0, 0.0];
         let c = [0.0, 1.0];
         let f = [0.5, 0.5];
-        assert_eq!(merge_read_weighting(&b, &c, &f, [1.0, 0.0, 0.0]), vec![1.0, 0.0]);
-        assert_eq!(merge_read_weighting(&b, &c, &f, [0.0, 1.0, 0.0]), vec![0.0, 1.0]);
-        assert_eq!(merge_read_weighting(&b, &c, &f, [0.0, 0.0, 1.0]), vec![0.5, 0.5]);
-        let blended = merge_read_weighting(&b, &c, &f, [0.25, 0.25, 0.5]);
-        assert_eq!(blended, vec![0.5, 0.5]);
+        let merged = |modes| {
+            let mut out = [f32::NAN; 2];
+            merge_read_weighting_into(&b, &c, &f, modes, &mut out);
+            out
+        };
+        assert_eq!(merged([1.0, 0.0, 0.0]), [1.0, 0.0]);
+        assert_eq!(merged([0.0, 1.0, 0.0]), [0.0, 1.0]);
+        assert_eq!(merged([0.0, 0.0, 1.0]), [0.5, 0.5]);
+        assert_eq!(merged([0.25, 0.25, 0.5]), [0.5, 0.5]);
     }
 
     #[test]
@@ -470,13 +457,6 @@ mod tests {
         assert_eq!(out, l.forward(&w_r));
         l.backward_into(&w_r, &mut out);
         assert_eq!(out, l.backward(&w_r));
-
-        let b = [1.0, 0.0];
-        let c = [0.0, 1.0];
-        let f = [0.5, 0.5];
-        let mut merged = vec![f32::NAN; 2];
-        merge_read_weighting_into(&b, &c, &f, [0.25, 0.25, 0.5], &mut merged);
-        assert_eq!(merged, merge_read_weighting(&b, &c, &f, [0.25, 0.25, 0.5]));
     }
 
     fn bits(xs: &[f32]) -> Vec<u32> {

@@ -129,21 +129,6 @@ impl Lstm {
         }
     }
 
-    /// Input width.
-    pub fn input_size(&self) -> usize {
-        self.input_size
-    }
-
-    /// Hidden width.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden_size
-    }
-
-    /// Current state (hidden + cell).
-    pub fn state(&self) -> &LstmState {
-        &self.state
-    }
-
     /// Resets the recurrent state to zeros.
     pub fn reset(&mut self) {
         self.state.clear();
@@ -195,12 +180,6 @@ impl Lstm {
         }
         *state = LstmState { hidden: new_h.clone(), cell: new_c };
         new_h
-    }
-
-    /// Approximate multiply-accumulate count of one step (used by runtime
-    /// models): `4·H·(I+H)`.
-    pub fn macs_per_step(&self) -> u64 {
-        4 * self.hidden_size as u64 * (self.input_size + self.hidden_size) as u64
     }
 }
 
@@ -417,12 +396,6 @@ mod tests {
             assert_eq!(hidden, want, "t={t}");
             assert_eq!(states, reference, "t={t}");
         }
-    }
-
-    #[test]
-    fn macs_formula() {
-        let l = Lstm::new(10, 20, 0);
-        assert_eq!(l.macs_per_step(), 4 * 20 * 30);
     }
 
     #[test]

@@ -339,14 +339,9 @@ impl MemoryUnit {
     }
 
     /// Switches wall-clock kernel sampling on or off (see
-    /// [`KernelProfile::set_enabled`]).
+    /// `KernelProfile::set_enabled`).
     pub fn set_profiling(&mut self, on: bool) {
         self.profile.set_enabled(on);
-    }
-
-    /// Clears the kernel profile.
-    pub fn reset_profile(&mut self) {
-        self.profile.reset();
     }
 
     /// Rounds every stored state value — external memory, usage, linkage,
@@ -779,15 +774,15 @@ mod tests {
         mu.step(&write);
         let direct = mu.memory().row_norms();
         assert_eq!(mu.norms.norms(), direct, "cache equals a fresh norm pass");
-        assert!(mu.norms.is_valid());
+        assert!(mu.norms.valid);
 
         mu.quantize_state(QFormat::new(4, 4));
-        assert!(!mu.norms.is_valid(), "quantize_state must invalidate the cache");
+        assert!(!mu.norms.valid, "quantize_state must invalidate the cache");
         mu.reset();
-        assert!(!mu.norms.is_valid(), "reset must invalidate the cache");
+        assert!(!mu.norms.valid, "reset must invalidate the cache");
         // Any step's read phase leaves a valid post-write cache behind.
         mu.step(&read_iface(&[1.0, 0.0, 0.0, 0.0]));
-        assert!(mu.norms.is_valid());
+        assert!(mu.norms.valid);
         assert_eq!(mu.norms.norms(), mu.memory().row_norms());
     }
 

@@ -291,7 +291,7 @@ impl LaneState {
     /// Serializes the complete lane state into `out` in the versioned
     /// binary format. The inverse is [`LaneState::decode`]; the round
     /// trip is bit-exact.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&STATE_MAGIC);
         put_u16(out, STATE_VERSION);
         put_vec_f32(out, &self.lstm.hidden);
@@ -305,7 +305,7 @@ impl LaneState {
     }
 
     /// Serializes the complete lane state into a fresh buffer. See
-    /// [`LaneState::encode_into`].
+    /// `LaneState::encode_into`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.state_elems() * 4);
         self.encode_into(&mut out);

@@ -141,8 +141,8 @@ impl fmt::Display for KernelCategory {
 /// Accumulated timing/invocation statistics per kernel.
 ///
 /// Sampling is gated: a profile constructed with [`KernelProfile::new`]
-/// records, one with [`KernelProfile::disabled`] (or switched off via
-/// [`KernelProfile::set_enabled`]) makes [`KernelProfile::time`] a pure
+/// records, one with `KernelProfile::disabled` (or switched off via
+/// `KernelProfile::set_enabled`) makes [`KernelProfile::time`] a pure
 /// pass-through that never reads the clock — the serving hot path pays
 /// nothing for the instrumentation unless it is explicitly turned on.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -166,7 +166,7 @@ impl PartialEq for KernelProfile {
     }
 }
 
-/// A running lap split (see [`KernelProfile::laps`]).
+/// A running lap split (see `KernelProfile::laps`).
 #[derive(Debug)]
 pub struct Laps<'a> {
     profile: &'a mut KernelProfile,
@@ -181,7 +181,7 @@ impl Laps<'_> {
     /// heads), none for time that belongs to an invocation already
     /// counted (the quantized datapath charges the rounding of each state
     /// memory to the kernel that stores it).
-    pub fn lap(&mut self, kernel: KernelId, calls: u64) {
+    pub(crate) fn lap(&mut self, kernel: KernelId, calls: u64) {
         if let Some(last) = &mut self.last {
             let now = Instant::now();
             self.profile.record(kernel, now.duration_since(*last).as_nanos() as u64, calls);
@@ -198,19 +198,14 @@ impl KernelProfile {
 
     /// Creates an empty profile with sampling switched off: `time` runs
     /// its closure without touching the clock or the maps.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Self { enabled: false, ..Self::new() }
     }
 
     /// Switches wall-clock sampling on or off. Recorded statistics are
     /// kept either way.
-    pub fn set_enabled(&mut self, on: bool) {
+    pub(crate) fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
-    }
-
-    /// Whether `time` currently samples the clock.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Times `f`, attributing the elapsed wall time to `kernel`. When
@@ -232,7 +227,7 @@ impl KernelProfile {
     /// clock `n + 1` times rather than `2n` — and, the laps being
     /// contiguous, their times add up to the pass. Disabled, no lap reads
     /// the clock or touches the maps.
-    pub fn laps(&mut self) -> Laps<'_> {
+    pub(crate) fn laps(&mut self) -> Laps<'_> {
         let last = self.enabled.then(Instant::now);
         Laps { profile: self, last }
     }
@@ -288,12 +283,6 @@ impl KernelProfile {
         for (&k, &c) in &other.calls {
             *self.calls.entry(k).or_insert(0) += c;
         }
-    }
-
-    /// Clears all recorded statistics.
-    pub fn reset(&mut self) {
-        self.nanos.clear();
-        self.calls.clear();
     }
 }
 
@@ -371,7 +360,7 @@ mod tests {
     #[test]
     fn disabled_profile_skips_sampling() {
         let mut p = KernelProfile::disabled();
-        assert!(!p.is_enabled());
+        assert!(!p.enabled);
         let x = p.time(KernelId::Usage, || 7);
         assert_eq!(x, 7, "closure still runs");
         assert_eq!(p.calls(KernelId::Usage), 0);
@@ -382,14 +371,5 @@ mod tests {
         // Equality ignores the gate: an empty enabled profile equals an
         // empty disabled one.
         assert_eq!(KernelProfile::new(), KernelProfile::disabled());
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut p = KernelProfile::new();
-        p.record(KernelId::Lstm, 10, 1);
-        p.reset();
-        assert_eq!(p.total_nanos(), 0);
-        assert_eq!(p.calls(KernelId::Lstm), 0);
     }
 }

@@ -179,13 +179,13 @@ impl EngineConfig {
     }
 
     /// Enables/disables the submatrix linkage partition.
-    pub fn with_submatrix_linkage(mut self, on: bool) -> Self {
+    pub(crate) fn with_submatrix_linkage(mut self, on: bool) -> Self {
         self.submatrix_linkage = on;
         self
     }
 
     /// Enables/disables DNC-D execution.
-    pub fn with_dncd(mut self, on: bool) -> Self {
+    pub(crate) fn with_dncd(mut self, on: bool) -> Self {
         self.dncd = on;
         self
     }
@@ -205,7 +205,7 @@ impl EngineConfig {
 
     /// Cycles to evaluate `count` exponentials: iterative SFUs when exact,
     /// one MAC per element on the PE array with the PLA+LUT approximation.
-    pub fn exp_eval_cycles(&self, count: u64) -> u64 {
+    pub(crate) fn exp_eval_cycles(&self, count: u64) -> u64 {
         if self.approx_softmax {
             count.div_ceil(self.pe_parallelism as u64)
         } else {
@@ -216,17 +216,17 @@ impl EngineConfig {
     /// Matrix-buffer load overhead charged to every kernel invocation: the
     /// PT's matrix buffer loader streams one row per cycle, `N/N_t` rows
     /// (Fig. 9's "Matrix Buffer Loader").
-    pub fn kernel_overhead_cycles(&self) -> u64 {
+    pub(crate) fn kernel_overhead_cycles(&self) -> u64 {
         self.rows_per_tile() as u64
     }
 
     /// Rows per tile `n = ⌈N / N_t⌉`.
-    pub fn rows_per_tile(&self) -> usize {
+    pub(crate) fn rows_per_tile(&self) -> usize {
         self.memory_size.div_ceil(self.tiles)
     }
 
     /// LSTM input width: external input (word-sized) + `R·W` read vector.
-    pub fn lstm_input(&self) -> usize {
+    pub(crate) fn lstm_input(&self) -> usize {
         self.word_size + self.read_heads * self.word_size
     }
 

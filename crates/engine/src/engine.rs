@@ -148,19 +148,9 @@ impl Engine {
         Self { cfg, sim: NocSim::new(graph), linkage, chain_order }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
     /// The linkage-memory partition in use.
     pub fn linkage_partition(&self) -> Partition {
         self.linkage
-    }
-
-    /// The NoC simulator (for inspection).
-    pub fn noc(&self) -> &NocSim {
-        &self.sim
     }
 
     /// Total cycles of one DNC time step.

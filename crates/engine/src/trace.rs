@@ -12,7 +12,7 @@
 use crate::config::EngineConfig;
 use crate::engine::{Engine, StepReport};
 use hima_dnc::profile::KernelId;
-use hima_dnc::{Dnc, InterfaceVector};
+use hima_dnc::Dnc;
 use serde::{Deserialize, Serialize};
 
 /// Average gate activity over an episode.
@@ -32,11 +32,6 @@ pub struct GateTrace {
 }
 
 impl GateTrace {
-    /// A trace with every gate fully open (reduces to the static model).
-    pub fn worst_case() -> Self {
-        Self { write_gate: 1.0, allocation_gate: 1.0, free_gate: 1.0, write_density: 1.0, steps: 0 }
-    }
-
     /// Collects gate statistics by running `dnc` over `inputs`.
     ///
     /// # Panics
@@ -68,36 +63,6 @@ impl GateTrace {
             free_gate: (free_gate / n).clamp(0.0, 1.0),
             write_density: (write_density / n).clamp(0.0, 1.0),
             steps: inputs.len(),
-        }
-    }
-
-    /// Collects gate statistics from explicit interface vectors (exact
-    /// gates, no post-hoc recovery).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interfaces` is empty.
-    pub fn from_interfaces(interfaces: &[InterfaceVector]) -> Self {
-        assert!(!interfaces.is_empty(), "need at least one interface vector");
-        let n = interfaces.len() as f64;
-        let write_gate = interfaces.iter().map(|iv| iv.write_gate as f64).sum::<f64>() / n;
-        let allocation_gate =
-            interfaces.iter().map(|iv| iv.allocation_gate as f64).sum::<f64>() / n;
-        let free_gate = interfaces
-            .iter()
-            .map(|iv| {
-                iv.free_gates.iter().map(|&g| g as f64).sum::<f64>() / iv.free_gates.len().max(1) as f64
-            })
-            .sum::<f64>()
-            / n;
-        Self {
-            write_gate,
-            allocation_gate,
-            free_gate,
-            // Soft writes touch every slot a little; density stays 1 unless
-            // measured from weightings.
-            write_density: 1.0,
-            steps: interfaces.len(),
         }
     }
 }
@@ -142,19 +107,27 @@ mod tests {
     use super::*;
     use hima_dnc::DncParams;
 
+    /// Every gate fully open: the trace that reduces to the static model.
+    const WORST_CASE: GateTrace = GateTrace {
+        write_gate: 1.0,
+        allocation_gate: 1.0,
+        free_gate: 1.0,
+        write_density: 1.0,
+        steps: 0,
+    };
+
     #[test]
     fn worst_case_trace_matches_static_model() {
         let cfg = EngineConfig::hima_dnc(16);
         let static_report = Engine::new(cfg).step_report();
-        let traced = trace_report(&cfg, &GateTrace::worst_case());
+        let traced = trace_report(&cfg, &WORST_CASE);
         assert_eq!(static_report.total_cycles(), traced.total_cycles());
     }
 
     #[test]
     fn closed_write_gate_cuts_memory_write_work() {
         let cfg = EngineConfig::hima_dnc(16);
-        let mut trace = GateTrace::worst_case();
-        trace.write_gate = 0.0;
+        let trace = GateTrace { write_gate: 0.0, ..WORST_CASE };
         let traced = trace_report(&cfg, &trace);
         let static_report = Engine::new(cfg).step_report();
         let t = traced.cost_of(KernelId::MemoryWrite).unwrap();
@@ -195,20 +168,6 @@ mod tests {
         for v in [trace.write_gate, trace.allocation_gate, trace.free_gate, trace.write_density] {
             assert!((0.0..=1.0).contains(&v), "{trace:?}");
         }
-    }
-
-    #[test]
-    fn from_interfaces_reads_exact_gates() {
-        let len = 4 + 3 * 4 + 5 + 3; // W=4, R=1
-        let mk = |gate_raw: f32| {
-            let mut raw = vec![0.0f32; len];
-            raw[20] = gate_raw; // write gate position for W=4, R=1
-            InterfaceVector::parse(&raw, 4, 1)
-        };
-        let open = GateTrace::from_interfaces(&[mk(100.0)]);
-        let closed = GateTrace::from_interfaces(&[mk(-100.0)]);
-        assert!(open.write_gate > 0.99);
-        assert!(closed.write_gate < 0.01);
     }
 
     #[test]

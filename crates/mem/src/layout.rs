@@ -56,19 +56,9 @@ impl TileMemoryMap {
         )
     }
 
-    /// The external-memory partition in use.
-    pub fn external_partition(&self) -> Partition {
-        self.external
-    }
-
     /// The linkage-memory partition in use.
     pub fn linkage_partition(&self) -> Partition {
         self.linkage
-    }
-
-    /// Number of PTs.
-    pub fn tiles(&self) -> usize {
-        self.tiles
     }
 
     /// Per-PT external-memory bytes (largest block).
@@ -96,7 +86,7 @@ impl TileMemoryMap {
 
     /// Total per-PT memory bytes: external + linkage + usage + precedence +
     /// write weighting + read weightings.
-    pub fn total_bytes(&self) -> usize {
+    pub(crate) fn total_bytes(&self) -> usize {
         self.external_bytes() + self.linkage_bytes() + 3 * self.state_vector_bytes() + self.read_weight_bytes()
     }
 

@@ -14,7 +14,7 @@ use crate::traffic::{
 
 /// Combined access-kernel traffic for the external memory: content-based
 /// weighting (Eq. 1) plus memory read (Eq. 2).
-pub fn external_traffic(n: usize, w: usize, p: Partition) -> u64 {
+pub(crate) fn external_traffic(n: usize, w: usize, p: Partition) -> u64 {
     content_weighting_transfers(n, p) + memory_read_transfers(n, w, p)
 }
 

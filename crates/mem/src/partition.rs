@@ -30,11 +30,6 @@ impl Partition {
         Self::new(n_t, 1)
     }
 
-    /// Column-wise partition over `n_t` tiles (`N_t^h = 1`, `N_t^w = N_t`).
-    pub fn col_wise(n_t: usize) -> Self {
-        Self::new(1, n_t)
-    }
-
     /// Block rows `N_t^h`.
     pub fn rows(&self) -> usize {
         self.rows
@@ -55,11 +50,6 @@ impl Partition {
         self.cols == 1
     }
 
-    /// Whether this is the column-wise special case.
-    pub fn is_col_wise(&self) -> bool {
-        self.rows == 1
-    }
-
     /// All factorizations `h × w = n_t`, ordered by increasing `w`.
     pub fn factorizations(n_t: usize) -> Vec<Partition> {
         assert!(n_t > 0, "need at least one tile");
@@ -70,12 +60,14 @@ impl Partition {
     }
 
     /// Tile index owning matrix element `(i, j)` of an `n × m` matrix,
-    /// numbering tiles row-major over blocks.
+    /// numbering tiles row-major over blocks — the element-by-element
+    /// reference [`Partition::block_shape`] is checked against.
     ///
     /// # Panics
     ///
     /// Panics if `(i, j)` is out of bounds.
-    pub fn tile_of(&self, i: usize, j: usize, n: usize, m: usize) -> usize {
+    #[cfg(test)]
+    fn tile_of(&self, i: usize, j: usize, n: usize, m: usize) -> usize {
         assert!(i < n && j < m, "element ({i},{j}) outside {n}x{m}");
         let block_h = n.div_ceil(self.rows);
         let block_w = m.div_ceil(self.cols);
@@ -90,7 +82,7 @@ impl Partition {
     /// # Panics
     ///
     /// Panics if `t >= tiles()`.
-    pub fn block_shape(&self, t: usize, n: usize, m: usize) -> (usize, usize) {
+    pub(crate) fn block_shape(&self, t: usize, n: usize, m: usize) -> (usize, usize) {
         assert!(t < self.tiles(), "tile {t} out of range");
         let (bi, bj) = (t / self.cols, t % self.cols);
         let block_h = n.div_ceil(self.rows);
@@ -114,7 +106,6 @@ mod tests {
     #[test]
     fn special_cases() {
         assert!(Partition::row_wise(8).is_row_wise());
-        assert!(Partition::col_wise(8).is_col_wise());
         assert_eq!(Partition::row_wise(8).tiles(), 8);
         assert_eq!(Partition::new(4, 4).tiles(), 16);
     }

@@ -1,5 +1,6 @@
 //! Closed-form inter-tile traffic models — Eqs. (1), (2) and (3) of the
-//! paper — plus first-principles message enumerations that validate them.
+//! paper; the first-principles message enumerations that validate them
+//! live with this module's tests.
 //!
 //! "Transfers" counts inter-tile messages the way the paper does in
 //! Fig. 6: partial sums, broadcast copies and matrix-element blocks each
@@ -50,121 +51,55 @@ pub fn forward_backward_transfers(p: Partition) -> f64 {
     (h * (h - 1.0) / nt + w) + (w * (w - 1.0) / nt + h)
 }
 
-/// An inter-tile transfer: `(from_tile, to_tile)`.
-pub type Transfer = (usize, usize);
-
-/// First-principles enumeration of the content-weighting messages:
-/// walks the distributed normalize + similarity algorithm and emits every
-/// inter-tile transfer. Validates [`content_weighting_transfers`].
-pub fn enumerate_content_weighting(n: usize, p: Partition) -> Vec<Transfer> {
-    let mut out = Vec::new();
-    // Normalization: each memory row spans the N_t^w tiles of its block
-    // row. Partial square-sums flow to the leftmost tile of the block row,
-    // and the resulting norm flows back — 2(N_t^w − 1) transfers per row.
-    for i in 0..n {
-        let bi = block_row_of(i, n, p);
-        let owner = bi * p.cols();
-        for bj in 1..p.cols() {
-            let tile = bi * p.cols() + bj;
-            out.push((tile, owner));
-            out.push((owner, tile));
-        }
-    }
-    // Similarity: each block row produces one dot-product psum per tile
-    // column; the block rows' psums reduce to the CT-side tile (tile 0) for
-    // the global softmax and the result is redistributed — 2(N_t^h − 1)
-    // transfers. (Within a block row the psums ride along with the
-    // normalization return path, matching the paper's count.)
-    for bi in 1..p.rows() {
-        let tile = bi * p.cols();
-        out.push((tile, 0));
-        out.push((0, tile));
-    }
-    out
-}
-
-/// First-principles enumeration of memory-read messages for the row-wise
-/// partition (the case with an exact derivation): each tile computes a
-/// partial `W`-vector and the psums accumulate down the tile chain,
-/// `W(N_t − 1)` transfers. Validates [`memory_read_transfers`] at the
-/// row-wise extreme.
-///
-/// # Panics
-///
-/// Panics if `p` is not row-wise (interior partitions are covered by the
-/// closed form; see [`memory_read_messages`] for a formula-faithful message
-/// placement).
-pub fn enumerate_memory_read_row_wise(w: usize, p: Partition) -> Vec<Transfer> {
-    assert!(p.is_row_wise(), "exact enumeration only exists for the row-wise split");
-    let mut out = Vec::new();
-    for t in 1..p.tiles() {
-        for _ in 0..w {
-            out.push((t - 1, t));
-        }
-    }
-    out
-}
-
-/// Formula-faithful message placement for the memory-read kernel under any
-/// partition: distributes exactly [`memory_read_transfers`] transfers over
-/// the tile pairs the kernel uses — element-block exchanges between the
-/// tiles of each block row, and psum chains down each block column. Used by
-/// the engine to put Eq. (2)'s traffic onto the NoC.
-pub fn memory_read_messages(n: usize, w: usize, p: Partition) -> Vec<Transfer> {
-    let mut out = Vec::new();
-    let cols = p.cols();
-    let rows = p.rows();
-
-    // Element term: N_t^w (N_t^w − 1) N / N_t transfers spread uniformly
-    // over the ordered within-block-row pairs.
-    let elem_total = (cols * (cols - 1) * n / p.tiles()) as u64;
-    let pairs: Vec<Transfer> = (0..rows)
-        .flat_map(|bi| {
-            (0..cols).flat_map(move |bj| {
-                (0..cols)
-                    .filter(move |&o| o != bj)
-                    .map(move |o| (bi * cols + bj, bi * cols + o))
-            })
-        })
-        .collect();
-    if !pairs.is_empty() {
-        let per_pair = elem_total / pairs.len() as u64;
-        let remainder = (elem_total % pairs.len() as u64) as usize;
-        for (k, &pair) in pairs.iter().enumerate() {
-            let count = per_pair + u64::from(k < remainder);
-            for _ in 0..count {
-                out.push(pair);
-            }
-        }
-    }
-
-    // Psum term: W (N_t^h − 1) transfers along block-column chains, spread
-    // over the N_t^w columns.
-    let psum_total = (w * (rows - 1)) as u64;
-    let links: Vec<Transfer> = (1..rows)
-        .flat_map(|bi| (0..cols).map(move |bj| ((bi - 1) * cols + bj, bi * cols + bj)))
-        .collect();
-    if !links.is_empty() {
-        let per_link = psum_total / links.len() as u64;
-        let remainder = (psum_total % links.len() as u64) as usize;
-        for (k, &link) in links.iter().enumerate() {
-            let count = per_link + u64::from(k < remainder);
-            for _ in 0..count {
-                out.push(link);
-            }
-        }
-    }
-    out
-}
-
-fn block_row_of(i: usize, n: usize, p: Partition) -> usize {
-    let block_h = n.div_ceil(p.rows());
-    (i / block_h).min(p.rows() - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An inter-tile transfer: `(from_tile, to_tile)`.
+    type Transfer = (usize, usize);
+
+    /// First-principles enumeration of the content-weighting messages:
+    /// walks the distributed normalize + similarity algorithm and emits
+    /// every inter-tile transfer — the reference Eq. (1) is checked
+    /// against.
+    fn enumerate_content_weighting(n: usize, p: Partition) -> Vec<Transfer> {
+        let mut out = Vec::new();
+        // Normalization: each memory row spans the N_t^w tiles of its block
+        // row. Partial square-sums flow to the leftmost tile of the block
+        // row, and the resulting norm flows back — 2(N_t^w − 1) transfers
+        // per row.
+        let block_h = n.div_ceil(p.rows());
+        for i in 0..n {
+            let bi = (i / block_h).min(p.rows() - 1);
+            let owner = bi * p.cols();
+            for bj in 1..p.cols() {
+                let tile = bi * p.cols() + bj;
+                out.push((tile, owner));
+                out.push((owner, tile));
+            }
+        }
+        // Similarity: each block row produces one dot-product psum per tile
+        // column; the block rows' psums reduce to the CT-side tile (tile 0)
+        // for the global softmax and the result is redistributed —
+        // 2(N_t^h − 1) transfers. (Within a block row the psums ride along
+        // with the normalization return path, matching the paper's count.)
+        for bi in 1..p.rows() {
+            let tile = bi * p.cols();
+            out.push((tile, 0));
+            out.push((0, tile));
+        }
+        out
+    }
+
+    /// First-principles enumeration of memory-read messages for the
+    /// row-wise partition (the case with an exact derivation): each tile
+    /// computes a partial `W`-vector and the psums accumulate down the tile
+    /// chain, `W(N_t − 1)` transfers — the reference Eq. (2) is checked
+    /// against at the row-wise extreme.
+    fn enumerate_memory_read_row_wise(w: usize, p: Partition) -> Vec<Transfer> {
+        assert!(p.is_row_wise(), "exact enumeration only exists for the row-wise split");
+        (1..p.tiles()).flat_map(|t| std::iter::repeat_n((t - 1, t), w)).collect()
+    }
 
     #[test]
     fn eq1_row_wise_has_no_normalization_traffic() {
@@ -176,7 +111,7 @@ mod tests {
     #[test]
     fn eq1_col_wise_pays_per_row() {
         // Fig. 6(a): column-wise -> 2N(N_t − 1) for normalization.
-        let p = Partition::col_wise(4);
+        let p = Partition::new(1, 4);
         assert_eq!(content_weighting_transfers(1024, p), 2 * 1024 * 3);
     }
 
@@ -196,7 +131,7 @@ mod tests {
         // N x W = 1024 x 64, N_t = 16.
         let row = memory_read_transfers(1024, 64, Partition::row_wise(16));
         assert_eq!(row, 64 * 15); // psums only
-        let col = memory_read_transfers(1024, 64, Partition::col_wise(16));
+        let col = memory_read_transfers(1024, 64, Partition::new(1, 16));
         assert_eq!(col, 16 * 15 * 64); // matrix elements only
         assert!(row < col);
     }
@@ -227,7 +162,7 @@ mod tests {
         // "Both the low-end and the high-end of N_t^w are suboptimal."
         let row = forward_backward_transfers(Partition::row_wise(16));
         let mid = forward_backward_transfers(Partition::new(4, 4));
-        let col = forward_backward_transfers(Partition::col_wise(16));
+        let col = forward_backward_transfers(Partition::new(1, 16));
         assert!(mid < row);
         assert!(mid < col);
         assert!((row - col).abs() < 1e-9, "Eq. 3 is symmetric");
@@ -261,23 +196,6 @@ mod tests {
         let p = Partition::row_wise(8);
         let count = enumerate_memory_read_row_wise(64, p).len() as u64;
         assert_eq!(count, memory_read_transfers(1024, 64, p));
-    }
-
-    #[test]
-    fn message_placement_matches_eq2_everywhere() {
-        for nt in [4usize, 16] {
-            for p in Partition::factorizations(nt) {
-                let msgs = memory_read_messages(1024, 64, p);
-                assert_eq!(
-                    msgs.len() as u64,
-                    memory_read_transfers(1024, 64, p),
-                    "partition {p}"
-                );
-                for (src, dst) in msgs {
-                    assert!(src < nt && dst < nt && src != dst);
-                }
-            }
-        }
     }
 
     #[test]

@@ -28,17 +28,6 @@ pub struct CycleSimReport {
     pub total_flit_hops: u64,
 }
 
-impl CycleSimReport {
-    /// Mean message latency (injection at cycle 0 or dependency release).
-    pub fn mean_arrival(&self) -> f64 {
-        if self.arrivals.is_empty() {
-            0.0
-        } else {
-            self.arrivals.iter().sum::<u64>() as f64 / self.arrivals.len() as f64
-        }
-    }
-}
-
 /// Event: a message becomes ready to request its next link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Ready {
@@ -319,6 +308,6 @@ mod tests {
         let (cs, _) = sims(Topology::Mesh, 4);
         let rep = cs.run(Mode::Full, &[]);
         assert_eq!(rep.completion_cycles, 0);
-        assert_eq!(rep.mean_arrival(), 0.0);
+        assert!(rep.arrivals.is_empty());
     }
 }

@@ -118,11 +118,6 @@ impl RoutingTable {
         Self { mode, next_hop }
     }
 
-    /// The mode this table was built for.
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
     /// The node sequence from `src` to `dst` (inclusive), or `None` when
     /// the mode's edge mask disconnects the pair.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {

@@ -246,18 +246,13 @@ impl TopologyGraph {
         &self.adjacency[node.0]
     }
 
-    /// Node kind.
-    pub fn kind(&self, node: NodeId) -> NodeKind {
-        self.kinds[node.0]
-    }
-
     /// Grid coordinates for mesh-family nodes.
     pub fn position(&self, node: NodeId) -> Option<(usize, usize)> {
         self.positions[node.0]
     }
 
     /// Grid side length (0 for non-grid topologies).
-    pub fn grid_side(&self) -> usize {
+    pub(crate) fn grid_side(&self) -> usize {
         self.grid_side
     }
 

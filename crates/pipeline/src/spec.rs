@@ -94,12 +94,6 @@ impl PipelineSpec {
         self
     }
 
-    /// Overrides the channel depth.
-    pub fn with_channel_depth(mut self, channel_depth: usize) -> Self {
-        self.channel_depth = channel_depth;
-        self
-    }
-
     /// Overrides the length spread of the batcher's buckets (`0` =
     /// exact-length grouping).
     pub fn with_length_spread(mut self, length_spread: usize) -> Self {
@@ -109,13 +103,13 @@ impl PipelineSpec {
 
     /// The bucket id of an episode of `len` steps: lengths within one
     /// bucket differ by at most [`length_spread`](PipelineSpec::length_spread).
-    pub fn length_bucket(&self, len: usize) -> usize {
+    pub(crate) fn length_bucket(&self, len: usize) -> usize {
         len / (self.length_spread + 1)
     }
 
     /// Bound of the per-episode channels (generation → batcher and
     /// engine → reduction), in episodes.
-    pub fn episode_channel_bound(&self) -> usize {
+    pub(crate) fn episode_channel_bound(&self) -> usize {
         self.channel_depth * self.batch_size
     }
 
@@ -186,10 +180,9 @@ mod tests {
 
     #[test]
     fn builder_style_overrides_compose() {
-        let spec = PipelineSpec::default()
+        let spec = PipelineSpec { channel_depth: 2, ..PipelineSpec::default() }
             .with_batch_size(16)
             .with_workers(3, 5)
-            .with_channel_depth(2)
             .with_length_spread(4);
         assert_eq!(spec.batch_size, 16);
         assert_eq!(spec.gen_workers, 3);

@@ -32,21 +32,6 @@ impl<S> ChaosStream<S> {
         ChaosStream { inner, plan }
     }
 
-    /// The wrapped transport.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
-    /// The wrapped transport, mutably.
-    pub fn get_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
-    /// Unwraps back to the raw transport.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     /// Checks the plan at `site`; returns the fault to apply, if any.
     fn consult(&self, site: FaultSite) -> Option<FaultKind> {
         self.plan.as_deref().and_then(|p| p.check(site))
@@ -185,7 +170,7 @@ mod tests {
         s.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"abc");
         s.write_all(b"xy").unwrap();
-        assert!(!s.get_ref().dead);
+        assert!(!s.inner.dead);
     }
 
     #[test]
@@ -199,7 +184,7 @@ mod tests {
         s.read_exact(&mut buf).unwrap(); // op 0: clean
         let err = s.read(&mut buf).unwrap_err(); // op 1: reset
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
-        assert!(s.get_ref().dead);
+        assert!(s.inner.dead);
     }
 
     #[test]
@@ -212,8 +197,8 @@ mod tests {
         let mut s = ChaosStream::new(Pipe::new(b""), Some(plan));
         let err = s.write(b"hello world").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
-        assert_eq!(s.get_ref().data, b"hel");
-        assert!(s.get_ref().dead);
+        assert_eq!(s.inner.data, b"hel");
+        assert!(s.inner.dead);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! * `retry` — a seeded [`RetryPolicy`]: on a transport error the client
 //!   reconnects under jittered capped exponential backoff, and
 //!   **idempotent** requests (`Open`, `ReadRows`, `Metrics`,
-//!   `TraceDump`; see [`Request::is_idempotent`]) are transparently
-//!   resent. Non-idempotent requests (steps, resets, closes) still
-//!   surface the original transport error — the reconnected socket is
+//!   `TraceDump`) are transparently resent. Non-idempotent requests
+//!   (steps, resets, closes) still surface the original transport
+//!   error — the reconnected socket is
 //!   simply ready for the caller's own retry, and because session ids
 //!   are server-side state, the same session resumes over the new
 //!   connection.

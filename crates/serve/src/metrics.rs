@@ -256,14 +256,8 @@ impl ServeMetrics {
     }
 
     /// Whether sampled engine timing is enabled.
-    pub fn engine_profiling(&self) -> bool {
+    pub(crate) fn engine_profiling(&self) -> bool {
         self.profile_engine.load(Ordering::Relaxed)
-    }
-
-    /// The backing registry (for embedding extra metrics alongside the
-    /// catalog).
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
     }
 
     /// Copies every registered metric's current value out.
@@ -287,12 +281,12 @@ impl ServeMetrics {
     }
 
     /// Drops a closed/reaped session's histogram from the registry.
-    pub fn drop_session_histogram(&self, session: u64) {
+    pub(crate) fn drop_session_histogram(&self, session: u64) {
         self.registry.remove(&format!("serve.session.{session}.step_latency_us"));
     }
 
     /// Counts one inbound request under its `rpc.<command>` counter.
-    pub fn record_request(&self, req: &Request) {
+    pub(crate) fn record_request(&self, req: &Request) {
         let idx = match req {
             Request::Open { .. } => 0,
             Request::Step { .. } => 1,
@@ -309,7 +303,7 @@ impl ServeMetrics {
 
     /// Counts an error reply under its `err.<kind>` counter and traces
     /// it; non-error responses pass through untouched.
-    pub fn record_response(&self, resp: &Response) {
+    pub(crate) fn record_response(&self, resp: &Response) {
         if let Response::Error(e) = resp {
             self.record_error(e);
         }
@@ -317,7 +311,7 @@ impl ServeMetrics {
 
     /// Counts one [`ServeError`] and appends a trace event (the detail
     /// field carries the error's wire subtag).
-    pub fn record_error(&self, e: &ServeError) {
+    pub(crate) fn record_error(&self, e: &ServeError) {
         let idx = e.subtag() as usize - 1;
         let session = match e {
             ServeError::UnknownSession(id)
@@ -339,7 +333,7 @@ impl ServeMetrics {
     /// gauges so a metrics snapshot reveals whether (and where) the
     /// chaos harness actually fired. Cheap: three relaxed loads per
     /// family; called on each `Metrics` request.
-    pub fn sync_fault_gauges(&self, plan: &hima_chaos::FaultPlan) {
+    pub(crate) fn sync_fault_gauges(&self, plan: &hima_chaos::FaultPlan) {
         use hima_chaos::FaultSite;
         self.fault_disk_injected.set(plan.injected_disk() as i64);
         self.fault_net_injected.set(
@@ -352,7 +346,7 @@ impl ServeMetrics {
     /// engine counters (the opt-in engine-timing path: the scheduler
     /// periodically diffs its engine's profile against a baseline and
     /// hands the delta here).
-    pub fn record_profile_delta(&self, delta: &KernelProfile) {
+    pub(crate) fn record_profile_delta(&self, delta: &KernelProfile) {
         if delta.total_nanos() == 0 {
             return;
         }

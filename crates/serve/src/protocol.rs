@@ -147,7 +147,7 @@ impl Writer {
     }
 
     /// The encoded payload.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
@@ -302,7 +302,7 @@ impl SessionSpec {
     /// Canonical byte key of this configuration — equal keys ⇔ sessions
     /// may share one lane grid (weights are a function of the seed alone,
     /// so lane slots of one group are interchangeable).
-    pub fn group_key(&self) -> Vec<u8> {
+    pub(crate) fn group_key(&self) -> Vec<u8> {
         let mut w = Writer::new();
         RawSessionSpec::from_parts(&self.params, &self.spec, self.seed).encode(&mut w);
         w.into_bytes()
@@ -645,7 +645,7 @@ impl Request {
     /// Whether the command is safe to resend after an ambiguous
     /// connection failure. Steps are excluded: a lost reply leaves the
     /// client unsure whether the step was applied.
-    pub fn is_idempotent(&self) -> bool {
+    pub(crate) fn is_idempotent(&self) -> bool {
         matches!(
             self,
             Request::Open { .. }

@@ -11,9 +11,9 @@
 //!   the attempt number** despite the jitter, deterministic per seed,
 //!   and clamped to the cap.
 //! * [`shed_order`] — given queued entries with absolute deadlines,
-//!   which are expired at `now`, oldest deadline first. The scheduler
-//!   sheds in exactly this order so the entries that have waited past
-//!   their deadline the longest are rejected first.
+//!   which are expired at `now`, oldest deadline first. The scheduler's
+//!   tick calls it to pick what to shed, so the entries that have waited
+//!   past their deadline the longest are rejected first.
 
 use std::time::Duration;
 
@@ -72,10 +72,11 @@ impl RetryPolicy {
 /// Returns the ids of expired entries, oldest deadline first.
 ///
 /// `entries` are `(id, deadline)` pairs on any monotone clock (the
-/// scheduler uses microseconds since an epoch); an entry is expired when
-/// `deadline <= now`. Ties break by ascending id so the order is total.
-pub fn shed_order(entries: &[(u64, u64)], now: u64) -> Vec<u64> {
-    let mut expired: Vec<(u64, u64)> = entries
+/// scheduler passes `Instant`s, the property tests integers); an entry is
+/// expired when `deadline <= now`. Ties break by ascending id so the order
+/// is total.
+pub fn shed_order<T: Ord + Copy>(entries: &[(u64, T)], now: T) -> Vec<u64> {
+    let mut expired: Vec<(T, u64)> = entries
         .iter()
         .filter(|&&(_, deadline)| deadline <= now)
         .map(|&(id, deadline)| (deadline, id))

@@ -58,8 +58,8 @@
 //! ([`ServeConfig::global_queue_limit`]) — answering
 //! [`ServeError::Overloaded`] with a drain-time estimate instead of
 //! queueing without bound. Each in-flight command may carry a deadline;
-//! the tick sheds expired commands (oldest deadline first, the order
-//! [`crate::retry::shed_order`] pins) with a typed
+//! the tick sheds expired commands (oldest deadline first —
+//! [`crate::retry::shed_order`]) with a typed
 //! [`ServeError::DeadlineExceeded`] — never a silent drop.
 //!
 //! # Supervision
@@ -396,12 +396,11 @@ impl Group {
                 self.metrics.supervisor_resurrected.inc();
                 resurrected += 1;
             } else {
-                lock_clean(&self.shared.roster).remove(&id);
+                // Still routable: the index entry goes when the session's
+                // next command has collected its `GroupFailed`.
                 self.failed.insert(id);
-                self.metrics.sessions_live.sub(1);
                 self.metrics.supervisor_failed_sessions.inc();
-                self.metrics.drop_session_histogram(id);
-                self.metrics.trace(TraceKind::SessionFailed, id, 0);
+                self.retire(id, TraceKind::SessionFailed);
             }
         }
         self.metrics.trace(TraceKind::GroupRestart, 0, resurrected);
@@ -414,6 +413,27 @@ impl Group {
                 self.metrics.store_errors.inc();
             }
         }
+    }
+
+    /// Returns a departing session's lane, if it held one, to the free
+    /// list.
+    fn free_lane(&mut self, lane: Option<usize>) {
+        if let Some(lane) = lane {
+            self.lanes[lane] = None;
+            self.free.push(lane);
+        }
+    }
+
+    /// Takes a session that is gone for good off the books: the roster,
+    /// the live gauge, its latency histogram, and the lifecycle trace
+    /// (`kind` says how it went). Callers account and retire *before*
+    /// replying, and drop the routing-index entry themselves — a failed
+    /// session keeps its entry until its `GroupFailed` is collected.
+    fn retire(&self, id: u64, kind: TraceKind) {
+        lock_clean(&self.shared.roster).remove(&id);
+        self.metrics.sessions_live.sub(1);
+        self.metrics.drop_session_histogram(id);
+        self.metrics.trace(kind, id, 0);
     }
 
     /// How long an overloaded client should wait before retrying: the
@@ -589,51 +609,36 @@ impl Group {
                 let _ = reply.send(Response::Done);
             }
             GroupCmd::Close { session, reply } => {
-                match self.sessions.remove(&session) {
-                    Some(mut sess) => {
-                        if let Some(lane) = sess.lane {
-                            self.lanes[lane] = None;
-                            self.free.push(lane);
-                        }
-                        if sess.parked.is_some() {
-                            self.shared.park_sub(1);
-                        }
-                        self.shared.queue_sub(sess.queue.len() as i64);
-                        // Abort any queued-but-unserved steps (cannot
-                        // happen through the synchronous client, which
-                        // holds the session busy until the reply).
-                        if let Some((reply, outputs, _)) = sess.reply {
-                            let _ = reply.send(Response::Stepped { outputs });
-                        }
-                        for deferred in sess.pending_reads.drain(..) {
-                            let _ = deferred.send(Response::Rows { read: sess.last_read.clone() });
-                        }
-                        // Drop the log writer before deleting its file.
-                        sess.log = None;
-                        self.drop_store_files(session);
-                        lock_clean(&self.shared.index).remove(&session);
-                        lock_clean(&self.shared.roster).remove(&session);
-                        self.metrics.sessions_closed.inc();
-                        self.metrics.sessions_live.sub(1);
-                        self.metrics.drop_session_histogram(session);
-                        self.metrics.trace(TraceKind::Close, session, 0);
-                        let _ = reply.send(Response::Done);
-                    }
-                    None if self.spilled.remove(&session) => {
-                        // Closing a spilled session never rehydrates it;
-                        // its store files are simply deleted.
-                        self.drop_store_files(session);
-                        lock_clean(&self.shared.index).remove(&session);
-                        lock_clean(&self.shared.roster).remove(&session);
-                        self.metrics.sessions_closed.inc();
-                        self.metrics.sessions_live.sub(1);
-                        self.metrics.trace(TraceKind::Close, session, 0);
-                        let _ = reply.send(Response::Done);
-                    }
-                    None => {
-                        let _ = reply.send(Response::Error(ServeError::UnknownSession(session)));
-                    }
+                let resident = self.sessions.remove(&session);
+                if resident.is_none() && !self.spilled.remove(&session) {
+                    let _ = reply.send(Response::Error(ServeError::UnknownSession(session)));
+                    return;
                 }
+                if let Some(mut sess) = resident {
+                    self.free_lane(sess.lane);
+                    if sess.parked.is_some() {
+                        self.shared.park_sub(1);
+                    }
+                    self.shared.queue_sub(sess.queue.len() as i64);
+                    // Abort any queued-but-unserved steps (cannot happen
+                    // through the synchronous client, which holds the
+                    // session busy until the reply).
+                    if let Some((reply, outputs, _)) = sess.reply {
+                        let _ = reply.send(Response::Stepped { outputs });
+                    }
+                    for deferred in sess.pending_reads.drain(..) {
+                        let _ = deferred.send(Response::Rows { read: sess.last_read.clone() });
+                    }
+                    // Drop the log writer before deleting its file.
+                    sess.log = None;
+                }
+                // Closing a spilled session never rehydrates it; its store
+                // files are simply deleted.
+                self.drop_store_files(session);
+                lock_clean(&self.shared.index).remove(&session);
+                self.metrics.sessions_closed.inc();
+                self.retire(session, TraceKind::Close);
+                let _ = reply.send(Response::Done);
             }
             GroupCmd::Adopt { session } => {
                 self.spilled.insert(session);
@@ -694,28 +699,21 @@ impl Group {
         Some(lane)
     }
 
-    /// Sheds every in-flight command whose deadline has passed, oldest
-    /// deadline first (ties by session id — the order
-    /// [`crate::retry::shed_order`] property-tests). The whole command
+    /// Sheds every in-flight command whose deadline has passed, in
+    /// [`shed_order`](crate::retry::shed_order): oldest deadline first,
+    /// ties by session id. The whole command
     /// fails with a typed `DeadlineExceeded`; rows already stepped are
     /// dropped with it (the session state keeps them — only the reply is
     /// truncated). Recovery-replay rows are never shed: they are owed to
     /// durability, not to a client.
     fn shed_expired(&mut self) {
-        let now = Instant::now();
-        let mut expired: Vec<(Instant, u64)> = self
+        let in_flight: Vec<(u64, Instant)> = self
             .sessions
             .iter()
-            .filter_map(|(&id, s)| match s.deadline {
-                Some(d) if d <= now && s.reply.is_some() => Some((d, id)),
-                _ => None,
-            })
+            .filter(|(_, s)| s.reply.is_some())
+            .filter_map(|(&id, s)| Some((id, s.deadline?)))
             .collect();
-        if expired.is_empty() {
-            return;
-        }
-        expired.sort_unstable();
-        for (_, id) in expired {
+        for id in crate::retry::shed_order(&in_flight, Instant::now()) {
             let sess = self.sessions.get_mut(&id).unwrap();
             let shed = sess.queue.len() - sess.replay_left;
             sess.queue.truncate(sess.replay_left);
@@ -962,13 +960,14 @@ impl Group {
             self.metrics.store_evict_refusals.inc();
             // Refuse to discard: keep the newest state in RAM, parked
             // (the lane frees up either way — the detached copy is the
-            // state now).
+            // state now). The refusal counts as activity, so the idle
+            // sweep retries once per `idle_timeout`, not once per tick
+            // for as long as the disk refuses.
             let sess = self.sessions.get_mut(&id).unwrap();
-            if let Some(lane) = sess.lane.take() {
-                self.lanes[lane] = None;
-                self.free.push(lane);
-            }
             sess.parked = Some(state);
+            sess.last_activity = Instant::now();
+            let lane = sess.lane.take();
+            self.free_lane(lane);
             if !was_parked {
                 self.shared.park_add(1);
             }
@@ -977,10 +976,7 @@ impl Group {
         self.metrics.store_snapshot_bytes.observe(bytes.len() as u64);
         self.metrics.store_snapshot_us.observe(t0.elapsed().as_micros() as u64);
         let sess = self.sessions.remove(&id).unwrap();
-        if let Some(lane) = sess.lane {
-            self.lanes[lane] = None;
-            self.free.push(lane);
-        }
+        self.free_lane(sess.lane);
         if was_parked {
             self.shared.park_sub(1);
         }
@@ -1141,19 +1137,13 @@ impl Group {
         }
         for id in dead {
             let sess = self.sessions.remove(&id).unwrap();
-            if let Some(lane) = sess.lane {
-                self.lanes[lane] = None;
-                self.free.push(lane);
-            }
+            self.free_lane(sess.lane);
             if sess.parked.is_some() {
                 self.shared.park_sub(1);
             }
             lock_clean(&self.shared.index).remove(&id);
-            lock_clean(&self.shared.roster).remove(&id);
             self.metrics.sessions_reaped.inc();
-            self.metrics.sessions_live.sub(1);
-            self.metrics.drop_session_histogram(id);
-            self.metrics.trace(TraceKind::Reap, id, 0);
+            self.retire(id, TraceKind::Reap);
         }
     }
 }
@@ -1216,6 +1206,10 @@ mod tests {
 
     fn group(grid_lanes: usize) -> Group {
         let cfg = ServeConfig { grid_lanes, idle_timeout: None, ..ServeConfig::default() };
+        group_with(cfg, None)
+    }
+
+    fn group_with(cfg: ServeConfig, store: Option<GroupStore>) -> Group {
         let shared = GroupShared {
             index: Arc::default(),
             metrics: Arc::new(ServeMetrics::new()),
@@ -1224,7 +1218,12 @@ mod tests {
             queued: Arc::default(),
             parked: Arc::default(),
         };
-        Group::new(cfg, &RawSessionSpec::demo().validate().unwrap(), shared, None)
+        Group::new(cfg, &RawSessionSpec::demo().validate().unwrap(), shared, store)
+    }
+
+    fn open(group: &mut Group, session: u64) {
+        let (reply, _opened) = channel();
+        group.handle(GroupCmd::Open { session, reply });
     }
 
     /// Queues one step for `session` and ticks until it is answered.
@@ -1248,8 +1247,7 @@ mod tests {
     fn a_lane_miss_is_one_exchange_with_no_allocation() {
         let mut group = group(2);
         for session in 0..4u64 {
-            let (reply, _opened) = channel();
-            group.handle(GroupCmd::Open { session, reply });
+            open(&mut group, session);
         }
         // Round-robin over four sessions on two lanes: from the third on,
         // every step misses. Sessions 0 and 1 come back with state.
@@ -1291,5 +1289,91 @@ mod tests {
                 assert_eq!(row, &solo.step(&input), "session {session} step {t}");
             }
         }
+    }
+
+    /// A refused eviction counts as activity: the idle sweep comes back
+    /// for the victim after another `idle_timeout`, not on the next tick —
+    /// each attempt is an encode, a tmp write and a `sync_all` on the
+    /// thread that serves the co-tenants.
+    #[test]
+    fn a_refused_eviction_is_retried_per_idle_timeout_not_per_tick() {
+        use hima_chaos::{FaultPlan, FaultRule};
+        use std::time::Duration;
+
+        let dir = std::env::temp_dir().join(format!("hima-sched-refusal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Only a finished snapshot renames: every eviction is refused, the
+        // write-ahead log works.
+        let plan = FaultPlan::new(7).with_rule(FaultRule::probabilistic(
+            FaultSite::StoreRename,
+            FaultKind::IoError,
+            1000,
+        ));
+        let store = GroupStore {
+            store: Arc::new(SessionStore::open_with(&dir, Some(Arc::new(plan))).unwrap()),
+            snapshot_every: u64::MAX,
+            max_parked: usize::MAX,
+        };
+        let timeout = Duration::from_secs(10);
+        let cfg = ServeConfig { grid_lanes: 2, idle_timeout: Some(timeout), ..ServeConfig::default() };
+        let mut group = group_with(cfg, Some(store));
+        open(&mut group, 0);
+        step(&mut group, 0, 0);
+        let long_ago = Instant::now().checked_sub(timeout + Duration::from_secs(1));
+        group.sessions.get_mut(&0).unwrap().last_activity = long_ago.expect("host up for 11 s");
+
+        let metrics = Arc::clone(&group.metrics);
+        let observed = |group: &Group| {
+            let sess = &group.sessions[&0];
+            (
+                metrics.snapshot().counter("store.evict_refusals").unwrap_or(0),
+                sess.lane,
+                sess.parked.is_some(),
+                group.shared.parked.load(Ordering::Relaxed),
+            )
+        };
+        group.reap();
+        assert_eq!(observed(&group), (1, None, true, 1), "refused: parked in RAM, off the lane");
+        group.reap();
+        assert_eq!(observed(&group), (1, None, true, 1), "the next sweep leaves the victim alone");
+        assert_eq!(step(&mut group, 0, 1).len(), group.engine.params().output_size, "still servable");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Expired commands are answered `DeadlineExceeded` in `shed_order`:
+    /// oldest deadline first, ties by session id — and leave nothing
+    /// queued behind.
+    #[test]
+    fn expired_commands_are_shed_oldest_deadline_first_ties_by_id() {
+        let mut group = group(2);
+        let late = Instant::now();
+        let early = late.checked_sub(std::time::Duration::from_millis(5)).expect("host up for 5 ms");
+        // One reply channel for all three: answers arrive in shed order.
+        let (reply, answered) = channel();
+        for (session, deadline) in [(3u64, late), (1, late), (2, early)] {
+            open(&mut group, session);
+            let input = crate::loadgen::synth_input(0, 0, group.engine.params().input_size);
+            group.handle(GroupCmd::Step {
+                session,
+                inputs: vec![input],
+                deadline: Some(deadline),
+                reply: reply.clone(),
+            });
+        }
+        assert_eq!(group.shared.queued.load(Ordering::Relaxed), 3);
+
+        group.step_tick();
+        let shed: Vec<u64> = answered
+            .try_iter()
+            .map(|resp| match resp {
+                Response::Error(ServeError::DeadlineExceeded { session }) => session,
+                other => panic!("expired step answered {other:?}"),
+            })
+            .collect();
+        assert_eq!(shed, [2, 1, 3]);
+        let snap = group.metrics.snapshot();
+        assert_eq!(snap.counter("overload.deadline_expired"), Some(3));
+        assert_eq!(snap.gauge("serve.scheduler.queue_depth"), Some(0));
+        assert_eq!(group.shared.queued.load(Ordering::Relaxed), 0);
     }
 }

@@ -48,13 +48,8 @@ impl BitonicNetwork {
         Self { width }
     }
 
-    /// The configured input width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Width padded up to the next power of two.
-    pub fn padded_width(&self) -> usize {
+    pub(crate) fn padded_width(&self) -> usize {
         self.width.next_power_of_two()
     }
 
@@ -64,18 +59,13 @@ impl BitonicNetwork {
         k * (k + 1) / 2
     }
 
-    /// Number of comparators in the whole network.
-    pub fn comparator_count(&self) -> u64 {
-        self.stages() as u64 * (self.padded_width() as u64 / 2)
-    }
-
     /// Sorts `input` in `dir` order, returning the sorted pairs and the
     /// number of compare-exchange operations actually executed.
     ///
     /// # Panics
     ///
     /// Panics if `input.len() != width`.
-    pub fn sort_with_count(&self, input: &[Keyed], dir: Direction) -> (Vec<Keyed>, u64) {
+    pub(crate) fn sort_with_count(&self, input: &[Keyed], dir: Direction) -> (Vec<Keyed>, u64) {
         assert_eq!(input.len(), self.width, "input width mismatch");
         let n = self.padded_width();
         let mut data: Vec<Keyed> = input.to_vec();
@@ -119,7 +109,7 @@ impl BitonicNetwork {
     }
 
     /// Sorts in the requested direction, discarding the operation count.
-    pub fn sort_directed(&self, input: &[Keyed], dir: Direction) -> Vec<Keyed> {
+    pub(crate) fn sort_directed(&self, input: &[Keyed], dir: Direction) -> Vec<Keyed> {
         self.sort_with_count(input, dir).0
     }
 }
@@ -146,6 +136,12 @@ mod tests {
 
     fn pairs(keys: &[f32]) -> Vec<Keyed> {
         keys.iter().copied().zip(0..).collect()
+    }
+
+    /// Comparators in the whole network — the closed form
+    /// `sort_with_count`'s operation count is checked against.
+    fn comparator_count(net: &BitonicNetwork) -> u64 {
+        net.stages() as u64 * (net.padded_width() as u64 / 2)
     }
 
     #[test]
@@ -186,7 +182,7 @@ mod tests {
     #[test]
     fn comparator_count_matches_formula() {
         // 16-input: 10 stages * 8 comparators.
-        assert_eq!(BitonicNetwork::new(16).comparator_count(), 80);
+        assert_eq!(comparator_count(&BitonicNetwork::new(16)), 80);
     }
 
     #[test]
@@ -194,7 +190,7 @@ mod tests {
         let net = BitonicNetwork::new(16);
         let input = pairs(&(0..16).map(|i| ((i * 7) % 16) as f32).collect::<Vec<_>>());
         let (_, ops) = net.sort_with_count(&input, Direction::Ascending);
-        assert_eq!(ops, net.comparator_count());
+        assert_eq!(ops, comparator_count(&net));
     }
 
     #[test]

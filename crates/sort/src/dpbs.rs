@@ -37,11 +37,6 @@ impl Dpbs {
         Self { network: BitonicNetwork::new(p) }
     }
 
-    /// Number of input lanes.
-    pub fn lanes(&self) -> usize {
-        self.network.width()
-    }
-
     /// Pipeline depth `D_DPBS = log₂(P) + 1` (5 for the paper's P = 16).
     pub fn pipeline_depth(&self) -> u64 {
         self.network.padded_width().trailing_zeros() as u64 + 1
@@ -52,7 +47,7 @@ impl Dpbs {
     /// # Panics
     ///
     /// Panics if `input.len() != lanes()`.
-    pub fn sort_vector(&self, input: &[Keyed], dir: Direction) -> Vec<Keyed> {
+    pub(crate) fn sort_vector(&self, input: &[Keyed], dir: Direction) -> Vec<Keyed> {
         self.network.sort_directed(input, dir)
     }
 

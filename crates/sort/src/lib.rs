@@ -140,7 +140,7 @@ pub(crate) fn keyed_cmp(a: &Keyed, b: &Keyed) -> std::cmp::Ordering {
 
 /// Checks that `pairs` is sorted ascending under the keyed total order
 /// (ascending key, ties broken by index).
-pub fn is_sorted(pairs: &[Keyed]) -> bool {
+pub(crate) fn is_sorted(pairs: &[Keyed]) -> bool {
     pairs.windows(2).all(|w| keyed_cmp(&w[0], &w[1]) != std::cmp::Ordering::Greater)
 }
 

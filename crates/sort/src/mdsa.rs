@@ -79,7 +79,7 @@ impl MdsaSorter {
     /// # Panics
     ///
     /// Panics if `input.len() > p²`.
-    pub fn sort_with_phases(&self, input: &[Keyed]) -> (Vec<Keyed>, u64) {
+    pub(crate) fn sort_with_phases(&self, input: &[Keyed]) -> (Vec<Keyed>, u64) {
         let p = self.p;
         assert!(input.len() <= p * p, "input of {} exceeds {p}x{p} register file", input.len());
         if input.len() <= 1 {

@@ -23,7 +23,7 @@ pub struct CentralizedMergeSorter;
 
 impl CentralizedMergeSorter {
     /// Merges two sorted runs into one sorted output.
-    pub fn merge_runs(a: &[Keyed], b: &[Keyed]) -> Vec<Keyed> {
+    pub(crate) fn merge_runs(a: &[Keyed], b: &[Keyed]) -> Vec<Keyed> {
         let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {

@@ -44,11 +44,6 @@ impl TwoStageSorter {
         Self { tiles, total_len }
     }
 
-    /// Number of PTs holding usage slices.
-    pub fn tiles(&self) -> usize {
-        self.tiles
-    }
-
     /// Local slice length `n = ⌈N / N_t⌉`.
     pub fn local_len(&self) -> usize {
         self.total_len.div_ceil(self.tiles)

@@ -60,7 +60,7 @@ pub fn write_snapshot(
 /// write, fsync, and rename sites. An injected fault at any site leaves
 /// the previous snapshot (if one exists) untouched — the tmp sibling is
 /// never renamed into place on a failed write.
-pub fn write_snapshot_with(
+pub(crate) fn write_snapshot_with(
     path: &Path,
     spec_key: &[u8],
     step_seq: u64,

@@ -41,7 +41,7 @@ pub enum BabiLine {
 
 impl BabiLine {
     /// Whether this is a question line.
-    pub fn is_question(&self) -> bool {
+    pub(crate) fn is_question(&self) -> bool {
         matches!(self, BabiLine::Question { .. })
     }
 

@@ -60,11 +60,6 @@ pub struct EpisodeBatch {
 }
 
 impl EpisodeBatch {
-    /// Total query steps across the batch.
-    pub fn total_queries(&self) -> usize {
-        self.episodes.iter().map(|e| e.query_steps.len()).sum()
-    }
-
     /// The common episode length, if every episode in the batch has the
     /// same number of steps (the condition for lock-step batched
     /// execution). `None` for ragged batches or an empty batch.
@@ -251,14 +246,6 @@ mod tests {
         Episode::new(vec![vec![1.0]], vec![3]);
     }
 
-    #[test]
-    fn batch_counts_queries() {
-        let e1 = Episode::new(vec![vec![0.0]; 4], vec![2, 3]);
-        let e2 = Episode::new(vec![vec![0.0]; 2], vec![1]);
-        let b = EpisodeBatch { task_id: 1, episodes: vec![e1, e2] };
-        assert_eq!(b.total_queries(), 3);
-    }
-
     fn ep(steps: usize, queries: Vec<usize>) -> Episode {
         Episode::new(vec![vec![0.0, 1.0]; steps], queries)
     }
@@ -266,7 +253,6 @@ mod tests {
     #[test]
     fn empty_batch_has_no_queries_and_no_uniform_len() {
         let b = EpisodeBatch { task_id: 3, episodes: vec![] };
-        assert_eq!(b.total_queries(), 0);
         assert_eq!(b.uniform_len(), None, "an empty batch has no common length");
     }
 
@@ -274,14 +260,12 @@ mod tests {
     fn single_episode_batch_is_uniform() {
         let b = EpisodeBatch { task_id: 3, episodes: vec![ep(4, vec![3])] };
         assert_eq!(b.uniform_len(), Some(4));
-        assert_eq!(b.total_queries(), 1);
     }
 
     #[test]
     fn mixed_length_batch_is_not_uniform() {
         let b = EpisodeBatch { task_id: 3, episodes: vec![ep(4, vec![]), ep(2, vec![1])] };
         assert_eq!(b.uniform_len(), None);
-        assert_eq!(b.total_queries(), 1, "queries still count on ragged batches");
         // Same-length episodes with different query layouts stay uniform.
         let u = EpisodeBatch { task_id: 3, episodes: vec![ep(4, vec![0]), ep(4, vec![1, 2])] };
         assert_eq!(u.uniform_len(), Some(4));

@@ -93,12 +93,6 @@ impl EvalConfig {
         self
     }
 
-    /// Replaces the whole engine spec under test.
-    pub fn with_engine(mut self, engine: EngineSpec) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// The shard count of the engine under test (1 for monolithic).
     pub fn tiles(&self) -> usize {
         self.engine.tiles()
@@ -118,7 +112,7 @@ impl EvalConfig {
 
     /// The builder for the engine under test (uncalibrated; the harness
     /// uses [`EvalConfig::calibrated_engine_builder`]).
-    pub fn engine_builder(&self) -> EngineBuilder {
+    pub(crate) fn engine_builder(&self) -> EngineBuilder {
         EngineBuilder::new(self.params()).with_spec(self.engine).seed(self.seed)
     }
 
@@ -135,19 +129,19 @@ impl EvalConfig {
     }
 
     /// The held-out episodes used to calibrate `α` for `task`.
-    pub fn calibration_split(&self, task: &TaskSpec) -> crate::episode::EpisodeBatch {
+    pub(crate) fn calibration_split(&self, task: &TaskSpec) -> crate::episode::EpisodeBatch {
         task.generate(self.calibration_episodes, self.seed ^ 0xCA11B)
     }
 
     /// The episodes evaluated for `task` (generated from
     /// [`EvalConfig::evaluation_seed`]).
-    pub fn evaluation_split(&self, task: &TaskSpec) -> crate::episode::EpisodeBatch {
+    pub(crate) fn evaluation_split(&self, task: &TaskSpec) -> crate::episode::EpisodeBatch {
         task.generate(self.eval_episodes, self.evaluation_seed())
     }
 
     /// The evaluation split's base seed — pipelined generation workers
-    /// derive the same per-episode RNG streams from it that
-    /// [`EvalConfig::evaluation_split`] uses.
+    /// derive the same per-episode RNG streams from it that the
+    /// sequential evaluation does.
     pub fn evaluation_seed(&self) -> u64 {
         self.seed ^ 0xE7A1
     }
@@ -364,7 +358,7 @@ mod tests {
     #[test]
     fn monolithic_spec_matches_reference_exactly() {
         // A monolithic f32 engine under test *is* the reference.
-        let cfg = EvalConfig::base().with_engine(EngineSpec::monolithic());
+        let cfg = EvalConfig { engine: EngineSpec::monolithic(), ..EvalConfig::base() };
         let errors = relative_error(&cfg);
         assert_eq!(mean_error(&errors), 0.0);
         assert_eq!(mean_divergence(&errors), 0.0);

@@ -51,14 +51,6 @@ pub fn ragged_episodes(
 }
 
 impl RaggedEpisodes {
-    /// Overrides the per-episode query-step cap (default 2). Each
-    /// episode still gets at least one query.
-    pub fn max_queries(mut self, max_queries: usize) -> Self {
-        assert!(max_queries >= 1, "episodes need at least one query");
-        self.max_queries = max_queries;
-        self
-    }
-
     fn sample_in(rng: &mut StdRng, range: &RangeInclusive<usize>) -> usize {
         let (lo, hi) = (*range.start(), *range.end());
         if lo == hi {
@@ -123,7 +115,7 @@ mod tests {
 
         #[test]
         fn generated_sets_respect_batch_len_and_query_bounds(
-            episodes in ragged_episodes(2..=6, 3..=9).max_queries(3)
+            episodes in RaggedEpisodes { max_queries: 3, ..ragged_episodes(2..=6, 3..=9) }
         ) {
             prop_assert!((2..=6).contains(&episodes.len()));
             for e in &episodes {

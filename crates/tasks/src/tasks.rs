@@ -80,11 +80,6 @@ pub const TASKS: [TaskSpec; 20] = [
 ];
 
 impl TaskSpec {
-    /// Looks a task up by its 1-based id.
-    pub fn by_id(id: usize) -> Option<&'static TaskSpec> {
-        TASKS.iter().find(|t| t.id == id)
-    }
-
     /// Base episode length: store steps + distractors + query steps.
     /// With [`length_jitter`](TaskSpec::length_jitter) this is the
     /// *minimum* length; see [`TaskSpec::max_episode_len`].
@@ -212,13 +207,6 @@ mod tests {
         assert_eq!(ids, (1..=20).collect::<Vec<_>>());
         let names: std::collections::BTreeSet<_> = TASKS.iter().map(|t| t.name).collect();
         assert_eq!(names.len(), 20, "task names must be unique");
-    }
-
-    #[test]
-    fn by_id_lookup() {
-        assert_eq!(TaskSpec::by_id(19).unwrap().name, "path-finding");
-        assert!(TaskSpec::by_id(0).is_none());
-        assert!(TaskSpec::by_id(21).is_none());
     }
 
     #[test]

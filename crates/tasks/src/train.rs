@@ -44,18 +44,13 @@ impl TrainedReadout {
         Self { weights }
     }
 
-    /// The fitted weights (`classes × feature_dim`).
-    pub fn weights(&self) -> &Matrix {
-        &self.weights
-    }
-
     /// Predicted class scores for one feature vector.
     pub fn predict(&self, features: &[f32]) -> Vec<f32> {
         self.weights.matvec(features)
     }
 
     /// Predicted class (argmax of the scores).
-    pub fn predict_class(&self, features: &[f32]) -> usize {
+    pub(crate) fn predict_class(&self, features: &[f32]) -> usize {
         let scores = self.predict(features);
         let mut best = 0;
         for (i, &s) in scores.iter().enumerate().skip(1) {
@@ -205,7 +200,7 @@ pub fn episode_readout_counts(
 }
 
 /// The token probed by a query-step input (argmax of the one-hot block).
-pub fn query_token(input: &[f32]) -> usize {
+pub(crate) fn query_token(input: &[f32]) -> usize {
     input
         .iter()
         .take(VOCAB)

@@ -138,11 +138,6 @@ impl Histogram {
         self.0.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
     /// Copies the current state out.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {

@@ -25,7 +25,7 @@ pub fn oneplus(x: f32) -> f32 {
 }
 
 /// Softplus `log(1 + e^x)`, numerically stable.
-pub fn softplus(x: f32) -> f32 {
+pub(crate) fn softplus(x: f32) -> f32 {
     if x > 30.0 {
         x
     } else if x < -30.0 {
@@ -38,58 +38,6 @@ pub fn softplus(x: f32) -> f32 {
 /// Hyperbolic tangent (thin wrapper for symmetry with the other activations).
 pub fn tanh(x: f32) -> f32 {
     x.tanh()
-}
-
-/// Applies `sigmoid` to every element.
-pub fn sigmoid_vec(xs: &[f32]) -> Vec<f32> {
-    xs.iter().copied().map(sigmoid).collect()
-}
-
-/// Applies `tanh` to every element.
-pub fn tanh_vec(xs: &[f32]) -> Vec<f32> {
-    xs.iter().copied().map(tanh).collect()
-}
-
-/// Applies `sigmoid` to a whole row-block in place — the batched gate
-/// activation used by the data-parallel LSTM path (one call per `B × H`
-/// gate block instead of `B·H` scalar calls at scattered sites).
-pub fn sigmoid_block(block: &mut crate::Matrix) {
-    block.map_inplace(sigmoid);
-}
-
-/// Applies `tanh` to a whole row-block in place (batched cell/output
-/// activation).
-pub fn tanh_block(block: &mut crate::Matrix) {
-    block.map_inplace(tanh);
-}
-
-/// Masked form of [`sigmoid_block`]: activates only the rows of active
-/// lanes, skipping — not zeroing — the rows of lanes whose sequences have
-/// ended. Active rows are bit-identical to the unmasked form.
-///
-/// # Panics
-///
-/// Panics if `mask.lanes() != block.rows()`.
-pub fn sigmoid_block_masked(block: &mut crate::Matrix, mask: &crate::LaneMask) {
-    map_rows_masked(block, mask, sigmoid);
-}
-
-/// Masked form of [`tanh_block`] (see [`sigmoid_block_masked`]).
-///
-/// # Panics
-///
-/// Panics if `mask.lanes() != block.rows()`.
-pub fn tanh_block_masked(block: &mut crate::Matrix, mask: &crate::LaneMask) {
-    map_rows_masked(block, mask, tanh);
-}
-
-fn map_rows_masked(block: &mut crate::Matrix, mask: &crate::LaneMask, f: impl Fn(f32) -> f32) {
-    assert_eq!(mask.lanes(), block.rows(), "lane mask size mismatch");
-    for b in mask.active_lanes() {
-        for x in block.row_mut(b) {
-            *x = f(*x);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -126,40 +74,5 @@ mod tests {
         assert_eq!(softplus(100.0), 100.0);
         assert_eq!(softplus(-100.0), 0.0);
         assert!((softplus(0.0) - 2f32.ln()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn vector_variants_match_scalar() {
-        let xs = [-1.0, 0.0, 2.0];
-        assert_eq!(sigmoid_vec(&xs), xs.iter().copied().map(sigmoid).collect::<Vec<_>>());
-        assert_eq!(tanh_vec(&xs), xs.iter().copied().map(tanh).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn masked_blocks_skip_inactive_rows_bit_exactly() {
-        let src = crate::Matrix::from_fn(3, 4, |i, j| (i as f32 - 1.0) * 0.7 + j as f32 * 0.3);
-        let mask = crate::LaneMask::from(vec![true, false, true]);
-
-        let mut masked = src.clone();
-        sigmoid_block_masked(&mut masked, &mask);
-        let mut full = src.clone();
-        sigmoid_block(&mut full);
-        assert_eq!(masked.row(0), full.row(0), "active rows identical to unmasked");
-        assert_eq!(masked.row(1), src.row(1), "inactive row untouched");
-        assert_eq!(masked.row(2), full.row(2));
-
-        let mut masked = src.clone();
-        tanh_block_masked(&mut masked, &mask);
-        let mut full = src.clone();
-        tanh_block(&mut full);
-        assert_eq!(masked.row(0), full.row(0));
-        assert_eq!(masked.row(1), src.row(1));
-        assert_eq!(masked.row(2), full.row(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "lane mask size mismatch")]
-    fn masked_block_rejects_wrong_mask_length() {
-        sigmoid_block_masked(&mut crate::Matrix::zeros(2, 2), &crate::LaneMask::full(3));
     }
 }

@@ -303,11 +303,6 @@ impl Fixed {
         self.0 as f32 / ONE_RAW as f32
     }
 
-    /// Builds from a raw Q16.16 bit pattern.
-    pub fn from_raw(raw: i32) -> Self {
-        Fixed(raw)
-    }
-
     /// The raw Q16.16 bit pattern.
     pub fn raw(self) -> i32 {
         self.0
@@ -329,7 +324,7 @@ impl Fixed {
     }
 
     /// Saturating multiplication with round-to-nearest on the dropped bits.
-    pub fn saturating_mul(self, rhs: Fixed) -> Fixed {
+    pub(crate) fn saturating_mul(self, rhs: Fixed) -> Fixed {
         let wide = self.0 as i64 * rhs.0 as i64;
         // Round-to-nearest: add half an LSB before the shift.
         let rounded = (wide + (1 << (FRAC_BITS - 1))) >> FRAC_BITS;
@@ -341,7 +336,7 @@ impl Fixed {
     /// Division by zero saturates to `MAX`/`MIN` following the sign of the
     /// dividend (and `MAX` for `0/0`), mirroring a hardware divider's
     /// overflow flag rather than panicking mid-simulation.
-    pub fn saturating_div(self, rhs: Fixed) -> Fixed {
+    pub(crate) fn saturating_div(self, rhs: Fixed) -> Fixed {
         if rhs.0 == 0 {
             return if self.0 < 0 { Self::MIN } else { Self::MAX };
         }

@@ -4,11 +4,10 @@
 //! grid: once a lane's sequence ends, the lane goes *inactive* — its
 //! state is frozen and the row-block kernels **skip** its rows instead
 //! of zeroing and recomputing them. The mask is the single source of
-//! truth threaded through the masked kernel variants
+//! truth threaded through the masked kernels
 //! ([`Matrix::matmul_nt_masked`](crate::Matrix::matmul_nt_masked),
-//! [`activation::sigmoid_block_masked`](crate::activation::sigmoid_block_masked),
-//! [`softmax_rows_masked`](crate::softmax_rows_masked), …) up to the
-//! batched DNC engines' `step_batch_masked`.
+//! [`PackedWeights::matmul_masked_into`](crate::PackedWeights::matmul_masked_into))
+//! up to the batched DNC engines' `step_batch_masked`.
 //!
 //! # Example
 //!
@@ -85,11 +84,6 @@ impl LaneMask {
         self.active.iter().all(|a| *a)
     }
 
-    /// Whether at least one lane is active.
-    pub fn any_active(&self) -> bool {
-        self.active.iter().any(|a| *a)
-    }
-
     /// Iterator over the active lane indices, ascending.
     pub fn active_lanes(&self) -> impl Iterator<Item = usize> + '_ {
         self.active.iter().enumerate().filter_map(|(b, a)| a.then_some(b))
@@ -116,7 +110,7 @@ mod tests {
         let m = LaneMask::full(3);
         assert_eq!(m.lanes(), 3);
         assert_eq!(m.active_count(), 3);
-        assert!(m.is_full() && m.any_active());
+        assert!(m.is_full());
         assert_eq!(m.active_lanes().collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
@@ -130,7 +124,6 @@ mod tests {
         let t2 = LaneMask::for_step(&lens, 2);
         assert_eq!(t2.active_lanes().collect::<Vec<_>>(), vec![0]);
         let t3 = LaneMask::for_step(&lens, 3);
-        assert!(!t3.any_active());
         assert_eq!(t3.active_count(), 0);
     }
 
@@ -147,7 +140,7 @@ mod tests {
         let m = LaneMask::full(0);
         assert_eq!(m.lanes(), 0);
         assert!(m.is_full(), "vacuously full");
-        assert!(!m.any_active());
+        assert_eq!(m.active_count(), 0);
     }
 
     #[test]

@@ -8,16 +8,16 @@
 //! * [`Matrix`] — a small row-major `f32` matrix with the exact set of
 //!   operations the DNC dataflow needs (transpose, mat-vec, outer product,
 //!   element-wise ops, row normalization),
-//! * vector helpers in [`vector`] (dot products, norms, cosine similarity),
+//! * vector helpers in [`vector`] (dot products, norms, element-wise ops),
 //! * activation functions in [`activation`] (`sigmoid`, `oneplus`, `tanh`),
 //! * exact and hardware-approximated softmax in [`mod@softmax`] — the
 //!   piece-wise-linear + LUT approximation of Section 5.2 of the paper,
 //! * Q-format fixed-point arithmetic in [`fixed`] used to model HiMA's
 //!   32-bit datapath,
-//! * [`LaneMask`] and the masked row-block kernels (`matmul_nt_masked`,
-//!   the `*_block_masked` activations, [`softmax_rows_masked`]) that let
-//!   ragged batches skip — not zero-and-recompute — the rows of lanes
-//!   whose sequences have ended,
+//! * [`LaneMask`] and the masked row-block products
+//!   ([`Matrix::matmul_nt_masked`], [`PackedWeights::matmul_masked_into`])
+//!   that let ragged batches skip — not zero-and-recompute — the rows of
+//!   lanes whose sequences have ended,
 //! * [`PackedWeights`] — a fixed weight matrix stored once in panels of
 //!   16 outputs and its bit-exact, output-packed AVX/SSE2 product: what
 //!   the engine's controller, interface and output projections run
@@ -69,7 +69,7 @@ pub use lane_mask::LaneMask;
 pub use matrix::Matrix;
 pub use packed::PackedWeights;
 pub use simd::F32x8;
-pub use softmax::{softmax, softmax_approx, softmax_rows, softmax_rows_masked, PlaSoftmax};
+pub use softmax::{softmax, softmax_approx, softmax_rows, PlaSoftmax};
 
 /// Numerical tolerance used across the workspace when comparing floats
 /// produced by mathematically equivalent but differently ordered

@@ -14,18 +14,7 @@ use crate::matrix::Matrix;
 /// # Panics
 ///
 /// Panics if `A` is not square or the row counts differ.
-///
-/// # Example
-///
-/// ```
-/// use hima_tensor::{linalg::solve, Matrix};
-///
-/// let a = Matrix::from_rows(&[&[2.0, 0.0][..], &[0.0, 4.0][..]]);
-/// let b = Matrix::from_rows(&[&[2.0][..], &[8.0][..]]);
-/// let x = solve(&a, &b).expect("non-singular");
-/// assert_eq!(x.as_slice(), &[1.0, 2.0]);
-/// ```
-pub fn solve(a: &Matrix, b: &Matrix) -> Option<Matrix> {
+fn solve(a: &Matrix, b: &Matrix) -> Option<Matrix> {
     assert_eq!(a.rows(), a.cols(), "solve needs a square system");
     assert_eq!(a.rows(), b.rows(), "A and B row counts differ");
     let n = a.rows();

@@ -148,11 +148,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the flat row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -421,17 +416,6 @@ impl Matrix {
         Matrix::from_fn(a.len(), b.len(), |i, j| a[i] * b[j])
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
     /// Element-wise sum.
     ///
     /// # Panics
@@ -458,13 +442,6 @@ impl Matrix {
     pub fn scale(&self, k: f32) -> Matrix {
         let data = self.data.iter().map(|a| a * k).collect();
         Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
     }
 
     /// L2 norm of each row — the `‖M[i,·]‖` normalization step of
@@ -498,24 +475,6 @@ impl Matrix {
     pub fn submatrix(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> Matrix {
         assert!(row0 + rows <= self.rows && col0 + cols <= self.cols, "submatrix out of bounds");
         Matrix::from_fn(rows, cols, |i, j| self[(row0 + i, col0 + j)])
-    }
-
-    /// Writes `block` into this matrix with its top-left corner at
-    /// `(row0, col0)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block exceeds the matrix bounds.
-    pub fn set_submatrix(&mut self, row0: usize, col0: usize, block: &Matrix) {
-        assert!(
-            row0 + block.rows <= self.rows && col0 + block.cols <= self.cols,
-            "set_submatrix out of bounds"
-        );
-        for i in 0..block.rows {
-            for j in 0..block.cols {
-                self[(row0 + i, col0 + j)] = block[(i, j)];
-            }
-        }
     }
 
     /// Maximum absolute element (∞-norm of the flattened matrix).
@@ -651,7 +610,8 @@ mod tests {
     fn hadamard_add_sub() {
         let a = Matrix::from_rows(&[&[1.0, 2.0][..]]);
         let b = Matrix::from_rows(&[&[3.0, 4.0][..]]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[3.0, 8.0]);
+        // The element-wise product is `vector::mul` over the flat views.
+        assert_eq!(crate::vector::mul(a.as_slice(), b.as_slice()), [3.0, 8.0]);
         assert_eq!(a.add(&b).as_slice(), &[4.0, 6.0]);
         assert_eq!(b.sub(&a).as_slice(), &[2.0, 2.0]);
     }
@@ -667,11 +627,13 @@ mod tests {
         let m = Matrix::from_fn(6, 6, |i, j| (i * 6 + j) as f32);
         let block = m.submatrix(2, 3, 2, 2);
         assert_eq!(block.as_slice(), &[15.0, 16.0, 21.0, 22.0]);
+        // Writing a block back is a row-slice copy.
         let mut n = Matrix::zeros(6, 6);
-        n.set_submatrix(2, 3, &block);
-        assert_eq!(n[(2, 3)], 15.0);
-        assert_eq!(n[(3, 4)], 22.0);
-        assert_eq!(n[(0, 0)], 0.0);
+        for i in 0..2 {
+            n.row_mut(2 + i)[3..5].copy_from_slice(block.row(i));
+        }
+        assert_eq!(n.submatrix(2, 3, 2, 2), block);
+        assert_eq!(n.sum(), block.sum());
     }
 
     #[test]
@@ -788,7 +750,10 @@ mod tests {
     fn scale_and_map() {
         let mut m = Matrix::filled(2, 2, 2.0);
         assert_eq!(m.scale(0.5).as_slice(), &[1.0; 4]);
-        m.map_inplace(|x| x * x);
+        // An in-place map is a loop over the flat mutable view.
+        for x in m.as_mut_slice() {
+            *x *= *x;
+        }
         assert_eq!(m.as_slice(), &[4.0; 4]);
     }
 

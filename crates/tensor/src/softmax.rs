@@ -101,21 +101,11 @@ impl PlaSoftmax {
         Self { range, table }
     }
 
-    /// Number of PLA segments in the LUT.
-    pub fn segments(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Input range `[-range, 0]` covered by the table.
-    pub fn range(&self) -> f32 {
-        self.range
-    }
-
     /// Approximate `e^x` for `x ≤ 0` using one multiply and one add.
     ///
     /// Inputs below the table range evaluate to 0; inputs above 0 are
     /// clamped to 0 (callers max-shift first, so this only guards misuse).
-    pub fn exp_approx(&self, x: f32) -> f32 {
+    pub(crate) fn exp_approx(&self, x: f32) -> f32 {
         let x = x.min(0.0);
         if x < -self.range {
             return 0.0;
@@ -208,7 +198,7 @@ pub fn softmax_rows(m: &mut crate::Matrix) {
 /// # Panics
 ///
 /// Panics if `mask.lanes() != m.rows()`.
-pub fn softmax_rows_masked(m: &mut crate::Matrix, mask: &crate::LaneMask) {
+fn softmax_rows_masked(m: &mut crate::Matrix, mask: &crate::LaneMask) {
     assert_eq!(mask.lanes(), m.rows(), "lane mask size mismatch");
     for i in mask.active_lanes() {
         let row = m.row_mut(i);
@@ -224,16 +214,6 @@ pub fn softmax_rows_masked(m: &mut crate::Matrix, mask: &crate::LaneMask) {
         for x in row.iter_mut() {
             *x /= total;
         }
-    }
-}
-
-/// Weighted softmax used by content addressing:
-/// `softmax(β · sims)` where `β ≥ 1` is the key strength.
-pub fn weighted_softmax(sims: &[f32], beta: f32, approx: Option<&PlaSoftmax>) -> Vec<f32> {
-    let scaled: Vec<f32> = sims.iter().map(|s| s * beta).collect();
-    match approx {
-        Some(p) => p.softmax(&scaled),
-        None => softmax(&scaled),
     }
 }
 
@@ -346,14 +326,6 @@ mod tests {
         let pla = PlaSoftmax::new(8, 4.0);
         assert!((pla.exp_approx(0.0) - 1.0).abs() < 1e-5);
         assert!((pla.exp_approx(-4.0) - (-4.0f32).exp()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn weighted_softmax_sharpens_with_beta() {
-        let sims = [0.9, 0.5, 0.1];
-        let soft = weighted_softmax(&sims, 1.0, None);
-        let sharp = weighted_softmax(&sims, 10.0, None);
-        assert!(sharp[0] > soft[0], "higher beta concentrates mass");
     }
 
     #[test]

@@ -20,12 +20,6 @@ pub fn norm(a: &[f32]) -> f32 {
     a.iter().map(|x| x * x).sum::<f32>().sqrt()
 }
 
-/// Cosine similarity with an `epsilon` guard against zero vectors, as used by
-/// DNC content addressing (`D(u, v) = u·v / (‖u‖‖v‖ + ε)`).
-pub fn cosine_similarity(a: &[f32], b: &[f32], epsilon: f32) -> f32 {
-    dot(a, b) / (norm(a) * norm(b) + epsilon)
-}
-
 /// Element-wise sum `a + b`.
 ///
 /// # Panics
@@ -89,11 +83,6 @@ pub fn argsort_ascending(a: &[f32]) -> Vec<usize> {
     idx
 }
 
-/// Returns `true` when all elements lie in `[0, 1]`.
-pub fn in_unit_interval(a: &[f32]) -> bool {
-    a.iter().all(|&x| (0.0..=1.0).contains(&x))
-}
-
 /// Returns `true` when the vector is a sub-probability distribution:
 /// elements in `[0, 1 + tol]` and total ≤ `1 + tol`.
 pub fn is_weighting(a: &[f32], tol: f32) -> bool {
@@ -113,21 +102,6 @@ mod tests {
     #[test]
     fn norm_pythagorean() {
         assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cosine_similarity_parallel_and_antiparallel() {
-        let s = cosine_similarity(&[1.0, 2.0], &[2.0, 4.0], 1e-6);
-        assert!((s - 1.0).abs() < 1e-4);
-        let s = cosine_similarity(&[1.0, 0.0], &[-1.0, 0.0], 1e-6);
-        assert!((s + 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn cosine_similarity_zero_vector_is_finite() {
-        let s = cosine_similarity(&[0.0, 0.0], &[1.0, 1.0], 1e-6);
-        assert!(s.is_finite());
-        assert_eq!(s, 0.0);
     }
 
     #[test]
@@ -156,8 +130,6 @@ mod tests {
 
     #[test]
     fn weighting_predicates() {
-        assert!(in_unit_interval(&[0.0, 0.5, 1.0]));
-        assert!(!in_unit_interval(&[1.1]));
         assert!(is_weighting(&[0.2, 0.3], 1e-6));
         assert!(!is_weighting(&[0.9, 0.9], 1e-6));
     }
