@@ -8,7 +8,10 @@
 //! answers is which is faster, and by the repository's rule a variant
 //! has to read ≥ 1.2× to be worth a second implementation of its
 //! reference. Each row is a paired best-of measurement (reference and
-//! variant interleaved over the same buffers).
+//! variant interleaved over the same buffers). The one exception is the
+//! transcendental rows below, whose reference is the host's libm: there
+//! the two sides agree to a few ulp (asserted), not to the bit — which is
+//! the reason the reference was replaced.
 //!
 //! `quantize_slice` has two rows over 4 096 elements: the `f32`-only
 //! Q-format rounding body (`QFormat::quantize_slice_inplace`, AVX where
@@ -53,6 +56,13 @@
 //! `SortEngine::argsort_into`, which sorts `ordered_bits(key) << 32 |
 //! index` words as integers.
 //!
+//! `lstm_gates` (H = 64, 256), `softmax` (N = 64, 128, 1024) and
+//! `sigmoid_slice` (W = 16, 64) rows are the pointwise passes of a step:
+//! the per-element compositions of libm `expf`/`tanhf` that
+//! `hima::tensor::transcend` replaced (copies kept in this file) against
+//! `transcend::{lstm_gates, softmax_inplace, sigmoid_into}` — in-repo
+//! arithmetic at lane width.
+//!
 //! `packed_weights` rows are the engine's shared-weight products — the
 //! interface projection, LSTM gates and output projection at the paper's
 //! and the served shapes (`shape` is `N×K`), at 1, 2, 3, 4, 8 and 32
@@ -63,21 +73,23 @@
 //! Flags:
 //!
 //! * `--json` — additionally write `BENCH_kernels.json`:
-//!   `{ bench: "kernels", schema_version: 7, params: {memory_size,
+//!   `{ bench: "kernels", schema_version: 8, params: {memory_size,
 //!   word_size, hidden_size}, scalar_variants: [{kernel, shape, batch,
 //!   active, reference, variant, reference_ns_per_call,
 //!   variant_ns_per_call, speedup}] }`
 //!   (`batch` is 0 for kernels without a batch axis; `active` counts
 //!   live rows of the left factor — active lanes, or read heads; `shape`
 //!   names the memory geometry of a read-phase row, the matrix of a
-//!   `matvec_row_dot` row, the `N×K` of a `packed_weights` row or the
-//!   length and key distribution of a `usage_sort` row and is empty
-//!   otherwise),
+//!   `matvec_row_dot` row, the `N×K` of a `packed_weights` row, the
+//!   length and key distribution of a `usage_sort` row or the width of a
+//!   transcendental row and is empty otherwise),
 //! * `--smoke` — short measurement windows for CI.
 
 use hima::dnc::linkage::TemporalLinkage;
 use hima::sort::{argsort_by_comparator, CentralizedMergeSorter, SortEngine};
-use hima::tensor::{fused, vector, Backend, LaneMask, Matrix, PackedWeights, QFormat};
+use hima::tensor::{
+    assert_close, fused, transcend, vector, Backend, LaneMask, Matrix, PackedWeights, QFormat,
+};
 use std::hint::black_box;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -125,6 +137,59 @@ const PACKED_LANES: [usize; 6] = [1, 2, 3, 4, 8, 32];
 const SORT_SIZES: [usize; 3] = [64, 128, 1024];
 /// Distinct key vectors one `usage_sort` call cycles through.
 const SORT_SETS: usize = 16;
+
+/// Hidden widths of the `lstm_gates` rows: the served shape and the
+/// paper's.
+const GATE_WIDTHS: [usize; 2] = [64, 256];
+/// Lengths of the `softmax` rows: one paper tile, the served shape and
+/// the paper's whole memory.
+const SOFTMAX_SIZES: [usize; 3] = [64, 128, 1024];
+/// Lengths of the `sigmoid_slice` rows: the served and the paper's word.
+const SIGMOID_SIZES: [usize; 2] = [16, 64];
+
+/// The pointwise passes as they ran before `hima::tensor::transcend`: one
+/// libm call per element. Kept here to say what the replacement bought;
+/// the workspace's Clippy configuration forbids these calls everywhere
+/// else.
+#[allow(clippy::disallowed_methods)]
+mod libm_replaced {
+    pub fn sigmoid(x: f32) -> f32 {
+        if x >= 0.0 {
+            1.0 / (1.0 + (-x).exp())
+        } else {
+            let z = x.exp();
+            z / (1.0 + z)
+        }
+    }
+
+    pub fn sigmoid_into(src: &[f32], dst: &mut [f32]) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = sigmoid(s);
+        }
+    }
+
+    pub fn lstm_gates(pre: &[f32], cell: &mut [f32], hidden: &mut [f32]) {
+        let h = cell.len();
+        for (j, (o, c)) in hidden.iter_mut().zip(cell).enumerate() {
+            let (i_g, f_g) = (sigmoid(pre[j]), sigmoid(pre[h + j]));
+            let (g, o_g) = (pre[2 * h + j].tanh(), sigmoid(pre[3 * h + j]));
+            *c = f_g * *c + i_g * g;
+            *o = o_g * c.tanh();
+        }
+    }
+
+    pub fn softmax_inplace(xs: &mut [f32]) {
+        let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut total = 0.0f32;
+        for x in xs.iter_mut() {
+            *x = (*x - max).exp();
+            total += *x;
+        }
+        for x in xs.iter_mut() {
+            *x /= total;
+        }
+    }
+}
 
 /// Byte counts of the `crc32` rows: one delta-log record body and one
 /// snapshot body of the served shape.
@@ -445,6 +510,88 @@ fn main() {
         }
     }
 
+    // The pointwise passes of a step: libm per element against the
+    // in-repo definitions at lane width.
+    let libm = "libm composition, per element (replaced)";
+    for &h in &GATE_WIDTHS {
+        let pre: Vec<f32> = (0..4 * h).map(|i| ((i * 7) as f32 * 0.13).sin() * 4.0).collect();
+        let cell: Vec<f32> = (0..h).map(|i| ((i * 11) as f32 * 0.29).sin()).collect();
+        let (mut c_r, mut c_v) = (cell.clone(), cell.clone());
+        let (mut h_r, mut h_v) = (vec![0.0f32; h], vec![0.0f32; h]);
+        let (r, v) = best_of_paired(
+            reps,
+            measure,
+            || {
+                c_r.copy_from_slice(&cell);
+                libm_replaced::lstm_gates(black_box(&pre), &mut c_r, &mut h_r);
+            },
+            || {
+                c_v.copy_from_slice(&cell);
+                transcend::lstm_gates(black_box(&pre), &mut c_v, &mut h_v);
+            },
+        );
+        assert_close(&c_r, &c_v, 1e-6);
+        assert_close(&h_r, &h_v, 1e-6);
+        report_variant(VariantRow {
+            kernel: "lstm_gates",
+            shape: format!("H={h}"),
+            batch: 0,
+            active: 0,
+            reference: libm,
+            variant: "transcend::lstm_gates (in-repo sigmoid/tanh over Lanes)",
+            reference_ns: r,
+            variant_ns: v,
+        });
+    }
+    for &n in &SOFTMAX_SIZES {
+        let logits: Vec<f32> = (0..n).map(|i| ((i * 13) as f32 * 0.21).sin() * 6.0).collect();
+        let (mut buf_r, mut buf_v) = (logits.clone(), logits.clone());
+        let (r, v) = best_of_paired(
+            reps,
+            measure,
+            || {
+                buf_r.copy_from_slice(&logits);
+                libm_replaced::softmax_inplace(black_box(&mut buf_r));
+            },
+            || {
+                buf_v.copy_from_slice(&logits);
+                transcend::softmax_inplace(black_box(&mut buf_v));
+            },
+        );
+        assert_close(&buf_r, &buf_v, 1e-6);
+        report_variant(VariantRow {
+            kernel: "softmax",
+            shape: format!("N={n}"),
+            batch: 0,
+            active: 0,
+            reference: "libm exp per element, in-order sum (replaced)",
+            variant: "transcend::softmax_inplace (in-repo exp over Lanes, lane-wise partial sums)",
+            reference_ns: r,
+            variant_ns: v,
+        });
+    }
+    for &w in &SIGMOID_SIZES {
+        let raw: Vec<f32> = (0..w).map(|i| ((i * 5) as f32 * 0.37).sin() * 5.0).collect();
+        let (mut out_r, mut out_v) = (vec![0.0f32; w], vec![0.0f32; w]);
+        let (r, v) = best_of_paired(
+            reps,
+            measure,
+            || libm_replaced::sigmoid_into(black_box(&raw), &mut out_r),
+            || transcend::sigmoid_into(black_box(&raw), &mut out_v),
+        );
+        assert_close(&out_r, &out_v, 1e-6);
+        report_variant(VariantRow {
+            kernel: "sigmoid_slice",
+            shape: format!("W={w}"),
+            batch: 0,
+            active: 0,
+            reference: libm,
+            variant: "transcend::sigmoid_into (in-repo sigmoid over Lanes)",
+            reference_ns: r,
+            variant_ns: v,
+        });
+    }
+
     // The LSTM gate projection, [X ; H] (B × 112) · weights (4H × 112)ᵀ:
     // the row kernel (`Matrix::matmul_nt_masked_into`) against the
     // transposing row-dot kernel at each active-lane count.
@@ -687,12 +834,14 @@ fn main() {
     println!(
         "\nPer-call wall time, best of {reps} interleaved reps per side. The\n\
          reference and the variant of every row return identical bits\n\
-         (asserted on the spot); the rows only say which form is faster."
+         (asserted on the spot) — the lstm_gates / softmax / sigmoid_slice\n\
+         rows, whose reference is libm, to 1e-6; the rows only say which\n\
+         form is faster."
     );
 
     if json {
         let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 7,\n");
+        s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 8,\n");
         s.push_str(&format!(
             "  \"params\": {{\"memory_size\": {N}, \"word_size\": {W}, \"hidden_size\": {HIDDEN}}},\n"
         ));

@@ -63,6 +63,20 @@ use crate::DncParams;
 use hima_tensor::{LaneMask, Matrix, PackedWeights};
 use rayon::prelude::*;
 
+/// The least work one worker must be handed before a grid step fans its
+/// shards out to threads: `f32` elements a shard's step touches,
+/// `rows² + rows·W` per active shard, summed and divided by the workers.
+///
+/// Sized by measurement (PR 23, 2-vCPU host, unpinned, f32 datapath,
+/// N = 128 W = 16 — 18 432 elements and ≈ 14 µs per shard step): the
+/// vendored `rayon` spawns its workers per call, ≈ 30 µs for a scope of
+/// two, so a two-lane tick that fanned out cost 105.8 µs against 40.1 µs
+/// inline, and all-active grids of B = 8 / 16 / 24 / 32 / 64 / 128 ran at
+/// 0.79 / 0.90 / 0.97 / 1.00 / 1.12 / 1.26 × of one thread. Fan-out
+/// breaks even at B = 32 — 295k elements, ≈ 225 µs or eight spawns' worth
+/// per worker — so it is taken from just above that.
+const FAN_OUT_MIN_ELEMS_PER_WORKER: usize = 300_000;
+
 /// One memory shard of a detached lane: which unit the state memories fit
 /// (configuration and datapath) and the memories themselves.
 #[derive(Debug, Clone)]
@@ -472,6 +486,7 @@ impl GridEngine {
         if y.shape() != (b, self.params.output_size) {
             *y = Matrix::zeros(b, self.params.output_size);
         }
+        let fan_out = self.fans_out(mask);
         let ws = &mut self.ws;
 
         // Controller on [x_t ; v_r^{t-1}], all active lanes at once
@@ -508,16 +523,17 @@ impl GridEngine {
             shard.iv.parse_into(raws[s].row(bi), w, r);
             shard.memory.step_into(&shard.iv, &mut shard.read);
         };
-        if mask.active_count() * nt <= 1 {
-            // At most one shard has work (one active lane of a one-shard
-            // grid — a lone served session): run it here. Fanning `B`
-            // tasks out to workers for a single 20–35 µs unit step costs
-            // more than the step. Same task body, so the same bits.
-            if let Some(bi) = mask.active_lanes().next() {
-                step_shard((bi, &mut self.shards[bi]));
-            }
-        } else {
+        if fan_out {
+            // Enough work per worker to pay for its thread (`fans_out`).
             self.shards.par_iter_mut().enumerate().for_each(step_shard);
+        } else {
+            // The active shards, here, in the same order. Same task body,
+            // so the same bits.
+            for bi in mask.active_lanes() {
+                for i in bi * nt..(bi + 1) * nt {
+                    step_shard((i, &mut self.shards[i]));
+                }
+            }
         }
 
         // Gather shard reads per active lane straight into the lane's
@@ -537,6 +553,20 @@ impl GridEngine {
         let output_proj = &self.output_proj;
         self.profile.time(KernelId::Projection, || output_proj.matmul_masked_into(&ws.out_in, mask, y));
         self.last_hidden.as_mut_slice().copy_from_slice(ws.hidden.as_slice());
+    }
+
+    /// Whether a step over `mask` hands its shards to worker threads:
+    /// only when every worker would get at least
+    /// [`FAN_OUT_MIN_ELEMS_PER_WORKER`] of work.
+    fn fans_out(&self, mask: &LaneMask) -> bool {
+        let nt = self.tiles();
+        let shard_elems = |s: &Shard| {
+            let c = s.memory.config();
+            c.memory_size * (c.memory_size + c.word_size)
+        };
+        let work = mask.active_count() * self.shards[..nt].iter().map(shard_elems).sum::<usize>();
+        let workers = rayon::current_num_threads().min(mask.active_count() * nt);
+        workers > 1 && work >= workers * FAN_OUT_MIN_ELEMS_PER_WORKER
     }
 
     /// Runs a whole synchronized sequence: `steps[t]` is the `B ×
@@ -1245,10 +1275,37 @@ mod tests {
         assert_eq!(engine.last_read_row(0)[0].to_bits(), 0.0f32.to_bits());
     }
 
-    /// One active lane of a one-shard grid runs its shard inline instead
-    /// of through the worker fan-out; the lane must step exactly as a
-    /// single-lane engine does whatever the pool size, and a one-lane
-    /// mask over a *sharded* grid (several tasks) must still fan out right.
+    /// The step fans out by work, not by task count: a grid past the
+    /// threshold does, the same grid with few active lanes does not, and
+    /// the outputs are the same bits whichever way — and at any pool size.
+    #[test]
+    fn fan_out_follows_the_work_estimate_and_never_changes_a_bit() {
+        // 192·(192 + 8) = 38 400 elements per lane: sixteen active lanes
+        // are just past two workers' worth, eight are not.
+        let p = DncParams::new(192, 8, 1).with_hidden(8).with_io(3, 3);
+        let (batch, steps) = (16, 3);
+        assert!(batch * 192 * 200 >= 2 * FAN_OUT_MIN_ELEMS_PER_WORKER);
+        let lanes = lane_inputs(batch, steps, 3);
+        let masks = [LaneMask::full(batch), LaneMask::from_fn(batch, |b| b % 2 == 0)];
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let mut grid = EngineBuilder::new(p).lanes(batch).seed(3).build();
+            pool.install(|| {
+                assert_eq!(grid.fans_out(&masks[0]), threads == 2, "full grid, {threads} threads");
+                assert!(!grid.fans_out(&masks[1]), "half the lanes is under the threshold");
+                (0..steps)
+                    .map(|t| grid.step_batch_masked(&step_block(&lanes, t), &masks[t % 2]))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let inline = run(1);
+        assert_eq!(run(2), inline, "two workers, fanned out on the full-mask steps");
+        assert_eq!(run(3), inline, "three workers, under the threshold again");
+    }
+
+    /// One active lane steps its shards inline, never through the worker
+    /// fan-out; the lane must step exactly as a single-lane engine does
+    /// whatever the pool size, on a one-shard and on a sharded grid.
     #[test]
     fn a_lone_active_lane_steps_like_a_single_lane_engine_at_any_pool_size() {
         let (batch, steps) = (4, 8);

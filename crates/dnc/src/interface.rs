@@ -6,7 +6,7 @@
 //! `oneplus` for strengths, `sigmoid` for gates and the erase vector, and a
 //! per-head `softmax` for the three read modes (backward, content, forward).
 
-use hima_tensor::activation::{oneplus, sigmoid};
+use hima_tensor::transcend::{oneplus, oneplus_into, sigmoid, sigmoid_into, softmax_inplace};
 use hima_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -100,18 +100,12 @@ impl InterfaceVector {
         // The emission lists the keys head-major: already the row-major
         // `R × W` block.
         self.read_keys.as_mut_slice().copy_from_slice(take(w * r));
-        for (s, &x) in self.read_strengths.iter_mut().zip(take(r)) {
-            *s = oneplus(x);
-        }
+        oneplus_into(take(r), &mut self.read_strengths);
         self.write_key.copy_from_slice(take(w));
         self.write_strength = oneplus(take(1)[0]);
-        for (e, &x) in self.erase.iter_mut().zip(take(w)) {
-            *e = sigmoid(x);
-        }
+        sigmoid_into(take(w), &mut self.erase);
         self.write.copy_from_slice(take(w));
-        for (g, &x) in self.free_gates.iter_mut().zip(take(r)) {
-            *g = sigmoid(x);
-        }
+        sigmoid_into(take(r), &mut self.free_gates);
         self.allocation_gate = sigmoid(take(1)[0]);
         self.write_gate = sigmoid(take(1)[0]);
         for modes in &mut self.read_modes {
@@ -119,7 +113,7 @@ impl InterfaceVector {
             // buffer keeps the steady state heap-free.
             let mut m = [0.0f32; 3];
             m.copy_from_slice(take(3));
-            hima_tensor::softmax::softmax_inplace(&mut m);
+            softmax_inplace(&mut m);
             *modes = m;
         }
         debug_assert_eq!(pos, expected);
@@ -207,7 +201,7 @@ mod tests {
     fn zero_raw_gives_neutral_activations() {
         let iv = InterfaceVector::parse(&raw_for(4, 2, 0.0), 4, 2);
         // oneplus(0) = 1 + ln 2, sigmoid(0) = 0.5, softmax(0,0,0) = 1/3.
-        assert!((iv.write_strength - (1.0 + 2f32.ln())).abs() < 1e-6);
+        assert!((iv.write_strength as f64 - (1.0 + 2f64.ln())).abs() < 1e-6);
         assert!((iv.allocation_gate - 0.5).abs() < 1e-6);
         for m in &iv.read_modes {
             for &x in m {

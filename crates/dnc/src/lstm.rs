@@ -18,8 +18,8 @@
 //! only layout it multiplies.
 
 use crate::dnc::WeightBlock;
-use hima_tensor::activation::{sigmoid, tanh};
-use hima_tensor::{LaneMask, Matrix, PackedWeights};
+use hima_tensor::transcend::lstm_gates;
+use hima_tensor::{vector, LaneMask, Matrix, PackedWeights};
 use serde::{Deserialize, Serialize};
 
 /// LSTM cell state carried across time steps.
@@ -162,24 +162,15 @@ impl Lstm {
     pub fn step_with_state(&self, state: &mut LstmState, input: &[f32]) -> Vec<f32> {
         assert_eq!(input.len(), self.input_size, "LSTM input width mismatch");
         assert_eq!(state.hidden.len(), self.hidden_size, "LSTM state width mismatch");
-        let h = self.hidden_size;
-        let mut x = Vec::with_capacity(self.input_size + h);
+        assert_eq!(state.cell.len(), self.hidden_size, "LSTM state width mismatch");
+        let mut x = Vec::with_capacity(self.input_size + self.hidden_size);
         x.extend_from_slice(input);
         x.extend_from_slice(&state.hidden);
 
-        let pre = self.weights.matvec(&x);
-        let mut new_c = vec![0.0; h];
-        let mut new_h = vec![0.0; h];
-        for j in 0..h {
-            let i_g = sigmoid(pre[j] + self.bias[j]);
-            let f_g = sigmoid(pre[h + j] + self.bias[h + j]);
-            let g = tanh(pre[2 * h + j] + self.bias[2 * h + j]);
-            let o_g = sigmoid(pre[3 * h + j] + self.bias[3 * h + j]);
-            new_c[j] = f_g * state.cell[j] + i_g * g;
-            new_h[j] = o_g * tanh(new_c[j]);
-        }
-        *state = LstmState { hidden: new_h.clone(), cell: new_c };
-        new_h
+        let pre = vector::add(&self.weights.matvec(&x), &self.bias);
+        // The same gate pass the batched step runs.
+        lstm_gates(&pre, &mut state.cell, &mut state.hidden);
+        state.hidden.clone()
     }
 }
 
@@ -214,8 +205,8 @@ impl PackedLstm {
     ///
     /// The pre-activations of all active lanes are one `[X ; H] · Wᵀ`
     /// packed product, and the gate math is one fused pass per active
-    /// lane over its pre-activation row — the per-element expressions of
-    /// [`Lstm::step_with_state`] (`σ`/`tanh` of `pre + bias`,
+    /// lane over its pre-activation row — [`lstm_gates`], the function
+    /// [`Lstm::step_with_state`] calls too (`σ`/`tanh` of `pre + bias`,
     /// `c' = f·c + i·g`, `h' = o·tanh c'`), so active lanes are
     /// bit-identical to `B` scalar steps. An inactive lane's recurrent
     /// state is **frozen** — its row of the product, the gate
@@ -276,17 +267,8 @@ impl PackedLstm {
                 hidden_out.row_mut(bi).copy_from_slice(&state.hidden);
                 continue;
             }
-            let pre = scratch.pre.row(bi);
             let out_row = hidden_out.row_mut(bi);
-            for (j, (o, c)) in out_row.iter_mut().zip(&mut state.cell).enumerate() {
-                let i_g = sigmoid(pre[j]);
-                let f_g = sigmoid(pre[h + j]);
-                let g = tanh(pre[2 * h + j]);
-                let o_g = sigmoid(pre[3 * h + j]);
-                let new_c = f_g * *c + i_g * g;
-                *c = new_c;
-                *o = o_g * tanh(new_c);
-            }
+            lstm_gates(scratch.pre.row(bi), &mut state.cell, out_row);
             state.hidden.copy_from_slice(out_row);
         }
     }

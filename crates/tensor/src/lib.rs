@@ -9,9 +9,13 @@
 //!   operations the DNC dataflow needs (transpose, mat-vec, outer product,
 //!   element-wise ops, row normalization),
 //! * vector helpers in [`vector`] (dot products, norms, element-wise ops),
-//! * activation functions in [`activation`] (`sigmoid`, `oneplus`, `tanh`),
-//! * exact and hardware-approximated softmax in [`mod@softmax`] — the
-//!   piece-wise-linear + LUT approximation of Section 5.2 of the paper,
+//! * the transcendentals in [`transcend`] — `exp`, `sigmoid`, `tanh`,
+//!   `softplus` and the exact softmax as in-repo sequences of single
+//!   rounded `f32` operations (the host's libm is never consulted, so the
+//!   bits are the same everywhere), at lane width, with the fused LSTM
+//!   gate pass; [`activation`] re-exports the three the DNC names,
+//! * the softmax front ends in [`mod@softmax`] and the hardware
+//!   approximation of Section 5.2 of the paper — piece-wise-linear + LUT,
 //! * Q-format fixed-point arithmetic in [`fixed`] used to model HiMA's
 //!   32-bit datapath,
 //! * [`LaneMask`] and the masked row-block products
@@ -61,6 +65,7 @@ pub mod matrix;
 pub mod packed;
 pub mod simd;
 pub mod softmax;
+pub mod transcend;
 pub mod vector;
 
 pub use backend::Backend;

@@ -28,8 +28,9 @@
 //!
 //! The crate's vector kernels — the panel-packed product
 //! ([`mod@crate::packed`]), the Q-format rounding pass
-//! ([`mod@crate::fixed`]) and the head-fused products
-//! ([`mod@crate::fused`]) — are each **one** generic function over the
+//! ([`mod@crate::fixed`]), the head-fused products
+//! ([`mod@crate::fused`]) and the transcendentals
+//! ([`mod@crate::transcend`]) — are each **one** generic function over the
 //! crate-private `Lanes` trait: eight `f32` lanes with exactly the
 //! operations those bodies need, every one a single correctly rounded
 //! IEEE operation (or a bit operation) per lane, never an FMA. It has two
@@ -44,14 +45,16 @@
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::{
-    __m128, __m256, _mm256_add_ps, _mm256_and_ps, _mm256_castps128_ps256, _mm256_cmp_ps,
-    _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
-    _mm256_round_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_sqrt_ps,
-    _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_add_ps,
-    _mm_and_ps, _mm_andnot_ps, _mm_cmpeq_ps, _mm_cmplt_ps, _mm_cmpneq_ps, _mm_cvtepi32_ps,
-    _mm_cvttps_epi32, _mm_loadu_ps, _mm_max_ps, _mm_min_ps, _mm_mul_ps, _mm_or_ps, _mm_set1_ps,
-    _mm_sqrt_ps, _mm_storeu_ps, _mm_sub_ps, _CMP_EQ_OQ, _CMP_NEQ_UQ, _MM_FROUND_NO_EXC,
-    _MM_FROUND_TO_ZERO, _MM_TRANSPOSE4_PS,
+    __m128, __m256, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_blendv_ps,
+    _mm256_castps128_ps256, _mm256_castps256_ps128, _mm256_cmp_ps, _mm256_div_ps,
+    _mm256_extractf128_ps, _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps,
+    _mm256_mul_ps, _mm256_or_ps, _mm256_round_ps, _mm256_set1_ps, _mm256_setzero_ps,
+    _mm256_shuffle_ps, _mm256_sqrt_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps,
+    _mm256_unpacklo_ps, _mm_add_epi32, _mm_add_ps, _mm_and_ps, _mm_andnot_ps, _mm_castps_si128,
+    _mm_castsi128_ps, _mm_cmpeq_ps, _mm_cmplt_ps, _mm_cmpneq_ps, _mm_cvtepi32_ps, _mm_cvttps_epi32,
+    _mm_div_ps, _mm_loadu_ps, _mm_max_ps, _mm_min_ps, _mm_mul_ps, _mm_or_ps, _mm_set1_ps,
+    _mm_slli_epi32, _mm_sqrt_ps, _mm_srli_epi32, _mm_storeu_ps, _mm_sub_ps, _CMP_EQ_OQ, _CMP_LT_OQ,
+    _CMP_NEQ_UQ, _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO, _MM_TRANSPOSE4_PS,
 };
 
 /// Eight f32 lanes with unrolled element-wise arithmetic.
@@ -222,16 +225,32 @@ pub(crate) trait Lanes: Copy {
     unsafe fn add(self, o: Self) -> Self;
     unsafe fn sub(self, o: Self) -> Self;
     unsafe fn mul(self, o: Self) -> Self;
-    /// `self < o ? self : o` per lane — `o` wherever either is NaN.
+    unsafe fn div(self, o: Self) -> Self;
+    /// `self < o ? self : o` per lane — `o` wherever either is NaN, so a
+    /// clamp that must keep a NaN puts its constant in `self`.
     unsafe fn min(self, o: Self) -> Self;
     /// `self > o ? self : o` per lane — `o` wherever either is NaN.
     unsafe fn max(self, o: Self) -> Self;
     /// Bitwise and.
     unsafe fn and(self, o: Self) -> Self;
+    /// Bitwise or.
+    unsafe fn or(self, o: Self) -> Self;
+    /// Bitwise `!self & o`.
+    unsafe fn andnot(self, o: Self) -> Self;
     /// All ones where `self == o` (false on NaN), all zeros elsewhere.
     unsafe fn eq_mask(self, o: Self) -> Self;
     /// All ones where `self != o` (true on NaN), all zeros elsewhere.
     unsafe fn ne_mask(self, o: Self) -> Self;
+    /// All ones where `self < o` (false on NaN), all zeros elsewhere.
+    unsafe fn lt_mask(self, o: Self) -> Self;
+    /// `self · 2ⁿ` by adding `n` to the exponent field — `n` being the
+    /// integer that `x + 1.5·2²³` leaves in the low mantissa bits of
+    /// `magic`: `magic`'s bits shifted left by 23, integer-added to
+    /// `self`'s. Exact while `self` and the result are both normal.
+    unsafe fn scale_pow2(self, magic: Self) -> Self;
+    /// The bits shifted right by 23, as a number: the biased exponent of
+    /// a positive value.
+    unsafe fn biased_exponent(self) -> Self;
     /// Rounds toward zero, keeping the sign of a zero result.
     unsafe fn trunc(self) -> Self;
     unsafe fn sqrt(self) -> Self;
@@ -246,6 +265,14 @@ pub(crate) trait Lanes: Copy {
     unsafe fn mul_acc(acc: Self, x: Self, w: Self) -> Self {
         // SAFETY: forwarded from the caller.
         unsafe { acc.add(x.mul(w)) }
+    }
+
+    /// `a` where this mask (all ones or all zeros per lane) is set, `b`
+    /// elsewhere.
+    #[inline(always)]
+    unsafe fn select(self, a: Self, b: Self) -> Self {
+        // SAFETY: forwarded from the caller.
+        unsafe { self.and(a).or(self.andnot(b)) }
     }
 
     #[inline(always)]
@@ -327,6 +354,17 @@ impl Lanes for F32x8 {
         F32x8::mul(self, o)
     }
     #[inline(always)]
+    unsafe fn div(self, o: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.zip_halves(o, |a, b| unsafe { _mm_div_ps(a, b) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self.zip(o, |a, b| a / b)
+        }
+    }
+    #[inline(always)]
     unsafe fn min(self, o: Self) -> Self {
         #[cfg(target_arch = "x86_64")]
         {
@@ -360,6 +398,28 @@ impl Lanes for F32x8 {
         }
     }
     #[inline(always)]
+    unsafe fn or(self, o: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.zip_halves(o, |a, b| unsafe { _mm_or_ps(a, b) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self.zip(o, |a, b| f32::from_bits(a.to_bits() | b.to_bits()))
+        }
+    }
+    #[inline(always)]
+    unsafe fn andnot(self, o: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.zip_halves(o, |a, b| unsafe { _mm_andnot_ps(a, b) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self.zip(o, |a, b| f32::from_bits(!a.to_bits() & b.to_bits()))
+        }
+    }
+    #[inline(always)]
     unsafe fn eq_mask(self, o: Self) -> Self {
         #[cfg(target_arch = "x86_64")]
         {
@@ -379,6 +439,39 @@ impl Lanes for F32x8 {
         #[cfg(not(target_arch = "x86_64"))]
         {
             self.zip(o, |a, b| f32::from_bits(if a != b { u32::MAX } else { 0 }))
+        }
+    }
+    #[inline(always)]
+    unsafe fn lt_mask(self, o: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.zip_halves(o, |a, b| unsafe { _mm_cmplt_ps(a, b) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self.zip(o, |a, b| f32::from_bits(if a < b { u32::MAX } else { 0 }))
+        }
+    }
+    #[inline(always)]
+    unsafe fn scale_pow2(self, magic: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.zip_halves(magic, |p, m| unsafe { scale_pow2_sse2(p, m) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self.zip(magic, |p, m| f32::from_bits(p.to_bits().wrapping_add(m.to_bits() << 23)))
+        }
+    }
+    #[inline(always)]
+    unsafe fn biased_exponent(self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            self.map_halves(|v| unsafe { biased_exponent_sse2(v) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            Self(self.0.map(|v| (v.to_bits() >> 23) as f32))
         }
     }
     #[inline(always)]
@@ -448,6 +541,34 @@ impl Lanes for F32x8 {
     }
 }
 
+/// [`Lanes::scale_pow2`] on four lanes. AVX (without AVX2) has no 256-bit
+/// integer unit, so both instruction sets run this on 128-bit halves.
+///
+/// # Safety
+///
+/// None beyond SSE2, part of the x86_64 baseline ABI: register-only.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn scale_pow2_sse2(p: __m128, magic: __m128) -> __m128 {
+    // SAFETY: SSE2 register-only intrinsics.
+    unsafe {
+        let n = _mm_slli_epi32::<23>(_mm_castps_si128(magic));
+        _mm_castsi128_ps(_mm_add_epi32(_mm_castps_si128(p), n))
+    }
+}
+
+/// [`Lanes::biased_exponent`] on four lanes (see [`scale_pow2_sse2`]).
+///
+/// # Safety
+///
+/// None beyond SSE2, part of the x86_64 baseline ABI: register-only.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn biased_exponent_sse2(v: __m128) -> __m128 {
+    // SAFETY: SSE2 register-only intrinsics.
+    unsafe { _mm_cvtepi32_ps(_mm_srli_epi32::<23>(_mm_castps_si128(v))) }
+}
+
 /// Eight lanes in one AVX register.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
@@ -490,6 +611,10 @@ impl Lanes for Avx {
         Avx(unsafe { _mm256_mul_ps(self.0, o.0) })
     }
     #[inline(always)]
+    unsafe fn div(self, o: Self) -> Self {
+        Avx(unsafe { _mm256_div_ps(self.0, o.0) })
+    }
+    #[inline(always)]
     unsafe fn min(self, o: Self) -> Self {
         Avx(unsafe { _mm256_min_ps(self.0, o.0) })
     }
@@ -502,12 +627,45 @@ impl Lanes for Avx {
         Avx(unsafe { _mm256_and_ps(self.0, o.0) })
     }
     #[inline(always)]
+    unsafe fn or(self, o: Self) -> Self {
+        Avx(unsafe { _mm256_or_ps(self.0, o.0) })
+    }
+    #[inline(always)]
+    unsafe fn andnot(self, o: Self) -> Self {
+        Avx(unsafe { _mm256_andnot_ps(self.0, o.0) })
+    }
+    #[inline(always)]
     unsafe fn eq_mask(self, o: Self) -> Self {
         Avx(unsafe { _mm256_cmp_ps::<_CMP_EQ_OQ>(self.0, o.0) })
     }
     #[inline(always)]
     unsafe fn ne_mask(self, o: Self) -> Self {
         Avx(unsafe { _mm256_cmp_ps::<_CMP_NEQ_UQ>(self.0, o.0) })
+    }
+    #[inline(always)]
+    unsafe fn lt_mask(self, o: Self) -> Self {
+        Avx(unsafe { _mm256_cmp_ps::<_CMP_LT_OQ>(self.0, o.0) })
+    }
+    #[inline(always)]
+    unsafe fn select(self, a: Self, b: Self) -> Self {
+        Avx(unsafe { _mm256_blendv_ps(b.0, a.0, self.0) })
+    }
+    #[inline(always)]
+    unsafe fn scale_pow2(self, magic: Self) -> Self {
+        unsafe {
+            let (p, m) = (self.0, magic.0);
+            let lo = scale_pow2_sse2(_mm256_castps256_ps128(p), _mm256_castps256_ps128(m));
+            let hi = scale_pow2_sse2(_mm256_extractf128_ps::<1>(p), _mm256_extractf128_ps::<1>(m));
+            Avx(_mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi))
+        }
+    }
+    #[inline(always)]
+    unsafe fn biased_exponent(self) -> Self {
+        unsafe {
+            let lo = biased_exponent_sse2(_mm256_castps256_ps128(self.0));
+            let hi = biased_exponent_sse2(_mm256_extractf128_ps::<1>(self.0));
+            Avx(_mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi))
+        }
     }
     #[inline(always)]
     unsafe fn trunc(self) -> Self {
@@ -626,6 +784,7 @@ mod tests {
                     same(va.add(vb).to_array(), zip(|x, y| x + y), "add");
                     same(va.sub(vb).to_array(), zip(|x, y| x - y), "sub");
                     same(va.mul(vb).to_array(), zip(|x, y| x * y), "mul");
+                    same(va.div(vb).to_array(), zip(|x, y| x / y), "div");
                     same(V::mul_acc(vb, va, va).to_array(), zip(|x, y| y + x * x), "mul_acc");
                     same(va.min(vb).to_array(), zip(|x, y| if x < y { x } else { y }), "min");
                     same(va.max(vb).to_array(), zip(|x, y| if x > y { x } else { y }), "max");
@@ -634,8 +793,15 @@ mod tests {
                     };
                     let bits = |v: V| v.to_array().map(f32::to_bits);
                     assert_eq!(bits(va.and(vb)), bit(|x, y| x.to_bits() & y.to_bits()), "{name} and");
+                    assert_eq!(bits(va.or(vb)), bit(|x, y| x.to_bits() | y.to_bits()), "{name} or");
+                    assert_eq!(bits(va.andnot(vb)), bit(|x, y| !x.to_bits() & y.to_bits()), "{name} andnot");
                     assert_eq!(bits(va.eq_mask(vb)), bit(|x, y| mask(x == y)), "{name} eq_mask");
                     assert_eq!(bits(va.ne_mask(vb)), bit(|x, y| mask(x != y)), "{name} ne_mask");
+                    assert_eq!(bits(va.lt_mask(vb)), bit(|x, y| mask(x < y)), "{name} lt_mask");
+                    let picked = bits(va.lt_mask(vb).select(va, vb));
+                    assert_eq!(picked, bit(|x, y| (if x < y { x } else { y }).to_bits()), "{name} select");
+                    let scaled = |x: f32, y: f32| x.to_bits().wrapping_add(y.to_bits() << 23);
+                    assert_eq!(bits(va.scale_pow2(vb)), bit(scaled), "{name} scale_pow2");
                 }
             }
             // SAFETY: as above.
@@ -643,6 +809,9 @@ mod tests {
                 let va = V::load(&a);
                 same(va.trunc().to_array(), a.map(f32::trunc), "trunc");
                 same(va.sqrt().to_array(), a.map(f32::sqrt), "sqrt");
+                let exponent = a.map(|x| (x.to_bits() >> 23) as f32);
+                let abs = va.and(V::splat(f32::from_bits(0x7fff_ffff)));
+                same(abs.biased_exponent().to_array(), exponent.map(|e| e % 256.0), "biased_exponent");
                 same(V::splat(a[0]).to_array(), [a[0]; 8], "splat");
                 assert_eq!(V::zero().to_array().map(f32::to_bits), [0; 8], "{name} zero");
             }

@@ -9,10 +9,11 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Exact softmax over `xs`, numerically stabilized by max-subtraction.
+/// Exact softmax over `xs`, numerically stabilized by max-subtraction —
+/// the allocating form of [`softmax_inplace`], which defines the bits.
 ///
-/// Returns a vector of the same length summing to 1 (or all zeros for an
-/// empty input).
+/// Returns a vector of the same length summing to 1 (empty for an empty
+/// input).
 ///
 /// # Example
 ///
@@ -26,26 +27,7 @@ pub fn softmax(xs: &[f32]) -> Vec<f32> {
     out
 }
 
-/// In-place form of [`softmax`]: replaces `xs` by its softmax without
-/// allocating — the steady-state content-addressing path runs the scaled
-/// similarities through this on a reused scratch buffer.
-///
-/// Bit-identical to [`softmax`] (same max-shift, same left-to-right
-/// exponential sum, same division).
-pub fn softmax_inplace(xs: &mut [f32]) {
-    if xs.is_empty() {
-        return;
-    }
-    let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut total = 0.0f32;
-    for x in xs.iter_mut() {
-        *x = (*x - max).exp();
-        total += *x;
-    }
-    for x in xs.iter_mut() {
-        *x /= total;
-    }
-}
+pub use crate::transcend::softmax_inplace;
 
 /// Softmax computed with the default hardware PLA+LUT exponential
 /// approximation (32 segments over `[-8, 0]`).
@@ -77,7 +59,10 @@ pub struct PlaSoftmax {
 }
 
 impl PlaSoftmax {
-    /// Builds a PLA table with `segments` uniform pieces over `[-range, 0]`.
+    /// Builds a PLA table with `segments` uniform pieces over `[-range, 0]`,
+    /// interpolating the in-repo [`exp`](crate::transcend::exp) at the
+    /// segment endpoints — so the table, like everything computed from it,
+    /// is the same bits on every host.
     ///
     /// # Panics
     ///
@@ -91,8 +76,8 @@ impl PlaSoftmax {
                 // Segment s covers [-range + s*w, -range + (s+1)*w].
                 let x0 = -range + s as f32 * seg_width;
                 let x1 = x0 + seg_width;
-                let y0 = x0.exp();
-                let y1 = x1.exp();
+                let y0 = crate::transcend::exp(x0);
+                let y1 = crate::transcend::exp(x1);
                 let slope = (y1 - y0) / (x1 - x0);
                 let intercept = y0 - slope * x0;
                 (slope, intercept)
@@ -164,7 +149,7 @@ impl PlaSoftmax {
         (0..=samples)
             .map(|i| {
                 let x = -self.range * i as f32 / samples as f32;
-                (self.exp_approx(x) - x.exp()).abs()
+                (self.exp_approx(x) as f64 - (x as f64).exp()).abs() as f32
             })
             .fold(0.0f32, f32::max)
     }
@@ -201,19 +186,7 @@ pub fn softmax_rows(m: &mut crate::Matrix) {
 fn softmax_rows_masked(m: &mut crate::Matrix, mask: &crate::LaneMask) {
     assert_eq!(mask.lanes(), m.rows(), "lane mask size mismatch");
     for i in mask.active_lanes() {
-        let row = m.row_mut(i);
-        if row.is_empty() {
-            continue;
-        }
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut total = 0.0;
-        for x in row.iter_mut() {
-            *x = (*x - max).exp();
-            total += *x;
-        }
-        for x in row.iter_mut() {
-            *x /= total;
-        }
+        softmax_inplace(m.row_mut(i));
     }
 }
 
@@ -325,7 +298,7 @@ mod tests {
     fn pla_exp_interpolates_endpoints() {
         let pla = PlaSoftmax::new(8, 4.0);
         assert!((pla.exp_approx(0.0) - 1.0).abs() < 1e-5);
-        assert!((pla.exp_approx(-4.0) - (-4.0f32).exp()).abs() < 1e-5);
+        assert!((pla.exp_approx(-4.0) as f64 - (-4.0f64).exp()).abs() < 1e-5);
     }
 
     #[test]

@@ -204,3 +204,113 @@ proptest! {
         }
     }
 }
+
+// --- Transcendentals ------------------------------------------------------
+//
+// The slice kernels of `transcend` run whole vectors through a lane body
+// and tails through the scalar function; these properties hold the two
+// equal — bit for bit — on arbitrary bit patterns (NaNs, infinities,
+// subnormals, both zeros) at arbitrary lengths, through the public entry
+// points the engine calls. The unit tests in `transcend.rs` call the AVX
+// and the portable body explicitly; this is the dispatched one.
+
+use hima_tensor::transcend::{
+    exp, lstm_gates, oneplus, oneplus_into, sigmoid, sigmoid_into, softmax_inplace, softplus, tanh,
+    EXP_HI, EXP_LO,
+};
+
+fn any_f32(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec((0u32..u32::MAX).prop_map(f32::from_bits), len)
+}
+
+/// Equal bits, or both NaN (payloads are no kernel's contract).
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+proptest! {
+    // Arbitrary bit patterns are mostly huge or tiny magnitudes; the cases
+    // are cheap, so run enough of them to land on the interesting ones.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn pointwise_slices_equal_the_scalar_functions_on_any_bits(xs in any_f32(0..41)) {
+        let mut got = vec![0.0; xs.len()];
+        sigmoid_into(&xs, &mut got);
+        let want: Vec<f32> = xs.iter().map(|&x| sigmoid(x)).collect();
+        prop_assert!(same_bits(&got, &want), "sigmoid_into {:?} -> {:?} vs {:?}", xs, got, want);
+        oneplus_into(&xs, &mut got);
+        let want: Vec<f32> = xs.iter().map(|&x| oneplus(x)).collect();
+        prop_assert!(same_bits(&got, &want), "oneplus_into {:?} -> {:?} vs {:?}", xs, got, want);
+    }
+
+    #[test]
+    fn every_function_keeps_its_range_and_its_edges_on_any_bits(bits in 0u32..u32::MAX) {
+        let x = f32::from_bits(bits);
+        if x.is_nan() {
+            prop_assert!([exp(x), sigmoid(x), tanh(x), softplus(x), oneplus(x)].iter().all(|y| y.is_nan()));
+            return;
+        }
+        let e = exp(x);
+        prop_assert_eq!(e == 0.0, x < EXP_LO, "exp({:e}) = {:e}", x, e);
+        prop_assert_eq!(e == f32::INFINITY, x > EXP_HI, "exp({:e}) = {:e}", x, e);
+        prop_assert!(e == 0.0 || e == f32::INFINITY || e.is_normal(), "exp({:e}) = {:e}", x, e);
+        prop_assert!((0.0..=1.0).contains(&sigmoid(x)), "sigmoid({:e})", x);
+        let t = tanh(x);
+        prop_assert!(t.abs() <= 1.0, "tanh({:e}) = {:e}", x, t);
+        prop_assert_eq!(t.is_sign_negative(), x.is_sign_negative(), "tanh({:e}) = {:e}", x, t);
+        prop_assert_eq!(tanh(-x).to_bits(), (-t).to_bits(), "tanh is odd at {:e}", x);
+        let s = softplus(x);
+        prop_assert!(s >= 0.0, "softplus({:e}) = {:e}", x, s);
+        prop_assert_eq!(oneplus(x).to_bits(), (1.0 + s).to_bits());
+    }
+
+    #[test]
+    fn lstm_gates_equals_the_scalar_loop_on_any_bits(h in 0usize..21, seed in any_f32(105..106)) {
+        let (pre, cell) = (&seed[..4 * h], &seed[84..84 + h]);
+        let (mut c_got, mut h_got) = (cell.to_vec(), vec![0.0; h]);
+        lstm_gates(pre, &mut c_got, &mut h_got);
+        let (mut c_want, mut h_want) = (cell.to_vec(), vec![0.0; h]);
+        for j in 0..h {
+            c_want[j] = sigmoid(pre[h + j]) * cell[j] + sigmoid(pre[j]) * tanh(pre[2 * h + j]);
+            h_want[j] = sigmoid(pre[3 * h + j]) * tanh(c_want[j]);
+        }
+        prop_assert!(same_bits(&c_got, &c_want), "cell, H={}", h);
+        prop_assert!(same_bits(&h_got, &h_want), "hidden, H={}", h);
+    }
+
+    #[test]
+    fn softmax_is_the_documented_sum_order_over_the_scalar_exp(xs in vec_f32(0..41)) {
+        let mut got = xs.clone();
+        softmax_inplace(&mut got);
+        // The definition: exp(x − max); eight lane-wise partial sums over
+        // the whole vectors, a fixed tree, the tail in order; divide.
+        let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let e: Vec<f32> = xs.iter().map(|&x| exp(x - max)).collect();
+        let whole = xs.len() / 8 * 8;
+        let mut s = [0.0f32; 8];
+        for (i, &v) in e[..whole].iter().enumerate() {
+            s[i % 8] += v;
+        }
+        let mut total = ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
+        for &v in &e[whole..] {
+            total += v;
+        }
+        let want: Vec<f32> = e.iter().map(|&v| v / total).collect();
+        prop_assert!(same_bits(&got, &want), "{:?} -> {:?} vs {:?}", xs, got, want);
+    }
+
+    #[test]
+    fn softmax_of_any_bits_is_a_distribution_or_all_nan(xs in any_f32(1..41)) {
+        let mut p = xs.clone();
+        softmax_inplace(&mut p);
+        let defined = xs.iter().all(|x| x.is_finite());
+        if defined {
+            prop_assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)), "{:?} -> {:?}", xs, p);
+            prop_assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-4, "{:?} -> {:?}", xs, p);
+        } else if xs.iter().any(|x| x.is_nan()) {
+            prop_assert!(p.iter().all(|x| x.is_nan()), "{:?} -> {:?}", xs, p);
+        }
+    }
+}
