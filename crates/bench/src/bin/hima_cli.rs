@@ -415,7 +415,7 @@ fn serve(args: &[String]) {
     }
     let chaos_note = if chaos_disk > 0 || chaos_net > 0 {
         let mut plan = FaultPlan::new(chaos_seed);
-        for site in [FaultSite::StoreWrite, FaultSite::StoreFsync, FaultSite::StoreRename] {
+        for site in [FaultSite::StoreWrite, FaultSite::StoreFsync] {
             plan = plan.with_rule(FaultRule::probabilistic(site, FaultKind::IoError, chaos_disk));
         }
         plan = plan

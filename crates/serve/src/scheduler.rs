@@ -215,7 +215,7 @@ struct Sess {
     /// `ReadRows` replies deferred until `replay_left` drains.
     pending_reads: Vec<Sender<Response>>,
     /// Open delta-log writer (lazy; dropped before compaction, because
-    /// compaction deletes the log file out from under stale handles).
+    /// compaction truncates the log file under stale handles).
     log: Option<hima_store::LogWriter>,
 }
 
@@ -911,8 +911,8 @@ impl Group {
         let sess = self.sessions.get_mut(&id).unwrap();
         let Some(lane) = sess.lane else { return };
         let seq = sess.seq;
-        // The snapshot deletes the log file; a stale writer would append
-        // into the unlinked inode and lose records.
+        // The snapshot truncates the log in place; a stale writer would
+        // roll a failed append back to the pre-truncation length.
         sess.log = None;
         let t0 = Instant::now();
         let state = self.engine.export_lane(lane);
@@ -1293,7 +1293,7 @@ mod tests {
 
     /// A refused eviction counts as activity: the idle sweep comes back
     /// for the victim after another `idle_timeout`, not on the next tick —
-    /// each attempt is an encode, a tmp write and a `sync_all` on the
+    /// each attempt is an encode, a slot write and a `sync_all` on the
     /// thread that serves the co-tenants.
     #[test]
     fn a_refused_eviction_is_retried_per_idle_timeout_not_per_tick() {
@@ -1302,10 +1302,10 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("hima-sched-refusal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // Only a finished snapshot renames: every eviction is refused, the
-        // write-ahead log works.
+        // Only a snapshot syncs: every eviction is refused, the
+        // write-ahead log (never synced) works.
         let plan = FaultPlan::new(7).with_rule(FaultRule::probabilistic(
-            FaultSite::StoreRename,
+            FaultSite::StoreFsync,
             FaultKind::IoError,
             1000,
         ));

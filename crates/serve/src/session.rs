@@ -60,7 +60,7 @@ pub struct StoreConfig {
     /// once more than this many detached states sit in RAM.
     pub max_parked: usize,
     /// Optional seeded fault plan injected into every store I/O path
-    /// (snapshot writes, fsyncs, renames, log appends). `None` — the
+    /// (snapshot writes and fsyncs, log appends). `None` — the
     /// default — is a plain pass-through.
     pub faults: Option<Arc<FaultPlan>>,
 }

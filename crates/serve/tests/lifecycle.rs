@@ -444,11 +444,11 @@ fn failed_eviction_snapshot_degrades_to_parked_without_data_loss() {
     let dir = std::env::temp_dir()
         .join(format!("hima-evict-refusal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    // Renames only happen when a snapshot is finalized, so this fails
+    // Only a snapshot syncs (the delta log never does), so this fails
     // every snapshot (eviction and compaction) while leaving the
     // write-ahead delta log fully functional.
     let plan = Arc::new(FaultPlan::new(7).with_rule(FaultRule::probabilistic(
-        FaultSite::StoreRename,
+        FaultSite::StoreFsync,
         FaultKind::IoError,
         1000,
     )));

@@ -68,8 +68,9 @@ pub struct LogContents {
 /// fully framed record, so the bytes reach the OS immediately and
 /// survive a process kill; only an OS crash can tear the tail, which the
 /// reader tolerates. Callers must drop the writer before compacting the
-/// log (snapshot + truncate) — appends through a stale handle would land
-/// in an unlinked file and be lost.
+/// log (snapshot, then truncate in place to the header) — a stale
+/// handle's rollback length would point past the truncated end, and a
+/// failed append would then pad the log with zeros.
 #[derive(Debug)]
 pub struct LogWriter {
     file: File,
@@ -169,6 +170,18 @@ impl LogWriter {
     pub fn sync(&mut self) -> std::io::Result<()> {
         consult_faults(self.faults.as_deref(), FaultSite::StoreFsync)?;
         self.file.sync_data()
+    }
+}
+
+/// Cuts the delta log at `path` back to the header of a log keyed by
+/// `spec_key`, in place: the file keeps its directory entry, so the next
+/// [`LogWriter`] reopens it instead of creating one. An absent log stays
+/// absent.
+pub(crate) fn truncate_to_header(path: &Path, spec_key: &[u8]) -> std::io::Result<()> {
+    match OpenOptions::new().write(true).open(path) {
+        Ok(file) => file.set_len((LOG_MAGIC.len() + 4 + spec_key.len()) as u64),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e),
     }
 }
 

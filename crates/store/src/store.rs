@@ -1,13 +1,13 @@
-//! The per-directory session store: one snapshot + one delta log per
-//! session id, with snapshot-then-truncate compaction.
+//! The per-directory session store: two alternating snapshot slots + one
+//! delta log per session id, with snapshot-then-truncate compaction.
 
-use crate::log::{read_log, LogWriter, StepRecord};
-use crate::snapshot::{read_snapshot, read_snapshot_key, write_snapshot_with, Snapshot};
+use crate::log::{read_log, truncate_to_header, LogWriter, StepRecord};
+use crate::snapshot::{read_slot, retire_slot, write_snapshot_with, Slot, Snapshot};
 use hima_chaos::{io_error_for, FaultKind, FaultPlan, FaultSite};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Consults a fault plan for one store I/O operation.
 ///
@@ -85,6 +85,39 @@ fn absent_ok<T>(read: Result<T, StoreError>) -> Result<Option<T>, StoreError> {
     }
 }
 
+/// The snapshot recovery starts from, with its spec key; `None` for log
+/// only.
+type Chosen = Option<(Vec<u8>, Snapshot)>;
+
+/// The slot rule table of [`SessionStore`]. Returns where recovery
+/// starts, and the *live* slot — the one
+/// [`SessionStore::save_snapshot`] must not overwrite: the newest that
+/// verifies, else one that is not torn, preferring a retired one. A write
+/// to the other slot that tears therefore never changes what a load
+/// returns (bar both slots retired, which no crash produces: a tear that
+/// restores the magic over the older frame un-retires it).
+fn resolve(slots: [Slot; 2], paths: [&Path; 2]) -> (usize, Result<Chosen, StoreError>) {
+    use Slot::{Absent, Retired, Torn, Valid};
+    const ORPHAN: &str = "retired snapshot slot has no verifying partner";
+    match slots {
+        [Valid(ka, a), Valid(kb, b)] => {
+            if b.step_seq > a.step_seq {
+                (1, Ok(Some((kb, b))))
+            } else {
+                (0, Ok(Some((ka, a))))
+            }
+        }
+        [Valid(key, snap), _] => (0, Ok(Some((key, snap)))),
+        [_, Valid(key, snap)] => (1, Ok(Some((key, snap)))),
+        [Absent | Torn(_), Absent] => (1, Ok(None)),
+        [Absent, Torn(_)] => (0, Ok(None)),
+        [Torn(e), Torn(_) | Retired] => (1, Err(e)),
+        [Retired, Torn(e)] => (0, Err(e)),
+        [Retired, Retired | Absent] => (0, Err(corrupt(paths[0], ORPHAN))),
+        [Absent, Retired] => (1, Err(corrupt(paths[1], ORPHAN))),
+    }
+}
+
 /// Everything recoverable for one session: the latest snapshot (if any),
 /// the valid delta-log prefix, and whether the log tail was torn.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,17 +150,37 @@ impl SessionRecord {
 
 /// A directory of durable sessions.
 ///
-/// Layout: `sess-<id>.snap` (atomic snapshot) and `sess-<id>.log`
-/// (append-only delta log) per session. [`save_snapshot`](Self::save_snapshot)
-/// doubles as compaction — after the snapshot is
-/// durably renamed into place, the log is deleted. A crash between
-/// those two operations is benign: recovery replays only log records
-/// with `seq > snapshot.step_seq`, and every surviving record satisfies
-/// `seq <= step_seq`, so the stale log replays to nothing.
+/// Layout per session: two snapshot slots, `sess-<id>.snap` (slot 0) and
+/// `sess-<id>.snap1` (slot 1), and `sess-<id>.log` (append-only delta
+/// log). [`save_snapshot`](Self::save_snapshot) overwrites the slot that
+/// does not hold the newest snapshot, `sync_all`s it, and only then
+/// retires the other slot and truncates the log to its header — so it
+/// doubles as compaction. A crash anywhere in that sequence is benign:
+/// until the sync, the other slot still verifies and the log still holds
+/// every step since it; after it, the new slot wins, and the records a
+/// not-yet-truncated log still holds satisfy `seq <= step_seq`, so they
+/// replay to nothing. Which slot a session's next save writes is cached
+/// per store, filled from the two slot files on a session's first save.
+///
+/// A slot is *absent* (no file, or an empty one), *retired*, *valid*
+/// (its frame verifies) or *torn* (anything else). [`load`](Self::load)
+/// and [`spec_key`](Self::spec_key) pick a slot by one rule table:
+///
+/// * both slots valid → the higher `step_seq`;
+/// * one valid, the other retired, absent or torn → the valid one (a
+///   torn partner is a save that never finished, and the log was not
+///   truncated after it);
+/// * one torn, the other absent → no snapshot, log only (a session's
+///   first save never finished);
+/// * any other combination with a slot that fails to verify, or a
+///   retired slot with no valid partner → typed [`StoreError::Corrupt`].
 #[derive(Debug)]
 pub struct SessionStore {
     root: PathBuf,
     faults: Option<Arc<FaultPlan>>,
+    /// Session id → its live slot (the one the next save must not
+    /// overwrite).
+    live: Mutex<HashMap<u64, usize>>,
 }
 
 impl SessionStore {
@@ -145,7 +198,7 @@ impl SessionStore {
     ) -> std::io::Result<Self> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        Ok(Self { root, faults })
+        Ok(Self { root, faults, live: Mutex::default() })
     }
 
     /// The fault plan this store consults, when one is installed.
@@ -158,12 +211,28 @@ impl SessionStore {
         &self.root
     }
 
-    fn snapshot_path(&self, id: u64) -> PathBuf {
-        self.root.join(format!("sess-{id}.snap"))
+    /// Slot 0 keeps the single-snapshot layout's name, so a store written
+    /// before slots existed loads unchanged.
+    fn slot_path(&self, id: u64, slot: usize) -> PathBuf {
+        match slot {
+            0 => self.root.join(format!("sess-{id}.snap")),
+            _ => self.root.join(format!("sess-{id}.snap1")),
+        }
     }
 
     fn log_path(&self, id: u64) -> PathBuf {
         self.root.join(format!("sess-{id}.log"))
+    }
+
+    fn live_slots(&self) -> MutexGuard<'_, HashMap<u64, usize>> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Reads both slots of `id` and applies the rule table.
+    fn read_slots(&self, id: u64) -> std::io::Result<(usize, Result<Chosen, StoreError>)> {
+        let paths = [self.slot_path(id, 0), self.slot_path(id, 1)];
+        let slots = [read_slot(&paths[0])?, read_slot(&paths[1])?];
+        Ok(resolve(slots, [&paths[0], &paths[1]]))
     }
 
     /// Every session id with at least one store file, ascending.
@@ -173,9 +242,9 @@ impl SessionStore {
             let name = entry?.file_name();
             let Some(name) = name.to_str() else { continue };
             let Some(rest) = name.strip_prefix("sess-") else { continue };
-            let Some(id) = rest
-                .strip_suffix(".snap")
-                .or_else(|| rest.strip_suffix(".log"))
+            let Some(id) = [".snap", ".snap1", ".log"]
+                .iter()
+                .find_map(|suffix| rest.strip_suffix(suffix))
                 .and_then(|id| id.parse::<u64>().ok())
             else {
                 continue;
@@ -186,52 +255,55 @@ impl SessionStore {
     }
 
     /// The spec key a stored session belongs to, or `None` when no store
-    /// files exist for `id`. Reads only as much as routing needs.
+    /// files exist for `id` — by the same checks as [`load`](Self::load),
+    /// so a session that routes is one that loads.
     pub fn spec_key(&self, id: u64) -> Result<Option<Vec<u8>>, StoreError> {
-        if let Some(key) = absent_ok(read_snapshot_key(&self.snapshot_path(id)))? {
-            return Ok(Some(key));
-        }
-        Ok(absent_ok(read_log(&self.log_path(id)))?.map(|log| log.spec_key))
+        Ok(self.load(id)?.map(|rec| rec.spec_key))
     }
 
-    /// Loads everything recoverable for `id`, or `None` when the session
-    /// has no store files. When both files exist their spec keys must
-    /// agree; a mismatch is corruption, not a recoverable state.
+    /// Loads everything recoverable for `id`, or `None` when there is
+    /// nothing to recover (no store files, or only a torn first save).
+    /// The snapshot comes from the slot the rule table picks (see
+    /// [`SessionStore`]); when it and the log both exist their spec keys
+    /// must agree, and the first log record past the snapshot must be the
+    /// step right after it (`step_seq + 1`, or `1` with no snapshot) — a
+    /// mismatch or a gap is corruption, never a state replayed with steps
+    /// missing. Records at or below `step_seq` are a log a crashed
+    /// compaction left behind, and are allowed.
     pub fn load(&self, id: u64) -> Result<Option<SessionRecord>, StoreError> {
-        let snap_path = self.snapshot_path(id);
+        let (_, chosen) = self.read_slots(id)?;
         let log_path = self.log_path(id);
-        let snap = absent_ok(read_snapshot(&snap_path))?;
         let log = absent_ok(read_log(&log_path))?;
-        match (snap, log) {
-            (None, None) => Ok(None),
-            (Some((key, snapshot)), None) => Ok(Some(SessionRecord {
-                spec_key: key,
-                snapshot: Some(snapshot),
-                steps: Vec::new(),
-                torn_tail: false,
-            })),
-            (None, Some(log)) => Ok(Some(SessionRecord {
-                spec_key: log.spec_key,
-                snapshot: None,
-                steps: log.steps,
-                torn_tail: log.torn_tail,
-            })),
-            (Some((key, snapshot)), Some(log)) => {
+        let (spec_key, snapshot) = chosen?.unzip();
+        let (spec_key, steps, torn_tail) = match (spec_key, log) {
+            (None, None) => return Ok(None),
+            (Some(key), None) => (key, Vec::new(), false),
+            (None, Some(log)) => (log.spec_key, log.steps, log.torn_tail),
+            (Some(key), Some(log)) => {
                 if key != log.spec_key {
                     return Err(corrupt(&log_path, "spec key disagrees with snapshot"));
                 }
-                Ok(Some(SessionRecord {
-                    spec_key: key,
-                    snapshot: Some(snapshot),
-                    steps: log.steps,
-                    torn_tail: log.torn_tail,
-                }))
+                (key, log.steps, log.torn_tail)
             }
+        };
+        let applied = snapshot.as_ref().map_or(0, |s| s.step_seq);
+        if steps.iter().find(|s| s.seq > applied).is_some_and(|s| s.seq != applied + 1) {
+            return Err(corrupt(&log_path, "delta log does not continue the snapshot"));
         }
+        Ok(Some(SessionRecord { spec_key, snapshot, steps, torn_tail }))
     }
 
-    /// Durably snapshots `id` at `step_seq`, then compacts (deletes) the
-    /// delta log. Any open [`LogWriter`] for `id` must be dropped first.
+    /// Durably snapshots `id` at `step_seq`, then compacts the delta log:
+    /// overwrites the slot that is not live, `sync_all`s it, retires the
+    /// other slot and truncates the log to its header. Any open
+    /// [`LogWriter`] for `id` must be dropped first.
+    ///
+    /// `Ok` means the snapshot is durable. `Err` means *not known*
+    /// durable: a failed sync can leave the new frame in its slot, and a
+    /// failure after the sync leaves the old slot unretired or the log
+    /// untruncated. Either way the session still loads to a state
+    /// consistent with its log, because the log is truncated only after
+    /// a save has fully succeeded.
     pub fn save_snapshot(
         &self,
         id: u64,
@@ -239,17 +311,28 @@ impl SessionStore {
         step_seq: u64,
         state: &[u8],
     ) -> std::io::Result<()> {
+        // Bound first, so the guard is dropped before the miss re-locks.
+        let cached = self.live_slots().get(&id).copied();
+        let live = match cached {
+            Some(live) => live,
+            None => {
+                let (live, _) = self.read_slots(id)?;
+                self.live_slots().insert(id, live);
+                live
+            }
+        };
+        let target = 1 - live;
         write_snapshot_with(
-            &self.snapshot_path(id),
+            &self.slot_path(id, target),
             spec_key,
             step_seq,
             state,
             self.faults.as_deref(),
         )?;
-        match fs::remove_file(self.log_path(id)) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
-        }
+        // Synced: from here on a load picks the new slot.
+        self.live_slots().insert(id, target);
+        retire_slot(&self.slot_path(id, live))?;
+        truncate_to_header(&self.log_path(id), spec_key)
     }
 
     /// Opens the delta log for `id` in append mode.
@@ -259,7 +342,8 @@ impl SessionStore {
 
     /// Deletes every store file for `id` (closed or reset sessions).
     pub fn remove(&self, id: u64) -> std::io::Result<()> {
-        for path in [self.snapshot_path(id), self.log_path(id)] {
+        self.live_slots().remove(&id);
+        for path in [self.slot_path(id, 0), self.slot_path(id, 1), self.log_path(id)] {
             match fs::remove_file(&path) {
                 Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
                 _ => {}
@@ -327,7 +411,7 @@ mod tests {
         assert_eq!(store.spec_key(5).unwrap().unwrap(), b"k", "snapshot alone routes");
 
         // Steps after the snapshot replay; a stale pre-snapshot log
-        // (crash between rename and remove) replays to nothing.
+        // (crash between the sync and the truncation) replays to nothing.
         let mut w = store.log_writer(5, b"k").unwrap();
         w.append(5, &[5.0]).unwrap();
         w.append(6, &[6.0]).unwrap();
@@ -346,8 +430,8 @@ mod tests {
         w.append(1, &[1.0]).unwrap();
         w.append(2, &[2.0]).unwrap();
         drop(w);
-        // Simulate a crash between snapshot rename and log removal by
-        // writing the snapshot directly, leaving the log in place.
+        // Simulate a crash between the snapshot's sync and the log's
+        // truncation by writing the snapshot directly, leaving the log.
         crate::snapshot::write_snapshot(
             &store.root().join("sess-7.snap"),
             b"k",
@@ -398,9 +482,10 @@ mod tests {
             assert_eq!(snap.state, b"good-state");
         }
         assert_eq!(plan.injected(FaultSite::StoreWrite), 3);
-        // The partial write tore the tmp sibling, not the snapshot: the
-        // magic and `keep` = 3 body bytes (the low bytes of `key_len`).
-        let torn = fs::read(store.root().join("sess-1.snap.tmp")).unwrap();
+        // The partial write tore the other slot — retired by the first
+        // save, so eight bytes long — not the live one: the magic and
+        // `keep` = 3 body bytes (the low bytes of `key_len`).
+        let torn = fs::read(store.root().join("sess-1.snap1")).unwrap();
         assert_eq!(torn, [&b"HIMASNP1"[..], &[1, 0, 0]].concat());
         // Past the scheduled faults, writes succeed again.
         store.save_snapshot(1, b"k", 12, b"final").unwrap();
@@ -437,6 +522,189 @@ mod tests {
         let mut w = store.log_writer(4, b"spec").unwrap();
         w.append(4, &[7.0]).unwrap();
         assert_eq!(store.load(4).unwrap().unwrap().last_seq(), 4);
+    }
+
+    fn magic(path: PathBuf) -> [u8; 8] {
+        fs::read(path).unwrap()[..8].try_into().unwrap()
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn saves_alternate_slots_retire_the_other_and_truncate_the_log_in_place() {
+        use crate::snapshot::{RETIRED_MAGIC, SNAPSHOT_MAGIC};
+        use std::os::unix::fs::MetadataExt;
+        let store = SessionStore::open(test_dir("alternate")).unwrap();
+        let (slot0, slot1) = (store.slot_path(6, 0), store.slot_path(6, 1));
+        let log = store.log_path(6);
+        let mut w = store.log_writer(6, b"key").unwrap();
+        w.append(1, &[1.0]).unwrap();
+        drop(w);
+        let inode = fs::metadata(&log).unwrap().ino();
+        for (seq, written, retired) in [(1, &slot0, &slot1), (2, &slot1, &slot0), (3, &slot0, &slot1)] {
+            store.save_snapshot(6, b"key", seq, &[seq as u8; 40]).unwrap();
+            assert_eq!(magic(written.clone()), SNAPSHOT_MAGIC, "save {seq}");
+            assert_eq!(magic(retired.clone()), RETIRED_MAGIC, "save {seq}");
+            // The log keeps its inode and exactly its header.
+            let meta = fs::metadata(&log).unwrap();
+            assert_eq!((meta.ino(), meta.len()), (inode, 12 + 3), "save {seq}");
+            let rec = store.load(6).unwrap().unwrap();
+            assert_eq!((rec.snapshot.unwrap().step_seq, rec.steps.len()), (seq, 0));
+        }
+        assert_eq!(fs::read_dir(store.root()).unwrap().count(), 3, "a sibling file was left behind");
+        assert_eq!(store.sessions().unwrap(), vec![6]);
+    }
+
+    #[test]
+    fn a_log_that_does_not_continue_the_snapshot_is_corruption() {
+        let store = SessionStore::open(test_dir("gap")).unwrap();
+        let append = |seqs: std::ops::RangeInclusive<u64>| {
+            let mut w = store.log_writer(8, b"k").unwrap();
+            for seq in seqs {
+                w.append(seq, &[seq as f32]).unwrap();
+            }
+        };
+        let gap = |store: &SessionStore| match store.load(8) {
+            Err(StoreError::Corrupt { what, .. }) => what == "delta log does not continue the snapshot",
+            other => panic!("expected a gap, got {other:?}"),
+        };
+        // No snapshot: the log must start at step 1.
+        append(2..=3);
+        assert!(gap(&store));
+        assert!(store.spec_key(8).is_err(), "a session that does not load must not route");
+        store.remove(8).unwrap();
+        append(1..=3);
+        store.save_snapshot(8, b"k", 3, b"s@3").unwrap();
+        // A stale record at or below the snapshot is allowed; the first
+        // one past it must be `step_seq + 1`.
+        append(2..=5);
+        let rec = store.load(8).unwrap().unwrap();
+        assert_eq!(rec.replay_steps().map(|s| s.seq).collect::<Vec<_>>(), [4, 5]);
+        store.save_snapshot(8, b"k", 5, b"s@5").unwrap();
+        append(7..=7);
+        assert!(gap(&store));
+        // The old silent case: the snapshot files disappear and the log,
+        // which continues them, replays onto a blank lane.
+        store.save_snapshot(8, b"k", 7, b"s@7").unwrap();
+        append(8..=9);
+        fs::remove_file(store.slot_path(8, 0)).unwrap();
+        fs::remove_file(store.slot_path(8, 1)).unwrap();
+        assert!(gap(&store));
+    }
+
+    #[test]
+    fn an_old_layout_store_loads_unchanged_and_then_alternates() {
+        use crate::snapshot::{RETIRED_MAGIC, SNAPSHOT_MAGIC};
+        let dir = test_dir("old-layout");
+        // What the single-snapshot layout left: `sess-4.snap` (its frame
+        // spelled out byte by byte), a stray tmp sibling from a save that
+        // was cut short, and a log that continues the snapshot.
+        let mut body = Vec::new();
+        body.extend_from_slice(&3u32.to_le_bytes());
+        body.extend_from_slice(b"key");
+        body.extend_from_slice(&5u64.to_le_bytes());
+        body.extend_from_slice(&4u32.to_le_bytes());
+        body.extend_from_slice(&[9, 8, 7, 6]);
+        let crc = crate::crc32(&body);
+        fs::write(dir.join("sess-4.snap"), [&b"HIMASNP1"[..], &body, &crc.to_le_bytes()].concat())
+            .unwrap();
+        fs::write(dir.join("sess-4.snap.tmp"), b"HIMASNP1\x03\x00").unwrap();
+        let mut w = LogWriter::open(&dir.join("sess-4.log"), b"key").unwrap();
+        w.append(6, &[0.5]).unwrap();
+        drop(w);
+
+        let store = SessionStore::open(&dir).unwrap();
+        assert_eq!(store.sessions().unwrap(), vec![4]);
+        assert_eq!(store.spec_key(4).unwrap().unwrap(), b"key");
+        let rec = store.load(4).unwrap().unwrap();
+        assert_eq!(rec.snapshot, Some(Snapshot { step_seq: 5, state: vec![9, 8, 7, 6] }));
+        assert_eq!(rec.replay_steps().map(|s| s.seq).collect::<Vec<_>>(), [6]);
+
+        // The first save goes to the new slot and retires the old file;
+        // the next one goes back. The stray tmp file is never touched.
+        store.save_snapshot(4, b"key", 6, b"six").unwrap();
+        assert_eq!(magic(dir.join("sess-4.snap1")), SNAPSHOT_MAGIC);
+        assert_eq!(magic(dir.join("sess-4.snap")), RETIRED_MAGIC);
+        store.save_snapshot(4, b"key", 7, b"seven").unwrap();
+        assert_eq!(magic(dir.join("sess-4.snap")), SNAPSHOT_MAGIC);
+        assert_eq!(magic(dir.join("sess-4.snap1")), RETIRED_MAGIC);
+        let rec = store.load(4).unwrap().unwrap();
+        assert_eq!(rec.snapshot.unwrap().state, b"seven");
+        assert_eq!(fs::read(dir.join("sess-4.snap.tmp")).unwrap(), b"HIMASNP1\x03\x00");
+        // A second store on the directory finds the live slot itself.
+        let again = SessionStore::open(&dir).unwrap();
+        again.save_snapshot(4, b"key", 8, b"eight").unwrap();
+        assert_eq!(magic(dir.join("sess-4.snap1")), SNAPSHOT_MAGIC);
+        assert_eq!(again.load(4).unwrap().unwrap().snapshot.unwrap().state, b"eight");
+    }
+
+    /// The input logged at step `seq`, and the toy state machine the
+    /// sweep below checks recovery against.
+    fn input(seq: u64) -> [f32; 3] {
+        [seq as f32 * 0.37, -(seq as f32), 1.0 / seq as f32]
+    }
+
+    fn advance(state: &mut [u8; 32], input: &[f32]) {
+        for (i, v) in input.iter().enumerate() {
+            for (j, b) in v.to_bits().to_le_bytes().into_iter().enumerate() {
+                let at = (i * 4 + j) % 32;
+                state[at] = state[at].wrapping_mul(31).wrapping_add(b) ^ state[(at + 7) % 32];
+            }
+        }
+    }
+
+    #[test]
+    fn every_injected_save_fault_still_loads_the_last_appended_step() {
+        use hima_chaos::FaultRule;
+        const SAVES: u64 = 20;
+        let faults = [
+            (FaultSite::StoreWrite, FaultKind::IoError),
+            (FaultSite::StoreWrite, FaultKind::Enospc),
+            (FaultSite::StoreWrite, FaultKind::PartialWrite { keep: 0 }),
+            (FaultSite::StoreWrite, FaultKind::PartialWrite { keep: 4 }),
+            (FaultSite::StoreWrite, FaultKind::PartialWrite { keep: 30 }),
+            (FaultSite::StoreWrite, FaultKind::PartialWrite { keep: 49 }),
+            (FaultSite::StoreFsync, FaultKind::IoError),
+        ];
+        for (site, kind) in faults {
+            for at in 0..SAVES {
+                let dir = test_dir("sweep");
+                // Saves go through the faulty store alone, so its op `at`
+                // at either site is save `at`; the log through a clean one.
+                let plan = Arc::new(FaultPlan::new(1).with_rule(FaultRule::at(site, kind, vec![at])));
+                let saver = SessionStore::open_with(&dir, Some(Arc::clone(&plan))).unwrap();
+                let logger = SessionStore::open(&dir).unwrap();
+                let (mut state, mut seq) = ([0u8; 32], 0u64);
+                for save in 0..SAVES {
+                    let mut w = logger.log_writer(1, b"k").unwrap();
+                    for _ in 0..3 {
+                        seq += 1;
+                        w.append(seq, &input(seq)).unwrap();
+                        advance(&mut state, &input(seq));
+                    }
+                    drop(w);
+                    let saved = saver.save_snapshot(1, b"k", seq, &state);
+                    assert_eq!(saved.is_err(), save == at, "{site:?} {kind:?} at save {at}");
+                }
+                let mut w = logger.log_writer(1, b"k").unwrap();
+                for _ in 0..2 {
+                    seq += 1;
+                    w.append(seq, &input(seq)).unwrap();
+                    advance(&mut state, &input(seq));
+                }
+                drop(w);
+                assert_eq!(plan.injected(site), 1);
+
+                let rec = SessionStore::open(&dir).unwrap().load(1).unwrap().unwrap();
+                let snap = rec.snapshot.as_ref().unwrap();
+                let mut got: [u8; 32] = snap.state.as_slice().try_into().unwrap();
+                for step in rec.replay_steps() {
+                    advance(&mut got, &step.input);
+                }
+                assert_eq!(rec.last_seq(), seq, "{site:?} {kind:?} at save {at}");
+                assert_eq!(got, state, "{site:?} {kind:?} at save {at}");
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]
