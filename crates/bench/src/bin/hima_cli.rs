@@ -6,7 +6,6 @@
 //! $ hima-cli run all
 //! $ hima-cli engine --tiles 32 --level dncd
 //! $ hima-cli step --tiles 4 --lanes 8 --quantized --steps 50
-//! $ hima-cli pipeline --tiles 2 --episodes 8 --batch 4
 //! $ hima-cli babi path/to/qa1_train.txt
 //! $ hima-cli serve --addr 127.0.0.1:7070 --lanes 8
 //! $ hima-cli session --addr 127.0.0.1:7070 --steps 20
@@ -46,7 +45,6 @@ fn main() {
         Some("run") => run(args.get(1).map(String::as_str)),
         Some("engine") => engine(&args[1..]),
         Some("step") => step(&args[1..]),
-        Some("pipeline") => pipeline(&args[1..]),
         Some("babi") => babi(args.get(1).map(String::as_str)),
         Some("serve") => serve(&args[1..]),
         Some("load") => load(&args[1..]),
@@ -69,10 +67,6 @@ fn usage() {
     eprintln!("  hima-cli step [--tiles N] [--lanes B] [--steps T] [--quantized] [--skim K]");
     eprintln!("                  run the functional model via EngineBuilder/GridEngine");
     eprintln!("                  (--tiles 1 = monolithic DNC, N > 1 = sharded DNC-D)");
-    eprintln!("  hima-cli pipeline [--tiles N] [--episodes E] [--batch B] [--gen-workers G]");
-    eprintln!("                  [--engine-workers W] [--depth D] [--no-verify]");
-    eprintln!("                  run the Fig. 10 eval through the async episode pipeline,");
-    eprintln!("                  timed against (and checked bit-equal to) the synchronous harness");
     eprintln!("  hima-cli babi <file>               parse a bAbI-format file and report stats");
     eprintln!("  hima-cli serve [--addr A] [--lanes N] [--tick-us T] [--idle-ms I]");
     eprintln!("                 [--store DIR] [--snapshot-every K] [--max-parked P]");
@@ -248,75 +242,6 @@ fn step(args: &[String]) {
     println!("kernel profile (share of memory-unit time):");
     for (cat, share) in profile.category_shares() {
         println!("  {:<24} {:>5.1}%", format!("{cat:?}"), share * 100.0);
-    }
-}
-
-/// Runs the 20-task relative-error eval through the `hima-pipeline`
-/// producer/consumer harness, times it against the synchronous harness,
-/// and (unless `--no-verify`) asserts the two are bit-identical — the
-/// end-to-end window onto the pipeline subsystem.
-fn pipeline(args: &[String]) {
-    let mut tiles = 2usize;
-    let mut episodes = 4usize;
-    let mut spec = PipelineSpec::default();
-    let mut verify = true;
-    fn num<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> T {
-        v.and_then(|v| v.parse().ok()).unwrap_or_else(|| bail(flag))
-    }
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tiles" => tiles = num(it.next(), "--tiles needs a positive integer"),
-            "--episodes" => episodes = num(it.next(), "--episodes needs a positive integer"),
-            "--batch" => spec.batch_size = num(it.next(), "--batch needs a positive integer"),
-            "--gen-workers" => {
-                spec.gen_workers = num(it.next(), "--gen-workers needs a positive integer")
-            }
-            "--engine-workers" => {
-                spec.engine_workers = num(it.next(), "--engine-workers needs a positive integer")
-            }
-            "--depth" => spec.channel_depth = num(it.next(), "--depth needs an integer"),
-            "--no-verify" => verify = false,
-            other => bail(&format!("unknown flag {other:?}")),
-        }
-    }
-    if let Err(e) = spec.validate() {
-        bail::<()>(&e);
-    }
-    if tiles == 0 || episodes == 0 {
-        bail::<()>("--tiles/--episodes must be positive");
-    }
-
-    let mut config = EvalConfig::small(tiles);
-    config.eval_episodes = episodes;
-    println!(
-        "pipeline      : {} over {} tasks × {episodes} episodes (engine {})",
-        spec.label(),
-        TASKS.len(),
-        config.engine.label()
-    );
-
-    let start = Instant::now();
-    let pipelined = relative_error_pipelined(&config, &spec);
-    let pipelined_secs = start.elapsed().as_secs_f64();
-    let mean: f64 =
-        pipelined.iter().map(|e| e.error).sum::<f64>() / pipelined.len().max(1) as f64;
-    println!("pipelined     : {pipelined_secs:.3} s  (mean relative error {mean:.4})");
-
-    if verify {
-        let start = Instant::now();
-        let sync = relative_error(&config);
-        let sync_secs = start.elapsed().as_secs_f64();
-        println!("synchronous   : {sync_secs:.3} s");
-        if sync == pipelined {
-            println!(
-                "verified      : pipelined == synchronous bit-for-bit ({} speedup)",
-                hima_bench::times(sync_secs / pipelined_secs)
-            );
-        } else {
-            eprintln!("error: pipelined results diverge from the synchronous harness");
-            exit(1);
-        }
     }
 }
 

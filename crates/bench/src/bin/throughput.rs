@@ -1,10 +1,9 @@
 //! Batched-path throughput through the one `GridEngine` API:
 //! lane-steps/sec at batch sizes {1, 8, 32, 128}, at 1 thread and at all
 //! machine threads, against the sequential single-lane loop — plus a
-//! topology × datapath sweep and a pipelined-vs-synchronous harness
-//! comparison, all driven from the same code path.
+//! topology × datapath sweep, all driven from the same code path.
 //!
-//! Four effects are measured:
+//! Three effects are measured:
 //!
 //! * **batching** — the controller/interface/output projections run as one
 //!   shared-weight `B × K · Wᵀ` product per step instead of `B` mat-vecs
@@ -13,23 +12,17 @@
 //!   `B × N_t` of them for a sharded engine) fan out across rayon worker
 //!   threads as one flat task grid (visible in the N-thread column),
 //! * **datapath cost** — the fixed-point engines pay a rounding pass per
-//!   step, the price of modeling the hardware number format,
-//! * **harness pipelining** — the `hima-pipeline` producer/consumer
-//!   harness overlaps episode generation, batched stepping and metric
-//!   reduction (and reuses engines across batches instead of rebuilding
-//!   per chunk), against the strictly sequential harness at the same
-//!   batch size — with bit-identical metrics (pipeline conformance
-//!   suite).
+//!   step, the price of modeling the hardware number format.
 //!
 //! Flags:
 //!
 //! * `--json` — additionally write the measurements to
 //!   `BENCH_throughput.json` (schema below), so the perf trajectory is
 //!   tracked across PRs,
-//! * `--smoke` — short measurement windows and small episode counts, for
-//!   CI smoke runs.
+//! * `--smoke` — short measurement windows and fewer reps, for CI smoke
+//!   runs.
 //!
-//! A fifth section covers the **ragged workload** the masked batched
+//! A further section covers the **ragged workload** the masked batched
 //! path serves: unequal-length episodes (a length-jittered task — the
 //! real bAbI-story shape) padded into one lane grid with per-step
 //! masking, against the single-lane sequential loop over the same
@@ -38,7 +31,7 @@
 //! HiMA's throughput argument rests on. No wall-clock gate is attached:
 //! the two rates are a paired best-of measurement on the same work.
 //!
-//! A sixth section covers the **output-block allocation overhead**: the
+//! A last section covers the **output-block allocation overhead**: the
 //! allocating `step_batch` entry point (one fresh output block per
 //! step) against the zero-allocation `step_batch_into` workspace path,
 //! as a paired **fixed-work** best-of measurement on the same engine
@@ -53,38 +46,33 @@
 //! (0 heap allocations per steady-state step) is enforced by the
 //! `zero_alloc` test target, not by a wall-clock gate here.
 //!
-//! JSON schema (`schema_version` 8): `{ bench, schema_version,
+//! JSON schema (`schema_version` 9): `{ bench, schema_version,
 //! machine_threads, smoke, params: {memory_size,
 //! word_size, read_heads, hidden_size}, batched: [{batch,
 //! seq_steps_per_sec, batched_1t, batched_nt}], sweep: [{engine,
 //! one_thread, all_threads}],
-//! pipeline: [{batch, episodes, lane_steps, sync_lane_steps_per_sec,
-//! pipelined_lane_steps_per_sec, speedup}],
 //! ragged: [{batch, max_len, active_lane_steps, occupancy,
 //! seq_lane_steps_per_sec, masked_lane_steps_per_sec, speedup}],
 //! output_alloc: [{batch, alloc_steps_per_sec, workspace_steps_per_sec,
 //! overhead_pct}] (the section named `workspace` in schema 3, renamed
-//! because both sides share the workspace stepping kernel) }`. Served
+//! because both sides share the workspace stepping kernel) }`. Schema 9
+//! dropped schema 8's `pipeline` section with the episode pipeline. Served
 //! latency and telemetry overhead are `e2e_bench`'s to measure, not this
 //! binary's.
 
-use hima::pipeline::{run_pipeline, EpisodeJob, PipelineSpec};
 use hima::prelude::*;
 use hima::tasks::episode::{masked_step_block, max_len};
 use hima::tasks::tasks::TOKEN_WIDTH;
-use hima::tasks::{episode_features, episode_query_rows, Episode};
+use hima::tasks::Episode;
 use hima::tensor::{Matrix, QFormat};
 use rayon::ThreadPoolBuilder;
 use std::time::{Duration, Instant};
 
 const BATCH_SIZES: [usize; 4] = [1, 8, 32, 128];
 const SWEEP_BATCH: usize = 32;
-/// Batch sizes of the pipelined-vs-synchronous harness comparison (the
-/// acceptance pair of the pipeline subsystem).
-const PIPELINE_BATCHES: [usize; 2] = [8, 32];
-/// The episode generator driven through both harnesses.
-const PIPELINE_TASK: usize = 2;
-const PIPELINE_SEED: u64 = 2021;
+/// The task whose length-jittered episodes form the ragged workload.
+const RAGGED_TASK: usize = 2;
+const RAGGED_SEED: u64 = 2021;
 /// Batch sizes of the ragged-workload section.
 const RAGGED_BATCHES: [usize; 2] = [8, 32];
 /// Batch sizes of the workspace-vs-allocating stepping comparison.
@@ -101,9 +89,9 @@ fn builder() -> EngineBuilder {
     EngineBuilder::new(params()).seed(7)
 }
 
-/// The harness-comparison engine: same geometry as [`params`] but with
-/// task-token I/O, since both harnesses consume generated episodes.
-fn harness_builder() -> EngineBuilder {
+/// The ragged-workload engine: same geometry as [`params`] but with
+/// task-token I/O, since it consumes generated episodes.
+fn ragged_builder() -> EngineBuilder {
     let p = DncParams::new(128, 16, 2).with_hidden(64).with_io(TOKEN_WIDTH, TOKEN_WIDTH);
     EngineBuilder::new(p).seed(7)
 }
@@ -151,57 +139,6 @@ fn batched_rate(base: &EngineBuilder, batch: usize, threads: usize, measure: Dur
     })
 }
 
-/// Lane-steps/sec of the **synchronous harness** at chunk size `batch`:
-/// generate a chunk of episodes, run them batched through
-/// [`episode_features`] (which builds a fresh engine per chunk — the
-/// existing eval/train code path), extract the query-sample rows, repeat.
-fn sync_harness_rate(base: &EngineBuilder, task: &TaskSpec, episodes: usize, batch: usize) -> f64 {
-    let start = Instant::now();
-    let mut rows = 0usize;
-    let mut done = 0usize;
-    while done < episodes {
-        let n = batch.min(episodes - done);
-        let chunk: Vec<Episode> =
-            (done..done + n).map(|i| task.episode_at(PIPELINE_SEED, i)).collect();
-        let features = episode_features(base, &chunk);
-        for (episode, feats) in chunk.iter().zip(&features) {
-            rows += episode_query_rows(episode, feats).0.len();
-        }
-        done += n;
-    }
-    assert!(rows > 0, "harness produced no query rows");
-    (episodes * task.episode_len()) as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Lane-steps/sec of the **pipelined harness** over the same work: the
-/// `hima-pipeline` stages overlap generation, stepping and row
-/// extraction, with engines cached and reset across batch units.
-fn pipelined_harness_rate(
-    base: &EngineBuilder,
-    task: &TaskSpec,
-    episodes: usize,
-    batch: usize,
-    machine_threads: usize,
-) -> f64 {
-    let spec = PipelineSpec {
-        gen_workers: (machine_threads / 2).max(1),
-        engine_workers: machine_threads,
-        engine_threads: 1,
-        batch_size: batch,
-        length_spread: 0,
-        channel_depth: 4,
-    };
-    let jobs =
-        [EpisodeJob::new(*task, episodes, PIPELINE_SEED, vec![base.clone()]).queries_only()];
-    let start = Instant::now();
-    let rows = run_pipeline(&spec, &jobs, |ctx| {
-        episode_query_rows(ctx.episode, &ctx.features[0]).0.len()
-    });
-    let total: usize = rows[0].iter().sum();
-    assert!(total > 0, "harness produced no query rows");
-    (episodes * task.episode_len()) as f64 / start.elapsed().as_secs_f64()
-}
-
 /// Active lane-steps/sec of the single-lane **sequential** loop over a
 /// ragged episode set: one engine, reset per episode, stepped to each
 /// episode's own length.
@@ -226,7 +163,7 @@ fn ragged_masked_rate(base: &EngineBuilder, episodes: &[Episode]) -> f64 {
     let steps = max_len(episodes).expect("non-empty set");
     let active: usize = episodes.iter().map(Episode::len).sum();
     // Pre-build the padded blocks + masks so the timed loop measures
-    // stepping, not block assembly (the pipeline batcher amortizes this).
+    // stepping, not block assembly.
     let grid: Vec<_> = (0..steps).map(|t| masked_step_block(episodes, t)).collect();
     engine.reset();
     let start = Instant::now();
@@ -340,15 +277,6 @@ fn best_of_paired(
     best
 }
 
-/// One row of the pipelined-vs-synchronous comparison.
-struct PipelineRow {
-    batch: usize,
-    episodes: usize,
-    lane_steps: usize,
-    sync: f64,
-    pipelined: f64,
-}
-
 fn json_escape_free(label: &str) -> String {
     label.chars().filter(|c| *c != '"' && *c != '\\').collect()
 }
@@ -359,14 +287,13 @@ fn render_json(
     smoke: bool,
     batched: &[(usize, f64, f64, f64)],
     sweep: &[(String, f64, f64)],
-    pipeline: &[PipelineRow],
     ragged: &[RaggedRow],
     workspace: &[WorkspaceRow],
 ) -> String {
     let p = params();
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"bench\": \"throughput\",\n  \"schema_version\": 8,\n");
+    s.push_str("  \"bench\": \"throughput\",\n  \"schema_version\": 9,\n");
     s.push_str(&format!("  \"machine_threads\": {machine_threads},\n"));
     s.push_str(&format!("  \"smoke\": {smoke},\n"));
     s.push_str(&format!(
@@ -386,19 +313,6 @@ fn render_json(
             "    {{\"engine\": \"{}\", \"one_thread\": {one:.1}, \"all_threads\": {many:.1}}}{}\n",
             json_escape_free(label),
             if i + 1 < sweep.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"pipeline\": [\n");
-    for (i, row) in pipeline.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"batch\": {}, \"episodes\": {}, \"lane_steps\": {}, \"sync_lane_steps_per_sec\": {:.1}, \"pipelined_lane_steps_per_sec\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            row.batch,
-            row.episodes,
-            row.lane_steps,
-            row.sync,
-            row.pipelined,
-            row.pipelined / row.sync,
-            if i + 1 < pipeline.len() { "," } else { "" }
         ));
     }
     s.push_str("  ],\n  \"ragged\": [\n");
@@ -445,7 +359,6 @@ fn main() {
         }
     }
     let measure = if smoke { Duration::from_millis(60) } else { Duration::from_millis(400) };
-    let pipeline_episodes = if smoke { 64 } else { 256 };
     let reps = if smoke { 1 } else { 5 };
 
     let machine_threads = std::thread::available_parallelism().map_or(1, usize::from);
@@ -527,48 +440,7 @@ fn main() {
          fixed-point datapath model."
     );
 
-    let task = &TASKS[PIPELINE_TASK];
-    hima_bench::header(&format!(
-        "Pipelined vs synchronous harness — {} episodes of task {} ({} steps each)",
-        pipeline_episodes,
-        task.id,
-        task.episode_len()
-    ));
-    println!(
-        "{:>6} {:>18} {:>18} {:>10}",
-        "batch", "sync lane-steps/s", "pipelined", "speedup"
-    );
-    let harness = harness_builder();
-    let mut pipeline_rows: Vec<PipelineRow> = Vec::new();
-    for &batch in &PIPELINE_BATCHES {
-        let (sync, pipelined) = best_of_paired(
-            reps,
-            || sync_harness_rate(&harness, task, pipeline_episodes, batch),
-            || pipelined_harness_rate(&harness, task, pipeline_episodes, batch, machine_threads),
-        );
-        println!(
-            "{:>6} {:>18.0} {:>18.0} {:>10}",
-            batch,
-            sync,
-            pipelined,
-            hima_bench::times(pipelined / sync)
-        );
-        pipeline_rows.push(PipelineRow {
-            batch,
-            episodes: pipeline_episodes,
-            lane_steps: pipeline_episodes * task.episode_len(),
-            sync,
-            pipelined,
-        });
-    }
-    println!(
-        "\nBoth harnesses generate, step and reduce the same episodes at the\n\
-         same batch size and produce bit-identical rows (pipeline conformance\n\
-         suite); the pipelined rate overlaps the stages over bounded channels\n\
-         and reuses engines across batches instead of rebuilding per chunk."
-    );
-
-    let ragged_task = task.with_jitter(RAGGED_JITTER);
+    let ragged_task = TASKS[RAGGED_TASK].with_jitter(RAGGED_JITTER);
     hima_bench::header(&format!(
         "Ragged workload — task {} with length jitter {RAGGED_JITTER} \
          ({}..={} steps), padded + masked lane grid vs single-lane loop",
@@ -580,17 +452,18 @@ fn main() {
         "{:>6} {:>8} {:>10} {:>18} {:>18} {:>10}",
         "batch", "max_len", "occupancy", "seq lane-steps/s", "masked", "speedup"
     );
+    let ragged = ragged_builder();
     let mut ragged_rows: Vec<RaggedRow> = Vec::new();
     for &batch in &RAGGED_BATCHES {
-        let episodes = ragged_task.generate(batch, PIPELINE_SEED).episodes;
+        let episodes = ragged_task.generate(batch, RAGGED_SEED).episodes;
         let steps = episodes.iter().map(Episode::len).max().expect("non-empty batch");
         let active: usize = episodes.iter().map(Episode::len).sum();
         let occupancy = active as f64 / (batch * steps) as f64;
         assert!(occupancy > 0.0 && occupancy <= 1.0, "occupancy out of range");
         let (seq, masked) = best_of_paired(
             reps,
-            || ragged_sequential_rate(&harness, &episodes),
-            || ragged_masked_rate(&harness, &episodes),
+            || ragged_sequential_rate(&ragged, &episodes),
+            || ragged_masked_rate(&ragged, &episodes),
         );
         println!(
             "{:>6} {:>8} {:>9.1}% {:>18.0} {:>18.0} {:>10}",
@@ -663,7 +536,6 @@ fn main() {
             smoke,
             &batched_rows,
             &sweep_rows,
-            &pipeline_rows,
             &ragged_rows,
             &workspace_rows,
         );

@@ -13,8 +13,6 @@
 //! * [`engine`] — the tiled architectural cycle model,
 //! * [`cost`] — area/power models calibrated to the paper's 40 nm results,
 //! * [`tasks`] — the synthetic bAbI-style accuracy suite,
-//! * [`pipeline`] — the async producer/consumer episode pipeline
-//!   overlapping generation, batched stepping and metric reduction,
 //! * [`serve`] — the session server: long-lived per-session DNC state
 //!   continuously batched over masked lane grids, with a binary wire
 //!   protocol, typed client and open-loop load generator,
@@ -54,7 +52,6 @@ pub use hima_dnc as dnc;
 pub use hima_engine as engine;
 pub use hima_mem as mem;
 pub use hima_noc as noc;
-pub use hima_pipeline as pipeline;
 pub use hima_serve as serve;
 pub use hima_sort as sort;
 pub use hima_store as store;
@@ -76,10 +73,6 @@ pub mod prelude {
     pub use hima_noc::{Mode, NocSim, Topology, TopologyGraph, TrafficPattern};
     pub use hima_sort::{
         CentralizedMergeSorter, MdsaSorter, ParallelMergeSorter, SortEngine, TwoStageSorter,
-    };
-    pub use hima_pipeline::{
-        collect_query_samples_pipelined, readout_accuracy_pipelined, relative_error_pipelined,
-        run_pipeline, EpisodeCtx, EpisodeJob, FeatureSteps, PipelineSpec,
     };
     pub use hima_serve::{
         Client, RawSessionSpec, ServeConfig, ServeError, Server, SessionHub, StoreConfig,
@@ -126,23 +119,20 @@ mod tests {
         let types = types![
             AreaModel, AreaReport, BoxedEngine, CentralizedMergeSorter, Client, Datapath, Dnc,
             DncD, DncParams, Engine, EngineBuilder, EngineConfig, EngineSpec, EngineTopology,
-            EpisodeCtx, EpisodeJob, EvalConfig, FeatureLevel, FeatureSteps, Fixed, GridEngine,
-            InterfaceVector, Matrix, MdsaSorter, MemoryConfig, MemoryUnit, MetricsRegistry,
-            MetricsSnapshot, Mode, NocSim, ParallelMergeSorter, Partition, PipelineSpec,
-            PlaSoftmax, PowerModel, PowerReport, QFormat, RawSessionSpec, ServeConfig,
-            ServeError, Server, SessionHub, SessionStore, SkimRate, dyn SortEngine, StoreConfig,
-            StoreError, TaskSpec, TileMemoryMap, Topology, TopologyGraph, TraceRing,
-            TrafficPattern, TwoStageSorter, KernelCategory, LaneState, QuantizedMemoryUnit,
-            ClientError, FaultPlan, Request, Response, ServeMetrics, Episode, Backend, LaneMask,
+            EvalConfig, FeatureLevel, Fixed, GridEngine, InterfaceVector, Matrix, MdsaSorter,
+            MemoryConfig, MemoryUnit, MetricsRegistry, MetricsSnapshot, Mode, NocSim,
+            ParallelMergeSorter, Partition, PlaSoftmax, PowerModel, PowerReport, QFormat,
+            RawSessionSpec, ServeConfig, ServeError, Server, SessionHub, SessionStore, SkimRate,
+            dyn SortEngine, StoreConfig, StoreError, TaskSpec, TileMemoryMap, Topology,
+            TopologyGraph, TraceRing, TrafficPattern, TwoStageSorter, KernelCategory, LaneState,
+            QuantizedMemoryUnit, ClientError, FaultPlan, Request, Response, ServeMetrics, Episode,
+            Backend, LaneMask,
             // ... and the prelude names it reaches through their crate paths.
             crate::dnc::Topology, crate::serve::MetricsSnapshot, crate::engine::Engine,
             crate::store::SessionStore, crate::telemetry::MetricsRegistry,
         ];
         let functions = [
-            type_name_of_val(&collect_query_samples_pipelined),
-            type_name_of_val(&readout_accuracy_pipelined),
             type_name_of_val(&relative_error),
-            type_name_of_val(&relative_error_pipelined),
             type_name_of_val(&softmax),
             type_name_of_val(&softmax_approx),
             type_name_of_val(&percentile),
@@ -151,7 +141,6 @@ mod tests {
         ];
         assert!(types.iter().chain(&functions).all(|name| !name.is_empty()));
         // The generic ones are named by a (trivial) call.
-        assert!(run_pipeline(&PipelineSpec::serial(), &[], |_| ()).is_empty());
         let mut wire = Vec::new();
         write_frame(&mut wire, b"hima").unwrap();
         assert_eq!(read_frame(&mut wire.as_slice()).unwrap().as_deref(), Some(&b"hima"[..]));

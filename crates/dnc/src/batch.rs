@@ -391,8 +391,7 @@ impl GridEngine {
 
     /// Resets every lane's shard memories and recurrent state (weights
     /// and merge unchanged) **in place** — no buffer is reallocated, so
-    /// reuse across episodes (harnesses, pipeline engine workers) stays
-    /// allocation-free.
+    /// reuse across episodes stays allocation-free.
     pub fn reset(&mut self) {
         for lane in 0..self.batch() {
             self.reset_lane(lane);

@@ -33,7 +33,9 @@
 //!   file already has.
 //! * WAL appends are not synced. An acknowledged step since the last
 //!   snapshot survives process death (its bytes are in the page cache)
-//!   but not power loss.
+//!   but not power loss. A log whose tail a crash tore is cut back to its
+//!   last whole record when a writer next opens it, so steps appended
+//!   after the crash are never stranded behind the tear.
 //! * One case is not guarded: the retirement of the older slot is not
 //!   synced either, so after power loss both slots can verify. If the
 //!   newer one then rots before the session takes another step, the

@@ -22,13 +22,15 @@
 //! before it, and flags the tear — it never panics and never yields a
 //! record that fails its checksum. A corrupt *header* is different: the
 //! spec key itself is untrusted, so that surfaces as a typed
-//! [`StoreError::Corrupt`] instead.
+//! [`StoreError::Corrupt`] instead. A [`LogWriter`] opened on a torn log
+//! first cuts it back to that same valid prefix, so a step appended
+//! after a crash lands where the reader will find it.
 
 use crate::crc::crc32;
 use crate::store::{consult_faults, corrupt, StoreError};
 use hima_chaos::{FaultPlan, FaultSite};
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -67,10 +69,10 @@ pub struct LogContents {
 /// Each [`append`](Self::append) issues a single `write_all` of the
 /// fully framed record, so the bytes reach the OS immediately and
 /// survive a process kill; only an OS crash can tear the tail, which the
-/// reader tolerates. Callers must drop the writer before compacting the
-/// log (snapshot, then truncate in place to the header) — a stale
-/// handle's rollback length would point past the truncated end, and a
-/// failed append would then pad the log with zeros.
+/// reader tolerates and the next open cuts off. Callers must drop the
+/// writer before compacting the log (snapshot, then truncate in place to
+/// the header) — a stale handle's rollback length would point past the
+/// truncated end, and a failed append would then pad the log with zeros.
 #[derive(Debug)]
 pub struct LogWriter {
     file: File,
@@ -89,7 +91,10 @@ pub struct LogWriter {
 
 impl LogWriter {
     /// Opens `path` for appending, writing the header first when the
-    /// file is new or empty.
+    /// file is new or empty. A non-empty log is first truncated to the end
+    /// of its last whole record — the prefix [`read_log`] returns — so
+    /// nothing appended from here on sits behind a torn tail; a log whose
+    /// header does not check out is refused with `InvalidData`.
     pub fn open(path: &Path, spec_key: &[u8]) -> std::io::Result<Self> {
         Self::open_with(path, spec_key, None)
     }
@@ -102,17 +107,26 @@ impl LogWriter {
         spec_key: &[u8],
         faults: Option<Arc<FaultPlan>>,
     ) -> std::io::Result<Self> {
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        let mut len = file.metadata()?.len();
+        let mut file = OpenOptions::new().create(true).read(true).append(true).open(path)?;
         let mut frame = Vec::new();
-        if len == 0 {
+        file.read_to_end(&mut frame)?;
+        let len = if frame.is_empty() {
             frame.extend_from_slice(&LOG_MAGIC);
             frame.extend_from_slice(&(spec_key.len() as u32).to_le_bytes());
             frame.extend_from_slice(spec_key);
             file.write_all(&frame)?;
-            len = frame.len() as u64;
-        }
-        Ok(Self { file, len, poisoned: false, frame, faults })
+            frame.len()
+        } else {
+            let (_, end) = parse(path, &frame).map_err(|e| match e {
+                StoreError::Io(e) => e,
+                corrupt => std::io::Error::new(std::io::ErrorKind::InvalidData, corrupt),
+            })?;
+            if end < frame.len() {
+                file.set_len(end as u64)?;
+            }
+            end
+        };
+        Ok(Self { file, len: len as u64, poisoned: false, frame, faults })
     }
 
     /// Appends one step record as a single write.
@@ -190,7 +204,13 @@ pub(crate) fn truncate_to_header(path: &Path, spec_key: &[u8]) -> std::io::Resul
 /// Tolerates a torn or bit-rotted tail (see module docs); errors only on
 /// I/O failure or a corrupt header.
 pub fn read_log(path: &Path) -> Result<LogContents, StoreError> {
-    let bytes = std::fs::read(path)?;
+    parse(path, &std::fs::read(path)?).map(|(log, _)| log)
+}
+
+/// The framing and CRC walk behind [`read_log`] and [`LogWriter::open`]:
+/// the log's contents and the byte offset where its last whole record
+/// ends.
+fn parse(path: &Path, bytes: &[u8]) -> Result<(LogContents, usize), StoreError> {
     if bytes.len() < 12 || bytes[..8] != LOG_MAGIC {
         return Err(corrupt(path, "bad delta-log header"));
     }
@@ -242,7 +262,7 @@ pub fn read_log(path: &Path) -> Result<LogContents, StoreError> {
         steps.push(StepRecord { seq, input });
         pos = crc_start + 4;
     }
-    Ok(LogContents { spec_key, steps, torn_tail })
+    Ok((LogContents { spec_key, steps, torn_tail }, pos))
 }
 
 #[cfg(test)]
@@ -309,6 +329,38 @@ mod tests {
             assert_eq!(log.steps.len(), 1, "cut at +{cut} lost the valid prefix");
             assert_eq!(log.steps[0].seq, 1);
         }
+    }
+
+    #[test]
+    fn reopen_cuts_a_torn_tail_so_later_appends_are_read() {
+        let dir = test_dir("log-reopen-torn");
+        let path = dir.join("sess-6.log");
+        let rows: Vec<(u64, Vec<f32>)> = (1..=4).map(|seq| (seq, vec![seq as f32; 3])).collect();
+        write_steps(&path, b"k", &rows);
+        let full = std::fs::read(&path).unwrap();
+        let record = (full.len() - (12 + 1)) / 4;
+        let three = full.len() - record;
+        // Cut the 4th record at every byte offset, then append it again
+        // through a reopened writer: it must land where the reader looks.
+        for cut in 0..record {
+            std::fs::write(&path, &full[..three + cut]).unwrap();
+            write_steps(&path, b"k", &rows[3..]);
+            let log = read_log(&path).unwrap();
+            assert!(!log.torn_tail, "cut at +{cut} left the tear in place");
+            assert_eq!(log.steps.len(), 4, "cut at +{cut} hid the appended step");
+            assert_eq!(log.steps[3].seq, 4);
+            assert_eq!(std::fs::read(&path).unwrap(), full, "cut at +{cut}");
+        }
+    }
+
+    #[test]
+    fn reopen_refuses_a_corrupt_header() {
+        let dir = test_dir("log-reopen-badheader");
+        let path = dir.join("sess-7.log");
+        std::fs::write(&path, b"HIMALOG").unwrap();
+        let err = LogWriter::open(&path, b"k").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).unwrap(), b"HIMALOG", "a refused log is left as it was");
     }
 
     #[test]

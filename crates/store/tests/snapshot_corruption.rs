@@ -25,8 +25,9 @@
 //! A session keeps two such files, and [`SessionStore::load`] picks one by
 //! a rule table; the last test crosses every state a slot can be in —
 //! absent, retired, an older or a newer frame, every torn prefix, a
-//! flipped bit — for both slots with every shape of log, and holds each
-//! outcome to the table, and to "a save cut short changes nothing".
+//! flipped bit — for both slots with every shape of log, a torn one
+//! included, and holds each outcome to the table, to "a save cut short
+//! changes nothing" and to "a step appended after a torn tail replays".
 
 use hima_chaos::{FaultKind, FaultPlan, FaultRule, FaultSite};
 use hima_store::snapshot::{
@@ -432,22 +433,25 @@ fn the_slot_rule_table_holds_for_every_slot_pair_and_log() {
         SlotCase::Flipped,
     ];
     slots.extend((0..newer.len()).map(SlotCase::Prefix));
-    let logs: [Option<Vec<u64>>; 7] = [
-        None,
-        Some(vec![]),
-        Some((1..=5).collect()),   // stale for either snapshot
-        Some((1..=12).collect()),  // continues anything
-        Some((6..=12).collect()),  // continues the older or the newer
-        Some((10..=12).collect()), // continues the newer only
-        Some((11..=12).collect()), // continues nothing
+    // Each log: its whole records, and whether a record torn mid-append
+    // follows them.
+    let logs: [(Option<Vec<u64>>, bool); 8] = [
+        (None, false),
+        (Some(vec![]), false),
+        (Some((1..=5).collect()), false),   // stale for either snapshot
+        (Some((1..=12).collect()), false),  // continues anything
+        (Some((6..=12).collect()), false),  // continues the older or the newer
+        (Some((10..=12).collect()), false), // continues the newer only
+        (Some((11..=12).collect()), false), // continues nothing
+        (Some((1..=5).collect()), true),    // stale, then a torn 6th
     ];
     let slot_paths = [dir.join("sess-1.snap"), dir.join("sess-1.snap1")];
     let log_path = dir.join("sess-1.log");
     let (mut ok, mut corrupt) = (0u32, 0u32);
     for &a in &slots {
         for &b in &slots {
-            for log in &logs {
-                let case = format!("slots ({a:?}, {b:?}), log {log:?}");
+            for (log, torn_tail) in &logs {
+                let case = format!("slots ({a:?}, {b:?}), log {log:?}, torn tail {torn_tail}");
                 put(&slot_paths[0], a.bytes(&older, &newer));
                 put(&slot_paths[1], b.bytes(&older, &newer));
                 put(&log_path, None);
@@ -455,6 +459,13 @@ fn the_slot_rule_table_holds_for_every_slot_pair_and_log() {
                     let mut w = hima_store::LogWriter::open(&log_path, b"k").unwrap();
                     for &seq in seqs {
                         w.append(seq, &[seq as f32]).unwrap();
+                    }
+                    if *torn_tail {
+                        let whole = std::fs::metadata(&log_path).unwrap().len();
+                        w.append(6, &[6.0]).unwrap();
+                        drop(w);
+                        let file = std::fs::OpenOptions::new().write(true).open(&log_path);
+                        file.unwrap().set_len(whole + 10).unwrap();
                     }
                 }
                 let want = expected(a.class(), b.class(), log.as_deref());
@@ -481,6 +492,20 @@ fn the_slot_rule_table_holds_for_every_slot_pair_and_log() {
                     let torn = SessionStore::open_with(&dir, Some(Arc::new(plan))).unwrap();
                     assert!(torn.save_snapshot(1, b"k", 13, &[13; 6]).is_err(), "{case}");
                     assert_eq!(outcome(&torn, &case), want, "{case}: after a save torn at {keep}");
+                }
+
+                // A writer reopened on a torn log cuts the tear first, so
+                // the next step it appends replays.
+                if let (true, Ok(Some((snap, replay)))) = (*torn_tail, &want) {
+                    let next = replay.last().copied().or(*snap).unwrap_or(0) + 1;
+                    let store = SessionStore::open(&dir).unwrap();
+                    let mut w = store.log_writer(1, b"k").unwrap();
+                    w.append(next, &[next as f32]).unwrap();
+                    drop(w);
+                    assert!(!store.load(1).unwrap().unwrap().torn_tail, "{case}");
+                    let replay = [&replay[..], &[next]].concat();
+                    let want = Ok(Some((*snap, replay)));
+                    assert_eq!(outcome(&store, &case), want, "{case}: after a reopen");
                 }
 
                 // A save that completes recovers to itself, whatever was there.

@@ -106,7 +106,7 @@ impl EvalConfig {
 
     /// The monolithic f32 reference builder (shared weights via the
     /// shared seed).
-    pub fn reference_builder(&self) -> EngineBuilder {
+    pub(crate) fn reference_builder(&self) -> EngineBuilder {
         EngineBuilder::new(self.params()).seed(self.seed)
     }
 
@@ -118,10 +118,7 @@ impl EvalConfig {
 
     /// The engine-under-test builder with its read-merge weights `α` fit
     /// on the task's calibration split (a no-op for monolithic specs).
-    /// Both the synchronous harness and the pipelined one
-    /// (`hima-pipeline`) build the engine through this method, so their
-    /// merge weights are bit-identical.
-    pub fn calibrated_engine_builder(&self, task: &TaskSpec) -> EngineBuilder {
+    pub(crate) fn calibrated_engine_builder(&self, task: &TaskSpec) -> EngineBuilder {
         let calib = self.calibration_split(task);
         let calib_inputs: Vec<Vec<f32>> =
             calib.episodes.iter().flat_map(|e| e.inputs.clone()).collect();
@@ -139,10 +136,9 @@ impl EvalConfig {
         task.generate(self.eval_episodes, self.evaluation_seed())
     }
 
-    /// The evaluation split's base seed — pipelined generation workers
-    /// derive the same per-episode RNG streams from it that the
-    /// sequential evaluation does.
-    pub fn evaluation_seed(&self) -> u64 {
+    /// The evaluation split's base seed, kept apart from the calibration
+    /// split's so the two never share an episode stream.
+    pub(crate) fn evaluation_seed(&self) -> u64 {
         self.seed ^ 0xE7A1
     }
 }
@@ -188,14 +184,11 @@ pub fn mean_divergence(errors: &[TaskError]) -> f64 {
 /// argmax disagreements, and the running divergence sum at that episode's
 /// query steps.
 ///
-/// Both harness paths reduce through this type: the synchronous
 /// [`relative_error`] computes one partial per episode and folds them in
-/// episode order, and the pipelined harness (`hima-pipeline`) computes
-/// the identical partials on its engine workers and folds them in the
-/// same order — which is what makes the two paths bit-identical even
-/// though floating-point addition is order-sensitive.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct QueryStats {
+/// episode-index order; floating-point addition is order-sensitive, so
+/// that order is part of the result's bits.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct QueryStats {
     /// Query steps examined.
     pub queries: usize,
     /// Query steps whose read-vector argmax diverged from the reference.
@@ -207,7 +200,7 @@ pub struct QueryStats {
 impl QueryStats {
     /// Accumulates another episode's partial. The fold order is the bit
     /// pattern of the result — callers fold in episode-index order.
-    pub fn accumulate(&mut self, other: &QueryStats) {
+    pub(crate) fn accumulate(&mut self, other: &QueryStats) {
         self.queries += other.queries;
         self.disagreements += other.disagreements;
         self.divergence_sum += other.divergence_sum;
@@ -216,7 +209,7 @@ impl QueryStats {
 
 /// Computes one episode's [`QueryStats`] from the reference's and the
 /// engine-under-test's per-step read vectors (`reads[step]`).
-pub fn episode_query_stats(
+pub(crate) fn episode_query_stats(
     episode: &Episode,
     ref_reads: &[Vec<f32>],
     dut_reads: &[Vec<f32>],
@@ -234,7 +227,7 @@ pub fn episode_query_stats(
 
 /// Folds per-episode partials (in episode-index order) into the task's
 /// [`TaskError`].
-pub fn task_error_from_stats(task: &TaskSpec, stats: &[QueryStats]) -> TaskError {
+pub(crate) fn task_error_from_stats(task: &TaskSpec, stats: &[QueryStats]) -> TaskError {
     let mut total = QueryStats::default();
     for s in stats {
         total.accumulate(s);

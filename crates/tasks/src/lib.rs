@@ -35,13 +35,9 @@ pub use episode::{
     masked_step_block, step_block, try_masked_step_block, try_step_block, Episode,
     EpisodeBatch, StepBlockError,
 };
-pub use eval::{
-    episode_query_stats, relative_error, task_error_from_stats, EvalConfig, QueryStats,
-    TaskError,
-};
+pub use eval::{relative_error, EvalConfig, TaskError};
 pub use tasks::{TaskSpec, TASKS};
 pub use train::{
-    collect_query_samples, episode_features, episode_query_rows, episode_readout_counts,
-    readout_accuracy, sequential_episode_features, trained_accuracy, TaskAccuracy,
-    TrainedReadout,
+    collect_query_samples, episode_features, readout_accuracy, sequential_episode_features,
+    trained_accuracy, TaskAccuracy, TrainedReadout,
 };

@@ -1,26 +1,21 @@
 //! Proptest strategies for **ragged** episode sets — shared test support.
 //!
 //! The ragged conformance suites across the workspace (`hima-dnc`'s
-//! engine-level masked tests, this crate's harness tests, the
-//! `hima-pipeline` property specs and the workspace-level
-//! `tests/ragged_conformance.rs`) all need the same inputs: batches of
-//! unequal-length episodes with controlled length spread and query
-//! placement. This module is the single implementation, exposed as
-//! [`proptest`] strategies so the suites stay property-driven:
-//!
-//! * [`ragged_episodes`] — direct [`Episode`] sets with a chosen batch
-//!   range and per-episode length range (the spread knob), queries
-//!   placed anywhere in the episode,
-//! * [`task_choice`] — one of the built-in [`TASKS`], for combining
-//!   with a jitter argument into ragged *generated* workloads
-//!   ([`TaskSpec::with_jitter`]).
+//! engine-level masked tests, this crate's harness tests and the
+//! workspace-level `tests/ragged_conformance.rs`) all need the same
+//! inputs: batches of unequal-length episodes with controlled length
+//! spread and query placement. This module is the single implementation,
+//! exposed as a [`proptest`] strategy so the suites stay property-driven:
+//! [`ragged_episodes`] draws direct [`Episode`] sets with a chosen batch
+//! range and per-episode length range (the spread knob), queries placed
+//! anywhere in the episode.
 //!
 //! Episodes use the standard [`TOKEN_WIDTH`](crate::tasks::TOKEN_WIDTH)
 //! encoding, so any engine built with task-token I/O consumes them
 //! directly.
 
 use crate::episode::Episode;
-use crate::tasks::{encode, TaskSpec, TASKS, VOCAB};
+use crate::tasks::{encode, VOCAB};
 use proptest::strategy::Strategy;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -97,13 +92,6 @@ impl Strategy for RaggedEpisodes {
     }
 }
 
-/// Strategy picking one of the built-in [`TASKS`]; combine with a jitter
-/// strategy and [`TaskSpec::with_jitter`] for ragged generated
-/// workloads.
-pub fn task_choice() -> proptest::sample::Select<TaskSpec> {
-    proptest::sample::select(TASKS.to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,19 +125,6 @@ mod tests {
             // 2..=12 range a uniform batch is vanishingly unlikely; the
             // deterministic test RNG makes this stable.
             prop_assert!(uniform_len(&episodes).is_none() || episodes.len() == 1);
-        }
-
-        #[test]
-        fn task_choice_combines_with_jitter(
-            task in task_choice(), jitter in 1usize..=5
-        ) {
-            let jittered = task.with_jitter(jitter);
-            prop_assert_eq!(jittered.max_episode_len(), task.episode_len() + jitter);
-            let batch = jittered.generate(4, 7);
-            for e in &batch.episodes {
-                prop_assert!(e.len() >= task.episode_len());
-                prop_assert!(e.len() <= jittered.max_episode_len());
-            }
         }
     }
 

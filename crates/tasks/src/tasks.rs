@@ -119,10 +119,9 @@ impl TaskSpec {
     /// episode [`TaskSpec::generate`]`(count, seed)` places at `index`
     /// for any `count > index`.
     ///
-    /// This is the entry point for parallel episode-generation workers
-    /// (the `hima-pipeline` generation stage): each episode materializes
-    /// from its own RNG stream, so episode `index` is bit-identical no
-    /// matter which worker produces it or in what order.
+    /// Each episode materializes from its own RNG stream, so episode
+    /// `index` is bit-identical no matter which caller produces it or in
+    /// what order — one episode can be drawn without its predecessors.
     pub fn episode_at(&self, seed: u64, index: usize) -> Episode {
         let mut rng = StdRng::seed_from_u64(self.episode_seed(seed, index));
         self.generate_episode(&mut rng)

@@ -159,11 +159,8 @@ pub fn collect_query_samples(
 
 /// The `(feature, one-hot target)` rows one episode contributes to the
 /// readout regression, given its per-step features (`features[step]`) —
-/// the per-episode unit of [`collect_query_samples`]. The pipelined
-/// harness (`hima-pipeline`) computes these rows on its engine workers
-/// and assembles them in episode-index order, reproducing the
-/// synchronous sample matrices bit for bit.
-pub fn episode_query_rows(
+/// the per-episode unit of [`collect_query_samples`].
+pub(crate) fn episode_query_rows(
     episode: &Episode,
     features: &[Vec<f32>],
 ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
@@ -182,8 +179,8 @@ pub fn episode_query_rows(
 
 /// The `(correct, total)` query counts a trained readout scores on one
 /// episode, given its per-step features — the per-episode unit of
-/// [`readout_accuracy`], shared with the pipelined harness.
-pub fn episode_readout_counts(
+/// [`readout_accuracy`].
+pub(crate) fn episode_readout_counts(
     readout: &TrainedReadout,
     episode: &Episode,
     features: &[Vec<f32>],

@@ -15,23 +15,20 @@
 //!   / `readout_accuracy` drive ragged lists through the masked batched
 //!   grid (no single-lane fallback) and equal the sequential
 //!   reference,
-//! * **pipeline** — length-bucketed, padded-and-masked pipeline units
-//!   reproduce the synchronous harness for ragged generated workloads,
 //! * **determinism** — masked lane/shard fan-out never perturbs results
 //!   across rayon thread counts.
 //!
 //! Inputs come from the shared strategy module
-//! (`hima_tasks::strategies`), so this suite, the dnc suite and the
-//! pipeline suite sample the same ragged distribution.
+//! (`hima_tasks::strategies`), so this suite and the dnc suite sample the
+//! same ragged distribution.
 
 use hima::dnc::allocation::SkimRate;
 use hima::dnc::{Datapath, DncParams, EngineBuilder, EngineSpec};
-use hima::pipeline::PipelineSpec;
 use hima::tasks::episode::{masked_step_block, max_len, uniform_len};
-use hima::tasks::strategies::{ragged_episodes, task_choice};
+use hima::tasks::strategies::ragged_episodes;
 use hima::tasks::tasks::TOKEN_WIDTH;
 use hima::tasks::train::{episode_features, sequential_episode_features};
-use hima::tasks::{collect_query_samples, Episode};
+use hima::tasks::Episode;
 use hima::tensor::{LaneMask, Matrix, QFormat};
 use proptest::prelude::*;
 
@@ -163,32 +160,12 @@ proptest! {
         };
         prop_assert_eq!(run(1), run(4));
     }
-
-    #[test]
-    fn pipelined_ragged_workloads_match_the_synchronous_harness(
-        task in task_choice(),
-        jitter in 2usize..=5,
-        length_spread in 0usize..=6,
-        batch_size in 1usize..=6,
-    ) {
-        use hima::pipeline::collect_query_samples_pipelined;
-        let task = task.with_jitter(jitter);
-        let episodes = task.generate(6, 17).episodes;
-        let b = EngineBuilder::new(params()).seed(SEED);
-        let sync = collect_query_samples(&b, &episodes);
-        let spec = PipelineSpec::default()
-            .with_batch_size(batch_size)
-            .with_length_spread(length_spread)
-            .with_workers(2, 2);
-        let pipelined = collect_query_samples_pipelined(&b, &task, 6, 17, &spec);
-        prop_assert_eq!(&sync, &pipelined, "spec {}", spec.label());
-    }
 }
 
 #[test]
 fn jittered_generation_is_genuinely_ragged() {
-    // Sanity anchor for the suite's inputs: the jittered tasks the
-    // pipeline property feeds on really produce unequal lengths.
+    // Sanity anchor for the suite's inputs: jittered tasks really
+    // produce unequal lengths.
     let task = hima::tasks::TASKS[0].with_jitter(5);
     let episodes = task.generate(8, 17).episodes;
     assert_eq!(uniform_len(&episodes), None, "jittered batch must be ragged");

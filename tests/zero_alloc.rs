@@ -157,8 +157,8 @@ fn check_variant(spec: EngineSpec, label: &str, batch: usize) {
     });
 
     // Reset is in place, and the first post-reset step is still
-    // allocation-free: engines reused across episodes (harnesses,
-    // pipeline workers) never re-pay the warm-up.
+    // allocation-free: engines reused across episodes never re-pay the
+    // warm-up.
     assert_allocs(&format!("{label} B={batch} reset+step"), 0, || {
         engine.reset();
         engine.step_batch_into(&blocks[0], &mut y);
