@@ -14,12 +14,12 @@
 //! | name | kind | meaning |
 //! |---|---|---|
 //! | `serve.sessions.opened` / `.closed` / `.reaped` | counter | lifecycle totals |
-//! | `serve.sessions.live` / `.parked` | gauge | current sessions / currently swapped out |
+//! | `serve.sessions.live` / `.parked` | gauge | sessions in RAM or spilled / swapped out in RAM; recomputed from the group's session table after every command and tick |
 //! | `serve.groups.live` | gauge | spawned engine-group threads |
 //! | `serve.scheduler.ticks` | counter | ticks that stepped ≥ 1 lane |
 //! | `serve.scheduler.steps` | counter | total lane-steps served |
 //! | `serve.scheduler.parks` / `.splices` / `.lane_resets` | counter | lane swap-outs / swap-ins / blank recycles |
-//! | `serve.scheduler.queue_depth` | gauge | queued-but-unserved step inputs |
+//! | `serve.scheduler.queue_depth` | gauge | queued-but-unserved step inputs, replay rows included; recomputed from the group's session table after every command and tick |
 //! | `serve.scheduler.active_lanes` | gauge | lanes stepped by the latest tick (0 once the group ticks idle) |
 //! | `serve.scheduler.tick_ns` | histogram | masked-batch step wall time per tick |
 //! | `serve.scheduler.batch_size` | histogram | coalesced batch size per tick |

@@ -69,9 +69,10 @@
 //! `catch_unwind` and calls it again with `resume = true` after a panic.
 //! The restarted group resurrects store-backed sessions from their
 //! snapshot + delta log and fails unpersisted ones with a typed
-//! [`ServeError::GroupFailed`]; the [`GroupShared`] contribution
-//! counters let the supervisor repair the shared gauges a dying group
-//! left dangling.
+//! [`ServeError::GroupFailed`]. Nothing repairs the shared gauges: a
+//! group publishes them from its own session table (`Group::publish`),
+//! and the restarted incarnation's first publish corrects what the dead
+//! one left behind.
 
 use crate::clock::Clock;
 use crate::metrics::ServeMetrics;
@@ -119,6 +120,20 @@ pub(crate) enum GroupCmd {
     Adopt { session: u64 },
 }
 
+impl GroupCmd {
+    /// The command's reply channel (`Adopt` has none).
+    fn into_reply(self) -> Option<Sender<Response>> {
+        match self {
+            GroupCmd::Open { reply, .. }
+            | GroupCmd::Step { reply, .. }
+            | GroupCmd::ReadRows { reply, .. }
+            | GroupCmd::Reset { reply, .. }
+            | GroupCmd::Close { reply, .. } => Some(reply),
+            GroupCmd::Adopt { .. } => None,
+        }
+    }
+}
+
 /// Store wiring handed to a group at spawn (see
 /// [`StoreConfig`](crate::session::StoreConfig) for the policy knobs).
 #[derive(Clone)]
@@ -132,11 +147,6 @@ pub(crate) struct GroupStore {
 }
 
 /// State shared between a group thread, its supervisor, and the hub.
-///
-/// The `queued`/`parked` counters track this group's *contribution* to
-/// the corresponding shared gauges. When the group thread panics those
-/// gauge contributions would otherwise dangle forever; the supervisor
-/// swaps them to zero and subtracts them back out before restarting.
 #[derive(Clone)]
 pub(crate) struct GroupShared {
     /// The hub's session → group routing table.
@@ -148,38 +158,13 @@ pub(crate) struct GroupShared {
     /// Session ids this group owns (RAM or spilled) — what the restarted
     /// group scans for resurrection after a panic.
     pub roster: Arc<Mutex<HashSet<u64>>>,
-    /// This group's contribution to `serve.scheduler.queue_depth` (and
-    /// to `global_queued`).
-    pub queued: Arc<AtomicI64>,
-    /// This group's contribution to `serve.sessions.parked`.
-    pub parked: Arc<AtomicI64>,
+    /// The queued rows, parked sessions and live sessions this group last
+    /// published (`Group::publish`). It outlives a panicked incarnation,
+    /// so the next one's first publish takes back the dead one's share.
+    pub published: Arc<[AtomicI64; 3]>,
     /// The hub's clock: what `last_activity`, the idle sweep, the
     /// eviction back-off and deadline shedding read.
     pub clock: Arc<dyn Clock>,
-}
-
-impl GroupShared {
-    fn queue_add(&self, n: i64) {
-        self.metrics.queue_depth.add(n);
-        self.queued.fetch_add(n, Ordering::Relaxed);
-        self.global_queued.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn queue_sub(&self, n: i64) {
-        self.metrics.queue_depth.sub(n);
-        self.queued.fetch_sub(n, Ordering::Relaxed);
-        self.global_queued.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    fn park_add(&self, n: i64) {
-        self.metrics.sessions_parked.add(n);
-        self.parked.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn park_sub(&self, n: i64) {
-        self.metrics.sessions_parked.sub(n);
-        self.parked.fetch_sub(n, Ordering::Relaxed);
-    }
 }
 
 /// Per-session scheduler state.
@@ -224,8 +209,12 @@ struct Sess {
 }
 
 impl Sess {
+    /// Nothing owed: no queued row, no command in flight, and no replay
+    /// row left. A replay row answers no client, and the last one is
+    /// popped into the tick's input block before its lane steps, so an
+    /// empty queue alone does not mean the session is not mid-tick.
     fn idle(&self) -> bool {
-        self.queue.is_empty() && self.reply.is_none()
+        self.queue.is_empty() && self.reply.is_none() && self.replay_left == 0
     }
 }
 
@@ -233,12 +222,11 @@ impl Sess {
 struct Group {
     cfg: ServeConfig,
     engine: BoxedEngine,
-    /// `lanes[slot]` = resident session id.
+    /// `lanes[slot]` = resident session id (`None` = free lane).
     lanes: Vec<Option<u64>>,
-    free: Vec<usize>,
     sessions: HashMap<u64, Sess>,
     /// Hub/supervisor shared state: routing index, metrics, budgets,
-    /// roster, gauge contributions.
+    /// roster, published gauge levels.
     shared: GroupShared,
     /// Reused per-tick input/output blocks.
     x: Matrix,
@@ -321,6 +309,7 @@ pub(crate) fn run_group(
         group.step_tick();
         group.reap();
         group.spill_lru();
+        group.publish();
         if disconnected && group.sessions.values().all(Sess::idle) {
             break;
         }
@@ -347,7 +336,6 @@ impl Group {
             cfg,
             engine,
             lanes: vec![None; lanes],
-            free: (0..lanes).rev().collect(),
             sessions: HashMap::new(),
             shared,
             x: Matrix::zeros(lanes, spec.params.input_size),
@@ -419,25 +407,39 @@ impl Group {
         }
     }
 
-    /// Returns a departing session's lane, if it held one, to the free
-    /// list.
+    /// Frees a departing session's lane, if it held one.
     fn free_lane(&mut self, lane: Option<usize>) {
         if let Some(lane) = lane {
             self.lanes[lane] = None;
-            self.free.push(lane);
         }
     }
 
     /// Takes a session that is gone for good off the books: the roster,
-    /// the live gauge, its latency histogram, and the lifecycle trace
-    /// (`kind` says how it went). Callers account and retire *before*
-    /// replying, and drop the routing-index entry themselves — a failed
-    /// session keeps its entry until its `GroupFailed` is collected.
+    /// its latency histogram, and the lifecycle trace (`kind` says how it
+    /// went). Callers retire *before* replying, and drop the routing-index
+    /// entry themselves — a failed session keeps its entry until its
+    /// `GroupFailed` is collected.
     fn retire(&self, id: u64, kind: TraceKind) {
         lock_clean(&self.shared.roster).remove(&id);
-        self.metrics.sessions_live.sub(1);
         self.metrics.drop_session_histogram(id);
         self.metrics.trace(kind, id, 0);
+    }
+
+    /// The only writer of the shared gauges: recomputes this group's queued
+    /// rows (`queue_depth` and the hub's `global_queued`), parked sessions
+    /// and live sessions (RAM or spilled) from its table, and moves each by
+    /// its change since the last publish, of this incarnation or a dead one.
+    /// Runs after every command and tick, before the replies they send.
+    fn publish(&self) {
+        let queued = self.sessions.values().map(|s| s.queue.len()).sum::<usize>() as i64;
+        let parked = self.sessions.values().filter(|s| s.parked.is_some()).count() as i64;
+        let live = (self.sessions.len() + self.spilled.len()) as i64;
+        let [q, p, l] = &*self.shared.published;
+        let dq = queued - q.swap(queued, Ordering::Relaxed);
+        self.metrics.queue_depth.add(dq);
+        self.shared.global_queued.fetch_add(dq, Ordering::Relaxed);
+        self.metrics.sessions_parked.add(parked - p.swap(parked, Ordering::Relaxed));
+        self.metrics.sessions_live.add(live - l.swap(live, Ordering::Relaxed));
     }
 
     /// How long an overloaded client should wait before retrying: the
@@ -450,7 +452,20 @@ impl Group {
         ((backlog / lanes + 1) * tick_ms).clamp(1, 30_000)
     }
 
+    /// Applies one command, publishes the gauges it moved, then sends its
+    /// reply: a client that reads the metrics after its answer sees them.
     fn handle(&mut self, cmd: GroupCmd) {
+        let answer = self.apply(cmd);
+        self.publish();
+        if let Some((reply, resp)) = answer {
+            let _ = reply.send(resp);
+        }
+    }
+
+    /// Applies one command to the session table and returns its reply,
+    /// unless it is answered later: a step by the tick that serves its
+    /// last row, a read deferred behind a replay once the replay drains.
+    fn apply(&mut self, cmd: GroupCmd) -> Option<(Sender<Response>, Response)> {
         // A session the supervisor could not resurrect answers its next
         // command with a typed GroupFailed, then unregisters.
         let failed_target = match &cmd {
@@ -461,21 +476,10 @@ impl Group {
             | GroupCmd::Close { session, .. }
             | GroupCmd::Adopt { session } => Some(*session),
         };
-        if let Some(session) = failed_target {
-            if self.failed.remove(&session) {
-                lock_clean(&self.shared.index).remove(&session);
-                let resp = Response::Error(ServeError::GroupFailed(session));
-                match cmd {
-                    GroupCmd::Step { reply, .. }
-                    | GroupCmd::ReadRows { reply, .. }
-                    | GroupCmd::Reset { reply, .. }
-                    | GroupCmd::Close { reply, .. } => {
-                        let _ = reply.send(resp);
-                    }
-                    _ => {}
-                }
-                return;
-            }
+        if let Some(session) = failed_target.filter(|s| self.failed.remove(s)) {
+            lock_clean(&self.shared.index).remove(&session);
+            let resp = Response::Error(ServeError::GroupFailed(session));
+            return cmd.into_reply().map(|reply| (reply, resp));
         }
         // Step and read commands addressed to a spilled session pull it
         // back into RAM first; close/reset only touch the store files.
@@ -483,16 +487,9 @@ impl Group {
             GroupCmd::Step { session, .. } | GroupCmd::ReadRows { session, .. } => Some(*session),
             _ => None,
         };
-        if let Some(session) = target {
-            if self.spilled.contains(&session) {
-                if let Err(e) = self.rehydrate(session) {
-                    let (GroupCmd::Step { reply, .. } | GroupCmd::ReadRows { reply, .. }) = cmd
-                    else {
-                        unreachable!()
-                    };
-                    let _ = reply.send(Response::Error(e));
-                    return;
-                }
+        if let Some(session) = target.filter(|s| self.spilled.contains(s)) {
+            if let Err(e) = self.rehydrate(session) {
+                return cmd.into_reply().map(|reply| (reply, Response::Error(e)));
             }
         }
         match cmd {
@@ -501,41 +498,32 @@ impl Group {
                 self.sessions.insert(session, blank);
                 lock_clean(&self.shared.roster).insert(session);
                 self.metrics.sessions_opened.inc();
-                self.metrics.sessions_live.add(1);
                 self.metrics.trace(TraceKind::Open, session, 0);
-                let _ = reply.send(Response::Opened { session });
+                Some((reply, Response::Opened { session }))
             }
             GroupCmd::Step { session, inputs, deadline, reply } => {
                 let input_size = self.engine.params().input_size;
                 let retry_after_ms = self.retry_after_estimate();
                 let global_queued = self.shared.global_queued.load(Ordering::Relaxed).max(0) as usize;
                 let Some(sess) = self.sessions.get_mut(&session) else {
-                    let _ = reply.send(Response::Error(ServeError::UnknownSession(session)));
-                    return;
+                    return Some((reply, Response::Error(ServeError::UnknownSession(session))));
                 };
                 if sess.reply.is_some() {
-                    let _ = reply.send(Response::Error(ServeError::SessionBusy(session)));
-                    return;
+                    return Some((reply, Response::Error(ServeError::SessionBusy(session))));
                 }
                 if inputs.is_empty() {
-                    let _ = reply.send(Response::Stepped { outputs: Vec::new() });
-                    return;
+                    return Some((reply, Response::Stepped { outputs: Vec::new() }));
                 }
                 if let Some(bad) = inputs.iter().find(|row| row.len() != input_size) {
-                    let _ = reply.send(Response::Error(ServeError::BadInput(format!(
-                        "input rows must be {input_size} wide, got {}",
-                        bad.len()
-                    ))));
-                    return;
+                    let e = format!("input rows must be {input_size} wide, got {}", bad.len());
+                    return Some((reply, Response::Error(ServeError::BadInput(e))));
                 }
                 // A NaN or an infinity would poison the session's lane
                 // state for good, inside a grid it shares with co-tenants:
                 // stop it here, typed, before anything is admitted.
                 if let Some(t) = inputs.iter().position(|row| row.iter().any(|v| !v.is_finite())) {
-                    let _ = reply.send(Response::Error(ServeError::BadInput(format!(
-                        "input rows must hold finite values, row {t} does not"
-                    ))));
-                    return;
+                    let e = format!("input rows must hold finite values, row {t} does not");
+                    return Some((reply, Response::Error(ServeError::BadInput(e))));
                 }
                 // Admission control: bounded queues, typed rejection.
                 let over_session =
@@ -545,8 +533,7 @@ impl Group {
                 if over_session || over_global {
                     self.metrics.overload_shed.inc();
                     self.metrics.trace(TraceKind::Shed, session, inputs.len() as u64);
-                    let _ = reply.send(Response::Error(ServeError::Overloaded { retry_after_ms }));
-                    return;
+                    return Some((reply, Response::Error(ServeError::Overloaded { retry_after_ms })));
                 }
                 sess.last_activity = self.shared.clock.now();
                 let expected = inputs.len();
@@ -554,21 +541,20 @@ impl Group {
                 sess.queue.extend(inputs.into_iter().map(|row| (row, enqueued)));
                 sess.reply = Some((reply, Vec::with_capacity(expected), expected));
                 sess.deadline = deadline;
-                self.shared.queue_add(expected as i64);
+                None
             }
             GroupCmd::ReadRows { session, reply } => {
                 let Some(sess) = self.sessions.get_mut(&session) else {
-                    let _ = reply.send(Response::Error(ServeError::UnknownSession(session)));
-                    return;
+                    return Some((reply, Response::Error(ServeError::UnknownSession(session))));
                 };
                 sess.last_activity = self.shared.clock.now();
                 if sess.replay_left > 0 {
                     // Recovery replay still draining: answer once the
                     // re-applied log has caught the state up.
                     sess.pending_reads.push(reply);
-                    return;
+                    return None;
                 }
-                let _ = reply.send(Response::Rows { read: sess.last_read.clone() });
+                Some((reply, Response::Rows { read: sess.last_read.clone() }))
             }
             GroupCmd::Reset { session, reply } => {
                 if self.spilled.remove(&session) {
@@ -577,23 +563,19 @@ impl Group {
                     self.drop_store_files(session);
                     let blank = self.blank_sess(session);
                     self.sessions.insert(session, blank);
-                    let _ = reply.send(Response::Done);
-                    return;
+                    return Some((reply, Response::Done));
                 }
                 let Some(sess) = self.sessions.get_mut(&session) else {
-                    let _ = reply.send(Response::Error(ServeError::UnknownSession(session)));
-                    return;
+                    return Some((reply, Response::Error(ServeError::UnknownSession(session))));
                 };
                 if sess.reply.is_some() {
-                    let _ = reply.send(Response::Error(ServeError::SessionBusy(session)));
-                    return;
+                    return Some((reply, Response::Error(ServeError::SessionBusy(session))));
                 }
                 if let Some(lane) = sess.lane {
                     self.engine.reset_lane(lane);
                     self.metrics.lane_resets.inc();
                 }
-                let was_parked = sess.parked.take().is_some();
-                let queued = sess.queue.len();
+                sess.parked = None;
                 sess.queue.clear();
                 sess.deadline = None;
                 sess.last_read.fill(0.0);
@@ -605,25 +587,16 @@ impl Group {
                 for deferred in sess.pending_reads.drain(..) {
                     let _ = deferred.send(Response::Rows { read: sess.last_read.clone() });
                 }
-                if was_parked {
-                    self.shared.park_sub(1);
-                }
-                self.shared.queue_sub(queued as i64);
                 self.drop_store_files(session);
-                let _ = reply.send(Response::Done);
+                Some((reply, Response::Done))
             }
             GroupCmd::Close { session, reply } => {
                 let resident = self.sessions.remove(&session);
                 if resident.is_none() && !self.spilled.remove(&session) {
-                    let _ = reply.send(Response::Error(ServeError::UnknownSession(session)));
-                    return;
+                    return Some((reply, Response::Error(ServeError::UnknownSession(session))));
                 }
                 if let Some(mut sess) = resident {
                     self.free_lane(sess.lane);
-                    if sess.parked.is_some() {
-                        self.shared.park_sub(1);
-                    }
-                    self.shared.queue_sub(sess.queue.len() as i64);
                     // Abort any queued-but-unserved steps (cannot happen
                     // through the synchronous client, which holds the
                     // session busy until the reply).
@@ -642,16 +615,17 @@ impl Group {
                 lock_clean(&self.shared.index).remove(&session);
                 self.metrics.sessions_closed.inc();
                 self.retire(session, TraceKind::Close);
-                let _ = reply.send(Response::Done);
+                Some((reply, Response::Done))
             }
             GroupCmd::Adopt { session } => {
                 self.spilled.insert(session);
                 lock_clean(&self.shared.roster).insert(session);
+                None
             }
         }
     }
 
-    /// Seats non-resident session `id` on a lane: one from the free list,
+    /// Seats non-resident session `id` on a lane: the lowest free one,
     /// else the lane of the least-recently-active idle resident, which is
     /// parked. `None` if every resident is mid-request this tick (the
     /// requester stays queued and retries next tick — by then at least one
@@ -663,7 +637,7 @@ impl Group {
     /// session's victim is copied out (`export_lane`) — there is nothing
     /// to trade it for — before the lane is recycled with `reset_lane`.
     fn seat(&mut self, id: u64) -> Option<usize> {
-        let (lane, victim) = match self.free.pop() {
+        let (lane, victim) = match self.lanes.iter().position(Option::is_none) {
             Some(lane) => (lane, None),
             None => {
                 let victim = self
@@ -689,12 +663,10 @@ impl Group {
             let state = detached.unwrap_or_else(|| self.engine.export_lane(lane));
             self.sessions.get_mut(&victim).unwrap().parked = Some(state);
             self.metrics.parks.inc();
-            self.shared.park_add(1);
             self.metrics.trace(TraceKind::Park, victim, lane as u64);
         }
         if splice {
             self.metrics.splices.inc();
-            self.shared.park_sub(1);
             self.metrics.trace(TraceKind::Splice, id, lane as u64);
         } else {
             self.engine.reset_lane(lane);
@@ -723,9 +695,9 @@ impl Group {
             sess.queue.truncate(sess.replay_left);
             sess.deadline = None;
             let (reply, _outputs, _) = sess.reply.take().unwrap();
-            // Account and trace before replying: the client may read the
-            // counters the moment its error arrives.
-            self.shared.queue_sub(shed as i64);
+            // Publish, count and trace before replying: the client may
+            // read the metrics the moment its error arrives.
+            self.publish();
             self.metrics.overload_deadline_expired.inc();
             self.metrics.trace(TraceKind::Shed, id, shed as u64);
             let _ = reply.send(Response::Error(ServeError::DeadlineExceeded { session: id }));
@@ -800,13 +772,12 @@ impl Group {
                 if !appended {
                     self.metrics.store_errors.inc();
                     sess.log = None;
-                    let dropped = sess.queue.len();
                     sess.queue.clear();
                     sess.deadline = None;
-                    // Queue accounting before the reply, as in
-                    // `shed_expired`.
-                    self.shared.queue_sub(dropped as i64);
-                    if let Some((reply, _, _)) = sess.reply.take() {
+                    let failed = sess.reply.take();
+                    // Published before the reply, as in `shed_expired`.
+                    self.publish();
+                    if let Some((reply, _, _)) = failed {
                         let _ = reply.send(Response::Error(ServeError::Store(format!(
                             "session {id}: delta-log append failed; step not applied"
                         ))));
@@ -839,7 +810,8 @@ impl Group {
         self.metrics.batch_size.observe(n as u64);
         self.metrics.occupancy_pct.observe((n * 100 / self.engine.batch()) as u64);
         self.metrics.active_lanes.set(n as i64);
-        self.shared.queue_sub(n as i64);
+        // Rows popped and parks made are published before the fan-out.
+        self.publish();
 
         let now = Instant::now();
         let active = self.shared.clock.now();
@@ -948,7 +920,6 @@ impl Group {
         debug_assert!(sess.idle(), "only idle sessions evict");
         sess.log = None;
         let seq = sess.seq;
-        let was_parked = sess.parked.is_some();
         let state = match sess.parked.take() {
             Some(state) => state,
             None => match sess.lane {
@@ -973,18 +944,12 @@ impl Group {
             sess.last_activity = self.shared.clock.now();
             let lane = sess.lane.take();
             self.free_lane(lane);
-            if !was_parked {
-                self.shared.park_add(1);
-            }
             return false;
         }
         self.metrics.store_snapshot_bytes.observe(bytes.len() as u64);
         self.metrics.store_snapshot_us.observe(t0.elapsed().as_micros() as u64);
         let sess = self.sessions.remove(&id).unwrap();
         self.free_lane(sess.lane);
-        if was_parked {
-            self.shared.park_sub(1);
-        }
         self.spilled.insert(id);
         self.metrics.store_evictions.inc();
         self.metrics.drop_session_histogram(id);
@@ -1060,7 +1025,6 @@ impl Group {
         if let Some(state) = &parked {
             last_read.copy_from_slice(state.read_row());
         }
-        let has_state = parked.is_some();
         self.spilled.remove(&id);
         self.sessions.insert(
             id,
@@ -1080,10 +1044,6 @@ impl Group {
                 log: None,
             },
         );
-        if has_state {
-            self.shared.park_add(1);
-        }
-        self.shared.queue_add(replay_left as i64);
         self.metrics.store_rehydrations.inc();
         self.metrics.store_replay_steps.observe(replay_left as u64);
         self.metrics.trace(TraceKind::Rehydrate, id, replay_left as u64);
@@ -1142,15 +1102,18 @@ impl Group {
             }
             return;
         }
-        for id in dead {
+        for &id in &dead {
             let sess = self.sessions.remove(&id).unwrap();
             self.free_lane(sess.lane);
-            if sess.parked.is_some() {
-                self.shared.park_sub(1);
-            }
-            lock_clean(&self.shared.index).remove(&id);
             self.metrics.sessions_reaped.inc();
             self.retire(id, TraceKind::Reap);
+        }
+        // Published before the ids unroute, so whoever sees them gone
+        // sees the gauges without them.
+        self.publish();
+        let mut index = lock_clean(&self.shared.index);
+        for id in dead {
+            index.remove(&id);
         }
     }
 }
@@ -1179,8 +1142,7 @@ mod tests {
             metrics: Arc::new(ServeMetrics::new()),
             global_queued: Arc::default(),
             roster: Arc::default(),
-            queued: Arc::default(),
-            parked: Arc::default(),
+            published: Arc::default(),
             clock: Arc::new(clock.reader()),
         };
         let group = Group::new(cfg, &RawSessionSpec::demo().validate().unwrap(), shared, store);
@@ -1253,7 +1215,7 @@ mod tests {
         let metrics = Arc::clone(&group.metrics);
         let count = |name: &str| metrics.snapshot().counter(name).unwrap_or(0);
         assert_eq!((count("serve.scheduler.parks"), count("serve.scheduler.splices")), (6, 4));
-        assert_eq!(group.shared.parked.load(Ordering::Relaxed), 2);
+        assert_eq!(group.metrics.sessions_parked.get(), 2);
 
         // Sessions 2 and 3 hold the lanes, 2 the longer idle: seating 0
         // parks it.
@@ -1262,7 +1224,8 @@ mod tests {
         assert_eq!(seated, Some(lane));
         assert_eq!(spent.calls, 0, "park + splice allocated");
         assert_eq!((count("serve.scheduler.parks"), count("serve.scheduler.splices")), (7, 5));
-        assert_eq!(group.shared.parked.load(Ordering::Relaxed), 2);
+        group.publish();
+        assert_eq!(group.metrics.sessions_parked.get(), 2);
         assert!(group.sessions[&2].parked.is_some() && group.sessions[&2].lane.is_none());
         assert!(group.sessions[&0].parked.is_none());
         let kinds: Vec<_> = metrics.trace_dump().iter().rev().take(2).map(|e| (e.kind, e.session)).collect();
@@ -1336,22 +1299,21 @@ mod tests {
         clock.advance(timeout + Duration::from_secs(1));
 
         let metrics = Arc::clone(&group.metrics);
-        let observed = |group: &Group| {
+        let observed = |group: &mut Group| {
+            group.reap();
+            group.publish();
             let sess = &group.sessions[&0];
             (
                 metrics.snapshot().counter("store.evict_refusals").unwrap_or(0),
                 sess.lane,
                 sess.parked.is_some(),
-                group.shared.parked.load(Ordering::Relaxed),
+                metrics.sessions_parked.get(),
             )
         };
-        group.reap();
-        assert_eq!(observed(&group), (1, None, true, 1), "refused: parked in RAM, off the lane");
-        group.reap();
-        assert_eq!(observed(&group), (1, None, true, 1), "the next sweep leaves the victim alone");
+        assert_eq!(observed(&mut group), (1, None, true, 1), "refused: parked in RAM, off the lane");
+        assert_eq!(observed(&mut group), (1, None, true, 1), "the next sweep leaves the victim alone");
         clock.advance(timeout + Duration::from_secs(1));
-        group.reap();
-        assert_eq!(observed(&group), (2, None, true, 1), "one idle timeout later it tries again");
+        assert_eq!(observed(&mut group), (2, None, true, 1), "one idle timeout later it tries again");
         assert_eq!(step(&mut group, 0, 1).len(), group.engine.params().output_size, "still servable");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1372,7 +1334,7 @@ mod tests {
             let inputs = vec![input(&group, 0, 0)];
             group.handle(GroupCmd::Step { session, inputs, deadline: Some(deadline), reply: reply.clone() });
         }
-        assert_eq!(group.shared.queued.load(Ordering::Relaxed), 3);
+        assert_eq!(group.shared.global_queued.load(Ordering::Relaxed), 3);
 
         group.step_tick();
         let shed: Vec<u64> = answered
@@ -1386,6 +1348,210 @@ mod tests {
         let snap = group.metrics.snapshot();
         assert_eq!(snap.counter("overload.deadline_expired"), Some(3));
         assert_eq!(snap.gauge("serve.scheduler.queue_depth"), Some(0));
-        assert_eq!(group.shared.queued.load(Ordering::Relaxed), 0);
+        assert_eq!(group.shared.global_queued.load(Ordering::Relaxed), 0);
+    }
+
+    /// A session whose last replay row is staged in this tick's input
+    /// block is not idle: a co-tenant seated later in the same tick must
+    /// not park it. Session 1 logs three steps; a new group adopts it and
+    /// a `ReadRows` starts its replay; with one replay row left, sessions
+    /// 2 and 3 ask for the two lanes. The deferred read and session 1's
+    /// next output equal solo replay.
+    #[test]
+    fn a_replaying_session_is_not_parked_in_the_middle_of_its_tick() {
+        let (store, dir) = scratch_store(false);
+        let cfg = ServeConfig { grid_lanes: 2, idle_timeout: None, ..ServeConfig::default() };
+        let (mut first, _) = group_with(cfg.clone(), Some(store.clone()));
+        open(&mut first, 1);
+        for t in 0..3 {
+            step(&mut first, 1, t);
+        }
+        drop(first);
+
+        let (mut group, _) = group_with(cfg, Some(store));
+        group.handle(GroupCmd::Adopt { session: 1 });
+        let (reply, read) = channel();
+        group.handle(GroupCmd::ReadRows { session: 1, reply });
+        group.step_tick();
+        group.step_tick();
+        assert_eq!(group.sessions[&1].replay_left, 1);
+        for (session, rows) in [(2u64, 2), (3, 1)] {
+            open(&mut group, session);
+            let inputs = (0..rows).map(|t| input(&group, session, t)).collect();
+            let (reply, _answered) = channel();
+            group.handle(GroupCmd::Step { session, inputs, deadline: None, reply });
+        }
+        group.step_tick();
+
+        let spec = RawSessionSpec::demo().validate().unwrap();
+        let inputs: Vec<Vec<f32>> = (0..4).map(|t| input(&group, 1, t)).collect();
+        let solo = |n: usize| hima_testkit::solo_replay(spec.params, spec.spec, spec.seed, &inputs[..n]);
+        match read.try_recv() {
+            Ok(Response::Rows { read }) => assert_eq!(read, solo(3).1, "the deferred read"),
+            other => panic!("the deferred read answered {other:?}"),
+        }
+        assert_eq!(step(&mut group, 1, 3), solo(4).0[3], "the step after the replay");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What the property case below knows of one open session: the rows
+    /// applied and the outputs answered since its last reset, and its
+    /// unanswered step (rows) and read (rows applied when it was sent).
+    #[derive(Default)]
+    struct Model {
+        rows: Vec<Vec<f32>>,
+        outputs: Vec<Vec<f32>>,
+        step: Option<(Vec<Vec<f32>>, Receiver<Response>)>,
+        read: Option<(usize, Receiver<Response>)>,
+    }
+
+    /// The published gauges and the admission count equal the values
+    /// recomputed from the table, and `lanes[l] == Some(id)` exactly when
+    /// `sessions[id].lane == Some(l)`.
+    fn assert_table_truth(group: &Group, at: &str) {
+        let queued: usize = group.sessions.values().map(|s| s.queue.len()).sum();
+        let parked = group.sessions.values().filter(|s| s.parked.is_some()).count();
+        let live = group.sessions.len() + group.spilled.len();
+        let m = &group.metrics;
+        let published = (m.queue_depth.get(), m.sessions_parked.get(), m.sessions_live.get());
+        assert_eq!(published, (queued as i64, parked as i64, live as i64), "{at}: gauges");
+        assert_eq!(group.shared.global_queued.load(Ordering::Relaxed), queued as i64, "{at}: admission");
+        for (lane, slot) in group.lanes.iter().enumerate() {
+            assert!(slot.is_none_or(|id| group.sessions[&id].lane == Some(lane)), "{at}: lane {lane}");
+        }
+        for (id, sess) in &group.sessions {
+            assert!(sess.lane.is_none_or(|lane| group.lanes[lane] == Some(*id)), "{at}: session {id}");
+            assert!(sess.lane.is_none() || sess.parked.is_none(), "{at}: session {id} seated and parked");
+        }
+    }
+
+    /// Seeded random commands over up to six open sessions on two lanes,
+    /// with a store that spills beyond one parked state: open, step (1–3
+    /// rows, one in four already past its deadline), read, reset, close,
+    /// clock advance + sweep, and a supervisor restart (a new incarnation
+    /// on the same shared state). After every command and every tick the
+    /// gauges and lanes equal the table; at the end every open session's
+    /// outputs, and every read it was answered, equal solo replay.
+    #[test]
+    fn gauges_and_lanes_equal_the_table_command_by_command() {
+        let (mut store, dir) = scratch_store(false);
+        store.max_parked = 1;
+        let timeout = Duration::from_millis(10);
+        let cfg = ServeConfig { grid_lanes: 2, idle_timeout: Some(timeout), ..ServeConfig::default() };
+        let (mut group, clock) = group_with(cfg.clone(), Some(store.clone()));
+        let spec = RawSessionSpec::demo().validate().unwrap();
+        let mut models: std::collections::BTreeMap<u64, Model> = Default::default();
+        let mut reads: Vec<(usize, Vec<Vec<f32>>, Vec<f32>)> = Vec::new();
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = move |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        // One run-loop iteration after the commands: tick, sweep, spill.
+        let turn = |group: &mut Group, at: &str| {
+            group.step_tick();
+            assert_table_truth(group, &format!("{at}, tick"));
+            group.reap();
+            group.spill_lru();
+            group.publish();
+            assert_table_truth(group, &format!("{at}, sweep"));
+        };
+        let (mut next_id, mut t) = (1u64, 0usize);
+        for i in 0..600 {
+            let at = format!("command {i}");
+            let ids: Vec<u64> = models.keys().copied().collect();
+            let id = if ids.is_empty() { 0 } else { ids[draw(ids.len())] };
+            let (reply, answer) = channel();
+            let kind = if ids.is_empty() { 0 } else { draw(16) };
+            match kind {
+                0..=1 if models.len() < 6 => {
+                    group.handle(GroupCmd::Open { session: next_id, reply });
+                    models.insert(next_id, Model::default());
+                    next_id += 1;
+                }
+                2..=7 => {
+                    let rows: Vec<Vec<f32>> = (0..1 + draw(3)).map(|k| input(&group, id, t + k)).collect();
+                    t += rows.len();
+                    let deadline = (draw(4) == 0).then(|| clock.now());
+                    group.handle(GroupCmd::Step { session: id, inputs: rows.clone(), deadline, reply });
+                    let model = models.get_mut(&id).unwrap();
+                    if model.step.is_some() {
+                        let busy = answer.try_recv();
+                        assert!(matches!(busy, Ok(Response::Error(ServeError::SessionBusy(_)))), "{at}: {busy:?}");
+                    } else {
+                        model.step = Some((rows, answer));
+                    }
+                }
+                8..=9 => {
+                    group.handle(GroupCmd::ReadRows { session: id, reply });
+                    let model = models.get_mut(&id).unwrap();
+                    if model.step.is_none() && model.read.is_none() {
+                        model.read = Some((model.rows.len(), answer));
+                    }
+                }
+                // A deferred read is answered by whatever state a reset or
+                // close leaves; the model keeps those apart.
+                10 | 11 if models[&id].read.is_none() => {
+                    let close = kind == 11;
+                    let cmd = if close { GroupCmd::Close { session: id, reply } } else { GroupCmd::Reset { session: id, reply } };
+                    group.handle(cmd);
+                    let model = models.get_mut(&id).unwrap();
+                    match answer.try_recv() {
+                        Ok(Response::Done) if close => drop(models.remove(&id)),
+                        Ok(Response::Done) if model.step.is_none() => *model = Model::default(),
+                        Ok(Response::Error(ServeError::SessionBusy(_))) if model.step.is_some() => {}
+                        other => panic!("{at}: close {close} answered {other:?}"),
+                    }
+                }
+                12 => clock.advance(timeout + Duration::from_nanos(1)),
+                13 if models.values().all(|m| m.step.is_none() && m.read.is_none()) => {
+                    let shared = group.shared.clone();
+                    drop(group);
+                    group = Group::new(cfg.clone(), &spec, shared, Some(store.clone()));
+                    group.resurrect();
+                    // Sessions with nothing on disk fail, once, typed.
+                    for id in group.failed.clone() {
+                        let (reply, answer) = channel();
+                        group.handle(GroupCmd::Close { session: id, reply });
+                        assert!(matches!(answer.try_recv(), Ok(Response::Error(ServeError::GroupFailed(_)))));
+                        models.remove(&id);
+                    }
+                    group.publish();
+                }
+                _ => {}
+            }
+            assert_table_truth(&group, &at);
+            turn(&mut group, &at);
+            for (&id, model) in &mut models {
+                if let Some((rows, answer)) = model.step.take() {
+                    match answer.try_recv() {
+                        Ok(Response::Stepped { outputs }) => {
+                            model.rows.extend(rows);
+                            model.outputs.extend(outputs);
+                        }
+                        // Shed by the tick after it was sent, before any row stepped.
+                        Ok(Response::Error(ServeError::DeadlineExceeded { .. })) => {}
+                        Err(TryRecvError::Empty) => model.step = Some((rows, answer)),
+                        other => panic!("{at}: session {id} step answered {other:?}"),
+                    }
+                }
+                if let Some((n, answer)) = model.read.take() {
+                    match answer.try_recv() {
+                        Ok(Response::Rows { read }) => reads.push((n, model.rows.clone(), read)),
+                        Err(TryRecvError::Empty) => model.read = Some((n, answer)),
+                        other => panic!("{at}: session {id} read answered {other:?}"),
+                    }
+                }
+            }
+        }
+        let solo = |rows: &[Vec<f32>]| hima_testkit::solo_replay(spec.params, spec.spec, spec.seed, rows);
+        for (id, model) in &models {
+            assert_eq!(model.outputs, solo(&model.rows).0, "session {id}");
+        }
+        for (n, rows, read) in &reads {
+            assert_eq!(read, &solo(&rows[..*n]).1, "a read after {n} rows");
+        }        let _ = std::fs::remove_dir_all(&dir);
     }
 }

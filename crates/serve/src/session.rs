@@ -25,12 +25,13 @@
 //! Each group thread runs its scheduler loop under `catch_unwind`. A
 //! panic (a bug — or an injected [`FaultKind::Panic`](hima_chaos::FaultKind)
 //! at the `SchedTick` site) does not take the server down: the
-//! supervisor repairs the gauges the dying incarnation left dangling,
-//! counts a `supervisor.restarts`, and re-enters the loop with
-//! `resume = true`. The fresh incarnation resurrects store-backed
-//! sessions from their snapshot + delta log; sessions with no durable
-//! state answer their next command with a typed
-//! [`ServeError::GroupFailed`] instead of vanishing silently.
+//! supervisor counts a `supervisor.restarts` and re-enters the loop with
+//! `resume = true`. There is no gauge repair: the fresh incarnation's
+//! first publish from its session table corrects what the dying one left.
+//! It resurrects store-backed sessions from their snapshot + delta log;
+//! sessions with no durable state answer their next command with a typed
+//! [`ServeError::GroupFailed`] instead of vanishing silently. A session
+//! whose command was in flight at the panic is retired with its files.
 
 use crate::clock::Clock;
 use crate::metrics::ServeMetrics;
@@ -163,7 +164,6 @@ impl SessionHub {
             let sender = hub.group_sender(spec);
             let _ = sender.send(GroupCmd::Adopt { session: id });
             lock_clean(&hub.index).insert(id, sender);
-            hub.metrics.sessions_live.add(1);
             hub.metrics.store_recovered.inc();
             max_id = max_id.max(id);
         }
@@ -186,8 +186,7 @@ impl SessionHub {
             metrics: Arc::clone(&self.metrics),
             global_queued: Arc::clone(&self.global_queued),
             roster: Arc::new(Mutex::new(HashSet::new())),
-            queued: Arc::new(AtomicI64::new(0)),
-            parked: Arc::new(AtomicI64::new(0)),
+            published: Arc::default(),
             clock: Arc::clone(&self.clock),
         };
         let group_store = self.store.as_ref().map(|(store, sc)| GroupStore {
@@ -195,39 +194,20 @@ impl SessionHub {
             snapshot_every: sc.snapshot_every.max(1),
             max_parked: sc.max_parked,
         });
-        // The supervisor: run the group loop, and if it panics, repair
-        // the gauges its contribution counters still hold, then restart
+        // The supervisor: run the group loop, and if it panics, restart
         // it in resume mode (resurrect from the store, fail the rest).
         let handle = std::thread::spawn(move || {
             let mut resume = false;
             loop {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_group(
-                        cfg.clone(),
-                        spec.clone(),
-                        &rx,
-                        shared.clone(),
-                        group_store.clone(),
-                        resume,
-                    )
-                }));
-                match result {
-                    Ok(()) => break,
-                    Err(_) => {
-                        shared.metrics.trace(TraceKind::GroupPanic, 0, 0);
-                        shared.metrics.supervisor_restarts.inc();
-                        let q = shared.queued.swap(0, Ordering::SeqCst);
-                        if q != 0 {
-                            shared.metrics.queue_depth.sub(q);
-                            shared.global_queued.fetch_sub(q, Ordering::SeqCst);
-                        }
-                        let p = shared.parked.swap(0, Ordering::SeqCst);
-                        if p != 0 {
-                            shared.metrics.sessions_parked.sub(p);
-                        }
-                        resume = true;
-                    }
+                let group = || {
+                    run_group(cfg.clone(), spec.clone(), &rx, shared.clone(), group_store.clone(), resume)
+                };
+                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(group)).is_ok() {
+                    break;
                 }
+                shared.metrics.trace(TraceKind::GroupPanic, 0, 0);
+                shared.metrics.supervisor_restarts.inc();
+                resume = true;
             }
         });
         lock_clean(&self.handles).push(handle);
@@ -332,15 +312,21 @@ impl SessionHub {
         self.call(&sender, session, make)
     }
 
-    /// What a dead command channel means: a clean shutdown if one is in
-    /// progress, otherwise the session's group is gone for good.
-    fn channel_failure(&self, session: u64) -> Response {
+    /// What a dead channel means: a clean shutdown if one is in progress,
+    /// otherwise the group died with the session's command in flight. The
+    /// session is then forgotten whole: its route here, and through the
+    /// restarted group's `Close` path its roster entry, gauge share and
+    /// store files, so no later incarnation or boot adopts it again.
+    fn channel_failure(&self, sender: &Sender<GroupCmd>, session: u64) -> Response {
         if self.stopping.load(Ordering::Relaxed) {
-            Response::Error(ServeError::ShuttingDown)
-        } else {
-            lock_clean(&self.index).remove(&session);
-            Response::Error(ServeError::GroupFailed(session))
+            return Response::Error(ServeError::ShuttingDown);
         }
+        lock_clean(&self.index).remove(&session);
+        let (reply, forgotten) = channel();
+        if sender.send(GroupCmd::Close { session, reply }).is_ok() {
+            let _ = forgotten.recv();
+        }
+        Response::Error(ServeError::GroupFailed(session))
     }
 
     fn call(
@@ -351,11 +337,11 @@ impl SessionHub {
     ) -> Response {
         let (reply_tx, reply_rx) = channel();
         if sender.send(make(reply_tx)).is_err() {
-            return self.channel_failure(session);
+            return self.channel_failure(sender, session);
         }
         match reply_rx.recv() {
             Ok(resp) => resp,
-            Err(_) => self.channel_failure(session),
+            Err(_) => self.channel_failure(sender, session),
         }
     }
 

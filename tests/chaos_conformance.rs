@@ -369,9 +369,39 @@ fn scheduler_panic_is_supervised_and_store_backed_sessions_resurrect() {
     let snap = client.metrics().unwrap();
     assert_eq!(snap.gauge("fault.sched.injected"), Some(1), "exactly one injected panic");
     client.close_session(b).unwrap();
+
+    // A went with its in-flight command whole: nothing of it is live,
+    // queued or parked, no file of it remains, and a second boot on the
+    // directory adopts nothing.
+    assert_gauges_zero(&client.metrics().unwrap());
+    let prefix = format!("sess-{a}.");
+    let left: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(&prefix))
+        .collect();
+    assert!(left.is_empty(), "files of the failed session remain: {left:?}");
+    drop(client);
+    drop(server);
+    let store =
+        StoreConfig { dir: dir.clone(), snapshot_every: 1_000_000, max_parked: 64, faults: None };
+    let server = Server::bind_with_store("127.0.0.1:0", ServeConfig::default(), Some(store)).expect("rebind");
+    assert_eq!(counter(&server, "store.recovered"), 0, "the failed session was adopted again");
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.step(a, &synth_input(0, 5, p.input_size)) {
+        Err(ClientError::Server(ServeError::UnknownSession(s))) => assert_eq!(s, a),
+        other => panic!("expected UnknownSession for the failed id after a restart, got {other:?}"),
+    }
     drop(client);
     drop(server);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// No session is live, queued or parked.
+fn assert_gauges_zero(snap: &MetricsSnapshot) {
+    for gauge in ["serve.sessions.live", "serve.scheduler.queue_depth", "serve.sessions.parked"] {
+        assert_eq!(snap.gauge(gauge), Some(0), "{gauge}");
+    }
 }
 
 /// Without a store there is nothing to resurrect from: after a group
@@ -424,6 +454,7 @@ fn scheduler_panic_without_store_fails_sessions_typed() {
     assert_eq!(counter(&server, "supervisor.restarts"), 1, "supervisor never restarted");
     assert_eq!(counter(&server, "supervisor.failed_sessions"), 2, "both sessions must fail");
     assert!(counter(&server, "err.group_failed") >= 2, "error class not counted");
+    assert_gauges_zero(&server.hub().metrics().snapshot());
     drop(client);
     drop(server);
 }
