@@ -16,13 +16,13 @@
 //! | `serve.sessions.opened` / `.closed` / `.reaped` | counter | lifecycle totals |
 //! | `serve.sessions.live` / `.parked` | gauge | sessions in RAM or spilled / swapped out in RAM; recomputed from the group's session table after every command and tick |
 //! | `serve.groups.live` | gauge | spawned engine-group threads |
-//! | `serve.scheduler.ticks` | counter | ticks that stepped ≥ 1 lane |
-//! | `serve.scheduler.steps` | counter | total lane-steps served |
+//! | `serve.scheduler.ticks` | counter | ticks that stepped ≥ 1 lane (client work only) |
+//! | `serve.scheduler.steps` | counter | total lane-steps served, recovery replay included |
 //! | `serve.scheduler.parks` / `.splices` / `.lane_resets` | counter | lane swap-outs / swap-ins / blank recycles |
-//! | `serve.scheduler.queue_depth` | gauge | queued-but-unserved step inputs, replay rows included; recomputed from the group's session table after every command and tick |
+//! | `serve.scheduler.queue_depth` | gauge | queued-but-unserved step inputs; recomputed from the group's session table after every command and tick |
 //! | `serve.scheduler.active_lanes` | gauge | lanes stepped by the latest tick (0 once the group ticks idle) |
 //! | `serve.scheduler.tick_ns` | histogram | masked-batch step wall time per tick |
-//! | `serve.scheduler.batch_size` | histogram | coalesced batch size per tick |
+//! | `serve.scheduler.batch_size` | histogram | coalesced batch size per tick (client work only) |
 //! | `serve.scheduler.occupancy_pct` | histogram | stepped lanes as % of grid per tick |
 //! | `serve.session.step_latency_us` | histogram | enqueue→output latency, all sessions |
 //! | `serve.session.<id>.step_latency_us` | histogram | same, per live session |
@@ -32,7 +32,7 @@
 //! | `store.torn_tails` | counter | delta logs recovered past a torn tail |
 //! | `store.errors` | counter | store I/O or corruption failures |
 //! | `store.snapshot_bytes` / `.snapshot_us` | histogram | encoded snapshot size / encode+write wall time |
-//! | `store.replay_steps` | histogram | delta-log steps replayed per rehydration |
+//! | `store.replay_steps` | histogram | delta-log steps replayed per rehydration, on a borrowed lane |
 //! | `engine.profile.samples` | counter | sampled `KernelProfile` deltas folded in |
 //! | `engine.profile.<category>_ns` | counter | per-category engine ns (opt-in sampling) |
 //! | `net.frames_in` / `.frames_out` / `.bytes_in` / `.bytes_out` | counter | wire traffic |

@@ -40,16 +40,20 @@
 //! * the idle-timeout sweep **evicts** instead of reaping: the session's
 //!   state is snapshotted to disk, dropped from RAM, and the id stays
 //!   routable — its next command transparently **rehydrates** it
-//!   (snapshot decode + replay of unapplied log records through the
-//!   grid), bit-identically. If the eviction snapshot fails, the state
-//!   is *never* discarded: the session degrades to the in-RAM parked
-//!   tier (counted under `store.evict_refusals`) and stays servable,
+//!   (snapshot decode + replay of unapplied log records), bit-identically.
+//!   If the eviction snapshot fails, the state is *never* discarded: the
+//!   session degrades to the in-RAM parked tier (counted under
+//!   `store.evict_refusals`) and stays servable,
 //! * when more than `max_parked` detached states accumulate in RAM, the
 //!   least-recently-active ones spill to disk the same way.
 //!
-//! Replayed steps run through the ordinary masked grid but answer no
-//! client and append no log records; a `ReadRows` that arrives while a
-//! replay is draining is deferred until the recovered state is current.
+//! The replay runs inside rehydration, before the command that caused it
+//! is applied: the recovered state is swapped into a borrowed lane, each
+//! unapplied log row is stepped with only that lane active, and the state
+//! is swapped back out — the lane's occupant, frozen by the mask, gets
+//! its own buffers back bit for bit. Replayed steps count under
+//! `serve.scheduler.steps` and `store.replay_steps`, answer no client and
+//! append no log record; no tick ever sees one.
 //!
 //! # Overload protection and deadlines
 //!
@@ -167,6 +171,21 @@ pub(crate) struct GroupShared {
     pub clock: Arc<dyn Clock>,
 }
 
+/// A session's in-flight step command (at most one: a second answers
+/// `SessionBusy`). It stays in flight until its last output is sent.
+struct StepCmd {
+    /// Input rows not yet staged into a tick, in step order.
+    rows: VecDeque<Vec<f32>>,
+    /// Outputs of the rows stepped so far.
+    outputs: Vec<Vec<f32>>,
+    reply: Sender<Response>,
+    /// Rows still unserved when it passes are shed with `DeadlineExceeded`.
+    deadline: Option<Instant>,
+    /// When the command was queued: the start of every row's measured
+    /// enqueue→output step latency.
+    enqueued: Instant,
+}
+
 /// Per-session scheduler state.
 struct Sess {
     /// Resident lane slot, if currently on the grid.
@@ -174,15 +193,8 @@ struct Sess {
     /// Detached state while swapped out (`None` for a blank session —
     /// attaching then recycles the lane with `reset_lane`).
     parked: Option<LaneState>,
-    /// Pending step inputs in step order, each with its enqueue instant
-    /// (the start of the measured enqueue→output step latency).
-    queue: VecDeque<(Vec<f32>, Instant)>,
-    /// The in-flight step command: reply channel, outputs accumulated so
-    /// far, and how many are expected. At most one per session.
-    reply: Option<(Sender<Response>, Vec<Vec<f32>>, usize)>,
-    /// The in-flight command's deadline: queued rows still unserved when
-    /// it passes are shed with `DeadlineExceeded`.
-    deadline: Option<Instant>,
+    /// The in-flight step command, if any.
+    cmd: Option<StepCmd>,
     /// Copy of the session's current read-vector row, maintained across
     /// swaps so `ReadRows` never needs to touch the grid.
     last_read: Vec<f32>,
@@ -198,23 +210,15 @@ struct Sess {
     seq: u64,
     /// Logged steps since the last snapshot; drives periodic compaction.
     since_snapshot: u64,
-    /// Queued rows at the front of `queue` that are recovery replay:
-    /// they step the grid but answer no client and append no log record.
-    replay_left: usize,
-    /// `ReadRows` replies deferred until `replay_left` drains.
-    pending_reads: Vec<Sender<Response>>,
     /// Open delta-log writer (lazy; dropped before compaction, because
     /// compaction truncates the log file under stale handles).
     log: Option<hima_store::LogWriter>,
 }
 
 impl Sess {
-    /// Nothing owed: no queued row, no command in flight, and no replay
-    /// row left. A replay row answers no client, and the last one is
-    /// popped into the tick's input block before its lane steps, so an
-    /// empty queue alone does not mean the session is not mid-tick.
+    /// Nothing owed: no command in flight.
     fn idle(&self) -> bool {
-        self.queue.is_empty() && self.reply.is_none() && self.replay_left == 0
+        self.cmd.is_none()
     }
 }
 
@@ -279,7 +283,7 @@ pub(crate) fn run_group(
 
     let mut disconnected = false;
     loop {
-        let has_work = group.sessions.values().any(|s| !s.queue.is_empty());
+        let has_work = !group.sessions.values().all(Sess::idle);
         if has_work || disconnected {
             // Work pending (or draining): poll without blocking so the
             // grid keeps ticking at full rate.
@@ -357,16 +361,12 @@ impl Group {
         Sess {
             lane: None,
             parked: None,
-            queue: VecDeque::new(),
-            reply: None,
-            deadline: None,
+            cmd: None,
             last_read: vec![0.0; self.read_width],
             last_activity: self.shared.clock.now(),
             latency: self.metrics.session_histogram(session),
             seq: 0,
             since_snapshot: 0,
-            replay_left: 0,
-            pending_reads: Vec::new(),
             log: None,
         }
     }
@@ -431,7 +431,7 @@ impl Group {
     /// its change since the last publish, of this incarnation or a dead one.
     /// Runs after every command and tick, before the replies they send.
     fn publish(&self) {
-        let queued = self.sessions.values().map(|s| s.queue.len()).sum::<usize>() as i64;
+        let queued = self.sessions.values().flat_map(|s| &s.cmd).map(|c| c.rows.len()).sum::<usize>() as i64;
         let parked = self.sessions.values().filter(|s| s.parked.is_some()).count() as i64;
         let live = (self.sessions.len() + self.spilled.len()) as i64;
         let [q, p, l] = &*self.shared.published;
@@ -463,8 +463,7 @@ impl Group {
     }
 
     /// Applies one command to the session table and returns its reply,
-    /// unless it is answered later: a step by the tick that serves its
-    /// last row, a read deferred behind a replay once the replay drains.
+    /// unless it is a step, answered by the tick that serves its last row.
     fn apply(&mut self, cmd: GroupCmd) -> Option<(Sender<Response>, Response)> {
         // A session the supervisor could not resurrect answers its next
         // command with a typed GroupFailed, then unregisters.
@@ -508,7 +507,7 @@ impl Group {
                 let Some(sess) = self.sessions.get_mut(&session) else {
                     return Some((reply, Response::Error(ServeError::UnknownSession(session))));
                 };
-                if sess.reply.is_some() {
+                if !sess.idle() {
                     return Some((reply, Response::Error(ServeError::SessionBusy(session))));
                 }
                 if inputs.is_empty() {
@@ -526,8 +525,7 @@ impl Group {
                     return Some((reply, Response::Error(ServeError::BadInput(e))));
                 }
                 // Admission control: bounded queues, typed rejection.
-                let over_session =
-                    sess.queue.len() + inputs.len() > self.cfg.session_queue_limit.max(1);
+                let over_session = inputs.len() > self.cfg.session_queue_limit.max(1);
                 let over_global =
                     global_queued.saturating_add(inputs.len()) > self.cfg.global_queue_limit.max(1);
                 if over_session || over_global {
@@ -536,11 +534,9 @@ impl Group {
                     return Some((reply, Response::Error(ServeError::Overloaded { retry_after_ms })));
                 }
                 sess.last_activity = self.shared.clock.now();
-                let expected = inputs.len();
-                let enqueued = Instant::now();
-                sess.queue.extend(inputs.into_iter().map(|row| (row, enqueued)));
-                sess.reply = Some((reply, Vec::with_capacity(expected), expected));
-                sess.deadline = deadline;
+                let outputs = Vec::with_capacity(inputs.len());
+                let (rows, enqueued) = (inputs.into(), Instant::now());
+                sess.cmd = Some(StepCmd { rows, outputs, reply, deadline, enqueued });
                 None
             }
             GroupCmd::ReadRows { session, reply } => {
@@ -548,12 +544,6 @@ impl Group {
                     return Some((reply, Response::Error(ServeError::UnknownSession(session))));
                 };
                 sess.last_activity = self.shared.clock.now();
-                if sess.replay_left > 0 {
-                    // Recovery replay still draining: answer once the
-                    // re-applied log has caught the state up.
-                    sess.pending_reads.push(reply);
-                    return None;
-                }
                 Some((reply, Response::Rows { read: sess.last_read.clone() }))
             }
             GroupCmd::Reset { session, reply } => {
@@ -568,7 +558,7 @@ impl Group {
                 let Some(sess) = self.sessions.get_mut(&session) else {
                     return Some((reply, Response::Error(ServeError::UnknownSession(session))));
                 };
-                if sess.reply.is_some() {
+                if !sess.idle() {
                     return Some((reply, Response::Error(ServeError::SessionBusy(session))));
                 }
                 if let Some(lane) = sess.lane {
@@ -576,17 +566,11 @@ impl Group {
                     self.metrics.lane_resets.inc();
                 }
                 sess.parked = None;
-                sess.queue.clear();
-                sess.deadline = None;
                 sess.last_read.fill(0.0);
                 sess.last_activity = self.shared.clock.now();
                 sess.seq = 0;
                 sess.since_snapshot = 0;
-                sess.replay_left = 0;
                 sess.log = None;
-                for deferred in sess.pending_reads.drain(..) {
-                    let _ = deferred.send(Response::Rows { read: sess.last_read.clone() });
-                }
                 self.drop_store_files(session);
                 Some((reply, Response::Done))
             }
@@ -600,11 +584,8 @@ impl Group {
                     // Abort any queued-but-unserved steps (cannot happen
                     // through the synchronous client, which holds the
                     // session busy until the reply).
-                    if let Some((reply, outputs, _)) = sess.reply {
-                        let _ = reply.send(Response::Stepped { outputs });
-                    }
-                    for deferred in sess.pending_reads.drain(..) {
-                        let _ = deferred.send(Response::Rows { read: sess.last_read.clone() });
+                    if let Some(cmd) = sess.cmd.take() {
+                        let _ = cmd.reply.send(Response::Stepped { outputs: cmd.outputs });
                     }
                     // Drop the log writer before deleting its file.
                     sess.log = None;
@@ -680,27 +661,18 @@ impl Group {
     /// ties by session id. The whole command
     /// fails with a typed `DeadlineExceeded`; rows already stepped are
     /// dropped with it (the session state keeps them — only the reply is
-    /// truncated). Recovery-replay rows are never shed: they are owed to
-    /// durability, not to a client.
+    /// truncated).
     fn shed_expired(&mut self) {
-        let in_flight: Vec<(u64, Instant)> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| s.reply.is_some())
-            .filter_map(|(&id, s)| Some((id, s.deadline?)))
-            .collect();
+        let in_flight: Vec<(u64, Instant)> =
+            self.sessions.iter().filter_map(|(&id, s)| Some((id, s.cmd.as_ref()?.deadline?))).collect();
         for id in crate::retry::shed_order(&in_flight, self.shared.clock.now()) {
-            let sess = self.sessions.get_mut(&id).unwrap();
-            let shed = sess.queue.len() - sess.replay_left;
-            sess.queue.truncate(sess.replay_left);
-            sess.deadline = None;
-            let (reply, _outputs, _) = sess.reply.take().unwrap();
+            let cmd = self.sessions.get_mut(&id).unwrap().cmd.take().unwrap();
             // Publish, count and trace before replying: the client may
             // read the metrics the moment its error arrives.
             self.publish();
             self.metrics.overload_deadline_expired.inc();
-            self.metrics.trace(TraceKind::Shed, id, shed as u64);
-            let _ = reply.send(Response::Error(ServeError::DeadlineExceeded { session: id }));
+            self.metrics.trace(TraceKind::Shed, id, cmd.rows.len() as u64);
+            let _ = cmd.reply.send(Response::Error(ServeError::DeadlineExceeded { session: id }));
         }
     }
 
@@ -712,7 +684,7 @@ impl Group {
         // Deterministic seating order (session id) keeps swap decisions
         // reproducible under identical command interleavings.
         let mut pending: Vec<u64> =
-            self.sessions.iter().filter(|(_, s)| !s.queue.is_empty()).map(|(&id, _)| id).collect();
+            self.sessions.iter().filter(|(_, s)| !s.idle()).map(|(&id, _)| id).collect();
         if pending.is_empty() {
             // The gauge is "lanes stepped by the latest tick": an idle tick
             // stepped none. Without this it holds the last batch size for
@@ -738,7 +710,7 @@ impl Group {
         }
 
         let mut mask = vec![false; self.engine.batch()];
-        let mut stepping: Vec<(u64, usize, Instant, bool)> = Vec::with_capacity(pending.len());
+        let mut stepping: Vec<(u64, usize)> = Vec::with_capacity(pending.len());
         for id in pending {
             let lane = match self.sessions[&id].lane {
                 Some(lane) => lane,
@@ -750,8 +722,8 @@ impl Group {
                 },
             };
             let sess = self.sessions.get_mut(&id).unwrap();
-            let is_replay = sess.replay_left > 0;
-            if let Some(gs) = self.store.as_ref().filter(|_| !is_replay) {
+            let cmd = sess.cmd.as_mut().unwrap();
+            if let Some(gs) = &self.store {
                 // Write-ahead: the step input must be durable *before*
                 // the engine applies it — an acknowledged step is then
                 // always re-derivable after a kill. On failure the step
@@ -763,35 +735,28 @@ impl Group {
                 }
                 let next_seq = sess.seq + 1;
                 let appended = match &mut sess.log {
-                    Some(log) => {
-                        let input = &sess.queue.front().unwrap().0;
-                        log.append(next_seq, input).is_ok()
-                    }
+                    Some(log) => log.append(next_seq, &cmd.rows[0]).is_ok(),
                     None => false,
                 };
                 if !appended {
                     self.metrics.store_errors.inc();
                     sess.log = None;
-                    sess.queue.clear();
-                    sess.deadline = None;
-                    let failed = sess.reply.take();
+                    let failed = sess.cmd.take().unwrap();
                     // Published before the reply, as in `shed_expired`.
                     self.publish();
-                    if let Some((reply, _, _)) = failed {
-                        let _ = reply.send(Response::Error(ServeError::Store(format!(
-                            "session {id}: delta-log append failed; step not applied"
-                        ))));
-                    }
+                    let _ = failed.reply.send(Response::Error(ServeError::Store(format!(
+                        "session {id}: delta-log append failed; step not applied"
+                    ))));
                     continue;
                 }
                 self.metrics.store_log_appends.inc();
                 sess.seq = next_seq;
                 sess.since_snapshot += 1;
             }
-            let (input, enqueued) = sess.queue.pop_front().unwrap();
+            let input = cmd.rows.pop_front().unwrap();
             self.x.row_mut(lane).copy_from_slice(&input);
             mask[lane] = true;
-            stepping.push((id, lane, enqueued, is_replay));
+            stepping.push((id, lane));
         }
         if stepping.is_empty() {
             self.metrics.active_lanes.set(0);
@@ -816,38 +781,23 @@ impl Group {
         let now = Instant::now();
         let active = self.shared.clock.now();
         let mut compact: Vec<u64> = Vec::new();
-        for (id, lane, enqueued, is_replay) in stepping {
+        for (id, lane) in stepping {
             let sess = self.sessions.get_mut(&id).unwrap();
             sess.last_read.copy_from_slice(self.engine.last_read_row(lane));
             sess.last_activity = active;
-            if is_replay {
-                // A recovery-replay row: it advanced the lane state but
-                // answers no client, counts no latency and appends no
-                // log record (it came *from* the log or predates the
-                // snapshot's coverage).
-                sess.replay_left -= 1;
-                if sess.replay_left == 0 {
-                    for deferred in sess.pending_reads.drain(..) {
-                        let _ = deferred.send(Response::Rows { read: sess.last_read.clone() });
-                    }
-                }
-                continue;
-            }
             if let Some(gs) = &self.store {
                 if sess.since_snapshot >= gs.snapshot_every {
                     compact.push(id);
                 }
             }
-            let latency_us = now.duration_since(enqueued).as_micros() as u64;
+            let cmd = sess.cmd.as_mut().unwrap();
+            let latency_us = now.duration_since(cmd.enqueued).as_micros() as u64;
             sess.latency.observe(latency_us);
             self.metrics.step_latency_us.observe(latency_us);
-            let (reply, mut outputs, expected) = sess.reply.take().unwrap();
-            outputs.push(self.y.row(lane).to_vec());
-            if outputs.len() == expected {
-                sess.deadline = None;
-                let _ = reply.send(Response::Stepped { outputs });
-            } else {
-                sess.reply = Some((reply, outputs, expected));
+            cmd.outputs.push(self.y.row(lane).to_vec());
+            if cmd.rows.is_empty() {
+                let done = sess.cmd.take().unwrap();
+                let _ = done.reply.send(Response::Stepped { outputs: done.outputs });
             }
         }
         for id in compact {
@@ -957,11 +907,13 @@ impl Group {
         true
     }
 
-    /// Rebuilds a spilled session in RAM: decode its snapshot (geometry-
-    /// checked against this group's engines), queue the unapplied delta-
-    /// log steps as replay, and make it schedulable again. Replay runs
-    /// through the ordinary masked grid, so the recovered state is
-    /// bit-identical to never having been evicted.
+    /// Rebuilds a spilled session in RAM, parked: decode its snapshot
+    /// (geometry-checked against this group's engine), then replay the
+    /// unapplied delta-log steps on a borrowed lane — swapped in, stepped
+    /// with only that lane active, swapped back out. Masked stepping is
+    /// solo stepping, so the recovered state is bit-identical to never
+    /// having been evicted, and the lane's occupant, frozen by the mask,
+    /// gets its own buffers back untouched.
     fn rehydrate(&mut self, id: u64) -> Result<(), ServeError> {
         let gs = self.store.as_ref().expect("spilled sessions imply a store");
         let store = Arc::clone(&gs.store);
@@ -985,7 +937,7 @@ impl Group {
             self.metrics.store_errors.inc();
             return Err(ServeError::Store(format!("session {id}: stored under a different spec")));
         }
-        let parked = match &rec.snapshot {
+        let mut parked = match &rec.snapshot {
             Some(snap) => match LaneState::decode(&snap.state) {
                 Ok(state) if self.template.as_ref().is_some_and(|t| t.same_geometry(&state)) => {
                     Some(state)
@@ -1004,49 +956,38 @@ impl Group {
             None => None,
         };
         let input_size = self.engine.params().input_size;
-        // Also the replay rows' enqueue stamp, which nothing reads: they
-        // answer no client and count no latency.
-        let now = self.shared.clock.now();
-        let mut queue = VecDeque::new();
-        for step in rec.replay_steps() {
-            if step.input.len() != input_size {
-                self.metrics.store_errors.inc();
-                return Err(ServeError::Store(format!(
-                    "session {id}: logged step is {} wide, engine wants {input_size}",
-                    step.input.len()
-                )));
-            }
-            queue.push_back((step.input.clone(), now));
+        let replay: Vec<&[f32]> = rec.replay_steps().map(|step| &step.input[..]).collect();
+        if let Some(bad) = replay.iter().find(|input| input.len() != input_size) {
+            self.metrics.store_errors.inc();
+            return Err(ServeError::Store(format!(
+                "session {id}: logged step is {} wide, engine wants {input_size}",
+                bad.len()
+            )));
         }
-        let replay_left = queue.len();
+        if !replay.is_empty() {
+            let template = self.template.as_ref().expect("store implies a template lane state");
+            let mut state = parked.unwrap_or_else(|| template.clone());
+            let mask = LaneMask::from_fn(self.engine.batch(), |lane| lane == 0);
+            self.engine.swap_lane(0, &mut state);
+            for input in &replay {
+                self.x.row_mut(0).copy_from_slice(input);
+                self.engine.step_batch_masked_into(&self.x, &mask, &mut self.y);
+            }
+            self.engine.swap_lane(0, &mut state);
+            self.metrics.steps.add(replay.len() as u64);
+            parked = Some(state);
+        }
         let seq = rec.last_seq();
         let snap_seq = rec.snapshot.as_ref().map_or(0, |s| s.step_seq);
-        let mut last_read = vec![0.0; self.read_width];
-        if let Some(state) = &parked {
-            last_read.copy_from_slice(state.read_row());
+        let mut sess = Sess { parked, seq, since_snapshot: seq - snap_seq, ..self.blank_sess(id) };
+        if let Some(state) = &sess.parked {
+            sess.last_read.copy_from_slice(state.read_row());
         }
         self.spilled.remove(&id);
-        self.sessions.insert(
-            id,
-            Sess {
-                lane: None,
-                parked,
-                queue,
-                reply: None,
-                deadline: None,
-                last_read,
-                last_activity: now,
-                latency: self.metrics.session_histogram(id),
-                seq,
-                since_snapshot: seq - snap_seq,
-                replay_left,
-                pending_reads: Vec::new(),
-                log: None,
-            },
-        );
+        self.sessions.insert(id, sess);
         self.metrics.store_rehydrations.inc();
-        self.metrics.store_replay_steps.observe(replay_left as u64);
-        self.metrics.trace(TraceKind::Rehydrate, id, replay_left as u64);
+        self.metrics.store_replay_steps.observe(replay.len() as u64);
+        self.metrics.trace(TraceKind::Rehydrate, id, replay.len() as u64);
         Ok(())
     }
 
@@ -1351,12 +1292,10 @@ mod tests {
         assert_eq!(group.shared.global_queued.load(Ordering::Relaxed), 0);
     }
 
-    /// A session whose last replay row is staged in this tick's input
-    /// block is not idle: a co-tenant seated later in the same tick must
-    /// not park it. Session 1 logs three steps; a new group adopts it and
-    /// a `ReadRows` starts its replay; with one replay row left, sessions
-    /// 2 and 3 ask for the two lanes. The deferred read and session 1's
-    /// next output equal solo replay.
+    /// Recovery replay cannot be caught mid-tick by a co-tenant's seating:
+    /// session 1 logs three steps; a new group adopts it and a `ReadRows`
+    /// rehydrates it, replay included; sessions 2 and 3 then ask for the
+    /// two lanes. The read and session 1's next output equal solo replay.
     #[test]
     fn a_replaying_session_is_not_parked_in_the_middle_of_its_tick() {
         let (store, dir) = scratch_store(false);
@@ -1374,7 +1313,6 @@ mod tests {
         group.handle(GroupCmd::ReadRows { session: 1, reply });
         group.step_tick();
         group.step_tick();
-        assert_eq!(group.sessions[&1].replay_left, 1);
         for (session, rows) in [(2u64, 2), (3, 1)] {
             open(&mut group, session);
             let inputs = (0..rows).map(|t| input(&group, session, t)).collect();
@@ -1387,8 +1325,8 @@ mod tests {
         let inputs: Vec<Vec<f32>> = (0..4).map(|t| input(&group, 1, t)).collect();
         let solo = |n: usize| hima_testkit::solo_replay(spec.params, spec.spec, spec.seed, &inputs[..n]);
         match read.try_recv() {
-            Ok(Response::Rows { read }) => assert_eq!(read, solo(3).1, "the deferred read"),
-            other => panic!("the deferred read answered {other:?}"),
+            Ok(Response::Rows { read }) => assert_eq!(read, solo(3).1, "the read"),
+            other => panic!("the read answered {other:?}"),
         }
         assert_eq!(step(&mut group, 1, 3), solo(4).0[3], "the step after the replay");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1409,7 +1347,7 @@ mod tests {
     /// recomputed from the table, and `lanes[l] == Some(id)` exactly when
     /// `sessions[id].lane == Some(l)`.
     fn assert_table_truth(group: &Group, at: &str) {
-        let queued: usize = group.sessions.values().map(|s| s.queue.len()).sum();
+        let queued: usize = group.sessions.values().flat_map(|s| &s.cmd).map(|c| c.rows.len()).sum();
         let parked = group.sessions.values().filter(|s| s.parked.is_some()).count();
         let live = group.sessions.len() + group.spilled.len();
         let m = &group.metrics;
@@ -1491,8 +1429,6 @@ mod tests {
                         model.read = Some((model.rows.len(), answer));
                     }
                 }
-                // A deferred read is answered by whatever state a reset or
-                // close leaves; the model keeps those apart.
                 10 | 11 if models[&id].read.is_none() => {
                     let close = kind == 11;
                     let cmd = if close { GroupCmd::Close { session: id, reply } } else { GroupCmd::Reset { session: id, reply } };

@@ -136,11 +136,12 @@ impl SessionHub {
         let store = Arc::new(SessionStore::open_with(&store_cfg.dir, store_cfg.faults.clone())?);
         hub.store = Some((Arc::clone(&store), store_cfg));
 
-        // Adoption: every stored session becomes routable again. The
-        // heavy work (snapshot decode, log replay) is deferred to the
-        // session's first command.
+        // Adoption: every stored session becomes routable again (snapshot
+        // decode and log replay wait for its first command), and new ids
+        // start past every stored one, adopted or skipped.
         let mut max_id = 0u64;
         for id in store.sessions()? {
+            max_id = max_id.max(id);
             let spec = match store.spec_key(id) {
                 Ok(Some(key)) => {
                     let mut r = Reader::new(&key);
@@ -165,7 +166,6 @@ impl SessionHub {
             let _ = sender.send(GroupCmd::Adopt { session: id });
             lock_clean(&hub.index).insert(id, sender);
             hub.metrics.store_recovered.inc();
-            max_id = max_id.max(id);
         }
         hub.next_id.store(max_id + 1, Ordering::Relaxed);
         Ok(hub)

@@ -94,7 +94,8 @@ impl LogWriter {
     /// file is new or empty. A non-empty log is first truncated to the end
     /// of its last whole record — the prefix [`read_log`] returns — so
     /// nothing appended from here on sits behind a torn tail; a log whose
-    /// header does not check out is refused with `InvalidData`.
+    /// header does not check out, or names another spec key, is refused
+    /// with `InvalidData`.
     pub fn open(path: &Path, spec_key: &[u8]) -> std::io::Result<Self> {
         Self::open_with(path, spec_key, None)
     }
@@ -117,10 +118,14 @@ impl LogWriter {
             file.write_all(&frame)?;
             frame.len()
         } else {
-            let (_, end) = parse(path, &frame).map_err(|e| match e {
+            let (log, end) = parse(path, &frame).map_err(|e| match e {
                 StoreError::Io(e) => e,
                 corrupt => std::io::Error::new(std::io::ErrorKind::InvalidData, corrupt),
             })?;
+            if log.spec_key != spec_key {
+                let foreign = corrupt(path, "log is keyed by another spec");
+                return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, foreign));
+            }
             if end < frame.len() {
                 file.set_len(end as u64)?;
             }
@@ -361,6 +366,18 @@ mod tests {
         let err = LogWriter::open(&path, b"k").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert_eq!(std::fs::read(&path).unwrap(), b"HIMALOG", "a refused log is left as it was");
+    }
+
+    #[test]
+    fn reopen_refuses_a_log_keyed_by_another_spec() {
+        let dir = test_dir("log-reopen-foreign");
+        let path = dir.join("sess-1.log");
+        write_steps(&path, b"spec-A", &[(1, vec![1.0])]);
+        let before = std::fs::read(&path).unwrap();
+        let err = LogWriter::open(&path, b"spec-B").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).unwrap(), before, "a refused log is left as it was");
+        assert_eq!(read_log(&path).unwrap().steps.len(), 1);
     }
 
     #[test]

@@ -45,6 +45,11 @@ fn counter(server: &Server, name: &str) -> u64 {
     server.hub().metrics().snapshot().counter(name).unwrap_or(0)
 }
 
+/// The sum of histogram `name`'s samples.
+fn histogram_sum(server: &Server, name: &str) -> u64 {
+    server.hub().metrics().snapshot().histogram(name).map_or(0, |h| h.sum)
+}
+
 /// Evict → rehydrate → continue ≡ never evicted, bit for bit, for every
 /// topology × datapath (× label): the idle sweep spills the session to
 /// disk (asserted via `store.evictions`), and its next command pulls it
@@ -135,7 +140,9 @@ fn read_rows_after_eviction_restores_the_snapshot_read_row() {
 /// store is left exactly as a SIGKILL would leave it, snapshot plus
 /// un-compacted delta-log tail), a fresh server boots on the same
 /// directory, adopts the session under its old id, replays, and the
-/// stream continues bit-identically to one uninterrupted run.
+/// stream continues bit-identically to one uninterrupted run. The
+/// replayed steps count under `serve.scheduler.steps` beside the served
+/// ones, and a read as the first command sees the recovered state.
 #[test]
 fn killed_server_recovers_sessions_from_snapshot_and_log() {
     let p = params();
@@ -178,12 +185,16 @@ fn killed_server_recovers_sessions_from_snapshot_and_log() {
         assert_eq!(counter(&second, "store.recovered"), 1, "{label}: adoption count");
         assert_eq!(second.hub().live_sessions(), 1, "{label}: adopted id not routable");
         let mut client = Client::connect(second.addr()).unwrap();
+        let read = client.read_rows(session).unwrap();
+        assert_eq!(read, solo_replay(p, spec, 42, &rows(0, 10)).1, "{label}: first read after recovery");
         // The old id keeps working on the new process.
         for t in 10..total {
             got.push(client.step(session, &synth_input(0, t, p.input_size)).unwrap());
         }
         assert!(counter(&second, "store.rehydrations") > 0, "{label}: never rehydrated");
         assert_eq!(counter(&second, "store.errors"), 0, "{label}: store errors");
+        assert_eq!(histogram_sum(&second, "store.replay_steps"), 2, "{label}: log records replayed");
+        assert_eq!(counter(&second, "serve.scheduler.steps"), 6 + 2, "{label}: served + replayed steps");
         for (t, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g, w, "{label}: step {t} diverged across the restart");
         }
@@ -247,5 +258,42 @@ fn torn_log_tail_recovers_the_acknowledged_prefix() {
     client.close_session(session).unwrap();
     drop(client);
     drop(second);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A stored session that adoption skips keeps its id: a store directory
+/// whose only file is a garbage `sess-3.log` boots with one
+/// `store.errors`, and the sessions opened afterwards all get ids past 3,
+/// step like solo replay, and leave the skipped file as it was.
+#[test]
+fn new_ids_start_past_every_stored_session_even_a_skipped_one() {
+    let p = params();
+    let spec = EngineSpec::monolithic();
+    let dir = scratch("persist-skipped-id");
+    let garbage = dir.join("sess-3.log");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(&garbage, b"not a delta log").unwrap();
+    let cfg = ServeConfig { grid_lanes: 2, tick: Duration::from_micros(200), ..ServeConfig::default() };
+    let store = StoreConfig { dir: dir.clone(), snapshot_every: 1_000_000, max_parked: 64, faults: None };
+    let server = Server::bind_with_store("127.0.0.1:0", cfg, Some(store)).expect("bind");
+    assert_eq!(counter(&server, "store.errors"), 1, "the garbage log is skipped, counted");
+    assert_eq!(counter(&server, "store.recovered"), 0);
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let raw = RawSessionSpec::from_parts(&p, &spec, 42);
+    let steps = 4;
+    let (want, _) = solo_replay(p, spec, 42, &rows(0, steps));
+    for _ in 0..3 {
+        let session = client.open(&raw).unwrap();
+        assert!(session > 3, "new session {session} reuses or precedes a stored id");
+        let got: Vec<Vec<f32>> =
+            (0..steps).map(|t| client.step(session, &synth_input(0, t, p.input_size)).unwrap()).collect();
+        assert_eq!(got, want, "session {session}");
+    }
+    assert_eq!(counter(&server, "store.errors"), 1, "a fresh session touched the skipped files");
+    assert_eq!(std::fs::read(&garbage).unwrap(), b"not a delta log", "the skipped log was rewritten");
+    assert!(!dir.join("sess-3.snap").exists() && !dir.join("sess-3.snap1").exists());
+    drop(client);
+    drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }
