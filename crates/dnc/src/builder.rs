@@ -82,6 +82,16 @@ pub enum SpecError {
     },
     /// A usage-skimming rate outside `[0, 1)`.
     InvalidSkimRate(f32),
+    /// One lane's state or the engine's weight set would exceed a size
+    /// limit (see [`DncParams::check_footprint`]).
+    TooLarge {
+        /// `"lane state"` or `"weight set"`.
+        what: &'static str,
+        /// Its size in bytes (`u64::MAX` when the count overflows).
+        bytes: u64,
+        /// The limit, in bytes.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -99,6 +109,9 @@ impl std::fmt::Display for SpecError {
             ),
             SpecError::InvalidSkimRate(k) => {
                 write!(f, "skim rate must be in [0,1), got {k}")
+            }
+            SpecError::TooLarge { what, bytes, limit } => {
+                write!(f, "{what} of {bytes} bytes exceeds the {limit}-byte limit")
             }
         }
     }

@@ -179,6 +179,56 @@ impl DncParams {
         Ok(())
     }
 
+    /// Checks that one lane's state (the `f32`s `LaneState::encode`
+    /// writes, plus its headers) and the engine's weight set (LSTM gates,
+    /// one interface projection per shard, output projection; before
+    /// panel padding) each stay within `limit` bytes over `tiles` shards.
+    /// Both are counted in checked `u64` arithmetic, every shard at
+    /// `⌈N / tiles⌉` rows, without building anything or calling
+    /// [`interface_size`](Self::interface_size) (which can wrap): a
+    /// geometry whose size overflows is reported as `u64::MAX` bytes.
+    /// `tiles` must be non-zero ([`EngineSpec::check`] says so first).
+    pub fn check_footprint(&self, tiles: usize, limit: u64) -> Result<(), SpecError> {
+        let [n, w, r, h, i, o, t] = [
+            self.memory_size,
+            self.word_size,
+            self.read_heads,
+            self.hidden_size,
+            self.input_size,
+            self.output_size,
+            tiles,
+        ]
+        .map(|d| d as u64);
+        let rows = n.div_ceil(t);
+        // Four bytes a term, each term a product of dimensions.
+        let bytes = |terms: &[&[u64]]| {
+            let term = |f: &&[u64]| f.iter().try_fold(4u64, |p, &d| p.checked_mul(d));
+            terms.iter().try_fold(0u64, |sum, f| sum.checked_add(term(f)?)).unwrap_or(u64::MAX)
+        };
+        // Per shard: M, usage, linkage, precedence, write and read
+        // weightings, its read row and 8 words of header; then the LSTM
+        // state, the merged read row, the hidden row and the lane header.
+        let state = bytes(&[
+            &[t, rows, w], &[t, rows, rows], &[t, rows, 3], &[t, rows, r], &[t, r, w], &[t, 8],
+            &[3, h], &[r, w], &[8],
+        ]);
+        // The LSTM gates and bias over `[x ; v_r ; h]`, one interface
+        // projection of width `W·R + 3W + 5R + 3` from `[h ; x]` per
+        // shard, and the output projection from `[h ; v_r]`.
+        let weights = bytes(&[
+            &[4, h, i], &[4, h, r, w], &[4, h, h], &[4, h],
+            &[t, r, w, h], &[t, 3, w, h], &[t, 5, r, h], &[t, 3, h],
+            &[t, r, w, i], &[t, 3, w, i], &[t, 5, r, i], &[t, 3, i],
+            &[o, h], &[o, r, w],
+        ]);
+        for (what, bytes) in [("lane state", state), ("weight set", weights)] {
+            if bytes > limit {
+                return Err(SpecError::TooLarge { what, bytes, limit });
+            }
+        }
+        Ok(())
+    }
+
     fn validate(&self) {
         assert!(self.memory_size > 0, "memory_size must be positive");
         assert!(self.word_size > 0, "word_size must be positive");
@@ -192,6 +242,43 @@ impl DncParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_footprint_covers_an_encoded_lane_and_saturates_instead_of_wrapping() {
+        // The served and paper shapes encode to 77 362 and 573 978 bytes
+        // (`persist`'s layout test): the estimate covers each, within a
+        // header's worth.
+        let small = DncParams::new(128, 16, 2).with_hidden(64).with_io(16, 16);
+        let paper = DncParams::new(1024, 64, 4).with_hidden(256).with_io(14, 14);
+        for (p, tiles, encoded) in [(small, 1, 77_362u64), (paper, 16, 573_978)] {
+            match p.check_footprint(tiles, encoded - 1) {
+                Err(SpecError::TooLarge { what: "lane state", bytes, .. }) => {
+                    assert!((encoded..encoded + 64).contains(&bytes), "{bytes} for {encoded}")
+                }
+                other => panic!("{other:?}"),
+            }
+            assert_eq!(p.check_footprint(tiles, 64 << 20), Ok(()));
+        }
+        // A wide controller is refused on its weights; dimensions whose
+        // products wrap a `u64` count as `u64::MAX` bytes.
+        let wide = DncParams::new(8, 4, 1).with_hidden(1 << 16);
+        assert!(matches!(
+            wide.check_footprint(1, 64 << 20),
+            Err(SpecError::TooLarge { what: "weight set", .. })
+        ));
+        let d = u32::MAX as usize;
+        let huge = DncParams {
+            memory_size: d,
+            word_size: d,
+            read_heads: d,
+            hidden_size: d,
+            input_size: d,
+            output_size: d,
+        };
+        let limit = u64::MAX - 1;
+        let err = Err(SpecError::TooLarge { what: "lane state", bytes: u64::MAX, limit });
+        assert_eq!(huge.check_footprint(1, limit), err);
+    }
 
     #[test]
     fn interface_size_formula() {

@@ -9,11 +9,12 @@
 //! consumes. The codec encodes from and decodes into exactly those
 //! buffers; it never builds a memory unit.
 //!
-//! The format is deliberately boring, in the style of the serve wire
-//! protocol (the vendored `serde` is a no-op stand-in, so derived
-//! serialization cannot cross a process boundary): fixed-width
-//! little-endian integers, `f32` as its IEEE-754 bit pattern — so
-//! encode → decode → [`import_lane`](crate::GridEngine::import_lane) is a
+//! The format is deliberately boring, read and written through the same
+//! `hima_bytes` reader and writer as the serve wire protocol (the vendored
+//! `serde` is a no-op stand-in, so derived serialization cannot cross a
+//! process boundary): fixed-width little-endian integers, `f32` as its
+//! IEEE-754 bit pattern — so encode → decode →
+//! [`import_lane`](crate::GridEngine::import_lane) is a
 //! **bit-exact** round trip on every topology × datapath combination
 //! (the inert [`Backend`] label's config byte included) — and
 //! `u32`-counted vectors. Version 1 gave the configuration a usage-sorter
@@ -23,13 +24,15 @@
 //!
 //! Every decoder is total — malformed bytes come back as a typed
 //! [`StateCodecError`], never a panic — and a decoded count or geometry
-//! field becomes an allocation size in one place only,
-//! `Cursor::f32_slice`, behind a check that the remaining payload holds
-//! that many values. `crates/dnc/tests/state_hostile.rs` holds
-//! [`LaneState::decode`] to it under a counting allocator (truncation at
-//! every offset, every byte replaced, forged shard counts and
-//! geometries): a typed error or an `Ok` that re-encodes to the same
-//! bytes, at most twice the payload length plus 512 bytes requested.
+//! field becomes an allocation size in one place only, the shared
+//! reader's `hima_bytes::Reader::bound`, behind a check that the
+//! remaining payload holds that many values (the shard count is held to
+//! 20 bytes a shard, geometry products to 4 bytes a value).
+//! `crates/dnc/tests/state_hostile.rs` holds [`LaneState::decode`] to it
+//! under a counting allocator (truncation at every offset, every byte
+//! replaced, forged shard counts and geometries): a typed error or an
+//! `Ok` that re-encodes to the same bytes, at most twice the payload
+//! length plus 512 bytes requested.
 //!
 //! The codec is self-describing (geometry and datapath travel in the
 //! bytes), but a decoded snapshot still only *rehydrates* into an engine
@@ -43,6 +46,7 @@ use crate::builder::Datapath;
 use crate::linkage::TemporalLinkage;
 use crate::lstm::LstmState;
 use crate::memory::{MemoryConfig, UnitState};
+use hima_bytes::{Reader, Writer};
 use hima_tensor::{Backend, Matrix, QFormat};
 
 /// Leading magic of a serialized [`LaneState`].
@@ -90,123 +94,40 @@ impl std::fmt::Display for StateCodecError {
 
 impl std::error::Error for StateCodecError {}
 
-// ------------------------------------------------------------- primitives
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StateCodecError> {
-        if self.remaining() < n {
-            return Err(StateCodecError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, StateCodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, StateCodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(StateCodecError::BadTag(t)),
-        }
-    }
-
-    fn u16(&mut self) -> Result<u16, StateCodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, StateCodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads exactly `n` f32 bit patterns — the one place a decoded count
-    /// or geometry becomes an allocation size. `n` is a `u32` field or the
-    /// `u64` product of two (which cannot overflow), checked against the
-    /// remaining payload before it is a `usize`.
-    fn f32_slice(&mut self, n: u64) -> Result<Vec<f32>, StateCodecError> {
-        if n > (self.remaining() / 4) as u64 {
-            return Err(StateCodecError::BadLength(n));
-        }
-        // One bounds check and one exactly-sized allocation for the whole
-        // run, so the conversion is a copy loop the compiler vectorises.
-        let words = self.take(n as usize * 4)?.chunks_exact(4);
-        Ok(words.map(|w| f32::from_bits(u32::from_le_bytes(w.try_into().unwrap()))).collect())
-    }
-
-    /// Reads a `rows × cols` matrix of f32 bit patterns.
-    fn f32_matrix(&mut self, rows: usize, cols: usize) -> Result<Matrix, StateCodecError> {
-        Ok(Matrix::from_vec(rows, cols, self.f32_slice(rows as u64 * cols as u64)?))
-    }
-
-    /// Reads a `u32`-counted f32 vector.
-    fn vec_f32(&mut self) -> Result<Vec<f32>, StateCodecError> {
-        let n = self.u32()?;
-        self.f32_slice(n.into())
-    }
-
-    fn finish(self) -> Result<(), StateCodecError> {
-        match self.remaining() {
-            0 => Ok(()),
-            n => Err(StateCodecError::TrailingBytes(n)),
+impl From<hima_bytes::Error> for StateCodecError {
+    fn from(e: hima_bytes::Error) -> Self {
+        match e {
+            hima_bytes::Error::Truncated => StateCodecError::Truncated,
+            hima_bytes::Error::BadLength(n) => StateCodecError::BadLength(n),
+            hima_bytes::Error::BadTag(t) => StateCodecError::BadTag(t),
+            hima_bytes::Error::TrailingBytes(n) => StateCodecError::TrailingBytes(n),
         }
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32s(out: &mut Vec<u8>, v: &[f32]) {
-    // Sized once, then filled four bytes an element with no per-element
-    // capacity check: a copy loop the compiler vectorises.
-    let start = out.len();
-    out.resize(start + v.len() * 4, 0);
-    for (word, x) in out[start..].chunks_exact_mut(4).zip(v) {
-        word.copy_from_slice(&x.to_bits().to_le_bytes());
-    }
-}
-
-fn put_vec_f32(out: &mut Vec<u8>, v: &[f32]) {
-    put_u32(out, v.len() as u32);
-    put_f32s(out, v);
+/// Reads a `rows × cols` matrix of f32 bit patterns; the `u64` product
+/// cannot overflow and is bounded by the shared reader before it sizes
+/// anything.
+fn f32_matrix(r: &mut Reader<'_>, rows: usize, cols: usize) -> Result<Matrix, StateCodecError> {
+    Ok(Matrix::from_vec(rows, cols, r.f32s(rows as u64 * cols as u64)?))
 }
 
 // ------------------------------------------------------- shard (de)coding
 
 fn encode_config(cfg: &MemoryConfig, out: &mut Vec<u8>) {
-    put_u32(out, cfg.memory_size as u32);
-    put_u32(out, cfg.word_size as u32);
-    put_u32(out, cfg.read_heads as u32);
-    out.push(0); // version 1's usage-sorter tag
-    put_u32(out, cfg.skim.fraction().to_bits());
-    out.push(cfg.approx_softmax as u8);
-    out.push(match cfg.backend {
+    out.put_u32(cfg.memory_size as u32);
+    out.put_u32(cfg.word_size as u32);
+    out.put_u32(cfg.read_heads as u32);
+    out.put_u8(0); // version 1's usage-sorter tag
+    out.put_f32(cfg.skim.fraction());
+    out.put_bool(cfg.approx_softmax);
+    out.put_u8(match cfg.backend {
         Backend::Scalar => 0,
         Backend::Blocked => 1,
     });
 }
 
-fn decode_config(r: &mut Cursor<'_>) -> Result<MemoryConfig, StateCodecError> {
+fn decode_config(r: &mut Reader<'_>) -> Result<MemoryConfig, StateCodecError> {
     let memory_size = r.u32()? as usize;
     let word_size = r.u32()? as usize;
     let read_heads = r.u32()? as usize;
@@ -221,7 +142,7 @@ fn decode_config(r: &mut Cursor<'_>) -> Result<MemoryConfig, StateCodecError> {
         1 => return Err(StateCodecError::Invalid("two-stage sorter with zero tiles")),
         t => return Err(StateCodecError::BadTag(t)),
     }
-    let skim = crate::allocation::SkimRate::checked(f32::from_bits(r.u32()?))
+    let skim = crate::allocation::SkimRate::checked(r.f32()?)
         .ok_or(StateCodecError::Invalid("skim rate outside [0, 1)"))?;
     let approx_softmax = r.bool()?;
     let backend = match r.u8()? {
@@ -238,33 +159,33 @@ fn decode_config(r: &mut Cursor<'_>) -> Result<MemoryConfig, StateCodecError> {
 /// Reads the state memories `cfg` implies. Element counts come from the
 /// configuration, not from the payload, and every read checks them
 /// against the remaining payload before allocating.
-fn decode_unit_state(r: &mut Cursor<'_>, cfg: &MemoryConfig) -> Result<UnitState, StateCodecError> {
+fn decode_unit_state(r: &mut Reader<'_>, cfg: &MemoryConfig) -> Result<UnitState, StateCodecError> {
     let (n, heads) = (cfg.memory_size, cfg.read_heads);
-    let memory = r.f32_matrix(n, cfg.word_size)?;
-    let usage = r.f32_slice(n as u64)?;
-    let linkage = TemporalLinkage::from_parts(r.f32_matrix(n, n)?, r.f32_slice(n as u64)?);
-    let write_weighting = r.f32_slice(n as u64)?;
-    let read_weightings = r.f32_matrix(heads, n)?;
+    let memory = f32_matrix(r, n, cfg.word_size)?;
+    let usage = r.f32s(n as u64)?;
+    let linkage = TemporalLinkage::from_parts(f32_matrix(r, n, n)?, r.f32s(n as u64)?);
+    let write_weighting = r.f32s(n as u64)?;
+    let read_weightings = f32_matrix(r, heads, n)?;
     Ok(UnitState { memory, usage, linkage, write_weighting, read_weightings })
 }
 
 fn encode_shard(shard: &ShardState, out: &mut Vec<u8>) {
     match shard.datapath {
-        Datapath::F32 => out.push(0),
+        Datapath::F32 => out.put_u8(0),
         Datapath::Quantized(q) => {
-            out.push(1);
-            put_u32(out, q.int_bits);
-            put_u32(out, q.frac_bits);
+            out.put_u8(1);
+            out.put_u32(q.int_bits);
+            out.put_u32(q.frac_bits);
         }
     }
     encode_config(&shard.config, out);
     // The read weightings' head-major rows go back to back: the bytes the
     // per-head vectors had.
-    shard.state.buffers().into_iter().for_each(|b| put_f32s(out, b));
-    put_vec_f32(out, &shard.read);
+    shard.state.buffers().into_iter().for_each(|b| out.put_f32s(b));
+    out.put_vec_f32(&shard.read);
 }
 
-fn decode_shard(r: &mut Cursor<'_>) -> Result<ShardState, StateCodecError> {
+fn decode_shard(r: &mut Reader<'_>) -> Result<ShardState, StateCodecError> {
     let datapath = match r.u8()? {
         0 => Datapath::F32,
         1 => {
@@ -293,15 +214,15 @@ impl LaneState {
     /// trip is bit-exact.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&STATE_MAGIC);
-        put_u16(out, STATE_VERSION);
-        put_vec_f32(out, &self.lstm.hidden);
-        put_vec_f32(out, &self.lstm.cell);
-        put_u32(out, self.shards.len() as u32);
+        out.put_u16(STATE_VERSION);
+        out.put_vec_f32(&self.lstm.hidden);
+        out.put_vec_f32(&self.lstm.cell);
+        out.put_u32(self.shards.len() as u32);
         for shard in &self.shards {
             encode_shard(shard, out);
         }
-        put_vec_f32(out, &self.read);
-        put_vec_f32(out, &self.hidden);
+        out.put_vec_f32(&self.read);
+        out.put_vec_f32(&self.hidden);
     }
 
     /// Serializes the complete lane state into a fresh buffer. See
@@ -324,7 +245,7 @@ impl LaneState {
     /// untrusted snapshots should gate on [`LaneState::same_geometry`]
     /// against a template exported from the target engine.
     pub fn decode(bytes: &[u8]) -> Result<LaneState, StateCodecError> {
-        let mut r = Cursor::new(bytes);
+        let mut r = Reader::new(bytes);
         if r.take(4)? != STATE_MAGIC {
             return Err(StateCodecError::BadMagic);
         }
@@ -337,10 +258,10 @@ impl LaneState {
         if cell.len() != hidden_state.len() {
             return Err(StateCodecError::Invalid("LSTM hidden/cell width mismatch"));
         }
-        let shard_count = r.u32()? as usize;
         // Each shard is at least a tag byte plus its config (> 20 bytes).
-        if shard_count == 0 || shard_count > r.remaining() / 20 {
-            return Err(StateCodecError::BadLength(shard_count as u64));
+        let shard_count = r.count(20)?;
+        if shard_count == 0 {
+            return Err(StateCodecError::BadLength(0));
         }
         // The shard table grows as shards decode, never by the count's
         // say-so — doubling from one entry, not from `Vec`'s four-entry

@@ -7,8 +7,7 @@
 //! monolithic and `sharded(2)`; f32 and Q16.16) is
 //!
 //! * truncated at every byte offset — always a typed error,
-//! * rewritten with every byte replaced (`0x00`, `0x01`, `0x7f`, `0x80`,
-//!   `0xff` and a seeded random value), and
+//! * rewritten with every byte replaced, and
 //! * given a forged shard count, or forged `memory_size` / `word_size` /
 //!   `read_heads` fields (each alone, in pairs and all three; `u32::MAX`
 //!   among the values) inside an otherwise well-framed payload,
@@ -16,15 +15,14 @@
 //! next to seeded random payloads, raw and behind a valid magic and
 //! version. Every one of those is a typed [`StateCodecError`] or an `Ok`
 //! that re-encodes to the very bytes it came from, and no decode requests
-//! more than [`budget`] bytes from the allocator, whatever a count or a
-//! geometry field claims.
-//!
-//! Requested bytes are counted per thread by `hima_testkit`'s counting
-//! global allocator, so the parallel test threads do not see each other.
+//! more than [`budget`] bytes, whatever a count or a geometry field
+//! claims. The loops, the generator and the per-thread meter are
+//! `hima_testkit::hostile`'s.
 
 use hima_dnc::{DncParams, EngineBuilder, LaneState, StateCodecError};
 use hima_tensor::{Matrix, QFormat};
-use hima_testkit::metered;
+use hima_testkit::hostile::{byte_replacements, forge_u32, truncations, u32_at, within};
+use hima_testkit::hostile::{Xorshift, HOSTILE_U32};
 
 #[global_allocator]
 static A: hima_testkit::CountingAlloc = hima_testkit::CountingAlloc;
@@ -93,40 +91,13 @@ fn fixtures() -> Vec<Fixture> {
     out
 }
 
-fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
-}
-
-/// Decodes under the allocation meter. An `Ok` must re-encode to the
-/// payload it came from.
+/// Decodes within [`budget`]; an `Ok` must re-encode to its payload.
 fn decode_metered(payload: &[u8], case: &str) -> Result<LaneState, StateCodecError> {
-    let (got, spent) = metered(|| LaneState::decode(payload));
-    let spent = spent.bytes;
-    assert!(
-        spent <= budget(payload.len()),
-        "{case}: one decode of a {}-byte payload requested {spent} bytes",
-        payload.len()
-    );
+    let got = within(budget(payload.len()), case, || LaneState::decode(payload));
     if let Ok(state) = &got {
         assert_eq!(state.encode(), payload, "{case}: decoded, but not canonical");
     }
     got
-}
-
-/// xorshift64 — seeded, no dependency.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn pick(&mut self, from: &[u32]) -> u32 {
-        from[(self.next() % from.len() as u64) as usize]
-    }
 }
 
 #[test]
@@ -144,30 +115,22 @@ fn the_fixtures_decode_and_sit_where_the_forgeries_aim() {
 #[test]
 fn truncation_at_every_offset_is_a_typed_error() {
     for f in fixtures() {
-        for cut in 0..f.bytes.len() {
-            let case = format!("{}: prefix of {cut} bytes", f.label);
-            assert!(decode_metered(&f.bytes[..cut], &case).is_err(), "{case} decoded");
+        for prefix in truncations(&f.bytes) {
+            let case = format!("{}: prefix of {} bytes", f.label, prefix.len());
+            assert!(decode_metered(prefix, &case).is_err(), "{case} decoded");
         }
     }
 }
 
 #[test]
 fn every_byte_replaced_is_a_typed_error_or_a_canonical_ok() {
-    let mut rng = Rng(0x5EED_2001);
+    let mut rng = Xorshift(0x5EED_2001);
     for f in fixtures() {
         let (mut ok, mut refused) = (0u32, 0u32);
-        for at in 0..f.bytes.len() {
-            let orig = f.bytes[at];
-            for value in [0x00, 0x01, 0x7f, 0x80, 0xff, rng.next() as u8] {
-                if value == orig {
-                    continue;
-                }
-                let mut damaged = f.bytes.clone();
-                damaged[at] = value;
-                match decode_metered(&damaged, &format!("{}: byte {at} = {value:#04x}", f.label)) {
-                    Ok(_) => ok += 1,
-                    Err(_) => refused += 1,
-                }
+        for (at, value, damaged) in byte_replacements(&f.bytes, &mut rng, 1) {
+            match decode_metered(&damaged, &format!("{}: byte {at} = {value:#04x}", f.label)) {
+                Ok(_) => ok += 1,
+                Err(_) => refused += 1,
             }
         }
         // Most bytes are f32 payload (any bit pattern is a value); the
@@ -196,18 +159,17 @@ fn a_forged_geometry_is_refused_before_a_byte_is_requested() {
         payload.extend_from_slice(&[0; 24]);
         assert_eq!(payload.len(), 62);
 
-        let (got, spent) = metered(|| LaneState::decode(&payload));
-        let spent = spent.bytes;
+        let got = within(0, format_args!("{rows} rows, before refusing"), || {
+            LaneState::decode(&payload)
+        });
         assert_eq!(got.err(), Some(StateCodecError::BadLength(u64::from(rows) * 64)), "{rows} rows");
-        assert_eq!(spent, 0, "{rows} rows: requested {spent} bytes before refusing");
     }
 }
 
 #[test]
 fn seeded_hostile_payloads_are_a_typed_error_or_a_canonical_ok() {
     let fixtures = fixtures();
-    let mut rng = Rng(0x5EED_2002);
-    let hostile = [0, 1, 2, 3, 7, 9, 64, 4096, 1_000_000, u32::MAX / 4, u32::MAX - 1, u32::MAX];
+    let mut rng = Xorshift(0x5EED_2002);
     let (mut ok, mut bad_length, mut other) = (0u32, 0u32, 0u32);
     for case in 0..4800u32 {
         let f = &fixtures[(case / 4) as usize % fixtures.len()];
@@ -215,41 +177,39 @@ fn seeded_hostile_payloads_are_a_typed_error_or_a_canonical_ok() {
             // Raw, and behind a valid magic and version: half the bytes
             // zero, so little-endian counts are often plausibly small.
             shape @ (0 | 1) => {
-                let len = (rng.next() % 160) as usize;
+                let len = rng.below(160) as usize;
                 let mut p: Vec<u8> = if shape == 1 { b"HLSS\x01\x00".to_vec() } else { Vec::new() };
-                p.extend((0..len).map(|_| match rng.next() % 2 {
+                p.extend((0..len).map(|_| match rng.below(2) {
                     0 => 0,
-                    _ => (rng.next() % 12) as u8,
+                    _ => rng.below(12) as u8,
                 }));
                 p
             }
             // A valid header, then a shard count the payload cannot back
             // (or can, by one too few).
             2 => {
-                let mut p = f.bytes.clone();
-                let honest = u32_at(&p, f.shard_count_at);
-                let forged = match rng.next() % 3 {
+                let honest = u32_at(&f.bytes, f.shard_count_at);
+                let forged = match rng.below(3) {
                     0 => honest.wrapping_add(rng.pick(&[1, 2, u32::MAX])),
-                    1 => (rng.next() % 64) as u32,
-                    _ => rng.pick(&hostile),
+                    1 => rng.below(64) as u32,
+                    _ => rng.pick(&HOSTILE_U32),
                 };
-                p[f.shard_count_at..f.shard_count_at + 4].copy_from_slice(&forged.to_le_bytes());
-                p
+                forge_u32(&f.bytes, f.shard_count_at, forged)
             }
             // Well-framed, with one, two or all three geometry fields of
             // one shard forged.
             _ => {
                 let mut p = f.bytes.clone();
-                let shard_at = f.geometry_at[(rng.next() % f.geometry_at.len() as u64) as usize];
-                let fields = 1 + rng.next() % 7; // a non-empty subset of {N, W, R}
+                let shard_at = rng.pick(&f.geometry_at);
+                let fields = 1 + rng.below(7); // a non-empty subset of {N, W, R}
                 for field in 0..3 {
                     if fields >> field & 1 == 1 {
                         let at = shard_at + 4 * field;
-                        let forged = match rng.next() % 3 {
+                        let forged = match rng.below(3) {
                             0 => u32_at(&p, at).wrapping_add(rng.pick(&[1, u32::MAX])),
-                            _ => rng.pick(&hostile),
+                            _ => rng.pick(&HOSTILE_U32),
                         };
-                        p[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+                        p = forge_u32(&p, at, forged);
                     }
                 }
                 p

@@ -2,15 +2,21 @@
 //!
 //! A frame is a little-endian `u32` payload length followed by the
 //! payload; the payload is a tag byte followed by the variant's fields in
-//! a fixed order. The codec is hand-rolled (the vendored `serde` is a
-//! no-op stand-in, so derived serialization cannot cross a socket) and
+//! a fixed order. The codec is hand-rolled on the workspace's shared
+//! `hima_bytes` reader and writer (the vendored `serde` is a no-op
+//! stand-in, so derived serialization cannot cross a socket) and
 //! deliberately boring: fixed-width integers little-endian, `f32` as its
 //! IEEE-754 bit pattern, vectors as a `u32` count plus elements, strings
 //! as UTF-8 bytes. Every decoder is total — malformed bytes come back as
-//! a [`WireError`], never a panic.
+//! a [`WireError`], never a panic — and every decoded count, down to the
+//! metrics and trace sections', becomes an allocation size only through
+//! `hima_bytes::Reader::bound`, checked against the smallest size one of
+//! its elements can take in the payload that remains.
 
+use hima_bytes::{Reader, Writer};
 use hima_dnc::allocation::SkimRate;
 use hima_dnc::{Datapath, DncParams, EngineSpec, SpecError, Topology};
+use hima_store::snapshot::MAX_SECTION;
 use hima_telemetry::{HistogramSnapshot, MetricsSnapshot, TraceEvent, TraceKind};
 use hima_tensor::{Backend, QFormat};
 use std::io::{Read, Write};
@@ -27,7 +33,7 @@ pub enum WireError {
     Truncated,
     /// An unknown tag byte for the expected enum.
     BadTag(u8),
-    /// A length field exceeded [`MAX_FRAME`] or the remaining payload.
+    /// A count field claimed more than the remaining payload holds.
     BadLength(u32),
     /// A string field held invalid UTF-8.
     BadUtf8,
@@ -49,146 +55,21 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Sequential reader over a received payload.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Wraps a payload for decoding.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a bool encoded as a `0`/`1` byte.
-    pub fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an `f32` from its bit pattern.
-    pub fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    /// Reads a `u32`-counted `f32` vector.
-    pub fn vec_f32(&mut self) -> Result<Vec<f32>, WireError> {
-        let n = self.u32()?;
-        // Bound by division, never `n * 4`: on a 32-bit target the
-        // multiplication can wrap for counts near `u32::MAX` and admit a
-        // length the payload cannot actually satisfy.
-        if n > MAX_FRAME / 4 || n as usize > self.remaining() / 4 {
-            return Err(WireError::BadLength(n));
-        }
-        (0..n).map(|_| self.f32()).collect()
-    }
-
-    /// Reads a `u32`-counted UTF-8 string.
-    pub fn string(&mut self) -> Result<String, WireError> {
-        let n = self.u32()?;
-        if n as usize > self.remaining() {
-            return Err(WireError::BadLength(n));
-        }
-        String::from_utf8(self.take(n as usize)?.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-
-    /// Asserts the payload is fully consumed.
-    pub fn finish(self) -> Result<(), WireError> {
-        match self.remaining() {
-            0 => Ok(()),
-            n => Err(WireError::TrailingBytes(n)),
+impl From<hima_bytes::Error> for WireError {
+    fn from(e: hima_bytes::Error) -> Self {
+        match e {
+            hima_bytes::Error::Truncated => WireError::Truncated,
+            // Every wire count is a `u32`.
+            hima_bytes::Error::BadLength(n) => WireError::BadLength(n as u32),
+            hima_bytes::Error::BadTag(t) => WireError::BadTag(t),
+            hima_bytes::Error::TrailingBytes(n) => WireError::TrailingBytes(n),
         }
     }
 }
 
-/// Append-only payload writer (helpers over a byte vector).
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// Starts an empty payload.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The encoded payload.
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a bool as a `0`/`1` byte.
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f32` as its bit pattern.
-    pub fn f32(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-
-    /// Appends a `u32`-counted `f32` vector.
-    pub fn vec_f32(&mut self, v: &[f32]) {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.f32(x);
-        }
-    }
-
-    /// Appends a `u32`-counted UTF-8 string.
-    pub fn string(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
+/// Reads a `u32`-counted UTF-8 string.
+fn string(r: &mut Reader<'_>) -> Result<String, WireError> {
+    String::from_utf8(r.bytes()?.to_vec()).map_err(|_| WireError::BadUtf8)
 }
 
 /// Writes one length-prefixed frame.
@@ -303,9 +184,9 @@ impl SessionSpec {
     /// may share one lane grid (weights are a function of the seed alone,
     /// so lane slots of one group are interchangeable).
     pub(crate) fn group_key(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Vec::new();
         RawSessionSpec::from_parts(&self.params, &self.spec, self.seed).encode(&mut w);
-        w.into_bytes()
+        w
     }
 }
 
@@ -347,7 +228,9 @@ impl RawSessionSpec {
 
     /// Validates the raw numbers into a typed configuration, reporting
     /// the first violated invariant as the [`SpecError`] the asserting
-    /// constructors would have panicked with.
+    /// constructors would have panicked with — or as
+    /// [`SpecError::TooLarge`] when one lane's state or the weight set
+    /// would exceed [`MAX_SECTION`], the largest state a snapshot holds.
     pub fn validate(&self) -> Result<SessionSpec, SpecError> {
         let params = DncParams {
             memory_size: self.memory_size as usize,
@@ -372,28 +255,31 @@ impl RawSessionSpec {
         spec.approx_softmax = self.approx_softmax;
         spec.backend = if self.blocked { Backend::Blocked } else { Backend::Scalar };
         spec.check(&params)?;
+        // Nothing is built that a snapshot could not hold: an oversized
+        // geometry is refused here, not by the allocator.
+        params.check_footprint(spec.tiles(), MAX_SECTION.into())?;
         Ok(SessionSpec { params, spec, seed: self.seed })
     }
 
     /// Canonical field-order encoding — also the byte layout of
     /// [`SessionSpec::group_key`], which the session store persists to
     /// route stored sessions back to their engine group on restart.
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.u32(self.memory_size);
-        w.u32(self.word_size);
-        w.u32(self.read_heads);
-        w.u32(self.hidden_size);
-        w.u32(self.input_size);
-        w.u32(self.output_size);
-        w.bool(self.sharded);
-        w.u32(self.tiles);
-        w.bool(self.quantized);
-        w.u32(self.int_bits);
-        w.u32(self.frac_bits);
-        w.f32(self.skim);
-        w.bool(self.approx_softmax);
-        w.bool(self.blocked);
-        w.u64(self.seed);
+    pub(crate) fn encode(&self, w: &mut Vec<u8>) {
+        w.put_u32(self.memory_size);
+        w.put_u32(self.word_size);
+        w.put_u32(self.read_heads);
+        w.put_u32(self.hidden_size);
+        w.put_u32(self.input_size);
+        w.put_u32(self.output_size);
+        w.put_bool(self.sharded);
+        w.put_u32(self.tiles);
+        w.put_bool(self.quantized);
+        w.put_u32(self.int_bits);
+        w.put_u32(self.frac_bits);
+        w.put_f32(self.skim);
+        w.put_bool(self.approx_softmax);
+        w.put_bool(self.blocked);
+        w.put_u64(self.seed);
     }
 
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -483,44 +369,44 @@ pub enum Request {
 impl Request {
     /// Encodes the request as a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Vec::new();
         match self {
             Request::Open { spec } => {
-                w.u8(1);
+                w.put_u8(1);
                 spec.encode(&mut w);
             }
             Request::Step { session, input, deadline_ms } => {
-                w.u8(2);
-                w.u64(*session);
-                w.u32(*deadline_ms);
-                w.vec_f32(input);
+                w.put_u8(2);
+                w.put_u64(*session);
+                w.put_u32(*deadline_ms);
+                w.put_vec_f32(input);
             }
             Request::StepStream { session, inputs, deadline_ms } => {
-                w.u8(3);
-                w.u64(*session);
-                w.u32(*deadline_ms);
-                w.u32(inputs.len() as u32);
+                w.put_u8(3);
+                w.put_u64(*session);
+                w.put_u32(*deadline_ms);
+                w.put_u32(inputs.len() as u32);
                 for row in inputs {
-                    w.vec_f32(row);
+                    w.put_vec_f32(row);
                 }
             }
             Request::ReadRows { session } => {
-                w.u8(4);
-                w.u64(*session);
+                w.put_u8(4);
+                w.put_u64(*session);
             }
             Request::Reset { session } => {
-                w.u8(5);
-                w.u64(*session);
+                w.put_u8(5);
+                w.put_u64(*session);
             }
             Request::Close { session } => {
-                w.u8(6);
-                w.u64(*session);
+                w.put_u8(6);
+                w.put_u64(*session);
             }
-            Request::Shutdown => w.u8(7),
-            Request::Metrics => w.u8(8),
-            Request::TraceDump => w.u8(9),
+            Request::Shutdown => w.put_u8(7),
+            Request::Metrics => w.put_u8(8),
+            Request::TraceDump => w.put_u8(9),
         }
-        w.into_bytes()
+        w
     }
 
     /// Decodes a frame payload.
@@ -536,12 +422,9 @@ impl Request {
             3 => {
                 let session = r.u64()?;
                 let deadline_ms = r.u32()?;
-                let n = r.u32()?;
-                if n > MAX_FRAME / 4 {
-                    return Err(WireError::BadLength(n));
-                }
-                let inputs =
-                    (0..n).map(|_| r.vec_f32()).collect::<Result<Vec<_>, WireError>>()?;
+                // Each row is at least its own `u32` count.
+                let n = r.count(4)?;
+                let inputs = (0..n).map(|_| r.vec_f32()).collect::<Result<Vec<_>, _>>()?;
                 Request::StepStream { session, inputs, deadline_ms }
             }
             4 => Request::ReadRows { session: r.u64()? },
@@ -697,84 +580,84 @@ pub enum Response {
 impl Response {
     /// Encodes the response as a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Vec::new();
         match self {
             Response::Opened { session } => {
-                w.u8(1);
-                w.u64(*session);
+                w.put_u8(1);
+                w.put_u64(*session);
             }
             Response::Stepped { outputs } => {
-                w.u8(2);
-                w.u32(outputs.len() as u32);
+                w.put_u8(2);
+                w.put_u32(outputs.len() as u32);
                 for row in outputs {
-                    w.vec_f32(row);
+                    w.put_vec_f32(row);
                 }
             }
             Response::Rows { read } => {
-                w.u8(3);
-                w.vec_f32(read);
+                w.put_u8(3);
+                w.put_vec_f32(read);
             }
-            Response::Done => w.u8(4),
+            Response::Done => w.put_u8(4),
             Response::Error(e) => {
-                w.u8(5);
+                w.put_u8(5);
                 match e {
                     ServeError::BadSpec(m) => {
-                        w.u8(1);
-                        w.string(m);
+                        w.put_u8(1);
+                        w.put_bytes(m.as_bytes());
                     }
                     ServeError::UnknownSession(id) => {
-                        w.u8(2);
-                        w.u64(*id);
+                        w.put_u8(2);
+                        w.put_u64(*id);
                     }
                     ServeError::SessionBusy(id) => {
-                        w.u8(3);
-                        w.u64(*id);
+                        w.put_u8(3);
+                        w.put_u64(*id);
                     }
                     ServeError::BadInput(m) => {
-                        w.u8(4);
-                        w.string(m);
+                        w.put_u8(4);
+                        w.put_bytes(m.as_bytes());
                     }
                     ServeError::Protocol(m) => {
-                        w.u8(5);
-                        w.string(m);
+                        w.put_u8(5);
+                        w.put_bytes(m.as_bytes());
                     }
-                    ServeError::ShuttingDown => w.u8(6),
+                    ServeError::ShuttingDown => w.put_u8(6),
                     ServeError::Store(m) => {
-                        w.u8(7);
-                        w.string(m);
+                        w.put_u8(7);
+                        w.put_bytes(m.as_bytes());
                     }
                     ServeError::Overloaded { retry_after_ms } => {
-                        w.u8(8);
-                        w.u64(*retry_after_ms);
+                        w.put_u8(8);
+                        w.put_u64(*retry_after_ms);
                     }
                     ServeError::DeadlineExceeded { session } => {
-                        w.u8(9);
-                        w.u64(*session);
+                        w.put_u8(9);
+                        w.put_u64(*session);
                     }
                     ServeError::GroupFailed(id) => {
-                        w.u8(10);
-                        w.u64(*id);
+                        w.put_u8(10);
+                        w.put_u64(*id);
                     }
                 }
             }
-            Response::ShuttingDown => w.u8(6),
+            Response::ShuttingDown => w.put_u8(6),
             Response::Metrics { snapshot } => {
-                w.u8(7);
+                w.put_u8(7);
                 encode_metrics_snapshot(snapshot, &mut w);
             }
             Response::Trace { events } => {
-                w.u8(8);
-                w.u32(events.len() as u32);
+                w.put_u8(8);
+                w.put_u32(events.len() as u32);
                 for ev in events {
-                    w.u64(ev.seq);
-                    w.u64(ev.at_us);
-                    w.u8(ev.kind.code());
-                    w.u64(ev.session);
-                    w.u64(ev.detail);
+                    w.put_u64(ev.seq);
+                    w.put_u64(ev.at_us);
+                    w.put_u8(ev.kind.code());
+                    w.put_u64(ev.session);
+                    w.put_u64(ev.detail);
                 }
             }
         }
-        w.into_bytes()
+        w
     }
 
     /// Decodes a frame payload.
@@ -783,24 +666,20 @@ impl Response {
         let resp = match r.u8()? {
             1 => Response::Opened { session: r.u64()? },
             2 => {
-                let n = r.u32()?;
-                if n > MAX_FRAME / 4 {
-                    return Err(WireError::BadLength(n));
-                }
-                let outputs =
-                    (0..n).map(|_| r.vec_f32()).collect::<Result<Vec<_>, WireError>>()?;
+                let n = r.count(4)?;
+                let outputs = (0..n).map(|_| r.vec_f32()).collect::<Result<Vec<_>, _>>()?;
                 Response::Stepped { outputs }
             }
             3 => Response::Rows { read: r.vec_f32()? },
             4 => Response::Done,
             5 => Response::Error(match r.u8()? {
-                1 => ServeError::BadSpec(r.string()?),
+                1 => ServeError::BadSpec(string(&mut r)?),
                 2 => ServeError::UnknownSession(r.u64()?),
                 3 => ServeError::SessionBusy(r.u64()?),
-                4 => ServeError::BadInput(r.string()?),
-                5 => ServeError::Protocol(r.string()?),
+                4 => ServeError::BadInput(string(&mut r)?),
+                5 => ServeError::Protocol(string(&mut r)?),
                 6 => ServeError::ShuttingDown,
-                7 => ServeError::Store(r.string()?),
+                7 => ServeError::Store(string(&mut r)?),
                 8 => ServeError::Overloaded { retry_after_ms: r.u64()? },
                 9 => ServeError::DeadlineExceeded { session: r.u64()? },
                 10 => ServeError::GroupFailed(r.u64()?),
@@ -809,12 +688,8 @@ impl Response {
             6 => Response::ShuttingDown,
             7 => Response::Metrics { snapshot: decode_metrics_snapshot(&mut r)? },
             8 => {
-                let n = r.u32()?;
-                // Each event is a fixed 33 bytes; an honest count fits
-                // the remaining payload.
-                if n as usize > r.remaining() / 33 {
-                    return Err(WireError::BadLength(n));
-                }
+                // Each event is a fixed 33 bytes.
+                let n = r.count(33)?;
                 let events = (0..n)
                     .map(|_| {
                         Ok(TraceEvent {
@@ -842,25 +717,25 @@ impl Response {
 /// `u32`-counted sections (counters, gauges, histograms), entries as a
 /// string name followed by the fixed-order values. Gauges carry their
 /// `i64` as a two's-complement bit pattern.
-fn encode_metrics_snapshot(snapshot: &MetricsSnapshot, w: &mut Writer) {
-    w.u32(snapshot.counters.len() as u32);
+fn encode_metrics_snapshot(snapshot: &MetricsSnapshot, w: &mut Vec<u8>) {
+    w.put_u32(snapshot.counters.len() as u32);
     for (name, v) in &snapshot.counters {
-        w.string(name);
-        w.u64(*v);
+        w.put_bytes(name.as_bytes());
+        w.put_u64(*v);
     }
-    w.u32(snapshot.gauges.len() as u32);
+    w.put_u32(snapshot.gauges.len() as u32);
     for (name, v) in &snapshot.gauges {
-        w.string(name);
-        w.u64(*v as u64);
+        w.put_bytes(name.as_bytes());
+        w.put_u64(*v as u64);
     }
-    w.u32(snapshot.histograms.len() as u32);
+    w.put_u32(snapshot.histograms.len() as u32);
     for (name, h) in &snapshot.histograms {
-        w.string(name);
-        w.u64(h.count);
-        w.u64(h.sum);
-        w.u32(h.buckets.len() as u32);
+        w.put_bytes(name.as_bytes());
+        w.put_u64(h.count);
+        w.put_u64(h.sum);
+        w.put_u32(h.buckets.len() as u32);
         for &b in &h.buckets {
-            w.u64(b);
+            w.put_u64(b);
         }
     }
 }
@@ -869,34 +744,22 @@ fn encode_metrics_snapshot(snapshot: &MetricsSnapshot, w: &mut Writer) {
 /// field is bounds-checked against the smallest possible entry size
 /// before any allocation.
 fn decode_metrics_snapshot(r: &mut Reader<'_>) -> Result<MetricsSnapshot, WireError> {
-    let n = r.u32()?;
-    if n as usize > r.remaining() / 12 {
-        return Err(WireError::BadLength(n));
-    }
+    let n = r.count(12)?;
     let counters = (0..n)
-        .map(|_| Ok((r.string()?, r.u64()?)))
+        .map(|_| Ok((string(r)?, r.u64()?)))
         .collect::<Result<Vec<_>, WireError>>()?;
-    let n = r.u32()?;
-    if n as usize > r.remaining() / 12 {
-        return Err(WireError::BadLength(n));
-    }
+    let n = r.count(12)?;
     let gauges = (0..n)
-        .map(|_| Ok((r.string()?, r.u64()? as i64)))
+        .map(|_| Ok((string(r)?, r.u64()? as i64)))
         .collect::<Result<Vec<_>, WireError>>()?;
-    let n = r.u32()?;
-    if n as usize > r.remaining() / 24 {
-        return Err(WireError::BadLength(n));
-    }
+    let n = r.count(24)?;
     let histograms = (0..n)
         .map(|_| {
-            let name = r.string()?;
+            let name = string(r)?;
             let count = r.u64()?;
             let sum = r.u64()?;
-            let nb = r.u32()?;
-            if nb as usize > r.remaining() / 8 {
-                return Err(WireError::BadLength(nb));
-            }
-            let buckets = (0..nb).map(|_| r.u64()).collect::<Result<Vec<_>, WireError>>()?;
+            let nb = r.count(8)?;
+            let buckets = (0..nb).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
             Ok((name, HistogramSnapshot { count, sum, buckets }))
         })
         .collect::<Result<Vec<_>, WireError>>()?;
@@ -991,10 +854,9 @@ mod tests {
         bad[1 + 4 + 16] = 250;
         assert_eq!(Response::decode(&bad), Err(WireError::BadTag(250)));
         // An implausible event count is rejected before allocation.
-        let mut w = Writer::new();
-        w.u8(8);
-        w.u32(u32::MAX);
-        assert!(matches!(Response::decode(&w.into_bytes()), Err(WireError::BadLength(_))));
+        let mut w = vec![8];
+        w.put_u32(u32::MAX);
+        assert!(matches!(Response::decode(&w), Err(WireError::BadLength(_))));
     }
 
     #[test]
@@ -1024,49 +886,35 @@ mod tests {
         bytes.push(0);
         assert_eq!(Request::decode(&bytes), Err(WireError::TrailingBytes(1)));
         // Oversized vector length field.
-        let mut w = Writer::new();
-        w.u8(2);
-        w.u64(1);
-        w.u32(0); // deadline_ms
-        w.u32(u32::MAX);
-        assert!(matches!(Request::decode(&w.into_bytes()), Err(WireError::BadLength(_))));
+        let mut w = vec![2];
+        w.put_u64(1);
+        w.put_u32(0); // deadline_ms
+        w.put_u32(u32::MAX);
+        assert!(matches!(Request::decode(&w), Err(WireError::BadLength(_))));
     }
 
     #[test]
     fn vec_f32_length_guard_holds_at_the_frame_boundary() {
+        // A step whose input claims `n` elements and carries `have`.
+        let step = |n: u32, have: usize| {
+            let mut w = vec![2];
+            w.put_u64(1);
+            w.put_u32(0); // deadline_ms
+            w.put_u32(n);
+            w.put_f32s(&vec![1.5; have]);
+            Request::decode(&w)
+        };
         // Counts just past what the payload holds are rejected without
         // wrapping: on a 32-bit usize, `n * 4` overflows for counts of
-        // 2^30 and above, so the guard must divide, never multiply.
-        for n in [1u32 << 30, (1 << 30) + 1, u32::MAX / 4, u32::MAX] {
-            let mut w = Writer::new();
-            w.u32(n);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            assert_eq!(r.vec_f32(), Err(WireError::BadLength(n)), "count {n} accepted");
+        // 2^30 and above, so the guard must divide, never multiply. One
+        // past the most a maximal frame could carry is no different.
+        for n in [1u32 << 30, (1 << 30) + 1, u32::MAX / 4, u32::MAX, MAX_FRAME / 4 + 1] {
+            assert_eq!(step(n, 0), Err(WireError::BadLength(n)), "count {n} accepted");
         }
-        // The largest count a maximal frame can carry decodes; the
-        // boundary is exact (one element fewer than claimed → rejected).
-        let n = 4u32;
-        let mut w = Writer::new();
-        w.vec_f32(&vec![1.5f32; n as usize]);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.vec_f32().unwrap().len(), n as usize);
-        let mut w = Writer::new();
-        w.u32(n);
-        for _ in 0..n - 1 {
-            w.f32(0.0);
-        }
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.vec_f32(), Err(WireError::BadLength(n)));
-        // MAX_FRAME / 4 itself passes the cap check (payload-size check
-        // then applies); MAX_FRAME / 4 + 1 is categorically rejected.
-        let mut w = Writer::new();
-        w.u32(MAX_FRAME / 4 + 1);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.vec_f32(), Err(WireError::BadLength(MAX_FRAME / 4 + 1)));
+        // The boundary is exact: four elements back a count of four,
+        // three do not.
+        assert!(step(4, 4).is_ok());
+        assert_eq!(step(4, 3), Err(WireError::BadLength(4)));
     }
 
     #[test]

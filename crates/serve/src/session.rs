@@ -35,9 +35,10 @@
 
 use crate::clock::Clock;
 use crate::metrics::ServeMetrics;
-use crate::protocol::{RawSessionSpec, Reader, Request, Response, ServeError, SessionSpec};
+use crate::protocol::{RawSessionSpec, Request, Response, ServeError, SessionSpec};
 use crate::scheduler::{lock_clean, run_group, GroupCmd, GroupShared, GroupStore};
 use crate::server::ServeConfig;
+use hima_bytes::Reader;
 use hima_chaos::FaultPlan;
 use hima_store::SessionStore;
 use hima_telemetry::TraceKind;

@@ -94,6 +94,39 @@ fn bad_specs_are_structured_errors_not_hangs() {
 /// each answered `BadInput` and never reach the grid — nothing is queued,
 /// no step runs, and both the sender's own session and a co-tenant on the
 /// same grid carry on bit-identically to a server that never saw them.
+/// A well-formed `Open` whose state or weights no snapshot could hold is
+/// refused before an engine is built: the demo spec with 2^22 memory rows
+/// asks for a 64 TiB linkage, and `u32::MAX` dimensions wrap the
+/// interface width in a release build. Either used to abort the server
+/// process.
+#[test]
+fn oversized_open_is_bad_spec_and_the_server_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", quick_cfg()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let tall = RawSessionSpec { memory_size: 1 << 22, ..RawSessionSpec::demo() };
+    let d = u32::MAX;
+    let wide = RawSessionSpec {
+        memory_size: d,
+        word_size: d,
+        read_heads: d,
+        hidden_size: d,
+        input_size: d,
+        output_size: d,
+        ..RawSessionSpec::demo()
+    };
+    let deep = RawSessionSpec { hidden_size: 1 << 16, ..RawSessionSpec::demo() };
+    for (spec, what) in [(tall, "lane state"), (wide, "lane state"), (deep, "weight set")] {
+        match client.open(&spec) {
+            Err(ClientError::Server(ServeError::BadSpec(m))) => {
+                assert!(m.starts_with(what) && m.contains("exceeds"), "{m}");
+            }
+            other => panic!("{spec:?}: {other:?}"),
+        }
+    }
+    let session = client.open(&RawSessionSpec::demo()).unwrap();
+    assert_eq!(client.step(session, &demo_input(0)).unwrap().len(), 6);
+}
+
 #[test]
 fn non_finite_inputs_are_bad_input_and_touch_neither_queue_nor_cotenants() {
     let steps: Vec<Vec<f32>> = (0..8).map(demo_input).collect();

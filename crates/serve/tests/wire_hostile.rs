@@ -1,28 +1,23 @@
 //! The wire decoder and the frame reader under hostile bytes: **typed
 //! error, never a panic, allocation bounded by the bytes received**.
 //!
-//! For a fixture holding every [`Request`] and [`Response`] variant (every
+//! A fixture holding every [`Request`] and [`Response`] variant (every
 //! [`ServeError`] kind, a populated metrics snapshot, trace events), each
-//! encoding at most [`SMALL`] bytes:
-//!
-//! * truncated at every byte offset it is a typed `Err`,
-//! * with any one byte replaced — both extremes and seeded random values —
-//!   it is `Ok` or a typed `Err`,
-//!
-//! and seeded random strings of up to [`SMALL`] bytes (half of them behind
-//! a valid tag, so the field decoders are reached) are the same. Whatever
-//! decodes `Ok` re-encodes to the very bytes it came from — the format is
-//! canonical, nothing is silently dropped — and no single decode requests
-//! more than [`DECODE_BUDGET`] bytes from the allocator. The frame reader
-//! is held to the same rule one layer down: a header may claim
-//! [`MAX_FRAME`], but memory is committed as payload bytes arrive.
-//!
-//! Requested bytes are counted per thread by `hima_testkit`'s counting
-//! global allocator, so the parallel test threads do not see each other.
+//! encoding at most [`SMALL`] bytes, is a typed `Err` truncated at every
+//! offset and `Ok` or a typed `Err` with any one byte replaced; so are
+//! seeded random strings of up to [`SMALL`] bytes (half of them behind a
+//! valid tag, so the field decoders are reached). Whatever decodes `Ok`
+//! re-encodes to the very bytes it came from — the format is canonical,
+//! nothing is silently dropped — and no decode requests more than
+//! [`DECODE_BUDGET`] bytes. The frame reader is held to the same rule one
+//! layer down: a header may claim [`MAX_FRAME`], but memory is committed
+//! as payload bytes arrive. The loops, the generator and the per-thread
+//! meter are `hima_testkit::hostile`'s.
 
 use hima_serve::protocol::{read_frame, MAX_FRAME};
 use hima_serve::{RawSessionSpec, Request, Response, ServeError, WireError};
 use hima_telemetry::{HistogramSnapshot, MetricsSnapshot, TraceEvent, TraceKind};
+use hima_testkit::hostile::{byte_replacements, truncations, within, Xorshift};
 use hima_testkit::metered;
 use std::io::ErrorKind;
 
@@ -108,69 +103,48 @@ const RESPONSE: Codec<Response> =
     Codec { name: "Response", decode: Response::decode, encode: Response::encode };
 
 impl<M> Codec<M> {
-    /// One decode of hostile bytes: no panic (the payload is printed if
-    /// there is one), the allocation bound, and — when it decodes — the
+    /// One decode of hostile bytes: no panic and the allocation bound (the
+    /// payload is printed if either fails), and — when it decodes — the
     /// canonical round trip. Returns whether it decoded.
-    fn decode_hostile(&self, payload: &[u8]) -> bool {
-        let outcome = std::panic::catch_unwind(|| metered(|| (self.decode)(payload)));
-        let Ok((decoded, spent)) = outcome else {
-            panic!("{}::decode panicked on {payload:02x?}", self.name);
-        };
+    fn decodes(&self, payload: &[u8]) -> bool {
         assert!(payload.len() <= SMALL, "the bound is stated for small payloads");
-        let bytes = spent.bytes;
-        assert!(bytes <= DECODE_BUDGET, "{bytes} B requested for {payload:02x?}");
-        let Ok(message) = decoded else { return false };
+        let case = format_args!("{}::decode of {payload:02x?}", self.name);
+        let Ok(message) = within(DECODE_BUDGET, case, || (self.decode)(payload)) else {
+            return false;
+        };
         assert_eq!((self.encode)(&message), payload, "{}: non-canonical payload", self.name);
         true
     }
 
     fn truncations_and_byte_flips(&self, fixture: &[M], seed: u64) {
-        let mut next = xorshift(seed);
+        let mut rng = Xorshift(seed);
         for message in fixture {
             let payload = (self.encode)(message);
-            assert!(self.decode_hostile(&payload), "the fixture itself decodes");
-            for cut in 0..payload.len() {
-                assert!(!self.decode_hostile(&payload[..cut]), "prefix {cut} of {payload:02x?}");
+            assert!(self.decodes(&payload), "the fixture itself decodes");
+            for prefix in truncations(&payload) {
+                assert!(!self.decodes(prefix), "prefix {} of {payload:02x?}", prefix.len());
             }
-            for at in 0..payload.len() {
-                let random: [u8; 6] = std::array::from_fn(|_| next() as u8);
-                for byte in [0x00, 0x01, 0x7f, 0x80, 0xff].into_iter().chain(random) {
-                    let mut hostile = payload.clone();
-                    hostile[at] = byte;
-                    self.decode_hostile(&hostile);
-                }
-            }
+            byte_replacements(&payload, &mut rng, 6).for_each(|(.., b)| _ = self.decodes(&b));
         }
     }
 
     /// `tags` is the highest valid tag byte of the message type.
     fn random_strings(&self, tags: u8, seed: u64) {
-        let mut next = xorshift(seed);
+        let mut rng = Xorshift(seed);
         let mut decoded = 0;
         for case in 0..40_000 {
-            let len = next() as usize % (SMALL + 1);
-            let mut hostile: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let len = rng.below(SMALL as u64 + 1) as usize;
+            let mut hostile: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
             if let (Some(first), true) = (hostile.first_mut(), case % 2 == 0) {
-                *first = 1 + next() as u8 % tags;
+                *first = 1 + rng.next_u64() as u8 % tags;
             }
             // Small counts now and then, so a vector field can be satisfied.
             if case % 4 == 0 {
                 hostile.iter_mut().skip(1).step_by(3).for_each(|b| *b %= 4);
             }
-            decoded += self.decode_hostile(&hostile) as usize;
+            decoded += self.decodes(&hostile) as usize;
         }
         assert!(decoded > 0, "no random {} decoded: the generator stops at the tag", self.name);
-    }
-}
-
-/// Deterministic pseudo-random bytes.
-fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-    let mut s = seed | 1;
-    move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
     }
 }
 
@@ -199,19 +173,15 @@ fn a_frame_header_reserves_no_more_than_the_bytes_that_follow() {
     // The header claims the cap and the peer hangs up: a typed error, and
     // not the 64 MiB the header asked for.
     let header = MAX_FRAME.to_le_bytes();
-    let (got, spent) = metered(|| read_frame(&mut &header[..]));
+    let got = within((128 << 10) - 1, "a 4-byte header", || read_frame(&mut &header[..]));
     assert_eq!(got.unwrap_err().kind(), ErrorKind::UnexpectedEof);
-    let bytes = spent.bytes;
-    assert!(bytes < 128 << 10, "{bytes} B requested for a 4-byte header");
 
     // The same header with 300 KiB behind it: memory follows the bytes
     // received (doubling), still far from the claim.
     let mut partial = header.to_vec();
     partial.resize(4 + (300 << 10), 0xab);
-    let (got, spent) = metered(|| read_frame(&mut &partial[..]));
+    let got = within(4 * (300 << 10) - 1, "300 KiB received", || read_frame(&mut &partial[..]));
     assert_eq!(got.unwrap_err().kind(), ErrorKind::UnexpectedEof);
-    let bytes = spent.bytes;
-    assert!(bytes < 4 * (300 << 10), "{bytes} B requested for 300 KiB received");
 
     // One past the cap is refused outright.
     let over = (MAX_FRAME + 1).to_le_bytes();

@@ -46,7 +46,7 @@
 //!
 //! Whether the snapshot sync should stay at all — process-crash
 //! durability needs none of it, power-loss durability needs the WAL
-//! synced too — is an open decision (ROADMAP item 4); until it is made,
+//! synced too — is an open decision (ROADMAP item 6); until it is made,
 //! every sync above stays.
 //!
 //! Both files are guarded by one checksum, [`crc32`] — zlib's CRC-32, so
@@ -58,6 +58,12 @@
 //! runs at the speed the bytes are copied; the bit-at-a-time definition
 //! survives as the test oracle both bodies are held to ([`crc`] has the
 //! dispatch rule and where the fold constants come from).
+//!
+//! Both formats are read and written through the workspace's one bounded
+//! reader and writer, `hima_bytes`: a length field becomes the size of a
+//! copy only after `hima_bytes::Reader` has checked it against the bytes
+//! that remain, and under each format's cap ([`snapshot::MAX_SECTION`],
+//! [`log::MAX_RECORD`]).
 //!
 //! The crate is deliberately ignorant of what the state bytes *mean* —
 //! sessions are keyed by an opaque canonical spec key and store opaque

@@ -28,6 +28,7 @@
 
 use crate::crc::crc32;
 use crate::store::{consult_faults, corrupt, StoreError};
+use hima_bytes::{Reader, Writer};
 use hima_chaos::{FaultPlan, FaultSite};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -113,8 +114,7 @@ impl LogWriter {
         file.read_to_end(&mut frame)?;
         let len = if frame.is_empty() {
             frame.extend_from_slice(&LOG_MAGIC);
-            frame.extend_from_slice(&(spec_key.len() as u32).to_le_bytes());
-            frame.extend_from_slice(spec_key);
+            frame.put_bytes(spec_key);
             file.write_all(&frame)?;
             frame.len()
         } else {
@@ -149,14 +149,11 @@ impl LogWriter {
         let body_len = 12 + input.len() * 4;
         let frame = &mut self.frame;
         frame.clear();
-        frame.extend_from_slice(&(body_len as u32).to_le_bytes());
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(&(input.len() as u32).to_le_bytes());
-        for &v in input {
-            frame.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        frame.put_u32(body_len as u32);
+        frame.put_u64(seq);
+        frame.put_vec_f32(input);
         let crc = crc32(&frame[4..]);
-        frame.extend_from_slice(&crc.to_le_bytes());
+        frame.put_u32(crc);
 
         let result = match consult_faults(self.faults.as_deref(), FaultSite::StoreWrite) {
             Err(e) => Err(e),
@@ -216,58 +213,38 @@ pub fn read_log(path: &Path) -> Result<LogContents, StoreError> {
 /// the log's contents and the byte offset where its last whole record
 /// ends.
 fn parse(path: &Path, bytes: &[u8]) -> Result<(LogContents, usize), StoreError> {
-    if bytes.len() < 12 || bytes[..8] != LOG_MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.take(LOG_MAGIC.len()) != Ok(&LOG_MAGIC[..]) || r.remaining() < 4 {
         return Err(corrupt(path, "bad delta-log header"));
     }
-    let key_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if key_len > MAX_RECORD || key_len as usize > bytes.len() - 12 {
-        return Err(corrupt(path, "delta-log key length out of bounds"));
-    }
-    let mut pos = 12 + key_len as usize;
-    let spec_key = bytes[12..pos].to_vec();
-
+    let spec_key = match r.bytes() {
+        Ok(key) if key.len() <= MAX_RECORD as usize => key.to_vec(),
+        _ => return Err(corrupt(path, "delta-log key length out of bounds")),
+    };
     let mut steps = Vec::new();
-    let mut torn_tail = false;
-    while pos < bytes.len() {
-        // Frame: len(4) + body(len) + crc(4). Anything that doesn't
-        // check out ends the valid prefix — keep what came before.
-        let Some(len_bytes) = bytes.get(pos..pos + 4) else {
-            torn_tail = true;
-            break;
-        };
-        let len = u32::from_le_bytes(len_bytes.try_into().unwrap());
-        if !(12..=MAX_RECORD).contains(&len) {
-            torn_tail = true;
-            break;
-        }
-        let body_start = pos + 4;
-        let Some(body) = bytes.get(body_start..body_start + len as usize) else {
-            torn_tail = true;
-            break;
-        };
-        let crc_start = body_start + len as usize;
-        let Some(crc_bytes) = bytes.get(crc_start..crc_start + 4) else {
-            torn_tail = true;
-            break;
-        };
-        if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-            torn_tail = true;
-            break;
-        }
-        let seq = u64::from_le_bytes(body[..8].try_into().unwrap());
-        let n = u32::from_le_bytes(body[8..12].try_into().unwrap());
-        if n as usize != (body.len() - 12) / 4 || body.len() - 12 != n as usize * 4 {
-            torn_tail = true;
-            break;
-        }
-        let input = body[12..]
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
-            .collect();
-        steps.push(StepRecord { seq, input });
-        pos = crc_start + 4;
+    let mut end = bytes.len() - r.remaining();
+    // Anything that doesn't check out ends the valid prefix — keep what
+    // came before.
+    while r.remaining() > 0 {
+        let Some(step) = record(&mut r) else { break };
+        steps.push(step);
+        end = bytes.len() - r.remaining();
     }
-    Ok((LogContents { spec_key, steps, torn_tail }, pos))
+    Ok((LogContents { spec_key, steps, torn_tail: end < bytes.len() }, end))
+}
+
+/// One record — `len(4) + body(len) + crc(4)`, the body
+/// `seq | n | n × f32` — or `None` if its framing, length or checksum
+/// does not check out.
+fn record(r: &mut Reader<'_>) -> Option<StepRecord> {
+    let len = r.u32().ok().filter(|len| (12..=MAX_RECORD).contains(len))?;
+    let body = r.take(len as usize).ok()?;
+    if r.u32().ok()? != crc32(body) {
+        return None;
+    }
+    let mut body = Reader::new(body);
+    let step = StepRecord { seq: body.u64().ok()?, input: body.vec_f32().ok()? };
+    body.finish().ok().map(|()| step)
 }
 
 #[cfg(test)]

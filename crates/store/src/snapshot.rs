@@ -28,6 +28,7 @@
 
 use crate::crc::crc32;
 use crate::store::{consult_faults, corrupt, StoreError};
+use hima_bytes::{Error, Reader, Writer};
 use hima_chaos::{FaultPlan, FaultSite};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -82,14 +83,11 @@ pub(crate) fn write_snapshot_with(
     // reaches the OS as one write.
     let mut frame = Vec::with_capacity(28 + spec_key.len() + state.len());
     frame.extend_from_slice(&SNAPSHOT_MAGIC);
-    frame.extend_from_slice(&(spec_key.len() as u32).to_le_bytes());
-    frame.extend_from_slice(spec_key);
-    frame.extend_from_slice(&step_seq.to_le_bytes());
-    frame.extend_from_slice(&(state.len() as u32).to_le_bytes());
-    frame.extend_from_slice(state);
+    frame.put_bytes(spec_key);
+    frame.put_u64(step_seq);
+    frame.put_bytes(state);
     let body_end = frame.len();
-    let crc = crc32(&frame[SNAPSHOT_MAGIC.len()..]);
-    frame.extend_from_slice(&crc.to_le_bytes());
+    frame.put_u32(crc32(&frame[SNAPSHOT_MAGIC.len()..]));
 
     // No truncate: the new frame lands on the blocks the slot already has.
     let mut f = OpenOptions::new().write(true).create(true).truncate(false).open(path)?;
@@ -187,32 +185,28 @@ fn read_verified(path: &Path) -> Result<Slot, StoreError> {
     if body.len() < 4 {
         return Err(corrupt(path, "snapshot shorter than its checksum"));
     }
-    let (body, crc_bytes) = body.split_at(body.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != stored {
+    let (body, crc) = body.split_at(body.len() - 4);
+    if Reader::new(crc).u32() != Ok(crc32(body)) {
         return Err(corrupt(path, "snapshot checksum mismatch"));
     }
 
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], StoreError> {
-        if body.len() - *pos < n {
-            return Err(corrupt(path, "truncated snapshot body"));
+    // Behind the checksum, each length must still be backed by the body
+    // and stay under the format's cap before anything is copied out.
+    fn capped(section: &[u8]) -> Result<&[u8], Error> {
+        match section.len() > MAX_SECTION as usize {
+            true => Err(Error::BadLength(section.len() as u64)),
+            false => Ok(section),
         }
-        let s = &body[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    };
-    let key_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-    if key_len > MAX_SECTION || key_len as usize > body.len() - pos {
-        return Err(corrupt(path, "snapshot key length out of bounds"));
     }
-    let key = take(&mut pos, key_len as usize)?.to_vec();
-    let step_seq = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-    let state_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-    if state_len > MAX_SECTION || state_len as usize != body.len() - pos {
-        return Err(corrupt(path, "snapshot state length out of bounds"));
-    }
-    let state = take(&mut pos, state_len as usize)?.to_vec();
+    let truncated = "truncated snapshot body";
+    let field = |what| move |e| corrupt(path, if e == Error::Truncated { truncated } else { what });
+    let mut r = Reader::new(body);
+    let key = r.bytes().and_then(capped).map_err(field("snapshot key length out of bounds"))?;
+    let step_seq = r.u64().map_err(field(truncated))?;
+    let state_oob = field("snapshot state length out of bounds");
+    let state = r.bytes().and_then(capped).map_err(state_oob)?;
+    r.finish().map_err(state_oob)?;
+    let (key, state) = (key.to_vec(), state.to_vec());
     Ok(Slot::Valid(key, Snapshot { step_seq, state }))
 }
 

@@ -5,9 +5,11 @@
 //! yields the longest valid record prefix with `torn_tail` set, while a
 //! damaged header is a typed [`StoreError::Corrupt`]. Under no input may
 //! it panic or over-allocate. These properties fuzz that contract with
-//! randomly shaped logs and randomly placed damage.
+//! randomly shaped logs and randomly placed damage; one fixture log is cut
+//! at every offset and has every byte replaced, within [`budget`].
 
-use hima_store::{read_log, LogWriter, StoreError};
+use hima_store::{read_log, LogContents, LogWriter, StepRecord, StoreError};
+use hima_testkit::hostile::{byte_replacements, truncations, within, Xorshift};
 use hima_testkit::scratch;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -31,6 +33,52 @@ fn build_log(path: &PathBuf, key: &[u8], steps: u64, width: usize) -> Vec<u8> {
 }
 
 const KEY: &[u8] = b"prop-spec-key";
+
+#[global_allocator]
+static A: hima_testkit::CountingAlloc = hima_testkit::CountingAlloc;
+
+/// What one read of a `len`-byte log of 40-byte records may request: the
+/// file, its rows again, a step table of 32 bytes a record requested at most
+/// four times over as it doubles (< 3.2 × `len`), and 512 bytes of path.
+fn budget(len: usize) -> u64 {
+    6 * len as u64 + 512
+}
+
+#[test]
+fn every_cut_and_replaced_byte_reads_the_whole_prefix_within_budget() {
+    let (path, width) = (scratch("log-hostile"), 5);
+    let bytes = build_log(&path, KEY, 6, width);
+    let (header_len, record_len) = (8 + 4 + KEY.len(), 4 + 8 + 4 + width * 4 + 4);
+    let read = |file: &[u8], case: &str| {
+        std::fs::write(&path, file).unwrap();
+        within(budget(file.len()), case, || read_log(&path))
+    };
+    // Exactly the first `n` records, torn iff `torn`.
+    let prefix_of = |log: LogContents, n: usize, torn: bool, case: &str| {
+        assert_eq!((log.steps.len(), log.torn_tail), (n, torn), "{case}");
+        let want = (1..=n as u64).map(|seq| StepRecord { seq, input: input_row(seq, width) });
+        assert!(log.steps.into_iter().eq(want), "{case}");
+    };
+    for prefix in truncations(&bytes) {
+        let case = format!("prefix of {} bytes", prefix.len());
+        match (read(prefix, &case), prefix.len().checked_sub(header_len)) {
+            (Err(StoreError::Corrupt { .. }), None) => {}
+            (Ok(log), Some(n)) => prefix_of(log, n / record_len, n % record_len != 0, &case),
+            (other, _) => panic!("{case}: {other:?}"),
+        }
+    }
+    for (at, value, damaged) in byte_replacements(&bytes, &mut Xorshift(0x5EED_3001), 1) {
+        let case = format!("byte {at} = {value:#04x}");
+        match (read(&damaged, &case), at.checked_sub(header_len)) {
+            // A damaged header is refused, or names another key.
+            (Err(StoreError::Corrupt { .. }), None) => {}
+            (Ok(log), None) => assert_ne!(log.spec_key, KEY, "{case}"),
+            (Ok(log), Some(n)) => prefix_of(log, n / record_len, true, &case),
+            (other, _) => panic!("{case}: {other:?}"),
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

@@ -2,24 +2,16 @@
 //! allocation bounded by the file's length** — the twin of
 //! `log_corruption.rs` for the other file of a session.
 //!
-//! A small well-formed snapshot is
-//!
-//! * truncated at every byte offset,
-//! * rewritten with every byte replaced (both extremes, single-bit flips
-//!   and a seeded random value), and
-//! * given forged `key_len` / `state_len` fields **under a recomputed
-//!   checksum**, so the length checks behind the CRC are what answers,
-//!
-//! and every one of those is a typed [`StoreError::Corrupt`]. Seeded random
+//! A small well-formed snapshot truncated at every byte offset, with every
+//! byte replaced, or with forged `key_len` / `state_len` fields **under a
+//! recomputed checksum** (so the length checks behind the CRC are what
+//! answers) is a typed [`StoreError::Corrupt`]. Seeded random
 //! files — raw, behind a valid magic, behind a valid magic *and* checksum
 //! so the field parser is reached, and well-framed with skewed length
 //! fields — are a typed error or an `Ok` that re-encodes to the very bytes
-//! it came from. No single read requests
-//! more than [`budget`] bytes from the allocator, whatever a length field
-//! claims.
-//!
-//! Requested bytes are counted per thread by `hima_testkit`'s counting
-//! global allocator, so the parallel test threads do not see each other.
+//! it came from. No single read requests more than [`budget`] bytes from
+//! the allocator, whatever a length field claims. The loops, the generator
+//! and the per-thread meter are `hima_testkit::hostile`'s.
 //!
 //! A session keeps two such files, and [`SessionStore::load`] picks one by
 //! a rule table; the last test crosses every state a slot can be in —
@@ -33,8 +25,10 @@ use hima_store::snapshot::{
     read_snapshot, read_snapshot_key, write_snapshot, MAX_SECTION, RETIRED_MAGIC,
 };
 use hima_store::{crc32, SessionStore, StoreError};
-use hima_testkit::{metered, scratch};
-use std::path::{Path, PathBuf};
+use hima_testkit::hostile::{byte_replacements, forge_u32, truncations, u32_at, within};
+use hima_testkit::hostile::{Xorshift, HOSTILE_U32};
+use hima_testkit::scratch;
+use std::path::Path;
 use std::sync::Arc;
 
 #[global_allocator]
@@ -58,30 +52,25 @@ fn state() -> Vec<u8> {
     (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect()
 }
 
-/// The bytes of a well-formed snapshot of [`KEY`], [`STEP_SEQ`], [`state`].
-fn fixture(path: &PathBuf) -> Vec<u8> {
-    write_snapshot(path, KEY, STEP_SEQ, &state()).unwrap();
-    std::fs::read(path).unwrap()
+/// The bytes `write_snapshot` writes; the fixture is
+/// `frame(KEY, STEP_SEQ, &state())`.
+fn frame(key: &[u8], step_seq: u64, state: &[u8]) -> Vec<u8> {
+    let path = scratch("snap-frame");
+    write_snapshot(&path, key, step_seq, state).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bytes
 }
 
-/// Writes `bytes` at `path` and reads them back through both entry points
-/// under the allocation meter; the two must agree on Ok-ness.
-fn read_metered(path: &PathBuf, bytes: &[u8]) -> Result<(Vec<u8>, u64, Vec<u8>), StoreError> {
-    std::fs::write(path, bytes).unwrap();
-    let (full, spent) = metered(|| read_snapshot(path));
-    let spent = spent.bytes;
-    assert!(
-        spent <= budget(bytes.len()),
-        "one read of a {}-byte file requested {spent} bytes",
-        bytes.len()
-    );
-    let (key_only, spent) = metered(|| read_snapshot_key(path));
-    let spent = spent.bytes;
-    assert!(
-        spent <= budget(bytes.len()),
-        "one key read of a {}-byte file requested {spent} bytes",
-        bytes.len()
-    );
+/// Writes `bytes` to a fresh file and reads it back through both entry
+/// points under the allocation meter; the two must agree on Ok-ness.
+fn read_metered(bytes: &[u8]) -> Result<(Vec<u8>, u64, Vec<u8>), StoreError> {
+    let path = scratch("snap-read");
+    std::fs::write(&path, bytes).unwrap();
+    let case = format!("a read of {} bytes", bytes.len());
+    let full = within(budget(bytes.len()), &case, || read_snapshot(&path));
+    let key_only = within(budget(bytes.len()), &case, || read_snapshot_key(&path));
+    std::fs::remove_file(&path).ok();
     assert_eq!(full.is_ok(), key_only.is_ok(), "the two readers disagree");
     full.map(|(key, snap)| {
         assert_eq!(key_only.unwrap(), key);
@@ -96,89 +85,49 @@ fn assert_corrupt(got: Result<(Vec<u8>, u64, Vec<u8>), StoreError>, case: &str) 
     }
 }
 
-/// xorshift64 — seeded, no dependency.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-}
-
 #[test]
 fn the_fixture_reads_back() {
-    let path = scratch("snap-fixture");
-    let bytes = fixture(&path);
+    let bytes = frame(KEY, STEP_SEQ, &state());
     assert_eq!(bytes.len(), 8 + 4 + KEY.len() + 8 + 4 + 40 + 4);
-    assert_eq!(u32::from_le_bytes(bytes[KEY_LEN_AT..KEY_LEN_AT + 4].try_into().unwrap()), 16);
-    assert_eq!(u32::from_le_bytes(bytes[STATE_LEN_AT..STATE_LEN_AT + 4].try_into().unwrap()), 40);
-    let (key, step_seq, got) = read_metered(&path, &bytes).unwrap();
+    assert_eq!((u32_at(&bytes, KEY_LEN_AT), u32_at(&bytes, STATE_LEN_AT)), (16, 40));
+    let (key, step_seq, got) = read_metered(&bytes).unwrap();
     assert_eq!((key.as_slice(), step_seq, got), (KEY, STEP_SEQ, state()));
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn truncation_at_every_offset_is_typed_corruption() {
-    let path = scratch("snap-trunc");
-    let bytes = fixture(&path);
-    for cut in 0..bytes.len() {
-        assert_corrupt(read_metered(&path, &bytes[..cut]), &format!("prefix of {cut} bytes"));
+    let bytes = frame(KEY, STEP_SEQ, &state());
+    for prefix in truncations(&bytes) {
+        let case = format!("prefix of {} bytes", prefix.len());
+        assert_corrupt(read_metered(prefix), &case);
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn every_byte_replaced_is_typed_corruption() {
-    let path = scratch("snap-replace");
-    let bytes = fixture(&path);
-    let mut rng = Rng(0x5EED_0001);
-    for at in 0..bytes.len() {
-        let orig = bytes[at];
-        for value in [0x00, 0xFF, orig ^ 0x01, orig ^ 0x80, rng.next() as u8] {
-            if value == orig {
-                continue;
-            }
-            let mut damaged = bytes.clone();
-            damaged[at] = value;
-            // One changed byte is a burst of at most 8 bits: CRC-32
-            // detects every one, so nothing here may read `Ok`.
-            assert_corrupt(read_metered(&path, &damaged), &format!("byte {at} = {value:#04x}"));
-        }
+    let bytes = frame(KEY, STEP_SEQ, &state());
+    // One changed byte is a burst of at most 8 bits: CRC-32 detects
+    // every one, so nothing here may read `Ok`.
+    for (at, value, damaged) in byte_replacements(&bytes, &mut Xorshift(0x5EED_0001), 1) {
+        assert_corrupt(read_metered(&damaged), &format!("byte {at} = {value:#04x}"));
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn forged_length_fields_under_a_valid_checksum_are_typed_corruption() {
-    let path = scratch("snap-forge");
-    let bytes = fixture(&path);
+    let bytes = frame(KEY, STEP_SEQ, &state());
     let mut reached = Vec::new();
     for (field_at, honest) in [(KEY_LEN_AT, 16u32), (STATE_LEN_AT, 40u32)] {
-        for forged in [
-            0,
-            1,
-            honest - 1,
-            honest + 1,
-            bytes.len() as u32,
-            MAX_SECTION,
-            MAX_SECTION + 1,
-            1 << 30,
-            u32::MAX / 4,
-            u32::MAX,
-        ] {
-            let mut damaged = bytes.clone();
-            damaged[field_at..field_at + 4].copy_from_slice(&forged.to_le_bytes());
+        let near = [honest - 1, honest + 1, bytes.len() as u32, MAX_SECTION, MAX_SECTION + 1];
+        for forged in HOSTILE_U32.into_iter().chain(near) {
+            let damaged = forge_u32(&bytes, field_at, forged);
             // Re-seal: the checksum passes, so the reader's own bounds
             // checks — not the CRC — have to reject the length, and must
             // do so before sizing anything by it.
             let body_end = damaged.len() - 4;
-            let crc = crc32(&damaged[8..body_end]);
-            damaged[body_end..].copy_from_slice(&crc.to_le_bytes());
+            let damaged = forge_u32(&damaged, body_end, crc32(&damaged[8..body_end]));
             let case = format!("field @{field_at} = {forged}");
-            let what = assert_corrupt(read_metered(&path, &damaged), &case);
+            let what = assert_corrupt(read_metered(&damaged), &case);
             assert_ne!(what, "snapshot checksum mismatch", "the forgery was not re-sealed");
             reached.push(what);
         }
@@ -186,30 +135,26 @@ fn forged_length_fields_under_a_valid_checksum_are_typed_corruption() {
     for check in ["snapshot key length out of bounds", "snapshot state length out of bounds"] {
         assert!(reached.contains(&check), "no forgery reached the {check:?} check");
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn seeded_random_files_are_a_typed_error_or_a_canonical_ok() {
-    let path = scratch("snap-random");
-    let rewritten = scratch("snap-random-rewrite");
-    let mut rng = Rng(0x5EED_0002);
+    let mut rng = Xorshift(0x5EED_0002);
     let (mut ok, mut past_checksum) = (0u32, 0u32);
     for case in 0..4000u32 {
         // Half the bytes zero, so little-endian length fields are often
         // small enough to be plausible.
-        let len = (rng.next() % 96) as usize;
-        let mut file: Vec<u8> = (0..len)
-            .map(|_| if rng.next() & 1 == 0 { 0 } else { (rng.next() % 24) as u8 })
-            .collect();
+        let len = rng.below(96) as usize;
+        let mut file: Vec<u8> =
+            (0..len).map(|_| if rng.below(2) == 0 { 0 } else { rng.below(24) as u8 }).collect();
         if case % 4 == 3 {
             // A well-framed body whose two length fields are each honest,
             // off by one, or random.
-            let (key_n, state_n) = ((rng.next() % 12) as u32, (rng.next() % 48) as u32);
-            let mut skewed = |n: u32| match rng.next() % 4 {
+            let (key_n, state_n) = (rng.below(12) as u32, rng.below(48) as u32);
+            let mut skewed = |n: u32| match rng.below(4) {
                 0 => n.wrapping_sub(1),
                 1 => n + 1,
-                2 => rng.next() as u32,
+                2 => rng.next_u64() as u32,
                 _ => n,
             };
             let (key_len, state_len) = (skewed(key_n), skewed(state_n));
@@ -221,17 +166,15 @@ fn seeded_random_files_are_a_typed_error_or_a_canonical_ok() {
             file.extend((0..state_n).map(|i| i as u8 ^ 0x3C));
         }
         if case % 4 >= 2 {
-            let crc = crc32(&file);
-            file.extend_from_slice(&crc.to_le_bytes());
+            file.extend(crc32(&file).to_le_bytes());
         }
         if case % 4 >= 1 {
             file.splice(..0, *b"HIMASNP1").for_each(drop);
         }
-        match read_metered(&path, &file) {
+        match read_metered(&file) {
             Ok((key, step_seq, state)) => {
                 ok += 1;
-                write_snapshot(&rewritten, &key, step_seq, &state).unwrap();
-                assert_eq!(std::fs::read(&rewritten).unwrap(), file, "case {case}: not canonical");
+                assert_eq!(frame(&key, step_seq, &state), file, "case {case}: not canonical");
             }
             Err(StoreError::Corrupt { what, .. }) => {
                 let before_fields = ["header", "magic", "shorter", "checksum"];
@@ -244,8 +187,6 @@ fn seeded_random_files_are_a_typed_error_or_a_canonical_ok() {
     // checks behind the checksum.
     assert!(ok > 25, "only {ok} files parsed");
     assert!(past_checksum > 500, "only {past_checksum} files reached the field parser");
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&rewritten).ok();
 }
 
 /// One slot file's contents in the rule-table matrix.
@@ -273,14 +214,6 @@ enum Class {
 
 const OLDER: u64 = 5;
 const NEWER: u64 = 9;
-
-fn frame(seq: u64) -> Vec<u8> {
-    let path = scratch("snap-frame");
-    write_snapshot(&path, b"k", seq, &[seq as u8; 6]).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    bytes
-}
 
 impl SlotCase {
     fn bytes(self, older: &[u8], newer: &[u8]) -> Option<Vec<u8>> {
@@ -355,11 +288,8 @@ fn outcome(store: &SessionStore, case: &str) -> Outcome {
 fn put(path: &Path, bytes: Option<Vec<u8>>) {
     match bytes {
         Some(bytes) => std::fs::write(path, bytes).unwrap(),
-        None => std::fs::remove_file(path).or_else(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => Ok(()),
-            _ => Err(e),
-        })
-        .unwrap(),
+        None if path.exists() => std::fs::remove_file(path).unwrap(),
+        None => {}
     }
 }
 
@@ -367,7 +297,7 @@ fn put(path: &Path, bytes: Option<Vec<u8>>) {
 fn the_slot_rule_table_holds_for_every_slot_pair_and_log() {
     let dir = scratch("snap-matrix");
     std::fs::create_dir_all(&dir).unwrap();
-    let (older, newer) = (frame(OLDER), frame(NEWER));
+    let [older, newer] = [OLDER, NEWER].map(|seq| frame(b"k", seq, &[seq as u8; 6]));
     let mut slots = vec![
         SlotCase::Absent,
         SlotCase::Retired,

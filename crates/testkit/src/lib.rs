@@ -8,7 +8,10 @@
 //! * [`params`] and [`spec_grid`] — what the serve, persist and chaos
 //!   suites sweep,
 //! * [`scratch`], [`wait_until`] and [`ManualClock`] — unique temp paths,
-//!   bounded waits, and a clock that moves only when the test moves it.
+//!   bounded waits, and a clock that moves only when the test moves it,
+//! * [`hostile`] — the harness of the decoder suites.
+
+pub mod hostile;
 
 use hima_dnc::{Datapath, DncParams, EngineBuilder, EngineSpec};
 use hima_tensor::{Backend, Matrix, QFormat};
