@@ -14,8 +14,8 @@
 //! the reason the reference was replaced.
 //!
 //! `quantize_slice` has two rows over 4 096 elements: the `f32`-only
-//! Q-format rounding body (`QFormat::quantize_slice_inplace`, AVX where
-//! the CPU has it) against the `round()` definition, per element, and
+//! Q-format rounding body (`QFormat::quantize_slice_inplace`, on the
+//! widest tier the CPU has) against the `round()` definition, per element, and
 //! against the SSE2-via-`f64` body it replaced (a copy kept in this
 //! file). `matmul_nt_masked_lanes` is the row kernel
 //! (`Matrix::matmul_nt_masked_into`, one pass over the weights per active
@@ -70,11 +70,22 @@
 //! against `PackedWeights::matmul_masked_into` over the same weights
 //! packed once.
 //!
+//! `width_*` rows (only where the CPU runs the `Avx512` tier; the run says
+//! so when it skips them) pair each kernel's eight-lane body (`Avx`)
+//! with its sixteen-lane one (`Avx512`), both called on their tier:
+//! `width_packed_weights`, the paper's 471 × 270 interface projection at
+//! 1, 2 and 4 lanes cycling through sixteen weight sets as a
+//! paper-regime step does (so the weights stream from L3);
+//! `width_quantize_slice` (4 096 elements); `width_linkage_update` at
+//! N = 64 and 128; `width_memory_write` and `width_matvec_t_heads` (the
+//! memory read, R = 4) at one paper tile. Each is the best of fifteen
+//! interleaved rounds per side.
+//!
 //! Flags:
 //!
 //! * `--json` — additionally write `BENCH_kernels.json`:
 //!   `{ bench: "kernels", schema_version: 8, params: {memory_size,
-//!   word_size, hidden_size}, scalar_variants: [{kernel, shape, batch,
+//!   word_size, hidden_size, tier}, scalar_variants: [{kernel, shape, batch,
 //!   active, reference, variant, reference_ns_per_call,
 //!   variant_ns_per_call, speedup}] }`
 //!   (`batch` is 0 for kernels without a batch axis; `active` counts
@@ -87,8 +98,10 @@
 
 use hima::dnc::linkage::TemporalLinkage;
 use hima::sort::{argsort_by_comparator, CentralizedMergeSorter, SortEngine};
+use hima::tensor::simd::Tier;
 use hima::tensor::{
-    assert_close, fused, transcend, vector, Backend, LaneMask, Matrix, PackedWeights, QFormat,
+    assert_close, fused, history, transcend, vector, Backend, LaneMask, Matrix, PackedWeights,
+    QFormat,
 };
 use std::hint::black_box;
 use std::sync::OnceLock;
@@ -146,6 +159,18 @@ const GATE_WIDTHS: [usize; 2] = [64, 256];
 const SOFTMAX_SIZES: [usize; 3] = [64, 128, 1024];
 /// Lengths of the `sigmoid_slice` rows: the served and the paper's word.
 const SIGMOID_SIZES: [usize; 2] = [16, 64];
+
+/// Active-lane counts of the `width_packed_weights` rows.
+const WIDTH_PACKED_LANES: [usize; 3] = [1, 2, 4];
+/// Weight sets a `width_packed_weights` call cycles through, as a
+/// paper-regime step cycles through its sixteen tiles' projections.
+const WIDTH_PACKED_SETS: usize = 16;
+/// Linkage sides of the `width_linkage_update` rows: one paper tile and
+/// the served shape.
+const WIDTH_LINKAGE_SIDES: [usize; 2] = [64, 128];
+/// Interleaved rounds per side of a `width_*` row (one-shot numbers move
+/// by about 20 % on a shared host; the best of many is the stable one).
+const WIDTH_REPS: usize = 15;
 
 /// The pointwise passes as they ran before `hima::tensor::transcend`: one
 /// libm call per element. Kept here to say what the replacement bought;
@@ -831,6 +856,7 @@ fn main() {
             }
         }
     }
+    lane_width_rows(smoke, measure, &mut report_variant);
     println!(
         "\nPer-call wall time, best of {reps} interleaved reps per side. The\n\
          reference and the variant of every row return identical bits\n\
@@ -843,7 +869,9 @@ fn main() {
         let mut s = String::new();
         s.push_str("{\n  \"bench\": \"kernels\",\n  \"schema_version\": 8,\n");
         s.push_str(&format!(
-            "  \"params\": {{\"memory_size\": {N}, \"word_size\": {W}, \"hidden_size\": {HIDDEN}}},\n"
+            "  \"params\": {{\"memory_size\": {N}, \"word_size\": {W}, \"hidden_size\": {HIDDEN}, \
+             \"tier\": \"{}\"}},\n",
+            Tier::detected()
         ));
         s.push_str("  \"scalar_variants\": [\n");
         for (i, r) in variants.iter().enumerate() {
@@ -871,4 +899,146 @@ fn main() {
             }
         }
     }
+}
+
+/// The `width_*` rows: each kernel that runs at sixteen lanes where the
+/// CPU has AVX-512, its eight-lane body (`Avx`, or `F32x8` without AVX)
+/// against its sixteen-lane one (`Avx512`), both called explicitly on
+/// their tier — the same bits, asserted. Skipped, and said so, on a CPU
+/// without AVX-512.
+fn lane_width_rows(smoke: bool, measure: Duration, report: &mut impl FnMut(VariantRow)) {
+    if !Tier::Avx512.is_available() {
+        println!("width_* rows skipped: this CPU does not run the Avx512 tier");
+        return;
+    }
+    let narrow = if Tier::Avx.is_available() { Tier::Avx } else { Tier::Portable };
+    let wide = Tier::Avx512;
+    let reps = if smoke { 1 } else { WIDTH_REPS };
+    let (reference, variant) = if narrow == Tier::Avx {
+        ("8-lane body (Avx)", "16-lane body (Avx512)")
+    } else {
+        ("8-lane body (F32x8)", "16-lane body (Avx512)")
+    };
+    let mut row = |kernel: &'static str, shape: String, active: usize, (r, v): (f64, f64)| {
+        report(VariantRow {
+            kernel,
+            shape,
+            batch: 0,
+            active,
+            reference,
+            variant,
+            reference_ns: r,
+            variant_ns: v,
+        });
+    };
+
+    // The paper regime's per-tile interface projection, sixteen weight
+    // sets in turn (8.1 MB, so the stream comes from L3 as in the engine).
+    let (n, k) = PACKED_SHAPES[0];
+    let sets: Vec<PackedWeights> =
+        (0..WIDTH_PACKED_SETS).map(|s| PackedWeights::pack(&test_matrix(n, k, 2 + s))).collect();
+    for &lanes in &WIDTH_PACKED_LANES {
+        let x = test_matrix(lanes, k, 1);
+        let mask = LaneMask::full(lanes);
+        let (mut out_r, mut out_v) = (Matrix::zeros(lanes, n), Matrix::zeros(lanes, n));
+        for set in &sets {
+            set.matmul_masked_on(narrow, &x, &mask, &mut out_r);
+            set.matmul_masked_on(wide, &x, &mask, &mut out_v);
+            assert_eq!(out_r, out_v, "the 16-lane packed product must equal the 8-lane one");
+        }
+        let (mut next_r, mut next_v) = (0, 0);
+        let times = best_of_paired(
+            reps,
+            measure,
+            || {
+                sets[next_r].matmul_masked_on(narrow, &x, &mask, &mut out_r);
+                next_r = (next_r + 1) % WIDTH_PACKED_SETS;
+            },
+            || {
+                sets[next_v].matmul_masked_on(wide, &x, &mask, &mut out_v);
+                next_v = (next_v + 1) % WIDTH_PACKED_SETS;
+            },
+        );
+        row("width_packed_weights", format!("{n}x{k} x{WIDTH_PACKED_SETS} sets"), lanes, times);
+    }
+
+    // The Q16.16 rounding pass over one linkage tile, fresh values per call.
+    let q = QFormat::q16_16();
+    let state: Vec<f32> =
+        (0..QUANTIZE_ELEMS).map(|i| ((i * 7) as f32 * 0.013).sin() * 3.0).collect();
+    let (mut buf_r, mut buf_v) = (state.clone(), state.clone());
+    let times = best_of_paired(
+        reps,
+        measure,
+        || {
+            buf_r.copy_from_slice(&state);
+            q.quantize_slice_on(narrow, &mut buf_r);
+        },
+        || {
+            buf_v.copy_from_slice(&state);
+            q.quantize_slice_on(wide, &mut buf_v);
+        },
+    );
+    assert_eq!(buf_r, buf_v, "the 16-lane rounding must equal the 8-lane one");
+    row("width_quantize_slice", format!("{QUANTIZE_ELEMS} elements"), 0, times);
+
+    // The linkage update, from a warmed state (one checked update each,
+    // then the timed ones).
+    for &n in &WIDTH_LINKAGE_SIDES {
+        let write: Vec<f32> =
+            (0..n).map(|i| ((i * 13) as f32 * 0.21).sin().abs() / n as f32).collect();
+        let mut warmed = TemporalLinkage::new(n);
+        for _ in 0..4 {
+            warmed.update(&write);
+        }
+        let precedence = warmed.precedence().to_vec();
+        let (mut link_r, mut link_v) = (warmed.matrix().clone(), warmed.matrix().clone());
+        history::linkage_update_on(narrow, &mut link_r, &precedence, &write);
+        history::linkage_update_on(wide, &mut link_v, &precedence, &write);
+        assert_eq!(link_r, link_v, "the 16-lane linkage update must equal the 8-lane one");
+        let times = best_of_paired(
+            reps,
+            measure,
+            || history::linkage_update_on(narrow, &mut link_r, &precedence, &write),
+            || history::linkage_update_on(wide, &mut link_v, &precedence, &write),
+        );
+        row("width_linkage_update", format!("N={n}"), 0, times);
+    }
+
+    // The erase/add memory write of one paper tile, every row written.
+    let (n, w) = UNIT_SHAPES[0];
+    let weights: Vec<f32> =
+        (0..n).map(|i| ((i * 13) as f32 * 0.21).sin().abs() / n as f32).collect();
+    let erase: Vec<f32> = (0..w).map(|j| ((j * 5) as f32 * 0.3).sin().abs()).collect();
+    let write: Vec<f32> = (0..w).map(|j| ((j * 11) as f32 * 0.17).cos()).collect();
+    let (mut mem_r, mut mem_v) = (test_matrix(n, w, 4), test_matrix(n, w, 4));
+    history::erase_add_write_on(narrow, &mut mem_r, &weights, &erase, &write);
+    history::erase_add_write_on(wide, &mut mem_v, &weights, &erase, &write);
+    assert_eq!(mem_r, mem_v, "the 16-lane memory write must equal the 8-lane one");
+    let times = best_of_paired(
+        reps,
+        measure,
+        || {
+            history::erase_add_write_on(narrow, &mut mem_r, &weights, &erase, &write);
+        },
+        || {
+            history::erase_add_write_on(wide, &mut mem_v, &weights, &erase, &write);
+        },
+    );
+    row("width_memory_write", format!("N={n} W={w}"), 0, times);
+
+    // The memory read of one paper tile: every head in one pass over M.
+    let heads = 4;
+    let memory = test_matrix(n, w, 4);
+    let reads =
+        Matrix::from_fn(heads, n, |h, i| ((h * 29 + i * 13) as f32 * 0.21).sin().abs() / n as f32);
+    let (mut out_r, mut out_v) = (vec![0.0f32; heads * w], vec![0.0f32; heads * w]);
+    let times = best_of_paired(
+        reps,
+        measure,
+        || fused::matvec_t_heads_on(narrow, &memory, &reads, &mut out_r),
+        || fused::matvec_t_heads_on(wide, &memory, &reads, &mut out_v),
+    );
+    assert_eq!(out_r, out_v, "the 16-lane memory read must equal the 8-lane one");
+    row("width_matvec_t_heads", format!("N={n} W={w}"), heads, times);
 }

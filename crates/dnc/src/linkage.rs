@@ -18,7 +18,8 @@
 //! [`TemporalLinkage::forward_into`] and [`TemporalLinkage::backward_into`]
 //! are the plain one-head-at-a-time definitions — the reference the tests
 //! compare against. The memory unit steps through
-//! [`TemporalLinkage::update_linkage_with`] (one branch-free row body) and
+//! [`TemporalLinkage::update_linkage_with`] (one branch-free row body,
+//! [`hima_tensor::history::linkage_update`]) and
 //! the head-fused `TemporalLinkage::forward_heads_into` /
 //! `TemporalLinkage::backward_heads_into`, which take all `R` previous
 //! read weightings as the rows of one `R × N` matrix so `L` is walked
@@ -41,7 +42,7 @@
 //!   is the skip, bit for bit).
 
 use crate::profile::{KernelId, KernelProfile, Laps};
-use hima_tensor::{fused, F32x8, Matrix, QFormat};
+use hima_tensor::{fused, history, Matrix, QFormat};
 use serde::{Deserialize, Serialize};
 
 /// Temporal linkage state: the `N × N` linkage matrix and the precedence
@@ -130,42 +131,21 @@ impl TemporalLinkage {
         }
     }
 
-    /// The memory unit's form of [`TemporalLinkage::update_linkage`]: each
-    /// row is computed branch-free over [`F32x8`] lanes and its diagonal
-    /// entry zeroed afterwards, instead of testing `i == j` per element.
-    /// The per-element expression
-    /// `(1 − w_w[i] − w_w[j]) · L[i,j] + w_w[i] · p[j]` is element-wise (no
-    /// reduction) and keeps the reference's operation order, so the
-    /// matrix is bit-identical to `update_linkage`'s.
+    /// The memory unit's form of [`TemporalLinkage::update_linkage`]:
+    /// [`hima_tensor::history::linkage_update`], which computes each row
+    /// branch-free, at the widest vector width the CPU has (sixteen
+    /// AVX-512 lanes, eight AVX or SSE2 lanes), and zeroes its diagonal
+    /// entry afterwards, instead of testing `i == j` per element. The
+    /// per-element expression `(1 − w_w[i] − w_w[j]) · L[i,j] + w_w[i] · p[j]`
+    /// is element-wise (no reduction) and keeps the reference's operation
+    /// order, so the matrix is bit-identical to `update_linkage`'s.
     ///
     /// # Panics
     ///
     /// Panics if `write_weighting.len() != len()`.
     pub fn update_linkage_with(&mut self, write_weighting: &[f32]) {
-        let n = self.len();
-        assert_eq!(write_weighting.len(), n, "write weighting length mismatch");
-        let precedence = &self.precedence;
-        let n8 = n - n % 8;
-        for i in 0..n {
-            let wi = write_weighting[i];
-            let wiv = F32x8::splat(wi);
-            let one_minus_wi = F32x8::splat(1.0 - wi);
-            let row = self.linkage.row_mut(i);
-            let mut j = 0;
-            while j < n8 {
-                let wv = F32x8::load(&write_weighting[j..j + 8]);
-                let pv = F32x8::load(&precedence[j..j + 8]);
-                let lv = F32x8::load(&row[j..j + 8]);
-                // (1 − wi − w[j]) · l + wi · p[j], same operation order
-                // as the reference loop's left-associated expression.
-                one_minus_wi.sub(wv).mul(lv).add(wiv.mul(pv)).store(&mut row[j..j + 8]);
-                j += 8;
-            }
-            for j in n8..n {
-                row[j] = (1.0 - wi - write_weighting[j]) * row[j] + wi * precedence[j];
-            }
-            row[i] = 0.0;
-        }
+        assert_eq!(write_weighting.len(), self.len(), "write weighting length mismatch");
+        history::linkage_update(&mut self.linkage, &self.precedence, write_weighting);
     }
 
     /// Updates only the precedence vector (the HR.(2) kernel). Must run

@@ -494,15 +494,11 @@ impl MemoryUnit {
         );
         laps.lap(KernelId::WriteMerge, 1);
 
-        // MW: memory write  M ← M ∘ (E − w_w eᵀ) + w_w vᵀ.
-        for (i, &w) in scratch.w_w.iter().enumerate() {
-            if w == 0.0 {
-                continue;
-            }
+        // MW: memory write  M ← M ∘ (E − w_w eᵀ) + w_w vᵀ, rows with
+        // w_w[i] == 0 untouched.
+        let (erase, write) = (&iv.erase, &iv.write);
+        if hima_tensor::history::erase_add_write(&mut state.memory, &scratch.w_w, erase, write) {
             self.norms.invalidate();
-            for ((m, &e), &v) in state.memory.row_mut(i).iter_mut().zip(&iv.erase).zip(&iv.write) {
-                *m = *m * (1.0 - w * e) + w * v;
-            }
         }
         laps.lap(KernelId::MemoryWrite, 1);
 

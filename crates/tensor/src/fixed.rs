@@ -55,23 +55,24 @@
 //!   `r = 0`, and `frac ≤ 31`), so it equals the division it replaces.
 //!
 //! The body is generic over the crate's lane-width type
-//! ([`mod@crate::simd`]): AVX where the CPU has it, [`F32x8`]
-//! (SSE2 halves on `x86_64`) otherwise — the same operations lane for
-//! lane, so the two agree bit for bit. A slice's last `len % 8` values,
-//! and the single value of [`QFormat::quantize`], pass through the same
-//! body in a padded vector. The equality against the `round()` definition
+//! ([`mod@crate::simd`]) and runs on the widest tier the CPU has —
+//! sixteen AVX-512 lanes, eight AVX lanes, or [`F32x8`](crate::F32x8)
+//! (SSE2 halves on `x86_64`) — the same operations lane for lane, so the
+//! tiers agree bit for bit. A slice's last `len % LANES` values, and the
+//! single value of [`QFormat::quantize`], pass through the same body in
+//! a padded vector. The equality against the `round()` definition
 //! is pinned by this module's tests over a strided sweep of all `f32` bit
 //! patterns plus the tie and saturation boundaries, for Q16.16, Q8.8,
 //! Q1.31, Q31.1, Q4.12 and the two widths either side of the `f32(max_raw)`
 //! edge, Q13.12 and Q13.13. The exhaustive form (all 2³² patterns × those
-//! formats, slice body and single value) is `#[ignore]`d because it takes
-//! minutes; CI runs it with
+//! formats, the slice body on every tier the CPU runs) is `#[ignore]`d
+//! because it takes minutes; CI runs it with
 //!
 //! ```text
 //! cargo test --release -p hima-tensor --lib fixed::tests::exhaustive -- --ignored
 //! ```
 
-use crate::simd::{avx_detected, F32x8, Lanes};
+use crate::simd::{Kernel, Lanes, Tier};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -172,14 +173,17 @@ impl QFormat {
     /// over a contiguous state buffer, bit-identical per element to
     /// [`QFormat::quantize`] (which is this, over a slice of one).
     pub fn quantize_slice_inplace(&self, xs: &mut [f32]) {
-        let r = self.rounding();
-        #[cfg(target_arch = "x86_64")]
-        if avx_detected() {
-            // SAFETY: this CPU runs AVX.
-            return unsafe { round_slice_avx(r, xs) };
-        }
-        // SAFETY: `F32x8` is baseline code on every target.
-        unsafe { round_slice::<F32x8>(r, xs) }
+        self.quantize_slice_on(Tier::detected(), xs);
+    }
+
+    /// [`QFormat::quantize_slice_inplace`] on the given tier — the same
+    /// bits on every tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU does not run `tier`.
+    pub fn quantize_slice_on(&self, tier: Tier, xs: &mut [f32]) {
+        tier.run(RoundSlice { r: self.rounding(), xs });
     }
 
     /// Whether `x` is exactly representable in this format.
@@ -230,39 +234,28 @@ unsafe fn round_lanes<V: Lanes>(r: Rounding, x: V) -> V {
 }
 
 /// The rounding rule over a slice: whole vectors in place, then the last
-/// `len % 8` values through a zero-padded one. (No closure here: a
-/// closure would not inherit the AVX entry's target feature, and every
+/// `len % LANES` values through a zero-padded one. (No closure here: a
+/// closure would not inherit the kernel entry's target feature, and every
 /// intrinsic in it would stay a call.)
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
-#[inline(always)]
-unsafe fn round_slice<V: Lanes>(r: Rounding, xs: &mut [f32]) {
-    let mut chunks = xs.chunks_exact_mut(8);
-    // SAFETY (every vector op below): forwarded from the caller.
-    for chunk in &mut chunks {
-        unsafe { round_lanes(r, V::load(chunk)).store(chunk) };
-    }
-    let tail = chunks.into_remainder();
-    if !tail.is_empty() {
-        let mut padded = [0.0f32; 8];
-        padded[..tail.len()].copy_from_slice(tail);
-        unsafe { round_lanes(r, V::load(&padded)).store(&mut padded) };
-        tail.copy_from_slice(&padded[..tail.len()]);
-    }
+struct RoundSlice<'a> {
+    r: Rounding,
+    xs: &'a mut [f32],
 }
 
-/// [`round_slice`] over AVX vectors.
-///
-/// # Safety
-///
-/// The CPU must support AVX.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn round_slice_avx(r: Rounding, xs: &mut [f32]) {
-    // SAFETY: the caller guarantees AVX, which is all `Avx` needs.
-    unsafe { round_slice::<crate::simd::Avx>(r, xs) }
+impl Kernel for RoundSlice<'_> {
+    type Output = ();
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        let mut chunks = self.xs.chunks_exact_mut(V::LANES);
+        // SAFETY (every vector op below): forwarded from the caller.
+        for chunk in &mut chunks {
+            unsafe { round_lanes(self.r, V::load(chunk)).store(chunk) };
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            unsafe { round_lanes(self.r, V::load_first(tail)).store_first(tail) };
+        }
+    }
 }
 
 /// A signed Q16.16 fixed-point number with saturating arithmetic.
@@ -558,11 +551,10 @@ mod tests {
         ]
     }
 
-    /// `xs` rounded by the portable body, whatever the dispatch picks.
-    fn quantized_by_f32x8(q: QFormat, xs: &[f32]) -> Vec<f32> {
+    /// `xs` rounded on `tier`, whatever the dispatch picks.
+    fn quantized_on(tier: Tier, q: QFormat, xs: &[f32]) -> Vec<f32> {
         let mut out = xs.to_vec();
-        // SAFETY: `F32x8` is baseline code on every target.
-        unsafe { round_slice::<F32x8>(q.rounding(), &mut out) };
+        q.quantize_slice_on(tier, &mut out);
         out
     }
 
@@ -621,16 +613,18 @@ mod tests {
                 assert_matches_oracle(q, x);
             }
             // The slice kernel over the same set, shifted so every value
-            // lands in every SIMD lane — the dispatched body (AVX where
-            // the CPU has it) and the portable one.
-            for shift in 0..8 {
+            // lands in every SIMD lane — the dispatched body and every
+            // tier this CPU runs.
+            for shift in 0..16 {
                 let mut got = xs[shift..].to_vec();
                 q.quantize_slice_inplace(&mut got);
-                let portable = quantized_by_f32x8(q, &xs[shift..]);
-                for ((g, p), &x) in got.iter().zip(&portable).zip(&xs[shift..]) {
-                    let want = quantize_oracle(q, x).to_bits();
-                    assert_eq!(g.to_bits(), want, "{q} x={x:e} shift={shift}");
-                    assert_eq!(p.to_bits(), want, "F32x8 body, {q} x={x:e} shift={shift}");
+                for tier in Tier::available() {
+                    let body = quantized_on(tier, q, &xs[shift..]);
+                    for ((g, b), &x) in got.iter().zip(&body).zip(&xs[shift..]) {
+                        let want = quantize_oracle(q, x).to_bits();
+                        assert_eq!(g.to_bits(), want, "{q} x={x:e} shift={shift}");
+                        assert_eq!(b.to_bits(), want, "{tier} body, {q} x={x:e} shift={shift}");
+                    }
                 }
             }
         }
@@ -638,7 +632,7 @@ mod tests {
 
     #[test]
     fn avx_body_f32x8_body_and_single_value_form_agree_in_every_lane_position() {
-        // One awkward value per lane position in turn, the other seven
+        // One awkward value per lane position in turn, the other fifteen
         // lanes holding a value whose rounding differs from it: a lane
         // that leaked into its neighbour would show.
         let awkward = [
@@ -659,17 +653,22 @@ mod tests {
         ];
         for q in swept_formats() {
             for &x in &awkward {
-                for lane in 0..8 {
-                    let mut xs = [0.7f32; 8];
+                for lane in 0..16 {
+                    let mut xs = [0.7f32; 16];
                     xs[lane] = x;
                     let mut dispatched = xs;
                     q.quantize_slice_inplace(&mut dispatched);
-                    let portable = quantized_by_f32x8(q, &xs);
-                    for i in 0..8 {
+                    for i in 0..16 {
                         let want = quantize_oracle(q, xs[i]).to_bits();
                         assert_eq!(dispatched[i].to_bits(), want, "{q} x={x:e} lane={lane} i={i}");
-                        assert_eq!(portable[i].to_bits(), want, "F32x8, {q} x={x:e} lane={lane} i={i}");
                         assert_eq!(q.quantize(xs[i]).to_bits(), want, "single, {q} x={x:e}");
+                    }
+                    for tier in Tier::available() {
+                        let body = quantized_on(tier, q, &xs);
+                        for (i, b) in body.iter().enumerate() {
+                            let want = quantize_oracle(q, xs[i]).to_bits();
+                            assert_eq!(b.to_bits(), want, "{tier}, {q} x={x:e} lane={lane} i={i}");
+                        }
                     }
                 }
             }
@@ -710,30 +709,34 @@ mod tests {
         }
     }
 
-    /// All 2³² `f32` bit patterns × the swept formats, through the
-    /// dispatched slice body (AVX where the CPU has it) and the portable
-    /// one, against the `round()` definition; the single-value form is
-    /// the slice body over one element and rides the strided sweep.
-    /// Minutes in release mode; see the module docs for the command.
+    /// All 2³² `f32` bit patterns × the swept formats, through the slice
+    /// body on every tier this CPU runs (`F32x8`, `Avx`, `Avx512`),
+    /// against the `round()` definition; the single-value form is the
+    /// slice body over one element and rides the strided sweep. Prints
+    /// the tiers it checked and, on a CPU without one, the tier it
+    /// skipped. Minutes in release mode; see the module docs for the
+    /// command.
     #[test]
     #[ignore = "exhaustive over all f32 bit patterns: minutes in --release"]
     fn exhaustive_quantize_equals_round_definition() {
         const BLOCK: usize = 1 << 12;
         let mut src = vec![0.0f32; BLOCK];
+        let mut body = vec![0.0f32; BLOCK];
         for q in swept_formats() {
             for base in (0..=u32::MAX).step_by(BLOCK) {
                 for (i, x) in src.iter_mut().enumerate() {
                     *x = f32::from_bits(base + i as u32);
                 }
-                let mut dispatched = src.clone();
-                q.quantize_slice_inplace(&mut dispatched);
-                let portable = quantized_by_f32x8(q, &src);
-                for ((got, p), &x) in dispatched.iter().zip(&portable).zip(&src) {
-                    let want = quantize_oracle(q, x).to_bits();
-                    assert_eq!(got.to_bits(), want, "slice {q} {:#010x}", x.to_bits());
-                    assert_eq!(p.to_bits(), want, "F32x8 {q} {:#010x}", x.to_bits());
+                let want: Vec<u32> = src.iter().map(|&x| quantize_oracle(q, x).to_bits()).collect();
+                for tier in Tier::available() {
+                    body.copy_from_slice(&src);
+                    q.quantize_slice_on(tier, &mut body);
+                    for ((b, w), x) in body.iter().zip(&want).zip(&src) {
+                        assert_eq!(b.to_bits(), *w, "{tier} {q} {:#010x}", x.to_bits());
+                    }
                 }
             }
         }
+        crate::simd::tiers::report("fixed::tests::exhaustive (Q-format rounding)");
     }
 }

@@ -2,9 +2,11 @@
 //! right factor changes every step — the memory unit's `M` and `L` — and
 //! is multiplied against a handful of rows at once (the `R` read heads, a
 //! write key, or batch lanes). Each walks the right factor **once** for
-//! up to four rows of the left, at the width of the crate's `Lanes` type
-//! (AVX where the CPU has it, [`F32x8`] otherwise — one generic body per
-//! kernel, see [`mod@crate::simd`]), and each keeps, for every output
+//! up to four rows of the left, one generic body per kernel over the
+//! crate's `Lanes` type ([`mod@crate::simd`]) — [`matvec_t_heads_into`] at
+//! the widest tier the CPU has (sixteen AVX-512 lanes, eight AVX lanes or
+//! [`F32x8`](crate::F32x8)), [`row_dots_into`], eight lanes wide by
+//! definition, on `Avx` or `F32x8` — and each keeps, for every output
 //! element, the IEEE operation sequence of the scalar reference it is
 //! pinned to: one rounded multiply then one rounded add per ascending
 //! `k`, never an FMA, nothing re-associated. Vector lanes only ever hold
@@ -41,8 +43,9 @@
 //!
 //! `out[h][j] = Σ_i w[h][i] · m[i][j]` — [`Matrix::matvec_t_into`] per
 //! head, here one pass over `m` with register accumulators over blocks of
-//! sixteen columns (more with one or two heads, so that about eight add
-//! chains are always in flight). The reference skips rows with `w[h][i] == 0.0`; this
+//! two vectors of columns (more with one or two heads, so that about
+//! eight add chains are always in flight), then the reference's loop for
+//! the last `K % LANES` columns. The reference skips rows with `w[h][i] == 0.0`; this
 //! kernel masks their product to `+0.0` instead. An accumulator that
 //! starts at `+0.0` can never hold `-0.0` (a sum is `-0.0` only if both
 //! terms are), so adding `+0.0` leaves it unchanged and the result equals
@@ -51,7 +54,7 @@
 
 use crate::lane_mask::LaneMask;
 use crate::matrix::{nt_cols_into, Matrix};
-use crate::simd::{avx_detected, F32x8, Lanes};
+use crate::simd::{Kernel, Kernel8, Lanes, Lanes8, Tier};
 
 /// Rows of the left factor one pass over the right factor serves.
 const GROUP: usize = 4;
@@ -107,32 +110,27 @@ fn dispatch(
     out: &mut [f32],
     norms: Option<&mut [f32]>,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if avx_detected() {
-        // SAFETY: this CPU runs AVX.
-        return unsafe { row_dots_avx(lhs, mask, rows, other, out, norms) };
-    }
-    // SAFETY: `F32x8` is baseline code on every target.
-    unsafe { row_dots::<F32x8>(lhs, mask, rows, other, out, norms) }
+    Tier::detected().run8(RowDots { lhs, mask, rows, other, out, norms });
 }
 
-/// [`row_dots`] over AVX vectors.
-///
-/// # Safety
-///
-/// The CPU must support AVX.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn row_dots_avx(
-    lhs: &[f32],
-    mask: Option<&LaneMask>,
+/// The row-dot kernel's arguments, for [`Tier::run8`].
+struct RowDots<'a> {
+    lhs: &'a [f32],
+    mask: Option<&'a LaneMask>,
     rows: usize,
-    other: &Matrix,
-    out: &mut [f32],
-    norms: Option<&mut [f32]>,
-) {
-    // SAFETY: the caller guarantees AVX, which is all `Avx` needs.
-    unsafe { row_dots::<crate::simd::Avx>(lhs, mask, rows, other, out, norms) }
+    other: &'a Matrix,
+    out: &'a mut [f32],
+    norms: Option<&'a mut [f32]>,
+}
+
+impl Kernel8 for RowDots<'_> {
+    type Output = ();
+    #[inline(always)]
+    unsafe fn run<V: Lanes8>(self) {
+        let RowDots { lhs, mask, rows, other, out, norms } = self;
+        // SAFETY: forwarded from the caller.
+        unsafe { row_dots::<V>(lhs, mask, rows, other, out, norms) }
+    }
 }
 
 /// The row-dot kernel over vector type `V`: zero the inactive rows of
@@ -143,7 +141,7 @@ unsafe fn row_dots_avx(
 ///
 /// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn row_dots<V: Lanes>(
+unsafe fn row_dots<V: Lanes8>(
     lhs: &[f32],
     mask: Option<&LaneMask>,
     rows: usize,
@@ -188,7 +186,7 @@ unsafe fn row_dots<V: Lanes>(
 ///
 /// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn group_into<V: Lanes, const NORMS: bool>(
+unsafe fn group_into<V: Lanes8, const NORMS: bool>(
     lhs: &[f32],
     rows: &[usize],
     other: &Matrix,
@@ -216,7 +214,7 @@ unsafe fn group_into<V: Lanes, const NORMS: bool>(
 ///
 /// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn pass<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
+unsafe fn pass<V: Lanes8, const G: usize, const B: usize, const NORMS: bool>(
     lhs: &[f32],
     rows: [usize; G],
     other: &Matrix,
@@ -259,7 +257,7 @@ unsafe fn pass<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
 ///
 /// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn blocks_into<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
+unsafe fn blocks_into<V: Lanes8, const G: usize, const B: usize, const NORMS: bool>(
     x: [&[f32]; G],
     rows: [usize; G],
     other: &Matrix,
@@ -333,27 +331,35 @@ unsafe fn blocks_into<V: Lanes, const G: usize, const B: usize, const NORMS: boo
 /// Panics if `weights.cols() != m.rows()` or `out` is not
 /// `weights.rows() · m.cols()` long.
 pub fn matvec_t_heads_into(m: &Matrix, weights: &Matrix, out: &mut [f32]) {
-    assert_eq!(weights.cols(), m.rows(), "matvec_t shape mismatch");
-    assert_eq!(out.len(), weights.rows() * m.cols(), "matvec_t output length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx_detected() {
-        // SAFETY: this CPU runs AVX.
-        return unsafe { matvec_t_heads_avx(m, weights, out) };
-    }
-    // SAFETY: `F32x8` is baseline code on every target.
-    unsafe { matvec_t_heads::<F32x8>(m, weights, out) }
+    matvec_t_heads_on(Tier::detected(), m, weights, out);
 }
 
-/// [`matvec_t_heads`] over AVX vectors.
+/// [`matvec_t_heads_into`] on the given tier — the same bits on every
+/// tier.
 ///
-/// # Safety
+/// # Panics
 ///
-/// The CPU must support AVX.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn matvec_t_heads_avx(m: &Matrix, weights: &Matrix, out: &mut [f32]) {
-    // SAFETY: the caller guarantees AVX, which is all `Avx` needs.
-    unsafe { matvec_t_heads::<crate::simd::Avx>(m, weights, out) }
+/// As `matvec_t_heads_into`, and if this CPU does not run `tier`.
+pub fn matvec_t_heads_on(tier: Tier, m: &Matrix, weights: &Matrix, out: &mut [f32]) {
+    assert_eq!(weights.cols(), m.rows(), "matvec_t shape mismatch");
+    assert_eq!(out.len(), weights.rows() * m.cols(), "matvec_t output length mismatch");
+    tier.run(MatvecTHeads { m, weights, out });
+}
+
+/// The transposed mat-vec's arguments, for [`Tier::run`].
+struct MatvecTHeads<'a> {
+    m: &'a Matrix,
+    weights: &'a Matrix,
+    out: &'a mut [f32],
+}
+
+impl Kernel for MatvecTHeads<'_> {
+    type Output = ();
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        // SAFETY: forwarded from the caller.
+        unsafe { matvec_t_heads::<V>(self.m, self.weights, self.out) }
+    }
 }
 
 /// The transposed mat-vec over vector type `V`, [`GROUP`] heads per pass
@@ -381,9 +387,9 @@ unsafe fn matvec_t_heads<V: Lanes>(m: &Matrix, weights: &Matrix, out: &mut [f32]
     }
 }
 
-/// `out[g] = mᵀ · weights.row(h + g)` for `g < H`: blocks of `8·C`
-/// columns, then of half that down to eight, then the reference's loop
-/// for the last `K % 8` columns.
+/// `out[g] = mᵀ · weights.row(h + g)` for `g < H`: blocks of `C` vectors
+/// of columns, then of half that down to one vector, then the
+/// reference's loop for the last `K % LANES` columns.
 ///
 /// # Safety
 ///
@@ -396,24 +402,25 @@ unsafe fn heads_into<V: Lanes, const H: usize, const C: usize>(
     out: &mut [f32],
 ) {
     let k = m.cols();
+    let lanes = V::LANES;
     let w: [&[f32]; H] = std::array::from_fn(|g| weights.row(h + g));
     let mut j = 0;
     // SAFETY (every call): forwarded from the caller.
-    while j + 8 * C <= k {
+    while j + lanes * C <= k {
         unsafe { columns_into::<V, H, C>(m, w, j, out) };
-        j += 8 * C;
+        j += lanes * C;
     }
-    if C > 4 && j + 32 <= k {
+    if C > 4 && j + 4 * lanes <= k {
         unsafe { columns_into::<V, H, 4>(m, w, j, out) };
-        j += 32;
+        j += 4 * lanes;
     }
-    if C > 2 && j + 16 <= k {
+    if C > 2 && j + 2 * lanes <= k {
         unsafe { columns_into::<V, H, 2>(m, w, j, out) };
-        j += 16;
+        j += 2 * lanes;
     }
-    if C > 1 && j + 8 <= k {
+    if C > 1 && j + lanes <= k {
         unsafe { columns_into::<V, H, 1>(m, w, j, out) };
-        j += 8;
+        j += lanes;
     }
     for (w, out) in w.into_iter().zip(out.chunks_exact_mut(k.max(1))) {
         for (jj, o) in out.iter_mut().enumerate().skip(j) {
@@ -428,7 +435,7 @@ unsafe fn heads_into<V: Lanes, const H: usize, const C: usize>(
     }
 }
 
-/// Columns `j..j + 8·C` of `mᵀ · w[g]` for every `g`: each row of `m` is
+/// Columns `j..j + C·LANES` of `mᵀ · w[g]` for every `g`: each row of `m` is
 /// loaded once and multiplied into `H·C` accumulators, the products of
 /// exact-zero weights masked to `+0.0`.
 ///
@@ -447,10 +454,10 @@ unsafe fn columns_into<V: Lanes, const H: usize, const C: usize>(
     let zero = unsafe { V::zero() };
     let mut acc = [[zero; C]; H];
     for i in 0..m.rows() {
-        let row = &m.row(i)[j..j + 8 * C];
+        let row = &m.row(i)[j..j + V::LANES * C];
         let mut cols = [zero; C];
         for (c, col) in cols.iter_mut().enumerate() {
-            *col = unsafe { V::load(&row[8 * c..]) };
+            *col = unsafe { V::load(&row[V::LANES * c..]) };
         }
         for (acc, w) in acc.iter_mut().zip(w) {
             let wv = unsafe { V::splat(w[i]) };
@@ -462,7 +469,7 @@ unsafe fn columns_into<V: Lanes, const H: usize, const C: usize>(
     }
     for (g, acc) in acc.into_iter().enumerate() {
         for (c, v) in acc.into_iter().enumerate() {
-            unsafe { v.store(&mut out[g * k + j + 8 * c..]) };
+            unsafe { v.store(&mut out[g * k + j + V::LANES * c..]) };
         }
     }
 }
@@ -470,6 +477,8 @@ unsafe fn columns_into<V: Lanes, const H: usize, const C: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::tiers::{assert_same_bits, hostile_row, LENGTHS};
+    use crate::simd::F32x8;
 
     fn mat(rows: usize, cols: usize, phase: f32) -> Matrix {
         Matrix::from_fn(rows, cols, |i, j| ((i * cols + j) as f32 * 0.37 + phase).sin())
@@ -480,7 +489,7 @@ mod tests {
     }
 
     /// `lhs · otherᵀ` over stale `out` through both bodies — the dispatched
-    /// one (AVX where the CPU has it) and the portable one, which must
+    /// one (`Avx` where the CPU has AVX) and the portable one, which must
     /// agree bit for bit — with and without the norms riding along.
     fn product(lhs: &Matrix, other: &Matrix, mask: Option<&LaneMask>) -> Matrix {
         let mut out = Matrix::filled(lhs.rows(), other.rows(), f32::NAN);
@@ -689,15 +698,16 @@ mod tests {
         want
     }
 
-    /// Both bodies of the fused kernel over stale output, checked against
-    /// each other.
+    /// The fused kernel over stale output, dispatched and on every tier
+    /// this CPU runs, checked against each other.
     fn matvec_t_fused(m: &Matrix, weights: &Matrix) -> Vec<f32> {
         let mut got = vec![f32::NAN; weights.rows() * m.cols()];
         matvec_t_heads_into(m, weights, &mut got);
-        let mut portable = vec![f32::NAN; got.len()];
-        // SAFETY: `F32x8` is baseline code on every target.
-        unsafe { matvec_t_heads::<F32x8>(m, weights, &mut portable) };
-        assert_eq!(bits(&got), bits(&portable), "AVX vs portable body");
+        for tier in Tier::available() {
+            let mut body = vec![f32::NAN; got.len()];
+            matvec_t_heads_on(tier, m, weights, &mut body);
+            assert_eq!(bits(&got), bits(&body), "dispatched vs {tier} body");
+        }
         got
     }
 
@@ -750,6 +760,31 @@ mod tests {
         let m = Matrix::filled(6, 19, f32::NAN);
         let got = matvec_t_fused(&m, &Matrix::zeros(2, 6));
         assert_eq!(bits(&got), bits(&[0.0; 38]));
+    }
+
+    #[test]
+    fn matvec_t_heads_has_the_references_bits_on_every_tier_over_hostile_values() {
+        // NaN, ±∞, −0.0, subnormals and the Q16.16 clamp edges in `m` and
+        // in the weights, exact zeros of both signs among the weights (the
+        // rows the reference skips), every `K % 16`.
+        for (seed, &k) in LENGTHS.iter().enumerate() {
+            let n = LENGTHS[(seed * 5 + 2) % LENGTHS.len()];
+            let seed = seed as u64;
+            let m = Matrix::from_vec(n, k, hostile_row(seed, n * k));
+            for r in 1..=5usize {
+                let mut w = hostile_row(seed + 50 + r as u64, r * n);
+                for (i, x) in w.iter_mut().enumerate().filter(|(i, _)| i % 3 == 0) {
+                    *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                let weights = Matrix::from_vec(r, n, w);
+                let want = bits(&matvec_t_per_head(&m, &weights));
+                assert_same_bits(&format!("matvec_t_heads {n}x{k} r={r}"), want, |tier| {
+                    let mut out = vec![f32::NAN; r * k];
+                    matvec_t_heads_on(tier, &m, &weights, &mut out);
+                    bits(&out)
+                });
+            }
+        }
     }
 
     #[test]

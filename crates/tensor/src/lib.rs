@@ -23,14 +23,20 @@
 //!   that let ragged batches skip — not zero-and-recompute — the rows of
 //!   lanes whose sequences have ended,
 //! * [`PackedWeights`] — a fixed weight matrix stored once in panels of
-//!   16 outputs and its bit-exact, output-packed AVX/SSE2 product: what
+//!   16 outputs and its bit-exact, output-packed vector product: what
 //!   the engine's controller, interface and output projections run
 //!   ([`mod@packed`]),
 //! * the head-fused products of [`mod@fused`] — the kernels for the
 //!   memory unit's `M` and `L`, which change every step: a
 //!   transposing row-dot kernel (with the row norms riding along) and
-//!   `mᵀ · w_h` for all heads, each one pass over the matrix at AVX/SSE2
-//!   width with the reference's bits.
+//!   `mᵀ · w_h` for all heads, each one pass over the matrix at vector
+//!   width with the reference's bits,
+//! * the history-write kernels of [`mod@history`] — the erase/add memory
+//!   write and the linkage update, element-wise at vector width,
+//! * the vector tiers of [`mod@simd`] — sixteen AVX-512 lanes, eight AVX
+//!   lanes or the portable [`F32x8`], the widest the CPU has picked once
+//!   by [`simd::Tier::detected`], every kernel one generic body over
+//!   them.
 //!
 //! There is **one kernel tier** and one numerics contract: every vector
 //! kernel packs *independent outputs* into register lanes and walks `k` in
@@ -59,6 +65,7 @@ pub mod activation;
 pub mod backend;
 pub mod fixed;
 pub mod fused;
+pub mod history;
 pub mod lane_mask;
 pub mod linalg;
 pub mod matrix;

@@ -43,13 +43,16 @@
 //! stays bit-identical to the sequential oracles. The remainder columns
 //! run the row kernel's own expression verbatim.
 //!
-//! Eight accumulators are live per block, enough independent add chains
-//! to hide the add latency: 4 lanes × 1 panel, 3 × 1, 2 × 2 or 1 × 4
-//! (two 8-wide vectors per panel). On `x86_64` the vectors are AVX
-//! `__m256` when the CPU has AVX — detected once, when the weights are
-//! packed — and otherwise, and on every other target, the same panel walk
-//! runs over the portable [`F32x8`] (two SSE2 halves on `x86_64`). Both
-//! bodies are one generic function, so they cannot drift apart.
+//! About eight accumulator vectors are live per block, enough independent
+//! add chains to hide the add latency: two vectors of outputs per lane
+//! for 4 or 3 lanes, four for 2, eight for 1. The walk is one generic
+//! body over the crate's `Lanes` type ([`mod@crate::simd`]), run on the
+//! widest tier the CPU has: sixteen-lane AVX-512 vectors, where a 64-byte
+//! panel row is exactly one register (so a block spans two panels for 4
+//! or 3 lanes), eight-lane AVX ones (two per panel row), or the portable
+//! [`F32x8`](crate::F32x8) (two SSE2 halves on `x86_64`, scalar lanes
+//! elsewhere). A lane holds the same output at every width, so the tiers
+//! cannot drift apart.
 //!
 //! # The `-0.0` caveat of the remainder columns
 //!
@@ -63,10 +66,11 @@
 
 use crate::lane_mask::LaneMask;
 use crate::matrix::Matrix;
-use crate::simd::{avx_detected, F32x8, Lanes};
+use crate::simd::{Kernel, Lanes, Tier};
 use std::fmt;
 
-/// Outputs per panel: two 8-wide vectors, one cache line per panel row.
+/// Outputs per panel: one 16-wide or two 8-wide vectors, one cache line
+/// per panel row.
 const PANEL: usize = 16;
 
 /// Lanes per group: a panel row is loaded once for this many lanes.
@@ -101,13 +105,11 @@ pub struct PackedWeights {
     panels: Vec<PanelRow>,
     /// The `rows % 4` remainder outputs, row-major (`rows % 4 × cols`).
     tail: Vec<f32>,
-    /// Whether the product runs the AVX body (detected at pack time).
-    avx: bool,
 }
 
 impl fmt::Debug for PackedWeights {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PackedWeights({}x{}, avx: {})", self.rows, self.cols, self.avx)
+        write!(f, "PackedWeights({}x{})", self.rows, self.cols)
     }
 }
 
@@ -136,7 +138,7 @@ impl PackedWeights {
                 }
             }
         }
-        Self { rows, cols, panels, tail, avx: avx_detected() }
+        Self { rows, cols, panels, tail }
     }
 
     /// `lhs · selfᵀ` into `out` over the rows `mask` marks active;
@@ -148,6 +150,16 @@ impl PackedWeights {
     /// Panics if `lhs` is not `B × K`, `out` is not `B × N` or
     /// `mask.lanes() != B`.
     pub fn matmul_masked_into(&self, lhs: &Matrix, mask: &LaneMask, out: &mut Matrix) {
+        self.matmul_masked_on(Tier::detected(), lhs, mask, out);
+    }
+
+    /// [`PackedWeights::matmul_masked_into`] on the given tier — the same
+    /// bits on every tier.
+    ///
+    /// # Panics
+    ///
+    /// As `matmul_masked_into`, and if this CPU does not run `tier`.
+    pub fn matmul_masked_on(&self, tier: Tier, lhs: &Matrix, mask: &LaneMask, out: &mut Matrix) {
         assert_eq!(
             lhs.cols(),
             self.cols,
@@ -159,27 +171,25 @@ impl PackedWeights {
         );
         assert_eq!(out.shape(), (lhs.rows(), self.rows), "packed product output shape mismatch");
         assert_eq!(mask.lanes(), lhs.rows(), "lane mask size mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if self.avx {
-            // SAFETY: `avx` is only ever set from
-            // `is_x86_feature_detected!("avx")`, so this CPU runs AVX.
-            return unsafe { product_avx(self, lhs, mask, out) };
-        }
-        // SAFETY: `F32x8` is baseline code on every target.
-        unsafe { product::<F32x8>(self, lhs, mask, out) }
+        tier.run(Product { weights: self, lhs, mask, out });
     }
 }
 
-/// The panel walk over AVX vectors.
-///
-/// # Safety
-///
-/// The CPU must support AVX.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn product_avx(weights: &PackedWeights, lhs: &Matrix, mask: &LaneMask, out: &mut Matrix) {
-    // SAFETY: the caller guarantees AVX, which is all `Avx` needs.
-    unsafe { product::<crate::simd::Avx>(weights, lhs, mask, out) }
+/// The product's arguments, for [`Tier::run`].
+struct Product<'a> {
+    weights: &'a PackedWeights,
+    lhs: &'a Matrix,
+    mask: &'a LaneMask,
+    out: &'a mut Matrix,
+}
+
+impl Kernel for Product<'_> {
+    type Output = ();
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        // SAFETY: forwarded from the caller.
+        unsafe { product::<V>(self.weights, self.lhs, self.mask, self.out) }
+    }
 }
 
 /// The product over vector type `V`: zero the inactive rows, then walk the
@@ -207,27 +217,28 @@ unsafe fn product<V: Lanes>(
         len += 1;
         if len == GROUP {
             // SAFETY (all four arms): forwarded from the caller.
-            unsafe { group_into::<V, 4, 1>(weights, lhs, group, out) };
+            unsafe { group_into::<V, 4, 2>(weights, lhs, group, out) };
             len = 0;
         }
     }
     let [a, b, c, _] = group;
     match len {
-        3 => unsafe { group_into::<V, 3, 1>(weights, lhs, [a, b, c], out) },
-        2 => unsafe { group_into::<V, 2, 2>(weights, lhs, [a, b], out) },
-        1 => unsafe { group_into::<V, 1, 4>(weights, lhs, [a], out) },
+        3 => unsafe { group_into::<V, 3, 2>(weights, lhs, [a, b, c], out) },
+        2 => unsafe { group_into::<V, 2, 4>(weights, lhs, [a, b], out) },
+        1 => unsafe { group_into::<V, 1, 8>(weights, lhs, [a], out) },
         _ => {}
     }
 }
 
-/// `out.row(l) = lhs.row(l) · weightsᵀ` for the `L` rows in `lanes`, `P`
-/// panels per block (single panels once fewer than `P` are left).
+/// `out.row(l) = lhs.row(l) · weightsᵀ` for the `L` rows in `lanes`, `C`
+/// vectors of outputs per block — `C · LANES / 16` whole panels — then
+/// blocks of half as many vectors while they fit, down to single panels.
 ///
 /// # Safety
 ///
 /// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn group_into<V: Lanes, const L: usize, const P: usize>(
+unsafe fn group_into<V: Lanes, const L: usize, const C: usize>(
     weights: &PackedWeights,
     lhs: &Matrix,
     lanes: [usize; L],
@@ -237,16 +248,35 @@ unsafe fn group_into<V: Lanes, const L: usize, const P: usize>(
     let n4 = weights.rows - weights.rows % 4;
     let x: [&[f32]; L] = lanes.map(|lane| lhs.row(lane));
     let count = n4.div_ceil(PANEL);
+    let per_block = C * V::LANES / PANEL;
     let mut p = 0;
-    // SAFETY (both loops): forwarded from the caller.
-    while p + P <= count {
-        let panels = &weights.panels[p * k..(p + P) * k];
-        unsafe { store_block(block::<V, L, P>(x, panels, k), lanes, p * PANEL, n4, out) };
-        p += P;
+    // SAFETY (every block): forwarded from the caller.
+    while p + per_block <= count {
+        let panels = &weights.panels[p * k..(p + per_block) * k];
+        unsafe { store_block(block::<V, L, C>(x, panels, k), lanes, p * PANEL, n4, out) };
+        p += per_block;
+    }
+    // The narrower blocks keep some add chains in flight on the last
+    // panels (four and two vectors are two and one AVX panels, or four
+    // and two AVX-512 ones).
+    if C > 4 && p + 4 * V::LANES / PANEL <= count {
+        let panels = &weights.panels[p * k..(p + 4 * V::LANES / PANEL) * k];
+        unsafe { store_block(block::<V, L, 4>(x, panels, k), lanes, p * PANEL, n4, out) };
+        p += 4 * V::LANES / PANEL;
+    }
+    if C > 2 && p + 2 * V::LANES / PANEL <= count {
+        let panels = &weights.panels[p * k..(p + 2 * V::LANES / PANEL) * k];
+        unsafe { store_block(block::<V, L, 2>(x, panels, k), lanes, p * PANEL, n4, out) };
+        p += 2 * V::LANES / PANEL;
     }
     while p < count {
         let panels = &weights.panels[p * k..(p + 1) * k];
-        unsafe { store_block(block::<V, L, 1>(x, panels, k), lanes, p * PANEL, n4, out) };
+        // One panel is one vector or two, by width.
+        if V::LANES == PANEL {
+            unsafe { store_block(block::<V, L, 1>(x, panels, k), lanes, p * PANEL, n4, out) };
+        } else {
+            unsafe { store_block(block::<V, L, 2>(x, panels, k), lanes, p * PANEL, n4, out) };
+        }
         p += 1;
     }
     for (&lane, x) in lanes.iter().zip(x) {
@@ -258,33 +288,39 @@ unsafe fn group_into<V: Lanes, const L: usize, const P: usize>(
     }
 }
 
-/// The accumulators of `L` lanes × `P` consecutive panels (`panels` holds
-/// their `P·k` rows) after all `k` steps, ascending.
+/// The accumulators of `L` lanes × `C` consecutive output vectors
+/// (`panels` holds their `C · LANES / 16` panels of `k` rows) after all
+/// `k` steps, ascending.
 ///
 /// # Safety
 ///
 /// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn block<V: Lanes, const L: usize, const P: usize>(
+unsafe fn block<V: Lanes, const L: usize, const C: usize>(
     x: [&[f32]; L],
     panels: &[PanelRow],
     k: usize,
-) -> [[[V; 2]; P]; L] {
+) -> [[V; C]; L] {
     let x: [&[f32]; L] = x.map(|row| &row[..k]);
-    let panels: [&[PanelRow]; P] = std::array::from_fn(|p| &panels[p * k..(p + 1) * k]);
-    // SAFETY (every vector op below): forwarded from the caller.
-    let mut acc = [[[unsafe { V::zero() }; 2]; P]; L];
+    let per_panel = PANEL / V::LANES;
+    // Vector `c` reads panel `c / per_panel`, part `c % per_panel`.
+    let mut rows = [&panels[..0]; C];
+    for (c, rows) in rows.iter_mut().enumerate() {
+        *rows = &panels[c / per_panel * k..][..k];
+    }
+    // SAFETY (every vector op below): forwarded from the caller. Plain
+    // loops, no closures: a closure would not inherit the kernel entry's
+    // target feature, and its intrinsics would stay calls.
+    let mut acc = [[unsafe { V::zero() }; C]; L];
     for kk in 0..k {
-        let w: [[V; 2]; P] = std::array::from_fn(|p| {
-            let row = &panels[p][kk].0;
-            unsafe { [V::load(&row[..8]), V::load(&row[8..])] }
-        });
+        let mut w = [unsafe { V::zero() }; C];
+        for (c, w) in w.iter_mut().enumerate() {
+            *w = unsafe { V::load(&rows[c][kk].0[c % per_panel * V::LANES..]) };
+        }
         for l in 0..L {
             let xv = unsafe { V::splat(x[l][kk]) };
-            for p in 0..P {
-                for h in 0..2 {
-                    acc[l][p][h] = unsafe { V::mul_acc(acc[l][p][h], xv, w[p][h]) };
-                }
+            for c in 0..C {
+                acc[l][c] = unsafe { V::mul_acc(acc[l][c], xv, w[c]) };
             }
         }
     }
@@ -298,8 +334,8 @@ unsafe fn block<V: Lanes, const L: usize, const P: usize>(
 ///
 /// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn store_block<V: Lanes, const L: usize, const P: usize>(
-    acc: [[[V; 2]; P]; L],
+unsafe fn store_block<V: Lanes, const L: usize, const C: usize>(
+    acc: [[V; C]; L],
     lanes: [usize; L],
     col0: usize,
     n4: usize,
@@ -307,11 +343,11 @@ unsafe fn store_block<V: Lanes, const L: usize, const P: usize>(
 ) {
     for (lane, acc) in lanes.into_iter().zip(acc) {
         let row = out.row_mut(lane);
-        for (h, v) in acc.into_iter().flatten().enumerate() {
-            let col = col0 + h * 8;
-            let width = n4.saturating_sub(col).min(8);
+        for (c, v) in acc.into_iter().enumerate() {
+            let col = col0 + c * V::LANES;
+            let width = n4.saturating_sub(col).min(V::LANES);
             // SAFETY: forwarded from the caller.
-            row[col.min(n4)..][..width].copy_from_slice(&unsafe { v.to_array() }[..width]);
+            unsafe { v.store_first(&mut row[col.min(n4)..][..width]) };
         }
     }
 }
@@ -319,6 +355,7 @@ unsafe fn store_block<V: Lanes, const L: usize, const P: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::tiers::{assert_same_bits, hostile_row, LENGTHS};
 
     fn mat(rows: usize, cols: usize, phase: f32) -> Matrix {
         Matrix::from_fn(rows, cols, |i, j| ((i * cols + j) as f32 * 0.37 + phase).sin())
@@ -328,17 +365,18 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Both bodies over stale `out`: the dispatched one (AVX where the
-    /// CPU has it) and the portable one, which must agree bit for bit.
+    /// The product on every tier this CPU runs, each over stale `out`:
+    /// all must agree bit for bit.
     fn packed_product(w: &Matrix, lhs: &Matrix, mask: &LaneMask) -> Matrix {
         let packed = PackedWeights::pack(w);
-        let mut out = Matrix::filled(lhs.rows(), w.rows(), f32::NAN);
-        packed.matmul_masked_into(lhs, mask, &mut out);
-        let mut portable = Matrix::filled(lhs.rows(), w.rows(), f32::NAN);
-        // SAFETY: `F32x8` is baseline code on every target.
-        unsafe { product::<F32x8>(&packed, lhs, mask, &mut portable) };
-        assert_eq!(bits(out.as_slice()), bits(portable.as_slice()), "AVX vs portable body");
-        out
+        let mut dispatched = Matrix::filled(lhs.rows(), w.rows(), f32::NAN);
+        packed.matmul_masked_into(lhs, mask, &mut dispatched);
+        for tier in Tier::available() {
+            let mut out = Matrix::filled(lhs.rows(), w.rows(), f32::NAN);
+            packed.matmul_masked_on(tier, lhs, mask, &mut out);
+            assert_eq!(bits(out.as_slice()), bits(dispatched.as_slice()), "{tier} vs dispatched");
+        }
+        dispatched
     }
 
     /// Packed output vs the row kernel on every row, and vs `matvec` on
@@ -426,6 +464,29 @@ mod tests {
             assert_eq!(bits(out.row(i)), bits(&[0.0; 21]), "row {i}");
         }
         assert_eq!(bits(out.row(1)), bits(&w.matvec(lhs.row(1))));
+    }
+
+    #[test]
+    fn every_tier_has_the_row_kernels_bits_on_hostile_values() {
+        // NaN, ±∞, −0.0, subnormals and the Q16.16 clamp edges in both
+        // factors, every `N % 16`, K from a single step up, ragged masks.
+        for (seed, &n) in LENGTHS.iter().enumerate() {
+            let k = LENGTHS[(seed * 7 + 3) % LENGTHS.len()];
+            let seed = seed as u64;
+            let packed = PackedWeights::pack(&Matrix::from_vec(n, k, hostile_row(seed, n * k)));
+            let w = Matrix::from_vec(n, k, hostile_row(seed, n * k));
+            for b in 1..=5usize {
+                let lhs = Matrix::from_vec(b, k, hostile_row(seed + 100 + b as u64, b * k));
+                let mask = LaneMask::from_fn(b, |i| i != 1);
+                let mut want = Matrix::filled(b, n, f32::NAN);
+                lhs.matmul_nt_masked_into(&w, &mask, &mut want);
+                assert_same_bits(&format!("packed {n}x{k} b={b}"), bits(want.as_slice()), |tier| {
+                    let mut out = Matrix::filled(b, n, f32::NAN);
+                    packed.matmul_masked_on(tier, &lhs, &mask, &mut out);
+                    bits(out.as_slice())
+                });
+            }
+        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   every slice kernel;
 //! * once as a generic body over the crate's `Lanes` trait, transcribing
 //!   the scalar function operation for operation (a branch becomes a
-//!   mask), instantiated for `Avx` and for [`F32x8`] (SSE2 / portable).
-//!   No FMA, no AVX2, no table. The tests hold the two equal bit for bit
-//!   — exhaustively over all 2³² inputs in CI.
+//!   mask), instantiated for `Avx512`, `Avx` and
+//!   [`F32x8`](crate::F32x8) (SSE2 / portable). No FMA, no table. The
+//!   tests hold every body equal to the scalar function bit for bit —
+//!   exhaustively over all 2³² inputs in CI.
 //!
 //! The recipes are the Cephes single-precision ones. `exp` rounds
 //! `x·log₂e` to an integer `n` with the `1.5·2²³` magic-number add,
@@ -68,10 +69,13 @@
 //! [`softmax_inplace`] — whose summation order is
 //! *defined here*, once: eight lane-wise partial sums over the whole
 //! vectors, combined as `((s₀+s₄) + (s₂+s₆)) + ((s₁+s₅) + (s₃+s₇))`, then
-//! the `len % 8` tail added in order. Each walks whole vectors through
-//! the lane body and the tail through the scalar function.
+//! the `len % 8` tail added in order — eight lanes by definition, so it
+//! runs on `Avx` or `F32x8` on every CPU. The others run at the widest
+//! tier the CPU has. Each walks whole vectors through the lane body and
+//! the tail through the scalar function.
 
-use crate::simd::{avx_detected, F32x8, Lanes};
+use crate::simd::{Kernel, Kernel8, Lanes, Lanes8, Tier};
+use std::marker::PhantomData;
 
 /// `x + ROUND_MAGIC` (for `|x| < 2²²`) is `1.5·2²³ + round(x)`: the sum's
 /// ulp is 1, so the add rounds `x` to the nearest integer, ties to even,
@@ -228,7 +232,7 @@ pub fn oneplus(x: f32) -> f32 {
 // ops' only requirement — the CPU runs `V`'s instruction set — is
 // forwarded from the caller.
 
-/// [`horner`] on eight lanes.
+/// [`horner`] lane-wise.
 ///
 /// # Safety
 ///
@@ -390,39 +394,35 @@ pub fn oneplus_into(src: &[f32], dst: &mut [f32]) {
 /// `dst[i] = F(src[i])`: whole vectors through the lane body, the tail
 /// through the scalar function.
 fn map_into<F: Pointwise>(src: &[f32], dst: &mut [f32]) {
+    map_on::<F>(Tier::detected(), src, dst);
+}
+
+/// [`map_into`] on the given tier.
+fn map_on<F: Pointwise>(tier: Tier, src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "pointwise map length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx_detected() {
-        // SAFETY: this CPU runs AVX.
-        return unsafe { map_avx::<F>(src, dst) };
-    }
-    // SAFETY: `F32x8` is baseline code on every target.
-    unsafe { map_body::<F, F32x8>(src, dst) }
+    tier.run(Map::<F> { src, dst, f: PhantomData });
 }
 
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
-#[inline(always)]
-unsafe fn map_body<F: Pointwise, V: Lanes>(src: &[f32], dst: &mut [f32]) {
-    let (mut s, mut d) = (src.chunks_exact(8), dst.chunks_exact_mut(8));
-    for (s, d) in (&mut s).zip(&mut d) {
-        // SAFETY: forwarded from the caller.
-        unsafe { F::lanes(V::load(s)).store(d) };
-    }
-    for (&s, d) in s.remainder().iter().zip(d.into_remainder()) {
-        *d = F::scalar(s);
-    }
+/// The pointwise map's arguments, for [`Tier::run`].
+struct Map<'a, F> {
+    src: &'a [f32],
+    dst: &'a mut [f32],
+    f: PhantomData<F>,
 }
 
-/// # Safety
-///
-/// The CPU must support AVX.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn map_avx<F: Pointwise>(src: &[f32], dst: &mut [f32]) {
-    // SAFETY: the caller guarantees AVX, which is all `Avx` needs.
-    unsafe { map_body::<F, crate::simd::Avx>(src, dst) }
+impl<F: Pointwise> Kernel for Map<'_, F> {
+    type Output = ();
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        let (mut s, mut d) = (self.src.chunks_exact(V::LANES), self.dst.chunks_exact_mut(V::LANES));
+        for (s, d) in (&mut s).zip(&mut d) {
+            // SAFETY: forwarded from the caller.
+            unsafe { F::lanes(V::load(s)).store(d) };
+        }
+        for (&s, d) in s.remainder().iter().zip(d.into_remainder()) {
+            *d = F::scalar(s);
+        }
+    }
 }
 
 /// Replaces `xs` by its softmax, numerically stabilized by
@@ -431,20 +431,26 @@ unsafe fn map_avx<F: Pointwise>(src: &[f32], dst: &mut [f32]) {
 /// content-addressing path runs the scaled similarities through this on
 /// a reused scratch buffer.
 pub fn softmax_inplace(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx_detected() {
-        // SAFETY: this CPU runs AVX.
-        return unsafe { softmax_avx(xs) };
+    Tier::detected().run8(Softmax(xs));
+}
+
+/// The softmax's argument, for [`Tier::run8`].
+struct Softmax<'a>(&'a mut [f32]);
+
+impl Kernel8 for Softmax<'_> {
+    type Output = ();
+    #[inline(always)]
+    unsafe fn run<V: Lanes8>(self) {
+        // SAFETY: forwarded from the caller.
+        unsafe { softmax_body::<V>(self.0) }
     }
-    // SAFETY: `F32x8` is baseline code on every target.
-    unsafe { softmax_body::<F32x8>(xs) }
 }
 
 /// # Safety
 ///
 /// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn softmax_body<V: Lanes>(xs: &mut [f32]) {
+unsafe fn softmax_body<V: Lanes8>(xs: &mut [f32]) {
     let (whole, tail) = xs.split_at_mut(xs.len() / 8 * 8);
     // SAFETY (every vector op below): forwarded from the caller.
     //
@@ -481,16 +487,6 @@ unsafe fn softmax_body<V: Lanes>(xs: &mut [f32]) {
     }
 }
 
-/// # Safety
-///
-/// The CPU must support AVX.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn softmax_avx(xs: &mut [f32]) {
-    // SAFETY: the caller guarantees AVX, which is all `Avx` needs.
-    unsafe { softmax_body::<crate::simd::Avx>(xs) }
-}
-
 /// The LSTM's gate, cell and hidden update over one lane: `pre` is the
 /// biased pre-activation row `[i f g o]` of width `4H`, `cell` the cell
 /// state `c` (updated in place) and `hidden` receives `h'`:
@@ -509,13 +505,23 @@ unsafe fn softmax_avx(xs: &mut [f32]) {
 pub fn lstm_gates(pre: &[f32], cell: &mut [f32], hidden: &mut [f32]) {
     assert_eq!(pre.len(), 4 * cell.len(), "lstm_gates pre-activation width mismatch");
     assert_eq!(hidden.len(), cell.len(), "lstm_gates hidden width mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx_detected() {
-        // SAFETY: this CPU runs AVX.
-        return unsafe { lstm_gates_avx(pre, cell, hidden) };
+    Tier::detected().run(LstmGates { pre, cell, hidden });
+}
+
+/// The gate pass's arguments, for [`Tier::run`].
+struct LstmGates<'a> {
+    pre: &'a [f32],
+    cell: &'a mut [f32],
+    hidden: &'a mut [f32],
+}
+
+impl Kernel for LstmGates<'_> {
+    type Output = ();
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(self) {
+        // SAFETY: forwarded from the caller.
+        unsafe { lstm_gates_body::<V>(self.pre, self.cell, self.hidden) }
     }
-    // SAFETY: `F32x8` is baseline code on every target.
-    unsafe { lstm_gates_body::<F32x8>(pre, cell, hidden) }
 }
 
 /// # Safety
@@ -527,8 +533,8 @@ unsafe fn lstm_gates_body<V: Lanes>(pre: &[f32], cell: &mut [f32], hidden: &mut 
     let (i, rest) = pre.split_at(h);
     let (f, rest) = rest.split_at(h);
     let (g, o) = rest.split_at(h);
-    let whole = h / 8 * 8;
-    for j in (0..whole).step_by(8) {
+    let whole = h - h % V::LANES;
+    for j in (0..whole).step_by(V::LANES) {
         // SAFETY: forwarded from the caller.
         unsafe {
             let i_g = sigmoid_lanes(V::load(&i[j..]));
@@ -547,19 +553,11 @@ unsafe fn lstm_gates_body<V: Lanes>(pre: &[f32], cell: &mut [f32], hidden: &mut 
     }
 }
 
-/// # Safety
-///
-/// The CPU must support AVX.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn lstm_gates_avx(pre: &[f32], cell: &mut [f32], hidden: &mut [f32]) {
-    // SAFETY: the caller guarantees AVX, which is all `Avx` needs.
-    unsafe { lstm_gates_body::<crate::simd::Avx>(pre, cell, hidden) }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::F32x8;
 
     struct Exp;
     impl Pointwise for Exp {
@@ -592,18 +590,14 @@ mod tests {
         }
     }
 
-    /// `F` over `src` by the portable body and, where the CPU has it, by
-    /// the AVX one — each called explicitly, whatever the dispatch picks.
-    fn both_bodies<F: Pointwise>(src: &[f32]) -> Vec<(&'static str, Vec<f32>)> {
-        let mut out = vec![("F32x8", vec![0.0; src.len()])];
-        // SAFETY: `F32x8` is baseline code on every target.
-        unsafe { map_body::<F, F32x8>(src, &mut out[0].1) };
-        #[cfg(target_arch = "x86_64")]
-        if avx_detected() {
-            let mut avx = vec![0.0; src.len()];
-            // SAFETY: this CPU runs AVX.
-            unsafe { map_avx::<F>(src, &mut avx) };
-            out.push(("Avx", avx));
+    /// `F` over `src` by the body of every tier this CPU runs — each
+    /// called explicitly, whatever the dispatch picks.
+    fn every_body<F: Pointwise>(src: &[f32]) -> Vec<(Tier, Vec<f32>)> {
+        let mut out = Vec::new();
+        for tier in Tier::available() {
+            let mut body = vec![0.0; src.len()];
+            map_on::<F>(tier, src, &mut body);
+            out.push((tier, body));
         }
         out
     }
@@ -636,14 +630,14 @@ mod tests {
     /// holds it.
     type Check = fn(&str, &[f32]) -> u32;
 
-    /// Checks `F` on `src` (a multiple of eight long, so no element takes
-    /// the tail path): both lane bodies against the scalar function, bit
-    /// for bit, and the scalar function against its accuracy contract.
-    /// Returns the worst error seen, in ulp.
+    /// Checks `F` on `src` (a multiple of sixteen long, so no element
+    /// takes the tail path): every lane body against the scalar function,
+    /// bit for bit, and the scalar function against its accuracy
+    /// contract. Returns the worst error seen, in ulp.
     fn check<F: Pointwise>(name: &str, src: &[f32], bound: Option<Bound>) -> u32 {
-        assert_eq!(src.len() % 8, 0);
+        assert_eq!(src.len() % 16, 0);
         let want: Vec<f32> = src.iter().map(|&x| F::scalar(x)).collect();
-        for (body, got) in both_bodies::<F>(src) {
+        for (body, got) in every_body::<F>(src) {
             for ((&x, &g), &w) in src.iter().zip(&got).zip(&want) {
                 assert!(
                     same(g, w),
@@ -688,7 +682,7 @@ mod tests {
         // Every 8 101st bit pattern (a prime): ~530k values over every
         // exponent and both signs, NaNs and infinities included.
         let mut xs: Vec<f32> = (0..=u32::MAX).step_by(8101).map(f32::from_bits).collect();
-        xs.resize(xs.len().next_multiple_of(8), 0.0);
+        xs.resize(xs.len().next_multiple_of(16), 0.0);
         for (name, check) in FUNCTIONS {
             check(name, &xs);
         }
@@ -733,10 +727,10 @@ mod tests {
         for (name, check) in FUNCTIONS {
             // Shifted so every value visits every lane, beside different
             // neighbours each time.
-            for shift in 0..8 {
+            for shift in 0..16 {
                 let mut xs = vec![0.7f32; shift];
                 xs.extend(&edges);
-                xs.resize(xs.len().next_multiple_of(8), -0.3);
+                xs.resize(xs.len().next_multiple_of(16), -0.3);
                 check(name, &xs);
             }
         }
@@ -861,22 +855,26 @@ mod tests {
                 let src = wave(len, len, scale);
                 let what = format!("len={len} scale={scale}");
 
-                let (mut got, mut portable) = (vec![0.0; len], vec![0.0; len]);
+                let (mut got, mut body) = (vec![0.0; len], vec![0.0; len]);
                 sigmoid_into(&src, &mut got);
-                // SAFETY (here and below): `F32x8` is baseline code.
-                unsafe { map_body::<Sigmoid, F32x8>(&src, &mut portable) };
                 let want: Vec<f32> = src.iter().map(|&x| sigmoid(x)).collect();
                 assert_eq!(bits(&got), bits(&want), "sigmoid_into {what}");
-                assert_eq!(bits(&portable), bits(&want), "sigmoid_into F32x8 {what}");
+                for tier in Tier::available() {
+                    map_on::<Sigmoid>(tier, &src, &mut body);
+                    assert_eq!(bits(&body), bits(&want), "sigmoid_into {tier} {what}");
+                }
 
                 oneplus_into(&src, &mut got);
-                unsafe { map_body::<Oneplus, F32x8>(&src, &mut portable) };
                 let want: Vec<f32> = src.iter().map(|&x| oneplus(x)).collect();
                 assert_eq!(bits(&got), bits(&want), "oneplus_into {what}");
-                assert_eq!(bits(&portable), bits(&want), "oneplus_into F32x8 {what}");
+                for tier in Tier::available() {
+                    map_on::<Oneplus>(tier, &src, &mut body);
+                    assert_eq!(bits(&body), bits(&want), "oneplus_into {tier} {what}");
+                }
 
                 let (mut got, mut portable, mut want) = (src.clone(), src.clone(), src.clone());
                 softmax_inplace(&mut got);
+                // SAFETY: `F32x8` is baseline code on every target.
                 unsafe { softmax_body::<F32x8>(&mut portable) };
                 softmax_reference(&mut want);
                 assert_eq!(bits(&got), bits(&want), "softmax_inplace {what}");
@@ -900,10 +898,12 @@ mod tests {
             lstm_gates(&pre, &mut c_got, &mut h_got);
             assert_eq!((bits(&c_got), bits(&h_got)), (bits(&c_want), bits(&h_want)), "H={h}");
 
-            let (mut c_got, mut h_got) = (cell.clone(), vec![0.0; h]);
-            // SAFETY: `F32x8` is baseline code on every target.
-            unsafe { lstm_gates_body::<F32x8>(&pre, &mut c_got, &mut h_got) };
-            assert_eq!((bits(&c_got), bits(&h_got)), (bits(&c_want), bits(&h_want)), "F32x8 H={h}");
+            for tier in Tier::available() {
+                let (mut cell, mut hidden) = (cell.clone(), vec![0.0; h]);
+                tier.run(LstmGates { pre: &pre, cell: &mut cell, hidden: &mut hidden });
+                let got = (bits(&cell), bits(&hidden));
+                assert_eq!(got, (bits(&c_want), bits(&h_want)), "{tier} H={h}");
+            }
         }
     }
 
@@ -913,9 +913,11 @@ mod tests {
         lstm_gates(&[0.0; 7], &mut [0.0; 2], &mut [0.0; 2]);
     }
 
-    /// All 2³² `f32` bit patterns: both lane bodies of every function
-    /// against its scalar definition, and the scalar definition against
-    /// its ulp bound on every `f32` of the stated domain — not a sample.
+    /// All 2³² `f32` bit patterns: the lane body of every tier this CPU
+    /// runs (`F32x8`, `Avx`, `Avx512`), for every function, against its
+    /// scalar definition, and the scalar definition against its ulp bound
+    /// on every `f32` of the stated domain — not a sample. Prints the
+    /// tiers it checked and, on a CPU without one, the tier it skipped.
     /// The two signs run on two threads; minutes in release mode. CI runs
     /// it as "Transcendentals, exhaustive".
     #[test]
@@ -942,6 +944,7 @@ mod tests {
         for (((name, _), p), n) in FUNCTIONS.iter().zip(positive).zip(negative) {
             println!("{name}: max {} ulp", p.max(n));
         }
+        crate::simd::tiers::report("transcend::tests::exhaustive (transcendentals)");
     }
 
     /// `(x, exp x, sigmoid x, tanh x, softplus x)` as bit patterns: the
@@ -1034,7 +1037,7 @@ mod tests {
         }
         // The lane bodies reproduce the scalar functions on the same inputs.
         let mut xs: Vec<f32> = GOLDEN.iter().map(|row| f32::from_bits(row.0)).collect();
-        xs.resize(xs.len().next_multiple_of(8), 0.0);
+        xs.resize(xs.len().next_multiple_of(16), 0.0);
         for (name, check) in FUNCTIONS {
             check(name, &xs);
         }
