@@ -365,8 +365,8 @@ fn serve(args: &[String]) {
         Err(e) => bail(&format!("cannot bind {addr}: {e}")),
     };
     if profile_engine {
-        // Must be set before the first Open spawns a group thread — a
-        // group reads the opt-in once, when it builds its engine.
+        // Must be set before the first Open builds a group — a group
+        // reads the opt-in once, when it builds its engine.
         server.hub().metrics().set_engine_profiling(true);
     }
     println!(

@@ -12,9 +12,10 @@
 //!   instead of being discarded, rehydrate transparently on their next
 //!   command, and survive a process kill via snapshot + delta-log
 //!   replay,
-//! * `scheduler` (private) — the continuous-batching tick loop: pending step
-//!   requests coalesce into one masked grid step per tick; sessions join
-//!   and leave lanes between ticks, and swap out through the
+//! * `scheduler` (private) — the continuous-batching engine group, run on
+//!   its callers' threads (flat combining): pending step requests coalesce
+//!   into one masked grid step per tick; sessions join and leave lanes
+//!   between ticks, and swap out through the
 //!   [`LaneState`](hima_dnc::LaneState) splice API when the grid is full,
 //! * [`protocol`] — the length-prefixed binary wire protocol (hand-rolled;
 //!   the vendored `serde` is a no-op stand-in),
@@ -41,8 +42,8 @@
 //! budgets reject excess work with a typed
 //! [`ServeError::Overloaded`] carrying a retry hint, per-request
 //! deadlines shed expired queued steps with
-//! [`ServeError::DeadlineExceeded`], and a supervisor catches group
-//! scheduler panics, restarts the group, and resurrects store-backed
+//! [`ServeError::DeadlineExceeded`], and every pass over a group runs
+//! under `catch_unwind`: a panic replaces the group, which resurrects store-backed
 //! sessions from their snapshot + delta log (unpersisted sessions fail
 //! with [`ServeError::GroupFailed`]). All of it is pinned under a
 //! seeded, reproducible fault-injection plan ([`FaultPlan`]) by the

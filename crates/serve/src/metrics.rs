@@ -1,6 +1,6 @@
 //! The server-wide metric catalog: one [`ServeMetrics`] per
-//! [`SessionHub`](crate::session::SessionHub), shared by the accept loop,
-//! every connection thread and every group scheduler thread.
+//! [`SessionHub`](crate::session::SessionHub), shared by the accept loop
+//! and every connection thread (which also runs its groups' passes).
 //!
 //! All handles are pre-registered at hub construction, so instrumented
 //! paths never touch the registry lock — a tick records through plain
@@ -15,12 +15,12 @@
 //! |---|---|---|
 //! | `serve.sessions.opened` / `.closed` / `.reaped` | counter | lifecycle totals |
 //! | `serve.sessions.live` / `.parked` | gauge | sessions in RAM or spilled / swapped out in RAM; recomputed from the group's session table after every command and tick |
-//! | `serve.groups.live` | gauge | spawned engine-group threads |
+//! | `serve.groups.live` | gauge | engine groups built (one per distinct configuration) |
 //! | `serve.scheduler.ticks` | counter | ticks that stepped ≥ 1 lane (client work only) |
 //! | `serve.scheduler.steps` | counter | total lane-steps served, recovery replay included |
 //! | `serve.scheduler.parks` / `.splices` / `.lane_resets` | counter | lane swap-outs / swap-ins / blank recycles |
 //! | `serve.scheduler.queue_depth` | gauge | queued-but-unserved step inputs; recomputed from the group's session table after every command and tick |
-//! | `serve.scheduler.active_lanes` | gauge | lanes stepped by the latest tick (0 once the group ticks idle) |
+//! | `serve.scheduler.active_lanes` | gauge | lanes stepped by the latest tick (0 once nothing is in flight) |
 //! | `serve.scheduler.tick_ns` | histogram | masked-batch step wall time per tick |
 //! | `serve.scheduler.batch_size` | histogram | coalesced batch size per tick (client work only) |
 //! | `serve.scheduler.occupancy_pct` | histogram | stepped lanes as % of grid per tick |
@@ -40,7 +40,7 @@
 //! | `err.<kind>` | counter | error replies by [`ServeError`] kind |
 //! | `overload.shed` | counter | requests rejected by queue budgets |
 //! | `overload.deadline_expired` | counter | queued commands shed past their deadline |
-//! | `supervisor.restarts` | counter | group threads restarted after a panic |
+//! | `supervisor.restarts` | counter | groups replaced after a panicked pass |
 //! | `supervisor.resurrected` | counter | sessions rebuilt from the store after a panic |
 //! | `supervisor.failed_sessions` | counter | sessions lost to a panic (no durable state) |
 //! | `store.evict_refusals` | counter | evictions refused to avoid silent data loss |

@@ -1,8 +1,8 @@
 //! Deterministic retry schedules and deadline-shedding order.
 //!
-//! Two small pure cores live here so both the client (reconnect backoff)
-//! and the scheduler (deadline shedding) can be property-tested without
-//! a socket in sight:
+//! Small pure cores live here so both the client (reconnect backoff)
+//! and the scheduler (deadline shedding, retry hints) can be
+//! property-tested without a socket in sight:
 //!
 //! * [`RetryPolicy::backoff`] — seeded, jittered, capped exponential
 //!   backoff. The jitter for attempt `a` is drawn from
@@ -14,6 +14,8 @@
 //!   which are expired at `now`, oldest deadline first. The scheduler's
 //!   tick calls it to pick what to shed, so the entries that have waited
 //!   past their deadline the longest are rejected first.
+//! * `retry_after_ms` — the `Overloaded` retry hint: how long a backlog
+//!   takes to drain through a grid at the measured mean tick.
 
 use std::time::Duration;
 
@@ -85,6 +87,15 @@ pub fn shed_order<T: Ord + Copy>(entries: &[(u64, T)], now: T) -> Vec<u64> {
     expired.into_iter().map(|(_, id)| id).collect()
 }
 
+/// The retry hint of an `Overloaded` reply, in whole milliseconds: the
+/// time `backlog` queued rows take to drain through a `lanes`-lane grid
+/// (one row per lane per tick, plus the tick in progress) at
+/// `mean_tick_ns` per tick, rounded up and clamped to 1 ms … 30 s.
+pub(crate) fn retry_after_ms(backlog: u64, lanes: u64, mean_tick_ns: u64) -> u64 {
+    let ticks = backlog / lanes.max(1) + 1;
+    ticks.saturating_mul(mean_tick_ns).div_ceil(1_000_000).clamp(1, 30_000)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,6 +129,19 @@ mod tests {
         assert_eq!(shed_order(&entries, 99), vec![2, 4, 1, 3]);
         assert_eq!(shed_order(&entries, 9), Vec::<u64>::new());
         assert_eq!(shed_order(&entries, u64::MAX), vec![2, 4, 1, 3, 5]);
+    }
+
+    /// The hint grows with the backlog at a sub-millisecond tick (the
+    /// case a whole-millisecond tick rounded to the 1 ms floor) and stays
+    /// inside 1 ms … 30 s.
+    #[test]
+    fn the_retry_hint_grows_with_the_backlog() {
+        let tick_ns = 200_000;
+        let hints: Vec<u64> = [0, 80, 800, 8_000, 80_000].iter().map(|&b| retry_after_ms(b, 8, tick_ns)).collect();
+        assert_eq!(hints, [1, 3, 21, 201, 2_001]);
+        assert!(hints.windows(2).all(|w| w[0] < w[1]), "{hints:?}");
+        assert_eq!(retry_after_ms(u64::MAX, 8, tick_ns), 30_000, "capped");
+        assert_eq!(retry_after_ms(1_000, 0, 0), 1, "no tick measured yet, no lanes: the floor");
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The continuous-batching scheduler: one tick loop per engine group.
+//! The continuous-batching scheduler: one engine group, run by its callers.
 //!
 //! A **group** is every live session that shares one engine configuration
-//! (equal [`SessionSpec`](crate::protocol::SessionSpec) group keys). The
-//! group thread owns a single batched engine whose lane count is the
-//! grid capacity, and each **tick** coalesces the pending step requests
-//! of resident sessions into one `step_batch_masked_into` call:
+//! (equal [`SessionSpec`](crate::protocol::SessionSpec) group keys). A
+//! group owns a single batched engine whose lane count is the grid
+//! capacity, and each **tick** coalesces the pending step requests of
+//! resident sessions into one `step_batch_masked_into` call:
 //!
 //! * sessions **join** a lane when they have queued steps (fresh lanes
 //!   are recycled with `reset_lane`, swapped-in sessions re-attached with
@@ -17,6 +17,21 @@
 //!   the same `swap_lane` that seats a session carrying one (the two
 //!   trade buffers; nothing is copied), by `export_lane` when the joining
 //!   session is blank.
+//!
+//! # Who runs a group
+//!
+//! No thread of its own: a group is a [`GroupCell`] — the group and a
+//! command inbox — and the threads that send it commands run it (flat
+//! combining). A caller appends its command to the inbox and returns as
+//! soon as its reply is there. Otherwise it takes the group, serves every
+//! command the inbox holds, runs one tick and the parked-tier cap, and
+//! looks again. While another caller holds the group it waits for that
+//! caller's pass to end, which has served its command by then if it was
+//! sent in time. Commands that arrive during a tick join the next one, so
+//! overlapping callers still share a batch; a lone caller runs its step
+//! inline, on its own thread, with no hand-off. The idle sweep is the one
+//! job no caller drives: the hub's sweeper thread runs it
+//! ([`GroupCell::sweep`]) when an idle timeout is configured.
 //!
 //! Because weights are a function of the seed alone and masked stepping
 //! of an active lane is bit-identical to stepping that lane solo (the
@@ -68,15 +83,16 @@
 //!
 //! # Supervision
 //!
-//! The group thread body is re-entrant: the supervisor in
-//! [`SessionHub`](crate::session::SessionHub) wraps [`run_group`] in
-//! `catch_unwind` and calls it again with `resume = true` after a panic.
-//! The restarted group resurrects store-backed sessions from their
-//! snapshot + delta log and fails unpersisted ones with a typed
-//! [`ServeError::GroupFailed`]. Nothing repairs the shared gauges: a
-//! group publishes them from its own session table (`Group::publish`),
-//! and the restarted incarnation's first publish corrects what the dead
-//! one left behind.
+//! Every pass over a group runs under `catch_unwind`. A panic (a bug — or
+//! an injected [`FaultKind::Panic`] at the `SchedTick` site) replaces the
+//! group with a fresh incarnation that resurrects store-backed sessions
+//! from their snapshot + delta log and fails unpersisted ones with a typed
+//! [`ServeError::GroupFailed`]. A command the dead incarnation had taken
+//! from the inbox is lost with it, and its caller is told so; commands
+//! still in the inbox are served by the new one. Nothing repairs the
+//! shared gauges: a group publishes them from its own session table
+//! (`Group::publish`), and the new incarnation's first publish corrects
+//! what the dead one left behind.
 
 use crate::clock::Clock;
 use crate::metrics::ServeMetrics;
@@ -89,23 +105,27 @@ use hima_telemetry::{Histogram, TraceKind};
 use hima_tensor::{LaneMask, Matrix};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
+// Named by the unit tests through `use super::*`.
+#[cfg(test)]
+use std::sync::mpsc::TryRecvError;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 /// With sampled engine timing on, fold the engine's accumulated
 /// [`KernelProfile`] into the registry every this many stepped ticks.
 const PROFILE_SAMPLE_TICKS: u32 = 64;
 
-/// Locks a mutex, ignoring poisoning: a panicked group thread must not
-/// wedge the hub (or the next incarnation of the group) out of the
-/// shared maps — the data under these locks stays consistent because
-/// every critical section is a plain insert/remove.
+/// Locks a mutex, ignoring poisoning: a panicked pass must not wedge the
+/// hub (or the next incarnation of the group) out of the shared maps —
+/// the data under these locks stays consistent because every critical
+/// section is a plain insert/remove.
 pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A command routed to a group thread by the
+/// A command routed to a group by the
 /// [`SessionHub`](crate::session::SessionHub).
 pub(crate) enum GroupCmd {
     /// Register a hub-allocated session id with this group.
@@ -150,11 +170,11 @@ pub(crate) struct GroupStore {
     pub max_parked: usize,
 }
 
-/// State shared between a group thread, its supervisor, and the hub.
+/// State shared between a group, its later incarnations, and the hub.
 #[derive(Clone)]
 pub(crate) struct GroupShared {
     /// The hub's session → group routing table.
-    pub index: Arc<Mutex<HashMap<u64, Sender<GroupCmd>>>>,
+    pub index: Arc<Mutex<HashMap<u64, Arc<GroupCell>>>>,
     /// Server-wide metric handles and lifecycle trace.
     pub metrics: Arc<ServeMetrics>,
     /// Steps queued across every group (the global admission budget).
@@ -222,15 +242,15 @@ impl Sess {
     }
 }
 
-/// The state owned by one group thread.
+/// One group's engine and session table.
 struct Group {
     cfg: ServeConfig,
     engine: BoxedEngine,
     /// `lanes[slot]` = resident session id (`None` = free lane).
     lanes: Vec<Option<u64>>,
     sessions: HashMap<u64, Sess>,
-    /// Hub/supervisor shared state: routing index, metrics, budgets,
-    /// roster, published gauge levels.
+    /// State shared with the hub and later incarnations: routing index,
+    /// metrics, budgets, roster, published gauge levels.
     shared: GroupShared,
     /// Reused per-tick input/output blocks.
     x: Matrix,
@@ -261,65 +281,175 @@ struct Group {
     template: Option<LaneState>,
 }
 
-/// Runs a group's tick loop until its command channel disconnects (server
-/// shutdown) **and** every queued step has been served — pending work is
-/// drained, never dropped.
-///
-/// Re-entrant: the supervisor calls it again after a panic with
-/// `resume = true`, and the fresh incarnation resurrects store-backed
-/// sessions from the roster (unpersisted ones move to the failed set).
-pub(crate) fn run_group(
+thread_local! {
+    /// This thread's reply slot, reused by every command it sends: each
+    /// carries a clone of the sender, and exactly one reply comes back for
+    /// it unless a panicked incarnation took the command down.
+    static REPLY: (Sender<Response>, Receiver<Response>) = channel();
+}
+
+/// One engine group as its callers run it: the [`Group`] behind one lock,
+/// and the inbox that callers append their commands to.
+pub(crate) struct GroupCell {
+    inbox: Mutex<Inbox>,
+    /// Signalled when a pass ends that callers were waiting behind.
+    passed: Condvar,
+    group: Mutex<Group>,
+    /// What a new incarnation is built from after a panic.
     cfg: ServeConfig,
     spec: SessionSpec,
-    rx: &Receiver<GroupCmd>,
     shared: GroupShared,
     store: Option<GroupStore>,
-    resume: bool,
-) {
-    let mut group = Group::new(cfg, &spec, shared, store);
-    if resume {
-        group.resurrect();
+}
+
+/// Commands sent and not yet taken by a pass, and how many callers wait
+/// for the pass in progress to end.
+#[derive(Default)]
+struct Inbox {
+    cmds: VecDeque<GroupCmd>,
+    waiting: usize,
+}
+
+impl GroupCell {
+    pub(crate) fn new(cfg: ServeConfig, spec: SessionSpec, shared: GroupShared, store: Option<GroupStore>) -> Self {
+        let group = Mutex::new(Group::new(cfg.clone(), &spec, shared.clone(), store.clone()));
+        Self { inbox: Mutex::default(), passed: Condvar::new(), group, cfg, spec, shared, store }
     }
 
-    let mut disconnected = false;
-    loop {
-        let has_work = !group.sessions.values().all(Sess::idle);
-        if has_work || disconnected {
-            // Work pending (or draining): poll without blocking so the
-            // grid keeps ticking at full rate.
+    /// Sends the command `make` builds around this thread's reply slot and
+    /// runs passes until it is answered. `None`: the command was lost with
+    /// an incarnation that panicked.
+    pub(crate) fn call(&self, session: u64, make: impl FnOnce(Sender<Response>) -> GroupCmd) -> Option<Response> {
+        REPLY.with(|(reply, answer)| {
+            lock_clean(&self.inbox).cmds.push_back(make(reply.clone()));
             loop {
-                match rx.try_recv() {
-                    Ok(cmd) => group.handle(cmd),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        disconnected = true;
-                        break;
-                    }
+                if let Ok(resp) = answer.try_recv() {
+                    return Some(resp);
+                }
+                let Some(mut group) = self.turn() else { continue };
+                // After a clean pass of this caller's own, its command has
+                // been applied: answered, or a step still in the table. If
+                // neither, a panicked pass took it down.
+                let lost = self.pass(&mut group) && !group.in_flight(session);
+                self.release(group);
+                if let Ok(resp) = answer.try_recv() {
+                    return Some(resp);
+                }
+                if lost {
+                    return None;
                 }
             }
-        } else {
-            // Idle: block for up to one tick waiting for a command.
-            match rx.recv_timeout(group.cfg.tick) {
-                Ok(cmd) => {
-                    group.handle(cmd);
-                    while let Ok(cmd) = rx.try_recv() {
-                        group.handle(cmd);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => disconnected = true,
-            }
+        })
+    }
+
+    /// The group, if no pass holds it; otherwise waits for that pass to end
+    /// and returns `None` (it may have served the caller's command).
+    fn turn(&self) -> Option<MutexGuard<'_, Group>> {
+        let mut inbox = lock_clean(&self.inbox);
+        let group = self.try_group();
+        if group.is_none() {
+            inbox.waiting += 1;
+            inbox = self.passed.wait(inbox).unwrap_or_else(|e| e.into_inner());
+            inbox.waiting -= 1;
         }
-        group.step_tick();
-        group.reap();
-        group.spill_lru();
-        group.publish();
-        if disconnected && group.sessions.values().all(Sess::idle) {
-            break;
+        group
+    }
+
+    /// The group, unless a pass holds it right now.
+    fn try_group(&self) -> Option<MutexGuard<'_, Group>> {
+        match self.group.try_lock() {
+            Ok(group) => Some(group),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
         }
     }
-    // Fold any engine time accumulated since the last periodic sample.
-    group.sample_profile(true);
+
+    /// Ends a pass: lets go of the group and wakes whoever waited behind it.
+    fn release(&self, group: MutexGuard<'_, Group>) {
+        drop(group);
+        if lock_clean(&self.inbox).waiting > 0 {
+            self.passed.notify_all();
+        }
+    }
+
+    /// One combining pass: every command in the inbox, one tick, the
+    /// parked-tier cap, the gauges. False if it panicked.
+    fn pass(&self, group: &mut Group) -> bool {
+        self.supervised(group, |group| {
+            while let Some(cmd) = self.next_cmd() {
+                group.handle(cmd);
+            }
+            group.step_tick();
+            group.spill_lru();
+            group.publish();
+        })
+    }
+
+    /// The oldest command in the inbox (the inbox lock is not held while it
+    /// is applied, so senders never wait on a tick).
+    fn next_cmd(&self) -> Option<GroupCmd> {
+        lock_clean(&self.inbox).cmds.pop_front()
+    }
+
+    /// Runs `f` on the group under `catch_unwind`. After a panic the group
+    /// is replaced by a new incarnation that resurrects what the store
+    /// holds, and this returns false.
+    fn supervised(&self, group: &mut Group, f: impl FnOnce(&mut Group)) -> bool {
+        if catch_unwind(AssertUnwindSafe(|| f(group))).is_ok() {
+            return true;
+        }
+        self.shared.metrics.trace(TraceKind::GroupPanic, 0, 0);
+        self.shared.metrics.supervisor_restarts.inc();
+        *group = Group::new(self.cfg.clone(), &self.spec, self.shared.clone(), self.store.clone());
+        group.resurrect();
+        group.publish();
+        false
+    }
+
+    /// The idle sweep, unless a pass holds the group right now (the sweeper
+    /// comes back a tick later).
+    pub(crate) fn sweep(&self) {
+        let Some(mut group) = self.try_group() else { return };
+        self.supervised(&mut group, |group| {
+            group.reap();
+            group.spill_lru();
+            group.publish();
+        });
+        self.release(group);
+    }
+
+    /// Registers a session found in the store at hub boot; no caller waits
+    /// for it, so it is applied here rather than sent.
+    pub(crate) fn adopt(&self, session: u64) {
+        let mut group = lock_clean(&self.group);
+        group.handle(GroupCmd::Adopt { session });
+        self.release(group);
+    }
+
+    /// Folds the engine time accumulated since the last periodic sample
+    /// (at hub shutdown).
+    pub(crate) fn fold_profile(&self) {
+        let mut group = lock_clean(&self.group);
+        group.sample_profile(true);
+        self.release(group);
+    }
+}
+
+#[cfg(test)]
+impl GroupCell {
+    /// Runs `f` while holding the group as a pass would, so that a test can
+    /// line commands from several callers up behind it.
+    pub(crate) fn holding<R>(&self, f: impl FnOnce() -> R) -> R {
+        let group = lock_clean(&self.group);
+        let out = f();
+        self.release(group);
+        out
+    }
+
+    /// Commands sent and not yet taken by a pass.
+    pub(crate) fn queued(&self) -> usize {
+        lock_clean(&self.inbox).cmds.len()
+    }
 }
 
 impl Group {
@@ -442,14 +572,18 @@ impl Group {
         self.metrics.sessions_live.add(live - l.swap(live, Ordering::Relaxed));
     }
 
+    /// Whether `session` has a step command in flight.
+    fn in_flight(&self, session: u64) -> bool {
+        self.sessions.get(&session).is_some_and(|s| !s.idle())
+    }
+
     /// How long an overloaded client should wait before retrying: the
     /// estimated drain time of the current global backlog through this
-    /// group's grid, in whole ticks.
+    /// group's grid at the mean measured tick.
     fn retry_after_estimate(&self) -> u64 {
         let backlog = self.shared.global_queued.load(Ordering::Relaxed).max(0) as u64;
-        let lanes = self.engine.batch().max(1) as u64;
-        let tick_ms = self.cfg.tick.as_millis().max(1) as u64;
-        ((backlog / lanes + 1) * tick_ms).clamp(1, 30_000)
+        let mean_tick_ns = self.metrics.tick_ns.snapshot().mean() as u64;
+        crate::retry::retry_after_ms(backlog, self.engine.batch() as u64, mean_tick_ns)
     }
 
     /// Applies one command, publishes the gauges it moved, then sends its
@@ -502,7 +636,6 @@ impl Group {
             }
             GroupCmd::Step { session, inputs, deadline, reply } => {
                 let input_size = self.engine.params().input_size;
-                let retry_after_ms = self.retry_after_estimate();
                 let global_queued = self.shared.global_queued.load(Ordering::Relaxed).max(0) as usize;
                 let Some(sess) = self.sessions.get_mut(&session) else {
                     return Some((reply, Response::Error(ServeError::UnknownSession(session))));
@@ -531,6 +664,7 @@ impl Group {
                 if over_session || over_global {
                     self.metrics.overload_shed.inc();
                     self.metrics.trace(TraceKind::Shed, session, inputs.len() as u64);
+                    let retry_after_ms = self.retry_after_estimate();
                     return Some((reply, Response::Error(ServeError::Overloaded { retry_after_ms })));
                 }
                 sess.last_activity = self.shared.clock.now();
@@ -686,9 +820,7 @@ impl Group {
         let mut pending: Vec<u64> =
             self.sessions.iter().filter(|(_, s)| !s.idle()).map(|(&id, _)| id).collect();
         if pending.is_empty() {
-            // The gauge is "lanes stepped by the latest tick": an idle tick
-            // stepped none. Without this it holds the last batch size for
-            // as long as the group stays idle.
+            // Nothing in flight: no lane is busy.
             self.metrics.active_lanes.set(0);
             return;
         }
@@ -774,7 +906,10 @@ impl Group {
         self.metrics.tick_ns.observe(tick_ns);
         self.metrics.batch_size.observe(n as u64);
         self.metrics.occupancy_pct.observe((n * 100 / self.engine.batch()) as u64);
-        self.metrics.active_lanes.set(n as i64);
+        // Lanes stepped while work stays queued; 0 once this tick answers
+        // the last of it, before any reply goes out.
+        let queued = self.sessions.values().flat_map(|s| &s.cmd).any(|c| !c.rows.is_empty());
+        self.metrics.active_lanes.set(if queued { n as i64 } else { 0 });
         // Rows popped and parks made are published before the fan-out.
         self.publish();
 
@@ -811,7 +946,7 @@ impl Group {
     /// With sampled engine timing on, folds the delta between the
     /// engine's cumulative [`KernelProfile`] and the last sampled
     /// baseline into the registry's per-category counters. Runs every
-    /// [`PROFILE_SAMPLE_TICKS`] stepped ticks and once (`force`) at group
+    /// [`PROFILE_SAMPLE_TICKS`] stepped ticks and once (`force`) at hub
     /// shutdown.
     fn sample_profile(&mut self, force: bool) {
         let Some(base) = &self.profile_base else { return };

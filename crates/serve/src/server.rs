@@ -19,10 +19,16 @@
 //! connection. A timeout at a frame boundary is just idleness — the
 //! connection stays open indefinitely.
 //!
+//! A connection thread does not hand a request to another thread: its
+//! `dispatch` runs the engine group on the connection thread itself (see
+//! [`SessionHub`]), so a server's threads are the accept loop, one per
+//! connection, and the hub's idle sweeper when an idle timeout is set.
+//!
 //! Shutdown ordering (deadlock-free): mark stopping → unblock the accept
 //! loop with a self-connection → `shutdown(Read)` every tracked stream
-//! (in-flight replies still write) → join connection threads → stop the
-//! hub (group threads drain their queues, answer, exit) → join groups.
+//! (in-flight replies still write) → join connection threads, each of
+//! which runs its in-flight command to its reply first → stop the hub's
+//! idle sweeper.
 
 use crate::chaos_net::ChaosStream;
 use crate::clock::Clock;
@@ -44,9 +50,10 @@ pub struct ServeConfig {
     /// configuration can be *resident* at once (more sessions than lanes
     /// swap through detached lane states).
     pub grid_lanes: usize,
-    /// Scheduler tick: how long an idle group waits for commands before
-    /// re-checking. Under load the loop runs command-driven and this is
-    /// only the idle wake-up period.
+    /// Period of the idle sweep, and nothing else: steps are served on
+    /// the callers' threads as they arrive, never paced by a timer. With
+    /// [`idle_timeout`](Self::idle_timeout) set, the hub's sweeper looks
+    /// for sessions to reap or evict this often; without one it is unused.
     pub tick: Duration,
     /// Reap sessions idle for longer than this (`None` = never). A
     /// session with an in-flight step request is never reaped.

@@ -38,10 +38,10 @@ pub enum TraceKind {
     /// Queued work shed: overload rejection or an expired deadline
     /// (detail carries the shed queue depth).
     Shed,
-    /// A group scheduler thread panicked (detail: 0).
+    /// A pass over a serving group panicked (detail: 0).
     GroupPanic,
-    /// The supervisor restarted a panicked group (detail: sessions
-    /// resurrected from the store).
+    /// A panicked group was replaced by a new incarnation (detail:
+    /// sessions resurrected from the store).
     GroupRestart,
     /// A session could not be resurrected after a group panic and was
     /// failed with a typed error (detail: 0).
