@@ -2,10 +2,10 @@
 //!
 //! The paper profiles DNC inference on an Nvidia 3080Ti and an
 //! i7-9700K: >95% of the runtime is the memory unit, with history-based
-//! write weighting dominating the GPU (72%, sort-bound). Our instrumented
-//! functional DNC plays the general-purpose-platform role (it *is* a
-//! centralized software implementation); the paper's numbers are printed
-//! alongside.
+//! write weighting dominating the GPU (72%, sort-bound). A profiled
+//! one-lane monolithic engine plays the general-purpose-platform role (it
+//! *is* a centralized software implementation); the paper's numbers are
+//! printed alongside.
 
 use hima::prelude::*;
 use hima_bench::{bar, header};
@@ -14,7 +14,7 @@ fn main() {
     header("Fig. 4: kernel runtime breakdown (centralized software DNC, N x W = 1024 x 64)");
 
     let params = DncParams::paper_babi();
-    let mut dnc = Dnc::new(params, 2021);
+    let mut dnc = EngineBuilder::new(params).seed(2021).profiling(true).build();
     let steps = 12;
     for t in 0..steps {
         let x: Vec<f32> = (0..params.input_size)

@@ -65,8 +65,8 @@ pub mod prelude {
     pub use hima_dnc::allocation::SkimRate;
     pub use hima_dnc::Topology as EngineTopology;
     pub use hima_dnc::{
-        BoxedEngine, Datapath, Dnc, DncD, DncParams, EngineBuilder, EngineSpec, GridEngine,
-        InterfaceVector, MemoryConfig, MemoryUnit,
+        BoxedEngine, Datapath, DncParams, EngineBuilder, EngineSpec, GridEngine, InterfaceVector,
+        MemoryConfig, MemoryUnit,
     };
     pub use hima_engine::{Engine, EngineConfig, FeatureLevel};
     pub use hima_mem::{Partition, TileMemoryMap};
@@ -117,8 +117,8 @@ mod tests {
             ($($t:ty),* $(,)?) => { [$(type_name::<$t>()),*] };
         }
         let types = types![
-            AreaModel, AreaReport, BoxedEngine, CentralizedMergeSorter, Client, Datapath, Dnc,
-            DncD, DncParams, Engine, EngineBuilder, EngineConfig, EngineSpec, EngineTopology,
+            AreaModel, AreaReport, BoxedEngine, CentralizedMergeSorter, Client, Datapath,
+            DncParams, Engine, EngineBuilder, EngineConfig, EngineSpec, EngineTopology,
             EvalConfig, FeatureLevel, Fixed, GridEngine, InterfaceVector, Matrix, MdsaSorter,
             MemoryConfig, MemoryUnit, MetricsRegistry, MetricsSnapshot, Mode, NocSim,
             ParallelMergeSorter, Partition, PlaSoftmax, PowerModel, PowerReport, QFormat,

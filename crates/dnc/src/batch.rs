@@ -35,13 +35,15 @@
 //! case of the same kernel.
 //!
 //! The engine is **bit-compatible** with running its `B` lanes through
-//! the sequential [`Dnc`](crate::Dnc) / [`DncD`](crate::DncD) oracles
-//! (which multiply the row-major weights by plain `matvec`): the packed
+//! the sequential reference model (`hima_testkit::reference::Dnc`, which
+//! multiplies the row-major weights by plain `matvec`): the packed
 //! products use the same per-row accumulation order as `matvec`, and the
 //! per-shard memory step is the very same [`MemoryUnit`] code.
-//! The equivalence is asserted across every topology × lanes × datapath
-//! combination by `crates/dnc/tests/conformance.rs` (uniform) and the
-//! workspace-level `tests/ragged_conformance.rs` (masked).
+//! `crates/dnc/tests/conformance.rs` asserts the equivalence over
+//! topologies, widths and ragged lanes, and that a `B`-lane grid is `B`
+//! one-lane grids across every topology × lanes × datapath combination;
+//! the workspace-level `tests/ragged_conformance.rs` extends the masked
+//! case.
 //!
 //! With profiling on, the grid stamps its own two costs next to the
 //! memory units' kernel times — the controller step as
@@ -208,17 +210,17 @@ fn gather_reads(merge: Option<&ReadMerge>, lane_shards: &[Shard], out: &mut [f32
 /// when sharded — the read-merge `α`).
 ///
 /// [`Topology::Monolithic`](crate::Topology::Monolithic) is the `N_t = 1`
-/// grid without a merge; lane `b` then reproduces [`Dnc::step`](crate::Dnc::step)
-/// on lane `b`'s input stream exactly, and a
-/// [`Topology::Sharded`](crate::Topology::Sharded) lane reproduces
-/// [`DncD::step`](crate::DncD::step). Lanes start from blank (reset)
-/// state. Every method takes and returns `B`-row blocks; [`GridEngine::step`]
-/// is the `B = 1` convenience on top.
+/// grid without a merge (the centralized DNC) and
+/// [`Topology::Sharded`](crate::Topology::Sharded) the DNC-D; either way
+/// lane `b` steps exactly as a one-lane engine fed lane `b`'s input
+/// stream. Lanes start from blank (reset) state. Every method takes and
+/// returns `B`-row blocks; [`GridEngine::step`] is the `B = 1`
+/// convenience on top.
 ///
 /// # Example
 ///
 /// ```
-/// use hima_dnc::{Dnc, DncParams, EngineBuilder};
+/// use hima_dnc::{DncParams, EngineBuilder};
 /// use hima_tensor::Matrix;
 ///
 /// let params = DncParams::new(16, 4, 1).with_io(3, 3);
@@ -227,10 +229,9 @@ fn gather_reads(merge: Option<&ReadMerge>, lane_shards: &[Shard], out: &mut [f32
 /// let y = batch.step_batch(&x);
 /// assert_eq!(y.shape(), (2, 3));
 ///
-/// // Lane 0 matches a sequential DNC fed lane 0's input.
-/// let mut dnc = Dnc::new(params, 7);
-/// let y0 = dnc.step(&[1.0, 0.0, 0.0]);
-/// hima_tensor::assert_close(y.row(0), &y0, 1e-6);
+/// // Lane 0 matches a one-lane engine fed lane 0's input, bit for bit.
+/// let mut solo = EngineBuilder::new(params).seed(7).build();
+/// assert_eq!(y.row(0), &solo.step(&[1.0, 0.0, 0.0])[..]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GridEngine {
@@ -338,6 +339,25 @@ impl GridEngine {
     /// Panics if `lane >= batch()` or `shard >= tiles()`.
     pub fn unit(&self, lane: usize, shard: usize) -> &MemoryUnit {
         &self.lane_shards(lane)[shard].memory
+    }
+
+    /// The interface vector shard `shard` of lane `lane` parsed at the
+    /// last step that lane ran (zeroed before its first): the gates and
+    /// keys the shard's memory unit was driven by. It is the lane's
+    /// parse scratch, so a splice ([`GridEngine::swap_lane`] and friends)
+    /// does not move it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= batch()` or `shard >= tiles()`.
+    pub fn interface(&self, lane: usize, shard: usize) -> &InterfaceVector {
+        &self.lane_shards(lane)[shard].iv
+    }
+
+    /// Lane `lane`'s per-shard read vectors of its last step, in shard
+    /// order — what the merge (Eq. 4) combines.
+    pub(crate) fn shard_reads(&self, lane: usize) -> impl Iterator<Item = &[f32]> {
+        self.lane_shards(lane).iter().map(|s| s.read.as_slice())
     }
 
     /// The `B × R·W` block of read vectors fed to the controller at the
@@ -720,19 +740,18 @@ impl GridEngine {
 mod tests {
     use super::*;
     use crate::builder::{BoxedEngine, EngineBuilder};
-    use crate::{Dnc, DncD};
     use hima_tensor::QFormat;
 
     fn params() -> DncParams {
         DncParams::new(16, 4, 2).with_hidden(24).with_io(5, 6)
     }
 
-    /// A monolithic f32 grid: the batched twin of `Dnc::new(params(), seed)`.
+    /// A monolithic f32 grid.
     fn mono(batch: usize, seed: u64) -> BoxedEngine {
         EngineBuilder::new(params()).lanes(batch).seed(seed).build()
     }
 
-    /// A sharded f32 grid: the batched twin of `DncD::new(params(), tiles, seed)`.
+    /// A sharded f32 grid.
     fn sharded(tiles: usize, batch: usize, seed: u64) -> BoxedEngine {
         EngineBuilder::new(params()).sharded(tiles).lanes(batch).seed(seed).build()
     }
@@ -755,36 +774,6 @@ mod tests {
                     .collect()
             })
             .collect()
-    }
-
-    #[test]
-    fn batch_dnc_matches_sequential_lanes_exactly() {
-        let (batch, steps) = (4, 6);
-        let lanes = lane_inputs(batch, steps, 5);
-        let mut batched = mono(batch, 11);
-        let mut sequential: Vec<_> = (0..batch).map(|_| Dnc::new(params(), 11)).collect();
-        for t in 0..steps {
-            let y = batched.step_batch(&step_block(&lanes, t));
-            for (b, dnc) in sequential.iter_mut().enumerate() {
-                let want = dnc.step(&lanes[b][t]);
-                assert_eq!(y.row(b), &want[..], "lane {b} t {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_dncd_matches_sequential_lanes_exactly() {
-        let (batch, steps) = (3, 5);
-        let lanes = lane_inputs(batch, steps, 5);
-        let mut batched = sharded(4, batch, 23);
-        let mut sequential: Vec<_> = (0..batch).map(|_| DncD::new(params(), 4, 23)).collect();
-        for t in 0..steps {
-            let y = batched.step_batch(&step_block(&lanes, t));
-            for (b, dncd) in sequential.iter_mut().enumerate() {
-                let want = dncd.step(&lanes[b][t]);
-                assert_eq!(y.row(b), &want[..], "lane {b} t {t}");
-            }
-        }
     }
 
     #[test]
@@ -818,18 +807,6 @@ mod tests {
             GridEngine::new(ModelInit::new(p, cfg, 4, 31), merge, 2, Datapath::F32, false);
         let mut built_d = sharded(4, 2, 31);
         assert_eq!(direct_d.step_batch(&x), built_d.step_batch(&x));
-    }
-
-    #[test]
-    fn batched_from_existing_model_shares_weights() {
-        let mut batched = mono(2, 31);
-        let mut fresh = Dnc::new(params(), 31);
-        let x = vec![0.25f32; 5];
-        let block = Matrix::from_rows(&[x.as_slice(), x.as_slice()]);
-        let y = batched.step_batch(&block);
-        let want = fresh.step(&x);
-        assert_eq!(y.row(0), &want[..]);
-        assert_eq!(y.row(1), &want[..]);
     }
 
     #[test]
@@ -924,56 +901,6 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn masked_batch_dnc_matches_sequential_ragged_lanes_exactly() {
-        let lens = [5usize, 2, 4];
-        let lanes = ragged_lane_inputs(&lens, 5);
-        let mut batched = mono(3, 11);
-        let mut sequential: Vec<_> = (0..3).map(|_| Dnc::new(params(), 11)).collect();
-        for t in 0..5 {
-            let (block, mask) = masked_block(&lanes, t, 5);
-            let y = batched.step_batch_masked(&block, &mask);
-            for (b, dnc) in sequential.iter_mut().enumerate() {
-                if t < lens[b] {
-                    let want = dnc.step(&lanes[b][t]);
-                    assert_eq!(y.row(b), &want[..], "lane {b} t {t}");
-                    assert_eq!(batched.last_read_row(b), dnc.last_read(), "lane {b} t {t}");
-                } else {
-                    assert!(y.row(b).iter().all(|&x| x == 0.0), "ended lane {b} outputs zero");
-                    assert_eq!(
-                        batched.last_read_row(b),
-                        dnc.last_read(),
-                        "ended lane {b} read vector frozen at t {t}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn masked_batch_dncd_matches_sequential_ragged_lanes_exactly() {
-        let lens = [1usize, 4, 3];
-        let lanes = ragged_lane_inputs(&lens, 5);
-        let mut batched = sharded(4, 3, 23);
-        let mut sequential: Vec<_> = (0..3).map(|_| DncD::new(params(), 4, 23)).collect();
-        for t in 0..4 {
-            let (block, mask) = masked_block(&lanes, t, 5);
-            let y = batched.step_batch_masked(&block, &mask);
-            for (b, dncd) in sequential.iter_mut().enumerate() {
-                if t < lens[b] {
-                    let want = dncd.step(&lanes[b][t]);
-                    assert_eq!(y.row(b), &want[..], "lane {b} t {t}");
-                } else {
-                    assert_eq!(
-                        batched.last_read_row(b),
-                        dncd.last_read(),
-                        "ended lane {b} read vector frozen at t {t}"
-                    );
-                }
-            }
-        }
-    }
-
     /// Grids of 1..=9 lanes under random ragged masks against one
     /// single-lane engine per lane. A single-lane engine is one lane
     /// group of one; the grid runs the panel-packed shared-weight product
@@ -1018,34 +945,6 @@ mod tests {
                         assert_eq!(grid.last_read_row(i), engine.last_read_row(0));
                     }
                 }
-            }
-        }
-    }
-
-    /// Packed weights at widths the panels do not divide — 40 gate
-    /// columns (two panels and a half), a 38-column interface (two
-    /// panels, a quarter, two remainder columns) and 3 outputs (no panel
-    /// at all) — against the sequential oracles, which multiply the
-    /// row-major matrices by plain `matvec`: five lanes (a group of four
-    /// and a lone lane) under ragged masks, on both topologies.
-    #[test]
-    fn packed_weights_match_the_matvec_oracles_at_awkward_widths() {
-        let p = DncParams::new(12, 5, 2).with_hidden(10).with_io(7, 3);
-        let lens = [6usize, 2, 5, 3, 6];
-        let lanes = ragged_lane_inputs(&lens, 7);
-        let mut mono = EngineBuilder::new(p).lanes(5).seed(3).build();
-        let mut sharded = EngineBuilder::new(p).sharded(3).lanes(5).seed(3).build();
-        let mut dncs: Vec<_> = (0..5).map(|_| Dnc::new(p, 3)).collect();
-        let mut dncds: Vec<_> = (0..5).map(|_| DncD::new(p, 3, 3)).collect();
-        for t in 0..6 {
-            let (block, mask) = masked_block(&lanes, t, 7);
-            let (ym, ys) =
-                (mono.step_batch_masked(&block, &mask), sharded.step_batch_masked(&block, &mask));
-            for b in mask.active_lanes() {
-                assert_eq!(ym.row(b), &dncs[b].step(&lanes[b][t])[..], "Dnc lane {b} t {t}");
-                assert_eq!(ys.row(b), &dncds[b].step(&lanes[b][t])[..], "DncD lane {b} t {t}");
-                assert_eq!(mono.last_read_row(b), dncs[b].last_read());
-                assert_eq!(sharded.last_read_row(b), dncds[b].last_read());
             }
         }
     }

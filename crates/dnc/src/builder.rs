@@ -35,8 +35,8 @@
 
 use crate::allocation::SkimRate;
 use crate::batch::GridEngine;
-use crate::distributed::{DncD, ReadMerge};
-use crate::dnc::{Dnc, ModelInit};
+use crate::distributed::ReadMerge;
+use crate::dnc::ModelInit;
 use crate::memory::MemoryConfig;
 use crate::DncParams;
 use hima_tensor::{Backend, QFormat};
@@ -371,8 +371,8 @@ impl EngineBuilder {
     /// sampling on for the built engine. Defaults to **off**: an
     /// unprofiled engine's steps never call `Instant::now()`, so the
     /// serving hot path pays nothing for instrumentation it isn't using.
-    /// (The sequential models — [`Dnc::new`], [`DncD::new`] — keep
-    /// sampling on, preserving the offline figure-reproduction workflow.)
+    /// The offline runtime breakdown (`fig4_runtime_breakdown`) switches
+    /// it on.
     pub fn profiling(mut self, on: bool) -> Self {
         self.profiling = on;
         self
@@ -395,14 +395,16 @@ impl EngineBuilder {
         &self.params
     }
 
-    /// Fits DNC-D read-merge weights `α` against a monolithic f32
-    /// reference with the same weights (least squares over `inputs`; see
-    /// [`ReadMerge::calibrate`]). Returns `None` for monolithic
-    /// topologies or empty input.
+    /// Fits DNC-D read-merge weights `α` against the centralized model
+    /// with the same weights (least squares over `inputs`; see
+    /// [`ReadMerge::calibrate`]): a one-lane exact monolithic grid gives
+    /// the target reads, a one-lane sharded grid with this spec's
+    /// skimming and softmax and the uniform merge gives the shard reads.
+    /// Returns `None` for monolithic topologies or empty input.
     ///
-    /// Calibration always runs on the f32 reference pair — it determines
-    /// the merge *weights*, which a quantized engine then rounds through
-    /// its own datapath at inference.
+    /// Calibration always runs on the f32 pair — it determines the merge
+    /// *weights*, which a quantized engine then rounds through its own
+    /// datapath at inference.
     pub(crate) fn calibrate_merge(&self, inputs: &[Vec<f32>]) -> Option<ReadMerge> {
         let Topology::Sharded { tiles } = self.spec.topology else {
             return None;
@@ -410,16 +412,23 @@ impl EngineBuilder {
         if inputs.is_empty() {
             return None;
         }
-        let mut reference = Dnc::new(self.params, self.seed);
-        let mut dncd = DncD::with_features(
-            self.params,
-            tiles,
-            self.seed,
-            self.spec.skim,
-            self.spec.approx_softmax,
-        );
-        dncd.calibrate_against(&mut reference, inputs);
-        Some(dncd.merge_weights().clone())
+        let mut centralized = EngineBuilder::new(self.params).seed(self.seed).build();
+        let mut sharded = EngineBuilder::new(self.params)
+            .sharded(tiles)
+            .skim(self.spec.skim)
+            .approx_softmax(self.spec.approx_softmax)
+            .seed(self.seed)
+            .build();
+        let samples: Vec<_> = inputs
+            .iter()
+            .map(|x| {
+                centralized.step(x);
+                sharded.step(x);
+                let shard_reads = sharded.shard_reads(0).map(<[f32]>::to_vec).collect();
+                (shard_reads, centralized.last_read_row(0).to_vec())
+            })
+            .collect();
+        Some(ReadMerge::calibrate(&samples, tiles))
     }
 
     /// Returns a builder whose merge weights are calibrated on `inputs`
@@ -434,10 +443,9 @@ impl EngineBuilder {
     /// Builds the engine.
     ///
     /// Weights and shard layout come from the one initializer the
-    /// sequential models use too, so a monolithic f32 build is
-    /// bit-compatible with [`Dnc::new`] and a sharded build with
-    /// [`DncD::new`] (conformance-tested in
-    /// `crates/dnc/tests/conformance.rs`).
+    /// sequential reference (`hima_testkit::reference::Dnc`) draws from
+    /// too, so an f32 build is bit-compatible with it at the same spec
+    /// and seed (conformance-tested in `crates/dnc/tests/conformance.rs`).
     ///
     /// # Panics
     ///

@@ -1,33 +1,24 @@
-//! DNC-D: the distributed DNC of paper §5.1.
+//! DNC-D's read merge (paper §5.1).
 //!
-//! The external memory and *all* state memories are split row-wise into
-//! `N_t` shards. Each shard runs the complete soft write + soft read
-//! **locally** on its slice, driven by its own sub interface vector
-//! projected from the shared controller state. There is no cross-shard
-//! linkage, no global usage sort and no inter-shard traffic — which is
-//! exactly what makes the hardware scale (Fig. 5(d)) — and the global read
-//! vector is a trainable weighted sum of the shard read vectors:
-//! `v_r = Σ_i α_i v_r,i` with `α_i ∈ [0, 1]` (Eq. 4).
+//! The distributed DNC splits the external memory and *all* state
+//! memories row-wise into `N_t` shards ([`Topology::Sharded`]). Each shard
+//! runs the complete soft write + soft read **locally** on its slice,
+//! driven by its own sub interface vector projected from the shared
+//! controller state. There is no cross-shard linkage, no global usage
+//! sort and no inter-shard traffic — which is exactly what makes the
+//! hardware scale (Fig. 5(d)) — and the global read vector is a trainable
+//! weighted sum of the shard read vectors: `v_r = Σ_i α_i v_r,i` with
+//! `α_i ∈ [0, 1]` (Eq. 4), a [`ReadMerge`].
 //!
-//! The merge weights can be fit by least squares against a reference DNC's
-//! read vectors ([`ReadMerge::calibrate`]) — the inference-time analogue of
-//! the paper's "trainable weights determined by the LSTM".
+//! The merge weights can be fit by least squares against the centralized
+//! model's read vectors ([`ReadMerge::calibrate`],
+//! [`EngineBuilder::calibrated`]) — the inference-time analogue of the
+//! paper's "trainable weights determined by the LSTM".
+//!
+//! [`Topology::Sharded`]: crate::Topology::Sharded
+//! [`EngineBuilder::calibrated`]: crate::EngineBuilder::calibrated
 
-use crate::allocation::SkimRate;
-use crate::dnc::{ModelInit, WeightBlock};
-use crate::interface::InterfaceVector;
-use crate::lstm::Lstm;
-use crate::memory::{MemoryConfig, MemoryUnit};
-use crate::profile::{KernelId, KernelProfile};
-use crate::DncParams;
-use hima_tensor::Matrix;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Minimum total memory elements (`N × W`) before a sequential `DncD`
-/// step fans its shards out across threads; smaller models pay more in
-/// per-step thread spawns than the shard work saves.
-const SHARD_PAR_MIN_ELEMS: usize = 16 * 1024;
 
 /// Trainable read-vector merge weights `α` (Eq. 4).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -184,259 +175,67 @@ fn solve_spd(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
     Some(x)
 }
 
-/// The distributed DNC (DNC-D).
-///
-/// # Example
-///
-/// ```
-/// use hima_dnc::{DncD, DncParams};
-///
-/// let params = DncParams::new(32, 4, 1).with_io(3, 3);
-/// let mut dncd = DncD::new(params, 4, 7);
-/// let y = dncd.step(&[1.0, 0.0, 0.0]);
-/// assert_eq!(y.len(), 3);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DncD {
-    params: DncParams,
-    shards: Vec<MemoryUnit>,
-    controller: Lstm,
-    interface_projs: Vec<Matrix>,
-    output_proj: Matrix,
-    merge: ReadMerge,
-    last_read: Vec<f32>,
-    last_hidden: Vec<f32>,
-    profile: KernelProfile,
-}
-
-impl DncD {
-    /// Creates a DNC-D with `tiles` shards and an exact per-shard memory
-    /// unit. Shard 0's weights match [`crate::Dnc`] built with the same
-    /// seed, so `DncD` with one shard is bit-identical to the centralized
-    /// model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiles == 0` or `tiles > params.memory_size`.
-    pub fn new(params: DncParams, tiles: usize, seed: u64) -> Self {
-        Self::with_features(params, tiles, seed, SkimRate::NONE, false)
-    }
-
-    /// Creates a DNC-D with the approximation features of §5.2 (usage
-    /// skimming, PLA+LUT softmax) applied inside every shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiles == 0` or `tiles > params.memory_size`.
-    pub(crate) fn with_features(
-        params: DncParams,
-        tiles: usize,
-        seed: u64,
-        skim: SkimRate,
-        approx_softmax: bool,
-    ) -> Self {
-        let mem_cfg = MemoryConfig::new(params.memory_size, params.word_size, params.read_heads)
-            .with_skim(skim)
-            .with_approx_softmax(approx_softmax);
-        let init = ModelInit::new(params, mem_cfg, tiles, seed);
-        let (input, hidden, lstm_seed) = init.controller();
-        Self {
-            params,
-            controller: Lstm::new(input, hidden, lstm_seed),
-            interface_projs: init.interface_projs().map(WeightBlock::matrix).collect(),
-            output_proj: init.output_proj().matrix(),
-            shards: init.shard_cfgs.into_iter().map(MemoryUnit::new).collect(),
-            merge: ReadMerge::uniform(tiles),
-            last_read: vec![0.0; params.read_heads * params.word_size],
-            last_hidden: vec![0.0; params.hidden_size],
-            profile: KernelProfile::new(),
-        }
-    }
-
-    /// Number of distributed shards `N_t`.
-    pub fn tiles(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard memory units (for inspection).
-    pub fn shards(&self) -> &[MemoryUnit] {
-        &self.shards
-    }
-
-    /// The read-merge weights in use.
-    pub(crate) fn merge_weights(&self) -> &ReadMerge {
-        &self.merge
-    }
-
-    /// The merged global read vector fed to the controller at the next
-    /// step (Eq. 4's `v_r`).
-    pub fn last_read(&self) -> &[f32] {
-        &self.last_read
-    }
-
-    /// Merged kernel profile across controller and all shards.
-    pub fn profile(&self) -> KernelProfile {
-        let mut p = self.profile.clone();
-        for s in &self.shards {
-            p.merge(s.profile());
-        }
-        p
-    }
-
-    /// Resets memory and recurrent state in place (weights and merge
-    /// unchanged).
-    pub fn reset(&mut self) {
-        self.controller.reset();
-        for s in &mut self.shards {
-            s.reset();
-        }
-        self.last_read.fill(0.0);
-        self.last_hidden.fill(0.0);
-    }
-
-    /// Runs one time step and returns the output vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != params.input_size`.
-    pub fn step(&mut self, input: &[f32]) -> Vec<f32> {
-        let (_, y) = self.step_detailed(input);
-        y
-    }
-
-    /// Runs one time step, returning the per-shard read vectors (flattened
-    /// per shard) and the output.
-    pub(crate) fn step_detailed(&mut self, input: &[f32]) -> (Vec<Vec<f32>>, Vec<f32>) {
-        assert_eq!(input.len(), self.params.input_size, "input width mismatch");
-
-        let mut ctrl_in = Vec::with_capacity(input.len() + self.last_read.len());
-        ctrl_in.extend_from_slice(input);
-        ctrl_in.extend_from_slice(&self.last_read);
-        let controller = &mut self.controller;
-        let hidden = self.profile.time(KernelId::Lstm, || controller.step(&ctrl_in));
-
-        // Each shard gets its own sub interface vector (projected from
-        // [h ; x], matching `Dnc`) and executes the full soft write + soft
-        // read locally. Shards are mutually independent, so above a work
-        // threshold they fan out across rayon worker threads (the shard
-        // half of the 2-D lane × shard decomposition); below it the
-        // per-step thread-spawn overhead of tiny test models would
-        // dominate. Results land in per-shard slots either way, so the
-        // outcome is bit-identical at any thread count.
-        let mut iface_in = Vec::with_capacity(hidden.len() + input.len());
-        iface_in.extend_from_slice(&hidden);
-        iface_in.extend_from_slice(input);
-        let (w, r) = (self.params.word_size, self.params.read_heads);
-        let mut shard_reads: Vec<Vec<f32>> = vec![Vec::new(); self.shards.len()];
-        let parallel = self.shards.len() > 1
-            && self.params.memory_size * self.params.word_size >= SHARD_PAR_MIN_ELEMS;
-        if parallel {
-            let iface = &iface_in;
-            let projs = &self.interface_projs;
-            let mut tasks: Vec<(&mut MemoryUnit, &mut Vec<f32>)> =
-                self.shards.iter_mut().zip(shard_reads.iter_mut()).collect();
-            tasks.par_iter_mut().enumerate().for_each(|(s, (shard, out))| {
-                let raw = projs[s].matvec(iface);
-                let iv = InterfaceVector::parse(&raw, w, r);
-                **out = shard.step(&iv).flattened();
-            });
-        } else {
-            for ((shard, proj), out) in
-                self.shards.iter_mut().zip(&self.interface_projs).zip(shard_reads.iter_mut())
-            {
-                let raw = proj.matvec(&iface_in);
-                let iv = InterfaceVector::parse(&raw, w, r);
-                *out = shard.step(&iv).flattened();
-            }
-        }
-
-        // Global read vector: trainable weighted sum (Eq. 4).
-        self.last_read = self.merge.merge(&shard_reads);
-
-        let mut out_in = Vec::with_capacity(hidden.len() + self.last_read.len());
-        out_in.extend_from_slice(&hidden);
-        out_in.extend_from_slice(&self.last_read);
-        let y = self.output_proj.matvec(&out_in);
-        self.last_hidden = hidden;
-
-        (shard_reads, y)
-    }
-
-    /// Runs a whole input sequence, returning one output per step.
-    pub fn run_sequence(&mut self, inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        inputs.iter().map(|x| self.step(x)).collect()
-    }
-
-    /// Calibrates the merge weights against a reference DNC on a
-    /// calibration sequence: both models are reset, run over `inputs`, and
-    /// `α` is fit to the reference's read vectors, then both are reset
-    /// again.
-    pub(crate) fn calibrate_against(&mut self, reference: &mut crate::Dnc, inputs: &[Vec<f32>]) {
-        reference.reset();
-        self.reset();
-        let mut samples = Vec::with_capacity(inputs.len());
-        for x in inputs {
-            let (_, _y_ref) = reference.step_detailed(x);
-            let target = reference.last_read().to_vec();
-            let (shard_reads, _) = self.step_detailed(x);
-            samples.push((shard_reads, target));
-        }
-        self.merge = ReadMerge::calibrate(&samples, self.shards.len());
-        reference.reset();
-        self.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The merge, and DNC-D as the engine runs it: the sharded one-lane
+    //! grid.
     use super::*;
-    use crate::Dnc;
+    use crate::builder::{BoxedEngine, EngineBuilder};
+    use crate::profile::KernelId;
+    use crate::DncParams;
 
     fn params() -> DncParams {
         DncParams::new(16, 4, 1).with_hidden(16).with_io(4, 4)
     }
 
+    fn dncd(tiles: usize, seed: u64) -> BoxedEngine {
+        EngineBuilder::new(params()).sharded(tiles).seed(seed).build()
+    }
+
+    fn run(engine: &mut BoxedEngine, inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        inputs.iter().map(|x| engine.step(x)).collect()
+    }
+
     #[test]
     fn single_shard_matches_centralized_dnc() {
-        let mut dnc = Dnc::new(params(), 99);
-        let mut dncd = DncD::new(params(), 1, 99);
-        dncd.merge = ReadMerge::from_weights(vec![1.0]);
+        let mut dnc = EngineBuilder::new(params()).seed(99).build();
+        let mut dncd = EngineBuilder::new(params())
+            .sharded(1)
+            .merge(ReadMerge::from_weights(vec![1.0]))
+            .seed(99)
+            .build();
         for t in 0..10 {
             let x: Vec<f32> = (0..4).map(|i| ((t * 5 + i) as f32 * 0.21).sin()).collect();
-            let a = dnc.step(&x);
-            let b = dncd.step(&x);
-            hima_tensor::assert_close(&a, &b, 1e-5);
+            hima_tensor::assert_close(&dnc.step(&x), &dncd.step(&x), 1e-5);
         }
     }
 
     #[test]
     fn output_width_matches() {
-        let mut dncd = DncD::new(params(), 4, 3);
+        let mut dncd = dncd(4, 3);
         assert_eq!(dncd.step(&[0.1; 4]).len(), 4);
         assert_eq!(dncd.tiles(), 4);
     }
 
     #[test]
     fn shards_split_all_memory_rows() {
-        let dncd = DncD::new(params(), 4, 3);
-        let total: usize = dncd.shards().iter().map(|s| s.config().memory_size).sum();
+        let dncd = dncd(4, 3);
+        let total: usize = (0..4).map(|s| dncd.unit(0, s).config().memory_size).sum();
         assert_eq!(total, 16);
     }
 
     #[test]
     fn uneven_shard_split_covers_memory() {
         let p = DncParams::new(10, 4, 1).with_io(4, 4);
-        let dncd = DncD::new(p, 3, 1);
-        let total: usize = dncd.shards().iter().map(|s| s.config().memory_size).sum();
+        let dncd = EngineBuilder::new(p).sharded(3).seed(1).build();
+        let total: usize = (0..3).map(|s| dncd.unit(0, s).config().memory_size).sum();
         assert_eq!(total, 10);
     }
 
     #[test]
     fn deterministic_with_same_seed() {
-        let mut a = DncD::new(params(), 4, 42);
-        let mut b = DncD::new(params(), 4, 42);
         let x = [0.3, -0.1, 0.7, 0.0];
-        assert_eq!(a.step(&x), b.step(&x));
+        assert_eq!(dncd(4, 42).step(&x), dncd(4, 42).step(&x));
     }
 
     #[test]
@@ -446,16 +245,11 @@ mod tests {
         let inputs: Vec<Vec<f32>> = (0..30)
             .map(|t| (0..4).map(|i| ((t * 7 + i * 3) as f32 * 0.17).sin()).collect())
             .collect();
-        let mut reference = Dnc::new(params(), 7);
-        let ref_out = reference.run_sequence(&inputs);
+        let ref_out = run(&mut EngineBuilder::new(params()).seed(7).build(), &inputs);
 
         let mut err = Vec::new();
         for tiles in [1usize, 4, 8] {
-            let mut dncd = DncD::new(params(), tiles, 7);
-            if tiles == 1 {
-                dncd.merge = ReadMerge::from_weights(vec![1.0]);
-            }
-            let out = dncd.run_sequence(&inputs);
+            let out = run(&mut dncd(tiles, 7), &inputs);
             let e: f32 = ref_out
                 .iter()
                 .zip(&out)
@@ -509,36 +303,30 @@ mod tests {
         let inputs: Vec<Vec<f32>> = (0..40)
             .map(|t| (0..4).map(|i| ((t * 11 + i * 3) as f32 * 0.13).sin()).collect())
             .collect();
-        let mut reference = Dnc::new(params(), 31);
-        let ref_out = reference.run_sequence(&inputs);
-        reference.reset();
-
-        let err_of = |dncd: &mut DncD| -> f32 {
-            dncd.reset();
-            let out = dncd.run_sequence(&inputs);
+        let ref_out = run(&mut EngineBuilder::new(params()).seed(31).build(), &inputs);
+        let err_of = |builder: EngineBuilder| -> f32 {
+            let out = run(&mut builder.build(), &inputs);
             ref_out
                 .iter()
                 .zip(&out)
                 .flat_map(|(a, b)| a.iter().zip(b).map(|(x, y)| (x - y).powi(2)))
                 .sum()
         };
-
-        let mut dncd = DncD::new(params(), 4, 31);
-        let before = err_of(&mut dncd);
-        dncd.calibrate_against(&mut reference, &inputs);
-        let after = err_of(&mut dncd);
+        let sharded = EngineBuilder::new(params()).sharded(4).seed(31);
+        let before = err_of(sharded.clone());
+        let after = err_of(sharded.calibrated(&inputs));
         assert!(after <= before * 1.05, "calibration regressed: {before} -> {after}");
     }
 
     #[test]
     #[should_panic(expected = "more tiles than memory rows")]
     fn rejects_oversharding() {
-        DncD::new(DncParams::new(4, 4, 1), 8, 0);
+        let _ = EngineBuilder::new(DncParams::new(4, 4, 1)).sharded(8);
     }
 
     #[test]
     fn profile_aggregates_shards() {
-        let mut dncd = DncD::new(params(), 4, 5);
+        let mut dncd = EngineBuilder::new(params()).sharded(4).seed(5).profiling(true).build();
         dncd.step(&[0.1; 4]);
         let p = dncd.profile();
         assert_eq!(p.calls(KernelId::Lstm), 1);

@@ -1,5 +1,6 @@
 //! Functional Differentiable Neural Computer (DNC) model, plus the
-//! distributed **DNC-D** variant introduced by the HiMA paper (§5.1).
+//! distributed **DNC-D** variant introduced by the HiMA paper (§5.1), as
+//! one batched engine.
 //!
 //! The DNC (Graves et al., *Nature* 2016) couples an LSTM controller to an
 //! external memory matrix `M ∈ R^{N×W}` accessed through *soft* read and
@@ -16,15 +17,15 @@
 //! * the one memory unit gluing them together ([`memory`]) — `f32`, or
 //!   fixed-point as a rounding policy of the same unit ([`quantized`]),
 //! * the LSTM controller and interface vector ([`lstm`], [`interface`]),
-//! * the complete model ([`dnc`]) and the distributed variant
-//!   ([`distributed`]),
+//!   and DNC-D's read merge ([`distributed`]),
 //! * the one batched lane × shard engine ([`batch`], [`GridEngine`]) and
 //!   the composable constructor ([`builder`]) that sizes it — monolithic
-//!   or sharded topology × batch lanes × f32 or fixed-point datapath —
-//!   with pre-sized scratch that makes steady-state stepping
-//!   zero-heap-allocation (the `_into` entry points; the allocating ones
-//!   are thin wrappers); a session detached from a lane ([`LaneState`]) is
-//!   its state memories only, and [`persist`] is their byte format,
+//!   (the centralized DNC) or sharded (DNC-D) topology × batch lanes × f32
+//!   or fixed-point datapath — with pre-sized scratch that makes
+//!   steady-state stepping zero-heap-allocation (the `_into` entry points;
+//!   the allocating ones are thin wrappers); a session detached from a
+//!   lane ([`LaneState`]) is its state memories only, and [`persist`] is
+//!   their byte format,
 //! * per-kernel instrumentation ([`profile`]) used to regenerate the
 //!   paper's runtime-breakdown figures.
 //!
@@ -44,24 +45,25 @@
 //! assert_eq!(y.shape(), (3, 4));
 //! ```
 //!
-//! The sequential single-example models remain first-class for
-//! state-inspection workflows, and as the independent oracles the
-//! conformance suites check the engine against:
+//! One lane of the centralized DNC, stepped a sequence at a time, with its
+//! memory open for inspection:
 //!
 //! ```
-//! use hima_dnc::{Dnc, DncParams};
+//! use hima_dnc::{DncParams, EngineBuilder};
 //!
 //! let params = DncParams::new(32, 8, 2).with_io(4, 4);
-//! let mut dnc = Dnc::new(params, 42);
-//! let y = dnc.step(&[0.5, -0.5, 1.0, 0.0]);
-//! assert_eq!(y.len(), 4);
+//! let mut dnc = EngineBuilder::new(params).seed(42).build();
+//! let y1 = dnc.step(&[0.5, -0.5, 1.0, 0.0]);
+//! let y2 = dnc.step(&[0.5, -0.5, 1.0, 0.0]);
+//! assert_ne!(y1, y2, "memory state makes steps differ");
+//! assert!(dnc.unit(0, 0).check_invariants(1e-3));
 //! ```
 
 pub mod allocation;
 pub mod batch;
 pub mod builder;
 pub mod content;
-pub mod dnc;
+mod dnc;
 pub mod distributed;
 pub mod interface;
 pub mod linkage;
@@ -72,15 +74,17 @@ pub mod profile;
 pub mod quantized;
 pub mod usage;
 
-pub use crate::dnc::Dnc;
 pub use batch::{GridEngine, LaneState};
 pub use builder::{BoxedEngine, Datapath, EngineBuilder, EngineSpec, SpecError, Topology};
-pub use distributed::{DncD, ReadMerge};
+pub use distributed::ReadMerge;
 pub use interface::InterfaceVector;
 pub use lstm::{LstmScratch, PackedLstm};
 pub use memory::{MemoryConfig, MemoryUnit};
 pub use persist::StateCodecError;
 pub use profile::{KernelCategory, KernelId, KernelProfile};
+// What the sequential reference in `hima-testkit` draws its weights from.
+#[doc(hidden)]
+pub use crate::dnc::{ModelInit, WeightBlock};
 pub use quantized::{DatapathStudy, QuantizedMemoryUnit};
 // The lane-activity mask consumed by `GridEngine::step_batch_masked`,
 // re-exported so engine users need not depend on hima-tensor directly.
@@ -88,7 +92,7 @@ pub use hima_tensor::LaneMask;
 
 use serde::{Deserialize, Serialize};
 
-/// Model hyper-parameters shared by [`Dnc`] and [`DncD`].
+/// Model hyper-parameters of every engine variant.
 ///
 /// The paper's reference configuration for the bAbI experiments is
 /// `N × W = 1024 × 64` with `R` read heads and a 1-layer LSTM of width 256;

@@ -9,8 +9,8 @@
 //!
 //! Two forms of one cell. [`Lstm`] owns row-major gate weights and steps
 //! a single sequence by plain `matvec` ([`Lstm::step`],
-//! [`Lstm::step_with_state`]) — the sequential models' controller and the
-//! oracle of every batched test. [`PackedLstm`] is what the grid engine
+//! [`Lstm::step_with_state`]) — the sequential reference's controller
+//! (`hima_testkit::reference`) and the oracle of every batched test. [`PackedLstm`] is what the grid engine
 //! holds: the weights of the same `(input, hidden, seed)` panel-packed
 //! ([`hima_tensor::PackedWeights`]) and the **one** batched step,
 //! [`PackedLstm::step_masked_into`], bit-identical to `B` scalar steps.

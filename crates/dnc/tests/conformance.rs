@@ -6,9 +6,11 @@
 //!
 //! * **batched ≡ sequential**: a `lanes(B)` engine reproduces `B`
 //!   independent `lanes(1)` engines bit-for-bit,
-//! * **oracle anchoring**: the builder's monolithic/sharded f32 builds are
-//!   bit-identical to the sequential `Dnc::new` / `DncD::new` models with
-//!   the same seed,
+//! * **oracle anchoring**: every f32 lane — monolithic, sharded over 1 to
+//!   4 tiles, at awkward widths, under ragged masks — is bit-identical to
+//!   the sequential reference (`hima_testkit::reference::Dnc`) with the
+//!   same spec and seed, and a calibrated merge is the reference pair's
+//!   least-squares fit, bit for bit,
 //! * **determinism across thread counts**: lane/shard fan-out never
 //!   perturbs results,
 //! * **reset** restores blank-lane behaviour,
@@ -16,8 +18,10 @@
 //!   `last_features_rows`, `profile`, `step`, `run_sequence_batch`) is
 //!   consistent for every variant.
 
-use hima_dnc::{Datapath, Dnc, DncD, DncParams, EngineBuilder, EngineSpec};
+use hima_dnc::allocation::SkimRate;
+use hima_dnc::{Datapath, DncParams, EngineBuilder, EngineSpec, LaneMask, ReadMerge};
 use hima_tensor::{Matrix, QFormat};
+use hima_testkit::reference;
 
 fn params() -> DncParams {
     DncParams::new(16, 4, 2).with_hidden(16).with_io(5, 5)
@@ -110,25 +114,113 @@ fn batched_stepping_matches_sequential_lanes_bit_for_bit() {
     }
 }
 
-#[test]
-fn monolithic_f32_build_is_bit_identical_to_legacy_dnc() {
-    let streams = lane_streams(1, 6, 5);
-    let mut engine = builder(EngineSpec::monolithic()).build();
-    let mut legacy = Dnc::new(params(), SEED);
-    for (t, x) in streams[0].iter().enumerate() {
-        assert_eq!(engine.step(x), Dnc::step(&mut legacy, x), "t {t}");
-        assert_eq!(engine.last_read_rows().row(0), legacy.last_read(), "t {t}");
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The oracle table, one topology per row: at the suite's widths and at
+/// ones the weight panels do not divide (40 gate columns, a 38-column
+/// interface, 3 outputs), five lanes (a group of four and a lone lane)
+/// step ragged streams under masks against one sequential reference per
+/// lane. Outputs and read rows agree bit for bit; an ended lane outputs
+/// zeros and holds its read row.
+fn assert_lanes_match_the_reference(rows: &[EngineSpec]) {
+    let awkward = DncParams::new(12, 5, 2).with_hidden(10).with_io(7, 3);
+    let lens = [6usize, 2, 5, 3, 6];
+    for p in [params(), awkward] {
+        let mut streams = lane_streams(lens.len(), 6, p.input_size);
+        for (stream, &len) in streams.iter_mut().zip(&lens) {
+            stream.truncate(len);
+        }
+        for &spec in rows {
+            let label = format!(
+                "{} skim={} pla={} N={}",
+                spec.label(),
+                spec.skim.fraction(),
+                spec.approx_softmax,
+                p.memory_size
+            );
+            let mut engine =
+                EngineBuilder::new(p).with_spec(spec).lanes(lens.len()).seed(SEED).build();
+            let mut refs: Vec<_> =
+                lens.iter().map(|_| reference::Dnc::new(p, spec, SEED)).collect();
+            for t in 0..6 {
+                let mask = LaneMask::for_step(&lens, t);
+                let block = Matrix::from_fn(lens.len(), p.input_size, |b, i| {
+                    streams[b].get(t).map_or(0.0, |x| x[i])
+                });
+                let y = engine.step_batch_masked(&block, &mask);
+                for (b, oracle) in refs.iter_mut().enumerate() {
+                    if mask.is_active(b) {
+                        let want = oracle.step(&streams[b][t]);
+                        assert_eq!(bits(y.row(b)), bits(&want), "{label} lane {b} t {t}");
+                    } else {
+                        assert!(y.row(b).iter().all(|&v| v == 0.0), "{label} ended lane {b} t {t}");
+                    }
+                    let read = engine.last_read_row(b);
+                    assert_eq!(bits(read), bits(oracle.last_read()), "{label} lane {b} t {t}");
+                }
+            }
+        }
     }
 }
 
+/// Skimming and the PLA softmax on top of a topology.
+fn with_features(spec: EngineSpec) -> EngineSpec {
+    EngineSpec { approx_softmax: true, ..spec.with_skim(SkimRate::new(0.2)) }
+}
+
+/// The table's monolithic rows: the centralized DNC, exact and with the
+/// §5.2 features.
+#[test]
+fn monolithic_f32_build_is_bit_identical_to_legacy_dnc() {
+    assert_lanes_match_the_reference(&[
+        EngineSpec::monolithic(),
+        with_features(EngineSpec::monolithic()),
+    ]);
+}
+
+/// The table's sharded rows: DNC-D over 1, 2, 3 and 4 tiles, and 3 tiles
+/// with the §5.2 features.
 #[test]
 fn sharded_f32_build_is_bit_identical_to_legacy_dncd() {
+    assert_lanes_match_the_reference(&[
+        EngineSpec::sharded(1),
+        EngineSpec::sharded(2),
+        EngineSpec::sharded(3),
+        EngineSpec::sharded(4),
+        with_features(EngineSpec::sharded(3)),
+    ]);
+}
+
+/// `calibrated` fits α on the same pair the reference runs — the exact
+/// centralized model's reads as the target, the sharded model's (with
+/// the spec's skimming and softmax) as the regressors — so its merge is
+/// `ReadMerge::calibrate` over the reference's samples, bit for bit.
+#[test]
+fn calibrated_merge_is_the_reference_pairs_fit_bit_for_bit() {
+    let inputs = lane_streams(1, 24, 5).remove(0);
     for tiles in [1usize, 2, 4] {
-        let streams = lane_streams(1, 5, 5);
-        let mut engine = builder(EngineSpec::sharded(tiles)).build();
-        let mut legacy = DncD::new(params(), tiles, SEED);
-        for (t, x) in streams[0].iter().enumerate() {
-            assert_eq!(engine.step(x), DncD::step(&mut legacy, x), "tiles {tiles} t {t}");
+        for (skim, pla) in
+            [(SkimRate::NONE, false), (SkimRate::new(0.2), false), (SkimRate::NONE, true)]
+        {
+            let spec =
+                EngineSpec { approx_softmax: pla, ..EngineSpec::sharded(tiles).with_skim(skim) };
+            let mut centralized = reference::Dnc::new(params(), EngineSpec::monolithic(), SEED);
+            let mut sharded = reference::Dnc::new(params(), spec, SEED);
+            let samples: Vec<_> = inputs
+                .iter()
+                .map(|x| {
+                    centralized.step(x);
+                    sharded.step(x);
+                    (sharded.shard_reads().to_vec(), centralized.last_read().to_vec())
+                })
+                .collect();
+            let want = builder(spec).merge(ReadMerge::calibrate(&samples, tiles));
+            // `Debug` prints every field, each `f32` as its shortest
+            // round-trip decimal: equal text is equal bits.
+            let got = builder(spec).calibrated(&inputs);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{} pla={pla}", spec.label());
         }
     }
 }

@@ -5,14 +5,14 @@
 //! memory write's effective work, a low allocation gate leaves the sorted
 //! free list partially unused, and sparse write weightings touch few
 //! linkage rows. [`GateTrace`] captures those statistics from a functional
-//! `hima-dnc` run, and [`trace_report`] scales the matching kernels'
-//! compute cycles and activity — linking the functional and architectural
-//! layers the way a trace-driven simulator would.
+//! `hima-dnc` engine run, and [`trace_report`] scales the matching
+//! kernels' compute cycles and activity — linking the functional and
+//! architectural layers the way a trace-driven simulator would.
 
 use crate::config::EngineConfig;
 use crate::engine::{Engine, StepReport};
 use hima_dnc::profile::KernelId;
-use hima_dnc::Dnc;
+use hima_dnc::GridEngine;
 use serde::{Deserialize, Serialize};
 
 /// Average gate activity over an episode.
@@ -32,29 +32,36 @@ pub struct GateTrace {
 }
 
 impl GateTrace {
-    /// Collects gate statistics by running `dnc` over `inputs`.
+    /// Collects gate statistics by running the one-lane `engine` over
+    /// `inputs`. Each step reads lane 0's shards: the gates from the
+    /// interface vectors they were driven by (free gates averaged over
+    /// heads), the write gate's effect as the write weighting's mass
+    /// (`w_w` sums to `g_w`), each averaged over the shards; the write
+    /// density counts slots over all shards.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` is empty.
-    pub fn collect(dnc: &mut Dnc, inputs: &[Vec<f32>]) -> Self {
+    /// Panics if `inputs` is empty or the engine has more than one lane.
+    pub fn collect(engine: &mut GridEngine, inputs: &[Vec<f32>]) -> Self {
         assert!(!inputs.is_empty(), "need at least one step to trace");
+        let tiles = engine.tiles() as f64;
         let mut write_gate = 0.0f64;
         let mut allocation_gate = 0.0f64;
         let mut free_gate = 0.0f64;
         let mut write_density = 0.0f64;
         for x in inputs {
-            dnc.step(x);
-            let mu = dnc.memory();
-            let ww = mu.write_weighting();
-            let dense = ww.iter().filter(|&&w| w > 1e-3).count() as f64 / ww.len().max(1) as f64;
-            write_density += dense;
-            // Gate values are not stored; recover the effective write gate
-            // from the write weighting's mass (w_w sums to g_w after the
-            // merge) and usage dynamics.
-            write_gate += ww.iter().sum::<f32>() as f64;
-            allocation_gate += 0.5; // merge split not observable post hoc
-            free_gate += 0.5;
+            engine.step(x);
+            let (mut dense, mut slots) = (0, 0);
+            for s in 0..engine.tiles() {
+                let ww = engine.unit(0, s).write_weighting();
+                dense += ww.iter().filter(|&&w| w > 1e-3).count();
+                slots += ww.len();
+                write_gate += ww.iter().sum::<f32>() as f64 / tiles;
+                let iv = engine.interface(0, s);
+                allocation_gate += iv.allocation_gate as f64 / tiles;
+                free_gate += mean(&iv.free_gates) / tiles;
+            }
+            write_density += dense as f64 / slots.max(1) as f64;
         }
         let n = inputs.len() as f64;
         Self {
@@ -65,6 +72,11 @@ impl GateTrace {
             steps: inputs.len(),
         }
     }
+}
+
+/// The mean of `values`, summed in `f64`.
+fn mean(values: &[f32]) -> f64 {
+    values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64
 }
 
 /// Produces a step report with kernel compute scaled by the trace:
@@ -105,7 +117,7 @@ pub fn trace_report(cfg: &EngineConfig, trace: &GateTrace) -> StepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hima_dnc::DncParams;
+    use hima_dnc::{DncParams, EngineBuilder};
 
     /// Every gate fully open: the trace that reduces to the static model.
     const WORST_CASE: GateTrace = GateTrace {
@@ -159,26 +171,52 @@ mod tests {
     #[test]
     fn collect_produces_valid_statistics() {
         let params = DncParams::new(32, 8, 1).with_hidden(16).with_io(6, 6);
-        let mut dnc = Dnc::new(params, 5);
         let inputs: Vec<Vec<f32>> = (0..12)
             .map(|t| (0..6).map(|i| ((t * 3 + i) as f32 * 0.29).sin()).collect())
             .collect();
-        let trace = GateTrace::collect(&mut dnc, &inputs);
-        assert_eq!(trace.steps, 12);
-        for v in [trace.write_gate, trace.allocation_gate, trace.free_gate, trace.write_density] {
-            assert!((0.0..=1.0).contains(&v), "{trace:?}");
+        for builder in [EngineBuilder::new(params), EngineBuilder::new(params).sharded(4)] {
+            let trace = GateTrace::collect(&mut builder.seed(5).build(), &inputs);
+            assert_eq!(trace.steps, 12);
+            let GateTrace { write_gate, allocation_gate, free_gate, write_density, .. } = trace;
+            for v in [write_gate, allocation_gate, free_gate, write_density] {
+                assert!((0.0..=1.0).contains(&v), "{trace:?}");
+            }
         }
+    }
+
+    /// The gates are the ones the memory unit was driven by, not a
+    /// stand-in: a twin engine's interface vector, step by step.
+    #[test]
+    fn traced_gates_are_the_interface_vectors_means() {
+        let params = DncParams::new(32, 8, 2).with_hidden(16).with_io(6, 6);
+        let inputs: Vec<Vec<f32>> = (0..12)
+            .map(|t| (0..6).map(|i| ((t * 5 + i) as f32 * 0.37).cos()).collect())
+            .collect();
+        let build = || EngineBuilder::new(params).seed(3).build();
+        let trace = GateTrace::collect(&mut build(), &inputs);
+        let mut twin = build();
+        let (mut allocation, mut free) = (0.0f64, 0.0f64);
+        for x in &inputs {
+            twin.step(x);
+            let iv = twin.interface(0, 0);
+            allocation += iv.allocation_gate as f64;
+            free += iv.free_gates.iter().map(|&g| g as f64).sum::<f64>() / 2.0;
+        }
+        let n = inputs.len() as f64;
+        assert_eq!(trace.allocation_gate, allocation / n);
+        assert_eq!(trace.free_gate, free / n);
+        assert_ne!(trace.free_gate, 0.5, "{trace:?}");
     }
 
     #[test]
     fn functional_trace_refines_engine_estimate() {
         // End to end: functional episode -> trace -> refined cycles.
         let params = DncParams::new(64, 16, 2).with_hidden(32).with_io(8, 8);
-        let mut dnc = Dnc::new(params, 9);
+        let mut engine = EngineBuilder::new(params).seed(9).build();
         let inputs: Vec<Vec<f32>> = (0..20)
             .map(|t| (0..8).map(|i| ((t * 7 + i) as f32 * 0.17).cos()).collect())
             .collect();
-        let trace = GateTrace::collect(&mut dnc, &inputs);
+        let trace = GateTrace::collect(&mut engine, &inputs);
         let cfg = EngineConfig::hima_dnc(16);
         let traced = trace_report(&cfg, &trace).total_cycles();
         let static_total = Engine::new(cfg).step_report().total_cycles();

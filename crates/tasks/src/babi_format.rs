@@ -385,8 +385,8 @@ mod tests {
         let enc = encode_story(&stories[0], &vocab);
         let width = enc.episode.width();
         let params = hima_dnc::DncParams::new(32, 8, 1).with_hidden(16).with_io(width, width);
-        let mut dnc = hima_dnc::Dnc::new(params, 3);
-        let outputs = dnc.run_sequence(&enc.episode.inputs);
+        let mut dnc = hima_dnc::EngineBuilder::new(params).seed(3).build();
+        let outputs: Vec<Vec<f32>> = enc.episode.inputs.iter().map(|x| dnc.step(x)).collect();
         assert_eq!(outputs.len(), enc.episode.len());
         assert!(outputs.iter().flatten().all(|x| x.is_finite()));
     }

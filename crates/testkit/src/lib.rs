@@ -9,9 +9,13 @@
 //!   suites sweep,
 //! * [`scratch`], [`wait_until`] and [`ManualClock`] — unique temp paths,
 //!   bounded waits, and a clock that moves only when the test moves it,
-//! * [`hostile`] — the harness of the decoder suites.
+//! * [`hostile`] — the harness of the decoder suites,
+//! * [`reference`](mod@reference) — the sequential model the engine suites compare
+//!   against.
 
+mod batch;
 pub mod hostile;
+pub mod reference;
 
 use hima_dnc::{Datapath, DncParams, EngineBuilder, EngineSpec};
 use hima_tensor::{Backend, Matrix, QFormat};

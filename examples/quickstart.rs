@@ -10,14 +10,14 @@ fn main() {
     // ---------------------------------------------------------------
     println!("== Functional DNC ==");
     let params = DncParams::new(64, 16, 2).with_hidden(64).with_io(8, 8);
-    let mut dnc = Dnc::new(params, 42);
+    let mut dnc = EngineBuilder::new(params).seed(42).build();
     for t in 0..6 {
         let mut x = vec![0.0f32; 8];
         x[t % 8] = 1.0;
         let y = dnc.step(&x);
         println!("  step {t}: |y| = {:.4}", y.iter().map(|v| v * v).sum::<f32>().sqrt());
     }
-    println!("  memory invariants hold: {}", dnc.memory().check_invariants(1e-3));
+    println!("  memory invariants hold: {}", dnc.unit(0, 0).check_invariants(1e-3));
 
     // ---------------------------------------------------------------
     // 2. One engine API: EngineBuilder composes topology × lanes ×

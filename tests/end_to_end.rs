@@ -10,13 +10,13 @@ fn stack_holds_across_geometries() {
     for (n, w, r, nt) in [(128usize, 16usize, 1usize, 4usize), (256, 32, 2, 8), (512, 64, 4, 32)] {
         // Functional model.
         let params = DncParams::new(n, w, r).with_hidden(32).with_io(8, 8);
-        let mut dnc = Dnc::new(params, 11);
+        let mut dnc = EngineBuilder::new(params).seed(11).build();
         for t in 0..5 {
             let x: Vec<f32> = (0..8).map(|i| ((t + i) as f32 * 0.3).sin()).collect();
             let y = dnc.step(&x);
             assert!(y.iter().all(|v| v.is_finite()), "NaN at {n}x{w}");
         }
-        assert!(dnc.memory().check_invariants(1e-3));
+        assert!(dnc.unit(0, 0).check_invariants(1e-3));
 
         // Architectural model.
         let cfg = EngineConfig::hima_dnc(nt).with_geometry(n, w, r);
@@ -72,28 +72,23 @@ fn sequence_and_step_apis_agree() {
     let params = DncParams::new(64, 16, 2).with_io(8, 8);
     let inputs: Vec<Vec<f32>> =
         (0..10).map(|t| (0..8).map(|i| ((t * 3 + i) as f32 * 0.21).cos()).collect()).collect();
-    let mut a = Dnc::new(params, 23);
-    let seq = a.run_sequence(&inputs);
-    let mut b = Dnc::new(params, 23);
-    for (x, want) in inputs.iter().zip(&seq) {
-        assert_eq!(&b.step(x), want);
-    }
-    // Same agreement for a sharded engine built through the unified API.
     let blocks: Vec<Matrix> = inputs.iter().map(|x| Matrix::from_rows(&[x.as_slice()])).collect();
-    let mut da = EngineBuilder::new(params).sharded(4).seed(23).build();
-    let dseq = da.run_sequence_batch(&blocks);
-    let mut db = EngineBuilder::new(params).sharded(4).seed(23).build();
-    for (x, want) in inputs.iter().zip(&dseq) {
-        assert_eq!(&db.step(x), want.row(0));
+    for spec in [EngineSpec::monolithic(), EngineSpec::sharded(4)] {
+        let builder = EngineBuilder::new(params).with_spec(spec).seed(23);
+        let seq = builder.build().run_sequence_batch(&blocks);
+        let mut b = builder.build();
+        for (x, want) in inputs.iter().zip(&seq) {
+            assert_eq!(&b.step(x), want.row(0), "{}", spec.label());
+        }
     }
 }
 
-/// Profiles from the functional model cover every kernel after a full
-/// episode — the instrumentation the Fig. 4 harness depends on.
+/// A profiled engine's profile covers every kernel after a full episode
+/// — the instrumentation the Fig. 4 harness depends on.
 #[test]
 fn functional_profile_covers_every_kernel() {
     let params = DncParams::new(64, 16, 2).with_io(8, 8);
-    let mut dnc = Dnc::new(params, 31);
+    let mut dnc = EngineBuilder::new(params).seed(31).profiling(true).build();
     for t in 0..8 {
         let x: Vec<f32> = (0..8).map(|i| ((t + i) as f32 * 0.4).sin()).collect();
         dnc.step(&x);

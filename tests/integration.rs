@@ -6,7 +6,7 @@ use hima::prelude::*;
 #[test]
 fn dncd_with_one_shard_is_the_centralized_dnc() {
     let params = DncParams::new(32, 8, 2).with_hidden(32).with_io(6, 6);
-    let mut dnc = Dnc::new(params, 77);
+    let mut dnc = EngineBuilder::new(params).seed(77).build();
     let mut dncd = EngineBuilder::new(params)
         .sharded(1)
         .merge(hima::dnc::ReadMerge::from_weights(vec![1.0]))
@@ -115,8 +115,8 @@ fn fixed_point_dnc_stays_close_to_float() {
     // Quantizing the interface vector to Q16.16 must not derail inference
     // (the 32-bit datapath claim).
     let params = DncParams::new(32, 8, 1).with_io(4, 4);
-    let mut a = Dnc::new(params, 5);
-    let mut b = Dnc::new(params, 5);
+    let mut a = EngineBuilder::new(params).seed(5).build();
+    let mut b = EngineBuilder::new(params).seed(5).build();
     let mut max_err = 0.0f32;
     for t in 0..20 {
         let x: Vec<f32> = (0..4).map(|i| ((t * 5 + i) as f32 * 0.3).sin()).collect();
