@@ -24,7 +24,6 @@
 
 use hima_engine::{EngineConfig, Topology};
 use hima_mem::{Partition, TileMemoryMap};
-use serde::{Deserialize, Serialize};
 
 /// Fixed SRAM periphery + buffers per PT (mm²).
 pub const PT_MEM_FIXED_MM2: f64 = 1.454;
@@ -47,7 +46,7 @@ pub const CT_CENTRAL_SORTER_MM2: f64 = 0.25;
 pub const CT_PMS_MM2: f64 = 0.34;
 
 /// Area report for one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaReport {
     /// One PT, total (mm²).
     pub pt_mm2: f64,
@@ -67,7 +66,7 @@ impl AreaReport {
 }
 
 /// The component-level area model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AreaModel;
 
 impl AreaModel {

@@ -21,7 +21,6 @@
 
 use hima_dnc::profile::KernelCategory;
 use hima_engine::{ActivityCounters, Engine, EngineConfig, StepReport};
-use serde::{Deserialize, Serialize};
 
 /// Fig. 11(f) HiMA-DNC module powers (watts) used for calibration.
 pub mod reference {
@@ -40,7 +39,7 @@ pub mod reference {
 }
 
 /// Per-event energy coefficients (picojoules).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyCoefficients {
     /// pJ per MAC on the M-M engines.
     pub pj_per_mac: f64,
@@ -122,7 +121,7 @@ impl EnergyCoefficients {
 pub const SIMPLE_ROUTER_FACTOR: f64 = 0.05;
 
 /// Power estimate for one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerReport {
     /// PT M-M engines (W).
     pub mm_engine_w: f64,
@@ -151,7 +150,7 @@ impl PowerReport {
 }
 
 /// The calibrated power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     coeffs: EnergyCoefficients,
 }

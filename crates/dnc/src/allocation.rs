@@ -12,12 +12,9 @@
 //! elements, which is where the paper's proportional complexity reduction
 //! comes from. Skimmed slots receive zero allocation weight.
 
-use hima_sort::SortEngine;
-use serde::{Deserialize, Serialize};
-
 /// Usage-skimming configuration: the fraction of slots (those with the
 /// highest usage) excluded from sorting and allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkimRate(f32);
 
 impl SkimRate {
@@ -61,43 +58,12 @@ impl Default for SkimRate {
     }
 }
 
-/// Allocation weighting from the usage vector.
-///
-/// `sorter` supplies the (hardware-modeled) argsort of the usage vector;
-/// `skim` optionally truncates the free list. Returns a vector in `[0,1]^N`
-/// summing to at most 1.
-///
-/// # Panics
-///
-/// Panics if the sorter returns a malformed permutation (debug builds).
-pub fn allocation_weighting(usage: &[f32], sorter: &dyn SortEngine, skim: SkimRate) -> Vec<f32> {
-    if usage.is_empty() {
-        return Vec::new();
-    }
-    let free_list = sorter.argsort(usage);
-    allocation_from_free_list(usage, &free_list, skim)
-}
-
-/// Allocation weighting from an already-sorted free list (ascending
-/// usage). Split out so the usage sort and the accumulated product can be
-/// timed as the separate kernels they are in Table 1.
-///
-/// # Panics
-///
-/// Panics if `free_list` is not a permutation of the usage indices (debug
-/// builds).
-pub(crate) fn allocation_from_free_list(usage: &[f32], free_list: &[usize], skim: SkimRate) -> Vec<f32> {
-    let mut w_a = vec![0.0; usage.len()];
-    allocation_from_free_list_into(usage, free_list, skim, &mut w_a);
-    w_a
-}
-
-/// Output-buffer form of `allocation_from_free_list`: writes the
-/// allocation weighting into `w_a` without allocating. The accumulated
-/// product streams left-to-right over the kept free list — the same
-/// multiplication order as
-/// [`exclusive_prefix_product`](hima_tensor::vector::exclusive_prefix_product),
-/// so the result is bit-identical to the allocating form.
+/// Allocation weighting from an already-sorted free list (ascending usage,
+/// as [`SortEngine::argsort_into`](hima_sort::SortEngine::argsort_into)
+/// yields it), written into `w_a`. The usage sort and the accumulated
+/// product are separate calls because they are separate kernels in
+/// Table 1. The product `Π_{k<j} u[φ_k]` streams left to right over the
+/// kept free list, one multiply per slot; skimmed slots get zero weight.
 ///
 /// # Panics
 ///
@@ -126,25 +92,8 @@ pub fn allocation_from_free_list_into(
     }
 }
 
-/// Merges allocation and content write weightings through the write gates —
-/// the WM kernel: `w_w = g_w (g_a w_a + (1 − g_a) w_u)`.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn merge_write_weighting(
-    allocation: &[f32],
-    content: &[f32],
-    write_gate: f32,
-    allocation_gate: f32,
-) -> Vec<f32> {
-    let mut out = vec![0.0; allocation.len()];
-    merge_write_weighting_into(allocation, content, write_gate, allocation_gate, &mut out);
-    out
-}
-
-/// Output-buffer form of [`merge_write_weighting`]: writes the merged
-/// weighting into `out` without allocating.
+/// Merges allocation and content write weightings through the write gates
+/// into `out` — the WM kernel: `w_w = g_w (g_a w_a + (1 − g_a) w_u)`.
 ///
 /// # Panics
 ///
@@ -166,15 +115,17 @@ pub fn merge_write_weighting_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hima_sort::CentralizedMergeSorter;
+    use hima_sort::{CentralizedMergeSorter, SortEngine};
 
-    fn alloc(usage: &[f32]) -> Vec<f32> {
-        allocation_weighting(usage, &CentralizedMergeSorter, SkimRate::NONE)
+    fn alloc(usage: &[f32], skim: SkimRate) -> Vec<f32> {
+        let mut w_a = vec![f32::NAN; usage.len()];
+        allocation_from_free_list_into(usage, &CentralizedMergeSorter.argsort(usage), skim, &mut w_a);
+        w_a
     }
 
     #[test]
     fn empty_memory_allocates_first_free_slot_fully() {
-        let w = alloc(&[0.0, 0.0, 0.0]);
+        let w = alloc(&[0.0, 0.0, 0.0], SkimRate::NONE);
         // All free: first slot in the free list takes weight 1, the prefix
         // product of zeros keeps the rest at 0... after slot 0, prefix = 0.
         assert_eq!(w[0], 1.0);
@@ -184,20 +135,20 @@ mod tests {
 
     #[test]
     fn least_used_slot_wins() {
-        let w = alloc(&[0.9, 0.1, 0.5]);
+        let w = alloc(&[0.9, 0.1, 0.5], SkimRate::NONE);
         assert!(w[1] > w[2] && w[2] > w[0], "{w:?}");
     }
 
     #[test]
     fn full_memory_allocates_nothing() {
-        let w = alloc(&[1.0, 1.0, 1.0]);
+        let w = alloc(&[1.0, 1.0, 1.0], SkimRate::NONE);
         assert!(w.iter().all(|&x| x.abs() < 1e-6));
     }
 
     #[test]
     fn allocation_matches_closed_form() {
         // u sorted ascending: [0.2, 0.5, 0.9] at slots [2, 0, 1].
-        let w = alloc(&[0.5, 0.9, 0.2]);
+        let w = alloc(&[0.5, 0.9, 0.2], SkimRate::NONE);
         let expect_2 = (1.0 - 0.2) * 1.0;
         let expect_0 = (1.0 - 0.5) * 0.2;
         let expect_1 = (1.0 - 0.9) * 0.2 * 0.5;
@@ -209,7 +160,7 @@ mod tests {
     #[test]
     fn allocation_is_subnormalized() {
         let usage = [0.3, 0.6, 0.1, 0.8, 0.45];
-        let w = alloc(&usage);
+        let w = alloc(&usage, SkimRate::NONE);
         assert!(w.iter().sum::<f32>() <= 1.0 + 1e-5);
         assert!(w.iter().all(|&x| x >= 0.0));
     }
@@ -217,7 +168,7 @@ mod tests {
     #[test]
     fn skimming_zeroes_highest_usage_slots() {
         let usage = [0.1, 0.95, 0.2, 0.9];
-        let w = allocation_weighting(&usage, &CentralizedMergeSorter, SkimRate::new(0.5));
+        let w = alloc(&usage, SkimRate::new(0.5));
         // K=50% of 4 slots -> keep 2 least-used (slots 0 and 2).
         assert!(w[0] > 0.0 && w[2] > 0.0);
         assert_eq!(w[1], 0.0);
@@ -227,8 +178,8 @@ mod tests {
     #[test]
     fn small_skim_barely_changes_allocation() {
         let usage: Vec<f32> = (0..64).map(|i| (i as f32) / 64.0).collect();
-        let exact = alloc(&usage);
-        let skimmed = allocation_weighting(&usage, &CentralizedMergeSorter, SkimRate::new(0.2));
+        let exact = alloc(&usage, SkimRate::NONE);
+        let skimmed = alloc(&usage, SkimRate::new(0.2));
         for (e, s) in exact.iter().zip(&skimmed) {
             assert!((e - s).abs() < 1e-4, "{e} vs {s}");
         }
@@ -251,37 +202,24 @@ mod tests {
 
     #[test]
     fn write_merge_gates() {
-        let a = [1.0, 0.0];
-        let c = [0.0, 1.0];
+        let (a, c) = ([1.0, 0.0], [0.0, 1.0]);
+        let merge = |write_gate, allocation_gate| {
+            let mut out = [f32::NAN; 2];
+            merge_write_weighting_into(&a, &c, write_gate, allocation_gate, &mut out);
+            out
+        };
         // Fully allocation-driven.
-        assert_eq!(merge_write_weighting(&a, &c, 1.0, 1.0), vec![1.0, 0.0]);
+        assert_eq!(merge(1.0, 1.0), [1.0, 0.0]);
         // Fully content-driven.
-        assert_eq!(merge_write_weighting(&a, &c, 1.0, 0.0), vec![0.0, 1.0]);
+        assert_eq!(merge(1.0, 0.0), [0.0, 1.0]);
         // Write gate closed: no writes at all.
-        assert_eq!(merge_write_weighting(&a, &c, 0.0, 0.5), vec![0.0, 0.0]);
+        assert_eq!(merge(0.0, 0.5), [0.0, 0.0]);
         // Blended.
-        let w = merge_write_weighting(&a, &c, 0.5, 0.5);
-        assert_eq!(w, vec![0.25, 0.25]);
+        assert_eq!(merge(0.5, 0.5), [0.25, 0.25]);
     }
 
     #[test]
     fn allocation_empty_input() {
-        assert!(alloc(&[]).is_empty());
-    }
-
-    #[test]
-    fn into_forms_match_allocating_forms() {
-        let usage = [0.3, 0.6, 0.1, 0.8, 0.45];
-        let free_list = CentralizedMergeSorter.argsort(&usage);
-        for skim in [SkimRate::NONE, SkimRate::new(0.4)] {
-            let mut w_a = vec![f32::NAN; 5];
-            allocation_from_free_list_into(&usage, &free_list, skim, &mut w_a);
-            assert_eq!(w_a, allocation_from_free_list(&usage, &free_list, skim));
-        }
-        let a = [0.5, 0.2, 0.0, 0.1, 0.2];
-        let c = [0.1, 0.3, 0.4, 0.0, 0.2];
-        let mut merged = vec![f32::NAN; 5];
-        merge_write_weighting_into(&a, &c, 0.7, 0.4, &mut merged);
-        assert_eq!(merged, merge_write_weighting(&a, &c, 0.7, 0.4));
+        assert!(alloc(&[], SkimRate::NONE).is_empty());
     }
 }

@@ -40,7 +40,6 @@ use crate::dnc::ModelInit;
 use crate::memory::MemoryConfig;
 use crate::DncParams;
 use hima_tensor::{Backend, QFormat};
-use serde::{Deserialize, Serialize};
 
 /// A built engine, as [`EngineBuilder::build`] hands it out.
 pub type BoxedEngine = Box<GridEngine>;
@@ -55,7 +54,7 @@ pub type BoxedEngine = Box<GridEngine>;
 /// [`EngineBuilder::try_build`] report the same invariants as values
 /// instead of panics, and `hima-serve` turns them into structured error
 /// replies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
     /// A geometry dimension (`memory_size`, `word_size`, `read_heads`,
     /// `hidden_size`, `input_size`, `output_size`) is zero.
@@ -120,7 +119,7 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// Memory-engine topology: one memory, or `N_t` independent shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// Centralized DNC: one memory unit with global usage sort and
     /// linkage.
@@ -135,7 +134,7 @@ pub enum Topology {
 }
 
 /// Numeric datapath of the engine's memory units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Datapath {
     /// IEEE-754 single precision (the functional reference).
     F32,
@@ -162,7 +161,7 @@ impl Datapath {
 /// [`EvalConfig`](../hima_tasks/eval/struct.EvalConfig.html) carry an
 /// `EngineSpec` instead of a bare tile count, so a harness config can name
 /// *any* engine variant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineSpec {
     /// Memory topology.
     pub topology: Topology,
@@ -175,7 +174,6 @@ pub struct EngineSpec {
     /// An inert label, stored and read back (the wire spec's `blocked`
     /// bit, the `HLSS` config byte and the store manifests carry it): it
     /// selects nothing — see [`Backend`]. Defaults to [`Backend::Scalar`].
-    #[serde(default)]
     pub backend: Backend,
 }
 

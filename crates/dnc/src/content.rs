@@ -32,52 +32,30 @@ use hima_tensor::Matrix;
 /// NaN (same role as the ε in Graves et al.'s cosine distance).
 pub const NORM_EPSILON: f32 = 1e-6;
 
-/// Content weighting `C(M, k, β)` over the rows of `memory`.
-///
-/// `approx` selects the exact or PLA+LUT softmax.
-///
-/// # Panics
-///
-/// Panics if `key.len() != memory.cols()`.
-///
-/// # Example
-///
-/// ```
-/// use hima_tensor::Matrix;
-/// use hima_dnc::content::content_weighting;
-///
-/// let m = Matrix::from_rows(&[&[1.0, 0.0][..], &[0.0, 1.0][..]]);
-/// let w = content_weighting(&m, &[1.0, 0.0], 10.0, None);
-/// assert!(w[0] > 0.99, "strong beta concentrates on the matching row");
-/// ```
-pub fn content_weighting(
-    memory: &Matrix,
-    key: &[f32],
-    beta: f32,
-    approx: Option<&PlaSoftmax>,
-) -> Vec<f32> {
-    let row_norms = memory.row_norms();
-    let mut out = vec![0.0; memory.rows()];
-    content_weighting_into(memory, key, beta, approx, &row_norms, &mut out);
-    out
-}
-
-/// Output-buffer form of [`content_weighting`] reading pre-computed row
-/// norms: the steady-state content-addressing kernel. `row_norms` is the
-/// memory's per-row L2 norm vector (see
-/// [`MemoryUnit`](crate::MemoryUnit)'s once-per-step cache) — since memory
-/// changes only once per step, the `R + 1` content lookups share it
-/// instead of recomputing `N · W` norms each. `out` is used as the
-/// similarity scratch and receives the final weighting; no allocation.
-///
-/// Bit-identical to [`content_weighting`]: the cached norms are the same
-/// floats [`Matrix::row_norms`] yields, and scale + softmax run the same
-/// element order in place.
+/// Content weighting `C(M, k, β)` over the rows of `memory`, reading
+/// pre-computed row norms. `row_norms` is the memory's per-row L2 norm
+/// vector ([`Matrix::row_norms`], or the [`MemoryUnit`](crate::MemoryUnit)'s
+/// once-per-step [`NormCache`]) — since memory changes only once per step,
+/// the `R + 1` content lookups share it instead of recomputing `N · W`
+/// norms each. `approx` selects the exact or PLA+LUT softmax. `out` is
+/// used as the similarity scratch and receives the final weighting.
 ///
 /// # Panics
 ///
 /// Panics if `key.len() != memory.cols()` or `row_norms`/`out` lengths
 /// differ from `memory.rows()`.
+///
+/// # Example
+///
+/// ```
+/// use hima_tensor::Matrix;
+/// use hima_dnc::content::content_weighting_into;
+///
+/// let m = Matrix::from_rows(&[&[1.0, 0.0][..], &[0.0, 1.0][..]]);
+/// let mut w = [0.0; 2];
+/// content_weighting_into(&m, &[1.0, 0.0], 10.0, None, &m.row_norms(), &mut w);
+/// assert!(w[0] > 0.99, "strong beta concentrates on the matching row");
+/// ```
 pub fn content_weighting_into(
     memory: &Matrix,
     key: &[f32],
@@ -91,21 +69,7 @@ pub fn content_weighting_into(
 }
 
 /// Cosine similarities between each memory row and `key` (the normalize +
-/// similarity steps, before the softmax).
-///
-/// # Panics
-///
-/// Panics if `key.len() != memory.cols()`.
-pub fn similarities(memory: &Matrix, key: &[f32]) -> Vec<f32> {
-    let row_norms = memory.row_norms();
-    let mut out = vec![0.0; memory.rows()];
-    similarities_into(memory, key, &row_norms, &mut out);
-    out
-}
-
-/// Output-buffer form of [`similarities`] reading pre-computed row norms
-/// — allocation-free, and the hook through which the memory unit's
-/// per-step norm cache reaches content addressing.
+/// similarity steps, before the softmax), reading pre-computed row norms.
 ///
 /// # Panics
 ///
@@ -208,6 +172,12 @@ pub(crate) fn content_weightings_heads_into(
 mod tests {
     use super::*;
 
+    fn weighting(memory: &Matrix, key: &[f32], beta: f32) -> Vec<f32> {
+        let mut out = vec![f32::NAN; memory.rows()];
+        content_weighting_into(memory, key, beta, None, &memory.row_norms(), &mut out);
+        out
+    }
+
     fn unit_rows() -> Matrix {
         Matrix::from_rows(&[
             &[1.0, 0.0, 0.0][..],
@@ -218,7 +188,7 @@ mod tests {
 
     #[test]
     fn matching_row_wins() {
-        let w = content_weighting(&unit_rows(), &[0.0, 1.0, 0.0], 20.0, None);
+        let w = weighting(&unit_rows(), &[0.0, 1.0, 0.0], 20.0);
         assert!(w[1] > 0.99);
         assert!(w[0] < 0.01 && w[2] < 0.01);
     }
@@ -226,7 +196,7 @@ mod tests {
     #[test]
     fn weighting_is_distribution() {
         let m = Matrix::from_fn(8, 4, |i, j| ((i * 3 + j) as f32 * 0.7).sin());
-        let w = content_weighting(&m, &[0.3, -0.2, 0.8, 0.1], 2.0, None);
+        let w = weighting(&m, &[0.3, -0.2, 0.8, 0.1], 2.0);
         assert!((w.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         assert!(w.iter().all(|&x| x >= 0.0));
     }
@@ -234,14 +204,14 @@ mod tests {
     #[test]
     fn beta_one_is_diffuse_beta_large_is_sharp() {
         let m = unit_rows();
-        let diffuse = content_weighting(&m, &[1.0, 0.2, 0.1], 1.0, None);
-        let sharp = content_weighting(&m, &[1.0, 0.2, 0.1], 50.0, None);
+        let diffuse = weighting(&m, &[1.0, 0.2, 0.1], 1.0);
+        let sharp = weighting(&m, &[1.0, 0.2, 0.1], 50.0);
         assert!(sharp[0] > diffuse[0]);
     }
 
     #[test]
     fn zero_key_gives_uniform_weighting() {
-        let w = content_weighting(&unit_rows(), &[0.0, 0.0, 0.0], 5.0, None);
+        let w = weighting(&unit_rows(), &[0.0, 0.0, 0.0], 5.0);
         for &x in &w {
             assert!((x - 1.0 / 3.0).abs() < 1e-5);
         }
@@ -250,7 +220,7 @@ mod tests {
     #[test]
     fn zero_memory_row_is_not_nan() {
         let m = Matrix::from_rows(&[&[0.0, 0.0][..], &[1.0, 0.0][..]]);
-        let w = content_weighting(&m, &[1.0, 0.0], 3.0, None);
+        let w = weighting(&m, &[1.0, 0.0], 3.0);
         assert!(w.iter().all(|x| x.is_finite()));
         assert!(w[1] > w[0]);
     }
@@ -259,9 +229,10 @@ mod tests {
     fn approx_softmax_close_to_exact() {
         let m = Matrix::from_fn(16, 8, |i, j| ((i * 5 + j * 3) as f32 * 0.31).cos());
         let key: Vec<f32> = (0..8).map(|j| (j as f32 * 0.5).sin()).collect();
-        let exact = content_weighting(&m, &key, 3.0, None);
+        let exact = weighting(&m, &key, 3.0);
+        let mut approx = vec![f32::NAN; 16];
         let pla = PlaSoftmax::default();
-        let approx = content_weighting(&m, &key, 3.0, Some(&pla));
+        content_weighting_into(&m, &key, 3.0, Some(&pla), &m.row_norms(), &mut approx);
         for (e, a) in exact.iter().zip(&approx) {
             assert!((e - a).abs() < 0.02);
         }
@@ -271,7 +242,9 @@ mod tests {
     fn similarities_bounded_by_one() {
         let m = Matrix::from_fn(6, 5, |i, j| ((i + j) as f32).sin());
         let key: Vec<f32> = (0..5).map(|j| (j as f32).cos()).collect();
-        for s in similarities(&m, &key) {
+        let mut sims = vec![f32::NAN; 6];
+        similarities_into(&m, &key, &m.row_norms(), &mut sims);
+        for s in sims {
             assert!(s.abs() <= 1.0 + 1e-5);
         }
     }
@@ -279,25 +252,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "key width must match")]
     fn rejects_mismatched_key() {
-        similarities(&unit_rows(), &[1.0]);
+        similarities_into(&unit_rows(), &[1.0], &[1.0; 3], &mut [0.0; 3]);
     }
 
     #[test]
     fn into_forms_with_cached_norms_are_bit_identical() {
+        // The fused kernel is its definition, bit for bit: cosines from the
+        // cached norms, scaled by β, then the exact or the PLA softmax.
         let m = Matrix::from_fn(12, 5, |i, j| ((i * 5 + j) as f32 * 0.27).sin());
         let key: Vec<f32> = (0..5).map(|j| (j as f32 * 0.41).cos()).collect();
         let norms = m.row_norms();
+        let mut sims = vec![f32::NAN; 12];
+        similarities_into(&m, &key, &norms, &mut sims);
+        let scaled: Vec<f32> = sims.iter().map(|s| s * 2.5).collect();
         let mut out = vec![f32::NAN; 12];
 
-        similarities_into(&m, &key, &norms, &mut out);
-        assert_eq!(out, similarities(&m, &key));
-
         content_weighting_into(&m, &key, 2.5, None, &norms, &mut out);
-        assert_eq!(out, content_weighting(&m, &key, 2.5, None));
+        assert_eq!(out, hima_tensor::softmax(&scaled));
 
         let pla = PlaSoftmax::default();
         content_weighting_into(&m, &key, 2.5, Some(&pla), &norms, &mut out);
-        assert_eq!(out, content_weighting(&m, &key, 2.5, Some(&pla)));
+        assert_eq!(out, pla.softmax(&scaled));
     }
 
     #[test]

@@ -18,10 +18,8 @@
 //! [`Topology::Sharded`]: crate::Topology::Sharded
 //! [`EngineBuilder::calibrated`]: crate::EngineBuilder::calibrated
 
-use serde::{Deserialize, Serialize};
-
 /// Trainable read-vector merge weights `α` (Eq. 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadMerge {
     pub(crate) alphas: Vec<f32>,
 }

@@ -8,10 +8,9 @@
 
 use hima_tensor::transcend::{oneplus, oneplus_into, sigmoid, sigmoid_into, softmax_inplace};
 use hima_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Parsed, activation-constrained interface vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterfaceVector {
     /// Read keys `k_r^i ∈ R^W`, one row per head (`R × W`) — the left
     /// factor of the memory unit's one content-dot product for all heads.
@@ -117,22 +116,6 @@ impl InterfaceVector {
             *modes = m;
         }
         debug_assert_eq!(pos, expected);
-    }
-
-    /// Parses one interface vector per row of a `B × interface_size`
-    /// row-block — the batched form of [`InterfaceVector::parse`] for
-    /// callers holding all lanes' raw controller emissions as one matrix
-    /// (row `b` is lane `b`). The in-crate batched path parses per lane
-    /// inside its parallel loop instead, so each lane's parse runs on the
-    /// worker thread that consumes it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width does not match the `W`/`R` layout.
-    pub fn parse_rows(raw: &Matrix, word_size: usize, read_heads: usize) -> Vec<Self> {
-        (0..raw.rows())
-            .map(|b| Self::parse(raw.row(b), word_size, read_heads))
-            .collect()
     }
 
     /// Number of read heads this interface drives.

@@ -90,14 +90,12 @@ pub use quantized::{DatapathStudy, QuantizedMemoryUnit};
 // re-exported so engine users need not depend on hima-tensor directly.
 pub use hima_tensor::LaneMask;
 
-use serde::{Deserialize, Serialize};
-
 /// Model hyper-parameters of every engine variant.
 ///
 /// The paper's reference configuration for the bAbI experiments is
 /// `N × W = 1024 × 64` with `R` read heads and a 1-layer LSTM of width 256;
 /// [`DncParams::paper_babi`] constructs it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DncParams {
     /// External memory rows `N` (number of memory slots).
     pub memory_size: usize,

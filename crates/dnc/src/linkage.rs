@@ -43,11 +43,10 @@
 
 use crate::profile::{KernelId, KernelProfile, Laps};
 use hima_tensor::{fused, history, Matrix, QFormat};
-use serde::{Deserialize, Serialize};
 
 /// Temporal linkage state: the `N × N` linkage matrix and the precedence
 /// vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemporalLinkage {
     linkage: Matrix,
     precedence: Vec<f32>,
@@ -162,17 +161,7 @@ impl TemporalLinkage {
         }
     }
 
-    /// Forward weighting `f = L · w_r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `read_weighting.len() != len()`.
-    pub fn forward(&self, read_weighting: &[f32]) -> Vec<f32> {
-        self.linkage.matvec(read_weighting)
-    }
-
-    /// Output-buffer form of [`TemporalLinkage::forward`] (allocation-free
-    /// steady-state path).
+    /// Forward weighting `f = L · w_r`, written into `out`.
     ///
     /// # Panics
     ///
@@ -193,17 +182,7 @@ impl TemporalLinkage {
         fused::matmul_nt_into(read_weightings, &self.linkage, None, out);
     }
 
-    /// Backward weighting `b = Lᵀ · w_r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `read_weighting.len() != len()`.
-    pub fn backward(&self, read_weighting: &[f32]) -> Vec<f32> {
-        self.linkage.matvec_t(read_weighting)
-    }
-
-    /// Output-buffer form of [`TemporalLinkage::backward`]
-    /// (allocation-free steady-state path).
+    /// Backward weighting `b = Lᵀ · w_r`, written into `out`.
     ///
     /// # Panics
     ///
@@ -342,12 +321,13 @@ mod tests {
         for slot in [0, 1, 2] {
             l.update(&one_hot(4, slot));
         }
+        let mut out = [f32::NAN; 4];
         // Reading slot 0, the forward weighting points at slot 1.
-        let f = l.forward(&one_hot(4, 0));
-        assert!((f[1] - 1.0).abs() < 1e-6);
+        l.forward_into(&one_hot(4, 0), &mut out);
+        assert!((out[1] - 1.0).abs() < 1e-6);
         // And backward from slot 1 points back to slot 0.
-        let b = l.backward(&one_hot(4, 1));
-        assert!((b[0] - 1.0).abs() < 1e-6);
+        l.backward_into(&one_hot(4, 1), &mut out);
+        assert!((out[0] - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -423,20 +403,6 @@ mod tests {
     #[should_panic(expected = "write weighting length mismatch")]
     fn update_validates_length() {
         TemporalLinkage::new(3).update(&[0.1, 0.2]);
-    }
-
-    #[test]
-    fn into_forms_match_allocating_forms() {
-        let mut l = TemporalLinkage::new(4);
-        for slot in [0, 2, 1] {
-            l.update(&one_hot(4, slot));
-        }
-        let w_r = [0.4, 0.1, 0.3, 0.2];
-        let mut out = vec![f32::NAN; 4];
-        l.forward_into(&w_r, &mut out);
-        assert_eq!(out, l.forward(&w_r));
-        l.backward_into(&w_r, &mut out);
-        assert_eq!(out, l.backward(&w_r));
     }
 
     fn bits(xs: &[f32]) -> Vec<u32> {

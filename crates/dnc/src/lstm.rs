@@ -20,10 +20,9 @@
 use crate::dnc::WeightBlock;
 use hima_tensor::transcend::lstm_gates;
 use hima_tensor::{vector, LaneMask, Matrix, PackedWeights};
-use serde::{Deserialize, Serialize};
 
 /// LSTM cell state carried across time steps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LstmState {
     /// Hidden state `h_t`.
     pub hidden: Vec<f32>,
@@ -101,7 +100,7 @@ fn gate_init(input: usize, hidden: usize, seed: u64) -> (WeightBlock, Vec<f32>) 
 /// let h = lstm.step(&[0.1, 0.2, 0.3, 0.4]);
 /// assert_eq!(h.len(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lstm {
     input_size: usize,
     hidden_size: usize,

@@ -60,11 +60,10 @@ use crate::quantized::quantize_interface_into;
 use hima_sort::{CentralizedMergeSorter, SortEngine};
 use hima_tensor::softmax::PlaSoftmax;
 use hima_tensor::{Backend, Matrix, QFormat};
-use serde::{Deserialize, Serialize};
 
 /// Memory-unit configuration: geometry plus the approximation features of
 /// §5.2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryConfig {
     /// Memory slots `N`.
     pub memory_size: usize,
@@ -79,7 +78,6 @@ pub struct MemoryConfig {
     /// An inert label, stored and read back (the `HLSS` config byte
     /// carries it): it selects nothing — see [`Backend`]. Defaults to
     /// [`Backend::Scalar`].
-    #[serde(default)]
     pub backend: Backend,
 }
 
@@ -116,7 +114,7 @@ impl MemoryConfig {
 }
 
 /// Read outputs of one memory-unit step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadResult {
     /// One read vector per head (`R × W`).
     pub read_vectors: Vec<Vec<f32>>,

@@ -9,10 +9,10 @@
 //! consumes. The codec encodes from and decodes into exactly those
 //! buffers; it never builds a memory unit.
 //!
-//! The format is deliberately boring, read and written through the same
-//! `hima_bytes` reader and writer as the serve wire protocol (the vendored
-//! `serde` is a no-op stand-in, so derived serialization cannot cross a
-//! process boundary): fixed-width little-endian integers, `f32` as its
+//! The format is our own, pinned byte for byte by fixtures an earlier
+//! commit wrote (this module's tests), and deliberately boring, read and
+//! written through the same `hima_bytes` reader and writer as the serve
+//! wire protocol: fixed-width little-endian integers, `f32` as its
 //! IEEE-754 bit pattern — so encode → decode →
 //! [`import_lane`](crate::GridEngine::import_lane) is a
 //! **bit-exact** round trip on every topology × datapath combination

@@ -7,7 +7,6 @@
 //! wall-clock time and invocation counts per fine-grained kernel
 //! ([`KernelId`], one per row of Table 1) and can roll them up per category.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
@@ -15,7 +14,7 @@ use std::time::Instant;
 /// Fine-grained DNC kernels — one per row of the paper's Table 1, plus the
 /// two halves of the controller that sits outside the memory unit (the
 /// LSTM and the projections from its hidden state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KernelId {
     /// Row/key L2 normalization (content weighting step 1).
     Normalize,
@@ -96,7 +95,7 @@ impl fmt::Display for KernelId {
 }
 
 /// The five runtime-breakdown categories of Fig. 4 / Fig. 11(b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KernelCategory {
     /// Normalization + similarity (content-based weighting).
     ContentWeighting,
@@ -145,7 +144,7 @@ impl fmt::Display for KernelCategory {
 /// `KernelProfile::set_enabled`) makes [`KernelProfile::time`] a pure
 /// pass-through that never reads the clock — the serving hot path pays
 /// nothing for the instrumentation unless it is explicitly turned on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelProfile {
     nanos: BTreeMap<KernelId, u64>,
     calls: BTreeMap<KernelId, u64>,

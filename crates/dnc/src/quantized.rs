@@ -33,7 +33,6 @@
 use crate::interface::InterfaceVector;
 use crate::memory::{MemoryConfig, MemoryUnit};
 use hima_tensor::QFormat;
-use serde::{Deserialize, Serialize};
 
 /// The name the frozen `e2e_bench/` builds its fixed-point unit under,
 /// through `with_format`. Through this alias `new` is [`MemoryUnit::new`]
@@ -68,7 +67,7 @@ pub fn quantize_interface_into(iv: &InterfaceVector, format: QFormat, out: &mut 
 }
 
 /// Per-step divergence between the quantized and float datapaths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatapathStudy {
     /// Max |Δ| of the read vectors at each step.
     pub read_error: Vec<f32>,

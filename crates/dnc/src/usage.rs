@@ -10,19 +10,8 @@
 use hima_tensor::Matrix;
 
 /// Retention vector `ψ` from the free gates and the previous read
-/// weightings (`R × N`: `read_weights[(r, i)]` = head `r`, slot `i`).
-///
-/// # Panics
-///
-/// Panics if `free_gates.len() != read_weights.rows()`.
-pub fn retention(free_gates: &[f32], read_weights: &Matrix) -> Vec<f32> {
-    let mut psi = vec![0.0f32; read_weights.cols()];
-    retention_into(free_gates, read_weights, &mut psi);
-    psi
-}
-
-/// Output-buffer form of [`retention`]: writes `ψ` into `psi` without
-/// allocating (the steady-state path).
+/// weightings (`R × N`: `read_weights[(r, i)]` = head `r`, slot `i`),
+/// written into `psi`.
 ///
 /// # Panics
 ///
@@ -39,20 +28,9 @@ pub fn retention_into(free_gates: &[f32], read_weights: &Matrix, psi: &mut [f32]
     }
 }
 
-/// Usage update `u ← (u + w_w − u ∘ w_w) ∘ ψ`.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn update_usage(usage: &[f32], write_weighting: &[f32], psi: &[f32]) -> Vec<f32> {
-    let mut out = usage.to_vec();
-    update_usage_inplace(&mut out, write_weighting, psi);
-    out
-}
-
-/// In-place form of [`update_usage`]: each slot's update reads only its
-/// own previous value, so the steady-state path rewrites the carried
-/// usage vector directly — same per-element expression, no allocation.
+/// Usage update `u ← (u + w_w − u ∘ w_w) ∘ ψ`, in place: each slot's
+/// update reads only its own previous value, so the carried usage vector
+/// is rewritten directly.
 ///
 /// # Panics
 ///
@@ -71,79 +49,71 @@ mod tests {
 
     #[test]
     fn retention_all_gates_closed_is_ones() {
-        let psi = retention(&[0.0, 0.0], &Matrix::from_rows(&[[0.5, 0.5], [0.9, 0.1]]));
-        assert_eq!(psi, vec![1.0, 1.0]);
+        let mut psi = [f32::NAN; 2];
+        retention_into(&[0.0, 0.0], &Matrix::from_rows(&[[0.5, 0.5], [0.9, 0.1]]), &mut psi);
+        assert_eq!(psi, [1.0, 1.0]);
     }
 
     #[test]
     fn retention_open_gate_frees_read_slots() {
-        let psi = retention(&[1.0], &Matrix::from_rows(&[[1.0, 0.0, 0.5]]));
-        assert_eq!(psi, vec![0.0, 1.0, 0.5]);
+        let mut psi = [f32::NAN; 3];
+        retention_into(&[1.0], &Matrix::from_rows(&[[1.0, 0.0, 0.5]]), &mut psi);
+        assert_eq!(psi, [0.0, 1.0, 0.5]);
     }
 
     #[test]
     fn retention_multiplies_across_heads() {
-        let psi = retention(&[1.0, 1.0], &Matrix::from_rows(&[[0.5], [0.5]]));
+        let mut psi = [f32::NAN];
+        retention_into(&[1.0, 1.0], &Matrix::from_rows(&[[0.5], [0.5]]), &mut psi);
         assert!((psi[0] - 0.25).abs() < 1e-6);
     }
 
     #[test]
     fn retention_stays_in_unit_interval() {
         let heads = Matrix::from_rows(&[[0.3, 0.9, 0.0], [0.7, 0.1, 1.0]]);
-        let psi = retention(&[0.8, 0.6], &heads);
+        let mut psi = [f32::NAN; 3];
+        retention_into(&[0.8, 0.6], &heads, &mut psi);
         assert!(psi.iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
 
     #[test]
     fn usage_rises_with_writes() {
-        let u = update_usage(&[0.0, 0.5], &[1.0, 0.5], &[1.0, 1.0]);
+        let mut u = [0.0, 0.5];
+        update_usage_inplace(&mut u, &[1.0, 0.5], &[1.0, 1.0]);
         assert_eq!(u[0], 1.0);
         assert!((u[1] - 0.75).abs() < 1e-6);
     }
 
     #[test]
     fn usage_freed_by_retention() {
-        let u = update_usage(&[0.9, 0.9], &[0.0, 0.0], &[0.0, 1.0]);
-        assert_eq!(u[0], 0.0);
-        assert_eq!(u[1], 0.9);
+        let mut u = [0.9, 0.9];
+        update_usage_inplace(&mut u, &[0.0, 0.0], &[0.0, 1.0]);
+        assert_eq!(u, [0.0, 0.9]);
     }
 
     #[test]
     fn usage_bounded_in_unit_interval() {
-        let u = update_usage(&[0.99, 0.01], &[0.99, 0.99], &[1.0, 1.0]);
+        let mut u = [0.99, 0.01];
+        update_usage_inplace(&mut u, &[0.99, 0.99], &[1.0, 1.0]);
         assert!(u.iter().all(|&x| (0.0..=1.0).contains(&x)), "{u:?}");
     }
 
     #[test]
     fn usage_without_write_or_free_is_unchanged() {
-        let u0 = vec![0.2, 0.7, 0.4];
-        let u = update_usage(&u0, &[0.0; 3], &[1.0; 3]);
-        assert_eq!(u, u0);
-    }
-
-    #[test]
-    fn into_forms_match_allocating_forms() {
-        let heads = Matrix::from_rows(&[[0.3, 0.9, 0.0], [0.7, 0.1, 1.0]]);
-        let gates = [0.8, 0.6];
-        let mut psi = vec![f32::NAN; 3];
-        retention_into(&gates, &heads, &mut psi);
-        assert_eq!(psi, retention(&gates, &heads));
-
-        let mut usage = vec![0.2, 0.7, 0.4];
-        let expect = update_usage(&usage, &[0.5, 0.0, 0.25], &psi);
-        update_usage_inplace(&mut usage, &[0.5, 0.0, 0.25], &psi);
-        assert_eq!(usage, expect);
+        let mut u = [0.2, 0.7, 0.4];
+        update_usage_inplace(&mut u, &[0.0; 3], &[1.0; 3]);
+        assert_eq!(u, [0.2, 0.7, 0.4]);
     }
 
     #[test]
     #[should_panic(expected = "one free gate per read head")]
     fn retention_validates_heads() {
-        retention(&[0.5], &Matrix::from_rows(&[[0.1], [0.2]]));
+        retention_into(&[0.5], &Matrix::from_rows(&[[0.1], [0.2]]), &mut [0.0]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn usage_validates_lengths() {
-        update_usage(&[0.1], &[0.1, 0.2], &[1.0]);
+        update_usage_inplace(&mut [0.1], &[0.1, 0.2], &[1.0]);
     }
 }

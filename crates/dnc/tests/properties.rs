@@ -1,15 +1,22 @@
 //! Property-based tests for the DNC model invariants.
 
-use hima_dnc::allocation::{allocation_weighting, merge_write_weighting, SkimRate};
+use hima_dnc::allocation::{allocation_from_free_list_into, merge_write_weighting_into, SkimRate};
 use hima_dnc::interface::InterfaceVector;
 use hima_dnc::linkage::TemporalLinkage;
 use hima_dnc::memory::{MemoryConfig, MemoryUnit};
-use hima_dnc::usage::{retention, update_usage};
-use hima_sort::CentralizedMergeSorter;
+use hima_dnc::usage::{retention_into, update_usage_inplace};
+use hima_sort::{CentralizedMergeSorter, SortEngine};
 use proptest::prelude::*;
 
 fn unit_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(0.0f32..1.0, len)
+}
+
+/// The allocation weighting of `usage` through the merge sorter's free list.
+fn allocation(usage: &[f32], skim: SkimRate) -> Vec<f32> {
+    let mut w_a = vec![f32::NAN; usage.len()];
+    allocation_from_free_list_into(usage, &CentralizedMergeSorter.argsort(usage), skim, &mut w_a);
+    w_a
 }
 
 /// A random sub-normalized weighting (non-negative, sums to ≤ 1).
@@ -36,7 +43,8 @@ proptest! {
                 w
             })
             .collect();
-        let psi = retention(&gates, &hima_tensor::Matrix::from_rows(&heads));
+        let mut psi = vec![f32::NAN; n];
+        retention_into(&gates, &hima_tensor::Matrix::from_rows(&heads), &mut psi);
         prop_assert!(psi.iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
 
@@ -45,20 +53,21 @@ proptest! {
         let n = u.len();
         let w: Vec<f32> = (0..n).map(|i| (((i * 13 + seed as usize) % 7) as f32) / 7.0).collect();
         let psi: Vec<f32> = (0..n).map(|i| (((i * 5 + seed as usize) % 11) as f32) / 11.0).collect();
-        let u2 = update_usage(&u, &w, &psi);
-        prop_assert!(u2.iter().all(|&x| (-1e-6..=1.0 + 1e-6).contains(&x)), "{:?}", u2);
+        let mut u = u;
+        update_usage_inplace(&mut u, &w, &psi);
+        prop_assert!(u.iter().all(|&x| (-1e-6..=1.0 + 1e-6).contains(&x)), "{:?}", u);
     }
 
     #[test]
     fn allocation_is_subnormalized_weighting(u in unit_vec(1..64)) {
-        let w = allocation_weighting(&u, &CentralizedMergeSorter, SkimRate::NONE);
+        let w = allocation(&u, SkimRate::NONE);
         prop_assert!(w.iter().all(|&x| x >= 0.0));
         prop_assert!(w.iter().sum::<f32>() <= 1.0 + 1e-4);
     }
 
     #[test]
     fn skimmed_allocation_still_subnormalized(u in unit_vec(2..64), k in 0.0f32..0.9) {
-        let w = allocation_weighting(&u, &CentralizedMergeSorter, SkimRate::new(k));
+        let w = allocation(&u, SkimRate::new(k));
         prop_assert!(w.iter().all(|&x| x >= 0.0));
         prop_assert!(w.iter().sum::<f32>() <= 1.0 + 1e-4);
     }
@@ -67,12 +76,13 @@ proptest! {
     fn write_merge_is_weighting(n in 1usize..32, gw in 0.0f32..1.0, ga in 0.0f32..1.0, seed in 0u64..50) {
         let a: Vec<f32> = {
             let u: Vec<f32> = (0..n).map(|i| (((i * 7 + seed as usize) % 13) as f32) / 13.0).collect();
-            allocation_weighting(&u, &CentralizedMergeSorter, SkimRate::NONE)
+            allocation(&u, SkimRate::NONE)
         };
         let mut c: Vec<f32> = (0..n).map(|i| (((i * 11 + seed as usize) % 17) as f32) + 0.1).collect();
         let s: f32 = c.iter().sum();
         for x in &mut c { *x /= s; }
-        let w = merge_write_weighting(&a, &c, gw, ga);
+        let mut w = vec![f32::NAN; n];
+        merge_write_weighting_into(&a, &c, gw, ga, &mut w);
         prop_assert!(hima_tensor::vector::is_weighting(&w, 1e-4), "{:?}", w);
     }
 
@@ -100,8 +110,9 @@ proptest! {
         }
         let mut r = vec![0.0; n];
         r[seed as usize % n] = 1.0;
-        let f = l.forward(&r);
-        let b = l.backward(&r);
+        let (mut f, mut b) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+        l.forward_into(&r, &mut f);
+        l.backward_into(&r, &mut b);
         // L rows/cols sum to <= 1, so forward/backward of a weighting stays
         // sub-normalized.
         prop_assert!(f.iter().sum::<f32>() <= 1.0 + 1e-4);
@@ -142,11 +153,10 @@ proptest! {
 
 // --- Batched-kernel equivalence -----------------------------------------
 //
-// Kernel-level properties of the batched building blocks (row-block LSTM,
-// row-wise interface parse). Whole-model equivalence of the batched vs
-// sequential paths is covered across *every* topology × lanes × datapath
-// combination by the engine conformance suite in
-// `crates/dnc/tests/conformance.rs`.
+// Kernel-level property of the batched row-block LSTM. Whole-model
+// equivalence of the batched vs sequential paths is covered across *every*
+// topology × lanes × datapath combination by the engine conformance suite
+// in `crates/dnc/tests/conformance.rs`.
 
 /// Per-lane input streams with lane-, time- and element-dependent values.
 fn lane_streams(batch: usize, steps: usize, width: usize, seed: u64) -> Vec<Vec<Vec<f32>>> {
@@ -196,21 +206,6 @@ proptest! {
                     "lane {} hidden diverged at t {}", b, t
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parse_rows_equals_per_row_parse(batch in 1usize..6, seed in 0u64..50) {
-        let (w, r) = (4usize, 2usize);
-        let width = w * r + 3 * w + 5 * r + 3;
-        let raw = hima_tensor::Matrix::from_fn(batch, width, |b, i| {
-            (((b * 37 + i * 13) as f32 + seed as f32) * 0.21).sin() * 3.0
-        });
-        let parsed = InterfaceVector::parse_rows(&raw, w, r);
-        prop_assert_eq!(parsed.len(), batch);
-        for (b, iv) in parsed.iter().enumerate() {
-            prop_assert_eq!(iv, &InterfaceVector::parse(raw.row(b), w, r));
-            prop_assert!(iv.is_well_formed());
         }
     }
 }

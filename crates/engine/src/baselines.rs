@@ -6,10 +6,8 @@
 //! the comparison come from our cycle model. This mirrors how the paper
 //! itself compares: against *published* numbers of the other designs.
 
-use serde::{Deserialize, Serialize};
-
 /// One comparison platform with its published characteristics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Platform {
     /// Display name.
     pub name: &'static str,

@@ -2,11 +2,10 @@
 
 use hima_dnc::allocation::SkimRate;
 use hima_noc::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// The ablation ladder of Fig. 11(a), from the H-tree baseline to the fully
 /// optimized DNC-D with approximations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureLevel {
     /// H-tree NoC, centralized sort, row-wise partitions.
     Baseline,
@@ -47,7 +46,7 @@ impl FeatureLevel {
 }
 
 /// Full engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Memory slots `N`.
     pub memory_size: usize,

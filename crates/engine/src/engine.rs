@@ -23,11 +23,10 @@ use hima_noc::sim::NocSim;
 use hima_noc::topology::{NodeId, Topology, TopologyGraph};
 use hima_noc::traffic::{snake_order, Message};
 use hima_sort::{MdsaSorter, ParallelMergeSorter, SortEngine};
-use serde::{Deserialize, Serialize};
 
 /// Hardware activity accumulated over one step — the input to the
 /// `hima-cost` power model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ActivityCounters {
     /// Multiply-accumulate operations on the M-M engines.
     pub macs: u64,
@@ -52,7 +51,7 @@ impl ActivityCounters {
 }
 
 /// Cycle cost of one kernel in one step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCost {
     /// Which kernel.
     pub kernel: KernelId,
@@ -73,7 +72,7 @@ impl KernelCost {
 }
 
 /// Per-step cycle report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepReport {
     /// Per-kernel costs in dataflow order.
     pub costs: Vec<KernelCost>,
@@ -651,7 +650,6 @@ impl Engine {
         }
     }
 }
-
 
 fn div_up(a: u64, b: u64) -> u64 {
     a.div_ceil(b.max(1))

@@ -5,11 +5,10 @@
 //! documents the complexity classes the cycle model implements.
 
 use hima_dnc::profile::KernelId;
-use serde::{Deserialize, Serialize};
 
 /// Whether a kernel is an access kernel (exists in NTM-class accelerators)
 /// or one of DNC's new state kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelType {
     /// Performs the actual external-memory access (NTM also has these).
     Access,
@@ -19,7 +18,7 @@ pub enum KernelType {
 
 /// Asymptotic complexity class in the symbols of Table 1
 /// (`N`, `W`, `R`, `N_t`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Complexity {
     /// No access / no traffic.
     None,
@@ -80,7 +79,7 @@ impl Complexity {
 }
 
 /// One row of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelInfo {
     /// The kernel.
     pub kernel: KernelId,

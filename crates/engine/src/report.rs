@@ -2,10 +2,9 @@
 
 use crate::config::{EngineConfig, FeatureLevel};
 use crate::engine::{Engine, StepReport};
-use serde::{Deserialize, Serialize};
 
 /// One rung of the Fig. 11(a) ablation ladder with its measured speedup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationRow {
     /// Feature level.
     pub level: FeatureLevel,
@@ -28,7 +27,7 @@ pub fn ablation_sweep(tiles: usize) -> Vec<AblationRow> {
 }
 
 /// One point of a Fig. 5(d)-style scalability series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalePoint {
     /// Processing-tile count.
     pub tiles: usize,

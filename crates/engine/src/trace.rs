@@ -13,10 +13,9 @@ use crate::config::EngineConfig;
 use crate::engine::{Engine, StepReport};
 use hima_dnc::profile::KernelId;
 use hima_dnc::GridEngine;
-use serde::{Deserialize, Serialize};
 
 /// Average gate activity over an episode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateTrace {
     /// Mean write gate `g_w` (scales memory-write work).
     pub write_gate: f64,

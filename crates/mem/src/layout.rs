@@ -8,13 +8,12 @@
 
 use crate::optimizer::{best_external_partition, best_linkage_partition};
 use crate::partition::Partition;
-use serde::{Deserialize, Serialize};
 
 /// Bytes per element of the 32-bit datapath.
 pub const WORD_BYTES: usize = 4;
 
 /// Per-PT memory footprint under a chosen partition pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileMemoryMap {
     memory_size: usize,
     word_size: usize,

@@ -1,6 +1,5 @@
 //! The submatrix-wise partition: `N_t = N_t^h × N_t^w` blocks.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A submatrix-wise partition into `rows × cols` tile blocks.
@@ -8,7 +7,7 @@ use std::fmt;
 /// `Partition::new(n_t, 1)` is the row-wise split, `Partition::new(1, n_t)`
 /// the column-wise split; everything in between is a general submatrix
 /// partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Partition {
     rows: usize,
     cols: usize,

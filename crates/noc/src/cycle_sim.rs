@@ -13,12 +13,11 @@
 use crate::routing::{Mode, RoutingTable};
 use crate::topology::{NodeId, TopologyGraph};
 use crate::traffic::Message;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Result of a cycle-driven simulation run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CycleSimReport {
     /// Cycle at which the last tail flit arrived.
     pub completion_cycles: u64,

@@ -12,11 +12,10 @@
 //! | Full     | all                    | mat-vec multiply, outer products |
 
 use crate::topology::{Edge, EdgeKind, NodeId, Topology, TopologyGraph};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// HiMA-NoC router mode (Fig. 5(c)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// CT-centric traffic (broadcast, collect, global sort).
     Star,
@@ -75,7 +74,7 @@ fn is_snake_edge(graph: &TopologyGraph, edge: &Edge) -> bool {
 }
 
 /// Precomputed shortest-path routes for one (graph, mode) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingTable {
     mode: Mode,
     /// `next_hop[src][dst]` = neighbour of `src` on a shortest path to

@@ -25,11 +25,10 @@
 use crate::routing::{Mode, RoutingTable};
 use crate::topology::{NodeId, TopologyGraph};
 use crate::traffic::{Message, TrafficPattern};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Result of simulating one traffic pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Cycle at which the last message arrived.
     pub completion_cycles: u64,

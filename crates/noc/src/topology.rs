@@ -5,15 +5,14 @@
 //! fabrics place tiles on a square grid with the CT at the center cell
 //! (paper Fig. 9) and PTs filling the remaining cells row-major.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Index of a node (tile or internal router) within a [`TopologyGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// The NoC fabrics evaluated by the paper (Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// MANNA's H-tree: PTs at the leaves of a binary tree, CT at the root.
     HTree,
@@ -46,7 +45,7 @@ impl Topology {
 }
 
 /// Kind of a node in the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// Controller tile (LSTM + global kernels).
     Controller,
@@ -57,7 +56,7 @@ pub enum NodeKind {
 }
 
 /// Classification of an edge, used by the HiMA mode masks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// Horizontal/vertical mesh link.
     Mesh,
@@ -70,7 +69,7 @@ pub enum EdgeKind {
 }
 
 /// An undirected link between two nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// One endpoint.
     pub a: NodeId,
@@ -81,7 +80,7 @@ pub struct Edge {
 }
 
 /// A built NoC graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyGraph {
     topology: Topology,
     kinds: Vec<NodeKind>,

@@ -7,11 +7,10 @@
 
 use crate::routing::Mode;
 use crate::topology::{NodeId, TopologyGraph};
-use serde::{Deserialize, Serialize};
 
 /// One NoC message: `flits` words from `src` to `dst`, optionally only
 /// injectable after another message completes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
     /// Source tile.
     pub src: NodeId,
@@ -37,7 +36,7 @@ impl Message {
 }
 
 /// The DNC-primitive traffic patterns of §4.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficPattern {
     /// CT sends to every PT (interface-vector distribution).
     Broadcast,

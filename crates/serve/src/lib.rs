@@ -17,8 +17,9 @@
 //!   into one masked grid step per tick; sessions join and leave lanes
 //!   between ticks, and swap out through the
 //!   [`LaneState`](hima_dnc::LaneState) splice API when the grid is full,
-//! * [`protocol`] — the length-prefixed binary wire protocol (hand-rolled;
-//!   the vendored `serde` is a no-op stand-in),
+//! * [`protocol`] — the length-prefixed binary wire protocol (our own
+//!   format on `hima_bytes`, pinned by its round-trip and hostile-bytes
+//!   tests),
 //! * [`server`] / [`client`] — a std-only threaded TCP front end and its
 //!   typed blocking client,
 //! * [`loadgen`] — an open-loop load generator reporting sessions/sec and

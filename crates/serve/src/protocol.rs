@@ -2,9 +2,9 @@
 //!
 //! A frame is a little-endian `u32` payload length followed by the
 //! payload; the payload is a tag byte followed by the variant's fields in
-//! a fixed order. The codec is hand-rolled on the workspace's shared
-//! `hima_bytes` reader and writer (the vendored `serde` is a no-op
-//! stand-in, so derived serialization cannot cross a socket) and
+//! a fixed order. The format is our own, pinned by the round-trip and
+//! bit-exactness tests below and the `wire_hostile` suite; the codec is
+//! written on the workspace's shared `hima_bytes` reader and writer and
 //! deliberately boring: fixed-width integers little-endian, `f32` as its
 //! IEEE-754 bit pattern, vectors as a `u32` count plus elements, strings
 //! as UTF-8 bytes. Every decoder is total — malformed bytes come back as
@@ -824,11 +824,10 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_round_trips() {
-        let mut hist = HistogramSnapshot::empty();
-        hist.count = 3;
-        hist.sum = 77;
-        hist.buckets[0] = 1;
-        hist.buckets[7] = 2;
+        let mut buckets = vec![0; hima_telemetry::HIST_BUCKETS];
+        buckets[0] = 1;
+        buckets[7] = 2;
+        let hist = HistogramSnapshot { count: 3, sum: 77, buckets };
         let snapshot = MetricsSnapshot {
             counters: vec![("serve.scheduler.ticks".into(), u64::MAX), ("net.frames_in".into(), 0)],
             gauges: vec![("serve.sessions.live".into(), -3), ("queue".into(), i64::MIN)],

@@ -1394,6 +1394,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Both snapshot writers time and size what they write: one
+    /// compaction (after `snapshot_every` steps) and one eviction leave
+    /// two samples in `store.snapshot_us` and in `store.snapshot_bytes`,
+    /// each the size of the encoded lane state.
+    #[test]
+    fn compaction_and_eviction_both_record_a_snapshot() {
+        let (mut store, dir) = scratch_store(false);
+        store.snapshot_every = 2;
+        let cfg = ServeConfig { grid_lanes: 2, idle_timeout: None, ..ServeConfig::default() };
+        let (mut group, _) = group_with(cfg, Some(store));
+        open(&mut group, 0);
+        step(&mut group, 0, 0);
+        step(&mut group, 0, 1);
+        let snap = group.metrics.snapshot();
+        assert_eq!(snap.histogram("store.snapshot_us").unwrap().count, 1, "the compaction");
+        assert!(group.evict(0), "the eviction");
+        let snap = group.metrics.snapshot();
+        let us = snap.histogram("store.snapshot_us").unwrap();
+        let bytes = snap.histogram("store.snapshot_bytes").unwrap();
+        assert_eq!((us.count, bytes.count), (2, 2));
+        let lane_bytes = group.template.as_ref().unwrap().encode().len() as u64;
+        assert_eq!(bytes.sum, 2 * lane_bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Expired commands are answered `DeadlineExceeded` in `shed_order`:
     /// oldest deadline first, ties by session id — and leave nothing
     /// queued behind.

@@ -54,6 +54,8 @@ pub struct ServeConfig {
     /// the callers' threads as they arrive, never paced by a timer. With
     /// [`idle_timeout`](Self::idle_timeout) set, the hub's sweeper looks
     /// for sessions to reap or evict this often; without one it is unused.
+    /// It must not be zero when `idle_timeout` is set: the hub refuses
+    /// that config with [`std::io::ErrorKind::InvalidInput`].
     pub tick: Duration,
     /// Reap sessions idle for longer than this (`None` = never). A
     /// session with an in-flight step request is never reaped.

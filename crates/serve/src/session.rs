@@ -108,8 +108,13 @@ pub struct SessionHub {
 impl SessionHub {
     /// Creates an empty hub; groups are built lazily on the first `Open`
     /// of each distinct configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a config [`SessionHub::with_store`] refuses: a zero
+    /// [`ServeConfig::tick`] with an idle timeout set.
     pub fn new(cfg: ServeConfig) -> Self {
-        Self::with_store(cfg, None).expect("hub without a store performs no I/O")
+        Self::with_store(cfg, None).expect("a zero tick with an idle timeout is refused")
     }
 
     /// Creates a hub with an optional durable session tier. With a
@@ -117,6 +122,10 @@ impl SessionHub {
     /// and adopts every stored session before accepting traffic;
     /// sessions whose store files are corrupt or no longer validate are
     /// skipped (counted under `store.errors`) rather than wedging boot.
+    ///
+    /// A zero [`ServeConfig::tick`] with an idle timeout set is refused
+    /// with [`std::io::ErrorKind::InvalidInput`]: the idle sweeper would
+    /// never sleep.
     pub fn with_store(cfg: ServeConfig, store: Option<StoreConfig>) -> std::io::Result<Self> {
         Self::with_clock(cfg, store, Arc::new(Instant::now))
     }
@@ -127,6 +136,12 @@ impl SessionHub {
         store: Option<StoreConfig>,
         clock: Arc<dyn Clock>,
     ) -> std::io::Result<Self> {
+        if cfg.idle_timeout.is_some() && cfg.tick.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "the idle sweep needs a non-zero tick",
+            ));
+        }
         let groups = Arc::default();
         let sweeper = cfg.idle_timeout.map(|_| sweep_every(cfg.tick, Arc::clone(&groups)));
         let mut hub = Self {
@@ -388,6 +403,18 @@ mod tests {
 
     fn counter(hub: &SessionHub, name: &str) -> u64 {
         hub.metrics().snapshot().counter(name).unwrap_or(0)
+    }
+
+    #[test]
+    fn a_zero_tick_with_an_idle_timeout_is_refused() {
+        let idle = Some(Duration::from_millis(10));
+        let cfg = ServeConfig { tick: Duration::ZERO, idle_timeout: idle, ..ServeConfig::default() };
+        match SessionHub::with_store(cfg.clone(), None) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+            Ok(_) => panic!("a zero tick with an idle timeout was accepted"),
+        }
+        // Without an idle timeout the tick is unused, so zero is fine.
+        assert!(SessionHub::with_store(ServeConfig { idle_timeout: None, ..cfg }, None).is_ok());
     }
 
     /// Sends every `(session, inputs)` command from a thread of its own

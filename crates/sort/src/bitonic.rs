@@ -6,10 +6,9 @@
 //! count used by pipeline-depth models.
 
 use crate::{keyed_cmp, Keyed, SortEngine};
-use serde::{Deserialize, Serialize};
 
 /// Sort direction of a (sub-)network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Smallest key first.
     Ascending,
@@ -17,22 +16,12 @@ pub enum Direction {
     Descending,
 }
 
-impl Direction {
-    /// The opposite direction.
-    pub fn flipped(self) -> Direction {
-        match self {
-            Direction::Ascending => Direction::Descending,
-            Direction::Descending => Direction::Ascending,
-        }
-    }
-}
-
 /// A fully combinational bitonic sorting network for power-of-two widths.
 ///
 /// Widths that are not powers of two are handled by padding with keys above
 /// every input, stripped from the output, which matches how a hardware
 /// network with tied-off lanes behaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitonicNetwork {
     width: usize,
 }
@@ -201,12 +190,6 @@ mod tests {
         assert_eq!(out[1], (1.0, 0));
         assert_eq!(out[2], (1.0, 1));
         assert_eq!(out[3], (1.0, 3));
-    }
-
-    #[test]
-    fn flipped_direction() {
-        assert_eq!(Direction::Ascending.flipped(), Direction::Descending);
-        assert_eq!(Direction::Descending.flipped(), Direction::Ascending);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use crate::bitonic::{BitonicNetwork, Direction};
 use crate::Keyed;
-use serde::{Deserialize, Serialize};
 
 /// A `P`-input dual-mode pipelined bitonic sorter.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let dpbs = Dpbs::new(16);
 /// assert_eq!(dpbs.pipeline_depth(), 5); // paper §4.3
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dpbs {
     network: BitonicNetwork,
 }

@@ -19,7 +19,6 @@
 use crate::bitonic::Direction;
 use crate::dpbs::Dpbs;
 use crate::{keyed_cmp, Keyed, SortEngine};
-use serde::{Deserialize, Serialize};
 
 /// MDSA 2-D tile sorter built around a `P`-input DPBS.
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(mdsa.p(), 16);
 /// assert_eq!(mdsa.latency_cycles(256), 126); // paper §4.3
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MdsaSorter {
     p: usize,
 }

@@ -7,7 +7,6 @@
 //! the hardware models against an independently written algorithm.
 
 use crate::{keyed_cmp, Keyed, SortEngine};
-use serde::{Deserialize, Serialize};
 
 /// Centralized merge sorter with `N log₂ N` cycle latency.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// assert_eq!(CentralizedMergeSorter.latency_cycles(1024), 10 * 1024);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CentralizedMergeSorter;
 
 impl CentralizedMergeSorter {

@@ -8,7 +8,6 @@
 //! `n + D_PMS = 263` cycles.
 
 use crate::{keyed_cmp, Keyed};
-use serde::{Deserialize, Serialize};
 
 /// A `k`-input parallel merge sorter emitting `k` elements per cycle.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let pms = ParallelMergeSorter::new(4);
 /// assert_eq!(pms.pipeline_depth(), 7); // paper §4.3
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelMergeSorter {
     ways: usize,
 }

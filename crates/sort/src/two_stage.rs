@@ -13,7 +13,6 @@
 use crate::mdsa::MdsaSorter;
 use crate::pms::ParallelMergeSorter;
 use crate::{Keyed, SortEngine};
-use serde::{Deserialize, Serialize};
 
 /// Two-stage distributed usage sorter over `N_t` tiles.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let sorter = TwoStageSorter::new(4, 1024);
 /// assert_eq!(sorter.latency_cycles(1024), 389); // paper §4.3
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TwoStageSorter {
     tiles: usize,
     total_len: usize,

@@ -16,11 +16,10 @@
 //! suite uses — bag-of-words sentence vectors with store/query flags.
 
 use crate::episode::Episode;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One line of a bAbI story.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BabiLine {
     /// A declarative fact.
     Statement {
@@ -55,7 +54,7 @@ impl BabiLine {
 }
 
 /// A story: a sequence of numbered lines ending (usually) in questions.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Story {
     /// Lines in order (index `i` is the story's line `i + 1`).
     pub lines: Vec<BabiLine>,
@@ -159,7 +158,7 @@ fn truncate(s: &str) -> String {
 }
 
 /// A word → token-id mapping built from a corpus.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Vocabulary {
     ids: BTreeMap<String, usize>,
 }
@@ -204,7 +203,7 @@ impl Vocabulary {
 
 /// An encoded story: the episode plus the expected answer token per query
 /// step (aligned with `episode.query_steps`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedStory {
     /// The token-vector episode (width = vocab + 2 flags).
     pub episode: Episode,

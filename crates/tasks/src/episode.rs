@@ -1,14 +1,13 @@
 //! Episodic QA sequences: token streams with designated query steps.
 
 use hima_tensor::{LaneMask, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// One episodic sequence: a stream of token vectors with query positions.
 ///
 /// Facts are presented as one-hot-ish token vectors; at query steps the
 /// input carries a query marker plus a key, and the model's output is read
 /// out. All vectors share the episode's `width`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Episode {
     /// Input vector per time step.
     pub inputs: Vec<Vec<f32>>,
@@ -51,7 +50,7 @@ impl Episode {
 }
 
 /// A batch of episodes from one task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpisodeBatch {
     /// Task identifier (1-20).
     pub task_id: usize,

@@ -19,7 +19,6 @@ use crate::episode::Episode;
 use crate::tasks::{TaskSpec, TASKS, TOKEN_WIDTH};
 use hima_dnc::allocation::SkimRate;
 use hima_dnc::{Datapath, DncParams, EngineBuilder, EngineSpec};
-use serde::{Deserialize, Serialize};
 
 /// Evaluation configuration.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// presets route through one private base config; [`EvalConfig::small`]
 /// and [`EvalConfig::saturated`] are the overrides the experiment
 /// binaries and tests use.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalConfig {
     /// The engine variant under test (the reference is always the
     /// monolithic f32 engine with the same weights).
@@ -144,7 +143,7 @@ impl EvalConfig {
 }
 
 /// Per-task relative error.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskError {
     /// Task id (1-20).
     pub task_id: usize,

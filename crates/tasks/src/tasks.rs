@@ -11,7 +11,6 @@
 use crate::episode::{Episode, EpisodeBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Vocabulary size of the token encoding.
 pub const VOCAB: usize = 12;
@@ -19,7 +18,7 @@ pub const VOCAB: usize = 12;
 pub const TOKEN_WIDTH: usize = VOCAB + 2;
 
 /// How a task's queries relate to its stored facts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryStyle {
     /// Recall the value paired with a key (content lookup).
     Recall,
@@ -32,7 +31,7 @@ pub enum QueryStyle {
 }
 
 /// One synthetic task's parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSpec {
     /// Task identifier (1-20, mirroring bAbI numbering).
     pub id: usize,

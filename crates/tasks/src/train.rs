@@ -20,10 +20,9 @@ use crate::tasks::{TaskSpec, TASKS, VOCAB};
 use hima_dnc::{DncParams, EngineBuilder, GridEngine};
 use hima_tensor::linalg::ridge_regression;
 use hima_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A linear readout `y = W f` trained by ridge regression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainedReadout {
     weights: Matrix,
 }
@@ -229,7 +228,7 @@ pub fn readout_accuracy(
 }
 
 /// Per-task trained accuracy of DNC vs DNC-D.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskAccuracy {
     /// Task id (1-20).
     pub task_id: usize,

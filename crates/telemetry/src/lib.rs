@@ -23,8 +23,7 @@
 //! * [`MetricsSnapshot`] — a point-in-time copy of every registered
 //!   metric: mergeable (saturating, so counter roll-ups never overflow),
 //!   queryable by name, and renderable as JSON. The wire encoding lives
-//!   with the `hima-serve` protocol (the vendored `serde` derive is a
-//!   no-op stand-in, so serialization is hand-rolled at the boundary).
+//!   with the `hima-serve` protocol, whose byte format is its own.
 //!
 //! No external dependencies, no background threads, no `unsafe`.
 

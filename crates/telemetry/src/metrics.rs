@@ -7,7 +7,6 @@
 //! walks the registry under its lock and copies every value out into a
 //! [`MetricsSnapshot`].
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -149,7 +148,7 @@ impl Histogram {
 }
 
 /// A point-in-time copy of one histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total samples.
     pub count: u64,
@@ -160,11 +159,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (all buckets zero).
-    pub fn empty() -> Self {
-        Self { count: 0, sum: 0, buckets: vec![0; HIST_BUCKETS] }
-    }
-
     /// Estimated `q`-quantile (`q ∈ [0, 1]`): the upper bound of the
     /// bucket where the cumulative count reaches `⌈q·count⌉`. Zero for an
     /// empty histogram.
@@ -302,7 +296,7 @@ impl MetricsRegistry {
 /// A point-in-time copy of a whole registry: the payload of the serving
 /// protocol's `Metrics` command and of the `throughput --json` telemetry
 /// section.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` per registered counter, in registration order.
     pub counters: Vec<(String, u64)>,
@@ -354,9 +348,9 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Renders the snapshot as a JSON object (hand-rolled: the vendored
-    /// `serde` derive is a no-op). Histograms are summarized as count /
-    /// sum / quantile estimates plus a sparse `[bucket, count]` list.
+    /// Renders the snapshot as a JSON object, written by hand (the crate
+    /// has no dependencies). Histograms are summarized as count / sum /
+    /// quantile estimates plus a sparse `[bucket, count]` list.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str("{\"counters\":{");

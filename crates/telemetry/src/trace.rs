@@ -10,12 +10,11 @@
 //! events oldest→newest with strictly increasing `seq` even across
 //! wraparound.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// The kind of session-lifecycle transition a trace event records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// Session opened and bound to a group.
     Open,
@@ -98,7 +97,7 @@ impl TraceKind {
 }
 
 /// One recorded lifecycle transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Monotone sequence number (global across all kinds; gaps mean
     /// events were overwritten before being dumped).

@@ -14,11 +14,10 @@
 
 use crate::lane_mask::LaneMask;
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A label carried through specs, snapshots and the wire; it selects
 /// nothing (see the [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// The default label.
     #[default]

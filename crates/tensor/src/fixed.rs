@@ -73,7 +73,6 @@
 //! ```
 
 use crate::simd::{Kernel, Lanes, Tier};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -101,7 +100,7 @@ const ONE_RAW: i64 = 1 << FRAC_BITS;
 /// assert!((q.quantize(0.1) - 0.1).abs() <= q.resolution());
 /// assert_eq!(QFormat::new(8, 8).quantize(1e6), 127.99609375, "saturates");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QFormat {
     /// Integer bits, sign included.
     pub int_bits: u32,
@@ -269,7 +268,7 @@ impl Kernel for RoundSlice<'_> {
 /// let b = Fixed::from_f32(2.0);
 /// assert_eq!((a * b).to_f32(), 3.0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Fixed(i32);
 
 impl Fixed {
@@ -294,11 +293,6 @@ impl Fixed {
     /// Converts back to `f32`.
     pub fn to_f32(self) -> f32 {
         self.0 as f32 / ONE_RAW as f32
-    }
-
-    /// The raw Q16.16 bit pattern.
-    pub fn raw(self) -> i32 {
-        self.0
     }
 
     /// Quantization step of the format (`2^-16`).
@@ -335,18 +329,6 @@ impl Fixed {
         }
         let wide = ((self.0 as i64) << FRAC_BITS) / rhs.0 as i64;
         Fixed(wide.clamp(i32::MIN as i64, i32::MAX as i64) as i32)
-    }
-
-    /// Absolute value (saturating at `MAX` for `MIN`).
-    pub fn abs(self) -> Fixed {
-        Fixed(self.0.saturating_abs())
-    }
-
-    /// Quantizes an `f32` slice to fixed point and back, returning the
-    /// round-tripped values. Used to inject datapath quantization into the
-    /// functional model.
-    pub fn quantize_slice(xs: &[f32]) -> Vec<f32> {
-        xs.iter().map(|&x| Fixed::from_f32(x).to_f32()).collect()
     }
 }
 
@@ -451,11 +433,10 @@ mod tests {
     }
 
     #[test]
-    fn neg_and_abs() {
+    fn neg_saturates() {
         let a = Fixed::from_f32(-3.5);
         assert_eq!((-a).to_f32(), 3.5);
-        assert_eq!(a.abs().to_f32(), 3.5);
-        assert_eq!(Fixed::MIN.abs(), Fixed::MAX);
+        assert_eq!(-Fixed::MIN, Fixed::MAX);
     }
 
     #[test]
@@ -467,7 +448,8 @@ mod tests {
     #[test]
     fn quantize_slice_bounded_error() {
         let xs = [0.1, 0.2, 0.333, -0.777];
-        let q = Fixed::quantize_slice(&xs);
+        let mut q = xs;
+        QFormat::q16_16().quantize_slice_inplace(&mut q);
         for (a, b) in xs.iter().zip(&q) {
             assert!((a - b).abs() <= Fixed::resolution());
         }
@@ -705,7 +687,7 @@ mod tests {
     fn fixed_from_f32_shares_the_rule() {
         for x in [f32::NAN, 0.5 / 65_536.0, -0.5 / 65_536.0, 32_767.999, -32_768.0, f32::INFINITY] {
             let want = (x as f64 * 65_536.0).round().clamp(i32::MIN as f64, i32::MAX as f64) as i32;
-            assert_eq!(Fixed::from_f32(x).raw(), want, "x={x}");
+            assert_eq!(Fixed::from_f32(x).0, want, "x={x}");
         }
     }
 

@@ -21,8 +21,6 @@
 //! assert!(!mask.is_full());
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Per-lane activity flags for one time step of a `B`-lane row block.
 ///
 /// Row `b` of a masked kernel is computed iff `is_active(b)`; inactive
@@ -30,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// and recomputed.
 // `Default` (zero lanes) exists so engines can `mem::take` a cached full
 // mask around a `&mut self` call without allocating a replacement.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaneMask {
     // The flags are the single source of truth; counts are derived on
     // demand (B is small and callers are per-step), so no cached field

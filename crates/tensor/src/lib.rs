@@ -81,7 +81,7 @@ pub use lane_mask::LaneMask;
 pub use matrix::Matrix;
 pub use packed::PackedWeights;
 pub use simd::F32x8;
-pub use softmax::{softmax, softmax_approx, softmax_rows, PlaSoftmax};
+pub use softmax::{softmax, softmax_approx, PlaSoftmax};
 
 /// Numerical tolerance used across the workspace when comparing floats
 /// produced by mathematically equivalent but differently ordered

@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn solve_identity_returns_rhs() {
-        let i3 = Matrix::identity(3);
+        let i3 = Matrix::from_fn(3, 3, |i, j| if i == j { 1.0 } else { 0.0 });
         let b = Matrix::from_fn(3, 2, |i, j| (i * 2 + j) as f32);
         let x = solve(&i3, &b).unwrap();
         assert_eq!(x, b);

@@ -1,12 +1,11 @@
 //! Row-major dense `f32` matrix with the operations used by the DNC dataflow.
 //!
 //! The DNC memory unit (paper Fig. 2) needs a small, fixed set of matrix
-//! primitives: transpose, matrix-vector multiplication, vector outer
-//! products, element-wise arithmetic and row normalization. [`Matrix`]
-//! implements exactly those, with shape checking on every operation so the
-//! functional model fails loudly instead of silently mis-shaping.
+//! primitives: transpose, matrix-vector and matrix-matrix products,
+//! row-broadcast adds and row normalization. [`Matrix`] implements exactly
+//! those, with shape checking on every operation so the functional model
+//! fails loudly instead of silently mis-shaping.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -23,7 +22,7 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m.cols(), 3);
 /// assert_eq!(m[(0, 0)], 1.0);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -39,15 +38,6 @@ impl Matrix {
     /// Creates a `rows × cols` matrix filled with `value`.
     pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
         Self { rows, cols, data: vec![value; rows * cols] }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Creates a matrix from a flat row-major buffer.
@@ -126,16 +116,6 @@ impl Matrix {
     pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
         assert!(i < self.rows, "row {i} out of bounds for {} rows", self.rows);
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copy of column `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= cols`.
-    pub fn col(&self, j: usize) -> Vec<f32> {
-        assert!(j < self.cols, "col {j} out of bounds for {} cols", self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
     /// Flat row-major view of the underlying buffer.
@@ -382,18 +362,8 @@ impl Matrix {
         }
     }
 
-    /// Adds `bias` to every row in place (row-broadcast add) — the batched
-    /// bias kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.len() != cols`.
-    pub fn add_row_inplace(&mut self, bias: &[f32]) {
-        self.add_row_inplace_masked(bias, &crate::LaneMask::full(self.rows));
-    }
-
-    /// Masked form of [`Matrix::add_row_inplace`]: adds `bias` only to
-    /// the rows of active lanes, leaving inactive rows untouched.
+    /// Adds `bias` to the rows of active lanes in place (row-broadcast
+    /// add, the batched bias kernel), leaving inactive rows untouched.
     ///
     /// # Panics
     ///
@@ -409,39 +379,6 @@ impl Matrix {
                 *x += b;
             }
         }
-    }
-
-    /// Outer product `a ⊗ b` producing an `a.len() × b.len()` matrix.
-    pub fn outer(a: &[f32], b: &[f32]) -> Matrix {
-        Matrix::from_fn(a.len(), b.len(), |i, j| a[i] * b[j])
-    }
-
-    /// Element-wise sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "add shape mismatch");
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a + b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Element-wise difference `self - other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "sub shape mismatch");
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a - b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Scalar multiple.
-    pub fn scale(&self, k: f32) -> Matrix {
-        let data = self.data.iter().map(|a| a * k).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
     }
 
     /// L2 norm of each row — the `‖M[i,·]‖` normalization step of
@@ -464,17 +401,6 @@ impl Matrix {
         for (i, o) in out.iter_mut().enumerate() {
             *o = self.row(i).iter().map(|x| x * x).sum::<f32>().sqrt();
         }
-    }
-
-    /// Extracts the `rows × cols` submatrix whose top-left corner is
-    /// `(row0, col0)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the requested block exceeds the matrix bounds.
-    pub fn submatrix(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> Matrix {
-        assert!(row0 + rows <= self.rows && col0 + cols <= self.cols, "submatrix out of bounds");
-        Matrix::from_fn(rows, cols, |i, j| self[(row0 + i, col0 + j)])
     }
 
     /// Maximum absolute element (∞-norm of the flattened matrix).
@@ -586,7 +512,7 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let m = Matrix::from_fn(4, 4, |i, j| (i + 2 * j) as f32);
-        let i4 = Matrix::identity(4);
+        let i4 = Matrix::from_fn(4, 4, |i, j| if i == j { 1.0 } else { 0.0 });
         assert_eq!(m.matmul(&i4), m);
         assert_eq!(i4.matmul(&m), m);
     }
@@ -601,39 +527,17 @@ mod tests {
 
     #[test]
     fn outer_product_shape_and_values() {
-        let m = Matrix::outer(&[1.0, 2.0], &[3.0, 4.0, 5.0]);
+        // `a ⊗ b` is the product of an `n × 1` and a `1 × m` matrix.
+        let a = Matrix::from_vec(2, 1, vec![1.0, 2.0]);
+        let m = a.matmul(&Matrix::from_vec(1, 3, vec![3.0, 4.0, 5.0]));
         assert_eq!(m.shape(), (2, 3));
         assert_eq!(m[(1, 2)], 10.0);
-    }
-
-    #[test]
-    fn hadamard_add_sub() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0][..]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0][..]]);
-        // The element-wise product is `vector::mul` over the flat views.
-        assert_eq!(crate::vector::mul(a.as_slice(), b.as_slice()), [3.0, 8.0]);
-        assert_eq!(a.add(&b).as_slice(), &[4.0, 6.0]);
-        assert_eq!(b.sub(&a).as_slice(), &[2.0, 2.0]);
     }
 
     #[test]
     fn row_norms_unit_rows() {
         let m = Matrix::from_rows(&[&[3.0, 4.0][..], &[0.0, 0.0][..]]);
         assert_close(&m.row_norms(), &[5.0, 0.0], 1e-6);
-    }
-
-    #[test]
-    fn submatrix_and_set_submatrix_round_trip() {
-        let m = Matrix::from_fn(6, 6, |i, j| (i * 6 + j) as f32);
-        let block = m.submatrix(2, 3, 2, 2);
-        assert_eq!(block.as_slice(), &[15.0, 16.0, 21.0, 22.0]);
-        // Writing a block back is a row-slice copy.
-        let mut n = Matrix::zeros(6, 6);
-        for i in 0..2 {
-            n.row_mut(2 + i)[3..5].copy_from_slice(block.row(i));
-        }
-        assert_eq!(n.submatrix(2, 3, 2, 2), block);
-        assert_eq!(n.sum(), block.sum());
     }
 
     #[test]
@@ -742,19 +646,9 @@ mod tests {
 
     #[test]
     fn col_extracts_column() {
+        // Column `j` is row `j` of the transpose.
         let m = Matrix::from_rows(&[&[1.0, 2.0][..], &[3.0, 4.0][..]]);
-        assert_eq!(m.col(1), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn scale_and_map() {
-        let mut m = Matrix::filled(2, 2, 2.0);
-        assert_eq!(m.scale(0.5).as_slice(), &[1.0; 4]);
-        // An in-place map is a loop over the flat mutable view.
-        for x in m.as_mut_slice() {
-            *x *= *x;
-        }
-        assert_eq!(m.as_slice(), &[4.0; 4]);
+        assert_eq!(m.transpose().row(1), &[2.0, 4.0]);
     }
 
     #[test]

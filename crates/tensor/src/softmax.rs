@@ -7,8 +7,6 @@
 //! `(-∞, 0]`, clamped to the table's range, and the segment's `(slope,
 //! intercept)` pair is applied.
 
-use serde::{Deserialize, Serialize};
-
 /// Exact softmax over `xs`, numerically stabilized by max-subtraction —
 /// the allocating form of [`softmax_inplace`], which defines the bits.
 ///
@@ -51,7 +49,7 @@ pub fn softmax_approx(xs: &[f32]) -> Vec<f32> {
 /// pieces; each piece stores a `(slope, intercept)` pair computed so the
 /// approximation interpolates `e^x` at the segment endpoints. Inputs below
 /// `-range` evaluate to 0 (they contribute nothing after normalization).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlaSoftmax {
     range: f32,
     /// `(slope, intercept)` per segment, covering `[-range, 0]` uniformly.
@@ -163,33 +161,6 @@ impl Default for PlaSoftmax {
     }
 }
 
-/// Row-wise softmax over a row-block: every row of `m` is replaced by its
-/// softmax, independently — the batched row-block form of [`softmax`]
-/// (`B` lanes' logits stacked as rows), row-for-row equivalent to the
-/// scalar function (property-tested).
-pub fn softmax_rows(m: &mut crate::Matrix) {
-    // The fully-active special case of the masked kernel — one loop
-    // body, so masked and unmasked rows are bit-identical by
-    // construction.
-    let mask = crate::LaneMask::full(m.rows());
-    softmax_rows_masked(m, &mask);
-}
-
-/// Masked form of [`softmax_rows`] for ragged batches: normalizes only
-/// the rows of active lanes, skipping inactive rows entirely (their
-/// contents are left untouched). Active rows are bit-identical to
-/// [`softmax_rows`].
-///
-/// # Panics
-///
-/// Panics if `mask.lanes() != m.rows()`.
-fn softmax_rows_masked(m: &mut crate::Matrix, mask: &crate::LaneMask) {
-    assert_eq!(mask.lanes(), m.rows(), "lane mask size mismatch");
-    for i in mask.active_lanes() {
-        softmax_inplace(m.row_mut(i));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,23 +179,6 @@ mod tests {
     fn softmax_uniform_inputs() {
         let p = softmax(&[5.0; 4]);
         assert_close(&p, &[0.25; 4], 1e-6);
-    }
-
-    #[test]
-    fn softmax_rows_masked_normalizes_active_rows_only() {
-        let src = crate::Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f32 * 0.25);
-        let mask = crate::LaneMask::from(vec![true, false, true]);
-        let mut masked = src.clone();
-        softmax_rows_masked(&mut masked, &mask);
-        let mut full = src.clone();
-        softmax_rows(&mut full);
-        assert_eq!(masked.row(0), full.row(0), "active rows bit-equal to unmasked");
-        assert_eq!(masked.row(1), src.row(1), "inactive row untouched");
-        assert_eq!(masked.row(2), full.row(2));
-        // A full mask reproduces the unmasked row-block form.
-        let mut all = src.clone();
-        softmax_rows_masked(&mut all, &crate::LaneMask::full(3));
-        assert_eq!(all, full);
     }
 
     #[test]

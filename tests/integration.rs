@@ -94,9 +94,10 @@ fn pla_softmax_unit_matches_dnc_usage() {
     // exact softmax closely enough for content addressing.
     let m = Matrix::from_fn(32, 8, |i, j| ((i * 3 + j) as f32 * 0.21).sin());
     let key: Vec<f32> = (0..8).map(|j| (j as f32 * 0.4).cos()).collect();
-    let exact = hima::dnc::content::content_weighting(&m, &key, 4.0, None);
-    let pla = PlaSoftmax::default();
-    let approx = hima::dnc::content::content_weighting(&m, &key, 4.0, Some(&pla));
+    let (norms, pla) = (m.row_norms(), PlaSoftmax::default());
+    let (mut exact, mut approx) = (vec![0.0; 32], vec![0.0; 32]);
+    hima::dnc::content::content_weighting_into(&m, &key, 4.0, None, &norms, &mut exact);
+    hima::dnc::content::content_weighting_into(&m, &key, 4.0, Some(&pla), &norms, &mut approx);
     for (a, b) in exact.iter().zip(&approx) {
         assert!((a - b).abs() < 0.03);
     }
@@ -120,7 +121,8 @@ fn fixed_point_dnc_stays_close_to_float() {
     let mut max_err = 0.0f32;
     for t in 0..20 {
         let x: Vec<f32> = (0..4).map(|i| ((t * 5 + i) as f32 * 0.3).sin()).collect();
-        let xq = Fixed::quantize_slice(&x);
+        let mut xq = x.clone();
+        QFormat::q16_16().quantize_slice_inplace(&mut xq);
         let ya = a.step(&x);
         let yb = b.step(&xq);
         for (p, q) in ya.iter().zip(&yb) {

@@ -208,6 +208,13 @@ fn live_server_metrics_describe_the_load() {
     // Queue fully drained once every step was answered.
     assert_eq!(snap.gauge("serve.scheduler.queue_depth"), Some(0));
 
+    // One batch per tick, and the batches add up to every step.
+    let batch = snap.histogram("serve.scheduler.batch_size").unwrap();
+    assert_eq!((batch.count, batch.sum), (ticks, total_steps));
+    // Each session is seated blank exactly once; every later seat is a
+    // splice of its parked state.
+    assert_eq!(snap.counter("serve.scheduler.lane_resets"), Some(sessions as u64));
+
     let occupancy = snap.histogram("serve.scheduler.occupancy_pct").unwrap();
     assert_eq!(occupancy.count, ticks);
     assert!(occupancy.max_bound() >= 50, "at most one lane ever active?");
@@ -225,6 +232,14 @@ fn live_server_metrics_describe_the_load() {
     // Wire accounting saw every request of this connection too.
     assert!(snap.counter("rpc.metrics").unwrap() >= 1);
     assert!(snap.counter("net.frames_in").unwrap() > total_steps);
+    // Every open and every step was answered with a frame of its own.
+    let frames_out = snap.counter("net.frames_out").unwrap();
+    assert!(frames_out >= (sessions * (steps + 1)) as u64, "frames_out = {frames_out}");
+    // A step carries `I` f32s in and `O` f32s out.
+    let bytes_in = snap.counter("net.bytes_in").unwrap();
+    assert!(bytes_in >= total_steps * 4 * p.input_size as u64, "bytes_in = {bytes_in}");
+    let bytes_out = snap.counter("net.bytes_out").unwrap();
+    assert!(bytes_out >= total_steps * 4 * p.output_size as u64, "bytes_out = {bytes_out}");
 
     // The trace is clean (no errors/busy), in seq order, and holds the
     // session lifecycle: all opens, plus the forced parks and splices.
