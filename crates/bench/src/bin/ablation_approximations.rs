@@ -70,7 +70,7 @@ fn main() {
     }
     println!(
         "\nshort-horizon error ~ Q16.16 resolution ({:.1e}); long-horizon divergence",
-        hima::tensor::Fixed::resolution()
+        hima::tensor::QFormat::q16_16().resolution()
     );
     println!("is chaotic trajectory separation, bounded by the state magnitudes —");
     println!("consistent with the paper's choice of a 32-bit datapath.");

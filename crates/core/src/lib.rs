@@ -80,7 +80,7 @@ pub mod prelude {
     pub use hima_store::{SessionStore, StoreError};
     pub use hima_tasks::{relative_error, EvalConfig, TaskSpec, TASKS};
     pub use hima_telemetry::{MetricsRegistry, MetricsSnapshot, TraceRing};
-    pub use hima_tensor::{softmax, softmax_approx, Fixed, Matrix, PlaSoftmax, QFormat};
+    pub use hima_tensor::{softmax, softmax_approx, Matrix, PlaSoftmax, QFormat};
 }
 
 #[cfg(test)]
@@ -119,7 +119,7 @@ mod tests {
         let types = types![
             AreaModel, AreaReport, BoxedEngine, CentralizedMergeSorter, Client, Datapath,
             DncParams, Engine, EngineBuilder, EngineConfig, EngineSpec, EngineTopology,
-            EvalConfig, FeatureLevel, Fixed, GridEngine, InterfaceVector, Matrix, MdsaSorter,
+            EvalConfig, FeatureLevel, GridEngine, InterfaceVector, Matrix, MdsaSorter,
             MemoryConfig, MemoryUnit, MetricsRegistry, MetricsSnapshot, Mode, NocSim,
             ParallelMergeSorter, Partition, PlaSoftmax, PowerModel, PowerReport, QFormat,
             RawSessionSpec, ServeConfig, ServeError, Server, SessionHub, SessionStore, SkimRate,

@@ -133,7 +133,7 @@ impl TemporalLinkage {
     /// The memory unit's form of [`TemporalLinkage::update_linkage`]:
     /// [`hima_tensor::history::linkage_update`], which computes each row
     /// branch-free, at the widest vector width the CPU has (sixteen
-    /// AVX-512 lanes, eight AVX or SSE2 lanes), and zeroes its diagonal
+    /// AVX-512 lanes, eight AVX or plain-Rust lanes), and zeroes its diagonal
     /// entry afterwards, instead of testing `i == j` per element. The
     /// per-element expression `(1 − w_w[i] − w_w[j]) · L[i,j] + w_w[i] · p[j]`
     /// is element-wise (no reduction) and keeps the reference's operation

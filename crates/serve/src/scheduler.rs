@@ -228,7 +228,9 @@ struct Sess {
     /// evict/rehydrate) — the delta-log sequence number of the latest
     /// step and the `step_seq` a snapshot is stamped with.
     seq: u64,
-    /// Logged steps since the last snapshot; drives periodic compaction.
+    /// Logged steps since the last snapshot attempt; drives periodic
+    /// compaction. A refused snapshot resets it too, so the next attempt
+    /// waits another `snapshot_every` steps rather than coming every step.
     since_snapshot: u64,
     /// Open delta-log writer (lazy; dropped before compaction, because
     /// compaction truncates the log file under stale handles).
@@ -966,7 +968,10 @@ impl Group {
     }
 
     /// Periodic compaction of one resident session: snapshot the lane
-    /// state at its current `seq`, which truncates the delta log.
+    /// state at its current `seq`, which truncates the delta log. A
+    /// refused snapshot leaves the log whole (every step stays logged and
+    /// recoverable) and is retried after the next `snapshot_every` logged
+    /// steps.
     fn compact(&mut self, id: u64) {
         let Some(gs) = &self.store else { return };
         let store = Arc::clone(&gs.store);
@@ -983,10 +988,10 @@ impl Group {
             Ok(()) => {
                 self.metrics.store_snapshot_bytes.observe(bytes.len() as u64);
                 self.metrics.store_snapshot_us.observe(t0.elapsed().as_micros() as u64);
-                self.sessions.get_mut(&id).unwrap().since_snapshot = 0;
             }
             Err(_) => self.metrics.store_errors.inc(),
         }
+        self.sessions.get_mut(&id).unwrap().since_snapshot = 0;
     }
 
     /// Spills one idle session to the store: snapshot its full state,
@@ -1391,6 +1396,29 @@ mod tests {
         clock.advance(timeout + Duration::from_secs(1));
         assert_eq!(observed(&mut group), (2, None, true, 1), "one idle timeout later it tries again");
         assert_eq!(step(&mut group, 0, 1).len(), group.engine.params().output_size, "still servable");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A refused compaction backs off like a refused eviction: with every
+    /// snapshot refused and `snapshot_every = 2`, eight steps try four
+    /// times (steps 2, 4, 6, 8), not seven — each try costs an export, an
+    /// encode, a failed write and a delta-log reopen. Every step is still
+    /// logged first, and the session still serves.
+    #[test]
+    fn a_refused_compaction_is_retried_per_snapshot_every_not_per_step() {
+        let (mut store, dir) = scratch_store(true);
+        store.snapshot_every = 2;
+        let cfg = ServeConfig { grid_lanes: 2, idle_timeout: None, ..ServeConfig::default() };
+        let (mut group, _) = group_with(cfg, Some(store));
+        open(&mut group, 0);
+        for t in 0..8 {
+            let out = step(&mut group, 0, t);
+            assert_eq!(out.len(), group.engine.params().output_size, "step {t} served");
+        }
+        let snap = group.metrics.snapshot();
+        assert_eq!(snap.counter("store.log_appends"), Some(8), "every step logged");
+        assert_eq!(snap.counter("store.errors"), Some(4), "one refused snapshot per two steps");
+        assert_eq!(snap.histogram("store.snapshot_us").map_or(0, |h| h.count), 0, "none written");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,20 +1,21 @@
 //! Q-format signed fixed-point arithmetic modeling HiMA's 32-bit datapath.
 //!
 //! The paper's prototypes use a 32-bit precision "for a fair comparison with
-//! state-of-the-art MANN accelerators". [`Fixed`] is a Q16.16 two's-complement
-//! value (16 integer bits, 16 fractional bits) with saturating arithmetic —
-//! the usual hardware behaviour for an accelerator datapath. It is used by
-//! the quantization-error experiments and by tests that check the functional
-//! model is robust to datapath rounding.
+//! state-of-the-art MANN accelerators". [`QFormat`] describes a signed
+//! two's-complement format — `QFormat::q16_16()` is that datapath, 16
+//! integer bits and 16 fractional bits — and rounds `f32` values onto it,
+//! saturating, the usual hardware behaviour for an accelerator datapath.
+//! The quantized memory unit, the quantization-error experiments and the
+//! tests that check the functional model is robust to datapath rounding
+//! all go through it.
 //!
 //! # The rounding rule
 //!
-//! [`QFormat::quantize`], [`QFormat::quantize_slice_inplace`] and
-//! [`Fixed::from_f32`] round an `f32` to the nearest raw integer of the
-//! format, ties away from zero, saturating at the two's-complement range,
-//! with NaN mapping to raw 0 — mathematically
-//! `(x · 2^frac).round().clamp(min_raw, max_raw) · 2^-frac`. All three run
-//! **one** body, in `f32` only, eight values per pass:
+//! [`QFormat::quantize`] and [`QFormat::quantize_slice_inplace`] round an
+//! `f32` to the nearest raw integer of the format, ties away from zero,
+//! saturating at the two's-complement range, with NaN mapping to raw 0 —
+//! mathematically `(x · 2^frac).round().clamp(min_raw, max_raw) · 2^-frac`.
+//! Both run **one** body, in `f32` only, a vector of values per pass:
 //!
 //! ```text
 //! v = clamp(x · 2^frac, min_raw, f32(max_raw))
@@ -56,8 +57,8 @@
 //!
 //! The body is generic over the crate's lane-width type
 //! ([`mod@crate::simd`]) and runs on the widest tier the CPU has —
-//! sixteen AVX-512 lanes, eight AVX lanes, or [`F32x8`](crate::F32x8)
-//! (SSE2 halves on `x86_64`) — the same operations lane for lane, so the
+//! sixteen AVX-512 lanes, eight AVX lanes, or the eight plain-Rust lanes
+//! of `F32x8` — the same operations lane for lane, so the
 //! tiers agree bit for bit. A slice's last `len % LANES` values, and the
 //! single value of [`QFormat::quantize`], pass through the same body in
 //! a padded vector. The equality against the `round()` definition
@@ -74,21 +75,16 @@
 
 use crate::simd::{Kernel, Lanes, Tier};
 use std::fmt;
-use std::ops::{Add, Div, Mul, Neg, Sub};
-
-/// Number of fractional bits in the Q16.16 format.
-pub const FRAC_BITS: u32 = 16;
-const ONE_RAW: i64 = 1 << FRAC_BITS;
 
 /// A signed two's-complement fixed-point *format* descriptor:
 /// `int_bits` integer bits (sign included) and `frac_bits` fractional
 /// bits, at most 32 bits total — the datapath widths a HiMA-class
 /// accelerator would implement.
 ///
-/// Where [`Fixed`] is a Q16.16 *value*, `QFormat` describes a format and
-/// rounds `f32` values onto it, so the quantized-datapath models can sweep
-/// precision. `QFormat::q16_16()` reproduces the [`Fixed`] round trip
-/// bit-for-bit.
+/// `QFormat` describes a format and rounds `f32` values onto it, so the
+/// quantized-datapath models can sweep precision; a quantized value stays
+/// an `f32`, and arithmetic on it is `f32` arithmetic, then
+/// [`QFormat::quantize`].
 ///
 /// # Example
 ///
@@ -130,7 +126,7 @@ impl QFormat {
             .then_some(Self { int_bits, frac_bits })
     }
 
-    /// The paper's 32-bit datapath: Q16.16, identical to [`Fixed`].
+    /// The paper's 32-bit datapath: Q16.16.
     pub fn q16_16() -> Self {
         Self::new(16, 16)
     }
@@ -257,134 +253,6 @@ impl Kernel for RoundSlice<'_> {
     }
 }
 
-/// A signed Q16.16 fixed-point number with saturating arithmetic.
-///
-/// # Example
-///
-/// ```
-/// use hima_tensor::Fixed;
-///
-/// let a = Fixed::from_f32(1.5);
-/// let b = Fixed::from_f32(2.0);
-/// assert_eq!((a * b).to_f32(), 3.0);
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Fixed(i32);
-
-impl Fixed {
-    /// The value 0.
-    pub const ZERO: Fixed = Fixed(0);
-    /// The value 1.
-    pub const ONE: Fixed = Fixed(ONE_RAW as i32);
-    /// Largest representable value (≈ 32768).
-    pub const MAX: Fixed = Fixed(i32::MAX);
-    /// Smallest representable value (≈ −32768).
-    pub const MIN: Fixed = Fixed(i32::MIN);
-
-    /// Converts from `f32`, rounding to nearest (ties away from zero) and
-    /// saturating at the representable range; NaN converts to zero.
-    pub fn from_f32(x: f32) -> Self {
-        // The shared rule yields `raw · 2^-16`; scaling back is exact, and
-        // the saturated `i32::MAX as f32 = 2³¹` casts (saturating) to
-        // `i32::MAX`.
-        Fixed((QFormat::q16_16().quantize(x) * ONE_RAW as f32) as i32)
-    }
-
-    /// Converts back to `f32`.
-    pub fn to_f32(self) -> f32 {
-        self.0 as f32 / ONE_RAW as f32
-    }
-
-    /// Quantization step of the format (`2^-16`).
-    pub fn resolution() -> f32 {
-        1.0 / ONE_RAW as f32
-    }
-
-    /// Saturating addition.
-    pub fn saturating_add(self, rhs: Fixed) -> Fixed {
-        Fixed(self.0.saturating_add(rhs.0))
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: Fixed) -> Fixed {
-        Fixed(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Saturating multiplication with round-to-nearest on the dropped bits.
-    pub(crate) fn saturating_mul(self, rhs: Fixed) -> Fixed {
-        let wide = self.0 as i64 * rhs.0 as i64;
-        // Round-to-nearest: add half an LSB before the shift.
-        let rounded = (wide + (1 << (FRAC_BITS - 1))) >> FRAC_BITS;
-        Fixed(rounded.clamp(i32::MIN as i64, i32::MAX as i64) as i32)
-    }
-
-    /// Saturating division.
-    ///
-    /// Division by zero saturates to `MAX`/`MIN` following the sign of the
-    /// dividend (and `MAX` for `0/0`), mirroring a hardware divider's
-    /// overflow flag rather than panicking mid-simulation.
-    pub(crate) fn saturating_div(self, rhs: Fixed) -> Fixed {
-        if rhs.0 == 0 {
-            return if self.0 < 0 { Self::MIN } else { Self::MAX };
-        }
-        let wide = ((self.0 as i64) << FRAC_BITS) / rhs.0 as i64;
-        Fixed(wide.clamp(i32::MIN as i64, i32::MAX as i64) as i32)
-    }
-}
-
-impl Add for Fixed {
-    type Output = Fixed;
-    fn add(self, rhs: Fixed) -> Fixed {
-        self.saturating_add(rhs)
-    }
-}
-
-impl Sub for Fixed {
-    type Output = Fixed;
-    fn sub(self, rhs: Fixed) -> Fixed {
-        self.saturating_sub(rhs)
-    }
-}
-
-impl Mul for Fixed {
-    type Output = Fixed;
-    fn mul(self, rhs: Fixed) -> Fixed {
-        self.saturating_mul(rhs)
-    }
-}
-
-impl Div for Fixed {
-    type Output = Fixed;
-    fn div(self, rhs: Fixed) -> Fixed {
-        self.saturating_div(rhs)
-    }
-}
-
-impl Neg for Fixed {
-    type Output = Fixed;
-    fn neg(self) -> Fixed {
-        Fixed(self.0.saturating_neg())
-    }
-}
-
-impl From<i16> for Fixed {
-    fn from(x: i16) -> Self {
-        Fixed((x as i32) << FRAC_BITS)
-    }
-}
-
-impl fmt::Debug for Fixed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Fixed({})", self.to_f32())
-    }
-}
-
-impl fmt::Display for Fixed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_f32())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,57 +260,60 @@ mod tests {
     #[test]
     fn round_trip_exact_values() {
         for x in [0.0f32, 1.0, -1.0, 0.5, -0.25, 12345.0625] {
-            assert_eq!(Fixed::from_f32(x).to_f32(), x, "{x} should be exact in Q16.16");
+            assert_eq!(QFormat::q16_16().quantize(x), x, "{x} should be exact in Q16.16");
         }
     }
 
     #[test]
     fn round_trip_error_bounded_by_resolution() {
+        let q = QFormat::q16_16();
         for i in 0..1000 {
             let x = (i as f32 - 500.0) * 0.0137;
-            let err = (Fixed::from_f32(x).to_f32() - x).abs();
-            assert!(err <= Fixed::resolution(), "err {err} for {x}");
+            let err = (q.quantize(x) - x).abs();
+            assert!(err <= q.resolution(), "err {err} for {x}");
         }
     }
 
+    /// Datapath arithmetic is `f32` arithmetic on quantized values, then
+    /// the rounding.
     #[test]
     fn arithmetic_matches_float_for_small_values() {
-        let a = Fixed::from_f32(1.5);
-        let b = Fixed::from_f32(-2.25);
-        assert_eq!((a + b).to_f32(), -0.75);
-        assert_eq!((a - b).to_f32(), 3.75);
-        assert_eq!((a * b).to_f32(), -3.375);
-        assert!(((a / b).to_f32() - (1.5 / -2.25)).abs() < 2.0 * Fixed::resolution());
+        let q = QFormat::q16_16();
+        let (a, b) = (q.quantize(1.5), q.quantize(-2.25));
+        assert_eq!(q.quantize(a + b), -0.75);
+        assert_eq!(q.quantize(a - b), 3.75);
+        assert_eq!(q.quantize(a * b), -3.375);
+        assert!((q.quantize(a / b) - (1.5 / -2.25)).abs() <= q.resolution());
     }
 
     #[test]
     fn saturation_at_extremes() {
-        let big = Fixed::from_f32(30000.0);
-        assert_eq!(big + big, Fixed::MAX);
-        assert_eq!(-big - big, Fixed::MIN);
-        assert_eq!(big * big, Fixed::MAX);
-        assert_eq!(Fixed::from_f32(1e20), Fixed::MAX);
-        assert_eq!(Fixed::from_f32(-1e20), Fixed::MIN);
+        // Q16.16's largest raw value, 2³¹ − 1, is 2³¹ as an `f32`: the
+        // upper edge reads 32768.
+        let q = QFormat::q16_16();
+        let big = q.quantize(30000.0);
+        assert_eq!(q.quantize(big + big), 32768.0);
+        assert_eq!(q.quantize(-big - big), -32768.0);
+        assert_eq!(q.quantize(big * big), 32768.0);
+        assert_eq!(q.quantize(1e20), 32768.0);
+        assert_eq!(q.quantize(-1e20), -32768.0);
     }
 
+    /// A division by zero is an `f32` infinity, which saturates; `0 / 0`
+    /// is NaN, which rounds to 0.
     #[test]
     fn division_by_zero_saturates() {
-        assert_eq!(Fixed::ONE / Fixed::ZERO, Fixed::MAX);
-        assert_eq!(-Fixed::ONE / Fixed::ZERO, Fixed::MIN);
-        assert_eq!(Fixed::ZERO / Fixed::ZERO, Fixed::MAX);
-    }
-
-    #[test]
-    fn neg_saturates() {
-        let a = Fixed::from_f32(-3.5);
-        assert_eq!((-a).to_f32(), 3.5);
-        assert_eq!(-Fixed::MIN, Fixed::MAX);
+        let q = QFormat::q16_16();
+        let (one, zero) = (q.quantize(1.0), q.quantize(0.0));
+        assert_eq!(q.quantize(one / zero), 32768.0);
+        assert_eq!(q.quantize(-one / zero), -32768.0);
+        assert_eq!(q.quantize(zero / zero).to_bits(), 0);
     }
 
     #[test]
     fn from_i16_is_exact() {
-        assert_eq!(Fixed::from(5i16).to_f32(), 5.0);
-        assert_eq!(Fixed::from(-7i16).to_f32(), -7.0);
+        let q = QFormat::q16_16();
+        assert!((i16::MIN..=i16::MAX).all(|x| q.is_representable(f32::from(x))));
     }
 
     #[test]
@@ -451,28 +322,17 @@ mod tests {
         let mut q = xs;
         QFormat::q16_16().quantize_slice_inplace(&mut q);
         for (a, b) in xs.iter().zip(&q) {
-            assert!((a - b).abs() <= Fixed::resolution());
+            assert!((a - b).abs() <= QFormat::q16_16().resolution());
         }
     }
 
+    /// Rounding is monotone: it never reorders two values.
     #[test]
     fn ordering_follows_value() {
-        assert!(Fixed::from_f32(1.0) < Fixed::from_f32(2.0));
-        assert!(Fixed::from_f32(-5.0) < Fixed::from_f32(0.0));
-    }
-
-    #[test]
-    fn qformat_q16_16_matches_fixed_bit_for_bit() {
-        // The quantized-datapath engines switched from the `Fixed` round
-        // trip to `QFormat::quantize`; the default format must reproduce it
-        // exactly, including saturation.
-        let q = QFormat::q16_16();
-        for i in -4000i32..4000 {
-            let x = i as f32 * 17.773;
-            assert_eq!(q.quantize(x), Fixed::from_f32(x).to_f32(), "x={x}");
-        }
-        for x in [1e20f32, -1e20, 32768.5, -32769.0, f32::MAX, f32::MIN] {
-            assert_eq!(q.quantize(x), Fixed::from_f32(x).to_f32(), "x={x}");
+        for q in swept_formats() {
+            let xs: Vec<f32> = (-3000i32..3000).map(|i| i as f32 * 0.37 / 256.0).collect();
+            let rounded: Vec<f32> = xs.iter().map(|&x| q.quantize(x)).collect();
+            assert!(rounded.windows(2).all(|w| w[0] <= w[1]), "{q}");
         }
     }
 
@@ -680,14 +540,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn fixed_from_f32_shares_the_rule() {
-        for x in [f32::NAN, 0.5 / 65_536.0, -0.5 / 65_536.0, 32_767.999, -32_768.0, f32::INFINITY] {
-            let want = (x as f64 * 65_536.0).round().clamp(i32::MIN as f64, i32::MAX as f64) as i32;
-            assert_eq!(Fixed::from_f32(x).0, want, "x={x}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! up to four rows of the left, one generic body per kernel over the
 //! crate's `Lanes` type ([`mod@crate::simd`]) — [`matvec_t_heads_into`] at
 //! the widest tier the CPU has (sixteen AVX-512 lanes, eight AVX lanes or
-//! [`F32x8`](crate::F32x8)), [`row_dots_into`], eight lanes wide by
+//! the plain-Rust `F32x8`), [`row_dots_into`], eight lanes wide by
 //! definition, on `Avx` or `F32x8` — and each keeps, for every output
 //! element, the IEEE operation sequence of the scalar reference it is
 //! pinned to: one rounded multiply then one rounded add per ascending

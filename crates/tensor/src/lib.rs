@@ -16,8 +16,8 @@
 //!   gate pass; [`activation`] re-exports the three the DNC names,
 //! * the softmax front ends in [`mod@softmax`] and the hardware
 //!   approximation of Section 5.2 of the paper — piece-wise-linear + LUT,
-//! * Q-format fixed-point arithmetic in [`fixed`] used to model HiMA's
-//!   32-bit datapath,
+//! * the Q-format fixed-point rounding of [`fixed`] ([`QFormat`]) that
+//!   models HiMA's 32-bit datapath,
 //! * [`LaneMask`] and the masked row-block products
 //!   ([`Matrix::matmul_nt_masked`], [`PackedWeights::matmul_masked_into`])
 //!   that let ragged batches skip — not zero-and-recompute — the rows of
@@ -34,9 +34,9 @@
 //! * the history-write kernels of [`mod@history`] — the erase/add memory
 //!   write and the linkage update, element-wise at vector width,
 //! * the vector tiers of [`mod@simd`] — sixteen AVX-512 lanes, eight AVX
-//!   lanes or the portable [`F32x8`], the widest the CPU has picked once
-//!   by [`simd::Tier::detected`], every kernel one generic body over
-//!   them.
+//!   lanes or eight plain-Rust ones (`F32x8`), the widest the CPU has
+//!   picked once by [`simd::Tier::detected`], every kernel one generic
+//!   body over them.
 //!
 //! There is **one kernel tier** and one numerics contract: every vector
 //! kernel packs *independent outputs* into register lanes and walks `k` in
@@ -76,11 +76,10 @@ pub mod transcend;
 pub mod vector;
 
 pub use backend::Backend;
-pub use fixed::{Fixed, QFormat};
+pub use fixed::QFormat;
 pub use lane_mask::LaneMask;
 pub use matrix::Matrix;
 pub use packed::PackedWeights;
-pub use simd::F32x8;
 pub use softmax::{softmax, softmax_approx, PlaSoftmax};
 
 /// Numerical tolerance used across the workspace when comparing floats

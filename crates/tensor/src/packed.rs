@@ -49,10 +49,9 @@
 //! body over the crate's `Lanes` type ([`mod@crate::simd`]), run on the
 //! widest tier the CPU has: sixteen-lane AVX-512 vectors, where a 64-byte
 //! panel row is exactly one register (so a block spans two panels for 4
-//! or 3 lanes), eight-lane AVX ones (two per panel row), or the portable
-//! [`F32x8`](crate::F32x8) (two SSE2 halves on `x86_64`, scalar lanes
-//! elsewhere). A lane holds the same output at every width, so the tiers
-//! cannot drift apart.
+//! or 3 lanes), eight-lane AVX ones (two per panel row), or the
+//! plain-Rust `F32x8`. A lane holds the same output at every width, so
+//! the tiers cannot drift apart.
 //!
 //! # The `-0.0` caveat of the remainder columns
 //!

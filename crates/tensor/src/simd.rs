@@ -1,30 +1,13 @@
-//! Fixed-width `f32` SIMD vectors: [`F32x8`], the portable eight-lane
-//! value, and the crate's `Lanes` trait, the lane-width type the
-//! bit-exact kernels are written over.
-//!
-//! [`F32x8`] is eight `f32` lanes with unrolled lane arithmetic. There is
-//! no crates.io dependency and no `std::simd` here. The portable bodies
-//! are straight-line array expressions; on `x86_64` the lane ops are
-//! specialized to baseline SSE2 intrinsics (`core::arch::x86_64`), which
-//! every `x86_64` target guarantees — no runtime feature detection.
-//!
-//! The specialization exists because the portable form is *correct* but
-//! not *reliably fast*: LLVM's SLP vectorizer sometimes folds the
-//! unrolled arrays into clean packed instructions and sometimes — in
-//! particular when several rows of one contiguous matrix buffer are
-//! processed per pass, so it can prove the rows adjacent — "vectorizes"
-//! across the independent accumulators instead, emitting transpose
-//! shuffle chains that run no faster than scalar code. Spelling the lane
-//! ops as `_mm_*` intrinsics pins the instruction selection the struct
-//! was designed around. Both bodies compute the identical IEEE f32
-//! result per lane for finite inputs: `_mm_add_ps`/`_mm_mul_ps` are the
-//! same rounded operations as the scalar `+`/`*`.
+//! Fixed-width `f32` SIMD vectors: the crate's `Lanes` trait, the
+//! lane-width type the bit-exact kernels are written over, and its three
+//! implementations.
 //!
 //! Semantics are plain IEEE f32 per lane: one rounding per operation,
 //! never a fused multiply-add, and no reduction across lanes — a lane
-//! only ever holds an independent output.
+//! only ever holds an independent output. There is no crates.io
+//! dependency and no `std::simd` here.
 //!
-//! # `Lanes`: one kernel body, three instruction sets
+//! # `Lanes`: one kernel body, three lane types
 //!
 //! The crate's vector kernels — the panel-packed product
 //! ([`mod@crate::packed`]), the Q-format rounding pass
@@ -35,14 +18,17 @@
 //! crate-private `Lanes` trait: `Lanes::LANES` `f32` lanes with exactly
 //! the operations those bodies need, every one a single correctly
 //! rounded IEEE operation (or a bit operation) per lane, never an FMA. It
-//! has three implementations:
+//! has three implementations, each with one body per op:
 //!
 //! * `Avx512` — sixteen lanes in one `__m512`, AVX-512F only: compares
 //!   go through a `__mmask16` and are widened back to all-ones lanes,
 //!   bit operations through integer casts;
 //! * `Avx` — eight lanes in one `__m256`;
-//! * [`F32x8`] — eight lanes, SSE2 halves on `x86_64`, scalar lanes
-//!   elsewhere.
+//! * `F32x8` — eight `f32`s in plain Rust, each op the scalar expression
+//!   it stands for, lane by lane: the tier every CPU runs (on `x86_64`,
+//!   the one a CPU without AVX runs). It is the reference body, not a
+//!   fast one — how well LLVM vectorizes its arrays is LLVM's choice —
+//!   and no AVX CPU dispatches to it.
 //!
 //! [`Tier`] names them. [`Tier::detected`] is the one place the crate asks
 //! the CPU what it runs (once per process), and every dispatched kernel
@@ -91,159 +77,10 @@ use core::arch::x86_64::{
     _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
     _mm256_or_ps, _mm256_round_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps,
     _mm256_sqrt_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
-    _mm_add_epi32, _mm_add_ps, _mm_and_ps, _mm_andnot_ps, _mm_castps_si128, _mm_castsi128_ps,
-    _mm_cmpeq_ps, _mm_cmplt_ps, _mm_cmpneq_ps, _mm_cvtepi32_ps, _mm_cvttps_epi32, _mm_div_ps,
-    _mm_loadu_ps, _mm_max_ps, _mm_min_ps, _mm_mul_ps, _mm_or_ps, _mm_set1_ps, _mm_slli_epi32,
-    _mm_sqrt_ps, _mm_srli_epi32, _mm_storeu_ps, _mm_sub_ps, _CMP_EQ_OQ, _CMP_LT_OQ, _CMP_NEQ_UQ,
-    _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO, _MM_TRANSPOSE4_PS,
+    _mm_add_epi32, _mm_castps_si128, _mm_castsi128_ps, _mm_cvtepi32_ps, _mm_loadu_ps,
+    _mm_slli_epi32, _mm_srli_epi32, _CMP_EQ_OQ, _CMP_LT_OQ, _CMP_NEQ_UQ, _MM_FROUND_NO_EXC,
+    _MM_FROUND_TO_ZERO,
 };
-
-/// Eight f32 lanes with unrolled element-wise arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct F32x8(pub [f32; 8]);
-
-// `add`/`sub`/`mul` intentionally mirror the `std::ops` names without the
-// trait: inherent methods keep call sites monomorphic and `#[inline(always)]`.
-#[allow(clippy::should_implement_trait)]
-impl F32x8 {
-    /// Number of lanes.
-    pub const LANES: usize = 8;
-
-    /// All lanes zero.
-    pub const ZERO: Self = Self([0.0; 8]);
-
-    /// Broadcasts `v` to all lanes.
-    #[inline(always)]
-    pub fn splat(v: f32) -> Self {
-        Self([v; 8])
-    }
-
-    /// Loads eight lanes from the front of `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s.len() < 8`.
-    #[inline(always)]
-    pub fn load(s: &[f32]) -> Self {
-        let a: [f32; 8] = s[..8].try_into().expect("F32x8::load needs 8 elements");
-        Self(a)
-    }
-
-    /// Stores the lanes into the front of `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d.len() < 8`.
-    #[inline(always)]
-    pub fn store(self, d: &mut [f32]) {
-        d[..8].copy_from_slice(&self.0);
-    }
-
-    /// The two 4-lane SSE halves of this vector.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn halves(self) -> (__m128, __m128) {
-        // SAFETY: `self.0` is 8 contiguous f32s, so both unaligned loads
-        // read in-bounds; SSE2 is part of the x86_64 baseline ABI.
-        unsafe { (_mm_loadu_ps(self.0.as_ptr()), _mm_loadu_ps(self.0.as_ptr().add(4))) }
-    }
-
-    /// Reassembles a vector from its two 4-lane SSE halves.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn from_halves(lo: __m128, hi: __m128) -> Self {
-        let mut out = [0.0f32; 8];
-        // SAFETY: `out` is 8 contiguous f32s, so both unaligned stores
-        // write in-bounds; SSE2 is part of the x86_64 baseline ABI.
-        unsafe {
-            _mm_storeu_ps(out.as_mut_ptr(), lo);
-            _mm_storeu_ps(out.as_mut_ptr().add(4), hi);
-        }
-        Self(out)
-    }
-
-    /// Lane-wise `self + o`.
-    #[inline(always)]
-    pub fn add(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (alo, ahi) = self.halves();
-            let (blo, bhi) = o.halves();
-            // SAFETY: SSE2 is statically enabled on every x86_64 target.
-            let (lo, hi) = unsafe { (_mm_add_ps(alo, blo), _mm_add_ps(ahi, bhi)) };
-            Self::from_halves(lo, hi)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let (a, b) = (self.0, o.0);
-            Self([
-                a[0] + b[0],
-                a[1] + b[1],
-                a[2] + b[2],
-                a[3] + b[3],
-                a[4] + b[4],
-                a[5] + b[5],
-                a[6] + b[6],
-                a[7] + b[7],
-            ])
-        }
-    }
-
-    /// Lane-wise `self - o`.
-    #[inline(always)]
-    pub fn sub(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (alo, ahi) = self.halves();
-            let (blo, bhi) = o.halves();
-            // SAFETY: SSE2 is statically enabled on every x86_64 target.
-            let (lo, hi) = unsafe { (_mm_sub_ps(alo, blo), _mm_sub_ps(ahi, bhi)) };
-            Self::from_halves(lo, hi)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let (a, b) = (self.0, o.0);
-            Self([
-                a[0] - b[0],
-                a[1] - b[1],
-                a[2] - b[2],
-                a[3] - b[3],
-                a[4] - b[4],
-                a[5] - b[5],
-                a[6] - b[6],
-                a[7] - b[7],
-            ])
-        }
-    }
-
-    /// Lane-wise `self * o`.
-    #[inline(always)]
-    pub fn mul(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let (alo, ahi) = self.halves();
-            let (blo, bhi) = o.halves();
-            // SAFETY: SSE2 is statically enabled on every x86_64 target.
-            let (lo, hi) = unsafe { (_mm_mul_ps(alo, blo), _mm_mul_ps(ahi, bhi)) };
-            Self::from_halves(lo, hi)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let (a, b) = (self.0, o.0);
-            Self([
-                a[0] * b[0],
-                a[1] * b[1],
-                a[2] * b[2],
-                a[3] * b[3],
-                a[4] * b[4],
-                a[5] * b[5],
-                a[6] * b[6],
-                a[7] * b[7],
-            ])
-        }
-    }
-}
-
 /// `LANES` `f32` lanes with the operations the crate's kernel bodies
 /// need (see the [module docs](self)). Every arithmetic op is one rounded
 /// IEEE operation per lane — what the scalar `+`, `-`, `*`, `sqrt` and
@@ -386,8 +223,7 @@ pub(crate) trait Kernel8 {
 /// by width — a CPU that runs a tier runs every tier before it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Tier {
-    /// [`F32x8`]: eight lanes, SSE2 halves on `x86_64`, scalar lanes
-    /// elsewhere — every CPU.
+    /// `F32x8`: eight lanes in plain Rust — every CPU.
     Portable,
     /// `Avx`: eight lanes in one `__m256`.
     Avx,
@@ -524,215 +360,103 @@ unsafe fn run_avx512<K: Kernel>(kernel: K) -> K::Output {
     unsafe { kernel.run::<Avx512>() }
 }
 
+/// Eight `f32` lanes in plain Rust: every op is the scalar expression it
+/// stands for, applied lane by lane (see the [module docs](self)).
+#[derive(Clone, Copy)]
+pub(crate) struct F32x8([f32; 8]);
+
 impl F32x8 {
-    /// `f` over both SSE halves.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn map_halves(self, f: impl Fn(__m128) -> __m128) -> Self {
-        let (lo, hi) = self.halves();
-        Self::from_halves(f(lo), f(hi))
-    }
-
-    /// `f` over both pairs of SSE halves.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn zip_halves(self, o: Self, f: impl Fn(__m128, __m128) -> __m128) -> Self {
-        let ((alo, ahi), (blo, bhi)) = (self.halves(), o.halves());
-        Self::from_halves(f(alo, blo), f(ahi, bhi))
-    }
-
-    /// `f` over the lanes.
-    #[cfg(not(target_arch = "x86_64"))]
+    /// `f` lane by lane.
     #[inline(always)]
     fn zip(self, o: Self, f: impl Fn(f32, f32) -> f32) -> Self {
         Self(std::array::from_fn(|i| f(self.0[i], o.0[i])))
     }
 }
 
-// SAFETY (every `unsafe` block of the x86_64 arms): SSE2 is part of the
-// x86_64 baseline ABI, and the intrinsics used are register-only.
+// Nothing here needs the `unsafe` the trait's signatures carry: plain
+// Rust runs on every CPU.
 impl Lanes for F32x8 {
     const LANES: usize = 8;
 
     #[inline(always)]
     unsafe fn zero() -> Self {
-        F32x8::ZERO
+        Self([0.0; 8])
     }
     #[inline(always)]
     unsafe fn splat(v: f32) -> Self {
-        F32x8::splat(v)
+        Self([v; 8])
     }
     #[inline(always)]
     unsafe fn load(s: &[f32]) -> Self {
-        F32x8::load(s)
+        Self(s[..8].try_into().expect("F32x8::load needs 8 elements"))
     }
     #[inline(always)]
     unsafe fn store(self, d: &mut [f32]) {
-        F32x8::store(self, d)
+        d[..8].copy_from_slice(&self.0);
     }
     #[inline(always)]
     unsafe fn add(self, o: Self) -> Self {
-        F32x8::add(self, o)
+        self.zip(o, |a, b| a + b)
     }
     #[inline(always)]
     unsafe fn sub(self, o: Self) -> Self {
-        F32x8::sub(self, o)
+        self.zip(o, |a, b| a - b)
     }
     #[inline(always)]
     unsafe fn mul(self, o: Self) -> Self {
-        F32x8::mul(self, o)
+        self.zip(o, |a, b| a * b)
     }
     #[inline(always)]
     unsafe fn div(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.zip_halves(o, |a, b| unsafe { _mm_div_ps(a, b) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.zip(o, |a, b| a / b)
-        }
+        self.zip(o, |a, b| a / b)
     }
     #[inline(always)]
     unsafe fn min(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.zip_halves(o, |a, b| unsafe { _mm_min_ps(a, b) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.zip(o, |a, b| if a < b { a } else { b })
-        }
+        self.zip(o, |a, b| if a < b { a } else { b })
     }
     #[inline(always)]
     unsafe fn max(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.zip_halves(o, |a, b| unsafe { _mm_max_ps(a, b) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.zip(o, |a, b| if a > b { a } else { b })
-        }
+        self.zip(o, |a, b| if a > b { a } else { b })
     }
     #[inline(always)]
     unsafe fn and(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.zip_halves(o, |a, b| unsafe { _mm_and_ps(a, b) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.zip(o, |a, b| f32::from_bits(a.to_bits() & b.to_bits()))
-        }
+        self.zip(o, |a, b| f32::from_bits(a.to_bits() & b.to_bits()))
     }
     #[inline(always)]
     unsafe fn or(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.zip_halves(o, |a, b| unsafe { _mm_or_ps(a, b) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.zip(o, |a, b| f32::from_bits(a.to_bits() | b.to_bits()))
-        }
+        self.zip(o, |a, b| f32::from_bits(a.to_bits() | b.to_bits()))
     }
     #[inline(always)]
     unsafe fn andnot(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.zip_halves(o, |a, b| unsafe { _mm_andnot_ps(a, b) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.zip(o, |a, b| f32::from_bits(!a.to_bits() & b.to_bits()))
-        }
+        self.zip(o, |a, b| f32::from_bits(!a.to_bits() & b.to_bits()))
     }
     #[inline(always)]
     unsafe fn eq_mask(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.zip_halves(o, |a, b| unsafe { _mm_cmpeq_ps(a, b) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.zip(o, |a, b| f32::from_bits(if a == b { u32::MAX } else { 0 }))
-        }
+        self.zip(o, |a, b| f32::from_bits(if a == b { u32::MAX } else { 0 }))
     }
     #[inline(always)]
     unsafe fn ne_mask(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.zip_halves(o, |a, b| unsafe { _mm_cmpneq_ps(a, b) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.zip(o, |a, b| f32::from_bits(if a != b { u32::MAX } else { 0 }))
-        }
+        self.zip(o, |a, b| f32::from_bits(if a != b { u32::MAX } else { 0 }))
     }
     #[inline(always)]
     unsafe fn lt_mask(self, o: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.zip_halves(o, |a, b| unsafe { _mm_cmplt_ps(a, b) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.zip(o, |a, b| f32::from_bits(if a < b { u32::MAX } else { 0 }))
-        }
+        self.zip(o, |a, b| f32::from_bits(if a < b { u32::MAX } else { 0 }))
     }
     #[inline(always)]
     unsafe fn scale_pow2(self, magic: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.zip_halves(magic, |p, m| unsafe { scale_pow2_sse2(p, m) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.zip(magic, |p, m| f32::from_bits(p.to_bits().wrapping_add(m.to_bits() << 23)))
-        }
+        self.zip(magic, |p, m| f32::from_bits(p.to_bits().wrapping_add(m.to_bits() << 23)))
     }
     #[inline(always)]
     unsafe fn biased_exponent(self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.map_halves(|v| unsafe { biased_exponent_sse2(v) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            Self(self.0.map(|v| (v.to_bits() >> 23) as f32))
-        }
+        Self(self.0.map(|v| (v.to_bits() >> 23) as f32))
     }
     #[inline(always)]
     unsafe fn trunc(self) -> Self {
-        // SSE2 has no rounding instruction: below 2²³ (where a fraction
-        // can exist) the round trip through `i32` truncates exactly and
-        // the sign bit is put back for `-0.0`; from 2²³ up, and for NaN,
-        // the value is already its own truncation.
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.map_halves(|v| unsafe {
-                let sign = _mm_and_ps(v, _mm_set1_ps(-0.0));
-                let small = _mm_cmplt_ps(_mm_andnot_ps(sign, v), _mm_set1_ps(8_388_608.0));
-                let whole = _mm_or_ps(_mm_cvtepi32_ps(_mm_cvttps_epi32(v)), sign);
-                _mm_or_ps(_mm_and_ps(small, whole), _mm_andnot_ps(small, v))
-            })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            Self(self.0.map(f32::trunc))
-        }
+        Self(self.0.map(f32::trunc))
     }
     #[inline(always)]
     unsafe fn sqrt(self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.map_halves(|v| unsafe { _mm_sqrt_ps(v) })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            Self(self.0.map(f32::sqrt))
-        }
+        Self(self.0.map(f32::sqrt))
     }
 }
 
@@ -740,41 +464,12 @@ impl Lanes8 for F32x8 {
     #[inline(always)]
     unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
         assert!(7 * stride + col + 8 <= rows.len(), "8 x 8 block out of bounds");
-        #[cfg(target_arch = "x86_64")]
-        {
-            // Four 4 × 4 transposes: quadrant (rows `4h..`, columns `4q..`)
-            // becomes half `h` of outputs `4q..4q + 4`.
-            let mut t = [Self::ZERO; 8];
-            for h in 0..2 {
-                for q in 0..2 {
-                    let mut m = [unsafe { _mm_set1_ps(0.0) }; 4];
-                    for (r, m) in m.iter_mut().enumerate() {
-                        // SAFETY: row `4h + r ≤ 7`, columns up to
-                        // `col + 8`: inside `rows` by the assert above.
-                        *m = unsafe {
-                            _mm_loadu_ps(rows.as_ptr().add((4 * h + r) * stride + col + 4 * q))
-                        };
-                    }
-                    let [a, b, c, d] = &mut m;
-                    unsafe { _MM_TRANSPOSE4_PS(a, b, c, d) };
-                    for (c, v) in m.into_iter().enumerate() {
-                        let half = &mut t[4 * q + c].0[4 * h..4 * h + 4];
-                        // SAFETY: `half` is four contiguous f32s.
-                        unsafe { _mm_storeu_ps(half.as_mut_ptr(), v) };
-                    }
-                }
-            }
-            t
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            std::array::from_fn(|c| Self(std::array::from_fn(|r| rows[r * stride + col + c])))
-        }
+        std::array::from_fn(|c| Self(std::array::from_fn(|r| rows[r * stride + col + c])))
     }
 }
 
 /// [`Lanes::scale_pow2`] on four lanes. AVX (without AVX2) has no 256-bit
-/// integer unit, so both instruction sets run this on 128-bit halves.
+/// integer unit, so `Avx` runs this on its two 128-bit halves.
 ///
 /// # Safety
 ///
@@ -1190,28 +885,31 @@ mod tests {
     use super::*;
     use crate::QFormat;
 
+    // SAFETY (every `unsafe` block of the three tests below): `F32x8` is
+    // plain Rust, which every CPU runs.
+
     #[test]
     fn splat_load_store_round_trip() {
         let mut d = [0.0f32; 8];
-        F32x8::splat(3.5).store(&mut d);
+        unsafe { F32x8::splat(3.5).store(&mut d) };
         assert_eq!(d, [3.5; 8]);
-        let v = F32x8::load(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        let v = unsafe { F32x8::load(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]) };
         assert_eq!(v.0[7], 8.0);
     }
 
     #[test]
     fn elementwise_arithmetic() {
-        let a = F32x8::load(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let b = F32x8::splat(2.0);
-        assert_eq!(a.add(b).0[0], 3.0);
-        assert_eq!(a.sub(b).0[0], -1.0);
-        assert_eq!(a.mul(b).0[3], 8.0);
+        let a = unsafe { F32x8::load(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]) };
+        let b = unsafe { F32x8::splat(2.0) };
+        assert_eq!(unsafe { a.add(b) }.0[0], 3.0);
+        assert_eq!(unsafe { a.sub(b) }.0[0], -1.0);
+        assert_eq!(unsafe { a.mul(b) }.0[3], 8.0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn load_rejects_short_slices() {
-        F32x8::load(&[1.0; 7]);
+        unsafe { F32x8::load(&[1.0; 7]) };
     }
 
     /// Values every op must get right in any lane: both zeros, fractions
@@ -1373,7 +1071,7 @@ mod tests {
     fn load_transposed_rejects_a_block_past_the_buffer() {
         // Seven full rows and seven values of the eighth.
         let rows = [0.0f32; 7 * 10 + 7];
-        // SAFETY: `F32x8` is baseline code on every target.
+        // SAFETY: `F32x8` is plain Rust, which every CPU runs.
         unsafe { F32x8::load_transposed(&rows, 10, 0) };
     }
 }

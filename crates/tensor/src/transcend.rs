@@ -17,8 +17,8 @@
 //!   every slice kernel;
 //! * once as a generic body over the crate's `Lanes` trait, transcribing
 //!   the scalar function operation for operation (a branch becomes a
-//!   mask), instantiated for `Avx512`, `Avx` and
-//!   [`F32x8`](crate::F32x8) (SSE2 / portable). No FMA, no table. The
+//!   mask), instantiated for `Avx512`, `Avx` and the plain-Rust
+//!   `F32x8`. No FMA, no table. The
 //!   tests hold every body equal to the scalar function bit for bit —
 //!   exhaustively over all 2³² inputs in CI.
 //!
