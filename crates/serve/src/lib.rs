@@ -12,11 +12,13 @@
 //!   instead of being discarded, rehydrate transparently on their next
 //!   command, and survive a process kill via snapshot + delta-log
 //!   replay,
-//! * `scheduler` (private) — the continuous-batching engine group, run on
-//!   its callers' threads (flat combining): pending step requests coalesce
-//!   into one masked grid step per tick; sessions join and leave lanes
-//!   between ticks, and swap out through the
-//!   [`LaneState`](hima_dnc::LaneState) splice API when the grid is full,
+//! * `scheduler`, `cell`, `durable` (private) — the continuous-batching
+//!   engine group (`scheduler`), run on its callers' threads by flat
+//!   combining (`cell`): pending step requests coalesce into one masked
+//!   grid step per tick; sessions join and leave lanes between ticks, and
+//!   swap out through the [`LaneState`](hima_dnc::LaneState) splice API
+//!   when the grid is full; with a store, the group's disk tier
+//!   (`durable`),
 //! * [`protocol`] — the length-prefixed binary wire protocol (our own
 //!   format on `hima_bytes`, pinned by its round-trip and hostile-bytes
 //!   tests),
@@ -75,9 +77,11 @@
 //! client.close_session(session).unwrap();
 //! ```
 
+mod cell;
 pub mod chaos_net;
 pub mod client;
 pub mod clock;
+mod durable;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;

@@ -86,15 +86,17 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
-        match r.read(&mut len[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
+        match r.read(&mut len[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "EOF inside frame header",
                 ))
             }
-            n => filled += n,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         }
     }
     read_payload(r, u32::from_le_bytes(len)).map(Some)
@@ -600,44 +602,18 @@ impl Response {
             Response::Done => w.put_u8(4),
             Response::Error(e) => {
                 w.put_u8(5);
+                w.put_u8(e.subtag());
                 match e {
-                    ServeError::BadSpec(m) => {
-                        w.put_u8(1);
-                        w.put_bytes(m.as_bytes());
-                    }
-                    ServeError::UnknownSession(id) => {
-                        w.put_u8(2);
-                        w.put_u64(*id);
-                    }
-                    ServeError::SessionBusy(id) => {
-                        w.put_u8(3);
-                        w.put_u64(*id);
-                    }
-                    ServeError::BadInput(m) => {
-                        w.put_u8(4);
-                        w.put_bytes(m.as_bytes());
-                    }
-                    ServeError::Protocol(m) => {
-                        w.put_u8(5);
-                        w.put_bytes(m.as_bytes());
-                    }
-                    ServeError::ShuttingDown => w.put_u8(6),
-                    ServeError::Store(m) => {
-                        w.put_u8(7);
-                        w.put_bytes(m.as_bytes());
-                    }
-                    ServeError::Overloaded { retry_after_ms } => {
-                        w.put_u8(8);
-                        w.put_u64(*retry_after_ms);
-                    }
-                    ServeError::DeadlineExceeded { session } => {
-                        w.put_u8(9);
-                        w.put_u64(*session);
-                    }
-                    ServeError::GroupFailed(id) => {
-                        w.put_u8(10);
-                        w.put_u64(*id);
-                    }
+                    ServeError::BadSpec(m)
+                    | ServeError::BadInput(m)
+                    | ServeError::Protocol(m)
+                    | ServeError::Store(m) => w.put_bytes(m.as_bytes()),
+                    ServeError::UnknownSession(n)
+                    | ServeError::SessionBusy(n)
+                    | ServeError::Overloaded { retry_after_ms: n }
+                    | ServeError::DeadlineExceeded { session: n }
+                    | ServeError::GroupFailed(n) => w.put_u64(*n),
+                    ServeError::ShuttingDown => {}
                 }
             }
             Response::ShuttingDown => w.put_u8(6),
@@ -926,6 +902,28 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(&payload[..]));
         assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some(&payload[..]));
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF between frames");
+    }
+
+    /// A read interrupted by a signal before any header byte arrived is
+    /// retried, as `read_to_end` does for the payload: the frame behind it
+    /// still arrives whole.
+    #[test]
+    fn an_interrupted_header_read_is_retried() {
+        struct InterruptedOnce<'a>(bool, &'a [u8]);
+        impl Read for InterruptedOnce<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if std::mem::replace(&mut self.0, false) {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                self.1.read(buf)
+            }
+        }
+        let payload = Request::ReadRows { session: 5 }.encode();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        let mut r = InterruptedOnce(true, &buf);
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&payload[..]));
+        assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! permanently unknown rather than aliasing a newer session.
 //!
 //! A group has no thread: [`SessionHub::dispatch`] runs it on the
-//! calling thread (see the scheduler's "Who runs a group"). Each command
-//! carries the sender of a reply channel its calling thread keeps for
-//! all of its commands, so a step allocates no channel. The hub's only
+//! calling thread (see "Who runs a group" in the `cell` module). Each
+//! command carries the sender of a reply channel its calling thread keeps
+//! for all of its commands, so a step allocates no channel. The hub's only
 //! thread is the idle sweeper, and it exists only when
 //! [`ServeConfig::idle_timeout`] is set: every [`ServeConfig::tick`] it
 //! runs each group's idle sweep, skipping a group that a caller is
@@ -30,22 +30,20 @@
 //!
 //! # Supervision
 //!
-//! Every pass over a group runs under `catch_unwind`. A panic (a bug — or
-//! an injected [`FaultKind::Panic`](hima_chaos::FaultKind) at the
-//! `SchedTick` site) does not take the server down: the group is replaced
-//! by a fresh incarnation (counted under `supervisor.restarts`). There is
-//! no gauge repair: the fresh incarnation's first publish from its
-//! session table corrects what the dying one left. It resurrects
-//! store-backed sessions from their snapshot + delta log; sessions with
-//! no durable state answer their next command with a typed
-//! [`ServeError::GroupFailed`] instead of vanishing silently. A session
-//! whose command was taken down with the dead incarnation answers that
-//! command `GroupFailed` and is retired with its files.
+//! A panicking pass (a bug — or an injected
+//! [`FaultKind::Panic`](hima_chaos::FaultKind) at the `SchedTick` site)
+//! does not take the server down: its group is replaced by a fresh
+//! incarnation (counted under `supervisor.restarts`; "Supervision" in the
+//! `cell` module). A session whose command was taken down with the dead
+//! incarnation answers that command [`ServeError::GroupFailed`] and is
+//! retired with its files.
 
+use crate::cell::{lock_clean, GroupCell};
 use crate::clock::Clock;
+use crate::durable::GroupStore;
 use crate::metrics::ServeMetrics;
 use crate::protocol::{RawSessionSpec, Request, Response, ServeError, SessionSpec};
-use crate::scheduler::{lock_clean, GroupCell, GroupCmd, GroupShared, GroupStore};
+use crate::scheduler::{Group, GroupShared, Op};
 use crate::server::ServeConfig;
 use hima_bytes::Reader;
 use hima_chaos::FaultPlan;
@@ -53,7 +51,6 @@ use hima_store::SessionStore;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -99,8 +96,8 @@ pub struct SessionHub {
     /// Steps queued across every group — the global admission budget
     /// shared by all groups.
     global_queued: Arc<AtomicI64>,
-    /// The durable tier (`None` = RAM only).
-    store: Option<(Arc<SessionStore>, StoreConfig)>,
+    /// The durable tier's wiring, handed to every group (`None` = RAM only).
+    store: Option<GroupStore>,
     /// What deadlines and every group's idle and shedding decisions read.
     clock: Arc<dyn Clock>,
 }
@@ -155,9 +152,10 @@ impl SessionHub {
             store: None,
             clock,
         };
-        let Some(store_cfg) = store else { return Ok(hub) };
-        let store = Arc::new(SessionStore::open_with(&store_cfg.dir, store_cfg.faults.clone())?);
-        hub.store = Some((Arc::clone(&store), store_cfg));
+        let Some(sc) = store else { return Ok(hub) };
+        let store = Arc::new(SessionStore::open_with(&sc.dir, sc.faults)?);
+        let (snapshot_every, max_parked) = (sc.snapshot_every.max(1), sc.max_parked);
+        hub.store = Some(GroupStore { store: Arc::clone(&store), snapshot_every, max_parked });
 
         // Adoption: every stored session becomes routable again (snapshot
         // decode and log replay wait for its first command), and new ids
@@ -210,12 +208,7 @@ impl SessionHub {
             published: Arc::default(),
             clock: Arc::clone(&self.clock),
         };
-        let group_store = self.store.as_ref().map(|(store, sc)| GroupStore {
-            store: Arc::clone(store),
-            snapshot_every: sc.snapshot_every.max(1),
-            max_parked: sc.max_parked,
-        });
-        let cell = Arc::new(GroupCell::new(self.cfg.clone(), spec, shared, group_store));
+        let cell = Arc::new(GroupCell::new(Group::new(self.cfg.clone(), &spec, shared, self.store.clone())));
         self.metrics.groups_live.add(1);
         groups.insert(key, Arc::clone(&cell));
         cell
@@ -263,30 +256,19 @@ impl SessionHub {
                 let cell = self.group(spec);
                 let session = self.next_id.fetch_add(1, Ordering::Relaxed);
                 lock_clean(&self.index).insert(session, Arc::clone(&cell));
-                self.call(&cell, session, |reply| GroupCmd::Open { session, reply })
+                self.call(&cell, session, Op::Open)
             }
             Request::Step { session, input, deadline_ms } => {
                 let deadline = self.deadline_from(deadline_ms);
-                self.route(session, |reply| GroupCmd::Step {
-                    session,
-                    inputs: vec![input],
-                    deadline,
-                    reply,
-                })
+                self.route(session, Op::Step { inputs: vec![input], deadline })
             }
             Request::StepStream { session, inputs, deadline_ms } => {
                 let deadline = self.deadline_from(deadline_ms);
-                self.route(session, |reply| GroupCmd::Step { session, inputs, deadline, reply })
+                self.route(session, Op::Step { inputs, deadline })
             }
-            Request::ReadRows { session } => {
-                self.route(session, |reply| GroupCmd::ReadRows { session, reply })
-            }
-            Request::Reset { session } => {
-                self.route(session, |reply| GroupCmd::Reset { session, reply })
-            }
-            Request::Close { session } => {
-                self.route(session, |reply| GroupCmd::Close { session, reply })
-            }
+            Request::ReadRows { session } => self.route(session, Op::ReadRows),
+            Request::Reset { session } => self.route(session, Op::Reset),
+            Request::Close { session } => self.route(session, Op::Close),
             // Answered from the hub's own registry — never waits for a
             // group, so a snapshot is cheap even under full load.
             Request::Metrics => {
@@ -296,7 +278,7 @@ impl SessionHub {
                     .cfg
                     .faults
                     .as_deref()
-                    .or_else(|| self.store.as_ref().and_then(|(s, _)| s.faults().map(Arc::as_ref)))
+                    .or_else(|| self.store.as_ref().and_then(|gs| gs.store.faults().map(Arc::as_ref)))
                 {
                     self.metrics.sync_fault_gauges(plan);
                 }
@@ -309,28 +291,23 @@ impl SessionHub {
         }
     }
 
-    fn route(&self, session: u64, make: impl FnOnce(Sender<Response>) -> GroupCmd) -> Response {
+    fn route(&self, session: u64, op: Op) -> Response {
         let cell = match lock_clean(&self.index).get(&session) {
             Some(cell) => Arc::clone(cell),
             None => return Response::Error(ServeError::UnknownSession(session)),
         };
-        self.call(&cell, session, make)
+        self.call(&cell, session, op)
     }
 
-    /// Runs `make`'s command on `cell` from this thread. A command lost
-    /// with a panicked incarnation means the session is forgotten whole:
-    /// its route here, and through the new incarnation's `Close` path its
+    /// Runs `op` on `cell` from this thread. A command lost with a
+    /// panicked incarnation means the session is forgotten whole: its
+    /// route here, and through the new incarnation's `Close` path its
     /// roster entry, gauge share and store files, so no later incarnation
     /// or boot adopts it again.
-    fn call(
-        &self,
-        cell: &GroupCell,
-        session: u64,
-        make: impl FnOnce(Sender<Response>) -> GroupCmd,
-    ) -> Response {
-        cell.call(session, make).unwrap_or_else(|| {
+    fn call(&self, cell: &GroupCell, session: u64, op: Op) -> Response {
+        cell.call(session, op).unwrap_or_else(|| {
             lock_clean(&self.index).remove(&session);
-            let _ = cell.call(session, |reply| GroupCmd::Close { session, reply });
+            let _ = cell.call(session, Op::Close);
             Response::Error(ServeError::GroupFailed(session))
         })
     }
