@@ -91,12 +91,14 @@ pub(crate) struct ShardState {
 }
 
 /// A detached snapshot of one batch lane's complete session state: the
-/// lane's recurrent LSTM state, the state memories of each of its shards
-/// (external memory, usage, linkage, read/write weightings — one shard for
-/// monolithic engines, `N_t` for DNC-D) and the carried read-vector and
-/// hidden rows the next step's controller consumes. It is **state only**:
-/// no memory unit, scratch buffer, PLA table or kernel profile travels
-/// with a session — those belong to the lane it is stepped on.
+/// lane's recurrent LSTM state (whose hidden row is the `h` the next
+/// step's controller and a feature read consume — it is held nowhere
+/// else), the state memories of each of its shards (external memory,
+/// usage, linkage, read/write weightings — one shard for monolithic
+/// engines, `N_t` for DNC-D) and the carried read-vector row. It is
+/// **state only**: no memory unit, scratch buffer, PLA table or kernel
+/// profile travels with a session — those belong to the lane it is
+/// stepped on.
 ///
 /// This is the **state-splice** currency of the serving layer:
 /// [`GridEngine::export_lane`] detaches a session's state from a lane
@@ -117,8 +119,6 @@ pub struct LaneState {
     pub(crate) shards: Vec<ShardState>,
     /// The lane's merged `R·W` read-vector row (`last_read`).
     pub(crate) read: Vec<f32>,
-    /// The lane's held `H` hidden row (`last_hidden`).
-    pub(crate) hidden: Vec<f32>,
 }
 
 impl LaneState {
@@ -136,7 +136,6 @@ impl LaneState {
         shards.map(<[f32]>::len).sum::<usize>()
             + 2 * self.lstm.hidden.len()
             + self.read.len()
-            + self.hidden.len()
     }
 }
 
@@ -256,7 +255,6 @@ pub struct GridEngine {
     /// task list, with no per-step collection of task references.
     shards: Vec<Shard>,
     last_read: Matrix,
-    last_hidden: Matrix,
     ws: StepWorkspace,
 }
 
@@ -307,7 +305,6 @@ impl GridEngine {
             lstm_states: vec![LstmState::zeros(params.hidden_size); batch],
             shards,
             last_read: Matrix::zeros(batch, read_width),
-            last_hidden: Matrix::zeros(batch, params.hidden_size),
             ws: StepWorkspace::new(&params, batch, tiles),
         }
     }
@@ -382,7 +379,8 @@ impl GridEngine {
     /// the output projection consumes, and what a trained readout
     /// regresses on.
     pub fn last_features_rows(&self) -> Matrix {
-        Matrix::hcat(&self.last_hidden, &self.last_read)
+        let hidden: Vec<&[f32]> = self.lstm_states.iter().map(|s| &s.hidden[..]).collect();
+        Matrix::hcat(&Matrix::from_rows(&hidden), &self.last_read)
     }
 
     /// Kernel profile of the grid's own controller and projection stamps
@@ -571,7 +569,6 @@ impl GridEngine {
         Matrix::hcat_into(&ws.hidden, &self.last_read, &mut ws.out_in);
         let output_proj = &self.output_proj;
         self.profile.time(KernelId::Projection, || output_proj.matmul_masked_into(&ws.out_in, mask, y));
-        self.last_hidden.as_mut_slice().copy_from_slice(ws.hidden.as_slice());
     }
 
     /// Whether a step over `mask` hands its shards to worker threads:
@@ -621,10 +618,10 @@ impl GridEngine {
     }
 
     /// Detaches a snapshot of lane `lane`'s complete session state: LSTM
-    /// state, every shard's state memories with its shard read vector, and
-    /// the carried read/hidden rows — the state-splice primitive a serving
-    /// grid uses to park a session off the grid. The lane itself is
-    /// untouched; re-attaching the snapshot with
+    /// state (the hidden row included), every shard's state memories with
+    /// its shard read vector, and the carried read row — the state-splice
+    /// primitive a serving grid uses to park a session off the grid. The
+    /// lane itself is untouched; re-attaching the snapshot with
     /// [`GridEngine::import_lane`] — to any lane of any engine built from
     /// the same spec/params/seed — is a bit-exact round trip. The snapshot
     /// is the only thing the call allocates.
@@ -646,7 +643,6 @@ impl GridEngine {
                 .collect(),
             lstm: self.lstm_states[lane].clone(),
             read: self.last_read.row(lane).to_vec(),
-            hidden: self.last_hidden.row(lane).to_vec(),
         }
     }
 
@@ -674,7 +670,6 @@ impl GridEngine {
         lstm.hidden.copy_from_slice(&state.lstm.hidden);
         lstm.cell.copy_from_slice(&state.lstm.cell);
         self.last_read.row_mut(lane).copy_from_slice(&state.read);
-        self.last_hidden.row_mut(lane).copy_from_slice(&state.hidden);
     }
 
     /// Exchanges lane `lane`'s session state with `state`: afterwards the
@@ -683,8 +678,8 @@ impl GridEngine {
     /// held — exactly what [`GridEngine::export_lane`] would have returned.
     /// A serving grid's park-and-splice in one call, **zero-copy**: every
     /// shard's state memories and read vector and the lane's LSTM state
-    /// trade buffer headers; only the two carried rows (`R·W + H` floats,
-    /// which live inside the engine's `B`-row blocks) are swapped element
+    /// trade buffer headers; only the carried read row (`R·W` floats,
+    /// which lives inside the engine's `B`-row block) is swapped element
     /// by element. No heap allocation. As with an import, scratch, kernel
     /// profile and profiling gate stay the lane's own.
     ///
@@ -700,14 +695,12 @@ impl GridEngine {
         }
         std::mem::swap(&mut self.lstm_states[lane], &mut state.lstm);
         self.last_read.row_mut(lane).swap_with_slice(&mut state.read);
-        self.last_hidden.row_mut(lane).swap_with_slice(&mut state.hidden);
     }
 
     /// The geometry and datapath checks of a splice into lane `lane`.
     fn assert_lane_fits(&self, lane: usize, state: &LaneState) {
         assert_eq!(state.shards.len(), self.tiles(), "lane state shard count mismatch");
         assert_eq!(state.read.len(), self.last_read.cols(), "read width mismatch");
-        assert_eq!(state.hidden.len(), self.params.hidden_size, "hidden width mismatch");
         assert_eq!(state.lstm.hidden.len(), self.params.hidden_size, "hidden width mismatch");
         for (dst, src) in self.lane_shards(lane).iter().zip(&state.shards) {
             assert_eq!(src.datapath, dst.memory.datapath(), "lane state datapath mismatch");
@@ -716,9 +709,9 @@ impl GridEngine {
         }
     }
 
-    /// Resets a *single* lane (all its shards, recurrent state and
-    /// carried rows) to blank state, leaving every other lane untouched —
-    /// how a serving grid recycles a freed lane slot for a fresh session.
+    /// Resets a *single* lane (all its shards, recurrent state and carried
+    /// read row) to blank state, leaving every other lane untouched — how
+    /// a serving grid recycles a freed lane slot for a fresh session.
     /// A reset lane steps bit-identically to a lane of a freshly built
     /// engine.
     ///
@@ -732,7 +725,6 @@ impl GridEngine {
         }
         self.lstm_states[lane].clear();
         self.last_read.row_mut(lane).fill(0.0);
-        self.last_hidden.row_mut(lane).fill(0.0);
     }
 }
 
@@ -989,7 +981,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "need at least one batch lane")]
     fn rejects_zero_batch() {
-        EngineBuilder::new(params()).with_lanes_unchecked(0).build();
+        let p = params();
+        let cfg = MemoryConfig::new(p.memory_size, p.word_size, p.read_heads);
+        GridEngine::new(ModelInit::new(p, cfg, 1, 0), None, 0, Datapath::F32, false);
     }
 
     #[test]

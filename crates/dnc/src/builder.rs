@@ -50,17 +50,15 @@ pub type BoxedEngine = Box<GridEngine>;
 /// [`EngineBuilder::sharded`], [`QFormat::new`], …) are the right
 /// contract for in-process callers — a zero-row memory is a programming
 /// bug. A *server* boundary receives these numbers from untrusted
-/// clients, so [`DncParams::check`], [`EngineSpec::check`] and
-/// [`EngineBuilder::try_build`] report the same invariants as values
-/// instead of panics, and `hima-serve` turns them into structured error
-/// replies.
+/// clients, so [`DncParams::check`] and [`EngineSpec::check`] report the
+/// same invariants as values instead of panics; `hima-serve` runs both
+/// on every session spec before it builds an engine and turns a failure
+/// into a structured error reply.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
     /// A geometry dimension (`memory_size`, `word_size`, `read_heads`,
     /// `hidden_size`, `input_size`, `output_size`) is zero.
     ZeroDimension(&'static str),
-    /// The engine was asked for zero batch lanes.
-    ZeroLanes,
     /// The sharded topology was asked for zero tiles.
     ZeroTiles,
     /// More shards than memory rows — at least one shard would own no
@@ -97,7 +95,6 @@ impl std::fmt::Display for SpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SpecError::ZeroDimension(dim) => write!(f, "{dim} must be positive"),
-            SpecError::ZeroLanes => write!(f, "need at least one batch lane"),
             SpecError::ZeroTiles => write!(f, "need at least one tile"),
             SpecError::TilesExceedMemoryRows { tiles, rows } => {
                 write!(f, "more tiles than memory rows ({tiles} tiles over {rows} rows)")
@@ -475,35 +472,6 @@ impl EngineBuilder {
         ))
     }
 
-    /// Non-panicking form of [`EngineBuilder::build`] for untrusted
-    /// configurations (the `hima-serve` session boundary): validates the
-    /// hyper-parameters ([`DncParams::check`]), the spec axes
-    /// ([`EngineSpec::check`]) and the lane count, then builds. A spec
-    /// that passes validation builds the identical engine
-    /// [`EngineBuilder::build`] would.
-    ///
-    /// Note the builder's own setters still assert — they exist for
-    /// in-process construction where a bad axis is a programming bug. To
-    /// reach `try_build` with unvalidated numbers, assemble the
-    /// [`DncParams`] struct and [`EngineSpec`] literally and apply them
-    /// with [`EngineBuilder::with_spec`] / [`EngineBuilder::with_lanes_unchecked`].
-    pub fn try_build(&self) -> Result<BoxedEngine, SpecError> {
-        self.params.check()?;
-        self.spec.check(&self.params)?;
-        if self.lanes == 0 {
-            return Err(SpecError::ZeroLanes);
-        }
-        Ok(self.build())
-    }
-
-    /// Sets the lane count without asserting, deferring validation to
-    /// [`EngineBuilder::try_build`] (which rejects zero). The asserting
-    /// [`EngineBuilder::lanes`] remains the right call for trusted
-    /// in-process configuration.
-    pub fn with_lanes_unchecked(mut self, batch: usize) -> Self {
-        self.lanes = batch;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -616,21 +584,20 @@ mod tests {
         let _ = EngineBuilder::new(params()).lanes(0);
     }
 
-    /// The non-panicking validation twin: every malformed geometry a
-    /// server boundary can receive comes back as the matching typed
-    /// [`SpecError`] instead of a panic, and a well-formed spec builds.
+    /// The non-panicking validation a server boundary runs: every
+    /// malformed geometry it can receive comes back from
+    /// [`DncParams::check`] or [`EngineSpec::check`] as the matching
+    /// typed [`SpecError`] instead of a panic, and a spec both admit
+    /// builds.
     #[test]
-    fn try_build_reports_typed_spec_errors() {
+    fn checks_report_typed_spec_errors() {
         let p = params();
 
         // Malformed hyper-parameters (fields are public, so a wire
         // decoder can assemble them literally).
         let mut zero_mem = p;
         zero_mem.memory_size = 0;
-        assert_eq!(
-            EngineBuilder::new(zero_mem).try_build().err().unwrap(),
-            SpecError::ZeroDimension("memory_size")
-        );
+        assert_eq!(zero_mem.check(), Err(SpecError::ZeroDimension("memory_size")));
 
         // Topology errors.
         let mut spec = EngineSpec::sharded(0);
@@ -639,10 +606,6 @@ mod tests {
         assert_eq!(
             spec.check(&p),
             Err(SpecError::TilesExceedMemoryRows { tiles: p.memory_size + 1, rows: p.memory_size })
-        );
-        assert_eq!(
-            EngineBuilder::new(p).with_spec(spec).try_build().err().unwrap(),
-            SpecError::TilesExceedMemoryRows { tiles: p.memory_size + 1, rows: p.memory_size }
         );
 
         // Datapath errors (QFormat fields are public for wire decoding).
@@ -658,20 +621,12 @@ mod tests {
             .check(&p)
             .is_err());
 
-        // Lane errors.
-        assert_eq!(
-            EngineBuilder::new(p).with_lanes_unchecked(0).try_build().err().unwrap(),
-            SpecError::ZeroLanes
-        );
-
-        // A valid composite spec builds and steps.
-        let mut engine = EngineBuilder::new(p)
-            .sharded(4)
-            .lanes(2)
-            .quantized(QFormat::new(16, 16))
-            .seed(3)
-            .try_build()
-            .expect("valid spec");
+        // A valid composite spec passes both checks, builds and steps.
+        let builder =
+            EngineBuilder::new(p).sharded(4).lanes(2).quantized(QFormat::new(16, 16)).seed(3);
+        assert_eq!(p.check(), Ok(()));
+        assert_eq!(builder.spec().check(&p), Ok(()));
+        let mut engine = builder.build();
         assert_eq!(engine.step_batch(&Matrix::zeros(2, 4)).shape(), (2, 4));
     }
 
@@ -682,10 +637,9 @@ mod tests {
         for n in 1..=33usize {
             let p = DncParams::new(n, 2, 1).with_hidden(4).with_io(2, 2);
             for tiles in 1..=n {
-                let engine = EngineBuilder::new(p)
-                    .with_spec(EngineSpec::sharded(tiles))
-                    .try_build()
-                    .unwrap_or_else(|e| panic!("N={n} tiles={tiles}: {e}"));
+                let spec = EngineSpec::sharded(tiles);
+                spec.check(&p).unwrap_or_else(|e| panic!("N={n} tiles={tiles}: {e}"));
+                let engine = EngineBuilder::new(p).with_spec(spec).build();
                 let rows: Vec<usize> =
                     (0..tiles).map(|s| engine.unit(0, s).config().memory_size).collect();
                 assert_eq!(rows.iter().sum::<usize>(), n, "N={n} tiles={tiles}: {rows:?}");

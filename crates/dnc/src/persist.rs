@@ -5,9 +5,16 @@
 //! state only: the recurrent LSTM state, every memory shard's state
 //! memories (external memory `M`, usage, temporal linkage + precedence,
 //! read/write weightings) with the shard's configuration and datapath,
-//! and the carried read-vector and hidden rows the next step's controller
-//! consumes. The codec encodes from and decodes into exactly those
-//! buffers; it never builds a memory unit.
+//! and the carried read-vector row the next step's controller consumes.
+//! The codec encodes from and decodes into exactly those buffers; it never
+//! builds a memory unit.
+//!
+//! The pinned format ends with a hidden-row slot after the read row: the
+//! LSTM hidden row a second time. The encoder writes it from the LSTM
+//! state, and the decoder checks it against the LSTM hidden row it read
+//! first — a slot that differs in any bit is
+//! [`StateCodecError::Invalid`], never a lane whose feature rows
+//! disagree with its recurrent state.
 //!
 //! The format is our own, pinned byte for byte by fixtures an earlier
 //! commit wrote (this module's tests), and deliberately boring, read and
@@ -222,13 +229,14 @@ impl LaneState {
             encode_shard(shard, out);
         }
         out.put_vec_f32(&self.read);
-        out.put_vec_f32(&self.hidden);
+        // The trailing hidden slot (module docs).
+        out.put_vec_f32(&self.lstm.hidden);
     }
 
     /// Serializes the complete lane state into a fresh buffer. See
     /// `LaneState::encode_into`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.state_elems() * 4);
+        let mut out = Vec::with_capacity(16 + (self.state_elems() + self.lstm.hidden.len()) * 4);
         self.encode_into(&mut out);
         out
     }
@@ -289,18 +297,16 @@ impl LaneState {
         if hidden.len() != hidden_state.len() {
             return Err(StateCodecError::Invalid("hidden-row width mismatch"));
         }
+        if hidden.iter().zip(&hidden_state).any(|(a, b)| a.to_bits() != b.to_bits()) {
+            return Err(StateCodecError::Invalid("hidden row differs from the LSTM hidden state"));
+        }
         r.finish()?;
-        Ok(LaneState {
-            lstm: LstmState { hidden: hidden_state, cell },
-            shards,
-            read,
-            hidden,
-        })
+        Ok(LaneState { lstm: LstmState { hidden: hidden_state, cell }, shards, read })
     }
 
     /// Whether `other` has this snapshot's exact geometry and datapath:
     /// same shard count and, shard by shard, equal memory configuration
-    /// and datapath (Q-format included), plus equal read/hidden widths.
+    /// and datapath (Q-format included), plus equal read and LSTM widths.
     /// This is the non-panicking form of the compatibility asserts in
     /// [`import_lane`](crate::GridEngine::import_lane) — a session store
     /// checks a decoded snapshot against a template exported from the
@@ -308,7 +314,6 @@ impl LaneState {
     pub fn same_geometry(&self, other: &LaneState) -> bool {
         self.shards.len() == other.shards.len()
             && self.read.len() == other.read.len()
-            && self.hidden.len() == other.hidden.len()
             && self.lstm.hidden.len() == other.lstm.hidden.len()
             && self.lstm.cell.len() == other.lstm.cell.len()
             && self.shards.iter().zip(&other.shards).all(|(a, b)| {
@@ -530,6 +535,23 @@ pub(crate) mod tests {
             LaneState::decode(&bad_version),
             Err(StateCodecError::UnsupportedVersion(_))
         ));
+    }
+
+    /// The trailing hidden slot repeats the LSTM hidden row; a payload
+    /// whose slot differs from it in one bit is refused, typed.
+    #[test]
+    fn a_trailing_hidden_slot_off_by_one_bit_is_invalid() {
+        let state = warmed_state(&EngineSpec::monolithic(), 3);
+        let mut bytes = state.encode();
+        let width = 4 * state.lstm.hidden.len();
+        let slot = bytes.len() - width;
+        // After the magic, the version and the LSTM hidden row's count.
+        assert_eq!(bytes[slot..], bytes[10..10 + width], "the slot is the LSTM hidden row");
+        bytes[slot] ^= 1;
+        assert_eq!(
+            LaneState::decode(&bytes).unwrap_err(),
+            StateCodecError::Invalid("hidden row differs from the LSTM hidden state")
+        );
     }
 
     #[test]

@@ -19,15 +19,16 @@
 //!
 //! Every pass over a group runs under `catch_unwind`. A panic (a bug — or
 //! an injected [`FaultKind::Panic`](hima_chaos::FaultKind) at the
-//! `SchedTick` site) replaces the group with a fresh incarnation, built
-//! from the dead one's configuration, that resurrects store-backed
-//! sessions from their snapshot + delta log and fails unpersisted ones
-//! with a typed [`ServeError::GroupFailed`](crate::ServeError). A command
-//! the dead incarnation had taken from the inbox is lost with it, and its
-//! caller is told so; commands still in the inbox are served by the new
-//! one. Nothing repairs the shared gauges: a group publishes them from its
-//! own session table, and the new incarnation's first publish corrects
-//! what the dead one left behind.
+//! `SchedTick` site) replaces the group with a fresh incarnation
+//! ([`Group::reincarnate`]) built from the dead one's configuration. It
+//! inherits by value the dead one's sessions (RAM or spilled), which
+//! resurrect from snapshot + delta log or fail with a typed
+//! [`ServeError::GroupFailed`](crate::ServeError); its failed set, so a
+//! failed session answers that once whatever restarts follow; and its
+//! published gauge levels, so its first publish corrects what the dead
+//! one left behind. A command the dead incarnation had taken from the
+//! inbox is lost with it, and its caller is told so; commands still in
+//! the inbox are served by the new one.
 
 use crate::protocol::Response;
 use crate::scheduler::{Group, GroupCmd, Op};
@@ -38,8 +39,8 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Condvar, Mutex, MutexGuard, TryLockError};
 
 /// Locks a mutex, ignoring poisoning: a panicked pass must not wedge the
-/// hub (or the next incarnation of the group) out of the shared maps —
-/// the data under these locks stays consistent because every critical
+/// hub out of its maps, or the next incarnation out of the inbox — the
+/// data under these locks stays consistent because every critical
 /// section is a plain insert/remove.
 pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -162,11 +163,14 @@ impl GroupCell {
     }
 
     /// The idle sweep, unless a pass holds the group right now (the sweeper
-    /// comes back a tick later).
-    pub(crate) fn sweep(&self) {
-        let Some(mut group) = self.try_group() else { return };
-        self.supervised(&mut group, Group::sweep);
+    /// comes back a tick later). Returns the ids it reaped, for the hub to
+    /// unroute.
+    pub(crate) fn sweep(&self) -> Vec<u64> {
+        let Some(mut group) = self.try_group() else { return Vec::new() };
+        let mut reaped = Vec::new();
+        self.supervised(&mut group, |group| reaped = group.sweep());
         self.release(group);
+        reaped
     }
 
     /// Registers a session found in the store at hub boot; no caller waits

@@ -32,7 +32,6 @@
 //! `serve.scheduler.steps` and `store.replay_steps`, answer no client and
 //! append no log record; no tick ever sees one.
 
-use crate::cell::lock_clean;
 use crate::metrics::ServeMetrics;
 use crate::protocol::{ServeError, SessionSpec};
 use crate::scheduler::Group;
@@ -150,7 +149,6 @@ impl Group {
     pub(crate) fn adopt(&mut self, session: u64) {
         if let Some(d) = &mut self.durable {
             d.spilled.insert(session);
-            lock_clean(&self.shared.roster).insert(session);
         }
     }
 
@@ -182,8 +180,8 @@ impl Group {
     }
 
     /// Spills one idle session to the store: snapshot its full state,
-    /// drop it from RAM, keep its id routable (the routing index entry
-    /// survives; [`Group::rehydrate`] rebuilds it on the next command).
+    /// drop it from RAM, keep its id routable (the hub's route survives;
+    /// [`Group::rehydrate`] rebuilds it on the next command).
     ///
     /// Returns false — with the session's newest state still in RAM —
     /// if the store write fails: state newer than the last durable
@@ -281,9 +279,6 @@ impl Group {
         let seq = rec.last_seq();
         let since_snapshot = seq - rec.snapshot.as_ref().map_or(0, |s| s.step_seq);
         let mut sess = self.blank_sess(id);
-        if let Some(state) = &parked {
-            sess.last_read.copy_from_slice(state.read_row());
-        }
         sess.parked = parked;
         sess.wal = Wal { seq, since_snapshot, log: None };
         self.sessions.insert(id, sess);

@@ -42,7 +42,6 @@
 //! [`crate::retry::shed_order`]) with a typed
 //! [`ServeError::DeadlineExceeded`] — never a silent drop.
 
-use crate::cell::{lock_clean, GroupCell};
 use crate::clock::Clock;
 use crate::durable::{Durable, GroupStore, Wal};
 use crate::metrics::ServeMetrics;
@@ -52,10 +51,11 @@ use hima_chaos::{FaultKind, FaultSite};
 use hima_dnc::{BoxedEngine, EngineBuilder, KernelId, KernelProfile, LaneState};
 use hima_telemetry::{Histogram, TraceKind};
 use hima_tensor::{LaneMask, Matrix};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cell::Cell;
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// With sampled engine timing on, fold the engine's accumulated
@@ -86,22 +86,15 @@ pub(crate) enum Op {
     Close,
 }
 
-/// State shared between a group, its later incarnations, and the hub.
+/// Hub-wide state every group reads or moves. What one group's
+/// incarnations pass on to each other is not here: a new incarnation
+/// takes it from the dead one ([`Group::reincarnate`]).
 #[derive(Clone)]
 pub(crate) struct GroupShared {
-    /// The hub's session → group routing table.
-    pub index: Arc<Mutex<HashMap<u64, Arc<GroupCell>>>>,
     /// Server-wide metric handles and lifecycle trace.
     pub metrics: Arc<ServeMetrics>,
     /// Steps queued across every group (the global admission budget).
     pub global_queued: Arc<AtomicI64>,
-    /// Session ids this group owns (RAM or spilled) — what the restarted
-    /// group scans for resurrection after a panic.
-    pub roster: Arc<Mutex<HashSet<u64>>>,
-    /// The queued rows, parked sessions and live sessions this group last
-    /// published (`Group::publish`). It outlives a panicked incarnation,
-    /// so the next one's first publish takes back the dead one's share.
-    pub published: Arc<[AtomicI64; 3]>,
     /// The hub's clock: what `last_activity`, the idle sweep, the
     /// eviction back-off and deadline shedding read.
     pub clock: Arc<dyn Clock>,
@@ -122,7 +115,9 @@ struct StepCmd {
     enqueued: Instant,
 }
 
-/// Per-session scheduler state.
+/// Per-session scheduler state. The session's engine state lives in one
+/// place only: on its lane, in its parked state, or — for a blank
+/// session — nowhere yet. `ReadRows` reads it from there.
 pub(crate) struct Sess {
     /// Resident lane slot, if currently on the grid.
     pub(crate) lane: Option<usize>,
@@ -131,9 +126,6 @@ pub(crate) struct Sess {
     pub(crate) parked: Option<LaneState>,
     /// The in-flight step command, if any.
     cmd: Option<StepCmd>,
-    /// Copy of the session's current read-vector row, maintained across
-    /// swaps so `ReadRows` never needs to touch the grid.
-    pub(crate) last_read: Vec<f32>,
     /// Refreshed by every command and every stepped tick; drives
     /// idle-timeout reaping.
     pub(crate) last_activity: Instant,
@@ -159,13 +151,19 @@ pub(crate) struct Group {
     /// `lanes[slot]` = resident session id (`None` = free lane).
     lanes: Vec<Option<u64>>,
     pub(crate) sessions: HashMap<u64, Sess>,
-    /// State shared with the hub and later incarnations: routing index,
-    /// metrics, budgets, roster, published gauge levels.
+    /// Hub-wide metrics, admission budget and clock.
     pub(crate) shared: GroupShared,
     /// Reused per-tick input/output blocks.
     pub(crate) x: Matrix,
     pub(crate) y: Matrix,
-    read_width: usize,
+    /// Reused per-tick lists: sessions with work (in id order), the lane
+    /// mask's flags, and the `(session, lane)` pairs stepped.
+    pending: Vec<u64>,
+    mask: Vec<bool>,
+    stepping: Vec<(u64, usize)>,
+    /// The queued rows, parked sessions and live sessions last published
+    /// ([`Group::publish`]); a new incarnation starts from the dead one's.
+    published: Cell<[i64; 3]>,
     /// Sampled engine timing: the profile totals already folded into the
     /// registry (`None` when the opt-in path is off).
     profile_base: Option<KernelProfile>,
@@ -200,7 +198,10 @@ impl Group {
             shared,
             x: Matrix::zeros(lanes, spec.params.input_size),
             y: Matrix::zeros(lanes, spec.params.output_size),
-            read_width: spec.params.read_heads * spec.params.word_size,
+            pending: Vec::new(),
+            mask: Vec::new(),
+            stepping: Vec::new(),
+            published: Cell::default(),
             profile_base: profiling.then(KernelProfile::new),
             ticks_since_sample: 0,
             durable,
@@ -208,13 +209,33 @@ impl Group {
         }
     }
 
-    /// The incarnation that replaces this one after a panic: built from
-    /// the same configuration, shared state and store, with every roster
-    /// session resurrected or failed, and the gauges published.
+    /// The incarnation that replaces this one after a panic, built from
+    /// the same configuration, shared state and store. It inherits, by
+    /// value, this one's failed set and its last published gauge levels,
+    /// so its first publish takes back this one's share. Every session
+    /// this one held (in RAM or spilled), in ascending id order, either
+    /// resurrects from its store files as spilled — its next command
+    /// rehydrates it — or joins the failed set.
     pub(crate) fn reincarnate(&self) -> Group {
         let store = self.durable.as_ref().map(|d| d.cfg.clone());
         let mut group = Group::new(self.cfg.clone(), &self.spec, self.shared.clone(), store);
-        group.resurrect();
+        group.failed = self.failed.clone();
+        group.published.set(self.published.get());
+        let spilled = self.durable.iter().flat_map(|d| &d.spilled);
+        let held: BTreeSet<u64> = self.sessions.keys().chain(spilled).copied().collect();
+        let metrics = &self.shared.metrics;
+        let mut resurrected = 0u64;
+        for id in held {
+            if group.durable.as_mut().is_some_and(|d| d.resurrect(id)) {
+                metrics.supervisor_resurrected.inc();
+                resurrected += 1;
+            } else {
+                group.failed.insert(id);
+                metrics.supervisor_failed_sessions.inc();
+                group.retire(id, TraceKind::SessionFailed);
+            }
+        }
+        metrics.trace(TraceKind::GroupRestart, 0, resurrected);
         group.publish();
         group
     }
@@ -225,32 +246,10 @@ impl Group {
             lane: None,
             parked: None,
             cmd: None,
-            last_read: vec![0.0; self.read_width],
             last_activity: self.shared.clock.now(),
             latency: self.shared.metrics.session_histogram(session),
             wal: Wal::default(),
         }
-    }
-
-    /// Post-panic recovery: every roster session either resurrects from
-    /// its store files (as spilled — the lazy rehydration path does the
-    /// heavy lifting on its next command) or moves to the failed set.
-    fn resurrect(&mut self) {
-        let roster: Vec<u64> = lock_clean(&self.shared.roster).iter().copied().collect();
-        let mut resurrected = 0u64;
-        for id in roster {
-            if self.durable.as_mut().is_some_and(|d| d.resurrect(id)) {
-                self.shared.metrics.supervisor_resurrected.inc();
-                resurrected += 1;
-            } else {
-                // Still routable: the index entry goes when the session's
-                // next command has collected its `GroupFailed`.
-                self.failed.insert(id);
-                self.shared.metrics.supervisor_failed_sessions.inc();
-                self.retire(id, TraceKind::SessionFailed);
-            }
-        }
-        self.shared.metrics.trace(TraceKind::GroupRestart, 0, resurrected);
     }
 
     /// Frees a departing session's lane, if it held one.
@@ -260,13 +259,12 @@ impl Group {
         }
     }
 
-    /// Takes a session that is gone for good off the books: the roster,
-    /// its latency histogram, and the lifecycle trace (`kind` says how it
-    /// went). Callers retire *before* replying, and drop the routing-index
-    /// entry themselves — a failed session keeps its entry until its
-    /// `GroupFailed` is collected.
+    /// Takes a session that is gone for good off the books: its latency
+    /// histogram, and the lifecycle trace (`kind` says how it went).
+    /// Callers retire *before* replying. The routing entry is the hub's:
+    /// it drops it when the `Close` is done, when a `GroupFailed` is
+    /// answered, or when a sweep returns the id reaped.
     fn retire(&self, id: u64, kind: TraceKind) {
-        lock_clean(&self.shared.roster).remove(&id);
         self.shared.metrics.drop_session_histogram(id);
         self.shared.metrics.trace(kind, id, 0);
     }
@@ -281,13 +279,12 @@ impl Group {
         let parked = self.sessions.values().filter(|s| s.parked.is_some()).count() as i64;
         let spilled = self.durable.as_ref().map_or(0, |d| d.spilled.len());
         let live = (self.sessions.len() + spilled) as i64;
-        let [q, p, l] = &*self.shared.published;
+        let [q, p, l] = self.published.replace([queued, parked, live]);
         let m = &self.shared.metrics;
-        let dq = queued - q.swap(queued, Ordering::Relaxed);
-        m.queue_depth.add(dq);
-        self.shared.global_queued.fetch_add(dq, Ordering::Relaxed);
-        m.sessions_parked.add(parked - p.swap(parked, Ordering::Relaxed));
-        m.sessions_live.add(live - l.swap(live, Ordering::Relaxed));
+        m.queue_depth.add(queued - q);
+        self.shared.global_queued.fetch_add(queued - q, Ordering::Relaxed);
+        m.sessions_parked.add(parked - p);
+        m.sessions_live.add(live - l);
     }
 
     /// Whether `session` has a step command in flight.
@@ -310,10 +307,9 @@ impl Group {
     /// step, answered through `reply` by the tick that serves its last row.
     fn apply(&mut self, session: u64, op: Op, reply: &Sender<Response>) -> Option<Response> {
         // A session the supervisor could not resurrect answers its next
-        // command with a typed GroupFailed, then unregisters. (An `Open`
-        // carries a fresh id, never in the set.)
+        // command with a typed GroupFailed, once; the hub unroutes it on
+        // that answer. (An `Open` carries a fresh id, never in the set.)
         if self.failed.remove(&session) {
-            lock_clean(&self.shared.index).remove(&session);
             return Some(Response::Error(ServeError::GroupFailed(session)));
         }
         // Step and read commands addressed to a spilled session pull it
@@ -327,7 +323,6 @@ impl Group {
             Op::Open => {
                 let blank = self.blank_sess(session);
                 self.sessions.insert(session, blank);
-                lock_clean(&self.shared.roster).insert(session);
                 self.shared.metrics.sessions_opened.inc();
                 self.shared.metrics.trace(TraceKind::Open, session, 0);
                 Some(Response::Opened { session })
@@ -380,7 +375,14 @@ impl Group {
                     return Some(Response::Error(ServeError::UnknownSession(session)));
                 };
                 sess.last_activity = self.shared.clock.now();
-                Some(Response::Rows { read: sess.last_read.clone() })
+                // Where the state lives: its lane, its parked state, or
+                // nowhere yet (a blank session reads a row of zeros).
+                let read = match (sess.lane, &sess.parked) {
+                    (Some(lane), _) => self.engine.last_read_row(lane).to_vec(),
+                    (None, Some(state)) => state.read_row().to_vec(),
+                    (None, None) => vec![0.0; self.engine.last_read_row(0).len()],
+                };
+                Some(Response::Rows { read })
             }
             Op::Reset => {
                 if self.unspill(session) {
@@ -402,7 +404,6 @@ impl Group {
                     self.shared.metrics.lane_resets.inc();
                 }
                 sess.parked = None;
-                sess.last_read.fill(0.0);
                 sess.last_activity = self.shared.clock.now();
                 sess.wal = Wal::default();
                 self.drop_store_files(session);
@@ -426,7 +427,6 @@ impl Group {
                 // Closing a spilled session never rehydrates it; its store
                 // files are simply deleted.
                 self.drop_store_files(session);
-                lock_clean(&self.shared.index).remove(&session);
                 self.shared.metrics.sessions_closed.inc();
                 self.retire(session, TraceKind::Close);
                 Some(Response::Done)
@@ -516,11 +516,13 @@ impl Group {
     }
 
     /// The idle sweep: reap (or evict) sessions idle past the timeout,
-    /// then the parked-tier cap and the gauges.
-    pub(crate) fn sweep(&mut self) {
-        self.reap();
+    /// then the parked-tier cap and the gauges. Returns the ids reaped
+    /// (never any with a store), published gone, for the hub to unroute.
+    pub(crate) fn sweep(&mut self) -> Vec<u64> {
+        let reaped = self.reap();
         self.spill_lru();
         self.publish();
+        reaped
     }
 
     /// One grid tick: shed expired commands, seat sessions with pending
@@ -530,9 +532,11 @@ impl Group {
         self.shed_expired();
         // Deterministic seating order (session id) keeps swap decisions
         // reproducible under identical command interleavings.
-        let mut pending: Vec<u64> =
-            self.sessions.iter().filter(|(_, s)| !s.idle()).map(|(&id, _)| id).collect();
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.clear();
+        pending.extend(self.sessions.iter().filter(|(_, s)| !s.idle()).map(|(&id, _)| id));
         if pending.is_empty() {
+            self.pending = pending;
             // Nothing in flight: no lane is busy.
             self.shared.metrics.active_lanes.set(0);
             return;
@@ -550,9 +554,10 @@ impl Group {
             None => {}
         }
 
-        let mut mask = vec![false; self.engine.batch()];
-        let mut stepping: Vec<(u64, usize)> = Vec::with_capacity(pending.len());
-        for id in pending {
+        self.mask.clear();
+        self.mask.resize(self.engine.batch(), false);
+        self.stepping.clear();
+        for &id in &pending {
             let lane = match self.sessions[&id].lane {
                 Some(lane) => lane,
                 None => match self.seat(id) {
@@ -579,21 +584,23 @@ impl Group {
             }
             let input = cmd.rows.pop_front().unwrap();
             self.x.row_mut(lane).copy_from_slice(&input);
-            mask[lane] = true;
-            stepping.push((id, lane));
+            self.mask[lane] = true;
+            self.stepping.push((id, lane));
         }
+        self.pending = pending;
         let metrics = &self.shared.metrics;
-        if stepping.is_empty() {
+        if self.stepping.is_empty() {
             metrics.active_lanes.set(0);
             return;
         }
 
-        let mask = LaneMask::from(mask);
+        let mask = LaneMask::from(std::mem::take(&mut self.mask));
         let tick_start = Instant::now();
         self.engine.step_batch_masked_into(&self.x, &mask, &mut self.y);
         let tick_ns = tick_start.elapsed().as_nanos() as u64;
+        self.mask = mask.into();
 
-        let n = stepping.len();
+        let n = self.stepping.len();
         metrics.ticks.inc();
         metrics.steps.add(n as u64);
         metrics.tick_ns.observe(tick_ns);
@@ -610,9 +617,8 @@ impl Group {
         let active = self.shared.clock.now();
         let snapshot_every = self.durable.as_ref().map_or(u64::MAX, |d| d.cfg.snapshot_every);
         let mut compact: Vec<u64> = Vec::new();
-        for (id, lane) in stepping {
+        for &(id, lane) in &self.stepping {
             let sess = self.sessions.get_mut(&id).unwrap();
-            sess.last_read.copy_from_slice(self.engine.last_read_row(lane));
             sess.last_activity = active;
             if sess.wal.since_snapshot >= snapshot_every {
                 compact.push(id);
@@ -658,13 +664,13 @@ impl Group {
     }
 
     /// Sweeps sessions idle past the configured timeout. Without a store
-    /// this *discards* them (reap); with one it *evicts* them to disk,
-    /// keeping the id routable. A session with queued steps or an
-    /// unanswered reply is never swept, so an in-flight stream outlives
-    /// any idle timeout — `last_activity` is refreshed on every stepped
-    /// tick.
-    fn reap(&mut self) {
-        let Some(timeout) = self.cfg.idle_timeout else { return };
+    /// this *discards* them (reap) and returns their ids; with one it
+    /// *evicts* them to disk, keeping the id routable. A session with
+    /// queued steps or an unanswered reply is never swept, so an in-flight
+    /// stream outlives any idle timeout — `last_activity` is refreshed on
+    /// every stepped tick.
+    fn reap(&mut self) -> Vec<u64> {
+        let Some(timeout) = self.cfg.idle_timeout else { return Vec::new() };
         let now = self.shared.clock.now();
         let dead: Vec<u64> = self
             .sessions
@@ -672,14 +678,11 @@ impl Group {
             .filter(|(_, s)| s.idle() && now.duration_since(s.last_activity) > timeout)
             .map(|(&id, _)| id)
             .collect();
-        if dead.is_empty() {
-            return;
-        }
         if self.durable.is_some() {
             for id in dead {
                 self.evict(id);
             }
-            return;
+            return Vec::new();
         }
         for &id in &dead {
             let sess = self.sessions.remove(&id).unwrap();
@@ -687,13 +690,7 @@ impl Group {
             self.shared.metrics.sessions_reaped.inc();
             self.retire(id, TraceKind::Reap);
         }
-        // Published before the ids unroute, so whoever sees them gone
-        // sees the gauges without them.
-        self.publish();
-        let mut index = lock_clean(&self.shared.index);
-        for id in dead {
-            index.remove(&id);
-        }
+        dead
     }
 }
 
@@ -718,11 +715,8 @@ mod tests {
     fn group_with(cfg: ServeConfig, store: Option<GroupStore>) -> (Group, ManualClock) {
         let clock = ManualClock::default();
         let shared = GroupShared {
-            index: Arc::default(),
             metrics: Arc::new(ServeMetrics::new()),
             global_queued: Arc::default(),
-            roster: Arc::default(),
-            published: Arc::default(),
             clock: Arc::new(clock.reader()),
         };
         let group = Group::new(cfg, &RawSessionSpec::demo().validate().unwrap(), shared, store);
@@ -1163,10 +1157,7 @@ mod tests {
                 }
                 12 => clock.advance(timeout + Duration::from_nanos(1)),
                 13 if models.values().all(|m| m.step.is_none() && m.read.is_none()) => {
-                    let shared = group.shared.clone();
-                    drop(group);
-                    group = Group::new(cfg.clone(), &spec, shared, Some(store.clone()));
-                    group.resurrect();
+                    group = group.reincarnate();
                     // Sessions with nothing on disk fail, once, typed.
                     for id in group.failed.clone() {
                         let (reply, answer) = channel();

@@ -7,6 +7,12 @@
 //! repeats for the lifetime of a server — a closed or reaped id stays
 //! permanently unknown rather than aliasing a newer session.
 //!
+//! The hub is the routing table's only writer. It routes an id at `Open`
+//! and at adoption, and unroutes it when a `Close` is answered `Done`,
+//! when any command is answered [`ServeError::GroupFailed`], and when an
+//! idle sweep without a store returns it reaped — each after the group
+//! has dropped the session and published its gauges.
+//!
 //! A group has no thread: [`SessionHub::dispatch`] runs it on the
 //! calling thread (see "Who runs a group" in the `cell` module). Each
 //! command carries the sender of a reply channel its calling thread keeps
@@ -36,7 +42,8 @@
 //! incarnation (counted under `supervisor.restarts`; "Supervision" in the
 //! `cell` module). A session whose command was taken down with the dead
 //! incarnation answers that command [`ServeError::GroupFailed`] and is
-//! retired with its files.
+//! retired with its files; one the new incarnation could not resurrect
+//! answers its next command so.
 
 use crate::cell::{lock_clean, GroupCell};
 use crate::clock::Clock;
@@ -48,7 +55,7 @@ use crate::server::ServeConfig;
 use hima_bytes::Reader;
 use hima_chaos::FaultPlan;
 use hima_store::SessionStore;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -139,12 +146,13 @@ impl SessionHub {
                 "the idle sweep needs a non-zero tick",
             ));
         }
-        let groups = Arc::default();
-        let sweeper = cfg.idle_timeout.map(|_| sweep_every(cfg.tick, Arc::clone(&groups)));
+        let (groups, index) = (Arc::default(), Arc::default());
+        let sweeper =
+            cfg.idle_timeout.map(|_| sweep_every(cfg.tick, Arc::clone(&groups), Arc::clone(&index)));
         let mut hub = Self {
             cfg,
             next_id: AtomicU64::new(1),
-            index: Arc::default(),
+            index,
             groups,
             sweeper: Mutex::new(sweeper),
             metrics: Arc::new(ServeMetrics::new()),
@@ -201,11 +209,8 @@ impl SessionHub {
             return Arc::clone(cell);
         }
         let shared = GroupShared {
-            index: Arc::clone(&self.index),
             metrics: Arc::clone(&self.metrics),
             global_queued: Arc::clone(&self.global_queued),
-            roster: Arc::new(Mutex::new(HashSet::new())),
-            published: Arc::default(),
             clock: Arc::clone(&self.clock),
         };
         let cell = Arc::new(GroupCell::new(Group::new(self.cfg.clone(), &spec, shared, self.store.clone())));
@@ -299,17 +304,23 @@ impl SessionHub {
         self.call(&cell, session, op)
     }
 
-    /// Runs `op` on `cell` from this thread. A command lost with a
-    /// panicked incarnation means the session is forgotten whole: its
-    /// route here, and through the new incarnation's `Close` path its
-    /// roster entry, gauge share and store files, so no later incarnation
-    /// or boot adopts it again.
+    /// Runs `op` on `cell` from this thread, and unroutes the session if
+    /// the answer ends it: `Done` to a `Close`, or any `GroupFailed`. A
+    /// command lost with a panicked incarnation means the session is
+    /// forgotten whole: through the new incarnation's `Close` path its
+    /// table entry, gauge share and store files go, so no later
+    /// incarnation or boot adopts it again, and its route goes here.
     fn call(&self, cell: &GroupCell, session: u64, op: Op) -> Response {
-        cell.call(session, op).unwrap_or_else(|| {
-            lock_clean(&self.index).remove(&session);
+        let close = matches!(op, Op::Close);
+        let resp = cell.call(session, op).unwrap_or_else(|| {
             let _ = cell.call(session, Op::Close);
             Response::Error(ServeError::GroupFailed(session))
-        })
+        });
+        let closed = close && matches!(resp, Response::Done);
+        if closed || matches!(resp, Response::Error(ServeError::GroupFailed(_))) {
+            lock_clean(&self.index).remove(&session);
+        }
+        resp
     }
 
     /// Stops the idle sweeper and forgets every group, folding each one's
@@ -331,10 +342,12 @@ impl SessionHub {
 }
 
 /// Starts the idle sweeper: every `period` it sweeps each group in
-/// `groups`, until its stop flag is set.
+/// `groups` and unroutes from `index` the ids a sweep reaped, until its
+/// stop flag is set.
 fn sweep_every(
     period: Duration,
     groups: Arc<Mutex<HashMap<Vec<u8>, Arc<GroupCell>>>>,
+    index: Arc<Mutex<HashMap<u64, Arc<GroupCell>>>>,
 ) -> (Arc<AtomicBool>, JoinHandle<()>) {
     let stop = Arc::new(AtomicBool::new(false));
     let stopped = Arc::clone(&stop);
@@ -343,7 +356,9 @@ fn sweep_every(
             std::thread::park_timeout(period);
             let cells: Vec<Arc<GroupCell>> = lock_clean(&groups).values().cloned().collect();
             for cell in cells {
-                cell.sweep();
+                for id in cell.sweep() {
+                    lock_clean(&index).remove(&id);
+                }
             }
         }
     });
@@ -415,12 +430,13 @@ mod tests {
     }
 
     /// A step served through the hub on a resident session, in steady
-    /// state, makes six allocations — the one-row input list, the output
-    /// list and row its reply carries, and the tick's pending, mask and
-    /// stepping lists — and no reply channel: every command of a thread
-    /// carries the sender of one channel that thread keeps. That
-    /// channel's queue takes a new block once every 31 replies, so exactly
-    /// two of 62 steps allocate once more.
+    /// state, makes three allocations — the one-row input list, and the
+    /// output list and row its reply carries. The tick's lists (pending
+    /// sessions, mask flags, stepped lanes) are the group's, reused, and
+    /// there is no reply channel: every command of a thread carries the
+    /// sender of one channel that thread keeps. That channel's queue
+    /// takes a new block once every 31 replies, so exactly two of 62
+    /// steps allocate once more.
     #[test]
     fn a_hub_step_allocates_no_reply_channel() {
         let hub = SessionHub::new(ServeConfig { grid_lanes: 2, ..ServeConfig::default() });
@@ -437,7 +453,7 @@ mod tests {
         }
         let calls: Vec<u64> = (32..94).map(step).collect();
         let least = *calls.iter().min().unwrap();
-        assert_eq!(least, 6, "allocations per step: {calls:?}");
+        assert_eq!(least, 3, "allocations per step: {calls:?}");
         assert_eq!(calls.iter().filter(|&&c| c != least).count(), 2, "{calls:?}");
         assert!(calls.iter().all(|&c| c <= least + 1), "{calls:?}");
     }
@@ -495,5 +511,42 @@ mod tests {
         for gauge in ["serve.sessions.live", "serve.scheduler.queue_depth", "serve.sessions.parked"] {
             assert_eq!(snap.gauge(gauge), Some(0), "{gauge}");
         }
+    }
+
+    /// A session failed by one group panic still answers `GroupFailed`
+    /// after a second: X and Y open and a panic takes Y's step down; Z
+    /// opens and a second panic takes Z's step down. The third
+    /// incarnation inherits the second's failed set, so X's next command
+    /// answers `GroupFailed`, once, and unroutes it — nothing stays
+    /// routed and no gauge counts a session.
+    #[test]
+    fn a_session_failed_by_one_panic_still_fails_after_a_second() {
+        let plan = FaultPlan::new(5).with_rule(FaultRule::at(FaultSite::SchedTick, FaultKind::Panic, vec![0]));
+        plan.clear();
+        let plan = Arc::new(plan);
+        let cfg = ServeConfig { grid_lanes: 2, faults: Some(Arc::clone(&plan)), ..ServeConfig::default() };
+        let hub = SessionHub::new(cfg);
+        let step = |session: u64| {
+            hub.dispatch(Request::StepStream { session, inputs: rows(session, 0, 1), deadline_ms: 0 })
+        };
+        let failed = |resp: &Response, session: u64| {
+            matches!(resp, Response::Error(ServeError::GroupFailed(s)) if *s == session)
+        };
+        let (x, y) = (open(&hub), open(&hub));
+        plan.arm();
+        let reply = step(y);
+        assert!(failed(&reply, y), "{reply:?}");
+        let z = open(&hub);
+        plan.arm();
+        let reply = step(z);
+        assert!(failed(&reply, z), "{reply:?}");
+        assert_eq!(counter(&hub, "supervisor.restarts"), 2);
+
+        let reply = step(x);
+        assert!(failed(&reply, x), "{reply:?}");
+        let again = step(x);
+        assert!(matches!(again, Response::Error(ServeError::UnknownSession(s)) if s == x), "{again:?}");
+        assert_eq!(hub.live_sessions(), 0);
+        assert_eq!(hub.metrics().snapshot().gauge("serve.sessions.live"), Some(0));
     }
 }

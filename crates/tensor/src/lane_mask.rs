@@ -99,6 +99,14 @@ impl From<Vec<bool>> for LaneMask {
     }
 }
 
+/// The flags back, buffer and all: a caller that rebuilds a mask every
+/// step reuses one allocation.
+impl From<LaneMask> for Vec<bool> {
+    fn from(mask: LaneMask) -> Self {
+        mask.active
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
