@@ -56,6 +56,14 @@
 //! `SortEngine::argsort_into`, which sorts `ordered_bits(key) << 32 |
 //! index` words as integers.
 //!
+//! `allocation_prefix` rows are the usage sort and allocation product
+//! together at the served shape and the paper's whole memory (`N = 128,
+//! 1024`), over usage vectors a stepping engine's memory unit carried
+//! (`shape` gives their count): `argsort_into` then
+//! `allocation_from_free_list_into` over the whole free list, the
+//! definition, against `FreeList::sort_prefix` + `FreeList::allocation_into`,
+//! which sort only as far as the product reaches.
+//!
 //! `lstm_gates` (H = 64, 256), `softmax` (N = 64, 128, 1024) and
 //! `sigmoid_slice` (W = 16, 64) rows are the pointwise passes of a step:
 //! the per-element compositions of libm `expf`/`tanhf` that
@@ -78,8 +86,13 @@
 //! paper-regime step does (so the weights stream from L3);
 //! `width_quantize_slice` (4 096 elements); `width_linkage_update` at
 //! N = 64 and 128; `width_memory_write` and `width_matvec_t_heads` (the
-//! memory read, R = 4) at one paper tile. Each is the best of fifteen
-//! interleaved rounds per side.
+//! memory read, R = 4) at one paper tile; `width_row_dots`, the
+//! transposing row-dot kernel (8 × 8 transposes against 16 × 16 ones) at
+//! the forward shapes (`R × N` read weightings against the `N × N`
+//! linkage: `R = 2, N = 128`, `R = 2, N = 120` — whose last eight rows
+//! the sixteen-lane body takes as one eight-lane block — and `R = 4,
+//! N = 64`) and the content shapes (`R` keys against `M`: `128 × 16` and
+//! `64 × 64`). Each is the best of fifteen interleaved rounds per side.
 //!
 //! Flags:
 //!
@@ -96,7 +109,9 @@
 //!   transcendental row and is empty otherwise),
 //! * `--smoke` — short measurement windows for CI.
 
+use hima::dnc::allocation::{allocation_from_free_list_into, FreeList, SkimRate};
 use hima::dnc::linkage::TemporalLinkage;
+use hima::dnc::{DncParams, EngineBuilder};
 use hima::sort::{argsort_by_comparator, CentralizedMergeSorter, SortEngine};
 use hima::tensor::simd::Tier;
 use hima::tensor::{
@@ -150,6 +165,13 @@ const PACKED_LANES: [usize; 6] = [1, 2, 3, 4, 8, 32];
 const SORT_SIZES: [usize; 3] = [64, 128, 1024];
 /// Distinct key vectors one `usage_sort` call cycles through.
 const SORT_SETS: usize = 16;
+
+/// Slot counts of the `allocation_prefix` rows: the served shape and the
+/// paper's whole memory.
+const ALLOCATION_SIZES: [usize; 2] = [128, 1024];
+/// Steps of the trajectory the `allocation_prefix` usage vectors come
+/// from.
+const ALLOCATION_STEPS: usize = 48;
 
 /// Hidden widths of the `lstm_gates` rows: the served shape and the
 /// paper's.
@@ -337,6 +359,22 @@ fn best_of_paired(
         best.1 = best.1.min(ns_per_call(measure, &mut variant));
     }
     best
+}
+
+/// The usage vectors a one-lane engine's memory unit (`n` slots, the
+/// served word and heads) carries over a trajectory of
+/// [`ALLOCATION_STEPS`] steps from a blank state: what the allocation
+/// kernels see in the engine.
+fn recorded_usage(n: usize) -> Vec<Vec<f32>> {
+    let params = DncParams::new(n, W, 2).with_hidden(HIDDEN).with_io(16, 16);
+    let mut engine = EngineBuilder::new(params).seed(7).build();
+    (0..ALLOCATION_STEPS)
+        .map(|t| {
+            let x: Vec<f32> = (0..16).map(|i| ((t * 16 + i) as f32 * 0.61).sin()).collect();
+            engine.step(&x);
+            engine.unit(0, 0).usage().to_vec()
+        })
+        .collect()
 }
 
 fn test_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
@@ -533,6 +571,50 @@ fn main() {
                 variant_ns: v / SORT_SETS as f64,
             });
         }
+    }
+
+    // The usage sort and allocation product together: the definition over
+    // the whole argsort against the free list sorted as far as the
+    // product reaches.
+    for &n in &ALLOCATION_SIZES {
+        let sets = recorded_usage(n);
+        let mut order = Vec::with_capacity(n);
+        let mut free_list = FreeList::with_capacity(n);
+        let (mut w_r, mut w_v) = (vec![0.0f32; n], vec![0.0f32; n]);
+        for usage in &sets {
+            CentralizedMergeSorter.argsort_into(usage, &mut order);
+            allocation_from_free_list_into(usage, &order, SkimRate::NONE, &mut w_r);
+            free_list.sort_prefix(usage, SkimRate::NONE);
+            free_list.allocation_into(&mut w_v);
+            let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&w_r), bits(&w_v), "the prefix allocation must equal the definition");
+        }
+        let (r, v) = best_of_paired(
+            reps,
+            measure,
+            || {
+                for usage in &sets {
+                    CentralizedMergeSorter.argsort_into(black_box(usage), &mut order);
+                    allocation_from_free_list_into(usage, &order, SkimRate::NONE, &mut w_r);
+                }
+            },
+            || {
+                for usage in &sets {
+                    free_list.sort_prefix(black_box(usage), SkimRate::NONE);
+                    free_list.allocation_into(&mut w_v);
+                }
+            },
+        );
+        report_variant(VariantRow {
+            kernel: "allocation_prefix",
+            shape: format!("N={n} {} recorded", sets.len()),
+            batch: 0,
+            active: 0,
+            reference: "argsort_into + allocation_from_free_list_into (the whole free list)",
+            variant: "FreeList::sort_prefix + allocation_into (sorted as far as the product reaches)",
+            reference_ns: r / sets.len() as f64,
+            variant_ns: v / sets.len() as f64,
+        });
     }
 
     // The pointwise passes of a step: libm per element against the
@@ -1041,4 +1123,29 @@ fn lane_width_rows(smoke: bool, measure: Duration, report: &mut impl FnMut(Varia
     );
     assert_eq!(out_r, out_v, "the 16-lane memory read must equal the 8-lane one");
     row("width_matvec_t_heads", format!("N={n} W={w}"), heads, times);
+
+    // The transposing row-dot kernel: the forward product (read
+    // weightings against the linkage) and the content dots (keys against
+    // the memory) of the served shape and one paper tile, and a forward
+    // product whose last eight rows take the sixteen-lane body's
+    // eight-lane block (`N % 16 = 8`).
+    for (what, rows, heads) in [
+        ("forward", test_matrix(128, 128, 3), 2),
+        ("forward", test_matrix(120, 120, 3), 2),
+        ("forward", test_matrix(64, 64, 3), 4),
+        ("content", test_matrix(128, 16, 4), 2),
+        ("content", test_matrix(64, 64, 4), 4),
+    ] {
+        let (n, k) = rows.shape();
+        let lhs = test_matrix(heads, k, 5);
+        let (mut out_r, mut out_v) = (vec![0.0f32; heads * n], vec![0.0f32; heads * n]);
+        let times = best_of_paired(
+            reps,
+            measure,
+            || fused::row_dots_on(narrow, black_box(lhs.as_slice()), &rows, &mut out_r, None),
+            || fused::row_dots_on(wide, black_box(lhs.as_slice()), &rows, &mut out_v, None),
+        );
+        assert_eq!(out_r, out_v, "the 16-lane row dots must equal the 8-lane ones");
+        row("width_row_dots", format!("{what} N={n} K={k}"), heads, times);
+    }
 }

@@ -26,8 +26,8 @@
 //! **once per product for all heads**, as HiMA's tiles do:
 //!
 //! * `F = W_r · Lᵀ` is one [`hima_tensor::fused::matmul_nt_into`], the
-//!   transposing row-dot kernel — eight rows of `L` per register,
-//!   one accumulator per head — every `F[h, i]` still
+//!   transposing row-dot kernel — eight rows of `L` per register, sixteen
+//!   on AVX-512, one accumulator per head — every `F[h, i]` still
 //!   one rounded multiply then one rounded add per ascending `k`, so the
 //!   bits are [`Matrix::matmul_nt_into`]'s, which are `forward_into`'s
 //!   (`matvec`'s sum starts from `-0.0` and the kernel's from `+0.0`; they

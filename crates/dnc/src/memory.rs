@@ -50,14 +50,13 @@
 //! [`row_dots_into`]: hima_tensor::fused::row_dots_into
 //! [`matvec_t_heads_into`]: hima_tensor::fused::matvec_t_heads_into
 
-use crate::allocation::{merge_write_weighting_into, SkimRate};
+use crate::allocation::{merge_write_weighting_into, FreeList, SkimRate};
 use crate::builder::Datapath;
 use crate::content::{content_weightings_heads_into, NormCache};
 use crate::interface::InterfaceVector;
 use crate::linkage::{merge_read_weighting_into, TemporalLinkage};
 use crate::profile::{KernelId, KernelProfile, Laps};
 use crate::quantized::quantize_interface_into;
-use hima_sort::{CentralizedMergeSorter, SortEngine};
 use hima_tensor::softmax::PlaSoftmax;
 use hima_tensor::{Backend, Matrix, QFormat};
 
@@ -142,8 +141,9 @@ struct StepScratch {
     content_w: Vec<f32>,
     /// Retention vector `ψ`.
     psi: Vec<f32>,
-    /// Sorted free list `φ` (reused argsort index buffer).
-    free_list: Vec<usize>,
+    /// Free list `φ`: packed sort keys, sorted as far as the allocation
+    /// product reaches.
+    free_list: FreeList,
     /// Allocation weighting `w_a`.
     w_a: Vec<f32>,
     /// Merged write weighting `w_w`.
@@ -163,7 +163,7 @@ impl StepScratch {
             rounded_iv: InterfaceVector::zeroed(config.word_size, heads),
             content_w: vec![0.0; n],
             psi: vec![0.0; n],
-            free_list: Vec::with_capacity(n),
+            free_list: FreeList::with_capacity(n),
             w_a: vec![0.0; n],
             w_w: vec![0.0; n],
             fwd: Matrix::zeros(heads, n),
@@ -413,7 +413,7 @@ impl MemoryUnit {
     /// This is the allocation-free steady-state kernel on either datapath:
     /// every transient lives in the unit's pre-sized step scratch (the
     /// fixed-point datapath's rounded interface included), the usage
-    /// argsort reuses its index buffer, and content addressing reads the
+    /// free list reuses its key buffer, and content addressing reads the
     /// once-per-step row-norm cache — after the first step the call
     /// performs **zero** heap allocations.
     ///
@@ -469,17 +469,14 @@ impl MemoryUnit {
         laps.lap(KernelId::Usage, 1);
 
         // HW.(2b): usage sort (free-list construction, reused buffer) —
-        // the functional argsort every `hima-sort` model is pinned to.
-        CentralizedMergeSorter.argsort_into(&state.usage, &mut scratch.free_list);
+        // the order of the argsort every `hima-sort` model is pinned to,
+        // sorted only as far as the allocation product reaches: the first
+        // window here, any wider one inside the product (and its lap).
+        scratch.free_list.sort_prefix(&state.usage, self.config.skim);
         laps.lap(KernelId::UsageSort, 1);
 
-        // HW.(3): allocation from the sorted free list.
-        crate::allocation::allocation_from_free_list_into(
-            &state.usage,
-            &scratch.free_list,
-            self.config.skim,
-            &mut scratch.w_a,
-        );
+        // HW.(3): allocation from the free list, which carries the usage.
+        scratch.free_list.allocation_into(&mut scratch.w_a);
         laps.lap(KernelId::Allocation, 1);
 
         // WM: write weight merge.

@@ -3,14 +3,13 @@
 //! is multiplied against a handful of rows at once (the `R` read heads, a
 //! write key, or batch lanes). Each walks the right factor **once** for
 //! up to four rows of the left, one generic body per kernel over the
-//! crate's `Lanes` type ([`mod@crate::simd`]) — [`matvec_t_heads_into`] at
-//! the widest tier the CPU has (sixteen AVX-512 lanes, eight AVX lanes or
-//! the plain-Rust `F32x8`), [`row_dots_into`], eight lanes wide by
-//! definition, on `Avx` or `F32x8` — and each keeps, for every output
-//! element, the IEEE operation sequence of the scalar reference it is
-//! pinned to: one rounded multiply then one rounded add per ascending
-//! `k`, never an FMA, nothing re-associated. Vector lanes only ever hold
-//! **independent outputs**.
+//! crate's `Lanes` type ([`mod@crate::simd`]), at the widest tier the CPU
+//! has (sixteen AVX-512 lanes, eight AVX lanes or the plain-Rust
+//! `F32x8`; [`row_dots_on`] and [`matvec_t_heads_on`] name a tier) — and
+//! each keeps, for every output element, the IEEE operation sequence of
+//! the scalar reference it is pinned to: one rounded multiply then one
+//! rounded add per ascending `k`, never an FMA, nothing re-associated.
+//! Vector lanes only ever hold **independent outputs**.
 //!
 //! # [`row_dots_into`]: a transposing row-dot kernel
 //!
@@ -18,20 +17,27 @@
 //! [`Matrix::matmul_nt_into`], which [`matmul_nt_into`] here computes for
 //! any number of live rows. A row-major `other` has each dot's operands
 //! contiguous, which suits a kernel that splits the dot across lanes
-//! (re-associating it) and not one that must keep its order. So eight rows
-//! of `other` are **transposed 8 × 8 in registers** (`Lanes::load_transposed`):
-//! lane `l` of transposed vector `k` is `other[i + l][k]`, the accumulator
-//! of `lhs` row `r` holds the eight row sums `out[r][i..i + 8]`, and step
-//! `k` is `acc += splat(lhs[r][k]) * t_k`. Accumulators start at `+0.0`,
-//! as the row kernel's four-column pass does. With one or two rows of
-//! `lhs`, two blocks of eight rows are carried per pass so the add chains
-//! still fill the pipeline. The last `K % 8` steps take the same vector
-//! step on a column gathered by hand; the last `N % 8` rows of `other`
-//! run the row kernel's own scalar expressions
-//! ([`matrix::nt_cols_into`](crate::matrix)) — four-column passes, then the
-//! `N % 4` columns as `Iterator::sum`, which is where the row kernel (and
-//! so this one) yields `-0.0` rather than `+0.0` for a dot whose products
-//! are all `-0.0`.
+//! (re-associating it) and not one that must keep its order. So `LANES`
+//! rows of `other` are **transposed `LANES × LANES` in registers**
+//! (`Lanes::load_transposed`: 8 × 8 on `Avx` and `F32x8`, 16 × 16 on
+//! `Avx512`): lane `l` of transposed vector `k` is `other[i + l][k]`, the
+//! accumulator of `lhs` row `r` holds the row sums
+//! `out[r][i..i + LANES]`, and step `k` is `acc += splat(lhs[r][k]) * t_k`.
+//! Accumulators start at `+0.0`, as the row kernel's four-column pass
+//! does. On eight lanes, one or two rows of `lhs` carry two blocks of
+//! rows per pass so the add chains still fill the pipeline; sixteen lanes
+//! carry one (two blocks of sixteen transposed vectors spill). On sixteen
+//! lanes eight of the last `K % 16` steps come from a `16 × 8` transpose
+//! (`Lanes::load_transposed8`), and eight or more rows left after the
+//! last whole block take one eight-lane block (`Lanes::Half`, `Avx`). The
+//! last `K % 8` steps take the same vector step on a column gathered by
+//! hand; the last `N % 8` rows of `other` run the row kernel's own scalar
+//! expressions ([`matrix::nt_cols_into`](crate::matrix)) — four-column
+//! passes, which compute what a lane does, then the `N % 4` columns as
+//! `Iterator::sum`, which is where the row kernel (and so this one)
+//! yields `-0.0` rather than `+0.0` for a dot whose products are all
+//! `-0.0`. Every tier therefore returns the same bits: the block height
+//! only decides which rows a vector carries.
 //!
 //! The same pass can return `norms[i] = sqrt(Σ_k other[i][k]²)` — content
 //! addressing's row norms, which a quantized step can never cache — for
@@ -45,7 +51,9 @@
 //! head, here one pass over `m` with register accumulators over blocks of
 //! two vectors of columns (more with one or two heads, so that about
 //! eight add chains are always in flight), then the reference's loop for
-//! the last `K % LANES` columns. The reference skips rows with `w[h][i] == 0.0`; this
+//! the last `K % LANES` columns. The row loop walks `m` as row chunks
+//! and indexes weight rows cut to `m`'s height once, so no per-row bounds
+//! check is left in it. The reference skips rows with `w[h][i] == 0.0`; this
 //! kernel masks their product to `+0.0` instead. An accumulator that
 //! starts at `+0.0` can never hold `-0.0` (a sum is `-0.0` only if both
 //! terms are), so adding `+0.0` leaves it unchanged and the result equals
@@ -54,7 +62,7 @@
 
 use crate::lane_mask::LaneMask;
 use crate::matrix::{nt_cols_into, Matrix};
-use crate::simd::{Kernel, Kernel8, Lanes, Lanes8, Tier};
+use crate::simd::{Kernel, Lanes, Tier};
 
 /// Rows of the left factor one pass over the right factor serves.
 const GROUP: usize = 4;
@@ -70,6 +78,21 @@ const GROUP: usize = 4;
 /// Panics if `lhs` and `out` do not hold the same whole number of rows or
 /// `norms` is not `other.rows()` long.
 pub fn row_dots_into(lhs: &[f32], other: &Matrix, out: &mut [f32], norms: Option<&mut [f32]>) {
+    row_dots_on(Tier::detected(), lhs, other, out, norms);
+}
+
+/// [`row_dots_into`] on the given tier — the same bits on every tier.
+///
+/// # Panics
+///
+/// As `row_dots_into`, and if this CPU does not run `tier`.
+pub fn row_dots_on(
+    tier: Tier,
+    lhs: &[f32],
+    other: &Matrix,
+    out: &mut [f32],
+    norms: Option<&mut [f32]>,
+) {
     let (n, k) = other.shape();
     // An empty product (`k = 0`) still has a row count: `out`'s.
     let rows = lhs.len().checked_div(k).or(out.len().checked_div(n)).unwrap_or(0);
@@ -78,7 +101,7 @@ pub fn row_dots_into(lhs: &[f32], other: &Matrix, out: &mut [f32], norms: Option
     if let Some(norms) = &norms {
         assert_eq!(norms.len(), n, "row_norms output length mismatch");
     }
-    dispatch(lhs, None, rows, other, out, norms);
+    row_dots_masked_on(tier, lhs, None, rows, other, out, norms);
 }
 
 /// `lhs · otherᵀ` into `out` over the rows `mask` marks active (every row
@@ -99,10 +122,19 @@ pub fn matmul_nt_into(
     if let Some(mask) = mask {
         assert_eq!(mask.lanes(), lhs.rows(), "lane mask size mismatch");
     }
-    dispatch(lhs.as_slice(), mask, lhs.rows(), other, out.as_mut_slice(), None);
+    let (lhs, rows, out) = (lhs.as_slice(), lhs.rows(), out.as_mut_slice());
+    row_dots_masked_on(Tier::detected(), lhs, mask, rows, other, out, None);
 }
 
-fn dispatch(
+/// The row-dot kernel on `tier` over the `rows` rows of `lhs` that `mask`
+/// marks active (every row when `None`), inactive rows of `out` zeroed —
+/// what both entries above run once they have checked the shapes.
+///
+/// # Panics
+///
+/// Panics if this CPU does not run `tier`.
+fn row_dots_masked_on(
+    tier: Tier,
     lhs: &[f32],
     mask: Option<&LaneMask>,
     rows: usize,
@@ -110,10 +142,10 @@ fn dispatch(
     out: &mut [f32],
     norms: Option<&mut [f32]>,
 ) {
-    Tier::detected().run8(RowDots { lhs, mask, rows, other, out, norms });
+    tier.run(RowDots { lhs, mask, rows, other, out, norms });
 }
 
-/// The row-dot kernel's arguments, for [`Tier::run8`].
+/// The row-dot kernel's arguments, for [`Tier::run`].
 struct RowDots<'a> {
     lhs: &'a [f32],
     mask: Option<&'a LaneMask>,
@@ -123,10 +155,10 @@ struct RowDots<'a> {
     norms: Option<&'a mut [f32]>,
 }
 
-impl Kernel8 for RowDots<'_> {
+impl Kernel for RowDots<'_> {
     type Output = ();
     #[inline(always)]
-    unsafe fn run<V: Lanes8>(self) {
+    unsafe fn run<V: Lanes>(self) {
         let RowDots { lhs, mask, rows, other, out, norms } = self;
         // SAFETY: forwarded from the caller.
         unsafe { row_dots::<V>(lhs, mask, rows, other, out, norms) }
@@ -141,7 +173,7 @@ impl Kernel8 for RowDots<'_> {
 ///
 /// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn row_dots<V: Lanes8>(
+unsafe fn row_dots<V: Lanes>(
     lhs: &[f32],
     mask: Option<&LaneMask>,
     rows: usize,
@@ -179,25 +211,31 @@ unsafe fn row_dots<V: Lanes8>(
 }
 
 /// One pass over `other` for the one to four rows of `lhs` in `rows`,
-/// the group's size lifted to a constant: one or two rows carry two
-/// blocks of `other` per pass, three or four carry one.
+/// the group's size lifted to a constant. On eight lanes one or two rows
+/// carry two blocks of `other` per pass, three or four carry one; sixteen
+/// lanes always carry one — two blocks of sixteen transposed vectors
+/// would not fit the register file with their accumulators (measured
+/// slower).
 ///
 /// # Safety
 ///
 /// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn group_into<V: Lanes8, const NORMS: bool>(
+unsafe fn group_into<V: Lanes, const NORMS: bool>(
     lhs: &[f32],
     rows: &[usize],
     other: &Matrix,
     out: &mut [f32],
     norms: &mut [f32],
 ) {
+    let narrow = V::LANES == 8;
     // SAFETY (every arm): forwarded from the caller.
     unsafe {
         match *rows {
-            [a] => pass::<V, 1, 2, NORMS>(lhs, [a], other, out, norms),
-            [a, b] => pass::<V, 2, 2, NORMS>(lhs, [a, b], other, out, norms),
+            [a] if narrow => pass::<V, 1, 2, NORMS>(lhs, [a], other, out, norms),
+            [a] => pass::<V, 1, 1, NORMS>(lhs, [a], other, out, norms),
+            [a, b] if narrow => pass::<V, 2, 2, NORMS>(lhs, [a, b], other, out, norms),
+            [a, b] => pass::<V, 2, 1, NORMS>(lhs, [a, b], other, out, norms),
             [a, b, c] => pass::<V, 3, 1, NORMS>(lhs, [a, b, c], other, out, norms),
             [a, b, c, d] => pass::<V, 4, 1, NORMS>(lhs, [a, b, c, d], other, out, norms),
             _ => unreachable!("a group holds one to four rows"),
@@ -206,15 +244,17 @@ unsafe fn group_into<V: Lanes8, const NORMS: bool>(
 }
 
 /// `out[rows[g]][i] = other.row(i) · lhs.row(rows[g])` for every `i`, and
-/// `norms[i]` when `NORMS`: `B` blocks of eight rows of `other` per step
-/// of the main loop, single blocks once fewer than `B` are left, then the
-/// row kernel's expressions for the last `N % 8` rows.
+/// `norms[i]` when `NORMS`: `B` blocks of `LANES` rows of `other` per step
+/// of the main loop, single blocks once fewer than `B` are left, on
+/// sixteen lanes an eight-lane block (`Lanes::Half`) if eight or more
+/// rows are left, then the row kernel's expressions for the last
+/// `N % 8` rows.
 ///
 /// # Safety
 ///
 /// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn pass<V: Lanes8, const G: usize, const B: usize, const NORMS: bool>(
+unsafe fn pass<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
     lhs: &[f32],
     rows: [usize; G],
     other: &Matrix,
@@ -223,41 +263,48 @@ unsafe fn pass<V: Lanes8, const G: usize, const B: usize, const NORMS: bool>(
 ) {
     let (n, k) = other.shape();
     let x: [&[f32]; G] = rows.map(|r| &lhs[r * k..(r + 1) * k]);
-    let n8 = n - n % 8;
+    let whole = n - n % V::LANES;
     let mut i = 0;
     // SAFETY (both loops): forwarded from the caller.
-    while i + 8 * B <= n8 {
+    while i + V::LANES * B <= whole {
         unsafe { blocks_into::<V, G, B, NORMS>(x, rows, other, i, out, norms) };
-        i += 8 * B;
+        i += V::LANES * B;
     }
-    while i < n8 {
+    while i < whole {
         unsafe { blocks_into::<V, G, 1, NORMS>(x, rows, other, i, out, norms) };
-        i += 8;
+        i += V::LANES;
+    }
+    let half = V::Half::LANES;
+    if half < V::LANES && n - i >= half {
+        // SAFETY: a CPU that runs `V` runs `V::Half` (see `Lanes::Half`).
+        unsafe { blocks_into::<V::Half, G, 1, NORMS>(x, rows, other, i, out, norms) };
+        i += half;
     }
     for (x, r) in x.into_iter().zip(rows) {
-        nt_cols_into(x, other, n8, &mut out[r * n..(r + 1) * n]);
+        nt_cols_into(x, other, i, &mut out[r * n..(r + 1) * n]);
     }
     if NORMS {
         if k == 0 {
             // An empty `sum` is whatever zero the reference's is.
             return other.row_norms_into(norms);
         }
-        for (i, o) in norms.iter_mut().enumerate().skip(n8) {
-            *o = other.row(i).iter().map(|v| v * v).sum::<f32>().sqrt();
+        for (row, o) in norms.iter_mut().enumerate().skip(i) {
+            *o = other.row(row).iter().map(|v| v * v).sum::<f32>().sqrt();
         }
     }
 }
 
-/// The dots of `G` rows with the `8·B` rows of `other` from `i` on (and
-/// those rows' norms): whole groups of eight `k` transposed in registers,
-/// then the last `K % 8` one gathered column at a time, ascending `k`
-/// throughout.
+/// The dots of `G` rows with the `LANES·B` rows of `other` from `i` on
+/// (and those rows' norms): whole groups of `LANES` steps transposed in
+/// registers, on sixteen lanes eight more of the last `K % 16` from a
+/// `16 × 8` transpose, then the last `K % 8` gathered one column at a
+/// time, ascending `k` throughout.
 ///
 /// # Safety
 ///
 /// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn blocks_into<V: Lanes8, const G: usize, const B: usize, const NORMS: bool>(
+unsafe fn blocks_into<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
     x: [&[f32]; G],
     rows: [usize; G],
     other: &Matrix,
@@ -266,39 +313,37 @@ unsafe fn blocks_into<V: Lanes8, const G: usize, const B: usize, const NORMS: bo
     norms: &mut [f32],
 ) {
     let (n, k) = other.shape();
-    let k8 = k - k % 8;
-    // The `8·B` rows, contiguous in the row-major matrix; block `b` starts
-    // at row `8·b` of the slab.
-    let slab = &other.as_slice()[i * k..(i + 8 * B) * k];
+    let lanes = V::LANES;
+    let whole = k - k % lanes;
+    // The `LANES·B` rows, contiguous in the row-major matrix; block `b`
+    // starts at row `LANES·b` of the slab.
+    let slab = &other.as_slice()[i * k..(i + lanes * B) * k];
     // SAFETY (every vector op below): forwarded from the caller.
     let mut acc = [[unsafe { V::zero() }; B]; G];
     let mut squares = [unsafe { V::zero() }; B];
-    // Plain loops, not `array::map`/`from_fn`: those are calls the AVX
-    // entry does not inline, and a closure would not inherit its target
+    // Plain loops, not `array::map`/`from_fn`: those are calls the vector
+    // entries do not inline, and a closure would not inherit their target
     // feature.
-    for k0 in (0..k8).step_by(8) {
-        let mut steps = [&[0.0f32; 8]; G];
-        for (steps, x) in steps.iter_mut().zip(x) {
-            *steps = x[k0..k0 + 8].try_into().expect("eight steps");
-        }
+    for k0 in (0..whole).step_by(lanes) {
         for b in 0..B {
-            let t = unsafe { V::load_transposed(&slab[8 * b * k..], k, k0) };
-            for (kk, &t) in t.iter().enumerate() {
-                for g in 0..G {
-                    acc[g][b] = unsafe { V::mul_acc(acc[g][b], V::splat(steps[g][kk]), t) };
-                }
-                if NORMS {
-                    squares[b] = unsafe { V::mul_acc(squares[b], t, t) };
-                }
-            }
+            let t = unsafe { V::load_transposed(&slab[lanes * b * k..], k, k0) };
+            unsafe { accumulate::<V, G, B, NORMS>(&mut acc, &mut squares, b, t.as_ref(), x, k0) };
         }
     }
-    // The last `K % 8` steps: the same step on a column gathered by hand.
-    for kk in k8..k {
+    let mut rest = whole;
+    if lanes > 8 && k - whole >= 8 {
         for b in 0..B {
-            let mut column = [0.0f32; 8];
-            for (l, c) in column.iter_mut().enumerate() {
-                *c = slab[(8 * b + l) * k + kk];
+            let t = unsafe { V::load_transposed8(&slab[lanes * b * k..], k, whole) };
+            unsafe { accumulate::<V, G, B, NORMS>(&mut acc, &mut squares, b, &t, x, whole) };
+        }
+        rest += 8;
+    }
+    // The last steps: the same step on a column gathered by hand.
+    for kk in rest..k {
+        for b in 0..B {
+            let mut column = [0.0f32; 16];
+            for (l, c) in column[..lanes].iter_mut().enumerate() {
+                *c = slab[(lanes * b + l) * k + kk];
             }
             let t = unsafe { V::load(&column) };
             for g in 0..G {
@@ -310,12 +355,42 @@ unsafe fn blocks_into<V: Lanes8, const G: usize, const B: usize, const NORMS: bo
         }
     }
     for b in 0..B {
-        let i = i + 8 * b;
+        let i = i + lanes * b;
         for g in 0..G {
             unsafe { acc[g][b].store(&mut out[rows[g] * n + i..]) };
         }
         if NORMS {
             unsafe { squares[b].sqrt().store(&mut norms[i..]) };
+        }
+    }
+}
+
+/// `acc[g][b] += splat(x[g][k0 + c]) · t[c]` (and `squares[b] += t[c]²`
+/// when `NORMS`) for the transposed vectors `t[c]` of block `b`, in order.
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set (see [`Lanes`]).
+#[inline(always)]
+unsafe fn accumulate<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
+    acc: &mut [[V; B]; G],
+    squares: &mut [V; B],
+    b: usize,
+    t: &[V],
+    x: [&[f32]; G],
+    k0: usize,
+) {
+    let mut steps = [&[0.0f32][..]; G];
+    for (steps, x) in steps.iter_mut().zip(x) {
+        *steps = &x[k0..k0 + t.len()];
+    }
+    // SAFETY (every vector op below): forwarded from the caller.
+    for (c, &t) in t.iter().enumerate() {
+        for g in 0..G {
+            acc[g][b] = unsafe { V::mul_acc(acc[g][b], V::splat(steps[g][c]), t) };
+        }
+        if NORMS {
+            squares[b] = unsafe { V::mul_acc(squares[b], t, t) };
         }
     }
 }
@@ -364,7 +439,10 @@ impl Kernel for MatvecTHeads<'_> {
 
 /// The transposed mat-vec over vector type `V`, [`GROUP`] heads per pass
 /// over `m`. Eight accumulators or so keep the add chains full, so the
-/// fewer the heads, the wider the column block each pass carries.
+/// fewer the heads, the wider the column block each pass carries. Two
+/// heads carry sixteen sixteen-lane accumulators, a whole row of `m` at
+/// `N = 128` — so `m` streams once, in row order, rather than twice in
+/// half rows (measured faster); eight-lane registers would spill at that.
 ///
 /// # Safety
 ///
@@ -379,6 +457,7 @@ unsafe fn matvec_t_heads<V: Lanes>(m: &Matrix, weights: &Matrix, out: &mut [f32]
         unsafe {
             match heads {
                 1 => heads_into::<V, 1, 8>(m, weights, h, out),
+                2 if V::LANES == 16 => heads_into::<V, 2, 8>(m, weights, h, out),
                 2 => heads_into::<V, 2, 4>(m, weights, h, out),
                 3 => heads_into::<V, 3, 2>(m, weights, h, out),
                 _ => heads_into::<V, 4, 2>(m, weights, h, out),
@@ -422,12 +501,15 @@ unsafe fn heads_into<V: Lanes, const H: usize, const C: usize>(
         unsafe { columns_into::<V, H, 1>(m, w, j, out) };
         j += lanes;
     }
-    for (w, out) in w.into_iter().zip(out.chunks_exact_mut(k.max(1))) {
+    if j == k {
+        return;
+    }
+    for (w, out) in w.into_iter().zip(out.chunks_exact_mut(k)) {
         for (jj, o) in out.iter_mut().enumerate().skip(j) {
             let mut sum = 0.0f32;
-            for (i, &wi) in w.iter().enumerate() {
+            for (&wi, row) in w.iter().zip(m.as_slice().chunks_exact(k)) {
                 if wi != 0.0 {
-                    sum += wi * m.row(i)[jj];
+                    sum += wi * row[jj];
                 }
             }
             *o = sum;
@@ -449,12 +531,16 @@ unsafe fn columns_into<V: Lanes, const H: usize, const C: usize>(
     j: usize,
     out: &mut [f32],
 ) {
-    let k = m.cols();
+    let (rows, k) = m.shape();
+    let width = V::LANES * C;
+    // Every weight row is `rows` long (the caller's shape check): with
+    // that said once, the row loop indexes them unchecked by the compiler.
+    let w: [&[f32]; H] = w.map(|w| &w[..rows]);
     // SAFETY (every vector op below): forwarded from the caller.
     let zero = unsafe { V::zero() };
     let mut acc = [[zero; C]; H];
-    for i in 0..m.rows() {
-        let row = &m.row(i)[j..j + V::LANES * C];
+    for (i, row) in m.as_slice().chunks_exact(k).enumerate() {
+        let row = &row[j..j + width];
         let mut cols = [zero; C];
         for (c, col) in cols.iter_mut().enumerate() {
             *col = unsafe { V::load(&row[V::LANES * c..]) };
@@ -468,8 +554,9 @@ unsafe fn columns_into<V: Lanes, const H: usize, const C: usize>(
         }
     }
     for (g, acc) in acc.into_iter().enumerate() {
+        let out = &mut out[g * k + j..g * k + j + width];
         for (c, v) in acc.into_iter().enumerate() {
-            unsafe { v.store(&mut out[g * k + j + V::LANES * c..]) };
+            unsafe { v.store(&mut out[V::LANES * c..]) };
         }
     }
 }
@@ -478,7 +565,6 @@ unsafe fn columns_into<V: Lanes, const H: usize, const C: usize>(
 mod tests {
     use super::*;
     use crate::simd::tiers::{assert_same_bits, hostile_row, LENGTHS};
-    use crate::simd::F32x8;
 
     fn mat(rows: usize, cols: usize, phase: f32) -> Matrix {
         Matrix::from_fn(rows, cols, |i, j| ((i * cols + j) as f32 * 0.37 + phase).sin())
@@ -488,26 +574,26 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `lhs · otherᵀ` over stale `out` through both bodies — the dispatched
-    /// one (`Avx` where the CPU has AVX) and the portable one, which must
+    /// `lhs · otherᵀ` over stale `out` through the dispatched body, and
+    /// through every tier this CPU runs with the same `mask` — which must
     /// agree bit for bit — with and without the norms riding along.
     fn product(lhs: &Matrix, other: &Matrix, mask: Option<&LaneMask>) -> Matrix {
         let mut out = Matrix::filled(lhs.rows(), other.rows(), f32::NAN);
         matmul_nt_into(lhs, other, mask, &mut out);
-        for with_norms in [false, true] {
-            let mut portable = Matrix::filled(lhs.rows(), other.rows(), f32::NAN);
-            let mut norms = vec![f32::NAN; other.rows()];
-            let (rows, flat) = (lhs.rows(), portable.as_mut_slice());
-            // SAFETY: `F32x8` is baseline code on every target.
-            unsafe {
-                let norms = with_norms.then_some(&mut norms[..]);
-                row_dots::<F32x8>(lhs.as_slice(), mask, rows, other, flat, norms);
-            }
-            assert_eq!(bits(out.as_slice()), bits(portable.as_slice()), "AVX vs portable body");
-            if with_norms {
-                let mut want = vec![f32::NAN; other.rows()];
-                other.row_norms_into(&mut want);
-                assert_eq!(bits(&norms), bits(&want), "portable norms");
+        for tier in Tier::available() {
+            for with_norms in [false, true] {
+                let mut body = Matrix::filled(lhs.rows(), other.rows(), f32::NAN);
+                let mut norms = vec![f32::NAN; other.rows()];
+                let norms_out = with_norms.then_some(&mut norms[..]);
+                let (flat, rows) = (body.as_mut_slice(), lhs.rows());
+                row_dots_masked_on(tier, lhs.as_slice(), mask, rows, other, flat, norms_out);
+                let what = format!("dispatched vs {tier} body");
+                assert_eq!(bits(out.as_slice()), bits(body.as_slice()), "{what}");
+                if with_norms {
+                    let mut want = vec![f32::NAN; other.rows()];
+                    other.row_norms_into(&mut want);
+                    assert_eq!(bits(&norms), bits(&want), "{tier} norms");
+                }
             }
         }
         out
@@ -674,6 +760,39 @@ mod tests {
         let mut norms = vec![f32::NAN; 9];
         row_dots_into(&[], &other, &mut [], Some(&mut norms));
         assert_eq!(bits(&norms), bits(&other.row_norms()));
+    }
+
+    #[test]
+    fn row_dots_have_the_row_kernels_bits_on_every_tier_over_hostile_values() {
+        // NaN, ±∞, −0.0, subnormals and the Q16.16 clamp edges in both
+        // factors; `N % 16` of 0, 8 and 15 (whole sixteen-row blocks, an
+        // eight-row block after them, and the longest row tail), every
+        // `K % 16`, one to five rows of the left factor, norms or none.
+        for (seed, &n) in [16usize, 24, 31, 32, 40, 47, 128].iter().enumerate() {
+            for (kseed, &k) in LENGTHS.iter().enumerate() {
+                let seed = (seed * 100 + kseed) as u64;
+                let other = Matrix::from_vec(n, k, hostile_row(seed, n * k));
+                for r in [1usize, 2, 3, 5] {
+                    let lhs = Matrix::from_vec(r, k, hostile_row(seed + 7 + r as u64, r * k));
+                    let want = lhs.matmul_nt(&other);
+                    let what = format!("row dots {r}x{k} · ({n}x{k})ᵀ");
+                    assert_same_bits(&what, bits(want.as_slice()), |tier| {
+                        let mut out = vec![f32::NAN; r * n];
+                        row_dots_on(tier, lhs.as_slice(), &other, &mut out, None);
+                        bits(&out)
+                    });
+                    // With the norms riding along: the dots, then the norms.
+                    let mut norms = want.as_slice().to_vec();
+                    norms.extend(other.row_norms());
+                    assert_same_bits(&format!("{what} with norms"), bits(&norms), |tier| {
+                        let mut out = vec![f32::NAN; r * n + n];
+                        let (dots, got) = out.split_at_mut(r * n);
+                        row_dots_on(tier, lhs.as_slice(), &other, dots, Some(got));
+                        bits(&out)
+                    });
+                }
+            }
+        }
     }
 
     #[test]

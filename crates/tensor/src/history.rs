@@ -8,6 +8,15 @@
 //! last `len % LANES` elements of a row run that scalar expression
 //! itself.
 //!
+//! Both walk their matrix in **column blocks** of up to four vectors: the
+//! operands every row shares in those columns — the erase and write
+//! vectors, or the write weights and precedences — are loaded into
+//! registers once per block, and the rows are walked as `chunks_exact`
+//! chunks, so a row costs one load and one store per vector and no
+//! bounds check (at the served `128 × 16` memory and `N = 128` linkage,
+//! one block is a whole row). Which pass computes an element changes
+//! nothing in its expression, so the order of the walk is free.
+//!
 //! # [`erase_add_write`]: `M ← M ∘ (E − w eᵀ) + w vᵀ`
 //!
 //! Row `i` of `M` with `w[i] != 0.0` becomes
@@ -19,8 +28,9 @@
 //!
 //! Every row is computed branch-free — `1 − w[i]` once per row, then the
 //! reference's left-associated `(1 − w[i]) − w[j]` per element — and its
-//! diagonal entry zeroed afterwards, instead of testing `i == j` per
-//! element. The result is bit-identical to the reference loop's
+//! diagonal entry zeroed afterwards (in the pass that also runs the last
+//! `N % LANES` columns), instead of testing `i == j` per element. The
+//! result is bit-identical to the reference loop's
 //! (`TemporalLinkage::update_linkage` in `hima-dnc`).
 
 use crate::matrix::Matrix;
@@ -75,29 +85,72 @@ impl Kernel for EraseAdd<'_> {
     unsafe fn run<V: Lanes>(self) -> bool {
         let EraseAdd { memory, write_weighting, erase, write } = self;
         let cols = memory.cols();
-        let whole = cols - cols % V::LANES;
-        let mut wrote = false;
-        // SAFETY (every vector op below): forwarded from the caller.
-        let one = unsafe { V::splat(1.0) };
-        for (i, &w) in write_weighting.iter().enumerate() {
-            if w == 0.0 {
-                continue;
-            }
-            wrote = true;
-            let row = memory.row_mut(i);
-            let wv = unsafe { V::splat(w) };
-            for j in (0..whole).step_by(V::LANES) {
-                unsafe {
-                    let (e, v) = (V::load(&erase[j..]), V::load(&write[j..]));
-                    let m = V::load(&row[j..]);
-                    m.mul(one.sub(wv.mul(e))).add(wv.mul(v)).store(&mut row[j..]);
+        let rows = memory.as_mut_slice();
+        let mut j = 0;
+        // SAFETY (every call): forwarded from the caller.
+        while j + BLOCK * V::LANES <= cols {
+            unsafe { erase_add_block::<V, BLOCK>(rows, cols, write_weighting, erase, write, j) };
+            j += BLOCK * V::LANES;
+        }
+        while j + V::LANES <= cols {
+            unsafe { erase_add_block::<V, 1>(rows, cols, write_weighting, erase, write, j) };
+            j += V::LANES;
+        }
+        if j < cols {
+            for (row, &w) in rows.chunks_exact_mut(cols).zip(write_weighting) {
+                if w != 0.0 {
+                    for ((m, &e), &v) in row[j..].iter_mut().zip(&erase[j..]).zip(&write[j..]) {
+                        *m = *m * (1.0 - w * e) + w * v;
+                    }
                 }
             }
-            for j in whole..cols {
-                row[j] = row[j] * (1.0 - w * erase[j]) + w * write[j];
+        }
+        write_weighting.iter().any(|&w| w != 0.0)
+    }
+}
+
+/// Vectors of columns one pass over the rows carries: the column block's
+/// operands that every row shares stay in registers for the whole pass.
+const BLOCK: usize = 4;
+
+/// Columns `j..j + C·LANES` of the memory write: the erase and write
+/// vectors loaded once, then every written row of `rows` (row-major,
+/// `cols` wide) updated in place.
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set (see [`Lanes`]).
+#[inline(always)]
+unsafe fn erase_add_block<V: Lanes, const C: usize>(
+    rows: &mut [f32],
+    cols: usize,
+    write_weighting: &[f32],
+    erase: &[f32],
+    write: &[f32],
+    j: usize,
+) {
+    let width = C * V::LANES;
+    let (erase, write) = (&erase[j..j + width], &write[j..j + width]);
+    // SAFETY (every vector op below): forwarded from the caller.
+    let one = unsafe { V::splat(1.0) };
+    let (mut e, mut v) = ([one; C], [one; C]);
+    for c in 0..C {
+        let at = c * V::LANES;
+        unsafe { (e[c], v[c]) = (V::load(&erase[at..]), V::load(&write[at..])) };
+    }
+    for (row, &w) in rows.chunks_exact_mut(cols).zip(write_weighting) {
+        if w == 0.0 {
+            continue;
+        }
+        let wv = unsafe { V::splat(w) };
+        let block = &mut row[j..j + width];
+        for c in 0..C {
+            let at = c * V::LANES;
+            unsafe {
+                let m = V::load(&block[at..]);
+                m.mul(one.sub(wv.mul(e[c]))).add(wv.mul(v[c])).store(&mut block[at..]);
             }
         }
-        wrote
     }
 }
 
@@ -144,24 +197,61 @@ impl Kernel for LinkageUpdate<'_> {
     unsafe fn run<V: Lanes>(self) {
         let LinkageUpdate { linkage, precedence, write_weighting: w } = self;
         let n = w.len();
-        let whole = n - n % V::LANES;
-        for (i, &wi) in w.iter().enumerate() {
-            let row = linkage.row_mut(i);
-            // SAFETY (every vector op below): forwarded from the caller.
-            let (wiv, one_minus_wi) = unsafe { (V::splat(wi), V::splat(1.0 - wi)) };
-            for j in (0..whole).step_by(V::LANES) {
-                unsafe {
-                    let (wv, pv) = (V::load(&w[j..]), V::load(&precedence[j..]));
-                    let lv = V::load(&row[j..]);
-                    // (1 − wi − w[j]) · l + wi · p[j], the reference
-                    // loop's left-associated operation order.
-                    one_minus_wi.sub(wv).mul(lv).add(wiv.mul(pv)).store(&mut row[j..]);
-                }
-            }
-            for j in whole..n {
-                row[j] = (1.0 - wi - w[j]) * row[j] + wi * precedence[j];
+        let rows = linkage.as_mut_slice();
+        let mut j = 0;
+        // SAFETY (every call): forwarded from the caller.
+        while j + BLOCK * V::LANES <= n {
+            unsafe { linkage_block::<V, BLOCK>(rows, precedence, w, j) };
+            j += BLOCK * V::LANES;
+        }
+        while j + V::LANES <= n {
+            unsafe { linkage_block::<V, 1>(rows, precedence, w, j) };
+            j += V::LANES;
+        }
+        // The last `N % LANES` columns, then the diagonal.
+        for (i, (row, &wi)) in rows.chunks_exact_mut(n.max(1)).zip(w).enumerate() {
+            for ((l, &wj), &pj) in row[j..].iter_mut().zip(&w[j..]).zip(&precedence[j..]) {
+                *l = (1.0 - wi - wj) * *l + wi * pj;
             }
             row[i] = 0.0;
+        }
+    }
+}
+
+/// Columns `j..j + C·LANES` of the linkage update: the write weights and
+/// precedences of those columns loaded once, then every row of `rows`
+/// (row-major, `N × N`) updated in place.
+///
+/// # Safety
+///
+/// The CPU must support `V`'s instruction set (see [`Lanes`]).
+#[inline(always)]
+unsafe fn linkage_block<V: Lanes, const C: usize>(
+    rows: &mut [f32],
+    precedence: &[f32],
+    w: &[f32],
+    j: usize,
+) {
+    let width = C * V::LANES;
+    let (wj, pj) = (&w[j..j + width], &precedence[j..j + width]);
+    // SAFETY (every vector op below): forwarded from the caller.
+    let zero = unsafe { V::zero() };
+    let (mut wv, mut pv) = ([zero; C], [zero; C]);
+    for c in 0..C {
+        let at = c * V::LANES;
+        unsafe { (wv[c], pv[c]) = (V::load(&wj[at..]), V::load(&pj[at..])) };
+    }
+    for (row, &wi) in rows.chunks_exact_mut(w.len()).zip(w) {
+        let (wiv, one_minus_wi) = unsafe { (V::splat(wi), V::splat(1.0 - wi)) };
+        let block = &mut row[j..j + width];
+        for c in 0..C {
+            let at = c * V::LANES;
+            // (1 − wi − w[j]) · l + wi · p[j], the reference loop's
+            // left-associated operation order.
+            unsafe {
+                let l = V::load(&block[at..]);
+                one_minus_wi.sub(wv[c]).mul(l).add(wiv.mul(pv[c])).store(&mut block[at..]);
+            }
         }
     }
 }

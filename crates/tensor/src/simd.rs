@@ -47,33 +47,38 @@
 //! **independent outputs**: an element-wise map (rounding, the
 //! transcendentals, the linkage update, the erase/add write) or a product
 //! that packs output columns into lanes and walks `k` in order (the
-//! panel product, `matvec_t_heads`). Widening such a kernel changes which
-//! lanes share a register, never what any lane computes, so every bit is
-//! kept. Two kernels are eight lanes wide *by definition* and stay on the
-//! eight-lane types (the `Lanes8` sub-trait, which `Avx512` does not
-//! implement; on an AVX-512 CPU they run on `Avx`):
-//!
-//! * the softmax sums its exponentials into **eight** partial sums, then
-//!   adds those in a fixed tree — the order is part of its definition;
-//! * the transposing row-dot kernel (`fused::row_dots_into`: the
-//!   forward weighting, the content dots and the row norms) is built on
-//!   **8 × 8** in-register transposes (`Lanes8::load_transposed`), with
-//!   its row and `k` tails cut at multiples of eight; sixteen lanes would
-//!   be a different kernel (a 16 × 16 transpose, other tails), not a
-//!   wider instantiation of this one.
+//! panel product, `matvec_t_heads`, the transposing row-dot kernel).
+//! Widening such a kernel changes which lanes share a register, never
+//! what any lane computes, so every bit is kept. The row-dot kernel
+//! (`fused::row_dots_into`: the forward weighting, the content dots and
+//! the row norms) widens through `Lanes::load_transposed`, a `LANES ×
+//! LANES` in-register transpose — 8 × 8 on the eight-lane types, 16 × 16
+//! on `Avx512` — with its row and `k` tails cut at multiples of `LANES`;
+//! on `Avx512` eight of the steps past the last whole block come from a
+//! 16 × 8 transpose (`Lanes::load_transposed8`) and eight of the rows
+//! from an 8 × 8 block on `Avx` (`Lanes::Half`); the rest of the rows run
+//! the row kernel's own scalar expressions, whose four-column passes
+//! start from `+0.0` and walk `k` in order just as a lane does. One kernel is eight lanes wide *by
+//! definition* and stays on the eight-lane types (the `Lanes8` sub-trait,
+//! which `Avx512` does not implement; on an AVX-512 CPU it runs on
+//! `Avx`): the softmax sums its exponentials into **eight** partial sums,
+//! then adds those in a fixed tree — the order is part of its definition.
 
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::{
     __m128, __m256, __m512, __m512i, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_and_si512,
-    _mm512_andnot_si512, _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cmp_ps_mask,
-    _mm512_cvtepi32_ps, _mm512_div_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+    _mm512_andnot_si512, _mm512_castpd_ps, _mm512_castps256_ps512, _mm512_castps_pd,
+    _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cmp_ps_mask, _mm512_cvtepi32_ps,
+    _mm512_div_ps, _mm512_insertf64x4, _mm512_loadu_ps, _mm512_mask_storeu_ps,
     _mm512_maskz_loadu_ps, _mm512_maskz_set1_epi32, _mm512_max_ps, _mm512_min_ps, _mm512_mul_ps,
-    _mm512_or_si512, _mm512_roundscale_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_slli_epi32,
-    _mm512_sqrt_ps, _mm512_srli_epi32, _mm512_storeu_ps, _mm512_sub_ps, _mm512_ternarylogic_epi32,
+    _mm512_or_si512, _mm512_roundscale_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    _mm512_shuffle_f32x4, _mm512_shuffle_ps, _mm512_slli_epi32, _mm512_sqrt_ps, _mm512_srli_epi32,
+    _mm512_storeu_ps, _mm512_sub_ps, _mm512_ternarylogic_epi32, _mm512_unpackhi_ps,
+    _mm512_unpacklo_ps,
     _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_blendv_ps, _mm256_castps128_ps256,
-    _mm256_castps256_ps128, _mm256_cmp_ps, _mm256_div_ps, _mm256_extractf128_ps,
+    _mm256_castps256_ps128, _mm256_castps_pd, _mm256_cmp_ps, _mm256_div_ps, _mm256_extractf128_ps,
     _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
     _mm256_or_ps, _mm256_round_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps,
     _mm256_sqrt_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
@@ -95,6 +100,12 @@ use core::arch::x86_64::{
 pub(crate) trait Lanes: Copy {
     /// Lanes per vector: 8 or 16.
     const LANES: usize;
+    /// `LANES` vectors: a square block of a matrix, transposed.
+    type Block: Copy + AsRef<[Self]>;
+    /// An eight-lane type a CPU that runs `Self` also runs: `Self` on the
+    /// eight-lane types, `Avx` on `Avx512` — for a remainder of eight rows
+    /// too short for a sixteen-lane block.
+    type Half: Lanes;
 
     unsafe fn zero() -> Self;
     unsafe fn splat(v: f32) -> Self;
@@ -135,6 +146,15 @@ pub(crate) trait Lanes: Copy {
     /// Rounds toward zero, keeping the sign of a zero result.
     unsafe fn trunc(self) -> Self;
     unsafe fn sqrt(self) -> Self;
+    /// A `LANES × LANES` block of a row-major buffer, transposed: `rows`
+    /// holds rows of `stride` values, and element `c` of the result holds
+    /// `rows[r·stride + col + c]` in lane `r` (panics if the block's last
+    /// element lies outside `rows`).
+    unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> Self::Block;
+    /// A `LANES × 8` block, transposed as [`Lanes::load_transposed`] does:
+    /// eight vectors, the columns `col..col + 8` of `LANES` rows. On the
+    /// eight-lane types it is `load_transposed`.
+    unsafe fn load_transposed8(rows: &[f32], stride: usize, col: usize) -> [Self; 8];
 
     /// `acc + x * w` per lane: a rounded multiply, then a rounded add.
     #[inline(always)]
@@ -171,18 +191,11 @@ pub(crate) trait Lanes: Copy {
     }
 }
 
-/// The eight-lane operations: what the kernels that are eight lanes wide
-/// *by definition* — the softmax's eight partial sums, the row-dot
-/// kernel's 8 × 8 transposes — need beyond [`Lanes`] (see the
+/// The eight-lane types: what the kernel that is eight lanes wide *by
+/// definition* — the softmax's eight partial sums — runs on (see the
 /// [module docs](self)). [`F32x8`] and `Avx` implement it; `Avx512` does
 /// not.
 pub(crate) trait Lanes8: Lanes {
-    /// An 8 × 8 block of a row-major buffer, transposed: `rows` holds rows
-    /// of `stride` values, and element `c` of the result is
-    /// `rows[0·stride + col + c], …, rows[7·stride + col + c]` (panics if
-    /// the block's last element lies outside `rows`).
-    unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> [Self; 8];
-
     #[inline(always)]
     unsafe fn to_array(self) -> [f32; 8] {
         let mut a = [0.0f32; 8];
@@ -377,6 +390,8 @@ impl F32x8 {
 // Rust runs on every CPU.
 impl Lanes for F32x8 {
     const LANES: usize = 8;
+    type Block = [Self; 8];
+    type Half = Self;
 
     #[inline(always)]
     unsafe fn zero() -> Self {
@@ -458,15 +473,18 @@ impl Lanes for F32x8 {
     unsafe fn sqrt(self) -> Self {
         Self(self.0.map(f32::sqrt))
     }
-}
-
-impl Lanes8 for F32x8 {
     #[inline(always)]
     unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
         assert!(7 * stride + col + 8 <= rows.len(), "8 x 8 block out of bounds");
         std::array::from_fn(|c| Self(std::array::from_fn(|r| rows[r * stride + col + c])))
     }
+    #[inline(always)]
+    unsafe fn load_transposed8(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
+        unsafe { Self::load_transposed(rows, stride, col) }
+    }
 }
+
+impl Lanes8 for F32x8 {}
 
 /// [`Lanes::scale_pow2`] on four lanes. AVX (without AVX2) has no 256-bit
 /// integer unit, so `Avx` runs this on its two 128-bit halves.
@@ -508,6 +526,8 @@ pub(crate) struct Avx(__m256);
 #[cfg(target_arch = "x86_64")]
 impl Lanes for Avx {
     const LANES: usize = 8;
+    type Block = [Self; 8];
+    type Half = Self;
 
     #[inline(always)]
     unsafe fn zero() -> Self {
@@ -604,10 +624,6 @@ impl Lanes for Avx {
     unsafe fn sqrt(self) -> Self {
         Avx(unsafe { _mm256_sqrt_ps(self.0) })
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Lanes8 for Avx {
     #[inline(always)]
     unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
         assert!(7 * stride + col + 8 <= rows.len(), "8 x 8 block out of bounds");
@@ -639,7 +655,14 @@ impl Lanes8 for Avx {
         }
         out
     }
+    #[inline(always)]
+    unsafe fn load_transposed8(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
+        unsafe { Self::load_transposed(rows, stride, col) }
+    }
 }
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes8 for Avx {}
 
 /// Sixteen lanes in one AVX-512 register (AVX-512F only).
 #[cfg(target_arch = "x86_64")]
@@ -687,6 +710,9 @@ impl Avx512 {
 #[cfg(target_arch = "x86_64")]
 impl Lanes for Avx512 {
     const LANES: usize = 16;
+    type Block = [Self; 16];
+    // AVX-512F implies AVX.
+    type Half = Avx;
 
     #[inline(always)]
     unsafe fn zero() -> Self {
@@ -786,6 +812,94 @@ impl Lanes for Avx512 {
     #[inline(always)]
     unsafe fn sqrt(self) -> Self {
         Avx512(unsafe { _mm512_sqrt_ps(self.0) })
+    }
+    #[inline(always)]
+    unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> [Self; 16] {
+        assert!(15 * stride + col + 16 <= rows.len(), "16 x 16 block out of bounds");
+        // Three shuffle stages (plain loops, no closures, as for `Avx`):
+        // `unpck` pairs rows, `shufps` makes each 128-bit lane a 4 × 4
+        // transpose of four rows (lane `q` holds columns `4q..4q + 4`),
+        // and two rounds of `shuf_f32x4` gather the four row groups of one
+        // column into one register.
+        let mut r = [unsafe { _mm512_setzero_ps() }; 16];
+        for (i, r) in r.iter_mut().enumerate() {
+            // SAFETY: row `i ≤ 15`, columns up to `col + 16`: inside
+            // `rows` by the assert above.
+            *r = unsafe { _mm512_loadu_ps(rows.as_ptr().add(i * stride + col)) };
+        }
+        let mut t = r;
+        for p in 0..8 {
+            unsafe {
+                t[2 * p] = _mm512_unpacklo_ps(r[2 * p], r[2 * p + 1]);
+                t[2 * p + 1] = _mm512_unpackhi_ps(r[2 * p], r[2 * p + 1]);
+            }
+        }
+        // Afterwards lane `q` of `r[4g + c]` holds column `4q + c` of rows
+        // `4g..4g + 4`.
+        for g in 0..4 {
+            let (a, b, c, d) = (t[4 * g], t[4 * g + 1], t[4 * g + 2], t[4 * g + 3]);
+            unsafe {
+                r[4 * g] = _mm512_shuffle_ps::<0x44>(a, c);
+                r[4 * g + 1] = _mm512_shuffle_ps::<0xEE>(a, c);
+                r[4 * g + 2] = _mm512_shuffle_ps::<0x44>(b, d);
+                r[4 * g + 3] = _mm512_shuffle_ps::<0xEE>(b, d);
+            }
+        }
+        // Column `4q + c` sits in lane `q` of `r[c]`, `r[4 + c]`, `r[8 + c]`
+        // and `r[12 + c]`: lanes 0 and 2 pair up, then 1 and 3.
+        let (mut even, mut odd) = ([r[0]; 8], [r[0]; 8]);
+        for c in 0..4 {
+            for h in 0..2 {
+                let (a, b) = (r[8 * h + c], r[8 * h + 4 + c]);
+                unsafe {
+                    even[2 * c + h] = _mm512_shuffle_f32x4::<0x88>(a, b);
+                    odd[2 * c + h] = _mm512_shuffle_f32x4::<0xDD>(a, b);
+                }
+            }
+        }
+        // Ascending columns, so a caller consuming them in order keeps few
+        // registers live.
+        let mut out = [unsafe { Self::zero() }; 16];
+        for c in 0..4 {
+            unsafe {
+                out[c] = Avx512(_mm512_shuffle_f32x4::<0x88>(even[2 * c], even[2 * c + 1]));
+            }
+        }
+        for c in 0..4 {
+            unsafe {
+                out[4 + c] = Avx512(_mm512_shuffle_f32x4::<0x88>(odd[2 * c], odd[2 * c + 1]));
+            }
+        }
+        for c in 0..4 {
+            unsafe {
+                out[8 + c] = Avx512(_mm512_shuffle_f32x4::<0xDD>(even[2 * c], even[2 * c + 1]));
+            }
+        }
+        for c in 0..4 {
+            unsafe {
+                out[12 + c] = Avx512(_mm512_shuffle_f32x4::<0xDD>(odd[2 * c], odd[2 * c + 1]));
+            }
+        }
+        out
+    }
+    #[inline(always)]
+    unsafe fn load_transposed8(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
+        assert!(15 * stride + col + 8 <= rows.len(), "16 x 8 block out of bounds");
+        // Rows 0..8 and 8..16 as two 8 × 8 transposes, then each column's
+        // two halves joined into one register.
+        let (lo, hi) = unsafe {
+            let hi = Avx::load_transposed(&rows[8 * stride..], stride, col);
+            (Avx::load_transposed(rows, stride, col), hi)
+        };
+        let mut out = [unsafe { Self::zero() }; 8];
+        for (c, out) in out.iter_mut().enumerate() {
+            unsafe {
+                let lo = _mm512_castps_pd(_mm512_castps256_ps512(lo[c].0));
+                let joined = _mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi[c].0));
+                *out = Avx512(_mm512_castpd_ps(joined));
+            }
+        }
+        out
     }
 }
 
@@ -1021,18 +1135,30 @@ mod tests {
         }
     }
 
-    /// `load_transposed` of `V` over every 8 × 8 block of a strided buffer.
-    fn check_transpose<V: Lanes8>(name: &str) {
-        let stride = 19;
-        let rows: Vec<f32> = (0..9 * stride).map(|i| i as f32).collect();
+    /// `load_transposed` of `V` over every `LANES × LANES` block of a
+    /// strided buffer, and `load_transposed8` over every `LANES × 8` one.
+    fn check_transpose<V: Lanes>(name: &str) {
+        let n = V::LANES;
+        let stride = 2 * n + 3;
+        let rows: Vec<f32> = (0..(n + 1) * stride).map(|i| i as f32).collect();
         for first in 0..2 {
-            for col in 0..=stride - 8 {
+            for col in 0..=stride - n {
                 // SAFETY: the caller checked the CPU runs `V`.
                 let t = unsafe { V::load_transposed(&rows[first * stride..], stride, col) };
-                for (c, v) in t.into_iter().enumerate() {
-                    let want: [f32; 8] =
-                        std::array::from_fn(|r| ((first + r) * stride + col + c) as f32);
-                    assert_eq!(unsafe { v.to_array() }, want, "{name} first={first} col={col} c={c}");
+                assert_eq!(t.as_ref().len(), n, "{name}: one vector per column");
+                for (c, &v) in t.as_ref().iter().enumerate() {
+                    let want: Vec<f32> =
+                        (0..n).map(|r| ((first + r) * stride + col + c) as f32).collect();
+                    assert_eq!(lanes(v), want, "{name} first={first} col={col} c={c}");
+                }
+            }
+            for col in 0..=stride - 8 {
+                // SAFETY: as above.
+                let t = unsafe { V::load_transposed8(&rows[first * stride..], stride, col) };
+                for (c, &v) in t.iter().enumerate() {
+                    let want: Vec<f32> =
+                        (0..n).map(|r| ((first + r) * stride + col + c) as f32).collect();
+                    assert_eq!(lanes(v), want, "{name} eight first={first} col={col} c={c}");
                 }
             }
         }
@@ -1050,6 +1176,7 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         if Tier::Avx512.is_available() {
             check_ops::<Avx512>("Avx512");
+            check_transpose::<Avx512>("Avx512");
         }
     }
 
@@ -1073,5 +1200,19 @@ mod tests {
         let rows = [0.0f32; 7 * 10 + 7];
         // SAFETY: `F32x8` is plain Rust, which every CPU runs.
         unsafe { F32x8::load_transposed(&rows, 10, 0) };
+    }
+
+    #[test]
+    fn wide_load_transposed_rejects_a_block_past_the_buffer() {
+        // Fifteen full rows and fifteen values of the sixteenth.
+        #[cfg(target_arch = "x86_64")]
+        if Tier::Avx512.is_available() {
+            let rows = [0.0f32; 15 * 20 + 15];
+            // SAFETY: this CPU runs `Avx512`, checked above.
+            let past =
+                std::panic::catch_unwind(|| unsafe { Avx512::load_transposed(&rows, 20, 0) });
+            let message = past.err().and_then(|e| e.downcast_ref::<&str>().map(|s| s.to_string()));
+            assert_eq!(message.as_deref(), Some("16 x 16 block out of bounds"));
+        }
     }
 }
