@@ -70,11 +70,10 @@ fn usage() {
     eprintln!("  hima-cli babi <file>               parse a bAbI-format file and report stats");
     eprintln!("  hima-cli serve [--addr A] [--lanes N] [--tick-us T] [--idle-ms I]");
     eprintln!("                 [--store DIR] [--snapshot-every K] [--max-parked P]");
-    eprintln!("                 [--profile-engine] [--deadline-ms D]");
+    eprintln!("                 [--deadline-ms D]");
     eprintln!("                 [--chaos-seed S] [--chaos-disk PM] [--chaos-net PM]");
     eprintln!("                  run the session server until a client sends shutdown");
-    eprintln!("                  (--profile-engine turns on sampled per-category engine timing;");
-    eprintln!("                   --chaos-* arm seeded fault injection at PM per-mille per I/O op,");
+    eprintln!("                  (--chaos-* arm seeded fault injection at PM per-mille per I/O op,");
     eprintln!("                   --deadline-ms sets the default server-side step deadline)");
     eprintln!("  hima-cli load [--addr A] [--sessions N] [--steps T] [--burst B]");
     eprintln!("                 [--deadline-ms D] [--retries R]");
@@ -278,7 +277,6 @@ fn babi(path: Option<&str>) {
 fn serve(args: &[String]) {
     let mut addr = "127.0.0.1:7070".to_string();
     let mut cfg = ServeConfig::default();
-    let mut profile_engine = false;
     let mut store: Option<StoreConfig> = None;
     let mut chaos_seed = 0x4849_4D41u64;
     let mut chaos_disk = 0u32;
@@ -309,7 +307,6 @@ fn serve(args: &[String]) {
             "--chaos-net" => {
                 chaos_net = num(it.next(), "--chaos-net needs a per-mille rate (0..=1000)")
             }
-            "--profile-engine" => profile_engine = true,
             "--store" => {
                 let dir = it.next().cloned().unwrap_or_else(|| bail("--store needs a directory"));
                 store = Some(StoreConfig::new(dir));
@@ -364,17 +361,11 @@ fn serve(args: &[String]) {
         Ok(s) => s,
         Err(e) => bail(&format!("cannot bind {addr}: {e}")),
     };
-    if profile_engine {
-        // Must be set before the first Open builds a group — a group
-        // reads the opt-in once, when it builds its engine.
-        server.hub().metrics().set_engine_profiling(true);
-    }
     println!(
-        "serving on {} ({} grid lanes, tick {:?}{}{}{})",
+        "serving on {} ({} grid lanes, tick {:?}{}{})",
         server.addr(),
         cfg.grid_lanes,
         cfg.tick,
-        if profile_engine { ", engine profiling on" } else { "" },
         store_note.as_deref().unwrap_or(""),
         chaos_note
     );

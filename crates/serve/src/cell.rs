@@ -180,14 +180,6 @@ impl GroupCell {
         group.adopt(session);
         self.release(group);
     }
-
-    /// Folds the engine time accumulated since the last periodic sample
-    /// (at hub shutdown).
-    pub(crate) fn fold_profile(&self) {
-        let mut group = lock_clean(&self.group);
-        group.sample_profile(true);
-        self.release(group);
-    }
 }
 
 #[cfg(test)]

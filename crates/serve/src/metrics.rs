@@ -33,8 +33,6 @@
 //! | `store.errors` | counter | store I/O or corruption failures |
 //! | `store.snapshot_bytes` / `.snapshot_us` | histogram | encoded snapshot size / encode+write wall time |
 //! | `store.replay_steps` | histogram | delta-log steps replayed per rehydration, on a borrowed lane |
-//! | `engine.profile.samples` | counter | sampled `KernelProfile` deltas folded in |
-//! | `engine.profile.<category>_ns` | counter | per-category engine ns (opt-in sampling) |
 //! | `net.frames_in` / `.frames_out` / `.bytes_in` / `.bytes_out` | counter | wire traffic |
 //! | `rpc.<command>` | counter | requests by command |
 //! | `err.<kind>` | counter | error replies by [`ServeError`] kind |
@@ -47,30 +45,20 @@
 //! | `fault.disk.injected` / `fault.net.injected` / `fault.sched.injected` | gauge | injected faults by family (mirrors the fault plan) |
 
 use crate::protocol::{Request, Response, ServeError};
-use hima_dnc::{KernelCategory, KernelProfile};
 use hima_telemetry::{
     Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceKind, TraceRing,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Retained lifecycle events; enough to reconstruct recent scheduling
 /// decisions without unbounded growth.
 const TRACE_CAPACITY: usize = 1024;
 
-/// Short registry suffixes for the five [`KernelCategory`] roll-ups, in
-/// [`KernelCategory::ALL`] order.
-const CATEGORY_NAMES: [&str; 5] =
-    ["history_write", "history_read", "content", "memory_access", "controller"];
-
 /// Pre-registered handles for every server metric, plus the registry and
 /// trace ring they live in. One instance per hub, shared via `Arc`.
 pub struct ServeMetrics {
     registry: Arc<MetricsRegistry>,
     trace: TraceRing,
-    /// Opt-in sampled engine timing (see
-    /// [`ServeMetrics::set_engine_profiling`]).
-    profile_engine: AtomicBool,
 
     /// `serve.sessions.opened`.
     pub sessions_opened: Counter,
@@ -126,11 +114,6 @@ pub struct ServeMetrics {
     pub store_snapshot_us: Histogram,
     /// `store.replay_steps`.
     pub store_replay_steps: Histogram,
-
-    /// `engine.profile.samples`.
-    pub profile_samples: Counter,
-    /// `engine.profile.<category>_ns`, in [`KernelCategory::ALL`] order.
-    pub profile_category_ns: [Counter; 5],
 
     /// `net.frames_in`.
     pub frames_in: Counter,
@@ -219,9 +202,6 @@ impl ServeMetrics {
             store_snapshot_bytes: r.histogram("store.snapshot_bytes"),
             store_snapshot_us: r.histogram("store.snapshot_us"),
             store_replay_steps: r.histogram("store.replay_steps"),
-            profile_samples: r.counter("engine.profile.samples"),
-            profile_category_ns: CATEGORY_NAMES
-                .map(|name| r.counter(&format!("engine.profile.{name}_ns"))),
             overload_shed: r.counter("overload.shed"),
             overload_deadline_expired: r.counter("overload.deadline_expired"),
             supervisor_restarts: r.counter("supervisor.restarts"),
@@ -238,26 +218,9 @@ impl ServeMetrics {
             rpc: rpc_names.map(|name| r.counter(&format!("rpc.{name}"))),
             err: err_names.map(|name| r.counter(&format!("err.{name}"))),
             trace: TraceRing::new(TRACE_CAPACITY),
-            profile_engine: AtomicBool::new(false),
             registry: registry.clone(),
         };
         metrics
-    }
-
-    /// Switches the opt-in sampled engine-timing path on: groups that
-    /// spawn *after* this build their engines with wall-clock
-    /// [`KernelProfile`] sampling enabled and periodically fold
-    /// per-category deltas into the `engine.profile.<category>_ns`
-    /// counters. Off by default — the unprofiled serving hot path never
-    /// reads the clock inside a kernel. Set it before opening sessions
-    /// (group engines are configured at spawn).
-    pub fn set_engine_profiling(&self, on: bool) {
-        self.profile_engine.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether sampled engine timing is enabled.
-    pub(crate) fn engine_profiling(&self) -> bool {
-        self.profile_engine.load(Ordering::Relaxed)
     }
 
     /// Copies every registered metric's current value out.
@@ -341,29 +304,11 @@ impl ServeMetrics {
         );
         self.fault_sched_injected.set(plan.injected(FaultSite::SchedTick) as i64);
     }
-
-    /// Folds a sampled [`KernelProfile`] delta into the per-category
-    /// engine counters (the opt-in engine-timing path: the scheduler
-    /// periodically diffs its engine's profile against a baseline and
-    /// hands the delta here).
-    pub(crate) fn record_profile_delta(&self, delta: &KernelProfile) {
-        if delta.total_nanos() == 0 {
-            return;
-        }
-        for (i, cat) in KernelCategory::ALL.iter().enumerate() {
-            let ns = delta.category_nanos(*cat);
-            if ns > 0 {
-                self.profile_category_ns[i].add(ns);
-            }
-        }
-        self.profile_samples.inc();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hima_dnc::KernelId;
 
     #[test]
     fn catalog_is_registered_up_front() {
@@ -385,7 +330,6 @@ mod tests {
             "supervisor.resurrected",
             "supervisor.failed_sessions",
             "store.evict_refusals",
-            "engine.profile.samples",
             "store.evictions",
             "store.rehydrations",
             "store.log_appends",
@@ -451,20 +395,5 @@ mod tests {
         assert!(m.snapshot().histogram("serve.session.42.step_latency_us").is_some());
         m.drop_session_histogram(42);
         assert!(m.snapshot().histogram("serve.session.42.step_latency_us").is_none());
-    }
-
-    #[test]
-    fn profile_deltas_roll_up_per_category() {
-        let m = ServeMetrics::new();
-        let mut delta = KernelProfile::new();
-        delta.record(KernelId::MemoryRead, 500, 2);
-        delta.record(KernelId::Lstm, 300, 1);
-        m.record_profile_delta(&delta);
-        m.record_profile_delta(&KernelProfile::new()); // empty: ignored
-        let snap = m.snapshot();
-        assert_eq!(snap.counter("engine.profile.samples"), Some(1));
-        assert_eq!(snap.counter("engine.profile.memory_access_ns"), Some(500));
-        assert_eq!(snap.counter("engine.profile.controller_ns"), Some(300));
-        assert_eq!(snap.counter("engine.profile.content_ns"), Some(0));
     }
 }

@@ -48,7 +48,7 @@ use crate::metrics::ServeMetrics;
 use crate::protocol::{Response, ServeError, SessionSpec};
 use crate::server::ServeConfig;
 use hima_chaos::{FaultKind, FaultSite};
-use hima_dnc::{BoxedEngine, EngineBuilder, KernelId, KernelProfile, LaneState};
+use hima_dnc::{BoxedEngine, EngineBuilder, LaneState};
 use hima_telemetry::{Histogram, TraceKind};
 use hima_tensor::{LaneMask, Matrix};
 use std::cell::Cell;
@@ -57,10 +57,6 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// With sampled engine timing on, fold the engine's accumulated
-/// [`KernelProfile`] into the registry every this many stepped ticks.
-const PROFILE_SAMPLE_TICKS: u32 = 64;
 
 /// A command routed to a group by the
 /// [`SessionHub`](crate::session::SessionHub): what to do to which
@@ -164,11 +160,6 @@ pub(crate) struct Group {
     /// The queued rows, parked sessions and live sessions last published
     /// ([`Group::publish`]); a new incarnation starts from the dead one's.
     published: Cell<[i64; 3]>,
-    /// Sampled engine timing: the profile totals already folded into the
-    /// registry (`None` when the opt-in path is off).
-    profile_base: Option<KernelProfile>,
-    /// Stepped ticks since the last profile sample.
-    ticks_since_sample: u32,
     /// The durability tier (`None` = RAM only; idle-reap then discards).
     pub(crate) durable: Option<Durable>,
     /// Sessions lost to a group panic (no durable state to resurrect
@@ -181,12 +172,10 @@ impl Group {
     /// `spec`.
     pub(crate) fn new(cfg: ServeConfig, spec: &SessionSpec, shared: GroupShared, store: Option<GroupStore>) -> Self {
         let lanes = cfg.grid_lanes.max(1);
-        let profiling = shared.metrics.engine_profiling();
         let engine = EngineBuilder::new(spec.params)
             .with_spec(spec.spec)
             .lanes(lanes)
             .seed(spec.seed)
-            .profiling(profiling)
             .build();
         let durable = store.map(|store| Durable::new(store, spec, &engine));
         Group {
@@ -202,8 +191,6 @@ impl Group {
             mask: Vec::new(),
             stepping: Vec::new(),
             published: Cell::default(),
-            profile_base: profiling.then(KernelProfile::new),
-            ticks_since_sample: 0,
             durable,
             failed: HashSet::new(),
         }
@@ -636,31 +623,6 @@ impl Group {
         for id in compact {
             self.compact(id);
         }
-
-        self.ticks_since_sample += 1;
-        self.sample_profile(false);
-    }
-
-    /// With sampled engine timing on, folds the delta between the
-    /// engine's cumulative [`KernelProfile`] and the last sampled
-    /// baseline into the registry's per-category counters. Runs every
-    /// [`PROFILE_SAMPLE_TICKS`] stepped ticks and once (`force`) at hub
-    /// shutdown.
-    pub(crate) fn sample_profile(&mut self, force: bool) {
-        let Some(base) = &self.profile_base else { return };
-        if !force && self.ticks_since_sample < PROFILE_SAMPLE_TICKS {
-            return;
-        }
-        let cur = self.engine.profile();
-        let mut delta = KernelProfile::new();
-        // The engine's totals are monotone — a splice moves state, never a
-        // unit's profile — so a negative delta is a bug to see.
-        for k in KernelId::ALL {
-            delta.record(k, cur.nanos(k) - base.nanos(k), cur.calls(k) - base.calls(k));
-        }
-        self.shared.metrics.record_profile_delta(&delta);
-        self.profile_base = Some(cur);
-        self.ticks_since_sample = 0;
     }
 
     /// Sweeps sessions idle past the configured timeout. Without a store

@@ -323,9 +323,9 @@ impl SessionHub {
         resp
     }
 
-    /// Stops the idle sweeper and forgets every group, folding each one's
-    /// sampled engine time into the metrics. A call already in progress
-    /// still runs to its reply: its caller holds the group it runs.
+    /// Stops the idle sweeper and forgets every group. A call already in
+    /// progress still runs to its reply: its caller holds the group it
+    /// runs.
     pub fn shutdown(&self) {
         if let Some((stop, handle)) = lock_clean(&self.sweeper).take() {
             stop.store(true, Ordering::Release);
@@ -334,9 +334,6 @@ impl SessionHub {
         }
         lock_clean(&self.index).clear();
         let groups: Vec<Arc<GroupCell>> = lock_clean(&self.groups).drain().map(|(_, cell)| cell).collect();
-        for cell in &groups {
-            cell.fold_profile();
-        }
         self.metrics.groups_live.sub(groups.len() as i64);
     }
 }

@@ -73,7 +73,7 @@
 //! cargo test --release -p hima-tensor --lib fixed::tests::exhaustive -- --ignored
 //! ```
 
-use crate::simd::{Kernel, Lanes, Tier};
+use crate::simd::{Kernel, Lanes, Tier, Token};
 use std::fmt;
 
 /// A signed two's-complement fixed-point *format* descriptor:
@@ -212,20 +212,14 @@ struct Rounding {
 }
 
 /// The rounding rule on one vector (see the [module docs](self)).
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn round_lanes<V: Lanes>(r: Rounding, x: V) -> V {
-    // SAFETY (every vector op): forwarded from the caller.
-    unsafe {
-        let v = x.mul(V::splat(r.scale)).max(V::splat(r.min_raw)).min(V::splat(r.max_raw));
-        let t = v.trunc();
-        let f = v.sub(t);
-        let raw = t.add(f.add(f).trunc()).add(V::zero());
-        raw.and(x.eq_mask(x)).mul(V::splat(r.inv_scale))
-    }
+fn round_lanes<V: Lanes>(cpu: Token<V>, r: Rounding, x: V) -> V {
+    let (scale, min_raw) = (V::splat(cpu, r.scale), V::splat(cpu, r.min_raw));
+    let v = x.mul(scale).max(min_raw).min(V::splat(cpu, r.max_raw));
+    let t = v.trunc();
+    let f = v.sub(t);
+    let raw = t.add(f.add(f).trunc()).add(V::zero(cpu));
+    raw.and(x.eq_mask(x)).mul(V::splat(cpu, r.inv_scale))
 }
 
 /// The rounding rule over a slice: whole vectors in place, then the last
@@ -240,15 +234,14 @@ struct RoundSlice<'a> {
 impl Kernel for RoundSlice<'_> {
     type Output = ();
     #[inline(always)]
-    unsafe fn run<V: Lanes>(self) {
+    fn run<V: Lanes>(self, cpu: Token<V>) {
         let mut chunks = self.xs.chunks_exact_mut(V::LANES);
-        // SAFETY (every vector op below): forwarded from the caller.
         for chunk in &mut chunks {
-            unsafe { round_lanes(self.r, V::load(chunk)).store(chunk) };
+            round_lanes(cpu, self.r, V::load(cpu, chunk)).store(chunk);
         }
         let tail = chunks.into_remainder();
         if !tail.is_empty() {
-            unsafe { round_lanes(self.r, V::load_first(tail)).store_first(tail) };
+            round_lanes(cpu, self.r, V::load_first(cpu, tail)).store_first(tail);
         }
     }
 }

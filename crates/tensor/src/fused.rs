@@ -62,7 +62,7 @@
 
 use crate::lane_mask::LaneMask;
 use crate::matrix::{nt_cols_into, Matrix};
-use crate::simd::{Kernel, Lanes, Tier};
+use crate::simd::{Kernel, Lanes, Tier, Token};
 
 /// Rows of the left factor one pass over the right factor serves.
 const GROUP: usize = 4;
@@ -158,22 +158,18 @@ struct RowDots<'a> {
 impl Kernel for RowDots<'_> {
     type Output = ();
     #[inline(always)]
-    unsafe fn run<V: Lanes>(self) {
+    fn run<V: Lanes>(self, cpu: Token<V>) {
         let RowDots { lhs, mask, rows, other, out, norms } = self;
-        // SAFETY: forwarded from the caller.
-        unsafe { row_dots::<V>(lhs, mask, rows, other, out, norms) }
+        row_dots(cpu, lhs, mask, rows, other, out, norms)
     }
 }
 
 /// The row-dot kernel over vector type `V`: zero the inactive rows of
 /// `out`, then one pass over `other` per group of up to [`GROUP`] active
 /// rows of `lhs`; the first pass also takes the norms.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn row_dots<V: Lanes>(
+fn row_dots<V: Lanes>(
+    cpu: Token<V>,
     lhs: &[f32],
     mask: Option<&LaneMask>,
     rows: usize,
@@ -196,10 +192,9 @@ unsafe fn row_dots<V: Lanes>(
         // of the kernel family.
         if len == GROUP || (len > 0 && r + 1 == rows) {
             let group = &group[..len];
-            // SAFETY (both arms): forwarded from the caller.
             match norms.take() {
-                Some(norms) => unsafe { group_into::<V, true>(lhs, group, other, out, norms) },
-                None => unsafe { group_into::<V, false>(lhs, group, other, out, &mut []) },
+                Some(norms) => group_into::<V, true>(cpu, lhs, group, other, out, norms),
+                None => group_into::<V, false>(cpu, lhs, group, other, out, &mut []),
             }
             len = 0;
         }
@@ -216,12 +211,9 @@ unsafe fn row_dots<V: Lanes>(
 /// lanes always carry one — two blocks of sixteen transposed vectors
 /// would not fit the register file with their accumulators (measured
 /// slower).
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn group_into<V: Lanes, const NORMS: bool>(
+fn group_into<V: Lanes, const NORMS: bool>(
+    cpu: Token<V>,
     lhs: &[f32],
     rows: &[usize],
     other: &Matrix,
@@ -229,17 +221,14 @@ unsafe fn group_into<V: Lanes, const NORMS: bool>(
     norms: &mut [f32],
 ) {
     let narrow = V::LANES == 8;
-    // SAFETY (every arm): forwarded from the caller.
-    unsafe {
-        match *rows {
-            [a] if narrow => pass::<V, 1, 2, NORMS>(lhs, [a], other, out, norms),
-            [a] => pass::<V, 1, 1, NORMS>(lhs, [a], other, out, norms),
-            [a, b] if narrow => pass::<V, 2, 2, NORMS>(lhs, [a, b], other, out, norms),
-            [a, b] => pass::<V, 2, 1, NORMS>(lhs, [a, b], other, out, norms),
-            [a, b, c] => pass::<V, 3, 1, NORMS>(lhs, [a, b, c], other, out, norms),
-            [a, b, c, d] => pass::<V, 4, 1, NORMS>(lhs, [a, b, c, d], other, out, norms),
-            _ => unreachable!("a group holds one to four rows"),
-        }
+    match *rows {
+        [a] if narrow => pass::<V, 1, 2, NORMS>(cpu, lhs, [a], other, out, norms),
+        [a] => pass::<V, 1, 1, NORMS>(cpu, lhs, [a], other, out, norms),
+        [a, b] if narrow => pass::<V, 2, 2, NORMS>(cpu, lhs, [a, b], other, out, norms),
+        [a, b] => pass::<V, 2, 1, NORMS>(cpu, lhs, [a, b], other, out, norms),
+        [a, b, c] => pass::<V, 3, 1, NORMS>(cpu, lhs, [a, b, c], other, out, norms),
+        [a, b, c, d] => pass::<V, 4, 1, NORMS>(cpu, lhs, [a, b, c, d], other, out, norms),
+        _ => unreachable!("a group holds one to four rows"),
     }
 }
 
@@ -249,12 +238,9 @@ unsafe fn group_into<V: Lanes, const NORMS: bool>(
 /// sixteen lanes an eight-lane block (`Lanes::Half`) if eight or more
 /// rows are left, then the row kernel's expressions for the last
 /// `N % 8` rows.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn pass<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
+fn pass<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
+    cpu: Token<V>,
     lhs: &[f32],
     rows: [usize; G],
     other: &Matrix,
@@ -265,19 +251,17 @@ unsafe fn pass<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
     let x: [&[f32]; G] = rows.map(|r| &lhs[r * k..(r + 1) * k]);
     let whole = n - n % V::LANES;
     let mut i = 0;
-    // SAFETY (both loops): forwarded from the caller.
     while i + V::LANES * B <= whole {
-        unsafe { blocks_into::<V, G, B, NORMS>(x, rows, other, i, out, norms) };
+        blocks_into::<V, G, B, NORMS>(cpu, x, rows, other, i, out, norms);
         i += V::LANES * B;
     }
     while i < whole {
-        unsafe { blocks_into::<V, G, 1, NORMS>(x, rows, other, i, out, norms) };
+        blocks_into::<V, G, 1, NORMS>(cpu, x, rows, other, i, out, norms);
         i += V::LANES;
     }
     let half = V::Half::LANES;
     if half < V::LANES && n - i >= half {
-        // SAFETY: a CPU that runs `V` runs `V::Half` (see `Lanes::Half`).
-        unsafe { blocks_into::<V::Half, G, 1, NORMS>(x, rows, other, i, out, norms) };
+        blocks_into::<V::Half, G, 1, NORMS>(cpu.half(), x, rows, other, i, out, norms);
         i += half;
     }
     for (x, r) in x.into_iter().zip(rows) {
@@ -299,12 +283,9 @@ unsafe fn pass<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
 /// registers, on sixteen lanes eight more of the last `K % 16` from a
 /// `16 × 8` transpose, then the last `K % 8` gathered one column at a
 /// time, ascending `k` throughout.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn blocks_into<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
+fn blocks_into<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
+    cpu: Token<V>,
     x: [&[f32]; G],
     rows: [usize; G],
     other: &Matrix,
@@ -318,23 +299,22 @@ unsafe fn blocks_into<V: Lanes, const G: usize, const B: usize, const NORMS: boo
     // The `LANES·B` rows, contiguous in the row-major matrix; block `b`
     // starts at row `LANES·b` of the slab.
     let slab = &other.as_slice()[i * k..(i + lanes * B) * k];
-    // SAFETY (every vector op below): forwarded from the caller.
-    let mut acc = [[unsafe { V::zero() }; B]; G];
-    let mut squares = [unsafe { V::zero() }; B];
+    let mut acc = [[V::zero(cpu); B]; G];
+    let mut squares = [V::zero(cpu); B];
     // Plain loops, not `array::map`/`from_fn`: those are calls the vector
     // entries do not inline, and a closure would not inherit their target
     // feature.
     for k0 in (0..whole).step_by(lanes) {
         for b in 0..B {
-            let t = unsafe { V::load_transposed(&slab[lanes * b * k..], k, k0) };
-            unsafe { accumulate::<V, G, B, NORMS>(&mut acc, &mut squares, b, t.as_ref(), x, k0) };
+            let t = V::load_transposed(cpu, &slab[lanes * b * k..], k, k0);
+            accumulate::<V, G, B, NORMS>(cpu, &mut acc, &mut squares, b, t.as_ref(), x, k0);
         }
     }
     let mut rest = whole;
     if lanes > 8 && k - whole >= 8 {
         for b in 0..B {
-            let t = unsafe { V::load_transposed8(&slab[lanes * b * k..], k, whole) };
-            unsafe { accumulate::<V, G, B, NORMS>(&mut acc, &mut squares, b, &t, x, whole) };
+            let t = V::load_transposed8(cpu, &slab[lanes * b * k..], k, whole);
+            accumulate::<V, G, B, NORMS>(cpu, &mut acc, &mut squares, b, &t, x, whole);
         }
         rest += 8;
     }
@@ -345,34 +325,31 @@ unsafe fn blocks_into<V: Lanes, const G: usize, const B: usize, const NORMS: boo
             for (l, c) in column[..lanes].iter_mut().enumerate() {
                 *c = slab[(lanes * b + l) * k + kk];
             }
-            let t = unsafe { V::load(&column) };
+            let t = V::load(cpu, &column);
             for g in 0..G {
-                acc[g][b] = unsafe { V::mul_acc(acc[g][b], V::splat(x[g][kk]), t) };
+                acc[g][b] = V::mul_acc(acc[g][b], V::splat(cpu, x[g][kk]), t);
             }
             if NORMS {
-                squares[b] = unsafe { V::mul_acc(squares[b], t, t) };
+                squares[b] = V::mul_acc(squares[b], t, t);
             }
         }
     }
     for b in 0..B {
         let i = i + lanes * b;
         for g in 0..G {
-            unsafe { acc[g][b].store(&mut out[rows[g] * n + i..]) };
+            acc[g][b].store(&mut out[rows[g] * n + i..]);
         }
         if NORMS {
-            unsafe { squares[b].sqrt().store(&mut norms[i..]) };
+            squares[b].sqrt().store(&mut norms[i..]);
         }
     }
 }
 
 /// `acc[g][b] += splat(x[g][k0 + c]) · t[c]` (and `squares[b] += t[c]²`
 /// when `NORMS`) for the transposed vectors `t[c]` of block `b`, in order.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn accumulate<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
+fn accumulate<V: Lanes, const G: usize, const B: usize, const NORMS: bool>(
+    cpu: Token<V>,
     acc: &mut [[V; B]; G],
     squares: &mut [V; B],
     b: usize,
@@ -384,13 +361,12 @@ unsafe fn accumulate<V: Lanes, const G: usize, const B: usize, const NORMS: bool
     for (steps, x) in steps.iter_mut().zip(x) {
         *steps = &x[k0..k0 + t.len()];
     }
-    // SAFETY (every vector op below): forwarded from the caller.
     for (c, &t) in t.iter().enumerate() {
         for g in 0..G {
-            acc[g][b] = unsafe { V::mul_acc(acc[g][b], V::splat(steps[g][c]), t) };
+            acc[g][b] = V::mul_acc(acc[g][b], V::splat(cpu, steps[g][c]), t);
         }
         if NORMS {
-            squares[b] = unsafe { V::mul_acc(squares[b], t, t) };
+            squares[b] = V::mul_acc(squares[b], t, t);
         }
     }
 }
@@ -431,9 +407,8 @@ struct MatvecTHeads<'a> {
 impl Kernel for MatvecTHeads<'_> {
     type Output = ();
     #[inline(always)]
-    unsafe fn run<V: Lanes>(self) {
-        // SAFETY: forwarded from the caller.
-        unsafe { matvec_t_heads::<V>(self.m, self.weights, self.out) }
+    fn run<V: Lanes>(self, cpu: Token<V>) {
+        matvec_t_heads(cpu, self.m, self.weights, self.out)
     }
 }
 
@@ -443,25 +418,18 @@ impl Kernel for MatvecTHeads<'_> {
 /// heads carry sixteen sixteen-lane accumulators, a whole row of `m` at
 /// `N = 128` — so `m` streams once, in row order, rather than twice in
 /// half rows (measured faster); eight-lane registers would spill at that.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn matvec_t_heads<V: Lanes>(m: &Matrix, weights: &Matrix, out: &mut [f32]) {
+fn matvec_t_heads<V: Lanes>(cpu: Token<V>, m: &Matrix, weights: &Matrix, out: &mut [f32]) {
     let k = m.cols();
     for h in (0..weights.rows()).step_by(GROUP) {
         let heads = (weights.rows() - h).min(GROUP);
         let out = &mut out[h * k..(h + heads) * k];
-        // SAFETY (every arm): forwarded from the caller.
-        unsafe {
-            match heads {
-                1 => heads_into::<V, 1, 8>(m, weights, h, out),
-                2 if V::LANES == 16 => heads_into::<V, 2, 8>(m, weights, h, out),
-                2 => heads_into::<V, 2, 4>(m, weights, h, out),
-                3 => heads_into::<V, 3, 2>(m, weights, h, out),
-                _ => heads_into::<V, 4, 2>(m, weights, h, out),
-            }
+        match heads {
+            1 => heads_into::<V, 1, 8>(cpu, m, weights, h, out),
+            2 if V::LANES == 16 => heads_into::<V, 2, 8>(cpu, m, weights, h, out),
+            2 => heads_into::<V, 2, 4>(cpu, m, weights, h, out),
+            3 => heads_into::<V, 3, 2>(cpu, m, weights, h, out),
+            _ => heads_into::<V, 4, 2>(cpu, m, weights, h, out),
         }
     }
 }
@@ -469,12 +437,9 @@ unsafe fn matvec_t_heads<V: Lanes>(m: &Matrix, weights: &Matrix, out: &mut [f32]
 /// `out[g] = mᵀ · weights.row(h + g)` for `g < H`: blocks of `C` vectors
 /// of columns, then of half that down to one vector, then the
 /// reference's loop for the last `K % LANES` columns.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn heads_into<V: Lanes, const H: usize, const C: usize>(
+fn heads_into<V: Lanes, const H: usize, const C: usize>(
+    cpu: Token<V>,
     m: &Matrix,
     weights: &Matrix,
     h: usize,
@@ -484,21 +449,20 @@ unsafe fn heads_into<V: Lanes, const H: usize, const C: usize>(
     let lanes = V::LANES;
     let w: [&[f32]; H] = std::array::from_fn(|g| weights.row(h + g));
     let mut j = 0;
-    // SAFETY (every call): forwarded from the caller.
     while j + lanes * C <= k {
-        unsafe { columns_into::<V, H, C>(m, w, j, out) };
+        columns_into::<V, H, C>(cpu, m, w, j, out);
         j += lanes * C;
     }
     if C > 4 && j + 4 * lanes <= k {
-        unsafe { columns_into::<V, H, 4>(m, w, j, out) };
+        columns_into::<V, H, 4>(cpu, m, w, j, out);
         j += 4 * lanes;
     }
     if C > 2 && j + 2 * lanes <= k {
-        unsafe { columns_into::<V, H, 2>(m, w, j, out) };
+        columns_into::<V, H, 2>(cpu, m, w, j, out);
         j += 2 * lanes;
     }
     if C > 1 && j + lanes <= k {
-        unsafe { columns_into::<V, H, 1>(m, w, j, out) };
+        columns_into::<V, H, 1>(cpu, m, w, j, out);
         j += lanes;
     }
     if j == k {
@@ -520,12 +484,9 @@ unsafe fn heads_into<V: Lanes, const H: usize, const C: usize>(
 /// Columns `j..j + C·LANES` of `mᵀ · w[g]` for every `g`: each row of `m` is
 /// loaded once and multiplied into `H·C` accumulators, the products of
 /// exact-zero weights masked to `+0.0`.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn columns_into<V: Lanes, const H: usize, const C: usize>(
+fn columns_into<V: Lanes, const H: usize, const C: usize>(
+    cpu: Token<V>,
     m: &Matrix,
     w: [&[f32]; H],
     j: usize,
@@ -536,27 +497,26 @@ unsafe fn columns_into<V: Lanes, const H: usize, const C: usize>(
     // Every weight row is `rows` long (the caller's shape check): with
     // that said once, the row loop indexes them unchecked by the compiler.
     let w: [&[f32]; H] = w.map(|w| &w[..rows]);
-    // SAFETY (every vector op below): forwarded from the caller.
-    let zero = unsafe { V::zero() };
+    let zero = V::zero(cpu);
     let mut acc = [[zero; C]; H];
     for (i, row) in m.as_slice().chunks_exact(k).enumerate() {
         let row = &row[j..j + width];
         let mut cols = [zero; C];
         for (c, col) in cols.iter_mut().enumerate() {
-            *col = unsafe { V::load(&row[V::LANES * c..]) };
+            *col = V::load(cpu, &row[V::LANES * c..]);
         }
         for (acc, w) in acc.iter_mut().zip(w) {
-            let wv = unsafe { V::splat(w[i]) };
-            let live = unsafe { wv.ne_mask(zero) };
+            let wv = V::splat(cpu, w[i]);
+            let live = wv.ne_mask(zero);
             for (acc, &col) in acc.iter_mut().zip(&cols) {
-                *acc = unsafe { acc.add(wv.mul(col).and(live)) };
+                *acc = acc.add(wv.mul(col).and(live));
             }
         }
     }
     for (g, acc) in acc.into_iter().enumerate() {
         let out = &mut out[g * k + j..g * k + j + width];
         for (c, v) in acc.into_iter().enumerate() {
-            unsafe { v.store(&mut out[V::LANES * c..]) };
+            v.store(&mut out[V::LANES * c..]);
         }
     }
 }

@@ -34,7 +34,7 @@
 //! (`TemporalLinkage::update_linkage` in `hima-dnc`).
 
 use crate::matrix::Matrix;
-use crate::simd::{Kernel, Lanes, Tier};
+use crate::simd::{Kernel, Lanes, Tier, Token};
 
 /// The erase/add memory write: every row `i` of `memory` with
 /// `write_weighting[i] != 0.0` becomes `m · (1 − w·e) + w·v` element-wise
@@ -82,18 +82,17 @@ struct EraseAdd<'a> {
 impl Kernel for EraseAdd<'_> {
     type Output = bool;
     #[inline(always)]
-    unsafe fn run<V: Lanes>(self) -> bool {
+    fn run<V: Lanes>(self, cpu: Token<V>) -> bool {
         let EraseAdd { memory, write_weighting, erase, write } = self;
         let cols = memory.cols();
         let rows = memory.as_mut_slice();
         let mut j = 0;
-        // SAFETY (every call): forwarded from the caller.
         while j + BLOCK * V::LANES <= cols {
-            unsafe { erase_add_block::<V, BLOCK>(rows, cols, write_weighting, erase, write, j) };
+            erase_add_block::<V, BLOCK>(cpu, rows, cols, write_weighting, erase, write, j);
             j += BLOCK * V::LANES;
         }
         while j + V::LANES <= cols {
-            unsafe { erase_add_block::<V, 1>(rows, cols, write_weighting, erase, write, j) };
+            erase_add_block::<V, 1>(cpu, rows, cols, write_weighting, erase, write, j);
             j += V::LANES;
         }
         if j < cols {
@@ -116,12 +115,9 @@ const BLOCK: usize = 4;
 /// Columns `j..j + C·LANES` of the memory write: the erase and write
 /// vectors loaded once, then every written row of `rows` (row-major,
 /// `cols` wide) updated in place.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn erase_add_block<V: Lanes, const C: usize>(
+fn erase_add_block<V: Lanes, const C: usize>(
+    cpu: Token<V>,
     rows: &mut [f32],
     cols: usize,
     write_weighting: &[f32],
@@ -131,25 +127,22 @@ unsafe fn erase_add_block<V: Lanes, const C: usize>(
 ) {
     let width = C * V::LANES;
     let (erase, write) = (&erase[j..j + width], &write[j..j + width]);
-    // SAFETY (every vector op below): forwarded from the caller.
-    let one = unsafe { V::splat(1.0) };
+    let one = V::splat(cpu, 1.0);
     let (mut e, mut v) = ([one; C], [one; C]);
     for c in 0..C {
         let at = c * V::LANES;
-        unsafe { (e[c], v[c]) = (V::load(&erase[at..]), V::load(&write[at..])) };
+        (e[c], v[c]) = (V::load(cpu, &erase[at..]), V::load(cpu, &write[at..]));
     }
     for (row, &w) in rows.chunks_exact_mut(cols).zip(write_weighting) {
         if w == 0.0 {
             continue;
         }
-        let wv = unsafe { V::splat(w) };
+        let wv = V::splat(cpu, w);
         let block = &mut row[j..j + width];
         for c in 0..C {
             let at = c * V::LANES;
-            unsafe {
-                let m = V::load(&block[at..]);
-                m.mul(one.sub(wv.mul(e[c]))).add(wv.mul(v[c])).store(&mut block[at..]);
-            }
+            let m = V::load(cpu, &block[at..]);
+            m.mul(one.sub(wv.mul(e[c]))).add(wv.mul(v[c])).store(&mut block[at..]);
         }
     }
 }
@@ -194,18 +187,17 @@ struct LinkageUpdate<'a> {
 impl Kernel for LinkageUpdate<'_> {
     type Output = ();
     #[inline(always)]
-    unsafe fn run<V: Lanes>(self) {
+    fn run<V: Lanes>(self, cpu: Token<V>) {
         let LinkageUpdate { linkage, precedence, write_weighting: w } = self;
         let n = w.len();
         let rows = linkage.as_mut_slice();
         let mut j = 0;
-        // SAFETY (every call): forwarded from the caller.
         while j + BLOCK * V::LANES <= n {
-            unsafe { linkage_block::<V, BLOCK>(rows, precedence, w, j) };
+            linkage_block::<V, BLOCK>(cpu, rows, precedence, w, j);
             j += BLOCK * V::LANES;
         }
         while j + V::LANES <= n {
-            unsafe { linkage_block::<V, 1>(rows, precedence, w, j) };
+            linkage_block::<V, 1>(cpu, rows, precedence, w, j);
             j += V::LANES;
         }
         // The last `N % LANES` columns, then the diagonal.
@@ -221,12 +213,9 @@ impl Kernel for LinkageUpdate<'_> {
 /// Columns `j..j + C·LANES` of the linkage update: the write weights and
 /// precedences of those columns loaded once, then every row of `rows`
 /// (row-major, `N × N`) updated in place.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn linkage_block<V: Lanes, const C: usize>(
+fn linkage_block<V: Lanes, const C: usize>(
+    cpu: Token<V>,
     rows: &mut [f32],
     precedence: &[f32],
     w: &[f32],
@@ -234,24 +223,21 @@ unsafe fn linkage_block<V: Lanes, const C: usize>(
 ) {
     let width = C * V::LANES;
     let (wj, pj) = (&w[j..j + width], &precedence[j..j + width]);
-    // SAFETY (every vector op below): forwarded from the caller.
-    let zero = unsafe { V::zero() };
+    let zero = V::zero(cpu);
     let (mut wv, mut pv) = ([zero; C], [zero; C]);
     for c in 0..C {
         let at = c * V::LANES;
-        unsafe { (wv[c], pv[c]) = (V::load(&wj[at..]), V::load(&pj[at..])) };
+        (wv[c], pv[c]) = (V::load(cpu, &wj[at..]), V::load(cpu, &pj[at..]));
     }
     for (row, &wi) in rows.chunks_exact_mut(w.len()).zip(w) {
-        let (wiv, one_minus_wi) = unsafe { (V::splat(wi), V::splat(1.0 - wi)) };
+        let (wiv, one_minus_wi) = (V::splat(cpu, wi), V::splat(cpu, 1.0 - wi));
         let block = &mut row[j..j + width];
         for c in 0..C {
             let at = c * V::LANES;
             // (1 − wi − w[j]) · l + wi · p[j], the reference loop's
             // left-associated operation order.
-            unsafe {
-                let l = V::load(&block[at..]);
-                one_minus_wi.sub(wv[c]).mul(l).add(wiv.mul(pv[c])).store(&mut block[at..]);
-            }
+            let l = V::load(cpu, &block[at..]);
+            one_minus_wi.sub(wv[c]).mul(l).add(wiv.mul(pv[c])).store(&mut block[at..]);
         }
     }
 }

@@ -65,7 +65,7 @@
 
 use crate::lane_mask::LaneMask;
 use crate::matrix::Matrix;
-use crate::simd::{Kernel, Lanes, Tier};
+use crate::simd::{Kernel, Lanes, Tier, Token};
 use std::fmt;
 
 /// Outputs per panel: one 16-wide or two 8-wide vectors, one cache line
@@ -185,20 +185,16 @@ struct Product<'a> {
 impl Kernel for Product<'_> {
     type Output = ();
     #[inline(always)]
-    unsafe fn run<V: Lanes>(self) {
-        // SAFETY: forwarded from the caller.
-        unsafe { product::<V>(self.weights, self.lhs, self.mask, self.out) }
+    fn run<V: Lanes>(self, cpu: Token<V>) {
+        product(cpu, self.weights, self.lhs, self.mask, self.out)
     }
 }
 
 /// The product over vector type `V`: zero the inactive rows, then walk the
 /// panels once per group of up to [`GROUP`] active lanes.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn product<V: Lanes>(
+fn product<V: Lanes>(
+    cpu: Token<V>,
     weights: &PackedWeights,
     lhs: &Matrix,
     mask: &LaneMask,
@@ -215,16 +211,15 @@ unsafe fn product<V: Lanes>(
         group[len] = i;
         len += 1;
         if len == GROUP {
-            // SAFETY (all four arms): forwarded from the caller.
-            unsafe { group_into::<V, 4, 2>(weights, lhs, group, out) };
+            group_into::<V, 4, 2>(cpu, weights, lhs, group, out);
             len = 0;
         }
     }
     let [a, b, c, _] = group;
     match len {
-        3 => unsafe { group_into::<V, 3, 2>(weights, lhs, [a, b, c], out) },
-        2 => unsafe { group_into::<V, 2, 4>(weights, lhs, [a, b], out) },
-        1 => unsafe { group_into::<V, 1, 8>(weights, lhs, [a], out) },
+        3 => group_into::<V, 3, 2>(cpu, weights, lhs, [a, b, c], out),
+        2 => group_into::<V, 2, 4>(cpu, weights, lhs, [a, b], out),
+        1 => group_into::<V, 1, 8>(cpu, weights, lhs, [a], out),
         _ => {}
     }
 }
@@ -232,12 +227,9 @@ unsafe fn product<V: Lanes>(
 /// `out.row(l) = lhs.row(l) · weightsᵀ` for the `L` rows in `lanes`, `C`
 /// vectors of outputs per block — `C · LANES / 16` whole panels — then
 /// blocks of half as many vectors while they fit, down to single panels.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn group_into<V: Lanes, const L: usize, const C: usize>(
+fn group_into<V: Lanes, const L: usize, const C: usize>(
+    cpu: Token<V>,
     weights: &PackedWeights,
     lhs: &Matrix,
     lanes: [usize; L],
@@ -249,10 +241,9 @@ unsafe fn group_into<V: Lanes, const L: usize, const C: usize>(
     let count = n4.div_ceil(PANEL);
     let per_block = C * V::LANES / PANEL;
     let mut p = 0;
-    // SAFETY (every block): forwarded from the caller.
     while p + per_block <= count {
         let panels = &weights.panels[p * k..(p + per_block) * k];
-        unsafe { store_block(block::<V, L, C>(x, panels, k), lanes, p * PANEL, n4, out) };
+        store_block(block::<V, L, C>(cpu, x, panels, k), lanes, p * PANEL, n4, out);
         p += per_block;
     }
     // The narrower blocks keep some add chains in flight on the last
@@ -260,21 +251,21 @@ unsafe fn group_into<V: Lanes, const L: usize, const C: usize>(
     // and two AVX-512 ones).
     if C > 4 && p + 4 * V::LANES / PANEL <= count {
         let panels = &weights.panels[p * k..(p + 4 * V::LANES / PANEL) * k];
-        unsafe { store_block(block::<V, L, 4>(x, panels, k), lanes, p * PANEL, n4, out) };
+        store_block(block::<V, L, 4>(cpu, x, panels, k), lanes, p * PANEL, n4, out);
         p += 4 * V::LANES / PANEL;
     }
     if C > 2 && p + 2 * V::LANES / PANEL <= count {
         let panels = &weights.panels[p * k..(p + 2 * V::LANES / PANEL) * k];
-        unsafe { store_block(block::<V, L, 2>(x, panels, k), lanes, p * PANEL, n4, out) };
+        store_block(block::<V, L, 2>(cpu, x, panels, k), lanes, p * PANEL, n4, out);
         p += 2 * V::LANES / PANEL;
     }
     while p < count {
         let panels = &weights.panels[p * k..(p + 1) * k];
         // One panel is one vector or two, by width.
         if V::LANES == PANEL {
-            unsafe { store_block(block::<V, L, 1>(x, panels, k), lanes, p * PANEL, n4, out) };
+            store_block(block::<V, L, 1>(cpu, x, panels, k), lanes, p * PANEL, n4, out);
         } else {
-            unsafe { store_block(block::<V, L, 2>(x, panels, k), lanes, p * PANEL, n4, out) };
+            store_block(block::<V, L, 2>(cpu, x, panels, k), lanes, p * PANEL, n4, out);
         }
         p += 1;
     }
@@ -290,12 +281,9 @@ unsafe fn group_into<V: Lanes, const L: usize, const C: usize>(
 /// The accumulators of `L` lanes × `C` consecutive output vectors
 /// (`panels` holds their `C · LANES / 16` panels of `k` rows) after all
 /// `k` steps, ascending.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn block<V: Lanes, const L: usize, const C: usize>(
+fn block<V: Lanes, const L: usize, const C: usize>(
+    cpu: Token<V>,
     x: [&[f32]; L],
     panels: &[PanelRow],
     k: usize,
@@ -307,19 +295,18 @@ unsafe fn block<V: Lanes, const L: usize, const C: usize>(
     for (c, rows) in rows.iter_mut().enumerate() {
         *rows = &panels[c / per_panel * k..][..k];
     }
-    // SAFETY (every vector op below): forwarded from the caller. Plain
-    // loops, no closures: a closure would not inherit the kernel entry's
-    // target feature, and its intrinsics would stay calls.
-    let mut acc = [[unsafe { V::zero() }; C]; L];
+    // Plain loops, no closures: a closure would not inherit the kernel
+    // entry's target feature, and its intrinsics would stay calls.
+    let mut acc = [[V::zero(cpu); C]; L];
     for kk in 0..k {
-        let mut w = [unsafe { V::zero() }; C];
+        let mut w = [V::zero(cpu); C];
         for (c, w) in w.iter_mut().enumerate() {
-            *w = unsafe { V::load(&rows[c][kk].0[c % per_panel * V::LANES..]) };
+            *w = V::load(cpu, &rows[c][kk].0[c % per_panel * V::LANES..]);
         }
         for l in 0..L {
-            let xv = unsafe { V::splat(x[l][kk]) };
+            let xv = V::splat(cpu, x[l][kk]);
             for c in 0..C {
-                acc[l][c] = unsafe { V::mul_acc(acc[l][c], xv, w[c]) };
+                acc[l][c] = V::mul_acc(acc[l][c], xv, w[c]);
             }
         }
     }
@@ -328,12 +315,8 @@ unsafe fn block<V: Lanes, const L: usize, const C: usize>(
 
 /// Writes a block's accumulators to `out[lanes[l]][col0..]`, dropping the
 /// zero-padded lanes of a short last panel (columns from `n4` on).
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn store_block<V: Lanes, const L: usize, const C: usize>(
+fn store_block<V: Lanes, const L: usize, const C: usize>(
     acc: [[V; C]; L],
     lanes: [usize; L],
     col0: usize,
@@ -345,8 +328,7 @@ unsafe fn store_block<V: Lanes, const L: usize, const C: usize>(
         for (c, v) in acc.into_iter().enumerate() {
             let col = col0 + c * V::LANES;
             let width = n4.saturating_sub(col).min(V::LANES);
-            // SAFETY: forwarded from the caller.
-            unsafe { v.store_first(&mut row[col.min(n4)..][..width]) };
+            v.store_first(&mut row[col.min(n4)..][..width]);
         }
     }
 }

@@ -59,11 +59,34 @@
 //! from an 8 × 8 block on `Avx` (`Lanes::Half`); the rest of the rows run
 //! the row kernel's own scalar expressions, whose four-column passes
 //! start from `+0.0` and walk `k` in order just as a lane does. One kernel is eight lanes wide *by
-//! definition* and stays on the eight-lane types (the `Lanes8` sub-trait,
-//! which `Avx512` does not implement; on an AVX-512 CPU it runs on
-//! `Avx`): the softmax sums its exponentials into **eight** partial sums,
-//! then adds those in a fixed tree — the order is part of its definition.
+//! definition* and runs on `Lanes::Half`, eight lanes on every tier (`Avx`
+//! under `Avx512`): the softmax sums its exponentials into **eight**
+//! partial sums, then adds those in a fixed tree — the order is part of
+//! its definition.
+//!
+//! # Safety
+//!
+//! Every intrinsic here needs one fact: this CPU runs the tier's
+//! instruction set. That fact is a value, a `Token<V>`: a zero-sized
+//! proof that the CPU runs `V`'s instructions, which only `Tier::run`
+//! makes, right after it asserts [`Tier::is_available`], and hands to the
+//! kernel it runs (`Token::half` derives `V::Half`'s, which a CPU that
+//! runs `V` runs too). Every constructor of a lane type — `zero`, `splat`,
+//! `load`, `load_first`, `load_transposed`, `load_transposed8` — takes the
+//! token, and the lane types' fields are private to this module, so a
+//! vector of a tier's type exists only where a token did: holding one
+//! proves the CPU, and every other op, taking a vector, is safe. (The few
+//! private helpers that make a vector without a token take only values
+//! computed from an existing one.) Memory stays bounds-checked: the
+//! loads and stores slice their `LANES` elements first, or mask their
+//! accesses to a slice of at most `LANES`, and the transposing loads —
+//! the only ones that offset a raw pointer — assert that their block
+//! lies inside the buffer. So the one `unsafe` block per intrinsic body
+//! here cites the token, and every kernel body outside this module is
+//! safe code. The design is the `pulp` crate's `Simd` trait's, whose
+//! tokens prove a CPU feature the same way.
 
+use std::marker::PhantomData;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -86,17 +109,27 @@ use core::arch::x86_64::{
     _mm_slli_epi32, _mm_srli_epi32, _CMP_EQ_OQ, _CMP_LT_OQ, _CMP_NEQ_UQ, _MM_FROUND_NO_EXC,
     _MM_FROUND_TO_ZERO,
 };
+
+/// Proof that this CPU runs `V`'s instruction set — zero-sized, made only
+/// by [`Tier::run`] once it has checked the tier (see the module's
+/// "Safety" section).
+#[derive(Clone, Copy)]
+pub(crate) struct Token<V>(PhantomData<V>);
+
+impl<V: Lanes> Token<V> {
+    /// The token of `V::Half`, which a CPU that runs `V` runs too.
+    #[inline(always)]
+    pub(crate) fn half(self) -> Token<V::Half> {
+        Token(PhantomData)
+    }
+}
+
 /// `LANES` `f32` lanes with the operations the crate's kernel bodies
 /// need (see the [module docs](self)). Every arithmetic op is one rounded
 /// IEEE operation per lane — what the scalar `+`, `-`, `*`, `sqrt` and
 /// `trunc` compute — so a body written over `Lanes` keeps the bits of the
-/// scalar code it transcribes.
-///
-/// # Safety
-///
-/// Every method may execute instructions of the implementor's instruction
-/// set: callers must know the CPU supports it ([`F32x8`]: always; `Avx`
-/// and `Avx512`: from [`Tier::detected`], which `Tier::run` checks).
+/// scalar code it transcribes. The constructors take the [`Token`] that
+/// proves the CPU runs `Self`.
 pub(crate) trait Lanes: Copy {
     /// Lanes per vector: 8 or 16.
     const LANES: usize;
@@ -104,132 +137,106 @@ pub(crate) trait Lanes: Copy {
     type Block: Copy + AsRef<[Self]>;
     /// An eight-lane type a CPU that runs `Self` also runs: `Self` on the
     /// eight-lane types, `Avx` on `Avx512` — for a remainder of eight rows
-    /// too short for a sixteen-lane block.
+    /// too short for a sixteen-lane block, and for the softmax.
     type Half: Lanes;
 
-    unsafe fn zero() -> Self;
-    unsafe fn splat(v: f32) -> Self;
+    fn zero(cpu: Token<Self>) -> Self;
+    fn splat(cpu: Token<Self>, v: f32) -> Self;
     /// The first `LANES` elements of `s` (panics if shorter).
-    unsafe fn load(s: &[f32]) -> Self;
+    fn load(cpu: Token<Self>, s: &[f32]) -> Self;
     /// Writes the lanes to the first `LANES` elements of `d` (panics if
     /// shorter).
-    unsafe fn store(self, d: &mut [f32]);
-    unsafe fn add(self, o: Self) -> Self;
-    unsafe fn sub(self, o: Self) -> Self;
-    unsafe fn mul(self, o: Self) -> Self;
-    unsafe fn div(self, o: Self) -> Self;
+    fn store(self, d: &mut [f32]);
+    fn add(self, o: Self) -> Self;
+    fn sub(self, o: Self) -> Self;
+    fn mul(self, o: Self) -> Self;
+    fn div(self, o: Self) -> Self;
     /// `self < o ? self : o` per lane — `o` wherever either is NaN, so a
     /// clamp that must keep a NaN puts its constant in `self`.
-    unsafe fn min(self, o: Self) -> Self;
+    fn min(self, o: Self) -> Self;
     /// `self > o ? self : o` per lane — `o` wherever either is NaN.
-    unsafe fn max(self, o: Self) -> Self;
+    fn max(self, o: Self) -> Self;
     /// Bitwise and.
-    unsafe fn and(self, o: Self) -> Self;
+    fn and(self, o: Self) -> Self;
     /// Bitwise or.
-    unsafe fn or(self, o: Self) -> Self;
+    fn or(self, o: Self) -> Self;
     /// Bitwise `!self & o`.
-    unsafe fn andnot(self, o: Self) -> Self;
+    fn andnot(self, o: Self) -> Self;
     /// All ones where `self == o` (false on NaN), all zeros elsewhere.
-    unsafe fn eq_mask(self, o: Self) -> Self;
+    fn eq_mask(self, o: Self) -> Self;
     /// All ones where `self != o` (true on NaN), all zeros elsewhere.
-    unsafe fn ne_mask(self, o: Self) -> Self;
+    fn ne_mask(self, o: Self) -> Self;
     /// All ones where `self < o` (false on NaN), all zeros elsewhere.
-    unsafe fn lt_mask(self, o: Self) -> Self;
+    fn lt_mask(self, o: Self) -> Self;
     /// `self · 2ⁿ` by adding `n` to the exponent field — `n` being the
     /// integer that `x + 1.5·2²³` leaves in the low mantissa bits of
     /// `magic`: `magic`'s bits shifted left by 23, integer-added to
     /// `self`'s. Exact while `self` and the result are both normal.
-    unsafe fn scale_pow2(self, magic: Self) -> Self;
+    fn scale_pow2(self, magic: Self) -> Self;
     /// The bits shifted right by 23, as a number: the biased exponent of
     /// a positive value.
-    unsafe fn biased_exponent(self) -> Self;
+    fn biased_exponent(self) -> Self;
     /// Rounds toward zero, keeping the sign of a zero result.
-    unsafe fn trunc(self) -> Self;
-    unsafe fn sqrt(self) -> Self;
+    fn trunc(self) -> Self;
+    fn sqrt(self) -> Self;
     /// A `LANES × LANES` block of a row-major buffer, transposed: `rows`
     /// holds rows of `stride` values, and element `c` of the result holds
     /// `rows[r·stride + col + c]` in lane `r` (panics if the block's last
     /// element lies outside `rows`).
-    unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> Self::Block;
+    fn load_transposed(cpu: Token<Self>, rows: &[f32], stride: usize, col: usize) -> Self::Block;
     /// A `LANES × 8` block, transposed as [`Lanes::load_transposed`] does:
     /// eight vectors, the columns `col..col + 8` of `LANES` rows. On the
     /// eight-lane types it is `load_transposed`.
-    unsafe fn load_transposed8(rows: &[f32], stride: usize, col: usize) -> [Self; 8];
+    fn load_transposed8(cpu: Token<Self>, rows: &[f32], stride: usize, col: usize) -> [Self; 8];
 
     /// `acc + x * w` per lane: a rounded multiply, then a rounded add.
     #[inline(always)]
-    unsafe fn mul_acc(acc: Self, x: Self, w: Self) -> Self {
-        // SAFETY: forwarded from the caller.
-        unsafe { acc.add(x.mul(w)) }
+    fn mul_acc(acc: Self, x: Self, w: Self) -> Self {
+        acc.add(x.mul(w))
     }
 
     /// `a` where this mask (all ones or all zeros per lane) is set, `b`
     /// elsewhere.
     #[inline(always)]
-    unsafe fn select(self, a: Self, b: Self) -> Self {
-        // SAFETY: forwarded from the caller.
-        unsafe { self.and(a).or(self.andnot(b)) }
+    fn select(self, a: Self, b: Self) -> Self {
+        self.and(a).or(self.andnot(b))
     }
 
-    /// The elements of `s` (at most `LANES`) in the first lanes, zeros in
-    /// the rest — a slice's tail as one padded vector.
+    /// The elements of `s` in the first lanes, zeros in the rest — a
+    /// slice's tail as one padded vector (panics if `s` is longer than
+    /// `LANES`).
     #[inline(always)]
-    unsafe fn load_first(s: &[f32]) -> Self {
+    fn load_first(cpu: Token<Self>, s: &[f32]) -> Self {
+        assert!(s.len() <= Self::LANES, "{TAIL_TOO_LONG}");
         let mut padded = [0.0f32; 16];
         padded[..s.len()].copy_from_slice(s);
-        // SAFETY: forwarded from the caller.
-        unsafe { Self::load(&padded) }
+        Self::load(cpu, &padded)
     }
 
-    /// Writes the first `d.len()` lanes (at most `LANES`) to `d`.
+    /// Writes the first `d.len()` lanes to `d` (panics if `d` is longer
+    /// than `LANES`).
     #[inline(always)]
-    unsafe fn store_first(self, d: &mut [f32]) {
+    fn store_first(self, d: &mut [f32]) {
+        assert!(d.len() <= Self::LANES, "{TAIL_TOO_LONG}");
         let mut all = [0.0f32; 16];
-        // SAFETY: forwarded from the caller.
-        unsafe { self.store(&mut all) };
+        self.store(&mut all);
         d.copy_from_slice(&all[..d.len()]);
     }
 }
 
-/// The eight-lane types: what the kernel that is eight lanes wide *by
-/// definition* — the softmax's eight partial sums — runs on (see the
-/// [module docs](self)). [`F32x8`] and `Avx` implement it; `Avx512` does
-/// not.
-pub(crate) trait Lanes8: Lanes {
-    #[inline(always)]
-    unsafe fn to_array(self) -> [f32; 8] {
-        let mut a = [0.0f32; 8];
-        // SAFETY: forwarded from the caller.
-        unsafe { self.store(&mut a) };
-        a
-    }
-}
+/// What `load_first` and `store_first` say on every tier when handed a
+/// slice longer than a vector.
+const TAIL_TOO_LONG: &str = "a tail longer than a vector";
 
 /// A kernel body generic over the lane type, run by [`Tier::run`] on the
 /// tier it names.
 pub(crate) trait Kernel {
     type Output;
 
-    /// The body over `V` — `#[inline(always)]` in every implementation,
-    /// so it is compiled inside the tier's `#[target_feature]` entry.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `V`'s instruction set (see [`Lanes`]).
-    unsafe fn run<V: Lanes>(self) -> Self::Output;
-}
-
-/// [`Kernel`] for a body that is eight lanes wide by definition, run by
-/// [`Tier::run8`].
-pub(crate) trait Kernel8 {
-    type Output;
-
-    /// As [`Kernel::run`].
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `V`'s instruction set (see [`Lanes`]).
-    unsafe fn run<V: Lanes8>(self) -> Self::Output;
+    /// The body over `V`, which `cpu` proves this CPU runs —
+    /// `#[inline(always)]` in every implementation, so it is compiled
+    /// inside the tier's `#[target_feature]` entry.
+    fn run<V: Lanes>(self, cpu: Token<V>) -> Self::Output;
 }
 
 /// One implementation of `Lanes`: what a dispatched kernel runs on. Ordered
@@ -294,7 +301,8 @@ impl Tier {
         }
     }
 
-    /// Runs `kernel` over this tier's `Lanes`.
+    /// Runs `kernel` over this tier's `Lanes`, handing it the tier's
+    /// [`Token`] — the only place one is made.
     ///
     /// # Panics
     ///
@@ -302,31 +310,14 @@ impl Tier {
     #[inline]
     pub(crate) fn run<K: Kernel>(self, kernel: K) -> K::Output {
         assert!(self.is_available(), "this CPU does not run the {} tier", self.name());
-        // SAFETY (every arm): the CPU runs this tier, checked above.
         match self {
+            // SAFETY: the CPU runs AVX-512F (asserted above), so the `Token<Avx512>` is true.
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => unsafe { run_avx512(kernel) },
+            Tier::Avx512 => unsafe { run_avx512(kernel, Token(PhantomData)) },
+            // SAFETY: the CPU runs AVX (asserted above), so the `Token<Avx>` is true.
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx => unsafe { run_avx(kernel) },
-            _ => unsafe { kernel.run::<F32x8>() },
-        }
-    }
-
-    /// Runs an eight-lane `kernel` on this tier's eight-lane type — `Avx`
-    /// on the `Avx512` tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this CPU does not run this tier.
-    #[inline]
-    pub(crate) fn run8<K: Kernel8>(self, kernel: K) -> K::Output {
-        assert!(self.is_available(), "this CPU does not run the {} tier", self.name());
-        // SAFETY (both arms): the CPU runs this tier, checked above, and
-        // `Avx512` implies AVX.
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx | Tier::Avx512 => unsafe { run8_avx(kernel) },
-            _ => unsafe { kernel.run::<F32x8>() },
+            Tier::Avx => unsafe { run_avx(kernel, Token(PhantomData)) },
+            _ => kernel.run(Token::<F32x8>(PhantomData)),
         }
     }
 }
@@ -337,40 +328,18 @@ impl std::fmt::Display for Tier {
     }
 }
 
-/// The `Avx` entry of every [`Kernel`].
-///
-/// # Safety
-///
-/// The CPU must support AVX.
+/// The `Avx` entry of every [`Kernel`]: its body compiled for AVX.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn run_avx<K: Kernel>(kernel: K) -> K::Output {
-    // SAFETY: the caller guarantees AVX, which is all `Avx` needs.
-    unsafe { kernel.run::<Avx>() }
+fn run_avx<K: Kernel>(kernel: K, cpu: Token<Avx>) -> K::Output {
+    kernel.run(cpu)
 }
 
-/// The `Avx` entry of every [`Kernel8`].
-///
-/// # Safety
-///
-/// The CPU must support AVX.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn run8_avx<K: Kernel8>(kernel: K) -> K::Output {
-    // SAFETY: the caller guarantees AVX, which is all `Avx` needs.
-    unsafe { kernel.run::<Avx>() }
-}
-
-/// The `Avx512` entry of every [`Kernel`].
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F.
+/// The `Avx512` entry of every [`Kernel`]: its body compiled for AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn run_avx512<K: Kernel>(kernel: K) -> K::Output {
-    // SAFETY: the caller guarantees AVX-512F, which is all `Avx512` needs.
-    unsafe { kernel.run::<Avx512>() }
+fn run_avx512<K: Kernel>(kernel: K, cpu: Token<Avx512>) -> K::Output {
+    kernel.run(cpu)
 }
 
 /// Eight `f32` lanes in plain Rust: every op is the scalar expression it
@@ -386,116 +355,109 @@ impl F32x8 {
     }
 }
 
-// Nothing here needs the `unsafe` the trait's signatures carry: plain
-// Rust runs on every CPU.
 impl Lanes for F32x8 {
     const LANES: usize = 8;
     type Block = [Self; 8];
     type Half = Self;
 
     #[inline(always)]
-    unsafe fn zero() -> Self {
+    fn zero(_: Token<Self>) -> Self {
         Self([0.0; 8])
     }
     #[inline(always)]
-    unsafe fn splat(v: f32) -> Self {
+    fn splat(_: Token<Self>, v: f32) -> Self {
         Self([v; 8])
     }
     #[inline(always)]
-    unsafe fn load(s: &[f32]) -> Self {
+    fn load(_: Token<Self>, s: &[f32]) -> Self {
         Self(s[..8].try_into().expect("F32x8::load needs 8 elements"))
     }
     #[inline(always)]
-    unsafe fn store(self, d: &mut [f32]) {
+    fn store(self, d: &mut [f32]) {
         d[..8].copy_from_slice(&self.0);
     }
     #[inline(always)]
-    unsafe fn add(self, o: Self) -> Self {
+    fn add(self, o: Self) -> Self {
         self.zip(o, |a, b| a + b)
     }
     #[inline(always)]
-    unsafe fn sub(self, o: Self) -> Self {
+    fn sub(self, o: Self) -> Self {
         self.zip(o, |a, b| a - b)
     }
     #[inline(always)]
-    unsafe fn mul(self, o: Self) -> Self {
+    fn mul(self, o: Self) -> Self {
         self.zip(o, |a, b| a * b)
     }
     #[inline(always)]
-    unsafe fn div(self, o: Self) -> Self {
+    fn div(self, o: Self) -> Self {
         self.zip(o, |a, b| a / b)
     }
     #[inline(always)]
-    unsafe fn min(self, o: Self) -> Self {
+    fn min(self, o: Self) -> Self {
         self.zip(o, |a, b| if a < b { a } else { b })
     }
     #[inline(always)]
-    unsafe fn max(self, o: Self) -> Self {
+    fn max(self, o: Self) -> Self {
         self.zip(o, |a, b| if a > b { a } else { b })
     }
     #[inline(always)]
-    unsafe fn and(self, o: Self) -> Self {
+    fn and(self, o: Self) -> Self {
         self.zip(o, |a, b| f32::from_bits(a.to_bits() & b.to_bits()))
     }
     #[inline(always)]
-    unsafe fn or(self, o: Self) -> Self {
+    fn or(self, o: Self) -> Self {
         self.zip(o, |a, b| f32::from_bits(a.to_bits() | b.to_bits()))
     }
     #[inline(always)]
-    unsafe fn andnot(self, o: Self) -> Self {
+    fn andnot(self, o: Self) -> Self {
         self.zip(o, |a, b| f32::from_bits(!a.to_bits() & b.to_bits()))
     }
     #[inline(always)]
-    unsafe fn eq_mask(self, o: Self) -> Self {
+    fn eq_mask(self, o: Self) -> Self {
         self.zip(o, |a, b| f32::from_bits(if a == b { u32::MAX } else { 0 }))
     }
     #[inline(always)]
-    unsafe fn ne_mask(self, o: Self) -> Self {
+    fn ne_mask(self, o: Self) -> Self {
         self.zip(o, |a, b| f32::from_bits(if a != b { u32::MAX } else { 0 }))
     }
     #[inline(always)]
-    unsafe fn lt_mask(self, o: Self) -> Self {
+    fn lt_mask(self, o: Self) -> Self {
         self.zip(o, |a, b| f32::from_bits(if a < b { u32::MAX } else { 0 }))
     }
     #[inline(always)]
-    unsafe fn scale_pow2(self, magic: Self) -> Self {
+    fn scale_pow2(self, magic: Self) -> Self {
         self.zip(magic, |p, m| f32::from_bits(p.to_bits().wrapping_add(m.to_bits() << 23)))
     }
     #[inline(always)]
-    unsafe fn biased_exponent(self) -> Self {
+    fn biased_exponent(self) -> Self {
         Self(self.0.map(|v| (v.to_bits() >> 23) as f32))
     }
     #[inline(always)]
-    unsafe fn trunc(self) -> Self {
+    fn trunc(self) -> Self {
         Self(self.0.map(f32::trunc))
     }
     #[inline(always)]
-    unsafe fn sqrt(self) -> Self {
+    fn sqrt(self) -> Self {
         Self(self.0.map(f32::sqrt))
     }
     #[inline(always)]
-    unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
+    fn load_transposed(_: Token<Self>, rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
         assert!(7 * stride + col + 8 <= rows.len(), "8 x 8 block out of bounds");
         std::array::from_fn(|c| Self(std::array::from_fn(|r| rows[r * stride + col + c])))
     }
     #[inline(always)]
-    unsafe fn load_transposed8(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
-        unsafe { Self::load_transposed(rows, stride, col) }
+    fn load_transposed8(cpu: Token<Self>, rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
+        Self::load_transposed(cpu, rows, stride, col)
     }
 }
 
-impl Lanes8 for F32x8 {}
-
 /// [`Lanes::scale_pow2`] on four lanes. AVX (without AVX2) has no 256-bit
-/// integer unit, so `Avx` runs this on its two 128-bit halves.
-///
-/// # Safety
-///
-/// None beyond SSE2, part of the x86_64 baseline ABI: register-only.
+/// integer unit, so `Avx` runs this on its two 128-bit halves. SSE2 is
+/// part of the x86_64 baseline, so these two need no token.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn scale_pow2_sse2(p: __m128, magic: __m128) -> __m128 {
-    // SAFETY: SSE2 register-only intrinsics.
+fn scale_pow2_sse2(p: __m128, magic: __m128) -> __m128 {
+    // SAFETY: SSE2 is part of the x86_64 baseline.
     unsafe {
         let n = _mm_slli_epi32::<23>(_mm_castps_si128(magic));
         _mm_castsi128_ps(_mm_add_epi32(_mm_castps_si128(p), n))
@@ -503,14 +465,10 @@ unsafe fn scale_pow2_sse2(p: __m128, magic: __m128) -> __m128 {
 }
 
 /// [`Lanes::biased_exponent`] on four lanes (see [`scale_pow2_sse2`]).
-///
-/// # Safety
-///
-/// None beyond SSE2, part of the x86_64 baseline ABI: register-only.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn biased_exponent_sse2(v: __m128) -> __m128 {
-    // SAFETY: SSE2 register-only intrinsics.
+fn biased_exponent_sse2(v: __m128) -> __m128 {
+    // SAFETY: SSE2 is part of the x86_64 baseline.
     unsafe { _mm_cvtepi32_ps(_mm_srli_epi32::<23>(_mm_castps_si128(v))) }
 }
 
@@ -519,10 +477,11 @@ unsafe fn biased_exponent_sse2(v: __m128) -> __m128 {
 #[derive(Clone, Copy)]
 pub(crate) struct Avx(__m256);
 
-// SAFETY (every method): the trait's contract — the caller knows the CPU
-// supports AVX — is the intrinsics' only requirement; the loads and the
-// store additionally slice their eight (or four) elements first, so the
-// unaligned accesses stay in-bounds.
+// Every `unsafe` block below runs AVX intrinsics, whose one requirement —
+// the CPU runs AVX — is what a `Token<Avx>` proves; a method on `self`
+// holds one by the module's argument. The loads and the store slice their
+// eight (or four) elements first, so the unaligned accesses stay in
+// bounds.
 #[cfg(target_arch = "x86_64")]
 impl Lanes for Avx {
     const LANES: usize = 8;
@@ -530,86 +489,105 @@ impl Lanes for Avx {
     type Half = Self;
 
     #[inline(always)]
-    unsafe fn zero() -> Self {
+    fn zero(_: Token<Self>) -> Self {
+        // SAFETY: the `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_setzero_ps() })
     }
     #[inline(always)]
-    unsafe fn splat(v: f32) -> Self {
+    fn splat(_: Token<Self>, v: f32) -> Self {
+        // SAFETY: the `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_set1_ps(v) })
     }
     #[inline(always)]
-    unsafe fn load(s: &[f32]) -> Self {
+    fn load(_: Token<Self>, s: &[f32]) -> Self {
         let s = &s[..8];
+        // SAFETY: the `Token<Avx>`: the CPU runs AVX; `s` holds the eight values read.
         Avx(unsafe { _mm256_loadu_ps(s.as_ptr()) })
     }
     #[inline(always)]
-    unsafe fn store(self, d: &mut [f32]) {
+    fn store(self, d: &mut [f32]) {
         let d = &mut d[..8];
+        // SAFETY: `self` proves a `Token<Avx>`; `d` holds the eight values written.
         unsafe { _mm256_storeu_ps(d.as_mut_ptr(), self.0) }
     }
     #[inline(always)]
-    unsafe fn add(self, o: Self) -> Self {
+    fn add(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_add_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn sub(self, o: Self) -> Self {
+    fn sub(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_sub_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn mul(self, o: Self) -> Self {
+    fn mul(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_mul_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn div(self, o: Self) -> Self {
+    fn div(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_div_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn min(self, o: Self) -> Self {
+    fn min(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_min_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn max(self, o: Self) -> Self {
+    fn max(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_max_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn and(self, o: Self) -> Self {
+    fn and(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_and_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn or(self, o: Self) -> Self {
+    fn or(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_or_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn andnot(self, o: Self) -> Self {
+    fn andnot(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_andnot_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn eq_mask(self, o: Self) -> Self {
+    fn eq_mask(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_cmp_ps::<_CMP_EQ_OQ>(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn ne_mask(self, o: Self) -> Self {
+    fn ne_mask(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_cmp_ps::<_CMP_NEQ_UQ>(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn lt_mask(self, o: Self) -> Self {
+    fn lt_mask(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_cmp_ps::<_CMP_LT_OQ>(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn select(self, a: Self, b: Self) -> Self {
+    fn select(self, a: Self, b: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_blendv_ps(b.0, a.0, self.0) })
     }
     #[inline(always)]
-    unsafe fn scale_pow2(self, magic: Self) -> Self {
+    fn scale_pow2(self, magic: Self) -> Self {
+        let (p, m) = (self.0, magic.0);
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         unsafe {
-            let (p, m) = (self.0, magic.0);
             let lo = scale_pow2_sse2(_mm256_castps256_ps128(p), _mm256_castps256_ps128(m));
             let hi = scale_pow2_sse2(_mm256_extractf128_ps::<1>(p), _mm256_extractf128_ps::<1>(m));
             Avx(_mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi))
         }
     }
     #[inline(always)]
-    unsafe fn biased_exponent(self) -> Self {
+    fn biased_exponent(self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         unsafe {
             let lo = biased_exponent_sse2(_mm256_castps256_ps128(self.0));
             let hi = biased_exponent_sse2(_mm256_extractf128_ps::<1>(self.0));
@@ -617,33 +595,37 @@ impl Lanes for Avx {
         }
     }
     #[inline(always)]
-    unsafe fn trunc(self) -> Self {
+    fn trunc(self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(self.0) })
     }
     #[inline(always)]
-    unsafe fn sqrt(self) -> Self {
+    fn sqrt(self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx>`: the CPU runs AVX.
         Avx(unsafe { _mm256_sqrt_ps(self.0) })
     }
     #[inline(always)]
-    unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
+    fn load_transposed(cpu: Token<Self>, rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
         assert!(7 * stride + col + 8 <= rows.len(), "8 x 8 block out of bounds");
         // Rows `r` and `r + 4` share a register, one per 128-bit half, so
         // a 4 × 4 transpose inside each half (`unpck`, then `shufps`) is
         // the whole 8 × 8 transpose — no cross-half shuffle. (Plain loops,
         // no closures: a closure would not inherit the kernel entry's
         // target feature, and its intrinsics would stay calls.)
-        let mut out = [unsafe { Self::zero() }; 8];
+        let mut out = [Self::zero(cpu); 8];
         for q in 0..2 {
-            let mut m = [unsafe { _mm256_setzero_ps() }; 4];
+            let mut m = [Self::zero(cpu).0; 4];
             for (r, m) in m.iter_mut().enumerate() {
-                // SAFETY: rows `r` and `r + 4 ≤ 7`, columns up to `col + 8`:
-                // inside `rows` by the assert above.
+                // SAFETY: the `Token<Avx>`: the CPU runs AVX; rows `r` and
+                // `r + 4 ≤ 7`, columns up to `col + 8` lie inside `rows` by
+                // the assert above.
                 *m = unsafe {
                     let at = rows.as_ptr().add(r * stride + col + 4 * q);
                     let lo = _mm256_castps128_ps256(_mm_loadu_ps(at));
                     _mm256_insertf128_ps::<1>(lo, _mm_loadu_ps(at.add(4 * stride)))
                 };
             }
+            // SAFETY: the `Token<Avx>`: the CPU runs AVX.
             unsafe {
                 let (t0, t1) = (_mm256_unpacklo_ps(m[0], m[1]), _mm256_unpackhi_ps(m[0], m[1]));
                 let (t2, t3) = (_mm256_unpacklo_ps(m[2], m[3]), _mm256_unpackhi_ps(m[2], m[3]));
@@ -656,57 +638,56 @@ impl Lanes for Avx {
         out
     }
     #[inline(always)]
-    unsafe fn load_transposed8(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
-        unsafe { Self::load_transposed(rows, stride, col) }
+    fn load_transposed8(cpu: Token<Self>, rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
+        Self::load_transposed(cpu, rows, stride, col)
     }
 }
-
-#[cfg(target_arch = "x86_64")]
-impl Lanes8 for Avx {}
 
 /// Sixteen lanes in one AVX-512 register (AVX-512F only).
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub(crate) struct Avx512(__m512);
 
-// SAFETY (every method): as for the `Lanes` methods below, the caller
-// knows the CPU supports AVX-512F, the register-only intrinsics' only
-// requirement.
+// Every `unsafe` block below runs AVX-512F intrinsics, whose one
+// requirement — the CPU runs AVX-512F — is what a `Token<Avx512>` proves;
+// a method on `self` holds one by the module's argument.
 #[cfg(target_arch = "x86_64")]
 impl Avx512 {
     /// All ones in the lanes `k` sets, zeros elsewhere — a compare's
-    /// `__mmask16` as the lane mask `Lanes` works with.
+    /// `__mmask16` as the lane mask `Lanes` works with. `k` comes from a
+    /// compare of existing vectors.
     #[inline(always)]
-    unsafe fn widen(k: __mmask16) -> Self {
+    fn widen(k: __mmask16) -> Self {
+        // SAFETY: `k` was computed from an `Avx512`, which proves a `Token<Avx512>`.
         Avx512(unsafe { _mm512_castsi512_ps(_mm512_maskz_set1_epi32(k, -1)) })
     }
 
     /// The lanes' bits as integers (AVX-512F has no `ps` bit operations).
     #[inline(always)]
-    unsafe fn int(self) -> __m512i {
+    fn int(self) -> __m512i {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
         unsafe { _mm512_castps_si512(self.0) }
     }
 
-    /// Integer lanes as `f32` bits.
+    /// Integer lanes as `f32` bits; `v` comes from [`Avx512::int`].
     #[inline(always)]
-    unsafe fn from_int(v: __m512i) -> Self {
+    fn from_int(v: __m512i) -> Self {
+        // SAFETY: `v` was computed from an `Avx512`, which proves a `Token<Avx512>`.
         Avx512(unsafe { _mm512_castsi512_ps(v) })
     }
 
-    /// The mask of the first `n ≤ 16` lanes.
+    /// The mask of the first `n` lanes (panics unless `n ≤ 16`).
     #[inline(always)]
     fn first(n: usize) -> __mmask16 {
-        assert!(n <= 16, "at most sixteen lanes");
+        assert!(n <= 16, "{TAIL_TOO_LONG}");
         ((1u32 << n) - 1) as __mmask16
     }
 }
 
-// SAFETY (every method): the trait's contract — the caller knows the CPU
-// supports AVX-512F — is the intrinsics' only requirement; the loads and
-// the stores additionally slice their sixteen elements first, or mask
+// The loads and the stores slice their sixteen elements first, or mask
 // their accesses to the `n ≤ 16` elements of the slice (`first` asserts
 // the bound; a masked-off lane is neither read nor written, and cannot
-// fault), so every access stays in-bounds.
+// fault), so every access stays in bounds.
 #[cfg(target_arch = "x86_64")]
 impl Lanes for Avx512 {
     const LANES: usize = 16;
@@ -715,193 +696,210 @@ impl Lanes for Avx512 {
     type Half = Avx;
 
     #[inline(always)]
-    unsafe fn zero() -> Self {
+    fn zero(_: Token<Self>) -> Self {
+        // SAFETY: the `Token<Avx512>`: the CPU runs AVX-512F.
         Avx512(unsafe { _mm512_setzero_ps() })
     }
     #[inline(always)]
-    unsafe fn splat(v: f32) -> Self {
+    fn splat(_: Token<Self>, v: f32) -> Self {
+        // SAFETY: the `Token<Avx512>`: the CPU runs AVX-512F.
         Avx512(unsafe { _mm512_set1_ps(v) })
     }
     #[inline(always)]
-    unsafe fn load(s: &[f32]) -> Self {
+    fn load(_: Token<Self>, s: &[f32]) -> Self {
         let s = &s[..16];
+        // SAFETY: the `Token<Avx512>`: the CPU runs AVX-512F; `s` holds the sixteen values read.
         Avx512(unsafe { _mm512_loadu_ps(s.as_ptr()) })
     }
     #[inline(always)]
-    unsafe fn store(self, d: &mut [f32]) {
+    fn store(self, d: &mut [f32]) {
         let d = &mut d[..16];
+        // SAFETY: `self` proves a `Token<Avx512>`; `d` holds the sixteen values written.
         unsafe { _mm512_storeu_ps(d.as_mut_ptr(), self.0) }
     }
     #[inline(always)]
-    unsafe fn load_first(s: &[f32]) -> Self {
-        Avx512(unsafe { _mm512_maskz_loadu_ps(Self::first(s.len()), s.as_ptr()) })
+    fn load_first(_: Token<Self>, s: &[f32]) -> Self {
+        let first = Self::first(s.len());
+        // SAFETY: the `Token<Avx512>`: the CPU runs AVX-512F; only `s`'s lanes are read.
+        Avx512(unsafe { _mm512_maskz_loadu_ps(first, s.as_ptr()) })
     }
     #[inline(always)]
-    unsafe fn store_first(self, d: &mut [f32]) {
-        unsafe { _mm512_mask_storeu_ps(d.as_mut_ptr(), Self::first(d.len()), self.0) }
+    fn store_first(self, d: &mut [f32]) {
+        let first = Self::first(d.len());
+        // SAFETY: `self` proves a `Token<Avx512>`; only `d`'s lanes are written.
+        unsafe { _mm512_mask_storeu_ps(d.as_mut_ptr(), first, self.0) }
     }
     #[inline(always)]
-    unsafe fn add(self, o: Self) -> Self {
+    fn add(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
         Avx512(unsafe { _mm512_add_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn sub(self, o: Self) -> Self {
+    fn sub(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
         Avx512(unsafe { _mm512_sub_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn mul(self, o: Self) -> Self {
+    fn mul(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
         Avx512(unsafe { _mm512_mul_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn div(self, o: Self) -> Self {
+    fn div(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
         Avx512(unsafe { _mm512_div_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn min(self, o: Self) -> Self {
+    fn min(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
         Avx512(unsafe { _mm512_min_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn max(self, o: Self) -> Self {
+    fn max(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
         Avx512(unsafe { _mm512_max_ps(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn and(self, o: Self) -> Self {
-        unsafe { Self::from_int(_mm512_and_si512(self.int(), o.int())) }
+    fn and(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
+        Self::from_int(unsafe { _mm512_and_si512(self.int(), o.int()) })
     }
     #[inline(always)]
-    unsafe fn or(self, o: Self) -> Self {
-        unsafe { Self::from_int(_mm512_or_si512(self.int(), o.int())) }
+    fn or(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
+        Self::from_int(unsafe { _mm512_or_si512(self.int(), o.int()) })
     }
     #[inline(always)]
-    unsafe fn andnot(self, o: Self) -> Self {
-        unsafe { Self::from_int(_mm512_andnot_si512(self.int(), o.int())) }
+    fn andnot(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
+        Self::from_int(unsafe { _mm512_andnot_si512(self.int(), o.int()) })
     }
     #[inline(always)]
-    unsafe fn eq_mask(self, o: Self) -> Self {
-        unsafe { Self::widen(_mm512_cmp_ps_mask::<_CMP_EQ_OQ>(self.0, o.0)) }
+    fn eq_mask(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
+        Self::widen(unsafe { _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn ne_mask(self, o: Self) -> Self {
-        unsafe { Self::widen(_mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(self.0, o.0)) }
+    fn ne_mask(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
+        Self::widen(unsafe { _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn lt_mask(self, o: Self) -> Self {
-        unsafe { Self::widen(_mm512_cmp_ps_mask::<_CMP_LT_OQ>(self.0, o.0)) }
+    fn lt_mask(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
+        Self::widen(unsafe { _mm512_cmp_ps_mask::<_CMP_LT_OQ>(self.0, o.0) })
     }
     #[inline(always)]
-    unsafe fn select(self, a: Self, b: Self) -> Self {
+    fn select(self, a: Self, b: Self) -> Self {
         // One `vpternlogd`: 0xCA is the truth table of `mask ? a : b`.
-        unsafe { Self::from_int(_mm512_ternarylogic_epi32::<0xCA>(self.int(), a.int(), b.int())) }
+        let (mask, a, b) = (self.int(), a.int(), b.int());
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
+        Self::from_int(unsafe { _mm512_ternarylogic_epi32::<0xCA>(mask, a, b) })
     }
     #[inline(always)]
-    unsafe fn scale_pow2(self, magic: Self) -> Self {
-        let n = unsafe { _mm512_slli_epi32::<23>(magic.int()) };
-        unsafe { Self::from_int(_mm512_add_epi32(self.int(), n)) }
+    fn scale_pow2(self, magic: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
+        Self::from_int(unsafe {
+            _mm512_add_epi32(self.int(), _mm512_slli_epi32::<23>(magic.int()))
+        })
     }
     #[inline(always)]
-    unsafe fn biased_exponent(self) -> Self {
+    fn biased_exponent(self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
         Avx512(unsafe { _mm512_cvtepi32_ps(_mm512_srli_epi32::<23>(self.int())) })
     }
     #[inline(always)]
-    unsafe fn trunc(self) -> Self {
+    fn trunc(self) -> Self {
         // `roundscale` with zero fraction bits and round-toward-zero is
         // `trunc`, the sign of a zero result kept.
         const TRUNC: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
         Avx512(unsafe { _mm512_roundscale_ps::<TRUNC>(self.0) })
     }
     #[inline(always)]
-    unsafe fn sqrt(self) -> Self {
+    fn sqrt(self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512>`: the CPU runs AVX-512F.
         Avx512(unsafe { _mm512_sqrt_ps(self.0) })
     }
     #[inline(always)]
-    unsafe fn load_transposed(rows: &[f32], stride: usize, col: usize) -> [Self; 16] {
+    fn load_transposed(cpu: Token<Self>, rows: &[f32], stride: usize, col: usize) -> [Self; 16] {
         assert!(15 * stride + col + 16 <= rows.len(), "16 x 16 block out of bounds");
         // Three shuffle stages (plain loops, no closures, as for `Avx`):
         // `unpck` pairs rows, `shufps` makes each 128-bit lane a 4 × 4
         // transpose of four rows (lane `q` holds columns `4q..4q + 4`),
         // and two rounds of `shuf_f32x4` gather the four row groups of one
         // column into one register.
-        let mut r = [unsafe { _mm512_setzero_ps() }; 16];
+        let mut out = [Self::zero(cpu); 16];
+        let mut r = [Self::zero(cpu).0; 16];
         for (i, r) in r.iter_mut().enumerate() {
-            // SAFETY: row `i ≤ 15`, columns up to `col + 16`: inside
-            // `rows` by the assert above.
+            // SAFETY: the `Token<Avx512>`: the CPU runs AVX-512F; row `i ≤
+            // 15`, columns up to `col + 16` lie inside `rows` by the assert
+            // above.
             *r = unsafe { _mm512_loadu_ps(rows.as_ptr().add(i * stride + col)) };
         }
-        let mut t = r;
-        for p in 0..8 {
-            unsafe {
+        // SAFETY: the `Token<Avx512>`: the CPU runs AVX-512F.
+        unsafe {
+            let mut t = r;
+            for p in 0..8 {
                 t[2 * p] = _mm512_unpacklo_ps(r[2 * p], r[2 * p + 1]);
                 t[2 * p + 1] = _mm512_unpackhi_ps(r[2 * p], r[2 * p + 1]);
             }
-        }
-        // Afterwards lane `q` of `r[4g + c]` holds column `4q + c` of rows
-        // `4g..4g + 4`.
-        for g in 0..4 {
-            let (a, b, c, d) = (t[4 * g], t[4 * g + 1], t[4 * g + 2], t[4 * g + 3]);
-            unsafe {
+            // Afterwards lane `q` of `r[4g + c]` holds column `4q + c` of
+            // rows `4g..4g + 4`.
+            for g in 0..4 {
+                let (a, b, c, d) = (t[4 * g], t[4 * g + 1], t[4 * g + 2], t[4 * g + 3]);
                 r[4 * g] = _mm512_shuffle_ps::<0x44>(a, c);
                 r[4 * g + 1] = _mm512_shuffle_ps::<0xEE>(a, c);
                 r[4 * g + 2] = _mm512_shuffle_ps::<0x44>(b, d);
                 r[4 * g + 3] = _mm512_shuffle_ps::<0xEE>(b, d);
             }
-        }
-        // Column `4q + c` sits in lane `q` of `r[c]`, `r[4 + c]`, `r[8 + c]`
-        // and `r[12 + c]`: lanes 0 and 2 pair up, then 1 and 3.
-        let (mut even, mut odd) = ([r[0]; 8], [r[0]; 8]);
-        for c in 0..4 {
-            for h in 0..2 {
-                let (a, b) = (r[8 * h + c], r[8 * h + 4 + c]);
-                unsafe {
+            // Column `4q + c` sits in lane `q` of `r[c]`, `r[4 + c]`,
+            // `r[8 + c]` and `r[12 + c]`: lanes 0 and 2 pair up, then 1
+            // and 3.
+            let (mut even, mut odd) = ([r[0]; 8], [r[0]; 8]);
+            for c in 0..4 {
+                for h in 0..2 {
+                    let (a, b) = (r[8 * h + c], r[8 * h + 4 + c]);
                     even[2 * c + h] = _mm512_shuffle_f32x4::<0x88>(a, b);
                     odd[2 * c + h] = _mm512_shuffle_f32x4::<0xDD>(a, b);
                 }
             }
-        }
-        // Ascending columns, so a caller consuming them in order keeps few
-        // registers live.
-        let mut out = [unsafe { Self::zero() }; 16];
-        for c in 0..4 {
-            unsafe {
+            // Ascending columns, so a caller consuming them in order keeps
+            // few registers live.
+            for c in 0..4 {
                 out[c] = Avx512(_mm512_shuffle_f32x4::<0x88>(even[2 * c], even[2 * c + 1]));
             }
-        }
-        for c in 0..4 {
-            unsafe {
+            for c in 0..4 {
                 out[4 + c] = Avx512(_mm512_shuffle_f32x4::<0x88>(odd[2 * c], odd[2 * c + 1]));
             }
-        }
-        for c in 0..4 {
-            unsafe {
+            for c in 0..4 {
                 out[8 + c] = Avx512(_mm512_shuffle_f32x4::<0xDD>(even[2 * c], even[2 * c + 1]));
             }
-        }
-        for c in 0..4 {
-            unsafe {
+            for c in 0..4 {
                 out[12 + c] = Avx512(_mm512_shuffle_f32x4::<0xDD>(odd[2 * c], odd[2 * c + 1]));
             }
         }
         out
     }
     #[inline(always)]
-    unsafe fn load_transposed8(rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
+    fn load_transposed8(cpu: Token<Self>, rows: &[f32], stride: usize, col: usize) -> [Self; 8] {
         assert!(15 * stride + col + 8 <= rows.len(), "16 x 8 block out of bounds");
         // Rows 0..8 and 8..16 as two 8 × 8 transposes, then each column's
         // two halves joined into one register.
-        let (lo, hi) = unsafe {
-            let hi = Avx::load_transposed(&rows[8 * stride..], stride, col);
-            (Avx::load_transposed(rows, stride, col), hi)
-        };
-        let mut out = [unsafe { Self::zero() }; 8];
+        let hi = Avx::load_transposed(cpu.half(), &rows[8 * stride..], stride, col);
+        let lo = Avx::load_transposed(cpu.half(), rows, stride, col);
+        let mut out = [Self::zero(cpu); 8];
         for (c, out) in out.iter_mut().enumerate() {
-            unsafe {
+            // SAFETY: the `Token<Avx512>`: the CPU runs AVX-512F.
+            *out = Avx512(unsafe {
                 let lo = _mm512_castps_pd(_mm512_castps256_ps512(lo[c].0));
-                let joined = _mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi[c].0));
-                *out = Avx512(_mm512_castpd_ps(joined));
-            }
+                _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi[c].0)))
+            });
         }
         out
     }
 }
+
 
 /// Test support for the cross-tier checks: hostile inputs, and one
 /// assertion that every tier this CPU runs returns the same bits.
@@ -999,31 +997,67 @@ mod tests {
     use super::*;
     use crate::QFormat;
 
-    // SAFETY (every `unsafe` block of the three tests below): `F32x8` is
-    // plain Rust, which every CPU runs.
+    /// `F32x8` is plain Rust, which every CPU runs.
+    const PORTABLE: Token<F32x8> = Token(PhantomData);
 
     #[test]
     fn splat_load_store_round_trip() {
         let mut d = [0.0f32; 8];
-        unsafe { F32x8::splat(3.5).store(&mut d) };
+        F32x8::splat(PORTABLE, 3.5).store(&mut d);
         assert_eq!(d, [3.5; 8]);
-        let v = unsafe { F32x8::load(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]) };
+        let v = F32x8::load(PORTABLE, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         assert_eq!(v.0[7], 8.0);
     }
 
     #[test]
     fn elementwise_arithmetic() {
-        let a = unsafe { F32x8::load(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]) };
-        let b = unsafe { F32x8::splat(2.0) };
-        assert_eq!(unsafe { a.add(b) }.0[0], 3.0);
-        assert_eq!(unsafe { a.sub(b) }.0[0], -1.0);
-        assert_eq!(unsafe { a.mul(b) }.0[3], 8.0);
+        let a = F32x8::load(PORTABLE, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        let b = F32x8::splat(PORTABLE, 2.0);
+        assert_eq!(a.add(b).0[0], 3.0);
+        assert_eq!(a.sub(b).0[0], -1.0);
+        assert_eq!(a.mul(b).0[3], 8.0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn load_rejects_short_slices() {
-        unsafe { F32x8::load(&[1.0; 7]) };
+        F32x8::load(PORTABLE, &[1.0; 7]);
+    }
+
+    /// `load_first` (or, when `self.0`, `store_first`) of a slice four
+    /// elements longer than a vector.
+    struct LongTail(bool);
+
+    impl Kernel for LongTail {
+        type Output = ();
+        fn run<V: Lanes>(self, cpu: Token<V>) {
+            let mut long = [1.0f32; 20];
+            let long = &mut long[..V::LANES + 4];
+            if self.0 {
+                V::zero(cpu).store_first(long);
+            } else {
+                V::load_first(cpu, long);
+            }
+        }
+    }
+
+    /// The message of a caught panic.
+    fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload.downcast_ref::<&str>().map_or(String::new(), |s| s.to_string()),
+        }
+    }
+
+    #[test]
+    fn tails_longer_than_a_vector_are_rejected_on_every_tier() {
+        for tier in Tier::available() {
+            for store in [false, true] {
+                let long = std::panic::catch_unwind(|| tier.run(LongTail(store)));
+                let said = long.err().map(message);
+                assert_eq!(said.as_deref(), Some(TAIL_TOO_LONG), "{tier}, store_first: {store}");
+            }
+        }
     }
 
     /// Values every op must get right in any lane: both zeros, fractions
@@ -1059,8 +1093,7 @@ mod tests {
     /// The lanes of `v`, as many as `V` has.
     fn lanes<V: Lanes>(v: V) -> Vec<f32> {
         let mut all = [0.0f32; 16];
-        // SAFETY: the caller checked the CPU runs `V`.
-        unsafe { v.store(&mut all) };
+        v.store(&mut all);
         all[..V::LANES].to_vec()
     }
 
@@ -1068,7 +1101,8 @@ mod tests {
     /// for, each awkward value against each, rotated through the lanes.
     /// NaN results compare as "is NaN" (payloads are not part of any
     /// kernel's contract); everything else compares `to_bits`.
-    fn check_ops<V: Lanes>(name: &str) {
+    fn check_ops<V: Lanes>(cpu: Token<V>) {
+        let name = std::any::type_name::<V>();
         let n = V::LANES;
         let same = |got: Vec<f32>, want: Vec<f32>, op: &str| {
             for (g, w) in got.iter().zip(&want) {
@@ -1080,71 +1114,63 @@ mod tests {
             let a: Vec<f32> = (0..n).map(|i| AWKWARD[(i + shift) % 16]).collect();
             for other in 0..AWKWARD.len() {
                 let b: Vec<f32> = (0..n).map(|i| AWKWARD[(i * 3 + other) % 16]).collect();
-                // SAFETY: the caller checked the CPU runs `V`.
-                unsafe {
-                    let (va, vb) = (V::load(&a), V::load(&b));
-                    let zip = |f: fn(f32, f32) -> f32| -> Vec<f32> {
-                        (0..n).map(|i| f(a[i], b[i])).collect()
-                    };
-                    same(lanes(va.add(vb)), zip(|x, y| x + y), "add");
-                    same(lanes(va.sub(vb)), zip(|x, y| x - y), "sub");
-                    same(lanes(va.mul(vb)), zip(|x, y| x * y), "mul");
-                    same(lanes(va.div(vb)), zip(|x, y| x / y), "div");
-                    same(lanes(V::mul_acc(vb, va, va)), zip(|x, y| y + x * x), "mul_acc");
-                    same(lanes(va.min(vb)), zip(|x, y| if x < y { x } else { y }), "min");
-                    same(lanes(va.max(vb)), zip(|x, y| if x > y { x } else { y }), "max");
-                    let bit = |f: fn(f32, f32) -> u32| -> Vec<u32> {
-                        (0..n).map(|i| f(a[i], b[i])).collect()
-                    };
-                    let bits = |v: V| -> Vec<u32> { to_bits(&lanes(v)) };
-                    assert_eq!(bits(va.and(vb)), bit(|x, y| x.to_bits() & y.to_bits()), "{name} and");
-                    assert_eq!(bits(va.or(vb)), bit(|x, y| x.to_bits() | y.to_bits()), "{name} or");
-                    assert_eq!(bits(va.andnot(vb)), bit(|x, y| !x.to_bits() & y.to_bits()), "{name} andnot");
-                    assert_eq!(bits(va.eq_mask(vb)), bit(|x, y| mask(x == y)), "{name} eq_mask");
-                    assert_eq!(bits(va.ne_mask(vb)), bit(|x, y| mask(x != y)), "{name} ne_mask");
-                    assert_eq!(bits(va.lt_mask(vb)), bit(|x, y| mask(x < y)), "{name} lt_mask");
-                    let picked = bits(va.lt_mask(vb).select(va, vb));
-                    assert_eq!(picked, bit(|x, y| (if x < y { x } else { y }).to_bits()), "{name} select");
-                    let scaled = |x: f32, y: f32| x.to_bits().wrapping_add(y.to_bits() << 23);
-                    assert_eq!(bits(va.scale_pow2(vb)), bit(scaled), "{name} scale_pow2");
-                }
+                let (va, vb) = (V::load(cpu, &a), V::load(cpu, &b));
+                let zip =
+                    |f: fn(f32, f32) -> f32| -> Vec<f32> { (0..n).map(|i| f(a[i], b[i])).collect() };
+                same(lanes(va.add(vb)), zip(|x, y| x + y), "add");
+                same(lanes(va.sub(vb)), zip(|x, y| x - y), "sub");
+                same(lanes(va.mul(vb)), zip(|x, y| x * y), "mul");
+                same(lanes(va.div(vb)), zip(|x, y| x / y), "div");
+                same(lanes(V::mul_acc(vb, va, va)), zip(|x, y| y + x * x), "mul_acc");
+                same(lanes(va.min(vb)), zip(|x, y| if x < y { x } else { y }), "min");
+                same(lanes(va.max(vb)), zip(|x, y| if x > y { x } else { y }), "max");
+                let bit =
+                    |f: fn(f32, f32) -> u32| -> Vec<u32> { (0..n).map(|i| f(a[i], b[i])).collect() };
+                let bits = |v: V| -> Vec<u32> { to_bits(&lanes(v)) };
+                assert_eq!(bits(va.and(vb)), bit(|x, y| x.to_bits() & y.to_bits()), "{name} and");
+                assert_eq!(bits(va.or(vb)), bit(|x, y| x.to_bits() | y.to_bits()), "{name} or");
+                assert_eq!(bits(va.andnot(vb)), bit(|x, y| !x.to_bits() & y.to_bits()), "{name} andnot");
+                assert_eq!(bits(va.eq_mask(vb)), bit(|x, y| mask(x == y)), "{name} eq_mask");
+                assert_eq!(bits(va.ne_mask(vb)), bit(|x, y| mask(x != y)), "{name} ne_mask");
+                assert_eq!(bits(va.lt_mask(vb)), bit(|x, y| mask(x < y)), "{name} lt_mask");
+                let picked = bits(va.lt_mask(vb).select(va, vb));
+                assert_eq!(picked, bit(|x, y| (if x < y { x } else { y }).to_bits()), "{name} select");
+                let scaled = |x: f32, y: f32| x.to_bits().wrapping_add(y.to_bits() << 23);
+                assert_eq!(bits(va.scale_pow2(vb)), bit(scaled), "{name} scale_pow2");
             }
-            // SAFETY: as above.
-            unsafe {
-                let va = V::load(&a);
-                let map = |f: fn(f32) -> f32| -> Vec<f32> { a.iter().map(|&x| f(x)).collect() };
-                same(lanes(va.trunc()), map(f32::trunc), "trunc");
-                same(lanes(va.sqrt()), map(f32::sqrt), "sqrt");
-                let abs = va.and(V::splat(f32::from_bits(0x7fff_ffff)));
-                let exponent = map(|x| ((x.to_bits() >> 23) % 256) as f32);
-                same(lanes(abs.biased_exponent()), exponent, "biased_exponent");
-                same(lanes(V::splat(a[0])), vec![a[0]; n], "splat");
-                assert_eq!(to_bits(&lanes(V::zero())), vec![0; n], "{name} zero");
-                // A prefix of every length in and out: the rest reads zero
-                // and is left alone.
-                for len in 0..=n {
-                    let mut want = a[..len].to_vec();
-                    want.resize(n, 0.0);
-                    same(lanes(V::load_first(&a[..len])), want, "load_first");
-                    let mut d = vec![-7.0f32; n + 1];
-                    va.store_first(&mut d[..len]);
-                    assert_eq!(to_bits(&d[..len]), to_bits(&a[..len]), "{name} store_first");
-                    assert!(d[len..].iter().all(|&x| x == -7.0), "{name} store_first past {len}");
-                }
+            let va = V::load(cpu, &a);
+            let map = |f: fn(f32) -> f32| -> Vec<f32> { a.iter().map(|&x| f(x)).collect() };
+            same(lanes(va.trunc()), map(f32::trunc), "trunc");
+            same(lanes(va.sqrt()), map(f32::sqrt), "sqrt");
+            let abs = va.and(V::splat(cpu, f32::from_bits(0x7fff_ffff)));
+            let exponent = map(|x| ((x.to_bits() >> 23) % 256) as f32);
+            same(lanes(abs.biased_exponent()), exponent, "biased_exponent");
+            same(lanes(V::splat(cpu, a[0])), vec![a[0]; n], "splat");
+            assert_eq!(to_bits(&lanes(V::zero(cpu))), vec![0; n], "{name} zero");
+            // A prefix of every length in and out: the rest reads zero
+            // and is left alone.
+            for len in 0..=n {
+                let mut want = a[..len].to_vec();
+                want.resize(n, 0.0);
+                same(lanes(V::load_first(cpu, &a[..len])), want, "load_first");
+                let mut d = vec![-7.0f32; n + 1];
+                va.store_first(&mut d[..len]);
+                assert_eq!(to_bits(&d[..len]), to_bits(&a[..len]), "{name} store_first");
+                assert!(d[len..].iter().all(|&x| x == -7.0), "{name} store_first past {len}");
             }
         }
     }
 
     /// `load_transposed` of `V` over every `LANES × LANES` block of a
     /// strided buffer, and `load_transposed8` over every `LANES × 8` one.
-    fn check_transpose<V: Lanes>(name: &str) {
+    fn check_transpose<V: Lanes>(cpu: Token<V>) {
+        let name = std::any::type_name::<V>();
         let n = V::LANES;
         let stride = 2 * n + 3;
         let rows: Vec<f32> = (0..(n + 1) * stride).map(|i| i as f32).collect();
         for first in 0..2 {
             for col in 0..=stride - n {
-                // SAFETY: the caller checked the CPU runs `V`.
-                let t = unsafe { V::load_transposed(&rows[first * stride..], stride, col) };
+                let t = V::load_transposed(cpu, &rows[first * stride..], stride, col);
                 assert_eq!(t.as_ref().len(), n, "{name}: one vector per column");
                 for (c, &v) in t.as_ref().iter().enumerate() {
                     let want: Vec<f32> =
@@ -1153,8 +1179,7 @@ mod tests {
                 }
             }
             for col in 0..=stride - 8 {
-                // SAFETY: as above.
-                let t = unsafe { V::load_transposed8(&rows[first * stride..], stride, col) };
+                let t = V::load_transposed8(cpu, &rows[first * stride..], stride, col);
                 for (c, &v) in t.iter().enumerate() {
                     let want: Vec<f32> =
                         (0..n).map(|r| ((first + r) * stride + col + c) as f32).collect();
@@ -1164,19 +1189,21 @@ mod tests {
         }
     }
 
+    /// Both checks above, on one tier's lane type.
+    struct Checks;
+
+    impl Kernel for Checks {
+        type Output = ();
+        fn run<V: Lanes>(self, cpu: Token<V>) {
+            check_ops(cpu);
+            check_transpose(cpu);
+        }
+    }
+
     #[test]
     fn lanes_ops_are_the_scalar_operations_on_both_instruction_sets() {
-        check_ops::<F32x8>("F32x8");
-        check_transpose::<F32x8>("F32x8");
-        #[cfg(target_arch = "x86_64")]
-        if Tier::Avx.is_available() {
-            check_ops::<Avx>("Avx");
-            check_transpose::<Avx>("Avx");
-        }
-        #[cfg(target_arch = "x86_64")]
-        if Tier::Avx512.is_available() {
-            check_ops::<Avx512>("Avx512");
-            check_transpose::<Avx512>("Avx512");
+        for tier in Tier::available() {
+            tier.run(Checks);
         }
     }
 
@@ -1198,21 +1225,27 @@ mod tests {
     fn load_transposed_rejects_a_block_past_the_buffer() {
         // Seven full rows and seven values of the eighth.
         let rows = [0.0f32; 7 * 10 + 7];
-        // SAFETY: `F32x8` is plain Rust, which every CPU runs.
-        unsafe { F32x8::load_transposed(&rows, 10, 0) };
+        F32x8::load_transposed(PORTABLE, &rows, 10, 0);
+    }
+
+    /// `load_transposed` of the block at column 0 of `rows`, `stride`
+    /// apart.
+    struct Transpose<'a>(&'a [f32], usize);
+
+    impl Kernel for Transpose<'_> {
+        type Output = ();
+        fn run<V: Lanes>(self, cpu: Token<V>) {
+            V::load_transposed(cpu, self.0, self.1, 0);
+        }
     }
 
     #[test]
     fn wide_load_transposed_rejects_a_block_past_the_buffer() {
         // Fifteen full rows and fifteen values of the sixteenth.
-        #[cfg(target_arch = "x86_64")]
         if Tier::Avx512.is_available() {
             let rows = [0.0f32; 15 * 20 + 15];
-            // SAFETY: this CPU runs `Avx512`, checked above.
-            let past =
-                std::panic::catch_unwind(|| unsafe { Avx512::load_transposed(&rows, 20, 0) });
-            let message = past.err().and_then(|e| e.downcast_ref::<&str>().map(|s| s.to_string()));
-            assert_eq!(message.as_deref(), Some("16 x 16 block out of bounds"));
+            let past = std::panic::catch_unwind(|| Tier::Avx512.run(Transpose(&rows, 20)));
+            assert_eq!(past.err().map(message).as_deref(), Some("16 x 16 block out of bounds"));
         }
     }
 }

@@ -74,7 +74,7 @@
 //! tier the CPU has. Each walks whole vectors through the lane body and
 //! the tail through the scalar function.
 
-use crate::simd::{Kernel, Kernel8, Lanes, Lanes8, Tier};
+use crate::simd::{Kernel, Lanes, Tier, Token};
 use std::marker::PhantomData;
 
 /// `x + ROUND_MAGIC` (for `|x| < 2²²`) is `1.5·2²³ + round(x)`: the sum's
@@ -228,121 +228,83 @@ pub fn oneplus(x: f32) -> f32 {
     1.0 + softplus(x)
 }
 
-// The lane bodies. SAFETY (every `unsafe` block inside them): the vector
-// ops' only requirement — the CPU runs `V`'s instruction set — is
-// forwarded from the caller.
+// The lane bodies: plain expressions, no closures — a closure would not
+// inherit the kernel entry's target feature, and its intrinsics would stay
+// calls.
 
 /// [`horner`] lane-wise.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn horner_lanes<V: Lanes>(x: V, coeffs: &[f32]) -> V {
-    unsafe {
-        let mut p = V::splat(coeffs[0]);
-        for &c in &coeffs[1..] {
-            p = p.mul(x).add(V::splat(c));
-        }
-        p
+fn horner_lanes<V: Lanes>(cpu: Token<V>, x: V, coeffs: &[f32]) -> V {
+    let mut p = V::splat(cpu, coeffs[0]);
+    for &c in &coeffs[1..] {
+        p = p.mul(x).add(V::splat(cpu, c));
     }
+    p
 }
 
 /// [`exp`] on eight lanes.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn exp_lanes<V: Lanes>(x: V) -> V {
-    unsafe {
-        let magic = x.mul(V::splat(std::f32::consts::LOG2_E)).add(V::splat(ROUND_MAGIC));
-        let n = magic.sub(V::splat(ROUND_MAGIC));
-        let r = x.sub(n.mul(V::splat(LN2_HI))).sub(n.mul(V::splat(LN2_LO)));
-        let p = horner_lanes(r, &EXP_POLY).mul(r.mul(r)).add(r).add(V::splat(1.0));
-        let y = p.scale_pow2(magic);
-        let y = V::splat(EXP_HI).lt_mask(x).select(V::splat(f32::INFINITY), y);
-        let y = x.lt_mask(V::splat(EXP_LO)).andnot(y);
-        y.or(x.ne_mask(x))
-    }
+fn exp_lanes<V: Lanes>(cpu: Token<V>, x: V) -> V {
+    let magic = x.mul(V::splat(cpu, std::f32::consts::LOG2_E)).add(V::splat(cpu, ROUND_MAGIC));
+    let n = magic.sub(V::splat(cpu, ROUND_MAGIC));
+    let r = x.sub(n.mul(V::splat(cpu, LN2_HI))).sub(n.mul(V::splat(cpu, LN2_LO)));
+    let p = horner_lanes(cpu, r, &EXP_POLY).mul(r.mul(r)).add(r).add(V::splat(cpu, 1.0));
+    let y = p.scale_pow2(magic);
+    let y = V::splat(cpu, EXP_HI).lt_mask(x).select(V::splat(cpu, f32::INFINITY), y);
+    let y = x.lt_mask(V::splat(cpu, EXP_LO)).andnot(y);
+    y.or(x.ne_mask(x))
 }
 
 /// [`sigmoid`] on eight lanes.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn sigmoid_lanes<V: Lanes>(x: V) -> V {
-    unsafe {
-        let z = exp_lanes(x.or(V::splat(f32::from_bits(SIGN))));
-        let num = x.lt_mask(V::zero()).select(z, V::splat(1.0));
-        num.div(V::splat(1.0).add(z))
-    }
+fn sigmoid_lanes<V: Lanes>(cpu: Token<V>, x: V) -> V {
+    let one = V::splat(cpu, 1.0);
+    let z = exp_lanes(cpu, x.or(V::splat(cpu, f32::from_bits(SIGN))));
+    let num = x.lt_mask(V::zero(cpu)).select(z, one);
+    num.div(one.add(z))
 }
 
 /// [`tanh`] on eight lanes: both forms computed, blended by mask.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn tanh_lanes<V: Lanes>(x: V) -> V {
-    unsafe {
-        let sign = V::splat(f32::from_bits(SIGN));
-        let a = sign.andnot(x);
-        let z = a.mul(a);
-        let small = horner_lanes(z, &TANH_POLY).mul(z).mul(a).add(a);
-        let large = V::splat(1.0).sub(V::splat(2.0).div(exp_lanes(a.add(a)).add(V::splat(1.0))));
-        a.lt_mask(V::splat(TANH_SMALL)).select(small, large).or(x.and(sign))
-    }
+fn tanh_lanes<V: Lanes>(cpu: Token<V>, x: V) -> V {
+    let (one, sign) = (V::splat(cpu, 1.0), V::splat(cpu, f32::from_bits(SIGN)));
+    let a = sign.andnot(x);
+    let z = a.mul(a);
+    let small = horner_lanes(cpu, z, &TANH_POLY).mul(z).mul(a).add(a);
+    let large = one.sub(V::splat(cpu, 2.0).div(exp_lanes(cpu, a.add(a)).add(one)));
+    a.lt_mask(V::splat(cpu, TANH_SMALL)).select(small, large).or(x.and(sign))
 }
 
 /// [`ln_1p`] on eight lanes.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn ln_1p_lanes<V: Lanes>(u: V) -> V {
-    unsafe {
-        let one = V::splat(1.0);
-        let w = one.add(u);
-        let d = w.sub(one);
-        let e = w.biased_exponent().sub(V::splat(126.0));
-        let m = w.and(V::splat(f32::from_bits(0x007f_ffff))).or(V::splat(0.5));
-        let low = m.lt_mask(V::splat(SQRT_HALF));
-        let e = e.sub(low.and(one));
-        let m = m.add(low.and(m)).sub(one);
-        let z = m.mul(m);
-        let y = horner_lanes(m, &LN_POLY).mul(m).mul(z);
-        let y = y.add(e.mul(V::splat(LN2_LO))).sub(V::splat(0.5).mul(z));
-        let ln_w = m.add(y).add(e.mul(V::splat(LN2_HI)));
-        d.eq_mask(V::zero()).select(u, ln_w.mul(u.div(d)))
-    }
+fn ln_1p_lanes<V: Lanes>(cpu: Token<V>, u: V) -> V {
+    let one = V::splat(cpu, 1.0);
+    let w = one.add(u);
+    let d = w.sub(one);
+    let e = w.biased_exponent().sub(V::splat(cpu, 126.0));
+    let m = w.and(V::splat(cpu, f32::from_bits(0x007f_ffff))).or(V::splat(cpu, 0.5));
+    let low = m.lt_mask(V::splat(cpu, SQRT_HALF));
+    let e = e.sub(low.and(one));
+    let m = m.add(low.and(m)).sub(one);
+    let z = m.mul(m);
+    let y = horner_lanes(cpu, m, &LN_POLY).mul(m).mul(z);
+    let y = y.add(e.mul(V::splat(cpu, LN2_LO))).sub(V::splat(cpu, 0.5).mul(z));
+    let ln_w = m.add(y).add(e.mul(V::splat(cpu, LN2_HI)));
+    d.eq_mask(V::zero(cpu)).select(u, ln_w.mul(u.div(d)))
 }
 
 /// [`softplus`] on eight lanes.
-///
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn softplus_lanes<V: Lanes>(x: V) -> V {
-    unsafe {
-        let y = ln_1p_lanes(exp_lanes(x));
-        let y = V::splat(SOFTPLUS_EDGE).lt_mask(x).select(x, y);
-        x.lt_mask(V::splat(-SOFTPLUS_EDGE)).andnot(y)
-    }
+fn softplus_lanes<V: Lanes>(cpu: Token<V>, x: V) -> V {
+    let y = ln_1p_lanes(cpu, exp_lanes(cpu, x));
+    let y = V::splat(cpu, SOFTPLUS_EDGE).lt_mask(x).select(x, y);
+    x.lt_mask(V::splat(cpu, -SOFTPLUS_EDGE)).andnot(y)
 }
 
 /// One pointwise function in its two forms, for the slice map below.
 trait Pointwise {
     fn scalar(x: f32) -> f32;
-    /// # Safety
-    ///
-    /// The CPU must support `V`'s instruction set (see [`Lanes`]).
-    unsafe fn lanes<V: Lanes>(x: V) -> V;
+    fn lanes<V: Lanes>(cpu: Token<V>, x: V) -> V;
 }
 
 struct Sigmoid;
@@ -352,9 +314,8 @@ impl Pointwise for Sigmoid {
         sigmoid(x)
     }
     #[inline(always)]
-    unsafe fn lanes<V: Lanes>(x: V) -> V {
-        // SAFETY: forwarded from the caller.
-        unsafe { sigmoid_lanes(x) }
+    fn lanes<V: Lanes>(cpu: Token<V>, x: V) -> V {
+        sigmoid_lanes(cpu, x)
     }
 }
 
@@ -365,9 +326,8 @@ impl Pointwise for Oneplus {
         oneplus(x)
     }
     #[inline(always)]
-    unsafe fn lanes<V: Lanes>(x: V) -> V {
-        // SAFETY: forwarded from the caller.
-        unsafe { V::splat(1.0).add(softplus_lanes(x)) }
+    fn lanes<V: Lanes>(cpu: Token<V>, x: V) -> V {
+        V::splat(cpu, 1.0).add(softplus_lanes(cpu, x))
     }
 }
 
@@ -413,11 +373,10 @@ struct Map<'a, F> {
 impl<F: Pointwise> Kernel for Map<'_, F> {
     type Output = ();
     #[inline(always)]
-    unsafe fn run<V: Lanes>(self) {
+    fn run<V: Lanes>(self, cpu: Token<V>) {
         let (mut s, mut d) = (self.src.chunks_exact(V::LANES), self.dst.chunks_exact_mut(V::LANES));
         for (s, d) in (&mut s).zip(&mut d) {
-            // SAFETY: forwarded from the caller.
-            unsafe { F::lanes(V::load(s)).store(d) };
+            F::lanes(cpu, V::load(cpu, s)).store(d);
         }
         for (&s, d) in s.remainder().iter().zip(d.into_remainder()) {
             *d = F::scalar(s);
@@ -431,48 +390,44 @@ impl<F: Pointwise> Kernel for Map<'_, F> {
 /// content-addressing path runs the scaled similarities through this on
 /// a reused scratch buffer.
 pub fn softmax_inplace(xs: &mut [f32]) {
-    Tier::detected().run8(Softmax(xs));
+    Tier::detected().run(Softmax(xs));
 }
 
-/// The softmax's argument, for [`Tier::run8`].
+/// The softmax's argument, for [`Tier::run`]: its body runs on the tier's
+/// eight-lane type.
 struct Softmax<'a>(&'a mut [f32]);
 
-impl Kernel8 for Softmax<'_> {
+impl Kernel for Softmax<'_> {
     type Output = ();
     #[inline(always)]
-    unsafe fn run<V: Lanes8>(self) {
-        // SAFETY: forwarded from the caller.
-        unsafe { softmax_body::<V>(self.0) }
+    fn run<V: Lanes>(self, cpu: Token<V>) {
+        softmax_body(cpu.half(), self.0)
     }
 }
 
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
+/// The softmax over `V`, which has eight lanes: `Lanes::Half` on every
+/// tier.
 #[inline(always)]
-unsafe fn softmax_body<V: Lanes8>(xs: &mut [f32]) {
+fn softmax_body<V: Lanes>(cpu: Token<V>, xs: &mut [f32]) {
+    const { assert!(V::LANES == 8, "the softmax is eight lanes wide by definition") };
     let (whole, tail) = xs.split_at_mut(xs.len() / 8 * 8);
-    // SAFETY (every vector op below): forwarded from the caller.
-    //
     // The maximum, in any order: it is one value whichever way the
     // comparisons associate (and where a NaN makes them disagree, every
     // output is NaN through the sum).
-    let mut lane_max = unsafe { V::splat(f32::NEG_INFINITY) };
+    let mut lane_max = V::splat(cpu, f32::NEG_INFINITY);
     for chunk in whole.chunks_exact(8) {
-        lane_max = unsafe { lane_max.max(V::load(chunk)) };
+        lane_max = lane_max.max(V::load(cpu, chunk));
     }
-    let lane_max = unsafe { lane_max.to_array() };
+    let lane_max = to_array(lane_max);
     let max = lane_max.into_iter().chain(tail.iter().copied()).fold(f32::NEG_INFINITY, f32::max);
 
-    let mut sums = unsafe { V::zero() };
+    let mut sums = V::zero(cpu);
     for chunk in whole.chunks_exact_mut(8) {
-        unsafe {
-            let e = exp_lanes(V::load(chunk).sub(V::splat(max)));
-            e.store(chunk);
-            sums = sums.add(e);
-        }
+        let e = exp_lanes(cpu, V::load(cpu, chunk).sub(V::splat(cpu, max)));
+        e.store(chunk);
+        sums = sums.add(e);
     }
-    let s = unsafe { sums.to_array() };
+    let s = to_array(sums);
     let mut total = ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
     for x in tail.iter_mut() {
         *x = exp(*x - max);
@@ -480,11 +435,19 @@ unsafe fn softmax_body<V: Lanes8>(xs: &mut [f32]) {
     }
 
     for chunk in whole.chunks_exact_mut(8) {
-        unsafe { V::load(chunk).div(V::splat(total)).store(chunk) };
+        V::load(cpu, chunk).div(V::splat(cpu, total)).store(chunk);
     }
     for x in tail {
         *x /= total;
     }
+}
+
+/// The lanes of an eight-lane vector.
+#[inline(always)]
+fn to_array<V: Lanes>(v: V) -> [f32; 8] {
+    let mut a = [0.0f32; 8];
+    v.store(&mut a);
+    a
 }
 
 /// The LSTM's gate, cell and hidden update over one lane: `pre` is the
@@ -518,33 +481,26 @@ struct LstmGates<'a> {
 impl Kernel for LstmGates<'_> {
     type Output = ();
     #[inline(always)]
-    unsafe fn run<V: Lanes>(self) {
-        // SAFETY: forwarded from the caller.
-        unsafe { lstm_gates_body::<V>(self.pre, self.cell, self.hidden) }
+    fn run<V: Lanes>(self, cpu: Token<V>) {
+        lstm_gates_body(cpu, self.pre, self.cell, self.hidden)
     }
 }
 
-/// # Safety
-///
-/// The CPU must support `V`'s instruction set (see [`Lanes`]).
 #[inline(always)]
-unsafe fn lstm_gates_body<V: Lanes>(pre: &[f32], cell: &mut [f32], hidden: &mut [f32]) {
+fn lstm_gates_body<V: Lanes>(cpu: Token<V>, pre: &[f32], cell: &mut [f32], hidden: &mut [f32]) {
     let h = cell.len();
     let (i, rest) = pre.split_at(h);
     let (f, rest) = rest.split_at(h);
     let (g, o) = rest.split_at(h);
     let whole = h - h % V::LANES;
     for j in (0..whole).step_by(V::LANES) {
-        // SAFETY: forwarded from the caller.
-        unsafe {
-            let i_g = sigmoid_lanes(V::load(&i[j..]));
-            let f_g = sigmoid_lanes(V::load(&f[j..]));
-            let g_t = tanh_lanes(V::load(&g[j..]));
-            let o_g = sigmoid_lanes(V::load(&o[j..]));
-            let c = f_g.mul(V::load(&cell[j..])).add(i_g.mul(g_t));
-            c.store(&mut cell[j..]);
-            o_g.mul(tanh_lanes(c)).store(&mut hidden[j..]);
-        }
+        let i_g = sigmoid_lanes(cpu, V::load(cpu, &i[j..]));
+        let f_g = sigmoid_lanes(cpu, V::load(cpu, &f[j..]));
+        let g_t = tanh_lanes(cpu, V::load(cpu, &g[j..]));
+        let o_g = sigmoid_lanes(cpu, V::load(cpu, &o[j..]));
+        let c = f_g.mul(V::load(cpu, &cell[j..])).add(i_g.mul(g_t));
+        c.store(&mut cell[j..]);
+        o_g.mul(tanh_lanes(cpu, c)).store(&mut hidden[j..]);
     }
     for j in whole..h {
         let c = sigmoid(f[j]) * cell[j] + sigmoid(i[j]) * tanh(g[j]);
@@ -557,7 +513,6 @@ unsafe fn lstm_gates_body<V: Lanes>(pre: &[f32], cell: &mut [f32], hidden: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::F32x8;
 
     struct Exp;
     impl Pointwise for Exp {
@@ -565,8 +520,8 @@ mod tests {
             exp(x)
         }
         #[inline(always)]
-        unsafe fn lanes<V: Lanes>(x: V) -> V {
-            unsafe { exp_lanes(x) }
+        fn lanes<V: Lanes>(cpu: Token<V>, x: V) -> V {
+            exp_lanes(cpu, x)
         }
     }
     struct Tanh;
@@ -575,8 +530,8 @@ mod tests {
             tanh(x)
         }
         #[inline(always)]
-        unsafe fn lanes<V: Lanes>(x: V) -> V {
-            unsafe { tanh_lanes(x) }
+        fn lanes<V: Lanes>(cpu: Token<V>, x: V) -> V {
+            tanh_lanes(cpu, x)
         }
     }
     struct Softplus;
@@ -585,8 +540,8 @@ mod tests {
             softplus(x)
         }
         #[inline(always)]
-        unsafe fn lanes<V: Lanes>(x: V) -> V {
-            unsafe { softplus_lanes(x) }
+        fn lanes<V: Lanes>(cpu: Token<V>, x: V) -> V {
+            softplus_lanes(cpu, x)
         }
     }
 
@@ -872,13 +827,15 @@ mod tests {
                     assert_eq!(bits(&body), bits(&want), "oneplus_into {tier} {what}");
                 }
 
-                let (mut got, mut portable, mut want) = (src.clone(), src.clone(), src.clone());
+                let (mut got, mut want) = (src.clone(), src.clone());
                 softmax_inplace(&mut got);
-                // SAFETY: `F32x8` is baseline code on every target.
-                unsafe { softmax_body::<F32x8>(&mut portable) };
                 softmax_reference(&mut want);
                 assert_eq!(bits(&got), bits(&want), "softmax_inplace {what}");
-                assert_eq!(bits(&portable), bits(&want), "softmax F32x8 {what}");
+                for tier in Tier::available() {
+                    let mut body = src.clone();
+                    tier.run(Softmax(&mut body));
+                    assert_eq!(bits(&body), bits(&want), "softmax {tier} {what}");
+                }
                 if len > 0 {
                     assert!((got.iter().sum::<f32>() - 1.0).abs() < 1e-5, "softmax sums to 1, {what}");
                 }
@@ -1045,8 +1002,7 @@ mod tests {
         let logits: Vec<f32> = GOLDEN_SOFTMAX.iter().map(|&(x, _)| f32::from_bits(x)).collect();
         let (mut dispatched, mut portable) = (logits.clone(), logits);
         softmax_inplace(&mut dispatched);
-        // SAFETY: `F32x8` is baseline code on every target.
-        unsafe { softmax_body::<F32x8>(&mut portable) };
+        Tier::Portable.run(Softmax(&mut portable));
         assert_eq!(bits(&dispatched), GOLDEN_SOFTMAX.map(|(_, y)| y));
         assert_eq!(bits(&portable), GOLDEN_SOFTMAX.map(|(_, y)| y));
     }
