@@ -54,15 +54,24 @@
 //! the `total_cmp`-through-an-index comparator
 //! (`hima::sort::argsort_by_comparator`, the replaced body) against
 //! `SortEngine::argsort_into`, which sorts `ordered_bits(key) << 32 |
-//! index` words as integers.
+//! index` words as integers; then, on each tier the CPU runs,
+//! `argsort_into` against the same words sorted by the bitonic network
+//! (`hima::tensor::keysort::sort_chunks_on`, chunks of 128 keys merged by
+//! `keysort::ChunkMerge`).
 //!
 //! `allocation_prefix` rows are the usage sort and allocation product
-//! together at the served shape and the paper's whole memory (`N = 128,
-//! 1024`), over usage vectors a stepping engine's memory unit carried
-//! (`shape` gives their count): `argsort_into` then
-//! `allocation_from_free_list_into` over the whole free list, the
-//! definition, against `FreeList::sort_prefix` + `FreeList::allocation_into`,
-//! which sort only as far as the product reaches.
+//! together, over usage vectors a stepping engine's memory unit carried
+//! (`shape` gives their count): at the served shape and the paper's whole
+//! memory (`N = 128, 1024`) over the first steps of a blank state, and at
+//! the served shape and one 64-slot tile of the paper's Q16.16 engine
+//! from step 2 000 of one session on (`long-lived`: usage has settled
+//! near ½ on every slot, so the product reads the whole free list). Each
+//! shape pairs `FreeList::sort` + `FreeList::allocation_into` (chunks in
+//! registers, merged only as far as the product reads) twice: against the
+//! definition, `argsort_into` then `allocation_from_free_list_into` over
+//! the whole free list, and against the free list it replaced, which
+//! selected the 32 smallest keys and doubled that window while the
+//! product was not zero (a copy kept in this file).
 //!
 //! `lstm_gates` (H = 64, 256), `softmax` (N = 64, 128, 1024) and
 //! `sigmoid_slice` (W = 16, 64) rows are the pointwise passes of a step:
@@ -111,12 +120,12 @@
 
 use hima::dnc::allocation::{allocation_from_free_list_into, FreeList, SkimRate};
 use hima::dnc::linkage::TemporalLinkage;
-use hima::dnc::{DncParams, EngineBuilder};
+use hima::dnc::{Datapath, DncParams, EngineBuilder, EngineSpec};
 use hima::sort::{argsort_by_comparator, CentralizedMergeSorter, SortEngine};
 use hima::tensor::simd::Tier;
 use hima::tensor::{
-    assert_close, fused, history, transcend, vector, Backend, LaneMask, Matrix, PackedWeights,
-    QFormat,
+    assert_close, fused, history, keysort, transcend, vector, Backend, LaneMask, Matrix,
+    PackedWeights, QFormat,
 };
 use std::hint::black_box;
 use std::sync::OnceLock;
@@ -165,13 +174,22 @@ const PACKED_LANES: [usize; 6] = [1, 2, 3, 4, 8, 32];
 const SORT_SIZES: [usize; 3] = [64, 128, 1024];
 /// Distinct key vectors one `usage_sort` call cycles through.
 const SORT_SETS: usize = 16;
+/// The variant of a network `usage_sort` row, per tier in
+/// `Tier::available()` order.
+const NETWORK_VARIANTS: [&str; 3] = [
+    "keysort::sort_chunks_on(F32x8) + ChunkMerge (bitonic network in 128-key chunks, merged)",
+    "keysort::sort_chunks_on(Avx) + ChunkMerge (bitonic network in 128-key chunks, merged)",
+    "keysort::sort_chunks_on(Avx512) + ChunkMerge (bitonic network in 128-key chunks, merged)",
+];
 
-/// Slot counts of the `allocation_prefix` rows: the served shape and the
-/// paper's whole memory.
+/// Slot counts of the blank-state `allocation_prefix` rows: the served
+/// shape and the paper's whole memory.
 const ALLOCATION_SIZES: [usize; 2] = [128, 1024];
-/// Steps of the trajectory the `allocation_prefix` usage vectors come
-/// from.
+/// Usage vectors an `allocation_prefix` row cycles through: one per step.
 const ALLOCATION_STEPS: usize = 48;
+/// Steps a long-lived `allocation_prefix` session runs before its usage
+/// vectors are recorded.
+const LONG_LIVED_FROM: usize = 2000;
 
 /// Hidden widths of the `lstm_gates` rows: the served shape and the
 /// paper's.
@@ -361,20 +379,92 @@ fn best_of_paired(
     best
 }
 
-/// The usage vectors a one-lane engine's memory unit (`n` slots, the
-/// served word and heads) carries over a trajectory of
-/// [`ALLOCATION_STEPS`] steps from a blank state: what the allocation
-/// kernels see in the engine.
-fn recorded_usage(n: usize) -> Vec<Vec<f32>> {
-    let params = DncParams::new(n, W, 2).with_hidden(HIDDEN).with_io(16, 16);
-    let mut engine = EngineBuilder::new(params).seed(7).build();
-    (0..ALLOCATION_STEPS)
-        .map(|t| {
+/// [`ALLOCATION_STEPS`] usage vectors of unit `(0, 0)` of `engine`, one a
+/// step, recorded after `skip` steps of one session.
+fn recorded_usage(mut engine: hima::dnc::BoxedEngine, skip: usize) -> Vec<Vec<f32>> {
+    (0..skip + ALLOCATION_STEPS)
+        .filter_map(|t| {
             let x: Vec<f32> = (0..16).map(|i| ((t * 16 + i) as f32 * 0.61).sin()).collect();
             engine.step(&x);
-            engine.unit(0, 0).usage().to_vec()
+            (t >= skip).then(|| engine.unit(0, 0).usage().to_vec())
         })
         .collect()
+}
+
+/// The free list `FreeList` replaced, kept to say what the network bought:
+/// select the 32 smallest packed keys, sort them, run the product, and
+/// double the sorted window while the product is not exactly `+0.0` (or
+/// some usage lies outside `[+0.0, 1.0]`), up to every slot.
+mod window_replaced {
+    use hima::sort::ordered_bits;
+
+    #[derive(Default)]
+    pub struct FreeList {
+        keys: Vec<u64>,
+        sorted: usize,
+        in_unit: bool,
+    }
+
+    impl FreeList {
+        pub fn sort_prefix(&mut self, usage: &[f32]) {
+            self.keys.clear();
+            self.keys.extend(usage.iter().zip(0u64..).map(|(&u, s)| u64::from(ordered_bits(u)) << 32 | s));
+            self.in_unit = usage.iter().all(|u| u.to_bits() <= 1.0f32.to_bits());
+            self.sorted = 0;
+            self.sort_to(32.min(usage.len()));
+        }
+
+        fn sort_to(&mut self, end: usize) {
+            let rest = &mut self.keys[self.sorted..];
+            let len = end - self.sorted;
+            if len == 0 {
+                return;
+            }
+            if len < rest.len() {
+                rest.select_nth_unstable(len - 1);
+            }
+            rest[..len].sort_unstable();
+            self.sorted = end;
+        }
+
+        pub fn allocation_into(&mut self, w_a: &mut [f32]) {
+            w_a.fill(0.0);
+            let mut acc = 1.0f32;
+            let mut done = 0;
+            loop {
+                for &key in &self.keys[done..self.sorted] {
+                    let ordered = (key >> 32) as u32;
+                    let u = f32::from_bits(ordered ^ (!(ordered as i32 >> 31) as u32 | 0x8000_0000));
+                    w_a[key as u32 as usize] = (1.0 - u) * acc;
+                    acc *= u;
+                }
+                if self.sorted == self.keys.len() || (self.in_unit && acc.to_bits() == 0) {
+                    return;
+                }
+                done = self.sorted;
+                self.sort_to((2 * done).min(self.keys.len()));
+            }
+        }
+    }
+}
+
+/// The argsort through the bitonic network on `tier`: the keys packed and
+/// sorted in chunks, merged, their indices written to `out`.
+fn network_argsort(
+    tier: Tier,
+    keys: &[f32],
+    words: &mut Vec<u64>,
+    merge: &mut keysort::ChunkMerge,
+    out: &mut Vec<usize>,
+) {
+    words.resize(keys.len(), 0);
+    keysort::sort_chunks_on(tier, keys, words);
+    out.clear();
+    if words.len() <= keysort::CHUNK {
+        out.extend(words.iter().map(|&w| w as u32 as usize));
+    } else {
+        out.extend(merge.merge(words).map(|w| w as u32 as usize));
+    }
 }
 
 fn test_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
@@ -570,48 +660,125 @@ fn main() {
                 reference_ns: r / SORT_SETS as f64,
                 variant_ns: v / SORT_SETS as f64,
             });
+            // The same words through the bitonic network, on every tier.
+            let (mut words, mut merge) = (Vec::with_capacity(n), keysort::ChunkMerge::default());
+            for (tier, variant) in Tier::available().zip(NETWORK_VARIANTS) {
+                for keys in sets {
+                    CentralizedMergeSorter.argsort_into(keys, &mut out_r);
+                    network_argsort(tier, keys, &mut words, &mut merge, &mut out_v);
+                    assert_eq!(out_r, out_v, "the network's permutation must equal argsort_into's");
+                }
+                let (r, v) = best_of_paired(
+                    reps,
+                    measure,
+                    || {
+                        for keys in sets {
+                            CentralizedMergeSorter.argsort_into(black_box(keys), &mut out_r);
+                        }
+                    },
+                    || {
+                        for keys in sets {
+                            network_argsort(tier, black_box(keys), &mut words, &mut merge, &mut out_v);
+                        }
+                    },
+                );
+                report_variant(VariantRow {
+                    kernel: "usage_sort",
+                    shape: format!("N={n} {what}"),
+                    batch: 0,
+                    active: 0,
+                    reference: "SortEngine::argsort_into (ordered_bits(key) << 32 | index, sorted as integers)",
+                    variant,
+                    reference_ns: r / SORT_SETS as f64,
+                    variant_ns: v / SORT_SETS as f64,
+                });
+            }
         }
     }
 
     // The usage sort and allocation product together: the definition over
-    // the whole argsort against the free list sorted as far as the
-    // product reaches.
-    for &n in &ALLOCATION_SIZES {
-        let sets = recorded_usage(n);
+    // the whole argsort, and the window free list it replaced, each
+    // against the free list sorted in registers and merged only as far as
+    // the product reads — over blank-state usage and over a long-lived
+    // session's.
+    let served = |n| DncParams::new(n, W, 2).with_hidden(HIDDEN).with_io(16, 16);
+    let paper = DncParams::new(1024, 64, 4).with_hidden(256).with_io(16, 16);
+    let q16 = EngineSpec::sharded(16).with_datapath(Datapath::Quantized(QFormat::q16_16()));
+    let mut trajectories: Vec<(String, Vec<Vec<f32>>)> = ALLOCATION_SIZES
+        .iter()
+        .map(|&n| {
+            let engine = EngineBuilder::new(served(n)).seed(7).build();
+            (format!("N={n} {ALLOCATION_STEPS} blank-state"), recorded_usage(engine, 0))
+        })
+        .collect();
+    let engine = EngineBuilder::new(served(N)).seed(7).build();
+    trajectories.push((format!("N={N} {ALLOCATION_STEPS} long-lived"), recorded_usage(engine, LONG_LIVED_FROM)));
+    let engine = EngineBuilder::new(paper).with_spec(q16).seed(7).build();
+    let tile = format!("N=64 tile {ALLOCATION_STEPS} long-lived");
+    trajectories.push((tile, recorded_usage(engine, LONG_LIVED_FROM)));
+    let free_list_variant = "FreeList::sort + allocation_into (chunks in registers, merged as far as the product reads)";
+    for (shape, sets) in &trajectories {
+        let n = sets[0].len();
         let mut order = Vec::with_capacity(n);
         let mut free_list = FreeList::with_capacity(n);
+        let mut window = window_replaced::FreeList::default();
         let (mut w_r, mut w_v) = (vec![0.0f32; n], vec![0.0f32; n]);
-        for usage in &sets {
+        let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for usage in sets {
             CentralizedMergeSorter.argsort_into(usage, &mut order);
             allocation_from_free_list_into(usage, &order, SkimRate::NONE, &mut w_r);
-            free_list.sort_prefix(usage, SkimRate::NONE);
+            free_list.sort(usage, SkimRate::NONE);
             free_list.allocation_into(&mut w_v);
-            let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&w_r), bits(&w_v), "the prefix allocation must equal the definition");
+            assert_eq!(bits(&w_r), bits(&w_v), "the free list's allocation must equal the definition");
+            window.sort_prefix(usage);
+            window.allocation_into(&mut w_r);
+            assert_eq!(bits(&w_r), bits(&w_v), "the free list's allocation must equal the window's");
         }
+        let mut variant = || {
+            for usage in sets {
+                free_list.sort(black_box(usage), SkimRate::NONE);
+                free_list.allocation_into(&mut w_v);
+            }
+        };
         let (r, v) = best_of_paired(
             reps,
             measure,
             || {
-                for usage in &sets {
+                for usage in sets {
                     CentralizedMergeSorter.argsort_into(black_box(usage), &mut order);
                     allocation_from_free_list_into(usage, &order, SkimRate::NONE, &mut w_r);
                 }
             },
-            || {
-                for usage in &sets {
-                    free_list.sort_prefix(black_box(usage), SkimRate::NONE);
-                    free_list.allocation_into(&mut w_v);
-                }
-            },
+            &mut variant,
         );
         report_variant(VariantRow {
             kernel: "allocation_prefix",
-            shape: format!("N={n} {} recorded", sets.len()),
+            shape: shape.clone(),
             batch: 0,
             active: 0,
             reference: "argsort_into + allocation_from_free_list_into (the whole free list)",
-            variant: "FreeList::sort_prefix + allocation_into (sorted as far as the product reaches)",
+            variant: free_list_variant,
+            reference_ns: r / sets.len() as f64,
+            variant_ns: v / sets.len() as f64,
+        });
+        let (r, v) = best_of_paired(
+            reps,
+            measure,
+            || {
+                for usage in sets {
+                    window.sort_prefix(black_box(usage));
+                    window.allocation_into(&mut w_r);
+                }
+            },
+            &mut variant,
+        );
+        report_variant(VariantRow {
+            kernel: "allocation_prefix",
+            shape: shape.clone(),
+            batch: 0,
+            active: 0,
+            reference: "select-and-double window FreeList (replaced)",
+            variant: free_list_variant,
             reference_ns: r / sets.len() as f64,
             variant_ns: v / sets.len() as f64,
         });

@@ -18,15 +18,19 @@
 //! a fully sorted free list (the permutation
 //! [`SortEngine::argsort_into`](hima_sort::SortEngine::argsort_into)
 //! yields, which every `hima-sort` hardware model is pinned to). The
-//! memory unit runs [`FreeList`] instead, which sorts only as much of the
-//! free list as the product needs — the observation usage skimming rests
-//! on, taken exactly. [`FreeList::sort_prefix`] packs every slot's key
+//! memory unit runs [`FreeList`] instead: the paper's two-stage usage sort
+//! (§4.3), executed. [`FreeList::sort`] packs every slot's key
 //! (`ordered_bits(u) << 32 | slot`, the order `argsort_into` sorts by:
-//! ascending `total_cmp`, ties by slot) and sorts the 32 smallest
-//! with a selection; [`FreeList::allocation_into`] runs the product over
-//! them, reading each usage back from its key, and while it has not stopped, doubles the window — selects and
-//! sorts the next keys of the unsorted rest — and carries on, until the
-//! window reaches the kept slots.
+//! ascending `total_cmp`, ties by slot) and sorts each chunk of at most
+//! 128 keys with a bitonic network in vector registers
+//! ([`hima_tensor::keysort::sort_chunks`]) — at the served geometry, and on
+//! each 64-slot tile of the paper's, that chunk is the whole free list.
+//! [`FreeList::allocation_into`] runs the product over the keys in order,
+//! reading each usage back from its key; with more than one chunk the
+//! order comes from merging the sorted chunks
+//! ([`hima_tensor::keysort::ChunkMerge`]), one key at a time, only as far
+//! as the product reads. Keys are distinct, so the network and the merge
+//! yield the argsort's order exactly, on every vector tier.
 //!
 //! **The stop rule.** The product may stop after slot `j` once the
 //! running product is exactly `+0.0` *and* every usage `u` satisfies
@@ -39,10 +43,13 @@
 //! range (a NaN gives `0 · NaN = NaN`, a `-0.0` or a negative turns the
 //! product to `-0.0`, a value above one turns `1 − u` negative) keeps the
 //! product running to the last kept slot, so a hostile usage vector costs
-//! the full sort and yields the reference's bits too. There is one body:
-//! the rule only decides how far the same loop runs.
+//! the whole merge and yields the reference's bits too. The rule only
+//! decides how far the product runs; the products themselves are the
+//! reference's `f32` products, computed on exact values once the running
+//! product nears the subnormal range (`product`), where the `f32`
+//! multiply is slow but not different.
 
-use hima_sort::ordered_bits;
+use hima_tensor::keysort::{sort_chunks, ChunkMerge, CHUNK};
 
 /// Usage-skimming configuration: the fraction of slots (those with the
 /// highest usage) excluded from sorting and allocation.
@@ -123,24 +130,19 @@ pub fn allocation_from_free_list_into(
     }
 }
 
-/// Slots [`FreeList::sort_prefix`] sorts: the first window of the free
-/// list. Real usage vectors are mostly near zero at their low end, so the
-/// product of the 32 smallest is usually `+0.0` already.
-const WINDOW: usize = 32;
-
 /// The free list `φ` as the memory unit builds it: every slot's packed
-/// sort key, of which only a sorted prefix — as long as the allocation
-/// product needs — is ever put in order (see the [module docs](self)).
-/// A key carries its slot's usage bit for bit, so the free list holds
-/// everything the product reads: [`FreeList::sort_prefix`] takes the usage
-/// vector, [`FreeList::allocation_into`] only the output. The key buffer
-/// is sized once and reused, so stepping allocates nothing.
+/// sort key, sorted in chunks, merged only as far as the allocation
+/// product reads (see the [module docs](self)). A key carries its slot's
+/// usage bit for bit, so the free list holds everything the product
+/// reads: [`FreeList::sort`] takes the usage vector,
+/// [`FreeList::allocation_into`] only the output. The key buffer and the
+/// merge's heap are sized once and reused, so stepping allocates nothing.
 #[derive(Debug, Clone)]
 pub struct FreeList {
-    /// `ordered_bits(u) << 32 | slot` per slot; `keys[..sorted]` ascending
-    /// and no larger than any key after them.
+    /// `ordered_bits(u) << 32 | slot`, packed at position `slot`; each
+    /// chunk of [`CHUNK`] keys sorted ascending.
     keys: Vec<u64>,
-    sorted: usize,
+    merge: ChunkMerge,
     /// Slots the product runs over: `SkimRate::kept` of the slot count.
     kept: usize,
     /// Whether every usage is in `[+0.0, 1.0]` bitwise — the stop rule's
@@ -151,47 +153,28 @@ pub struct FreeList {
 impl FreeList {
     /// An empty free list with room for `slots` keys.
     pub fn with_capacity(slots: usize) -> Self {
-        Self { keys: Vec::with_capacity(slots), sorted: 0, kept: 0, in_unit: true }
+        Self { keys: Vec::with_capacity(slots), merge: ChunkMerge::default(), kept: 0, in_unit: true }
     }
 
-    /// HW.(2b), the usage sort: packs the key of every slot of `usage`
-    /// and sorts the 32 smallest of the slots `skim` keeps.
+    /// HW.(2b), the usage sort: packs the key of every slot of `usage` and
+    /// sorts them chunk by chunk, in registers.
     ///
     /// # Panics
     ///
     /// Panics if `usage` holds more than `u32::MAX` slots.
-    pub fn sort_prefix(&mut self, usage: &[f32], skim: SkimRate) {
-        assert!(u32::try_from(usage.len()).is_ok(), "slot index must fit 32 bits");
-        self.keys.clear();
-        let key = |(&u, slot): (&f32, u64)| u64::from(ordered_bits(u)) << 32 | slot;
-        self.keys.extend(usage.iter().zip(0u64..).map(key));
-        self.in_unit = usage.iter().all(|u| u.to_bits() <= 1.0f32.to_bits());
+    pub fn sort(&mut self, usage: &[f32], skim: SkimRate) {
+        self.keys.resize(usage.len(), 0);
+        sort_chunks(usage, &mut self.keys);
+        let top = usage.iter().fold(0, |top, u| top.max(u.to_bits()));
+        self.in_unit = top <= 1.0f32.to_bits();
         self.kept = skim.kept(usage.len());
-        self.sorted = 0;
-        self.sort_to(WINDOW.min(self.kept));
-    }
-
-    /// Puts the keys up to `end` in order: the smallest of the unsorted
-    /// rest selected, then sorted.
-    fn sort_to(&mut self, end: usize) {
-        let rest = &mut self.keys[self.sorted..];
-        let len = end - self.sorted;
-        if len == 0 {
-            return;
-        }
-        if len < rest.len() {
-            rest.select_nth_unstable(len - 1);
-        }
-        rest[..len].sort_unstable();
-        self.sorted = end;
     }
 
     /// HW.(3), the allocation weighting of the usage vector
-    /// [`FreeList::sort_prefix`] last packed, written into `w_a`: the bits
-    /// of [`allocation_from_free_list_into`] over the full argsort, the
-    /// sorted prefix widened as long as the product needs it (the stop
-    /// rule is in the [module docs](self)). The widening — selecting and
-    /// sorting further keys — runs here, so a kernel profile charges it to
+    /// [`FreeList::sort`] last packed, written into `w_a`: the bits of
+    /// [`allocation_from_free_list_into`] over the full argsort, the
+    /// product stopped by the rule in the [module docs](self). Merging more
+    /// than one sorted chunk runs here, so a kernel profile charges it to
     /// `Allocation`, not to `UsageSort`.
     ///
     /// # Panics
@@ -200,21 +183,85 @@ impl FreeList {
     pub fn allocation_into(&mut self, w_a: &mut [f32]) {
         assert_eq!(w_a.len(), self.keys.len(), "allocation output length mismatch");
         w_a.fill(0.0);
-        let mut acc = 1.0f32; // Π_{k<j} u[φ_k], accumulated in free-list order
-        let mut done = 0;
-        loop {
-            for &key in &self.keys[done..self.sorted] {
-                let u = usage_of(key);
-                w_a[key as u32 as usize] = (1.0 - u) * acc;
-                acc *= u;
-            }
-            if self.sorted == self.kept || (self.in_unit && acc.to_bits() == 0) {
-                return;
-            }
-            done = self.sorted;
-            self.sort_to((2 * done).min(self.kept));
+        let (kept, in_unit) = (self.kept, self.in_unit);
+        if self.keys.len() <= CHUNK {
+            product(self.keys.iter().copied(), kept, in_unit, w_a);
+        } else {
+            product(self.merge.merge(&self.keys), kept, in_unit, w_a);
         }
     }
+}
+
+/// `w_a[φ_j] = (1 − u[φ_j]) · Π_{k<j} u[φ_k]` over the first `kept` keys
+/// of `free_list`, in order, until the stop rule holds.
+///
+/// With every usage in `[+0.0, 1.0]`, the running product shrinks toward
+/// zero and, before the stop rule holds, spends steps in `f32`'s
+/// subnormal range, where every multiply is a microcode assist on x86
+/// (tens of times an ordinary one). So once it falls below 2⁻¹¹⁶ the same
+/// two products run on exact values instead: an `f32` times an `f32` is
+/// exact in `f64`, which [`round_to_f32`] rounds to the nearest `f32` —
+/// ties to even, subnormal results included — as the `f32` multiply
+/// rounds its exact product. The bits are the `f32` loop's; only no
+/// subnormal reaches the FPU.
+fn product(free_list: impl Iterator<Item = u64>, kept: usize, in_unit: bool, w_a: &mut [f32]) {
+    let mut acc = 1.0f32; // Π_{k<j} u[φ_k], accumulated in free-list order
+    let mut keys = free_list.take(kept);
+    for key in keys.by_ref() {
+        let u = usage_of(key);
+        w_a[key as u32 as usize] = (1.0 - u) * acc;
+        acc *= u;
+        if in_unit && acc.to_bits() < TINY {
+            break;
+        }
+    }
+    if !in_unit {
+        return;
+    }
+    let mut acc = exact(acc);
+    for key in keys {
+        if acc == 0.0 {
+            return;
+        }
+        let u = usage_of(key);
+        // `1 − u` rounds to one for a subnormal `u` (the `f32` spacing
+        // below one is 2⁻²⁴), so no subnormal enters the subtraction.
+        let keep = if u.to_bits() < MIN_NORMAL { 1.0 } else { 1.0 - u };
+        w_a[key as u32 as usize] = round_to_f32(f64::from(keep) * acc);
+        acc = exact(round_to_f32(exact(u) * acc));
+    }
+}
+
+/// The bits of 2⁻¹¹⁶: below it the running product leaves `f32`
+/// arithmetic for exact `f64` values.
+const TINY: u32 = 11 << 23;
+/// The bits of 2⁻¹²⁶, the least normal `f32`.
+const MIN_NORMAL: u32 = 1 << 23;
+
+/// A non-negative `f32` as the `f64` of the same value, computed from its
+/// bits when it is subnormal (converting a subnormal is an assist too).
+fn exact(x: f32) -> f64 {
+    let bits = x.to_bits();
+    if bits < MIN_NORMAL {
+        f64::from(bits) * f64::from_bits((1023 - 149) << 52)
+    } else {
+        f64::from(x)
+    }
+}
+
+/// The non-negative `f64` `p`, which must be an exact product of two
+/// `f32`s no greater than one, rounded to the nearest `f32`, ties to even:
+/// the result an `f32` multiply gives for that product. Below 2⁻¹²⁶ the
+/// result is a multiple of 2⁻¹⁴⁹, found by rounding `p · 2¹⁴⁹` to an
+/// integer — adding and subtracting 2⁵² rounds it to even, exactly, as
+/// it is below 2²⁴ — whose value is the subnormal's bits.
+fn round_to_f32(p: f64) -> f32 {
+    if p >= f64::from(f32::MIN_POSITIVE) {
+        return p as f32;
+    }
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let steps = (p * f64::from_bits((1023 + 149) << 52) + TWO_52) - TWO_52;
+    f32::from_bits(steps as u32)
 }
 
 /// The usage a free-list key packs, bit for bit: `ordered_bits` undone. A
@@ -248,7 +295,7 @@ pub fn merge_write_weighting_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hima_sort::{CentralizedMergeSorter, SortEngine};
+    use hima_sort::{ordered_bits, CentralizedMergeSorter, SortEngine};
 
     fn alloc(usage: &[f32], skim: SkimRate) -> Vec<f32> {
         let mut w_a = vec![f32::NAN; usage.len()];
@@ -355,7 +402,7 @@ mod tests {
     fn allocation_empty_input() {
         assert!(alloc(&[], SkimRate::NONE).is_empty());
         let mut free_list = FreeList::with_capacity(0);
-        free_list.sort_prefix(&[], SkimRate::NONE);
+        free_list.sort(&[], SkimRate::NONE);
         free_list.allocation_into(&mut []);
     }
 
@@ -364,8 +411,10 @@ mod tests {
     }
 
     /// The free list's weights over stale output, checked `to_bits`
-    /// against the definition over the full argsort. Returns how many keys
-    /// the free list sorted.
+    /// against the definition over the full argsort, and its merged order
+    /// against the argsort's. Returns how many keys the definition's
+    /// product reads before the stop rule holds (the kept count if it
+    /// never does).
     fn assert_prefix_is_the_definition(what: &str, usage: &[f32], skim: SkimRate) -> usize {
         let mut want = vec![f32::NAN; usage.len()];
         let mut order = Vec::new();
@@ -373,13 +422,21 @@ mod tests {
         allocation_from_free_list_into(usage, &order, skim, &mut want);
         let mut free_list = FreeList::with_capacity(usage.len());
         let mut got = vec![f32::NAN; usage.len()];
-        free_list.sort_prefix(usage, skim);
+        free_list.sort(usage, skim);
         free_list.allocation_into(&mut got);
         assert_eq!(bits(&got), bits(&want), "{what}, K = {}", skim.fraction());
-        let sorted: Vec<usize> =
-            free_list.keys[..free_list.sorted].iter().map(|&k| k as u32 as usize).collect();
-        assert_eq!(sorted, order[..free_list.sorted], "{what}: the sorted prefix is the argsort's");
-        free_list.sorted
+        let FreeList { keys, merge, .. } = &mut free_list;
+        let merged: Vec<usize> = merge.merge(keys).map(|k| k as u32 as usize).collect();
+        assert_eq!(merged, order, "{what}: the merged chunks are the argsort's order");
+        let in_unit = usage.iter().all(|u| u.to_bits() <= 1.0f32.to_bits());
+        let mut acc = 1.0f32;
+        let kept = skim.kept(usage.len());
+        (1..=kept)
+            .find(|&j| {
+                acc *= usage[order[j - 1]];
+                in_unit && acc.to_bits() == 0
+            })
+            .unwrap_or(kept)
     }
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
@@ -405,6 +462,30 @@ mod tests {
     }
 
     #[test]
+    fn tiny_products_round_as_the_f32_multiply_rounds_them() {
+        // Running products near and in the subnormal range times usages
+        // in [0, 1]: random bits, ties to even, the step into 2⁻¹²⁶.
+        let mut next = xorshift(11);
+        let mut pairs: Vec<(f32, f32)> = (0..200_000)
+            .map(|_| {
+                let r = next();
+                let acc = f32::from_bits((r as u32) % TINY);
+                let u = f32::from_bits((r >> 32) as u32 % (1.0f32.to_bits() + 1));
+                (acc, u)
+            })
+            .collect();
+        let halves = [0.5, 0.75, 1.0 - f32::EPSILON / 2.0, 1.0, 0.0, f32::from_bits(1)];
+        for bits in [1u32, 2, 3, 5, 0x7f_ffff, 0x80_0000, 0x80_0001, 0xff_ffff] {
+            pairs.extend(halves.iter().map(|&u| (f32::from_bits(bits), u)));
+        }
+        for (acc, u) in pairs {
+            let want = acc * u;
+            let got = round_to_f32(exact(acc) * exact(u));
+            assert_eq!(got.to_bits(), want.to_bits(), "{acc:e} × {u:e}");
+        }
+    }
+
+    #[test]
     fn prefix_allocation_is_the_definition_on_hostile_usage() {
         let hostile = [
             f32::NAN,
@@ -418,25 +499,29 @@ mod tests {
             f32::from_bits(1),
         ];
         let skims = [SkimRate::NONE, SkimRate::new(0.2), SkimRate::new(0.5)];
-        // How far the product ran: the first window, a doubled one, every
-        // kept slot.
-        let (mut first, mut widened, mut all) = (false, false, false);
-        for n in [1usize, 31, 32, 33, 64, 128, 1024] {
+        // How far the product ran: stopped inside the first chunk, stopped
+        // inside a later one (merged that far), every kept slot.
+        let (mut first, mut merged, mut all) = (false, false, false);
+        for n in [1usize, 31, 32, 33, 64, 128, 129, 1024] {
             let mut next = xorshift(n as u64);
             let mut uniform = || (next() >> 40) as f32 / (1u64 << 24) as f32;
             let soft: Vec<f32> = (0..n).map(|_| uniform()).collect();
             // Usage as a DNC leaves it: most slots near zero at the low end.
             let skewed: Vec<f32> = soft.iter().map(|u| u * u * u * u).collect();
+            // Usage as a long-lived session leaves it: every slot near ½,
+            // so the product underflows to zero only after ≈ 170 slots.
+            let settled: Vec<f32> = soft.iter().map(|u| 0.48 + 0.07 * u).collect();
             let mut cases = vec![
                 ("all zero".to_string(), vec![0.0; n]),
                 ("all equal".to_string(), vec![0.375; n]),
                 ("all one".to_string(), vec![1.0; n]),
                 ("uniform".to_string(), soft.clone()),
                 ("skewed".to_string(), skewed.clone()),
+                ("settled".to_string(), settled),
             ];
             for (h, &x) in hostile.iter().enumerate() {
                 // One hostile value among soft ones, at the low end, in
-                // the middle and past the first window.
+                // the middle and at the end.
                 for at in [0, n / 2, n - 1] {
                     let mut usage = skewed.clone();
                     usage[at] = x;
@@ -447,15 +532,15 @@ mod tests {
                 for skim in skims {
                     let kept = skim.kept(n);
                     let what = format!("{what}, N = {n}");
-                    let sorted = assert_prefix_is_the_definition(&what, usage, skim);
-                    first |= sorted == WINDOW && kept > WINDOW;
-                    widened |= sorted > WINDOW && sorted < kept;
-                    all |= sorted == kept;
+                    let read = assert_prefix_is_the_definition(&what, usage, skim);
+                    first |= read < kept && n > CHUNK;
+                    merged |= read > CHUNK && read < kept;
+                    all |= read == kept;
                 }
             }
         }
-        assert!(first, "no case stopped after the first window");
-        assert!(widened, "no case stopped after a widened window");
+        assert!(first, "no multi-chunk case stopped inside the first chunk");
+        assert!(merged, "no case stopped after merging past the first chunk");
         assert!(all, "no case ran to the last kept slot");
     }
 
@@ -473,5 +558,27 @@ mod tests {
                 assert_prefix_is_the_definition(&format!("step {t}"), unit.usage(), skim);
             }
         }
+    }
+
+    #[test]
+    fn prefix_allocation_is_the_definition_along_a_long_lived_session() {
+        // A served-geometry lane 2 000 steps into one session: its usage
+        // has settled near ½ on every slot, so the product never reaches
+        // zero and reads the whole free list — the regime a blank-state
+        // trajectory never enters.
+        let params = crate::DncParams::new(128, 16, 2).with_hidden(64).with_io(16, 16);
+        let mut engine = crate::EngineBuilder::new(params).seed(7).build();
+        let mut read_all = 0;
+        for t in 0..2100 {
+            let x: Vec<f32> = (0..16).map(|i| ((t * 16 + i) as f32 * 0.61).sin()).collect();
+            engine.step(&x);
+            if t >= 2000 {
+                let usage = engine.unit(0, 0).usage();
+                let what = format!("step {t}");
+                let read = assert_prefix_is_the_definition(&what, usage, SkimRate::NONE);
+                read_all += usize::from(read == usage.len());
+            }
+        }
+        assert!(read_all >= 50, "only {read_all} of 100 steps read the whole free list");
     }
 }

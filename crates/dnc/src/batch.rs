@@ -507,8 +507,10 @@ impl GridEngine {
         let ws = &mut self.ws;
 
         // Controller on [x_t ; v_r^{t-1}], all active lanes at once
-        // (frozen lanes surface their held hidden state).
-        Matrix::hcat_into(inputs, &self.last_read, &mut ws.ctrl_in);
+        // (frozen lanes surface their held hidden state). Each staging
+        // copy below fills the active rows only: the masked products
+        // read nothing else.
+        Matrix::hcat_masked_into(inputs, &self.last_read, mask, &mut ws.ctrl_in);
         let (controller, states) = (&self.controller, &mut self.lstm_states);
         self.profile.time(KernelId::Lstm, || {
             controller.step_masked_into(states, &ws.ctrl_in, mask, &mut ws.lstm, &mut ws.hidden)
@@ -517,7 +519,7 @@ impl GridEngine {
         // Interface projection (input skip connection): one batched
         // product per shard — each shard has its own interface weights
         // but shares them across lanes — over the active rows only.
-        Matrix::hcat_into(&ws.hidden, inputs, &mut ws.iface_in);
+        Matrix::hcat_masked_into(&ws.hidden, inputs, mask, &mut ws.iface_in);
         let projs = &self.interface_projs;
         self.profile.time(KernelId::Projection, || {
             for (proj, raw) in projs.iter().zip(ws.raw_shards.iter_mut()) {
@@ -566,7 +568,7 @@ impl GridEngine {
 
         // Output projection over [h ; v_r], batched over the active rows
         // (inactive output rows stay zero).
-        Matrix::hcat_into(&ws.hidden, &self.last_read, &mut ws.out_in);
+        Matrix::hcat_masked_into(&ws.hidden, &self.last_read, mask, &mut ws.out_in);
         let output_proj = &self.output_proj;
         self.profile.time(KernelId::Projection, || output_proj.matmul_masked_into(&ws.out_in, mask, y));
     }

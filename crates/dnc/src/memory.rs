@@ -469,10 +469,11 @@ impl MemoryUnit {
         laps.lap(KernelId::Usage, 1);
 
         // HW.(2b): usage sort (free-list construction, reused buffer) —
-        // the order of the argsort every `hima-sort` model is pinned to,
-        // sorted only as far as the allocation product reaches: the first
-        // window here, any wider one inside the product (and its lap).
-        scratch.free_list.sort_prefix(&state.usage, self.config.skim);
+        // the order of the argsort every `hima-sort` model is pinned to:
+        // each chunk of at most 128 keys sorted here in registers, any
+        // merge of several chunks inside the product (and its lap), only
+        // as far as the product reads.
+        scratch.free_list.sort(&state.usage, self.config.skim);
         laps.lap(KernelId::UsageSort, 1);
 
         // HW.(3): allocation from the free list, which carries the usage.

@@ -9,6 +9,11 @@
 //! For the paper's example (`N = 1024`, `N_t = 4`, `P = 16`):
 //! `6×(16+5) + 256 + 7 = 389` cycles, vs `N log₂ N = 10 240` for the
 //! centralized baseline — a 26× latency reduction.
+//!
+//! This is a cycle model. Its executable form is `hima_tensor::keysort`,
+//! which the memory unit's free list runs: stage 1 sorts each chunk of 128
+//! packed usage keys with a bitonic network in vector registers, stage 2
+//! merges the sorted chunks only as far as the allocation product reads.
 
 use crate::mdsa::MdsaSorter;
 use crate::pms::ParallelMergeSorter;

@@ -64,31 +64,36 @@ pub fn write_snapshot(
     step_seq: u64,
     state: &[u8],
 ) -> std::io::Result<()> {
-    write_snapshot_with(path, spec_key, step_seq, state, None)
+    let mut frame = Vec::with_capacity(28 + spec_key.len() + state.len());
+    encode_frame(&mut frame, spec_key, step_seq, |out| out.extend_from_slice(state));
+    write_frame(path, &frame, None)
 }
 
-/// [`write_snapshot`] with an optional fault plan consulted at the write
-/// and the fsync. An injected partial write leaves the slot torn (the
-/// magic and `keep` body bytes of the new frame over the old contents);
-/// an injected fsync failure leaves the whole new frame written but not
-/// known durable.
-pub(crate) fn write_snapshot_with(
-    path: &Path,
+/// Replaces `frame`'s contents with one snapshot frame — magic, body,
+/// CRC of the body — whose state payload `payload` appends in place.
+pub(crate) fn encode_frame(
+    frame: &mut Vec<u8>,
     spec_key: &[u8],
     step_seq: u64,
-    state: &[u8],
-    faults: Option<&FaultPlan>,
-) -> std::io::Result<()> {
-    // The whole file in one buffer — magic, body, CRC of the body — so it
-    // reaches the OS as one write.
-    let mut frame = Vec::with_capacity(28 + spec_key.len() + state.len());
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    frame.clear();
     frame.extend_from_slice(&SNAPSHOT_MAGIC);
     frame.put_bytes(spec_key);
     frame.put_u64(step_seq);
-    frame.put_bytes(state);
-    let body_end = frame.len();
-    frame.put_u32(crc32(&frame[SNAPSHOT_MAGIC.len()..]));
+    frame.put_bytes_with(payload);
+    let crc = crc32(&frame[SNAPSHOT_MAGIC.len()..]);
+    frame.put_u32(crc);
+}
 
+/// Overwrites the file at `path` (creating it when absent) with `frame`
+/// at offset 0 — one write — then `sync_all`s it, with an optional fault
+/// plan consulted at the write and the fsync. An injected partial write
+/// leaves the slot torn (the magic and `keep` body bytes of the new frame
+/// over the old contents); an injected fsync failure leaves the whole new
+/// frame written but not known durable.
+pub(crate) fn write_frame(path: &Path, frame: &[u8], faults: Option<&FaultPlan>) -> std::io::Result<()> {
+    let body_end = frame.len() - 4;
     // No truncate: the new frame lands on the blocks the slot already has.
     let mut f = OpenOptions::new().write(true).create(true).truncate(false).open(path)?;
     if let Some(keep) = consult_faults(faults, FaultSite::StoreWrite)? {
@@ -99,7 +104,7 @@ pub(crate) fn write_snapshot_with(
             "injected partial snapshot write",
         ));
     }
-    f.write_all(&frame)?;
+    f.write_all(frame)?;
     // A longer previous frame would leave its tail behind the new CRC.
     if f.metadata()?.len() > frame.len() as u64 {
         f.set_len(frame.len() as u64)?;

@@ -2,9 +2,10 @@
 //! delta log per session id, with snapshot-then-truncate compaction.
 
 use crate::log::{read_log, truncate_to_header, LogWriter, StepRecord};
-use crate::snapshot::{read_slot, retire_slot, write_snapshot_with, Slot, Snapshot};
+use crate::snapshot::{encode_frame, read_slot, retire_slot, write_frame, Slot, Snapshot};
 use hima_chaos::{io_error_for, FaultKind, FaultPlan, FaultSite};
 use std::collections::{BTreeSet, HashMap};
+use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -181,6 +182,52 @@ pub struct SessionStore {
     /// Session id → its live slot (the one the next save must not
     /// overwrite).
     live: Mutex<HashMap<u64, usize>>,
+    /// Buffers a save builds its frame and file paths in, returned after
+    /// it: a save takes one (or makes one, when every buffer is in use by
+    /// a concurrent save), so from a store's second save on, saving
+    /// allocates nothing.
+    scratch: Mutex<Vec<SaveScratch>>,
+}
+
+/// A save's reused buffers: the snapshot frame, the state payload encoded
+/// straight into it, and a file name and path.
+#[derive(Debug, Default)]
+struct SaveScratch {
+    frame: Vec<u8>,
+    name: String,
+    path: PathBuf,
+}
+
+impl SaveScratch {
+    /// The path of `root`'s file named by `name`, in the reused buffers.
+    fn path(&mut self, root: &Path, name: FileName) -> &Path {
+        self.name.clear();
+        write!(self.name, "{name}").expect("formatting a file name cannot fail");
+        self.path.as_mut_os_string().clear();
+        self.path.push(root);
+        self.path.push(&self.name);
+        &self.path
+    }
+}
+
+/// One of a session's files, displayed as its name.
+#[derive(Clone, Copy)]
+enum FileName {
+    /// Snapshot slot 0 or 1. Slot 0 keeps the single-snapshot layout's
+    /// name, so a store written before slots existed loads unchanged.
+    Slot(u64, usize),
+    /// The delta log.
+    Log(u64),
+}
+
+impl std::fmt::Display for FileName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            FileName::Slot(id, 0) => write!(f, "sess-{id}.snap"),
+            FileName::Slot(id, _) => write!(f, "sess-{id}.snap1"),
+            FileName::Log(id) => write!(f, "sess-{id}.log"),
+        }
+    }
 }
 
 impl SessionStore {
@@ -198,7 +245,7 @@ impl SessionStore {
     ) -> std::io::Result<Self> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        Ok(Self { root, faults, live: Mutex::default() })
+        Ok(Self { root, faults, live: Mutex::default(), scratch: Mutex::default() })
     }
 
     /// The fault plan this store consults, when one is installed.
@@ -211,17 +258,12 @@ impl SessionStore {
         &self.root
     }
 
-    /// Slot 0 keeps the single-snapshot layout's name, so a store written
-    /// before slots existed loads unchanged.
     fn slot_path(&self, id: u64, slot: usize) -> PathBuf {
-        match slot {
-            0 => self.root.join(format!("sess-{id}.snap")),
-            _ => self.root.join(format!("sess-{id}.snap1")),
-        }
+        self.root.join(FileName::Slot(id, slot).to_string())
     }
 
     fn log_path(&self, id: u64) -> PathBuf {
-        self.root.join(format!("sess-{id}.log"))
+        self.root.join(FileName::Log(id).to_string())
     }
 
     fn live_slots(&self) -> MutexGuard<'_, HashMap<u64, usize>> {
@@ -311,6 +353,22 @@ impl SessionStore {
         step_seq: u64,
         state: &[u8],
     ) -> std::io::Result<()> {
+        self.save_snapshot_with(id, spec_key, step_seq, |out| out.extend_from_slice(state)).map(drop)
+    }
+
+    /// [`save_snapshot`](Self::save_snapshot) of the state payload
+    /// `payload` appends to the frame in place — the bytes a
+    /// `write_snapshot` of that payload writes, with no copy of it. The
+    /// frame and the file paths are built in buffers the store reuses, so
+    /// a save after the store's first allocates nothing. Returns the
+    /// payload's length.
+    pub fn save_snapshot_with(
+        &self,
+        id: u64,
+        spec_key: &[u8],
+        step_seq: u64,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> std::io::Result<usize> {
         // Bound first, so the guard is dropped before the miss re-locks.
         let cached = self.live_slots().get(&id).copied();
         let live = match cached {
@@ -322,17 +380,35 @@ impl SessionStore {
             }
         };
         let target = 1 - live;
-        write_snapshot_with(
-            &self.slot_path(id, target),
-            spec_key,
-            step_seq,
-            state,
-            self.faults.as_deref(),
-        )?;
+        let taken = self.scratch.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let mut scratch = taken.unwrap_or_default();
+        encode_frame(&mut scratch.frame, spec_key, step_seq, payload);
+        // The frame around the payload: magic 8, key 4 + key, step 8,
+        // length 4, CRC 4.
+        let len = scratch.frame.len() - 28 - spec_key.len();
+        let saved = self.write_frames(&mut scratch, id, spec_key, live, target);
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner).push(scratch);
+        saved.map(|()| len)
+    }
+
+    /// The I/O of a save: `scratch.frame` into slot `target`, synced, then
+    /// slot `live` retired and the log truncated to its header.
+    fn write_frames(
+        &self,
+        scratch: &mut SaveScratch,
+        id: u64,
+        spec_key: &[u8],
+        live: usize,
+        target: usize,
+    ) -> std::io::Result<()> {
+        let frame = std::mem::take(&mut scratch.frame);
+        let written = write_frame(scratch.path(&self.root, FileName::Slot(id, target)), &frame, self.faults.as_deref());
+        scratch.frame = frame;
+        written?;
         // Synced: from here on a load picks the new slot.
         self.live_slots().insert(id, target);
-        retire_slot(&self.slot_path(id, live))?;
-        truncate_to_header(&self.log_path(id), spec_key)
+        retire_slot(scratch.path(&self.root, FileName::Slot(id, live)))?;
+        truncate_to_header(scratch.path(&self.root, FileName::Log(id)), spec_key)
     }
 
     /// Opens the delta log for `id` in append mode.

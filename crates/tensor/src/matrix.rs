@@ -333,18 +333,21 @@ impl Matrix {
     pub fn hcat(a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.rows, b.rows, "hcat row mismatch: {} vs {}", a.rows, b.rows);
         let mut out = Matrix::zeros(a.rows, a.cols + b.cols);
-        Self::hcat_into(a, b, &mut out);
+        Self::hcat_masked_into(a, b, &crate::LaneMask::full(a.rows), &mut out);
         out
     }
 
-    /// Output-buffer form of [`Matrix::hcat`]: writes `[a | b]` into
-    /// `out` without allocating. `out` must already be
+    /// Output-buffer form of [`Matrix::hcat`] over the rows of active
+    /// lanes: writes `[a | b]` into those rows of `out` without allocating
+    /// and leaves the other rows as they were — the staging of a masked
+    /// product, which reads only active rows. `out` must already be
     /// `a.rows × (a.cols + b.cols)`.
     ///
     /// # Panics
     ///
-    /// Panics if the row counts differ or `out` has the wrong shape.
-    pub fn hcat_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    /// Panics if the row counts differ, `out` has the wrong shape or
+    /// `mask.lanes() != a.rows`.
+    pub fn hcat_masked_into(a: &Matrix, b: &Matrix, mask: &crate::LaneMask, out: &mut Matrix) {
         assert_eq!(a.rows, b.rows, "hcat row mismatch: {} vs {}", a.rows, b.rows);
         assert_eq!(
             out.shape(),
@@ -355,7 +358,8 @@ impl Matrix {
             a.rows,
             a.cols + b.cols
         );
-        for i in 0..a.rows {
+        assert_eq!(mask.lanes(), a.rows, "lane mask size mismatch");
+        for i in mask.active_lanes() {
             let dst = out.row_mut(i);
             dst[..a.cols].copy_from_slice(a.row(i));
             dst[a.cols..].copy_from_slice(b.row(i));
@@ -604,8 +608,13 @@ mod tests {
 
         let b = Matrix::from_fn(5, 3, |i, j| (i + j) as f32);
         let mut cat = Matrix::filled(5, 10, f32::NAN);
-        Matrix::hcat_into(&a, &b, &mut cat);
-        assert_eq!(cat, Matrix::hcat(&a, &b));
+        Matrix::hcat_masked_into(&a, &b, &mask, &mut cat);
+        let full = Matrix::hcat(&a, &b);
+        for i in 0..5 {
+            let want = if mask.is_active(i) { full.row(i).to_vec() } else { vec![f32::NAN; 10] };
+            let same = cat.row(i).iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "row {i}: active rows staged, the others left as they were");
+        }
 
         let v7: Vec<f32> = (0..7).map(|i| (i as f32 * 0.7).sin()).collect();
         let mut mv = vec![f32::NAN; 5];

@@ -64,6 +64,16 @@
 //! partial sums, then adds those in a fixed tree — the order is part of
 //! its definition.
 //!
+//! # `Keys`: the usage sort's lanes
+//!
+//! Each tier also names a type of eight `u64` sort keys, `Lanes::Keys`,
+//! for the usage sort's bitonic network ([`mod@crate::keysort`]): `U64x8`
+//! (plain Rust) under `F32x8`, `AvxKeys` (two `__m256d`, compared through
+//! SSE4.2's 64-bit compare and blended) under `Avx`, `Avx512Keys` (one
+//! `__m512i`, AVX-512F's unsigned 64-bit `min`/`max`) under `Avx512`. Its
+//! ops pack a usage into its key, and otherwise only move keys or take a
+//! lane-wise unsigned `min`/`max`, so every tier sorts to the same keys.
+//!
 //! # Safety
 //!
 //! Every intrinsic here needs one fact: this CPU runs the tier's
@@ -71,9 +81,11 @@
 //! proof that the CPU runs `V`'s instructions, which only `Tier::run`
 //! makes, right after it asserts [`Tier::is_available`], and hands to the
 //! kernel it runs (`Token::half` derives `V::Half`'s, which a CPU that
-//! runs `V` runs too). Every constructor of a lane type — `zero`, `splat`,
-//! `load`, `load_first`, `load_transposed`, `load_transposed8` — takes the
-//! token, and the lane types' fields are private to this module, so a
+//! runs `V` runs too; `Token::keys` derives `V::Keys`'s). Every
+//! constructor of a lane type — `zero`, `splat`, `load`, `load_first`,
+//! `load_transposed`, `load_transposed8`, and the keys' `pack` and
+//! `load` — takes the token, and the lane types' fields are private to
+//! this module, so a
 //! vector of a tier's type exists only where a token did: holding one
 //! proves the CPU, and every other op, taking a vector, is safe. (The few
 //! private helpers that make a vector without a token take only values
@@ -99,7 +111,17 @@ use core::arch::x86_64::{
     _mm512_or_si512, _mm512_roundscale_ps, _mm512_set1_ps, _mm512_setzero_ps,
     _mm512_shuffle_f32x4, _mm512_shuffle_ps, _mm512_slli_epi32, _mm512_sqrt_ps, _mm512_srli_epi32,
     _mm512_storeu_ps, _mm512_sub_ps, _mm512_ternarylogic_epi32, _mm512_unpackhi_ps,
-    _mm512_unpacklo_ps,
+    _mm512_unpacklo_ps, __m256d, __mmask8, _mm512_add_epi64, _mm512_cvtepi32_epi64,
+    _mm512_loadu_epi64, _mm512_mask_blend_epi64, _mm512_mask_max_epu64, _mm512_mask_storeu_epi64,
+    _mm512_max_epu64, _mm512_min_epu64, _mm512_permutex_epi64,
+    _mm512_permutexvar_epi64, _mm512_set1_epi64, _mm512_set_epi64, _mm512_shuffle_epi32,
+    _mm512_shuffle_i64x2, _mm512_slli_epi64, _mm512_srai_epi64, _mm512_storeu_epi64,
+    _mm512_xor_si512, _mm256_blend_pd, _mm256_blendv_pd, _mm256_castpd128_pd256,
+    _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_insertf128_pd, _mm256_loadu_pd,
+    _mm256_loadu_si256, _mm256_permute2f128_pd, _mm256_permute_pd, _mm256_set1_pd,
+    _mm256_storeu_pd, _mm256_xor_pd, _mm_castpd_si128, _mm_castsi128_pd, _mm_cmpgt_epi64,
+    _mm_loadu_si128, _mm_or_si128, _mm_set1_epi32, _mm_set_epi32, _mm_srai_epi32,
+    _mm_unpackhi_epi32, _mm_unpacklo_epi32, _mm_xor_si128,
     _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_blendv_ps, _mm256_castps128_ps256,
     _mm256_castps256_ps128, _mm256_castps_pd, _mm256_cmp_ps, _mm256_div_ps, _mm256_extractf128_ps,
     _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
@@ -122,6 +144,12 @@ impl<V: Lanes> Token<V> {
     pub(crate) fn half(self) -> Token<V::Half> {
         Token(PhantomData)
     }
+
+    /// The token of `V::Keys`, which a CPU that runs `V` runs too.
+    #[inline(always)]
+    pub(crate) fn keys(self) -> Token<V::Keys> {
+        Token(PhantomData)
+    }
 }
 
 /// `LANES` `f32` lanes with the operations the crate's kernel bodies
@@ -139,6 +167,8 @@ pub(crate) trait Lanes: Copy {
     /// eight-lane types, `Avx` on `Avx512` — for a remainder of eight rows
     /// too short for a sixteen-lane block, and for the softmax.
     type Half: Lanes;
+    /// The tier's sort-key lanes: `u64` keys in the same instruction set.
+    type Keys: Keys;
 
     fn zero(cpu: Token<Self>) -> Self;
     fn splat(cpu: Token<Self>, v: f32) -> Self;
@@ -359,6 +389,7 @@ impl Lanes for F32x8 {
     const LANES: usize = 8;
     type Block = [Self; 8];
     type Half = Self;
+    type Keys = U64x8;
 
     #[inline(always)]
     fn zero(_: Token<Self>) -> Self {
@@ -487,6 +518,7 @@ impl Lanes for Avx {
     const LANES: usize = 8;
     type Block = [Self; 8];
     type Half = Self;
+    type Keys = AvxKeys;
 
     #[inline(always)]
     fn zero(_: Token<Self>) -> Self {
@@ -694,6 +726,7 @@ impl Lanes for Avx512 {
     type Block = [Self; 16];
     // AVX-512F implies AVX.
     type Half = Avx;
+    type Keys = Avx512Keys;
 
     #[inline(always)]
     fn zero(_: Token<Self>) -> Self {
@@ -900,6 +933,368 @@ impl Lanes for Avx512 {
     }
 }
 
+/// The sort key of `usage` at `slot`: `ordered_bits(usage) << 32 | slot`,
+/// where `ordered_bits` flips every bit of a value with its sign bit set
+/// and only the sign bit of any other, so the keys' unsigned order is
+/// [`f32::total_cmp`]'s, ties broken by slot (`hima_sort::ordered_bits`,
+/// which the tests hold this to).
+#[inline(always)]
+pub(crate) fn usage_key(usage: f32, slot: u64) -> u64 {
+    let bits = usage.to_bits();
+    u64::from(bits ^ ((bits as i32 >> 31) as u32 | 0x8000_0000)) << 32 | slot
+}
+
+/// Eight `u64` sort keys, ordered as unsigned integers: the lanes of the
+/// usage sort's bitonic network ([`mod@crate::keysort`]). Apart from
+/// [`Keys::pack`], every op is a fixed data movement or a lane-wise
+/// unsigned `min`/`max`, so a network written over `Keys` moves the same
+/// keys to the same places on every tier. The constructors take the
+/// [`Token`] that proves the CPU runs `Self`, as [`Lanes`]'s do.
+pub(crate) trait Keys: Copy {
+    /// The keys of the first eight usages of `usage` at slots
+    /// `slot..slot + 8`, as [`usage_key`] packs them (panics if `usage`
+    /// is shorter; `slot + 8` must fit 32 bits).
+    fn pack(cpu: Token<Self>, usage: &[f32], slot: u64) -> Self;
+    /// The first eight keys of `s` (panics if shorter).
+    fn load(cpu: Token<Self>, s: &[u64]) -> Self;
+    /// Writes the lanes to the first eight keys of `d` (panics if shorter).
+    fn store(self, d: &mut [u64]);
+    /// The smaller key per lane.
+    fn min(self, o: Self) -> Self;
+    /// The larger key per lane.
+    fn max(self, o: Self) -> Self;
+    /// Lane `l` takes lane `l ^ X`, for `X` in 1, 2, 3, 4 and 7 (panics on
+    /// any other `X`).
+    fn permute<const X: usize>(self) -> Self;
+    /// `o` in the lanes whose index has bit `B` (1, 2 or 4) set, `self`
+    /// in the rest.
+    fn blend<const B: usize>(self, o: Self) -> Self;
+    /// The larger key of `self` and `o` in the lanes whose index has bit
+    /// `B` (1, 2 or 4) set, the smaller in the rest: both halves of a
+    /// compare-exchange, blended.
+    fn min_max<const B: usize>(self, o: Self) -> Self;
+
+    /// Writes the first `d.len()` lanes to `d` (panics if `d` is longer
+    /// than eight).
+    #[inline(always)]
+    fn store_first(self, d: &mut [u64]) {
+        assert!(d.len() <= 8, "{TAIL_TOO_LONG}");
+        let mut all = [0u64; 8];
+        self.store(&mut all);
+        d.copy_from_slice(&all[..d.len()]);
+    }
+}
+
+/// Eight `u64` keys in plain Rust, each op the scalar expression it
+/// stands for: `F32x8`'s keys.
+#[derive(Clone, Copy)]
+pub(crate) struct U64x8([u64; 8]);
+
+impl Keys for U64x8 {
+    #[inline(always)]
+    fn pack(_: Token<Self>, usage: &[f32], slot: u64) -> Self {
+        let usage = &usage[..8];
+        Self(std::array::from_fn(|l| usage_key(usage[l], slot + l as u64)))
+    }
+    #[inline(always)]
+    fn load(_: Token<Self>, s: &[u64]) -> Self {
+        Self(s[..8].try_into().expect("U64x8::load needs 8 keys"))
+    }
+    #[inline(always)]
+    fn store(self, d: &mut [u64]) {
+        d[..8].copy_from_slice(&self.0);
+    }
+    #[inline(always)]
+    fn min(self, o: Self) -> Self {
+        Self(std::array::from_fn(|l| self.0[l].min(o.0[l])))
+    }
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        Self(std::array::from_fn(|l| self.0[l].max(o.0[l])))
+    }
+    #[inline(always)]
+    fn permute<const X: usize>(self) -> Self {
+        assert!(matches!(X, 1..=4 | 7), "no lane permutation by {X}");
+        Self(std::array::from_fn(|l| self.0[l ^ X]))
+    }
+    #[inline(always)]
+    fn blend<const B: usize>(self, o: Self) -> Self {
+        assert!(matches!(B, 1 | 2 | 4), "no lane bit {B}");
+        Self(std::array::from_fn(|l| if l & B == 0 { self.0[l] } else { o.0[l] }))
+    }
+    #[inline(always)]
+    fn min_max<const B: usize>(self, o: Self) -> Self {
+        self.min(o).blend::<B>(self.max(o))
+    }
+}
+
+/// Eight `u64` keys in two AVX registers, lanes 0–3 in the first and 4–7
+/// in the second: `Avx`'s keys. AVX has no 256-bit integer unit, so a key
+/// is held with its top bit flipped — its unsigned order is then the
+/// signed order — and `min`/`max` compare 128-bit halves with SSE4.2's
+/// signed `pcmpgtq` (which `avx` implies) and blend by the result; `pack`
+/// works on 128-bit halves too, and loads and stores flip the bit back. A
+/// permute or blend across the two registers is a choice of register, no
+/// instruction.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct AvxKeys([__m256d; 2]);
+
+// Every `unsafe` block below runs AVX (or SSE4.2, which AVX implies)
+// intrinsics, whose one requirement — the CPU runs AVX — is what a
+// `Token<AvxKeys>` proves; a method on `self` holds one by the module's
+// argument, and the helpers without `self` take only registers of an
+// existing `AvxKeys`. `pack`, the load and the store slice their eight
+// values first. (No closures: one would not inherit the kernel entry's
+// target feature, and its intrinsics would stay calls.)
+#[cfg(target_arch = "x86_64")]
+impl AvxKeys {
+    /// All ones in the lanes where `a`'s key is the larger; `a` and `b`
+    /// are registers of an `AvxKeys`.
+    #[inline(always)]
+    fn gt(a: __m256d, b: __m256d) -> __m256d {
+        // SAFETY: `a` and `b` come from an `AvxKeys`, which proves a `Token<AvxKeys>`.
+        unsafe {
+            let (a0, b0) = (_mm256_castpd256_pd128(a), _mm256_castpd256_pd128(b));
+            let lo = _mm_cmpgt_epi64(_mm_castpd_si128(a0), _mm_castpd_si128(b0));
+            let (a1, b1) = (_mm256_extractf128_pd::<1>(a), _mm256_extractf128_pd::<1>(b));
+            let hi = _mm_cmpgt_epi64(_mm_castpd_si128(a1), _mm_castpd_si128(b1));
+            let lo = _mm256_castpd128_pd256(_mm_castsi128_pd(lo));
+            _mm256_insertf128_pd::<1>(lo, _mm_castsi128_pd(hi))
+        }
+    }
+
+    /// Lane `l` of one register takes lane `l ^ X`, for `X` in `1..4`;
+    /// `v` is a register of an `AvxKeys`.
+    #[inline(always)]
+    fn permute4<const X: usize>(v: __m256d) -> __m256d {
+        // SAFETY: `v` comes from an `AvxKeys`, which proves a `Token<AvxKeys>`.
+        unsafe {
+            match X {
+                1 => _mm256_permute_pd::<0b0101>(v),
+                2 => _mm256_permute2f128_pd::<0x01>(v, v),
+                3 => _mm256_permute_pd::<0b0101>(_mm256_permute2f128_pd::<0x01>(v, v)),
+                _ => panic!("no lane permutation by {X}"),
+            }
+        }
+    }
+
+    /// The keys of four usages at slots `slot..slot + 4`, top bits
+    /// flipped; `cpu` proves the CPU runs AVX.
+    #[inline(always)]
+    fn pack4(_: Token<Self>, usage: &[f32], slot: u64) -> __m256d {
+        let usage = &usage[..4];
+        // SAFETY: the `Token<AvxKeys>`: the CPU runs AVX; `usage` holds the four values read.
+        unsafe {
+            // `ordered_bits` on 32-bit lanes, then each beside its slot
+            // as one 64-bit lane: the slot low, the ordered bits high.
+            let bits = _mm_loadu_si128(usage.as_ptr().cast());
+            let flip = _mm_or_si128(_mm_srai_epi32::<31>(bits), _mm_set1_epi32(i32::MIN));
+            let ordered = _mm_xor_si128(bits, flip);
+            let slots = _mm_add_epi32(_mm_set1_epi32(slot as i32), _mm_set_epi32(3, 2, 1, 0));
+            let lo = _mm_castsi128_pd(_mm_unpacklo_epi32(slots, ordered));
+            let hi = _mm_castsi128_pd(_mm_unpackhi_epi32(slots, ordered));
+            let keys = _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(lo), hi);
+            _mm256_xor_pd(keys, _mm256_set1_pd(-0.0))
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Keys for AvxKeys {
+    #[inline(always)]
+    fn pack(cpu: Token<Self>, usage: &[f32], slot: u64) -> Self {
+        let usage = &usage[..8];
+        AvxKeys([Self::pack4(cpu, usage, slot), Self::pack4(cpu, &usage[4..], slot + 4)])
+    }
+    #[inline(always)]
+    fn load(_: Token<Self>, s: &[u64]) -> Self {
+        let s = &s[..8];
+        // SAFETY: the `Token<AvxKeys>`: the CPU runs AVX; `s` holds the eight keys read.
+        unsafe {
+            let sign = _mm256_set1_pd(-0.0);
+            let lo = _mm256_loadu_pd(s.as_ptr().cast());
+            let hi = _mm256_loadu_pd(s[4..].as_ptr().cast());
+            AvxKeys([_mm256_xor_pd(lo, sign), _mm256_xor_pd(hi, sign)])
+        }
+    }
+    #[inline(always)]
+    fn store(self, d: &mut [u64]) {
+        let (d, [lo, hi]) = (&mut d[..8], self.0);
+        // SAFETY: `self` proves a `Token<AvxKeys>`; `d` holds the eight keys written.
+        unsafe {
+            let sign = _mm256_set1_pd(-0.0);
+            _mm256_storeu_pd(d.as_mut_ptr().cast(), _mm256_xor_pd(lo, sign));
+            _mm256_storeu_pd(d[4..].as_mut_ptr().cast(), _mm256_xor_pd(hi, sign));
+        }
+    }
+    #[inline(always)]
+    fn min(self, o: Self) -> Self {
+        let ([a0, a1], [b0, b1]) = (self.0, o.0);
+        // SAFETY: `self` proves a `Token<AvxKeys>`: the CPU runs AVX.
+        unsafe {
+            AvxKeys([
+                _mm256_blendv_pd(a0, b0, Self::gt(a0, b0)),
+                _mm256_blendv_pd(a1, b1, Self::gt(a1, b1)),
+            ])
+        }
+    }
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        let ([a0, a1], [b0, b1]) = (self.0, o.0);
+        // SAFETY: `self` proves a `Token<AvxKeys>`: the CPU runs AVX.
+        unsafe {
+            AvxKeys([
+                _mm256_blendv_pd(b0, a0, Self::gt(a0, b0)),
+                _mm256_blendv_pd(b1, a1, Self::gt(a1, b1)),
+            ])
+        }
+    }
+    #[inline(always)]
+    fn permute<const X: usize>(self) -> Self {
+        let [lo, hi] = self.0;
+        match X {
+            1 => AvxKeys([Self::permute4::<1>(lo), Self::permute4::<1>(hi)]),
+            2 => AvxKeys([Self::permute4::<2>(lo), Self::permute4::<2>(hi)]),
+            3 => AvxKeys([Self::permute4::<3>(lo), Self::permute4::<3>(hi)]),
+            4 => AvxKeys([hi, lo]),
+            7 => AvxKeys([Self::permute4::<3>(hi), Self::permute4::<3>(lo)]),
+            _ => panic!("no lane permutation by {X}"),
+        }
+    }
+    #[inline(always)]
+    fn blend<const B: usize>(self, o: Self) -> Self {
+        let ([a0, a1], [b0, b1]) = (self.0, o.0);
+        // SAFETY: `self` proves a `Token<AvxKeys>`: the CPU runs AVX.
+        unsafe {
+            match B {
+                1 => AvxKeys([_mm256_blend_pd::<0b1010>(a0, b0), _mm256_blend_pd::<0b1010>(a1, b1)]),
+                2 => AvxKeys([_mm256_blend_pd::<0b1100>(a0, b0), _mm256_blend_pd::<0b1100>(a1, b1)]),
+                4 => AvxKeys([a0, b1]),
+                _ => panic!("no lane bit {B}"),
+            }
+        }
+    }
+    #[inline(always)]
+    fn min_max<const B: usize>(self, o: Self) -> Self {
+        // `o` where `self` is the larger makes the smaller key; flipping
+        // that choice in the lanes that want the larger makes it that.
+        let ([a0, a1], [b0, b1]) = (self.0, o.0);
+        let (f0, f1) = match B {
+            1 => ([0.0, -0.0, 0.0, -0.0], [0.0, -0.0, 0.0, -0.0]),
+            2 => ([0.0, 0.0, -0.0, -0.0], [0.0, 0.0, -0.0, -0.0]),
+            4 => ([0.0; 4], [-0.0; 4]),
+            _ => panic!("no lane bit {B}"),
+        };
+        // SAFETY: `self` proves a `Token<AvxKeys>`: the CPU runs AVX.
+        unsafe {
+            let take0 = _mm256_xor_pd(Self::gt(a0, b0), _mm256_loadu_pd(f0.as_ptr()));
+            let take1 = _mm256_xor_pd(Self::gt(a1, b1), _mm256_loadu_pd(f1.as_ptr()));
+            AvxKeys([_mm256_blendv_pd(a0, b0, take0), _mm256_blendv_pd(a1, b1, take1)])
+        }
+    }
+}
+
+/// Eight `u64` keys in one AVX-512 register: `Avx512`'s keys, with
+/// AVX-512F's unsigned 64-bit `min`/`max`.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct Avx512Keys(__m512i);
+
+// Every `unsafe` block below runs AVX-512F intrinsics, whose one
+// requirement — the CPU runs AVX-512F — is what a `Token<Avx512Keys>`
+// proves; a method on `self` holds one by the module's argument. `pack`,
+// the load and the store slice their eight values first, or mask their
+// accesses to the `n ≤ 8` keys of the slice.
+#[cfg(target_arch = "x86_64")]
+impl Keys for Avx512Keys {
+    #[inline(always)]
+    fn pack(_: Token<Self>, usage: &[f32], slot: u64) -> Self {
+        let usage = &usage[..8];
+        // SAFETY: the `Token<Avx512Keys>`: the CPU runs AVX-512F (which implies AVX);
+        // `usage` holds the eight values read.
+        Avx512Keys(unsafe {
+            // Each usage's bits sign-extended to 64: all ones above a set
+            // sign bit, so `srai` yields the flip `ordered_bits` applies
+            // to the low half; the shift drops the high half.
+            let bits = _mm512_cvtepi32_epi64(_mm256_loadu_si256(usage.as_ptr().cast()));
+            let flip = _mm512_or_si512(_mm512_srai_epi64::<63>(bits), _mm512_set1_epi64(0x8000_0000));
+            let ordered = _mm512_slli_epi64::<32>(_mm512_xor_si512(bits, flip));
+            let lanes = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+            _mm512_or_si512(ordered, _mm512_add_epi64(_mm512_set1_epi64(slot as i64), lanes))
+        })
+    }
+    #[inline(always)]
+    fn load(_: Token<Self>, s: &[u64]) -> Self {
+        let s = &s[..8];
+        // SAFETY: the `Token<Avx512Keys>`: the CPU runs AVX-512F; `s` holds the eight keys read.
+        Avx512Keys(unsafe { _mm512_loadu_epi64(s.as_ptr().cast()) })
+    }
+    #[inline(always)]
+    fn store(self, d: &mut [u64]) {
+        let d = &mut d[..8];
+        // SAFETY: `self` proves a `Token<Avx512Keys>`; `d` holds the eight keys written.
+        unsafe { _mm512_storeu_epi64(d.as_mut_ptr().cast(), self.0) }
+    }
+    #[inline(always)]
+    fn store_first(self, d: &mut [u64]) {
+        assert!(d.len() <= 8, "{TAIL_TOO_LONG}");
+        let first = ((1u32 << d.len()) - 1) as __mmask8;
+        // SAFETY: `self` proves a `Token<Avx512Keys>`; only `d`'s lanes are written.
+        unsafe { _mm512_mask_storeu_epi64(d.as_mut_ptr().cast(), first, self.0) }
+    }
+    #[inline(always)]
+    fn min(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512Keys>`: the CPU runs AVX-512F.
+        Avx512Keys(unsafe { _mm512_min_epu64(self.0, o.0) })
+    }
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512Keys>`: the CPU runs AVX-512F.
+        Avx512Keys(unsafe { _mm512_max_epu64(self.0, o.0) })
+    }
+    #[inline(always)]
+    fn permute<const X: usize>(self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512Keys>`: the CPU runs AVX-512F.
+        Avx512Keys(unsafe {
+            let v = self.0;
+            match X {
+                // Within each 128-bit block: its two 64-bit halves swap.
+                1 => _mm512_shuffle_epi32::<0x4E>(v),
+                // Within each 256-bit half: keys [2, 3, 0, 1], then [3, 2, 1, 0].
+                2 => _mm512_permutex_epi64::<0x4E>(v),
+                3 => _mm512_permutex_epi64::<0x1B>(v),
+                // 128-bit blocks [2, 3, 0, 1].
+                4 => _mm512_shuffle_i64x2::<0x4E>(v, v),
+                7 => _mm512_permutexvar_epi64(_mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7), v),
+                _ => panic!("no lane permutation by {X}"),
+            }
+        })
+    }
+    #[inline(always)]
+    fn blend<const B: usize>(self, o: Self) -> Self {
+        // SAFETY: `self` proves a `Token<Avx512Keys>`: the CPU runs AVX-512F.
+        Avx512Keys(unsafe { _mm512_mask_blend_epi64(lane_bit::<B>(), self.0, o.0) })
+    }
+    #[inline(always)]
+    fn min_max<const B: usize>(self, o: Self) -> Self {
+        let (a, b) = (self.0, o.0);
+        // SAFETY: `self` proves a `Token<Avx512Keys>`: the CPU runs AVX-512F.
+        Avx512Keys(unsafe { _mm512_mask_max_epu64(_mm512_min_epu64(a, b), lane_bit::<B>(), a, b) })
+    }
+}
+
+/// The mask of the lanes (of eight) whose index has bit `B` set.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn lane_bit<const B: usize>() -> __mmask8 {
+    match B {
+        1 => 0xAA,
+        2 => 0xCC,
+        4 => 0xF0,
+        _ => panic!("no lane bit {B}"),
+    }
+}
 
 /// Test support for the cross-tier checks: hostile inputs, and one
 /// assertion that every tier this CPU runs returns the same bits.
