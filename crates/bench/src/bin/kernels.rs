@@ -55,9 +55,10 @@
 //! (`hima::sort::argsort_by_comparator`, the replaced body) against
 //! `SortEngine::argsort_into`, which sorts `ordered_bits(key) << 32 |
 //! index` words as integers; then, on each tier the CPU runs,
-//! `argsort_into` against the same words sorted by the bitonic network
-//! (`hima::tensor::keysort::sort_chunks_on`, chunks of 128 keys merged by
-//! `keysort::ChunkMerge`).
+//! `argsort_into` against the same words sorted in chunks of 128 by
+//! `hima::tensor::keysort::sort_chunks_on` — the bitonic network on
+//! `Avx512`, `sort_unstable` on the eight-lane tiers — and merged by
+//! `keysort::ChunkMerge`.
 //!
 //! `allocation_prefix` rows are the usage sort and allocation product
 //! together, over usage vectors a stepping engine's memory unit carried
@@ -66,12 +67,13 @@
 //! the served shape and one 64-slot tile of the paper's Q16.16 engine
 //! from step 2 000 of one session on (`long-lived`: usage has settled
 //! near ½ on every slot, so the product reads the whole free list). Each
-//! shape pairs `FreeList::sort` + `FreeList::allocation_into` (chunks in
-//! registers, merged only as far as the product reads) twice: against the
-//! definition, `argsort_into` then `allocation_from_free_list_into` over
-//! the whole free list, and against the free list it replaced, which
-//! selected the 32 smallest keys and doubled that window while the
-//! product was not zero (a copy kept in this file).
+//! shape pairs `FreeList::sort_on` + `FreeList::allocation_into` (sorted
+//! chunks, merged only as far as the product reads), on each tier the CPU
+//! runs, twice: against the definition, `argsort_into` then
+//! `allocation_from_free_list_into` over the whole free list, and against
+//! the free list it replaced, which selected the 32 smallest keys and
+//! doubled that window while the product was not zero (a copy kept in
+//! this file).
 //!
 //! `lstm_gates` (H = 64, 256), `softmax` (N = 64, 128, 1024) and
 //! `sigmoid_slice` (W = 16, 64) rows are the pointwise passes of a step:
@@ -174,12 +176,19 @@ const PACKED_LANES: [usize; 6] = [1, 2, 3, 4, 8, 32];
 const SORT_SIZES: [usize; 3] = [64, 128, 1024];
 /// Distinct key vectors one `usage_sort` call cycles through.
 const SORT_SETS: usize = 16;
-/// The variant of a network `usage_sort` row, per tier in
+/// The variant of a chunked `usage_sort` row, per tier in
 /// `Tier::available()` order.
-const NETWORK_VARIANTS: [&str; 3] = [
-    "keysort::sort_chunks_on(F32x8) + ChunkMerge (bitonic network in 128-key chunks, merged)",
-    "keysort::sort_chunks_on(Avx) + ChunkMerge (bitonic network in 128-key chunks, merged)",
+const CHUNK_VARIANTS: [&str; 3] = [
+    "keysort::sort_chunks_on(F32x8) + ChunkMerge (sort_unstable in 128-key chunks, merged)",
+    "keysort::sort_chunks_on(Avx) + ChunkMerge (sort_unstable in 128-key chunks, merged)",
     "keysort::sort_chunks_on(Avx512) + ChunkMerge (bitonic network in 128-key chunks, merged)",
+];
+/// The variant of an `allocation_prefix` row, per tier in
+/// `Tier::available()` order.
+const FREE_LIST_VARIANTS: [&str; 3] = [
+    "FreeList::sort_on(F32x8) + allocation_into (sorted chunks, merged as far as the product reads)",
+    "FreeList::sort_on(Avx) + allocation_into (sorted chunks, merged as far as the product reads)",
+    "FreeList::sort_on(Avx512) + allocation_into (sorted chunks, merged as far as the product reads)",
 ];
 
 /// Slot counts of the blank-state `allocation_prefix` rows: the served
@@ -391,7 +400,7 @@ fn recorded_usage(mut engine: hima::dnc::BoxedEngine, skip: usize) -> Vec<Vec<f3
         .collect()
 }
 
-/// The free list `FreeList` replaced, kept to say what the network bought:
+/// The free list `FreeList` replaced, kept to say what the chunked sort bought:
 /// select the 32 smallest packed keys, sort them, run the product, and
 /// double the sorted window while the product is not exactly `+0.0` (or
 /// some usage lies outside `[+0.0, 1.0]`), up to every slot.
@@ -448,9 +457,9 @@ mod window_replaced {
     }
 }
 
-/// The argsort through the bitonic network on `tier`: the keys packed and
+/// The argsort through the chunked sort on `tier`: the keys packed and
 /// sorted in chunks, merged, their indices written to `out`.
-fn network_argsort(
+fn chunked_argsort(
     tier: Tier,
     keys: &[f32],
     words: &mut Vec<u64>,
@@ -660,13 +669,13 @@ fn main() {
                 reference_ns: r / SORT_SETS as f64,
                 variant_ns: v / SORT_SETS as f64,
             });
-            // The same words through the bitonic network, on every tier.
+            // The same words sorted in chunks and merged, on every tier.
             let (mut words, mut merge) = (Vec::with_capacity(n), keysort::ChunkMerge::default());
-            for (tier, variant) in Tier::available().zip(NETWORK_VARIANTS) {
+            for (tier, variant) in Tier::available().zip(CHUNK_VARIANTS) {
                 for keys in sets {
                     CentralizedMergeSorter.argsort_into(keys, &mut out_r);
-                    network_argsort(tier, keys, &mut words, &mut merge, &mut out_v);
-                    assert_eq!(out_r, out_v, "the network's permutation must equal argsort_into's");
+                    chunked_argsort(tier, keys, &mut words, &mut merge, &mut out_v);
+                    assert_eq!(out_r, out_v, "the chunked permutation must equal argsort_into's");
                 }
                 let (r, v) = best_of_paired(
                     reps,
@@ -678,7 +687,7 @@ fn main() {
                     },
                     || {
                         for keys in sets {
-                            network_argsort(tier, black_box(keys), &mut words, &mut merge, &mut out_v);
+                            chunked_argsort(tier, black_box(keys), &mut words, &mut merge, &mut out_v);
                         }
                     },
                 );
@@ -698,9 +707,9 @@ fn main() {
 
     // The usage sort and allocation product together: the definition over
     // the whole argsort, and the window free list it replaced, each
-    // against the free list sorted in registers and merged only as far as
-    // the product reads — over blank-state usage and over a long-lived
-    // session's.
+    // against the free list sorted in chunks and merged only as far as the
+    // product reads, on every tier — over blank-state usage and over a
+    // long-lived session's.
     let served = |n| DncParams::new(n, W, 2).with_hidden(HIDDEN).with_io(16, 16);
     let paper = DncParams::new(1024, 64, 4).with_hidden(256).with_io(16, 16);
     let q16 = EngineSpec::sharded(16).with_datapath(Datapath::Quantized(QFormat::q16_16()));
@@ -716,7 +725,6 @@ fn main() {
     let engine = EngineBuilder::new(paper).with_spec(q16).seed(7).build();
     let tile = format!("N=64 tile {ALLOCATION_STEPS} long-lived");
     trajectories.push((tile, recorded_usage(engine, LONG_LIVED_FROM)));
-    let free_list_variant = "FreeList::sort + allocation_into (chunks in registers, merged as far as the product reads)";
     for (shape, sets) in &trajectories {
         let n = sets[0].len();
         let mut order = Vec::with_capacity(n);
@@ -724,64 +732,66 @@ fn main() {
         let mut window = window_replaced::FreeList::default();
         let (mut w_r, mut w_v) = (vec![0.0f32; n], vec![0.0f32; n]);
         let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for usage in sets {
-            CentralizedMergeSorter.argsort_into(usage, &mut order);
-            allocation_from_free_list_into(usage, &order, SkimRate::NONE, &mut w_r);
-            free_list.sort(usage, SkimRate::NONE);
-            free_list.allocation_into(&mut w_v);
-            assert_eq!(bits(&w_r), bits(&w_v), "the free list's allocation must equal the definition");
-            window.sort_prefix(usage);
-            window.allocation_into(&mut w_r);
-            assert_eq!(bits(&w_r), bits(&w_v), "the free list's allocation must equal the window's");
-        }
-        let mut variant = || {
+        for (tier, variant) in Tier::available().zip(FREE_LIST_VARIANTS) {
             for usage in sets {
-                free_list.sort(black_box(usage), SkimRate::NONE);
+                CentralizedMergeSorter.argsort_into(usage, &mut order);
+                allocation_from_free_list_into(usage, &order, SkimRate::NONE, &mut w_r);
+                free_list.sort_on(tier, usage, SkimRate::NONE);
                 free_list.allocation_into(&mut w_v);
+                assert_eq!(bits(&w_r), bits(&w_v), "the free list's allocation must equal the definition");
+                window.sort_prefix(usage);
+                window.allocation_into(&mut w_r);
+                assert_eq!(bits(&w_r), bits(&w_v), "the free list's allocation must equal the window's");
             }
-        };
-        let (r, v) = best_of_paired(
-            reps,
-            measure,
-            || {
+            let mut free_list_on_tier = || {
                 for usage in sets {
-                    CentralizedMergeSorter.argsort_into(black_box(usage), &mut order);
-                    allocation_from_free_list_into(usage, &order, SkimRate::NONE, &mut w_r);
+                    free_list.sort_on(tier, black_box(usage), SkimRate::NONE);
+                    free_list.allocation_into(&mut w_v);
                 }
-            },
-            &mut variant,
-        );
-        report_variant(VariantRow {
-            kernel: "allocation_prefix",
-            shape: shape.clone(),
-            batch: 0,
-            active: 0,
-            reference: "argsort_into + allocation_from_free_list_into (the whole free list)",
-            variant: free_list_variant,
-            reference_ns: r / sets.len() as f64,
-            variant_ns: v / sets.len() as f64,
-        });
-        let (r, v) = best_of_paired(
-            reps,
-            measure,
-            || {
-                for usage in sets {
-                    window.sort_prefix(black_box(usage));
-                    window.allocation_into(&mut w_r);
-                }
-            },
-            &mut variant,
-        );
-        report_variant(VariantRow {
-            kernel: "allocation_prefix",
-            shape: shape.clone(),
-            batch: 0,
-            active: 0,
-            reference: "select-and-double window FreeList (replaced)",
-            variant: free_list_variant,
-            reference_ns: r / sets.len() as f64,
-            variant_ns: v / sets.len() as f64,
-        });
+            };
+            let (r, v) = best_of_paired(
+                reps,
+                measure,
+                || {
+                    for usage in sets {
+                        CentralizedMergeSorter.argsort_into(black_box(usage), &mut order);
+                        allocation_from_free_list_into(usage, &order, SkimRate::NONE, &mut w_r);
+                    }
+                },
+                &mut free_list_on_tier,
+            );
+            report_variant(VariantRow {
+                kernel: "allocation_prefix",
+                shape: shape.clone(),
+                batch: 0,
+                active: 0,
+                reference: "argsort_into + allocation_from_free_list_into (the whole free list)",
+                variant,
+                reference_ns: r / sets.len() as f64,
+                variant_ns: v / sets.len() as f64,
+            });
+            let (r, v) = best_of_paired(
+                reps,
+                measure,
+                || {
+                    for usage in sets {
+                        window.sort_prefix(black_box(usage));
+                        window.allocation_into(&mut w_r);
+                    }
+                },
+                &mut free_list_on_tier,
+            );
+            report_variant(VariantRow {
+                kernel: "allocation_prefix",
+                shape: shape.clone(),
+                batch: 0,
+                active: 0,
+                reference: "select-and-double window FreeList (replaced)",
+                variant,
+                reference_ns: r / sets.len() as f64,
+                variant_ns: v / sets.len() as f64,
+            });
+        }
     }
 
     // The pointwise passes of a step: libm per element against the

@@ -195,18 +195,6 @@ pub trait Writer {
         self.put_u32(v.len() as u32);
         self.buf().extend_from_slice(v);
     }
-
-    /// Appends a `u32`-counted byte string that `fill` appends in place:
-    /// [`Writer::put_bytes`] of what `fill` writes, without a copy — the
-    /// count is filled in once the bytes are there.
-    fn put_bytes_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
-        let buf = self.buf();
-        let at = buf.len();
-        buf.extend_from_slice(&[0; 4]);
-        fill(buf);
-        let len = (buf.len() - at - 4) as u32;
-        buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
-    }
 }
 
 impl Writer for Vec<u8> {

@@ -22,15 +22,16 @@
 //! (§4.3), executed. [`FreeList::sort`] packs every slot's key
 //! (`ordered_bits(u) << 32 | slot`, the order `argsort_into` sorts by:
 //! ascending `total_cmp`, ties by slot) and sorts each chunk of at most
-//! 128 keys with a bitonic network in vector registers
-//! ([`hima_tensor::keysort::sort_chunks`]) — at the served geometry, and on
-//! each 64-slot tile of the paper's, that chunk is the whole free list.
+//! 128 keys ([`hima_tensor::keysort::sort_chunks`]: a bitonic network in
+//! vector registers on AVX-512, a comparison sort of the same keys on the
+//! eight-lane tiers) — at the served geometry, and on each 64-slot tile of
+//! the paper's, that chunk is the whole free list.
 //! [`FreeList::allocation_into`] runs the product over the keys in order,
 //! reading each usage back from its key; with more than one chunk the
 //! order comes from merging the sorted chunks
 //! ([`hima_tensor::keysort::ChunkMerge`]), one key at a time, only as far
-//! as the product reads. Keys are distinct, so the network and the merge
-//! yield the argsort's order exactly, on every vector tier.
+//! as the product reads. Keys are distinct, so the chunk sort and the
+//! merge yield the argsort's order exactly, on every vector tier.
 //!
 //! **The stop rule.** The product may stop after slot `j` once the
 //! running product is exactly `+0.0` *and* every usage `u` satisfies
@@ -49,7 +50,8 @@
 //! product nears the subnormal range (`product`), where the `f32`
 //! multiply is slow but not different.
 
-use hima_tensor::keysort::{sort_chunks, ChunkMerge, CHUNK};
+use hima_tensor::keysort::{sort_chunks_on, ChunkMerge, CHUNK};
+use hima_tensor::simd::Tier;
 
 /// Usage-skimming configuration: the fraction of slots (those with the
 /// highest usage) excluded from sorting and allocation.
@@ -157,14 +159,24 @@ impl FreeList {
     }
 
     /// HW.(2b), the usage sort: packs the key of every slot of `usage` and
-    /// sorts them chunk by chunk, in registers.
+    /// sorts them chunk by chunk, on the detected vector tier.
     ///
     /// # Panics
     ///
     /// Panics if `usage` holds more than `u32::MAX` slots.
     pub fn sort(&mut self, usage: &[f32], skim: SkimRate) {
+        self.sort_on(Tier::detected(), usage, skim);
+    }
+
+    /// [`FreeList::sort`] on the given tier: the same keys in the same
+    /// order on every tier.
+    ///
+    /// # Panics
+    ///
+    /// As `sort`, and if this CPU does not run `tier`.
+    pub fn sort_on(&mut self, tier: Tier, usage: &[f32], skim: SkimRate) {
         self.keys.resize(usage.len(), 0);
-        sort_chunks(usage, &mut self.keys);
+        sort_chunks_on(tier, usage, &mut self.keys);
         let top = usage.iter().fold(0, |top, u| top.max(u.to_bits()));
         self.in_unit = top <= 1.0f32.to_bits();
         self.kept = skim.kept(usage.len());
@@ -410,24 +422,26 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The free list's weights over stale output, checked `to_bits`
-    /// against the definition over the full argsort, and its merged order
-    /// against the argsort's. Returns how many keys the definition's
-    /// product reads before the stop rule holds (the kept count if it
-    /// never does).
+    /// The free list's weights over stale output on every tier this CPU
+    /// runs, checked `to_bits` against the definition over the full
+    /// argsort, and its merged order against the argsort's. Returns how
+    /// many keys the definition's product reads before the stop rule
+    /// holds (the kept count if it never does).
     fn assert_prefix_is_the_definition(what: &str, usage: &[f32], skim: SkimRate) -> usize {
         let mut want = vec![f32::NAN; usage.len()];
         let mut order = Vec::new();
         CentralizedMergeSorter.argsort_into(usage, &mut order);
         allocation_from_free_list_into(usage, &order, skim, &mut want);
         let mut free_list = FreeList::with_capacity(usage.len());
-        let mut got = vec![f32::NAN; usage.len()];
-        free_list.sort(usage, skim);
-        free_list.allocation_into(&mut got);
-        assert_eq!(bits(&got), bits(&want), "{what}, K = {}", skim.fraction());
-        let FreeList { keys, merge, .. } = &mut free_list;
-        let merged: Vec<usize> = merge.merge(keys).map(|k| k as u32 as usize).collect();
-        assert_eq!(merged, order, "{what}: the merged chunks are the argsort's order");
+        for tier in Tier::available() {
+            let mut got = vec![f32::NAN; usage.len()];
+            free_list.sort_on(tier, usage, skim);
+            free_list.allocation_into(&mut got);
+            assert_eq!(bits(&got), bits(&want), "{what}, K = {}, {tier}", skim.fraction());
+            let FreeList { keys, merge, .. } = &mut free_list;
+            let merged: Vec<usize> = merge.merge(keys).map(|k| k as u32 as usize).collect();
+            assert_eq!(merged, order, "{what}, {tier}: the merged chunks are the argsort's order");
+        }
         let in_unit = usage.iter().all(|u| u.to_bits() <= 1.0f32.to_bits());
         let mut acc = 1.0f32;
         let kept = skim.kept(usage.len());
@@ -533,7 +547,7 @@ mod tests {
                     let kept = skim.kept(n);
                     let what = format!("{what}, N = {n}");
                     let read = assert_prefix_is_the_definition(&what, usage, skim);
-                    first |= read < kept && n > CHUNK;
+                    first |= read <= CHUNK && read < kept && n > CHUNK;
                     merged |= read > CHUNK && read < kept;
                     all |= read == kept;
                 }

@@ -470,7 +470,7 @@ impl MemoryUnit {
 
         // HW.(2b): usage sort (free-list construction, reused buffer) —
         // the order of the argsort every `hima-sort` model is pinned to:
-        // each chunk of at most 128 keys sorted here in registers, any
+        // each chunk of at most 128 keys sorted here, any
         // merge of several chunks inside the product (and its lap), only
         // as far as the product reads.
         scratch.free_list.sort(&state.usage, self.config.skim);

@@ -216,10 +216,10 @@ fn decode_shard(r: &mut Reader<'_>) -> Result<ShardState, StateCodecError> {
 // --------------------------------------------------------- LaneState API
 
 impl LaneState {
-    /// Appends the complete lane state to `out` in the versioned binary
-    /// format — what a snapshot frame carries, encoded in place. The
-    /// inverse is [`LaneState::decode`]; the round trip is bit-exact.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    /// Serializes the complete lane state into `out` in the versioned
+    /// binary format. The inverse is [`LaneState::decode`]; the round
+    /// trip is bit-exact.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&STATE_MAGIC);
         out.put_u16(STATE_VERSION);
         out.put_vec_f32(&self.lstm.hidden);
@@ -234,7 +234,7 @@ impl LaneState {
     }
 
     /// Serializes the complete lane state into a fresh buffer. See
-    /// [`LaneState::encode_into`].
+    /// `LaneState::encode_into`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + (self.state_elems() + self.lstm.hidden.len()) * 4);
         self.encode_into(&mut out);

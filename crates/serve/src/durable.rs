@@ -131,10 +131,10 @@ impl Durable {
     /// stale one would roll a failed append back to the old length.
     ///
     /// The state is encoded into a buffer of its own, not into the
-    /// store's frame (`SessionStore::save_snapshot_with`): that buffer's
-    /// growth past glibc's mmap threshold is, today, what keeps the heap
-    /// top from being trimmed and faulted back in around every
-    /// eviction's and rehydration's transient state copies (`CHANGES.md`).
+    /// store's frame: that buffer's growth past glibc's mmap threshold
+    /// is, today, what keeps the heap top from being trimmed and faulted
+    /// back in around every eviction's and rehydration's transient state
+    /// copies (`CHANGES.md`).
     fn save(&self, id: u64, wal: &mut Wal, state: &LaneState, metrics: &ServeMetrics) -> bool {
         wal.log = None;
         let t0 = Instant::now();
@@ -308,35 +308,5 @@ impl Group {
                 return;
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use hima_dnc::EngineBuilder;
-    use hima_store::snapshot::{write_snapshot, SNAPSHOT_MAGIC};
-    use hima_store::SessionStore;
-    use hima_testkit::{metered, params, scratch};
-
-    #[test]
-    fn a_snapshot_is_encoded_in_place_as_write_snapshot_frames_it() {
-        let state = EngineBuilder::new(params()).build().export_lane(0);
-        let dir = scratch("in-place-snapshot");
-        let store = SessionStore::open(&dir).unwrap();
-        let encode = |out: &mut Vec<u8>| state.encode_into(out);
-        store.save_snapshot_with(1, b"spec", 4, encode).unwrap();
-        let (saved, spent) = metered(|| store.save_snapshot_with(1, b"spec", 5, encode));
-        assert_eq!(saved.unwrap(), state.encode().len(), "the payload length");
-        assert_eq!(spent.calls, 0, "a save after the first allocates nothing in the store");
-
-        let reference = dir.join("reference.snap");
-        write_snapshot(&reference, b"spec", 5, &state.encode()).unwrap();
-        let newest = ["sess-1.snap", "sess-1.snap1"]
-            .map(|name| std::fs::read(dir.join(name)).unwrap())
-            .into_iter()
-            .find(|bytes| bytes.starts_with(&SNAPSHOT_MAGIC))
-            .expect("one slot holds the newest frame");
-        assert!(newest == std::fs::read(&reference).unwrap(), "HIMASNP1 bytes differ");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

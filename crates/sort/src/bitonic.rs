@@ -5,11 +5,11 @@
 //! functionally (and counts comparator operations) and reports the stage
 //! count used by pipeline-depth models.
 //!
-//! This is a cycle model. The memory unit runs the same network for real:
-//! `hima_tensor::keysort` sorts each chunk of 128 packed usage keys with a
-//! bitonic network held in vector registers — the executable form of this
-//! model at `width = 128`, and the stage the allocation's free list is
-//! built by.
+//! This is a cycle model. The memory unit runs the same network for real
+//! on AVX-512: `hima_tensor::keysort` sorts each chunk of 128 packed usage
+//! keys with a bitonic network held in vector registers — the executable
+//! form of this model at `width = 128`, and the stage the allocation's
+//! free list is built by.
 
 use crate::{keyed_cmp, Keyed, SortEngine};
 

@@ -12,8 +12,9 @@
 //!
 //! This is a cycle model. Its executable form is `hima_tensor::keysort`,
 //! which the memory unit's free list runs: stage 1 sorts each chunk of 128
-//! packed usage keys with a bitonic network in vector registers, stage 2
-//! merges the sorted chunks only as far as the allocation product reads.
+//! packed usage keys (with a bitonic network in vector registers on
+//! AVX-512), stage 2 merges the sorted chunks only as far as the
+//! allocation product reads.
 
 use crate::mdsa::MdsaSorter;
 use crate::pms::ParallelMergeSorter;

@@ -65,23 +65,18 @@ pub fn write_snapshot(
     state: &[u8],
 ) -> std::io::Result<()> {
     let mut frame = Vec::with_capacity(28 + spec_key.len() + state.len());
-    encode_frame(&mut frame, spec_key, step_seq, |out| out.extend_from_slice(state));
+    encode_frame(&mut frame, spec_key, step_seq, state);
     write_frame(path, &frame, None)
 }
 
-/// Replaces `frame`'s contents with one snapshot frame — magic, body,
-/// CRC of the body — whose state payload `payload` appends in place.
-pub(crate) fn encode_frame(
-    frame: &mut Vec<u8>,
-    spec_key: &[u8],
-    step_seq: u64,
-    payload: impl FnOnce(&mut Vec<u8>),
-) {
+/// Replaces `frame`'s contents with one snapshot frame of `state`: magic,
+/// body, CRC of the body.
+pub(crate) fn encode_frame(frame: &mut Vec<u8>, spec_key: &[u8], step_seq: u64, state: &[u8]) {
     frame.clear();
     frame.extend_from_slice(&SNAPSHOT_MAGIC);
     frame.put_bytes(spec_key);
     frame.put_u64(step_seq);
-    frame.put_bytes_with(payload);
+    frame.put_bytes(state);
     let crc = crc32(&frame[SNAPSHOT_MAGIC.len()..]);
     frame.put_u32(crc);
 }

@@ -189,8 +189,7 @@ pub struct SessionStore {
     scratch: Mutex<Vec<SaveScratch>>,
 }
 
-/// A save's reused buffers: the snapshot frame, the state payload encoded
-/// straight into it, and a file name and path.
+/// A save's reused buffers: the snapshot frame, and a file name and path.
 #[derive(Debug, Default)]
 struct SaveScratch {
     frame: Vec<u8>,
@@ -346,6 +345,9 @@ impl SessionStore {
     /// untruncated. Either way the session still loads to a state
     /// consistent with its log, because the log is truncated only after
     /// a save has fully succeeded.
+    ///
+    /// The frame and the file paths are built in buffers the store
+    /// reuses, so a save after the store's first allocates nothing.
     pub fn save_snapshot(
         &self,
         id: u64,
@@ -353,22 +355,6 @@ impl SessionStore {
         step_seq: u64,
         state: &[u8],
     ) -> std::io::Result<()> {
-        self.save_snapshot_with(id, spec_key, step_seq, |out| out.extend_from_slice(state)).map(drop)
-    }
-
-    /// [`save_snapshot`](Self::save_snapshot) of the state payload
-    /// `payload` appends to the frame in place — the bytes a
-    /// `write_snapshot` of that payload writes, with no copy of it. The
-    /// frame and the file paths are built in buffers the store reuses, so
-    /// a save after the store's first allocates nothing. Returns the
-    /// payload's length.
-    pub fn save_snapshot_with(
-        &self,
-        id: u64,
-        spec_key: &[u8],
-        step_seq: u64,
-        payload: impl FnOnce(&mut Vec<u8>),
-    ) -> std::io::Result<usize> {
         // Bound first, so the guard is dropped before the miss re-locks.
         let cached = self.live_slots().get(&id).copied();
         let live = match cached {
@@ -382,13 +368,10 @@ impl SessionStore {
         let target = 1 - live;
         let taken = self.scratch.lock().unwrap_or_else(PoisonError::into_inner).pop();
         let mut scratch = taken.unwrap_or_default();
-        encode_frame(&mut scratch.frame, spec_key, step_seq, payload);
-        // The frame around the payload: magic 8, key 4 + key, step 8,
-        // length 4, CRC 4.
-        let len = scratch.frame.len() - 28 - spec_key.len();
+        encode_frame(&mut scratch.frame, spec_key, step_seq, state);
         let saved = self.write_frames(&mut scratch, id, spec_key, live, target);
         self.scratch.lock().unwrap_or_else(PoisonError::into_inner).push(scratch);
-        saved.map(|()| len)
+        saved
     }
 
     /// The I/O of a save: `scratch.frame` into slot `target`, synced, then
@@ -440,6 +423,28 @@ pub(crate) fn test_dir(tag: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::write_snapshot;
+
+    #[global_allocator]
+    static A: hima_testkit::CountingAlloc = hima_testkit::CountingAlloc;
+
+    #[test]
+    fn a_save_reuses_its_frame_and_writes_the_bytes_of_write_snapshot() {
+        // A payload the size of a served-shape lane state.
+        let state: Vec<u8> = (0..77_362u32).map(|i| (i * 31 % 251) as u8).collect();
+        let dir = test_dir("reused-frame");
+        let store = SessionStore::open(&dir).unwrap();
+        store.save_snapshot(1, b"spec", 4, &state).unwrap();
+        let (saved, spent) = hima_testkit::metered(|| store.save_snapshot(1, b"spec", 5, &state));
+        saved.unwrap();
+        assert_eq!(spent.calls, 0, "a save after the store's first allocates nothing");
+
+        let reference = dir.join("reference.snap");
+        write_snapshot(&reference, b"spec", 5, &state).unwrap();
+        let live = store.live_slots()[&1];
+        let saved = fs::read(store.slot_path(1, live)).unwrap();
+        assert!(saved == fs::read(&reference).unwrap(), "HIMASNP1 bytes differ");
+    }
 
     #[test]
     fn empty_store_lists_nothing() {

@@ -6,13 +6,17 @@
 //! **Stage 1** ([`sort_chunks`]) packs every slot's key,
 //! `ordered_bits(u) << 32 | slot` — the word `SortEngine::argsort_into`
 //! sorts, whose unsigned order is `total_cmp` on the usage, ties by slot —
-//! and sorts each [`CHUNK`] of 128 keys in place with a bitonic network
-//! held in sixteen vectors of eight keys: one `__m512i` each on `Avx512`,
-//! two `__m256d` on `Avx`, a plain array on `F32x8`. The keys are packed
-//! in registers as the usages load and stored once, sorted. A chunk of at
-//! most 64 keys (the last one, or the only one) runs on eight vectors;
-//! missing lanes are padded with `u64::MAX`, which sorts after every key
-//! and is never stored.
+//! and sorts each [`CHUNK`] of 128 keys in place. On `Avx512` a bitonic
+//! network sorts the chunk in registers, sixteen `__m512i` of eight keys;
+//! the keys are packed in registers as the usages load and stored once,
+//! sorted. A chunk of at most 64 keys (the last one, or the only one) runs
+//! on eight vectors; missing lanes are padded with `u64::MAX`, which sorts
+//! after every key and is never stored. The eight-lane tiers have no
+//! 64-bit `min`/`max`: the same network built from compares and blends on
+//! `Avx`, or from plain arrays on `F32x8`, lost to a comparison sort of
+//! the same keys at every size measured (at 128 keys, 0.73–0.79× and
+//! 0.42–0.45× of `argsort_into` on an AVX-512 host), so there the packed
+//! chunk is sorted with `sort_unstable`.
 //!
 //! **Stage 2** ([`ChunkMerge`]) merges the sorted chunks lazily: it yields
 //! the keys in ascending order one at a time, so a reader that stops early
@@ -35,10 +39,10 @@
 //! loaded in any order (the network sorts whatever it is given), and one
 //! 8 × 8 transpose per block, of permutes and blends, brings the sorted
 //! keys back to `i` in lane `i mod 8` of vector `i / 8` before the store.
-//! The compare-exchanges do not depend on the keys, so every tier moves
-//! the same keys to the same places, and since keys are distinct — the
-//! slot in the low bits breaks every tie as `argsort_into` breaks it —
-//! there is one sorted order, which every tier returns.
+//! Keys are distinct — the slot in the low bits breaks every tie as
+//! `argsort_into` breaks it — so there is one sorted order, which the
+//! network and the comparison sort both return: every tier leaves the
+//! same keys in the same places.
 
 use crate::simd::{usage_key, Keys, Kernel, Lanes, Tier, Token};
 use std::cmp::Reverse;
@@ -60,7 +64,8 @@ pub fn sort_chunks(usage: &[f32], keys: &mut [u64]) {
 }
 
 /// [`sort_chunks`] on the given tier — the same keys in the same places
-/// on every tier.
+/// on every tier: the network's on `Avx512`, the comparison sort's on the
+/// eight-lane tiers.
 ///
 /// # Panics
 ///
@@ -81,14 +86,24 @@ impl Kernel for SortChunks<'_> {
     type Output = ();
     #[inline(always)]
     fn run<V: Lanes>(self, cpu: Token<V>) {
-        let cpu = cpu.keys();
         let chunks = self.usage.chunks(CHUNK).zip(self.keys.chunks_mut(CHUNK));
-        for (slot, (usage, keys)) in (0u64..).step_by(CHUNK).zip(chunks) {
-            if usage.len() > CHUNK / 2 {
-                sort_in::<V::Keys, 16>(cpu, usage, slot, keys);
-            } else {
-                sort_in::<V::Keys, 8>(cpu, usage, slot, keys);
+        let chunks = (0u64..).step_by(CHUNK).zip(chunks);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(cpu) = V::keys(cpu) {
+            for (slot, (usage, keys)) in chunks {
+                if usage.len() > CHUNK / 2 {
+                    sort_in::<_, 16>(cpu, usage, slot, keys);
+                } else {
+                    sort_in::<_, 8>(cpu, usage, slot, keys);
+                }
             }
+            return;
+        }
+        for (slot, (usage, keys)) in chunks {
+            for ((key, &u), s) in keys.iter_mut().zip(usage).zip(slot..) {
+                *key = usage_key(u, s);
+            }
+            keys.sort_unstable();
         }
     }
 }
@@ -323,8 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn the_network_and_merge_are_the_argsort_on_every_tier() {
-        tiers::report("keysort::the_network_and_merge_are_the_argsort_on_every_tier");
+    fn the_chunks_and_merge_are_the_argsort_on_every_tier() {
+        tiers::report("keysort::the_chunks_and_merge_are_the_argsort_on_every_tier");
         let mut order = Vec::new();
         let mut merge = ChunkMerge::default();
         for n in SIZES {

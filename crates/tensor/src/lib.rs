@@ -33,9 +33,10 @@
 //!   width with the reference's bits,
 //! * the history-write kernels of [`mod@history`] — the erase/add memory
 //!   write and the linkage update, element-wise at vector width,
-//! * the usage sort of [`mod@keysort`] — packed usage keys sorted by a
-//!   bitonic network in registers, 128 at a time, and merged lazily: the
-//!   paper's two-stage sort, run by the memory unit's free list,
+//! * the usage sort of [`mod@keysort`] — packed usage keys sorted 128 at
+//!   a time (by a bitonic network in registers on AVX-512, by a comparison
+//!   sort on the eight-lane tiers) and merged lazily: the paper's
+//!   two-stage sort, run by the memory unit's free list,
 //! * the vector tiers of [`mod@simd`] — sixteen AVX-512 lanes, eight AVX
 //!   lanes or eight plain-Rust ones (`F32x8`), the widest the CPU has
 //!   picked once by [`simd::Tier::detected`], every kernel one generic

@@ -66,13 +66,13 @@
 //!
 //! # `Keys`: the usage sort's lanes
 //!
-//! Each tier also names a type of eight `u64` sort keys, `Lanes::Keys`,
-//! for the usage sort's bitonic network ([`mod@crate::keysort`]): `U64x8`
-//! (plain Rust) under `F32x8`, `AvxKeys` (two `__m256d`, compared through
-//! SSE4.2's 64-bit compare and blended) under `Avx`, `Avx512Keys` (one
-//! `__m512i`, AVX-512F's unsigned 64-bit `min`/`max`) under `Avx512`. Its
-//! ops pack a usage into its key, and otherwise only move keys or take a
-//! lane-wise unsigned `min`/`max`, so every tier sorts to the same keys.
+//! `Avx512` also has a type of eight `u64` sort keys, `Avx512Keys` (one
+//! `__m512i`, AVX-512F's unsigned 64-bit `min`/`max`), for the usage
+//! sort's bitonic network ([`mod@crate::keysort`]); `Lanes::keys` hands a
+//! kernel its token on that tier and `None` on the eight-lane ones, which
+//! have no 64-bit `min`/`max` and sort the same keys faster with a
+//! comparison sort. The keys' ops pack a usage into its key, and
+//! otherwise only move keys or take a lane-wise unsigned `min`/`max`.
 //!
 //! # Safety
 //!
@@ -81,7 +81,7 @@
 //! proof that the CPU runs `V`'s instructions, which only `Tier::run`
 //! makes, right after it asserts [`Tier::is_available`], and hands to the
 //! kernel it runs (`Token::half` derives `V::Half`'s, which a CPU that
-//! runs `V` runs too; `Token::keys` derives `V::Keys`'s). Every
+//! runs `V` runs too; `Lanes::keys` gives `Avx512`'s keys theirs). Every
 //! constructor of a lane type — `zero`, `splat`, `load`, `load_first`,
 //! `load_transposed`, `load_transposed8`, and the keys' `pack` and
 //! `load` — takes the token, and the lane types' fields are private to
@@ -105,31 +105,24 @@ use std::sync::OnceLock;
 use core::arch::x86_64::{
     __m128, __m256, __m512, __m512i, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_and_si512,
     _mm512_andnot_si512, _mm512_castpd_ps, _mm512_castps256_ps512, _mm512_castps_pd,
-    _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cmp_ps_mask, _mm512_cvtepi32_ps,
-    _mm512_div_ps, _mm512_insertf64x4, _mm512_loadu_ps, _mm512_mask_storeu_ps,
-    _mm512_maskz_loadu_ps, _mm512_maskz_set1_epi32, _mm512_max_ps, _mm512_min_ps, _mm512_mul_ps,
-    _mm512_or_si512, _mm512_roundscale_ps, _mm512_set1_ps, _mm512_setzero_ps,
-    _mm512_shuffle_f32x4, _mm512_shuffle_ps, _mm512_slli_epi32, _mm512_sqrt_ps, _mm512_srli_epi32,
-    _mm512_storeu_ps, _mm512_sub_ps, _mm512_ternarylogic_epi32, _mm512_unpackhi_ps,
-    _mm512_unpacklo_ps, __m256d, __mmask8, _mm512_add_epi64, _mm512_cvtepi32_epi64,
-    _mm512_loadu_epi64, _mm512_mask_blend_epi64, _mm512_mask_max_epu64, _mm512_mask_storeu_epi64,
-    _mm512_max_epu64, _mm512_min_epu64, _mm512_permutex_epi64,
-    _mm512_permutexvar_epi64, _mm512_set1_epi64, _mm512_set_epi64, _mm512_shuffle_epi32,
-    _mm512_shuffle_i64x2, _mm512_slli_epi64, _mm512_srai_epi64, _mm512_storeu_epi64,
-    _mm512_xor_si512, _mm256_blend_pd, _mm256_blendv_pd, _mm256_castpd128_pd256,
-    _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_insertf128_pd, _mm256_loadu_pd,
-    _mm256_loadu_si256, _mm256_permute2f128_pd, _mm256_permute_pd, _mm256_set1_pd,
-    _mm256_storeu_pd, _mm256_xor_pd, _mm_castpd_si128, _mm_castsi128_pd, _mm_cmpgt_epi64,
-    _mm_loadu_si128, _mm_or_si128, _mm_set1_epi32, _mm_set_epi32, _mm_srai_epi32,
-    _mm_unpackhi_epi32, _mm_unpacklo_epi32, _mm_xor_si128,
-    _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_blendv_ps, _mm256_castps128_ps256,
-    _mm256_castps256_ps128, _mm256_castps_pd, _mm256_cmp_ps, _mm256_div_ps, _mm256_extractf128_ps,
-    _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
-    _mm256_or_ps, _mm256_round_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps,
-    _mm256_sqrt_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
-    _mm_add_epi32, _mm_castps_si128, _mm_castsi128_ps, _mm_cvtepi32_ps, _mm_loadu_ps,
-    _mm_slli_epi32, _mm_srli_epi32, _CMP_EQ_OQ, _CMP_LT_OQ, _CMP_NEQ_UQ, _MM_FROUND_NO_EXC,
-    _MM_FROUND_TO_ZERO,
+    _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cmp_ps_mask, _mm512_cvtepi32_ps, _mm512_div_ps,
+    _mm512_insertf64x4, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+    _mm512_maskz_set1_epi32, _mm512_max_ps, _mm512_min_ps, _mm512_mul_ps, _mm512_or_si512,
+    _mm512_roundscale_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_shuffle_f32x4,
+    _mm512_shuffle_ps, _mm512_slli_epi32, _mm512_sqrt_ps, _mm512_srli_epi32, _mm512_storeu_ps,
+    _mm512_sub_ps, _mm512_ternarylogic_epi32, _mm512_unpackhi_ps, _mm512_unpacklo_ps, __mmask8,
+    _mm512_add_epi64, _mm512_cvtepi32_epi64, _mm512_loadu_epi64, _mm512_mask_blend_epi64,
+    _mm512_mask_max_epu64, _mm512_mask_storeu_epi64, _mm512_max_epu64, _mm512_min_epu64,
+    _mm512_permutex_epi64, _mm512_permutexvar_epi64, _mm512_set1_epi64, _mm512_set_epi64,
+    _mm512_shuffle_epi32, _mm512_shuffle_i64x2, _mm512_slli_epi64, _mm512_srai_epi64,
+    _mm512_storeu_epi64, _mm512_xor_si512, _mm256_loadu_si256, _mm256_add_ps, _mm256_and_ps,
+    _mm256_andnot_ps, _mm256_blendv_ps, _mm256_castps128_ps256, _mm256_castps256_ps128,
+    _mm256_castps_pd, _mm256_cmp_ps, _mm256_div_ps, _mm256_extractf128_ps, _mm256_insertf128_ps,
+    _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_round_ps,
+    _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_sqrt_ps, _mm256_storeu_ps,
+    _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_add_epi32, _mm_castps_si128,
+    _mm_castsi128_ps, _mm_cvtepi32_ps, _mm_loadu_ps, _mm_slli_epi32, _mm_srli_epi32, _CMP_EQ_OQ,
+    _CMP_LT_OQ, _CMP_NEQ_UQ, _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
 };
 
 /// Proof that this CPU runs `V`'s instruction set — zero-sized, made only
@@ -142,12 +135,6 @@ impl<V: Lanes> Token<V> {
     /// The token of `V::Half`, which a CPU that runs `V` runs too.
     #[inline(always)]
     pub(crate) fn half(self) -> Token<V::Half> {
-        Token(PhantomData)
-    }
-
-    /// The token of `V::Keys`, which a CPU that runs `V` runs too.
-    #[inline(always)]
-    pub(crate) fn keys(self) -> Token<V::Keys> {
         Token(PhantomData)
     }
 }
@@ -167,8 +154,6 @@ pub(crate) trait Lanes: Copy {
     /// eight-lane types, `Avx` on `Avx512` — for a remainder of eight rows
     /// too short for a sixteen-lane block, and for the softmax.
     type Half: Lanes;
-    /// The tier's sort-key lanes: `u64` keys in the same instruction set.
-    type Keys: Keys;
 
     fn zero(cpu: Token<Self>) -> Self;
     fn splat(cpu: Token<Self>, v: f32) -> Self;
@@ -218,6 +203,15 @@ pub(crate) trait Lanes: Copy {
     /// eight vectors, the columns `col..col + 8` of `LANES` rows. On the
     /// eight-lane types it is `load_transposed`.
     fn load_transposed8(cpu: Token<Self>, rows: &[f32], stride: usize, col: usize) -> [Self; 8];
+
+    /// The token of the usage sort's key lanes where its bitonic network
+    /// runs: `Avx512`'s. `None` on the eight-lane types, which sort the
+    /// keys with a comparison sort instead (see the [module docs](self)).
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn keys(_: Token<Self>) -> Option<Token<Avx512Keys>> {
+        None
+    }
 
     /// `acc + x * w` per lane: a rounded multiply, then a rounded add.
     #[inline(always)]
@@ -389,7 +383,6 @@ impl Lanes for F32x8 {
     const LANES: usize = 8;
     type Block = [Self; 8];
     type Half = Self;
-    type Keys = U64x8;
 
     #[inline(always)]
     fn zero(_: Token<Self>) -> Self {
@@ -518,7 +511,6 @@ impl Lanes for Avx {
     const LANES: usize = 8;
     type Block = [Self; 8];
     type Half = Self;
-    type Keys = AvxKeys;
 
     #[inline(always)]
     fn zero(_: Token<Self>) -> Self {
@@ -726,7 +718,11 @@ impl Lanes for Avx512 {
     type Block = [Self; 16];
     // AVX-512F implies AVX.
     type Half = Avx;
-    type Keys = Avx512Keys;
+
+    #[inline(always)]
+    fn keys(_: Token<Self>) -> Option<Token<Avx512Keys>> {
+        Some(Token(PhantomData))
+    }
 
     #[inline(always)]
     fn zero(_: Token<Self>) -> Self {
@@ -947,9 +943,8 @@ pub(crate) fn usage_key(usage: f32, slot: u64) -> u64 {
 /// Eight `u64` sort keys, ordered as unsigned integers: the lanes of the
 /// usage sort's bitonic network ([`mod@crate::keysort`]). Apart from
 /// [`Keys::pack`], every op is a fixed data movement or a lane-wise
-/// unsigned `min`/`max`, so a network written over `Keys` moves the same
-/// keys to the same places on every tier. The constructors take the
-/// [`Token`] that proves the CPU runs `Self`, as [`Lanes`]'s do.
+/// unsigned `min`/`max`. The constructors take the [`Token`] that proves
+/// the CPU runs `Self`, as [`Lanes`]'s do.
 pub(crate) trait Keys: Copy {
     /// The keys of the first eight usages of `usage` at slots
     /// `slot..slot + 8`, as [`usage_key`] packs them (panics if `usage`
@@ -973,226 +968,9 @@ pub(crate) trait Keys: Copy {
     /// `B` (1, 2 or 4) set, the smaller in the rest: both halves of a
     /// compare-exchange, blended.
     fn min_max<const B: usize>(self, o: Self) -> Self;
-
     /// Writes the first `d.len()` lanes to `d` (panics if `d` is longer
     /// than eight).
-    #[inline(always)]
-    fn store_first(self, d: &mut [u64]) {
-        assert!(d.len() <= 8, "{TAIL_TOO_LONG}");
-        let mut all = [0u64; 8];
-        self.store(&mut all);
-        d.copy_from_slice(&all[..d.len()]);
-    }
-}
-
-/// Eight `u64` keys in plain Rust, each op the scalar expression it
-/// stands for: `F32x8`'s keys.
-#[derive(Clone, Copy)]
-pub(crate) struct U64x8([u64; 8]);
-
-impl Keys for U64x8 {
-    #[inline(always)]
-    fn pack(_: Token<Self>, usage: &[f32], slot: u64) -> Self {
-        let usage = &usage[..8];
-        Self(std::array::from_fn(|l| usage_key(usage[l], slot + l as u64)))
-    }
-    #[inline(always)]
-    fn load(_: Token<Self>, s: &[u64]) -> Self {
-        Self(s[..8].try_into().expect("U64x8::load needs 8 keys"))
-    }
-    #[inline(always)]
-    fn store(self, d: &mut [u64]) {
-        d[..8].copy_from_slice(&self.0);
-    }
-    #[inline(always)]
-    fn min(self, o: Self) -> Self {
-        Self(std::array::from_fn(|l| self.0[l].min(o.0[l])))
-    }
-    #[inline(always)]
-    fn max(self, o: Self) -> Self {
-        Self(std::array::from_fn(|l| self.0[l].max(o.0[l])))
-    }
-    #[inline(always)]
-    fn permute<const X: usize>(self) -> Self {
-        assert!(matches!(X, 1..=4 | 7), "no lane permutation by {X}");
-        Self(std::array::from_fn(|l| self.0[l ^ X]))
-    }
-    #[inline(always)]
-    fn blend<const B: usize>(self, o: Self) -> Self {
-        assert!(matches!(B, 1 | 2 | 4), "no lane bit {B}");
-        Self(std::array::from_fn(|l| if l & B == 0 { self.0[l] } else { o.0[l] }))
-    }
-    #[inline(always)]
-    fn min_max<const B: usize>(self, o: Self) -> Self {
-        self.min(o).blend::<B>(self.max(o))
-    }
-}
-
-/// Eight `u64` keys in two AVX registers, lanes 0–3 in the first and 4–7
-/// in the second: `Avx`'s keys. AVX has no 256-bit integer unit, so a key
-/// is held with its top bit flipped — its unsigned order is then the
-/// signed order — and `min`/`max` compare 128-bit halves with SSE4.2's
-/// signed `pcmpgtq` (which `avx` implies) and blend by the result; `pack`
-/// works on 128-bit halves too, and loads and stores flip the bit back. A
-/// permute or blend across the two registers is a choice of register, no
-/// instruction.
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-pub(crate) struct AvxKeys([__m256d; 2]);
-
-// Every `unsafe` block below runs AVX (or SSE4.2, which AVX implies)
-// intrinsics, whose one requirement — the CPU runs AVX — is what a
-// `Token<AvxKeys>` proves; a method on `self` holds one by the module's
-// argument, and the helpers without `self` take only registers of an
-// existing `AvxKeys`. `pack`, the load and the store slice their eight
-// values first. (No closures: one would not inherit the kernel entry's
-// target feature, and its intrinsics would stay calls.)
-#[cfg(target_arch = "x86_64")]
-impl AvxKeys {
-    /// All ones in the lanes where `a`'s key is the larger; `a` and `b`
-    /// are registers of an `AvxKeys`.
-    #[inline(always)]
-    fn gt(a: __m256d, b: __m256d) -> __m256d {
-        // SAFETY: `a` and `b` come from an `AvxKeys`, which proves a `Token<AvxKeys>`.
-        unsafe {
-            let (a0, b0) = (_mm256_castpd256_pd128(a), _mm256_castpd256_pd128(b));
-            let lo = _mm_cmpgt_epi64(_mm_castpd_si128(a0), _mm_castpd_si128(b0));
-            let (a1, b1) = (_mm256_extractf128_pd::<1>(a), _mm256_extractf128_pd::<1>(b));
-            let hi = _mm_cmpgt_epi64(_mm_castpd_si128(a1), _mm_castpd_si128(b1));
-            let lo = _mm256_castpd128_pd256(_mm_castsi128_pd(lo));
-            _mm256_insertf128_pd::<1>(lo, _mm_castsi128_pd(hi))
-        }
-    }
-
-    /// Lane `l` of one register takes lane `l ^ X`, for `X` in `1..4`;
-    /// `v` is a register of an `AvxKeys`.
-    #[inline(always)]
-    fn permute4<const X: usize>(v: __m256d) -> __m256d {
-        // SAFETY: `v` comes from an `AvxKeys`, which proves a `Token<AvxKeys>`.
-        unsafe {
-            match X {
-                1 => _mm256_permute_pd::<0b0101>(v),
-                2 => _mm256_permute2f128_pd::<0x01>(v, v),
-                3 => _mm256_permute_pd::<0b0101>(_mm256_permute2f128_pd::<0x01>(v, v)),
-                _ => panic!("no lane permutation by {X}"),
-            }
-        }
-    }
-
-    /// The keys of four usages at slots `slot..slot + 4`, top bits
-    /// flipped; `cpu` proves the CPU runs AVX.
-    #[inline(always)]
-    fn pack4(_: Token<Self>, usage: &[f32], slot: u64) -> __m256d {
-        let usage = &usage[..4];
-        // SAFETY: the `Token<AvxKeys>`: the CPU runs AVX; `usage` holds the four values read.
-        unsafe {
-            // `ordered_bits` on 32-bit lanes, then each beside its slot
-            // as one 64-bit lane: the slot low, the ordered bits high.
-            let bits = _mm_loadu_si128(usage.as_ptr().cast());
-            let flip = _mm_or_si128(_mm_srai_epi32::<31>(bits), _mm_set1_epi32(i32::MIN));
-            let ordered = _mm_xor_si128(bits, flip);
-            let slots = _mm_add_epi32(_mm_set1_epi32(slot as i32), _mm_set_epi32(3, 2, 1, 0));
-            let lo = _mm_castsi128_pd(_mm_unpacklo_epi32(slots, ordered));
-            let hi = _mm_castsi128_pd(_mm_unpackhi_epi32(slots, ordered));
-            let keys = _mm256_insertf128_pd::<1>(_mm256_castpd128_pd256(lo), hi);
-            _mm256_xor_pd(keys, _mm256_set1_pd(-0.0))
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Keys for AvxKeys {
-    #[inline(always)]
-    fn pack(cpu: Token<Self>, usage: &[f32], slot: u64) -> Self {
-        let usage = &usage[..8];
-        AvxKeys([Self::pack4(cpu, usage, slot), Self::pack4(cpu, &usage[4..], slot + 4)])
-    }
-    #[inline(always)]
-    fn load(_: Token<Self>, s: &[u64]) -> Self {
-        let s = &s[..8];
-        // SAFETY: the `Token<AvxKeys>`: the CPU runs AVX; `s` holds the eight keys read.
-        unsafe {
-            let sign = _mm256_set1_pd(-0.0);
-            let lo = _mm256_loadu_pd(s.as_ptr().cast());
-            let hi = _mm256_loadu_pd(s[4..].as_ptr().cast());
-            AvxKeys([_mm256_xor_pd(lo, sign), _mm256_xor_pd(hi, sign)])
-        }
-    }
-    #[inline(always)]
-    fn store(self, d: &mut [u64]) {
-        let (d, [lo, hi]) = (&mut d[..8], self.0);
-        // SAFETY: `self` proves a `Token<AvxKeys>`; `d` holds the eight keys written.
-        unsafe {
-            let sign = _mm256_set1_pd(-0.0);
-            _mm256_storeu_pd(d.as_mut_ptr().cast(), _mm256_xor_pd(lo, sign));
-            _mm256_storeu_pd(d[4..].as_mut_ptr().cast(), _mm256_xor_pd(hi, sign));
-        }
-    }
-    #[inline(always)]
-    fn min(self, o: Self) -> Self {
-        let ([a0, a1], [b0, b1]) = (self.0, o.0);
-        // SAFETY: `self` proves a `Token<AvxKeys>`: the CPU runs AVX.
-        unsafe {
-            AvxKeys([
-                _mm256_blendv_pd(a0, b0, Self::gt(a0, b0)),
-                _mm256_blendv_pd(a1, b1, Self::gt(a1, b1)),
-            ])
-        }
-    }
-    #[inline(always)]
-    fn max(self, o: Self) -> Self {
-        let ([a0, a1], [b0, b1]) = (self.0, o.0);
-        // SAFETY: `self` proves a `Token<AvxKeys>`: the CPU runs AVX.
-        unsafe {
-            AvxKeys([
-                _mm256_blendv_pd(b0, a0, Self::gt(a0, b0)),
-                _mm256_blendv_pd(b1, a1, Self::gt(a1, b1)),
-            ])
-        }
-    }
-    #[inline(always)]
-    fn permute<const X: usize>(self) -> Self {
-        let [lo, hi] = self.0;
-        match X {
-            1 => AvxKeys([Self::permute4::<1>(lo), Self::permute4::<1>(hi)]),
-            2 => AvxKeys([Self::permute4::<2>(lo), Self::permute4::<2>(hi)]),
-            3 => AvxKeys([Self::permute4::<3>(lo), Self::permute4::<3>(hi)]),
-            4 => AvxKeys([hi, lo]),
-            7 => AvxKeys([Self::permute4::<3>(hi), Self::permute4::<3>(lo)]),
-            _ => panic!("no lane permutation by {X}"),
-        }
-    }
-    #[inline(always)]
-    fn blend<const B: usize>(self, o: Self) -> Self {
-        let ([a0, a1], [b0, b1]) = (self.0, o.0);
-        // SAFETY: `self` proves a `Token<AvxKeys>`: the CPU runs AVX.
-        unsafe {
-            match B {
-                1 => AvxKeys([_mm256_blend_pd::<0b1010>(a0, b0), _mm256_blend_pd::<0b1010>(a1, b1)]),
-                2 => AvxKeys([_mm256_blend_pd::<0b1100>(a0, b0), _mm256_blend_pd::<0b1100>(a1, b1)]),
-                4 => AvxKeys([a0, b1]),
-                _ => panic!("no lane bit {B}"),
-            }
-        }
-    }
-    #[inline(always)]
-    fn min_max<const B: usize>(self, o: Self) -> Self {
-        // `o` where `self` is the larger makes the smaller key; flipping
-        // that choice in the lanes that want the larger makes it that.
-        let ([a0, a1], [b0, b1]) = (self.0, o.0);
-        let (f0, f1) = match B {
-            1 => ([0.0, -0.0, 0.0, -0.0], [0.0, -0.0, 0.0, -0.0]),
-            2 => ([0.0, 0.0, -0.0, -0.0], [0.0, 0.0, -0.0, -0.0]),
-            4 => ([0.0; 4], [-0.0; 4]),
-            _ => panic!("no lane bit {B}"),
-        };
-        // SAFETY: `self` proves a `Token<AvxKeys>`: the CPU runs AVX.
-        unsafe {
-            let take0 = _mm256_xor_pd(Self::gt(a0, b0), _mm256_loadu_pd(f0.as_ptr()));
-            let take1 = _mm256_xor_pd(Self::gt(a1, b1), _mm256_loadu_pd(f1.as_ptr()));
-            AvxKeys([_mm256_blendv_pd(a0, b0, take0), _mm256_blendv_pd(a1, b1, take1)])
-        }
-    }
+    fn store_first(self, d: &mut [u64]);
 }
 
 /// Eight `u64` keys in one AVX-512 register: `Avx512`'s keys, with
