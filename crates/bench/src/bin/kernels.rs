@@ -1,7 +1,7 @@
 //! Kernel microbenchmark: per-call time of the engine's vector kernels
-//! against the plain scalar loops they are pinned to, at the engine
-//! shapes the throughput bench runs (N = 128, W = 16, H = 64) and the
-//! paper's tile (N = 64, W = 64).
+//! against the plain scalar loops they are pinned to, at the served
+//! shape (N = 128, W = 16, H = 64: `e2e_bench`'s `offline_small_f32`
+//! and `serve_*` workloads) and the paper's tile (N = 64, W = 64).
 //!
 //! There is one kernel tier, so every row pairs two forms that return
 //! **identical bits** (asserted on the spot) — the only question a row

@@ -2,7 +2,6 @@
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper and prints the paper's reported values next to the measured ones.
-//! See EXPERIMENTS.md at the workspace root for the collected results.
 
 /// Prints a section header in the common format.
 pub fn header(title: &str) {

@@ -22,7 +22,7 @@
 //!   session degrades to the in-RAM parked tier (counted under
 //!   `store.evict_refusals`) and stays servable,
 //! * when more than `max_parked` detached states accumulate in RAM, the
-//!   least-recently-active ones spill to disk the same way.
+//!   idle ones spill to disk the same way, lowest session id first.
 //!
 //! The replay runs inside rehydration, before the command that caused it
 //! is applied: the recovered state is swapped into a borrowed lane, each
@@ -51,7 +51,7 @@ pub(crate) struct GroupStore {
     pub store: Arc<SessionStore>,
     /// Snapshot + compact a session's log every this many logged steps.
     pub snapshot_every: u64,
-    /// Spill LRU detached states to disk beyond this many parked in RAM.
+    /// Spill idle detached states to disk beyond this many parked in RAM.
     pub max_parked: usize,
 }
 
@@ -295,15 +295,15 @@ impl Group {
     }
 
     /// Caps the in-RAM parked tier: beyond `max_parked` detached states,
-    /// the least-recently-active idle ones spill to the store.
-    pub(crate) fn spill_lru(&mut self) {
+    /// the idle ones spill to the store, lowest session id first.
+    pub(crate) fn spill_idle(&mut self) {
         let Some(max_parked) = self.durable.as_ref().map(|d| d.cfg.max_parked) else { return };
         loop {
-            let parked = self.sessions.iter().filter(|(_, s)| s.parked.is_some()).map(|(&id, _)| id);
+            let parked = self.sessions.iter().filter(|(_, s)| s.parked.is_some());
             if parked.clone().count() <= max_parked {
                 return;
             }
-            let Some(victim) = self.lru_idle(parked) else { return };
+            let Some(victim) = parked.filter(|(_, s)| s.idle()).map(|(&id, _)| id).min() else { return };
             if !self.evict(victim) {
                 return;
             }

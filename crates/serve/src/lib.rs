@@ -25,8 +25,8 @@
 //! * [`server`] / [`client`] — a std-only threaded TCP front end and its
 //!   typed blocking client,
 //! * [`loadgen`] — an open-loop load generator reporting sessions/sec and
-//!   p50/p90/p99/max per-step latency (the `serve` section of the
-//!   throughput harness),
+//!   p50/p90/p99/max per-step latency (driven by `hima_cli load` and the
+//!   serve lifecycle tests),
 //! * [`metrics`] — the server-wide [`ServeMetrics`] catalog over the
 //!   `hima-telemetry` substrate: scheduler tick/occupancy histograms,
 //!   session lifecycle counters and trace, wire traffic and per-command

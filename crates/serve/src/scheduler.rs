@@ -13,7 +13,7 @@
 //! * sessions with no work are **frozen** in place by the
 //!   [`LaneMask`] — a parked resident costs (almost) nothing and its
 //!   state stays bit-identical while co-tenants advance,
-//! * when the grid is full, the least-recently-active idle resident is
+//! * when the grid is full, the idle resident on the lowest lane is
 //!   **swapped out** to a detached [`LaneState`] — by
 //!   the same `swap_lane` that seats a session carrying one (the two
 //!   trade buffers; nothing is copied), by `export_lane` when the joining
@@ -421,18 +421,11 @@ impl Group {
         }
     }
 
-    /// The least-recently-active idle session of `ids`, the first in `ids`
-    /// order on a tie: the resident a full grid parks, and the parked
-    /// state the parked-tier cap spills.
-    pub(crate) fn lru_idle(&self, ids: impl Iterator<Item = u64>) -> Option<u64> {
-        ids.filter(|id| self.sessions[id].idle()).min_by_key(|id| self.sessions[id].last_activity)
-    }
-
     /// Seats non-resident session `id` on a lane: the lowest free one,
-    /// else the lane of the least-recently-active idle resident, which is
-    /// parked. `None` if every resident is mid-request this tick (the
-    /// requester stays queued and retries next tick — by then at least one
-    /// resident has drained or parked).
+    /// else the lowest lane whose resident is idle, which is parked.
+    /// `None` if every resident is mid-request this tick (the requester
+    /// stays queued and retries next tick — by then at least one resident
+    /// has drained or parked).
     ///
     /// A session that carries a detached state takes the lane by
     /// **exchange** (`swap_lane`): park and splice are one trade of buffer
@@ -443,8 +436,10 @@ impl Group {
         let (lane, victim) = match self.lanes.iter().position(Option::is_none) {
             Some(lane) => (lane, None),
             None => {
-                let victim = self.lru_idle(self.lanes.iter().flatten().copied())?;
-                (self.sessions.get_mut(&victim).unwrap().lane.take().unwrap(), Some(victim))
+                let lane = self.lanes.iter().position(|s| s.is_some_and(|id| self.sessions[&id].idle()))?;
+                let victim = self.lanes[lane].unwrap();
+                self.sessions.get_mut(&victim).unwrap().lane = None;
+                (lane, Some(victim))
             }
         };
         let sess = self.sessions.get_mut(&id).unwrap();
@@ -498,7 +493,7 @@ impl Group {
     /// cap, the gauges.
     pub(crate) fn tick(&mut self) {
         self.step_tick();
-        self.spill_lru();
+        self.spill_idle();
         self.publish();
     }
 
@@ -507,7 +502,7 @@ impl Group {
     /// (never any with a store), published gone, for the hub to unroute.
     pub(crate) fn sweep(&mut self) -> Vec<u64> {
         let reaped = self.reap();
-        self.spill_lru();
+        self.spill_idle();
         self.publish();
         reaped
     }
@@ -728,44 +723,41 @@ mod tests {
     }
 
     /// A churned tick's lane miss — park the victim, splice the incoming
-    /// session — is one exchange: no heap allocation, the least-recently
-    /// -active idle resident parked, Park traced before Splice, the
-    /// counters and the gauge as the copying pair left them, and the
-    /// sessions bit-equal to solo replay afterwards.
+    /// session — is one exchange: no heap allocation, the idle resident
+    /// on the lowest lane parked, Park traced before Splice, the counters
+    /// and the gauge as the copying pair left them, and the sessions
+    /// bit-equal to solo replay afterwards.
     #[test]
     fn a_lane_miss_is_one_exchange_with_no_allocation() {
-        let (mut group, clock) = group(2);
+        let (mut group, _) = group(2);
         for session in 0..4u64 {
             open(&mut group, session);
         }
-        // Round-robin over four sessions on two lanes, a millisecond
-        // apart: from the third on, every step misses. Sessions 0 and 1
-        // come back with state.
+        // Round-robin over four sessions on two lanes: from the third on,
+        // every step but session 1's misses on lane 0 (session 1 keeps
+        // lane 1). Sessions 0, 2 and 3 come back with state.
         let mut got: Vec<Vec<Vec<f32>>> = vec![Vec::new(); 4];
         for t in 0..2 {
             for session in 0..4u64 {
-                clock.advance(Duration::from_millis(1));
                 got[session as usize].push(step(&mut group, session, t));
             }
         }
         let metrics = Arc::clone(&group.shared.metrics);
         let count = |name: &str| metrics.snapshot().counter(name).unwrap_or(0);
-        assert_eq!((count("serve.scheduler.parks"), count("serve.scheduler.splices")), (6, 4));
+        assert_eq!((count("serve.scheduler.parks"), count("serve.scheduler.splices")), (5, 3));
         assert_eq!(group.shared.metrics.sessions_parked.get(), 2);
 
-        // Sessions 2 and 3 hold the lanes, 2 the longer idle: seating 0
-        // parks it.
-        let lane = group.sessions[&2].lane.unwrap();
+        // Sessions 3 and 1 hold lanes 0 and 1: seating 0 parks 3.
         let (seated, spent) = metered(|| group.seat(0));
-        assert_eq!(seated, Some(lane));
+        assert_eq!(seated, Some(0));
         assert_eq!(spent.calls, 0, "park + splice allocated");
-        assert_eq!((count("serve.scheduler.parks"), count("serve.scheduler.splices")), (7, 5));
+        assert_eq!((count("serve.scheduler.parks"), count("serve.scheduler.splices")), (6, 4));
         group.publish();
         assert_eq!(group.shared.metrics.sessions_parked.get(), 2);
-        assert!(group.sessions[&2].parked.is_some() && group.sessions[&2].lane.is_none());
+        assert!(group.sessions[&3].parked.is_some() && group.sessions[&3].lane.is_none());
         assert!(group.sessions[&0].parked.is_none());
         let kinds: Vec<_> = metrics.trace_dump().iter().rev().take(2).map(|e| (e.kind, e.session)).collect();
-        assert_eq!(kinds, [(TraceKind::Splice, 0), (TraceKind::Park, 2)]);
+        assert_eq!(kinds, [(TraceKind::Splice, 0), (TraceKind::Park, 3)]);
 
         for session in [0u64, 2, 1, 3] {
             got[session as usize].push(step(&mut group, session, 2));
@@ -776,6 +768,52 @@ mod tests {
             let (want, _) = hima_testkit::solo_replay(spec.params, spec.spec, spec.seed, &inputs);
             assert_eq!(got, &want, "session {session}");
         }
+    }
+
+    /// Which idle resident a full grid parks, and which parked state the
+    /// parked-tier cap spills, read neither the clock nor the table's hash
+    /// order: the grid parks the idle resident on its lowest lane, passing
+    /// over one with a command in flight (the least-recently-active one
+    /// is on another lane), and parks no one while every resident is
+    /// mid-request; the cap spills the idle parked session with the
+    /// lowest id.
+    #[test]
+    fn a_full_grid_parks_its_lowest_idle_lane_and_the_cap_spills_the_lowest_id() {
+        let (mut store, dir) = scratch_store(false);
+        store.max_parked = 1;
+        let cfg = ServeConfig { grid_lanes: 3, idle_timeout: None, ..ServeConfig::default() };
+        let (mut group, clock) = group_with(cfg, Some(store));
+        for session in 0..5u64 {
+            open(&mut group, session);
+        }
+        // Sessions 0, 1, 2 on lanes 0, 1, 2, then 0 again: session 1 is the
+        // least recently active, session 0 the most.
+        for session in [0u64, 1, 2, 0] {
+            clock.advance(Duration::from_millis(1));
+            step(&mut group, session, 0);
+        }
+        assert_eq!(group.lanes, [Some(0), Some(1), Some(2)]);
+        let queue = |group: &mut Group, session: u64| {
+            let inputs = vec![input(group, session, 1)];
+            let (reply, _answer) = channel();
+            group.handle(GroupCmd { session, reply, op: Op::Step { inputs, deadline: None } });
+        };
+        assert_eq!(group.seat(3), Some(0));
+        assert!(group.sessions[&0].parked.is_some());
+        queue(&mut group, 3);
+        assert_eq!(group.seat(4), Some(1), "lane 0's resident has a command in flight");
+        assert!(group.sessions[&1].parked.is_some());
+        queue(&mut group, 4);
+        queue(&mut group, 2);
+        assert_eq!(group.seat(0), None, "every resident is mid-request");
+        assert_eq!(group.lanes, [Some(3), Some(4), Some(2)]);
+
+        // Sessions 0 and 1 are parked, one over the cap: 0 spills.
+        group.spill_idle();
+        let spilled = &group.durable.as_ref().unwrap().spilled;
+        assert!(spilled.contains(&0) && !spilled.contains(&1));
+        assert!(group.sessions[&1].parked.is_some());
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     /// The idle sweep reads the group's clock, not the wall: held still,
@@ -1068,7 +1106,7 @@ mod tests {
             group.step_tick();
             assert_table_truth(group, &format!("{at}, tick"));
             group.reap();
-            group.spill_lru();
+            group.spill_idle();
             group.publish();
             assert_table_truth(group, &format!("{at}, sweep"));
         };

@@ -71,7 +71,7 @@ pub struct StoreConfig {
     /// Snapshot + compact a session's delta log every this many logged
     /// steps (clamped to ≥ 1).
     pub snapshot_every: u64,
-    /// Per group, spill least-recently-active parked sessions to disk
+    /// Per group, spill idle parked sessions to disk, lowest id first,
     /// once more than this many detached states sit in RAM.
     pub max_parked: usize,
     /// Optional seeded fault plan injected into every store I/O path

@@ -77,7 +77,7 @@ pub trait SortEngine {
     }
 
     /// Allocation-free argsort into a reused index buffer — the
-    /// steady-state usage-sort path of the DNC memory unit.
+    /// definition the DNC memory unit's `FreeList` is held to.
     ///
     /// Every `SortEngine` sorts ascending by key with ties broken by
     /// original index, a *strict* total order with exactly one sorted

@@ -79,13 +79,14 @@ fn grid_sessions_match_solo_replay_bit_exactly() {
     }
 }
 
-/// Worst-case churn: four times as many sessions as lanes, stepped
-/// round-robin by one client, so after the first round **every** step
-/// misses the grid and the least-recently-active resident — always the
-/// session stepped `lanes` steps ago — trades places with the one coming
-/// back. Every output is bit-equal to solo replay, and the ledger closes:
+/// Heavy churn: four times as many sessions as lanes, stepped
+/// round-robin by one client. A full grid parks the idle resident on its
+/// lowest lane, so lane 0 churns and lane 1 keeps session 1: after the
+/// first round every step but session 1's misses the grid, and the
+/// session coming back trades places with the one stepped just before
+/// it. Every output is bit-equal to solo replay, and the ledger closes:
 /// the sessions are drained so that each one is resident when it closes
-/// (the last `lanes` at once, the rest after one more step onto a freed
+/// (the two residents at once, the rest after one more step onto a freed
 /// lane), which makes every park a later splice — `parks == splices`,
 /// both the exact count the schedule implies.
 #[test]
@@ -108,15 +109,16 @@ fn round_robin_churn_matches_solo_replay_with_every_park_spliced() {
         let snapshot = server.hub().metrics().snapshot();
         let parked = sessions - lanes;
         assert_eq!(snapshot.gauge("serve.sessions.parked"), Some(parked as i64), "{label}");
-        for &id in &ids[parked..] {
-            client.close_session(id).unwrap();
+        let resident = [1, sessions - 1];
+        for i in resident {
+            client.close_session(ids[i]).unwrap();
         }
-        for (i, &id) in ids[..parked].iter().enumerate() {
+        for i in (0..sessions).filter(|i| !resident.contains(i)) {
             step(&mut client, i, rounds);
-            client.close_session(id).unwrap();
+            client.close_session(ids[i]).unwrap();
         }
         let snapshot = server.hub().metrics().snapshot();
-        let churned = (parked + (rounds - 1) * sessions) as u64;
+        let churned = (parked + (rounds - 1) * (sessions - 1)) as u64;
         assert_eq!(snapshot.counter("serve.scheduler.parks"), Some(churned), "{label}");
         assert_eq!(snapshot.counter("serve.scheduler.splices"), Some(churned), "{label}");
         assert_eq!(snapshot.gauge("serve.sessions.parked"), Some(0), "{label}");
