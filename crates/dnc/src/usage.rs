@@ -4,8 +4,8 @@
 //! gates: `ψ[i] = Π_r (1 − g_f^r · w_r^{t−1}[i, r])`. The usage vector then
 //! tracks which slots hold live data:
 //! `u_t = (u_{t−1} + w_w^{t−1} − u_{t−1} ∘ w_w^{t−1}) ∘ ψ`.
-//! Both stay inside `[0, 1]` by construction — a property the tests and the
-//! crate's proptests pin down.
+//! Both stay inside `[0, 1]` by construction — a property the unit tests and
+//! the crate's generated-case tests pin down.
 
 use hima_tensor::Matrix;
 

@@ -353,8 +353,8 @@ fn step_convenience_rejects_multi_lane_engines() {
 }
 
 // ---------------------------------------------------------------------
-// Masked (ragged) stepping conformance at the engine level, reusing the
-// shared ragged-episode strategies from hima-tasks. The workspace-level
+// Masked (ragged) stepping conformance at the engine level, on the ragged
+// episode sets of hima-testkit. The workspace-level
 // `tests/ragged_conformance.rs` extends this across the full topology ×
 // datapath × B grid; here we pin the masking contract per spec on
 // property-generated ragged lane sets.
@@ -362,12 +362,12 @@ fn step_convenience_rejects_multi_lane_engines() {
 
 mod ragged {
     use super::*;
-    use hima_tasks::strategies::ragged_episodes;
     use hima_tasks::{masked_step_block, Episode};
     use hima_tensor::LaneMask;
-    use proptest::prelude::*;
+    use hima_testkit::cases::check;
+    use hima_testkit::ragged_episodes;
 
-    /// Task-token geometry: the strategy module emits TOKEN_WIDTH rows.
+    /// Task-token geometry: the episode generator emits TOKEN_WIDTH rows.
     fn token_params() -> DncParams {
         DncParams::new(16, 4, 2)
             .with_hidden(16)
@@ -415,22 +415,18 @@ mod ragged {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
-
-        #[test]
-        fn masked_grid_matches_solo_engines_on_ragged_sets(
-            episodes in ragged_episodes(2..=5, 2..=7)
-        ) {
+    #[test]
+    fn masked_grid_matches_solo_engines_on_ragged_sets() {
+        let name = "masked_grid_matches_solo_engines_on_ragged_sets";
+        check(name, 6, |g| ragged_episodes(g, 2..=5, 2..=7), |episodes| {
             for spec in [
                 EngineSpec::monolithic(),
                 EngineSpec::sharded(4),
-                EngineSpec::monolithic()
-                    .with_datapath(Datapath::Quantized(QFormat::q16_16())),
+                EngineSpec::monolithic().with_datapath(Datapath::Quantized(QFormat::q16_16())),
             ] {
                 assert_masked_matches_sequential(spec, &episodes);
             }
-        }
+        });
     }
 
     #[test]
@@ -438,40 +434,40 @@ mod ragged {
         // The tail-step case: by the last step every lane but the
         // longest has ended; the mask carries exactly one live lane and
         // the grid still matches that lane's solo engine.
-        let episodes = ragged_episodes(4..=4, 2..=9)
-            .generate(&mut proptest::test_runner::rng_for("tail"));
-        let steps = episodes.iter().map(Episode::len).max().unwrap();
-        let longest_lanes: Vec<usize> = episodes
-            .iter()
-            .enumerate()
-            .filter_map(|(b, e)| (e.len() == steps).then_some(b))
-            .collect();
-        let (_, tail_mask) = masked_step_block(&episodes, steps - 1);
-        assert_eq!(
-            tail_mask.active_lanes().collect::<Vec<_>>(),
-            longest_lanes,
-            "only the longest lanes survive to the tail step"
-        );
-        assert_masked_matches_sequential(EngineSpec::sharded(2), &episodes);
+        check("tail_step_keeps_only_the_longest_lane_live", 1, |g| ragged_episodes(g, 4..=4, 2..=9), |episodes| {
+            let steps = episodes.iter().map(Episode::len).max().unwrap();
+            let longest_lanes: Vec<usize> = episodes
+                .iter()
+                .enumerate()
+                .filter_map(|(b, e)| (e.len() == steps).then_some(b))
+                .collect();
+            let (_, tail_mask) = masked_step_block(&episodes, steps - 1);
+            assert_eq!(
+                tail_mask.active_lanes().collect::<Vec<_>>(),
+                longest_lanes,
+                "only the longest lanes survive to the tail step"
+            );
+            assert_masked_matches_sequential(EngineSpec::sharded(2), &episodes);
+        });
     }
 
     #[test]
     fn masked_thread_count_determinism() {
-        let episodes = ragged_episodes(6..=6, 2..=8)
-            .generate(&mut proptest::test_runner::rng_for("threads"));
-        let run = |threads: usize| {
-            rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(|| {
-                let steps = episodes.iter().map(Episode::len).max().unwrap();
-                let mut grid = token_builder(EngineSpec::sharded(4)).lanes(6).build();
-                (0..steps)
-                    .map(|t| {
-                        let (block, mask) = masked_step_block(&episodes, t);
-                        grid.step_batch_masked(&block, &mask)
-                    })
-                    .collect::<Vec<_>>()
-            })
-        };
-        assert_eq!(run(1), run(4), "masked fan-out must not perturb results");
+        check("masked_thread_count_determinism", 1, |g| ragged_episodes(g, 6..=6, 2..=8), |episodes| {
+            let run = |threads: usize| {
+                rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(|| {
+                    let steps = episodes.iter().map(Episode::len).max().unwrap();
+                    let mut grid = token_builder(EngineSpec::sharded(4)).lanes(6).build();
+                    (0..steps)
+                        .map(|t| {
+                            let (block, mask) = masked_step_block(&episodes, t);
+                            grid.step_batch_masked(&block, &mask)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            };
+            assert_eq!(run(1), run(4), "masked fan-out must not perturb results");
+        });
     }
 
     #[test]

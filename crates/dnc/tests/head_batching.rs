@@ -31,7 +31,7 @@ use hima_dnc::usage::{retention_into, update_usage_inplace};
 use hima_sort::{CentralizedMergeSorter, SortEngine};
 use hima_tensor::softmax::PlaSoftmax;
 use hima_tensor::{Matrix, QFormat};
-use proptest::prelude::*;
+use hima_testkit::cases::{self, Gen};
 
 const HEADS: std::ops::RangeInclusive<usize> = 1..=5;
 const SLOTS: [usize; 6] = [1, 3, 4, 7, 64, 130];
@@ -319,18 +319,14 @@ fn skimmed_allocation_does_not_disturb_the_equality() {
     check(cfg, Some(QFormat::q16_16()), 6);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn scalar_step_equals_the_per_head_reference_on_random_streams(
-        seed in 0u64..u64::MAX,
-        r in prop::sample::select(HEADS.collect::<Vec<_>>()),
-        n in prop::sample::select(SLOTS.to_vec()),
-        w in prop::sample::select(vec![1usize, 3, 7, 9, 33, 65]),
-        quantized in prop::sample::select(vec![false, true]),
-        pla in prop::sample::select(vec![false, true]),
-    ) {
+#[test]
+fn scalar_step_equals_the_per_head_reference_on_random_streams() {
+    let draw = |g: &mut Gen| {
+        let (seed, r, n) = (g.range(0u64..u64::MAX), g.range(HEADS), g.pick(&SLOTS));
+        (seed, r, n, g.pick(&[1usize, 3, 7, 9, 33, 65]), g.bool(), g.bool())
+    };
+    let name = "scalar_step_equals_the_per_head_reference_on_random_streams";
+    cases::check(name, 48, draw, |(seed, r, n, w, quantized, pla)| {
         check(config(n, w, r, pla), quantized.then(QFormat::q16_16), seed);
-    }
+    });
 }

@@ -6,10 +6,10 @@ use hima_dnc::linkage::TemporalLinkage;
 use hima_dnc::memory::{MemoryConfig, MemoryUnit};
 use hima_dnc::usage::{retention_into, update_usage_inplace};
 use hima_sort::{CentralizedMergeSorter, SortEngine};
-use proptest::prelude::*;
+use hima_testkit::cases::{check, Gen};
 
-fn unit_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
-    prop::collection::vec(0.0f32..1.0, len)
+fn unit_vec(g: &mut Gen, len: std::ops::Range<usize>) -> Vec<f32> {
+    g.vec(len, |g| g.range(0.0f32..1.0))
 }
 
 /// The allocation weighting of `usage` through the merge sorter's free list.
@@ -20,21 +20,21 @@ fn allocation(usage: &[f32], skim: SkimRate) -> Vec<f32> {
 }
 
 /// A random sub-normalized weighting (non-negative, sums to ≤ 1).
-fn weighting(len: usize) -> impl Strategy<Value = Vec<f32>> {
-    prop::collection::vec(0.0f32..1.0, len).prop_map(|mut w| {
-        let s: f32 = w.iter().sum();
-        if s > 1.0 {
-            for x in &mut w {
-                *x /= s;
-            }
+fn weighting(g: &mut Gen, len: usize) -> Vec<f32> {
+    let mut w = g.vec(len..=len, |g| g.range(0.0f32..1.0));
+    let s: f32 = w.iter().sum();
+    if s > 1.0 {
+        for x in &mut w {
+            *x /= s;
         }
-        w
-    })
+    }
+    w
 }
 
-proptest! {
-    #[test]
-    fn retention_bounded(gates in unit_vec(1..4), n in 1usize..32, seed in 0u64..100) {
+#[test]
+fn retention_bounded() {
+    let draw = |g: &mut Gen| (unit_vec(g, 1..4), g.range(1usize..32), g.range(0u64..100));
+    check("retention_bounded", 64, draw, |(gates, n, seed)| {
         let heads: Vec<Vec<f32>> = (0..gates.len())
             .map(|h| {
                 let mut w: Vec<f32> = (0..n).map(|i| (((h * 31 + i * 17 + seed as usize) % 19) as f32) / 19.0).collect();
@@ -45,35 +45,44 @@ proptest! {
             .collect();
         let mut psi = vec![f32::NAN; n];
         retention_into(&gates, &hima_tensor::Matrix::from_rows(&heads), &mut psi);
-        prop_assert!(psi.iter().all(|&p| (0.0..=1.0).contains(&p)));
-    }
+        assert!(psi.iter().all(|&p| (0.0..=1.0).contains(&p)));
+    });
+}
 
-    #[test]
-    fn usage_stays_in_unit_interval(u in unit_vec(1..32), seed in 0u64..100) {
+#[test]
+fn usage_stays_in_unit_interval() {
+    check("usage_stays_in_unit_interval", 64, |g| (unit_vec(g, 1..32), g.range(0u64..100)), |(u, seed)| {
         let n = u.len();
         let w: Vec<f32> = (0..n).map(|i| (((i * 13 + seed as usize) % 7) as f32) / 7.0).collect();
         let psi: Vec<f32> = (0..n).map(|i| (((i * 5 + seed as usize) % 11) as f32) / 11.0).collect();
         let mut u = u;
         update_usage_inplace(&mut u, &w, &psi);
-        prop_assert!(u.iter().all(|&x| (-1e-6..=1.0 + 1e-6).contains(&x)), "{:?}", u);
-    }
+        assert!(u.iter().all(|&x| (-1e-6..=1.0 + 1e-6).contains(&x)), "{:?}", u);
+    });
+}
 
-    #[test]
-    fn allocation_is_subnormalized_weighting(u in unit_vec(1..64)) {
+#[test]
+fn allocation_is_subnormalized_weighting() {
+    check("allocation_is_subnormalized_weighting", 64, |g| unit_vec(g, 1..64), |u| {
         let w = allocation(&u, SkimRate::NONE);
-        prop_assert!(w.iter().all(|&x| x >= 0.0));
-        prop_assert!(w.iter().sum::<f32>() <= 1.0 + 1e-4);
-    }
+        assert!(w.iter().all(|&x| x >= 0.0));
+        assert!(w.iter().sum::<f32>() <= 1.0 + 1e-4);
+    });
+}
 
-    #[test]
-    fn skimmed_allocation_still_subnormalized(u in unit_vec(2..64), k in 0.0f32..0.9) {
+#[test]
+fn skimmed_allocation_still_subnormalized() {
+    check("skimmed_allocation_still_subnormalized", 64, |g| (unit_vec(g, 2..64), g.range(0.0f32..0.9)), |(u, k)| {
         let w = allocation(&u, SkimRate::new(k));
-        prop_assert!(w.iter().all(|&x| x >= 0.0));
-        prop_assert!(w.iter().sum::<f32>() <= 1.0 + 1e-4);
-    }
+        assert!(w.iter().all(|&x| x >= 0.0));
+        assert!(w.iter().sum::<f32>() <= 1.0 + 1e-4);
+    });
+}
 
-    #[test]
-    fn write_merge_is_weighting(n in 1usize..32, gw in 0.0f32..1.0, ga in 0.0f32..1.0, seed in 0u64..50) {
+#[test]
+fn write_merge_is_weighting() {
+    let draw = |g: &mut Gen| (g.range(1usize..32), g.range(0.0f32..1.0), g.range(0.0f32..1.0), g.range(0u64..50));
+    check("write_merge_is_weighting", 64, draw, |(n, gw, ga, seed)| {
         let a: Vec<f32> = {
             let u: Vec<f32> = (0..n).map(|i| (((i * 7 + seed as usize) % 13) as f32) / 13.0).collect();
             allocation(&u, SkimRate::NONE)
@@ -83,11 +92,14 @@ proptest! {
         for x in &mut c { *x /= s; }
         let mut w = vec![f32::NAN; n];
         merge_write_weighting_into(&a, &c, gw, ga, &mut w);
-        prop_assert!(hima_tensor::vector::is_weighting(&w, 1e-4), "{:?}", w);
-    }
+        assert!(hima_tensor::vector::is_weighting(&w, 1e-4), "{:?}", w);
+    });
+}
 
-    #[test]
-    fn linkage_invariants_under_random_writes(n in 2usize..12, steps in 1usize..20, seed in 0u64..100) {
+#[test]
+fn linkage_invariants_under_random_writes() {
+    let draw = |g: &mut Gen| (g.range(2usize..12), g.range(1usize..20), g.range(0u64..100));
+    check("linkage_invariants_under_random_writes", 64, draw, |(n, steps, seed)| {
         let mut l = TemporalLinkage::new(n);
         for t in 0..steps {
             let mut w: Vec<f32> = (0..n)
@@ -96,12 +108,14 @@ proptest! {
             let s: f32 = w.iter().sum();
             if s > 1.0 { for x in &mut w { *x /= s; } }
             l.update(&w);
-            prop_assert!(l.check_invariants(1e-4), "step {}", t);
+            assert!(l.check_invariants(1e-4), "step {}", t);
         }
-    }
+    });
+}
 
-    #[test]
-    fn forward_backward_preserve_weighting_mass(n in 2usize..12, seed in 0u64..100) {
+#[test]
+fn forward_backward_preserve_weighting_mass() {
+    check("forward_backward_preserve_weighting_mass", 64, |g| (g.range(2usize..12), g.range(0u64..100)), |(n, seed)| {
         let mut l = TemporalLinkage::new(n);
         for t in 0..6 {
             let mut w = vec![0.0; n];
@@ -115,20 +129,25 @@ proptest! {
         l.backward_into(&r, &mut b);
         // L rows/cols sum to <= 1, so forward/backward of a weighting stays
         // sub-normalized.
-        prop_assert!(f.iter().sum::<f32>() <= 1.0 + 1e-4);
-        prop_assert!(b.iter().sum::<f32>() <= 1.0 + 1e-4);
-        prop_assert!(f.iter().all(|&x| x >= -1e-6));
-        prop_assert!(b.iter().all(|&x| x >= -1e-6));
-    }
+        assert!(f.iter().sum::<f32>() <= 1.0 + 1e-4);
+        assert!(b.iter().sum::<f32>() <= 1.0 + 1e-4);
+        assert!(f.iter().all(|&x| x >= -1e-6));
+        assert!(b.iter().all(|&x| x >= -1e-6));
+    });
+}
 
-    #[test]
-    fn interface_parse_always_well_formed(raw in prop::collection::vec(-50.0f32..50.0, 24)) {
+#[test]
+fn interface_parse_always_well_formed() {
+    check("interface_parse_always_well_formed", 64, |g| g.vec(24..=24, |g| g.range(-50.0f32..50.0)), |raw| {
         let iv = InterfaceVector::parse(&raw, 4, 1);
-        prop_assert!(iv.is_well_formed());
-    }
+        assert!(iv.is_well_formed());
+    });
+}
 
-    #[test]
-    fn memory_unit_invariants_under_random_interfaces(seed in 0u64..30, steps in 1usize..15) {
+#[test]
+fn memory_unit_invariants_under_random_interfaces() {
+    let draw = |g: &mut Gen| (g.range(0u64..30), g.range(1usize..15));
+    check("memory_unit_invariants_under_random_interfaces", 64, draw, |(seed, steps)| {
         let mut mu = MemoryUnit::new(MemoryConfig::new(12, 4, 2));
         let len = 4 * 2 + 3 * 4 + 5 * 2 + 3;
         for t in 0..steps {
@@ -137,18 +156,21 @@ proptest! {
                 .collect();
             let iv = InterfaceVector::parse(&raw, 4, 2);
             let out = mu.step(&iv);
-            prop_assert!(out.read_vectors.iter().flatten().all(|x| x.is_finite()));
-            prop_assert!(mu.check_invariants(1e-3), "step {}", t);
+            assert!(out.read_vectors.iter().flatten().all(|x| x.is_finite()));
+            assert!(mu.check_invariants(1e-3), "step {}", t);
         }
-    }
+    });
+}
 
-    #[test]
-    fn write_weighting_mass_conserved_under_random_gates(w_raw in weighting(8), gw in 0.0f32..1.0) {
+#[test]
+fn write_weighting_mass_conserved_under_random_gates() {
+    let draw = |g: &mut Gen| (weighting(g, 8), g.range(0.0f32..1.0));
+    check("write_weighting_mass_conserved_under_random_gates", 64, draw, |(w_raw, gw)| {
         // Memory write with weighting w then erase=1 should leave row i
         // scaled by (1 - w[i]); mass of write weighting bounded by gate.
         let scaled: Vec<f32> = w_raw.iter().map(|x| x * gw).collect();
-        prop_assert!(scaled.iter().sum::<f32>() <= 1.0 + 1e-5);
-    }
+        assert!(scaled.iter().sum::<f32>() <= 1.0 + 1e-5);
+    });
 }
 
 // --- Batched-kernel equivalence -----------------------------------------
@@ -181,14 +203,9 @@ fn block_at(streams: &[Vec<Vec<f32>>], t: usize) -> hima_tensor::Matrix {
     hima_tensor::Matrix::from_rows(&rows)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn batch_lstm_equals_per_lane_steps(
-        batch in prop::sample::select(vec![1usize, 3, 8]),
-        seed in 0u64..100,
-    ) {
+#[test]
+fn batch_lstm_equals_per_lane_steps() {
+    check("batch_lstm_equals_per_lane_steps", 12, |g| (g.pick(&[1usize, 3, 8]), g.range(0u64..100)), |(batch, seed)| {
         let lstm = hima_dnc::lstm::Lstm::new(5, 12, seed);
         let packed = hima_dnc::PackedLstm::new(5, 12, seed);
         let streams = lane_streams(batch, 5, 5, seed);
@@ -201,11 +218,11 @@ proptest! {
             packed.step_masked_into(&mut batch_states, &block_at(&streams, t), &mask, &mut scratch, &mut h);
             for (b, state) in lane_states.iter_mut().enumerate() {
                 let want = lstm.step_with_state(state, &streams[b][t]);
-                prop_assert!(
+                assert!(
                     hima_tensor::all_close(h.row(b), &want, hima_tensor::EPSILON),
                     "lane {} hidden diverged at t {}", b, t
                 );
             }
         }
-    }
+    });
 }

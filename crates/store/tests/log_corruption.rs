@@ -11,7 +11,7 @@
 use hima_store::{read_log, LogContents, LogWriter, StepRecord, StoreError};
 use hima_testkit::hostile::{byte_replacements, truncations, within, Xorshift};
 use hima_testkit::scratch;
-use proptest::prelude::*;
+use hima_testkit::cases::{check, Gen};
 use std::path::PathBuf;
 
 /// Deterministic step inputs; the value pattern includes negatives and
@@ -80,19 +80,14 @@ fn every_cut_and_replaced_byte_reads_the_whole_prefix_within_budget() {
     std::fs::remove_file(&path).ok();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    // Truncation at any byte offset: offsets inside the header are
-    // `Corrupt`; offsets at or past the header recover exactly the
-    // records that fit wholly in the prefix, flagging the tear iff one
-    // record is cut.
-    #[test]
-    fn truncation_recovers_the_longest_whole_prefix(
-        steps in 1u64..6,
-        width in 1usize..9,
-        frac in 0.0f64..1.0,
-    ) {
+// Truncation at any byte offset: offsets inside the header are
+// `Corrupt`; offsets at or past the header recover exactly the
+// records that fit wholly in the prefix, flagging the tear iff one
+// record is cut.
+#[test]
+fn truncation_recovers_the_longest_whole_prefix() {
+    let draw = |g: &mut Gen| (g.range(1u64..6), g.range(1usize..9), g.range(0.0f64..1.0));
+    check("truncation_recovers_the_longest_whole_prefix", 48, draw, |(steps, width, frac)| {
         let path = scratch("log-trunc");
         let bytes = build_log(&path, KEY, steps, width);
         let header_len = 8 + 4 + KEY.len();
@@ -102,34 +97,32 @@ proptest! {
 
         let got = read_log(&path);
         if cut < header_len {
-            prop_assert!(
+            assert!(
                 matches!(got, Err(StoreError::Corrupt { .. })),
                 "cut {cut} inside the header: {got:?}"
             );
         } else {
             let log = got.unwrap();
             let whole = (cut - header_len) / record_len;
-            prop_assert_eq!(log.steps.len(), whole, "cut at {cut}");
-            prop_assert_eq!(log.torn_tail, !(cut - header_len).is_multiple_of(record_len));
+            assert_eq!(log.steps.len(), whole, "cut at {cut}");
+            assert_eq!(log.torn_tail, !(cut - header_len).is_multiple_of(record_len));
             for (i, step) in log.steps.iter().enumerate() {
                 let seq = i as u64 + 1;
-                prop_assert_eq!(step.seq, seq);
-                prop_assert_eq!(&step.input, &input_row(seq, width));
+                assert_eq!(step.seq, seq);
+                assert_eq!(&step.input, &input_row(seq, width));
             }
         }
         std::fs::remove_file(&path).ok();
-    }
+    });
+}
 
-    // A single flipped bit anywhere past the header never panics and
-    // never corrupts a *prefix* silently: every record the reader does
-    // return is bit-identical to what was written.
-    #[test]
-    fn bit_flips_never_yield_wrong_records(
-        steps in 1u64..6,
-        width in 1usize..9,
-        frac in 0.0f64..1.0,
-        bit in 0u32..8,
-    ) {
+// A single flipped bit anywhere past the header never panics and
+// never corrupts a *prefix* silently: every record the reader does
+// return is bit-identical to what was written.
+#[test]
+fn bit_flips_never_yield_wrong_records() {
+    let draw = |g: &mut Gen| (g.range(1u64..6), g.range(1usize..9), g.range(0.0f64..1.0), g.range(0u32..8));
+    check("bit_flips_never_yield_wrong_records", 48, draw, |(steps, width, frac, bit)| {
         let path = scratch("log-flip");
         let mut bytes = build_log(&path, KEY, steps, width);
         let header_len = 8 + 4 + KEY.len();
@@ -142,27 +135,25 @@ proptest! {
         // a CRC, a payload byte, or cancel out into a still-valid
         // frame); what is pinned is that returned records are exact.
         if let Ok(log) = read_log(&path) {
-            prop_assert!(log.steps.len() <= steps as usize);
+            assert!(log.steps.len() <= steps as usize);
             for step in &log.steps {
-                prop_assert_eq!(&step.input, &input_row(step.seq, width), "seq {}", step.seq);
+                assert_eq!(&step.input, &input_row(step.seq, width), "seq {}", step.seq);
             }
         }
         std::fs::remove_file(&path).ok();
-    }
+    });
+}
 
-    // A forged length field — any value, including ones whose `n * 4`
-    // wraps a 32-bit usize and ones far past the allocation cap — stops
-    // the reader at the forgery with the prior records intact. The
-    // reader must bound-check before allocating, so this also pins
-    // "never allocate `len` bytes up front".
-    #[test]
-    fn forged_length_fields_stop_cleanly_at_the_forgery(
-        steps in 1u64..5,
-        width in 1usize..9,
-        forged in prop::sample::select(vec![
-            0u32, 1, 11, 64 << 20, (64 << 20) + 1, 1 << 30, u32::MAX / 4, u32::MAX,
-        ]),
-    ) {
+// A forged length field — any value, including ones whose `n * 4`
+// wraps a 32-bit usize and ones far past the allocation cap — stops
+// the reader at the forgery with the prior records intact. The
+// reader must bound-check before allocating, so this also pins
+// "never allocate `len` bytes up front".
+#[test]
+fn forged_length_fields_stop_cleanly_at_the_forgery() {
+    const FORGED: [u32; 8] = [0, 1, 11, 64 << 20, (64 << 20) + 1, 1 << 30, u32::MAX / 4, u32::MAX];
+    let draw = |g: &mut Gen| (g.range(1u64..5), g.range(1usize..9), g.pick(&FORGED));
+    check("forged_length_fields_stop_cleanly_at_the_forgery", 48, draw, |(steps, width, forged)| {
         let path = scratch("log-forge");
         let bytes = build_log(&path, KEY, steps, width);
         let mut forged_bytes = bytes;
@@ -173,22 +164,21 @@ proptest! {
         std::fs::write(&path, &forged_bytes).unwrap();
 
         let log = read_log(&path).unwrap();
-        prop_assert_eq!(log.steps.len(), steps as usize);
-        prop_assert!(log.torn_tail, "forged length {forged} not flagged as a torn tail");
+        assert_eq!(log.steps.len(), steps as usize);
+        assert!(log.torn_tail, "forged length {forged} not flagged as a torn tail");
         for (i, step) in log.steps.iter().enumerate() {
-            prop_assert_eq!(&step.input, &input_row(i as u64 + 1, width));
+            assert_eq!(&step.input, &input_row(i as u64 + 1, width));
         }
         std::fs::remove_file(&path).ok();
-    }
+    });
+}
 
-    // Appending garbage of any shape after a valid log keeps the valid
-    // records readable — recovery is monotone in the intact prefix.
-    #[test]
-    fn garbage_tails_keep_the_valid_prefix(
-        steps in 1u64..5,
-        width in 1usize..9,
-        garbage in prop::collection::vec(0u32..256, 1..40),
-    ) {
+// Appending garbage of any shape after a valid log keeps the valid
+// records readable — recovery is monotone in the intact prefix.
+#[test]
+fn garbage_tails_keep_the_valid_prefix() {
+    let draw = |g: &mut Gen| (g.range(1u64..5), g.range(1usize..9), g.vec(1..40, |g| g.range(0u32..256)));
+    check("garbage_tails_keep_the_valid_prefix", 48, draw, |(steps, width, garbage)| {
         let path = scratch("log-tail");
         let mut bytes = build_log(&path, KEY, steps, width);
         bytes.extend(garbage.iter().map(|&b| b as u8));
@@ -198,11 +188,11 @@ proptest! {
             // The garbage may parse as a frame only if its CRC happens
             // to validate — astronomically unlikely at 48 cases; every
             // genuine record must survive regardless.
-            prop_assert!(log.steps.len() >= steps as usize);
+            assert!(log.steps.len() >= steps as usize);
             for (i, step) in log.steps.iter().take(steps as usize).enumerate() {
-                prop_assert_eq!(&step.input, &input_row(i as u64 + 1, width));
+                assert_eq!(&step.input, &input_row(i as u64 + 1, width));
             }
         }
         std::fs::remove_file(&path).ok();
-    }
+    });
 }

@@ -26,7 +26,6 @@
 pub mod babi_format;
 pub mod episode;
 pub mod eval;
-pub mod strategies;
 pub mod tasks;
 pub mod train;
 

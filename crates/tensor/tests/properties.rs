@@ -1,83 +1,101 @@
 //! Property-based tests for the tensor substrate.
 
 use hima_tensor::{fixed::QFormat, matrix::Matrix, softmax::PlaSoftmax, vector, softmax};
-use proptest::prelude::*;
+use hima_testkit::cases::{check, Gen};
 
-fn small_f32() -> impl Strategy<Value = f32> {
+fn small_f32(g: &mut Gen) -> f32 {
     // Bounded values keep float associativity error far below test tolerances.
-    (-100.0f32..100.0).prop_map(|x| (x * 16.0).round() / 16.0)
+    (g.range(-100.0f32..100.0) * 16.0).round() / 16.0
 }
 
-fn vec_f32(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
-    prop::collection::vec(small_f32(), len)
+fn vec_f32(g: &mut Gen, len: std::ops::Range<usize>) -> Vec<f32> {
+    g.vec(len, small_f32)
 }
 
-proptest! {
-    #[test]
-    fn transpose_is_involution(rows in 1usize..8, cols in 1usize..8, seed in 0u64..1000) {
+#[test]
+fn transpose_is_involution() {
+    let draw = |g: &mut Gen| (g.range(1usize..8), g.range(1usize..8), g.range(0u64..1000));
+    check("transpose_is_involution", 64, draw, |(rows, cols, seed)| {
         let m = Matrix::from_fn(rows, cols, |i, j| ((i * 31 + j * 17 + seed as usize) % 97) as f32 - 48.0);
-        prop_assert_eq!(m.transpose().transpose(), m);
-    }
+        assert_eq!(m.transpose().transpose(), m);
+    });
+}
 
-    #[test]
-    fn matvec_t_agrees_with_explicit_transpose(rows in 1usize..10, cols in 1usize..10, seed in 0u64..1000) {
+#[test]
+fn matvec_t_agrees_with_explicit_transpose() {
+    let draw = |g: &mut Gen| (g.range(1usize..10), g.range(1usize..10), g.range(0u64..1000));
+    check("matvec_t_agrees_with_explicit_transpose", 64, draw, |(rows, cols, seed)| {
         let m = Matrix::from_fn(rows, cols, |i, j| ((i * 13 + j * 7 + seed as usize) % 51) as f32 * 0.125 - 3.0);
         let v: Vec<f32> = (0..rows).map(|i| ((i * 29 + seed as usize) % 23) as f32 * 0.25 - 2.0).collect();
         let a = m.matvec_t(&v);
         let b = m.transpose().matvec(&v);
-        prop_assert!(hima_tensor::all_close(&a, &b, 1e-3));
-    }
+        assert!(hima_tensor::all_close(&a, &b, 1e-3));
+    });
+}
 
-    #[test]
-    fn matmul_distributes_over_add(n in 1usize..6, seed in 0u64..500) {
+#[test]
+fn matmul_distributes_over_add() {
+    check("matmul_distributes_over_add", 64, |g| (g.range(1usize..6), g.range(0u64..500)), |(n, seed)| {
         let a = Matrix::from_fn(n, n, |i, j| ((i + 3 * j + seed as usize) % 11) as f32 - 5.0);
         let b = Matrix::from_fn(n, n, |i, j| ((2 * i + j + seed as usize) % 7) as f32 - 3.0);
         let c = Matrix::from_fn(n, n, |i, j| ((i * j + seed as usize) % 5) as f32 - 2.0);
         let lhs = a.matmul(&Matrix::from_vec(n, n, vector::add(b.as_slice(), c.as_slice())));
         let rhs = vector::add(a.matmul(&b).as_slice(), a.matmul(&c).as_slice());
-        prop_assert!(hima_tensor::all_close(lhs.as_slice(), &rhs, 1e-3));
-    }
+        assert!(hima_tensor::all_close(lhs.as_slice(), &rhs, 1e-3));
+    });
+}
 
-    #[test]
-    fn softmax_is_a_distribution(xs in vec_f32(1..32)) {
+#[test]
+fn softmax_is_a_distribution() {
+    check("softmax_is_a_distribution", 64, |g| vec_f32(g, 1..32), |xs| {
         let p = softmax(&xs);
-        prop_assert_eq!(p.len(), xs.len());
-        prop_assert!(p.iter().all(|&x| (0.0..=1.0 + 1e-6).contains(&x)));
-        prop_assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-4);
-    }
+        assert_eq!(p.len(), xs.len());
+        assert!(p.iter().all(|&x| (0.0..=1.0 + 1e-6).contains(&x)));
+        assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-4);
+    });
+}
 
-    #[test]
-    fn softmax_preserves_argmax(xs in vec_f32(2..16)) {
+#[test]
+fn softmax_preserves_argmax() {
+    check("softmax_preserves_argmax", 64, |g| vec_f32(g, 2..16), |xs| {
         let p = softmax(&xs);
         let argmax_x = (0..xs.len()).max_by(|&a, &b| xs[a].partial_cmp(&xs[b]).unwrap()).unwrap();
         let argmax_p = (0..p.len()).max_by(|&a, &b| p[a].partial_cmp(&p[b]).unwrap()).unwrap();
-        prop_assert!((xs[argmax_x] - xs[argmax_p]).abs() < 1e-6);
-    }
+        assert!((xs[argmax_x] - xs[argmax_p]).abs() < 1e-6);
+    });
+}
 
-    #[test]
-    fn pla_softmax_is_a_distribution(xs in vec_f32(1..32)) {
+#[test]
+fn pla_softmax_is_a_distribution() {
+    check("pla_softmax_is_a_distribution", 64, |g| vec_f32(g, 1..32), |xs| {
         let p = PlaSoftmax::default().softmax(&xs);
-        prop_assert!(p.iter().all(|&x| (0.0..=1.0 + 1e-5).contains(&x)));
-        prop_assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-4);
-    }
+        assert!(p.iter().all(|&x| (0.0..=1.0 + 1e-5).contains(&x)));
+        assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-4);
+    });
+}
 
-    #[test]
-    fn pla_softmax_tracks_exact(xs in prop::collection::vec(-4.0f32..4.0, 2..16)) {
+#[test]
+fn pla_softmax_tracks_exact() {
+    check("pla_softmax_tracks_exact", 64, |g| g.vec(2..16, |g| g.range(-4.0f32..4.0)), |xs| {
         let exact = softmax(&xs);
         let approx = PlaSoftmax::default().softmax(&xs);
         for (e, a) in exact.iter().zip(&approx) {
-            prop_assert!((e - a).abs() < 0.03, "exact {} vs approx {}", e, a);
+            assert!((e - a).abs() < 0.03, "exact {} vs approx {}", e, a);
         }
-    }
+    });
+}
 
-    #[test]
-    fn fixed_round_trip_error_bounded(x in -30000.0f32..30000.0) {
+#[test]
+fn fixed_round_trip_error_bounded() {
+    check("fixed_round_trip_error_bounded", 64, |g| g.range(-30000.0f32..30000.0), |x| {
         let q = QFormat::q16_16();
-        prop_assert!((q.quantize(x) - x).abs() <= q.resolution());
-    }
+        assert!((q.quantize(x) - x).abs() <= q.resolution());
+    });
+}
 
-    #[test]
-    fn fixed_mul_error_bounded(a in -100.0f32..100.0, b in -100.0f32..100.0) {
+#[test]
+fn fixed_mul_error_bounded() {
+    check("fixed_mul_error_bounded", 64, |g| (g.range(-100.0f32..100.0), g.range(-100.0f32..100.0)), |(a, b)| {
         // Datapath arithmetic: `f32` on quantized operands, then the
         // rounding.
         let q = QFormat::q16_16();
@@ -85,16 +103,19 @@ proptest! {
         // Error ≤ input quantization amplified by the operand magnitudes
         // plus one output rounding step.
         let bound = q.resolution() * (a.abs() + b.abs() + 1.0);
-        prop_assert!((prod - a * b).abs() <= bound, "{} * {} = {} (err bound {})", a, b, prod, bound);
-    }
+        assert!((prod - a * b).abs() <= bound, "{} * {} = {} (err bound {})", a, b, prod, bound);
+    });
+}
 
-    #[test]
-    fn row_norms_nonnegative(rows in 1usize..8, cols in 1usize..8, seed in 0u64..100) {
+#[test]
+fn row_norms_nonnegative() {
+    let draw = |g: &mut Gen| (g.range(1usize..8), g.range(1usize..8), g.range(0u64..100));
+    check("row_norms_nonnegative", 64, draw, |(rows, cols, seed)| {
         let m = Matrix::from_fn(rows, cols, |i, j| ((i * 7 + j * 3 + seed as usize) % 19) as f32 - 9.0);
         for n in m.row_norms() {
-            prop_assert!(n >= 0.0);
+            assert!(n >= 0.0);
         }
-    }
+    });
 }
 
 // --- Batched row-block kernels ------------------------------------------
@@ -104,57 +125,62 @@ proptest! {
 // equivalents (`matmul_nt` vs repeated `matvec`, row-broadcast bias vs
 // scalar adds).
 
-proptest! {
-    #[test]
-    fn matmul_nt_equals_repeated_matvec(
-        b in prop::sample::select(vec![1usize, 3, 8]),
-        n in 1usize..8,
-        k in 1usize..8,
-        seed in 0u64..200,
-    ) {
+#[test]
+fn matmul_nt_equals_repeated_matvec() {
+    let draw = |g: &mut Gen| (g.pick(&[1usize, 3, 8]), g.range(1usize..8), g.range(1usize..8), g.range(0u64..200));
+    check("matmul_nt_equals_repeated_matvec", 64, draw, |(b, n, k, seed)| {
         let x = Matrix::from_fn(b, k, |i, j| ((i * 31 + j * 7 + seed as usize) % 23) as f32 * 0.25 - 2.0);
         let w = Matrix::from_fn(n, k, |i, j| ((i * 13 + j * 11 + seed as usize) % 19) as f32 * 0.125 - 1.0);
         let out = x.matmul_nt(&w);
-        prop_assert_eq!(out.shape(), (b, n));
+        assert_eq!(out.shape(), (b, n));
         for lane in 0..b {
             let want = w.matvec(x.row(lane));
-            prop_assert_eq!(out.row(lane), &want[..], "lane {} differs", lane);
+            assert_eq!(out.row(lane), &want[..], "lane {} differs", lane);
         }
-    }
+    });
+}
 
-    #[test]
-    fn matmul_nt_equals_matmul_of_transpose(n in 1usize..7, k in 1usize..7, seed in 0u64..100) {
+#[test]
+fn matmul_nt_equals_matmul_of_transpose() {
+    let draw = |g: &mut Gen| (g.range(1usize..7), g.range(1usize..7), g.range(0u64..100));
+    check("matmul_nt_equals_matmul_of_transpose", 64, draw, |(n, k, seed)| {
         let a = Matrix::from_fn(n, k, |i, j| ((i * 5 + j * 3 + seed as usize) % 13) as f32 - 6.0);
         let bm = Matrix::from_fn(n, k, |i, j| ((i * 7 + j * 11 + seed as usize) % 17) as f32 - 8.0);
         let fast = a.matmul_nt(&bm);
         let slow = a.matmul(&bm.transpose());
-        prop_assert!(hima_tensor::all_close(fast.as_slice(), slow.as_slice(), 1e-3));
-    }
+        assert!(hima_tensor::all_close(fast.as_slice(), slow.as_slice(), 1e-3));
+    });
+}
 
-    #[test]
-    fn hcat_preserves_rows(rows in 1usize..6, ca in 1usize..6, cb in 1usize..6, seed in 0u64..50) {
+#[test]
+fn hcat_preserves_rows() {
+    let draw = |g: &mut Gen| (g.range(1usize..6), g.range(1usize..6), g.range(1usize..6), g.range(0u64..50));
+    check("hcat_preserves_rows", 64, draw, |(rows, ca, cb, seed)| {
         let a = Matrix::from_fn(rows, ca, |i, j| (i * 10 + j + seed as usize) as f32);
         let b = Matrix::from_fn(rows, cb, |i, j| -((i * 10 + j + seed as usize) as f32));
         let c = Matrix::hcat(&a, &b);
-        prop_assert_eq!(c.shape(), (rows, ca + cb));
+        assert_eq!(c.shape(), (rows, ca + cb));
         for i in 0..rows {
-            prop_assert_eq!(&c.row(i)[..ca], a.row(i));
-            prop_assert_eq!(&c.row(i)[ca..], b.row(i));
+            assert_eq!(&c.row(i)[..ca], a.row(i));
+            assert_eq!(&c.row(i)[ca..], b.row(i));
         }
-    }
+    });
+}
 
-    #[test]
-    fn add_row_inplace_broadcasts(rows in 1usize..6, cols in 1usize..8, seed in 0u64..50) {
+#[test]
+fn add_row_inplace_broadcasts() {
+    let draw = |g: &mut Gen| (g.range(1usize..6), g.range(1usize..8), g.range(0u64..50));
+    check("add_row_inplace_broadcasts", 64, draw, |(rows, cols, seed)| {
         let mut m = Matrix::from_fn(rows, cols, |i, j| (i * 3 + j + seed as usize) as f32);
         let bias: Vec<f32> = (0..cols).map(|j| j as f32 * 0.5 - 1.0).collect();
         let before = m.clone();
         m.add_row_inplace_masked(&bias, &hima_tensor::LaneMask::full(rows));
         for i in 0..rows {
             for j in 0..cols {
-                prop_assert_eq!(m[(i, j)], before[(i, j)] + bias[j]);
+                assert_eq!(m[(i, j)], before[(i, j)] + bias[j]);
             }
         }
-    }
+    });
 }
 
 // --- Transcendentals ------------------------------------------------------
@@ -171,8 +197,8 @@ use hima_tensor::transcend::{
     EXP_HI, EXP_LO,
 };
 
-fn any_f32(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
-    prop::collection::vec((0u32..u32::MAX).prop_map(f32::from_bits), len)
+fn any_f32(g: &mut Gen, len: std::ops::Range<usize>) -> Vec<f32> {
+    g.vec(len, |g| f32::from_bits(g.range(0u32..u32::MAX)))
 }
 
 /// Equal bits, or both NaN (payloads are no kernel's contract).
@@ -181,45 +207,49 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
         && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
 
-proptest! {
-    // Arbitrary bit patterns are mostly huge or tiny magnitudes; the cases
-    // are cheap, so run enough of them to land on the interesting ones.
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn pointwise_slices_equal_the_scalar_functions_on_any_bits(xs in any_f32(0..41)) {
+// Arbitrary bit patterns are mostly huge or tiny magnitudes; the cases
+// are cheap, so the tests below run enough of them (512) to land on the
+// interesting ones.
+#[test]
+fn pointwise_slices_equal_the_scalar_functions_on_any_bits() {
+    check("pointwise_slices_equal_the_scalar_functions_on_any_bits", 512, |g| any_f32(g, 0..41), |xs| {
         let mut got = vec![0.0; xs.len()];
         sigmoid_into(&xs, &mut got);
         let want: Vec<f32> = xs.iter().map(|&x| sigmoid(x)).collect();
-        prop_assert!(same_bits(&got, &want), "sigmoid_into {:?} -> {:?} vs {:?}", xs, got, want);
+        assert!(same_bits(&got, &want), "sigmoid_into {:?} -> {:?} vs {:?}", xs, got, want);
         oneplus_into(&xs, &mut got);
         let want: Vec<f32> = xs.iter().map(|&x| oneplus(x)).collect();
-        prop_assert!(same_bits(&got, &want), "oneplus_into {:?} -> {:?} vs {:?}", xs, got, want);
-    }
+        assert!(same_bits(&got, &want), "oneplus_into {:?} -> {:?} vs {:?}", xs, got, want);
+    });
+}
 
-    #[test]
-    fn every_function_keeps_its_range_and_its_edges_on_any_bits(bits in 0u32..u32::MAX) {
+#[test]
+fn every_function_keeps_its_range_and_its_edges_on_any_bits() {
+    check("every_function_keeps_its_range_and_its_edges_on_any_bits", 512, |g| g.range(0u32..u32::MAX), |bits| {
         let x = f32::from_bits(bits);
         if x.is_nan() {
-            prop_assert!([exp(x), sigmoid(x), tanh(x), softplus(x), oneplus(x)].iter().all(|y| y.is_nan()));
+            assert!([exp(x), sigmoid(x), tanh(x), softplus(x), oneplus(x)].iter().all(|y| y.is_nan()));
             return;
         }
         let e = exp(x);
-        prop_assert_eq!(e == 0.0, x < EXP_LO, "exp({:e}) = {:e}", x, e);
-        prop_assert_eq!(e == f32::INFINITY, x > EXP_HI, "exp({:e}) = {:e}", x, e);
-        prop_assert!(e == 0.0 || e == f32::INFINITY || e.is_normal(), "exp({:e}) = {:e}", x, e);
-        prop_assert!((0.0..=1.0).contains(&sigmoid(x)), "sigmoid({:e})", x);
+        assert_eq!(e == 0.0, x < EXP_LO, "exp({:e}) = {:e}", x, e);
+        assert_eq!(e == f32::INFINITY, x > EXP_HI, "exp({:e}) = {:e}", x, e);
+        assert!(e == 0.0 || e == f32::INFINITY || e.is_normal(), "exp({:e}) = {:e}", x, e);
+        assert!((0.0..=1.0).contains(&sigmoid(x)), "sigmoid({:e})", x);
         let t = tanh(x);
-        prop_assert!(t.abs() <= 1.0, "tanh({:e}) = {:e}", x, t);
-        prop_assert_eq!(t.is_sign_negative(), x.is_sign_negative(), "tanh({:e}) = {:e}", x, t);
-        prop_assert_eq!(tanh(-x).to_bits(), (-t).to_bits(), "tanh is odd at {:e}", x);
+        assert!(t.abs() <= 1.0, "tanh({:e}) = {:e}", x, t);
+        assert_eq!(t.is_sign_negative(), x.is_sign_negative(), "tanh({:e}) = {:e}", x, t);
+        assert_eq!(tanh(-x).to_bits(), (-t).to_bits(), "tanh is odd at {:e}", x);
         let s = softplus(x);
-        prop_assert!(s >= 0.0, "softplus({:e}) = {:e}", x, s);
-        prop_assert_eq!(oneplus(x).to_bits(), (1.0 + s).to_bits());
-    }
+        assert!(s >= 0.0, "softplus({:e}) = {:e}", x, s);
+        assert_eq!(oneplus(x).to_bits(), (1.0 + s).to_bits());
+    });
+}
 
-    #[test]
-    fn lstm_gates_equals_the_scalar_loop_on_any_bits(h in 0usize..21, seed in any_f32(105..106)) {
+#[test]
+fn lstm_gates_equals_the_scalar_loop_on_any_bits() {
+    let draw = |g: &mut Gen| (g.range(0usize..21), any_f32(g, 105..106));
+    check("lstm_gates_equals_the_scalar_loop_on_any_bits", 512, draw, |(h, seed)| {
         let (pre, cell) = (&seed[..4 * h], &seed[84..84 + h]);
         let (mut c_got, mut h_got) = (cell.to_vec(), vec![0.0; h]);
         lstm_gates(pre, &mut c_got, &mut h_got);
@@ -228,12 +258,14 @@ proptest! {
             c_want[j] = sigmoid(pre[h + j]) * cell[j] + sigmoid(pre[j]) * tanh(pre[2 * h + j]);
             h_want[j] = sigmoid(pre[3 * h + j]) * tanh(c_want[j]);
         }
-        prop_assert!(same_bits(&c_got, &c_want), "cell, H={}", h);
-        prop_assert!(same_bits(&h_got, &h_want), "hidden, H={}", h);
-    }
+        assert!(same_bits(&c_got, &c_want), "cell, H={}", h);
+        assert!(same_bits(&h_got, &h_want), "hidden, H={}", h);
+    });
+}
 
-    #[test]
-    fn softmax_is_the_documented_sum_order_over_the_scalar_exp(xs in vec_f32(0..41)) {
+#[test]
+fn softmax_is_the_documented_sum_order_over_the_scalar_exp() {
+    check("softmax_is_the_documented_sum_order_over_the_scalar_exp", 512, |g| vec_f32(g, 0..41), |xs| {
         let mut got = xs.clone();
         softmax_inplace(&mut got);
         // The definition: exp(x − max); eight lane-wise partial sums over
@@ -250,19 +282,21 @@ proptest! {
             total += v;
         }
         let want: Vec<f32> = e.iter().map(|&v| v / total).collect();
-        prop_assert!(same_bits(&got, &want), "{:?} -> {:?} vs {:?}", xs, got, want);
-    }
+        assert!(same_bits(&got, &want), "{:?} -> {:?} vs {:?}", xs, got, want);
+    });
+}
 
-    #[test]
-    fn softmax_of_any_bits_is_a_distribution_or_all_nan(xs in any_f32(1..41)) {
+#[test]
+fn softmax_of_any_bits_is_a_distribution_or_all_nan() {
+    check("softmax_of_any_bits_is_a_distribution_or_all_nan", 512, |g| any_f32(g, 1..41), |xs| {
         let mut p = xs.clone();
         softmax_inplace(&mut p);
         let defined = xs.iter().all(|x| x.is_finite());
         if defined {
-            prop_assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)), "{:?} -> {:?}", xs, p);
-            prop_assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-4, "{:?} -> {:?}", xs, p);
+            assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)), "{:?} -> {:?}", xs, p);
+            assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-4, "{:?} -> {:?}", xs, p);
         } else if xs.iter().any(|x| x.is_nan()) {
-            prop_assert!(p.iter().all(|x| x.is_nan()), "{:?} -> {:?}", xs, p);
+            assert!(p.iter().all(|x| x.is_nan()), "{:?} -> {:?}", xs, p);
         }
-    }
+    });
 }

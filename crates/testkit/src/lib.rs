@@ -11,11 +11,18 @@
 //!   bounded waits, and a clock that moves only when the test moves it,
 //! * [`hostile`] — the harness of the decoder suites,
 //! * [`reference`](mod@reference) — the sequential model the engine suites compare
-//!   against.
+//!   against,
+//! * [`cases`] — the one generated-case engine: seeded, shrinking,
+//!   replayable by re-running the test — and [`ragged_episodes`], the
+//!   ragged episode sets the ragged conformance suites draw with it.
 
 mod batch;
+pub mod cases;
 pub mod hostile;
 pub mod reference;
+mod strategies;
+
+pub use strategies::ragged_episodes;
 
 use hima_dnc::{Datapath, DncParams, EngineBuilder, EngineSpec};
 use hima_tensor::{Backend, Matrix, QFormat};

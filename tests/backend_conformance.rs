@@ -20,11 +20,11 @@
 use hima::dnc::allocation::SkimRate;
 use hima::dnc::{Datapath, DncParams, EngineBuilder, EngineSpec};
 use hima::tasks::episode::{masked_step_block, max_len};
-use hima::tasks::strategies::ragged_episodes;
 use hima::tasks::tasks::TOKEN_WIDTH;
 use hima::tasks::Episode;
 use hima::tensor::{Backend, QFormat};
-use proptest::prelude::*;
+use hima_testkit::cases::{check, Gen};
+use hima_testkit::ragged_episodes;
 
 const BATCHES: [usize; 3] = [1, 3, 8];
 const SEED: u64 = 43;
@@ -86,34 +86,30 @@ fn assert_blocked_tracks_scalar(spec: EngineSpec, episodes: &[Episode]) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    #[test]
-    fn blocked_tier_tracks_scalar_across_the_axis_grid(
-        episodes_b3 in ragged_episodes(3..=3, 2..=8),
-        episodes_b8 in ragged_episodes(8..=8, 2..=9),
-        episodes_b1 in ragged_episodes(1..=1, 2..=8),
-    ) {
-        for episodes in [&episodes_b1, &episodes_b3, &episodes_b8] {
-            prop_assert!(BATCHES.contains(&episodes.len()));
+#[test]
+fn blocked_tier_tracks_scalar_across_the_axis_grid() {
+    let draw = |g: &mut Gen| {
+        [ragged_episodes(g, 1..=1, 2..=8), ragged_episodes(g, 3..=3, 2..=8), ragged_episodes(g, 8..=8, 2..=9)]
+    };
+    check("blocked_tier_tracks_scalar_across_the_axis_grid", 3, draw, |sets| {
+        for episodes in &sets {
+            assert!(BATCHES.contains(&episodes.len()));
             for spec in specs() {
                 assert_blocked_tracks_scalar(spec, episodes);
             }
         }
-    }
+    });
 }
 
 #[test]
 fn uniform_batches_track_too() {
     // The fully-active mask is the uniform fast path; pin it separately
-    // from the proptest ragged sets with a deterministic episode batch.
-    use proptest::strategy::Strategy as _;
-    let episodes =
-        ragged_episodes(4..=4, 6..=6).generate(&mut proptest::test_runner::rng_for("uniform"));
-    for spec in specs() {
-        assert_blocked_tracks_scalar(spec, &episodes);
-    }
+    // from the generated ragged sets with a deterministic episode batch.
+    check("uniform_batches_track_too", 1, |g| ragged_episodes(g, 4..=4, 6..=6), |episodes| {
+        for spec in specs() {
+            assert_blocked_tracks_scalar(spec, &episodes);
+        }
+    });
 }
 
 #[test]
@@ -121,19 +117,14 @@ fn scalar_backend_is_the_default_and_bit_stable() {
     // The default spec carries the `Scalar` label, and setting it
     // explicitly is the very same engine.
     assert_eq!(EngineSpec::default().backend, Backend::Scalar);
-    use proptest::strategy::Strategy as _;
-    let episodes =
-        ragged_episodes(3..=3, 2..=6).generate(&mut proptest::test_runner::rng_for("default"));
-    let steps = max_len(&episodes).unwrap();
-    let mut implicit = builder(EngineSpec::monolithic()).lanes(3).build();
-    let mut explicit =
-        builder(EngineSpec::monolithic().with_backend(Backend::Scalar)).lanes(3).build();
-    for t in 0..steps {
-        let (block, mask) = masked_step_block(&episodes, t);
-        assert_eq!(
-            implicit.step_batch_masked(&block, &mask),
-            explicit.step_batch_masked(&block, &mask),
-            "t {t}"
-        );
-    }
+    let draw = |g: &mut Gen| ragged_episodes(g, 3..=3, 2..=6);
+    check("scalar_backend_is_the_default_and_bit_stable", 1, draw, |episodes| {
+        let steps = max_len(&episodes).unwrap();
+        let mut implicit = builder(EngineSpec::monolithic()).lanes(3).build();
+        let mut explicit = builder(EngineSpec::monolithic().with_backend(Backend::Scalar)).lanes(3).build();
+        for t in 0..steps {
+            let (block, mask) = masked_step_block(&episodes, t);
+            assert_eq!(implicit.step_batch_masked(&block, &mask), explicit.step_batch_masked(&block, &mask), "t {t}");
+        }
+    });
 }

@@ -10,7 +10,7 @@
 //!   batch under per-step [`LaneMask`]s reproduces `B` independent
 //!   `lanes(1)` engines bit for bit, across topology (monolithic |
 //!   sharded) × datapath (f32 | Q16.16) × skim × B ∈ {1, 3, 8}, on
-//!   proptest-generated ragged episode sets,
+//!   generated ragged episode sets,
 //! * **harness routing** — `episode_features` / `collect_query_samples`
 //!   / `readout_accuracy` drive ragged lists through the masked batched
 //!   grid (no single-lane fallback) and equal the sequential
@@ -18,19 +18,19 @@
 //! * **determinism** — masked lane/shard fan-out never perturbs results
 //!   across rayon thread counts.
 //!
-//! Inputs come from the shared strategy module
-//! (`hima_tasks::strategies`), so this suite and the dnc suite sample the
-//! same ragged distribution.
+//! Inputs come from the test kit's shared generator
+//! (`hima_testkit::ragged_episodes`, drawn by `hima_testkit::cases`), so
+//! this suite and the dnc suite sample the same ragged distribution.
 
 use hima::dnc::allocation::SkimRate;
 use hima::dnc::{Datapath, DncParams, EngineBuilder, EngineSpec};
 use hima::tasks::episode::{masked_step_block, max_len, uniform_len};
-use hima::tasks::strategies::ragged_episodes;
 use hima::tasks::tasks::TOKEN_WIDTH;
 use hima::tasks::train::{episode_features, sequential_episode_features};
 use hima::tasks::Episode;
 use hima::tensor::{LaneMask, Matrix, QFormat};
-use proptest::prelude::*;
+use hima_testkit::cases::{check, Gen};
+use hima_testkit::ragged_episodes;
 
 const BATCHES: [usize; 3] = [1, 3, 8];
 const SEED: u64 = 41;
@@ -103,45 +103,46 @@ fn assert_grid_matches_solo(spec: EngineSpec, episodes: &[Episode]) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+/// One ragged set at each `B` of [`BATCHES`], in order.
+fn batches(g: &mut Gen) -> [Vec<Episode>; 3] {
+    [ragged_episodes(g, 1..=1, 2..=8), ragged_episodes(g, 3..=3, 2..=8), ragged_episodes(g, 8..=8, 2..=9)]
+}
 
-    #[test]
-    fn masked_grid_is_bit_identical_to_solo_engines_across_the_axis_grid(
-        episodes_b3 in ragged_episodes(3..=3, 2..=8),
-        episodes_b8 in ragged_episodes(8..=8, 2..=9),
-        episodes_b1 in ragged_episodes(1..=1, 2..=8),
-    ) {
-        for episodes in [&episodes_b1, &episodes_b3, &episodes_b8] {
-            prop_assert!(BATCHES.contains(&episodes.len()));
+#[test]
+fn masked_grid_is_bit_identical_to_solo_engines_across_the_axis_grid() {
+    check("masked_grid_is_bit_identical_to_solo_engines_across_the_axis_grid", 4, batches, |sets| {
+        for episodes in &sets {
+            assert!(BATCHES.contains(&episodes.len()));
             for spec in specs() {
                 assert_grid_matches_solo(spec, episodes);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn harness_features_route_ragged_lists_through_the_masked_grid(
-        episodes in ragged_episodes(3..=8, 2..=9),
-    ) {
+#[test]
+fn harness_features_route_ragged_lists_through_the_masked_grid() {
+    let draw = |g: &mut Gen| ragged_episodes(g, 3..=8, 2..=9);
+    check("harness_features_route_ragged_lists_through_the_masked_grid", 4, draw, |episodes| {
         // eval/train share this path (`collect_reads` == episode_features);
         // there is no single-lane fallback left to fall into.
         for spec in [EngineSpec::monolithic(), EngineSpec::sharded(4)] {
             let b = builder(spec);
             let batched = episode_features(&b, &episodes);
             for (lane, e) in episodes.iter().enumerate() {
-                prop_assert_eq!(batched[lane].len(), e.len(), "one row per real step");
+                assert_eq!(batched[lane].len(), e.len(), "one row per real step");
             }
             let mut single = b.clone().lanes(1).build();
             let sequential = sequential_episode_features(&mut single, &episodes);
-            prop_assert_eq!(&batched, &sequential, "{}", spec.label());
+            assert_eq!(&batched, &sequential, "{}", spec.label());
         }
-    }
+    });
+}
 
-    #[test]
-    fn masked_grid_is_deterministic_across_thread_counts(
-        episodes in ragged_episodes(6..=6, 2..=8),
-    ) {
+#[test]
+fn masked_grid_is_deterministic_across_thread_counts() {
+    let draw = |g: &mut Gen| ragged_episodes(g, 6..=6, 2..=8);
+    check("masked_grid_is_deterministic_across_thread_counts", 4, draw, |episodes| {
         let run = |threads: usize| -> Vec<Matrix> {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -158,8 +159,8 @@ proptest! {
                         .collect()
                 })
         };
-        prop_assert_eq!(run(1), run(4));
-    }
+        assert_eq!(run(1), run(4));
+    });
 }
 
 #[test]
@@ -176,23 +177,18 @@ fn uniform_sets_still_take_the_historical_lock_step_path() {
     // A degenerate ragged set (all lengths equal) must behave exactly
     // like the uniform fast path always did: fully-active masks, and
     // step_batch_masked ≡ step_batch.
-    let episodes = {
-        use proptest::strategy::Strategy as _;
-        ragged_episodes(4..=4, 6..=6).generate(&mut proptest::test_runner::rng_for("uniform"))
-    };
-    assert_eq!(uniform_len(&episodes), Some(6));
-    let spec = EngineSpec::sharded(2);
-    let mut masked = builder(spec).lanes(4).build();
-    let mut plain = builder(spec).lanes(4).build();
-    for t in 0..6 {
-        let (block, mask) = masked_step_block(&episodes, t);
-        assert!(mask.is_full());
-        assert_eq!(
-            masked.step_batch_masked(&block, &mask),
-            plain.step_batch(&block),
-            "t {t}"
-        );
-    }
+    let draw = |g: &mut Gen| ragged_episodes(g, 4..=4, 6..=6);
+    check("uniform_sets_still_take_the_historical_lock_step_path", 1, draw, |episodes| {
+        assert_eq!(uniform_len(&episodes), Some(6));
+        let spec = EngineSpec::sharded(2);
+        let mut masked = builder(spec).lanes(4).build();
+        let mut plain = builder(spec).lanes(4).build();
+        for t in 0..6 {
+            let (block, mask) = masked_step_block(&episodes, t);
+            assert!(mask.is_full());
+            assert_eq!(masked.step_batch_masked(&block, &mask), plain.step_batch(&block), "t {t}");
+        }
+    });
 }
 
 #[test]
