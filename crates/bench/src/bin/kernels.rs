@@ -3,21 +3,18 @@
 //! shape (N = 128, W = 16, H = 64: `e2e_bench`'s `offline_small_f32`
 //! and `serve_*` workloads) and the paper's tile (N = 64, W = 64).
 //!
-//! There is one kernel tier, so every row pairs two forms that return
-//! **identical bits** (asserted on the spot) — the only question a row
-//! answers is which is faster, and by the repository's rule a variant
-//! has to read ≥ 1.2× to be worth a second implementation of its
-//! reference. Each row is a paired best-of measurement (reference and
-//! variant interleaved over the same buffers). The one exception is the
-//! transcendental rows below, whose reference is the host's libm: there
-//! the two sides agree to a few ulp (asserted), not to the bit — which is
-//! the reason the reference was replaced.
+//! Every row pairs two forms that run today and return **identical
+//! bits** (asserted on the spot): the kernel a step calls and the
+//! definition its tests hold it to, or two bodies of one kernel. The
+//! only question a row answers is which is faster, and by the
+//! repository's rule a variant has to read ≥ 1.2× to be worth a second
+//! implementation of its reference. Each row is a paired best-of
+//! measurement (reference and variant interleaved over the same buffers).
 //!
-//! `quantize_slice` has two rows over 4 096 elements: the `f32`-only
-//! Q-format rounding body (`QFormat::quantize_slice_inplace`, on the
-//! widest tier the CPU has) against the `round()` definition, per element, and
-//! against the SSE2-via-`f64` body it replaced (a copy kept in this
-//! file). `matmul_nt_masked_lanes` is the row kernel
+//! `quantize_slice` is the `f32`-only Q-format rounding body
+//! (`QFormat::quantize_slice_inplace`, on the widest tier the CPU has)
+//! against the `round()` definition, per element, over 4 096 elements.
+//! `matmul_nt_masked_lanes` is the row kernel
 //! (`Matrix::matmul_nt_masked_into`, one pass over the weights per active
 //! lane) against the transposing row-dot kernel
 //! (`fused::matmul_nt_into`, one pass per four active lanes) at 1, 2, 3, 4
@@ -43,22 +40,17 @@
 //! (76 B: `seq | n | 16 × f32`) and a served-shape snapshot body (77 362 B;
 //! `shape` carries the byte count): the bit-at-a-time definition against
 //! the dispatched `hima::store::crc32` (a PCLMULQDQ fold where the CPU has
-//! one) and against the portable slice-by-8 walk alone, then the
-//! single-table byte loop that walk replaced (a copy kept in this file)
-//! against it — the row the ≥ 1.2× rule reads for the portable body.
+//! one) and against the portable slice-by-8 walk alone.
 //!
 //! `usage_sort` rows are the memory unit's free-list argsort at one paper
 //! tile, the served shape and the paper's whole memory (`N = 64, 128,
 //! 1024`), on random keys and on tie-heavy ones (half the slots blank at
-//! `0.0`, the rest on seven levels — what a usage vector looks like):
-//! the `total_cmp`-through-an-index comparator
-//! (`hima::sort::argsort_by_comparator`, the replaced body) against
-//! `SortEngine::argsort_into`, which sorts `ordered_bits(key) << 32 |
-//! index` words as integers; then, on each tier the CPU runs,
-//! `argsort_into` against the same words sorted in chunks of 128 by
-//! `hima::tensor::keysort::sort_chunks_on` — the bitonic network on
-//! `Avx512`, `sort_unstable` on the eight-lane tiers — and merged by
-//! `keysort::ChunkMerge`.
+//! `0.0`, the rest on seven levels — what a usage vector looks like), on
+//! each tier the CPU runs: `SortEngine::argsort_into`, which sorts
+//! `ordered_bits(key) << 32 | index` words as integers, against the same
+//! words sorted in chunks of 128 by `hima::tensor::keysort::sort_chunks_on`
+//! — the bitonic network on `Avx512`, `sort_unstable` on the eight-lane
+//! tiers — and merged by `keysort::ChunkMerge`.
 //!
 //! `allocation_prefix` rows are the usage sort and allocation product
 //! together, over usage vectors a stepping engine's memory unit carried
@@ -67,20 +59,17 @@
 //! the served shape and one 64-slot tile of the paper's Q16.16 engine
 //! from step 2 000 of one session on (`long-lived`: usage has settled
 //! near ½ on every slot, so the product reads the whole free list). Each
-//! shape pairs `FreeList::sort_on` + `FreeList::allocation_into` (sorted
-//! chunks, merged only as far as the product reads), on each tier the CPU
-//! runs, twice: against the definition, `argsort_into` then
-//! `allocation_from_free_list_into` over the whole free list, and against
-//! the free list it replaced, which selected the 32 smallest keys and
-//! doubled that window while the product was not zero (a copy kept in
-//! this file).
+//! shape pairs, on each tier the CPU runs, the definition —
+//! `argsort_into` then `allocation_from_free_list_into` over the whole
+//! free list — with `FreeList::sort_on` + `FreeList::allocation_into`
+//! (sorted chunks, merged only as far as the product reads).
 //!
 //! `lstm_gates` (H = 64, 256), `softmax` (N = 64, 128, 1024) and
 //! `sigmoid_slice` (W = 16, 64) rows are the pointwise passes of a step:
-//! the per-element compositions of libm `expf`/`tanhf` that
-//! `hima::tensor::transcend` replaced (copies kept in this file) against
-//! `transcend::{lstm_gates, softmax_inplace, sigmoid_into}` — in-repo
-//! arithmetic at lane width.
+//! plain loops over `hima::tensor::transcend`'s scalar `exp`, `sigmoid`
+//! and `tanh` (the softmax's in its documented summation order) against
+//! `transcend::{lstm_gates, softmax_inplace, sigmoid_into}` at lane
+//! width.
 //!
 //! `packed_weights` rows are the engine's shared-weight products — the
 //! interface projection, LSTM gates and output projection at the paper's
@@ -123,14 +112,12 @@
 use hima::dnc::allocation::{allocation_from_free_list_into, FreeList, SkimRate};
 use hima::dnc::linkage::TemporalLinkage;
 use hima::dnc::{Datapath, DncParams, EngineBuilder, EngineSpec};
-use hima::sort::{argsort_by_comparator, CentralizedMergeSorter, SortEngine};
+use hima::sort::{CentralizedMergeSorter, SortEngine};
 use hima::tensor::simd::Tier;
 use hima::tensor::{
-    assert_close, fused, history, keysort, transcend, vector, Backend, LaneMask, Matrix,
-    PackedWeights, QFormat,
+    fused, history, keysort, transcend, vector, Backend, LaneMask, Matrix, PackedWeights, QFormat,
 };
 use std::hint::black_box;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 const N: usize = 128;
@@ -221,47 +208,43 @@ const WIDTH_LINKAGE_SIDES: [usize; 2] = [64, 128];
 /// by about 20 % on a shared host; the best of many is the stable one).
 const WIDTH_REPS: usize = 15;
 
-/// The pointwise passes as they ran before `hima::tensor::transcend`: one
-/// libm call per element. Kept here to say what the replacement bought;
-/// the workspace's Clippy configuration forbids these calls everywhere
-/// else.
-#[allow(clippy::disallowed_methods)]
-mod libm_replaced {
-    pub fn sigmoid(x: f32) -> f32 {
-        if x >= 0.0 {
-            1.0 / (1.0 + (-x).exp())
-        } else {
-            let z = x.exp();
-            z / (1.0 + z)
+/// The pointwise passes as defined: plain loops over `transcend`'s scalar
+/// functions, what its tests hold the lane bodies to.
+fn sigmoid_definition(src: &[f32], dst: &mut [f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = transcend::sigmoid(s);
+    }
+}
+
+fn lstm_gates_definition(pre: &[f32], cell: &mut [f32], hidden: &mut [f32]) {
+    use transcend::{sigmoid, tanh};
+    let h = cell.len();
+    for (j, (o, c)) in hidden.iter_mut().zip(cell).enumerate() {
+        let (i_g, f_g) = (sigmoid(pre[j]), sigmoid(pre[h + j]));
+        let (g, o_g) = (tanh(pre[2 * h + j]), sigmoid(pre[3 * h + j]));
+        *c = f_g * *c + i_g * g;
+        *o = o_g * tanh(*c);
+    }
+}
+
+/// The softmax in its documented summation order: eight lane-wise partial
+/// sums over the whole eights, combined pairwise, then the tail in order.
+fn softmax_definition(xs: &mut [f32]) {
+    let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let whole = xs.len() / 8 * 8;
+    let mut s = [0.0f32; 8];
+    for (i, x) in xs.iter_mut().enumerate() {
+        *x = transcend::exp(*x - max);
+        if i < whole {
+            s[i % 8] += *x;
         }
     }
-
-    pub fn sigmoid_into(src: &[f32], dst: &mut [f32]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = sigmoid(s);
-        }
+    let mut total = ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
+    for x in &xs[whole..] {
+        total += *x;
     }
-
-    pub fn lstm_gates(pre: &[f32], cell: &mut [f32], hidden: &mut [f32]) {
-        let h = cell.len();
-        for (j, (o, c)) in hidden.iter_mut().zip(cell).enumerate() {
-            let (i_g, f_g) = (sigmoid(pre[j]), sigmoid(pre[h + j]));
-            let (g, o_g) = (pre[2 * h + j].tanh(), sigmoid(pre[3 * h + j]));
-            *c = f_g * *c + i_g * g;
-            *o = o_g * c.tanh();
-        }
-    }
-
-    pub fn softmax_inplace(xs: &mut [f32]) {
-        let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut total = 0.0f32;
-        for x in xs.iter_mut() {
-            *x = (*x - max).exp();
-            total += *x;
-        }
-        for x in xs.iter_mut() {
-            *x /= total;
-        }
+    for x in xs {
+        *x /= total;
     }
 }
 
@@ -282,32 +265,9 @@ fn crc32_definition(bytes: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
-/// The body `Crc32::update` ran before the slice-by-8 walk: one 256-entry
-/// table computed at first use, one lookup per byte, each waiting on the
-/// last. Kept here to say what the portable replacement bought.
-fn crc32_single_table(bytes: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            }
-            *entry = crc;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc ^ 0xFFFF_FFFF
-}
-
 /// Q-format rounding as defined — `(x·2^frac).round().clamp()` through
-/// libm `round`, one element at a time: what the slice kernel replaced
-/// and what `hima-tensor`'s tests keep as their oracle.
+/// `f64::round`, one element at a time: what `hima-tensor`'s tests keep as
+/// their oracle.
 fn quantize_round_definition(q: QFormat, xs: &mut [f32]) {
     let scale = (1u64 << q.frac_bits) as f64;
     let max_raw = ((1u64 << (q.total_bits() - 1)) - 1) as f64;
@@ -315,48 +275,6 @@ fn quantize_round_definition(q: QFormat, xs: &mut [f32]) {
     for x in xs {
         let raw = (*x as f64 * scale).round().clamp(min_raw, max_raw) as i64;
         *x = raw as f32 / scale as f32;
-    }
-}
-
-/// The rounding body `QFormat::quantize_slice_inplace` ran before the
-/// `f32`-only one: clamp, add ±½, truncate in `f64`, four elements per pass
-/// in baseline SSE2 (the tail in scalar code). Kept here, as the
-/// definition above is, to say what the replacement bought.
-#[cfg(target_arch = "x86_64")]
-fn quantize_sse2_f64(q: QFormat, xs: &mut [f32]) {
-    use core::arch::x86_64::{
-        __m128d, __m128i, _mm_add_pd, _mm_and_pd, _mm_and_si128, _mm_castps_si128, _mm_cmpord_ps,
-        _mm_cvtepi32_ps, _mm_cvtps_pd, _mm_cvttpd_epi32, _mm_loadu_ps, _mm_max_pd, _mm_min_pd,
-        _mm_movehl_ps, _mm_mul_pd, _mm_mul_ps, _mm_or_pd, _mm_set1_pd, _mm_set1_ps, _mm_storeu_ps,
-        _mm_unpacklo_epi64,
-    };
-    let edge = (1u64 << (q.total_bits() - 1)) as f64;
-    let (scale, min_raw, max_raw) = ((1u64 << q.frac_bits) as f64, -edge, edge - 1.0);
-    let inv_scale = (1.0 / scale) as f32;
-    let mut quads = xs.chunks_exact_mut(4);
-    // SAFETY: SSE2 is part of the x86_64 baseline ABI, and the one
-    // unaligned load and one unaligned store per pass touch exactly the
-    // four f32s of `quad`.
-    unsafe {
-        let (scale_pd, inv) = (_mm_set1_pd(scale), _mm_set1_ps(inv_scale));
-        let (lo_edge, hi_edge) = (_mm_set1_pd(min_raw), _mm_set1_pd(max_raw));
-        let (sign_bit, half) = (_mm_set1_pd(-0.0), _mm_set1_pd(0.5));
-        let to_raw = |x: __m128d| -> __m128i {
-            let v = _mm_min_pd(_mm_max_pd(_mm_mul_pd(x, scale_pd), lo_edge), hi_edge);
-            _mm_cvttpd_epi32(_mm_add_pd(v, _mm_or_pd(_mm_and_pd(v, sign_bit), half)))
-        };
-        for quad in &mut quads {
-            let x = _mm_loadu_ps(quad.as_ptr());
-            let lo = to_raw(_mm_cvtps_pd(x));
-            let hi = to_raw(_mm_cvtps_pd(_mm_movehl_ps(x, x)));
-            let ordered = _mm_castps_si128(_mm_cmpord_ps(x, x));
-            let raw = _mm_and_si128(_mm_unpacklo_epi64(lo, hi), ordered);
-            _mm_storeu_ps(quad.as_mut_ptr(), _mm_mul_ps(_mm_cvtepi32_ps(raw), inv));
-        }
-    }
-    for x in quads.into_remainder() {
-        let v = (*x as f64 * scale).clamp(min_raw, max_raw);
-        *x = ((v + 0.5f64.copysign(v)) as i32) as f32 * inv_scale;
     }
 }
 
@@ -400,63 +318,6 @@ fn recorded_usage(mut engine: hima::dnc::BoxedEngine, skip: usize) -> Vec<Vec<f3
         .collect()
 }
 
-/// The free list `FreeList` replaced, kept to say what the chunked sort bought:
-/// select the 32 smallest packed keys, sort them, run the product, and
-/// double the sorted window while the product is not exactly `+0.0` (or
-/// some usage lies outside `[+0.0, 1.0]`), up to every slot.
-mod window_replaced {
-    use hima::sort::ordered_bits;
-
-    #[derive(Default)]
-    pub struct FreeList {
-        keys: Vec<u64>,
-        sorted: usize,
-        in_unit: bool,
-    }
-
-    impl FreeList {
-        pub fn sort_prefix(&mut self, usage: &[f32]) {
-            self.keys.clear();
-            self.keys.extend(usage.iter().zip(0u64..).map(|(&u, s)| u64::from(ordered_bits(u)) << 32 | s));
-            self.in_unit = usage.iter().all(|u| u.to_bits() <= 1.0f32.to_bits());
-            self.sorted = 0;
-            self.sort_to(32.min(usage.len()));
-        }
-
-        fn sort_to(&mut self, end: usize) {
-            let rest = &mut self.keys[self.sorted..];
-            let len = end - self.sorted;
-            if len == 0 {
-                return;
-            }
-            if len < rest.len() {
-                rest.select_nth_unstable(len - 1);
-            }
-            rest[..len].sort_unstable();
-            self.sorted = end;
-        }
-
-        pub fn allocation_into(&mut self, w_a: &mut [f32]) {
-            w_a.fill(0.0);
-            let mut acc = 1.0f32;
-            let mut done = 0;
-            loop {
-                for &key in &self.keys[done..self.sorted] {
-                    let ordered = (key >> 32) as u32;
-                    let u = f32::from_bits(ordered ^ (!(ordered as i32 >> 31) as u32 | 0x8000_0000));
-                    w_a[key as u32 as usize] = (1.0 - u) * acc;
-                    acc *= u;
-                }
-                if self.sorted == self.keys.len() || (self.in_unit && acc.to_bits() == 0) {
-                    return;
-                }
-                done = self.sorted;
-                self.sort_to((2 * done).min(self.keys.len()));
-            }
-        }
-    }
-}
-
 /// The argsort through the chunked sort on `tier`: the keys packed and
 /// sorted in chunks, merged, their indices written to `out`.
 fn chunked_argsort(
@@ -474,6 +335,12 @@ fn chunked_argsort(
     } else {
         out.extend(merge.merge(words).map(|w| w as u32 as usize));
     }
+}
+
+/// The bit patterns of `xs`: `-0.0`, `+0.0` and NaN payloads compared
+/// as bits.
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 fn test_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
@@ -550,65 +417,29 @@ fn main() {
         reference_ns: r,
         variant_ns: v,
     });
-    #[cfg(target_arch = "x86_64")]
-    {
-        let (r, v) = best_of_paired(
-            reps,
-            measure,
-            || {
-                buf_r.copy_from_slice(&state);
-                quantize_sse2_f64(q, &mut buf_r);
-            },
-            || {
-                buf_v.copy_from_slice(&state);
-                q.quantize_slice_inplace(&mut buf_v);
-            },
-        );
-        assert_eq!(buf_r, buf_v, "slice kernel must equal the body it replaced");
-        report_variant(VariantRow {
-            kernel: "quantize_slice",
-            shape: String::new(),
-            batch: 0,
-            active: 0,
-            reference: "SSE2 body through f64, four per pass (replaced)",
-            variant: "QFormat::quantize_slice_inplace (f32-only rule over Lanes)",
-            reference_ns: r,
-            variant_ns: v,
-        });
-    }
-
-    // The durable tier's checksum: both bodies against the definition,
-    // then the portable body against the loop it replaced.
+    // The durable tier's checksum: both bodies against the definition.
     type Crc = fn(&[u8]) -> u32;
-    let dispatched = "hima::store::crc32 (dispatched: PCLMULQDQ fold where the CPU has it)";
-    let portable = "hima::store::crc::crc32_portable (slice-by-8 table walk)";
-    let pairings: [(&str, Crc, &str, Crc); 3] = [
-        ("bit-at-a-time definition", crc32_definition, dispatched, hima::store::crc32),
-        ("bit-at-a-time definition", crc32_definition, portable, hima::store::crc::crc32_portable),
-        (
-            "single-table byte loop (replaced)",
-            crc32_single_table,
-            portable,
-            hima::store::crc::crc32_portable,
-        ),
+    let bodies: [(&str, Crc); 2] = [
+        ("hima::store::crc32 (dispatched: PCLMULQDQ fold where the CPU has it)", hima::store::crc32),
+        ("hima::store::crc::crc32_portable (slice-by-8 table walk)", hima::store::crc::crc32_portable),
     ];
     for &len in &CRC_SIZES {
         let bytes: Vec<u8> = (0..len).map(|i| ((31 * i + 7) % 256) as u8).collect();
-        for (reference, reference_fn, variant, variant_fn) in pairings {
+        for (variant, variant_fn) in bodies {
             let (mut got_r, mut got_v) = (0u32, 0u32);
             let (r, v) = best_of_paired(
                 reps,
                 measure,
-                || got_r = reference_fn(black_box(&bytes)),
+                || got_r = crc32_definition(black_box(&bytes)),
                 || got_v = variant_fn(black_box(&bytes)),
             );
-            assert_eq!(got_r, got_v, "{variant} must equal the {reference} at {len} B");
+            assert_eq!(got_r, got_v, "{variant} must equal the definition at {len} B");
             report_variant(VariantRow {
                 kernel: "crc32",
                 shape: format!("{len} B"),
                 batch: 0,
                 active: 0,
-                reference,
+                reference: "bit-at-a-time definition",
                 variant,
                 reference_ns: r,
                 variant_ns: v,
@@ -616,12 +447,12 @@ fn main() {
         }
     }
 
-    // The usage sort: the comparator body against the packed-key one, on
-    // keys that are all distinct and on keys that are mostly ties. A call
-    // sorts `SORT_SETS` different key vectors in turn and a row reports
-    // the time per sort: one vector sorted over and over teaches the
-    // branch predictor its comparison outcomes, which a step's fresh
-    // usage vector never does.
+    // The usage sort: the packed-key argsort against the same words sorted
+    // in chunks and merged, on every tier, on keys that are all distinct
+    // and on keys that are mostly ties. A call sorts `SORT_SETS` different
+    // key vectors in turn and a row reports the time per sort: one vector
+    // sorted over and over teaches the branch predictor its comparison
+    // outcomes, which a step's fresh usage vector never does.
     let mut seed = 0x2545_f491_4f6c_dd1du64;
     let mut next = || {
         seed ^= seed << 13;
@@ -640,36 +471,6 @@ fn main() {
             .collect();
         for (sets, what) in [(&random, "random"), (&tied, "tied")] {
             let (mut out_r, mut out_v) = (Vec::with_capacity(n), Vec::with_capacity(n));
-            for keys in sets {
-                argsort_by_comparator(keys, &mut out_r);
-                CentralizedMergeSorter.argsort_into(keys, &mut out_v);
-                assert_eq!(out_r, out_v, "packed-key argsort must equal the comparator's permutation");
-            }
-            let (r, v) = best_of_paired(
-                reps,
-                measure,
-                || {
-                    for keys in sets {
-                        argsort_by_comparator(black_box(keys), &mut out_r);
-                    }
-                },
-                || {
-                    for keys in sets {
-                        CentralizedMergeSorter.argsort_into(black_box(keys), &mut out_v);
-                    }
-                },
-            );
-            report_variant(VariantRow {
-                kernel: "usage_sort",
-                shape: format!("N={n} {what}"),
-                batch: 0,
-                active: 0,
-                reference: "hima::sort::argsort_by_comparator (total_cmp through the index, replaced)",
-                variant: "SortEngine::argsort_into (ordered_bits(key) << 32 | index, sorted as integers)",
-                reference_ns: r / SORT_SETS as f64,
-                variant_ns: v / SORT_SETS as f64,
-            });
-            // The same words sorted in chunks and merged, on every tier.
             let (mut words, mut merge) = (Vec::with_capacity(n), keysort::ChunkMerge::default());
             for (tier, variant) in Tier::available().zip(CHUNK_VARIANTS) {
                 for keys in sets {
@@ -706,10 +507,9 @@ fn main() {
     }
 
     // The usage sort and allocation product together: the definition over
-    // the whole argsort, and the window free list it replaced, each
-    // against the free list sorted in chunks and merged only as far as the
-    // product reads, on every tier — over blank-state usage and over a
-    // long-lived session's.
+    // the whole argsort against the free list sorted in chunks and merged
+    // only as far as the product reads, on every tier — over blank-state
+    // usage and over a long-lived session's.
     let served = |n| DncParams::new(n, W, 2).with_hidden(HIDDEN).with_io(16, 16);
     let paper = DncParams::new(1024, 64, 4).with_hidden(256).with_io(16, 16);
     let q16 = EngineSpec::sharded(16).with_datapath(Datapath::Quantized(QFormat::q16_16()));
@@ -729,9 +529,7 @@ fn main() {
         let n = sets[0].len();
         let mut order = Vec::with_capacity(n);
         let mut free_list = FreeList::with_capacity(n);
-        let mut window = window_replaced::FreeList::default();
         let (mut w_r, mut w_v) = (vec![0.0f32; n], vec![0.0f32; n]);
-        let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (tier, variant) in Tier::available().zip(FREE_LIST_VARIANTS) {
             for usage in sets {
                 CentralizedMergeSorter.argsort_into(usage, &mut order);
@@ -739,16 +537,7 @@ fn main() {
                 free_list.sort_on(tier, usage, SkimRate::NONE);
                 free_list.allocation_into(&mut w_v);
                 assert_eq!(bits(&w_r), bits(&w_v), "the free list's allocation must equal the definition");
-                window.sort_prefix(usage);
-                window.allocation_into(&mut w_r);
-                assert_eq!(bits(&w_r), bits(&w_v), "the free list's allocation must equal the window's");
             }
-            let mut free_list_on_tier = || {
-                for usage in sets {
-                    free_list.sort_on(tier, black_box(usage), SkimRate::NONE);
-                    free_list.allocation_into(&mut w_v);
-                }
-            };
             let (r, v) = best_of_paired(
                 reps,
                 measure,
@@ -758,7 +547,12 @@ fn main() {
                         allocation_from_free_list_into(usage, &order, SkimRate::NONE, &mut w_r);
                     }
                 },
-                &mut free_list_on_tier,
+                || {
+                    for usage in sets {
+                        free_list.sort_on(tier, black_box(usage), SkimRate::NONE);
+                        free_list.allocation_into(&mut w_v);
+                    }
+                },
             );
             report_variant(VariantRow {
                 kernel: "allocation_prefix",
@@ -770,33 +564,11 @@ fn main() {
                 reference_ns: r / sets.len() as f64,
                 variant_ns: v / sets.len() as f64,
             });
-            let (r, v) = best_of_paired(
-                reps,
-                measure,
-                || {
-                    for usage in sets {
-                        window.sort_prefix(black_box(usage));
-                        window.allocation_into(&mut w_r);
-                    }
-                },
-                &mut free_list_on_tier,
-            );
-            report_variant(VariantRow {
-                kernel: "allocation_prefix",
-                shape: shape.clone(),
-                batch: 0,
-                active: 0,
-                reference: "select-and-double window FreeList (replaced)",
-                variant,
-                reference_ns: r / sets.len() as f64,
-                variant_ns: v / sets.len() as f64,
-            });
         }
     }
 
-    // The pointwise passes of a step: libm per element against the
-    // in-repo definitions at lane width.
-    let libm = "libm composition, per element (replaced)";
+    // The pointwise passes of a step: plain loops over the scalar
+    // definitions against the slice kernels at lane width.
     for &h in &GATE_WIDTHS {
         let pre: Vec<f32> = (0..4 * h).map(|i| ((i * 7) as f32 * 0.13).sin() * 4.0).collect();
         let cell: Vec<f32> = (0..h).map(|i| ((i * 11) as f32 * 0.29).sin()).collect();
@@ -807,21 +579,21 @@ fn main() {
             measure,
             || {
                 c_r.copy_from_slice(&cell);
-                libm_replaced::lstm_gates(black_box(&pre), &mut c_r, &mut h_r);
+                lstm_gates_definition(black_box(&pre), &mut c_r, &mut h_r);
             },
             || {
                 c_v.copy_from_slice(&cell);
                 transcend::lstm_gates(black_box(&pre), &mut c_v, &mut h_v);
             },
         );
-        assert_close(&c_r, &c_v, 1e-6);
-        assert_close(&h_r, &h_v, 1e-6);
+        assert_eq!(bits(&c_r), bits(&c_v), "the gate pass's cell must equal the plain loop's");
+        assert_eq!(bits(&h_r), bits(&h_v), "the gate pass's hidden must equal the plain loop's");
         report_variant(VariantRow {
             kernel: "lstm_gates",
             shape: format!("H={h}"),
             batch: 0,
             active: 0,
-            reference: libm,
+            reference: "transcend::{sigmoid, tanh}, per element",
             variant: "transcend::lstm_gates (in-repo sigmoid/tanh over Lanes)",
             reference_ns: r,
             variant_ns: v,
@@ -835,20 +607,20 @@ fn main() {
             measure,
             || {
                 buf_r.copy_from_slice(&logits);
-                libm_replaced::softmax_inplace(black_box(&mut buf_r));
+                softmax_definition(black_box(&mut buf_r));
             },
             || {
                 buf_v.copy_from_slice(&logits);
                 transcend::softmax_inplace(black_box(&mut buf_v));
             },
         );
-        assert_close(&buf_r, &buf_v, 1e-6);
+        assert_eq!(bits(&buf_r), bits(&buf_v), "the softmax must equal the plain loop's");
         report_variant(VariantRow {
             kernel: "softmax",
             shape: format!("N={n}"),
             batch: 0,
             active: 0,
-            reference: "libm exp per element, in-order sum (replaced)",
+            reference: "transcend::exp per element, eight partial sums in the documented order",
             variant: "transcend::softmax_inplace (in-repo exp over Lanes, lane-wise partial sums)",
             reference_ns: r,
             variant_ns: v,
@@ -860,16 +632,16 @@ fn main() {
         let (r, v) = best_of_paired(
             reps,
             measure,
-            || libm_replaced::sigmoid_into(black_box(&raw), &mut out_r),
+            || sigmoid_definition(black_box(&raw), &mut out_r),
             || transcend::sigmoid_into(black_box(&raw), &mut out_v),
         );
-        assert_close(&out_r, &out_v, 1e-6);
+        assert_eq!(bits(&out_r), bits(&out_v), "the sigmoid slice must equal the plain loop's");
         report_variant(VariantRow {
             kernel: "sigmoid_slice",
             shape: format!("W={w}"),
             batch: 0,
             active: 0,
-            reference: libm,
+            reference: "transcend::sigmoid, per element",
             variant: "transcend::sigmoid_into (in-repo sigmoid over Lanes)",
             reference_ns: r,
             variant_ns: v,
@@ -1119,9 +891,7 @@ fn main() {
     println!(
         "\nPer-call wall time, best of {reps} interleaved reps per side. The\n\
          reference and the variant of every row return identical bits\n\
-         (asserted on the spot) — the lstm_gates / softmax / sigmoid_slice\n\
-         rows, whose reference is libm, to 1e-6; the rows only say which\n\
-         form is faster."
+         (asserted on the spot); the rows only say which form is faster."
     );
 
     if json {
