@@ -20,23 +20,10 @@ use hima::serve::{
     LoadConfig, RetryPolicy, TraceKind,
 };
 use hima::tensor::{Matrix, QFormat};
+use hima_bench::experiments::{self, EXPERIMENTS};
+use std::process::exit;
 use std::sync::Arc;
-use std::process::{exit, Command};
 use std::time::{Duration, Instant};
-
-const EXPERIMENTS: [(&str, &str, &str); 11] = [
-    ("table1", "table1_kernels", "Table 1: DNC kernel analysis"),
-    ("fig4", "fig4_runtime_breakdown", "Fig. 4: CPU/GPU runtime breakdown"),
-    ("fig5", "fig5_noc_scalability", "Fig. 5(d): NoC speedup scalability"),
-    ("fig6", "fig6_partition_traffic", "Fig. 6: partition traffic sweeps"),
-    ("fig7", "fig7_sort_latency", "Fig. 7: two-stage usage sort"),
-    ("fig10", "fig10_dncd_accuracy", "Fig. 10: DNC-D accuracy vs DNC"),
-    ("fig11", "fig11_feature_sweep", "Fig. 11: speed/area/power of the prototypes"),
-    ("fig12a", "fig12_scalability", "Fig. 12(a): area/power scalability"),
-    ("fig12b", "fig12_comparison", "Fig. 12(b-d): cross-design comparison"),
-    ("modes", "ablation_noc_modes", "Ablation: NoC mode x traffic pattern"),
-    ("approx", "ablation_approximations", "Ablation: skimming / PLA softmax / Q16.16"),
-];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,6 +37,7 @@ fn main() {
         Some("load") => load(&args[1..]),
         Some("session") => session(&args[1..]),
         Some("metrics") => metrics(&args[1..]),
+        Some("help" | "--help" | "-h") => usage(),
         _ => {
             usage();
             exit(2);
@@ -60,8 +48,9 @@ fn main() {
 fn usage() {
     eprintln!("hima-cli — HiMA (MICRO '21) reproduction driver\n");
     eprintln!("USAGE:");
+    eprintln!("  hima-cli help                      print this usage");
     eprintln!("  hima-cli list                      list experiments");
-    eprintln!("  hima-cli run <id|all>              run experiment binaries");
+    eprintln!("  hima-cli run <id|all>              run experiments");
     eprintln!("  hima-cli engine [--tiles N] [--level L]   query the cycle/area/power models");
     eprintln!("                  levels: baseline|sort|noc|submat|dncd|approx");
     eprintln!("  hima-cli step [--tiles N] [--lanes B] [--steps T] [--quantized] [--skim K]");
@@ -93,55 +82,28 @@ fn usage() {
 }
 
 fn list() {
-    println!("{:<8} {:<26} description", "id", "binary");
-    for (id, bin, desc) in EXPERIMENTS {
-        println!("{id:<8} {bin:<26} {desc}");
+    println!("{:<8} description", "id");
+    for (id, desc, _) in EXPERIMENTS {
+        println!("{id:<8} {desc}");
     }
 }
 
+/// Runs the selected experiments in this process; `all` puts a banner
+/// before each one.
 fn run(which: Option<&str>) {
     let Some(which) = which else {
         eprintln!("missing experiment id (try `hima-cli list`)");
         exit(2);
     };
-    let selected: Vec<&(&str, &str, &str)> = if which == "all" {
-        EXPERIMENTS.iter().collect()
-    } else {
-        EXPERIMENTS.iter().filter(|(id, _, _)| *id == which).collect()
-    };
-    if selected.is_empty() {
+    let Some(selected) = experiments::select(which) else {
         eprintln!("unknown experiment {which:?} (try `hima-cli list`)");
         exit(2);
-    }
-    for (_, bin, desc) in selected {
-        println!("\n########## {desc} ##########");
-        let status = Command::new(std::env::current_exe().expect("own path"))
-            .status_via_cargo(bin);
-        if !status {
-            eprintln!("failed to run {bin}");
-            exit(1);
+    };
+    for (_, desc, run) in selected {
+        if which == "all" {
+            println!("\n########## {desc} ##########");
         }
-    }
-}
-
-trait RunVia {
-    fn status_via_cargo(&mut self, bin: &str) -> bool;
-}
-
-impl RunVia for Command {
-    /// Experiment binaries live next to this one in target/; fall back to
-    /// cargo when invoked from the workspace.
-    fn status_via_cargo(&mut self, bin: &str) -> bool {
-        let own = std::env::current_exe().ok();
-        let sibling = own.and_then(|p| p.parent().map(|d| d.join(bin)));
-        if let Some(path) = sibling.filter(|p| p.exists()) {
-            return Command::new(path).status().map(|s| s.success()).unwrap_or(false);
-        }
-        Command::new("cargo")
-            .args(["run", "--release", "-p", "hima-bench", "--bin", bin])
-            .status()
-            .map(|s| s.success())
-            .unwrap_or(false)
+        run();
     }
 }
 
@@ -151,12 +113,7 @@ fn engine(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--tiles" => {
-                tiles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| bail("--tiles needs a positive integer"))
-            }
+            "--tiles" => tiles = num(it.next(), "--tiles needs a positive integer"),
             "--level" => level = it.next().cloned().unwrap_or_else(|| bail("--level needs a value")),
             other => bail(&format!("unknown flag {other:?}")),
         }
@@ -191,9 +148,6 @@ fn step(args: &[String]) {
     let mut steps = 50usize;
     let mut quantized = false;
     let mut skim = 0.0f32;
-    fn num<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> T {
-        v.and_then(|v| v.parse().ok()).unwrap_or_else(|| bail(flag))
-    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -281,9 +235,6 @@ fn serve(args: &[String]) {
     let mut chaos_seed = 0x4849_4D41u64;
     let mut chaos_disk = 0u32;
     let mut chaos_net = 0u32;
-    fn num<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> T {
-        v.and_then(|v| v.parse().ok()).unwrap_or_else(|| bail(flag))
-    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -388,9 +339,6 @@ fn load(args: &[String]) {
     let mut burst = 0usize;
     let mut deadline_ms = 0u64;
     let mut retries = 0u32;
-    fn num<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> T {
-        v.and_then(|v| v.parse().ok()).unwrap_or_else(|| bail(flag))
-    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -460,9 +408,6 @@ fn session(args: &[String]) {
     let mut shutdown = false;
     let mut keep_open = false;
     let mut existing: Option<u64> = None;
-    fn num<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> T {
-        v.and_then(|v| v.parse().ok()).unwrap_or_else(|| bail(flag))
-    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -670,6 +615,12 @@ fn metrics(args: &[String]) {
             println!("check ok: ticks={ticks} steps={steps} trace_errors=0");
         }
     }
+}
+
+/// The flag value `v` parsed as a `T`; a missing or unparsable value
+/// exits 2 with `msg`.
+fn num<T: std::str::FromStr>(v: Option<&String>, msg: &str) -> T {
+    v.and_then(|v| v.parse().ok()).unwrap_or_else(|| bail(msg))
 }
 
 fn bail<T>(msg: &str) -> T {

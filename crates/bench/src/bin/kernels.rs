@@ -278,14 +278,25 @@ fn quantize_round_definition(q: QFormat, xs: &mut [f32]) {
     }
 }
 
-/// Nanoseconds per call of `f`, measured over a fixed wall-clock window.
+/// Nanoseconds per call of `f`, measured over a fixed wall-clock window
+/// in batches of calls between clock reads. Before the window, the batch
+/// doubles from one call until a batch takes 1 % of the window, so a
+/// clock read (tens of ns) is no visible share of a sub-µs call.
 fn ns_per_call(measure: Duration, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
+    let mut batch = 1u64;
+    loop {
+        let t = Instant::now();
+        (0..batch).for_each(|_| f());
+        if t.elapsed() * 100 >= measure {
+            break;
+        }
+        batch *= 2;
+    }
     let start = Instant::now();
     let mut calls = 0u64;
     while start.elapsed() < measure {
-        f();
-        calls += 1;
+        (0..batch).for_each(|_| f());
+        calls += batch;
     }
     start.elapsed().as_nanos() as f64 / calls as f64
 }

@@ -6,12 +6,12 @@
 //! 2. PLA softmax segment count vs exponential error,
 //! 3. Q16.16 datapath divergence over time (the 32-bit datapath claim).
 
+use crate::header;
 use hima::dnc::{DatapathStudy, MemoryConfig};
 use hima::prelude::*;
 use hima::tasks::eval::mean_error;
-use hima_bench::header;
 
-fn main() {
+pub fn run() {
     header("Usage skimming: speed vs accuracy (engine N_t = 16; saturated tasks N_t = 4)");
     println!(
         "{:>6} {:>14} {:>12} {:>12} {:>16}",

@@ -8,15 +8,15 @@
 //! percent, and `K = 50%` degrades clearly.
 //!
 //! Every model is named by an `EngineSpec` and driven through the unified
-//! `GridEngine` harness, so the same binary also sweeps the fixed-point
+//! `GridEngine` harness, so the same experiment also sweeps the fixed-point
 //! datapath axis (last section) — no per-variant code paths.
 
+use crate::{bar, header};
 use hima::prelude::*;
 use hima::tasks::eval::{mean_divergence, mean_error};
 use hima::tensor::QFormat;
-use hima_bench::{bar, header};
 
-fn main() {
+pub fn run() {
     header("Fig. 10 (top): DNC-D relative error vs tile count");
     let tile_counts = [1usize, 2, 4, 8, 16];
     let mut per_tiles = Vec::new();

@@ -6,11 +6,11 @@
 //! (f) module power breakdown — each printed with the paper's reported
 //! values alongside.
 
+use crate::{bar, header, times};
 use hima::engine::report::{ablation_sweep, breakdown_rows};
 use hima::prelude::*;
-use hima_bench::{bar, header, times};
 
-fn main() {
+pub fn run() {
     // ------------------------------------------------------------- (a)
     header("Fig. 11(a): speedup breakdown over HiMA-baseline (N_t = 16)");
     let paper_speedups = [1.0, 1.12, 1.23, 1.39, 8.29, 8.42];

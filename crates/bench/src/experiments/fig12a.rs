@@ -5,10 +5,10 @@
 //! (traffic and the related per-PT computation), while DNC-D stays close
 //! to the ideal linear scaling.
 
+use crate::header;
 use hima::prelude::*;
-use hima_bench::header;
 
-fn main() {
+pub fn run() {
     header("Fig. 12(a): area and power vs tile count (normalized to N_t = 4)");
     let model = PowerModel::calibrated();
     let tile_counts = [4usize, 8, 16, 32];

@@ -6,10 +6,10 @@
 //! steps per bAbI test — anchors HiMA-DNC to the paper's 11.8 µs/test;
 //! every *ratio* is then produced by the models.
 
+use crate::header;
 use hima::engine::baselines::{self, Platform, CPU, FARM, GPU, MANNA};
 use hima::prelude::*;
 use hima::tensor::Matrix;
-use hima_bench::header;
 use std::time::Instant;
 
 /// Wall-clock µs per lane-step of a functional engine.
@@ -24,7 +24,7 @@ fn measured_step_us(engine: &mut GridEngine, steps: usize) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / (steps * b) as f64
 }
 
-fn main() {
+pub fn run() {
     let model = PowerModel::calibrated();
 
     let dnc_cfg = EngineConfig::hima_dnc(16);

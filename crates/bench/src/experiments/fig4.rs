@@ -7,10 +7,10 @@
 //! *is* a centralized software implementation); the paper's numbers are
 //! printed alongside.
 
+use crate::{bar, header};
 use hima::prelude::*;
-use hima_bench::{bar, header};
 
-fn main() {
+pub fn run() {
     header("Fig. 4: kernel runtime breakdown (centralized software DNC, N x W = 1024 x 64)");
 
     let params = DncParams::paper_babi();

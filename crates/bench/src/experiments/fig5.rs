@@ -6,11 +6,11 @@
 //! qualitative result: the fixed fabrics saturate beyond ~8 tiles, HiMA
 //! keeps scaling, and DNC-D is near-ideal.
 
+use crate::header;
 use hima::engine::report::scalability_sweep;
 use hima::prelude::*;
-use hima_bench::header;
 
-fn main() {
+pub fn run() {
     header("Fig. 5(d): speedup vs PT count (normalized to 1 tile per design)");
 
     let tiles = [1usize, 2, 4, 8, 16, 32, 48, 64];

@@ -5,14 +5,14 @@
 //! forward-backward kernel on the linkage memory (Eq. 3, Fig. 6(d)),
 //! for the paper's tile counts.
 
+use crate::header;
 use hima::mem::optimizer::{
     best_external_partition, best_linkage_partition, forward_backward_sweep, memory_read_sweep,
 };
 use hima::mem::traffic::content_weighting_transfers;
 use hima::prelude::*;
-use hima_bench::header;
 
-fn main() {
+pub fn run() {
     header("Fig. 6(c): memory-read kernel traffic vs external-memory partition (N x W = 1024 x 64)");
     println!("{:<8} columns = log2(N_t^w): 0 (row-wise) ... log2(N_t) (column-wise)", "");
     for nt in [4usize, 16, 32, 48, 64] {

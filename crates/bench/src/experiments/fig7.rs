@@ -4,10 +4,10 @@
 //! PT, 4-input PMS at the CT — and sweeps tile counts and vector lengths.
 //! Also verifies functionally that the hardware models sort correctly.
 
+use crate::header;
 use hima::prelude::*;
-use hima_bench::header;
 
-fn main() {
+pub fn run() {
     header("Fig. 7 / §4.3: two-stage usage sort (N = 1024, N_t = 4)");
     let two = TwoStageSorter::new(4, 1024);
     let mdsa = two.local_sorter();

@@ -6,11 +6,11 @@
 //! *and* cross-checks the recommended pairing on the cycle-driven VCT
 //! simulator.
 
+use crate::header;
 use hima::noc::cycle_sim::CycleAccurateSim;
 use hima::prelude::*;
-use hima_bench::header;
 
-fn main() {
+pub fn run() {
     let graph = TopologyGraph::build(Topology::Hima, 24); // full 5x5 fabric
     let sim = NocSim::new(graph.clone());
 

@@ -2,8 +2,8 @@
 //! report the (speed, area, power) Pareto frontier — the tool a designer
 //! adopting HiMA would actually use to size a deployment.
 
+use crate::header;
 use hima::prelude::*;
-use hima_bench::header;
 
 #[derive(Debug, Clone)]
 struct DesignPoint {
@@ -27,7 +27,7 @@ impl DesignPoint {
     }
 }
 
-fn main() {
+pub fn run() {
     let model = PowerModel::calibrated();
     let mut points = Vec::new();
 

@@ -4,11 +4,11 @@
 //! memory access complexity and NoC traffic class — and cross-checks the
 //! complexity classes against the engine's measured scaling.
 
+use crate::header;
 use hima::engine::kernels::{KernelType, KERNEL_TABLE};
 use hima::prelude::*;
-use hima_bench::header;
 
-fn main() {
+pub fn run() {
     header("Table 1: Analysis of DNC Kernels");
     println!(
         "{:<18} {:<7} {:<38} {:>9} {:>9} {:>10}",

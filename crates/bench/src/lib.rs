@@ -1,7 +1,9 @@
-//! Shared helpers for the experiment binaries.
+//! The paper's experiments and the helpers they print with.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper and prints the paper's reported values next to the measured ones.
+//! Each module under [`experiments`] regenerates one table or figure of
+//! the paper; `hima_cli run <id|all>` runs them.
+
+pub mod experiments;
 
 /// Prints a section header in the common format.
 pub fn header(title: &str) {

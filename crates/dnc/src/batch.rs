@@ -338,19 +338,6 @@ impl GridEngine {
         &self.lane_shards(lane)[shard].memory
     }
 
-    /// The interface vector shard `shard` of lane `lane` parsed at the
-    /// last step that lane ran (zeroed before its first): the gates and
-    /// keys the shard's memory unit was driven by. It is the lane's
-    /// parse scratch, so a splice ([`GridEngine::swap_lane`] and friends)
-    /// does not move it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= batch()` or `shard >= tiles()`.
-    pub fn interface(&self, lane: usize, shard: usize) -> &InterfaceVector {
-        &self.lane_shards(lane)[shard].iv
-    }
-
     /// Lane `lane`'s per-shard read vectors of its last step, in shard
     /// order — what the merge (Eq. 4) combines.
     pub(crate) fn shard_reads(&self, lane: usize) -> impl Iterator<Item = &[f32]> {
@@ -585,13 +572,6 @@ impl GridEngine {
         let work = mask.active_count() * self.shards[..nt].iter().map(shard_elems).sum::<usize>();
         let workers = rayon::current_num_threads().min(mask.active_count() * nt);
         workers > 1 && work >= workers * FAN_OUT_MIN_ELEMS_PER_WORKER
-    }
-
-    /// Runs a whole synchronized sequence: `steps[t]` is the `B ×
-    /// input_size` block for time `t`; the result holds one `B ×
-    /// output_size` block per step.
-    pub fn run_sequence_batch(&mut self, steps: &[Matrix]) -> Vec<Matrix> {
-        steps.iter().map(|x| self.step_batch(x)).collect()
     }
 
     /// `B = 1` convenience: steps the single lane on `input` and returns

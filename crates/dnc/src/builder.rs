@@ -366,8 +366,8 @@ impl EngineBuilder {
     /// sampling on for the built engine. Defaults to **off**: an
     /// unprofiled engine's steps never call `Instant::now()`, so the
     /// serving hot path pays nothing for instrumentation it isn't using.
-    /// The offline runtime breakdown (`fig4_runtime_breakdown`) switches
-    /// it on.
+    /// The offline runtime breakdown (`hima_cli run fig4`) switches it
+    /// on.
     pub fn profiling(mut self, on: bool) -> Self {
         self.profiling = on;
         self

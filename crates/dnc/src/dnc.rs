@@ -128,7 +128,6 @@ mod tests {
     use crate::builder::{BoxedEngine, EngineBuilder};
     use crate::profile::KernelId;
     use crate::DncParams;
-    use hima_tensor::Matrix;
 
     fn params() -> DncParams {
         DncParams::new(16, 4, 2).with_hidden(24).with_io(5, 6)
@@ -195,16 +194,6 @@ mod tests {
         assert_eq!(p.calls(KernelId::Lstm), 1);
         assert_eq!(p.calls(KernelId::Projection), 2, "interface + output");
         assert!(p.calls(KernelId::MemoryRead) > 0);
-    }
-
-    #[test]
-    fn run_sequence_matches_stepping() {
-        let inputs: Vec<Matrix> = (0..6).map(|t| Matrix::filled(1, 5, t as f32 * 0.1)).collect();
-        let seq = dnc(21).run_sequence_batch(&inputs);
-        let mut b = dnc(21);
-        for (x, want) in inputs.iter().zip(&seq) {
-            assert_eq!(b.step(x.row(0)), want.row(0));
-        }
     }
 
     #[test]

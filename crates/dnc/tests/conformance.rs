@@ -15,8 +15,8 @@
 //!   perturbs results,
 //! * **reset** restores blank-lane behaviour,
 //! * the engine surface (`batch`, `params`, `last_read_rows`,
-//!   `last_features_rows`, `profile`, `step`, `run_sequence_batch`) is
-//!   consistent for every variant.
+//!   `last_features_rows`, `profile`, `step`) is consistent for every
+//!   variant.
 
 use hima_dnc::allocation::SkimRate;
 use hima_dnc::{Datapath, DncParams, EngineBuilder, EngineSpec, LaneMask, ReadMerge};
@@ -278,20 +278,6 @@ fn trait_surface_is_consistent_for_every_variant() {
             "{}",
             spec.label()
         );
-    }
-}
-
-#[test]
-fn run_sequence_batch_matches_stepping() {
-    for spec in specs() {
-        let streams = lane_streams(3, STEPS, 5);
-        let blocks: Vec<Matrix> = (0..STEPS).map(|t| block_at(&streams, t)).collect();
-        let mut a = builder(spec).lanes(3).build();
-        let seq = a.run_sequence_batch(&blocks);
-        let mut b = builder(spec).lanes(3).build();
-        for (x, want) in blocks.iter().zip(&seq) {
-            assert_eq!(&b.step_batch(x), want, "{}", spec.label());
-        }
     }
 }
 

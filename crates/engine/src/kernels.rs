@@ -1,7 +1,7 @@
 //! Table 1 of the paper: the DNC kernel inventory with primitives, memory
 //! access complexity and NoC traffic classes.
 //!
-//! This metadata drives the `table1_kernels` experiment binary and
+//! This metadata drives the `table1` experiment (`hima_cli run table1`) and
 //! documents the complexity classes the cycle model implements.
 
 use hima_dnc::profile::KernelId;

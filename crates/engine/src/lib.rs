@@ -37,10 +37,8 @@ pub mod config;
 pub mod engine;
 pub mod kernels;
 pub mod report;
-pub mod trace;
 
 pub use config::{EngineConfig, FeatureLevel};
 pub use engine::{ActivityCounters, Engine, KernelCost, StepReport};
 pub use hima_noc::topology::Topology;
 pub use kernels::{KernelInfo, KERNEL_TABLE};
-pub use trace::{trace_report, GateTrace};

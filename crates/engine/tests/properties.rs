@@ -1,7 +1,7 @@
 //! Property-based tests for the architectural cycle model: monotonicity
 //! and consistency across the configuration space.
 
-use hima_engine::{Engine, EngineConfig, FeatureLevel, GateTrace, Topology};
+use hima_engine::{Engine, EngineConfig, FeatureLevel, Topology};
 use hima_testkit::cases::{check, Gen};
 
 /// `2^lo ..= 2^hi` tiles, `2^hi` included.
@@ -69,26 +69,6 @@ fn more_read_heads_cost_more() {
         let few = Engine::new(EngineConfig::hima_dnc(nt).with_geometry(1024, 64, r)).step_cycles();
         let more = Engine::new(EngineConfig::hima_dnc(nt).with_geometry(1024, 64, r + 1)).step_cycles();
         assert!(more > few, "R={} -> {}, R+1 -> {}", r, few, more);
-    });
-}
-
-#[test]
-fn trace_refinement_bounded_by_static() {
-    let draw = |g: &mut Gen| (pow2(g, 2, 4), g.range(0.0f64..1.0), g.range(0.0f64..1.0), g.range(0.0f64..1.0));
-    check("trace_refinement_bounded_by_static", 24, draw, |(nt, wg, density, fg)| {
-        let cfg = EngineConfig::hima_dnc(nt);
-        let static_total = Engine::new(cfg).step_report().total_cycles();
-        let trace = GateTrace {
-            write_gate: wg,
-            allocation_gate: 0.5,
-            free_gate: fg,
-            write_density: density,
-            steps: 1,
-        };
-        let traced = hima_engine::trace_report(&cfg, &trace).total_cycles();
-        assert!(traced <= static_total);
-        // And never collapses below the NoC + overhead floor.
-        assert!(traced * 4 > static_total, "trace cannot erase most of the step");
     });
 }
 

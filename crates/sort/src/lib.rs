@@ -125,8 +125,8 @@ pub fn ordered_bits(key: f32) -> u32 {
 /// The argsort as defined — the index buffer sorted in place by
 /// `total_cmp` on the keys, ties by index. It is the reference that
 /// `tests/properties.rs`'s `argsort_into_matches_the_comparator_reference`
-/// holds [`SortEngine::argsort_into`] to and that `hima-bench`'s
-/// `fig7_sort_latency` checks the hardware sorters against, and it is
+/// holds [`SortEngine::argsort_into`] to and that `hima-bench`'s `fig7`
+/// experiment checks the hardware sorters against, and it is
 /// `argsort_into`'s own body where a narrower `usize` cannot hold a packed
 /// word.
 pub fn argsort_by_comparator(keys: &[f32], out: &mut Vec<usize>) {

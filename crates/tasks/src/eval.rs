@@ -51,7 +51,7 @@ pub struct EvalConfig {
 
 impl EvalConfig {
     /// The shared base: small, fast geometry suitable for tests and the
-    /// Fig. 10 experiment binary, with a monolithic f32 engine spec.
+    /// Fig. 10 experiment, with a monolithic f32 engine spec.
     fn base() -> Self {
         Self {
             engine: EngineSpec::monolithic(),

@@ -66,23 +66,6 @@ fn speed_accuracy_tradeoff_is_coherent() {
     assert!(errors[1] >= errors[0], "more shards must not be more accurate: {errors:?}");
 }
 
-/// The sequence API and the step API must agree (users mix both).
-#[test]
-fn sequence_and_step_apis_agree() {
-    let params = DncParams::new(64, 16, 2).with_io(8, 8);
-    let inputs: Vec<Vec<f32>> =
-        (0..10).map(|t| (0..8).map(|i| ((t * 3 + i) as f32 * 0.21).cos()).collect()).collect();
-    let blocks: Vec<Matrix> = inputs.iter().map(|x| Matrix::from_rows(&[x.as_slice()])).collect();
-    for spec in [EngineSpec::monolithic(), EngineSpec::sharded(4)] {
-        let builder = EngineBuilder::new(params).with_spec(spec).seed(23);
-        let seq = builder.build().run_sequence_batch(&blocks);
-        let mut b = builder.build();
-        for (x, want) in inputs.iter().zip(&seq) {
-            assert_eq!(&b.step(x), want.row(0), "{}", spec.label());
-        }
-    }
-}
-
 /// A profiled engine's profile covers every kernel after a full episode
 /// — the instrumentation the Fig. 4 harness depends on.
 #[test]

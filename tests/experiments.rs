@@ -1,7 +1,7 @@
 //! Shape tests for every reproduced table/figure: who wins, by roughly
-//! what factor, and where the crossovers fall. The experiment binaries in
-//! `hima-bench` print the full data; these tests pin the qualitative
-//! claims so regressions are caught by `cargo test`.
+//! what factor, and where the crossovers fall. The experiments in
+//! `hima-bench` (`hima_cli run <id>`) print the full data; these tests pin
+//! the qualitative claims so regressions are caught by `cargo test`.
 
 use hima::engine::baselines;
 use hima::engine::report::{ablation_sweep, scalability_sweep};
